@@ -24,7 +24,6 @@ EXPECTED = {
     "kernel_timer_churn",
     "payload_sizing",
     "scorecard_wall_clock",
-    "shard_scaling",
     "federation_scaling",
 }
 

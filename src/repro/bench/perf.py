@@ -19,8 +19,7 @@ baseline families exist:
   event, and one re-armable ``sim.Timer`` per lease.
 
 The report also carries a **determinism guard**: the fast kernel build
-must leave seeded event traces byte-identical, and a sharded kernel
-must reproduce the single-shard final states — perf that changes
+must leave seeded event traces byte-identical — perf that changes
 behaviour is a bug, not a win.
 
 ``python -m repro perf`` (or ``python benchmarks/perf/run_perf.py``)
@@ -94,21 +93,6 @@ TIMER_CHURN_MIN_SPEEDUP = 5.0
 #: against the all-baselines build — deepcopy payloads AND the
 #: pre-wheel kernel/lease regime
 SCORECARD_MIN_SPEEDUP = 1.5
-
-#: acceptance floor (full mode only): the multi-process sharded kernel
-#: at 4 worker processes must deliver at least this much *capacity*
-#: speedup on the T11 saturation storm — total events divided by the
-#: busiest worker's CPU seconds, against the single-process
-#: ShardedKernel's events per CPU second.  Capacity, not wall clock:
-#: CI containers (including this one) pin the suite to one core, where
-#: 4 workers time-slice and wall clock can only lose to process
-#: overhead; events/CPU-second measures how the protocol divides the
-#: work, which is what turns into wall-clock speedup the moment real
-#: cores exist.  The theoretical ceiling is 1/max-shard-share (~3.2x
-#: for the storm's ~31% server shard — the Amdahl floor the federation
-#: arc exists to remove), so 1.5x leaves honest room for rollback
-#: re-execution.
-SHARD_SCALING_MIN_SPEEDUP = 1.5
 
 #: acceptance ceiling (full mode only): per-batch cross-member commit
 #: cost at the largest federation sweep point divided by the cost at
@@ -415,91 +399,6 @@ def _measure_scorecard(fast: bool, repeats: int,
         return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_shard_scaling(quick: bool) -> dict[str, Any]:
-    """The shard-scaling curve of the multi-process kernel.
-
-    Runs the T11 saturation storm once on the single-process
-    :class:`~repro.sim.shard.ShardedKernel` (the baseline and the
-    determinism reference — the storm's event population is identical
-    at every shard count, so one reference serves them all) and then
-    on real spawned worker processes at each measured shard count.
-    Every parallel run's merged trace must be byte-identical to the
-    reference; the reported metric is **capacity** (events per
-    busiest-worker CPU second — see :data:`SHARD_SCALING_MIN_SPEEDUP`
-    for why wall clock is not the gate on a one-core container).
-    """
-    from repro.sim.parallel import (
-        build_saturation_storm,
-        run_program_parallel,
-        run_program_sequential,
-    )
-
-    if quick:
-        workstations, ws_work, server_work, counts = 24, 60, 20, (2,)
-    else:
-        workstations, ws_work, server_work, counts = 400, 1500, 400, (2, 4)
-
-    def storm(shards: int):
-        return build_saturation_storm(
-            shards=shards, workstations=workstations,
-            ws_work=ws_work, server_work=server_work)
-
-    reference = run_program_sequential(storm(1))
-    base_cpu = reference.stats["cpu_seconds"]
-    base_capacity = reference.executed / base_cpu if base_cpu else 0.0
-
-    runs: dict[str, dict[str, Any]] = {}
-    identical = True
-    peak_capacity = 0.0
-    peak_speedup: float | None = None
-    for shards in counts:
-        result = run_program_parallel(storm(shards))
-        stats = result.stats
-        worker_cpu = stats["max_worker_cpu_seconds"]
-        capacity = result.executed / worker_cpu if worker_cpu else 0.0
-        same = (result.events == reference.events
-                and result.executed == reference.executed)
-        identical = identical and same
-        runs[f"shards={shards}"] = {
-            "workers": stats["workers"],
-            "events_per_cpu_sec": round(capacity, 2),
-            "capacity_speedup":
-                round(capacity / base_capacity, 2)
-                if base_capacity else None,
-            "wall_seconds": round(stats["wall_seconds"], 3),
-            "max_worker_cpu_seconds": round(worker_cpu, 4),
-            "rounds": stats["rounds"],
-            "rollbacks": stats["rollbacks"],
-            "rolled_back_events": stats["rolled_back_events"],
-            "speculated": stats["speculated"],
-            "committed_speculative": stats["committed_speculative"],
-            "trace_identical": same,
-        }
-        peak_capacity = capacity
-        peak_speedup = runs[f"shards={shards}"]["capacity_speedup"]
-
-    storm_meta = storm(max(counts)).meta
-    return {
-        "description":
-            "T11 saturation storm on spawned worker processes "
-            "(conservative lookahead + speculation/rollback): merged "
-            "events per busiest-worker CPU second vs the "
-            "single-process ShardedKernel",
-        "ops": reference.executed,
-        "metric": "capacity (events / max worker CPU-second) — wall "
-                  "clock cannot win on a single-core container",
-        "ops_per_sec": round(peak_capacity, 2),
-        "baseline": "single-process ShardedKernel",
-        "baseline_ops_per_sec": round(base_capacity, 2),
-        "speedup_vs_baseline": peak_speedup,
-        "workstations": workstations,
-        "work_shares": storm_meta["work_shares"],
-        "lookahead": storm_meta["lan_latency"],
-        "trace_identical": identical,
-        "runs": runs,
-    }
-
-
 def _measure_federation_scaling(quick: bool,
                                 repeats: int) -> dict[str, Any]:
     """Per-batch cross-member commit cost as the federation grows.
@@ -651,7 +550,7 @@ def _measure_federation_scaling(quick: bool,
 
 def _environment() -> dict[str, Any]:
     """Host metadata stamped into the artifact: the context any reader
-    of the capacity numbers needs (most of all the core count)."""
+    of the wall-clock numbers needs."""
     import os
     import platform
 
@@ -663,17 +562,13 @@ def _environment() -> dict[str, Any]:
     }
 
 
-def _determinism_guard(quick: bool) -> dict[str, Any]:
+def _determinism_guard() -> dict[str, Any]:
     """Prove the fast kernel changes speed, not behaviour.
 
     * **Trace guard** — the seeded T7 concurrent-delegation scenario
       must produce a byte-identical kernel event trace under the fast
       build (wheel + slab + dispatch run) and the compat build (plain
-      heap, fresh record per event); a synthetic storm must trace
-      identically on ``Kernel`` and ``ShardedKernel(shards=1)``.
-    * **Shard guard** — under ``shards=2`` the interleaving across
-      shards may differ, but the final scenario reports (states,
-      makespans, counters) must equal the single-shard run's.
+      heap, fresh record per event).
     * **Federation guard** — the full T10 crash matrix must produce
       identical reports with the placement index on and off
       (``federation_fast_path(False)`` restores the seed's member
@@ -685,32 +580,17 @@ def _determinism_guard(quick: bool) -> dict[str, Any]:
     from repro.bench.scenarios import (
         concurrent_delegation_scenario,
         federated_commit_scenario,
-        object_buffer_scenario,
-        write_back_scenario,
     )
-    from repro.sim.shard import ShardedKernel
 
     subcells = ("A", "B")
 
-    def t7(fast: bool, shards: int = 1) -> tuple[Any, Any]:
+    def t7(fast: bool) -> tuple:
         with kernel_fast_path(fast):
-            system, report = concurrent_delegation_scenario(
-                subcells, shards=shards)
-        return system.kernel.trace_signature(), asdict(report)
+            system, __ = concurrent_delegation_scenario(subcells)
+        return system.kernel.trace_signature()
 
-    fast_trace, fast_report = t7(True)
-    compat_trace, __ = t7(False)
-    __, sharded_report = t7(True, shards=2)
-
-    def storm_signature(kernel: Kernel) -> tuple:
-        for index in range(64):
-            kernel.defer((index * 7) % 13 + index * 0.01, _noop,
-                         label=f"storm-{index}")
-        kernel.run()
-        return kernel.trace_signature()
-
-    shard1 = storm_signature(ShardedKernel(SimClock(), shards=1)) \
-        == storm_signature(Kernel(SimClock()))
+    fast_trace = t7(True)
+    compat_trace = t7(False)
 
     def t10_matrix(fast: bool) -> dict[str, Any]:
         with federation_fast_path(fast):
@@ -728,20 +608,11 @@ def _determinism_guard(quick: bool) -> dict[str, Any]:
     checks = {
         "t7_trace_fast_vs_compat": fast_trace == compat_trace,
         "t7_trace_events": fast_trace[0],
-        "shard1_storm_trace_identical": shard1,
-        "t7_report_identical_shards2": fast_report == sharded_report,
         "t10_report_identical_fast_vs_compat":
             t10_matrix(True) == t10_matrix(False),
         "federation_directory_rebuild_identical":
             directory_rebuild_identical(),
     }
-    if not quick:
-        checks["t8_report_identical_shards2"] = \
-            asdict(object_buffer_scenario()) \
-            == asdict(object_buffer_scenario(shards=2))
-        checks["t9_report_identical_shards2"] = \
-            asdict(write_back_scenario()) \
-            == asdict(write_back_scenario(shards=2))
     checks["ok"] = all(value is True or not isinstance(value, bool)
                        for value in checks.values())
     return checks
@@ -881,17 +752,11 @@ def run_perf(quick: bool = False, repeats: int = 3,
         round(1.0 / card["baseline_ops_per_sec"], 3) \
         if card["baseline_ops_per_sec"] else None
 
-    benchmarks["shard_scaling"] = _measure_shard_scaling(quick)
-    scaling = benchmarks["shard_scaling"]
-
     benchmarks["federation_scaling"] = \
         _measure_federation_scaling(quick, repeats)
     federation = benchmarks["federation_scaling"]
 
-    determinism = _determinism_guard(quick)
-    determinism["parallel_merge_trace_identical"] = \
-        scaling["trace_identical"]
-    determinism["ok"] = determinism["ok"] and scaling["trace_identical"]
+    determinism = _determinism_guard()
 
     hit = benchmarks["checkout_buffer_hit"]
     flush = benchmarks["group_checkin_flush"]
@@ -908,8 +773,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
         "timer_churn_speedup": churn_bench["speedup_vs_baseline"],
         "scorecard_min_speedup": SCORECARD_MIN_SPEEDUP,
         "scorecard_speedup": card["speedup_vs_baseline"],
-        "shard_scaling_min_speedup": SHARD_SCALING_MIN_SPEEDUP,
-        "shard_scaling_speedup": scaling["speedup_vs_baseline"],
         "federation_flatness_max": FEDERATION_FLATNESS_MAX,
         "federation_flatness": federation["flatness"],
         "federation_log_bounded": federation["bounded_log"]["ok"],
@@ -935,8 +798,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
               >= TIMER_CHURN_MIN_SPEEDUP
               and (card["speedup_vs_baseline"] or 0.0)
               >= SCORECARD_MIN_SPEEDUP
-              and (scaling["speedup_vs_baseline"] or 0.0)
-              >= SHARD_SCALING_MIN_SPEEDUP
               and (federation["flatness"] or float("inf"))
               <= FEDERATION_FLATNESS_MAX)
     acceptance["ok"] = ok
@@ -991,9 +852,6 @@ def render(report: dict[str, Any]) -> str:
             f">= {acceptance['timer_churn_min_speedup']:.1f}x",
             f"scorecard {acceptance['scorecard_speedup']:.2f}x "
             f">= {acceptance['scorecard_min_speedup']:.1f}x",
-            f"shard-scaling {acceptance['shard_scaling_speedup']:.2f}x "
-            f">= {acceptance['shard_scaling_min_speedup']:.1f}x "
-            f"capacity",
             f"federation-flatness {acceptance['federation_flatness']:.2f}x "
             f"<= {acceptance['federation_flatness_max']:.1f}x",
         ]

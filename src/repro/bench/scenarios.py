@@ -27,7 +27,6 @@ from repro.repository.schema import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.shard import ShardedKernel
 from repro.te.context import DopContext
 from repro.te.locks import LockManager
 from repro.te.object_buffer import ObjectBuffer
@@ -50,13 +49,12 @@ def make_vlsi_system(workstations: tuple[str, ...] = ("ws-1",),
                      trace: bool = True,
                      recovery_interval: float = 30.0,
                      jitter: float = 0.0,
-                     seed: int = 0,
-                     shards: int = 1) -> ConcordSystem:
+                     seed: int = 0) -> ConcordSystem:
     """A CONCORD installation with the VLSI domain installed."""
     system = ConcordSystem(
         trace=trace,
         recovery_policy=RecoveryPointPolicy(interval=recovery_interval),
-        jitter=jitter, seed=seed, shards=shards)
+        jitter=jitter, seed=seed)
     for name in workstations:
         system.add_workstation(name)
     register_vlsi_tools(system.tools)
@@ -280,7 +278,6 @@ def concurrent_delegation_scenario(
         jitter: float = 0.0,
         seed: int = 0,
         trace: bool = False,
-        shards: int = 1,
         on_kernel: Callable[[Kernel], None] | None = None,
         ) -> tuple[ConcordSystem, ConcurrentReport]:
     """Delegated subcell planning with every sub-DA live at once.
@@ -299,7 +296,7 @@ def concurrent_delegation_scenario(
 
     stations = ("ws-0",) + tuple(f"ws-{cell}" for cell in subcells)
     system = make_vlsi_system(stations, trace=trace, jitter=jitter,
-                              seed=seed, shards=shards)
+                              seed=seed)
     if on_kernel is not None:
         on_kernel(system.kernel)
     report = ConcurrentReport()
@@ -413,7 +410,6 @@ def object_buffer_scenario(team: int = 3,
                            bandwidth: float = 400.0,
                            lan_latency: float = 0.05,
                            jitter: float = 0.0,
-                           shards: int = 1,
                            lease_ttl: float | None = None,
                            on_kernel: Callable[[Kernel], None]
                            | None = None) -> ShippingReport:
@@ -437,15 +433,13 @@ def object_buffer_scenario(team: int = 3,
     — T8 measures data shipping, not visibility policies (that is T1).
     """
     clock = SimClock()
-    kernel = ShardedKernel(clock, shards=shards) if shards > 1 \
-        else Kernel(clock)
+    kernel = Kernel(clock)
     if on_kernel is not None:
         on_kernel(kernel)
     network = Network(clock, lan_latency=lan_latency, jitter=jitter,
                       seed=seed, bandwidth=bandwidth)
     network.attach_kernel(kernel)
     network.add_server()
-    kernel.assign_shard("server", 0)
     repository = DesignDataRepository()
     locks = LockManager()
     server_tm = ServerTM(repository, locks, network, clock=clock,
@@ -537,7 +531,6 @@ def object_buffer_scenario(team: int = 3,
     for index, spec in enumerate(workload.sessions):
         workstation = f"ws-{index}"
         network.add_workstation(workstation)
-        kernel.assign_shard(workstation, (1 + index) % max(shards, 1))
         buffer = ObjectBuffer(workstation) if caching else None
         client = ClientTM(workstation, server_tm, rpc, clock, ids=ids,
                           buffer=buffer)
@@ -618,7 +611,6 @@ def write_back_scenario(team: int = 3,
                         jitter: float = 0.0,
                         flush_interval: int = 0,
                         restart: bool = True,
-                        shards: int = 1,
                         lease_ttl: float | None = None,
                         on_kernel: Callable[[Kernel], None]
                         | None = None) -> WriteBackReport:
@@ -646,15 +638,13 @@ def write_back_scenario(team: int = 3,
     stays 0 when every re-read hits the re-validated buffer).
     """
     clock = SimClock()
-    kernel = ShardedKernel(clock, shards=shards) if shards > 1 \
-        else Kernel(clock)
+    kernel = Kernel(clock)
     if on_kernel is not None:
         on_kernel(kernel)
     network = Network(clock, lan_latency=lan_latency, jitter=jitter,
                       seed=seed, bandwidth=bandwidth)
     network.attach_kernel(kernel)
     server = network.add_server()
-    kernel.assign_shard(server.node_id, 0)
     repository = DesignDataRepository()
     # repository recovery registers BEFORE the server-TM's restart
     # hook so stamps are fresh when the buffers re-validate
@@ -763,7 +753,6 @@ def write_back_scenario(team: int = 3,
     for index, spec in enumerate(workload.sessions):
         workstation = f"ws-{index}"
         network.add_workstation(workstation)
-        kernel.assign_shard(workstation, (1 + index) % max(shards, 1))
         buffer = ObjectBuffer(workstation, policy="lru")
         client = ClientTM(
             workstation, server_tm, rpc, clock, ids=ids,

@@ -156,42 +156,17 @@ class ConcordSystem:
                  eviction_policy: str = "lru",
                  flush_interval: int | None = None,
                  lease_ttl: float | None = None,
-                 pressure_fraction: float = 1.0,
-                 shards: int = 1,
-                 parallel: bool = False) -> None:
+                 pressure_fraction: float = 1.0) -> None:
         self.clock = SimClock()
         self.ids = IdGenerator()
         self.trace = EventTrace(enabled=trace)
-        #: event-loop shards: 1 = the plain kernel; N > 1 partitions
-        #: the workstation event streams across a
-        #: :class:`~repro.sim.shard.ShardedKernel`'s merge barrier
-        #: (deterministic — seeded traces are identical either way)
-        self.shards = shards
-        #: parallel=True marks this world for multi-process execution
-        #: (:mod:`repro.sim.parallel` replicated mode): the kernel
-        #: records per-event shard ownership so each spawned worker
-        #: can contribute exactly its shards' slice of the trace
-        self.parallel = parallel
-        if parallel and shards < 2:
-            raise ValueError(
-                "parallel=True needs shards >= 2 (one worker per "
-                "shard; a single shard has nothing to parallelise)")
         #: the unified discrete-event kernel every layer schedules on
-        if shards > 1:
-            from repro.sim.shard import ShardedKernel
-            self.kernel: Kernel = ShardedKernel(self.clock, shards=shards)
-            if parallel:
-                self.kernel.shard_log = []
-        else:
-            self.kernel = Kernel(self.clock)
+        self.kernel = Kernel(self.clock)
         self.network = Network(self.clock, lan_latency=lan_latency,
                                jitter=jitter, seed=seed,
                                bandwidth=bandwidth)
         self.network.attach_kernel(self.kernel)
         self.server: Node = self.network.add_server()
-        # the server anchors shard 0; workstations round-robin over
-        # the remaining shards (see add_workstation)
-        self.kernel.assign_shard(self.server.node_id, 0)
         self.rpc = TransactionalRpc(self.network)
         # any object with the DesignDataRepository interface works here,
         # e.g. a FederatedRepository — the paper's Sect.6 claim that
@@ -264,12 +239,6 @@ class ConcordSystem:
         the server-TM tracks its read leases for invalidation.
         """
         self.network.add_workstation(name)
-        if self.shards > 1:
-            # deterministic round-robin placement by registration
-            # order, skewed off shard 0 so the server's stream keeps
-            # headroom when there are shards to spare
-            index = len(self._client_tms)
-            self.kernel.assign_shard(name, (1 + index) % self.shards)
         buffer = None
         if self.object_buffers:
             buffer = ObjectBuffer(
@@ -481,21 +450,16 @@ class ConcordSystem:
         def unmark(da_id: str) -> None:
             live[da_id] = live.get(da_id, 0) - 1
 
-        def shard_for(da_id: str) -> int:
-            return kernel.shard_of(self._runtimes[da_id].da.workstation)
-
         def schedule(da_id: str, delay: float = 0.0) -> None:
             mark(da_id)
-            kernel.defer_to(shard_for(da_id), delay,
-                            lambda: drive(da_id),
-                            label=f"da-step:{da_id}")
+            kernel.defer(delay, lambda: drive(da_id),
+                         label=f"da-step:{da_id}")
 
         def schedule_finish(da_id: str, pending: PendingDop,
                             delay: float) -> None:
             mark(da_id)
-            kernel.defer_to(shard_for(da_id), delay,
-                            lambda: finish(da_id, pending),
-                            label=f"dop-finish:{da_id}:{pending.step.tool}")
+            kernel.defer(delay, lambda: finish(da_id, pending),
+                         label=f"dop-finish:{da_id}:{pending.step.tool}")
 
         def drive(da_id: str) -> None:
             unmark(da_id)

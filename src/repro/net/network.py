@@ -306,39 +306,6 @@ class Network:
             delay += self._rng.uniform(0.0, self.jitter)
         return delay
 
-    def latency_lower_bound(self) -> float:
-        """Safe lower bound on every *cross-node* delivery delay.
-
-        A message between two different machines pays at least the
-        LAN hop (jitter and the byte-proportional shipping time only
-        add to it) — the quantity the parallel shard protocol derives
-        its conservative lookahead window from: a shard that has run
-        to local time ``t`` cannot receive a foreign delivery before
-        ``t + latency_lower_bound()``.  The bound is inclusive when
-        :attr:`jitter` is zero and strict (exclusive) otherwise.
-        """
-        return self.lan_latency
-
-    def cross_shard_export(self) -> dict[str, Any]:
-        """Cross-shard traffic metadata for a parallel deployment.
-
-        Bundles what a multi-process coordinator needs to schedule the
-        attached kernel's shards on real workers: the latency lower
-        bound (the lookahead window), whether it is strict, and the
-        merge-queue traffic counters of the attached kernel — the
-        volume that would cross process boundaries.
-        """
-        kernel = self.kernel
-        return {
-            "latency_lower_bound": self.latency_lower_bound(),
-            "strict": self.jitter > 0.0,
-            "jitter_upper_bound": self.jitter,
-            "shards": getattr(kernel, "shards", 1),
-            "cross_shard_messages": getattr(kernel,
-                                            "cross_shard_messages", 0),
-            "local_messages": getattr(kernel, "local_messages", 0),
-        }
-
     def post(self, src: str, dst: str, deliver: Callable[[], None],
              label: str = "", size: int = 0) -> float:
         """Queued asynchronous delivery of one message src -> dst.
@@ -367,13 +334,10 @@ class Network:
         delay = self.delivery_delay(src, dst, size)
         self.total_latency += delay
         assert self.kernel is not None
-        # route on the *destination* node's shard (the cross-shard
-        # merge queue of a ShardedKernel; a plain defer on the base
-        # kernel) — fire-and-forget, so the event is slab-recycled
-        kernel = self.kernel
-        kernel.defer_to(kernel.shard_of(dst), delay,
-                        lambda: self._deliver(dst, deliver, label),
-                        label=label)
+        # fire-and-forget, so the event is slab-recycled
+        self.kernel.defer(delay,
+                          lambda: self._deliver(dst, deliver, label),
+                          label=label)
         return delay
 
     def post_batch(self, src: str, dst: str, deliver: Callable[[], None],
@@ -419,11 +383,10 @@ class Network:
         for label, deliver in self._parked.pop(node_id, []):
             if self.async_active:
                 assert self.kernel is not None
-                kernel = self.kernel
-                kernel.defer_to(kernel.shard_of(node_id), 0.0,
-                                lambda d=deliver, n=node_id,
-                                la=label: self._deliver(n, d, la),
-                                label=f"flush:{label}")
+                self.kernel.defer(0.0,
+                                  lambda d=deliver, n=node_id,
+                                  la=label: self._deliver(n, d, la),
+                                  label=f"flush:{label}")
             else:
                 self.messages_delivered += 1
                 deliver()

@@ -30,7 +30,6 @@ from repro.repository.schema import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.shard import ShardedKernel
 from repro.te.locks import LockManager
 from repro.te.object_buffer import ObjectBuffer
 from repro.te.transaction_manager import (
@@ -158,20 +157,17 @@ def design_campaign_scenario(team: int = 4,
                              lan_latency: float = 0.05,
                              jitter: float = 0.0,
                              lease_ttl: float | None = None,
-                             shards: int = 1,
                              on_kernel: Callable[[Kernel], None]
                              | None = None) -> CampaignReport:
     """Run a multi-day design campaign on the real TE stack."""
     clock = SimClock()
-    kernel = ShardedKernel(clock, shards=shards) if shards > 1 \
-        else Kernel(clock)
+    kernel = Kernel(clock)
     if on_kernel is not None:
         on_kernel(kernel)
     network = Network(clock, lan_latency=lan_latency, jitter=jitter,
                       seed=seed, bandwidth=bandwidth)
     network.attach_kernel(kernel)
     network.add_server()
-    kernel.assign_shard("server", 0)
     repository = DesignDataRepository()
     locks = LockManager()
     server_tm = ServerTM(repository, locks, network, clock=clock,
@@ -219,7 +215,6 @@ def design_campaign_scenario(team: int = 4,
     for index in range(team):
         workstation = f"ws-{index}"
         network.add_workstation(workstation)
-        kernel.assign_shard(workstation, (1 + index) % max(shards, 1))
         buffer = ObjectBuffer(workstation, policy="lru") if caching \
             else None
         client = ClientTM(workstation, server_tm, rpc, clock, ids=ids,

@@ -2,20 +2,18 @@
 
 The command surface of the scenario DSL and the trace oracle:
 
-* ``scenario run <file.toml> [--shards N] [--parallel]`` — compile and
-  execute a scenario file, printing its report (``--parallel`` runs the
-  shards on spawned worker processes);
+* ``scenario run <file.toml>`` — compile and execute a scenario file,
+  printing its report;
 * ``scenario validate <file.toml>`` — schema-check only;
 * ``scenario list`` / ``scenario dump <name>`` — the shipped canonical
   library (``dump`` prints the exact TOML the repo ships);
-* ``trace record <file.toml> [-o out.jsonl] [--compat] [--shards N]
-  [--parallel]`` — run a scenario and persist its full kernel event
-  stream (``.jsonl.gz`` outputs are gzipped deterministically);
-* ``trace replay <trace.jsonl> [--compat] [--shards N] [--parallel]``
-  — re-run the embedded scenario against the selected build and diff
-  the streams (exit 1 on divergence: the CI regression gate); on
-  success the verdict names the exact build-flag/shard combination
-  that was replayed;
+* ``trace record <file.toml> [-o out.jsonl] [--compat]`` — run a
+  scenario and persist its full kernel event stream (``.jsonl.gz``
+  outputs are gzipped deterministically);
+* ``trace replay <trace.jsonl> [--compat]`` — re-run the embedded
+  scenario against the selected build and diff the streams (exit 1 on
+  divergence: the CI regression gate); on success the verdict names
+  the exact build-flag combination that was replayed;
 * ``trace diff <a.jsonl> <b.jsonl>`` — structural diff of two trace
   files with a first-divergence report.
 """
@@ -77,24 +75,10 @@ def _pop_option(args: list[str], option: str) -> str | None:
     return value
 
 
-def _parse_shards(args: list[str]) -> int | None:
-    raw = _pop_option(args, "--shards")
-    if raw is None:
-        return None
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ScenarioError(
-            f"--shards: expected an integer, got {raw!r}") from None
-    if shards < 1:
-        raise ScenarioError(f"--shards: must be >= 1, got {shards}")
-    return shards
-
-
 def scenario_main(argv: list[str]) -> int:
     """Entry point of the ``scenario`` subcommand."""
     usage = ("usage: python -m repro scenario "
-             "{run <file.toml> [--shards N] [--parallel] | "
+             "{run <file.toml> | "
              "validate <file.toml> | list | dump <name>}")
     try:
         if not argv:
@@ -102,23 +86,11 @@ def scenario_main(argv: list[str]) -> int:
             return 2
         command, rest = argv[0], list(argv[1:])
         if command == "run":
-            parallel = _pop_flag(rest, "--parallel")
-            shards = _parse_shards(rest)
             if len(rest) != 1:
                 print(usage)
                 return 2
             config = load_scenario(rest[0])
-            if parallel or config.parallel:
-                from repro.sim.parallel import run_scenario_replicated
-
-                result = run_scenario_replicated(config, shards=shards)
-                _print_report(config.name, result.stats["report"])
-                print(f"parallel: {result.stats['workers']} worker "
-                      f"processes over {result.stats['shards']} "
-                      f"shards, {result.executed} events merged")
-            else:
-                report = compile_scenario(config).run(shards=shards)
-                _print_report(config.name, report)
+            _print_report(config.name, compile_scenario(config).run())
             return 0
         if command == "validate":
             if len(rest) != 1:
@@ -154,9 +126,8 @@ def scenario_main(argv: list[str]) -> int:
 def trace_main(argv: list[str]) -> int:
     """Entry point of the ``trace`` subcommand."""
     usage = ("usage: python -m repro trace "
-             "{record <file.toml> [-o out.jsonl[.gz]] [--compat] "
-             "[--shards N] [--parallel] | replay <trace.jsonl> "
-             "[--compat] [--shards N] [--parallel] | "
+             "{record <file.toml> [-o out.jsonl[.gz]] [--compat] | "
+             "replay <trace.jsonl> [--compat] | "
              "diff <a.jsonl> <b.jsonl>}")
     try:
         if not argv:
@@ -165,16 +136,13 @@ def trace_main(argv: list[str]) -> int:
         command, rest = argv[0], list(argv[1:])
         if command == "record":
             compat = _pop_flag(rest, "--compat")
-            parallel = _pop_flag(rest, "--parallel") or None
-            shards = _parse_shards(rest)
             out = _pop_option(rest, "-o") or _pop_option(rest, "--out")
             if len(rest) != 1:
                 print(usage)
                 return 2
             config = load_scenario(rest[0])
             flags = BuildFlags.compat() if compat else BuildFlags()
-            trace = record_scenario(config, flags=flags, shards=shards,
-                                    parallel=parallel)
+            trace = record_scenario(config, flags=flags)
             if out is None:
                 out = f"{config.name}.trace.jsonl"
             save_trace(trace, out)
@@ -183,23 +151,16 @@ def trace_main(argv: list[str]) -> int:
             return 0
         if command == "replay":
             compat = _pop_flag(rest, "--compat")
-            parallel = _pop_flag(rest, "--parallel")
-            shards = _parse_shards(rest)
             if len(rest) != 1:
                 print(usage)
                 return 2
             trace = load_trace(rest[0])
             flags = BuildFlags.compat() if compat \
                 else BuildFlags.from_dict(trace.meta.get("flags", {}))
-            if shards is None:
-                shards = int(trace.meta.get("shards", 1))
-            if not parallel:
-                parallel = bool(trace.meta.get("parallel", False))
-            diff = replay_trace(trace, flags=flags, shards=shards,
-                                parallel=parallel)
+            diff = replay_trace(trace, flags=flags)
             print(diff.render())
             if diff.identical:
-                print(f"SUCCESS [{build_description(flags, shards, parallel)}]")
+                print(f"SUCCESS [{build_description(flags)}]")
             return 0 if diff.identical else 1
         if command == "diff":
             if len(rest) != 2:

@@ -26,7 +26,7 @@ def _ttl(config: ScenarioConfig) -> float | None:
     return ttl if ttl > 0.0 else None
 
 
-def _run_object_buffers(config: ScenarioConfig, shards: int,
+def _run_object_buffers(config: ScenarioConfig,
                         on_kernel: Callable[[Kernel], None] | None
                         ) -> Any:
     from repro.bench.scenarios import object_buffer_scenario
@@ -45,12 +45,11 @@ def _run_object_buffers(config: ScenarioConfig, shards: int,
         bandwidth=config.get("traffic", "bandwidth"),
         lan_latency=config.get("traffic", "lan_latency"),
         jitter=config.get("traffic", "jitter"),
-        shards=shards,
         lease_ttl=_ttl(config),
         on_kernel=on_kernel)
 
 
-def _run_write_back(config: ScenarioConfig, shards: int,
+def _run_write_back(config: ScenarioConfig,
                     on_kernel: Callable[[Kernel], None] | None) -> Any:
     from repro.bench.scenarios import write_back_scenario
 
@@ -70,12 +69,11 @@ def _run_write_back(config: ScenarioConfig, shards: int,
         jitter=config.get("traffic", "jitter"),
         flush_interval=config.get("writes", "flush_interval"),
         restart=config.get("crashes", "server_restart"),
-        shards=shards,
         lease_ttl=_ttl(config),
         on_kernel=on_kernel)
 
 
-def _run_concurrent_delegation(config: ScenarioConfig, shards: int,
+def _run_concurrent_delegation(config: ScenarioConfig,
                                on_kernel: Callable[[Kernel], None]
                                | None) -> Any:
     from repro.bench.scenarios import concurrent_delegation_scenario
@@ -95,12 +93,11 @@ def _run_concurrent_delegation(config: ScenarioConfig, shards: int,
         crash=crash,
         jitter=config.get("traffic", "jitter"),
         seed=config.seed,
-        shards=shards,
         on_kernel=on_kernel)
     return report
 
 
-def _run_campaign(config: ScenarioConfig, shards: int,
+def _run_campaign(config: ScenarioConfig,
                   on_kernel: Callable[[Kernel], None] | None) -> Any:
     from repro.scenario.campaign import design_campaign_scenario
 
@@ -126,18 +123,17 @@ def _run_campaign(config: ScenarioConfig, shards: int,
         lan_latency=config.get("traffic", "lan_latency"),
         jitter=config.get("traffic", "jitter"),
         lease_ttl=_ttl(config),
-        shards=shards,
         on_kernel=on_kernel)
 
 
-def _run_federated_commit(config: ScenarioConfig, shards: int,
+def _run_federated_commit(config: ScenarioConfig,
                           on_kernel: Callable[[Kernel], None] | None
                           ) -> Any:
     """The T10 crash matrix as a scenario: every crash placement of
     the federated atomic commit on one config, plus the
     all-or-nothing verdict.  The federation runs outside the kernel
-    (its crashes are injected directly), so *shards*/*on_kernel* have
-    nothing to hook."""
+    (its crashes are injected directly), so *on_kernel* has nothing
+    to hook."""
     from dataclasses import asdict
 
     from repro.bench.scenarios import federated_commit_scenario
@@ -180,20 +176,15 @@ class CompiledScenario:
 
     config: ScenarioConfig
 
-    def run(self, shards: int | None = None,
+    def run(self,
             on_kernel: Callable[[Kernel], None] | None = None) -> Any:
         """Execute the scenario and return its report.
 
-        *shards* overrides the config's ``[kernel].shards`` (the
-        trace replayer uses this to re-execute a recorded run on a
-        different kernel layout); *on_kernel* is invoked with the
-        run's kernel as soon as it exists, before any event executes
-        — the capture hook of :mod:`repro.sim.trace`.
+        *on_kernel* is invoked with the run's kernel as soon as it
+        exists, before any event executes — the capture hook of
+        :mod:`repro.sim.trace`.
         """
-        runner = KIND_RUNNERS[self.config.kind]
-        return runner(self.config,
-                      self.config.shards if shards is None else shards,
-                      on_kernel)
+        return KIND_RUNNERS[self.config.kind](self.config, on_kernel)
 
 
 def compile_scenario(config: ScenarioConfig) -> CompiledScenario:

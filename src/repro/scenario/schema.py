@@ -72,13 +72,6 @@ SCENARIO_SCHEMA: dict[str, dict[str, _Key]] = {
         "description": _Key(str, "", doc="free-form one-liner"),
         "seed": _Key(int, 0, lo=0, doc="the run's only RNG seed"),
     },
-    "kernel": {
-        "shards": _Key(int, 1, lo=1,
-                       doc="kernel event-loop shards (1 = plain)"),
-        "parallel": _Key(bool, False,
-                         doc="run shards on spawned worker processes "
-                             "(needs shards >= 2)"),
-    },
     "team": {
         "size": _Key(int, 3, lo=1, doc="designers (one ws each)"),
         "steps_per_session": _Key(int, 4, lo=1),
@@ -194,14 +187,6 @@ class ScenarioConfig:
     @property
     def seed(self) -> int:
         return self.tables["scenario"]["seed"]
-
-    @property
-    def shards(self) -> int:
-        return self.tables["kernel"]["shards"]
-
-    @property
-    def parallel(self) -> bool:
-        return self.tables["kernel"]["parallel"]
 
     def as_tables(self) -> dict[str, dict[str, Any]]:
         """A deep, mutation-safe copy of the canonical table form
@@ -359,11 +344,6 @@ def _check_kind_constraints(config: ScenarioConfig) -> None:
     if config.get("objects", "hotspots") > config.get("objects", "pool"):
         raise ScenarioError(
             "[objects].hotspots: cannot exceed [objects].pool")
-    if config.get("kernel", "parallel") \
-            and config.get("kernel", "shards") < 2:
-        raise ScenarioError(
-            "[kernel].parallel: multi-process execution needs "
-            "[kernel].shards >= 2 (one worker per shard)")
     if kind == "federated_commit":
         if config.get("federation", "members") < 2:
             raise ScenarioError(

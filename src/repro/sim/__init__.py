@@ -3,16 +3,8 @@
 from repro.sim.clock import SimClock
 from repro.sim.failures import FailureEvent, FailureKind, FailurePlan
 from repro.sim.injector import FailureInjector, InjectionLogEntry
-from repro.sim.kernel import Kernel, KernelSnapshot, Timer
-from repro.sim.parallel import (
-    ShardProgram,
-    build_saturation_storm,
-    run_program_parallel,
-    run_program_sequential,
-    run_scenario_replicated,
-)
+from repro.sim.kernel import Kernel, Timer
 from repro.sim.scheduler import EventScheduler, kernel_fast_path
-from repro.sim.shard import ShardedKernel
 from repro.sim.wheel import HierarchicalTimerWheel
 
 __all__ = [
@@ -24,14 +16,7 @@ __all__ = [
     "HierarchicalTimerWheel",
     "InjectionLogEntry",
     "Kernel",
-    "KernelSnapshot",
-    "ShardProgram",
-    "ShardedKernel",
     "SimClock",
     "Timer",
-    "build_saturation_storm",
     "kernel_fast_path",
-    "run_program_parallel",
-    "run_program_sequential",
-    "run_scenario_replicated",
 ]

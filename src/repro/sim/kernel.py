@@ -29,9 +29,7 @@ delivery (inside a run) and synchronous handoff (outside).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from heapq import heapify, heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.clock import SimClock
 from repro.sim.injector import InjectionLogEntry
@@ -40,37 +38,6 @@ from repro.util.errors import KernelError
 
 if TYPE_CHECKING:  # avoid the sim <-> net package-init cycle
     from repro.net.network import Network
-
-
-class KernelSnapshot:
-    """Frozen pending-event state of a kernel — the rollback checkpoint.
-
-    Captures everything :meth:`Kernel.restore` needs to rewind a kernel
-    to the capture instant: the clock, the sequence counter, the
-    executed-event count, the live queue contents, and the lengths of
-    the append-only logs (which restore truncates back).  Event
-    *actions* are kept by reference: a restore re-files the same
-    callables, so the snapshot is only valid within the process that
-    took it — exactly the shape the parallel worker protocol needs.
-    """
-
-    __slots__ = ("now", "seq", "executed", "log_len", "injection_len",
-                 "entries", "current_shard", "messages")
-
-    def __init__(self, now: float, seq: int, executed: int,
-                 log_len: int, injection_len: int, entries: tuple,
-                 current_shard: int = 0,
-                 messages: tuple[int, int] = (0, 0)) -> None:
-        self.now = now
-        self.seq = seq
-        self.executed = executed
-        self.log_len = log_len
-        self.injection_len = injection_len
-        #: live events as ``(shard, time, priority, seq, action,
-        #: label, pinned)`` — shard is 0 on single-stream kernels
-        self.entries = entries
-        self.current_shard = current_shard
-        self.messages = messages
 
 
 class Timer:
@@ -225,126 +192,6 @@ class Kernel(EventScheduler):
         """True when no (uncancelled) event is pending."""
         return self.pending == 0
 
-    # -- checkpoint / rollback ---------------------------------------------
-
-    def _snapshot_entries(self) -> tuple:
-        entries = []
-        for source in (self._queue, self._run):
-            for entry in source:
-                event = entry[3]
-                if event.cancelled:
-                    continue
-                entries.append((0, event.time, event.priority,
-                                event.seq, event.action, event.label,
-                                event.pinned))
-        return tuple(entries)
-
-    def snapshot(self) -> KernelSnapshot:
-        """Checkpoint the kernel for a later :meth:`restore`.
-
-        Only wheel-less kernels can be checkpointed (the parallel
-        worker engines and :class:`~repro.sim.shard.ShardedKernel` are
-        both built ``wheel=False``); a kernel holding far-future wheel
-        entries raises :class:`KernelError` rather than silently
-        dropping them.  Handles returned by :meth:`at`/:meth:`after`
-        before the snapshot become stale after a restore — the restored
-        queue holds fresh event records (necessary because the slab
-        recycles executed records in place).
-        """
-        if self._wheel is not None and self._wheel.count:
-            raise KernelError(
-                "snapshot requires a wheel-less kernel (far-future "
-                f"wheel entries pending: {self._wheel.count})")
-        return KernelSnapshot(
-            now=self.clock._now, seq=self._seq, executed=self._executed,
-            log_len=len(self.event_log),
-            injection_len=len(self.injections),
-            entries=self._snapshot_entries())
-
-    def _restore_entries(self, entries: tuple) -> None:
-        self._queue = [
-            (time, priority, seq,
-             _ScheduledEvent(time, priority, seq, action, label,
-                             pinned=pinned))
-            for __, time, priority, seq, action, label, pinned
-            in entries]
-        heapify(self._queue)
-        self._run = []
-
-    def restore(self, snap: KernelSnapshot) -> None:
-        """Rewind the kernel to the state captured by *snap*.
-
-        Pending events are rebuilt from the snapshot (events scheduled
-        after the capture vanish; events that executed since are
-        re-queued), the clock moves back to the capture instant, and
-        :attr:`event_log` / :attr:`injections` are truncated to their
-        captured lengths — the rollback half of the speculative
-        parallel protocol in :mod:`repro.sim.parallel`.
-        """
-        self._restore_entries(snap.entries)
-        self._stale = 0
-        self._live = len(snap.entries)
-        self._seq = snap.seq
-        self._executed = snap.executed
-        del self.event_log[snap.log_len:]
-        del self.injections[snap.injection_len:]
-        self.clock._now = snap.now
-
-    def inject(self, time: float, priority: int, seq: int,
-               action: Callable[[], Any], label: str = "",
-               shard: int = 0) -> None:
-        """File an event with an **explicit** pre-assigned ``seq``.
-
-        The parallel runners use this to replay program events whose
-        global sequence numbers were fixed at build time, so the merged
-        ``(time, priority, seq, label)`` stream is independent of which
-        process executed what.  The kernel's own counter is bumped past
-        *seq* so subsequently scheduled events stay unique.  Unlike
-        :meth:`at`, injection accepts events at (or before) the current
-        instant — replayed cross-process deliveries may be filed while
-        the local clock sits past them, which is exactly the straggler
-        case the rollback protocol detects and repairs.
-        """
-        event = _ScheduledEvent(time, priority, seq, action, label,
-                                pinned=False)
-        heappush(self._queue, (time, priority, seq, event))
-        self._live += 1
-        if seq > self._seq:
-            self._seq = seq
-
-    # -- sharding (the base kernel is one shard) ----------------------------
-
-    def shard_of(self, node_id: str) -> int:
-        """Shard owning *node_id* — always 0 on the base kernel."""
-        return 0
-
-    def assign_shard(self, node_id: str, shard: int) -> None:
-        """Pin *node_id* to a shard (no-op on the base kernel)."""
-
-    @contextmanager
-    def filing_on(self, shard: int) -> Iterator[None]:
-        """Scope in which newly scheduled events file on *shard*.
-
-        A no-op on the base kernel (everything is shard 0);
-        :class:`~repro.sim.shard.ShardedKernel` overrides it so owners
-        of shard-affine events (lease-expiry buckets, crash injections)
-        can route them to the owning node's stream without going
-        through a delivery-shaped :meth:`defer_to`.
-        """
-        yield
-
-    def defer_to(self, shard: int, delay: float,
-                 action: Callable[[], Any], label: str = "",
-                 priority: int = 0) -> None:
-        """Shard-routed :meth:`defer` — plain defer on the base kernel.
-
-        :class:`~repro.sim.shard.ShardedKernel` overrides this to file
-        the event on *shard*'s stream; callers (the network transport)
-        can therefore route cross-shard sends without caring which
-        kernel flavour is underneath.
-        """
-        self.defer(delay, action, label, priority)
-
     # -- failure injection --------------------------------------------------
 
     def crash_at(self, network: "Network", node_id: str, at: float,
@@ -378,14 +225,10 @@ class Kernel(EventScheduler):
             if on_restart is not None:
                 on_restart(node_id)
 
-        # crash/restart events belong to the crashed node: on a sharded
-        # kernel they file on its stream (merge order is unaffected —
-        # the global (time, priority, seq) ordering is stream-agnostic)
-        with self.filing_on(self.shard_of(node_id)):
-            self.at(at, crash, label=f"crash:{node_id}", priority=-1)
-            if restart_after is not None:
-                self.at(at + restart_after, restart,
-                        label=f"restart:{node_id}", priority=-1)
+        self.at(at, crash, label=f"crash:{node_id}", priority=-1)
+        if restart_after is not None:
+            self.at(at + restart_after, restart,
+                    label=f"restart:{node_id}", priority=-1)
 
     # -- trace --------------------------------------------------------------
 

@@ -123,9 +123,6 @@ class EventScheduler:
             else (HierarchicalTimerWheel() if wheel else None)
         #: slab freelist of executed, unpinned events
         self._slab: list[_ScheduledEvent] = [] if _FAST_PATH else None
-        #: True when :meth:`_file` is not overridden — :meth:`defer`
-        #: then routes inline instead of paying the method call
-        self._inline_file = type(self)._file is EventScheduler._file
         self._seq = 0
         self._executed = 0
         #: cancelled entries still sitting in a queue somewhere — when
@@ -195,15 +192,13 @@ class EventScheduler:
         else:
             event = _ScheduledEvent(time, priority, seq, action,
                                     label, pinned=False)
-        if self._inline_file:
-            wheel = self._wheel
-            if wheel is not None and time - now >= WHEEL_NEAR_SPAN:
-                wheel.insert((time, priority, seq, event), now)
-            else:
-                heappush(self._queue, (time, priority, seq, event))
-            self._live += 1
+        # :meth:`_file` inlined: this is the hot scheduling path
+        wheel = self._wheel
+        if wheel is not None and time - now >= WHEEL_NEAR_SPAN:
+            wheel.insert((time, priority, seq, event), now)
         else:
-            self._file(time, priority, event)
+            heappush(self._queue, (time, priority, seq, event))
+        self._live += 1
 
     def cancel(self, event: _ScheduledEvent) -> None:
         """Cancel a pending event (lazy removal).

@@ -19,9 +19,8 @@ stream into a first-class artifact:
 * :func:`replay_trace` re-runs the scenario embedded in a trace's
   header under any build/flag combination (:class:`BuildFlags`
   composes the ``kernel_fast_path`` / ``payload_fast_path`` /
-  ``lease_fast_path`` compat switches, and the shard count and the
-  multi-process ``parallel`` mode can be overridden) and diffs the
-  fresh stream against the recorded one;
+  ``lease_fast_path`` compat switches) and diffs the fresh stream
+  against the recorded one;
 * :func:`diff_traces` reports the **first divergence** structurally —
   index, expected vs actual event, and the common context leading in —
   so a failed replay names the exact event where a refactor changed
@@ -118,7 +117,7 @@ class KernelTrace:
     """A recorded kernel event stream plus its provenance header."""
 
     #: header: format tag, embedded scenario definition, build flags,
-    #: shard count, event count, final simulated time
+    #: event count, final simulated time
     meta: dict[str, Any]
     #: the full ordered ``(time, priority, seq, label)`` stream
     events: list[TraceEvent]
@@ -141,9 +140,7 @@ class KernelTrace:
 
 def capture_trace(kernel: "Kernel",
                   scenario: dict[str, Any] | None = None,
-                  flags: BuildFlags | None = None,
-                  shards: int = 1,
-                  parallel: bool = False) -> KernelTrace:
+                  flags: BuildFlags | None = None) -> KernelTrace:
     """Snapshot *kernel*'s executed event stream as a trace artifact."""
     if not kernel.trace_events and not kernel.event_log:
         raise TraceError("kernel ran with trace_events=False — there "
@@ -153,8 +150,6 @@ def capture_trace(kernel: "Kernel",
         "format": TRACE_FORMAT,
         "scenario": scenario or {},
         "flags": (flags or BuildFlags()).as_dict(),
-        "shards": shards,
-        "parallel": parallel,
         "events": len(events),
         "final_time": kernel.clock.now,
     }
@@ -216,6 +211,12 @@ def load_trace(path: str | Path) -> KernelTrace:
         raise TraceError(
             f"{path}: format {meta['format']!r} is not the supported "
             f"{TRACE_FORMAT!r}")
+    try:
+        float(meta.get("final_time", 0.0))
+    except (TypeError, ValueError):
+        raise TraceError(
+            f"{path}:1: header key 'final_time': expected a number, "
+            f"got {meta['final_time']!r}") from None
     events: list[TraceEvent] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -229,8 +230,13 @@ def load_trace(path: str | Path) -> KernelTrace:
             raise TraceError(
                 f"{path}:{lineno}: expected [time, priority, seq, "
                 f"label], got {row!r}")
-        events.append((float(row[0]), int(row[1]), int(row[2]),
-                       str(row[3])))
+        try:
+            events.append((float(row[0]), int(row[1]), int(row[2]),
+                           str(row[3])))
+        except (TypeError, ValueError) as exc:
+            raise TraceError(
+                f"{path}:{lineno}: malformed [time, priority, seq, "
+                f"label] field in {row!r}: {exc}") from exc
     declared = meta.get("events")
     if declared is not None and declared != len(events):
         raise TraceError(
@@ -328,74 +334,40 @@ def diff_traces(recorded: KernelTrace, replayed: KernelTrace,
 # record / replay orchestration (lazy scenario imports)
 # ---------------------------------------------------------------------------
 
-def build_description(flags: BuildFlags, shards: int,
-                      parallel: bool = False) -> str:
-    """One-line human summary of a build/shard combination — what the
-    CLI prints next to a replay verdict."""
+def build_description(flags: BuildFlags) -> str:
+    """One-line human summary of a build combination — what the CLI
+    prints next to a replay verdict."""
     on = [name for name, value in flags.as_dict().items() if value]
-    flag_part = "+".join(on) if on else "compat (all fast paths off)"
-    shard_part = f"shards={shards}"
-    if parallel:
-        shard_part += " parallel (multi-process)"
-    return f"build: {flag_part}; {shard_part}"
+    return "build: " + ("+".join(on) if on
+                        else "compat (all fast paths off)")
 
 
 def record_scenario(config: "ScenarioConfig",
-                    flags: BuildFlags | None = None,
-                    shards: int | None = None,
-                    parallel: bool | None = None) -> KernelTrace:
-    """Run *config* under *flags* and capture its full event stream.
-
-    With ``parallel=True`` the scenario executes on spawned worker
-    processes (:func:`repro.sim.parallel.run_scenario_replicated`) and
-    the captured stream is the cross-process merge — recording *is*
-    the multi-process determinism check.
-    """
+                    flags: BuildFlags | None = None) -> KernelTrace:
+    """Run *config* under *flags* and capture its full event stream."""
     from repro.scenario import compile_scenario
 
     flags = flags or BuildFlags()
-    if parallel is None:
-        parallel = config.parallel
-    if parallel:
-        from repro.sim.parallel import run_scenario_replicated
-
-        result = run_scenario_replicated(config, flags=flags,
-                                         shards=shards)
-        meta = {
-            "format": TRACE_FORMAT,
-            "scenario": config.as_tables(),
-            "flags": flags.as_dict(),
-            "shards": result.stats["shards"],
-            "parallel": True,
-            "events": len(result.events),
-            "final_time": result.final_time,
-        }
-        return KernelTrace(meta=meta,
-                           events=[tuple(e) for e in result.events])
     compiled = compile_scenario(config)
     captured: list[Any] = []
     with flags.apply():
-        compiled.run(shards=shards, on_kernel=captured.append)
+        compiled.run(on_kernel=captured.append)
     if not captured:
         raise TraceError(
             f"scenario kind {config.kind!r} exposed no kernel to trace")
     kernel = captured[-1]
     return capture_trace(kernel, scenario=config.as_tables(),
-                         flags=flags,
-                         shards=shards or config.shards)
+                         flags=flags)
 
 
 def replay_trace(trace: KernelTrace,
                  flags: BuildFlags | None = None,
-                 shards: int | None = None,
-                 parallel: bool | None = None,
                  context: int = 3) -> TraceDiff:
     """Re-run the scenario embedded in *trace* and diff the streams.
 
-    *flags* / *shards* / *parallel* select the build combination to
-    replay against (default: the combination the trace was recorded
-    under).  Returns the structural diff; ``diff.identical`` is the
-    regression gate.
+    *flags* selects the build combination to replay against (default:
+    the combination the trace was recorded under).  Returns the
+    structural diff; ``diff.identical`` is the regression gate.
     """
     from repro.scenario.schema import validate_scenario
 
@@ -405,10 +377,5 @@ def replay_trace(trace: KernelTrace,
     config = validate_scenario(trace.scenario)
     if flags is None:
         flags = BuildFlags.from_dict(trace.meta.get("flags", {}))
-    if shards is None:
-        shards = int(trace.meta.get("shards", config.shards))
-    if parallel is None:
-        parallel = bool(trace.meta.get("parallel", False))
-    fresh = record_scenario(config, flags=flags, shards=shards,
-                            parallel=parallel)
+    fresh = record_scenario(config, flags=flags)
     return diff_traces(trace, fresh, context=context)

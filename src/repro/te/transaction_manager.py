@@ -161,8 +161,7 @@ class ServerTM:
         #: ``(workstation, dov_id)`` — the txn layer's lease table
         self.leases = LeaseTable(
             clock=self.clock, ttl=lease_ttl,
-            kernel_source=lambda: network.kernel,
-            owner=node_id)
+            kernel_source=lambda: network.kernel)
         self.leases.on_expire = self._on_lease_expired
         #: dict-of-sets era alias (rigs seeded ``_leases`` directly)
         self._leases = self.leases

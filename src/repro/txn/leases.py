@@ -32,7 +32,7 @@ in-flight expiry safe.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import ceil
 from typing import Any, Callable, Iterable, Iterator
@@ -42,9 +42,6 @@ from repro.sim.kernel import Timer
 
 #: slack when comparing expiry instants against the clock
 _EPS = 1e-12
-
-#: reusable no-op scope for tables without a pinned owner
-_NULL_SCOPE = nullcontext()
 
 #: module switch: True = bucketed expiry (one kernel event per distinct
 #: expiry instant), False = the pre-wheel regime of one re-armable
@@ -100,18 +97,13 @@ class LeaseTable:
     def __init__(self, clock: SimClock | None = None,
                  ttl: float | None = None,
                  kernel_source: Callable[[], Any] | None = None,
-                 expiry_granularity: float | None = None,
-                 owner: str | None = None) -> None:
+                 expiry_granularity: float | None = None) -> None:
         self.clock = clock or SimClock()
         #: lease time-to-live (None = leases never expire)
         self.ttl = ttl
         #: zero-arg callable yielding the kernel to arm expiry checks
         #: on (resolved lazily — networks attach their kernel late)
         self._kernel_source = kernel_source
-        #: node that owns this table (the server): expiry events file
-        #: on its shard so a sharded/parallel deployment keeps lease
-        #: settling on the server's worker (None = current shard)
-        self.owner = owner
         #: bucket quantum (None/0 = exact per-instant buckets)
         self.expiry_granularity = expiry_granularity
         #: dov_id -> workstation -> lease
@@ -189,15 +181,10 @@ class LeaseTable:
             return  # no kernel: expiry via expire_due() sweeps
         self._buckets[instant] = [lease]
         epoch = self._epoch
-        # bucket events are the owner's work: file them on its shard
-        # (merge order is shard-agnostic, so this cannot perturb the
-        # trace — it only keeps lease settling on the owning worker)
-        with kernel.filing_on(kernel.shard_of(self.owner)) \
-                if self.owner is not None else _NULL_SCOPE:
-            kernel.defer(max(instant - self.clock.now, 0.0),
-                         lambda: self._on_bucket(instant, epoch),
-                         label=f"lease-expiry:{lease.dov_id}"
-                               f"@{lease.workstation}")
+        kernel.defer(max(instant - self.clock.now, 0.0),
+                     lambda: self._on_bucket(instant, epoch),
+                     label=f"lease-expiry:{lease.dov_id}"
+                           f"@{lease.workstation}")
 
     def _on_bucket(self, instant: float, epoch: int) -> None:
         """Settle every lease filed under *instant* (the bucket event).
@@ -238,11 +225,7 @@ class LeaseTable:
                           label=f"lease-expiry:{lease.dov_id}"
                                 f"@{lease.workstation}")
             self._timers[key] = timer
-        kernel = self._kernel()
-        with kernel.filing_on(kernel.shard_of(self.owner)) \
-                if self.owner is not None and kernel is not None \
-                else _NULL_SCOPE:
-            timer.arm(lease.expires_at)
+        timer.arm(lease.expires_at)
 
     def _on_timer(self, key: tuple[str, str]) -> None:
         workstation, dov_id = key

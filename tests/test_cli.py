@@ -70,6 +70,9 @@ class TestScenarioSubcommand:
     def test_usage_on_missing_args(self, capsys):
         assert main(["scenario"]) == 2
         assert "usage" in capsys.readouterr().out
+        # the removed kernel-layout flags are plain surplus arguments
+        assert main(["scenario", "run", "x.toml", "--shards", "2"]) == 2
+        assert "usage" in capsys.readouterr().out
 
 
 class TestTraceSubcommand:
@@ -117,4 +120,6 @@ class TestTraceSubcommand:
 
     def test_usage_on_missing_args(self, capsys):
         assert main(["trace"]) == 2
+        assert "usage" in capsys.readouterr().out
+        assert main(["trace", "record", "x.toml", "--parallel"]) == 2
         assert "usage" in capsys.readouterr().out

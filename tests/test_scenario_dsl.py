@@ -53,13 +53,11 @@ def _raw_configs() -> st.SearchStrategy:
     probability = st.floats(min_value=0.0, max_value=1.0,
                             allow_nan=False)
     return st.builds(
-        lambda kind, seed, shards, parallel, team, steps, mean_step,
+        lambda kind, seed, team, steps, mean_step,
         pool, payload, reread, ratio, write_back, caching, bandwidth,
         latency, ttl, days, members, fed_placement, fed_batches: {
             "scenario": {"name": f"gen-{kind}-{seed}", "kind": kind,
                          "seed": seed},
-            "kernel": {"shards": shards,
-                       "parallel": parallel and shards >= 2},
             "team": {"size": team, "steps_per_session": steps,
                      "mean_step": mean_step},
             "objects": {"pool": pool, "payload_bytes": payload},
@@ -78,8 +76,6 @@ def _raw_configs() -> st.SearchStrategy:
         },
         kinds,
         st.integers(min_value=0, max_value=2**31),
-        st.integers(min_value=1, max_value=8),
-        st.booleans(),
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=1, max_value=10),
         st.floats(min_value=0.5, max_value=500.0, allow_nan=False),
@@ -152,6 +148,9 @@ class TestDiagnostics:
     def test_unknown_table_is_named(self):
         with pytest.raises(ScenarioError, match=r"\[typo\]"):
             validate_scenario(_base(typo={"x": 1}))
+        # the removed kernel-layout table gets the same diagnostic
+        with pytest.raises(ScenarioError, match=r"\[kernel\]"):
+            validate_scenario(_base(kernel={"shards": 2}))
 
     def test_unknown_key_names_table_and_key(self):
         with pytest.raises(ScenarioError,
@@ -200,11 +199,6 @@ class TestDiagnostics:
     def test_subcells_require_delegation_kind(self):
         with pytest.raises(ScenarioError, match=r"\[team\]\.subcells"):
             validate_scenario(_base(team={"subcells": ["A"]}))
-
-    def test_parallel_requires_multiple_shards(self):
-        with pytest.raises(ScenarioError,
-                           match=r"\[kernel\]\.parallel"):
-            validate_scenario(_base(kernel={"parallel": True}))
 
     def test_hotspot_bias_requires_hotspots(self):
         with pytest.raises(ScenarioError,

@@ -3,19 +3,24 @@
 The regression contract of this PR: the golden traces under
 ``tests/data/traces/`` pin the exact kernel event stream of the T7 and
 T8 scenarios, and replaying them must be **byte-identical** under the
-current fast-path build, under the full compat build (every fast path
-off), and at ``shards=1`` explicitly — any future kernel, scheduler or
-protocol change that silently reorders the simulation fails here with
-a first-divergence report instead of passing unnoticed.
+current fast-path build and under the full compat build (every fast
+path off), and re-recording them in fresh interpreter processes with
+different hash seeds must reproduce the committed bytes — any future
+kernel, scheduler or protocol change that silently reorders the
+simulation fails here with a first-divergence report instead of
+passing unnoticed.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.scenario import canonical_scenarios
+from repro.scenario import canonical_scenarios, validate_scenario
 from repro.sim.kernel import Kernel
 from repro.sim.trace import (
     TRACE_FORMAT,
@@ -30,6 +35,7 @@ from repro.sim.trace import (
     save_trace,
 )
 
+ROOT = Path(__file__).parent.parent
 TRACES = Path(__file__).parent / "data" / "traces"
 GOLDENS = ("t7_concurrent_team", "t8_object_buffers")
 
@@ -62,24 +68,49 @@ class TestGoldenReplay:
         diff = replay_trace(trace, flags=flags)
         assert diff.identical, f"{name}:\n{diff.render()}"
 
-    def test_replay_at_one_shard(self, golden):
-        name, trace = golden
-        diff = replay_trace(trace, shards=1)
-        assert diff.identical, f"{name}:\n{diff.render()}"
-
     def test_rerecord_is_byte_identical(self, golden, tmp_path):
         """The artifact itself is deterministic: re-recording the
         embedded scenario reproduces the committed bytes exactly."""
         name, trace = golden
-        from repro.scenario.schema import validate_scenario
-
         config = validate_scenario(trace.scenario)
         fresh = record_scenario(
-            config, flags=BuildFlags.from_dict(trace.meta["flags"]),
-            shards=trace.meta["shards"])
+            config, flags=BuildFlags.from_dict(trace.meta["flags"]))
         out = save_trace(fresh, tmp_path / "fresh.jsonl")
         committed = (TRACES / f"{name}.jsonl").read_bytes()
         assert out.read_bytes() == committed
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_record_is_identical_across_processes(self, name, tmp_path):
+        """Cross-process determinism: two fresh interpreters with
+        different string-hash seeds record the same bytes, and from
+        the header on down they are the committed golden's."""
+        recorded = []
+        for hashseed in ("1", "2"):
+            out = tmp_path / f"{name}.{hashseed}.jsonl"
+            env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                       PYTHONPATH=str(ROOT / "src"))
+            subprocess.run(
+                [sys.executable, "-m", "repro", "trace", "record",
+                 str(ROOT / "scenarios" / f"{name}.toml"),
+                 "-o", str(out)],
+                check=True, env=env, cwd=ROOT, capture_output=True,
+                timeout=120)
+            recorded.append(out.read_bytes())
+        assert recorded[0] == recorded[1]
+        committed = (TRACES / f"{name}.jsonl").read_bytes()
+        assert recorded[0].split(b"\n")[1:] \
+            == committed.split(b"\n")[1:]
+
+    def test_crash_schedule_records_and_replays(self):
+        """A workstation crash armed from the DSL lands in the stream
+        and replays identically."""
+        raw = canonical_scenarios()["t7_concurrent_team"].as_tables()
+        raw["crashes"]["schedule"] = [
+            {"node": "ws-B", "at": 15.0, "restart_after": 5.0}]
+        trace = record_scenario(validate_scenario(raw))
+        assert any(label == "crash:ws-B" for *_, label in trace.events)
+        diff = replay_trace(trace)
+        assert diff.identical, diff.render()
 
     def test_golden_headers_are_self_contained(self, golden):
         name, trace = golden
@@ -147,9 +178,17 @@ class TestArtifactValidation:
 
     def test_load_names_the_bad_line(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"format":"%s","events":1}\n[1.0,0]\n'
+        for row in ('[1.0,0]', '["x",0,1,"l"]', '[1.0,null,1,"l"]'):
+            bad.write_text('{"format":"%s","events":1}\n%s\n'
+                           % (TRACE_FORMAT, row))
+            with pytest.raises(TraceError, match=":2:"):
+                load_trace(bad)
+
+    def test_load_names_the_bad_header_key(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"format":"%s","events":0,"final_time":"soon"}\n'
                        % TRACE_FORMAT)
-        with pytest.raises(TraceError, match=":2:"):
+        with pytest.raises(TraceError, match=":1:.*'final_time'"):
             load_trace(bad)
 
     def test_capture_refuses_untraced_kernel(self):

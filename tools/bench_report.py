@@ -2,8 +2,9 @@
 """Pretty-print a ``BENCH_PERF.json`` perf report, with deltas.
 
 One argument prints the report; two arguments print NEW against OLD
-with a per-benchmark throughput delta — the before/after view of the
-perf trajectory::
+with a per-benchmark throughput delta (a benchmark only OLD has is
+listed as ``removed``) — the before/after view of the perf
+trajectory::
 
     python tools/bench_report.py BENCH_PERF.json            # single run
     python tools/bench_report.py NEW.json OLD.json          # delta view
@@ -56,6 +57,9 @@ def render_delta(new: dict[str, Any],
             else:
                 row.append("new")
         rows.append(row)
+    rows += [[name, "-", "-", _fmt_ops(bench.get("ops_per_sec")), "removed"]
+             for name, bench in old_benches.items()
+             if name not in new["benchmarks"]]
     widths = [max(len(header[i]), *(len(r[i]) for r in rows))
               for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)),
@@ -85,11 +89,6 @@ def render_delta(new: dict[str, Any],
                 f"scorecard speedup "
                 f"{acceptance.get('scorecard_speedup')}x "
                 f">= {acceptance.get('scorecard_min_speedup')}x")
-            if "shard_scaling_min_speedup" in acceptance:
-                gates.append(
-                    f"shard-scaling capacity "
-                    f"{acceptance.get('shard_scaling_speedup')}x "
-                    f">= {acceptance.get('shard_scaling_min_speedup')}x")
             if "federation_flatness" in acceptance:
                 gates.append(
                     f"federation-flatness "
