@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the zero-copy perf harness and emit ``BENCH_PERF.json``.
+"""Run the perf harness and emit ``BENCH_PERF.json``.
 
 Standalone entry point for the CI perf job and for local trajectory
 runs (it bootstraps ``src/`` onto ``sys.path`` itself, so no

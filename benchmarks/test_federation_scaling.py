@@ -43,14 +43,6 @@ class TestFederationScalingCurve:
         assert len(scaling["sweep"]) == 3
         assert "members=64" in scaling["sweep"]
 
-    def test_indexed_path_beats_the_member_scan(self, scaling):
-        """At 64 members the seed's per-version scan pays for 64
-        ``staged_ids()`` snapshots per version; the index must win."""
-        assert scaling["speedup_vs_baseline"] is not None
-        assert scaling["speedup_vs_baseline"] > 1.0, (
-            f"indexed resolution {scaling['speedup_vs_baseline']}x vs "
-            f"the member scan at the largest sweep point")
-
     def test_bounded_log_survives_truncation_cycles(self, scaling):
         bounded = scaling["bounded_log"]
         assert bounded["ok"], bounded
@@ -67,9 +59,6 @@ class TestFederationScalingCurve:
               f"sweep point")
         for name, ms in scaling["sweep"].items():
             print(f"  {name}: {ms} ms/batch")
-        print(f"  baseline (member scan): "
-              f"{scaling['baseline_ms_per_batch']} ms/batch "
-              f"({scaling['speedup_vs_baseline']}x)")
         bounded = scaling["bounded_log"]
         print(f"  bounded log: peak {bounded['peak_wal_records']} "
               f"records (max {bounded['max_wal_records']}), "

@@ -648,10 +648,8 @@ def run_t11(workstations: int = 60, leases_per_ws: int = 1000,
     Expected shape: every granted lease eventually expires exactly
     once, renewals never resurrect, and the renewing half of the fleet
     outlives the silent half by the renewal horizon.  The wall clock
-    and kernel event count are recorded for the perf harness: under
-    bucketed expiry (PR 7) the kernel schedules one event per distinct
-    expiry instant; under the per-``sim.Timer`` baseline it schedules
-    one heap entry per lease plus one re-check event per renewal.
+    and kernel event count are recorded: the lease table schedules one
+    kernel event per distinct expiry instant.
     """
     from repro.sim import Kernel, SimClock
     from repro.txn.leases import LeaseTable
@@ -707,15 +705,14 @@ def run_t11(workstations: int = 60, leases_per_ws: int = 1000,
     result.data.update(
         leases=total, live_after=stats["live"],
         grants=stats["grants"], renewals=stats["renewals"],
-        expirations=stats["expirations"], strategy=stats["strategy"],
+        expirations=stats["expirations"],
         kernel_events=kernel.executed, wall_seconds=round(wall, 3),
         events_per_sec=round(kernel.executed / wall) if wall else 0)
     result.notes.append(
         "expected shape: every lease expires exactly once; the "
         "renewing fleet half outlives the silent half by the renewal "
         "horizon; kernel events stay proportional to distinct expiry "
-        "instants under bucketed expiry (vs one heap entry per lease "
-        "plus re-checks under the per-timer baseline)")
+        "instants")
     return result
 
 

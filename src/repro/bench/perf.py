@@ -1,26 +1,14 @@
-"""Microbenchmark harness for the zero-copy and kernel hot paths.
+"""Microbenchmark harness for the data-shipping and commit hot paths.
 
-Wall-clock throughput of the hot paths the fast builds optimise —
-buffer-hit checkout, write-through checkout/checkin round trips,
-group-checkin flushes, raw kernel event dispatch, TTL timer churn —
-plus the payload-sizing primitive itself.  Where a fast path changes
-the mechanics, each benchmark is measured twice: once with the fast
-path on (the default production configuration) and once against its
-in-harness baseline, so every report carries its own speedup.  Two
-baseline families exist:
-
-* the **deepcopy payload** baseline
-  (:func:`~repro.repository.versions.payload_fast_path` ``(False)``)
-  for the data-shipping paths (PR 4);
-* the **pre-wheel kernel** baseline
-  (:func:`~repro.sim.scheduler.kernel_fast_path` ``(False)`` plus
-  :func:`~repro.txn.leases.lease_fast_path` ``(False)``) for the
-  event-loop paths (PR 7): a plain binary heap, a fresh record per
-  event, and one re-armable ``sim.Timer`` per lease.
-
-The report also carries a **determinism guard**: the fast kernel build
-must leave seeded event traces byte-identical — perf that changes
-behaviour is a bug, not a win.
+Absolute wall-clock throughput of the paths the end-to-end benchmark
+(``benchmarks/e2e``) does not isolate — buffer-hit checkout,
+write-through checkout/checkin round trips, write-back group flushes,
+cross-workstation group commits and cross-member federation commits —
+plus the **structural** gates that do not depend on the host: the
+federation's member-count scaling curve must stay flat, the decision
+log must stay bounded under checkpointing, a seeded run must repeat
+its kernel trace exactly, and a federation directory rebuilt from the
+members must equal the one that was maintained.
 
 ``python -m repro perf`` (or ``python benchmarks/perf/run_perf.py``)
 runs the suite and emits ``BENCH_PERF.json`` at the repo root — the
@@ -39,20 +27,13 @@ from typing import Any, Callable
 
 from repro.net.network import Network
 from repro.net.rpc import TransactionalRpc
-from repro.repository.placement import federation_fast_path
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
 )
-from repro.repository.versions import (
-    DesignObjectVersion,
-    payload_fast_path,
-)
 from repro.sim.clock import SimClock
-from repro.sim.kernel import Kernel
-from repro.sim.scheduler import kernel_fast_path
 from repro.te.locks import LockManager
 from repro.te.object_buffer import ObjectBuffer
 from repro.te.transaction_manager import (
@@ -60,7 +41,6 @@ from repro.te.transaction_manager import (
     ServerTM,
     register_server_endpoints,
 )
-from repro.txn.leases import LeaseTable, lease_fast_path
 from repro.util.ids import IdGenerator
 
 #: schema version of the BENCH_PERF.json envelope
@@ -68,31 +48,6 @@ SCHEMA = 1
 
 #: repo-root artifact file the harness emits by default
 DEFAULT_ARTIFACT = "BENCH_PERF.json"
-
-#: acceptance floor: buffer-hit checkout must beat the deepcopy
-#: baseline by at least this factor
-BUFFER_HIT_MIN_SPEEDUP = 3.0
-
-#: acceptance floor: the write-back group flush must beat the deepcopy
-#: baseline by at least this factor (PR 5: batched graph locks, the
-#: single-walk freeze, and the O(1) dirty index lifted the 2PC/WAL
-#: control path that used to dominate the flush)
-GROUP_FLUSH_MIN_SPEEDUP = 2.0
-
-#: acceptance floor: raw dispatch rate of the fast kernel build on a
-#: pre-scheduled far-future event storm (PR 7: timer wheel + dispatch
-#: run + slab recycling; the pre-wheel kernel managed ~770k)
-KERNEL_EVENTS_MIN_OPS_PER_SEC = 2_000_000
-
-#: acceptance floor: the full TTL-lease lifecycle (staggered grants,
-#: batch renewals, early releases, expiry) must beat the
-#: one-``sim.Timer``-per-lease heap baseline by at least this factor
-TIMER_CHURN_MIN_SPEEDUP = 5.0
-
-#: acceptance floor (full mode only): the whole reproduction scorecard
-#: against the all-baselines build — deepcopy payloads AND the
-#: pre-wheel kernel/lease regime
-SCORECARD_MIN_SPEEDUP = 1.5
 
 #: acceptance ceiling (full mode only): per-batch cross-member commit
 #: cost at the largest federation sweep point divided by the cost at
@@ -112,8 +67,8 @@ FEDERATION_LOG_WINDOW = 8
 def _nested_payload(entries: int = 48, rev: int = 0) -> dict[str, Any]:
     """A representative design payload: shallow top, bushy below.
 
-    Many container nodes (not just long strings) so the deepcopy
-    baseline pays a real recursive walk per operation.
+    Many container nodes (not just long strings), so freezing and
+    sizing it is a real recursive walk.
     """
     return {
         "name": f"cell-{rev}",
@@ -166,237 +121,125 @@ def _best_ops_per_sec(run_ops: Callable[[], int], repeats: int) -> float:
 # -- the microbenchmarks -----------------------------------------------------
 
 
-def _measure_buffer_hit(ops: int, fast: bool, repeats: int) -> float:
+def _measure_buffer_hit(ops: int, repeats: int) -> float:
     """Buffer-hit checkouts per second (the zero-network read path)."""
-    with payload_fast_path(fast):
-        rig = _make_rig(buffering=True)
-        client: ClientTM = rig["client"]
-        dov0 = rig["repository"].checkin(
-            "da-1", "Cell", _nested_payload(), ())
-        warm = client.begin_dop("da-1", tool="bench")
-        client.checkout(warm, dov0.dov_id)  # the one miss: installs
-        client.drop_dop(warm)
+    rig = _make_rig(buffering=True)
+    client: ClientTM = rig["client"]
+    dov0 = rig["repository"].checkin(
+        "da-1", "Cell", _nested_payload(), ())
+    warm = client.begin_dop("da-1", tool="bench")
+    client.checkout(warm, dov0.dov_id)  # the one miss: installs
+    client.drop_dop(warm)
 
-        def run_ops() -> int:
-            done = 0
-            while done < ops:
-                dop = client.begin_dop("da-1", tool="bench")
-                for _ in range(16):
-                    client.checkout(dop, dov0.dov_id)
-                done += 16
-                client.drop_dop(dop)
-            return done
+    def run_ops() -> int:
+        done = 0
+        while done < ops:
+            dop = client.begin_dop("da-1", tool="bench")
+            for _ in range(16):
+                client.checkout(dop, dov0.dov_id)
+            done += 16
+            client.drop_dop(dop)
+        return done
 
-        return _best_ops_per_sec(run_ops, repeats)
+    return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_write_through(ops: int, fast: bool, repeats: int) -> float:
+def _measure_write_through(ops: int, repeats: int) -> float:
     """Uncached checkout+checkin round trips per second (RPC + 2PC +
     WAL force per round — the write-through data-shipping path)."""
-    with payload_fast_path(fast):
-        rig = _make_rig(buffering=False)
-        client: ClientTM = rig["client"]
-        state = {"current": rig["repository"].checkin(
-            "da-1", "Cell", _nested_payload(), ()).dov_id, "rev": 0}
+    rig = _make_rig(buffering=False)
+    client: ClientTM = rig["client"]
+    state = {"current": rig["repository"].checkin(
+        "da-1", "Cell", _nested_payload(), ()).dov_id, "rev": 0}
 
-        def run_ops() -> int:
-            for _ in range(ops):
-                dop = client.begin_dop("da-1", tool="bench")
-                client.checkout(dop, state["current"])
-                state["rev"] += 1
-                result = client.checkin(
-                    dop, "Cell", data=_nested_payload(rev=state["rev"]),
-                    parents=[state["current"]])
-                state["current"] = result.dov.dov_id
-                client.commit_dop(dop, result)
-            return ops
+    def run_ops() -> int:
+        for _ in range(ops):
+            dop = client.begin_dop("da-1", tool="bench")
+            client.checkout(dop, state["current"])
+            state["rev"] += 1
+            result = client.checkin(
+                dop, "Cell", data=_nested_payload(rev=state["rev"]),
+                parents=[state["current"]])
+            state["current"] = result.dov.dov_id
+            client.commit_dop(dop, result)
+        return ops
 
-        return _best_ops_per_sec(run_ops, repeats)
+    return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_group_flush(flushes: int, batch: int, fast: bool,
+def _measure_group_flush(flushes: int, batch: int,
                          repeats: int) -> float:
     """Group-checkin flushes per second (*batch* deferred checkins per
     flush: one batched ship, one 2PC, one forced WAL write, rebind)."""
-    with payload_fast_path(fast):
-        rig = _make_rig(buffering=True, write_back=True)
-        client: ClientTM = rig["client"]
-        state = {"rev": 0}
+    rig = _make_rig(buffering=True, write_back=True)
+    client: ClientTM = rig["client"]
+    state = {"rev": 0}
 
-        def run_ops() -> int:
-            for _ in range(flushes):
-                dop = client.begin_dop("da-1", tool="bench")
-                for _ in range(batch):
-                    state["rev"] += 1
-                    client.checkin(dop, "Cell",
-                                   data=_nested_payload(rev=state["rev"]),
-                                   parents=[])
-                client.commit_dop(dop)  # End-of-DOP flush trigger
-            return flushes
+    def run_ops() -> int:
+        for _ in range(flushes):
+            dop = client.begin_dop("da-1", tool="bench")
+            for _ in range(batch):
+                state["rev"] += 1
+                client.checkin(dop, "Cell",
+                               data=_nested_payload(rev=state["rev"]),
+                               parents=[])
+            client.commit_dop(dop)  # End-of-DOP flush trigger
+        return flushes
 
-        return _best_ops_per_sec(run_ops, repeats)
+    return _best_ops_per_sec(run_ops, repeats)
 
 
-def _measure_cross_flush(rounds: int, team: int, batch: int, fast: bool,
+def _measure_cross_flush(rounds: int, team: int, batch: int,
                          repeats: int) -> float:
     """Cross-workstation group commits per second: *team* dirty sets
     under ONE coordinator, ONE decision and ONE forced WAL write
     (:func:`repro.txn.flush_group`)."""
     from repro.txn import flush_group
 
-    with payload_fast_path(fast):
-        clock = SimClock()
-        network = Network(clock)
-        network.add_server()
-        repository = DesignDataRepository()
-        locks = LockManager()
-        server_tm = ServerTM(repository, locks, network, clock=clock)
-        server_tm.scope_check = lambda da_id, dov_id: True
-        rpc = TransactionalRpc(network)
-        register_server_endpoints(rpc, server_tm)
-        ids = IdGenerator()
-        repository.register_dot(DesignObjectType("Cell", attributes=[
-            AttributeDef("name", AttributeKind.STRING),
-            AttributeDef("meta", AttributeKind.JSON),
-            AttributeDef("tree", AttributeKind.JSON),
-        ]))
-        clients = []
-        for index in range(team):
-            workstation = f"ws-{index}"
-            network.add_workstation(workstation)
-            repository.create_graph(f"da-{index}")
-            clients.append(ClientTM(
-                workstation, server_tm, rpc, clock, ids=ids,
-                buffer=ObjectBuffer(workstation), write_back=True,
-                flush_on_end_dop=False))
-        state = {"rev": 0}
-
-        def run_ops() -> int:
-            for _ in range(rounds):
-                dops = []
-                for index, client in enumerate(clients):
-                    dop = client.begin_dop(f"da-{index}", tool="bench")
-                    for _ in range(batch):
-                        state["rev"] += 1
-                        client.checkin(
-                            dop, "Cell",
-                            data=_nested_payload(rev=state["rev"]),
-                            parents=[])
-                    dops.append((client, dop))
-                flush_group(clients)
-                for client, dop in dops:
-                    client.commit_dop(dop)
-            return rounds
-        return _best_ops_per_sec(run_ops, repeats)
-
-
-def _measure_kernel_events(events: int, fast: bool,
-                           repeats: int) -> float:
-    """Raw kernel dispatch rate: events per second popped and executed
-    from a pre-scheduled far-future storm.
-
-    The storm is time-ordered over an 80-time-unit horizon — the shape
-    a workstation fleet's heartbeat/lease traffic has — and scheduling
-    happens *outside* the timed region: this benchmark isolates the
-    dispatch engine (wheel drains, the sorted dispatch run, the batch
-    pop loop, slab recycling) from the schedule-side cost, which the
-    ``kernel_timer_churn`` contrast covers end to end.
-    """
-    best = 0.0
-    step = 80.0 / max(events, 1)
-    for _ in range(max(repeats, 1)):
-        with kernel_fast_path(fast):
-            kernel = Kernel(SimClock(), trace_events=False)
-        noop = _noop
-        defer = kernel.defer
-        for index in range(events):
-            defer(1.0 + index * step, noop, "storm")
-        start = time.perf_counter()
-        kernel.run()
-        elapsed = time.perf_counter() - start
-        assert kernel.executed == events
-        if elapsed > 0.0:
-            best = max(best, events / elapsed)
-    return best
-
-
-def _noop() -> None:
-    """The measured event body of the dispatch storm."""
-
-
-def _measure_timer_churn(leases: int, fast: bool,
-                         repeats: int) -> float:
-    """TTL-lease lifecycles settled per second, end to end.
-
-    The workload is the cancel-heavy far-future population the timer
-    wheel exists for: ``leases`` leases granted in per-workstation
-    waves (staggered horizons), after which 60% of the fleet releases
-    its whole set mid-life (the cancels), 20% batch-renews twice
-    before going silent, and 20% just expires.  The fast build runs
-    bucketed lease expiry on the wheel kernel; the baseline runs the
-    pre-PR regime — one re-armable ``sim.Timer`` per lease on the heap
-    kernel, where every release still dispatches a no-op check event
-    and every renewal costs an extra re-check.
-    """
-    stations = max(leases // 1000, 4)
-    per_station = max(leases // stations, 1)
-    ttl = 30.0
+    clock = SimClock()
+    network = Network(clock)
+    network.add_server()
+    repository = DesignDataRepository()
+    locks = LockManager()
+    server_tm = ServerTM(repository, locks, network, clock=clock)
+    server_tm.scope_check = lambda da_id, dov_id: True
+    rpc = TransactionalRpc(network)
+    register_server_endpoints(rpc, server_tm)
+    ids = IdGenerator()
+    repository.register_dot(DesignObjectType("Cell", attributes=[
+        AttributeDef("name", AttributeKind.STRING),
+        AttributeDef("meta", AttributeKind.JSON),
+        AttributeDef("tree", AttributeKind.JSON),
+    ]))
+    clients = []
+    for index in range(team):
+        workstation = f"ws-{index}"
+        network.add_workstation(workstation)
+        repository.create_graph(f"da-{index}")
+        clients.append(ClientTM(
+            workstation, server_tm, rpc, clock, ids=ids,
+            buffer=ObjectBuffer(workstation), write_back=True,
+            flush_on_end_dop=False))
+    state = {"rev": 0}
 
     def run_ops() -> int:
-        with kernel_fast_path(fast), lease_fast_path(fast):
-            kernel = Kernel(SimClock(), trace_events=False)
-            table = LeaseTable(kernel.clock, ttl=ttl,
-                               kernel_source=lambda: kernel)
-
-        def grant_wave(station: str) -> None:
-            for index in range(per_station):
-                table.grant(station, f"dov-{station}-{index}")
-
-        def release_wave(station: str) -> None:
-            for index in range(per_station):
-                table.release(station, f"dov-{station}-{index}")
-
-        for number in range(stations):
-            station = f"ws-{number:04d}"
-            at = number * 0.01
-            kernel.at(at, lambda s=station: grant_wave(s),
-                      label="grant-wave")
-            if number % 5 < 3:  # 60%: cancel mid-life
-                kernel.at(at + ttl * 0.5,
-                          lambda s=station: release_wave(s),
-                          label="release-wave")
-            elif number % 5 == 3:  # 20%: renew twice, then lapse
-                for round_no in (1, 2):
-                    kernel.at(at + round_no * ttl * 0.6,
-                              lambda s=station:
-                              table.renew_workstation(s),
-                              label="renew-wave")
-        kernel.run_until_quiescent(max_events=leases * 8 + 10_000)
-        assert len(table) == 0
-        return stations * per_station
+        for _ in range(rounds):
+            dops = []
+            for index, client in enumerate(clients):
+                dop = client.begin_dop(f"da-{index}", tool="bench")
+                for _ in range(batch):
+                    state["rev"] += 1
+                    client.checkin(
+                        dop, "Cell",
+                        data=_nested_payload(rev=state["rev"]),
+                        parents=[])
+                dops.append((client, dop))
+            flush_group(clients)
+            for client, dop in dops:
+                client.commit_dop(dop)
+        return rounds
 
     return _best_ops_per_sec(run_ops, repeats)
-
-
-def _measure_scorecard(fast: bool, repeats: int,
-                       quick: bool) -> float:
-    """Full scorecard runs per second — the end-to-end wall-clock
-    claim: every figure/experiment driver, the fast build vs the
-    all-baselines build (deepcopy payloads + pre-wheel kernel and
-    leases).  Quick mode restricts the card to the data-shipping
-    experiments."""
-    from repro.bench.scorecard import run_scorecard
-
-    only = {"T8", "T9"} if quick else None
-
-    def run_ops() -> int:
-        card = run_scorecard(only=only)
-        assert card.data["failures"] == 0
-        return 1
-
-    with payload_fast_path(fast), kernel_fast_path(fast), \
-            lease_fast_path(fast):
-        return _best_ops_per_sec(run_ops, repeats)
 
 
 def _measure_federation_scaling(quick: bool,
@@ -411,9 +254,7 @@ def _measure_federation_scaling(quick: bool,
     size was the per-version home-resolution scan the placement index
     removed.  The gate is *flatness*: seconds per batch at the largest
     sweep point must stay within :data:`FEDERATION_FLATNESS_MAX` of
-    the smallest.  The compat baseline re-times the largest federation
-    with ``federation_fast_path(False)`` (the seed's scan per staged
-    version), and a separate bounded-log run proves the decision log's
+    the smallest.  A separate bounded-log run proves the decision log's
     checkpoint frontier keeps its record count inside 2x the
     :data:`FEDERATION_LOG_WINDOW` across >= 3 truncation cycles —
     ending with a coordinator crash + recovery over the truncated log.
@@ -485,10 +326,6 @@ def _measure_federation_scaling(quick: bool,
     smallest, largest = min(counts), max(counts)
     flatness = round(sweep[largest] / sweep[smallest], 3) \
         if sweep[smallest] else None
-    with federation_fast_path(False):
-        compat = seconds_per_batch(largest)
-    speedup = round(compat / sweep[largest], 2) \
-        if sweep[largest] else None
 
     # -- bounded-log run: >= 3 checkpoint/truncation cycles, record
     # count sampled after every batch, then a coordinator crash over
@@ -517,7 +354,7 @@ def _measure_federation_scaling(quick: bool,
             "cross-member commit_group seconds/batch at fixed work "
             f"({batch_size} versions over {das} pinned members) as "
             "the federation grows — O(batch) placement-index "
-            "resolution vs the per-version member scan",
+            "resolution",
         "ops": batches * batch_size,
         "ops_per_sec": round(1.0 / sweep[largest], 2)
         if sweep[largest] else None,
@@ -531,10 +368,6 @@ def _measure_federation_scaling(quick: bool,
         "sweep_unit": "ms per batch",
         "flatness": flatness,
         "flatness_max": FEDERATION_FLATNESS_MAX,
-        "baseline": f"member-scan resolution at {largest} members "
-                    "(federation_fast_path off)",
-        "baseline_ms_per_batch": round(compat * 1000.0, 4),
-        "speedup_vs_baseline": speedup,
         "bounded_log": {
             "window": window,
             "batches": 3 * window + 2,
@@ -563,75 +396,34 @@ def _environment() -> dict[str, Any]:
 
 
 def _determinism_guard() -> dict[str, Any]:
-    """Prove the fast kernel changes speed, not behaviour.
+    """The host-independent behaviour checks of the report.
 
-    * **Trace guard** — the seeded T7 concurrent-delegation scenario
-      must produce a byte-identical kernel event trace under the fast
-      build (wheel + slab + dispatch run) and the compat build (plain
-      heap, fresh record per event).
-    * **Federation guard** — the full T10 crash matrix must produce
-      identical reports with the placement index on and off
-      (``federation_fast_path(False)`` restores the seed's member
-      scans), and a federation directory rebuilt from the members
-      after a coordinator loss must equal the pre-crash directory.
+    * **Trace guard** — two runs of the seeded T7
+      concurrent-delegation scenario must produce the same kernel
+      event trace.
+    * **Federation guard** — a federation directory rebuilt from the
+      members after a coordinator loss must equal the pre-crash
+      directory.
     """
-    from dataclasses import asdict
-
     from repro.bench.scenarios import (
+        _federation_rebuild_check,
         concurrent_delegation_scenario,
-        federated_commit_scenario,
     )
 
-    subcells = ("A", "B")
-
-    def t7(fast: bool) -> tuple:
-        with kernel_fast_path(fast):
-            system, __ = concurrent_delegation_scenario(subcells)
+    def t7() -> tuple:
+        system, __ = concurrent_delegation_scenario(("A", "B"))
         return system.kernel.trace_signature()
 
-    fast_trace = t7(True)
-    compat_trace = t7(False)
-
-    def t10_matrix(fast: bool) -> dict[str, Any]:
-        with federation_fast_path(fast):
-            return {crash: asdict(federated_commit_scenario(crash=crash))
-                    for crash in ("none", "before", "after",
-                                  "coordinator")}
-
-    def directory_rebuild_identical() -> bool:
-        # seeded cross-member commits + a version left staged, then a
-        # coordinator loss: the index rebuilt from the members alone
-        # must equal the pre-crash snapshot on every surface
-        from repro.bench.scenarios import _federation_rebuild_check
-        return _federation_rebuild_check()
-
+    first = t7()
     checks = {
-        "t7_trace_fast_vs_compat": fast_trace == compat_trace,
-        "t7_trace_events": fast_trace[0],
-        "t10_report_identical_fast_vs_compat":
-            t10_matrix(True) == t10_matrix(False),
+        "t7_trace_same_seed_identical": first == t7(),
+        "t7_trace_events": first[0],
         "federation_directory_rebuild_identical":
-            directory_rebuild_identical(),
+            _federation_rebuild_check(),
     }
     checks["ok"] = all(value is True or not isinstance(value, bool)
                        for value in checks.values())
     return checks
-
-
-def _measure_sizing(ops: int, fast: bool, repeats: int) -> float:
-    """``payload_size`` accesses per second: cached stamp vs the
-    recursive re-walk of the pre-freeze property."""
-    with payload_fast_path(fast):
-        dov = DesignObjectVersion(
-            "dov-bench", "Cell", _nested_payload(), "da-1", 0.0)
-
-        def run_ops() -> int:
-            total = 0
-            for _ in range(ops):
-                total += dov.payload_size
-            return ops if total else ops
-
-        return _best_ops_per_sec(run_ops, repeats)
 
 
 # -- the suite ---------------------------------------------------------------
@@ -652,155 +444,60 @@ def run_perf(quick: bool = False, repeats: int = 3,
 
     benchmarks: dict[str, dict[str, Any]] = {}
 
-    def contrast(name: str, description: str, ops: int,
-                 measure: Callable[[bool], float],
-                 baseline: str = "deepcopy payload") -> None:
-        fast = measure(True)
-        base = measure(False)
-        bench: dict[str, Any] = {
-            "description": description,
-            "ops": ops,
-            "ops_per_sec": round(fast, 2),
-            "baseline": baseline,
-            "baseline_ops_per_sec": round(base, 2),
-            "speedup_vs_baseline":
-                round(fast / base, 2) if base else None,
-        }
-        if baseline == "deepcopy payload":
-            # historical key the PR 4 artifacts and reports used
-            bench["speedup_vs_deepcopy_baseline"] = \
-                bench["speedup_vs_baseline"]
-        benchmarks[name] = bench
+    def bench(name: str, description: str, ops: int,
+              ops_per_sec: float, **extra: Any) -> None:
+        benchmarks[name] = {"description": description, "ops": ops,
+                            "ops_per_sec": round(ops_per_sec, 2),
+                            **extra}
 
     ops = n(4800, 32)
-    contrast(
-        "checkout_buffer_hit",
-        "buffer-hit checkouts/sec: frozen zero-copy install vs the "
-        "deepcopy-per-read baseline",
-        ops, lambda fast: _measure_buffer_hit(ops, fast, repeats))
+    bench("checkout_buffer_hit",
+          "buffer-hit checkouts/sec: the frozen payload is installed "
+          "into the DOP context without a copy",
+          ops, _measure_buffer_hit(ops, repeats))
 
     rounds = n(320)
-    contrast(
-        "checkout_checkin_write_through",
-        "uncached checkout+checkin round trips/sec (RPC + sized "
-        "shipment + 2PC + forced WAL write per round)",
-        rounds, lambda fast: _measure_write_through(rounds, fast, repeats))
+    bench("checkout_checkin_write_through",
+          "uncached checkout+checkin round trips/sec (RPC + sized "
+          "shipment + 2PC + forced WAL write per round)",
+          rounds, _measure_write_through(rounds, repeats))
 
     flushes, batch = n(48), 16
-    contrast(
-        "group_checkin_flush",
-        f"write-back group flushes/sec ({batch} deferred checkins per "
-        "flush: one batched ship, one 2PC, one WAL force, rebind)",
-        flushes,
-        lambda fast: _measure_group_flush(flushes, batch, fast, repeats))
-    benchmarks["group_checkin_flush"]["batch"] = batch
-    fps = benchmarks["group_checkin_flush"]["ops_per_sec"]
-    benchmarks["group_checkin_flush"]["flush_latency_ms"] = \
-        round(1000.0 / fps, 3) if fps else None
+    fps = _measure_group_flush(flushes, batch, repeats)
+    bench("group_checkin_flush",
+          f"write-back group flushes/sec ({batch} deferred checkins per "
+          "flush: one batched ship, one 2PC, one WAL force, rebind)",
+          flushes, fps, batch=batch,
+          flush_latency_ms=round(1000.0 / fps, 3) if fps else None)
 
     rounds, team = n(24), 4
-    contrast(
-        "cross_workstation_group_commit",
-        f"cross-workstation group commits/sec ({team} workstations' "
-        f"dirty sets, {batch} checkins each, under ONE coordinator / "
-        "decision / forced WAL write)",
-        rounds,
-        lambda fast: _measure_cross_flush(rounds, team, batch, fast,
-                                          repeats))
-    benchmarks["cross_workstation_group_commit"]["team"] = team
-    benchmarks["cross_workstation_group_commit"]["batch"] = batch
+    bench("cross_workstation_group_commit",
+          f"cross-workstation group commits/sec ({team} workstations' "
+          f"dirty sets, {batch} checkins each, under ONE coordinator / "
+          "decision / forced WAL write)",
+          rounds, _measure_cross_flush(rounds, team, batch, repeats),
+          team=team, batch=batch)
 
-    events = n(200_000, 2048)
-    contrast(
-        "kernel_events",
-        "kernel events dispatched/sec from a pre-scheduled "
-        "far-future storm (wheel drains + sorted dispatch run + "
-        "batch pop + slab recycling vs the plain-heap kernel)",
-        events,
-        lambda fast: _measure_kernel_events(events, fast, repeats),
-        baseline="pre-wheel heap kernel")
-
-    churn = n(100_000, 2048)
-    contrast(
-        "kernel_timer_churn",
-        "TTL-lease lifecycles/sec end to end (staggered grants, 60% "
-        "released mid-life, 20% batch-renewed twice, 20% expiring): "
-        "bucketed expiry on the wheel kernel vs one sim.Timer heap "
-        "entry per lease",
-        churn,
-        lambda fast: _measure_timer_churn(churn, fast, repeats),
-        baseline="one sim.Timer per lease on the heap kernel")
-
-    sizings = n(4000, 64)
-    contrast(
-        "payload_sizing",
-        "DesignObjectVersion.payload_size accesses/sec: cached "
-        "one-walk stamp vs recursive re-walk per access",
-        sizings, lambda fast: _measure_sizing(sizings, fast, repeats))
-
-    contrast(
-        "scorecard_wall_clock",
-        "full reproduction-scorecard runs/sec (every driver, end to "
-        "end) — the whole-system wall-clock effect of the fast "
-        "builds vs deepcopy payloads + the pre-wheel kernel/leases",
-        1, lambda fast: _measure_scorecard(fast, repeats, quick),
-        baseline="deepcopy payload + pre-wheel kernel and leases")
-    card = benchmarks["scorecard_wall_clock"]
-    card["wall_seconds"] = \
-        round(1.0 / card["ops_per_sec"], 3) if card["ops_per_sec"] else None
-    card["baseline_wall_seconds"] = \
-        round(1.0 / card["baseline_ops_per_sec"], 3) \
-        if card["baseline_ops_per_sec"] else None
-
-    benchmarks["federation_scaling"] = \
-        _measure_federation_scaling(quick, repeats)
-    federation = benchmarks["federation_scaling"]
+    federation = _measure_federation_scaling(quick, repeats)
+    benchmarks["federation_scaling"] = federation
 
     determinism = _determinism_guard()
 
-    hit = benchmarks["checkout_buffer_hit"]
-    flush = benchmarks["group_checkin_flush"]
-    kernel = benchmarks["kernel_events"]
-    churn_bench = benchmarks["kernel_timer_churn"]
+    # the bounded log and determinism are structural and bind in quick
+    # mode too; quick mode shrinks op counts until timings say
+    # nothing, so the flatness ratio binds on the full run only
+    ok = federation["bounded_log"]["ok"] and determinism["ok"]
+    if not quick:
+        ok = ok and (federation["flatness"] or float("inf")) \
+            <= FEDERATION_FLATNESS_MAX
     acceptance: dict[str, Any] = {
-        "buffer_hit_min_speedup": BUFFER_HIT_MIN_SPEEDUP,
-        "buffer_hit_speedup": hit["speedup_vs_baseline"],
-        "group_flush_min_speedup": GROUP_FLUSH_MIN_SPEEDUP,
-        "group_flush_speedup": flush["speedup_vs_baseline"],
-        "kernel_events_min_ops_per_sec": KERNEL_EVENTS_MIN_OPS_PER_SEC,
-        "kernel_events_ops_per_sec": kernel["ops_per_sec"],
-        "timer_churn_min_speedup": TIMER_CHURN_MIN_SPEEDUP,
-        "timer_churn_speedup": churn_bench["speedup_vs_baseline"],
-        "scorecard_min_speedup": SCORECARD_MIN_SPEEDUP,
-        "scorecard_speedup": card["speedup_vs_baseline"],
         "federation_flatness_max": FEDERATION_FLATNESS_MAX,
         "federation_flatness": federation["flatness"],
         "federation_log_bounded": federation["bounded_log"]["ok"],
         "determinism_ok": determinism["ok"],
-        #: quick mode shrinks op counts until timings say nothing, and
-        #: its scorecard subset omits the kernel-bound T11 driver — the
-        #: quantitative gates bind on the full run only
         "perf_gates_applied": not quick,
+        "ok": ok,
     }
-    ok = ((hit["speedup_vs_baseline"] or 0.0)
-          >= BUFFER_HIT_MIN_SPEEDUP
-          and (flush["speedup_vs_baseline"] or 0.0)
-          >= GROUP_FLUSH_MIN_SPEEDUP
-          # structural, not a timing: the checkpoint frontier must
-          # bound the decision log in quick mode too
-          and federation["bounded_log"]["ok"]
-          and determinism["ok"])
-    if not quick:
-        ok = (ok
-              and kernel["ops_per_sec"]
-              >= KERNEL_EVENTS_MIN_OPS_PER_SEC
-              and (churn_bench["speedup_vs_baseline"] or 0.0)
-              >= TIMER_CHURN_MIN_SPEEDUP
-              and (card["speedup_vs_baseline"] or 0.0)
-              >= SCORECARD_MIN_SPEEDUP
-              and (federation["flatness"] or float("inf"))
-              <= FEDERATION_FLATNESS_MAX)
-    acceptance["ok"] = ok
     report = {
         "schema": SCHEMA,
         "suite": "repro.bench.perf",
@@ -820,45 +517,24 @@ def run_perf(quick: bool = False, repeats: int = 3,
 
 def render(report: dict[str, Any]) -> str:
     """One-screen text rendering of a perf report."""
-    lines = [f"== PERF: zero-copy + kernel hot paths "
+    lines = [f"== PERF: data-shipping + commit hot paths "
              f"({report['mode']}, repeats={report['repeats']}) =="]
     for name, bench in report["benchmarks"].items():
-        lines.append(f"{name:32s} {bench['ops_per_sec']:>12,.0f} ops/s"
-                     + (f"  ({bench['speedup_vs_baseline']:.2f}x "
-                        f"vs {bench.get('baseline', 'baseline')})"
-                        if bench.get("speedup_vs_baseline")
-                        else ""))
-    determinism = report.get("determinism", {})
-    if determinism:
-        failed = [key for key, value in determinism.items()
-                  if value is False]
-        lines.append("determinism: "
-                     + ("traces/states identical"
-                        if determinism.get("ok")
-                        else "VIOLATED: " + ", ".join(failed)))
+        lines.append(f"{name:32s} {bench['ops_per_sec']:>12,.0f} ops/s")
+    determinism = report["determinism"]
+    failed = [key for key, value in determinism.items() if value is False]
+    lines.append("determinism: "
+                 + ("traces/states identical" if determinism["ok"]
+                    else "VIOLATED: " + ", ".join(failed)))
     acceptance = report["acceptance"]
-    gates = [
-        f"buffer-hit {acceptance['buffer_hit_speedup']:.2f}x "
-        f">= {acceptance['buffer_hit_min_speedup']:.1f}x",
-        f"group-flush {acceptance['group_flush_speedup']:.2f}x "
-        f">= {acceptance['group_flush_min_speedup']:.1f}x",
-    ]
-    if acceptance.get("perf_gates_applied"):
-        gates += [
-            f"kernel-events "
-            f"{acceptance['kernel_events_ops_per_sec']:,.0f} "
-            f">= {acceptance['kernel_events_min_ops_per_sec']:,d}/s",
-            f"timer-churn {acceptance['timer_churn_speedup']:.2f}x "
-            f">= {acceptance['timer_churn_min_speedup']:.1f}x",
-            f"scorecard {acceptance['scorecard_speedup']:.2f}x "
-            f">= {acceptance['scorecard_min_speedup']:.1f}x",
+    gates = []
+    if acceptance["perf_gates_applied"]:
+        gates.append(
             f"federation-flatness {acceptance['federation_flatness']:.2f}x "
-            f"<= {acceptance['federation_flatness_max']:.1f}x",
-        ]
-    if "federation_log_bounded" in acceptance:
-        gates.append("federation-log "
-                     + ("bounded" if acceptance["federation_log_bounded"]
-                        else "UNBOUNDED"))
+            f"<= {acceptance['federation_flatness_max']:.1f}x")
+    gates.append("federation-log "
+                 + ("bounded" if acceptance["federation_log_bounded"]
+                    else "UNBOUNDED"))
     lines.append("acceptance: " + ", ".join(gates) + " -> "
                  + ("OK" if acceptance["ok"] else "FAIL"))
     return "\n".join(lines)

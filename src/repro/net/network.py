@@ -334,7 +334,6 @@ class Network:
         delay = self.delivery_delay(src, dst, size)
         self.total_latency += delay
         assert self.kernel is not None
-        # fire-and-forget, so the event is slab-recycled
         self.kernel.defer(delay,
                           lambda: self._deliver(dst, deliver, label),
                           label=label)

@@ -23,55 +23,17 @@ or whole-site loss wipes it, and
 :meth:`~repro.repository.federation.FederatedRepository.recover_directory`
 rebuilds it from the members' own WAL-recovered stores — the index is
 a cache of the federation's durable truth, never the truth itself.
-
-:func:`federation_fast_path` is the compat switch: ``False`` restores
-the seed's member-scan resolution (the index is still *maintained*, so
-the flag can flip mid-run), which the perf harness uses to prove the
-indexed path byte-identical on the seeded T10 crash matrix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
 from typing import Any, Iterator
 from zlib import crc32
 
 #: virtual nodes per member on the consistent-hash ring: enough for an
 #: even spread at a handful of members, cheap at hundreds
 RING_REPLICAS = 64
-
-_FAST_PATH = True
-
-
-def federation_fast_path_enabled() -> bool:
-    """True while indexed (O(batch)) home resolution is active."""
-    return _FAST_PATH
-
-
-def set_federation_fast_path(enabled: bool) -> bool:
-    """Toggle indexed home resolution; returns the previous setting."""
-    global _FAST_PATH
-    previous = _FAST_PATH
-    _FAST_PATH = bool(enabled)
-    return previous
-
-
-@contextmanager
-def federation_fast_path(enabled: bool = True):
-    """Scoped toggle of the indexed resolution path.
-
-    ``federation_fast_path(False)`` restores the seed's
-    scan-every-member behaviour — the baseline of the
-    ``federation_scaling`` benchmark and the compat side of the T10
-    byte-identical determinism guard.
-    """
-    previous = set_federation_fast_path(enabled)
-    try:
-        yield
-    finally:
-        set_federation_fast_path(previous)
-
 
 class PlacementIndex:
     """DA homes, staged-version homes, and the durable DOV directory.

@@ -7,13 +7,11 @@ The command surface of the scenario DSL and the trace oracle:
 * ``scenario validate <file.toml>`` — schema-check only;
 * ``scenario list`` / ``scenario dump <name>`` — the shipped canonical
   library (``dump`` prints the exact TOML the repo ships);
-* ``trace record <file.toml> [-o out.jsonl] [--compat]`` — run a
-  scenario and persist its full kernel event stream (``.jsonl.gz``
-  outputs are gzipped deterministically);
-* ``trace replay <trace.jsonl> [--compat]`` — re-run the embedded
-  scenario against the selected build and diff the streams (exit 1 on
-  divergence: the CI regression gate); on success the verdict names
-  the exact build-flag combination that was replayed;
+* ``trace record <file.toml> [-o out.jsonl]`` — run a scenario and
+  persist its full kernel event stream (``.jsonl.gz`` outputs are
+  gzipped deterministically);
+* ``trace replay <trace.jsonl>`` — re-run the embedded scenario and
+  diff the streams (exit 1 on divergence: the CI regression gate);
 * ``trace diff <a.jsonl> <b.jsonl>`` — structural diff of two trace
   files with a first-divergence report.
 """
@@ -32,9 +30,7 @@ from repro.scenario.schema import (
 )
 from repro.util.errors import KernelError
 from repro.sim.trace import (
-    BuildFlags,
     TraceError,
-    build_description,
     diff_traces,
     load_trace,
     record_scenario,
@@ -54,13 +50,6 @@ def _print_report(name: str, report: Any) -> None:
             print(f"  {spec.name} = {value}")
     else:
         print(f"  {report}")
-
-
-def _pop_flag(args: list[str], flag: str) -> bool:
-    if flag in args:
-        args.remove(flag)
-        return True
-    return False
 
 
 def _pop_option(args: list[str], option: str) -> str | None:
@@ -126,8 +115,8 @@ def scenario_main(argv: list[str]) -> int:
 def trace_main(argv: list[str]) -> int:
     """Entry point of the ``trace`` subcommand."""
     usage = ("usage: python -m repro trace "
-             "{record <file.toml> [-o out.jsonl[.gz]] [--compat] | "
-             "replay <trace.jsonl> [--compat] | "
+             "{record <file.toml> [-o out.jsonl[.gz]] | "
+             "replay <trace.jsonl> | "
              "diff <a.jsonl> <b.jsonl>}")
     try:
         if not argv:
@@ -135,14 +124,12 @@ def trace_main(argv: list[str]) -> int:
             return 2
         command, rest = argv[0], list(argv[1:])
         if command == "record":
-            compat = _pop_flag(rest, "--compat")
             out = _pop_option(rest, "-o") or _pop_option(rest, "--out")
             if len(rest) != 1:
                 print(usage)
                 return 2
             config = load_scenario(rest[0])
-            flags = BuildFlags.compat() if compat else BuildFlags()
-            trace = record_scenario(config, flags=flags)
+            trace = record_scenario(config)
             if out is None:
                 out = f"{config.name}.trace.jsonl"
             save_trace(trace, out)
@@ -150,17 +137,13 @@ def trace_main(argv: list[str]) -> int:
                   f"(final t={trace.final_time}) -> {out}")
             return 0
         if command == "replay":
-            compat = _pop_flag(rest, "--compat")
             if len(rest) != 1:
                 print(usage)
                 return 2
-            trace = load_trace(rest[0])
-            flags = BuildFlags.compat() if compat \
-                else BuildFlags.from_dict(trace.meta.get("flags", {}))
-            diff = replay_trace(trace, flags=flags)
+            diff = replay_trace(load_trace(rest[0]))
             print(diff.render())
             if diff.identical:
-                print(f"SUCCESS [{build_description(flags)}]")
+                print("SUCCESS")
             return 0 if diff.identical else 1
         if command == "diff":
             if len(rest) != 2:

@@ -27,6 +27,7 @@ compiled and re-serialised back to back in one process.
 from __future__ import annotations
 
 import json
+import math
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,6 +214,9 @@ def _check_value(table: str, key: str, spec: _Key, value: Any) -> Any:
             raise ScenarioError(
                 f"{where}: expected a number, got {value!r}")
         value = float(value)
+        if not math.isfinite(value):
+            raise ScenarioError(
+                f"{where}: expected a finite number, got {value!r}")
     elif spec.type is int:
         if type(value) is bool or not isinstance(value, int):
             raise ScenarioError(

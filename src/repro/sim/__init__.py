@@ -3,9 +3,8 @@
 from repro.sim.clock import SimClock
 from repro.sim.failures import FailureEvent, FailureKind, FailurePlan
 from repro.sim.injector import FailureInjector, InjectionLogEntry
-from repro.sim.kernel import Kernel, Timer
-from repro.sim.scheduler import EventScheduler, kernel_fast_path
-from repro.sim.wheel import HierarchicalTimerWheel
+from repro.sim.kernel import Kernel
+from repro.sim.scheduler import EventScheduler
 
 __all__ = [
     "EventScheduler",
@@ -13,10 +12,7 @@ __all__ = [
     "FailureInjector",
     "FailureKind",
     "FailurePlan",
-    "HierarchicalTimerWheel",
     "InjectionLogEntry",
     "Kernel",
     "SimClock",
-    "Timer",
-    "kernel_fast_path",
 ]

@@ -40,78 +40,12 @@ if TYPE_CHECKING:  # avoid the sim <-> net package-init cycle
     from repro.net.network import Network
 
 
-class Timer:
-    """A re-armable deadline on a kernel — the TTL-lease primitive.
-
-    Wraps the schedule-and-check pattern renewable timeouts need: at
-    most **one** kernel event is pending per timer, no matter how
-    often the deadline moves.  :meth:`arm` sets (or extends) the
-    deadline; the pending event notices a moved deadline when it fires
-    and re-schedules itself instead of acting, so a renewal costs no
-    extra event; :meth:`cancel` turns the pending event into a no-op.
-    The *action* runs exactly when the deadline is reached un-moved —
-    deterministic under the ``(time, priority, seq)`` ordering like
-    every other event.
-    """
-
-    def __init__(self, kernel: "Kernel", action: Callable[[], None],
-                 label: str = "timer") -> None:
-        self.kernel = kernel
-        self.action = action
-        self.label = label
-        #: current deadline (None = cancelled/idle)
-        self.deadline: float | None = None
-        self._armed = False
-        #: generation counter: cancel() bumps it so a pending event of
-        #: an older generation is fully inert — re-arming after a
-        #: cancel schedules fresh even at an *earlier* deadline than
-        #: the stale event's
-        self._epoch = 0
-
-    def arm(self, at: float) -> None:
-        """Set the deadline to *at* (extending any earlier one)."""
-        if self.deadline is None or at > self.deadline:
-            self.deadline = at
-        self._schedule()
-
-    def cancel(self) -> None:
-        """Drop the deadline; a pending event becomes a no-op."""
-        self.deadline = None
-        self._epoch += 1
-        self._armed = False
-
-    def _schedule(self) -> None:
-        if self._armed or self.deadline is None:
-            return
-        self._armed = True
-        epoch = self._epoch
-        delay = max(self.deadline - self.kernel.clock.now, 0.0)
-        # fire-and-forget: the epoch stamp is the cancellation token,
-        # so the timer never needs the event handle — slab fast path
-        self.kernel.defer(delay, lambda: self._fire(epoch),
-                          label=self.label)
-
-    def _fire(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            return  # cancelled generation: a fresh arm owns the timer
-        self._armed = False
-        if self.deadline is None:
-            return  # cancelled while pending
-        if self.deadline > self.kernel.clock.now + 1e-12:
-            self._schedule()  # deadline moved (renewal): check later
-            return
-        self.deadline = None
-        self.action()
-
-
 class Kernel(EventScheduler):
     """The single execution kernel shared by all layers of one world."""
 
     def __init__(self, clock: SimClock | None = None,
-                 trace_events: bool = True,
-                 wheel: bool | None = None,
-                 wheel_tick: float | None = None) -> None:
-        super().__init__(clock, wheel=wheel, wheel_tick=wheel_tick)
+                 trace_events: bool = True) -> None:
+        super().__init__(clock)
         #: True while the kernel is inside :meth:`step` / ``run``
         self.running = False
         self.trace_events = trace_events  # property: binds dispatch

@@ -17,10 +17,7 @@ stream into a first-class artifact:
   zeroed mtime, so compressed goldens stay byte-deterministic too),
   and loading auto-detects compression from the magic bytes;
 * :func:`replay_trace` re-runs the scenario embedded in a trace's
-  header under any build/flag combination (:class:`BuildFlags`
-  composes the ``kernel_fast_path`` / ``payload_fast_path`` /
-  ``lease_fast_path`` compat switches) and diffs the fresh stream
-  against the recorded one;
+  header and diffs the fresh stream against the recorded one;
 * :func:`diff_traces` reports the **first divergence** structurally —
   index, expected vs actual event, and the common context leading in —
   so a failed replay names the exact event where a refactor changed
@@ -35,10 +32,9 @@ from __future__ import annotations
 
 import gzip
 import json
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # lazy at runtime: sim must not import the scenario/
     from repro.scenario.schema import ScenarioConfig  # pragma: no cover
@@ -57,58 +53,6 @@ class TraceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# build flags: the compat-switch surface a replay can target
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BuildFlags:
-    """One build/flag combination a trace can be replayed against.
-
-    Each field maps to one of the compat switches the perf PRs left
-    behind; ``True`` is the current fast-path build, ``False`` the
-    seed-equivalent baseline.  The determinism contract says the event
-    stream is byte-identical under **every** combination.
-    """
-
-    kernel_fast_path: bool = True   # timer wheel + slab recycling
-    payload_fast_path: bool = True  # frozen zero-copy payloads
-    lease_fast_path: bool = True    # bucketed TTL-lease expiry
-
-    @classmethod
-    def compat(cls) -> "BuildFlags":
-        """The all-baseline build (every fast path off)."""
-        return cls(kernel_fast_path=False, payload_fast_path=False,
-                   lease_fast_path=False)
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "BuildFlags":
-        known = {f: bool(raw.get(f, True))
-                 for f in ("kernel_fast_path", "payload_fast_path",
-                           "lease_fast_path")}
-        return cls(**known)
-
-    def as_dict(self) -> dict[str, bool]:
-        return {"kernel_fast_path": self.kernel_fast_path,
-                "payload_fast_path": self.payload_fast_path,
-                "lease_fast_path": self.lease_fast_path}
-
-    @contextmanager
-    def apply(self) -> Iterator[None]:
-        """Scoped switch to this build combination (nests the three
-        compat context managers; imports are lazy to keep ``sim`` free
-        of upward package dependencies)."""
-        from repro.repository.versions import payload_fast_path
-        from repro.sim.scheduler import kernel_fast_path
-        from repro.txn.leases import lease_fast_path
-
-        with ExitStack() as stack:
-            stack.enter_context(kernel_fast_path(self.kernel_fast_path))
-            stack.enter_context(payload_fast_path(self.payload_fast_path))
-            stack.enter_context(lease_fast_path(self.lease_fast_path))
-            yield
-
-
-# ---------------------------------------------------------------------------
 # the trace artifact
 # ---------------------------------------------------------------------------
 
@@ -116,8 +60,8 @@ class BuildFlags:
 class KernelTrace:
     """A recorded kernel event stream plus its provenance header."""
 
-    #: header: format tag, embedded scenario definition, build flags,
-    #: event count, final simulated time
+    #: header: format tag, embedded scenario definition, event count,
+    #: final simulated time
     meta: dict[str, Any]
     #: the full ordered ``(time, priority, seq, label)`` stream
     events: list[TraceEvent]
@@ -139,8 +83,7 @@ class KernelTrace:
 
 
 def capture_trace(kernel: "Kernel",
-                  scenario: dict[str, Any] | None = None,
-                  flags: BuildFlags | None = None) -> KernelTrace:
+                  scenario: dict[str, Any] | None = None) -> KernelTrace:
     """Snapshot *kernel*'s executed event stream as a trace artifact."""
     if not kernel.trace_events and not kernel.event_log:
         raise TraceError("kernel ran with trace_events=False — there "
@@ -149,7 +92,6 @@ def capture_trace(kernel: "Kernel",
     meta = {
         "format": TRACE_FORMAT,
         "scenario": scenario or {},
-        "flags": (flags or BuildFlags()).as_dict(),
         "events": len(events),
         "final_time": kernel.clock.now,
     }
@@ -334,40 +276,24 @@ def diff_traces(recorded: KernelTrace, replayed: KernelTrace,
 # record / replay orchestration (lazy scenario imports)
 # ---------------------------------------------------------------------------
 
-def build_description(flags: BuildFlags) -> str:
-    """One-line human summary of a build combination — what the CLI
-    prints next to a replay verdict."""
-    on = [name for name, value in flags.as_dict().items() if value]
-    return "build: " + ("+".join(on) if on
-                        else "compat (all fast paths off)")
-
-
-def record_scenario(config: "ScenarioConfig",
-                    flags: BuildFlags | None = None) -> KernelTrace:
-    """Run *config* under *flags* and capture its full event stream."""
+def record_scenario(config: "ScenarioConfig") -> KernelTrace:
+    """Run *config* and capture its full event stream."""
     from repro.scenario import compile_scenario
 
-    flags = flags or BuildFlags()
-    compiled = compile_scenario(config)
     captured: list[Any] = []
-    with flags.apply():
-        compiled.run(on_kernel=captured.append)
+    compile_scenario(config).run(on_kernel=captured.append)
     if not captured:
         raise TraceError(
             f"scenario kind {config.kind!r} exposed no kernel to trace")
     kernel = captured[-1]
-    return capture_trace(kernel, scenario=config.as_tables(),
-                         flags=flags)
+    return capture_trace(kernel, scenario=config.as_tables())
 
 
-def replay_trace(trace: KernelTrace,
-                 flags: BuildFlags | None = None,
-                 context: int = 3) -> TraceDiff:
+def replay_trace(trace: KernelTrace, context: int = 3) -> TraceDiff:
     """Re-run the scenario embedded in *trace* and diff the streams.
 
-    *flags* selects the build combination to replay against (default:
-    the combination the trace was recorded under).  Returns the
-    structural diff; ``diff.identical`` is the regression gate.
+    Returns the structural diff; ``diff.identical`` is the regression
+    gate.
     """
     from repro.scenario.schema import validate_scenario
 
@@ -375,7 +301,4 @@ def replay_trace(trace: KernelTrace,
         raise TraceError("trace has no embedded scenario definition — "
                          "it cannot be replayed")
     config = validate_scenario(trace.scenario)
-    if flags is None:
-        flags = BuildFlags.from_dict(trace.meta.get("flags", {}))
-    fresh = record_scenario(config, flags=flags)
-    return diff_traces(trace, fresh, context=context)
+    return diff_traces(trace, record_scenario(config), context=context)

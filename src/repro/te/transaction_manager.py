@@ -72,8 +72,6 @@ from repro.repository.repository import DesignDataRepository
 from repro.repository.versions import (
     DesignObjectVersion,
     freeze_payload,
-    is_frozen_payload,
-    payload_fast_path_enabled,
     payload_sizeof,
 )
 from repro.sim.clock import SimClock
@@ -163,8 +161,6 @@ class ServerTM:
             clock=self.clock, ttl=lease_ttl,
             kernel_source=lambda: network.kernel)
         self.leases.on_expire = self._on_lease_expired
-        #: dict-of-sets era alias (rigs seeded ``_leases`` directly)
-        self._leases = self.leases
         #: workstation -> its object buffer (invalidation delivery target)
         self._buffers: dict[str, ObjectBuffer] = {}
         #: invalidation messages scheduled over the LAN
@@ -1087,11 +1083,10 @@ class ClientTM:
         """
         dop.require("checkin")
         payload = data if data is not None else dict(dop.context.data)
-        if payload_fast_path_enabled():
-            # freeze once on the workstation: the upload sizing below,
-            # the server's staging walk and the durable DOV all reuse
-            # this one canonical form (and its cached size)
-            payload = freeze_payload(payload)
+        # freeze once on the workstation: the upload sizing below,
+        # the server's staging walk and the durable DOV all reuse
+        # this one canonical form (and its cached size)
+        payload = freeze_payload(payload)
         lineage = parents if parents is not None else list(dop.input_dovs)
         if self.write_back and self.buffer is not None:
             return self._checkin_write_back(dop, dot_name, payload,
@@ -1124,8 +1119,7 @@ class ClientTM:
         provisional_id = self.ids.next(f"wb-{self.workstation}")
         dov = DesignObjectVersion(
             dov_id=provisional_id, dot_name=dot_name,
-            data=payload if is_frozen_payload(payload)
-            else dict(payload),
+            data=payload,
             created_by=dop.da_id,
             created_at=self.clock.now,
             parents=tuple(resolved_lineage))

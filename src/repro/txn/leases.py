@@ -32,36 +32,13 @@ in-flight expiry safe.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from math import ceil
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable
 
 from repro.sim.clock import SimClock
-from repro.sim.kernel import Timer
 
 #: slack when comparing expiry instants against the clock
 _EPS = 1e-12
-
-#: module switch: True = bucketed expiry (one kernel event per distinct
-#: expiry instant), False = the pre-wheel regime of one re-armable
-#: :class:`~repro.sim.kernel.Timer` per lease.  The legacy regime is
-#: kept as the measured baseline of the ``kernel_timer_churn`` perf
-#: contrast — captured per :class:`LeaseTable` at construction.
-_FAST_PATH = True
-
-
-@contextmanager
-def lease_fast_path(enabled: bool = True) -> Iterator[None]:
-    """Context manager selecting the lease-expiry strategy for tables
-    constructed inside the block (benchmark baselines)."""
-    global _FAST_PATH
-    previous = _FAST_PATH
-    _FAST_PATH = enabled
-    try:
-        yield
-    finally:
-        _FAST_PATH = previous
 
 
 @dataclass
@@ -89,23 +66,18 @@ class LeaseTable:
     where the server-TM hangs the recall-equivalent invalidation),
     renewed ones are re-filed under their extended instant, and
     released ones are simply skipped — lazy cancellation, no bucket
-    surgery.  ``expiry_granularity`` optionally coarsens the bucket
-    instants (expiry then fires up to one granule late), trading
-    expiry precision for even fewer kernel events.
+    surgery.
     """
 
     def __init__(self, clock: SimClock | None = None,
                  ttl: float | None = None,
-                 kernel_source: Callable[[], Any] | None = None,
-                 expiry_granularity: float | None = None) -> None:
+                 kernel_source: Callable[[], Any] | None = None) -> None:
         self.clock = clock or SimClock()
         #: lease time-to-live (None = leases never expire)
         self.ttl = ttl
         #: zero-arg callable yielding the kernel to arm expiry checks
         #: on (resolved lazily — networks attach their kernel late)
         self._kernel_source = kernel_source
-        #: bucket quantum (None/0 = exact per-instant buckets)
-        self.expiry_granularity = expiry_granularity
         #: dov_id -> workstation -> lease
         self._holders: dict[str, dict[str, Lease]] = {}
         #: fired with (workstation, dov_id) when a lease expires —
@@ -119,12 +91,6 @@ class LeaseTable:
         #: generation stamp: a server crash (clear) bumps it, so
         #: already-scheduled bucket events of the dead table are inert
         self._epoch = 0
-        #: expiry strategy captured at construction (see
-        #: :func:`lease_fast_path`); False = one Timer per lease
-        self._bucketed = _FAST_PATH
-        #: legacy regime only: one re-armable expiry timer per
-        #: (workstation, dov_id)
-        self._timers: dict[tuple[str, str], Timer] = {}
 
     # -- grants -------------------------------------------------------------
 
@@ -149,12 +115,6 @@ class LeaseTable:
         self._file(lease)
         return lease
 
-    def _quantize(self, instant: float) -> float:
-        granule = self.expiry_granularity
-        if granule:
-            return ceil(instant / granule) * granule
-        return instant
-
     def _file(self, lease: Lease) -> None:
         """File *lease* under its expiry instant's bucket.
 
@@ -162,13 +122,8 @@ class LeaseTable:
         leases share it.  Re-filing under the bucket the lease already
         occupies is a no-op (a refresh without a TTL change).
         """
-        if lease.expires_at is None:
-            return
-        if not self._bucketed:
-            self._arm(lease)
-            return
-        instant = self._quantize(lease.expires_at)
-        if lease.bucket == instant:
+        instant = lease.expires_at
+        if instant is None or lease.bucket == instant:
             return
         lease.bucket = instant
         bucket = self._buckets.get(instant)
@@ -207,35 +162,6 @@ class LeaseTable:
                 self._file(lease)  # renewed: check again later
             else:
                 self._expire(lease)
-
-    def _arm(self, lease: Lease) -> None:
-        """Legacy (pre-wheel) expiry: one re-armable Timer per lease.
-
-        Kept as the measured baseline of the ``kernel_timer_churn``
-        benchmark — every live lease is one heap entry, every renewal
-        eventually costs a no-op check event.
-        """
-        key = (lease.workstation, lease.dov_id)
-        timer = self._timers.get(key)
-        if timer is None:
-            kernel = self._kernel()
-            if kernel is None:
-                return  # no kernel: expiry via expire_due() sweeps
-            timer = Timer(kernel, lambda: self._on_timer(key),
-                          label=f"lease-expiry:{lease.dov_id}"
-                                f"@{lease.workstation}")
-            self._timers[key] = timer
-        timer.arm(lease.expires_at)
-
-    def _on_timer(self, key: tuple[str, str]) -> None:
-        workstation, dov_id = key
-        lease = self._holders.get(dov_id, {}).get(workstation)
-        if lease is None or lease.expires_at is None:
-            return  # recalled/released meanwhile, or TTL switched off
-        if lease.expires_at > self.clock.now + _EPS:
-            self._arm(lease)  # renewed at the timer instant itself
-            return
-        self._expire(lease)
 
     def _expire(self, lease: Lease) -> None:
         self.release(lease.workstation, lease.dov_id)
@@ -339,19 +265,6 @@ class LeaseTable:
         self._holders.clear()
         self._buckets.clear()
         self._epoch += 1
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-
-    # -- dict-of-sets compatibility ----------------------------------------
-
-    def __setitem__(self, dov_id: str,
-                    workstations: Iterable[str]) -> None:
-        """Grant leases wholesale (the PR 2 table was a plain
-        ``dict[str, set[str]]``; rigs that seeded it directly keep
-        working)."""
-        for workstation in workstations:
-            self.grant(workstation, dov_id)
 
     # -- stats --------------------------------------------------------------
 
@@ -364,5 +277,4 @@ class LeaseTable:
             "renewals": self.renewals,
             "expirations": self.expirations,
             "expiry_buckets": len(self._buckets),
-            "strategy": "bucketed" if self._bucketed else "timer",
         }

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.network import Network
-from repro.sim.kernel import Kernel, Timer
+from repro.sim.kernel import Kernel
 from repro.util.errors import KernelError
 
 
@@ -135,57 +135,10 @@ class TestCrashAt:
         assert order == [("work", False)]
 
 
-class TestTimer:
-    """The re-armable deadline primitive of the TTL leases."""
-
-    def test_fires_at_the_deadline(self):
-        kernel = Kernel()
-        fired = []
-        timer = Timer(kernel, lambda: fired.append(kernel.clock.now))
-        timer.arm(5.0)
-        kernel.run_until_quiescent()
-        assert fired == [5.0]
-        assert timer.deadline is None
-
-    def test_arm_extends_without_a_second_event(self):
-        kernel = Kernel()
-        fired = []
-        timer = Timer(kernel, lambda: fired.append(kernel.clock.now))
-        timer.arm(5.0)
-        kernel.at(4.0, lambda: timer.arm(9.0), label="extend")
-        kernel.run_until_quiescent()
-        assert fired == [9.0]
-        # one extension = one re-check event, not a second live timer
-        labels = [l for *_, l in kernel.event_log if l == "timer"]
-        assert len(labels) == 2
-
-    def test_cancel_makes_the_pending_event_inert(self):
-        kernel = Kernel()
-        fired = []
-        timer = Timer(kernel, lambda: fired.append(kernel.clock.now))
-        timer.arm(5.0)
-        kernel.at(2.0, timer.cancel, label="cancel")
-        kernel.run_until_quiescent()
-        assert fired == []
-
-    def test_rearm_earlier_after_cancel_fires_on_time(self):
-        """Cancel leaves a stale pending event; a fresh arm with an
-        EARLIER deadline must not wait for it."""
-        kernel = Kernel()
-        fired = []
-        timer = Timer(kernel, lambda: fired.append(kernel.clock.now))
-        timer.arm(10.0)
-        kernel.at(1.0, timer.cancel, label="cancel")
-        kernel.at(2.0, lambda: timer.arm(5.0), label="rearm")
-        kernel.run_until_quiescent()
-        assert fired == [5.0]
-
-
 class TestRunBoundariesUntraced:
     """``run(until=..., max_events=...)`` boundary semantics with
-    tracing off — the bounds are enforced inside the scheduler's batch
-    fast path, so they must hold exactly when ``_execute`` is shadowed
-    by the direct dispatch."""
+    tracing off — the bounds must hold exactly when ``_execute`` is
+    shadowed by the scheduler's direct dispatch."""
 
     def _kernel(self):
         kernel = Kernel(trace_events=False)

@@ -5,10 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.repository.federation import FederatedRepository
-from repro.repository.placement import (
-    PlacementIndex,
-    federation_fast_path,
-)
+from repro.repository.placement import PlacementIndex
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
@@ -101,8 +98,14 @@ class TestRoutedCheckin:
         federation.create_graph("da-1")
         staged = federation.stage_checkin("da-1", "Cell", {"area": 1.0},
                                           (), 0.0)
+        index = federation.placement_index
+        assert index.staged_home(staged.dov_id) \
+            == federation.placement_of("da-1")
         assert federation.abort_checkin(staged.dov_id) is True
         assert staged.dov_id not in federation
+        assert index.staged_home(staged.dov_id) is None
+        assert federation.abort_checkin(staged.dov_id) is False
+        assert index.stats()["staged_index"] == 0
 
 
 class TestMemberFailure:
@@ -286,63 +289,6 @@ class TestHashPlacement:
         assert fed.placement_of("da-pinned") == "site-2"
 
 
-class TestFastPathCompat:
-    def test_staged_resolution_identical_on_both_paths(self, federation):
-        federation.assign("da-a", "site-a")
-        federation.assign("da-b", "site-b")
-        federation.create_graph("da-a")
-        federation.create_graph("da-b")
-        staged = [
-            federation.stage_checkin("da-a", "Cell", {"area": 1.0},
-                                     (), 0.0).dov_id,
-            federation.stage_checkin("da-b", "Cell", {"area": 2.0},
-                                     (), 0.0).dov_id,
-        ]
-        fast = {i: federation._staged_home_of(i)
-                for i in staged + ["dov-404"]}
-        with federation_fast_path(False):
-            compat = {i: federation._staged_home_of(i)
-                      for i in staged + ["dov-404"]}
-        assert fast == compat
-        assert fast[staged[0]] == "site-a"
-        assert fast["dov-404"] is None
-
-    def test_commit_group_identical_on_compat_path(self):
-        def run():
-            ids = IdGenerator()
-            fed = FederatedRepository({
-                "site-a": DesignDataRepository(ids),
-                "site-b": DesignDataRepository(ids)})
-            fed.register_dot(make_dot())
-            fed.assign("da-a", "site-a")
-            fed.assign("da-b", "site-b")
-            fed.create_graph("da-a")
-            fed.create_graph("da-b")
-            staged = [
-                fed.stage_checkin("da-a", "Cell", {"area": 1.0},
-                                  (), 0.0).dov_id,
-                fed.stage_checkin("da-b", "Cell", {"area": 2.0},
-                                  (), 0.0).dov_id,
-            ]
-            dovs = fed.commit_group(staged)
-            return [d.dov_id for d in dovs], fed.directory_snapshot()
-
-        fast_result = run()
-        with federation_fast_path(False):
-            compat_result = run()
-        assert fast_result == compat_result
-
-    def test_abort_checkin_identical_on_compat_path(self, federation):
-        federation.create_graph("da-1")
-        with federation_fast_path(False):
-            staged = federation.stage_checkin(
-                "da-1", "Cell", {"area": 1.0}, (), 0.0)
-            assert federation.abort_checkin(staged.dov_id) is True
-            assert federation.abort_checkin(staged.dov_id) is False
-        # the index was maintained even while the flag was off
-        assert federation.placement_index.stats()["staged_index"] == 0
-
-
 class TestSingleMemberBatchFailure:
     def test_down_member_aborts_single_member_batch(self, federation):
         """A batch resolving entirely to one member must notice the
@@ -371,16 +317,6 @@ class TestSingleMemberBatchFailure:
                                          (head.dov_id,), 2.0)
         committed = federation.commit_group([retry.dov_id])
         assert [d.dov_id for d in committed] == [retry.dov_id]
-
-    def test_down_member_aborts_on_compat_path_too(self, federation):
-        federation.assign("da-a", "site-a")
-        federation.create_graph("da-a")
-        staged = federation.stage_checkin("da-a", "Cell", {"area": 1.0},
-                                          (), 0.0)
-        federation.member("site-a").crash()
-        with federation_fast_path(False):
-            with pytest.raises(StorageError):
-                federation.commit_group([staged.dov_id])
 
 
 class TestDirectoryRecovery:

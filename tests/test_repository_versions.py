@@ -7,7 +7,6 @@ import pytest
 from repro.repository.versions import (
     DerivationGraph,
     DesignObjectVersion,
-    payload_fast_path,
 )
 from repro.util.errors import UnknownObjectError
 
@@ -20,20 +19,13 @@ def dov(dov_id: str, parents: tuple[str, ...] = (),
 
 class TestDesignObjectVersion:
     def test_copy_data_is_private(self):
-        # fast path (default): the payload is frozen, so the "copy" is
-        # the shared immutable — no reference can corrupt the version
+        # the payload is frozen, so the "copy" is the shared immutable
+        # — no reference can corrupt the version
         version = dov("v1", nested={"a": [1]})
         copy = version.copy_data()
         with pytest.raises(TypeError):
             copy["nested"]["a"].append(2)
         assert version.data["nested"]["a"] == [1]
-
-    def test_copy_data_is_deep_without_fast_path(self):
-        with payload_fast_path(False):
-            version = dov("v1", nested={"a": [1]})
-            copy = version.copy_data()
-            copy["nested"]["a"].append(2)
-            assert version.data["nested"]["a"] == [1]
 
     def test_get_with_default(self):
         version = dov("v1", area=2.0)

@@ -15,7 +15,8 @@ Three satellite surfaces of the scenario/trace PR:
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import json
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ from repro.scenario import (
 )
 
 SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
+REPORTS_DIR = Path(__file__).parent / "data" / "reports"
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,18 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError,
                            match=r"\[locality\]\.reread: 1\.4 above"):
             validate_scenario(_base(locality={"reread": 1.4}))
+        # NaN compares False against every bound and inf clears any
+        # open upper one: non-finite numbers are refused by name
+        for text in ("nan", "inf", "-inf"):
+            for table, key in (("traffic", "lan_latency"),
+                               ("traffic", "bandwidth"),
+                               ("leases", "ttl"),
+                               ("team", "mean_step")):
+                with pytest.raises(
+                        ScenarioError,
+                        match=rf"\[{table}\]\.{key}: expected a "
+                              rf"finite number, got {text}"):
+                    validate_scenario(_base(**{table: {key: float(text)}}))
 
     def test_below_minimum_names_table_and_key(self):
         with pytest.raises(ScenarioError,
@@ -195,6 +209,14 @@ class TestDiagnostics:
             validate_scenario(_base(
                 kind="concurrent_delegation",
                 crashes={"schedule": [{"node": "ws-A"}]}))
+        for key in ("at", "restart_after"):
+            entry = {"node": "ws-A", "at": 1.0, key: float("nan")}
+            with pytest.raises(
+                    ScenarioError,
+                    match=rf"\[crashes\]\.schedule\[0\]\.{key}: "
+                          r"expected a finite number"):
+                validate_scenario(_base(kind="concurrent_delegation",
+                                        crashes={"schedule": [entry]}))
 
     def test_subcells_require_delegation_kind(self):
         with pytest.raises(ScenarioError, match=r"\[team\]\.subcells"):
@@ -281,6 +303,18 @@ class TestShippedLibrary:
         assert report["crashes"]["after"] \
             == asdict(federated_commit_scenario(crash="after"))
 
+    @pytest.mark.parametrize("name", sorted(canonical_scenarios()))
+    def test_report_reproduces_the_committed_bytes(self, name):
+        """The behaviour contract as committed bytes: every canonical
+        scenario's full report (metrics, traffic, event-trace labels)
+        equals the JSON recorded before the compat builds were
+        removed.  A deliberate behaviour change re-records the file."""
+        report = compile_scenario(canonical_scenarios()[name]).run()
+        if is_dataclass(report):
+            report = asdict(report)
+        assert json.dumps(report, sort_keys=True) + "\n" \
+            == (REPORTS_DIR / f"{name}.json").read_text(encoding="utf-8")
+
     def test_dumped_files_parse_back_to_the_canon(self):
         for name, config in canonical_scenarios().items():
             assert load_scenario(SCENARIOS_DIR / f"{name}.toml") \
@@ -295,7 +329,7 @@ class TestNoStateLeakage:
     def test_run_a_run_b_run_a_is_stable(self):
         """Interleaving a different scenario must not perturb the
         next run of the first — shared registries (RNGs, id
-        generators, compat flags) may not carry state across runs."""
+        generators) may not carry state across runs."""
         lib = canonical_scenarios()
         t8 = compile_scenario(lib["t8_object_buffers"])
         other = compile_scenario(lib["t9_write_back"])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import count
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import SimClock
 from repro.sim.failures import FailureKind, FailurePlan
@@ -77,6 +81,12 @@ class TestEventScheduler:
         with pytest.raises(ValueError):
             sched.at(1.0, lambda: None)
 
+    def test_cannot_schedule_at_nan(self):
+        sched = EventScheduler()
+        with pytest.raises(ValueError):
+            sched.at(float("nan"), lambda: None)
+        assert sched.pending == 0
+
     def test_cancel(self):
         sched = EventScheduler()
         hit = []
@@ -119,6 +129,93 @@ class TestEventScheduler:
 
     def test_step_returns_false_when_empty(self):
         assert EventScheduler().step() is False
+
+
+# A scheduling program: ("cancel", handle index) or ("schedule", how,
+# delay, priority, ops the event's own action performs when it runs).
+# Few distinct delays and priorities, so same-instant ties are common.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 4.0])
+_CANCEL = st.tuples(st.just("cancel"), st.integers(0, 30))
+
+
+def _schedule(children):
+    return st.tuples(st.just("schedule"),
+                     st.sampled_from(["at", "after", "defer"]),
+                     _DELAYS, st.sampled_from([-1, 0, 0, 1]), children)
+
+
+_OPS = st.recursive(
+    _CANCEL | _schedule(st.just([])),
+    lambda inner: _schedule(st.lists(inner, max_size=3)),
+    max_leaves=12)
+_CUTS = st.lists(
+    st.tuples(st.none() | st.sampled_from([0.0, 0.5, 1.0, 3.0, 6.0]),
+              st.none() | st.integers(0, 4)),
+    max_size=4)
+
+
+class TestDispatchOrderProperty:
+    """The scheduler against a model kept by the test: the set of live
+    ``(time, priority, seq)`` keys.  Every dispatch must be the minimum
+    of that set at that moment — also for events scheduled or cancelled
+    from inside a running action — whatever ``run`` cut-offs interleave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=st.lists(_OPS, max_size=12), cuts=_CUTS)
+    def test_dispatch_is_the_minimum_live_key(self, program, cuts):
+        sched = EventScheduler()
+        live: set[tuple[float, int, int]] = set()
+        handles = []
+        dispatched = []
+        seqs = count(1)
+
+        def apply(op):
+            if op[0] == "cancel":
+                if handles:
+                    handle, key = handles[op[1] % len(handles)]
+                    sched.cancel(handle)
+                    live.discard(key)
+                return
+            _, how, delay, priority, children = op
+            key = (sched.clock.now + delay, priority, next(seqs))
+
+            def action():
+                assert key == min(live)
+                assert sched.clock.now == key[0]
+                live.remove(key)
+                dispatched.append(key)
+                for child in children:
+                    apply(child)
+
+            if how == "at":
+                handle = sched.at(key[0], action, priority=priority)
+            elif how == "after":
+                handle = sched.after(delay, action, priority=priority)
+            else:
+                handle = sched.defer(delay, action, priority=priority)
+            live.add(key)
+            if handle is not None:
+                assert (handle.time, handle.priority, handle.seq) == key
+                handles.append((handle, key))
+
+        for op in program:
+            apply(op)
+        for until, max_events in cuts + [(None, None)]:
+            before = len(dispatched)
+            ran = sched.run(until=until, max_events=max_events)
+            assert ran == len(dispatched) - before
+            assert sched.pending == len(live)
+            # the clock never passes an undispatched event
+            assert all(sched.clock.now <= key[0] for key in live)
+            if max_events is not None:
+                assert ran <= max_events
+            if until is not None and (max_events is None
+                                      or ran < max_events):
+                assert all(key[0] > until for key in live)
+                assert sched.clock.now >= until
+        assert not live
+        assert dispatched == sorted(dispatched, key=lambda k: k[0])
+        assert sched.executed == len(dispatched)
 
 
 class TestFailurePlan:

@@ -388,8 +388,8 @@ class TestCrashSemantics:
         buffer = ObjectBuffer("ws-9")
         server_tm.register_buffer("ws-9", buffer)
         buffer.capacity_bytes = 1
-        server_tm._leases["dov-a"] = {"ws-9"}
-        server_tm._leases["dov-b"] = {"ws-9"}
+        server_tm.leases.grant("ws-9", "dov-a")
+        server_tm.leases.grant("ws-9", "dov-b")
         buffer.put(make_dov("dov-a"), "da-1")
         buffer.put(make_dov("dov-b"), "da-1")  # evicts dov-a
         assert "dov-a" not in buffer

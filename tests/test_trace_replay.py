@@ -2,10 +2,9 @@
 
 The regression contract of this PR: the golden traces under
 ``tests/data/traces/`` pin the exact kernel event stream of the T7 and
-T8 scenarios, and replaying them must be **byte-identical** under the
-current fast-path build and under the full compat build (every fast
-path off), and re-recording them in fresh interpreter processes with
-different hash seeds must reproduce the committed bytes — any future
+T8 scenarios, and replaying them must be **byte-identical**, and
+re-recording them in fresh interpreter processes with different hash
+seeds must reproduce the committed bytes — any future
 kernel, scheduler or protocol change that silently reorders the
 simulation fails here with a first-divergence report instead of
 passing unnoticed.
@@ -24,7 +23,6 @@ from repro.scenario import canonical_scenarios, validate_scenario
 from repro.sim.kernel import Kernel
 from repro.sim.trace import (
     TRACE_FORMAT,
-    BuildFlags,
     KernelTrace,
     TraceError,
     capture_trace,
@@ -55,26 +53,12 @@ class TestGoldenReplay:
         diff = replay_trace(trace)
         assert diff.identical, f"{name}:\n{diff.render()}"
 
-    def test_replay_under_compat_build(self, golden):
-        """The seed-equivalent build (kernel_fast_path(False) et al.)
-        replays the identical stream."""
-        name, trace = golden
-        diff = replay_trace(trace, flags=BuildFlags.compat())
-        assert diff.identical, f"{name}:\n{diff.render()}"
-
-    def test_replay_under_kernel_fast_path_off_alone(self, golden):
-        name, trace = golden
-        flags = BuildFlags(kernel_fast_path=False)
-        diff = replay_trace(trace, flags=flags)
-        assert diff.identical, f"{name}:\n{diff.render()}"
-
     def test_rerecord_is_byte_identical(self, golden, tmp_path):
         """The artifact itself is deterministic: re-recording the
         embedded scenario reproduces the committed bytes exactly."""
         name, trace = golden
         config = validate_scenario(trace.scenario)
-        fresh = record_scenario(
-            config, flags=BuildFlags.from_dict(trace.meta["flags"]))
+        fresh = record_scenario(config)
         out = save_trace(fresh, tmp_path / "fresh.jsonl")
         committed = (TRACES / f"{name}.jsonl").read_bytes()
         assert out.read_bytes() == committed
@@ -249,32 +233,6 @@ class TestGzipArtifacts:
             load_trace(bad)
 
 
-class TestFlagPlumbing:
-    def test_compat_is_all_off(self):
-        flags = BuildFlags.compat()
-        assert not flags.kernel_fast_path
-        assert not flags.payload_fast_path
-        assert not flags.lease_fast_path
-
-    def test_round_trip_through_dict(self):
-        flags = BuildFlags(kernel_fast_path=False)
-        assert BuildFlags.from_dict(flags.as_dict()) == flags
-
-    def test_apply_flips_and_restores_the_switches(self):
-        from repro.repository import versions
-        from repro.sim import scheduler
-        from repro.txn import leases
-
-        before = (scheduler._FAST_PATH, versions._FAST_PATH,
-                  leases._FAST_PATH)
-        with BuildFlags.compat().apply():
-            assert not scheduler._FAST_PATH
-            assert not versions._FAST_PATH
-            assert not leases._FAST_PATH
-        assert (scheduler._FAST_PATH, versions._FAST_PATH,
-                leases._FAST_PATH) == before
-
-
 class TestT9Coverage:
     """T9 is not pinned as a golden (the restart episode makes its
     stream longer) but must replay just as exactly."""
@@ -283,5 +241,8 @@ class TestT9Coverage:
         config = canonical_scenarios()["t9_write_back"]
         trace = record_scenario(config)
         assert trace.events
-        diff = replay_trace(trace, flags=BuildFlags.compat())
+        # a header written before the build switches went carries a
+        # "flags" key; it selects nothing now and must not hurt
+        trace.meta["flags"] = {"kernel_fast_path": False}
+        diff = replay_trace(trace)
         assert diff.identical, diff.render()

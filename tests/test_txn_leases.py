@@ -11,6 +11,8 @@ resurrects a dead lease.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.net.network import Network
 from repro.net.rpc import TransactionalRpc
 from repro.repository.repository import DesignDataRepository
@@ -98,6 +100,93 @@ class TestLeaseTableUnit:
         # the lease is dead: renewing it again is a no-op
         assert table.renew("ws-1", "dov-1") is False
         assert table.holders("dov-1") == set()
+
+
+class TestLeaseTableOnKernel:
+    def _table(self) -> tuple[Kernel, LeaseTable, list]:
+        kernel = Kernel()
+        table = LeaseTable(kernel.clock, ttl=TTL,
+                           kernel_source=lambda: kernel)
+        expired: list[tuple[str, str, float]] = []
+        table.on_expire = lambda ws, dov: expired.append(
+            (ws, dov, kernel.clock.now))
+        return kernel, table, expired
+
+    def test_renewal_racing_expiry_at_the_same_tick(self):
+        """Both orderings of a renewal racing the expiry check at the
+        very same instant are safe: a renewal sequenced *before* the
+        check extends the lease; one sequenced *after* is a no-op —
+        it never resurrects."""
+        # renewal first (scheduled before the grant's expiry event)
+        kernel, table, expired = self._table()
+        kernel.at(TTL, lambda: table.renew("ws-1", "dov-1"),
+                  label="renewal")
+        table.grant("ws-1", "dov-1")
+        kernel.run_until(TTL + 2.0)
+        assert expired == []
+        assert table.lease("ws-1", "dov-1") is not None
+        kernel.run_until_quiescent()
+        assert expired == [("ws-1", "dov-1", 2 * TTL)]
+
+        # expiry check first, renewal second at the same instant
+        kernel, table, expired = self._table()
+        outcome: list[bool] = []
+        table.grant("ws-1", "dov-1")
+        kernel.at(TTL,
+                  lambda: outcome.append(table.renew("ws-1", "dov-1")),
+                  label="renewal")
+        kernel.run_until_quiescent()
+        assert expired == [("ws-1", "dov-1", TTL)]
+        assert outcome == [False]  # lost the race: no resurrect
+        assert table.lease("ws-1", "dov-1") is None
+
+    def test_every_surviving_lease_expires_once_at_last_renewal_plus_ttl(
+            self):
+        """The contract under churn: staggered per-station grant waves,
+        three stations in five releasing their whole set mid-life, one
+        in five batch-renewing twice before going silent, one in five
+        just lapsing."""
+        kernel, table, expired = self._table()
+        stations, per_station = 10, 6
+        due: dict[tuple[str, str], float] = {}
+
+        def dovs(station: str) -> list[str]:
+            return [f"dov-{station}-{i}" for i in range(per_station)]
+
+        def grant_wave(station: str) -> None:
+            for dov in dovs(station):
+                table.grant(station, dov)
+                due[station, dov] = kernel.clock.now + TTL
+
+        def release_wave(station: str) -> None:
+            for dov in dovs(station):
+                assert table.release(station, dov)
+                del due[station, dov]
+
+        def renew_wave(station: str) -> None:
+            assert table.renew_workstation(station) == per_station
+            for dov in dovs(station):
+                due[station, dov] = kernel.clock.now + TTL
+
+        for number in range(stations):
+            station = f"ws-{number}"
+            at = number * 0.01
+            kernel.at(at, lambda s=station: grant_wave(s))
+            if number % 5 < 3:
+                kernel.at(at + TTL * 0.5,
+                          lambda s=station: release_wave(s))
+            elif number % 5 == 3:
+                for round_no in (1, 2):
+                    kernel.at(at + round_no * TTL * 0.6,
+                              lambda s=station: renew_wave(s))
+        kernel.run_until_quiescent()
+        assert len(table) == 0
+        assert len(expired) == len(due) == 4 * per_station
+        assert {(ws, dov): at for ws, dov, at in expired} \
+            == pytest.approx(due)
+        stats = table.stats()
+        assert stats["expirations"] == len(due)
+        assert stats["expiry_buckets"] == 0
 
 
 class TestTtlExpiryOnKernel:

@@ -38,16 +38,13 @@ def _fmt_ops(value: Any) -> str:
 def render_delta(new: dict[str, Any],
                  old: dict[str, Any] | None = None) -> str:
     """Fixed-width table of one report, or of NEW vs OLD."""
-    header = ["benchmark", "ops/sec", "speedup"]
+    header = ["benchmark", "ops/sec"]
     if old is not None:
         header += ["old ops/sec", "delta"]
     rows: list[list[str]] = []
     old_benches = (old or {}).get("benchmarks", {})
     for name, bench in new["benchmarks"].items():
-        speedup = bench.get("speedup_vs_baseline",
-                            bench.get("speedup_vs_deepcopy_baseline"))
-        row = [name, _fmt_ops(bench.get("ops_per_sec")),
-               f"{speedup:.2f}x" if speedup else "-"]
+        row = [name, _fmt_ops(bench.get("ops_per_sec"))]
         if old is not None:
             before = old_benches.get(name, {}).get("ops_per_sec")
             row.append(_fmt_ops(before))
@@ -57,7 +54,7 @@ def render_delta(new: dict[str, Any],
             else:
                 row.append("new")
         rows.append(row)
-    rows += [[name, "-", "-", _fmt_ops(bench.get("ops_per_sec")), "removed"]
+    rows += [[name, "-", _fmt_ops(bench.get("ops_per_sec")), "removed"]
              for name, bench in old_benches.items()
              if name not in new["benchmarks"]]
     widths = [max(len(header[i]), *(len(r[i]) for r in rows))
@@ -68,32 +65,12 @@ def render_delta(new: dict[str, Any],
               for row in rows]
     acceptance = new.get("acceptance", {})
     if acceptance:
-        gates = [f"buffer-hit speedup "
-                 f"{acceptance.get('buffer_hit_speedup')}x "
-                 f">= {acceptance.get('buffer_hit_min_speedup')}x"]
-        if "group_flush_min_speedup" in acceptance:
-            gates.append(
-                f"group-flush speedup "
-                f"{acceptance.get('group_flush_speedup')}x "
-                f">= {acceptance.get('group_flush_min_speedup')}x")
+        gates = []
         if acceptance.get("perf_gates_applied"):
             gates.append(
-                f"kernel-events "
-                f"{acceptance.get('kernel_events_ops_per_sec'):,.0f}/s "
-                f">= {acceptance.get('kernel_events_min_ops_per_sec'):,}/s")
-            gates.append(
-                f"timer-churn speedup "
-                f"{acceptance.get('timer_churn_speedup')}x "
-                f">= {acceptance.get('timer_churn_min_speedup')}x")
-            gates.append(
-                f"scorecard speedup "
-                f"{acceptance.get('scorecard_speedup')}x "
-                f">= {acceptance.get('scorecard_min_speedup')}x")
-            if "federation_flatness" in acceptance:
-                gates.append(
-                    f"federation-flatness "
-                    f"{acceptance.get('federation_flatness')}x "
-                    f"<= {acceptance.get('federation_flatness_max')}x")
+                f"federation-flatness "
+                f"{acceptance.get('federation_flatness')}x "
+                f"<= {acceptance.get('federation_flatness_max')}x")
         if "federation_log_bounded" in acceptance:
             gates.append(
                 "federation-log "
