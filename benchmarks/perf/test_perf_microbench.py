@@ -3,7 +3,7 @@
 Runs the microbenchmark suite in quick mode (tiny op counts — the
 timings are not the point here), prints the report, and asserts the
 artifact shape plus the structural gates that bind at any size.  The
-federation-flatness ratio is checked on the full run (``python
+two flatness ratios are checked on the full run (``python
 benchmarks/perf/run_perf.py``), whose artifact is committed as
 ``BENCH_PERF.json``.
 """
@@ -20,6 +20,7 @@ EXPECTED = {
     "group_checkin_flush",
     "cross_workstation_group_commit",
     "federation_scaling",
+    "cm_scaling",
 }
 
 

@@ -5,10 +5,11 @@ Absolute wall-clock throughput of the paths the end-to-end benchmark
 write-through checkout/checkin round trips, write-back group flushes,
 cross-workstation group commits and cross-member federation commits —
 plus the **structural** gates that do not depend on the host: the
-federation's member-count scaling curve must stay flat, the decision
-log must stay bounded under checkpointing, a seeded run must repeat
-its kernel trace exactly, and a federation directory rebuilt from the
-members must equal the one that was maintained.
+federation's member-count scaling curve and the CM's cost per DA as
+the hierarchy grows must both stay flat, the decision log must stay
+bounded under checkpointing, a seeded run must repeat its kernel trace
+exactly, and a federation directory rebuilt from the members must
+equal the one that was maintained.
 
 ``python -m repro perf`` (or ``python benchmarks/perf/run_perf.py``)
 runs the suite and emits ``BENCH_PERF.json`` at the repo root — the
@@ -20,6 +21,7 @@ full-mode artifact says ``acceptance.ok: false``.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -56,6 +58,13 @@ DEFAULT_ARTIFACT = "BENCH_PERF.json"
 #: member-count term left is building the federation itself, so the
 #: curve must stay flat within noise
 FEDERATION_FLATNESS_MAX = 1.3
+
+#: acceptance ceiling (full mode only): CM cost per DA at the largest
+#: hierarchy of the sweep divided by the cost at the smallest.  A CM
+#: operation forces the after-images of what it touched, and a
+#: checkpoint is paid for by the records that made it due, so the cost
+#: of create + start must not depend on how many DAs already exist
+CM_FLATNESS_MAX = 1.3
 
 #: frontier window of the bounded-log run: the decision log
 #: auto-checkpoints every this-many completed batches, and its record
@@ -381,6 +390,44 @@ def _measure_federation_scaling(quick: bool,
     }
 
 
+def _measure_cm_scaling(quick: bool, repeats: int) -> dict[str, Any]:
+    """CM cost per DA as the hierarchy grows (T6's workload).
+
+    Each sweep point builds a hierarchy of that many DAs — create +
+    start for every one, sub-DAs under Zipf-drawn parents — and
+    reports milliseconds per DA.  The gate is *flatness*: the cost at
+    the largest point must stay within :data:`CM_FLATNESS_MAX` of the
+    smallest.
+    """
+    from repro.bench.experiments import grow_hierarchy
+
+    sizes = (10, 20) if quick else (40, 160, 640)
+    sweep = {size: float("inf") for size in sizes}
+    # the sizes take turns, so a drift in host speed hits each alike,
+    # and no run collects the garbage of the one before it
+    for _ in range(max(repeats, 1)):
+        for size in sizes:
+            gc.collect()
+            sweep[size] = min(sweep[size], grow_hierarchy(size)[1] / size)
+    smallest, largest = min(sizes), max(sizes)
+    return {
+        "description":
+            "CM create + start seconds/DA as the DA hierarchy grows — "
+            "one forced after-image record per operation, amortised "
+            "checkpoints",
+        "ops": 2 * largest,
+        "ops_per_sec": round(2.0 / sweep[largest], 2),
+        "metric": "ops_per_sec = CM operations/sec at the largest "
+                  "sweep point; flatness = largest-sweep cost / "
+                  "smallest-sweep cost (lower is flatter)",
+        "sweep": {f"das={size}": round(cost * 1000.0, 4)
+                  for size, cost in sweep.items()},
+        "sweep_unit": "ms per DA",
+        "flatness": round(sweep[largest] / sweep[smallest], 3),
+        "flatness_max": CM_FLATNESS_MAX,
+    }
+
+
 def _environment() -> dict[str, Any]:
     """Host metadata stamped into the artifact: the context any reader
     of the wall-clock numbers needs."""
@@ -481,18 +528,24 @@ def run_perf(quick: bool = False, repeats: int = 3,
     federation = _measure_federation_scaling(quick, repeats)
     benchmarks["federation_scaling"] = federation
 
+    cm = _measure_cm_scaling(quick, repeats)
+    benchmarks["cm_scaling"] = cm
+
     determinism = _determinism_guard()
 
     # the bounded log and determinism are structural and bind in quick
     # mode too; quick mode shrinks op counts until timings say
-    # nothing, so the flatness ratio binds on the full run only
+    # nothing, so the flatness ratios bind on the full run only
     ok = federation["bounded_log"]["ok"] and determinism["ok"]
     if not quick:
         ok = ok and (federation["flatness"] or float("inf")) \
-            <= FEDERATION_FLATNESS_MAX
+            <= FEDERATION_FLATNESS_MAX \
+            and cm["flatness"] <= CM_FLATNESS_MAX
     acceptance: dict[str, Any] = {
         "federation_flatness_max": FEDERATION_FLATNESS_MAX,
         "federation_flatness": federation["flatness"],
+        "cm_flatness_max": CM_FLATNESS_MAX,
+        "cm_flatness": cm["flatness"],
         "federation_log_bounded": federation["bounded_log"]["ok"],
         "determinism_ok": determinism["ok"],
         "perf_gates_applied": not quick,
@@ -517,7 +570,7 @@ def run_perf(quick: bool = False, repeats: int = 3,
 
 def render(report: dict[str, Any]) -> str:
     """One-screen text rendering of a perf report."""
-    lines = [f"== PERF: data-shipping + commit hot paths "
+    lines = [f"== PERF: data-shipping, commit and CM hot paths "
              f"({report['mode']}, repeats={report['repeats']}) =="]
     for name, bench in report["benchmarks"].items():
         lines.append(f"{name:32s} {bench['ops_per_sec']:>12,.0f} ops/s")
@@ -532,6 +585,9 @@ def render(report: dict[str, Any]) -> str:
         gates.append(
             f"federation-flatness {acceptance['federation_flatness']:.2f}x "
             f"<= {acceptance['federation_flatness_max']:.1f}x")
+        gates.append(
+            f"cm-flatness {acceptance['cm_flatness']:.2f}x "
+            f"<= {acceptance['cm_flatness_max']:.1f}x")
     gates.append("federation-log "
                  + ("bounded" if acceptance["federation_log_bounded"]
                     else "UNBOUNDED"))

@@ -14,6 +14,7 @@ its per-DA views used by the DM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.core.features import DesignSpecification, QualityState
 from repro.core.states import DaState, DaStateMachine
@@ -109,6 +110,58 @@ class DesignActivity:
     def revoke_finality(self, dov_id: str) -> None:
         """Drop finality after a spec change invalidated old evaluations."""
         self.final_dovs = [d for d in self.final_dovs if d != dov_id]
+
+    # -- persistence ---------------------------------------------------------
+
+    def image(self, described: bool = True) -> dict[str, Any]:
+        """After-image for the CM's state log.
+
+        Plain data and immutable values, sharing no mutable part with
+        this DA.  What the DA has done so far is always in it; what it
+        was created as — the description vector, its place in the
+        hierarchy — only when *described*, because that changes with
+        the specification alone and an image without it stands on the
+        last one that had it.  The DOT goes by name (the repository
+        keeps it); specification and script are values nothing edits
+        in place and go as they are.
+        """
+        image: dict[str, Any] = {
+            "state": self.state,
+            # entries are tuples of enum members: nothing to copy
+            "history": list(self.machine.history),
+            "children": list(self.children),
+            "quality": {dov_id: (tuple(quality.fulfilled),
+                                 tuple(quality.total))
+                        for dov_id, quality in self.quality.items()},
+            "final_dovs": list(self.final_dovs),
+            "propagated": list(self.propagated),
+        }
+        if described:
+            vector = self.vector
+            image["description"] = (
+                vector.dot.name, vector.spec, vector.designer,
+                vector.script, vector.initial_dov, self.workstation,
+                self.parent, self.created_at)
+        return image
+
+    @classmethod
+    def restore(cls, da_id: str, image: dict[str, Any],
+                dot_of: Callable[[str], DesignObjectType]
+                ) -> "DesignActivity":
+        """Rebuild a DA from a described :meth:`image`; *dot_of* looks
+        a DOT up by name.  Shares no mutable part with *image*."""
+        dot_name, spec, designer, script, initial_dov, workstation, \
+            parent, created_at = image["description"]
+        vector = DescriptionVector(dot_of(dot_name), spec, designer,
+                                   script, initial_dov)
+        machine = DaStateMachine(da_id, image["state"],
+                                 list(image["history"]))
+        return cls(
+            da_id, vector, workstation, parent, created_at, machine,
+            list(image["children"]),
+            {dov_id: QualityState(frozenset(fulfilled), frozenset(total))
+             for dov_id, (fulfilled, total) in image["quality"].items()},
+            list(image["final_dovs"]), list(image["propagated"]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DesignActivity({self.da_id!r}, state={self.state.value},"

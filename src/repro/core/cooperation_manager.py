@@ -20,15 +20,15 @@ Implemented responsibilities:
   agree/disagree, escalation to the common super-DA;
 * dissemination control via scope locks with inheritance (Sect.5.4's
   modified nested-transaction locking scheme);
-* failure handling: all hierarchy-describing information is kept
-  persistent on the server's stable storage and restored after a
-  server crash; every cooperative operation is appended to a forced
-  protocol log.
+* failure handling: every cooperative operation forces one record to
+  the CM's state log — the after-images of the DAs, relationships,
+  visibility sets and inboxes it touched — and a server restart
+  replays that log from its last checkpoint; the operation itself is
+  also appended to a forced protocol log (the audit trail).
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable, Protocol
 
 from repro.core.activity import DescriptionVector, DesignActivity
@@ -41,6 +41,7 @@ from repro.core.relationships import (
     ProposalStatus,
     Usage,
 )
+from repro.core.state_log import Registries, StateLog
 from repro.core.states import DaOperation, DaState
 from repro.dc.script import Script
 from repro.net.network import Network
@@ -102,6 +103,9 @@ class CooperationManager:
 
         #: forced protocol log — basis of T6's log-growth measurement
         self.log = WriteAheadLog("cm-protocol")
+        #: forced state log: mutators mark the entities they change,
+        #: ``_persist`` forces their after-images as one record
+        self.state_log = StateLog()
 
         # install CONCORD semantics into the substrate components
         self.locks.usage_allows = self._usage_allows
@@ -142,15 +146,23 @@ class CooperationManager:
         message = Message(kind, sender, recipient, payload, self.clock.now)
         da = self._das.get(recipient)
         destination = da.workstation if da is not None else self.server_node
+        in_operation = True
 
         def deliver() -> None:
             hook = self.on_deliver
             if hook is not None and hook(recipient, message):
                 return
+            if not self.network.node(self.server_node).up:
+                return  # the inboxes are server state: none to queue in
             self._inboxes.setdefault(recipient, []).append(message)
+            self.state_log.mark("inboxes", recipient)
+            if not in_operation:
+                # the sending operation's record is long forced
+                self._persist()
 
         self.network.post(self.server_node, destination, deliver,
                           label=f"msg:{kind}:{sender}->{recipient}")
+        in_operation = False
         return message
 
     def register_dm(self, da_id: str, hook: DmHook) -> None:
@@ -169,6 +181,13 @@ class CooperationManager:
             return self._das[da_id]
         except KeyError:
             raise CooperationError(f"unknown DA {da_id!r}") from None
+
+    def _touch(self, da_id: str) -> DesignActivity:
+        """Look up a DA an operation is about to change: its
+        after-image goes into the operation's state record."""
+        da = self.da(da_id)
+        self.state_log.mark("das", da_id)
+        return da
 
     def das(self, state: DaState | None = None) -> list[DesignActivity]:
         """All DAs, optionally filtered by state."""
@@ -223,13 +242,29 @@ class CooperationManager:
             return False
         return dov_id in self.scope_of(da_id)
 
+    def _show(self, da_id: str, dov_id: str) -> None:
+        """Authorise *da_id* to share a scope lock on *dov_id*."""
+        self._visibility.setdefault(dov_id, set()).add(da_id)
+        self.state_log.mark("visibility", dov_id)
+
+    def _hide(self, da_id: str, dov_id: str) -> None:
+        """Drop the authorisation together with the lock it stood for:
+        recovery re-acquires a scope lock for every holder listed."""
+        holders = self._visibility.get(dov_id)
+        if holders is None:
+            return
+        holders.discard(da_id)
+        if not holders:
+            del self._visibility[dov_id]
+        self.state_log.mark("visibility", dov_id)
+
     def _grant_visibility(self, da_id: str, dov_id: str) -> None:
         """Authorise and take a scope lock for *da_id* on *dov_id*."""
-        self._visibility.setdefault(dov_id, set()).add(da_id)
+        self._show(da_id, dov_id)
         self.locks.acquire(dov_id, da_id, LockMode.SCOPE)
 
     def _revoke_visibility(self, da_id: str, dov_id: str) -> None:
-        self._visibility.get(dov_id, set()).discard(da_id)
+        self._hide(da_id, dov_id)
         self.locks.release(dov_id, da_id, LockMode.SCOPE)
 
     # ======================================================================
@@ -254,6 +289,8 @@ class CooperationManager:
         da = DesignActivity(da_id, vector, workstation,
                             created_at=self.clock.now)
         self._das[da_id] = da
+        self.state_log.mark("das", da_id)
+        self.state_log.mark("described", da_id)
         self.repository.create_graph(da_id)
         if initial_data is not None:
             dov0 = self.repository.checkin(da_id, dot.name, initial_data,
@@ -275,7 +312,7 @@ class CooperationManager:
         the sub-DA's DOT must be a *part* of the super-DA's DOT, and an
         initial DOV must come from the super-DA's scope.
         """
-        super_da = self.da(super_id)
+        super_da = self._touch(super_id)
         super_da.machine.apply(DaOperation.CREATE_SUB_DA)
         if not dot.is_part_of(super_da.dot):
             raise DelegationError(
@@ -294,6 +331,8 @@ class CooperationManager:
         sub = DesignActivity(da_id, vector, workstation, parent=super_id,
                              created_at=self.clock.now)
         self._das[da_id] = sub
+        self.state_log.mark("das", da_id)
+        self.state_log.mark("described", da_id)
         super_da.children.append(da_id)
         self._delegations.append(
             Delegation(super_id, da_id, self.clock.now))
@@ -308,7 +347,7 @@ class CooperationManager:
 
     def start(self, da_id: str) -> None:
         """Start: the DA begins its design work (GENERATED -> ACTIVE)."""
-        da = self.da(da_id)
+        da = self._touch(da_id)
         da.machine.apply(DaOperation.START)
         self._log_op(DaOperation.START, da_id)
         self._record("Start", da_id)
@@ -316,7 +355,7 @@ class CooperationManager:
 
     def evaluate(self, da_id: str, dov_id: str) -> QualityState:
         """Evaluate: determine the quality state of a DOV in scope."""
-        da = self.da(da_id)
+        da = self._touch(da_id)
         da.machine.apply(DaOperation.EVALUATE)
         if not self.in_scope(da_id, dov_id):
             raise ScopeViolationError(
@@ -342,7 +381,7 @@ class CooperationManager:
         super-DA."  From this state on the super-DA may already read
         the final DOVs (Sect.5.4).
         """
-        sub = self.da(sub_id)
+        sub = self._touch(sub_id)
         if sub.parent is None:
             raise CooperationError(
                 f"top-level DA {sub_id!r} has no super-DA to notify")
@@ -354,7 +393,7 @@ class CooperationManager:
         for dov_id in sub.final_dovs:
             # the sub holds scope locks on its finals (they are in its
             # graph); authorise the super to share them already now
-            self._visibility.setdefault(dov_id, set()).add(sub_id)
+            self._show(sub_id, dov_id)
             self.locks.try_acquire(dov_id, sub_id, LockMode.SCOPE)
             self._grant_visibility(sub.parent, dov_id)
         self._send("ready_to_commit", sub_id, sub.parent,
@@ -372,7 +411,7 @@ class CooperationManager:
         the requirements of its specification and therefore asks for a
         reaction of its super-DA."
         """
-        sub = self.da(sub_id)
+        sub = self._touch(sub_id)
         if sub.parent is None:
             raise CooperationError(
                 f"top-level DA {sub_id!r} has no super-DA to notify")
@@ -396,12 +435,13 @@ class CooperationManager:
         under the new specification and propagations whose features are
         no longer part of the new spec are withdrawn (Sect.5.4).
         """
-        sub = self.da(sub_id)
+        sub = self._touch(sub_id)
         if sub.parent != super_id:
             raise DelegationError(
                 f"{super_id!r} is not the super-DA of {sub_id!r}")
         sub.machine.apply(DaOperation.MODIFY_SUB_DA_SPEC)
         sub.spec = new_spec
+        self.state_log.mark("described", sub_id)
 
         # re-evaluate everything previously evaluated under the old spec
         sub.final_dovs = []
@@ -442,7 +482,7 @@ class CooperationManager:
         will not be ancestors of an inherited final DOV are withdrawn.
         Returns the inherited DOV ids.
         """
-        sub = self.da(sub_id)
+        sub = self._touch(sub_id)
         if sub.parent != super_id:
             raise DelegationError(
                 f"{super_id!r} is not the super-DA of {sub_id!r}")
@@ -451,12 +491,14 @@ class CooperationManager:
         final = set(sub.final_dovs)
         # ensure the sub holds scope locks on its finals for inheritance
         for dov_id in final:
-            self._visibility.setdefault(dov_id, set()).update(
-                {sub_id, super_id})
+            self._show(sub_id, dov_id)
             self.locks.try_acquire(dov_id, sub_id, LockMode.SCOPE)
+        given_up = sorted(self.locks.scope_of(sub_id))
         inherited = self.locks.inherit_scope_locks(sub_id, super_id, final)
+        for dov_id in given_up:
+            self._hide(sub_id, dov_id)
         for dov_id in inherited:
-            self._visibility.setdefault(dov_id, set()).add(super_id)
+            self._show(super_id, dov_id)
 
         # withdrawal: propagated DOVs that are not ancestors of a final
         graph = self.repository.graph(sub_id)
@@ -472,8 +514,10 @@ class CooperationManager:
 
         # close any negotiations the sub was part of
         for negotiation in self._negotiations.values():
-            if negotiation.involves(sub_id):
+            if negotiation.involves(sub_id) and not negotiation.closed:
                 negotiation.closed = True
+                self.state_log.mark("negotiations",
+                                    negotiation.negotiation_id)
 
         self._log_op(DaOperation.TERMINATE_SUB_DA, super_id, sub=sub_id,
                      inherited=sorted(inherited))
@@ -485,7 +529,7 @@ class CooperationManager:
     def finish_top_level(self, da_id: str) -> None:
         """Close the whole design: "After finishing the top-level DA all
         locks are released."  All sub-DAs must be terminated."""
-        da = self.da(da_id)
+        da = self._touch(da_id)
         if da.parent is not None:
             raise CooperationError(f"DA {da_id!r} is not top-level")
         alive = [c.da_id for c in self.children_of(da_id)]
@@ -493,6 +537,8 @@ class CooperationManager:
             raise CooperationError(
                 f"cannot finish {da_id!r}: sub-DAs still alive: {alive}")
         da.machine.state = DaState.TERMINATED
+        for dov_id in sorted(self.locks.scope_of(da_id)):
+            self._hide(da_id, dov_id)
         self.locks.release_all(da_id)
         self._record("Finish_Top_Level", da_id)
         self._persist()
@@ -528,7 +574,7 @@ class CooperationManager:
         and None is returned.
         """
         requiring = self.da(requiring_id)
-        supporting = self.da(supporting_id)
+        supporting = self._touch(supporting_id)
         if requiring_id == supporting_id:
             raise RelationshipError("a DA cannot require from itself")
         if requiring.state is not DaState.ACTIVE:
@@ -552,6 +598,7 @@ class CooperationManager:
             self._usages[key] = usage
         else:
             usage.required_features = frozenset(features)
+        self.state_log.mark("usages", key)
         self._log_op(DaOperation.REQUIRE, requiring_id,
                      supporting=supporting_id, features=sorted(features))
         self._record("Require", supporting_id, requiring=requiring_id)
@@ -579,6 +626,7 @@ class CooperationManager:
     def _deliver(self, usage: Usage, dov_id: str) -> None:
         self._grant_visibility(usage.requiring_da, dov_id)
         usage.delivered.append(dov_id)
+        self.state_log.mark("usages", usage.key())
         self._send("dov_delivered", usage.supporting_da,
                    usage.requiring_da, dov=dov_id)
         self._record("Deliver", dov_id, to=usage.requiring_da)
@@ -591,7 +639,7 @@ class CooperationManager:
         DA control over which of its DOVs are pre-released."  Returns
         the requiring DAs the DOV was delivered to.
         """
-        da = self.da(da_id)
+        da = self._touch(da_id)
         da.machine.apply(DaOperation.PROPAGATE)
         if not self.repository.has_graph(da_id) \
                 or dov_id not in self.repository.graph(da_id):
@@ -629,7 +677,8 @@ class CooperationManager:
         for replacement" — when no replacement exists, the delivery is
         withdrawn instead.  Returns {requiring_da: replacement or None}.
         """
-        supporting = self.da(supporting_id)
+        # a replacement found among the evaluated DOVs joins `propagated`
+        supporting = self._touch(supporting_id)
         result: dict[str, str | None] = {}
         for usage in self._usages_supporting(supporting_id):
             if dov_id not in usage.delivered:
@@ -727,6 +776,7 @@ class CooperationManager:
     def _withdraw_delivery(self, usage: Usage, dov_id: str) -> bool:
         usage.delivered.remove(dov_id)
         usage.withdrawn.append(dov_id)
+        self.state_log.mark("usages", usage.key())
         self._revoke_visibility(usage.requiring_da, dov_id)
         self._send("withdrawal", usage.supporting_da, usage.requiring_da,
                    dov=dov_id)
@@ -776,11 +826,12 @@ class CooperationManager:
                 f"only the common super-DA {super_id!r} may set a "
                 f"negotiation relationship explicitly")
         for da_id in (da_a, da_b):
-            self.da(da_id).machine.apply(
+            self._touch(da_id).machine.apply(
                 DaOperation.CREATE_NEGOTIATION_REL)
         negotiation = Negotiation(self.ids.next("neg"), da_a, da_b,
                                   subject, created_by=creator_id)
         self._negotiations[negotiation.negotiation_id] = negotiation
+        self.state_log.mark("negotiations", negotiation.negotiation_id)
         self._log_op(DaOperation.CREATE_NEGOTIATION_REL, creator_id,
                      da_a=da_a, da_b=da_b, subject=subject)
         self._record("Create_Negotiation_Relationship",
@@ -799,6 +850,7 @@ class CooperationManager:
         negotiation = Negotiation(self.ids.next("neg"), proposer, other,
                                   created_by=proposer)
         self._negotiations[negotiation.negotiation_id] = negotiation
+        self.state_log.mark("negotiations", negotiation.negotiation_id)
         return negotiation
 
     def propose(self, proposer_id: str, other_id: str,
@@ -818,10 +870,11 @@ class CooperationManager:
                 f"an open proposal")
         for da_id in (proposer_id, other_id):
             # ACTIVE -> NEGOTIATING, or NEGOTIATING stays (counter-proposal)
-            self.da(da_id).machine.apply(DaOperation.PROPOSE)
+            self._touch(da_id).machine.apply(DaOperation.PROPOSE)
         proposal = Proposal(self.ids.next("prop"), proposer_id,
                             changes, note)
         negotiation.proposals.append(proposal)
+        self.state_log.mark("negotiations", negotiation.negotiation_id)
         self._send("proposal", proposer_id, other_id,
                    proposal=proposal.proposal_id, note=note)
         self._log_op(DaOperation.PROPOSE, proposer_id, other=other_id,
@@ -845,13 +898,13 @@ class CooperationManager:
         proposal.status = ProposalStatus.AGREED
         proposal.responded_by = da_id
         for target_id, features in proposal.changes.items():
-            target = self.da(target_id)
+            target = self._touch(target_id)
             new_spec = target.spec
             for feature in features:
                 new_spec = new_spec.replaced(feature)
             self._apply_spec_change(target, new_spec)
         for party in (negotiation.da_a, negotiation.da_b):
-            self.da(party).machine.apply(DaOperation.AGREE)
+            self._touch(party).machine.apply(DaOperation.AGREE)
         self._log_op(DaOperation.AGREE, da_id, proposal=proposal_id)
         self._record("Agree", proposal_id, da=da_id)
         self._persist()
@@ -865,7 +918,7 @@ class CooperationManager:
                 f"proposal")
         proposal.status = ProposalStatus.REJECTED
         proposal.responded_by = da_id
-        self.da(da_id).machine.apply(DaOperation.DISAGREE)
+        self._touch(da_id).machine.apply(DaOperation.DISAGREE)
         self._send("disagree", da_id, proposal.proposer,
                    proposal=proposal_id)
         self._log_op(DaOperation.DISAGREE, da_id, proposal=proposal_id)
@@ -892,10 +945,11 @@ class CooperationManager:
         if open_proposal is not None:
             open_proposal.status = ProposalStatus.ESCALATED
         negotiation.escalations += 1
+        self.state_log.mark("negotiations", negotiation_id)
         for party in (negotiation.da_a, negotiation.da_b):
-            party_da = self.da(party)
-            if party_da.state is DaState.NEGOTIATING:
-                party_da.machine.apply(DaOperation.SUB_DA_SPEC_CONFLICT)
+            if self.da(party).state is DaState.NEGOTIATING:
+                self._touch(party).machine.apply(
+                    DaOperation.SUB_DA_SPEC_CONFLICT)
         self._send("specification_conflict", da_id, super_id,
                    negotiation=negotiation_id)
         self._log_op(DaOperation.SUB_DA_SPEC_CONFLICT, da_id,
@@ -914,6 +968,9 @@ class CooperationManager:
                         raise NegotiationError(
                             f"proposal {proposal_id!r} is "
                             f"{proposal.status.value}, not open")
+                    # Agree / Disagree set the proposal's status
+                    self.state_log.mark("negotiations",
+                                        negotiation.negotiation_id)
                     return negotiation, proposal
         raise NegotiationError(
             f"no open proposal {proposal_id!r} involving {da_id!r}")
@@ -922,6 +979,7 @@ class CooperationManager:
                            new_spec: DesignSpecification) -> None:
         """Spec change without restart (negotiated modification)."""
         da.spec = new_spec
+        self.state_log.mark("described", da.da_id)
         da.final_dovs = []
         for dov_id in list(da.quality):
             dov = self.repository.read(dov_id)
@@ -947,38 +1005,34 @@ class CooperationManager:
 
     def pop_messages(self, da_id: str,
                      kind: str | None = None) -> list[Message]:
-        """Consume (and return) a DA's pending messages."""
+        """Consume (and return) a DA's pending messages.
+
+        What was taken stays taken across a server crash: the shortened
+        inbox is forced to the state log before the messages are handed
+        out."""
         pending = self._inboxes.get(da_id, [])
         if kind is None:
-            self._inboxes[da_id] = []
-            return pending
-        taken = [m for m in pending if m.kind == kind]
-        self._inboxes[da_id] = [m for m in pending if m.kind != kind]
+            taken, kept = pending, []
+        else:
+            taken = [m for m in pending if m.kind == kind]
+            kept = [m for m in pending if m.kind != kind]
+        if taken:
+            self._inboxes[da_id] = kept
+            self.state_log.mark("inboxes", da_id)
+            self._persist()
         return taken
 
     # ======================================================================
     # failure handling (server crash)
     # ======================================================================
 
-    _STATE_KEY = "cm-state"
-
     def _persist(self) -> None:
-        """Write the hierarchy-describing information to stable storage.
-
-        "To react to a server crash, the CM only needs to hold
-        persistent the DA-hierarchy-describing information ... it can
-        employ the data management facilities of the server DBMS"
-        (Sect.5.4).
-        """
-        node = self.network.node(self.server_node)
-        node.stable.put(self._STATE_KEY, {
-            "das": self._das,
-            "delegations": self._delegations,
-            "usages": self._usages,
-            "negotiations": self._negotiations,
-            "visibility": self._visibility,
-            "inboxes": self._inboxes,
-        })
+        """Force what this operation changed to the state log — one
+        record with the after-images of the entities it marked (see
+        :mod:`repro.core.state_log`)."""
+        self.state_log.persist(Registries(
+            self._das, self._delegations, self._usages,
+            self._negotiations, self._visibility, self._inboxes))
 
     def _on_server_crash(self) -> None:
         """Volatile registries vanish with the server process."""
@@ -988,19 +1042,15 @@ class CooperationManager:
         self._negotiations = {}
         self._visibility = {}
         self._inboxes = {}
+        self.state_log.crash()
 
     def recover(self) -> dict[str, int]:
-        """Server restart: reload persistent state, rebuild scope locks."""
-        node = self.network.node(self.server_node)
-        state = node.stable.get(self._STATE_KEY)
+        """Server restart: replay the state log, rebuild scope locks."""
+        state = self.state_log.replay(self.repository.dot)
         if state is None:
             return {"das": 0, "scope_locks": 0}
-        self._das = state["das"]
-        self._delegations = state["delegations"]
-        self._usages = state["usages"]
-        self._negotiations = state["negotiations"]
-        self._visibility = state["visibility"]
-        self._inboxes = state["inboxes"]
+        (self._das, self._delegations, self._usages, self._negotiations,
+         self._visibility, self._inboxes) = state
         # rebuild scope locks (the lock table is server-volatile)
         self.locks.usage_allows = self._usage_allows
         rebuilt = 0

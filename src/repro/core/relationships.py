@@ -7,6 +7,11 @@ goals (cooperation relationship *negotiation*)."
 
 The classes here are the CM's bookkeeping records; the protocol logic
 (who may do what, when) lives in the cooperation manager.
+
+Every record has an ``image()`` / ``restore()`` pair: the after-image
+the CM appends to its state log and the way back.  An image is plain
+data that shares no mutable part with the record it was taken from,
+and neither does a restored record with its image.
 """
 
 from __future__ import annotations
@@ -26,6 +31,13 @@ class Delegation:
     super_da: str
     sub_da: str
     created_at: float = 0.0
+
+    def image(self) -> tuple[str, str, float]:
+        return (self.super_da, self.sub_da, self.created_at)
+
+    @classmethod
+    def restore(cls, image: tuple[str, str, float]) -> "Delegation":
+        return cls(*image)
 
 
 @dataclass
@@ -50,6 +62,18 @@ class Usage:
     def key(self) -> tuple[str, str]:
         """Identity of the relationship (one per DA pair/direction)."""
         return (self.requiring_da, self.supporting_da)
+
+    def image(self) -> tuple:
+        return (self.requiring_da, self.supporting_da,
+                tuple(self.required_features), self.created_at,
+                list(self.delivered), list(self.withdrawn))
+
+    @classmethod
+    def restore(cls, image: tuple) -> "Usage":
+        requiring, supporting, features, created_at, delivered, \
+            withdrawn = image
+        return cls(requiring, supporting, frozenset(features), created_at,
+                   list(delivered), list(withdrawn))
 
 
 class ProposalStatus(str, Enum):
@@ -77,6 +101,21 @@ class Proposal:
     note: str = ""
     status: ProposalStatus = ProposalStatus.OPEN
     responded_by: str = ""
+
+    def image(self) -> tuple:
+        # features are values: replaced, never edited in place
+        return (self.proposal_id, self.proposer,
+                {target: list(features)
+                 for target, features in self.changes.items()},
+                self.note, self.status, self.responded_by)
+
+    @classmethod
+    def restore(cls, image: tuple) -> "Proposal":
+        proposal_id, proposer, changes, note, status, responded_by = image
+        return cls(proposal_id, proposer,
+                   {target: list(features)
+                    for target, features in changes.items()},
+                   note, status, responded_by)
 
 
 @dataclass
@@ -122,6 +161,20 @@ class Negotiation:
         """Number of proposals exchanged so far."""
         return len(self.proposals)
 
+    def image(self) -> tuple:
+        return (self.negotiation_id, self.da_a, self.da_b, self.subject,
+                self.created_by,
+                [proposal.image() for proposal in self.proposals],
+                self.escalations, self.closed)
+
+    @classmethod
+    def restore(cls, image: tuple) -> "Negotiation":
+        negotiation_id, da_a, da_b, subject, created_by, proposals, \
+            escalations, closed = image
+        return cls(negotiation_id, da_a, da_b, subject, created_by,
+                   [Proposal.restore(proposal) for proposal in proposals],
+                   escalations, closed)
+
 
 @dataclass
 class Message:
@@ -137,3 +190,21 @@ class Message:
     recipient: str
     payload: dict[str, Any] = field(default_factory=dict)
     at: float = 0.0
+
+    def image(self) -> tuple:
+        return (self.kind, self.sender, self.recipient,
+                _plain_copy(self.payload), self.at)
+
+    @classmethod
+    def restore(cls, image: tuple) -> "Message":
+        kind, sender, recipient, payload, at = image
+        return cls(kind, sender, recipient, _plain_copy(payload), at)
+
+
+def _plain_copy(value: Any) -> Any:
+    """A private copy of a message payload: dicts and lists of scalars."""
+    if isinstance(value, dict):
+        return {key: _plain_copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain_copy(item) for item in value]
+    return value

@@ -1,0 +1,204 @@
+"""The cooperation manager's durable state: a forced after-image log.
+
+"To react to a server crash, the CM only needs to hold persistent the
+DA-hierarchy-describing information ... it can employ the data
+management facilities of the server DBMS" (Sect.5.4).  Here that is an
+append-only :class:`~repro.repository.wal.WriteAheadLog` of the CM's
+own:
+
+* the CM **marks** every entity an operation changes, where it changes
+  it;
+* :meth:`StateLog.persist` — called once at the end of the operation —
+  drains the marks into **one forced record** carrying the after-images
+  of exactly those entities, so the operation costs what it touched,
+  not what the hierarchy holds, and is all-or-nothing across a crash;
+* once the records behind the last checkpoint outnumber the live
+  entities, a **checkpoint** (the same record shape, every entity)
+  replaces them: the log stays within one state's worth of
+  after-images, and a checkpoint is paid for by the records that made
+  it due;
+* :meth:`StateLog.replay` rebuilds the registries from the last
+  checkpoint and the records behind it.
+
+An after-image is built by the entity itself (``image()`` /
+``restore()`` in :mod:`repro.core.activity` and
+:mod:`repro.core.relationships`); this module knows the record around
+them::
+
+    {"das":          {da_id: image},
+     "usages":       {(requiring, supporting): image},
+     "negotiations": {negotiation_id: image},
+     "visibility":   {dov_id: [holders]},     # [] = nobody left: gone
+     "inboxes":      {da_id: [message images]},
+     "delegations":  [image, ...]}            # those not yet logged
+
+Kinds an operation did not touch are left out of its record.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Iterable, NamedTuple
+
+from repro.core.activity import DesignActivity
+from repro.core.relationships import Delegation, Message, Negotiation, Usage
+from repro.repository.schema import DesignObjectType
+from repro.repository.wal import LogRecordKind, WriteAheadLog
+
+
+class Registries(NamedTuple):
+    """Everything the CM holds about the DA hierarchy."""
+
+    das: dict[str, DesignActivity]
+    #: append-only, so the log carries the tail it has not seen yet
+    delegations: list[Delegation]
+    usages: dict[tuple[str, str], Usage]
+    negotiations: dict[str, Negotiation]
+    #: dov_id -> DA ids authorised to share a scope lock on it
+    visibility: dict[str, set[str]]
+    inboxes: dict[str, list[Message]]
+
+    def entities(self) -> int:
+        """How many keyed entities there are to take an image of."""
+        return len(self.das) + len(self.usages) + len(self.negotiations) \
+            + len(self.visibility) + len(self.inboxes)
+
+
+#: the keyed registries; ``described`` names the DAs among ``das``
+#: whose image must carry the description too (new ones, and those
+#: whose specification changed)
+_MARKS = ("das", "described", "usages", "negotiations", "visibility",
+          "inboxes")
+
+
+class StateLog:
+    """Marks, one forced record per operation, checkpoints, replay."""
+
+    def __init__(self) -> None:
+        self.wal = WriteAheadLog("cm-hierarchy")
+        #: checkpoints taken (each truncates the log behind it)
+        self.checkpoints = 0
+        #: per kind, the keys changed since the last record, in the
+        #: order they were first touched
+        self._marks: dict[str, dict[Any, None]] = {k: {} for k in _MARKS}
+        #: how many delegations the log already holds
+        self._delegations_logged = 0
+
+    def mark(self, kind: str, key: Any) -> None:
+        """The entity *key* of registry *kind* is about to change."""
+        self._marks[kind][key] = None
+
+    def _forget_marks(self) -> None:
+        for marked in self._marks.values():
+            marked.clear()
+
+    # -- writing ------------------------------------------------------------
+
+    @staticmethod
+    def _images(state: Registries, keys: dict[str, Iterable[Any]]
+                ) -> dict[str, Any]:
+        images = {
+            "das": {da_id: state.das[da_id].image(
+                        described=da_id in keys["described"])
+                    for da_id in keys["das"]},
+            "usages": {key: state.usages[key].image()
+                       for key in keys["usages"]},
+            "negotiations": {key: state.negotiations[key].image()
+                             for key in keys["negotiations"]},
+            "visibility": {dov_id: sorted(state.visibility.get(dov_id, ()))
+                           for dov_id in keys["visibility"]},
+            "inboxes": {da_id: [m.image() for m in state.inboxes[da_id]]
+                        for da_id in keys["inboxes"]},
+        }
+        return {kind: found for kind, found in images.items() if found}
+
+    def persist(self, state: Registries) -> None:
+        """Force the after-images of everything marked, as one record;
+        nothing marked, nothing written."""
+        delegations = state.delegations[self._delegations_logged:]
+        record = self._images(state, self._marks)
+        if delegations:
+            record["delegations"] = [d.image() for d in delegations]
+        if not record:
+            return
+        self._forget_marks()
+        self._delegations_logged = len(state.delegations)
+        self.wal.append(LogRecordKind.DA_STATE, record, force=True)
+        # Derived, not configured: this is the one threshold at which
+        # the log holds at most one state's worth of after-images (what
+        # replay reads, what memory keeps) *and* a checkpoint of n
+        # entities has n records to be charged to.
+        if len(self.wal) - 1 > state.entities():
+            self._checkpoint(state)
+
+    def _checkpoint(self, state: Registries) -> None:
+        """One forced full image, then drop every record behind it."""
+        image = self._images(state, {
+            "das": state.das, "described": state.das,
+            "usages": state.usages, "negotiations": state.negotiations,
+            "visibility": state.visibility, "inboxes": state.inboxes})
+        image["delegations"] = [d.image() for d in state.delegations]
+        record = self.wal.append(LogRecordKind.CHECKPOINT, image, force=True)
+        self.wal.truncate(record.lsn - 1)
+        self.checkpoints += 1
+
+    # -- failure ------------------------------------------------------------
+
+    def crash(self) -> None:
+        """The marks are volatile; the forced records are not."""
+        self._forget_marks()
+        self._delegations_logged = 0
+        self.wal.crash()
+
+    def replay(self, dot_of: Callable[[str], DesignObjectType]
+               ) -> Registries | None:
+        """The registries as of the last forced record (None: no record).
+
+        Starts at the last checkpoint and keeps, per entity, the latest
+        after-image in the order entities first appear — the order the
+        registries had.  A crash between a checkpoint's append and its
+        truncate leaves older records in front of it; they are dropped
+        first, so replaying twice is replaying once.
+        """
+        records = self.wal.stable_records()
+        if not records:
+            return None
+        checkpoints = self.wal.stable_records(LogRecordKind.CHECKPOINT)
+        if checkpoints and records[0].lsn < checkpoints[-1].lsn:
+            self.wal.truncate(checkpoints[-1].lsn - 1)
+            records = self.wal.stable_records()
+        das: dict[str, Any] = {}
+        usages: dict[Any, Any] = {}
+        negotiations: dict[str, Any] = {}
+        visibility: dict[str, list[str]] = {}
+        inboxes: dict[str, list[Any]] = {}
+        delegations: list[Any] = []
+        for record in records:
+            payload = record.payload
+            for da_id, image in payload.get("das", {}).items():
+                if "description" not in image:
+                    image = {**image,
+                             "description": das[da_id]["description"]}
+                das[da_id] = image
+            usages.update(payload.get("usages", ()))
+            negotiations.update(payload.get("negotiations", ()))
+            inboxes.update(payload.get("inboxes", ()))
+            for dov_id, holders in payload.get("visibility", {}).items():
+                if holders:
+                    visibility[dov_id] = holders
+                else:
+                    visibility.pop(dov_id, None)
+            delegations.extend(payload.get("delegations", ()))
+        state = Registries(
+            {da_id: DesignActivity.restore(da_id, image, dot_of)
+             for da_id, image in das.items()},
+            [Delegation.restore(image) for image in delegations],
+            {key: Usage.restore(image) for key, image in usages.items()},
+            {key: Negotiation.restore(image)
+             for key, image in negotiations.items()},
+            {dov_id: set(holders)
+             for dov_id, holders in visibility.items()},
+            {da_id: [Message.restore(image) for image in messages]
+             for da_id, messages in inboxes.items()})
+        self._forget_marks()
+        self._delegations_logged = len(state.delegations)
+        return state

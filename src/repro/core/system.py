@@ -59,18 +59,20 @@ class ActivityBinding:
     """Adapter giving a DM its DA-specific context (DaBinding impl)."""
 
     def __init__(self, da: DesignActivity, cm: CooperationManager) -> None:
-        self._da = da
+        #: the CM's object for the bound DA; a server restart builds a
+        #: new one, and the system puts it here (nobody else keeps one)
+        self.da = da
         self._cm = cm
 
     @property
     def da_id(self) -> str:
         """The bound DA's id."""
-        return self._da.da_id
+        return self.da.da_id
 
     @property
     def dot_name(self) -> str:
         """New DOVs are checked in under the DA's DOT."""
-        return self._da.dot.name
+        return self.da.dot.name
 
     def pick_inputs(self, step: DopStep) -> list[str]:
         """Default input choice: continue from the newest design state.
@@ -89,8 +91,8 @@ class ActivityBinding:
             if leaves:
                 newest = max(leaves, key=lambda d: d.created_at)
                 return [newest.dov_id]
-        if self._da.vector.initial_dov is not None:
-            return [self._da.vector.initial_dov]
+        if self.da.vector.initial_dov is not None:
+            return [self.da.vector.initial_dov]
         delivered = sorted(
             self._cm.locks.scope_of(self.da_id))
         if delivered:
@@ -132,10 +134,14 @@ class ActivityBinding:
 class DaRuntime:
     """Everything attached to one living DA."""
 
-    da: DesignActivity
     dm: DesignManager
     binding: ActivityBinding
     client_tm: ClientTM
+
+    @property
+    def da(self) -> DesignActivity:
+        """The DA, as the CM holds it now."""
+        return self.binding.da
 
 
 class ConcordSystem:
@@ -227,7 +233,14 @@ class ConcordSystem:
 
         # CM state reload on server restart (repository hooks were
         # registered above, before the server-TM's re-validation hook)
-        self.server.on_restart.append(lambda: self.cm.recover())
+        self.server.on_restart.append(self._recover_cm)
+
+    def _recover_cm(self) -> None:
+        """Replay the CM's state log, then hand every binding the DA
+        object recovery built: the one it held died with the server."""
+        self.cm.recover()
+        for da_id, runtime in self._runtimes.items():
+            runtime.binding.da = self.cm.da(da_id)
 
     # -- topology ------------------------------------------------------------
 
@@ -290,7 +303,7 @@ class ConcordSystem:
                            constraints=self.constraints,
                            rules=RuleEngine(), trace=self.trace)
         self.cm.register_dm(da.da_id, dm)
-        runtime = DaRuntime(da, dm, binding, client_tm)
+        runtime = DaRuntime(dm, binding, client_tm)
         self._runtimes[da.da_id] = runtime
         return runtime
 

@@ -71,6 +71,10 @@ def render_delta(new: dict[str, Any],
                 f"federation-flatness "
                 f"{acceptance.get('federation_flatness')}x "
                 f"<= {acceptance.get('federation_flatness_max')}x")
+            if "cm_flatness" in acceptance:
+                gates.append(
+                    f"cm-flatness {acceptance['cm_flatness']}x "
+                    f"<= {acceptance['cm_flatness_max']}x")
         if "federation_log_bounded" in acceptance:
             gates.append(
                 "federation-log "
