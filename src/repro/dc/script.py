@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator
 
+from repro.repository.versions import freeze_payload
 from repro.util.errors import ScriptError
 
 
@@ -64,6 +65,11 @@ class DopStep(ScriptNode):
     duration: float = 0.0
     label: str = ""
 
+    def __post_init__(self) -> None:
+        # a script is persisted by reference: its parameters may not
+        # change under the stored copy
+        object.__setattr__(self, "params", freeze_payload(self.params))
+
     def sequences(self, max_iterations: int = 2) -> list[list[str]]:
         return [[self.tool]]
 
@@ -78,6 +84,9 @@ class DaOpStep(ScriptNode):
 
     operation: str
     params: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", freeze_payload(self.params))
 
     def sequences(self, max_iterations: int = 2) -> list[list[str]]:
         return [[]]  # DA operations are invisible to DOP-order constraints
@@ -264,12 +273,19 @@ class EnabledAction:
         return self.node.tool if isinstance(self.node, DopStep) else None
 
 
+@dataclass(frozen=True, eq=False)
 class Script:
-    """A validated script with a root node."""
+    """A validated script with a root node.
 
-    def __init__(self, root: ScriptNode, name: str = "script") -> None:
-        self.root = root
-        self.name = name
+    Immutable like every node below it (step parameters are frozen at
+    construction), so the DM's "persistent script" (Sect.5.3) is this
+    very object on stable storage, not a copy of it.
+    """
+
+    root: ScriptNode
+    name: str = "script"
+
+    __frozen_payload__ = True
 
     def sequences(self, max_iterations: int = 2) -> list[list[str]]:
         """All statically enumerable tool sequences."""

@@ -16,13 +16,12 @@ environment deterministically:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.clock import SimClock
-from repro.util.errors import NetworkError, NodeDownError
+from repro.util.errors import NetworkError, NodeDownError, StorageError
 from repro.util.rng import SeededRng
 
 if TYPE_CHECKING:  # avoid the net <-> sim package-init cycle
@@ -39,8 +38,8 @@ class NodeKind(str, Enum):
 _IMMUTABLE_SCALARS = (str, int, float, bool, bytes, type(None))
 
 #: recursion cap for :func:`_is_immutable`.  Nesting deeper than this
-#: is conservatively treated as *mutable* (the payload takes the deep
-#: copy) — a correctness-preserving fallback, never an error.
+#: is conservatively treated as *mutable*: the walk stays bounded and a
+#: value it cannot vouch for is refused, never stored on trust.
 IMMUTABLE_CHECK_MAX_DEPTH = 4
 
 
@@ -49,16 +48,17 @@ def _is_immutable(value: Any, _depth: int = 0) -> bool:
 
     Covers the scalar types plus tuples/frozensets of immutables, up
     to :data:`IMMUTABLE_CHECK_MAX_DEPTH` levels of nesting.  At the
-    cap the answer deliberately flips to False: deeper structures just
-    take the copy, so the guard can never leak a live reference.
+    cap the answer deliberately flips to False, so the guard can never
+    vouch for a live reference it did not inspect.
 
-    Frozen design payloads short-circuit via their structural marker
-    (``__frozen_payload__``, set by the repository's freeze walk) —
-    O(1), no recursive inspection, and no ``net -> repository`` import:
+    A type whose instances are immutable by construction says so with
+    the structural marker ``__frozen_payload__`` (frozen design
+    payloads, DOVs, recovery images, scripts) and answers in O(1) — no
+    recursive inspection, and no import of the marked type's package:
     the marker is the whole protocol.
     """
     if type(value) in _IMMUTABLE_SCALARS:
-        # exact types only: subclasses (str-enums, ...) take the copy
+        # exact types only: subclasses (str-enums, ...) may carry state
         return True
     if getattr(type(value), "__frozen_payload__", False):
         return True
@@ -71,38 +71,31 @@ def _is_immutable(value: Any, _depth: int = 0) -> bool:
 class StableStorage:
     """Crash-surviving key/value storage local to one node.
 
-    Values are deep-copied on write and read so that components cannot
-    accidentally keep live references to "persistent" state — exactly
-    the bug class crash recovery must be robust against.  Immutable
-    payloads (strings, numbers, tuples of immutables) cannot leak a
-    live reference, so they skip the copy on both paths;
-    :attr:`copies_saved` counts the skips (surfaced by the benchmarks).
+    A store of immutable values: :meth:`put` keeps the reference it is
+    given and :meth:`get` hands the same object back, which is safe
+    because no holder of it can change it.  A value that
+    :func:`_is_immutable` cannot vouch for is refused — a component
+    keeping a live reference to "persistent" state is exactly the bug
+    class crash recovery must be robust against, so writers freeze
+    what they persist once, where they produce it.
     """
 
     def __init__(self) -> None:
         self._data: dict[str, Any] = {}
         self.writes = 0
-        #: deep copies skipped because the payload was immutable
-        self.copies_saved = 0
 
     def put(self, key: str, value: Any) -> None:
-        """Durably store *value* under *key*."""
-        if _is_immutable(value):
-            self._data[key] = value
-            self.copies_saved += 1
-        else:
-            self._data[key] = copy.deepcopy(value)
+        """Durably store the immutable *value* under *key*."""
+        if not _is_immutable(value):
+            raise StorageError(
+                f"stable storage key {key!r}: refusing a mutable "
+                f"{type(value).__name__} (freeze it before the put)")
+        self._data[key] = value
         self.writes += 1
 
     def get(self, key: str, default: Any = None) -> Any:
-        """Read back a durable value (a private copy)."""
-        if key not in self._data:
-            return default
-        value = self._data[key]
-        if _is_immutable(value):
-            self.copies_saved += 1
-            return value
-        return copy.deepcopy(value)
+        """Read back a durable value (the stored object itself)."""
+        return self._data.get(key, default)
 
     def delete(self, key: str) -> bool:
         """Remove a key; True when it existed."""

@@ -23,6 +23,10 @@ from repro.net.network import Network
 from repro.util.errors import NodeDownError, RpcError
 
 
+#: "no cached reply" — distinct from a cached reply of ``None``
+_NO_REPLY = object()
+
+
 @dataclass(frozen=True)
 class RpcResult:
     """Outcome of one RPC: the handler's return value + transport cost."""
@@ -78,18 +82,20 @@ class TransactionalRpc:
             raise RpcError(f"call {name!r} to {dst!r} failed: {exc}") from exc
 
         cache_key = f"rpc-reply:{call_id}"
-        cached = dst_node.stable.get(cache_key)
-        if cached is not None:
+        cached = dst_node.stable.get(cache_key, _NO_REPLY)
+        if cached is not _NO_REPLY:
             self.replies_cached += 1
             latency += self.network.send(dst, src)
-            return RpcResult(cached["value"], latency, cached=True)
+            return RpcResult(cached, latency, cached=True)
 
         handlers = self._handlers.get(dst, {})
         if name not in handlers:
             raise RpcError(f"node {dst!r} has no endpoint {name!r}")
         self.calls_made += 1
         value = handlers[name](*args, **kwargs)
-        dst_node.stable.put(cache_key, {"value": value})
+        # the reply itself is the cached value: replies are immutable
+        # (scalars, tuples, DOVs), and stable storage refuses any other
+        dst_node.stable.put(cache_key, value)
 
         # response message
         try:

@@ -101,25 +101,26 @@ class TwoPhaseCoordinator:
         self.node_id = coordinator_node
         self.protocol = protocol
         self.read_only_optimisation = read_only_optimisation
-        #: durable decision log: txn_id -> Decision (coordinator side)
-        self._decisions_key = "2pc-decisions"
 
     # -- durable decision log -------------------------------------------------
+
+    @staticmethod
+    def _decision_key(txn_id: str) -> str:
+        # one record per decision: logging the n-th decision writes one
+        # string, whatever the log already holds
+        return f"2pc-decisions:{txn_id}"
 
     def _log_decision(self, txn_id: str, decision: Decision,
                       outcome: CommitOutcome, forced: bool) -> None:
         node = self.network.node(self.node_id)
-        log = node.stable.get(self._decisions_key, {})
-        log[txn_id] = decision.value
-        node.stable.put(self._decisions_key, log)
+        node.stable.put(self._decision_key(txn_id), decision.value)
         if forced:
             outcome.forced_log_writes += 1
 
     def logged_decision(self, txn_id: str) -> Decision | None:
         """The durably logged decision for *txn_id*, if any."""
         node = self.network.node(self.node_id)
-        log = node.stable.get(self._decisions_key, {})
-        value = log.get(txn_id)
+        value = node.stable.get(self._decision_key(txn_id))
         return Decision(value) if value else None
 
     def resolve_in_doubt(self, txn_id: str) -> Decision:

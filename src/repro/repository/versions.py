@@ -337,6 +337,30 @@ def _freeze(value: Any) -> tuple[Any, int]:
     return copy.deepcopy(value), _SCALAR_BYTES
 
 
+def thaw_payload(value: Any) -> Any:
+    """A private, mutable copy of a frozen payload — :func:`_freeze`
+    backwards.
+
+    :class:`FrozenDict` becomes ``dict`` and :class:`FrozenList`
+    ``list`` again, at every depth and inside tuples; immutable leaves
+    are shared.  What freezing cannot give back stays as frozen:
+    a ``set`` comes back a ``frozenset``, a ``bytearray`` as ``bytes``.
+    Unknown objects are copied, as they were on the way in, so nothing
+    mutable is reachable from both the result and *value*.
+    """
+    tp = type(value)
+    if tp is str or tp is int or tp is float or tp is bool \
+            or value is None or tp is bytes or tp is frozenset:
+        return value
+    if isinstance(value, dict):
+        return {key: thaw_payload(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [thaw_payload(item) for item in value]
+    if tp is tuple:
+        return tuple(thaw_payload(item) for item in value)
+    return copy.deepcopy(value)
+
+
 @dataclass(frozen=True)
 class DesignObjectVersion:
     """One immutable design state.
@@ -366,6 +390,10 @@ class DesignObjectVersion:
     created_at: float
     parents: tuple[str, ...] = ()
 
+    #: every field is immutable once ``__post_init__`` has frozen the
+    #: payload, so storage and transport share a DOV instead of copying
+    __frozen_payload__ = True
+
     def __post_init__(self) -> None:
         # deep-freeze the payload once at creation (the zero-copy hot
         # path): the one walk both canonicalises the data and caches
@@ -376,6 +404,8 @@ class DesignObjectVersion:
             data = freeze_payload(data)
             object.__setattr__(self, "data", data)
         object.__setattr__(self, "_payload_size", data._frozen_size)
+        if type(self.parents) is not tuple:
+            object.__setattr__(self, "parents", tuple(self.parents))
 
     def copy_data(self) -> dict[str, Any]:
         """The payload as a private-by-construction mapping.

@@ -6,7 +6,7 @@ automatic recovery points, and the client-TM / server-TM pair with
 two-phase commit for their critical interactions.
 """
 
-from repro.te.context import DopContext, SavepointStack
+from repro.te.context import ContextImage, DopContext, SavepointStack
 from repro.te.dop import DesignOperation, DopState
 from repro.te.locks import Lock, LockManager, LockMode, LockStats
 from repro.te.object_buffer import (
@@ -35,6 +35,7 @@ __all__ = [
     "BufferEntry",
     "CheckinResult",
     "ClientTM",
+    "ContextImage",
     "DesignOperation",
     "EvictionPolicy",
     "FifoEviction",

@@ -21,25 +21,84 @@ Sect.5.2), so they also survive workstation crashes.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.repository.versions import is_frozen_payload
+from repro.repository.versions import (
+    FrozenDict,
+    FrozenList,
+    freeze_payload,
+    thaw_payload,
+)
 from repro.util.errors import RecoveryError
 
+#: exact types a working dict can hold that are immutable as they are:
+#: what checkout installs (frozen payload members) and scalar results.
+#: Such a value is shared into an image and shared back out of it.
+_SHARED_TYPES = frozenset({str, int, float, bool, bytes, type(None),
+                           FrozenDict, FrozenList})
 
-def _cow_copy(mapping: dict[str, Any]) -> dict[str, Any]:
-    """Copy-on-write image of a working dict over frozen payloads.
+_EMPTY = FrozenDict()
+_NONE_OWNED: frozenset = frozenset()
 
-    Values installed by checkout are frozen (immutable through any
-    reference) and are shared into the image as-is; everything the
-    tool produced itself is deep-copied as before.  The recovery-point
-    hot path thus costs O(top-level keys), not O(payload bytes).
+
+@dataclass(frozen=True, slots=True)
+class ContextImage:
+    """Immutable recovery image of a :class:`DopContext`.
+
+    Built only by :meth:`DopContext.snapshot`; stable storage keeps the
+    reference (the marker answers its immutability check in O(1)), and
+    successive images of one context share every part that did not
+    change in between.  ``data`` and ``tool_state`` hold the working
+    dicts deep-frozen; ``data_owned`` / ``tool_state_owned`` name the
+    top-level keys whose values the snapshot had to freeze itself —
+    tool output, the only part :meth:`DopContext.from_snapshot` copies
+    back to mutable form.  Everything else was immutable when it went
+    in (checked-out payloads, scalars) and comes out the same object.
     """
-    return {key: value if is_frozen_payload(value)
-            else copy.deepcopy(value)
-            for key, value in mapping.items()}
+
+    data: FrozenDict
+    data_owned: frozenset
+    tool_state: FrozenDict
+    tool_state_owned: frozenset
+    checked_out: tuple[str, ...]
+    work_done: float
+
+    __frozen_payload__ = True
+
+
+def _freeze_working(mapping: dict[str, Any], prev: FrozenDict
+                    ) -> tuple[FrozenDict, frozenset]:
+    """Frozen image of a working dict, and the keys it had to freeze.
+
+    Members of :data:`_SHARED_TYPES` are shared in O(1) each; only
+    mutable tool output is walked (once, by :func:`freeze_payload`).
+    When every member is shared and is the very object *prev* already
+    holds under that key, *prev* is the image: an untouched dict costs
+    one identity check per key and allocates nothing.
+    """
+    if not mapping:
+        return _EMPTY, _NONE_OWNED
+    owned = [key for key, value in mapping.items()
+             if type(value) not in _SHARED_TYPES]
+    if owned:
+        return freeze_payload(mapping), frozenset(owned)
+    if len(prev) == len(mapping):
+        for (key, value), (prev_key, prev_value) \
+                in zip(mapping.items(), prev.items()):
+            if value is not prev_value or key != prev_key:
+                break
+        else:
+            return prev, _NONE_OWNED
+    return freeze_payload(mapping), _NONE_OWNED
+
+
+def _thaw_working(frozen: FrozenDict, owned: frozenset) -> dict[str, Any]:
+    return {key: thaw_payload(value) if key in owned else value
+            for key, value in frozen.items()}
+
+
+_BLANK = ContextImage(_EMPTY, _NONE_OWNED, _EMPTY, _NONE_OWNED, (), 0.0)
 
 
 @dataclass
@@ -58,29 +117,42 @@ class DopContext:
     tool_state: dict[str, Any] = field(default_factory=dict)
     checked_out: list[str] = field(default_factory=list)
     work_done: float = 0.0
+    #: the most recent image, whose unchanged parts the next one re-uses
+    _image: ContextImage = field(default=_BLANK, init=False, repr=False,
+                                 compare=False)
 
-    def snapshot(self) -> dict[str, Any]:
-        """Storage-ready image of the context (copy-on-write).
+    def snapshot(self) -> ContextImage:
+        """Immutable image of the context, ready for stable storage.
 
-        Frozen payload values are shared, mutable tool output is
-        deep-copied — the image is private either way.
+        Costs what changed since the previous image plus one walk over
+        the mutable tool output; nothing is deep-copied.
         """
-        return {
-            "data": _cow_copy(self.data),
-            "tool_state": copy.deepcopy(self.tool_state),
-            "checked_out": list(self.checked_out),
-            "work_done": self.work_done,
-        }
+        prev = self._image
+        data, data_owned = _freeze_working(self.data, prev.data)
+        tool_state, tool_state_owned = _freeze_working(
+            self.tool_state, prev.tool_state)
+        image = ContextImage(data, data_owned, tool_state,
+                             tool_state_owned, tuple(self.checked_out),
+                             self.work_done)
+        self._image = image
+        return image
 
     @classmethod
-    def from_snapshot(cls, snap: dict[str, Any]) -> "DopContext":
-        """Rebuild a context from a :meth:`snapshot` image."""
-        return cls(
-            data=_cow_copy(snap["data"]),
-            tool_state=copy.deepcopy(snap["tool_state"]),
-            checked_out=list(snap["checked_out"]),
-            work_done=snap["work_done"],
+    def from_snapshot(cls, snap: ContextImage) -> "DopContext":
+        """A private working context equal to the imaged one.
+
+        Tool output is thawed into mutable dicts and lists again;
+        checked-out payloads come back as the same frozen objects.
+        """
+        context = cls(
+            data=_thaw_working(snap.data, snap.data_owned),
+            tool_state=_thaw_working(snap.tool_state,
+                                     snap.tool_state_owned),
+            checked_out=list(snap.checked_out),
+            work_done=snap.work_done,
         )
+        context._image = snap
+        return context
 
 
 class SavepointStack:
@@ -88,16 +160,20 @@ class SavepointStack:
 
     Restore semantics follow the paper: restoring a savepoint "wipes
     out" everything done after it, including later savepoints.
+
+    The stack is a tuple of ``(name, image)`` pairs and so is its own
+    storage-ready image: a savepoint is frozen once, at :meth:`save`,
+    and every later recovery point shares it.
     """
 
     def __init__(self) -> None:
-        self._stack: list[tuple[str, dict[str, Any]]] = []
+        self._stack: tuple[tuple[str, ContextImage], ...] = ()
 
     def save(self, name: str, context: DopContext) -> None:
         """Record the current context under *name*."""
         if any(existing == name for existing, _ in self._stack):
             raise RecoveryError(f"savepoint {name!r} already exists")
-        self._stack.append((name, context.snapshot()))
+        self._stack += ((name, context.snapshot()),)
 
     def restore(self, name: str | None = None) -> DopContext:
         """Return the context saved under *name* (default: most recent).
@@ -115,9 +191,8 @@ class SavepointStack:
                              if n == name)
             except StopIteration:
                 raise RecoveryError(f"no savepoint named {name!r}") from None
-        name_kept, snap = self._stack[index]
-        del self._stack[index + 1:]
-        return DopContext.from_snapshot(snap)
+        self._stack = self._stack[:index + 1]
+        return DopContext.from_snapshot(self._stack[index][1])
 
     def names(self) -> list[str]:
         """Savepoint names, oldest first."""
@@ -125,19 +200,19 @@ class SavepointStack:
 
     def clear(self) -> None:
         """Remove all savepoints (commit/abort path, Sect.5.2)."""
-        self._stack.clear()
+        self._stack = ()
 
     def __len__(self) -> int:
         return len(self._stack)
 
-    def snapshot(self) -> list[tuple[str, dict[str, Any]]]:
-        """Storage-ready image of the whole stack."""
-        return [(n, copy.deepcopy(s)) for n, s in self._stack]
+    def snapshot(self) -> tuple[tuple[str, ContextImage], ...]:
+        """Storage-ready image of the whole stack (the stack itself)."""
+        return self._stack
 
     @classmethod
-    def from_snapshot(cls, snap: list[tuple[str, dict[str, Any]]]
+    def from_snapshot(cls, snap: tuple[tuple[str, ContextImage], ...]
                       ) -> "SavepointStack":
         """Rebuild a stack from a :meth:`snapshot` image."""
         stack = cls()
-        stack._stack = [(n, copy.deepcopy(s)) for n, s in snap]
+        stack._stack = snap
         return stack

@@ -16,10 +16,9 @@ workstation's stable storage and serves the most recent one at restart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.net.network import StableStorage
-from repro.te.context import DopContext, SavepointStack
+from repro.te.context import ContextImage, DopContext, SavepointStack
 from repro.util.errors import RecoveryError
 
 
@@ -42,15 +41,33 @@ class RecoveryPointPolicy:
         return self.interval > 0 and work_since_last >= self.interval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveryPoint:
-    """One persisted restart point of a DOP."""
+    """One persisted restart point of a DOP.
+
+    The point *is* the stored record: every field is immutable (the
+    context and savepoint images are frozen where they are taken), so
+    stable storage keeps the reference and :meth:`RecoveryManager.take`
+    copies nothing.
+    """
 
     dop_id: str
     taken_at: float      # simulated time
     reason: str          # 'checkout' | 'interval' | 'savepoint' | ...
-    context: dict[str, Any]           # DopContext.snapshot()
-    savepoints: list[tuple[str, dict[str, Any]]]  # SavepointStack.snapshot()
+    context: ContextImage                 # DopContext.snapshot()
+    #: SavepointStack.snapshot()
+    savepoints: tuple[tuple[str, ContextImage], ...]
+
+    __frozen_payload__ = True
+
+    def __post_init__(self) -> None:
+        # the marker vouches for the fields; hold them to it
+        if type(self.context) is not ContextImage \
+                or type(self.savepoints) is not tuple:
+            raise TypeError(
+                "a recovery point holds a ContextImage and a tuple of "
+                "savepoint images (DopContext.snapshot(), "
+                "SavepointStack.snapshot())")
 
 
 class RecoveryManager:
@@ -83,13 +100,7 @@ class RecoveryManager:
             context=context.snapshot(),
             savepoints=savepoints.snapshot(),
         )
-        self.stable.put(self._key(dop_id), {
-            "dop_id": point.dop_id,
-            "taken_at": point.taken_at,
-            "reason": point.reason,
-            "context": point.context,
-            "savepoints": point.savepoints,
-        })
+        self.stable.put(self._key(dop_id), point)
         self.points_taken += 1
         return point
 
@@ -97,23 +108,16 @@ class RecoveryManager:
 
     def latest(self, dop_id: str) -> RecoveryPoint | None:
         """The most recent persisted point for *dop_id*, if any."""
-        raw = self.stable.get(self._key(dop_id))
-        if raw is None:
-            return None
-        return RecoveryPoint(
-            dop_id=raw["dop_id"],
-            taken_at=raw["taken_at"],
-            reason=raw["reason"],
-            context=raw["context"],
-            savepoints=[(n, s) for n, s in raw["savepoints"]],
-        )
+        return self.stable.get(self._key(dop_id))
 
     def restore(self, dop_id: str) -> tuple[DopContext, SavepointStack,
                                             RecoveryPoint]:
         """Rebuild context + savepoints from the most recent point.
 
-        Raises :class:`RecoveryError` when no point exists (then the
-        DOP must be rolled back to its very beginning).
+        The image is thawed into a private mutable working copy here,
+        on the rare path, and never when the point is taken.  Raises
+        :class:`RecoveryError` when no point exists (then the DOP must
+        be rolled back to its very beginning).
         """
         point = self.latest(dop_id)
         if point is None:

@@ -1038,6 +1038,10 @@ class ClientTM:
         """Designer-initiated Restore: roll back to a marked state."""
         dop.require("restore")
         dop.context = dop.savepoints.restore(name)
+        # make the wipe-out durable: without a point here a crash would
+        # resurrect the work and the savepoints the restore discarded
+        self._take_recovery_point(
+            dop, f"restore:{dop.savepoints.names()[-1]}")
         self._record("restore", dop.dop_id, savepoint=name or "<latest>")
 
     # -- suspend / resume ----------------------------------------------------------------------

@@ -36,7 +36,9 @@ class UnknownObjectError(RepositoryError):
 
 
 class StorageError(RepositoryError):
-    """The simulated persistent store failed (e.g. during a crash window)."""
+    """The simulated persistent store failed (e.g. during a crash
+    window) or refused a value (stable storage holds only immutable
+    ones)."""
 
 
 # ---------------------------------------------------------------------------

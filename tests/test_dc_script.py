@@ -33,6 +33,49 @@ class TestAstConstruction:
             Parallel(DopStep("a"))
 
 
+class TestScriptIsImmutable:
+    """The DM's persistent script is the object itself on stable
+    storage, so nothing reachable from a script may change."""
+
+    def test_script_and_step_fields_are_read_only(self):
+        script = Script(Sequence(DopStep("a"), DaOpStep("Evaluate")),
+                        name="s")
+        with pytest.raises(AttributeError):
+            script.root = DopStep("b")
+        with pytest.raises(AttributeError):
+            script.name = "other"
+        with pytest.raises(AttributeError):
+            script.root.children[0].tool = "b"
+
+    def test_step_parameters_are_frozen_at_construction(self):
+        given = {"inputs": ["dov-1"], "options": {"depth": 2}}
+        for step in (DopStep("a", params=given),
+                     DaOpStep("Require", params=given)):
+            assert step.params == given
+            given["inputs"].append("dov-2")         # the caller's dict
+            assert step.params["inputs"] == ["dov-1"]
+            given["inputs"].pop()
+            with pytest.raises(TypeError):
+                step.params["more"] = 1
+            with pytest.raises(TypeError):
+                step.params["options"]["depth"] = 3
+            # what consumers do: a private top-level copy
+            assert dict(step.params) == given
+
+    def test_stable_storage_keeps_the_script_itself(self):
+        from repro.net.network import StableStorage
+
+        script = Script(Sequence(DopStep("a", params={"k": [1]})))
+        storage = StableStorage()
+        storage.put("dm-script:da-1", script)
+        assert storage.get("dm-script:da-1") is script
+
+    def test_scripts_still_compare_and_hash_by_identity(self):
+        one, other = Script(DopStep("a")), Script(DopStep("a"))
+        assert one != other
+        assert len({one, other}) == 2
+
+
 class TestEnumeration:
     def test_sequence(self):
         script = Script(Sequence(DopStep("a"), DopStep("b")))

@@ -73,6 +73,41 @@ class TestCommitPath:
         network.restart_node("coord")
         assert coordinator.logged_decision("t1") is Decision.COMMIT
 
+    def test_first_and_500th_decision_answer_after_a_coordinator_crash(
+            self):
+        network, coordinator, parts = rig(
+            protocol=CommitProtocol.BASIC)
+        for index in range(1, 501):
+            # every seventh transaction aborts (basic 2PC logs that too)
+            parts[0].vote = Vote.NO if index % 7 == 0 else Vote.YES
+            coordinator.execute(f"t{index}", parts)
+        network.crash_node("coord")
+        network.restart_node("coord")
+        assert coordinator.logged_decision("t1") is Decision.COMMIT
+        assert coordinator.resolve_in_doubt("t1") is Decision.COMMIT
+        assert coordinator.logged_decision("t497") is Decision.ABORT
+        assert coordinator.logged_decision("t500") is Decision.COMMIT
+        assert coordinator.resolve_in_doubt("t500") is Decision.COMMIT
+        assert coordinator.logged_decision("t501") is None
+
+    def test_one_record_per_decision_whatever_the_log_holds(self):
+        network, coordinator, parts = rig()
+        stable = network.node("coord").stable
+        written = []
+        put = stable.put
+        stable.put = lambda key, value: (written.append((key, value)),
+                                         put(key, value))
+        gets = []
+        get = stable.get
+        stable.get = lambda key, default=None: (gets.append(key),
+                                                get(key, default))[1]
+        for index in range(300):
+            coordinator.execute(f"t{index}", parts)
+        assert written[9] == ("2pc-decisions:t9", "commit")
+        assert written[299] == ("2pc-decisions:t299", "commit")
+        assert len(written) == 300
+        assert gets == []           # logging a decision reads nothing
+
 
 class TestAbortPath:
     def test_one_no_aborts(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from enum import Enum
+
 import pytest
 
 from repro.net.network import (
@@ -11,23 +13,27 @@ from repro.net.network import (
     StableStorage,
     _is_immutable,
 )
-from repro.util.errors import NetworkError, NodeDownError
+from repro.repository.versions import freeze_payload
+from repro.util.errors import NetworkError, NodeDownError, StorageError
 
 
 class TestStableStorage:
     def test_put_get_roundtrip(self):
         storage = StableStorage()
-        storage.put("k", {"a": 1})
+        storage.put("k", freeze_payload({"a": 1}))
         assert storage.get("k") == {"a": 1}
 
-    def test_values_are_isolated_copies(self):
+    def test_get_returns_the_stored_object(self):
+        # nothing is copied on either path: what is stored cannot be
+        # changed by anyone who holds it, so one object serves them all
         storage = StableStorage()
-        value = {"a": [1]}
+        source = {"a": [1]}
+        value = freeze_payload(source)
         storage.put("k", value)
-        value["a"].append(2)
-        assert storage.get("k") == {"a": [1]}
-        read = storage.get("k")
-        read["a"].append(3)
+        source["a"].append(2)
+        assert storage.get("k") is value
+        with pytest.raises(TypeError):
+            storage.get("k")["a"].append(3)
         assert storage.get("k") == {"a": [1]}
 
     def test_get_default(self):
@@ -174,51 +180,58 @@ class TestNetwork:
         assert network.bytes_shipped == 50
 
 
+class _Colour(str, Enum):
+    RED = "red"
+
+
 class TestStableStorageCopySkip:
     def test_immutable_scalars_skip_the_copy(self):
         storage = StableStorage()
-        storage.put("s", "value")
-        storage.put("i", 7)
-        storage.put("f", 1.5)
-        storage.put("n", None)
-        assert storage.copies_saved == 4
-        assert storage.get("s") == "value"
-        assert storage.copies_saved == 5
+        values = {"s": "value", "i": 7, "f": 1.5, "n": None, "b": b"x"}
+        for key, value in values.items():
+            storage.put(key, value)
+            assert storage.get(key) is value
 
     def test_immutable_tuples_skip_the_copy(self):
         storage = StableStorage()
-        storage.put("t", (1, "a", (2.0, None)))
-        assert storage.copies_saved == 1
-        assert storage.get("t") == (1, "a", (2.0, None))
-        assert storage.copies_saved == 2
+        value = (1, "a", (2.0, None), frozenset({3}))
+        storage.put("t", value)
+        assert storage.get("t") is value
 
-    def test_mutable_payloads_still_copy(self):
+    def test_mutable_payloads_are_refused(self):
         storage = StableStorage()
-        storage.put("d", {"a": [1]})
-        storage.put("t", (1, [2]))       # tuple holding a list
-        assert storage.copies_saved == 0
-        read = storage.get("d")
-        read["a"].append(9)
-        assert storage.get("d") == {"a": [1]}
+        for value, type_name in [
+                ({"a": [1]}, "dict"),
+                ([1, 2], "list"),
+                ({1, 2}, "set"),
+                ((1, [2]), "tuple"),         # a tuple holding a list
+                (_Colour.RED, "_Colour")]:   # a str subclass: not exact
+            with pytest.raises(StorageError) as refusal:
+                storage.put("the-key", value)
+            assert "'the-key'" in str(refusal.value)
+            assert type_name in str(refusal.value)
+        assert "the-key" not in storage
+        assert storage.writes == 0
 
     def test_writes_counted_either_way(self):
+        # a scalar and a frozen container both count as one write
         storage = StableStorage()
         storage.put("a", 1)
-        storage.put("b", [1])
+        storage.put("b", freeze_payload([1]))
         assert storage.writes == 2
 
     def test_deep_nesting_caps_at_the_depth_constant(self):
-        # nesting beyond IMMUTABLE_CHECK_MAX_DEPTH conservatively
-        # takes the deep copy (flips to "mutable") — it must never
-        # error or leak a live reference
+        # nesting beyond IMMUTABLE_CHECK_MAX_DEPTH is not inspected and
+        # therefore not vouched for: the put is refused, never stored
+        # on trust
         nested = ("leaf",)
         for _ in range(IMMUTABLE_CHECK_MAX_DEPTH + 6):
             nested = (nested,)
         assert _is_immutable(nested) is False
         storage = StableStorage()
-        storage.put("deep", nested)
-        assert storage.copies_saved == 0
-        assert storage.get("deep") == nested
+        with pytest.raises(StorageError, match="'deep'.*tuple"):
+            storage.put("deep", nested)
+        assert storage.get("deep") is None
 
     def test_nesting_at_the_cap_still_skips_the_copy(self):
         nested = ("leaf",)
@@ -227,7 +240,14 @@ class TestStableStorageCopySkip:
         assert _is_immutable(nested) is True
         storage = StableStorage()
         storage.put("shallow", nested)
-        assert storage.copies_saved == 1
+        assert storage.get("shallow") is nested
+
+    def test_a_stored_none_is_told_from_a_missing_key(self):
+        storage = StableStorage()
+        storage.put("k", None)
+        missing = object()
+        assert storage.get("k", missing) is None
+        assert storage.get("other", missing) is missing
 
 
 class TestAsyncDelivery:

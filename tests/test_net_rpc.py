@@ -6,7 +6,8 @@ import pytest
 
 from repro.net.network import Network
 from repro.net.rpc import TransactionalRpc
-from repro.util.errors import RpcError
+from repro.repository.versions import DesignObjectVersion
+from repro.util.errors import RpcError, StorageError
 
 
 @pytest.fixture
@@ -87,3 +88,35 @@ class TestRpc:
         network, rpc, __ = rig
         result = rpc.call("ws-1", "server", "add", 1, 2)
         assert result.latency == pytest.approx(2 * network.lan_latency)
+
+    def test_a_retried_call_returns_the_cached_dov_itself(self, rig):
+        network, rpc, __ = rig
+        dov = DesignObjectVersion("dov-1", "Cell", {"tree": {"n": [1]}},
+                                  "da-1", 0.0)
+        fetched = []
+        rpc.register("server", "fetch",
+                     lambda: fetched.append(1) or dov)
+        first = rpc.call("ws-1", "server", "fetch", call_id="c9")
+        network.crash_node("server")
+        network.restart_node("server")
+        retry = rpc.call("ws-1", "server", "fetch", call_id="c9")
+        assert first.value is dov
+        assert retry.cached and retry.value is dov
+        assert fetched == [1]
+
+    def test_a_cached_reply_of_none_is_a_reply(self, rig):
+        __, rpc, __calls = rig
+        ran = []
+        rpc.register("server", "notify", lambda: ran.append(1))
+        rpc.call("ws-1", "server", "notify", call_id="n1")
+        retry = rpc.call("ws-1", "server", "notify", call_id="n1")
+        assert retry.cached and retry.value is None
+        assert ran == [1]
+
+    def test_a_mutable_reply_cannot_be_cached(self, rig):
+        # at-most-once needs the reply durable; a reply the callee
+        # could still change is refused by stable storage, by name
+        __, rpc, __calls = rig
+        rpc.register("server", "listing", lambda: ["a", "b"])
+        with pytest.raises(StorageError, match="rpc-reply:m1.*list"):
+            rpc.call("ws-1", "server", "listing", call_id="m1")

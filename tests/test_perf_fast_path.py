@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.bench.perf import _make_rig, _nested_payload
 from repro.net.network import StableStorage, _is_immutable
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
@@ -223,7 +227,6 @@ class TestStorageShortCircuits:
         store = StableStorage()
         store.put("k", frozen)
         assert store.get("k") is frozen
-        assert store.copies_saved == 2  # put + get both skipped
 
     def test_recovered_dov_shares_the_logged_frozen_payload(self):
         repository = DesignDataRepository()
@@ -250,12 +253,101 @@ class TestContextCopyOnWrite:
         context.data.update(dov.copy_data())
         context.data["scratch"] = {"mine": [1]}
         snap = context.snapshot()
-        assert snap["data"]["tree"] is context.data["tree"]
-        assert snap["data"]["scratch"] is not context.data["scratch"]
+        assert snap.data["tree"] is context.data["tree"]
+        assert snap.data["scratch"] is not context.data["scratch"]
         context.data["scratch"]["mine"].append(2)
-        assert snap["data"]["scratch"] == {"mine": [1]}
+        assert snap.data["scratch"] == {"mine": [1]}
         rebuilt = DopContext.from_snapshot(snap)
         assert rebuilt.data["tree"] is context.data["tree"]
+        # tool output comes back mutable and private to the rebuilt
+        # context; the image it came from stays what it was
+        rebuilt.data["scratch"]["mine"].append(3)
+        assert snap.data["scratch"] == {"mine": [1]}
+
+
+class TestNoDeepcopyBelowTheTeLevel:
+    """A count gate, not a timing gate: the TE level's durable writes
+    (recovery points, the RPC reply cache, the 2PC decision log) store
+    frozen values by reference.  ``copy.deepcopy`` is counted by the
+    module of the frame that calls it."""
+
+    PACKAGES = ("repro.net", "repro.te", "repro.txn")
+
+    @pytest.fixture
+    def deepcopy_callers(self, monkeypatch):
+        callers: list[str] = []
+        original = copy.deepcopy
+
+        def counted(value, memo=None, *rest):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return original(value, memo, *rest)
+
+        monkeypatch.setattr(copy, "deepcopy", counted)
+        return callers
+
+    @pytest.fixture
+    def rig(self):
+        # the rig and payload of the two microbenchmarks this gate
+        # stands behind (checkout_buffer_hit, ..._write_through)
+        rig = _make_rig(buffering=True)
+        dov = rig["repository"].checkin("da-1", "Cell", _nested_payload())
+        return rig["client"], dov
+
+    def from_the_te_level(self, callers: list[str]) -> list[str]:
+        return [name for name in callers
+                if name.startswith(self.PACKAGES)]
+
+    def test_300_buffer_hit_checkouts_copy_nothing(self, rig,
+                                                   deepcopy_callers):
+        client, dov = rig
+        dop = client.begin_dop("da-1", "tool")
+        client.checkout(dop, dov.dov_id)            # the one miss
+        client.work(dop, 1.0, mutate=lambda ctx: ctx.tool_state.update(
+            seen={"cells": [1, 2]}))                # tool output too
+        del deepcopy_callers[:]
+        for _ in range(300):
+            client.checkout(dop, dov.dov_id)
+        assert client.buffer.hits == 300
+        assert client.recovery.points_taken == 301
+        assert deepcopy_callers == []
+        assert dop.context.data["tree"] is dov.data["tree"]
+
+    def test_300_write_through_checkins_copy_nothing_and_log_flat(
+            self, rig, deepcopy_callers, monkeypatch):
+        client, dov = rig
+        decisions: list[tuple[str, int]] = []
+        put = StableStorage.put
+
+        def watched(storage, key, value):
+            if key.startswith("2pc-decisions"):
+                decisions.append((key, payload_sizeof(value)))
+            put(storage, key, value)
+
+        monkeypatch.setattr(StableStorage, "put", watched)
+        dop = client.begin_dop("da-1", "tool")
+        client.checkout(dop, dov.dov_id)
+        parent = dov.dov_id
+        for index in range(300):
+            result = client.checkin(
+                dop, "Cell", data=_nested_payload(rev=index + 1),
+                parents=[parent])
+            assert result.success
+            parent = result.dov.dov_id
+        assert self.from_the_te_level(deepcopy_callers) == []
+        # the WAL still snapshots what it is handed (its own business)
+        assert set(deepcopy_callers) <= {"repro.repository.wal"}
+        assert len(decisions) == 300
+        assert decisions[9][1] == decisions[299][1] == len("commit")
+        assert len({key for key, _ in decisions}) == 300
+
+    def test_no_deepcopy_in_the_source_of_those_packages(self):
+        root = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(root))
+            for package in ("net", "te", "txn")
+            for path in sorted((root / package).rglob("*.py"))
+            if "deepcopy" in path.read_text()]
+        assert offenders == []
 
 
 class TestSchedulerPendingCounter:

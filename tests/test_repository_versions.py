@@ -7,6 +7,8 @@ import pytest
 from repro.repository.versions import (
     DerivationGraph,
     DesignObjectVersion,
+    freeze_payload,
+    thaw_payload,
 )
 from repro.util.errors import UnknownObjectError
 
@@ -31,6 +33,52 @@ class TestDesignObjectVersion:
         version = dov("v1", area=2.0)
         assert version.get("area") == 2.0
         assert version.get("missing", "d") == "d"
+
+
+    def test_parents_are_a_tuple_whatever_was_passed(self):
+        version = DesignObjectVersion("v2", "Cell", {}, "da-1", 0.0,
+                                      ["v0", "v1"])
+        assert version.parents == ("v0", "v1")
+        assert type(version.parents) is tuple
+
+
+class TestThawPayload:
+    def test_thaw_gives_back_plain_mutable_containers(self):
+        raw = {"cells": [{"x": 1, "pins": [1, 2]}], "t": (5, [6]),
+               "n": None, "s": "text", "f": 1.5, "b": b"xy"}
+        thawed = thaw_payload(freeze_payload(raw))
+        assert thawed == raw
+        assert type(thawed) is dict
+        assert type(thawed["cells"]) is list
+        assert type(thawed["cells"][0]) is dict
+        assert type(thawed["cells"][0]["pins"]) is list
+        assert type(thawed["t"]) is tuple and type(thawed["t"][1]) is list
+        thawed["cells"][0]["pins"].append(3)        # mutable again
+
+    def test_thaw_is_private_to_its_caller(self):
+        frozen = freeze_payload({"cells": [[1], [2]]})
+        first, second = thaw_payload(frozen), thaw_payload(frozen)
+        first["cells"][0].append(9)
+        assert second == {"cells": [[1], [2]]}
+        assert frozen == {"cells": [[1], [2]]}
+
+    def test_what_freezing_lost_stays_frozen(self):
+        thawed = thaw_payload(freeze_payload(
+            {"set": {1, 2}, "bytes": bytearray(b"xy")}))
+        assert thawed == {"set": frozenset({1, 2}), "bytes": b"xy"}
+        assert type(thawed["set"]) is frozenset
+        assert type(thawed["bytes"]) is bytes
+
+    def test_unknown_objects_are_copied_not_shared(self):
+        class Blob:
+            def __init__(self):
+                self.items = [1]
+
+        frozen = freeze_payload({"blob": Blob()})
+        thawed = thaw_payload(frozen)
+        assert thawed["blob"] is not frozen["blob"]
+        thawed["blob"].items.append(2)
+        assert frozen["blob"].items == [1]
 
 
 class TestDerivationGraph:

@@ -1,12 +1,28 @@
-"""Unit tests for recovery points (client-TM side)."""
+"""Unit tests for recovery points (client-TM side).
+
+The recovery image is immutable and shares what did not change; the
+property at the end drives random DOP programs through the client-TM
+and compares what a workstation crash brings back with a plain-data
+model the test keeps itself.
+"""
 
 from __future__ import annotations
 
-import pytest
+import copy
+import json
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bench.perf import _make_rig
 from repro.net.network import StableStorage
-from repro.te.context import DopContext, SavepointStack
-from repro.te.recovery import RecoveryManager, RecoveryPointPolicy
+from repro.te.context import ContextImage, DopContext, SavepointStack
+from repro.te.recovery import (
+    RecoveryManager,
+    RecoveryPoint,
+    RecoveryPointPolicy,
+)
 from repro.util.errors import RecoveryError
 
 
@@ -79,3 +95,232 @@ class TestRecoveryManager:
 
     def test_latest_returns_none_when_absent(self, manager):
         assert manager.latest("nope") is None
+
+    def test_the_stored_point_is_the_point_taken(self, manager):
+        context = DopContext(data={"cells": [1]})
+        point = manager.take("dop-1", context, SavepointStack(), 1.0, "x")
+        assert manager.latest("dop-1") is point
+        assert type(point.context) is ContextImage
+
+    def test_a_point_shares_the_savepoint_images(self, manager):
+        context = DopContext(data={"cells": [1]})
+        savepoints = SavepointStack()
+        savepoints.save("sp", context)
+        first = manager.take("dop-1", context, savepoints, 1.0, "a")
+        context.data["cells"].append(2)
+        second = manager.take("dop-1", context, savepoints, 2.0, "b")
+        assert second.savepoints is first.savepoints
+        assert second.savepoints[0][1].data == {"cells": [1]}
+        assert second.context.data == {"cells": [1, 2]}
+
+    def test_a_point_refuses_anything_but_images(self):
+        image = DopContext().snapshot()
+        with pytest.raises(TypeError):
+            RecoveryPoint("d", 0.0, "x", {"data": {}}, ())
+        with pytest.raises(TypeError):
+            RecoveryPoint("d", 0.0, "x", image, [("sp", image)])
+
+
+# ---------------------------------------------------------------------------
+# property: what a crash brings back equals a plain-data model
+# ---------------------------------------------------------------------------
+
+PAYLOADS = [
+    {"name": f"cell-{i}", "meta": {"rev": i, "tags": ["a", "b"]},
+     "tree": {f"n{j}": {"v": j, "s": "x" * 4} for j in range(3 + i)}}
+    for i in range(3)]
+
+
+def te_rig() -> SimpleNamespace:
+    # one workstation + server, no buffer, the default recovery-point
+    # policy (after each checkout, and every 30 minutes of work)
+    rig = _make_rig(buffering=False)
+    dovs = [rig["repository"].checkin("da-1", "Cell", payload)
+            for payload in PAYLOADS]
+    return SimpleNamespace(network=rig["network"], client=rig["client"],
+                           dovs=dovs)
+
+
+def append_cell(ctx, value):
+    ctx.data.setdefault("cells", []).append({"x": value, "pins": [value]})
+
+
+def edit_nested_data(ctx, value):
+    for cell in ctx.data.get("cells", []):
+        cell["pins"].append(value)
+        cell["x"] += 1
+
+
+def edit_nested_tool_state(ctx, value):
+    state = ctx.tool_state.setdefault("iter", {"n": 0, "seen": []})
+    state["n"] += 1
+    state["seen"].append([value])
+
+
+def overwrite_checked_out_key(ctx, value):
+    ctx.data["name"] = f"renamed-{value}"
+
+
+def drop_tool_output(ctx, value):
+    ctx.data.pop("cells", None)
+    ctx.tool_state["dropped"] = value
+
+
+#: in-place edits of a context, applied to the real one and the model's
+EDITS = (append_cell, edit_nested_data, edit_nested_tool_state,
+         overwrite_checked_out_key, drop_tool_output)
+
+
+def plain(value):
+    """Plain data and nothing else: raises on anything JSON has no
+    word for, and forgets every frozen type on the way."""
+    return json.loads(json.dumps(value))
+
+
+def assert_mutable_all_the_way_down(value) -> None:
+    assert type(value) in (dict, list, str, int, float, bool,
+                           type(None)), type(value)
+    members = value.values() if type(value) is dict \
+        else value if type(value) is list else ()
+    for member in members:
+        assert_mutable_all_the_way_down(member)
+
+
+def model_context() -> SimpleNamespace:
+    """A DOP context as plain data.  ``shared`` maps a key of ``data``
+    to the frozen object a checkout put there, for as long as no tool
+    step has replaced it; ``copy.deepcopy`` keeps those objects as they
+    are, so a copied model still knows them by identity."""
+    return SimpleNamespace(data={}, tool_state={}, checked_out=[],
+                           work_done=0.0, shared={})
+
+
+def assert_context_is(context: DopContext,
+                      expected: SimpleNamespace) -> None:
+    assert plain(context.data) == expected.data
+    assert list(context.data) == list(expected.data)
+    assert plain(context.tool_state) == expected.tool_state
+    assert context.checked_out == expected.checked_out
+    assert context.work_done == expected.work_done
+    for key, value in context.data.items():
+        if key in expected.shared:
+            # a checked-out payload is shared, never copied
+            assert value is expected.shared[key]
+        else:
+            assert_mutable_all_the_way_down(value)
+    assert_mutable_all_the_way_down(context.tool_state)
+
+
+def drive(program: list[tuple[str, int, int]]) -> None:
+    rig = te_rig()
+    client = rig.client
+    dop = client.begin_dop("da-1", "tool")
+    model = model_context()
+    savepoints: list[tuple[str, SimpleNamespace]] = []
+    #: the model (context, savepoints) at the last recovery point the
+    #: paper's rules ask for: after a checkout, a Save, a Restore, a
+    #: Suspend, and whenever 30 minutes of work have gone by without
+    point = None
+    since_point = 0.0
+    suspended = False
+
+    def mark_point() -> None:
+        nonlocal point, since_point
+        point = copy.deepcopy((model, savepoints))
+        since_point = 0.0
+
+    def checkout(index: int) -> None:
+        dov = rig.dovs[index % len(rig.dovs)]
+        model.data.update(plain(dov.data))
+        model.checked_out.append(dov.dov_id)
+        model.shared.update(dov.data)
+        client.checkout(dop, dov.dov_id)
+        mark_point()
+
+    def work(edit, value: int) -> None:
+        nonlocal since_point
+        effort = 7.0 + value % 20
+        edit(model, value)
+        if edit is overwrite_checked_out_key:
+            model.shared.pop("name", None)
+        model.work_done += effort
+        client.work(dop, effort, mutate=lambda ctx: edit(ctx, value))
+        since_point += effort
+        if since_point >= 30.0:
+            mark_point()
+
+    def back_to_the_point() -> None:
+        nonlocal model, savepoints, suspended
+        model, savepoints = copy.deepcopy(point)
+        suspended = False
+        assert_context_is(dop.context, model)
+        assert dop.savepoints.names() == [name for name, _ in savepoints]
+        for (__, image), (__, expected) in zip(
+                dop.savepoints.snapshot(), savepoints):
+            assert_context_is(DopContext.from_snapshot(image), expected)
+
+    def crash_and_recover() -> None:
+        nonlocal dop, since_point
+        rig.network.crash_node("ws-1")
+        rig.network.restart_node("ws-1")
+        dop, __ = client.recover_dop(dop.dop_id, "da-1", "tool")
+        since_point = 0.0
+        back_to_the_point()
+
+    checkout(0)                         # so that a point always exists
+    for op, a, b in program:
+        if suspended and op != "crash":
+            op = "resume"
+        if op == "checkout":
+            checkout(a)
+        elif op == "work":
+            work(EDITS[a % len(EDITS)], b)
+        elif op == "save":
+            name = f"sp-{a}"
+            if any(name == existing for existing, _ in savepoints):
+                continue
+            savepoints.append((name, copy.deepcopy(model)))
+            client.save(dop, name)
+            mark_point()
+        elif op == "restore" and savepoints:
+            index = a % len(savepoints)
+            name = savepoints[index][0]
+            del savepoints[index + 1:]
+            model = copy.deepcopy(savepoints[index][1])
+            client.restore(dop, name)
+            mark_point()
+        elif op == "suspend":
+            client.suspend(dop)
+            mark_point()
+            suspended = True
+        elif op == "resume" and suspended:
+            client.resume(dop)
+            back_to_the_point()
+        elif op == "crash":
+            crash_and_recover()
+            # edits of what came back stay private: a second crash,
+            # with no point in between, brings back the same state
+            for edit in EDITS:
+                edit(dop.context, a)
+            dop.context.checked_out.append("never-checked-out")
+            crash_and_recover()
+    crash_and_recover()
+
+
+OPS = st.sampled_from(["checkout", "work", "work", "work", "save",
+                       "restore", "suspend", "resume", "crash"])
+programs = st.lists(st.tuples(OPS, st.integers(0, 2 ** 16),
+                              st.integers(0, 2 ** 16)), max_size=30)
+
+
+@given(programs)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_crash_brings_back_the_model_at_the_last_point(program):
+    drive(program)
+
+
+@pytest.mark.slow
+@given(programs)
+@settings(max_examples=3000, deadline=None)
+def test_a_crash_brings_back_the_model_wide_search(program):
+    drive(program)

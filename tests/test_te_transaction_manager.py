@@ -192,6 +192,35 @@ class TestSavepoints:
         client.restore(dop, "sp1")
         assert dop.context.data["v"] == 1
 
+    def test_restore_is_durable(self, rig):
+        """A Restore "wipes out" the later work and savepoints
+        (Sect.4.3); a crash right after it must not bring them back."""
+        client = rig["client_tm"]
+        dop = client.begin_dop("da-1", "tool")
+        client.work(dop, 5.0, mutate=lambda c: c.data.update(v=1))
+        client.save(dop, "sp1")
+        client.work(dop, 5.0, mutate=lambda c: c.data.update(v=2))
+        client.save(dop, "sp2")
+        points_before = client.recovery.points_taken
+        client.restore(dop, "sp1")
+        assert client.recovery.points_taken == points_before + 1
+        assert client.recovery.latest(dop.dop_id).reason == "restore:sp1"
+        rig["network"].crash_node("ws-1")
+        rig["network"].restart_node("ws-1")
+        recovered, __ = client.recover_dop(dop.dop_id, "da-1", "tool")
+        assert recovered.context.data == {"v": 1}
+        assert recovered.savepoints.names() == ["sp1"]
+        assert recovered.context.work_done == 5.0
+
+    def test_restore_of_the_latest_savepoint_names_it_in_the_point(
+            self, rig):
+        client = rig["client_tm"]
+        dop = client.begin_dop("da-1", "tool")
+        client.save(dop, "sp1")
+        client.save(dop, "sp2")
+        client.restore(dop)
+        assert client.recovery.latest(dop.dop_id).reason == "restore:sp2"
+
     def test_savepoints_cleared_at_commit(self, rig):
         client = rig["client_tm"]
         dop = client.begin_dop("da-1", "tool")
