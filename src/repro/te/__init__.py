@@ -19,6 +19,7 @@ from repro.te.object_buffer import (
     make_eviction_policy,
 )
 from repro.te.recovery import (
+    CheckoutRecord,
     RecoveryManager,
     RecoveryPoint,
     RecoveryPointPolicy,
@@ -34,6 +35,7 @@ from repro.te.transaction_manager import (
 __all__ = [
     "BufferEntry",
     "CheckinResult",
+    "CheckoutRecord",
     "ClientTM",
     "ContextImage",
     "DesignOperation",

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Any
 
 from repro.te.context import DopContext, SavepointStack
+from repro.te.recovery import CheckoutRecord, RecoveryPoint
 from repro.util.errors import TransactionStateError
 
 
@@ -83,6 +84,13 @@ class DesignOperation:
     input_dovs: list[str] = field(default_factory=list)
     #: simulated work invested since the last recovery point
     work_since_recovery_point: float = 0.0
+    #: the stored recovery point the next checkout record may build
+    #: on; None while the next point has to be a full image: no point
+    #: yet, the context was rebuilt from storage, or a tool has changed
+    #: it since.  Volatile like the rest — set where a point is taken,
+    #: never read back from stable storage.
+    delta_base: RecoveryPoint | CheckoutRecord | None = field(
+        default=None, repr=False, compare=False)
 
     def require(self, operation: str) -> None:
         """Guard: raise unless *operation* is legal in the current state."""

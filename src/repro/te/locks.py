@@ -172,7 +172,9 @@ class LockManager:
     def release(self, resource: str, holder: str,
                 mode: LockMode | None = None) -> int:
         """Release *holder*'s lock(s) on *resource*; returns #released."""
-        grants = self._table.get(resource, [])
+        grants = self._table.get(resource)
+        if not grants:
+            return 0
         keep = [g for g in grants
                 if not (g.holder == holder
                         and (mode is None or g.mode is mode))]

@@ -11,15 +11,29 @@ a recovery point is set" (Sect.5.2).
 after checkout; time-driven: every ``interval`` simulated minutes of
 tool work).  :class:`RecoveryManager` persists them to the
 workstation's stable storage and serves the most recent one at restart.
+
+The paper asks for a *point* after each checkout, not for an image of
+the context: a post-checkout point is stored as a
+:class:`CheckoutRecord` — "this DOV went in" — on top of the previous
+point, and a full :class:`RecoveryPoint` image is taken wherever that
+would not be the whole truth.  Restart replays the records onto the
+image they lead back to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.net.network import StableStorage
+from repro.repository.versions import DesignObjectVersion, FrozenDict
 from repro.te.context import ContextImage, DopContext, SavepointStack
 from repro.util.errors import RecoveryError
+
+#: the longest run of checkout records between two full images: a
+#: restart thaws one image and replays at most this many records, and
+#: a running DOP keeps at most this many of them alive
+MAX_DELTA_CHAIN = 32
 
 
 @dataclass
@@ -43,7 +57,7 @@ class RecoveryPointPolicy:
 
 @dataclass(frozen=True, slots=True)
 class RecoveryPoint:
-    """One persisted restart point of a DOP.
+    """One persisted restart point of a DOP, as a full image.
 
     The point *is* the stored record: every field is immutable (the
     context and savepoint images are frozen where they are taken), so
@@ -59,6 +73,8 @@ class RecoveryPoint:
     savepoints: tuple[tuple[str, ContextImage], ...]
 
     __frozen_payload__ = True
+    #: an image is where a chain of checkout records starts
+    depth: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         # the marker vouches for the fields; hold them to it
@@ -68,6 +84,28 @@ class RecoveryPoint:
                 "a recovery point holds a ContextImage and a tuple of "
                 "savepoint images (DopContext.snapshot(), "
                 "SavepointStack.snapshot())")
+
+
+@dataclass(frozen=True, slots=True)
+class CheckoutRecord:
+    """A post-checkout restart point, stored as a delta on *base*.
+
+    The state it stands for is *base*'s with ``dov_id`` appended to
+    ``checked_out``, ``payload`` merged into ``data`` and ``work_done``
+    as given; tool state and savepoints are *base*'s.  ``payload`` is
+    the frozen mapping the DOV (and so the buffer and the repository)
+    already holds — the record shares it, and taking one walks nothing.
+    """
+
+    base: "RecoveryPoint | CheckoutRecord"
+    depth: int           # records between this one and its image
+    taken_at: float      # simulated time
+    dov_id: str
+    payload: FrozenDict
+    work_done: float
+
+    __frozen_payload__ = True
+    reason: ClassVar[str] = "checkout"
 
 
 class RecoveryManager:
@@ -87,43 +125,75 @@ class RecoveryManager:
 
     def take(self, dop_id: str, context: DopContext,
              savepoints: SavepointStack, taken_at: float,
-             reason: str) -> RecoveryPoint:
+             reason: str,
+             base: RecoveryPoint | CheckoutRecord | None = None,
+             dov: DesignObjectVersion | None = None
+             ) -> RecoveryPoint | CheckoutRecord:
         """Persist a new recovery point (replaces the previous one).
 
-        Only the most recent point is retained: "the TM has to rely on
-        the most recent recovery point" (Sect.5.2).
+        The most recent record is the point: "the TM has to rely on
+        the most recent recovery point" (Sect.5.2).  Earlier records
+        stay reachable from it only as its encoding — a
+        :class:`CheckoutRecord` names the point it builds on — and all
+        of them go with the key at End-of-DOP.
+
+        *base* is the caller's word that the context differs from that
+        stored point by nothing but the checkout of *dov* (and effort
+        counted since); then a ``checkout`` point is one small record
+        and the context is not looked at.  Without it, for any other
+        reason, and once :data:`MAX_DELTA_CHAIN` records have piled up,
+        the point is a full image.
         """
-        point = RecoveryPoint(
-            dop_id=dop_id,
-            taken_at=taken_at,
-            reason=reason,
-            context=context.snapshot(),
-            savepoints=savepoints.snapshot(),
-        )
+        if base is not None and dov is not None and reason == "checkout" \
+                and base.depth < MAX_DELTA_CHAIN:
+            point = CheckoutRecord(base, base.depth + 1, taken_at,
+                                   dov.dov_id, dov.data,
+                                   context.work_done)
+        else:
+            point = RecoveryPoint(
+                dop_id=dop_id,
+                taken_at=taken_at,
+                reason=reason,
+                context=context.snapshot(),
+                savepoints=savepoints.snapshot(),
+            )
         self.stable.put(self._key(dop_id), point)
         self.points_taken += 1
         return point
 
     # -- restart ---------------------------------------------------------------
 
-    def latest(self, dop_id: str) -> RecoveryPoint | None:
+    def latest(self, dop_id: str
+               ) -> RecoveryPoint | CheckoutRecord | None:
         """The most recent persisted point for *dop_id*, if any."""
         return self.stable.get(self._key(dop_id))
 
-    def restore(self, dop_id: str) -> tuple[DopContext, SavepointStack,
-                                            RecoveryPoint]:
+    def restore(self, dop_id: str
+                ) -> tuple[DopContext, SavepointStack,
+                           RecoveryPoint | CheckoutRecord]:
         """Rebuild context + savepoints from the most recent point.
 
-        The image is thawed into a private mutable working copy here,
-        on the rare path, and never when the point is taken.  Raises
-        :class:`RecoveryError` when no point exists (then the DOP must
-        be rolled back to its very beginning).
+        Walks the checkout records back to the image they build on,
+        thaws that image once into a private mutable working copy —
+        here, on the rare path, and never when a point is taken — and
+        replays the records forward.  Raises :class:`RecoveryError`
+        when no point exists (then the DOP must be rolled back to its
+        very beginning).
         """
         point = self.latest(dop_id)
         if point is None:
             raise RecoveryError(f"no recovery point for DOP {dop_id!r}")
-        context = DopContext.from_snapshot(point.context)
-        savepoints = SavepointStack.from_snapshot(point.savepoints)
+        records: list[CheckoutRecord] = []
+        image = point
+        while type(image) is CheckoutRecord:
+            records.append(image)
+            image = image.base
+        context = DopContext.from_snapshot(image.context)
+        for record in reversed(records):
+            context.checked_out.append(record.dov_id)
+            context.data.update(record.payload)
+            context.work_done = record.work_done
+        savepoints = SavepointStack.from_snapshot(image.savepoints)
         return context, savepoints, point
 
     def remove(self, dop_id: str) -> bool:

@@ -202,7 +202,7 @@ class ServerTM:
         return dov_id in self.repository.graph(da_id)
 
     def _record(self, operation: str, subject: str, **detail: Any) -> None:
-        self.trace.record(self.clock.now, Level.TE, f"server-TM",
+        self.trace.record(self.clock.now, Level.TE, "server-TM",
                           operation, subject, **detail)
 
     # -- checkout ---------------------------------------------------------------
@@ -253,9 +253,10 @@ class ServerTM:
             self._piggyback_renewal(workstation)
         if lease and workstation is not None:
             self.leases.grant(workstation, dov_id)
-        self._record("checkout", dov_id, da=da_id, dop=dop_id,
-                     derivation_lock=derivation_lock,
-                     leased=bool(lease and workstation))
+        if self.trace.enabled:
+            self._record("checkout", dov_id, da=da_id, dop=dop_id,
+                         derivation_lock=derivation_lock,
+                         leased=bool(lease and workstation))
         return dov
 
     # -- checkin (2PC participant interface) --------------------------------------
@@ -523,8 +524,9 @@ class ServerTM:
         if dov_ids is None:
             released = self.locks.release_all(da_id, LockMode.DERIVATION)
         else:
+            # a DOP names every input, once per checkout of it
             released = 0
-            for dov_id in dov_ids:
+            for dov_id in dict.fromkeys(dov_ids):
                 released += self.locks.release(dov_id, da_id,
                                                LockMode.DERIVATION)
         if released:
@@ -838,12 +840,28 @@ class ClientTM:
                 f"DOP {dop_id!r} is not active on {self.workstation!r} "
                 f"(crashed or finished?)") from None
 
-    def _take_recovery_point(self, dop: DesignOperation,
-                             reason: str) -> None:
-        self.recovery.take(dop.dop_id, dop.context, dop.savepoints,
-                           self.clock.now, reason)
+    def _require_running(self, dop: DesignOperation) -> None:
+        """Refuse a handle that is not the running DOP of its id.
+
+        A workstation crash empties the DOP table; the object a caller
+        still holds carries the volatile state the crash lost, and a
+        recovery point taken from it would overwrite the durable one.
+        """
+        if self._active.get(dop.dop_id) is not dop:
+            raise TransactionError(
+                f"DOP {dop.dop_id!r}: this handle is not a DOP active "
+                f"on {self.workstation!r} (crashed, recovered or "
+                f"finished?)")
+
+    def _take_recovery_point(self, dop: DesignOperation, reason: str,
+                             dov: DesignObjectVersion | None = None
+                             ) -> None:
+        dop.delta_base = self.recovery.take(
+            dop.dop_id, dop.context, dop.savepoints, self.clock.now,
+            reason, base=dop.delta_base, dov=dov)
         dop.work_since_recovery_point = 0.0
-        self._record("recovery_point", dop.dop_id, reason=reason)
+        if self.trace.enabled:
+            self._record("recovery_point", dop.dop_id, reason=reason)
 
     # -- Begin-of-DOP -----------------------------------------------------------------
 
@@ -882,6 +900,7 @@ class ClientTM:
         (Sect.5.2).
         """
         dop.require("checkout")
+        self._require_running(dop)
         if self.buffer is not None and not derivation_lock:
             cached = self.buffer.get(dov_id, dop.da_id)
             if cached is not None:
@@ -996,9 +1015,11 @@ class ClientTM:
         dop.input_dovs.append(dov_id)
         dop.context.checked_out.append(dov_id)
         dop.context.data.update(dov.copy_data())
-        self._record("checkout", dov_id, dop=dop.dop_id, cached=cached)
+        if self.trace.enabled:
+            self._record("checkout", dov_id, dop=dop.dop_id,
+                         cached=cached)
         if self.recovery.policy.after_checkout:
-            self._take_recovery_point(dop, "checkout")
+            self._take_recovery_point(dop, "checkout", dov)
 
     # -- tool processing ----------------------------------------------------------------
 
@@ -1014,10 +1035,13 @@ class ClientTM:
         because the kernel already sits at the work's finish instant.
         """
         dop.require("work")
+        self._require_running(dop)
         self.node.require_up()
         if advance_clock:
             self.clock.advance(effort)
         if mutate is not None:
+            # the tool may change anything: the next point is an image
+            dop.delta_base = None
             mutate(dop.context)
         dop.context.work_done += effort
         dop.work_since_recovery_point += effort
@@ -1029,6 +1053,7 @@ class ClientTM:
     def save(self, dop: DesignOperation, name: str) -> None:
         """Designer-initiated Save (Sect.4.3)."""
         dop.require("save")
+        self._require_running(dop)
         dop.savepoints.save(name, dop.context)
         # savepoints are implemented with the recovery-point mechanism
         self._take_recovery_point(dop, f"savepoint:{name}")
@@ -1037,6 +1062,7 @@ class ClientTM:
     def restore(self, dop: DesignOperation, name: str | None = None) -> None:
         """Designer-initiated Restore: roll back to a marked state."""
         dop.require("restore")
+        self._require_running(dop)
         dop.context = dop.savepoints.restore(name)
         # make the wipe-out durable: without a point here a crash would
         # resurrect the work and the savepoints the restore discarded
@@ -1049,6 +1075,7 @@ class ClientTM:
     def suspend(self, dop: DesignOperation) -> None:
         """Suspend the DOP; its context is made persistent."""
         dop.require("suspend")
+        self._require_running(dop)
         self._take_recovery_point(dop, "suspend")
         dop.transition(DopState.SUSPENDED)
         self._record("suspend", dop.dop_id)
@@ -1056,9 +1083,11 @@ class ClientTM:
     def resume(self, dop: DesignOperation) -> None:
         """Resume a suspended DOP; state equals the suspend-time state."""
         dop.require("resume")
+        self._require_running(dop)
         context, savepoints, _ = self.recovery.restore(dop.dop_id)
         dop.context = context
         dop.savepoints = savepoints
+        dop.delta_base = None
         dop.transition(DopState.ACTIVE)
         self._record("resume", dop.dop_id)
 
@@ -1086,6 +1115,7 @@ class ClientTM:
         entry (recovered from repository state).
         """
         dop.require("checkin")
+        self._require_running(dop)
         payload = data if data is not None else dict(dop.context.data)
         # freeze once on the workstation: the upload sizing below,
         # the server's staging walk and the durable DOV all reuse
@@ -1318,7 +1348,8 @@ class ClientTM:
         before the first checkout).  Purely local volatile cleanup —
         nothing reached the server, so there is nothing to abort
         there; the caller begins a fresh DOP on retry."""
-        self._active.pop(dop.dop_id, None)
+        self._require_running(dop)
+        del self._active[dop.dop_id]
         self.recovery.remove(dop.dop_id)
         self._record("drop_dop", dop.dop_id)
 
@@ -1341,6 +1372,7 @@ class ClientTM:
         earlier, on the checkin itself.
         """
         dop.require("commit")
+        self._require_running(dop)
         if self.write_back and self.flush_on_end_dop:
             flushed = self.flush()
             if not flushed.success:
@@ -1363,6 +1395,7 @@ class ClientTM:
         to an id that can no longer become durable.
         """
         dop.require("abort")
+        self._require_running(dop)
         if self.write_back and self.buffer is not None:
             discarded = set(self.buffer.discard_dirty(dop.dop_id))
             if discarded:
@@ -1384,7 +1417,9 @@ class ClientTM:
         point was taken at (the caller knows the crash time and derives
         the lost work as ``context.work_done`` deltas).  Raises
         :class:`RecoveryError` when no point exists — then the DOP is
-        lost entirely and must restart from its beginning.
+        lost entirely and must restart from its beginning.  The new
+        object carries no ``delta_base``: the first point it takes is a
+        full image again.
         """
         self.node.require_up()
         context, savepoints, point = self.recovery.restore(dop_id)

@@ -46,6 +46,12 @@ from repro.sim.clock import SimClock
 from repro.sim.scheduler import EventScheduler
 from repro.te.context import DopContext
 from repro.te.object_buffer import ObjectBuffer
+from repro.te.recovery import (
+    MAX_DELTA_CHAIN,
+    CheckoutRecord,
+    RecoveryManager,
+)
+from repro.util.trace import EventTrace
 
 
 def nested_payload() -> dict:
@@ -348,6 +354,57 @@ class TestNoDeepcopyBelowTheTeLevel:
             for path in sorted((root / package).rglob("*.py"))
             if "deepcopy" in path.read_text()]
         assert offenders == []
+
+
+class TestACheckoutPointIsADelta:
+    """A count gate on the TE client hot path: a buffer-hit checkout
+    stores one small record and looks at nothing it did not change."""
+
+    def test_300_buffer_hit_checkouts_inside_one_dop(self, monkeypatch):
+        rig = _make_rig(buffering=True)
+        client = rig["client"]
+        dov = rig["repository"].checkin("da-1", "Cell", _nested_payload())
+        dop = client.begin_dop("da-1", "tool")
+        client.checkout(dop, dov.dov_id)            # the one miss
+
+        calls = {"snapshot": 0, "get": 0, "record": 0}
+
+        def counted(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(DopContext, "snapshot", "snapshot")
+        counted(StableStorage, "get", "get")
+        counted(EventTrace, "record", "record")
+        points: list[tuple[type, int, int]] = []
+        take = RecoveryManager.take
+
+        def watched(*args, **kwargs):
+            before = walks()
+            point = take(*args, **kwargs)
+            points.append((type(point), point.depth, walks() - before))
+            return point
+
+        monkeypatch.setattr(RecoveryManager, "take", watched)
+        puts = client.node.stable.writes
+        for _ in range(300):
+            client.checkout(dop, dov.dov_id)
+        assert client.buffer.hits == 300
+        assert len(points) == 300
+        assert client.node.stable.writes - puts == 300
+        assert calls["snapshot"] <= 300 / MAX_DELTA_CHAIN + 1
+        assert calls["get"] == 0
+        assert calls["record"] == 0                 # the trace is off
+        assert max(depth for _, depth, _ in points) == MAX_DELTA_CHAIN
+        deltas = [point for point in points if point[0] is CheckoutRecord]
+        assert len(deltas) == 300 - calls["snapshot"]
+        assert all(walked == 0 for _, _, walked in deltas)
+        assert client.recovery.latest(dop.dop_id).payload is dov.data
 
 
 class TestSchedulerPendingCounter:

@@ -1,9 +1,11 @@
 """Unit tests for recovery points (client-TM side).
 
 The recovery image is immutable and shares what did not change; the
-property at the end drives random DOP programs through the client-TM
-and compares what a workstation crash brings back with a plain-data
-model the test keeps itself.
+property drives random DOP programs through the client-TM and compares
+what a workstation crash brings back with a plain-data model the test
+keeps itself.  A post-checkout point is a delta record on the previous
+point; the cases at the end name each situation in which it must be a
+full image instead, and a mutation check shows they would notice.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.perf import _make_rig
 from repro.net.network import StableStorage
 from repro.te.context import ContextImage, DopContext, SavepointStack
+from repro.te import recovery
 from repro.te.recovery import (
+    MAX_DELTA_CHAIN,
+    CheckoutRecord,
     RecoveryManager,
     RecoveryPoint,
     RecoveryPointPolicy,
@@ -324,3 +329,192 @@ def test_a_crash_brings_back_the_model_at_the_last_point(program):
 @settings(max_examples=3000, deadline=None)
 def test_a_crash_brings_back_the_model_wide_search(program):
     drive(program)
+
+
+# ---------------------------------------------------------------------------
+# a checkout point is a delta record — except where that would not be
+# the whole truth.  One case per full-image trigger, each asserting
+# what a crash brings back.
+# ---------------------------------------------------------------------------
+
+CELL = {"x": 7, "pins": [7]}
+
+
+def stored(rig, dop):
+    return rig.client.recovery.latest(dop.dop_id)
+
+
+def crash_and_recover(rig, dop):
+    rig.network.crash_node("ws-1")
+    rig.network.restart_node("ws-1")
+    return rig.client.recover_dop(dop.dop_id, "da-1", "tool")[0]
+
+
+def ids(*dovs) -> list[str]:
+    return [dov.dov_id for dov in dovs]
+
+
+def case_tool_work_between_two_checkouts(rig):
+    client, (a, b, c) = rig.client, rig.dovs
+    dop = client.begin_dop("da-1", "tool")
+    client.checkout(dop, a.dov_id)
+    assert type(stored(rig, dop)) is RecoveryPoint     # the first point
+    client.checkout(dop, b.dov_id)
+    assert type(stored(rig, dop)) is CheckoutRecord
+    client.work(dop, 5.0, mutate=lambda ctx: append_cell(ctx, 7))
+    client.checkout(dop, c.dov_id)
+    assert type(stored(rig, dop)) is RecoveryPoint     # the tool ran
+    back = crash_and_recover(rig, dop)
+    assert plain(back.context.data) == {**PAYLOADS[2], "cells": [CELL]}
+    assert back.context.checked_out == ids(a, b, c)
+    assert back.context.work_done == 5.0
+
+
+def case_effort_alone_rides_in_the_record(rig):
+    client, (a, b, _) = rig.client, rig.dovs
+    dop = client.begin_dop("da-1", "tool")
+    client.checkout(dop, a.dov_id)
+    client.work(dop, 5.0)              # no tool step, under the interval
+    client.checkout(dop, b.dov_id)
+    point = stored(rig, dop)
+    assert type(point) is CheckoutRecord
+    assert point.payload is b.data and point.reason == "checkout"
+    back = crash_and_recover(rig, dop)
+    assert back.context.work_done == 5.0
+    assert back.context.data["tree"] is b.data["tree"]
+    assert back.context.checked_out == ids(a, b)
+
+
+def case_save(rig):
+    client, (a, b, c) = rig.client, rig.dovs
+    dop = client.begin_dop("da-1", "tool")
+    client.checkout(dop, a.dov_id)
+    client.checkout(dop, b.dov_id)
+    client.save(dop, "sp")
+    image = stored(rig, dop)
+    assert type(image) is RecoveryPoint and image.reason == "savepoint:sp"
+    client.checkout(dop, c.dov_id)
+    assert stored(rig, dop).base is image
+    back = crash_and_recover(rig, dop)
+    assert plain(back.context.data) == PAYLOADS[2]
+    assert back.context.checked_out == ids(a, b, c)
+    assert back.savepoints.names() == ["sp"]
+    saved = back.savepoints.restore("sp")
+    assert plain(saved.data) == PAYLOADS[1]
+    assert saved.checked_out == ids(a, b)
+
+
+def case_restore(rig):
+    client, (a, b, c) = rig.client, rig.dovs
+    dop = client.begin_dop("da-1", "tool")
+    client.checkout(dop, a.dov_id)
+    client.save(dop, "sp")
+    client.work(dop, 5.0, mutate=lambda ctx: append_cell(ctx, 7))
+    client.checkout(dop, b.dov_id)
+    client.restore(dop, "sp")
+    image = stored(rig, dop)
+    assert type(image) is RecoveryPoint and image.reason == "restore:sp"
+    client.checkout(dop, c.dov_id)
+    assert stored(rig, dop).base is image
+    back = crash_and_recover(rig, dop)
+    assert plain(back.context.data) == PAYLOADS[2]     # and no cells
+    assert back.context.checked_out == ids(a, c)
+    assert back.context.work_done == 0.0
+    assert back.savepoints.names() == ["sp"]
+
+
+def case_suspend_and_resume(rig):
+    client, (a, b, c) = rig.client, rig.dovs
+    dop = client.begin_dop("da-1", "tool")
+    client.checkout(dop, a.dov_id)
+    client.checkout(dop, b.dov_id)
+    client.suspend(dop)
+    assert type(stored(rig, dop)) is RecoveryPoint
+    client.resume(dop)
+    assert plain(dop.context.data) == PAYLOADS[1]
+    assert dop.context.checked_out == ids(a, b)
+    # the context was rebuilt from storage: the next point is an image
+    client.checkout(dop, c.dov_id)
+    assert type(stored(rig, dop)) is RecoveryPoint
+    back = crash_and_recover(rig, dop)
+    assert plain(back.context.data) == PAYLOADS[2]
+    assert back.context.checked_out == ids(a, b, c)
+
+
+def case_crash_and_recover(rig):
+    client, (a, b, c) = rig.client, rig.dovs
+    dop = client.begin_dop("da-1", "tool")
+    client.checkout(dop, a.dov_id)
+    client.checkout(dop, b.dov_id)
+    assert type(stored(rig, dop)) is CheckoutRecord
+    dop = crash_and_recover(rig, dop)
+    assert plain(dop.context.data) == PAYLOADS[1]
+    assert dop.input_dovs == ids(a, b)
+    client.checkout(dop, c.dov_id)     # a new object: no base carried
+    assert type(stored(rig, dop)) is RecoveryPoint
+    client.checkout(dop, a.dov_id)
+    assert type(stored(rig, dop)) is CheckoutRecord
+    back = crash_and_recover(rig, dop)
+    assert plain(back.context.data) == PAYLOADS[0]
+    assert back.context.checked_out == ids(a, b, c, a)
+
+
+def case_more_checkouts_than_the_replay_bound(rig):
+    client = rig.client
+    dop = client.begin_dop("da-1", "tool")
+    count = 2 * MAX_DELTA_CHAIN + 5
+    expected, depths = [], []
+    for index in range(count):
+        dov = rig.dovs[index % len(rig.dovs)]
+        client.checkout(dop, dov.dov_id)
+        expected.append(dov.dov_id)
+        depths.append(stored(rig, dop).depth)
+    cycle = MAX_DELTA_CHAIN + 1        # an image, then a full chain
+    assert depths == [index % cycle for index in range(count)]
+    back = crash_and_recover(rig, dop)
+    assert back.context.checked_out == expected
+    assert plain(back.context.data) == PAYLOADS[(count - 1) % 3]
+
+
+CASES = (case_tool_work_between_two_checkouts,
+         case_effort_alone_rides_in_the_record,
+         case_save, case_restore, case_suspend_and_resume,
+         case_crash_and_recover,
+         case_more_checkouts_than_the_replay_bound)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
+def test_what_a_crash_brings_back(case):
+    case(te_rig())
+
+
+def failing_cases() -> set[str]:
+    failed = set()
+    for case in CASES:
+        try:
+            case(te_rig())
+        except AssertionError:
+            failed.add(case.__name__)
+    return failed
+
+
+def test_a_delta_where_an_image_is_due_is_noticed(monkeypatch):
+    """Mutation check: take the caller's word away (every checkout
+    builds on whatever is stored) and lift the replay bound."""
+    assert failing_cases() == set()
+    take = RecoveryManager.take
+
+    def on_whatever_is_stored(self, dop_id, context, savepoints,
+                              taken_at, reason, base=None, dov=None):
+        return take(self, dop_id, context, savepoints, taken_at, reason,
+                    base=self.latest(dop_id), dov=dov)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RecoveryManager, "take", on_whatever_is_stored)
+        assert failing_cases() == {
+            "case_tool_work_between_two_checkouts",   # tool output lost
+            "case_suspend_and_resume", "case_crash_and_recover"}
+    with monkeypatch.context() as patch:
+        patch.setattr(recovery, "MAX_DELTA_CHAIN", 10 ** 9)
+        assert failing_cases() == {
+            "case_more_checkouts_than_the_replay_bound"}

@@ -261,6 +261,53 @@ class TestWorkstationCrash:
         with pytest.raises(TransactionError):
             client.get_dop(dop.dop_id)
 
+    def test_a_stale_handle_is_refused_after_a_crash(self, rig):
+        """The pre-crash object carries the volatile state the crash
+        lost; a recovery point taken from it would overwrite the
+        durable one with exactly that state."""
+        client = rig["client_tm"]
+        dov_id = rig["dov0"].dov_id
+        stale = client.begin_dop("da-1", "tool")
+        client.checkout(stale, dov_id)
+        client.work(stale, 5.0, mutate=lambda c: c.data.update(lost=1))
+        rig["network"].crash_node("ws-1")
+        rig["network"].restart_node("ws-1")
+
+        def refused_everywhere():
+            for operation in (
+                    lambda: client.checkout(stale, dov_id),
+                    lambda: client.work(stale, 1.0),
+                    lambda: client.save(stale, "sp"),
+                    lambda: client.suspend(stale),
+                    lambda: client.checkin(stale, "Cell"),
+                    lambda: client.commit_dop(stale),
+                    lambda: client.abort_dop(stale),
+                    lambda: client.drop_dop(stale)):
+                with pytest.raises(TransactionError, match="not a DOP"):
+                    operation()
+            context, __, __p = client.recovery.restore(stale.dop_id)
+            assert "lost" not in context.data
+            assert context.work_done == 0.0
+
+        refused_everywhere()
+        # ... and also once the DOP runs again under a new object
+        recovered, __ = client.recover_dop(stale.dop_id, "da-1", "tool")
+        refused_everywhere()
+        assert client.get_dop(stale.dop_id) is recovered
+        client.checkout(recovered, dov_id)
+        assert recovered.context.checked_out == [dov_id, dov_id]
+
+    def test_a_suspended_stale_handle_cannot_be_resumed(self, rig):
+        client = rig["client_tm"]
+        stale = client.begin_dop("da-1", "tool")
+        client.suspend(stale)
+        rig["network"].crash_node("ws-1")
+        rig["network"].restart_node("ws-1")
+        with pytest.raises(TransactionError, match="not a DOP"):
+            client.resume(stale)
+        recovered, __ = client.recover_dop(stale.dop_id, "da-1", "tool")
+        assert recovered.state is DopState.ACTIVE
+
 
 class TestCheckinTwoPhase:
     def test_checkin_uses_2pc(self, rig):
