@@ -228,9 +228,12 @@ class DesignManager:
 
     def _record(self, operation: str, subject: str = "",
                 **detail: Any) -> None:
-        self.trace.record(self.clock.now, Level.DC,
-                          f"DM:{self.binding.da_id}", operation, subject,
-                          **detail)
+        # callers that format a value for a row test trace.enabled
+        # themselves: a trace that is off costs no string work
+        if self.trace.enabled:
+            self.trace.record(self.clock.now, Level.DC,
+                              f"DM:{self.binding.da_id}", operation,
+                              subject, **detail)
 
     def _on_crash(self) -> None:
         self.log.crash()
@@ -292,8 +295,9 @@ class DesignManager:
             result = self.binding.da_operation(action.node.operation,
                                                dict(action.node.params))
             self._fire(action.token, None)
-            self._record("da_operation", action.node.operation,
-                         result=str(result)[:80])
+            if self.trace.enabled:
+                self._record("da_operation", action.node.operation,
+                             result=str(result)[:80])
             return True
         if action.kind is ActionKind.CHOICE:
             decision = policy.choose_alternative(action)
@@ -319,8 +323,9 @@ class DesignManager:
                 raise WorkflowError(
                     f"designer inserted unknown tool {decision[1]!r}")
             self._fire(action.token, decision)
-            self._record("open_decision", action.token,
-                         decision=str(decision))
+            if self.trace.enabled:
+                self._record("open_decision", action.token,
+                             decision=str(decision))
             return True
         raise WorkflowError(f"unhandled action kind {action.kind}")
 
@@ -349,7 +354,8 @@ class DesignManager:
         except ConstraintViolationError as exc:
             self.stopped = True
             self.stop_reason = str(exc)
-            self._record("constraint_rejected", step.tool, error=str(exc))
+            self._record("constraint_rejected", step.tool,
+                         error=self.stop_reason)
             return None
 
         params = policy.dop_params(step)
@@ -605,8 +611,9 @@ class DesignManager:
             "executed_dops": self.executed_dops,
             "in_flight_resumed": resumed,
         }
-        self._record("dm_recovered", self.binding.da_id, **{
-            k: str(v) for k, v in report.items()})
+        if self.trace.enabled:
+            self._record("dm_recovered", self.binding.da_id, **{
+                k: str(v) for k, v in report.items()})
         return report
 
     @property

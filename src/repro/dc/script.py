@@ -310,6 +310,9 @@ class ScriptCursor:
         self._state: dict[str, Any] = {}
         #: ordered firing history (token, decision) — what the DM logs
         self.history: list[tuple[str, Any]] = []
+        #: whether the root is complete; None after a write to _state
+        #: (the DM polls is_done far more often than it fires)
+        self._root_done: bool | None = None
 
     # -- public API ---------------------------------------------------------
 
@@ -321,7 +324,9 @@ class ScriptCursor:
 
     def is_done(self) -> bool:
         """True when the whole script has completed."""
-        return self._done(self.script.root, "0")
+        if self._root_done is None:
+            self._root_done = self._done(self.script.root, "0")
+        return self._root_done
 
     def fire(self, token: str, decision: Any = None) -> None:
         """Consume one enabled action.
@@ -352,6 +357,7 @@ class ScriptCursor:
         of a sequence of executed DOPs" (Sect.5.3).  Returns the number
         of state entries cleared.
         """
+        self._root_done = None
         doomed = [k for k in self._state
                   if k == token or k.startswith(token + ".")]
         for key in doomed:
@@ -362,6 +368,7 @@ class ScriptCursor:
 
     def _apply(self, action: EnabledAction, decision: Any) -> None:
         node, token = action.node, action.token
+        self._root_done = None
         if action.kind in (ActionKind.DOP, ActionKind.DA_OP):
             self._state[token] = "done"
         elif action.kind is ActionKind.CHOICE:

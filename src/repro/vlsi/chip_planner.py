@@ -9,7 +9,8 @@ result, the chip planner arranges the subcells of the CUD."
 Implemented tools:
 
 * :func:`bipartition` — balanced min-cut partitioning of the subcells
-  (greedy seed + Kernighan–Lin-style improvement passes);
+  (greedy seed + Kernighan–Lin-style improvement passes over pin
+  counts kept per net, so a move costs the moved cell's nets);
 * **sizing** — per-partition shape selection via recursive slicing,
   driven by the subcells' shape functions;
 * **dimensioning** — fitting the slicing result into the CUD's
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.util.rng import SeededRng
 from repro.vlsi.floorplan import Floorplan, FloorplanInterface, Placement
-from repro.vlsi.netlist import NetList
+from repro.vlsi.netlist import Net, NetList
 from repro.vlsi.shapes import Shape, ShapeFunction
 
 
@@ -35,16 +36,33 @@ from repro.vlsi.shapes import Shape, ShapeFunction
 # bipartitioning
 # ---------------------------------------------------------------------------
 
+#: improvement passes of one bipartitioning run
+_PASSES = 4
+
+
 def bipartition(netlist: NetList, areas: dict[str, float],
                 rng: SeededRng | None = None,
-                passes: int = 4) -> tuple[set[str], set[str]]:
+                passes: int = _PASSES) -> tuple[set[str], set[str]]:
     """Balanced min-cut bipartition of the netlist's cells.
 
     Greedy area-balanced seed, then KL-style single-move improvement:
     repeatedly move the cell with the best cut-gain whose move keeps
     the areas within a 60/40 balance, until no improving move exists.
     """
-    cells = list(netlist.cells)
+    return _bipartition(list(netlist.cells), netlist.nets, areas, rng,
+                        passes)
+
+
+def _bipartition(cells: list[str], nets: list[Net],
+                 areas: dict[str, float], rng: SeededRng | None,
+                 passes: int) -> tuple[set[str], set[str]]:
+    """Bipartition *cells*; pins of *nets* on other cells do not count.
+
+    Gains are kept Fiduccia–Mattheyses style: per net the number of
+    its distinct cells in each half, per cell its incident nets.  A
+    move's gain reads the counts of the cell's own nets and the chosen
+    move updates only those, so a pass costs the sum of the pins.
+    """
     if len(cells) < 2:
         return set(cells), set()
     if rng is not None:
@@ -64,6 +82,19 @@ def bipartition(netlist: NetList, areas: dict[str, float],
             part_b.add(cell)
             area_b += areas.get(cell, 1.0)
 
+    # cell -> [pins in part_a, pins in part_b] of each net it is on;
+    # the cells of one net share the pair.  A net with fewer than two
+    # of these cells can never be cut.
+    incident: dict[str, list[list[int]]] = {cell: [] for cell in cells}
+    for net in nets:
+        pins = [c for c in set(net.cells) if c in incident]
+        if len(pins) < 2:
+            continue
+        counts = [0, 0]
+        for cell in pins:
+            counts[cell in part_b] += 1
+            incident[cell].append(counts)
+
     def balanced_after(cell: str, src: set[str]) -> bool:
         moved = areas.get(cell, 1.0)
         if src is part_a:
@@ -77,32 +108,34 @@ def bipartition(netlist: NetList, areas: dict[str, float],
 
     for _ in range(passes):
         best_gain = 0
-        best_move: tuple[str, set[str], set[str]] | None = None
-        current_cut = netlist.cut_size(part_a, part_b)
+        best_cell: str | None = None
         for cell in cells:
-            src, dst = (part_a, part_b) if cell in part_a \
-                else (part_b, part_a)
+            src, here, there = (part_a, 0, 1) if cell in part_a \
+                else (part_b, 1, 0)
             if len(src) <= 1 or not balanced_after(cell, src):
                 continue
-            src.remove(cell)
-            dst.add(cell)
-            gain = current_cut - netlist.cut_size(part_a, part_b)
-            dst.remove(cell)
-            src.add(cell)
+            # a net leaves the cut when this is its last pin here and
+            # joins it when it had no pin over there
+            gain = sum((counts[there] > 0) - (counts[here] > 1)
+                       for counts in incident[cell])
             if gain > best_gain:
-                best_gain, best_move = gain, (cell, src, dst)
-        if best_move is None:
+                best_gain, best_cell = gain, cell
+        if best_cell is None:
             break
-        cell, src, dst = best_move
-        src.remove(cell)
-        dst.add(cell)
-        moved = areas.get(cell, 1.0)
-        if src is part_a:
+        moved = areas.get(best_cell, 1.0)
+        if best_cell in part_a:
+            src, dst, here, there = part_a, part_b, 0, 1
             area_a -= moved
             area_b += moved
         else:
+            src, dst, here, there = part_b, part_a, 1, 0
             area_a += moved
             area_b -= moved
+        src.remove(best_cell)
+        dst.add(best_cell)
+        for counts in incident[best_cell]:
+            counts[here] -= 1
+            counts[there] += 1
     return part_a, part_b
 
 
@@ -131,8 +164,10 @@ def _place_cells(cells: list[str], netlist: NetList,
         return _Slice(shape.width, shape.height,
                       [Placement(cell, 0.0, 0.0, shape.width,
                                  shape.height)])
-    sub_nets = _restrict(netlist, set(cells))
-    part_a, part_b = bipartition(sub_nets, areas, rng)
+    keep = set(cells)
+    part_a, part_b = _bipartition(
+        [c for c in netlist.cells if c in keep], netlist.nets, areas, rng,
+        _PASSES)
     if not part_a or not part_b:
         half = max(1, len(cells) // 2)
         part_a, part_b = set(cells[:half]), set(cells[half:])
@@ -162,16 +197,6 @@ def _pick_shape(shape_fn: ShapeFunction | None, area: float,
     if prefer_wide:
         return max(shapes, key=lambda s: s.aspect)
     return min(shapes, key=lambda s: s.aspect)
-
-
-def _restrict(netlist: NetList, keep: set[str]) -> NetList:
-    nets = []
-    for net in netlist.nets:
-        members = tuple(c for c in net.cells if c in keep)
-        if len(members) >= 2:
-            nets.append(type(net)(net.name, members))
-    return NetList(cells=[c for c in netlist.cells if c in keep],
-                   nets=nets)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ DOV payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.util.rng import SeededRng
 
@@ -43,11 +44,19 @@ class NetList:
 
     def __post_init__(self) -> None:
         known = set(self.cells)
+        if len(known) != len(self.cells):
+            raise ValueError(
+                f"cell names must be unique, repeated: "
+                f"{_repeated(self.cells)}")
         for net in self.nets:
             unknown = [c for c in net.cells if c not in known]
             if unknown:
                 raise ValueError(
                     f"net {net.name!r} references unknown cells {unknown}")
+            if len(set(net.cells)) != len(net.cells):
+                raise ValueError(
+                    f"net {net.name!r} names cells twice: "
+                    f"{_repeated(net.cells)}")
 
     # -- analysis -----------------------------------------------------------
 
@@ -85,6 +94,10 @@ class NetList:
             cells=list(raw["cells"]),
             nets=[Net(n["name"], tuple(n["cells"])) for n in raw["nets"]],
         )
+
+
+def _repeated(names: Sequence[str]) -> list[str]:
+    return sorted({n for n in names if names.count(n) > 1})
 
 
 def synthetic_netlist(cells: list[str], rng: SeededRng,

@@ -20,7 +20,8 @@ plus per-domain entries ``behavior`` / ``structure`` / ``shape_functions``
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.dc.design_manager import ToolRegistry
 from repro.repository.schema import (
@@ -36,6 +37,23 @@ from repro.vlsi.chip_planner import ChipPlanner
 from repro.vlsi.floorplan import Floorplan, FloorplanInterface, PinInterval
 from repro.vlsi.netlist import NetList, synthetic_netlist
 from repro.vlsi.shapes import ShapeFunction, shapes_for_area
+
+
+@contextmanager
+def _parsing(tool: str, entry: str) -> Iterator[None]:
+    """Rebuilding one payload entry inside the block.
+
+    Payloads arrive through checkout from whoever derived them; an
+    entry with a key missing or a value of the wrong type or range is
+    the designer's to repair, so it is a workflow failure that names
+    the entry, not a raw fault inside the DM.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise WorkflowError(
+            f"{tool} got a malformed {entry}: "
+            f"{type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +147,8 @@ def repartitioning(context: DopContext, params: dict[str, Any]) -> None:
     structure = context.data.get("structure")
     if not structure:
         raise WorkflowError("repartitioning needs a structure")
-    netlist = NetList.from_dict(structure["netlist"])
+    with _parsing("repartitioning", "structure['netlist']"):
+        netlist = NetList.from_dict(structure["netlist"])
     groups = int(params.get("groups", 2))
     partitions: list[list[str]] = [[] for _ in range(groups)]
     # round-robin by descending degree keeps partitions balanced while
@@ -154,7 +173,9 @@ def shape_function_generator(context: DopContext,
     default_area = float(params.get("default_area", 4.0))
     aspects = tuple(params.get("aspects", (0.5, 1.0, 2.0)))
     functions = {}
-    for subcell in structure["subcells"]:
+    with _parsing("shape function generation", "structure['subcells']"):
+        subcells = list(structure["subcells"])
+    for subcell in subcells:
         area = float(areas.get(subcell, default_area))
         functions[subcell] = shapes_for_area(subcell, area,
                                              aspects).to_dict()
@@ -206,10 +227,13 @@ def chip_planner_tool(context: DopContext, params: dict[str, Any]) -> None:
         raise WorkflowError("chip planning needs shape functions")
     if not interface_raw:
         raise WorkflowError("chip planning needs an interface description")
-    netlist = NetList.from_dict(structure["netlist"])
-    shape_functions = {name: ShapeFunction.from_dict(raw)
-                       for name, raw in shape_raw.items()}
-    interface = FloorplanInterface.from_dict(interface_raw)
+    with _parsing("chip planning", "structure['netlist']"):
+        netlist = NetList.from_dict(structure["netlist"])
+    with _parsing("chip planning", "'shape_functions'"):
+        shape_functions = {name: ShapeFunction.from_dict(raw)
+                           for name, raw in shape_raw.items()}
+    with _parsing("chip planning", "'interface'"):
+        interface = FloorplanInterface.from_dict(interface_raw)
     planner = ChipPlanner(iterations=int(params.get("iterations", 3)),
                           seed=int(params.get("seed", 0)))
     floorplan = planner.plan(context.data.get("cell", "cud"), netlist,
@@ -252,7 +276,8 @@ def chip_assembly(context: DopContext, params: dict[str, Any]) -> None:
     floorplan_raw = context.data.get("floorplan")
     if not floorplan_raw:
         raise WorkflowError("chip assembly needs a floorplan")
-    floorplan = Floorplan.from_dict(floorplan_raw)
+    with _parsing("chip assembly", "'floorplan'"):
+        floorplan = Floorplan.from_dict(floorplan_raw)
     problems = floorplan.validate()
     if problems:
         raise WorkflowError(

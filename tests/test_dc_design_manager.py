@@ -290,3 +290,53 @@ class TestDmCrashRecovery:
         status = system.run(da.da_id)
         assert status.done
         assert runtime.dm.executed_tools == ["noop", "halve"]
+
+
+class TestTraceThatIsOffIsFree:
+    """A DM row is formatted only when somebody will read it."""
+
+    class Shouting:
+        """A DA-operation result that counts how often it is rendered."""
+
+        rendered = 0
+
+        def __str__(self):
+            type(self).rendered += 1
+            return "evaluated " + "x" * 100
+
+    def drive(self, trace, monkeypatch):
+        system = ConcordSystem(trace=trace)
+        system.add_workstation("ws-1")
+        system.tools.register("noop", lambda ctx, p: None, duration=1.0)
+        da = start_da(system, Script(Sequence(
+            DopStep("noop"), DaOpStep("Evaluate"),
+            Open(allowed_tools=("noop",)))))
+        runtime = system.runtime(da.da_id)
+        monkeypatch.setattr(type(runtime.binding), "da_operation",
+                            lambda *args: self.Shouting())
+        self.Shouting.rendered = 0
+        assert system.run(da.da_id).done
+        system.crash_workstation("ws-1")
+        system.restart_workstation("ws-1")
+        return [(e.component, e.operation, e.subject, e.detail)
+                for e in system.trace.by_component("DM")]
+
+    def test_no_row_no_string(self, monkeypatch):
+        assert self.drive(False, monkeypatch) == []
+        assert self.Shouting.rendered == 0
+
+    def test_an_enabled_trace_still_gets_every_row(self, monkeypatch):
+        rows = self.drive(True, monkeypatch)
+        assert self.Shouting.rendered == 1
+        da_id = rows[0][0].removeprefix("DM:")
+        assert [(operation, subject, detail)
+                for __, operation, subject, detail in rows] == [
+            ("dop_start", "dop-1", {"tool": "noop"}),
+            ("dop_commit", "dop-1", {"tool": "noop", "output": "dov-2"}),
+            ("da_operation", "Evaluate",
+             {"result": "evaluated " + "x" * 70}),
+            ("open_decision", "0.s2", {"decision": "close"}),
+            ("dm_recovered", da_id, {
+                "script_positions_replayed": "3", "executed_dops": "1",
+                "in_flight_resumed": "None"}),
+        ]

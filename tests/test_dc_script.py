@@ -271,3 +271,37 @@ class TestReplayAndReset:
         cleared = cursor.reset_subtree("0.s1")
         assert cleared == 1
         assert cursor.enabled()[0].tool == "b"
+
+    def test_the_kept_completion_follows_every_write(self):
+        """``is_done`` keeps the root's completion between writes: it
+        must read what a walk from the root reads after every firing,
+        after a reset of a finished script, and on a cursor that got
+        its state by replay."""
+        script = Script(Sequence(
+            DopStep("a"),
+            Parallel(DopStep("b"), Open(allowed_tools=("t",))),
+            Iteration(DopStep("d"), max_rounds=3),
+        ))
+        decisions = {ActionKind.LOOP: ["again", "exit"],
+                     ActionKind.OPEN: [("insert", "t"), "close"]}
+        cursor = script.cursor()
+
+        def walked(c):
+            return c._done(c.script.root, "0")
+
+        while not cursor.is_done():
+            action = cursor.enabled()[-1]
+            queue = decisions.get(action.kind)
+            cursor.fire(action.token, queue.pop(0) if queue else None)
+            assert cursor.is_done() == walked(cursor)
+            replayed = script.cursor()
+            assert not replayed.is_done()  # polled before the replay
+            replayed.replay(list(cursor.history))
+            assert replayed.is_done() == cursor.is_done()
+            assert [a.token for a in replayed.enabled()] == \
+                   [a.token for a in cursor.enabled()]
+        assert len(cursor.history) == 9 and cursor.enabled() == []
+
+        assert cursor.reset_subtree("0.s2") == 3
+        assert not cursor.is_done()
+        assert [a.tool for a in cursor.enabled()] == ["d"]

@@ -51,7 +51,12 @@ from repro.te.recovery import (
     CheckoutRecord,
     RecoveryManager,
 )
+from repro.util.rng import SeededRng
 from repro.util.trace import EventTrace
+from repro.vlsi.chip_planner import ChipPlanner
+from repro.vlsi.floorplan import FloorplanInterface
+from repro.vlsi.netlist import Net, NetList, synthetic_netlist
+from repro.vlsi.shapes import shapes_for_area
 
 
 def nested_payload() -> dict:
@@ -62,6 +67,17 @@ def nested_payload() -> dict:
 def walks() -> int:
     counts = payload_walks()
     return counts["sizeof"] + counts["freeze"]
+
+
+def _count_calls(monkeypatch, calls: dict, owner: type, name: str) -> None:
+    """Count the calls of ``owner.name`` under ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 class TestFrozenContainers:
@@ -368,19 +384,9 @@ class TestACheckoutPointIsADelta:
         client.checkout(dop, dov.dov_id)            # the one miss
 
         calls = {"snapshot": 0, "get": 0, "record": 0}
-
-        def counted(owner, name, key):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(DopContext, "snapshot", "snapshot")
-        counted(StableStorage, "get", "get")
-        counted(EventTrace, "record", "record")
+        _count_calls(monkeypatch, calls, DopContext, "snapshot")
+        _count_calls(monkeypatch, calls, StableStorage, "get")
+        _count_calls(monkeypatch, calls, EventTrace, "record")
         points: list[tuple[type, int, int]] = []
         take = RecoveryManager.take
 
@@ -405,6 +411,27 @@ class TestACheckoutPointIsADelta:
         assert len(deltas) == 300 - calls["snapshot"]
         assert all(walked == 0 for _, _, walked in deltas)
         assert client.recovery.latest(dop.dop_id).payload is dov.data
+
+
+class TestThePlannerKeepsPinCounts:
+    """A count gate on tool 5: bipartitioning reads its own pin counts;
+    the whole cut is counted once per iteration, for the report."""
+
+    def test_one_plan_counts_the_cut_once_per_iteration(self,
+                                                        monkeypatch):
+        cells = [f"c{i}" for i in range(12)]
+        netlist = synthetic_netlist(cells, SeededRng(5))
+        shape_functions = {c: shapes_for_area(c, 4.0 + i % 3)
+                           for i, c in enumerate(cells)}
+        calls = {"cut_size": 0, "crosses": 0}
+        _count_calls(monkeypatch, calls, NetList, "cut_size")
+        _count_calls(monkeypatch, calls, Net, "crosses")
+        plan = ChipPlanner(iterations=3, seed=5).plan(
+            "cud", netlist, shape_functions,
+            FloorplanInterface("cud", 40.0, 40.0))
+        assert set(plan.placements) == set(cells)
+        assert calls["cut_size"] == 3
+        assert 0 < calls["crosses"] <= 3 * len(netlist.nets)
 
 
 class TestSchedulerPendingCounter:

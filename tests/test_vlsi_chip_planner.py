@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.rng import SeededRng
+from repro.vlsi import chip_planner
 from repro.vlsi.chip_planner import ChipPlanner, bipartition, global_route
 from repro.vlsi.floorplan import (
     Floorplan,
@@ -59,6 +64,171 @@ class TestBipartition:
         netlist = NetList(cells=["a", "b"], nets=[Net("n", ("a", "b"))])
         part_a, part_b = bipartition(netlist, {"a": 1.0, "b": 1.0})
         assert len(part_a) == 1 and len(part_b) == 1
+
+
+def _reference_bipartition(netlist, areas, rng=None, passes=4):
+    """The loop :func:`bipartition` had before it kept pin counts,
+    verbatim: every candidate move is made, the whole cut is counted
+    again and the move is undone."""
+    cells = list(netlist.cells)
+    if len(cells) < 2:
+        return set(cells), set()
+    if rng is not None:
+        rng.shuffle(cells)
+    else:
+        cells.sort(key=lambda c: -areas.get(c, 1.0))
+
+    total = sum(areas.get(c, 1.0) for c in cells)
+    part_a: set[str] = set()
+    part_b: set[str] = set()
+    area_a = area_b = 0.0
+    for cell in cells:
+        if area_a <= area_b:
+            part_a.add(cell)
+            area_a += areas.get(cell, 1.0)
+        else:
+            part_b.add(cell)
+            area_b += areas.get(cell, 1.0)
+
+    def balanced_after(cell: str, src: set[str]) -> bool:
+        moved = areas.get(cell, 1.0)
+        if src is part_a:
+            new_a, new_b = area_a - moved, area_b + moved
+        else:
+            new_a, new_b = area_a + moved, area_b - moved
+        if total <= 0:
+            return True
+        share = new_a / total
+        return 0.4 <= share <= 0.6 or min(len(part_a), len(part_b)) <= 1
+
+    for _ in range(passes):
+        best_gain = 0
+        best_move: tuple[str, set[str], set[str]] | None = None
+        current_cut = netlist.cut_size(part_a, part_b)
+        for cell in cells:
+            src, dst = (part_a, part_b) if cell in part_a \
+                else (part_b, part_a)
+            if len(src) <= 1 or not balanced_after(cell, src):
+                continue
+            src.remove(cell)
+            dst.add(cell)
+            gain = current_cut - netlist.cut_size(part_a, part_b)
+            dst.remove(cell)
+            src.add(cell)
+            if gain > best_gain:
+                best_gain, best_move = gain, (cell, src, dst)
+        if best_move is None:
+            break
+        cell, src, dst = best_move
+        src.remove(cell)
+        dst.add(cell)
+        moved = areas.get(cell, 1.0)
+        if src is part_a:
+            area_a -= moved
+            area_b += moved
+        else:
+            area_a += moved
+            area_b -= moved
+    return part_a, part_b
+
+
+def _reference_partition_of_a_subset(cells, nets, areas, rng, passes):
+    """What ``_place_cells`` did per recursion level before: a fresh
+    net list restricted to the subset, then the reference loop."""
+    keep = set(cells)
+    restricted = []
+    for net in nets:
+        members = tuple(c for c in net.cells if c in keep)
+        if len(members) >= 2:
+            restricted.append(Net(net.name, members))
+    return _reference_bipartition(NetList(cells=cells, nets=restricted),
+                                  areas, rng, passes)
+
+
+@st.composite
+def partition_inputs(draw):
+    """2-24 cells, nets of 1-5 pins (some inside one half, some cells
+    on no net), positive areas for some of the cells (the others count
+    1.0), a seed or none, 0-6 passes."""
+    cells = [f"c{i}" for i in range(draw(st.integers(2, 24)))]
+    pins = st.lists(st.sampled_from(cells), min_size=1,
+                    max_size=min(5, len(cells)), unique=True)
+    nets = [Net(f"n{i}", tuple(members))
+            for i, members in enumerate(draw(st.lists(pins, max_size=40)))]
+    areas = draw(st.dictionaries(
+        st.sampled_from(cells),
+        st.floats(0.05, 60.0, allow_nan=False, allow_infinity=False)))
+    seed = draw(st.none() | st.integers(0, 2 ** 16))
+    return NetList(cells=cells, nets=nets), areas, seed, \
+        draw(st.integers(0, 6))
+
+
+def agrees_with_the_reference(partition, netlist, areas, seed, passes):
+    rng, reference_rng = (None, None) if seed is None \
+        else (SeededRng(seed), SeededRng(seed))
+    result = partition(netlist, areas, rng, passes)
+    expected = _reference_bipartition(netlist, areas, reference_rng, passes)
+    if seed is not None:
+        assert rng.random() == reference_rng.random()
+    return result == expected
+
+
+class TestPinCountsDecideWhatTheRecountDecided:
+    @given(partition_inputs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equal_halves_and_an_equally_advanced_rng(self, inputs):
+        assert agrees_with_the_reference(bipartition, *inputs)
+
+    def test_a_forgotten_count_update_is_noticed(self):
+        """Mutation check: the same source without the update of the
+        moved cell's nets stops agreeing after its first move."""
+        source = inspect.getsource(chip_planner)
+        update = ("            counts[here] -= 1\n"
+                  "            counts[there] += 1\n")
+        assert source.count(update) == 1
+        mutant = {"__name__": chip_planner.__name__}
+        exec(compile(source.replace(update, "            pass\n"),
+                     "<mutant>", "exec"), mutant)
+
+        def cases():
+            for seed in range(40):
+                cells = [f"c{i}" for i in range(6 + seed % 12)]
+                netlist = synthetic_netlist(cells, SeededRng(seed))
+                areas = {c: 1.0 + (i % 3) for i, c in enumerate(cells)}
+                yield netlist, areas, seed, 4
+
+        assert all(agrees_with_the_reference(bipartition, *case)
+                   for case in cases())
+        assert not all(agrees_with_the_reference(mutant["bipartition"],
+                                                 *case)
+                       for case in cases())
+
+    def test_a_repeated_pin_counts_once(self):
+        """A net list built around ``NetList``'s own check still gets
+        the answer ``Net.crosses`` gives: membership, not multiplicity."""
+        netlist = NetList(cells=["a", "b", "c", "d"], nets=[])
+        netlist.nets.extend([Net("n0", ("a", "a", "c")),
+                             Net("n1", ("b", "d", "d")),
+                             Net("n2", ("a", "b"))])
+        for seed in (None, 0, 1, 2, 3):
+            assert agrees_with_the_reference(bipartition, netlist, {},
+                                             seed, 4)
+
+    @pytest.mark.parametrize("seed", [0, 7, 1009])
+    def test_the_plan_is_the_plan_of_the_reference(self, seed,
+                                                   monkeypatch):
+        cells = [f"c{i}" for i in range(14)]  # c10 sorts before c2
+        netlist = synthetic_netlist(cells, SeededRng(seed))
+        shape_functions = {c: shapes_for_area(c, 3.0 + (i * 7) % 5)
+                           for i, c in enumerate(cells[:-2])}
+        interface = FloorplanInterface("cud", 30.0, 30.0)
+        planner = ChipPlanner(iterations=3, seed=seed)
+        plan = planner.plan("cud", netlist, shape_functions, interface)
+        monkeypatch.setattr(chip_planner, "_bipartition",
+                            _reference_partition_of_a_subset)
+        reference = planner.plan("cud", netlist, shape_functions,
+                                 interface)
+        assert plan.to_dict() == reference.to_dict()
 
 
 class TestFloorplanGeometry:

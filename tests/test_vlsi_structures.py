@@ -79,6 +79,18 @@ class TestNetList:
         with pytest.raises(ValueError):
             NetList(cells=["a"], nets=[Net("n", ("a", "ghost"))])
 
+    def test_repeated_cell_name_rejected(self):
+        # walked as a list, partitioned as sets: the halves overlapped
+        with pytest.raises(ValueError, match=r"unique.*\['a'\]"):
+            NetList(cells=["a", "a", "b"], nets=[])
+
+    def test_net_naming_a_cell_twice_rejected(self):
+        with pytest.raises(ValueError, match=r"'n'.*twice.*\['a'\]"):
+            NetList(cells=["a", "b"], nets=[Net("n", ("a", "b", "a"))])
+        with pytest.raises(ValueError):
+            NetList.from_dict({"cells": ["a", "b"], "nets": [
+                {"name": "n", "cells": ["a", "a"]}]})
+
     def test_dict_roundtrip(self):
         netlist = NetList(cells=["a", "b"], nets=[Net("n1", ("a", "b"))])
         back = NetList.from_dict(netlist.to_dict())

@@ -211,3 +211,73 @@ class TestRegistration:
         register_vlsi_tools(registry)
         for tool, duration in TOOL_DURATIONS.items():
             assert registry.duration(tool) == duration
+
+
+class TestMalformedPayloads:
+    """Payloads come out of DOVs: what a tool cannot parse reaches the
+    DM as a named workflow failure, not as the parser's raw fault."""
+
+    @pytest.fixture
+    def registry(self):
+        registry = ToolRegistry()
+        register_vlsi_tools(registry)
+        return registry
+
+    @staticmethod
+    def inputs() -> DopContext:
+        context = behavior_context()
+        structure_synthesis(context, {"seed": 1})
+        shape_function_generator(context, {})
+        pad_frame_editor(context, {})
+        return context
+
+    @pytest.mark.parametrize("tool", ["chip_planner", "repartitioning"])
+    @pytest.mark.parametrize("netlist, named", [
+        ({"cells": ["a", "b"]}, "KeyError: 'nets'"),
+        ({"cells": 5, "nets": []}, "TypeError"),
+        ({"cells": ["a", "a"], "nets": []}, "unique"),
+        ({"cells": ["a"], "nets": [{"name": "n", "cells": ["ghost"]}]},
+         "unknown cells"),
+        (None, "TypeError"),
+    ])
+    def test_netlist(self, registry, tool, netlist, named):
+        context = self.inputs()
+        context.data["structure"] = {**context.data["structure"],
+                                     "netlist": netlist}
+        with pytest.raises(WorkflowError, match="structure.'netlist'") \
+                as caught:
+            registry.run(tool, context, {})
+        assert named in str(caught.value)
+
+    def test_structure_without_a_netlist(self, registry):
+        context = self.inputs()
+        context.data["structure"] = {"subcells": ["a"]}
+        with pytest.raises(WorkflowError, match="KeyError: 'netlist'"):
+            registry.run("chip_planner", context, {})
+        context.data["structure"] = {"netlist": {"cells": [], "nets": []}}
+        with pytest.raises(WorkflowError, match="KeyError: 'subcells'"):
+            registry.run("shape_function_generator", context, {})
+
+    @pytest.mark.parametrize("entry, value, named", [
+        ("shape_functions", {"a": {"cell": "a"}}, "KeyError: 'shapes'"),
+        ("shape_functions", {"a": {"cell": "a", "shapes": [[1.0]]}},
+         "ValueError"),
+        ("shape_functions", ["a"], "AttributeError"),
+        ("interface", {"cell": "cud", "max_width": 9.0},
+         "KeyError: 'max_height'"),
+        ("interface", {"cell": "cud", "max_width": 9.0, "max_height": 9.0,
+                       "pins": [{"edge": "north"}]}, "KeyError: 'start'"),
+    ])
+    def test_shape_functions_and_interface(self, registry, entry, value,
+                                           named):
+        context = self.inputs()
+        context.data[entry] = value
+        with pytest.raises(WorkflowError, match=f"'{entry}'") as caught:
+            registry.run("chip_planner", context, {})
+        assert named in str(caught.value)
+
+    def test_floorplan(self, registry):
+        context = planned_context()
+        context.data["floorplan"] = {"cud": "cud", "width": 4.0}
+        with pytest.raises(WorkflowError, match="KeyError: 'height'"):
+            registry.run("chip_assembly", context, {})
