@@ -27,22 +27,14 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.net.network import Network
-from repro.net.rpc import TransactionalRpc
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
 )
-from repro.sim.clock import SimClock
-from repro.te.locks import LockManager
-from repro.te.object_buffer import ObjectBuffer
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
+from repro.te.rig import TeRig
+from repro.te.transaction_manager import ClientTM
 from repro.util.ids import IdGenerator
 
 #: schema version of the BENCH_PERF.json envelope
@@ -89,30 +81,26 @@ def _nested_payload(entries: int = 48, rev: int = 0) -> dict[str, Any]:
     }
 
 
-def _make_rig(buffering: bool = True,
-              write_back: bool = False) -> dict[str, Any]:
-    """One workstation + server TE rig on a quiet (kernel-less) LAN."""
-    clock = SimClock()
-    network = Network(clock)
-    network.add_server()
-    repository = DesignDataRepository()
-    locks = LockManager()
-    server_tm = ServerTM(repository, locks, network, clock=clock)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    rpc = TransactionalRpc(network)
-    register_server_endpoints(rpc, server_tm)
-    network.add_workstation("ws-1")
-    buffer = ObjectBuffer("ws-1") if buffering else None
-    client = ClientTM("ws-1", server_tm, rpc, clock, ids=IdGenerator(),
-                      buffer=buffer, write_back=write_back)
-    repository.register_dot(DesignObjectType("Cell", attributes=[
-        AttributeDef("name", AttributeKind.STRING),
-        AttributeDef("meta", AttributeKind.JSON),
-        AttributeDef("tree", AttributeKind.JSON),
-    ]))
-    repository.create_graph("da-1")
-    return {"clock": clock, "network": network, "repository": repository,
-            "server_tm": server_tm, "client": client, "buffer": buffer}
+#: the DOT of :func:`_nested_payload`
+_CELL = DesignObjectType("Cell", attributes=[
+    AttributeDef("name", AttributeKind.STRING),
+    AttributeDef("meta", AttributeKind.JSON),
+    AttributeDef("tree", AttributeKind.JSON),
+])
+
+
+def _make_rig(workstations: tuple[str, ...] = ("ws-1",),
+              **te: Any) -> TeRig:
+    """An open-scope TE rig on a quiet LAN (its kernel never runs, so
+    posted messages hand over synchronously): workstation ``ws-<n>``
+    works on derivation graph ``da-<n>``."""
+    rig = TeRig(trace=False, **te)
+    rig.open_scope()
+    rig.repository.register_dot(_CELL)
+    for name in workstations:
+        rig.add_workstation(name)
+        rig.repository.create_graph(name.replace("ws", "da"))
+    return rig
 
 
 def _best_ops_per_sec(run_ops: Callable[[], int], repeats: int) -> float:
@@ -132,9 +120,9 @@ def _best_ops_per_sec(run_ops: Callable[[], int], repeats: int) -> float:
 
 def _measure_buffer_hit(ops: int, repeats: int) -> float:
     """Buffer-hit checkouts per second (the zero-network read path)."""
-    rig = _make_rig(buffering=True)
-    client: ClientTM = rig["client"]
-    dov0 = rig["repository"].checkin(
+    rig = _make_rig()
+    client: ClientTM = rig.client_tm("ws-1")
+    dov0 = rig.repository.checkin(
         "da-1", "Cell", _nested_payload(), ())
     warm = client.begin_dop("da-1", tool="bench")
     client.checkout(warm, dov0.dov_id)  # the one miss: installs
@@ -156,9 +144,9 @@ def _measure_buffer_hit(ops: int, repeats: int) -> float:
 def _measure_write_through(ops: int, repeats: int) -> float:
     """Uncached checkout+checkin round trips per second (RPC + 2PC +
     WAL force per round — the write-through data-shipping path)."""
-    rig = _make_rig(buffering=False)
-    client: ClientTM = rig["client"]
-    state = {"current": rig["repository"].checkin(
+    rig = _make_rig(object_buffers=False)
+    client: ClientTM = rig.client_tm("ws-1")
+    state = {"current": rig.repository.checkin(
         "da-1", "Cell", _nested_payload(), ()).dov_id, "rev": 0}
 
     def run_ops() -> int:
@@ -180,8 +168,7 @@ def _measure_group_flush(flushes: int, batch: int,
                          repeats: int) -> float:
     """Group-checkin flushes per second (*batch* deferred checkins per
     flush: one batched ship, one 2PC, one forced WAL write, rebind)."""
-    rig = _make_rig(buffering=True, write_back=True)
-    client: ClientTM = rig["client"]
+    client: ClientTM = _make_rig(write_back=True).client_tm("ws-1")
     state = {"rev": 0}
 
     def run_ops() -> int:
@@ -203,32 +190,9 @@ def _measure_cross_flush(rounds: int, team: int, batch: int,
     """Cross-workstation group commits per second: *team* dirty sets
     under ONE coordinator, ONE decision and ONE forced WAL write
     (:func:`repro.txn.flush_group`)."""
-    from repro.txn import flush_group
-
-    clock = SimClock()
-    network = Network(clock)
-    network.add_server()
-    repository = DesignDataRepository()
-    locks = LockManager()
-    server_tm = ServerTM(repository, locks, network, clock=clock)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    rpc = TransactionalRpc(network)
-    register_server_endpoints(rpc, server_tm)
-    ids = IdGenerator()
-    repository.register_dot(DesignObjectType("Cell", attributes=[
-        AttributeDef("name", AttributeKind.STRING),
-        AttributeDef("meta", AttributeKind.JSON),
-        AttributeDef("tree", AttributeKind.JSON),
-    ]))
-    clients = []
-    for index in range(team):
-        workstation = f"ws-{index}"
-        network.add_workstation(workstation)
-        repository.create_graph(f"da-{index}")
-        clients.append(ClientTM(
-            workstation, server_tm, rpc, clock, ids=ids,
-            buffer=ObjectBuffer(workstation), write_back=True,
-            flush_on_end_dop=False))
+    rig = _make_rig(tuple(f"ws-{index}" for index in range(team)),
+                    write_back=True, flush_on_end_dop=False)
+    clients = rig.client_tms()
     state = {"rev": 0}
 
     def run_ops() -> int:
@@ -243,7 +207,7 @@ def _measure_cross_flush(rounds: int, team: int, batch: int,
                         data=_nested_payload(rev=state["rev"]),
                         parents=[])
                 dops.append((client, dop))
-            flush_group(clients)
+            rig.flush_group()
             for client, dop in dops:
                 client.commit_dop(dop)
         return rounds
@@ -283,11 +247,7 @@ def _measure_federation_scaling(quick: bool,
             {f"site-{index}": DesignDataRepository(ids)
              for index in range(members)},
             decision_log=decision_log)
-        federation.register_dot(DesignObjectType("Cell", attributes=[
-            AttributeDef("name", AttributeKind.STRING),
-            AttributeDef("meta", AttributeKind.JSON),
-            AttributeDef("tree", AttributeKind.JSON),
-        ]))
+        federation.register_dot(_CELL)
         heads: dict[str, str] = {}
         for index in range(das):
             da_id = f"da-{index}"

@@ -17,25 +17,15 @@ from repro.core.features import DesignSpecification, RangeFeature
 from repro.core.states import DaState
 from repro.core.system import ConcordSystem
 from repro.dc.script import DaOpStep, DopStep, Iteration, Script, Sequence
-from repro.net.network import Network
-from repro.net.rpc import TransactionalRpc
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
 )
-from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
 from repro.te.context import DopContext
-from repro.te.locks import LockManager
-from repro.te.object_buffer import ObjectBuffer
 from repro.te.recovery import RecoveryPointPolicy
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
 from repro.util.errors import StorageError
 from repro.util.ids import IdGenerator
 from repro.util.rng import SeededRng
@@ -43,6 +33,12 @@ from repro.vlsi.floorplan import Floorplan, FloorplanInterface
 from repro.vlsi.methodology import full_design_script, playout_constraints
 from repro.vlsi.tools import register_vlsi_tools, vlsi_dots
 from repro.workload.generator import team_workload
+from repro.scenario.sessions import (
+    SessionDriver,
+    SessionPlan,
+    StepPlan,
+    session_rig,
+)
 
 
 def make_vlsi_system(workstations: tuple[str, ...] = ("ws-1",),
@@ -432,44 +428,11 @@ def object_buffer_scenario(team: int = 3,
     same design sessions.  Session dependencies are not enforced here
     — T8 measures data shipping, not visibility policies (that is T1).
     """
-    clock = SimClock()
-    kernel = Kernel(clock)
-    if on_kernel is not None:
-        on_kernel(kernel)
-    network = Network(clock, lan_latency=lan_latency, jitter=jitter,
-                      seed=seed, bandwidth=bandwidth)
-    network.attach_kernel(kernel)
-    network.add_server()
-    repository = DesignDataRepository()
-    locks = LockManager()
-    server_tm = ServerTM(repository, locks, network, clock=clock,
-                         lease_ttl=lease_ttl)
-    # the library pool is shared by construction; T8 measures
-    # shipping, not authorization (scope checks are F-series ground)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    rpc = TransactionalRpc(network)
-    register_server_endpoints(rpc, server_tm)
-    ids = IdGenerator()
-
-    repository.register_dot(DesignObjectType("SharedObject", attributes=[
-        AttributeDef("name", AttributeKind.STRING),
-        AttributeDef("blob", AttributeKind.STRING),
-    ]))
-    repository.create_graph("lib")
-    #: object name -> id of its current (frontier) version
-    current: dict[str, str] = {}
-
-    def blob_for(obj: str, generation: int) -> str:
-        index = int(obj.rsplit("-", 1)[-1])
-        return chr(ord("a") + generation % 26) \
-            * (payload_bytes + 256 * index)
-
-    for index in range(object_pool):
-        name = f"lib-{index}"
-        dov = repository.checkin(
-            "lib", "SharedObject",
-            {"name": name, "blob": blob_for(name, 0)}, ())
-        current[name] = dov.dov_id
+    rig = session_rig(on_kernel, object_buffers=caching, seed=seed,
+                      lan_latency=lan_latency, jitter=jitter,
+                      bandwidth=bandwidth, lease_ttl=lease_ttl)
+    driver = SessionDriver(rig, payload_bytes)
+    driver.seed_library([f"lib-{n}" for n in range(object_pool)])
 
     workload = team_workload(
         team, steps_per_session, mean_step, seed,
@@ -478,83 +441,27 @@ def object_buffer_scenario(team: int = 3,
     # the write plan is drawn up front so caching on/off runs execute
     # the identical sequence of designer decisions
     write_rng = SeededRng(seed * 7919 + 23)
-    write_plan = {
-        (spec.session_id, step): write_rng.bernoulli(write_mix)
-        for spec in workload.sessions
-        for step in range(len(spec.step_durations))}
+    plans = []
+    for index, spec in enumerate(workload.sessions):
+        steps = []
+        for step, duration in enumerate(spec.step_durations):
+            reads = tuple(spec.reads_at(step))
+            writes = write_rng.bernoulli(write_mix) and reads
+            steps.append(StepPlan(reads, duration,
+                                  reads[0] if writes else None))
+        plans.append(SessionPlan(
+            start=0.0, workstation=f"ws-{index}", da_id=f"da-{index}",
+            kind="t8", stem=spec.session_id, steps=tuple(steps),
+            dop_per_step=True))
+    driver.add_designers(team)
+    driver.schedule(plans)
+    rig.kernel.run_until_quiescent()
 
     report = ShippingReport(caching=caching)
-    clients: list[ClientTM] = []
-    buffers: list[ObjectBuffer] = []
-
-    def launch(spec, client: ClientTM, da_id: str,
-               generations: dict[str, int]) -> None:
-        state = {"step": 0}
-
-        def start_step() -> None:
-            step = state["step"]
-            if step >= len(spec.step_durations):
-                return
-            dop = client.begin_dop(da_id, tool="t8-tool")
-            fetched_before = client.fetch_time
-            for obj in spec.reads_at(step):
-                client.checkout(dop, current[obj])
-            fetch_delay = client.fetch_time - fetched_before
-            kernel.after(
-                fetch_delay + spec.step_durations[step],
-                lambda: finish_step(dop, step),
-                label=f"t8-step:{spec.session_id}:{step}")
-
-        def finish_step(dop, step: int) -> None:
-            reads = spec.reads_at(step)
-            if write_plan[(spec.session_id, step)] and reads:
-                target = reads[0]
-                generations[target] = generations.get(target, 0) + 1
-                result = client.checkin(
-                    dop, "SharedObject",
-                    data={"name": target,
-                          "blob": blob_for(target, generations[target])},
-                    parents=[current[target]])
-                if result.success:
-                    current[target] = result.dov.dov_id
-                    report.checkins += 1
-                client.commit_dop(dop, result)
-            else:
-                client.commit_dop(dop)
-            state["step"] = step + 1
-            start_step()
-
-        kernel.at(0.0, start_step,
-                  label=f"t8-begin:{spec.session_id}")
-
-    generations: dict[str, int] = {}
-    for index, spec in enumerate(workload.sessions):
-        workstation = f"ws-{index}"
-        network.add_workstation(workstation)
-        buffer = ObjectBuffer(workstation) if caching else None
-        client = ClientTM(workstation, server_tm, rpc, clock, ids=ids,
-                          buffer=buffer)
-        repository.create_graph(f"da-{index}")
-        clients.append(client)
-        if buffer is not None:
-            buffers.append(buffer)
-        launch(spec, client, f"da-{index}", generations)
-
-    kernel.run_until_quiescent()
-
-    stats = network.traffic_stats()
-    report.makespan = clock.now
-    report.bytes_shipped = stats["bytes_shipped"]
-    report.bytes_received_by = stats["bytes_received_by"]
-    report.messages = stats["messages_sent"]
-    report.hits = sum(b.hits for b in buffers)
-    report.misses = sum(b.misses for b in buffers)
-    looked_up = report.hits + report.misses
-    report.hit_rate = report.hits / looked_up if looked_up else 0.0
-    report.invalidations_sent = server_tm.invalidations_sent
-    report.invalidations_applied = sum(b.invalidations for b in buffers)
-    report.fetch_time = sum(c.fetch_time for c in clients)
-    report.signature = kernel.trace_signature()
+    driver.fill(report)
+    report.bytes_received_by = dict(rig.network.bytes_received_by)
+    report.invalidations_applied = sum(b.invalidations
+                                       for b in rig.buffers())
     return report
 
 
@@ -637,168 +544,60 @@ def write_back_scenario(team: int = 3,
     round measures how many bytes that saved (`post_restart_bytes`
     stays 0 when every re-read hits the re-validated buffer).
     """
-    clock = SimClock()
-    kernel = Kernel(clock)
-    if on_kernel is not None:
-        on_kernel(kernel)
-    network = Network(clock, lan_latency=lan_latency, jitter=jitter,
-                      seed=seed, bandwidth=bandwidth)
-    network.attach_kernel(kernel)
-    server = network.add_server()
-    repository = DesignDataRepository()
-    # repository recovery registers BEFORE the server-TM's restart
-    # hook so stamps are fresh when the buffers re-validate
-    server.on_crash.append(lambda: repository.crash())
-    server.on_restart.append(lambda: repository.recover())
-    locks = LockManager()
-    server_tm = ServerTM(repository, locks, network, clock=clock,
-                         lease_ttl=lease_ttl)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    server_tm.revalidate_on_restart = True
-    rpc = TransactionalRpc(network)
-    register_server_endpoints(rpc, server_tm)
-    ids = IdGenerator()
-
-    repository.register_dot(DesignObjectType("SharedObject", attributes=[
-        AttributeDef("name", AttributeKind.STRING),
-        AttributeDef("blob", AttributeKind.STRING),
-    ]))
-    repository.create_graph("lib")
-    #: object name -> id of its current durable (frontier) version
-    current: dict[str, str] = {}
-
-    def blob_for(obj: str, generation: int) -> str:
-        index = int(obj.rsplit("-", 1)[-1])
-        return chr(ord("a") + generation % 26) \
-            * (payload_bytes + 256 * index)
-
-    for index in range(object_pool):
-        name = f"lib-{index}"
-        dov = repository.checkin(
-            "lib", "SharedObject",
-            {"name": name, "blob": blob_for(name, 0)}, ())
-        current[name] = dov.dov_id
-    for index in range(team):
-        name = f"cell-{index}"
-        dov = repository.checkin(
-            "lib", "SharedObject",
-            {"name": name, "blob": blob_for(name, 0)}, ())
-        current[name] = dov.dov_id
-
     workload = team_workload(
         team, steps_per_session, mean_step, seed,
         reads_per_step=reads_per_step,
         reread_locality=reread_locality, object_pool=object_pool,
         write_ratio=write_ratio, flush_interval=flush_interval)
+    rig = session_rig(on_kernel, seed=seed, lan_latency=lan_latency,
+                      jitter=jitter, bandwidth=bandwidth,
+                      lease_ttl=lease_ttl, write_back=write_back,
+                      flush_interval=workload.flush_interval or None,
+                      pressure_fraction=workload.pressure_fraction)
+    driver = SessionDriver(rig, payload_bytes)
+    driver.seed_library([f"lib-{n}" for n in range(object_pool)]
+                        + [f"cell-{n}" for n in range(team)])
+
+    # every step also reads the neighbour's design object, and writes
+    # go to the designer's own
+    plans = [SessionPlan(
+        start=0.0, workstation=f"ws-{index}", da_id=f"da-{index}",
+        kind="t9", stem=spec.session_id,
+        steps=tuple(
+            StepPlan((*spec.reads_at(step),
+                      f"cell-{(index - 1) % team}"), duration,
+                     f"cell-{index}" if spec.writes_at(step) else None)
+            for step, duration in enumerate(spec.step_durations)))
+        for index, spec in enumerate(workload.sessions)]
+    driver.add_designers(team)
+    driver.schedule(plans)
+    rig.kernel.run_until_quiescent()
 
     report = WriteBackReport(write_back=write_back)
-    clients: list[ClientTM] = []
-    buffers: list[ObjectBuffer] = []
-    generations: dict[str, int] = {}
-    #: per client, the read set of its final step (restart re-reads)
-    last_reads: dict[str, list[str]] = {}
-
-    def launch(index: int, spec, client: ClientTM) -> None:
-        da_id = f"da-{index}"
-        own = f"cell-{index}"
-        neighbour = f"cell-{(index - 1) % team}"
-        state: dict[str, Any] = {"step": 0, "dop": None, "last": None}
-
-        def start_session() -> None:
-            state["dop"] = client.begin_dop(da_id, tool="t9-tool")
-            state["last"] = current[own]
-            start_step()
-
-        def start_step() -> None:
-            step = state["step"]
-            dop = state["dop"]
-            reads = spec.reads_at(step) + [neighbour]
-            fetched_before = client.fetch_time
-            for obj in reads:
-                client.checkout(dop, current[obj])
-            last_reads[client.workstation] = [current[obj]
-                                             for obj in reads]
-            fetch_delay = client.fetch_time - fetched_before
-            kernel.after(
-                fetch_delay + spec.step_durations[step],
-                lambda: finish_step(step),
-                label=f"t9-step:{spec.session_id}:{step}")
-
-        def finish_step(step: int) -> None:
-            dop = state["dop"]
-            if spec.writes_at(step):
-                generations[own] = generations.get(own, 0) + 1
-                result = client.checkin(
-                    dop, "SharedObject",
-                    data={"name": own,
-                          "blob": blob_for(own, generations[own])},
-                    parents=[state["last"]])
-                if result.success:
-                    state["last"] = result.dov.dov_id
-                    report.checkins += 1
-                    if not result.provisional:
-                        current[own] = result.dov.dov_id
-            state["step"] = step + 1
-            if state["step"] >= len(spec.step_durations):
-                client.commit_dop(dop)
-                # write-back: End-of-DOP flushed; publish the durable
-                # frontier of this designer's object
-                current[own] = client.resolve(state["last"])
-                return
-            start_step()
-
-        kernel.at(0.0, start_session,
-                  label=f"t9-begin:{spec.session_id}")
-
-    for index, spec in enumerate(workload.sessions):
-        workstation = f"ws-{index}"
-        network.add_workstation(workstation)
-        buffer = ObjectBuffer(workstation, policy="lru")
-        client = ClientTM(
-            workstation, server_tm, rpc, clock, ids=ids,
-            buffer=buffer, write_back=write_back,
-            flush_interval=workload.flush_interval or None,
-            pressure_fraction=workload.pressure_fraction)
-        repository.create_graph(f"da-{index}")
-        clients.append(client)
-        buffers.append(buffer)
-        launch(index, spec, client)
-
-    kernel.run_until_quiescent()
-
-    stats = network.traffic_stats()
-    report.makespan = clock.now
-    report.bytes_shipped = stats["bytes_shipped"]
-    report.messages = stats["messages_sent"]
-    report.batches = stats["batches_sent"]
-    report.batched_payloads = stats["batched_payloads"]
+    driver.fill(report)
+    clients, buffers = rig.client_tms(), rig.buffers()
+    report.batches = rig.network.batches_sent
+    report.batched_payloads = rig.network.batched_payloads
     report.flushes = sum(c.flushes for c in clients)
     report.flushed_checkins = sum(c.flushed_checkins for c in clients)
     report.coalesced = sum(b.coalesced for b in buffers)
-    report.invalidations_sent = server_tm.invalidations_sent
-    report.hits = sum(b.hits for b in buffers)
-    report.misses = sum(b.misses for b in buffers)
-    looked_up = report.hits + report.misses
-    report.hit_rate = report.hits / looked_up if looked_up else 0.0
-    report.fetch_time = sum(c.fetch_time for c in clients)
-    report.signature = kernel.trace_signature()
 
     if restart:
         # the seeded server-restart episode: warm buffers survive via
         # stamp re-validation, then a re-read round shows the kept
         # entries serve locally (every re-shipped byte is counted)
-        network.crash_node("server")
-        network.restart_node("server")
+        rig.crash_server()
+        rig.restart_server()
         report.revalidated = sum(b.revalidated for b in buffers)
         report.revalidation_drops = sum(b.revalidation_drops
                                         for b in buffers)
-        before = network.bytes_shipped
+        before = rig.network.bytes_shipped
         for index, client in enumerate(clients):
             dop = client.begin_dop(f"da-{index}", tool="t9-reread")
-            for dov_id in last_reads.get(client.workstation, []):
+            for dov_id in driver.last_reads.get(client.workstation, []):
                 client.checkout(dop, dov_id)
             client.commit_dop(dop)
-        report.post_restart_bytes = network.bytes_shipped - before
+        report.post_restart_bytes = rig.network.bytes_shipped - before
     return report
 
 
@@ -867,30 +666,9 @@ def federated_commit_scenario(crash: str = "none", members: int = 3,
     (irrelevant to the outcome here — every DA is pinned with
     ``assign`` — but it lets the scenario exercise both index modes).
     """
-    from repro.repository.federation import FederatedRepository
-
     report = FederatedCommitReport(crash=crash, members=members)
-    # one id generator across the federation: the directory (and the
-    # decision-log manifests) key on globally unique DOV ids
-    ids = IdGenerator()
-    federation = FederatedRepository({
-        f"site-{index}": DesignDataRepository(ids)
-        for index in range(members)}, placement=placement)
-    dot = DesignObjectType("Part", attributes=[
-        AttributeDef("name", AttributeKind.STRING),
-        AttributeDef("rev", AttributeKind.INT),
-        AttributeDef("weight", AttributeKind.FLOAT),
-    ])
-    federation.register_dot(dot)
+    federation, current = _part_federation(members, seed, placement)
     target = f"site-{crash_member % members}"
-    current: dict[str, str] = {}
-    for index in range(members):
-        da_id = f"da-{index}"
-        federation.assign(da_id, f"site-{index}")
-        federation.create_graph(da_id)
-        dov = federation.checkin(
-            da_id, "Part", _part_payload(index, 0, seed), ())
-        current[da_id] = dov.dov_id
 
     def stage_batch(rev: int) -> list[str]:
         staged: list[str] = []
@@ -1000,26 +778,7 @@ def _federation_rebuild_check(members: int = 3, batches: int = 2,
     one version left staged, lose the coordinator (decision-log memory
     + the whole placement index), recover from the members alone, and
     compare every index surface against the pre-crash snapshot."""
-    from repro.repository.federation import FederatedRepository
-
-    ids = IdGenerator()
-    federation = FederatedRepository({
-        f"site-{index}": DesignDataRepository(ids)
-        for index in range(members)})
-    dot = DesignObjectType("Part", attributes=[
-        AttributeDef("name", AttributeKind.STRING),
-        AttributeDef("rev", AttributeKind.INT),
-        AttributeDef("weight", AttributeKind.FLOAT),
-    ])
-    federation.register_dot(dot)
-    current: dict[str, str] = {}
-    for index in range(members):
-        da_id = f"da-{index}"
-        federation.assign(da_id, f"site-{index}")
-        federation.create_graph(da_id)
-        dov = federation.checkin(
-            da_id, "Part", _part_payload(index, 0, seed), ())
-        current[da_id] = dov.dov_id
+    federation, current = _part_federation(members, seed)
     for rev in range(1, batches + 1):
         staged = []
         for index in range(members):
@@ -1044,6 +803,34 @@ def _federation_rebuild_check(members: int = 3, batches: int = 2,
     return (federation.directory_snapshot() == directory_before
             and federation.placement_index.homes() == homes_before
             and federation.placement_index.stats() == before)
+
+
+def _part_federation(members: int, seed: int,
+                     placement: str = "directory"
+                     ) -> tuple[Any, dict[str, str]]:
+    """A federation of *members* sites, one pinned DA with one durable
+    ``Part`` version on each; returns it with the per-DA heads."""
+    from repro.repository.federation import FederatedRepository
+
+    # one id generator across the federation: the directory (and the
+    # decision-log manifests) key on globally unique DOV ids
+    ids = IdGenerator()
+    federation = FederatedRepository({
+        f"site-{index}": DesignDataRepository(ids)
+        for index in range(members)}, placement=placement)
+    federation.register_dot(DesignObjectType("Part", attributes=[
+        AttributeDef("name", AttributeKind.STRING),
+        AttributeDef("rev", AttributeKind.INT),
+        AttributeDef("weight", AttributeKind.FLOAT),
+    ]))
+    current: dict[str, str] = {}
+    for index in range(members):
+        da_id = f"da-{index}"
+        federation.assign(da_id, f"site-{index}")
+        federation.create_graph(da_id)
+        current[da_id] = federation.checkin(
+            da_id, "Part", _part_payload(index, 0, seed), ()).dov_id
+    return federation, current
 
 
 def _part_payload(index: int, rev: int, seed: int) -> dict[str, Any]:

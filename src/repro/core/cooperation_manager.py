@@ -122,8 +122,9 @@ class CooperationManager:
         return requestor in self._visibility.get(dov_id, set())
 
     def _record(self, operation: str, subject: str, **detail: Any) -> None:
-        self.trace.record(self.clock.now, Level.AC, "CM", operation,
-                          subject, **detail)
+        if self.trace.enabled:
+            self.trace.record(self.clock.now, Level.AC, "CM", operation,
+                              subject, **detail)
 
     def _log_op(self, operation: DaOperation, actor: str,
                 **payload: Any) -> None:

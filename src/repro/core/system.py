@@ -35,24 +35,12 @@ from repro.dc.design_manager import (
 )
 from repro.dc.rules import RuleEngine
 from repro.dc.script import DopStep, Script
-from repro.net.network import Network, Node
-from repro.net.rpc import TransactionalRpc
 from repro.net.two_phase_commit import CommitProtocol
-from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
-from repro.sim.clock import SimClock
-from repro.sim.kernel import Kernel
-from repro.te.locks import LockManager
-from repro.te.object_buffer import ObjectBuffer
 from repro.te.recovery import RecoveryPointPolicy
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
+from repro.te.rig import TeRig
+from repro.te.transaction_manager import ClientTM
 from repro.util.errors import ConcordError, NodeDownError, RpcError
-from repro.util.ids import IdGenerator
-from repro.util.trace import EventTrace
 
 
 class ActivityBinding:
@@ -144,8 +132,9 @@ class DaRuntime:
         return self.binding.da
 
 
-class ConcordSystem:
-    """A complete CONCORD installation on one simulated LAN."""
+class ConcordSystem(TeRig):
+    """A complete CONCORD installation on one simulated LAN: the TE
+    rig (:class:`~repro.te.rig.TeRig`) plus the AC and DC levels."""
 
     def __init__(self, trace: bool = True,
                  recovery_policy: RecoveryPointPolicy | None = None,
@@ -163,65 +152,16 @@ class ConcordSystem:
                  flush_interval: int | None = None,
                  lease_ttl: float | None = None,
                  pressure_fraction: float = 1.0) -> None:
-        self.clock = SimClock()
-        self.ids = IdGenerator()
-        self.trace = EventTrace(enabled=trace)
-        #: the unified discrete-event kernel every layer schedules on
-        self.kernel = Kernel(self.clock)
-        self.network = Network(self.clock, lan_latency=lan_latency,
-                               jitter=jitter, seed=seed,
-                               bandwidth=bandwidth)
-        self.network.attach_kernel(self.kernel)
-        self.server: Node = self.network.add_server()
-        self.rpc = TransactionalRpc(self.network)
-        # any object with the DesignDataRepository interface works here,
-        # e.g. a FederatedRepository — the paper's Sect.6 claim that
-        # distributed data management "does not influence the major
-        # model of operation"
-        self.repository = repository if repository is not None \
-            else DesignDataRepository(self.ids)
-        self.locks = LockManager()
-        # server crash/restart wiring for the repository — registered
-        # BEFORE the server-TM's own hooks so that, on restart, the
-        # repository has redone its WAL by the time the server-TM
-        # re-validates the workstation buffers against its stamps
-        self.server.on_crash.append(lambda: self.repository.crash())
-        self.server.on_restart.append(lambda: self.repository.recover())
-        self.server_tm = ServerTM(self.repository, self.locks,
-                                  self.network, trace=self.trace,
-                                  clock=self.clock,
-                                  lease_ttl=lease_ttl)
-        # facade default: keep warm buffers across a server restart
-        # (stamp-based re-validation); restart_server(revalidate=False)
-        # restores the seed's conservative cold flush
-        self.server_tm.revalidate_on_restart = True
-        register_server_endpoints(self.rpc, self.server_tm)
+        super().__init__(
+            trace, recovery_policy, commit_protocol, lan_latency,
+            repository, jitter, seed, object_buffers,
+            buffer_capacity_bytes, bandwidth, write_back,
+            eviction_policy, flush_interval, lease_ttl, pressure_fraction)
         self.cm = CooperationManager(self.repository, self.locks,
                                      self.network, ids=self.ids,
                                      trace=self.trace)
         self.cm.install_scope_check(self.server_tm)
         self.tools = ToolRegistry()
-        self.recovery_policy = recovery_policy or RecoveryPointPolicy()
-        self.commit_protocol = commit_protocol
-        #: workstation object buffers on (the data-shipping cache) or
-        #: off (every checkout re-ships its payload)
-        self.object_buffers = object_buffers
-        self.buffer_capacity_bytes = buffer_capacity_bytes
-        #: replacement policy name for every workstation buffer
-        #: ("fifo" | "lru" | "size-aware")
-        self.eviction_policy = eviction_policy
-        #: write-back checkins (deferred, group-flushed) vs the
-        #: write-through default
-        self.write_back = write_back
-        self.flush_interval = flush_interval
-        #: lease regime: None = explicit recalls only (the PR 2
-        #: protocol); a number = TTL renewal leases on kernel timers
-        self.lease_ttl = lease_ttl
-        #: capacity-pressure flush policy: fraction of the dirty set
-        #: (oldest first) a pressure-triggered flush ships
-        self.pressure_fraction = pressure_fraction
-        self._buffers: dict[str, ObjectBuffer] = {}
-        self._client_tms: dict[str, ClientTM] = {}
         self._runtimes: dict[str, DaRuntime] = {}
         self.constraints = DomainConstraintSet()
         #: installed by :meth:`run_concurrent` — called with a node id
@@ -230,9 +170,8 @@ class ConcordSystem:
         #: per-DA reports of the most recent workstation recovery (the
         #: kernel restart path has no caller to hand them to)
         self.last_recovery_reports: dict[str, Any] = {}
-
-        # CM state reload on server restart (repository hooks were
-        # registered above, before the server-TM's re-validation hook)
+        # CM state reload on server restart: after the repository's
+        # recovery and the server-TM's re-validation (the rig's hooks)
         self.server.on_restart.append(self._recover_cm)
 
     def _recover_cm(self) -> None:
@@ -241,58 +180,6 @@ class ConcordSystem:
         self.cm.recover()
         for da_id, runtime in self._runtimes.items():
             runtime.binding.da = self.cm.da(da_id)
-
-    # -- topology ------------------------------------------------------------
-
-    def add_workstation(self, name: str) -> ClientTM:
-        """Register a designer workstation with its client-TM.
-
-        With :attr:`object_buffers` on, the workstation gets its DOV
-        object buffer; the client-TM serves checkout hits from it and
-        the server-TM tracks its read leases for invalidation.
-        """
-        self.network.add_workstation(name)
-        buffer = None
-        if self.object_buffers:
-            buffer = ObjectBuffer(
-                name, capacity_bytes=self.buffer_capacity_bytes,
-                policy=self.eviction_policy)
-            self._buffers[name] = buffer
-        client_tm = ClientTM(name, self.server_tm, self.rpc, self.clock,
-                             ids=self.ids, policy=self.recovery_policy,
-                             trace=self.trace,
-                             protocol=self.commit_protocol,
-                             buffer=buffer,
-                             write_back=self.write_back,
-                             flush_interval=self.flush_interval,
-                             pressure_fraction=self.pressure_fraction)
-        self._client_tms[name] = client_tm
-        return client_tm
-
-    def flush_group(self, workstations: list[str] | None = None):
-        """Cross-workstation group commit: the dirty sets of the named
-        (default: all) workstations ship under ONE coordinator, ONE
-        decision and ONE forced repository WAL write — see
-        :func:`repro.txn.flush_group`."""
-        from repro.txn import flush_group
-
-        names = workstations if workstations is not None \
-            else list(self._client_tms)
-        return flush_group([self.client_tm(name) for name in names])
-
-    def client_tm(self, workstation: str) -> ClientTM:
-        """The client-TM of a workstation."""
-        try:
-            return self._client_tms[workstation]
-        except KeyError:
-            raise ConcordError(
-                f"unknown workstation {workstation!r}") from None
-
-    def object_buffer(self, workstation: str) -> ObjectBuffer | None:
-        """The DOV object buffer of a workstation (None = caching off)."""
-        if workstation not in self._client_tms:
-            raise ConcordError(f"unknown workstation {workstation!r}")
-        return self._buffers.get(workstation)
 
     # -- DA lifecycle -----------------------------------------------------------
 
@@ -611,29 +498,11 @@ class ConcordSystem:
             self._concurrent_resume(name)
         return reports
 
-    def crash_server(self) -> None:
-        """Crash the server: repository + CM volatile state vanish."""
-        self.network.crash_node(self.server.node_id)
-
-    def restart_server(self, revalidate: bool = True) -> None:
-        """Restart the server (repository redo + CM state reload run via
-        the registered restart hooks).
-
-        The lease table died with the server, so the surviving
-        workstation buffer entries must be dealt with.  With
-        ``revalidate=True`` (default) the server-TM re-validates each
-        registered buffer against fresh repository stamps
-        (``describe_many`` — metadata only): entries whose stamp still
-        matches stay resident under a new read lease, so warm caches
-        survive recovery without re-shipping a byte.  With
-        ``revalidate=False`` the seed's conservative path runs
-        instead: every buffer is cold-flushed and re-reads repopulate
-        it through the normal checkout chain.  The choice is sticky —
-        it also governs later kernel-injected restarts armed with
-        :meth:`schedule_crash`.
-        """
-        self.server_tm.revalidate_on_restart = revalidate
-        self.network.restart_node(self.server.node_id)
+    def restart_server(self) -> None:
+        """Restart the server (repository redo, buffer re-validation
+        and CM state reload run via the registered restart hooks, in
+        that order), then resume the DAs parked on it."""
+        super().restart_server()
         if self._concurrent_resume is not None:
             self._concurrent_resume(self.server.node_id)
 

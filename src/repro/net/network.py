@@ -16,6 +16,7 @@ environment deterministically:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
@@ -169,6 +170,17 @@ class Network:
                  jitter: float = 0.0,
                  seed: int = 0,
                  bandwidth: float = 1_000_000.0) -> None:
+        # validated once, here: a bad number would otherwise surface
+        # as a raw fault on the first sized message, or not at all
+        for name, value in (("lan_latency", lan_latency),
+                            ("local_latency", local_latency),
+                            ("jitter", jitter)):
+            if not (math.isfinite(value) and value >= 0):
+                raise NetworkError(
+                    f"{name}={value!r}: must be finite and >= 0")
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise NetworkError(
+                f"bandwidth={bandwidth!r}: must be finite and > 0")
         self.clock = clock or SimClock()
         self.lan_latency = lan_latency
         self.local_latency = local_latency

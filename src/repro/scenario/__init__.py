@@ -30,6 +30,7 @@ from repro.scenario.schema import (
     parse_scenario,
     validate_scenario,
 )
+from repro.scenario.sessions import SessionDriver, SessionPlan, StepPlan
 
 __all__ = [
     "CampaignReport",
@@ -39,6 +40,9 @@ __all__ = [
     "SCENARIO_SCHEMA",
     "ScenarioConfig",
     "ScenarioError",
+    "SessionDriver",
+    "SessionPlan",
+    "StepPlan",
     "canonical_scenarios",
     "compile_scenario",
     "design_campaign_scenario",

@@ -20,25 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.net.network import Network
-from repro.net.rpc import TransactionalRpc
-from repro.repository.repository import DesignDataRepository
-from repro.repository.schema import (
-    AttributeDef,
-    AttributeKind,
-    DesignObjectType,
-)
-from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.te.locks import LockManager
-from repro.te.object_buffer import ObjectBuffer
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
-from repro.util.ids import IdGenerator
 from repro.util.rng import SeededRng
+from repro.scenario.sessions import (
+    SessionDriver,
+    SessionPlan,
+    StepPlan,
+    session_rig,
+)
 
 
 @dataclass
@@ -73,29 +62,14 @@ class CampaignReport:
     signature: tuple[Any, ...] = ()
 
 
-@dataclass(frozen=True)
-class _SessionPlan:
-    """One pre-drawn designer session (fully deterministic)."""
-
-    day: int
-    designer: int
-    slot: int
-    start: float
-    durations: tuple[float, ...]
-    #: per step, the object names to check out
-    reads: tuple[tuple[str, ...], ...]
-    #: per step, True when the step checks in a derived version
-    writes: tuple[bool, ...]
-
-
 def _draw_plan(rng: SeededRng, *, team: int, days: int,
                sessions_per_day: int, steps_per_session: int,
                mean_step: float, day_length: float, diurnal_peak: float,
                object_pool: int, hotspots: int, hotspot_bias: float,
                reads_per_step: int, reread_locality: float,
-               write_ratio: float) -> list[_SessionPlan]:
+               write_ratio: float) -> list[SessionPlan]:
     """Draw the whole campaign up front from one seeded stream."""
-    plans: list[_SessionPlan] = []
+    plans: list[SessionPlan] = []
     working: dict[int, list[str]] = {i: [] for i in range(team)}
     # diurnal concentration: peak=1 spreads starts over the whole day,
     # higher peaks narrow the start window symmetrically around midday
@@ -110,9 +84,8 @@ def _draw_plan(rng: SeededRng, *, team: int, days: int,
                     rng.bounded_normal(mean_step, mean_step / 3.0,
                                        mean_step / 10.0, mean_step * 3.0)
                     for _ in range(steps_per_session))
-                reads: list[tuple[str, ...]] = []
-                writes: list[bool] = []
-                for _ in range(steps_per_session):
+                steps: list[StepPlan] = []
+                for duration in durations:
                     step_reads: list[str] = []
                     for _ in range(reads_per_step):
                         ws = working[designer]
@@ -126,13 +99,18 @@ def _draw_plan(rng: SeededRng, *, team: int, days: int,
                         if obj not in ws:
                             ws.append(obj)
                             del ws[:-4]  # bounded working set
-                    reads.append(tuple(step_reads))
-                    writes.append(bool(step_reads)
-                                  and rng.bernoulli(write_ratio))
-                plans.append(_SessionPlan(
-                    day=day, designer=designer, slot=slot, start=start,
-                    durations=durations, reads=tuple(reads),
-                    writes=tuple(writes)))
+                    # a step that reads checks in a derived version of
+                    # its first input with probability write_ratio
+                    writes = bool(step_reads) \
+                        and rng.bernoulli(write_ratio)
+                    steps.append(StepPlan(
+                        tuple(step_reads), duration,
+                        step_reads[0] if writes else None))
+                plans.append(SessionPlan(
+                    start=start, workstation=f"ws-{designer}",
+                    da_id=f"da-{designer}", kind="campaign",
+                    stem=f"d{day}:w{designer}:s{slot}",
+                    steps=tuple(steps)))
     return plans
 
 
@@ -160,118 +138,26 @@ def design_campaign_scenario(team: int = 4,
                              on_kernel: Callable[[Kernel], None]
                              | None = None) -> CampaignReport:
     """Run a multi-day design campaign on the real TE stack."""
-    clock = SimClock()
-    kernel = Kernel(clock)
-    if on_kernel is not None:
-        on_kernel(kernel)
-    network = Network(clock, lan_latency=lan_latency, jitter=jitter,
-                      seed=seed, bandwidth=bandwidth)
-    network.attach_kernel(kernel)
-    network.add_server()
-    repository = DesignDataRepository()
-    locks = LockManager()
-    server_tm = ServerTM(repository, locks, network, clock=clock,
-                         lease_ttl=lease_ttl)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    rpc = TransactionalRpc(network)
-    register_server_endpoints(rpc, server_tm)
-    ids = IdGenerator()
+    rig = session_rig(on_kernel, object_buffers=caching, seed=seed,
+                      lan_latency=lan_latency, jitter=jitter,
+                      bandwidth=bandwidth, lease_ttl=lease_ttl)
+    kernel, network = rig.kernel, rig.network
+    driver = SessionDriver(rig, payload_bytes)
+    driver.seed_library([f"lib-{n}" for n in range(object_pool)])
 
-    repository.register_dot(DesignObjectType("SharedObject", attributes=[
-        AttributeDef("name", AttributeKind.STRING),
-        AttributeDef("blob", AttributeKind.STRING),
-    ]))
-    repository.create_graph("lib")
-    current: dict[str, str] = {}
-
-    def blob_for(obj: str, generation: int) -> str:
-        index = int(obj.rsplit("-", 1)[-1])
-        return chr(ord("a") + generation % 26) \
-            * (payload_bytes + 256 * index)
-
-    for index in range(object_pool):
-        name = f"lib-{index}"
-        dov = repository.checkin(
-            "lib", "SharedObject",
-            {"name": name, "blob": blob_for(name, 0)}, ())
-        current[name] = dov.dov_id
-
-    rng = SeededRng(seed)
     plans = _draw_plan(
-        rng.fork(1), team=team, days=days,
+        SeededRng(seed).fork(1), team=team, days=days,
         sessions_per_day=sessions_per_day,
         steps_per_session=steps_per_session, mean_step=mean_step,
         day_length=day_length, diurnal_peak=diurnal_peak,
         object_pool=object_pool, hotspots=hotspots,
         hotspot_bias=hotspot_bias, reads_per_step=reads_per_step,
         reread_locality=reread_locality, write_ratio=write_ratio)
+    driver.add_designers(team)
+    driver.schedule(plans)
+    buffers = rig.buffers()
 
     report = CampaignReport(days=days, team=team)
-    clients: list[ClientTM] = []
-    buffers: list[ObjectBuffer] = []
-    generations: dict[str, int] = {}
-    hotspot_names = {f"lib-{index}" for index in range(hotspots)}
-
-    for index in range(team):
-        workstation = f"ws-{index}"
-        network.add_workstation(workstation)
-        buffer = ObjectBuffer(workstation, policy="lru") if caching \
-            else None
-        client = ClientTM(workstation, server_tm, rpc, clock, ids=ids,
-                          buffer=buffer)
-        repository.create_graph(f"da-{index}")
-        clients.append(client)
-        if buffer is not None:
-            buffers.append(buffer)
-
-    def run_session(plan: _SessionPlan) -> None:
-        client = clients[plan.designer]
-        dop = client.begin_dop(f"da-{plan.designer}",
-                               tool="campaign-tool")
-        state = {"step": 0}
-
-        def start_step() -> None:
-            step = state["step"]
-            fetched_before = client.fetch_time
-            for obj in plan.reads[step]:
-                client.checkout(dop, current[obj])
-                if obj in hotspot_names:
-                    report.hotspot_reads += 1
-            fetch_delay = client.fetch_time - fetched_before
-            kernel.after(
-                fetch_delay + plan.durations[step],
-                lambda: finish_step(step),
-                label=f"campaign-step:d{plan.day}:w{plan.designer}"
-                      f":s{plan.slot}:{step}")
-
-        def finish_step(step: int) -> None:
-            report.steps += 1
-            reads = plan.reads[step]
-            if plan.writes[step] and reads:
-                target = reads[0]
-                generations[target] = generations.get(target, 0) + 1
-                result = client.checkin(
-                    dop, "SharedObject",
-                    data={"name": target,
-                          "blob": blob_for(target, generations[target])},
-                    parents=[current[target]])
-                if result.success:
-                    current[target] = result.dov.dov_id
-                    report.checkins += 1
-            state["step"] = step + 1
-            if state["step"] >= len(plan.durations):
-                client.commit_dop(dop)
-                report.sessions += 1
-                return
-            start_step()
-
-        start_step()
-
-    for plan in plans:
-        kernel.at(plan.start, lambda p=plan: run_session(p),
-                  label=f"campaign-begin:d{plan.day}:w{plan.designer}"
-                        f":s{plan.slot}")
-
     # -- churn: at each day boundary a rotating subset of the team is
     # replaced; the successor inherits the workstation but none of the
     # warm buffer state
@@ -298,20 +184,16 @@ def design_campaign_scenario(team: int = 4,
 
     kernel.run_until_quiescent()
 
-    stats = network.traffic_stats()
-    report.makespan = clock.now
-    report.bytes_shipped = stats["bytes_shipped"]
-    report.messages = stats["messages_sent"]
-    report.hits = sum(b.hits for b in buffers)
-    report.misses = sum(b.misses for b in buffers)
-    looked_up = report.hits + report.misses
-    report.hit_rate = report.hits / looked_up if looked_up else 0.0
-    report.invalidations_sent = server_tm.invalidations_sent
+    driver.fill(report)
+    report.sessions = driver.sessions
+    report.steps = driver.steps
+    hotspot_names = {f"lib-{index}" for index in range(hotspots)}
+    report.hotspot_reads = sum(
+        obj in hotspot_names
+        for plan in plans for step in plan.steps for obj in step.reads)
     report.invalidations_applied = sum(b.invalidations for b in buffers)
-    report.fetch_time = sum(c.fetch_time for c in clients)
     prev = 0
     for sample in day_marks:
         report.bytes_by_day.append(sample - prev)
         prev = sample
-    report.signature = kernel.trace_signature()
     return report

@@ -3,7 +3,8 @@
 Provides the TE-level concepts of the paper's Sect.4.3 and Sect.5.2:
 design operations with checkout/checkin, save/restore, suspend/resume,
 automatic recovery points, and the client-TM / server-TM pair with
-two-phase commit for their critical interactions.
+two-phase commit for their critical interactions — wired, once, by
+:class:`~repro.te.rig.TeRig`.
 """
 
 from repro.te.context import ContextImage, DopContext, SavepointStack
@@ -24,6 +25,7 @@ from repro.te.recovery import (
     RecoveryPoint,
     RecoveryPointPolicy,
 )
+from repro.te.rig import TeRig
 from repro.te.transaction_manager import (
     CheckinResult,
     ClientTM,
@@ -56,6 +58,7 @@ __all__ = [
     "SavepointStack",
     "ServerTM",
     "SizeAwareEviction",
+    "TeRig",
     "make_eviction_policy",
     "register_server_endpoints",
 ]

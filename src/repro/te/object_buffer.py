@@ -509,20 +509,6 @@ class ObjectBuffer:
         return [dov_id for dov_id, e in self._entries.items()
                 if not e.dirty]
 
-    def drop_clean(self) -> int:
-        """Drop every clean entry, keep the dirty ones; returns #dropped.
-
-        The conservative server-restart path: clean copies lost their
-        leases with the server and could never be invalidated again,
-        so they go; dirty entries were never shipped (the server holds
-        nothing to re-validate them against) and remain the
-        workstation's unflushed work — a later flush ships them.
-        """
-        doomed = self.clean_ids()
-        for dov_id in doomed:
-            del self._entries[dov_id]
-        return len(doomed)
-
     def clear(self) -> int:
         """Crash/flush: drop every entry; returns how many were lost.
 

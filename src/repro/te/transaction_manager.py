@@ -172,23 +172,15 @@ class ServerTM:
         self.invalidation_bytes = 16
         #: group checkins committed (each one batched 2PC run)
         self.group_checkins = 0
-        #: restart policy: True re-validates resident buffer entries
-        #: against repository stamps (warm caches survive recovery),
-        #: False keeps the seed's conservative cold flush.  Standalone
-        #: TE rigs default to the flush; :class:`ConcordSystem` turns
-        #: re-validation on (its hook ordering guarantees the
-        #: repository has recovered before the stamps are read).
-        self.revalidate_on_restart = False
         # supersession notices: every committed version revokes the
         # leases on its parents (plain repository and federation alike
         # expose the on_commit observer)
         if hasattr(repository, "on_commit"):
             repository.on_commit = self._on_repository_commit
         # the lease table is volatile server state and died with the
-        # server; a restart must either re-validate the registered
-        # workstation buffers against fresh repository stamps or flush
-        # them — an unleased, unvalidated copy could never be revoked
-        # again
+        # server; a restart re-validates the registered workstation
+        # buffers against fresh repository stamps — an unleased,
+        # unvalidated copy could never be revoked again
         try:
             node = network.node(node_id)
             node.on_crash.append(self.clear_leases)
@@ -202,8 +194,9 @@ class ServerTM:
         return dov_id in self.repository.graph(da_id)
 
     def _record(self, operation: str, subject: str, **detail: Any) -> None:
-        self.trace.record(self.clock.now, Level.TE, "server-TM",
-                          operation, subject, **detail)
+        if self.trace.enabled:
+            self.trace.record(self.clock.now, Level.TE, "server-TM",
+                              operation, subject, **detail)
 
     # -- checkout ---------------------------------------------------------------
 
@@ -603,41 +596,20 @@ class ServerTM:
                                 superseded_by="<lease-expired>")
 
     def _on_server_restart(self) -> None:
-        """Restart hook: re-validate or flush the registered buffers.
+        """Restart hook: re-validate the registered buffers.
 
-        Dispatches on :attr:`revalidate_on_restart`.  When
-        re-validating, the repository must already have recovered
-        (hook-registration order is the caller's contract —
-        :class:`~repro.core.system.ConcordSystem` registers the
-        repository's recovery before constructing the server-TM).
+        The only restart path.  It reads repository stamps, so the
+        repository must already have recovered — which
+        :class:`~repro.te.rig.TeRig` guarantees by registering the
+        repository's hooks before it constructs the server-TM.
         """
-        if self.revalidate_on_restart:
-            self.revalidate_buffers()
-        else:
-            self.flush_buffers()
-
-    def flush_buffers(self) -> None:
-        """Server restart (conservative path): flush every registered
-        workstation buffer.
-
-        The lease table died with the server, so surviving buffered
-        copies could never be invalidated again; re-reads repopulate
-        the buffers through the normal checkout chain.  This was the
-        seed behaviour and stays reachable via
-        ``restart_server(revalidate=False)`` /
-        ``revalidate_on_restart = False``.  Dirty (unflushed
-        write-back) entries survive either restart path: they were
-        never shipped, so the server's death says nothing about them —
-        a later flush ships them against the recovered repository.
-        """
-        for buffer in self._buffers.values():
-            buffer.drop_clean()
+        self.revalidate_buffers()
 
     def revalidate_buffers(self) -> dict[str, dict[str, int]]:
-        """Server restart (warm path): stamp-based buffer re-validation.
+        """Server restart: stamp-based buffer re-validation.
 
-        Instead of cold-flushing, each registered buffer's clean
-        resident ids are checked against fresh repository stamps
+        Each registered buffer's clean resident ids are checked
+        against fresh repository stamps
         (:meth:`~repro.repository.repository.DesignDataRepository.describe_many`
         — metadata only, no payload shipping).  Entries whose stamp
         still matches stay resident and get a **new read lease**, so
@@ -746,6 +718,7 @@ class ClientTM:
         self.clock = clock
         self.ids = ids or IdGenerator()
         self.trace = trace if trace is not None else EventTrace(enabled=False)
+        self._component = f"client-TM:{workstation}"
         #: the workstation's DOV object buffer (None = caching off:
         #: every checkout re-ships its payload over the LAN)
         self.buffer = buffer
@@ -813,9 +786,9 @@ class ClientTM:
     # -- infrastructure -----------------------------------------------------------
 
     def _record(self, operation: str, subject: str, **detail: Any) -> None:
-        self.trace.record(self.clock.now, Level.TE,
-                          f"client-TM:{self.workstation}",
-                          operation, subject, **detail)
+        if self.trace.enabled:
+            self.trace.record(self.clock.now, Level.TE, self._component,
+                              operation, subject, **detail)
 
     def _on_crash(self) -> None:
         # volatile DOP table vanishes with the workstation, and so

@@ -268,3 +268,13 @@ class TestWholeSiteLoss:
         assert federation.placement_index.homes() == homes_before
         commit_batch(federation, heads, rev=2)
         assert_directory_rebuild_equal(federation)
+
+
+def test_directory_rebuilt_from_the_members_equals_the_maintained_one():
+    """The perf harness's structural guard (``determinism.
+    federation_directory_rebuild_identical`` in BENCH_PERF.json), run
+    in tier-1: cross-member batches plus one version left staged, the
+    coordinator lost, every index surface rebuilt from the members."""
+    from repro.bench.scenarios import _federation_rebuild_check
+
+    assert _federation_rebuild_check()

@@ -311,9 +311,9 @@ class TestNoDeepcopyBelowTheTeLevel:
     def rig(self):
         # the rig and payload of the two microbenchmarks this gate
         # stands behind (checkout_buffer_hit, ..._write_through)
-        rig = _make_rig(buffering=True)
-        dov = rig["repository"].checkin("da-1", "Cell", _nested_payload())
-        return rig["client"], dov
+        rig = _make_rig()
+        dov = rig.repository.checkin("da-1", "Cell", _nested_payload())
+        return rig.client_tm("ws-1"), dov
 
     def from_the_te_level(self, callers: list[str]) -> list[str]:
         return [name for name in callers
@@ -377,9 +377,9 @@ class TestACheckoutPointIsADelta:
     stores one small record and looks at nothing it did not change."""
 
     def test_300_buffer_hit_checkouts_inside_one_dop(self, monkeypatch):
-        rig = _make_rig(buffering=True)
-        client = rig["client"]
-        dov = rig["repository"].checkin("da-1", "Cell", _nested_payload())
+        rig = _make_rig()
+        client = rig.client_tm("ws-1")
+        dov = rig.repository.checkin("da-1", "Cell", _nested_payload())
         dop = client.begin_dop("da-1", "tool")
         client.checkout(dop, dov.dov_id)            # the one miss
 
@@ -411,6 +411,34 @@ class TestACheckoutPointIsADelta:
         assert len(deltas) == 300 - calls["snapshot"]
         assert all(walked == 0 for _, _, walked in deltas)
         assert client.recovery.latest(dop.dop_id).payload is dov.data
+
+
+class TestATraceThatIsOffCostsNothing:
+    """A count gate on every level's ``_record``: with the trace off
+    no row is built, so ``EventTrace.record`` is never entered."""
+
+    def test_a_campaign_with_the_trace_off_records_nothing(
+            self, monkeypatch):
+        from repro.scenario.campaign import design_campaign_scenario
+
+        calls = {"record": 0}
+        _count_calls(monkeypatch, calls, EventTrace, "record")
+        report = design_campaign_scenario(days=2, team=2,
+                                          sessions_per_day=2)
+        assert report.sessions == 8 and report.checkins > 0
+        assert calls["record"] == 0
+
+    def test_the_cm_and_both_tms_test_enabled_first(self, monkeypatch):
+        from repro.bench.scenarios import concurrent_delegation_scenario
+
+        calls = {"record": 0}
+        _count_calls(monkeypatch, calls, EventTrace, "record")
+        system, report = concurrent_delegation_scenario(("A",),
+                                                        trace=False)
+        assert set(report.final_states.values()) \
+            == {"active", "terminated"}
+        assert calls["record"] == 0
+        assert len(system.trace) == 0
 
 
 class TestThePlannerKeepsPinCounts:

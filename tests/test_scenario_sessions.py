@@ -1,0 +1,89 @@
+"""The one session driver: plans are data, the loop is shared.
+
+T8, T9 and the campaign soak hand :class:`SessionDriver` a list of
+:class:`SessionPlan`; what a plan says — DOP per step or per session,
+which step writes what — is all that tells the scenarios apart.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from repro.scenario.sessions import (
+    SessionDriver,
+    SessionPlan,
+    StepPlan,
+    session_rig,
+)
+
+
+def team_plans(dop_per_step: bool) -> list[SessionPlan]:
+    """Two designers, three steps each, over a shared library: both
+    read ``lib-0`` throughout, each derives versions of its own cell
+    and ws-1 a new ``lib-1`` in the middle."""
+    def steps(own: str, other: str) -> tuple[StepPlan, ...]:
+        return (StepPlan(("lib-0", own), 30.0, own),
+                StepPlan(("lib-0", "lib-1", other), 45.0,
+                         "lib-1" if own == "cell-1" else None),
+                StepPlan(("lib-1", own), 20.0, own))
+
+    return [SessionPlan(start=5.0 * index, workstation=f"ws-{index}",
+                        da_id=f"da-{index}", kind="test",
+                        stem=f"designer-{index}",
+                        steps=steps(f"cell-{index}",
+                                    f"cell-{1 - index}"),
+                        dop_per_step=dop_per_step)
+            for index in range(2)]
+
+
+def run(plans: list[SessionPlan], **te) -> SessionDriver:
+    driver = SessionDriver(session_rig(None, bandwidth=400.0, **te),
+                           payload_bytes=2000)
+    driver.seed_library(["lib-0", "lib-1", "cell-0", "cell-1"])
+    driver.add_designers(2)
+    driver.schedule(plans)
+    driver.rig.kernel.run_until_quiescent()
+    return driver
+
+
+def counted(driver: SessionDriver) -> dict:
+    return {"steps": driver.steps, "sessions": driver.sessions,
+            "checkins": driver.checkins,
+            "generations": driver.generations,
+            "versions": {obj: driver.rig.repository.read(dov_id).data
+                         ["blob"][:1]
+                         for obj, dov_id in driver.current.items()}}
+
+
+def test_the_same_plans_twice_give_the_same_trace():
+    first, second = run(team_plans(False)), run(team_plans(False))
+    signature = first.rig.kernel.trace_signature()
+    assert signature == second.rig.kernel.trace_signature()
+    # labels come from the plan: <kind>-begin:<stem>, -step:<stem>:<n>
+    assert "test-begin:designer-1" in signature[2]
+    assert "test-step:designer-0:2" in signature[2]
+
+
+def test_dop_per_step_and_per_session_differ_in_the_dops_begun_only():
+    per_step, per_session = run(team_plans(True)), run(team_plans(False))
+    assert counted(per_step) == counted(per_session)
+    assert per_step.steps == 6 and per_step.checkins == 5
+    assert per_step.dops == per_step.steps
+    assert per_session.dops == per_session.sessions == 2
+
+
+def test_write_back_publishes_the_durable_version_at_end_of_dop():
+    through = run(team_plans(False))
+    back = run(team_plans(False), write_back=True)
+    assert counted(back) == counted(through)
+    client = back.rig.client_tm("ws-0")
+    # two checkins of cell-0 inside one DOP coalesced into one flush
+    assert client.flushes == 1 and back.rig.buffers()[0].coalesced == 1
+    assert all(dov_id in back.rig.repository
+               for dov_id in back.current.values())
+
+
+def test_a_session_without_steps_begins_nothing():
+    plan = replace(team_plans(True)[0], steps=())
+    driver = run([plan])
+    assert (driver.dops, driver.steps, driver.sessions) == (0, 0, 0)

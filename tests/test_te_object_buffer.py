@@ -11,31 +11,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.network import Network
-from repro.net.rpc import TransactionalRpc
 from repro.te.object_buffer import (
     FifoEviction,
     LruEviction,
     SizeAwareEviction,
     make_eviction_policy,
 )
-from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
 )
 from repro.repository.versions import DesignObjectVersion, payload_sizeof
-from repro.sim.clock import SimClock
 from repro.te.object_buffer import ObjectBuffer
 from repro.te.recovery import RecoveryPointPolicy
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
-from repro.te.locks import LockManager
-from repro.util.ids import IdGenerator
+from repro.te.rig import TeRig
 
 
 def make_dov(dov_id="dov-1", data=None, parents=()):
@@ -201,30 +191,20 @@ class TestEvictionPolicies:
 
 @pytest.fixture
 def rig():
-    """Client/server TM pair with a buffering workstation (no kernel:
-    posted messages hand over synchronously)."""
-    clock = SimClock()
-    network = Network(clock, bandwidth=1000.0)
-    network.add_server()
-    network.add_workstation("ws-1")
-    network.add_workstation("ws-2")
-    rpc = TransactionalRpc(network)
-    ids = IdGenerator()
-    repo = DesignDataRepository(ids)
+    """Client/server TM pair with two buffering workstations (the
+    kernel never runs: posted messages hand over synchronously)."""
+    te = TeRig(trace=False, bandwidth=1000.0, eviction_policy="fifo",
+               recovery_policy=RecoveryPointPolicy(interval=30.0))
+    te.open_scope()
+    clock, network, server_tm = te.clock, te.network, te.server_tm
+    repo = te.repository
     repo.register_dot(DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)]))
     repo.create_graph("da-1")
     repo.create_graph("da-2")
-    locks = LockManager()
-    server_tm = ServerTM(repo, locks, network, clock=clock)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    register_server_endpoints(rpc, server_tm)
-    buffers = {name: ObjectBuffer(name) for name in ("ws-1", "ws-2")}
-    clients = {
-        name: ClientTM(name, server_tm, rpc, clock, ids,
-                       policy=RecoveryPointPolicy(interval=30.0),
-                       buffer=buffers[name])
-        for name in ("ws-1", "ws-2")}
+    clients = {name: te.add_workstation(name)
+               for name in ("ws-1", "ws-2")}
+    buffers = {name: te.object_buffer(name) for name in clients}
     dov0 = repo.checkin("da-1", "Cell", {"area": 100.0})
     return {
         "clock": clock, "network": network, "repo": repo,
@@ -370,17 +350,20 @@ class TestCrashSemantics:
         assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
             == set()
 
-    def test_server_restart_flushes_unleased_buffers(self, rig):
-        """The lease table died with the server; surviving buffered
-        copies could never be revoked, so the restart flushes them —
-        at the TE layer, no system facade required."""
+    def test_server_restart_revalidates_unleased_buffers(self, rig):
+        """The lease table died with the server; a surviving buffered
+        copy is re-validated against the recovered repository and
+        leased again — at the TE layer, no system facade required."""
         client = rig["clients"]["ws-1"]
         dop = client.begin_dop("da-1", "tool")
         client.checkout(dop, rig["dov0"].dov_id)
-        assert rig["dov0"].dov_id in rig["buffers"]["ws-1"]
+        buffer = rig["buffers"]["ws-1"]
+        buffer.put(make_dov("dov-gone"), "da-1")  # never was durable
         rig["network"].crash_node("server")
         rig["network"].restart_node("server")
-        assert len(rig["buffers"]["ws-1"]) == 0
+        assert list(buffer.clean_ids()) == [rig["dov0"].dov_id]
+        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+            == {"ws-1"}
 
     def test_capacity_eviction_releases_the_lease(self, rig):
         """An evicted copy must stop drawing invalidation traffic."""

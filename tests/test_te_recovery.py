@@ -139,11 +139,11 @@ PAYLOADS = [
 def te_rig() -> SimpleNamespace:
     # one workstation + server, no buffer, the default recovery-point
     # policy (after each checkout, and every 30 minutes of work)
-    rig = _make_rig(buffering=False)
-    dovs = [rig["repository"].checkin("da-1", "Cell", payload)
+    rig = _make_rig(object_buffers=False)
+    dovs = [rig.repository.checkin("da-1", "Cell", payload)
             for payload in PAYLOADS]
-    return SimpleNamespace(network=rig["network"], client=rig["client"],
-                           dovs=dovs)
+    return SimpleNamespace(network=rig.network,
+                           client=rig.client_tm("ws-1"), dovs=dovs)
 
 
 def append_cell(ctx, value):

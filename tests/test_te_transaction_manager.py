@@ -4,24 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.network import Network
-from repro.net.rpc import TransactionalRpc
-from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
     range_constraint,
 )
-from repro.sim.clock import SimClock
 from repro.te.dop import DopState
-from repro.te.locks import LockManager, LockMode
+from repro.te.locks import LockMode
 from repro.te.recovery import RecoveryPointPolicy
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
+from repro.te.rig import TeRig
 from repro.util.errors import (
     LockConflictError,
     RecoveryError,
@@ -29,28 +21,21 @@ from repro.util.errors import (
     TransactionError,
     TransactionStateError,
 )
-from repro.util.ids import IdGenerator
 
 
 @pytest.fixture
 def rig():
-    clock = SimClock()
-    network = Network(clock)
-    network.add_server()
-    workstation = network.add_workstation("ws-1")
-    rpc = TransactionalRpc(network)
-    ids = IdGenerator()
-    repo = DesignDataRepository(ids)
+    te = TeRig(trace=False, object_buffers=False,
+               recovery_policy=RecoveryPointPolicy(interval=30.0))
+    clock, network, locks = te.clock, te.network, te.locks
+    repo, server_tm = te.repository, te.server_tm
     repo.register_dot(DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)],
         constraints=[range_constraint("area", lo=0.0)]))
     repo.create_graph("da-1")
     repo.create_graph("da-2")
-    locks = LockManager()
-    server_tm = ServerTM(repo, locks, network, clock=clock)
-    register_server_endpoints(rpc, server_tm)
-    client_tm = ClientTM("ws-1", server_tm, rpc, clock, ids,
-                         policy=RecoveryPointPolicy(interval=30.0))
+    client_tm = te.add_workstation("ws-1")
+    workstation = client_tm.node
     dov0 = repo.checkin("da-1", "Cell", {"area": 100.0})
     return {
         "clock": clock, "network": network, "workstation": workstation,

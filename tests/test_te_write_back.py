@@ -14,9 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.network import Network
-from repro.net.rpc import TransactionalRpc
-from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
@@ -24,52 +21,29 @@ from repro.repository.schema import (
 )
 from repro.repository.storage import VersionStore
 from repro.repository.versions import DesignObjectVersion
-from repro.sim.clock import SimClock
-from repro.te.locks import LockManager
-from repro.te.object_buffer import ObjectBuffer
 from repro.te.recovery import RecoveryPointPolicy
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
+from repro.te.rig import TeRig
 from repro.util.errors import StorageError, TransactionError
-from repro.util.ids import IdGenerator
 
 
 def make_rig(write_back: bool = True, capacity: int | None = None,
              flush_interval: int | None = None):
-    """Client/server TM pair with write-back workstations (no kernel:
-    posted messages hand over synchronously)."""
-    clock = SimClock()
-    network = Network(clock, bandwidth=1000.0)
-    server_node = network.add_server()
-    network.add_workstation("ws-1")
-    network.add_workstation("ws-2")
-    rpc = TransactionalRpc(network)
-    ids = IdGenerator()
-    repo = DesignDataRepository(ids)
+    """Client/server TM pair with write-back workstations (the kernel
+    never runs: posted messages hand over synchronously)."""
+    te = TeRig(trace=False, bandwidth=1000.0,
+               buffer_capacity_bytes=capacity,
+               recovery_policy=RecoveryPointPolicy(interval=30.0),
+               write_back=write_back, flush_interval=flush_interval)
+    te.open_scope()
+    clock, network, server_tm = te.clock, te.network, te.server_tm
+    repo = te.repository
     repo.register_dot(DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)]))
     repo.create_graph("da-1")
     repo.create_graph("da-2")
-    # repository recovery registers BEFORE the server-TM hooks so a
-    # restart has fresh stamps by the time buffers re-validate
-    server_node.on_crash.append(lambda: repo.crash())
-    server_node.on_restart.append(lambda: repo.recover())
-    locks = LockManager()
-    server_tm = ServerTM(repo, locks, network, clock=clock)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    register_server_endpoints(rpc, server_tm)
-    buffers = {name: ObjectBuffer(name, capacity_bytes=capacity,
-                                  policy="lru")
+    clients = {name: te.add_workstation(name)
                for name in ("ws-1", "ws-2")}
-    clients = {
-        name: ClientTM(name, server_tm, rpc, clock, ids,
-                       policy=RecoveryPointPolicy(interval=30.0),
-                       buffer=buffers[name], write_back=write_back,
-                       flush_interval=flush_interval)
-        for name in ("ws-1", "ws-2")}
+    buffers = {name: te.object_buffer(name) for name in clients}
     dov0 = repo.checkin("da-1", "Cell", {"area": 100.0})
     return {
         "clock": clock, "network": network, "repo": repo,
@@ -436,17 +410,9 @@ class TestRestartRevalidation:
         assert rig["dov0"].dov_id in rig["buffers"]["ws-1"]
         return client
 
-    def test_flush_path_still_available(self, rig):
-        self._warm(rig)
-        rig["server_tm"].revalidate_on_restart = False
-        rig["network"].crash_node("server")
-        rig["network"].restart_node("server")
-        assert len(rig["buffers"]["ws-1"]) == 0
-
     def test_revalidation_keeps_matching_stamps_and_releases(self, rig):
         client = self._warm(rig)
         network = rig["network"]
-        rig["server_tm"].revalidate_on_restart = True
         network.crash_node("server")
         assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
             == set()
@@ -471,7 +437,6 @@ class TestRestartRevalidation:
         ghost = DesignObjectVersion("dov-ghost", "Cell", {"area": 1.0},
                                     "da-1", 0.0, ())
         buffer.put(ghost, "da-1")
-        rig["server_tm"].revalidate_on_restart = True
         rig["network"].crash_node("server")
         rig["network"].restart_node("server")
         assert "dov-ghost" not in buffer
@@ -480,7 +445,7 @@ class TestRestartRevalidation:
 
 
 class TestSystemRestartPaths:
-    """ConcordSystem.restart_server: warm default, cold opt-out."""
+    """ConcordSystem.restart_server keeps warm buffers warm."""
 
     def _system(self, **kwargs):
         from repro.bench.scenarios import make_vlsi_system
@@ -516,13 +481,6 @@ class TestSystemRestartPaths:
         # the durable version survived recovery; its warm copy too
         assert dov.dov_id in buffer
         assert buffer.revalidated >= 1
-
-    def test_restart_with_revalidate_false_flushes(self):
-        system, dov = self._warm_system()
-        buffer = system.object_buffer("ws-1")
-        system.crash_server()
-        system.restart_server(revalidate=False)
-        assert len(buffer) == 0
 
 
 class TestSystemWriteBack:

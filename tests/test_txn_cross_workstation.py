@@ -11,51 +11,30 @@ Also covers the capacity-pressure partial flush (oldest dirty prefix).
 
 from __future__ import annotations
 
-from repro.net.network import Network
-from repro.net.rpc import TransactionalRpc
-from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
 )
-from repro.sim.clock import SimClock
-from repro.te.locks import LockManager
-from repro.te.object_buffer import ObjectBuffer
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
+from repro.te.rig import TeRig
 from repro.txn import flush_group
-from repro.util.ids import IdGenerator
 
 
 def make_rig(team: int = 3, capacity: int | None = None,
              pressure_fraction: float = 1.0):
-    clock = SimClock()
-    network = Network(clock, bandwidth=1000.0)
-    network.add_server()
-    rpc = TransactionalRpc(network)
-    ids = IdGenerator()
-    repo = DesignDataRepository(ids)
+    te = TeRig(trace=False, bandwidth=1000.0,
+               buffer_capacity_bytes=capacity, write_back=True,
+               flush_on_end_dop=False,
+               pressure_fraction=pressure_fraction)
+    te.open_scope()
+    clock, network, server_tm = te.clock, te.network, te.server_tm
+    repo = te.repository
     repo.register_dot(DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)]))
-    locks = LockManager()
-    server_tm = ServerTM(repo, locks, network, clock=clock)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    register_server_endpoints(rpc, server_tm)
     clients = []
     for index in range(team):
-        workstation = f"ws-{index}"
-        network.add_workstation(workstation)
         repo.create_graph(f"da-{index}")
-        buffer = ObjectBuffer(workstation, capacity_bytes=capacity,
-                              policy="lru")
-        clients.append(ClientTM(
-            workstation, server_tm, rpc, clock, ids, buffer=buffer,
-            write_back=True, flush_on_end_dop=False,
-            pressure_fraction=pressure_fraction))
+        clients.append(te.add_workstation(f"ws-{index}"))
     return {"clock": clock, "network": network, "repo": repo,
             "server_tm": server_tm, "clients": clients}
 

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.network import Network
-from repro.net.rpc import TransactionalRpc
-from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
@@ -23,15 +20,8 @@ from repro.repository.schema import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.te.locks import LockManager
-from repro.te.object_buffer import ObjectBuffer
-from repro.te.transaction_manager import (
-    ClientTM,
-    ServerTM,
-    register_server_endpoints,
-)
+from repro.te.rig import TeRig
 from repro.txn import LeaseTable
-from repro.util.ids import IdGenerator
 
 TTL = 10.0
 
@@ -39,26 +29,15 @@ TTL = 10.0
 def make_rig(ttl: float | None = TTL):
     """One buffered workstation under a TTL-leasing server, on a
     kernel (expiry timers are ordinary kernel events)."""
-    clock = SimClock()
-    kernel = Kernel(clock)
-    network = Network(clock, lan_latency=0.5)
-    network.attach_kernel(kernel)
-    network.add_server()
-    network.add_workstation("ws-1")
-    rpc = TransactionalRpc(network)
-    ids = IdGenerator()
-    repo = DesignDataRepository(ids)
+    te = TeRig(trace=False, lan_latency=0.5, lease_ttl=ttl)
+    te.open_scope()
+    clock, kernel, network = te.clock, te.kernel, te.network
+    repo, server_tm = te.repository, te.server_tm
     repo.register_dot(DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)]))
     repo.create_graph("da-1")
-    locks = LockManager()
-    server_tm = ServerTM(repo, locks, network, clock=clock,
-                         lease_ttl=ttl)
-    server_tm.scope_check = lambda da_id, dov_id: True
-    register_server_endpoints(rpc, server_tm)
-    buffer = ObjectBuffer("ws-1", policy="lru")
-    client = ClientTM("ws-1", server_tm, rpc, clock, ids,
-                      buffer=buffer)
+    client = te.add_workstation("ws-1")
+    buffer = te.object_buffer("ws-1")
     dov0 = repo.checkin("da-1", "Cell", {"area": 100.0})
     return {"clock": clock, "kernel": kernel, "network": network,
             "repo": repo, "server_tm": server_tm, "client": client,
