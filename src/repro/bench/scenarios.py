@@ -548,12 +548,11 @@ def write_back_scenario(team: int = 3,
         team, steps_per_session, mean_step, seed,
         reads_per_step=reads_per_step,
         reread_locality=reread_locality, object_pool=object_pool,
-        write_ratio=write_ratio, flush_interval=flush_interval)
+        write_ratio=write_ratio)
     rig = session_rig(on_kernel, seed=seed, lan_latency=lan_latency,
                       jitter=jitter, bandwidth=bandwidth,
                       lease_ttl=lease_ttl, write_back=write_back,
-                      flush_interval=workload.flush_interval or None,
-                      pressure_fraction=workload.pressure_fraction)
+                      flush_interval=flush_interval or None)
     driver = SessionDriver(rig, payload_bytes)
     driver.seed_library([f"lib-{n}" for n in range(object_pool)]
                         + [f"cell-{n}" for n in range(team)])

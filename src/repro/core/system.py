@@ -35,7 +35,6 @@ from repro.dc.design_manager import (
 )
 from repro.dc.rules import RuleEngine
 from repro.dc.script import DopStep, Script
-from repro.net.two_phase_commit import CommitProtocol
 from repro.repository.schema import DesignObjectType
 from repro.te.recovery import RecoveryPointPolicy
 from repro.te.rig import TeRig
@@ -138,25 +137,21 @@ class ConcordSystem(TeRig):
 
     def __init__(self, trace: bool = True,
                  recovery_policy: RecoveryPointPolicy | None = None,
-                 commit_protocol: CommitProtocol =
-                 CommitProtocol.PRESUMED_ABORT,
                  lan_latency: float = 0.010,
                  repository: Any = None,
                  jitter: float = 0.0,
                  seed: int = 0,
                  object_buffers: bool = True,
-                 buffer_capacity_bytes: int | None = None,
                  bandwidth: float = 1_000_000.0,
                  write_back: bool = False,
-                 eviction_policy: str = "lru",
                  flush_interval: int | None = None,
-                 lease_ttl: float | None = None,
-                 pressure_fraction: float = 1.0) -> None:
+                 lease_ttl: float | None = None) -> None:
         super().__init__(
-            trace, recovery_policy, commit_protocol, lan_latency,
-            repository, jitter, seed, object_buffers,
-            buffer_capacity_bytes, bandwidth, write_back,
-            eviction_policy, flush_interval, lease_ttl, pressure_fraction)
+            trace=trace, recovery_policy=recovery_policy,
+            lan_latency=lan_latency, repository=repository,
+            jitter=jitter, seed=seed, object_buffers=object_buffers,
+            bandwidth=bandwidth, write_back=write_back,
+            flush_interval=flush_interval, lease_ttl=lease_ttl)
         self.cm = CooperationManager(self.repository, self.locks,
                                      self.network, ids=self.ids,
                                      trace=self.trace)

@@ -196,19 +196,15 @@ class DesignDataRepository:
 
     def commit_checkin(self, dov_id: str) -> DesignObjectVersion:
         """Phase 2 (commit): make the version durable, extend the graph."""
-        try:
-            da_id = self._pending.pop(dov_id)
-        except KeyError:
-            raise UnknownObjectError(
-                f"no staged checkin for DOV {dov_id!r}") from None
-        dov = self.store.commit(dov_id)
-        self._graphs[da_id].add(dov)
-        if self.on_commit is not None:
-            self.on_commit(dov)
-        return dov
+        return self._commit_staged([dov_id])[0]
 
     def commit_group(self, dov_ids: list[str]) -> list[DesignObjectVersion]:
-        """Phase 2 (commit) for a whole staged group, atomically.
+        """Phase 2 (commit) for a whole staged group, atomically."""
+        return self._commit_staged(dov_ids)
+
+    def _commit_staged(self, dov_ids: list[str]
+                       ) -> list[DesignObjectVersion]:
+        """The one commit path; a single checkin is a group of one.
 
         The durability of the batch rides on a single forced WAL flush
         (:meth:`~repro.repository.storage.VersionStore.commit_batch`):

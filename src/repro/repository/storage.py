@@ -60,18 +60,15 @@ class VersionStore:
 
     def commit(self, dov_id: str) -> DesignObjectVersion:
         """Make a staged version durable (WAL force + stable write)."""
-        self._require_up()
-        try:
-            dov = self._staged.pop(dov_id)
-        except KeyError:
-            raise StorageError(f"DOV {dov_id!r} was not staged") from None
-        self.wal.append(LogRecordKind.DOV_CHECKIN,
-                        self._checkin_payload(dov), force=True)
-        self._stable[dov.dov_id] = dov
-        return dov
+        return self._commit_staged([dov_id])[0]
 
     def commit_batch(self, dov_ids: list[str]) -> list[DesignObjectVersion]:
-        """Make a group of staged versions durable *atomically*.
+        """Make a group of staged versions durable *atomically*."""
+        return self._commit_staged(dov_ids)
+
+    def _commit_staged(self, dov_ids: list[str]
+                       ) -> list[DesignObjectVersion]:
+        """The one commit path; a single version is a batch of one.
 
         All checkin records are appended to the volatile WAL tail and
         made stable by **one** force at the end: a crash anywhere

@@ -10,15 +10,7 @@ two-phase commit for their critical interactions — wired, once, by
 from repro.te.context import ContextImage, DopContext, SavepointStack
 from repro.te.dop import DesignOperation, DopState
 from repro.te.locks import Lock, LockManager, LockMode, LockStats
-from repro.te.object_buffer import (
-    BufferEntry,
-    EvictionPolicy,
-    FifoEviction,
-    LruEviction,
-    ObjectBuffer,
-    SizeAwareEviction,
-    make_eviction_policy,
-)
+from repro.te.object_buffer import BufferEntry, ObjectBuffer
 from repro.te.recovery import (
     CheckoutRecord,
     RecoveryManager,
@@ -41,10 +33,7 @@ __all__ = [
     "ClientTM",
     "ContextImage",
     "DesignOperation",
-    "EvictionPolicy",
-    "FifoEviction",
     "FlushResult",
-    "LruEviction",
     "ObjectBuffer",
     "DopContext",
     "DopState",
@@ -57,8 +46,6 @@ __all__ = [
     "RecoveryPointPolicy",
     "SavepointStack",
     "ServerTM",
-    "SizeAwareEviction",
     "TeRig",
-    "make_eviction_policy",
     "register_server_endpoints",
 ]

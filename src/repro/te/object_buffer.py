@@ -24,16 +24,13 @@ revalidates its scope on the miss path.
 Beyond the read cache, the buffer is also the *write-back* staging area
 of the data-shipping protocol: a client-TM in write-back mode records
 checkins as **dirty** entries (provisional versions plus their checkin
-request records) instead of shipping them eagerly.  Dirty entries are
-pinned — no eviction policy may pick them — until the client-TM flushes
-them as one batched group-checkin; successive checkins of the same
-lineage coalesce, so intermediate versions superseded before they were
-ever shipped cost zero LAN bytes.
+request records) instead of shipping them eagerly.  Dirty entries stay
+resident until the client-TM flushes them as one batched group-checkin;
+successive checkins of the same lineage coalesce, so intermediate
+versions superseded before they were ever shipped cost zero LAN bytes.
 
-Replacement is pluggable via :class:`EvictionPolicy`: the seed's FIFO
-(oldest-resident) behaviour is kept as the baseline, with LRU and a
-size-aware GreedyDual-Size variant available; all three are
-deterministic (ties break by admission order).
+The buffer has no byte capacity: no workload in the tree bounds it, so
+an entry leaves only by invalidation, re-validation or a crash.
 
 Workstation crashes wipe the buffer (it is volatile state) *including
 any dirty, not-yet-flushed checkins* — the write-back trade-off: that
@@ -60,137 +57,18 @@ class BufferEntry:
     #: entry — the only DAs allowed to hit it locally
     authorized: set[str] = field(default_factory=set)
     hits: int = 0
-    #: admission sequence number (deterministic policy tie-breaker)
-    seq: int = 0
-    #: logical access tick of the most recent hit/admission (LRU key)
-    last_access: int = 0
-    #: GreedyDual-Size priority (maintained by SizeAwareEviction)
-    priority: float = 0.0
-    #: True for a write-back entry not yet shipped to the server —
-    #: pinned against eviction until the client-TM flushes it
+    #: True for a write-back entry not yet shipped to the server
     dirty: bool = False
     #: the deferred checkin request of a dirty entry (da_id, dot_name,
     #: data, parents, provisional_id, dop_id); None once flushed
     record: dict[str, Any] | None = None
 
 
-class EvictionPolicy:
-    """Replacement strategy of an :class:`ObjectBuffer`.
-
-    Policies only ever see *clean* entries — dirty (unflushed
-    write-back) entries are pinned by the buffer itself.  All hooks are
-    synchronous bookkeeping on the caller's stack: a policy never
-    schedules kernel events, so the choice of policy cannot perturb
-    event order — identically seeded runs stay trace-identical across
-    policies (the *traffic* differs, the *mechanism* stays
-    deterministic).
-    """
-
-    name = "base"
-
-    def on_admit(self, entry: BufferEntry) -> None:
-        """A new entry became resident."""
-
-    def on_hit(self, entry: BufferEntry) -> None:
-        """A resident entry served a lookup."""
-
-    def victim(self, candidates: list[BufferEntry]) -> BufferEntry:
-        """Pick the entry to evict from *candidates* (never empty).
-
-        Candidates arrive in residence (admission) order; ties must be
-        broken deterministically — by admission order, not by hash or
-        wall-clock state.
-        """
-        raise NotImplementedError
-
-
-class FifoEviction(EvictionPolicy):
-    """The seed baseline: evict the oldest-resident entry."""
-
-    name = "fifo"
-
-    def victim(self, candidates: list[BufferEntry]) -> BufferEntry:
-        return candidates[0]
-
-
-class LruEviction(EvictionPolicy):
-    """Evict the least-recently-used entry.
-
-    Recency is a logical access tick maintained by the buffer (every
-    get/put advances it), not wall-clock time — which keeps the policy
-    deterministic under the simulated clock.
-    """
-
-    name = "lru"
-
-    def on_admit(self, entry: BufferEntry) -> None:
-        pass  # last_access is stamped by the buffer
-
-    def victim(self, candidates: list[BufferEntry]) -> BufferEntry:
-        return min(candidates, key=lambda e: (e.last_access, e.seq))
-
-
-class SizeAwareEviction(EvictionPolicy):
-    """GreedyDual-Size: prefer evicting large, long-unused entries.
-
-    Classic GreedyDual-Size with uniform miss cost: an entry's priority
-    is ``L + 1/size`` at admission and on every hit, where ``L``
-    inflates to the evicted priority on each eviction.  Small entries
-    (cheap to keep, expensive per byte to re-fetch relative to their
-    footprint) therefore outlive large cold ones, and recency decays
-    naturally through the inflation term.
-    """
-
-    name = "size-aware"
-
-    def __init__(self) -> None:
-        self._inflation = 0.0
-
-    def _credit(self, entry: BufferEntry) -> None:
-        entry.priority = self._inflation + 1.0 / max(entry.size, 1)
-
-    def on_admit(self, entry: BufferEntry) -> None:
-        self._credit(entry)
-
-    def on_hit(self, entry: BufferEntry) -> None:
-        self._credit(entry)
-
-    def victim(self, candidates: list[BufferEntry]) -> BufferEntry:
-        victim = min(candidates, key=lambda e: (e.priority, e.seq))
-        self._inflation = victim.priority
-        return victim
-
-
-#: registry of the built-in policies (``ObjectBuffer(policy="lru")``)
-EVICTION_POLICIES: dict[str, Callable[[], EvictionPolicy]] = {
-    "fifo": FifoEviction,
-    "lru": LruEviction,
-    "size-aware": SizeAwareEviction,
-}
-
-
-def make_eviction_policy(spec: "EvictionPolicy | str | None"
-                         ) -> EvictionPolicy:
-    """Resolve a policy spec (instance, registry name, or None=FIFO)."""
-    if spec is None:
-        return FifoEviction()
-    if isinstance(spec, EvictionPolicy):
-        return spec
-    try:
-        return EVICTION_POLICIES[spec]()
-    except KeyError:
-        raise ValueError(
-            f"unknown eviction policy {spec!r}; "
-            f"known: {sorted(EVICTION_POLICIES)}") from None
-
-
 class ObjectBuffer:
     """The DOV object buffer of one workstation.
 
     * :meth:`get` — scope-aware lookup; counts hits and misses.
-    * :meth:`put` — install a shipped (or freshly checked-in) version;
-      an optional byte capacity evicts clean entries per the configured
-      :class:`EvictionPolicy` (dirty entries are pinned).
+    * :meth:`put` — install a shipped (or freshly checked-in) version.
     * :meth:`put_dirty` — write-back: stage a provisional checkin as a
       dirty entry, coalescing dirty parents it supersedes.
     * :meth:`invalidate` — drop a superseded version (the delivery
@@ -203,18 +81,14 @@ class ObjectBuffer:
       dirty entries included.
 
     All mutators run synchronously on the caller's stack and never
-    schedule kernel events themselves; the *callbacks* they fire
-    (``on_evict``, ``on_pressure``, ``on_recall``) are where the TMs
-    hang network activity, so any event scheduling is attributable to
-    the TM that installed the hook.
+    schedule kernel events themselves; the *callback* they fire
+    (``on_recall``) is where the client-TM hangs network activity, so
+    any event scheduling is attributable to the TM that installed the
+    hook.
     """
 
-    def __init__(self, workstation: str,
-                 capacity_bytes: int | None = None,
-                 policy: EvictionPolicy | str | None = None) -> None:
+    def __init__(self, workstation: str) -> None:
         self.workstation = workstation
-        self.capacity_bytes = capacity_bytes
-        self.policy = make_eviction_policy(policy)
         #: dov_id -> entry, in insertion (residence) order
         self._entries: dict[str, BufferEntry] = {}
         #: insertion-ordered index of the dirty ids — the flush set is
@@ -224,7 +98,6 @@ class ObjectBuffer:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.evictions = 0
         #: dirty provisional versions dropped without ever shipping
         #: because a later dirty checkin superseded them (write-back's
         #: byte saving)
@@ -235,17 +108,6 @@ class ObjectBuffer:
         self.revalidated = 0
         #: entries dropped at re-validation (stamp gone or changed)
         self.revalidation_drops = 0
-        #: logical access clock (LRU recency source; deterministic)
-        self._ticks = 0
-        #: admission counter (policy tie-breaker)
-        self._admissions = 0
-        #: fired with the dov_id of every capacity eviction — the
-        #: server-TM hangs its lease release here so an evicted copy
-        #: stops drawing invalidation traffic
-        self.on_evict: Callable[[str], None] | None = None
-        #: fired when capacity pressure needs dirty entries gone — the
-        #: client-TM hangs its flush here (write-back trigger 3)
-        self.on_pressure: Callable[[], None] | None = None
         #: fired when an invalidation recalls a version some dirty
         #: entry derives from — the client-TM hangs its flush here
         #: (write-back trigger 2: lease recall)
@@ -296,21 +158,11 @@ class ObjectBuffer:
             return None
         self.hits += 1
         entry.hits += 1
-        self._ticks += 1
-        entry.last_access = self._ticks
-        self.policy.on_hit(entry)
         return entry.dov
 
-    def dirty_entries(self, limit: int | None = None) -> list[BufferEntry]:
-        """Dirty entries in admission (checkin) order — the flush set.
-
-        With *limit*, only the **oldest** dirty prefix is returned:
-        the capacity-pressure flush policy ships that prefix and keeps
-        the youngest entries dirty (still coalescing).
-        """
-        ids = list(self._dirty) if limit is None \
-            else list(self._dirty)[:limit]
-        return [self._entries[dov_id] for dov_id in ids]
+    def dirty_entries(self) -> list[BufferEntry]:
+        """Dirty entries in admission (checkin) order — the flush set."""
+        return [self._entries[dov_id] for dov_id in self._dirty]
 
     def dirty_depends_on(self, dov_id: str) -> bool:
         """True when some dirty entry lists *dov_id* among its parents."""
@@ -325,39 +177,22 @@ class ObjectBuffer:
 
     def _admit(self, dov: DesignObjectVersion, da_id: str, now: float,
                dirty: bool, record: dict[str, Any] | None) -> BufferEntry:
-        self._admissions += 1
-        self._ticks += 1
         entry = BufferEntry(dov=dov, size=dov.payload_size,
                             cached_at=now, authorized={da_id},
-                            seq=self._admissions,
-                            last_access=self._ticks,
                             dirty=dirty, record=record)
         self._entries[dov.dov_id] = entry
         if dirty:
             self._dirty[dov.dov_id] = None
-        self.policy.on_admit(entry)
         return entry
 
     def put(self, dov: DesignObjectVersion, da_id: str,
             now: float = 0.0) -> BufferEntry:
-        """Install (or re-authorize) a version shipped to this node.
-
-        May fire ``on_pressure`` (client-TM flush) and ``on_evict``
-        (server-TM lease release) while restoring the byte capacity —
-        both run synchronously before :meth:`put` returns.
-        """
+        """Install (or re-authorize) a version shipped to this node."""
         entry = self._entries.get(dov.dov_id)
         if entry is not None:
             entry.authorized.add(da_id)
-            # a re-ship is a touch: refresh recency/priority so the
-            # policy does not evict the entry the server just re-sent
-            self._ticks += 1
-            entry.last_access = self._ticks
-            self.policy.on_hit(entry)
             return entry
-        entry = self._admit(dov, da_id, now, dirty=False, record=None)
-        self._evict_to_capacity()
-        return entry
+        return self._admit(dov, da_id, now, dirty=False, record=None)
 
     def put_dirty(self, dov: DesignObjectVersion, da_id: str,
                   record: dict[str, Any], now: float = 0.0) -> BufferEntry:
@@ -367,8 +202,7 @@ class ObjectBuffer:
         it was ever shipped — it is dropped from the buffer, its own
         parents spliced into *record*'s lineage, and its bytes never
         cross the LAN.  The caller (client-TM) maintains the
-        provisional-id forwarding map.  Returns the staged entry;
-        capacity pressure may fire ``on_pressure``/``on_evict``.
+        provisional-id forwarding map.  Returns the staged entry.
         """
         parents = list(record.get("parents", ()))
         spliced: list[str] = []
@@ -385,30 +219,7 @@ class ObjectBuffer:
             elif parent not in spliced:
                 spliced.append(parent)
         record = dict(record, parents=spliced)
-        entry = self._admit(dov, da_id, now, dirty=True, record=record)
-        self._evict_to_capacity()
-        return entry
-
-    def _evict_to_capacity(self) -> None:
-        if self.capacity_bytes is None:
-            return
-        # write-back trigger: when over capacity with pinned dirty
-        # bytes, ask the client-TM to flush (dirty entries become
-        # clean, evictable residents) before evicting per policy
-        if self.resident_bytes > self.capacity_bytes \
-                and self.dirty_bytes > 0 and self.on_pressure is not None:
-            self.on_pressure()
-        while len(self._entries) > 1 \
-                and self.resident_bytes > self.capacity_bytes:
-            clean = [e for e in self._entries.values() if not e.dirty]
-            if not clean:
-                break  # everything pinned: exceed capacity rather
-                # than drop unflushed work
-            victim = self.policy.victim(clean)
-            del self._entries[victim.dov.dov_id]
-            self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(victim.dov.dov_id)
+        return self._admit(dov, da_id, now, dirty=True, record=record)
 
     def invalidate(self, dov_id: str) -> bool:
         """Drop a superseded version; True when it was resident.
@@ -451,8 +262,8 @@ class ObjectBuffer:
         Called by the client-TM when a group checkin commits:
         ``mapping`` takes each provisional id to the durable DOV the
         server assigned.  The entry keeps its authorizations and hit
-        counts, loses its dirty pin, and is resident under the durable
-        id from now on.  Returns the number of entries rebound.
+        counts, is clean, and is resident under the durable id from
+        now on.  Returns the number of entries rebound.
         """
         rebound = 0
         for provisional_id, dov in mapping.items():
@@ -534,7 +345,6 @@ class ObjectBuffer:
         """Snapshot of the buffer's counters (bench/trace surface)."""
         return {
             "workstation": self.workstation,
-            "policy": self.policy.name,
             "resident": len(self._entries),
             "resident_bytes": self.resident_bytes,
             "dirty": len(self.dirty_entries()),
@@ -543,7 +353,6 @@ class ObjectBuffer:
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
             "invalidations": self.invalidations,
-            "evictions": self.evictions,
             "coalesced": self.coalesced,
             "dirty_lost": self.dirty_lost,
             "revalidated": self.revalidated,

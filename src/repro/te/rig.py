@@ -27,12 +27,11 @@ from typing import Any
 
 from repro.net.network import Network, Node
 from repro.net.rpc import TransactionalRpc
-from repro.net.two_phase_commit import CommitProtocol
 from repro.repository.repository import DesignDataRepository
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
 from repro.te.locks import LockManager
-from repro.te.object_buffer import EVICTION_POLICIES, ObjectBuffer
+from repro.te.object_buffer import ObjectBuffer
 from repro.te.recovery import RecoveryPointPolicy
 from repro.te.transaction_manager import (
     ClientTM,
@@ -50,33 +49,29 @@ class TeRig:
 
     def __init__(self, trace: bool = True,
                  recovery_policy: RecoveryPointPolicy | None = None,
-                 commit_protocol: CommitProtocol =
-                 CommitProtocol.PRESUMED_ABORT,
                  lan_latency: float = 0.010,
                  repository: Any = None,
                  jitter: float = 0.0,
                  seed: int = 0,
                  object_buffers: bool = True,
-                 buffer_capacity_bytes: int | None = None,
                  bandwidth: float = 1_000_000.0,
                  write_back: bool = False,
-                 eviction_policy: str = "lru",
                  flush_interval: int | None = None,
                  lease_ttl: float | None = None,
-                 pressure_fraction: float = 1.0,
                  flush_on_end_dop: bool = True) -> None:
-        if eviction_policy not in EVICTION_POLICIES:
-            raise ConcordError(
-                f"eviction_policy={eviction_policy!r}: unknown policy "
-                f"(known: {sorted(EVICTION_POLICIES)})")
         if lease_ttl is not None and not lease_ttl > 0:
             raise ConcordError(
                 f"lease_ttl={lease_ttl!r}: must be > 0, or None for "
                 f"recall-only leases")
-        if not 0 < pressure_fraction <= 1:
+        if flush_interval is not None and not (
+                isinstance(flush_interval, int) and flush_interval >= 1):
             raise ConcordError(
-                f"pressure_fraction={pressure_fraction!r}: must be in "
-                f"(0, 1]")
+                f"flush_interval={flush_interval!r}: must be an integer "
+                f">= 1, or None for no dirty-set threshold")
+        if write_back and not object_buffers:
+            raise ConcordError(
+                "write_back=True needs object_buffers=True: deferred "
+                "checkins are staged in the workstation's buffer")
         self.clock = SimClock()
         self.ids = IdGenerator()
         self.trace = EventTrace(enabled=trace)
@@ -104,19 +99,14 @@ class TeRig:
                                   self.network, trace=self.trace,
                                   clock=self.clock, lease_ttl=lease_ttl)
         register_server_endpoints(self.rpc, self.server_tm)
-        #: per-workstation buffer settings (None = caching off: every
-        #: checkout re-ships its payload)
-        self._buffer_options = {
-            "capacity_bytes": buffer_capacity_bytes,
-            "policy": eviction_policy} if object_buffers else None
+        #: False = caching off: every checkout re-ships its payload
+        self._object_buffers = object_buffers
         #: what every client-TM of this rig is built with
         self._client_options = {
             "policy": recovery_policy or RecoveryPointPolicy(),
-            "protocol": commit_protocol,
             "write_back": write_back,
             "flush_interval": flush_interval,
-            "flush_on_end_dop": flush_on_end_dop,
-            "pressure_fraction": pressure_fraction}
+            "flush_on_end_dop": flush_on_end_dop}
         self._buffers: dict[str, ObjectBuffer] = {}
         self._client_tms: dict[str, ClientTM] = {}
 
@@ -140,9 +130,8 @@ class TeRig:
         """
         self.network.add_workstation(name)
         buffer = None
-        if self._buffer_options is not None:
-            buffer = self._buffers[name] = ObjectBuffer(
-                name, **self._buffer_options)
+        if self._object_buffers:
+            buffer = self._buffers[name] = ObjectBuffer(name)
         client_tm = self._client_tms[name] = ClientTM(
             name, self.server_tm, self.rpc, self.clock, ids=self.ids,
             trace=self.trace, buffer=buffer, **self._client_options)

@@ -41,10 +41,9 @@ Checkin runs in one of two modes:
 * **write-back** (``ClientTM(write_back=True)``): checkins stage
   *dirty* provisional versions in the object buffer and ship later as
   one batched, sized **group checkin** under a single 2PC — triggered
-  by End-of-DOP, a lease recall touching dirty lineage, capacity
-  pressure (which ships only the oldest ``pressure_fraction`` prefix
-  of the dirty set), an optional dirty-set size threshold
-  (``flush_interval``), or an explicit :meth:`ClientTM.flush`.
+  by End-of-DOP, a lease recall touching dirty lineage, an optional
+  dirty-set size threshold (``flush_interval``), or an explicit
+  :meth:`ClientTM.flush`.
   Successive checkins of the same lineage coalesce before shipping,
   and a workstation crash drops unflushed dirty data (recovered from
   repository state, not from the buffer).  Several workstations'
@@ -55,17 +54,12 @@ Checkin runs in one of two modes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.net.network import Network
 from repro.net.rpc import TransactionalRpc
-from repro.net.two_phase_commit import (
-    CommitOutcome,
-    CommitProtocol,
-    Vote,
-)
+from repro.net.two_phase_commit import CommitOutcome, Vote
 from repro.txn.gateway import CommitGateway, GroupRequest
 from repro.txn.leases import LeaseTable
 from repro.repository.repository import DesignDataRepository
@@ -81,9 +75,7 @@ from repro.te.object_buffer import ObjectBuffer
 from repro.te.locks import LockManager, LockMode
 from repro.te.recovery import RecoveryManager, RecoveryPointPolicy
 from repro.util.errors import (
-    IntegrityError,
     LockConflictError,
-    NetworkError,
     RecoveryError,
     ScopeViolationError,
     TransactionError,
@@ -146,10 +138,9 @@ class ServerTM:
         #: "without further authorization a DA is only allowed to read
         #: DOVs of its own derivation graph").
         self.scope_check: Callable[[str, str], bool] = self._default_scope
-        #: staged checkins per 2PC transaction id
-        self._staged: dict[str, str] = {}
-        #: staged *group* checkins: txn_id -> dov ids in batch order
-        self._staged_groups: dict[str, list[str]] = {}
+        #: staged checkins per 2PC transaction id: dov ids in batch
+        #: order (a single checkin is a batch of one)
+        self._staged: dict[str, list[str]] = {}
         #: lease time-to-live (None keeps the PR 2 recall-only regime;
         #: a number switches to TTL renewal leases: unrenewed leases
         #: expire via kernel timer events, and expiry behaves exactly
@@ -170,23 +161,19 @@ class ServerTM:
         self.renewals_piggybacked = 0
         #: modelled size of one lease-invalidation control message
         self.invalidation_bytes = 16
-        #: group checkins committed (each one batched 2PC run)
+        #: checkin requests committed (each one 2PC run over a group
+        #: of one or more records)
         self.group_checkins = 0
         # supersession notices: every committed version revokes the
-        # leases on its parents (plain repository and federation alike
-        # expose the on_commit observer)
-        if hasattr(repository, "on_commit"):
-            repository.on_commit = self._on_repository_commit
+        # leases on its parents
+        repository.on_commit = self._on_repository_commit
         # the lease table is volatile server state and died with the
         # server; a restart re-validates the registered workstation
         # buffers against fresh repository stamps — an unleased,
         # unvalidated copy could never be revoked again
-        try:
-            node = network.node(node_id)
-            node.on_crash.append(self.clear_leases)
-            node.on_restart.append(self._on_server_restart)
-        except NetworkError:
-            pass  # node registered later; leases then live unguarded
+        node = network.node(node_id)
+        node.on_crash.append(self.clear_leases)
+        node.on_restart.append(self._on_server_restart)
 
     def _default_scope(self, da_id: str, dov_id: str) -> bool:
         if not self.repository.has_graph(da_id):
@@ -255,68 +242,39 @@ class ServerTM:
     # -- checkin (2PC participant interface) --------------------------------------
 
     def prepare(self, txn_id: str) -> Vote:
-        """Phase 1 of checkin: validate + stage the new DOV(s).
+        """Phase 1 of checkin: validate + stage the whole request or
+        nothing.
 
-        The request payload is stashed under *txn_id* by
-        :meth:`request_checkin` (single) or
-        :meth:`request_group_checkin` (batch) before the coordinator
-        starts 2PC.  Runs synchronously on the coordinator's stack —
-        no kernel events of its own; the network costs are the 2PC
-        messages the coordinator accounts.
-        """
-        node = self.network.node(self.node_id)
-        node.require_up()
-        group = node.volatile.get(f"group-checkin-req:{txn_id}")
-        if group is not None:
-            return self._prepare_group(txn_id, group)
-        request = node.volatile.get(f"checkin-req:{txn_id}")
-        if request is None:
-            return Vote.NO
-        da_id = request["da_id"]
-        try:
-            self.locks.acquire(request["graph_lock"], txn_id,
-                               LockMode.SHORT_WRITE)
-            try:
-                dov = self.repository.stage_checkin(
-                    da_id=da_id,
-                    dot_name=request["dot_name"],
-                    data=request["data"],
-                    parents=tuple(request["parents"]),
-                    created_at=self.clock.now,
-                )
-            finally:
-                self.locks.release(request["graph_lock"], txn_id,
-                                   LockMode.SHORT_WRITE)
-        except (IntegrityError, Exception) as exc:
-            node.volatile[f"checkin-err:{txn_id}"] = str(exc)
-            self._record("checkin_prepare_failed", da_id, error=str(exc))
-            return Vote.NO
-        self._staged[txn_id] = dov.dov_id
-        node.volatile[f"checkin-dov:{txn_id}"] = dov.dov_id
-        self._record("checkin_prepared", dov.dov_id, da=da_id)
-        return Vote.YES
-
-    def _prepare_group(self, txn_id: str, request: dict[str, Any]) -> Vote:
-        """Phase 1 of a group checkin: stage the whole batch or nothing.
+        The request is stashed under *txn_id* by :meth:`request_checkin`
+        (a list of one record) or :meth:`request_group_checkin` (a
+        batch) before the coordinator starts 2PC.  Runs synchronously
+        on the coordinator's stack — no kernel events of its own; the
+        network costs are the 2PC messages the coordinator accounts.
 
         Records are staged in batch order; parents naming an earlier
         record's provisional id resolve to the durable id the server
         just assigned it, so an unflushed lineage ships as one
-        consistent chain.  Graph locks are acquired **batched**: one
-        short write lock per distinct DA for the whole batch instead
-        of an acquire/release pair per record — same protection (the
-        batch is one critical section per graph), a fraction of the
-        lock traffic.  Any failure (integrity violation, unknown
-        parent, lock conflict) un-stages everything already staged and
-        votes NO — atomicity at the staging level; the durability
-        level is covered by the repository's single-force group
-        commit.
+        consistent chain.  The modification of a DA's derivation graph
+        is protected by a short (write) lock on the graph resource
+        (Sect.5.2: "the TM has to protect the proliferation of the DA's
+        derivation graph ... employing a locking protocol based on
+        short locks"), acquired **batched**: one lock per distinct DA
+        for the whole request instead of an acquire/release pair per
+        record — same protection (the request is one critical section
+        per graph), a fraction of the lock traffic.  Any failure
+        (integrity violation, unknown parent, lock conflict) un-stages
+        everything already staged and votes NO — atomicity at the
+        staging level; the durability level is covered by the
+        repository's single-force group commit.
         """
         node = self.network.node(self.node_id)
+        node.require_up()
+        request = node.volatile.get(f"checkin-req:{txn_id}")
+        if request is None:
+            return Vote.NO
         records = request["records"]
         staged: list[str] = []
         mapping: dict[str, str] = {}
-        ws_by_dov: dict[str, str] = {}
         graph_locks = list(dict.fromkeys(
             f"graph:{record['da_id']}" for record in records))
         acquired: list[str] = []
@@ -337,19 +295,10 @@ class ServerTM:
                 )
                 staged.append(dov.dov_id)
                 mapping[record["provisional_id"]] = dov.dov_id
-                workstation = record.get("workstation") \
-                    or request.get("workstation")
-                if workstation:
-                    ws_by_dov[dov.dov_id] = workstation
         except Exception as exc:  # noqa: BLE001 - any failure aborts
-            abort_group = getattr(self.repository, "abort_group", None)
-            if abort_group is not None:
-                abort_group(staged)
-            else:
-                for dov_id in reversed(staged):
-                    self.repository.abort_checkin(dov_id)
+            self.repository.abort_group(staged)
             node.volatile[f"checkin-err:{txn_id}"] = str(exc)
-            self._record("group_checkin_prepare_failed", txn_id,
+            self._record("checkin_prepare_failed", txn_id,
                          error=str(exc),
                          staged_rolled_back=len(staged))
             return Vote.NO
@@ -357,104 +306,80 @@ class ServerTM:
             for graph_lock in acquired:
                 self.locks.release(graph_lock, txn_id,
                                    LockMode.SHORT_WRITE)
-        self._staged_groups[txn_id] = staged
-        node.volatile[f"group-checkin-map:{txn_id}"] = mapping
-        node.volatile[f"group-checkin-ws:{txn_id}"] = ws_by_dov
-        self._record("group_checkin_prepared", txn_id, count=len(staged))
+        self._staged[txn_id] = staged
+        node.volatile[f"checkin-map:{txn_id}"] = mapping
+        self._record("checkin_prepared", txn_id, count=len(staged))
         return Vote.YES
 
     def commit(self, txn_id: str) -> None:
         """Phase 2 commit: the staged DOV(s) become durable.
 
-        The repository's commit observer fires the supersession
-        invalidations for each new version's parents — asynchronous
-        sized LAN messages (ordinary timed kernel events under the
-        concurrent kernel, scheduled in deterministic batch order);
-        afterwards the committing workstation — which keeps the fresh
-        versions in its buffer without any extra shipping — gets a
-        lease on each.  A group commits through the repository's
-        atomic single-force path.
+        They commit through the repository's atomic single-force path,
+        whose commit observer fires the supersession invalidations for
+        each new version's parents — asynchronous sized LAN messages
+        (ordinary timed kernel events under the concurrent kernel,
+        scheduled in deterministic batch order); afterwards the
+        committing workstation — which keeps the fresh versions in its
+        buffer without any extra shipping — gets a lease on each.
         """
-        group = self._staged_groups.pop(txn_id, None)
-        if group is not None:
-            self._commit_group(txn_id, group)
-            return
-        dov_id = self._staged.pop(txn_id, None)
-        if dov_id is None:
+        staged = self._staged.pop(txn_id, None)
+        if staged is None:
             raise TransactionError(f"nothing staged for txn {txn_id!r}")
-        dov = self.repository.commit_checkin(dov_id)
-        request = self.network.node(self.node_id).volatile.get(
-            f"checkin-req:{txn_id}") or {}
-        if request.get("lease") and request.get("workstation"):
-            self.leases.grant(request["workstation"], dov.dov_id)
-        self._record("checkin_committed", dov.dov_id, da=dov.created_by)
-
-    def _commit_group(self, txn_id: str, staged: list[str]) -> None:
-        commit_group = getattr(self.repository, "commit_group", None)
-        if commit_group is not None:
-            dovs = commit_group(staged)
-        else:  # repository without the batch surface: per-version path
-            dovs = [self.repository.commit_checkin(dov_id)
-                    for dov_id in staged]
+        dovs = self.repository.commit_group(staged)
         node = self.network.node(self.node_id)
-        request = node.volatile.get(f"group-checkin-req:{txn_id}") or {}
+        # the request is consumed here: what stays behind per txn is
+        # the id mapping and the result, not the records
+        request = node.volatile.pop(f"checkin-req:{txn_id}", None) or {}
         if request.get("lease"):
             # a cross-workstation batch stamps each record with its
             # origin; leases go to the contributor, not the coordinator
-            ws_by_dov = node.volatile.get(
-                f"group-checkin-ws:{txn_id}") or {}
+            mapping = node.volatile[f"checkin-map:{txn_id}"]
+            origin = {
+                mapping[record["provisional_id"]]:
+                    record.get("workstation") or request["workstation"]
+                for record in request["records"]}
             for dov in dovs:
-                workstation = ws_by_dov.get(dov.dov_id)
+                workstation = origin[dov.dov_id]
                 if workstation:
                     self.leases.grant(workstation, dov.dov_id)
-        node.volatile[f"group-checkin-dovs:{txn_id}"] = list(dovs)
+        node.volatile[f"checkin-dovs:{txn_id}"] = dovs
         self.group_checkins += 1
-        self._record("group_checkin_committed", txn_id, count=len(dovs))
+        self._record("checkin_committed", txn_id, count=len(dovs))
 
     def abort(self, txn_id: str) -> None:
         """Phase 2 abort: the staged DOV(s) are discarded."""
-        group = self._staged_groups.pop(txn_id, None)
-        if group is not None:
-            abort_group = getattr(self.repository, "abort_group", None)
-            if abort_group is not None:
-                abort_group(group)
-            else:
-                for dov_id in reversed(group):
-                    self.repository.abort_checkin(dov_id)
-            self._record("group_checkin_aborted", txn_id,
-                         count=len(group))
-            return
-        dov_id = self._staged.pop(txn_id, None)
-        if dov_id is not None:
-            self.repository.abort_checkin(dov_id)
-            self._record("checkin_aborted", dov_id)
+        staged = self._staged.pop(txn_id, None)
+        if staged is not None:
+            self.repository.abort_group(staged)
+            self._record("checkin_aborted", txn_id, count=len(staged))
+
+    def _stash_request(self, txn_id: str, records: list[dict[str, Any]],
+                       workstation: str | None, lease: bool,
+                       renew: bool) -> None:
+        node = self.network.node(self.node_id)
+        node.require_up()
+        if renew and workstation is not None:
+            self._piggyback_renewal(workstation)
+        node.volatile[f"checkin-req:{txn_id}"] = {
+            "records": records,
+            "workstation": workstation,
+            "lease": lease,
+        }
 
     def request_checkin(self, txn_id: str, da_id: str, dot_name: str,
                         data: dict[str, Any], parents: list[str],
                         workstation: str | None = None,
                         lease: bool = False,
                         renew: bool = False) -> None:
-        """Stash a checkin request before the coordinator runs 2PC.
-
-        The modification of a DA's derivation graph during checkin is
-        protected by a short (write) lock on the graph resource
-        (Sect.5.2: "the TM has to protect the proliferation of the DA's
-        derivation graph ... employing a locking protocol based on
-        short locks").
-        """
-        node = self.network.node(self.node_id)
-        node.require_up()
-        if renew and workstation is not None:
-            self._piggyback_renewal(workstation)
-        node.volatile[f"checkin-req:{txn_id}"] = {
+        """Stash a checkin request before the coordinator runs 2PC: a
+        group of one, its record keyed by the transaction id."""
+        self._stash_request(txn_id, [{
+            "provisional_id": txn_id,
             "da_id": da_id,
             "dot_name": dot_name,
             "data": data,
             "parents": parents,
-            "graph_lock": f"graph:{da_id}",
-            "workstation": workstation,
-            "lease": lease,
-        }
+        }], workstation, lease, renew)
 
     def request_group_checkin(self, txn_id: str,
                               records: list[dict[str, Any]],
@@ -471,15 +396,8 @@ class ServerTM:
         payload bytes travel as one separate sized LAN message the
         client posts.  Returns the accepted record count.
         """
-        node = self.network.node(self.node_id)
-        node.require_up()
-        if renew and workstation is not None:
-            self._piggyback_renewal(workstation)
-        node.volatile[f"group-checkin-req:{txn_id}"] = {
-            "records": [dict(record) for record in records],
-            "workstation": workstation,
-            "lease": lease,
-        }
+        self._stash_request(txn_id, [dict(record) for record in records],
+                            workstation, lease, renew)
         return len(records)
 
     def checkin_error(self, txn_id: str) -> str | None:
@@ -487,23 +405,21 @@ class ServerTM:
         node = self.network.node(self.node_id)
         return node.volatile.get(f"checkin-err:{txn_id}")
 
-    def staged_dov(self, txn_id: str) -> str | None:
-        """Id assigned to the staged DOV of *txn_id*, if prepare succeeded."""
-        node = self.network.node(self.node_id)
-        return node.volatile.get(f"checkin-dov:{txn_id}")
-
     def group_mapping(self, txn_id: str) -> dict[str, str]:
-        """provisional id -> durable id of a prepared group checkin."""
+        """provisional id -> durable id of a prepared checkin request."""
         node = self.network.node(self.node_id)
-        return dict(node.volatile.get(f"group-checkin-map:{txn_id}")
-                    or {})
+        return dict(node.volatile.get(f"checkin-map:{txn_id}") or {})
+
+    def staged_dov(self, txn_id: str) -> str | None:
+        """Id assigned to the (first) staged DOV of *txn_id*, if
+        prepare succeeded."""
+        return next(iter(self.group_mapping(txn_id).values()), None)
 
     def group_result(self, txn_id: str) -> list[DesignObjectVersion]:
-        """The durable versions of a committed group checkin, in batch
-        order (saves the gateway a read round per version)."""
+        """The durable versions of a committed checkin request, in
+        batch order (saves the gateway a read round per version)."""
         node = self.network.node(self.node_id)
-        return list(node.volatile.get(f"group-checkin-dovs:{txn_id}")
-                    or [])
+        return list(node.volatile.get(f"checkin-dovs:{txn_id}") or [])
 
     # -- End-of-DOP support ---------------------------------------------------------
 
@@ -532,22 +448,14 @@ class ServerTM:
                         buffer: ObjectBuffer) -> None:
         """Make *workstation*'s buffer the target of its invalidations.
 
-        Capacity evictions release the server-side lease too — an
-        evicted copy must not draw invalidation traffic later.
         Registration order is the order restart re-validation walks
         the buffers in, part of the determinism contract.
         """
         self._buffers[workstation] = buffer
-        buffer.on_evict = (
-            lambda dov_id, ws=workstation: self.release_lease(ws, dov_id))
 
     def lease_holders(self, dov_id: str) -> set[str]:
         """Workstations currently leasing a buffered copy of *dov_id*."""
         return self.leases.holders(dov_id)
-
-    def release_lease(self, workstation: str, dov_id: str) -> bool:
-        """Release one lease (buffer eviction); True when it existed."""
-        return self.leases.release(workstation, dov_id)
 
     def drop_leases(self, workstation: str) -> int:
         """Forget every lease of one workstation (its crash dropped the
@@ -619,19 +527,10 @@ class ServerTM:
         synchronous (no kernel events: re-validation is part of the
         restart instant).  Returns ``{workstation: {kept, dropped}}``.
         """
-        describe_many = getattr(self.repository, "describe_many", None)
         report: dict[str, dict[str, int]] = {}
         for workstation, buffer in self._buffers.items():
             clean = buffer.clean_ids()
-            if describe_many is not None:
-                descriptions = describe_many(clean)
-            else:
-                descriptions = {}
-                for dov_id in clean:
-                    if dov_id in self.repository:
-                        descriptions[dov_id] = \
-                            self.repository.describe(dov_id)
-            kept = buffer.revalidate(descriptions)
+            kept = buffer.revalidate(self.repository.describe_many(clean))
             for dov_id in buffer.clean_ids():
                 self.leases.grant(workstation, dov_id)
             dropped = len(clean) - kept
@@ -651,12 +550,7 @@ class ServerTM:
         the server stops promising coherence the moment it schedules
         the notice.
         """
-        targets = getattr(self.repository, "invalidation_targets", None)
-        if targets is not None:
-            superseded = targets(dov)
-        else:
-            superseded = list(dov.parents)
-        for dov_id in superseded:
+        for dov_id in self.repository.invalidation_targets(dov):
             # revoke BEFORE posting: a synchronous delivery can recall
             # a dirty dependent whose flush re-enters this observer —
             # with the lease already gone it cannot double-send
@@ -706,12 +600,10 @@ class ClientTM:
                  ids: IdGenerator | None = None,
                  policy: RecoveryPointPolicy | None = None,
                  trace: EventTrace | None = None,
-                 protocol: CommitProtocol = CommitProtocol.PRESUMED_ABORT,
                  buffer: ObjectBuffer | None = None,
                  write_back: bool = False,
                  flush_interval: int | None = None,
-                 flush_on_end_dop: bool = True,
-                 pressure_fraction: float = 1.0) -> None:
+                 flush_on_end_dop: bool = True) -> None:
         self.workstation = workstation
         self.server_tm = server_tm
         self.rpc = rpc
@@ -726,21 +618,14 @@ class ClientTM:
         #: ship later as one group checkin (requires a buffer)
         self.write_back = write_back and buffer is not None
         #: flush automatically when the dirty set reaches this many
-        #: entries (None/0 = only the other triggers); coalesced
+        #: entries (None = only the other triggers); coalesced
         #: checkins never inflate the count
         self.flush_interval = flush_interval
         #: flush the dirty set at End-of-DOP (the paper-shaped default)
         self.flush_on_end_dop = flush_on_end_dop
-        #: capacity-pressure flush policy: ship only the oldest dirty
-        #: prefix — ``ceil(fraction * dirty)`` entries — instead of the
-        #: whole set (1.0 keeps the flush-everything behaviour).  The
-        #: prefix is enough to relieve pressure, and the youngest
-        #: entries stay resident to keep coalescing
-        self.pressure_fraction = pressure_fraction
         if buffer is not None:
             server_tm.register_buffer(workstation, buffer)
             if self.write_back:
-                buffer.on_pressure = self._flush_on_pressure
                 buffer.on_recall = self._flush_on_recall
         #: payload bytes fetched from the server (buffer misses and,
         #: with caching off, every checkout)
@@ -772,7 +657,7 @@ class ClientTM:
         #: workstation (single checkin, group flush, its slice of a
         #: cross-workstation commit) is driven through it
         self.gateway = CommitGateway(rpc, server_tm, workstation,
-                                     protocol=protocol, ids=self.ids)
+                                     ids=self.ids)
         self.coordinator = self.gateway.coordinator
         #: volatile table of running DOPs — lost on workstation crash
         self._active: dict[str, DesignOperation] = {}
@@ -1082,8 +967,8 @@ class ClientTM:
         **Write-back** (``write_back=True``): zero network and zero
         kernel events here — the version is staged as a *dirty*,
         provisional buffer entry and ships with the next group flush
-        (End-of-DOP, lease recall, capacity pressure, flush interval,
-        or explicit :meth:`flush`).  Integrity validation is deferred
+        (End-of-DOP, lease recall, flush interval, or explicit
+        :meth:`flush`).  Integrity validation is deferred
         to the flush; a workstation crash before the flush drops the
         entry (recovered from repository state).
         """
@@ -1159,40 +1044,20 @@ class ClientTM:
             self.flush()
         return CheckinResult(True, dov=dov, provisional=True)
 
-    def _flush_on_pressure(self) -> None:
-        """Buffer hook target: capacity pressure.
-
-        Ships only the oldest ``ceil(pressure_fraction * dirty)``
-        entries — enough to turn pinned bytes into evictable clean
-        residents, while the youngest checkins stay dirty and keep
-        coalescing (a full flush would forfeit exactly the write-back
-        savings pressure is most likely to hit).
-        """
-        if self.flushing:
-            return
-        dirty = self.buffer.dirty_count
-        if self.pressure_fraction >= 1.0 or dirty <= 1:
-            self.flush()
-            return
-        self.flush(limit=max(1, math.ceil(self.pressure_fraction
-                                          * dirty)))
-
     def _flush_on_recall(self) -> None:
         """Buffer hook target: a lease recall touched dirty lineage."""
         if not self.flushing:
             self.flush()
 
-    def collect_flush_records(self, limit: int | None = None
-                              ) -> tuple[list[dict[str, Any]], list[int]]:
+    def collect_flush_records(
+            self) -> tuple[list[dict[str, Any]], list[int]]:
         """The dirty set as (records, sizes), oldest first.
 
-        With *limit*, only the oldest dirty prefix is collected (the
-        capacity-pressure policy).  Records are handed to the server
-        as-is; a committed flush retires them via
-        :meth:`apply_flush_commit`, an aborted one leaves the entries
-        dirty and untouched for retry.
+        Records are handed to the server as-is; a committed flush
+        retires them via :meth:`apply_flush_commit`, an aborted one
+        leaves the entries dirty and untouched for retry.
         """
-        dirty = self.buffer.dirty_entries(limit)
+        dirty = self.buffer.dirty_entries()
         return ([entry.record for entry in dirty],
                 [entry.size for entry in dirty])
 
@@ -1204,11 +1069,8 @@ class ClientTM:
         *mapping*/*dovs* may span a whole cross-workstation batch;
         only this client's *records* slice is applied here.  The
         buffer rebinds the provisional entries to their durable
-        versions (still resident, under fresh leases), running DOPs
-        learn their durable output ids, and — after a *partial*
-        (capacity-pressure) flush — the still-dirty remainder's
-        lineage is rewritten to the durable ids so a later flush ships
-        a consistent chain.
+        versions (still resident, under fresh leases) and running
+        DOPs learn their durable output ids.
         """
         durable = {dov.dov_id: dov for dov in dovs}
         own = {record["provisional_id"]: mapping[record["provisional_id"]]
@@ -1221,11 +1083,6 @@ class ClientTM:
         for dop in self._active.values():
             if dop.output_dov in own:
                 dop.output_dov = own[dop.output_dov]
-        for entry in self.buffer.dirty_entries():
-            record = entry.record
-            if record and any(p in own for p in record["parents"]):
-                record["parents"] = [own.get(p, p)
-                                     for p in record["parents"]]
         self.flushes += 1
         self.flushed_checkins += len(records)
         self.bytes_flushed += sum(sizes)
@@ -1238,14 +1095,13 @@ class ClientTM:
         self._record("flush_failed", self.workstation, reason=reason,
                      count=len(records))
 
-    def flush(self, limit: int | None = None) -> FlushResult:
+    def flush(self) -> FlushResult:
         """Ship the buffer's dirty set as one batched group checkin.
 
         The drive itself — txn id, control RPC, ONE sized batch
         message, the 2PC — belongs to the txn layer's
         :class:`~repro.txn.gateway.CommitGateway`; this method is the
-        thin participant around it: collect the dirty records (all of
-        them, or the oldest *limit* under capacity pressure), hand
+        thin participant around it: collect the dirty records, hand
         them to the gateway, and apply the outcome.  On commit the
         buffer rebinds the provisional entries to the durable versions
         the server assigned (they stay resident under fresh leases)
@@ -1265,7 +1121,7 @@ class ClientTM:
             return FlushResult(True, count=0)
         self.flushing = True
         try:
-            records, sizes = self.collect_flush_records(limit)
+            records, sizes = self.collect_flush_records()
             result = self.gateway.group_checkin(
                 [GroupRequest(self.workstation, records, sizes)],
                 lease=True, renew=self._consume_renewal_window())

@@ -43,11 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.net.rpc import TransactionalRpc
-from repro.net.two_phase_commit import (
-    CommitOutcome,
-    CommitProtocol,
-    TwoPhaseCoordinator,
-)
+from repro.net.two_phase_commit import CommitOutcome, TwoPhaseCoordinator
 from repro.repository.versions import payload_sizeof
 from repro.util.ids import IdGenerator
 
@@ -121,14 +117,12 @@ class CommitGateway:
 
     def __init__(self, rpc: TransactionalRpc, server_tm: Any,
                  node_id: str,
-                 protocol: CommitProtocol = CommitProtocol.PRESUMED_ABORT,
                  ids: IdGenerator | None = None) -> None:
         self.rpc = rpc
         self.server_tm = server_tm
         self.node_id = node_id
         self.ids = ids or IdGenerator()
-        self.coordinator = TwoPhaseCoordinator(
-            rpc.network, node_id, protocol=protocol)
+        self.coordinator = TwoPhaseCoordinator(rpc.network, node_id)
 
     def next_txn_id(self) -> str:
         """Allocate the next transaction id of this coordinator."""

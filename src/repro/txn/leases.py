@@ -228,7 +228,7 @@ class LeaseTable:
     # -- recall / release ---------------------------------------------------
 
     def release(self, workstation: str, dov_id: str) -> bool:
-        """Drop one lease (recall, eviction, expiry); True when held.
+        """Drop one lease (recall, expiry); True when held.
 
         Lazy: the lease's bucket entry stays behind and is skipped
         when the bucket event fires — O(1), no event cancellation.

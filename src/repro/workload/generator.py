@@ -83,12 +83,6 @@ class TeamWorkload:
 
     sessions: list[SessionSpec]
     seed: int = 0
-    #: write-back knob: a client-TM should group-flush after this many
-    #: deferred checkins (0 = flush only at End-of-DOP)
-    flush_interval: int = 0
-    #: capacity-pressure knob: the fraction of the dirty set (oldest
-    #: first) a pressure-triggered flush ships (1.0 = everything)
-    pressure_fraction: float = 1.0
 
     def session(self, session_id: str) -> SessionSpec:
         """Look up a session by id."""
@@ -135,9 +129,7 @@ def team_workload(team_size: int, steps_per_session: int = 4,
                   reads_per_step: int = 0,
                   reread_locality: float = 0.0,
                   object_pool: int = 4,
-                  write_ratio: float = 0.0,
-                  flush_interval: int = 0,
-                  pressure_fraction: float = 1.0) -> TeamWorkload:
+                  write_ratio: float = 0.0) -> TeamWorkload:
     """Generate a seeded chip-planning-style team workload.
 
     Session *i* (>0) consumes a preliminary result of session *i-1*
@@ -157,11 +149,6 @@ def team_workload(team_size: int, steps_per_session: int = 4,
     that probability (the plan lands in
     :attr:`SessionSpec.write_steps`); the last step of every session
     always writes, so each designer produces at least one result.
-    ``flush_interval`` rides along on the workload for the write-back
-    experiments (T9): how many deferred checkins a client-TM batches
-    before group-flushing mid-DOP (0 = End-of-DOP only);
-    ``pressure_fraction`` likewise carries the capacity-pressure
-    policy (the oldest-dirty-prefix fraction a pressure flush ships).
     """
     if team_size < 1:
         raise ValueError("team_size must be >= 1")
@@ -203,9 +190,7 @@ def team_workload(team_size: int, steps_per_session: int = 4,
             reads=reads,
             write_steps=write_steps,
         ))
-    return TeamWorkload(sessions=sessions, seed=seed,
-                        flush_interval=flush_interval,
-                        pressure_fraction=pressure_fraction)
+    return TeamWorkload(sessions=sessions, seed=seed)
 
 
 def integration_workload(team_size: int, steps_per_session: int = 3,

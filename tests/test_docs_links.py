@@ -56,3 +56,28 @@ def test_checker_flags_broken_links(tmp_path):
         encoding="utf-8")
     (tmp_path / "docs" / "ok.md").write_text("fine\n", encoding="utf-8")
     assert checker.main([str(tmp_path)]) == 1
+
+
+def test_checker_flags_keywords_the_constructor_does_not_have(
+        tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "src" / "repro" / "te").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "te" / "rig.py").write_text(
+        "class TeRig:\n"
+        "    def __init__(self, trace=True, lease_ttl=None):\n"
+        "        pass\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "Outside a fence TeRig(anything=1) is prose.\n\n"
+        "```python\n"
+        "rig = TeRig(trace=False,          # quiet\n"
+        "            lease_ttl=max(1, 2))\n"
+        "```\n", encoding="utf-8")
+    assert checker.main([str(tmp_path)]) == 0
+    (tmp_path / "README.md").write_text(
+        "```python\n"
+        "rig = TeRig(trace=False,\n"
+        "            eviction_policy=\"lru\")\n"
+        "```\n", encoding="utf-8")
+    assert checker.main([str(tmp_path)]) == 1
+    assert "README.md:2: TeRig() has no parameter 'eviction_policy'" \
+        in capsys.readouterr().out

@@ -11,12 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.te.object_buffer import (
-    FifoEviction,
-    LruEviction,
-    SizeAwareEviction,
-    make_eviction_policy,
-)
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
@@ -62,16 +56,6 @@ class TestObjectBufferUnit:
         assert buffer.clear() == 1
         assert len(buffer) == 0
 
-    def test_capacity_evicts_oldest(self):
-        blob = {"blob": "x" * 100}
-        buffer = ObjectBuffer("ws-1", capacity_bytes=250)
-        buffer.put(make_dov("dov-1", blob), "da-1")
-        buffer.put(make_dov("dov-2", blob), "da-1")
-        buffer.put(make_dov("dov-3", blob), "da-1")
-        assert "dov-1" not in buffer
-        assert "dov-3" in buffer
-        assert buffer.evictions >= 1
-
     def test_stats_snapshot(self):
         buffer = ObjectBuffer("ws-1")
         buffer.put(make_dov(), "da-1")
@@ -80,120 +64,14 @@ class TestObjectBufferUnit:
         assert stats["resident"] == 1
         assert stats["hits"] == 1
         assert stats["resident_bytes"] == make_dov().payload_size
-        assert stats["policy"] == "fifo"
-
-
-class TestEvictionPolicies:
-    """LRU and size-aware replacement vs the FIFO baseline."""
-
-    BLOB = {"blob": "x" * 100}  # ~112 modelled bytes per entry
-
-    def _filled(self, policy):
-        """Three resident entries, dov-1 touched most recently."""
-        buffer = ObjectBuffer("ws-1", capacity_bytes=350, policy=policy)
-        for dov_id in ("dov-1", "dov-2", "dov-3"):
-            buffer.put(make_dov(dov_id, self.BLOB), "da-1")
-        buffer.get("dov-1", "da-1")  # recency: 1 > 3 > 2
-        buffer.get("dov-3", "da-1")
-        buffer.get("dov-1", "da-1")
-        return buffer
-
-    def test_policy_registry(self):
-        assert isinstance(make_eviction_policy(None), FifoEviction)
-        assert isinstance(make_eviction_policy("lru"), LruEviction)
-        assert isinstance(make_eviction_policy("size-aware"),
-                          SizeAwareEviction)
-        with pytest.raises(ValueError):
-            make_eviction_policy("clairvoyant")
-
-    def test_fifo_evicts_oldest_resident_despite_recency(self):
-        buffer = self._filled("fifo")
-        buffer.put(make_dov("dov-4", self.BLOB), "da-1")
-        # FIFO ignores the re-reads: dov-1 entered first, dov-1 goes
-        assert "dov-1" not in buffer
-        assert "dov-2" in buffer
-
-    def test_lru_reauthorizing_put_counts_as_a_touch(self):
-        buffer = self._filled("lru")
-        # another DA's server-validated re-ship of dov-2 (the LRU
-        # victim-to-be) must refresh its recency — the freshly paid
-        # re-ship is not thrown away by the next eviction
-        buffer.put(make_dov("dov-2", self.BLOB), "da-2")
-        buffer.put(make_dov("dov-4", self.BLOB), "da-1")
-        assert "dov-2" in buffer
-        assert "dov-3" not in buffer  # now the least recently used
-
-    def test_lru_keeps_the_hot_entry(self):
-        buffer = self._filled("lru")
-        buffer.put(make_dov("dov-4", self.BLOB), "da-1")
-        # dov-2 is the least recently used; the re-read dov-1 survives
-        assert "dov-2" not in buffer
-        assert "dov-1" in buffer
-        assert "dov-3" in buffer
-
-    def test_size_aware_prefers_evicting_the_large_cold_entry(self):
-        buffer = ObjectBuffer("ws-1", capacity_bytes=1300,
-                              policy="size-aware")
-        buffer.put(make_dov("dov-big", {"blob": "x" * 900}), "da-1")
-        buffer.put(make_dov("dov-small", {"blob": "y" * 100}), "da-1")
-        buffer.put(make_dov("dov-mid", {"blob": "z" * 400}), "da-1")
-        # over capacity: GreedyDual-Size drops the big entry first
-        # (smallest priority = inflation + 1/size), not the oldest
-        assert "dov-big" not in buffer
-        assert "dov-small" in buffer
-        assert "dov-mid" in buffer
-
-    def test_size_aware_hit_refreshes_priority(self):
-        buffer = ObjectBuffer("ws-1", capacity_bytes=250,
-                              policy="size-aware")
-        buffer.put(make_dov("dov-a", self.BLOB), "da-1")
-        buffer.put(make_dov("dov-b", self.BLOB), "da-1")
-        # equal sizes degenerate to FIFO until an eviction inflates L
-        buffer.put(make_dov("dov-c", self.BLOB), "da-1")
-        assert "dov-a" not in buffer
-        # a post-inflation hit re-credits dov-b above the cold dov-c
-        buffer.get("dov-b", "da-1")
-        buffer.put(make_dov("dov-d", self.BLOB), "da-1")
-        assert "dov-c" not in buffer
-        assert "dov-b" in buffer
-
-    def test_dirty_entries_are_pinned_against_eviction(self):
-        buffer = ObjectBuffer("ws-1", capacity_bytes=150, policy="lru")
-        record = {"provisional_id": "wb-1", "da_id": "da-1",
-                  "dot_name": "Cell", "data": dict(self.BLOB),
-                  "parents": [], "dop_id": "dop-1"}
-        buffer.put_dirty(make_dov("wb-1", self.BLOB), "da-1", record)
-        buffer.put(make_dov("dov-2", self.BLOB), "da-1")
-        # over capacity, but the dirty entry must never be the victim
-        assert "wb-1" in buffer
-        assert buffer.entry("wb-1").dirty
-
-    def test_capacity_pressure_fires_the_flush_hook(self):
-        buffer = ObjectBuffer("ws-1", capacity_bytes=150, policy="lru")
-        flushed = []
-
-        def fake_flush():
-            flushed.append(True)
-            for entry in buffer.dirty_entries():
-                entry.dirty = False
-                entry.record = None
-
-        buffer.on_pressure = fake_flush
-        record = {"provisional_id": "wb-1", "da_id": "da-1",
-                  "dot_name": "Cell", "data": dict(self.BLOB),
-                  "parents": [], "dop_id": "dop-1"}
-        buffer.put_dirty(make_dov("wb-1", self.BLOB), "da-1", record)
-        buffer.put(make_dov("dov-2", self.BLOB), "da-1")
-        # pressure flushed the dirty set, then eviction could proceed
-        assert flushed
-        assert buffer.resident_bytes <= 150 or len(buffer) == 1
+        assert stats["dirty"] == 0
 
 
 @pytest.fixture
 def rig():
     """Client/server TM pair with two buffering workstations (the
     kernel never runs: posted messages hand over synchronously)."""
-    te = TeRig(trace=False, bandwidth=1000.0, eviction_policy="fifo",
+    te = TeRig(trace=False, bandwidth=1000.0,
                recovery_policy=RecoveryPointPolicy(interval=30.0))
     te.open_scope()
     clock, network, server_tm = te.clock, te.network, te.server_tm
@@ -364,20 +242,6 @@ class TestCrashSemantics:
         assert list(buffer.clean_ids()) == [rig["dov0"].dov_id]
         assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
             == {"ws-1"}
-
-    def test_capacity_eviction_releases_the_lease(self, rig):
-        """An evicted copy must stop drawing invalidation traffic."""
-        server_tm = rig["server_tm"]
-        buffer = ObjectBuffer("ws-9")
-        server_tm.register_buffer("ws-9", buffer)
-        buffer.capacity_bytes = 1
-        server_tm.leases.grant("ws-9", "dov-a")
-        server_tm.leases.grant("ws-9", "dov-b")
-        buffer.put(make_dov("dov-a"), "da-1")
-        buffer.put(make_dov("dov-b"), "da-1")  # evicts dov-a
-        assert "dov-a" not in buffer
-        assert server_tm.lease_holders("dov-a") == set()
-        assert server_tm.lease_holders("dov-b") == {"ws-9"}
 
 
 class TestSystemWiring:

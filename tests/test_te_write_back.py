@@ -26,12 +26,11 @@ from repro.te.rig import TeRig
 from repro.util.errors import StorageError, TransactionError
 
 
-def make_rig(write_back: bool = True, capacity: int | None = None,
+def make_rig(write_back: bool = True,
              flush_interval: int | None = None):
     """Client/server TM pair with write-back workstations (the kernel
     never runs: posted messages hand over synchronously)."""
     te = TeRig(trace=False, bandwidth=1000.0,
-               buffer_capacity_bytes=capacity,
                recovery_policy=RecoveryPointPolicy(interval=30.0),
                write_back=write_back, flush_interval=flush_interval)
     te.open_scope()
@@ -162,19 +161,6 @@ class TestGroupFlush:
         assert client.flushes == 1
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 0
 
-    def test_capacity_pressure_triggers_flush(self):
-        rig = make_rig(capacity=60)
-        client = rig["clients"]["ws-1"]
-        dop = client.begin_dop("da-1", "tool")
-        client.checkin(dop, "Cell", data={"area": 1.0}, parents=[])
-        # 20 modelled bytes per version; the third put exceeds the
-        # 60-byte capacity while everything is pinned dirty
-        client.checkin(dop, "Cell", data={"area": 2.0}, parents=[])
-        client.checkin(dop, "Cell", data={"area": 3.0}, parents=[])
-        dop2 = client.begin_dop("da-1", "tool")
-        client.checkin(dop2, "Cell", data={"area": 4.0}, parents=[])
-        assert client.flushes >= 1
-
     def test_lease_recall_triggers_flush(self, rig):
         writer_wt = rig["clients"]["ws-2"]
         writer_wt.write_back = False  # ws-2 ships eagerly
@@ -284,7 +270,7 @@ class TestGroupAtomicity:
         assert repo.stats()["durable_versions"] == 1
         assert all(r["provisional_id"] not in repo for r in records)
         # the workstation still holds its dirty set: retry succeeds
-        server_tm._staged_groups.pop(txn_id, None)
+        server_tm._staged.pop(txn_id, None)
         flushed = client.flush()
         assert flushed.success and flushed.count == 2
         assert client.resolve(r1.dov.dov_id) in repo

@@ -6,7 +6,6 @@ decision and ONE forced repository WAL write; every contributor posts
 its own sized batch message (byte accounting per workstation is
 preserved), leases land at the contributing workstation, and the
 combined batch is all-or-nothing — one bad record aborts everyone.
-Also covers the capacity-pressure partial flush (oldest dirty prefix).
 """
 
 from __future__ import annotations
@@ -20,12 +19,9 @@ from repro.te.rig import TeRig
 from repro.txn import flush_group
 
 
-def make_rig(team: int = 3, capacity: int | None = None,
-             pressure_fraction: float = 1.0):
-    te = TeRig(trace=False, bandwidth=1000.0,
-               buffer_capacity_bytes=capacity, write_back=True,
-               flush_on_end_dop=False,
-               pressure_fraction=pressure_fraction)
+def make_rig(team: int = 3):
+    te = TeRig(trace=False, bandwidth=1000.0, write_back=True,
+               flush_on_end_dop=False)
     te.open_scope()
     clock, network, server_tm = te.clock, te.network, te.server_tm
     repo = te.repository
@@ -154,61 +150,3 @@ class TestCrossWorkstationGroupCommit:
         durable_second = client.resolve(second.dov.dov_id)
         dov = rig["repo"].read(durable_second)
         assert dov.parents == (durable_first,)
-
-
-class TestCapacityPressurePrefixFlush:
-    def test_pressure_ships_only_the_oldest_prefix(self):
-        rig = make_rig(team=1, capacity=10_000,
-                       pressure_fraction=0.5)
-        client = rig["clients"][0]
-        dop = client.begin_dop("da-0", tool="t")
-        # independent lineages so nothing coalesces; each entry is
-        # ~16 modelled bytes, so four fit comfortably
-        provisionals = []
-        for step in range(4):
-            result = client.checkin(dop, "Cell",
-                                    data={"area": float(step)},
-                                    parents=[])
-            provisionals.append(result.dov.dov_id)
-        assert client.buffer.dirty_count == 4
-        # shrink the capacity below the resident bytes and trigger
-        # pressure with one more checkin
-        client.buffer.capacity_bytes = client.buffer.resident_bytes
-        result = client.checkin(dop, "Cell", data={"area": 99.0},
-                                parents=[])
-        provisionals.append(result.dov.dov_id)
-        # the pressure flush shipped ceil(0.5 * 5) = 3 oldest entries
-        assert client.flushes == 1
-        assert client.flushed_checkins == 3
-        for provisional in provisionals[:3]:
-            assert client.resolve(provisional) in rig["repo"]
-        # the youngest two stayed dirty (still coalescible)
-        assert client.buffer.dirty_count == 2
-        for provisional in provisionals[3:]:
-            assert client.resolve(provisional) not in rig["repo"]
-
-    def test_partial_flush_rewrites_remaining_lineage(self):
-        """A dirty chain split by a partial flush keeps a consistent
-        lineage: the remainder's parents become the durable ids."""
-        rig = make_rig(team=1)
-        client = rig["clients"][0]
-        dop = client.begin_dop("da-0", tool="t")
-        first = client.checkin(dop, "Cell", data={"area": 1.0},
-                               parents=[])
-        dop2 = client.begin_dop("da-0", tool="t")
-        second = client.checkin(dop2, "Cell", data={"area": 2.0},
-                                parents=[])
-        # explicit prefix flush of just the first entry
-        flushed = client.flush(limit=1)
-        assert flushed.success and flushed.count == 1
-        assert client.buffer.dirty_count == 1
-        # now chain a third checkin onto the *flushed* first: its
-        # provisional parent already resolves to a durable id
-        durable_first = client.resolve(first.dov.dov_id)
-        third = client.checkin(dop2, "Cell", data={"area": 3.0},
-                               parents=[durable_first])
-        assert client.flush().success
-        assert rig["repo"].read(
-            client.resolve(third.dov.dov_id)).parents \
-            == (durable_first,)
-        assert client.resolve(second.dov.dov_id) in rig["repo"]

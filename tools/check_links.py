@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Relative-link checker for the repo's markdown docs.
+"""Relative-link and example-call checker for the repo's markdown docs.
 
 Scans ``README.md``, ``ROADMAP.md``, ``docs/*.md`` and
 ``examples/README.md`` for markdown links/images and verifies that
 every **relative** target resolves to an existing file or directory
 (anchors are stripped; external ``http(s):``/``mailto:`` targets and
-bare in-page ``#anchors`` are skipped).  Exits non-zero listing every
-broken link — cheap enough to keep blocking in CI.
+bare in-page ``#anchors`` are skipped).  Inside fenced code blocks it
+also checks that every keyword of a ``ConcordSystem(...)`` /
+``TeRig(...)`` call is a parameter of that constructor — read from the
+source, nothing is imported — so the docs cannot advertise an option
+that does not exist.  Exits non-zero listing every problem — cheap
+enough to keep blocking in CI.
 
 Usage::
 
@@ -15,6 +19,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -23,6 +28,10 @@ from pathlib import Path
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: targets that are not this repo's business
 _EXTERNAL = re.compile(r"^(https?:|mailto:|ftp:)", re.IGNORECASE)
+#: the constructors whose documented calls are checked, and their source
+_CONSTRUCTORS = {"TeRig": "src/repro/te/rig.py",
+                 "ConcordSystem": "src/repro/core/system.py"}
+_CALL = re.compile(r"\b(" + "|".join(_CONSTRUCTORS) + r")\(")
 
 
 def doc_files(root: Path) -> list[Path]:
@@ -33,16 +42,79 @@ def doc_files(root: Path) -> list[Path]:
     return [f for f in files if f.is_file()]
 
 
-def check_file(path: Path, root: Path) -> list[str]:
-    """Broken-link descriptions for one markdown file."""
+def constructor_parameters(root: Path) -> dict[str, set[str]]:
+    """Parameter names of each checked constructor's ``__init__``."""
+    parameters: dict[str, set[str]] = {}
+    for name, source in _CONSTRUCTORS.items():
+        if not (root / source).is_file():
+            continue
+        tree = ast.parse((root / source).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                parameters[name] = {
+                    arg.arg for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__"
+                    for arg in item.args.args + item.args.kwonlyargs}
+    return parameters
+
+
+def _call_keywords(code: str, start: int) -> list[str] | None:
+    """Keyword names of the call whose ``(`` sits just before *start*
+    (None when the parentheses never close or the arguments do not
+    parse)."""
+    depth = 1
+    for end in range(start, len(code)):
+        depth += {"(": 1, ")": -1}.get(code[end], 0)
+        if depth == 0:
+            break
+    else:
+        return None
+    try:
+        call = ast.parse(f"f({code[start:end]})", mode="eval").body
+    except SyntaxError:
+        return None
+    return [keyword.arg for keyword in call.keywords if keyword.arg]
+
+
+def check_calls(block: list[str], first_line: int, where: str,
+                parameters: dict[str, set[str]]) -> list[str]:
+    """Unknown-keyword descriptions for one fenced code block."""
+    problems: list[str] = []
+    code = "\n".join(re.sub(r"#.*", "", line) for line in block)
+    for match in _CALL.finditer(code):
+        name = match.group(1)
+        lineno = first_line + code.count("\n", 0, match.start())
+        keywords = _call_keywords(code, match.end())
+        if keywords is None:
+            problems.append(f"{where}:{lineno}: cannot read the "
+                            f"arguments of {name}(...)")
+            continue
+        for keyword in keywords:
+            if name in parameters and keyword not in parameters[name]:
+                problems.append(f"{where}:{lineno}: {name}() has no "
+                                f"parameter {keyword!r}")
+    return problems
+
+
+def check_file(path: Path, root: Path,
+               parameters: dict[str, set[str]]) -> list[str]:
+    """Broken-link and unknown-keyword descriptions for one file."""
     problems: list[str] = []
     text = path.read_text(encoding="utf-8")
+    where = str(path.relative_to(root))
     in_fence = False
+    block: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.lstrip().startswith("```"):
+            if in_fence:
+                problems.extend(check_calls(
+                    block, lineno - len(block), where, parameters))
+                block = []
             in_fence = not in_fence
             continue
         if in_fence:
+            block.append(line)
             continue
         for match in _LINK.finditer(line):
             target = match.group(1)
@@ -51,8 +123,7 @@ def check_file(path: Path, root: Path) -> list[str]:
             resolved = (path.parent / target.split("#", 1)[0]).resolve()
             if not resolved.exists():
                 problems.append(
-                    f"{path.relative_to(root)}:{lineno}: broken link "
-                    f"-> {target}")
+                    f"{where}:{lineno}: broken link -> {target}")
     return problems
 
 
@@ -64,15 +135,17 @@ def main(argv: list[str] | None = None) -> int:
     if not files:
         print(f"no markdown docs found under {root}")
         return 2
+    parameters = constructor_parameters(root)
     problems: list[str] = []
     for path in files:
-        problems.extend(check_file(path, root))
+        problems.extend(check_file(path, root, parameters))
     checked = ", ".join(str(f.relative_to(root)) for f in files)
     if problems:
         print("\n".join(problems))
-        print(f"\n{len(problems)} broken link(s) across: {checked}")
+        print(f"\n{len(problems)} problem(s) across: {checked}")
         return 1
-    print(f"all relative links resolve ({checked})")
+    print(f"all relative links resolve and all documented constructor "
+          f"keywords exist ({checked})")
     return 0
 
 
