@@ -24,7 +24,7 @@ from repro.bench.scenarios import concurrent_delegation_scenario
 def main() -> None:
     subcells = ("A", "B", "C")
 
-    # the sequential reference: one DA after the other, manual pumping
+    # the sequential reference: one DA after the other on the kernel
     __, sequential = concurrent_delegation_scenario(subcells,
                                                     concurrent=False)
     # the concurrent run: all sub-DAs interleaved on the kernel

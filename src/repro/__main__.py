@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro [F1 T1 A2 ...]``.
 
 With no arguments, regenerates and prints every figure (F1-F8),
-experiment (T1-T9) and ablation (A1-A3); with arguments, only the named
+experiment (T1-T11) and ablation (A1-A3); with arguments, only the named
 ones.  ``python -m repro scorecard`` checks every expected shape;
 ``python -m repro perf`` runs the zero-copy microbenchmark harness and
 emits ``BENCH_PERF.json`` (see ``docs/performance.md``).

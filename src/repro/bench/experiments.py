@@ -1,4 +1,4 @@
-"""Drivers for the quantitative experiments T1-T9.
+"""Drivers for the quantitative experiments T1-T11.
 
 These substantiate the paper's qualitative claims with measurements on
 the implemented system and baselines; see DESIGN.md §3 for the expected
@@ -503,7 +503,7 @@ def run_t8(team_sizes: tuple[int, ...] = (2, 4),
     non-zero buffer hit rate; invalidation traffic (the price of
     lease-based coherence) stays far below the payload savings.
     """
-    from repro.bench.scenarios import object_buffer_scenario
+    from repro.scenario import compile_scenario, validate_scenario
 
     result = ExperimentResult(
         "T8", "Workstation object buffers: cached data shipping with "
@@ -511,10 +511,14 @@ def run_t8(team_sizes: tuple[int, ...] = (2, 4),
     for team in team_sizes:
         for write_mix in write_mixes:
             for caching in (False, True):
-                report = object_buffer_scenario(
-                    team=team, caching=caching, seed=seed,
-                    reread_locality=reread_locality,
-                    write_mix=write_mix)
+                report = compile_scenario(validate_scenario({
+                    "scenario": {"name": "t8", "kind": "object_buffers",
+                                 "seed": seed},
+                    "team": {"size": team},
+                    "locality": {"reread": reread_locality},
+                    "writes": {"ratio": write_mix},
+                    "buffers": {"caching": caching},
+                })).run()
                 result.add(team=team, write_mix=write_mix,
                            caching=caching,
                            makespan=round(report.makespan, 1),
@@ -552,7 +556,7 @@ def run_t9(team_sizes: tuple[int, ...] = (2, 4),
     stamp-based re-validation keeps warm buffer entries resident
     (``revalidated`` > 0) instead of cold-flushing them.
     """
-    from repro.bench.scenarios import write_back_scenario
+    from repro.scenario import compile_scenario, validate_scenario
 
     result = ExperimentResult(
         "T9", "Write-back object buffers: group checkin, coalescing "
@@ -560,9 +564,13 @@ def run_t9(team_sizes: tuple[int, ...] = (2, 4),
     for team in team_sizes:
         for write_ratio in write_ratios:
             for write_back in (False, True):
-                report = write_back_scenario(
-                    team=team, write_back=write_back, seed=seed,
-                    write_ratio=write_ratio)
+                report = compile_scenario(validate_scenario({
+                    "scenario": {"name": "t9", "kind": "write_back",
+                                 "seed": seed},
+                    "team": {"size": team},
+                    "writes": {"ratio": write_ratio,
+                               "write_back": write_back},
+                })).run()
                 result.add(team=team, write_ratio=write_ratio,
                            write_back=write_back,
                            makespan=round(report.makespan, 1),

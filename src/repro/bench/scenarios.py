@@ -28,17 +28,9 @@ from repro.te.context import DopContext
 from repro.te.recovery import RecoveryPointPolicy
 from repro.util.errors import StorageError
 from repro.util.ids import IdGenerator
-from repro.util.rng import SeededRng
 from repro.vlsi.floorplan import Floorplan, FloorplanInterface
 from repro.vlsi.methodology import full_design_script, playout_constraints
 from repro.vlsi.tools import register_vlsi_tools, vlsi_dots
-from repro.workload.generator import team_workload
-from repro.scenario.sessions import (
-    SessionDriver,
-    SessionPlan,
-    StepPlan,
-    session_rig,
-)
 
 
 def make_vlsi_system(workstations: tuple[str, ...] = ("ws-1",),
@@ -283,9 +275,10 @@ def concurrent_delegation_scenario(
     shared kernel — tool steps interleave on one clock, the
     Ready_To_Commit messages are auto-dispatched to the top DM whose
     ECA rule terminates each sub-DA the instant its message arrives
-    (devolving the final DOVs).  With ``concurrent=False`` the same
-    scenario runs sequentially (``run`` + ``pump_events``) — the
-    reference path concurrency must be equivalent to.  *crash* arms a
+    (devolving the final DOVs).  ``concurrent=False`` is a schedule
+    on the same kernel, not a second execution mode: the sub-DAs run
+    one after the other, each to quiescence — the reference the
+    interleaved run must end in the same states as.  *crash* arms a
     kernel-injected ``(node, at, restart_after)`` failure.
     """
     from repro.dc.rules import EcaRule
@@ -356,248 +349,12 @@ def concurrent_delegation_scenario(
         report.signature = system.kernel.trace_signature()
     else:
         for sub_id in sub_ids:
-            system.run(sub_id)
-            system.pump_events(top.da_id)
+            system.run_concurrent([sub_id])
     report.makespan = system.clock.now - phase_start
     report.events = system.kernel.executed - events_before
     for da_id in [top.da_id, *sub_ids]:
         report.final_states[da_id] = system.cm.da(da_id).state.value
     return system, report
-
-
-@dataclass
-class ShippingReport:
-    """Chronicle of one T8 data-shipping run on the real TE stack."""
-
-    caching: bool = True
-    #: simulated completion time of the last designer session
-    makespan: float = 0.0
-    #: total payload bytes shipped over the LAN
-    bytes_shipped: int = 0
-    #: object-buffer lookups served locally / from the server
-    hits: int = 0
-    misses: int = 0
-    hit_rate: float = 0.0
-    #: lease invalidations the server scheduled / the buffers applied
-    invalidations_sent: int = 0
-    invalidations_applied: int = 0
-    #: LAN messages of the whole run (control + data + invalidations)
-    messages: int = 0
-    #: simulated time the designers spent waiting on payload fetches
-    fetch_time: float = 0.0
-    #: committed checkins (superseding writes) across the team
-    checkins: int = 0
-    #: deterministic kernel fingerprint of the run
-    signature: tuple[Any, ...] = ()
-    #: per-node payload bytes received (workstation fetch profile)
-    bytes_received_by: dict[str, int] = field(default_factory=dict)
-
-
-def object_buffer_scenario(team: int = 3,
-                           steps_per_session: int = 4,
-                           mean_step: float = 60.0,
-                           seed: int = 11,
-                           caching: bool = True,
-                           reread_locality: float = 0.6,
-                           write_mix: float = 0.3,
-                           reads_per_step: int = 2,
-                           object_pool: int = 4,
-                           payload_bytes: int = 4000,
-                           bandwidth: float = 400.0,
-                           lan_latency: float = 0.05,
-                           jitter: float = 0.0,
-                           lease_ttl: float | None = None,
-                           on_kernel: Callable[[Kernel], None]
-                           | None = None) -> ShippingReport:
-    """A designer team exercising the data-shipping path end to end.
-
-    Runs the *implemented* TE protocol — client-TMs, server-TM,
-    repository, 2PC checkin — on the unified kernel: one workstation
-    per designer, every session a sequence of tool steps that check
-    shared library objects out of the server (re-read locality per
-    :func:`~repro.workload.generator.team_workload`), occasionally
-    deriving and checking in a new version (``write_mix``), which
-    supersedes the old one and triggers lease invalidations of the
-    buffered copies elsewhere.  With ``caching=True`` each workstation
-    has a DOV object buffer, so re-reads are local; with
-    ``caching=False`` every checkout re-ships its payload, so network
-    cost scales with reads instead of working-set size.
-
-    The workload (read sets, durations, write plan) is drawn from
-    *seed* before the run starts, so caching on/off compare the exact
-    same design sessions.  Session dependencies are not enforced here
-    — T8 measures data shipping, not visibility policies (that is T1).
-    """
-    rig = session_rig(on_kernel, object_buffers=caching, seed=seed,
-                      lan_latency=lan_latency, jitter=jitter,
-                      bandwidth=bandwidth, lease_ttl=lease_ttl)
-    driver = SessionDriver(rig, payload_bytes)
-    driver.seed_library([f"lib-{n}" for n in range(object_pool)])
-
-    workload = team_workload(
-        team, steps_per_session, mean_step, seed,
-        reads_per_step=reads_per_step,
-        reread_locality=reread_locality, object_pool=object_pool)
-    # the write plan is drawn up front so caching on/off runs execute
-    # the identical sequence of designer decisions
-    write_rng = SeededRng(seed * 7919 + 23)
-    plans = []
-    for index, spec in enumerate(workload.sessions):
-        steps = []
-        for step, duration in enumerate(spec.step_durations):
-            reads = tuple(spec.reads_at(step))
-            writes = write_rng.bernoulli(write_mix) and reads
-            steps.append(StepPlan(reads, duration,
-                                  reads[0] if writes else None))
-        plans.append(SessionPlan(
-            start=0.0, workstation=f"ws-{index}", da_id=f"da-{index}",
-            kind="t8", stem=spec.session_id, steps=tuple(steps),
-            dop_per_step=True))
-    driver.add_designers(team)
-    driver.schedule(plans)
-    rig.kernel.run_until_quiescent()
-
-    report = ShippingReport(caching=caching)
-    driver.fill(report)
-    report.bytes_received_by = dict(rig.network.bytes_received_by)
-    report.invalidations_applied = sum(b.invalidations
-                                       for b in rig.buffers())
-    return report
-
-
-@dataclass
-class WriteBackReport:
-    """Chronicle of one T9 write-back vs write-through run."""
-
-    write_back: bool = False
-    #: simulated completion time of the last designer session
-    makespan: float = 0.0
-    #: total payload bytes shipped over the LAN
-    bytes_shipped: int = 0
-    #: LAN messages of the whole run (control + data + invalidations)
-    messages: int = 0
-    #: batched (group-checkin) messages / payloads they carried
-    batches: int = 0
-    batched_payloads: int = 0
-    #: logical checkins the designers issued (identical in both modes)
-    checkins: int = 0
-    #: group flushes executed / checkins they shipped
-    flushes: int = 0
-    flushed_checkins: int = 0
-    #: dirty provisional versions that never crossed the LAN because a
-    #: later checkin superseded them first (write-back's byte saving)
-    coalesced: int = 0
-    invalidations_sent: int = 0
-    hits: int = 0
-    misses: int = 0
-    hit_rate: float = 0.0
-    #: simulated time the designers spent waiting on payload fetches
-    fetch_time: float = 0.0
-    #: server-restart episode: entries kept warm via stamp
-    #: re-validation / dropped, and the bytes a re-read round shipped
-    #: afterwards (0 = the warm entries really were served locally)
-    revalidated: int = 0
-    revalidation_drops: int = 0
-    post_restart_bytes: int = 0
-    #: deterministic kernel fingerprint of the run
-    signature: tuple[Any, ...] = ()
-
-
-def write_back_scenario(team: int = 3,
-                        steps_per_session: int = 4,
-                        mean_step: float = 60.0,
-                        seed: int = 13,
-                        write_back: bool = True,
-                        write_ratio: float = 0.6,
-                        reads_per_step: int = 2,
-                        reread_locality: float = 0.6,
-                        object_pool: int = 4,
-                        payload_bytes: int = 4000,
-                        bandwidth: float = 400.0,
-                        lan_latency: float = 0.05,
-                        jitter: float = 0.0,
-                        flush_interval: int = 0,
-                        restart: bool = True,
-                        lease_ttl: float | None = None,
-                        on_kernel: Callable[[Kernel], None]
-                        | None = None) -> WriteBackReport:
-    """A designer team exercising write-back vs write-through checkins.
-
-    Both modes run the implemented TE protocol with object buffers on;
-    the only difference is the checkin path.  Every designer session
-    is **one long DOP**: each step checks shared library objects and
-    the neighbour's design object out of the server, works, and — per
-    the workload's seeded ``write_ratio`` plan — derives and checks in
-    a new version of the designer's own object.  With
-    ``write_back=False`` each checkin ships its payload and runs its
-    own 2PC immediately; with ``write_back=True`` checkins stage dirty
-    buffer entries that coalesce and ship as one batched group
-    checkin at End-of-DOP (plus every ``flush_interval`` checkins when
-    set).  The workload (read sets, durations, write plan) is drawn
-    from *seed* before the run, so both modes execute identical
-    designer decisions.
-
-    With ``restart=True`` the scenario appends a server-crash /
-    restart episode after the team finishes: the server-TM
-    re-validates the resident buffer entries against fresh repository
-    stamps (warm cache survives recovery), and a follow-up re-read
-    round measures how many bytes that saved (`post_restart_bytes`
-    stays 0 when every re-read hits the re-validated buffer).
-    """
-    workload = team_workload(
-        team, steps_per_session, mean_step, seed,
-        reads_per_step=reads_per_step,
-        reread_locality=reread_locality, object_pool=object_pool,
-        write_ratio=write_ratio)
-    rig = session_rig(on_kernel, seed=seed, lan_latency=lan_latency,
-                      jitter=jitter, bandwidth=bandwidth,
-                      lease_ttl=lease_ttl, write_back=write_back,
-                      flush_interval=flush_interval or None)
-    driver = SessionDriver(rig, payload_bytes)
-    driver.seed_library([f"lib-{n}" for n in range(object_pool)]
-                        + [f"cell-{n}" for n in range(team)])
-
-    # every step also reads the neighbour's design object, and writes
-    # go to the designer's own
-    plans = [SessionPlan(
-        start=0.0, workstation=f"ws-{index}", da_id=f"da-{index}",
-        kind="t9", stem=spec.session_id,
-        steps=tuple(
-            StepPlan((*spec.reads_at(step),
-                      f"cell-{(index - 1) % team}"), duration,
-                     f"cell-{index}" if spec.writes_at(step) else None)
-            for step, duration in enumerate(spec.step_durations)))
-        for index, spec in enumerate(workload.sessions)]
-    driver.add_designers(team)
-    driver.schedule(plans)
-    rig.kernel.run_until_quiescent()
-
-    report = WriteBackReport(write_back=write_back)
-    driver.fill(report)
-    clients, buffers = rig.client_tms(), rig.buffers()
-    report.batches = rig.network.batches_sent
-    report.batched_payloads = rig.network.batched_payloads
-    report.flushes = sum(c.flushes for c in clients)
-    report.flushed_checkins = sum(c.flushed_checkins for c in clients)
-    report.coalesced = sum(b.coalesced for b in buffers)
-
-    if restart:
-        # the seeded server-restart episode: warm buffers survive via
-        # stamp re-validation, then a re-read round shows the kept
-        # entries serve locally (every re-shipped byte is counted)
-        rig.crash_server()
-        rig.restart_server()
-        report.revalidated = sum(b.revalidated for b in buffers)
-        report.revalidation_drops = sum(b.revalidation_drops
-                                        for b in buffers)
-        before = rig.network.bytes_shipped
-        for index, client in enumerate(clients):
-            dop = client.begin_dop(f"da-{index}", tool="t9-reread")
-            for dov_id in driver.last_reads.get(client.workstation, []):
-                client.checkout(dop, dov_id)
-            client.commit_dop(dop)
-        report.post_restart_bytes = rig.network.bytes_shipped - before
-    return report
 
 
 @dataclass

@@ -246,15 +246,15 @@ class ConcordSystem(TeRig):
         "disagree": "Disagree",
     }
 
-    def _dispatch_message(self, recipient: str, message: Any) -> int:
+    def _dispatch_message(self, recipient: str, message: Any) -> None:
         """Dispatch one CM message to the recipient DM's rule engine.
 
-        Returns the number of rule firings (0 when the recipient has
-        no runtime — the message is still considered delivered).
+        "Cooperation relationships among DAs lead to asynchronously
+        occurring events within a DA ... generally asking the
+        receiving DA to react or reply" (Sect.4.2): the message
+        becomes an (event, env) pair whose env carries the payload,
+        the sender and handles to the system.
         """
-        runtime = self._runtimes.get(recipient)
-        if runtime is None:
-            return 0
         event = self.EVENT_NAMES.get(message.kind, message.kind)
         env = {
             "system": self,
@@ -263,39 +263,7 @@ class ConcordSystem(TeRig):
             "message": message,
             **message.payload,
         }
-        return len(runtime.dm.rules.dispatch(event, env))
-
-    def pump_events(self, da_id: str | None = None,
-                    max_rounds: int = 25) -> int:
-        """Deliver pending CM messages to the DMs' ECA rule engines.
-
-        "Cooperation relationships among DAs lead to asynchronously
-        occurring events within a DA ... generally asking the
-        receiving DA to react or reply" (Sect.4.2).  Each pending
-        message is consumed and dispatched as an (event, env) pair to
-        the recipient's rule engine; the env carries the payload, the
-        sender and handles to the system.
-
-        This is the sequential compat shim over the kernel's
-        auto-dispatch (see :meth:`run_concurrent`); it drains to a
-        fixed point: messages produced *while* dispatching rule
-        firings are delivered in follow-up rounds, bounded by
-        *max_rounds*.  Returns the total number of rule firings.
-        """
-        firings = 0
-        for _ in range(max_rounds):
-            recipients = [da_id] if da_id is not None else \
-                [d.da_id for d in self.cm.das()]
-            consumed = 0
-            for recipient in recipients:
-                if recipient not in self._runtimes:
-                    continue
-                for message in self.cm.pop_messages(recipient):
-                    consumed += 1
-                    firings += self._dispatch_message(recipient, message)
-            if consumed == 0:
-                return firings
-        return firings
+        self._runtimes[recipient].dm.rules.dispatch(event, env)
 
     # -- concurrent execution on the shared kernel ------------------------------------
 
@@ -314,9 +282,8 @@ class ConcordSystem(TeRig):
         start + tool duration]`` of simulated time, so the tool steps
         of different DAs genuinely interleave on the shared clock.
         CM cooperation messages are delivered asynchronously through
-        the network (latency + jitter) and auto-dispatched to the
-        recipient DM's rule engine on arrival — no manual
-        :meth:`pump_events` choreography.  Crashes armed with
+        the network (latency + jitter) and dispatched to the
+        recipient DM's rule engine on arrival.  Crashes armed with
         :meth:`schedule_crash` interrupt steps mid-flight; after the
         restart the affected DMs run forward recovery and the driver
         resumes them (re-finishing an interrupted DOP from its

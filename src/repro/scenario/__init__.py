@@ -10,10 +10,7 @@ resulting kernel event stream as a regression oracle.  See
 ``docs/scenarios.md`` and the shipped library under ``scenarios/``.
 """
 
-from repro.scenario.campaign import (
-    CampaignReport,
-    design_campaign_scenario,
-)
+from repro.scenario.campaign import CampaignReport
 from repro.scenario.compiler import (
     KIND_RUNNERS,
     CompiledScenario,
@@ -45,7 +42,6 @@ __all__ = [
     "StepPlan",
     "canonical_scenarios",
     "compile_scenario",
-    "design_campaign_scenario",
     "dump_scenario",
     "load_scenario",
     "parse_scenario",

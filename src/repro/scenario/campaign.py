@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.sim.kernel import Kernel
-from repro.util.rng import SeededRng
+from repro.scenario.schema import ScenarioConfig
 from repro.scenario.sessions import (
-    SessionDriver,
     SessionPlan,
     StepPlan,
-    session_rig,
+    session_driver,
 )
+from repro.sim.kernel import Kernel
+from repro.util.rng import SeededRng
 
 
 @dataclass
@@ -62,21 +62,27 @@ class CampaignReport:
     signature: tuple[Any, ...] = ()
 
 
-def _draw_plan(rng: SeededRng, *, team: int, days: int,
-               sessions_per_day: int, steps_per_session: int,
-               mean_step: float, day_length: float, diurnal_peak: float,
-               object_pool: int, hotspots: int, hotspot_bias: float,
-               reads_per_step: int, reread_locality: float,
-               write_ratio: float) -> list[SessionPlan]:
+def _draw_plan(rng: SeededRng, config: ScenarioConfig
+               ) -> list[SessionPlan]:
     """Draw the whole campaign up front from one seeded stream."""
+    team, campaign = config["team"], config["campaign"]
+    steps_per_session, mean_step = \
+        team["steps_per_session"], team["mean_step"]
+    day_length = campaign["day_length"]
+    object_pool = config.get("objects", "pool")
+    hotspots = config.get("objects", "hotspots")
+    hotspot_bias = config.get("objects", "hotspot_bias")
+    reads_per_step = config.get("locality", "reads_per_step")
+    reread_locality = config.get("locality", "reread")
+    write_ratio = config.get("writes", "ratio")
     plans: list[SessionPlan] = []
-    working: dict[int, list[str]] = {i: [] for i in range(team)}
+    working: dict[int, list[str]] = {i: [] for i in range(team["size"])}
     # diurnal concentration: peak=1 spreads starts over the whole day,
     # higher peaks narrow the start window symmetrically around midday
-    spread = 1.0 / diurnal_peak
-    for day in range(days):
-        for designer in range(team):
-            for slot in range(sessions_per_day):
+    spread = 1.0 / campaign["diurnal_peak"]
+    for day in range(campaign["days"]):
+        for designer in range(team["size"]):
+            for slot in range(campaign["sessions_per_day"]):
                 offset = day_length * (0.5 + (rng.random() - 0.5)
                                        * spread)
                 start = day * day_length + offset
@@ -114,54 +120,25 @@ def _draw_plan(rng: SeededRng, *, team: int, days: int,
     return plans
 
 
-def design_campaign_scenario(team: int = 4,
-                             steps_per_session: int = 3,
-                             mean_step: float = 40.0,
-                             seed: int = 29,
-                             days: int = 5,
-                             sessions_per_day: int = 3,
-                             day_length: float = 480.0,
-                             diurnal_peak: float = 2.0,
-                             churn: float = 0.2,
-                             object_pool: int = 6,
-                             payload_bytes: int = 4000,
-                             hotspots: int = 2,
-                             hotspot_bias: float = 0.5,
-                             reads_per_step: int = 2,
-                             reread_locality: float = 0.5,
-                             write_ratio: float = 0.3,
-                             caching: bool = True,
-                             bandwidth: float = 400.0,
-                             lan_latency: float = 0.05,
-                             jitter: float = 0.0,
-                             lease_ttl: float | None = None,
+def design_campaign_scenario(config: ScenarioConfig,
                              on_kernel: Callable[[Kernel], None]
                              | None = None) -> CampaignReport:
     """Run a multi-day design campaign on the real TE stack."""
-    rig = session_rig(on_kernel, object_buffers=caching, seed=seed,
-                      lan_latency=lan_latency, jitter=jitter,
-                      bandwidth=bandwidth, lease_ttl=lease_ttl)
-    kernel, network = rig.kernel, rig.network
-    driver = SessionDriver(rig, payload_bytes)
-    driver.seed_library([f"lib-{n}" for n in range(object_pool)])
-
-    plans = _draw_plan(
-        SeededRng(seed).fork(1), team=team, days=days,
-        sessions_per_day=sessions_per_day,
-        steps_per_session=steps_per_session, mean_step=mean_step,
-        day_length=day_length, diurnal_peak=diurnal_peak,
-        object_pool=object_pool, hotspots=hotspots,
-        hotspot_bias=hotspot_bias, reads_per_step=reads_per_step,
-        reread_locality=reread_locality, write_ratio=write_ratio)
-    driver.add_designers(team)
+    team = config.get("team", "size")
+    days = config.get("campaign", "days")
+    day_length = config.get("campaign", "day_length")
+    caching = config.get("buffers", "caching")
+    driver = session_driver(config, on_kernel, object_buffers=caching)
+    kernel, network = driver.rig.kernel, driver.rig.network
+    plans = _draw_plan(SeededRng(config.seed).fork(1), config)
     driver.schedule(plans)
-    buffers = rig.buffers()
+    buffers = driver.rig.buffers()
 
     report = CampaignReport(days=days, team=team)
     # -- churn: at each day boundary a rotating subset of the team is
     # replaced; the successor inherits the workstation but none of the
     # warm buffer state
-    victims_per_day = int(team * churn + 1e-9)
+    victims_per_day = int(team * config.get("campaign", "churn") + 1e-9)
     if caching and victims_per_day:
         for day in range(1, days):
             for slot in range(victims_per_day):
@@ -187,7 +164,8 @@ def design_campaign_scenario(team: int = 4,
     driver.fill(report)
     report.sessions = driver.sessions
     report.steps = driver.steps
-    hotspot_names = {f"lib-{index}" for index in range(hotspots)}
+    hotspot_names = {f"lib-{index}" for index
+                     in range(config.get("objects", "hotspots"))}
     report.hotspot_reads = sum(
         obj in hotspot_names
         for plan in plans for step in plan.steps for obj in step.reads)

@@ -1,14 +1,18 @@
 """Compile validated scenario configs to the concrete runners.
 
-The compiler is the bridge between the DSL and the hand-written
-scenario functions in :mod:`repro.bench.scenarios` (and the campaign
-soak in :mod:`repro.scenario.campaign`): each scenario *kind* maps the
-canonical tables onto one runner's keyword arguments.  Compilation is
-pure — a :class:`CompiledScenario` holds only the frozen config and a
-kind entry, and every :meth:`CompiledScenario.run` builds the entire
-world (kernel, network, repository, RNG streams) from scratch, so
-back-to-back runs of the same compiled scenario are byte-identical
-and never bleed state into each other.
+The compiler is the bridge between the DSL and the code that runs a
+scenario *kind*.  The three session kinds
+(:mod:`repro.scenario.sessions`, :mod:`repro.scenario.campaign`) take
+the config itself and read its tables where they need them; the two
+kinds that drive the whole AC/DC/TE stack or a federation
+(:mod:`repro.bench.scenarios`) are reached through an adapter that
+imports them on first use, so a session run never loads them.
+Compilation is pure — a :class:`CompiledScenario` holds only the
+frozen config and a kind entry, and every
+:meth:`CompiledScenario.run` builds the entire world (kernel,
+network, repository, RNG streams) from scratch, so back-to-back runs
+of the same compiled scenario are byte-identical and never bleed
+state into each other.
 """
 
 from __future__ import annotations
@@ -16,61 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.scenario.campaign import design_campaign_scenario
 from repro.scenario.schema import ScenarioConfig, ScenarioError
+from repro.scenario.sessions import (
+    object_buffer_scenario,
+    write_back_scenario,
+)
 from repro.sim.kernel import Kernel
-
-
-def _ttl(config: ScenarioConfig) -> float | None:
-    """The [leases].ttl knob: 0 means leases stay recall-only."""
-    ttl = config.get("leases", "ttl")
-    return ttl if ttl > 0.0 else None
-
-
-def _run_object_buffers(config: ScenarioConfig,
-                        on_kernel: Callable[[Kernel], None] | None
-                        ) -> Any:
-    from repro.bench.scenarios import object_buffer_scenario
-
-    return object_buffer_scenario(
-        team=config.get("team", "size"),
-        steps_per_session=config.get("team", "steps_per_session"),
-        mean_step=config.get("team", "mean_step"),
-        seed=config.seed,
-        caching=config.get("buffers", "caching"),
-        reread_locality=config.get("locality", "reread"),
-        write_mix=config.get("writes", "ratio"),
-        reads_per_step=config.get("locality", "reads_per_step"),
-        object_pool=config.get("objects", "pool"),
-        payload_bytes=config.get("objects", "payload_bytes"),
-        bandwidth=config.get("traffic", "bandwidth"),
-        lan_latency=config.get("traffic", "lan_latency"),
-        jitter=config.get("traffic", "jitter"),
-        lease_ttl=_ttl(config),
-        on_kernel=on_kernel)
-
-
-def _run_write_back(config: ScenarioConfig,
-                    on_kernel: Callable[[Kernel], None] | None) -> Any:
-    from repro.bench.scenarios import write_back_scenario
-
-    return write_back_scenario(
-        team=config.get("team", "size"),
-        steps_per_session=config.get("team", "steps_per_session"),
-        mean_step=config.get("team", "mean_step"),
-        seed=config.seed,
-        write_back=config.get("writes", "write_back"),
-        write_ratio=config.get("writes", "ratio"),
-        reads_per_step=config.get("locality", "reads_per_step"),
-        reread_locality=config.get("locality", "reread"),
-        object_pool=config.get("objects", "pool"),
-        payload_bytes=config.get("objects", "payload_bytes"),
-        bandwidth=config.get("traffic", "bandwidth"),
-        lan_latency=config.get("traffic", "lan_latency"),
-        jitter=config.get("traffic", "jitter"),
-        flush_interval=config.get("writes", "flush_interval"),
-        restart=config.get("crashes", "server_restart"),
-        lease_ttl=_ttl(config),
-        on_kernel=on_kernel)
 
 
 def _run_concurrent_delegation(config: ScenarioConfig,
@@ -78,13 +34,9 @@ def _run_concurrent_delegation(config: ScenarioConfig,
                                | None) -> Any:
     from repro.bench.scenarios import concurrent_delegation_scenario
 
-    schedule = config.get("crashes", "schedule")
-    if len(schedule) > 1:
-        raise ScenarioError(
-            "[crashes].schedule: concurrent_delegation compiles at "
-            "most one crash entry")
     crash = None
-    if schedule:
+    schedule = config.get("crashes", "schedule")
+    if schedule:  # validation admits at most one entry
         entry = schedule[0]
         crash = (entry["node"], entry["at"], entry["restart_after"])
     __, report = concurrent_delegation_scenario(
@@ -95,35 +47,6 @@ def _run_concurrent_delegation(config: ScenarioConfig,
         seed=config.seed,
         on_kernel=on_kernel)
     return report
-
-
-def _run_campaign(config: ScenarioConfig,
-                  on_kernel: Callable[[Kernel], None] | None) -> Any:
-    from repro.scenario.campaign import design_campaign_scenario
-
-    return design_campaign_scenario(
-        team=config.get("team", "size"),
-        steps_per_session=config.get("team", "steps_per_session"),
-        mean_step=config.get("team", "mean_step"),
-        seed=config.seed,
-        days=config.get("campaign", "days"),
-        sessions_per_day=config.get("campaign", "sessions_per_day"),
-        day_length=config.get("campaign", "day_length"),
-        diurnal_peak=config.get("campaign", "diurnal_peak"),
-        churn=config.get("campaign", "churn"),
-        object_pool=config.get("objects", "pool"),
-        payload_bytes=config.get("objects", "payload_bytes"),
-        hotspots=config.get("objects", "hotspots"),
-        hotspot_bias=config.get("objects", "hotspot_bias"),
-        reads_per_step=config.get("locality", "reads_per_step"),
-        reread_locality=config.get("locality", "reread"),
-        write_ratio=config.get("writes", "ratio"),
-        caching=config.get("buffers", "caching"),
-        bandwidth=config.get("traffic", "bandwidth"),
-        lan_latency=config.get("traffic", "lan_latency"),
-        jitter=config.get("traffic", "jitter"),
-        lease_ttl=_ttl(config),
-        on_kernel=on_kernel)
 
 
 def _run_federated_commit(config: ScenarioConfig,
@@ -155,12 +78,13 @@ def _run_federated_commit(config: ScenarioConfig,
     }
 
 
-#: kind -> runner adapter (the compiler's whole dispatch table)
+#: kind -> runner taking ``(config, on_kernel)`` (the compiler's whole
+#: dispatch table)
 KIND_RUNNERS: dict[str, Callable[..., Any]] = {
-    "object_buffers": _run_object_buffers,
-    "write_back": _run_write_back,
+    "object_buffers": object_buffer_scenario,
+    "write_back": write_back_scenario,
     "concurrent_delegation": _run_concurrent_delegation,
-    "campaign": _run_campaign,
+    "campaign": design_campaign_scenario,
     "federated_commit": _run_federated_commit,
 }
 

@@ -334,12 +334,24 @@ def _check_kind_constraints(config: ScenarioConfig) -> None:
         raise ScenarioError(
             f"[team].subcells: only kind 'concurrent_delegation' "
             f"delegates subcells (kind is {kind!r})")
-    if config.get("crashes", "schedule") \
-            and kind != "concurrent_delegation":
+    schedule = config.get("crashes", "schedule")
+    if schedule and kind != "concurrent_delegation":
         raise ScenarioError(
             f"[crashes].schedule: crash injection is only compiled "
             f"for kind 'concurrent_delegation' (kind is {kind!r}; "
             f"write_back kinds use [crashes].server_restart)")
+    if len(schedule) > 1:
+        raise ScenarioError(
+            "[crashes].schedule: concurrent_delegation compiles at "
+            "most one crash entry")
+    if schedule:
+        nodes = ["server", "ws-0", *(f"ws-{cell}" for cell
+                                     in config.get("team", "subcells"))]
+        if schedule[0]["node"] not in nodes:
+            raise ScenarioError(
+                f"[crashes].schedule[0].node: "
+                f"{schedule[0]['node']!r} is not one of "
+                f"{', '.join(nodes)}")
     if config.get("objects", "hotspot_bias") > 0.0 \
             and config.get("objects", "hotspots") == 0:
         raise ScenarioError(

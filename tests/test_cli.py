@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -52,6 +54,24 @@ class TestScenarioSubcommand:
                        '[locality]\nreread = 3.0\n')
         assert main(["scenario", "validate", str(bad)]) == 2
         assert "[locality].reread" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule, named", [
+        ('{ node = "ws-A", at = 15.0 }, { node = "ws-A", at = 30.0 }',
+         "[crashes].schedule: concurrent_delegation compiles at most"),
+        ('{ node = "ws-Z", at = 15.0 }', "[crashes].schedule[0].node"),
+    ])
+    def test_validate_and_run_refuse_the_same_crash_schedules(
+            self, tmp_path, capsys, schedule, named):
+        bad = tmp_path / "bad.toml"
+        bad.write_text('[scenario]\nname = "x"\n'
+                       'kind = "concurrent_delegation"\n'
+                       '[team]\nsubcells = ["A"]\n'
+                       f'[crashes]\nschedule = [{schedule}]\n')
+        for command in ("validate", "run"):
+            assert main(["scenario", command, str(bad)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("scenario error:")
+            assert named in err
 
     def test_list_names_the_library(self, capsys):
         assert main(["scenario", "list"]) == 0

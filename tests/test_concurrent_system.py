@@ -2,9 +2,9 @@
 
 These tests exercise the acceptance surface of the kernel refactor:
 three or more DAs with genuinely interleaved tool steps on one shared
-clock, CM messages auto-delivered to the DM rule engines (no manual
-``pump_events``), kernel-injected crashes mid-step, and equivalence of
-the concurrent and sequential execution paths.
+clock, CM messages delivered to the DM rule engines on arrival,
+kernel-injected crashes mid-step, and equivalence of the interleaved
+and the one-after-the-other schedule.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from repro.bench.scenarios import (
     chip_spec,
     concurrent_delegation_scenario,
     make_vlsi_system,
-    object_buffer_scenario,
 )
 from repro.core.states import DaState
 from repro.dc.rules import EcaRule
 from repro.dc.script import DaOpStep, DopStep, Script, Sequence
+from repro.scenario import compile_scenario, validate_scenario
 from repro.vlsi.tools import vlsi_dots
 
 
@@ -102,6 +102,9 @@ class TestAutoDelivery:
         sys_s, rep_s = concurrent_delegation_scenario(("A", "B"),
                                                       concurrent=False)
         assert rep_c.final_states == rep_s.final_states
+        # the sequential run is a schedule on the same kernel: it
+        # executes the same work, one sub-DA after the other
+        assert rep_s.events == rep_c.events > 0
         for cell in ("A", "B"):
             leaves_c = sorted(
                 round(d.data.get("width", 0.0), 3) for d in
@@ -232,10 +235,11 @@ class TestDeterminismGuard:
         invalidations to the event stream — all of them must stay
         ordinary timed events under the (time, priority, seq) tie
         break."""
-        first = object_buffer_scenario(team=3, seed=11, jitter=0.2,
-                                       write_mix=0.5)
-        second = object_buffer_scenario(team=3, seed=11, jitter=0.2,
-                                        write_mix=0.5)
+        compiled = compile_scenario(validate_scenario({
+            "scenario": {"name": "t8", "kind": "object_buffers",
+                         "seed": 11},
+            "writes": {"ratio": 0.5}, "traffic": {"jitter": 0.2}}))
+        first, second = compiled.run(), compiled.run()
         # the run genuinely exercises the cached + invalidation path
         assert first.hits > 0
         assert first.invalidations_applied > 0
@@ -244,9 +248,12 @@ class TestDeterminismGuard:
         assert first.bytes_shipped == second.bytes_shipped
 
     def test_caching_on_off_execute_the_same_sessions(self):
-        cached = object_buffer_scenario(team=3, seed=11)
-        uncached = object_buffer_scenario(team=3, seed=11,
-                                          caching=False)
+        cached, uncached = (
+            compile_scenario(validate_scenario({
+                "scenario": {"name": "t8", "kind": "object_buffers",
+                             "seed": 11},
+                "buffers": {"caching": caching}})).run()
+            for caching in (True, False))
         assert cached.checkins == uncached.checkins
         assert cached.bytes_shipped < uncached.bytes_shipped
         assert cached.makespan < uncached.makespan

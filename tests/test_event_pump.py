@@ -1,4 +1,9 @@
-"""Tests for the asynchronous event pump (CM messages -> DM ECA rules)."""
+"""CM messages reach the DM ECA rules as events, on the kernel.
+
+A cooperation operation issued inside a kernel event posts its message
+over the LAN; ``run_concurrent`` dispatches it to the recipient's rule
+engine when it arrives.
+"""
 
 from __future__ import annotations
 
@@ -32,6 +37,13 @@ def rig():
     return system, top, supplier, consumer
 
 
+def deliver(system, cm_call):
+    """Issue *cm_call* as a kernel event and run to quiescence (no DA
+    is driven: only the message travels)."""
+    system.kernel.after(0.0, cm_call, label="test-cm-call")
+    system.run_concurrent([])
+
+
 def module_data(width):
     return {"cell": "m", "level": "module", "width": width,
             "height": width, "area": width * width}
@@ -39,9 +51,9 @@ def module_data(width):
 
 class TestPaperRuleViaPump:
     def test_when_require_if_available_then_propagate(self, rig):
-        """The paper's flagship ECA rule, end to end through the pump:
-        a Require arrives as an asynchronous event, the rule finds a
-        qualifying DOV and propagates it immediately."""
+        """The paper's flagship ECA rule, end to end: a Require
+        arrives as an asynchronous event, the rule finds a qualifying
+        DOV and propagates it immediately."""
         system, __, supplier, consumer = rig
         # the supplier has a qualifying but NOT yet propagated DOV
         dov = system.repository.checkin(supplier.da_id, "Module",
@@ -62,12 +74,12 @@ class TestPaperRuleViaPump:
                                                     dov_id)))
 
         # nothing propagated yet -> Require cannot be served directly
-        delivered = system.cm.require(consumer.da_id, supplier.da_id,
-                                      {"width-limit"})
-        assert delivered is None
+        served = []
+        deliver(system, lambda: served.append(system.cm.require(
+            consumer.da_id, supplier.da_id, {"width-limit"})))
+        assert served == [None]
 
-        firings = system.pump_events(supplier.da_id)
-        assert firings == 1
+        assert len(supplier_dm.rules.firings) == 1
         usage = system.cm.usage(consumer.da_id, supplier.da_id)
         assert usage.delivered == [dov.dov_id]
         assert system.cm.in_scope(consumer.da_id, dov.dov_id)
@@ -78,19 +90,12 @@ class TestPaperRuleViaPump:
         supplier_dm.rules.register(require_propagate_rule(
             lambda env: None,
             lambda env, dov_id: pytest.fail("must not propagate")))
-        system.cm.require(consumer.da_id, supplier.da_id,
-                          {"width-limit"})
-        assert system.pump_events(supplier.da_id) == 0
+        deliver(system, lambda: system.cm.require(
+            consumer.da_id, supplier.da_id, {"width-limit"}))
+        assert supplier_dm.rules.firings == []
 
 
 class TestPumpMechanics:
-    def test_pump_consumes_messages(self, rig):
-        system, top, supplier, __ = rig
-        system.cm.sub_da_impossible_specification(supplier.da_id, "x")
-        assert len(system.cm.inbox(top.da_id)) == 1
-        system.pump_events(top.da_id)
-        assert system.cm.inbox(top.da_id) == []
-
     def test_pump_all_das(self, rig):
         system, top, supplier, consumer = rig
         hits = []
@@ -100,8 +105,8 @@ class TestPumpMechanics:
                 f"log-{da.da_id}", "Impossible_Specification",
                 lambda env: True,
                 lambda env: hits.append(env["da_id"])))
-        system.cm.sub_da_impossible_specification(supplier.da_id, "x")
-        system.pump_events()
+        deliver(system, lambda: system.cm.sub_da_impossible_specification(
+            supplier.da_id, "x"))
         assert hits == [top.da_id]
 
     def test_event_env_carries_payload(self, rig):
@@ -111,9 +116,8 @@ class TestPumpMechanics:
             "capture", "Impossible_Specification",
             lambda env: True,
             lambda env: captured.update(env)))
-        system.cm.sub_da_impossible_specification(
-            supplier.da_id, "area too small")
-        system.pump_events(top.da_id)
+        deliver(system, lambda: system.cm.sub_da_impossible_specification(
+            supplier.da_id, "area too small"))
         assert captured["reason"] == "area too small"
         assert captured["sender"] == supplier.da_id
         assert captured["da_id"] == top.da_id
@@ -122,8 +126,7 @@ class TestPumpMechanics:
 class TestFixedPointDrain:
     def test_messages_produced_while_dispatching_are_drained(self, rig):
         """A rule firing that itself sends a message must not strand
-        that message until the next manual pump: one call drains to a
-        fixed point."""
+        that message: the kernel runs until nothing is in flight."""
         system, top, supplier, consumer = rig
         chain = []
 
@@ -140,26 +143,8 @@ class TestFixedPointDrain:
             lambda env: True,
             lambda env: chain.append(env["da_id"])))
 
-        system.cm.sub_da_impossible_specification(supplier.da_id, "x")
-        firings = system.pump_events()
+        deliver(system, lambda: system.cm.sub_da_impossible_specification(
+            supplier.da_id, "x"))
         assert chain == [consumer.da_id]
-        assert firings == 2
         assert system.cm.inbox(top.da_id) == []
         assert system.cm.inbox(consumer.da_id) == []
-
-    def test_round_guard_bounds_a_message_ping_pong(self, rig):
-        """Two rules that keep messaging each other terminate at the
-        max_rounds guard instead of looping forever."""
-        system, top, supplier, __ = rig
-
-        def ping(env):
-            # white-box: re-send the raw message, sidestepping the DA
-            # state machine, to build an endless delivery loop
-            system.cm._send("impossible_specification", supplier.da_id,
-                            top.da_id, reason="again")
-
-        system.runtime(top.da_id).dm.rules.register(EcaRule(
-            "ping", "Impossible_Specification", lambda env: True, ping))
-        system.cm.sub_da_impossible_specification(supplier.da_id, "x")
-        firings = system.pump_events(max_rounds=5)
-        assert firings == 5

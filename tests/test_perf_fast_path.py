@@ -419,12 +419,14 @@ class TestATraceThatIsOffCostsNothing:
 
     def test_a_campaign_with_the_trace_off_records_nothing(
             self, monkeypatch):
-        from repro.scenario.campaign import design_campaign_scenario
+        from repro.scenario import compile_scenario, validate_scenario
 
         calls = {"record": 0}
         _count_calls(monkeypatch, calls, EventTrace, "record")
-        report = design_campaign_scenario(days=2, team=2,
-                                          sessions_per_day=2)
+        report = compile_scenario(validate_scenario({
+            "scenario": {"name": "quiet", "kind": "campaign"},
+            "team": {"size": 2},
+            "campaign": {"days": 2, "sessions_per_day": 2}})).run()
         assert report.sessions == 8 and report.checkins > 0
         assert calls["record"] == 0
 

@@ -23,17 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.scenarios import (
-    concurrent_delegation_scenario,
-    object_buffer_scenario,
-    write_back_scenario,
-)
+from repro.bench.scenarios import concurrent_delegation_scenario
 from repro.scenario import (
     SCENARIO_SCHEMA,
     ScenarioError,
     canonical_scenarios,
     compile_scenario,
-    design_campaign_scenario,
     dump_scenario,
     load_scenario,
     parse_scenario,
@@ -181,6 +176,27 @@ class TestDiagnostics:
                            match=r"\[team\]\.size: 0 below"):
             validate_scenario(_base(team={"size": 0}))
 
+    @pytest.mark.parametrize("kind, tables, named", [
+        ("campaign", {"campaign": {"diurnal_peak": 0.0}},
+         r"\[campaign\]\.diurnal_peak: 0\.0 below"),
+        ("campaign", {"objects": {"pool": 6, "hotspots": 99}},
+         r"\[objects\]\.hotspots: cannot exceed \[objects\]\.pool"),
+        ("campaign", {"team": {"mean_step": -1.0}},
+         r"\[team\]\.mean_step: -1\.0 below"),
+        ("object_buffers", {"writes": {"ratio": 1.4}},
+         r"\[writes\]\.ratio: 1\.4 above"),
+        ("object_buffers", {"objects": {"payload_bytes": -5000}},
+         r"\[objects\]\.payload_bytes: -5000 below"),
+    ])
+    def test_a_value_no_runner_can_take_is_refused(self, kind, tables,
+                                                   named):
+        """The config is a scenario's only parameter list, so these —
+        which the keyword runners met with a ZeroDivisionError, a
+        KeyError, the scheduler's ValueError, or a silent run — never
+        reach a runner."""
+        with pytest.raises(ScenarioError, match=named):
+            validate_scenario(_base(kind, **tables))
+
     def test_wrong_type_names_table_and_key(self):
         with pytest.raises(ScenarioError,
                            match=r"\[writes\]\.write_back: expected "
@@ -217,6 +233,28 @@ class TestDiagnostics:
                           r"expected a finite number"):
                 validate_scenario(_base(kind="concurrent_delegation",
                                         crashes={"schedule": [entry]}))
+
+    def test_a_second_crash_entry_is_refused_at_validation(self):
+        entry = {"node": "ws-A", "at": 15.0}
+        with pytest.raises(ScenarioError,
+                           match=r"\[crashes\]\.schedule: .*at most "
+                                 r"one crash entry"):
+            validate_scenario(_base(
+                kind="concurrent_delegation",
+                crashes={"schedule": [entry, {**entry, "at": 30.0}]}))
+
+    def test_a_crash_names_a_node_of_the_team(self):
+        with pytest.raises(ScenarioError,
+                           match=r"\[crashes\]\.schedule\[0\]\.node: "
+                                 r"'ws-Z' is not one of server, ws-0, "
+                                 r"ws-A"):
+            validate_scenario(_base(
+                kind="concurrent_delegation",
+                crashes={"schedule": [{"node": "ws-Z", "at": 15.0}]}))
+        for node in ("server", "ws-0", "ws-A"):
+            validate_scenario(_base(
+                kind="concurrent_delegation",
+                crashes={"schedule": [{"node": node, "at": 15.0}]}))
 
     def test_subcells_require_delegation_kind(self):
         with pytest.raises(ScenarioError, match=r"\[team\]\.subcells"):
@@ -280,18 +318,6 @@ class TestShippedLibrary:
         __, reference = concurrent_delegation_scenario(("A", "B", "C"))
         assert report == reference
 
-    def test_t8_report_equals_hand_coded_runner(self):
-        report = compile_scenario(
-            canonical_scenarios()["t8_object_buffers"]).run()
-        assert report == object_buffer_scenario()
-
-    def test_t9_reports_equal_hand_coded_runner(self):
-        lib = canonical_scenarios()
-        assert compile_scenario(lib["t9_write_back"]).run() \
-            == write_back_scenario(write_back=True)
-        assert compile_scenario(lib["t9_write_through"]).run() \
-            == write_back_scenario(write_back=False)
-
     def test_t10_report_equals_hand_coded_matrix(self):
         from repro.bench.scenarios import federated_commit_scenario
 
@@ -344,9 +370,10 @@ class TestNoStateLeakage:
         assert compiled.run() == compiled.run()
 
     def test_campaign_back_to_back_is_stable(self):
-        reports = [design_campaign_scenario(days=2, team=2,
-                                            sessions_per_day=2)
-                   for _ in range(2)]
+        compiled = compile_scenario(validate_scenario(_base(
+            "campaign", team={"size": 2},
+            campaign={"days": 2, "sessions_per_day": 2})))
+        reports = [compiled.run() for _ in range(2)]
         assert asdict(reports[0]) == asdict(reports[1])
 
     def test_two_sequential_cli_runs_print_identical_output(self, capsys):

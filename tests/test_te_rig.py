@@ -15,7 +15,6 @@ import inspect
 import pytest
 
 from repro.bench.perf import _make_rig, _nested_payload
-from repro.bench.scenarios import object_buffer_scenario
 from repro.core.system import ConcordSystem
 from repro.net.network import Network
 from repro.repository.schema import (
@@ -30,12 +29,9 @@ from repro.scenario.sessions import session_rig
 
 @pytest.mark.parametrize("build, error, names", [
     (lambda: Network(bandwidth=0.0), NetworkError, "bandwidth=0.0"),
-    (lambda: object_buffer_scenario(bandwidth=-5.0), NetworkError,
-     "bandwidth=-5.0"),
-    (lambda: object_buffer_scenario(lan_latency=-1.0), NetworkError,
-     "lan_latency=-1.0"),
-    (lambda: object_buffer_scenario(jitter=-1.0), NetworkError,
-     "jitter=-1.0"),
+    (lambda: TeRig(bandwidth=-5.0), NetworkError, "bandwidth=-5.0"),
+    (lambda: TeRig(lan_latency=-1.0), NetworkError, "lan_latency=-1.0"),
+    (lambda: TeRig(jitter=-1.0), NetworkError, "jitter=-1.0"),
     (lambda: Network(jitter=float("nan")), NetworkError, "jitter=nan"),
     (lambda: Network(bandwidth=float("inf")), NetworkError,
      "bandwidth=inf"),

@@ -529,12 +529,14 @@ class TestSystemWriteBack:
 
 class TestWriteBackDeterminism:
     def test_identically_seeded_runs_are_trace_identical(self):
-        from repro.bench.scenarios import write_back_scenario
+        from repro.scenario import compile_scenario, validate_scenario
 
-        first = write_back_scenario(team=2, write_back=True, seed=13,
-                                    restart=False)
-        second = write_back_scenario(team=2, write_back=True, seed=13,
-                                     restart=False)
+        compiled = compile_scenario(validate_scenario({
+            "scenario": {"name": "t9", "kind": "write_back", "seed": 13},
+            "team": {"size": 2},
+            "writes": {"ratio": 0.6, "write_back": True},
+            "crashes": {"server_restart": False}}))
+        first, second = compiled.run(), compiled.run()
         assert first.signature == second.signature
         assert first.bytes_shipped == second.bytes_shipped
         assert first.makespan == second.makespan
