@@ -14,10 +14,10 @@ its per-DA views used by the DM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.features import DesignSpecification, QualityState
-from repro.core.states import DaState, DaStateMachine
+from repro.core.states import DaOperation, DaState, DaStateMachine
 from repro.dc.script import Script
 from repro.repository.schema import DesignObjectType
 
@@ -37,6 +37,30 @@ class DescriptionVector:
     designer: str
     script: Script
     initial_dov: str | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class DaImage:
+    """After-image of one DA in the CM's state log.
+
+    An immutable value made of references: tuples of the DA's own
+    entries (ids, transition triples of enum members, quality states)
+    and, in ``description``, the specification and script as they are —
+    values nothing edits in place.  The state log and its WAL share it.
+    """
+
+    state: DaState
+    history: tuple[tuple[DaOperation, DaState, DaState], ...]
+    children: tuple[str, ...]
+    #: (dov id, quality state) in the order Evaluate filled them in
+    quality: tuple[tuple[str, QualityState], ...]
+    final_dovs: tuple[str, ...]
+    propagated: tuple[str, ...]
+    #: (DOT name, specification, designer, script, initial DOV,
+    #: workstation, parent, created at); None: as last described
+    description: tuple | None
+
+    __frozen_payload__ = True
 
 
 @dataclass
@@ -113,55 +137,44 @@ class DesignActivity:
 
     # -- persistence ---------------------------------------------------------
 
-    def image(self, described: bool = True) -> dict[str, Any]:
+    def image(self, described: bool = True) -> DaImage:
         """After-image for the CM's state log.
 
-        Plain data and immutable values, sharing no mutable part with
-        this DA.  What the DA has done so far is always in it; what it
-        was created as — the description vector, its place in the
-        hierarchy — only when *described*, because that changes with
-        the specification alone and an image without it stands on the
-        last one that had it.  The DOT goes by name (the repository
-        keeps it); specification and script are values nothing edits
-        in place and go as they are.
+        An immutable value sharing no mutable part with this DA, built
+        by gathering references — no entry is copied or walked.  What
+        the DA has done so far is always in it; what it was created as
+        — the description vector, its place in the hierarchy — only
+        when *described*, because that changes with the specification
+        alone and an image without it stands on the last one that had
+        it.  The DOT goes by name (the repository keeps it).
         """
-        image: dict[str, Any] = {
-            "state": self.state,
-            # entries are tuples of enum members: nothing to copy
-            "history": list(self.machine.history),
-            "children": list(self.children),
-            "quality": {dov_id: (tuple(quality.fulfilled),
-                                 tuple(quality.total))
-                        for dov_id, quality in self.quality.items()},
-            "final_dovs": list(self.final_dovs),
-            "propagated": list(self.propagated),
-        }
+        description = None
         if described:
             vector = self.vector
-            image["description"] = (
+            description = (
                 vector.dot.name, vector.spec, vector.designer,
                 vector.script, vector.initial_dov, self.workstation,
                 self.parent, self.created_at)
-        return image
+        return DaImage(
+            self.state, tuple(self.machine.history), tuple(self.children),
+            tuple(self.quality.items()), tuple(self.final_dovs),
+            tuple(self.propagated), description)
 
     @classmethod
-    def restore(cls, da_id: str, image: dict[str, Any],
+    def restore(cls, da_id: str, image: DaImage,
                 dot_of: Callable[[str], DesignObjectType]
                 ) -> "DesignActivity":
         """Rebuild a DA from a described :meth:`image`; *dot_of* looks
         a DOT up by name.  Shares no mutable part with *image*."""
         dot_name, spec, designer, script, initial_dov, workstation, \
-            parent, created_at = image["description"]
+            parent, created_at = image.description
         vector = DescriptionVector(dot_of(dot_name), spec, designer,
                                    script, initial_dov)
-        machine = DaStateMachine(da_id, image["state"],
-                                 list(image["history"]))
+        machine = DaStateMachine(da_id, image.state, list(image.history))
         return cls(
             da_id, vector, workstation, parent, created_at, machine,
-            list(image["children"]),
-            {dov_id: QualityState(frozenset(fulfilled), frozenset(total))
-             for dov_id, (fulfilled, total) in image["quality"].items()},
-            list(image["final_dovs"]), list(image["propagated"]))
+            list(image.children), dict(image.quality),
+            list(image.final_dovs), list(image.propagated))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DesignActivity({self.da_id!r}, state={self.state.value},"

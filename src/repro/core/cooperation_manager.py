@@ -47,6 +47,7 @@ from repro.dc.script import Script
 from repro.net.network import Network
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
+from repro.repository.versions import freeze_payload
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.te.locks import LockManager, LockMode
 from repro.util.errors import (
@@ -128,8 +129,10 @@ class CooperationManager:
 
     def _log_op(self, operation: DaOperation, actor: str,
                 **payload: Any) -> None:
-        self.log.append(LogRecordKind.COOP_OPERATION, {
-            "op": operation.value, "actor": actor, **payload}, force=True)
+        # frozen here, once: the few id lists an operation names
+        # (receivers, inherited DOVs, ...) are what the log keeps
+        self.log.append(LogRecordKind.COOP_OPERATION, freeze_payload({
+            "op": operation.value, "actor": actor, **payload}), force=True)
 
     def _send(self, kind: str, sender: str, recipient: str,
               **payload: Any) -> Message:

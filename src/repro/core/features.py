@@ -20,19 +20,29 @@ new features or by further restricting existing features."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Iterator
 
 from repro.util.errors import SpecificationError
 
 
+@dataclass(frozen=True, eq=False)
 class Feature:
-    """Base class: a named, checkable property of design object data."""
+    """Base class: a named, checkable property of design object data.
 
-    def __init__(self, name: str) -> None:
-        if not name:
+    A value: replaced (``widened``, the specification's ``with_*`` /
+    ``replaced``), never edited — its attributes refuse assignment, so
+    specifications, proposals and the CM's state log share one object.
+    """
+
+    name: str
+
+    __frozen_payload__ = True
+
+    def __post_init__(self) -> None:
+        if not self.name:
             raise SpecificationError("feature name must be non-empty")
-        self.name = name
 
     def satisfied(self, data: dict[str, Any]) -> bool:
         """True when the DOV payload *data* fulfils this feature."""
@@ -47,21 +57,23 @@ class Feature:
         return self.name == other.name and type(self) is type(other)
 
 
+@dataclass(frozen=True, eq=False)
 class RangeFeature(Feature):
     """The 'simplest case': an attribute constrained to a range."""
 
-    def __init__(self, name: str, attr: str,
-                 lo: float | None = None, hi: float | None = None) -> None:
-        super().__init__(name)
-        if lo is None and hi is None:
+    attr: str
+    lo: float | None = None
+    hi: float | None = None
+
+    def __post_init__(self) -> None:
+        Feature.__post_init__(self)
+        if self.lo is None and self.hi is None:
             raise SpecificationError(
-                f"range feature {name!r} needs at least one bound")
-        if lo is not None and hi is not None and lo > hi:
+                f"range feature {self.name!r} needs at least one bound")
+        if self.lo is not None and self.hi is not None \
+                and self.lo > self.hi:
             raise SpecificationError(
-                f"range feature {name!r}: lo={lo} > hi={hi}")
-        self.attr = attr
-        self.lo = lo
-        self.hi = hi
+                f"range feature {self.name!r}: lo={self.lo} > hi={self.hi}")
 
     def satisfied(self, data: dict[str, Any]) -> bool:
         value = data.get(self.attr)
@@ -97,13 +109,11 @@ class RangeFeature(Feature):
                 f"lo={self.lo}, hi={self.hi})")
 
 
+@dataclass(frozen=True, eq=False)
 class PredicateFeature(Feature):
     """An application-specific property checked by a callable."""
 
-    def __init__(self, name: str,
-                 predicate: Callable[[dict[str, Any]], bool]) -> None:
-        super().__init__(name)
-        self.predicate = predicate
+    predicate: Callable[[dict[str, Any]], bool]
 
     def satisfied(self, data: dict[str, Any]) -> bool:
         try:
@@ -112,6 +122,7 @@ class PredicateFeature(Feature):
             return False
 
 
+@dataclass(frozen=True, eq=False)
 class TestToolFeature(Feature):
     """'the resulting DOVs have to pass a particular test tool'.
 
@@ -122,11 +133,8 @@ class TestToolFeature(Feature):
     #: not a pytest test class despite the name
     __test__ = False
 
-    def __init__(self, name: str, tool_name: str,
-                 test: Callable[[dict[str, Any]], bool]) -> None:
-        super().__init__(name)
-        self.tool_name = tool_name
-        self.test = test
+    tool_name: str
+    test: Callable[[dict[str, Any]], bool]
 
     def satisfied(self, data: dict[str, Any]) -> bool:
         try:
@@ -146,6 +154,8 @@ class QualityState:
 
     fulfilled: frozenset[str]
     total: frozenset[str]
+
+    __frozen_payload__ = True
 
     @property
     def is_final(self) -> bool:
@@ -177,15 +187,35 @@ class QualityState:
 
 
 class DesignSpecification:
-    """An immutable set of features — the SPEC of a DA."""
+    """An immutable set of features — the SPEC of a DA.
+
+    Refining or reformulating it gives a new specification; this one
+    refuses assignment and keeps its features behind a read-only view.
+    """
+
+    __slots__ = ("_features",)
+    __frozen_payload__ = True
 
     def __init__(self, features: list[Feature] | None = None) -> None:
-        self._features: dict[str, Feature] = {}
+        by_name: dict[str, Feature] = {}
         for feature in features or []:
-            if feature.name in self._features:
+            if feature.name in by_name:
                 raise SpecificationError(
                     f"duplicate feature {feature.name!r} in specification")
-            self._features[feature.name] = feature
+            by_name[feature.name] = feature
+        object.__setattr__(self, "_features", MappingProxyType(by_name))
+
+    def _immutable(self, name: str, value: Any = None) -> None:
+        raise SpecificationError(
+            f"a design specification is immutable ({name!r} cannot be "
+            f"set or deleted); derive a new one with with_feature / "
+            f"with_restricted / replaced")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        # copy / pickle rebuild through the constructor, the one way in
+        return (DesignSpecification, (list(self),))
 
     # -- inspection -----------------------------------------------------------
 

@@ -9,9 +9,10 @@ The classes here are the CM's bookkeeping records; the protocol logic
 (who may do what, when) lives in the cooperation manager.
 
 Every record has an ``image()`` / ``restore()`` pair: the after-image
-the CM appends to its state log and the way back.  An image is plain
-data that shares no mutable part with the record it was taken from,
-and neither does a restored record with its image.
+the CM appends to its state log and the way back.  An image is an
+immutable value — a tuple of scalars, enum members, features, tuples
+and frozen containers — so it shares no mutable part with the record
+it was taken from, and neither does a restored record with its image.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from enum import Enum
 from typing import Any
 
 from repro.core.features import Feature
+from repro.repository.versions import FrozenDict, FrozenList, thaw_payload
 from repro.util.errors import NegotiationError
 
 
@@ -65,14 +67,14 @@ class Usage:
 
     def image(self) -> tuple:
         return (self.requiring_da, self.supporting_da,
-                tuple(self.required_features), self.created_at,
-                list(self.delivered), list(self.withdrawn))
+                frozenset(self.required_features), self.created_at,
+                tuple(self.delivered), tuple(self.withdrawn))
 
     @classmethod
     def restore(cls, image: tuple) -> "Usage":
         requiring, supporting, features, created_at, delivered, \
             withdrawn = image
-        return cls(requiring, supporting, frozenset(features), created_at,
+        return cls(requiring, supporting, features, created_at,
                    list(delivered), list(withdrawn))
 
 
@@ -105,16 +107,15 @@ class Proposal:
     def image(self) -> tuple:
         # features are values: replaced, never edited in place
         return (self.proposal_id, self.proposer,
-                {target: list(features)
-                 for target, features in self.changes.items()},
+                tuple((target, tuple(features))
+                      for target, features in self.changes.items()),
                 self.note, self.status, self.responded_by)
 
     @classmethod
     def restore(cls, image: tuple) -> "Proposal":
         proposal_id, proposer, changes, note, status, responded_by = image
         return cls(proposal_id, proposer,
-                   {target: list(features)
-                    for target, features in changes.items()},
+                   {target: list(features) for target, features in changes},
                    note, status, responded_by)
 
 
@@ -164,7 +165,7 @@ class Negotiation:
     def image(self) -> tuple:
         return (self.negotiation_id, self.da_a, self.da_b, self.subject,
                 self.created_by,
-                [proposal.image() for proposal in self.proposals],
+                tuple(proposal.image() for proposal in self.proposals),
                 self.escalations, self.closed)
 
     @classmethod
@@ -193,18 +194,21 @@ class Message:
 
     def image(self) -> tuple:
         return (self.kind, self.sender, self.recipient,
-                _plain_copy(self.payload), self.at)
+                _frozen_copy(self.payload), self.at)
 
     @classmethod
     def restore(cls, image: tuple) -> "Message":
         kind, sender, recipient, payload, at = image
-        return cls(kind, sender, recipient, _plain_copy(payload), at)
+        return cls(kind, sender, recipient, thaw_payload(payload), at)
 
 
-def _plain_copy(value: Any) -> Any:
-    """A private copy of a message payload: dicts and lists of scalars."""
+def _frozen_copy(value: Any) -> Any:
+    """An immutable copy of a message payload: dicts and lists of
+    scalars (:func:`~repro.repository.versions.thaw_payload` is the
+    way back)."""
     if isinstance(value, dict):
-        return {key: _plain_copy(item) for key, item in value.items()}
+        return FrozenDict((key, _frozen_copy(item))
+                          for key, item in value.items())
     if isinstance(value, list):
-        return [_plain_copy(item) for item in value]
+        return FrozenList(_frozen_copy(item) for item in value)
     return value

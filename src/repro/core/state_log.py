@@ -22,27 +22,39 @@ own:
 
 An after-image is built by the entity itself (``image()`` /
 ``restore()`` in :mod:`repro.core.activity` and
-:mod:`repro.core.relationships`); this module knows the record around
-them::
+:mod:`repro.core.relationships`) as an immutable value made of
+references; this module knows the record around them, one
+:class:`Images` per kind::
 
-    {"das":          {da_id: image},
-     "usages":       {(requiring, supporting): image},
-     "negotiations": {negotiation_id: image},
-     "visibility":   {dov_id: [holders]},     # [] = nobody left: gone
-     "inboxes":      {da_id: [message images]},
-     "delegations":  [image, ...]}            # those not yet logged
+    {"das":          ((da_id, image), ...),
+     "usages":       (((requiring, supporting), image), ...),
+     "negotiations": ((negotiation_id, image), ...),
+     "visibility":   ((dov_id, (holders)), ...),  # () = nobody left: gone
+     "inboxes":      ((da_id, (message images)), ...),
+     "delegations":  (image, ...)}                # those not yet logged
 
-Kinds an operation did not touch are left out of its record.
+Kinds an operation did not touch are left out of its record.  Nothing
+in a record can change through any reference, so the WAL keeps the
+very objects (``__frozen_payload__``) and copies nothing.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Iterable, NamedTuple
 
-from repro.core.activity import DesignActivity
+from repro.core.activity import DaImage, DesignActivity
 from repro.core.relationships import Delegation, Message, Negotiation, Usage
 from repro.repository.schema import DesignObjectType
 from repro.repository.wal import LogRecordKind, WriteAheadLog
+
+
+class Images(tuple):
+    """The after-images of one kind in one record: an immutable
+    sequence of immutable values, which is what the marker says."""
+
+    __slots__ = ()
+    __frozen_payload__ = True
 
 
 class Registries(NamedTuple):
@@ -97,17 +109,19 @@ class StateLog:
     def _images(state: Registries, keys: dict[str, Iterable[Any]]
                 ) -> dict[str, Any]:
         images = {
-            "das": {da_id: state.das[da_id].image(
-                        described=da_id in keys["described"])
-                    for da_id in keys["das"]},
-            "usages": {key: state.usages[key].image()
-                       for key in keys["usages"]},
-            "negotiations": {key: state.negotiations[key].image()
-                             for key in keys["negotiations"]},
-            "visibility": {dov_id: sorted(state.visibility.get(dov_id, ()))
-                           for dov_id in keys["visibility"]},
-            "inboxes": {da_id: [m.image() for m in state.inboxes[da_id]]
-                        for da_id in keys["inboxes"]},
+            "das": Images((da_id, state.das[da_id].image(
+                               described=da_id in keys["described"]))
+                          for da_id in keys["das"]),
+            "usages": Images((key, state.usages[key].image())
+                             for key in keys["usages"]),
+            "negotiations": Images((key, state.negotiations[key].image())
+                                   for key in keys["negotiations"]),
+            "visibility": Images(
+                (dov_id, tuple(sorted(state.visibility.get(dov_id, ()))))
+                for dov_id in keys["visibility"]),
+            "inboxes": Images(
+                (da_id, tuple(m.image() for m in state.inboxes[da_id]))
+                for da_id in keys["inboxes"]),
         }
         return {kind: found for kind, found in images.items() if found}
 
@@ -117,7 +131,7 @@ class StateLog:
         delegations = state.delegations[self._delegations_logged:]
         record = self._images(state, self._marks)
         if delegations:
-            record["delegations"] = [d.image() for d in delegations]
+            record["delegations"] = Images(d.image() for d in delegations)
         if not record:
             return
         self._forget_marks()
@@ -136,7 +150,7 @@ class StateLog:
             "das": state.das, "described": state.das,
             "usages": state.usages, "negotiations": state.negotiations,
             "visibility": state.visibility, "inboxes": state.inboxes})
-        image["delegations"] = [d.image() for d in state.delegations]
+        image["delegations"] = Images(d.image() for d in state.delegations)
         record = self.wal.append(LogRecordKind.CHECKPOINT, image, force=True)
         self.wal.truncate(record.lsn - 1)
         self.checkpoints += 1
@@ -166,23 +180,23 @@ class StateLog:
         if checkpoints and records[0].lsn < checkpoints[-1].lsn:
             self.wal.truncate(checkpoints[-1].lsn - 1)
             records = self.wal.stable_records()
-        das: dict[str, Any] = {}
+        das: dict[str, DaImage] = {}
         usages: dict[Any, Any] = {}
         negotiations: dict[str, Any] = {}
-        visibility: dict[str, list[str]] = {}
-        inboxes: dict[str, list[Any]] = {}
+        visibility: dict[str, tuple[str, ...]] = {}
+        inboxes: dict[str, tuple] = {}
         delegations: list[Any] = []
         for record in records:
             payload = record.payload
-            for da_id, image in payload.get("das", {}).items():
-                if "description" not in image:
-                    image = {**image,
-                             "description": das[da_id]["description"]}
+            for da_id, image in payload.get("das", ()):
+                if image.description is None:
+                    image = replace(
+                        image, description=das[da_id].description)
                 das[da_id] = image
             usages.update(payload.get("usages", ()))
             negotiations.update(payload.get("negotiations", ()))
             inboxes.update(payload.get("inboxes", ()))
-            for dov_id, holders in payload.get("visibility", {}).items():
+            for dov_id, holders in payload.get("visibility", ()):
                 if holders:
                     visibility[dov_id] = holders
                 else:

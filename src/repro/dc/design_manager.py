@@ -38,6 +38,7 @@ from repro.dc.script import (
     Iteration,
     Script,
 )
+from repro.repository.versions import FrozenList, freeze_payload
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.te.context import DopContext
 from repro.te.dop import DesignOperation
@@ -370,7 +371,7 @@ class DesignManager:
         self._in_flight = dop
         self.log.append(LogRecordKind.DOP_START, {
             "dop": dop.dop_id, "token": action.token, "tool": step.tool,
-            "params": params, "inputs": inputs,
+            "params": freeze_payload(params), "inputs": FrozenList(inputs),
         }, force=True)
         self._record("dop_start", dop.dop_id, tool=step.tool)
 

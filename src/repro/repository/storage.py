@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.repository.versions import DesignObjectVersion, adopt_payload
+from repro.repository.versions import (
+    DesignObjectVersion,
+    FrozenList,
+    adopt_payload,
+)
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.util.errors import StorageError, UnknownObjectError
 
@@ -54,7 +58,7 @@ class VersionStore:
             "dot": dov.dot_name,
             "created_by": dov.created_by,
             "created_at": dov.created_at,
-            "parents": list(dov.parents),
+            "parents": FrozenList(dov.parents),
             "data": dov.data,
         }
 

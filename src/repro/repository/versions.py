@@ -56,6 +56,8 @@ class FrozenDict(dict):
     for arbitrary nested data.
     """
 
+    #: no instance dict: a frozen container is its items plus the stamp
+    __slots__ = ("_frozen_size",)
     #: structural marker checked by the storage/network fast paths
     __frozen_payload__ = True
 
@@ -103,6 +105,7 @@ class FrozenList(list):
     every mutator raises and deep copies return the instance itself.
     """
 
+    __slots__ = ("_frozen_size",)
     __frozen_payload__ = True
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -137,11 +140,22 @@ class FrozenList(list):
 
 
 _FROZEN_CONTAINERS = (FrozenDict, FrozenList)
+_SCALAR_TYPES = frozenset({str, int, float, bool, bytes, type(None)})
 
 
 def is_frozen_payload(value: Any) -> bool:
-    """True when *value* is a frozen payload container (zero-copy safe)."""
-    return type(value) in _FROZEN_CONTAINERS
+    """True when *value*'s type carries ``__frozen_payload__``.
+
+    The one immutability rule of stable storage, the WAL and the
+    freeze/thaw walks: a type whose instances cannot change through
+    any reference says so with the marker, and whoever holds such a
+    value shares it instead of copying it.
+    """
+    tp = type(value)
+    # most record values are scalars, and a lookup that fails is the
+    # slow kind: rule them out by type first
+    return tp not in _SCALAR_TYPES \
+        and getattr(tp, "__frozen_payload__", False)
 
 
 def adopt_payload(data: Any) -> Any:
@@ -330,6 +344,9 @@ def _freeze(value: Any) -> tuple[Any, int]:
         total = sum(item_size + _CONTAINER_OVERHEAD
                     for _, item_size in members)
         return frozenset(frozen for frozen, _ in members), total
+    if is_frozen_payload(value):
+        # immutable by its type's word: an opaque scalar, shared
+        return value, _SCALAR_BYTES
     # unknown objects: flat scalar cost — but *copied*, not shared:
     # they may be mutable, and every zero-copy short-circuit
     # downstream trusts that nothing reachable from a frozen payload
@@ -343,10 +360,11 @@ def thaw_payload(value: Any) -> Any:
 
     :class:`FrozenDict` becomes ``dict`` and :class:`FrozenList`
     ``list`` again, at every depth and inside tuples; immutable leaves
-    are shared.  What freezing cannot give back stays as frozen:
-    a ``set`` comes back a ``frozenset``, a ``bytearray`` as ``bytes``.
-    Unknown objects are copied, as they were on the way in, so nothing
-    mutable is reachable from both the result and *value*.
+    (scalars, values of a ``__frozen_payload__`` type) are shared.
+    What freezing cannot give back stays as frozen: a ``set`` comes
+    back a ``frozenset``, a ``bytearray`` as ``bytes``.  Unknown
+    objects are copied, as they were on the way in, so nothing mutable
+    is reachable from both the result and *value*.
     """
     tp = type(value)
     if tp is str or tp is int or tp is float or tp is bool \
@@ -358,6 +376,8 @@ def thaw_payload(value: Any) -> Any:
         return [thaw_payload(item) for item in value]
     if tp is tuple:
         return tuple(thaw_payload(item) for item in value)
+    if is_frozen_payload(value):
+        return value
     return copy.deepcopy(value)
 
 

@@ -76,8 +76,6 @@ class WriteAheadLog:
         self._next_lsn = 1
         #: number of force() calls that actually flushed something
         self.forced_writes = 0
-        #: deep copies skipped because a payload value was frozen
-        self.copies_saved = 0
 
     # -- writing ------------------------------------------------------------
 
@@ -86,18 +84,14 @@ class WriteAheadLog:
 
         The WAL must never share mutable state with its callers (a
         later in-place edit would corrupt the durable history), hence
-        the deep copy — but frozen payload values cannot be mutated
-        through any reference, so they are shared as-is and the walk
-        is skipped (:attr:`copies_saved` counts the skips).
+        the deep copy — but a value whose type carries the
+        ``__frozen_payload__`` marker (stable storage's rule) cannot be
+        mutated through any reference, so it is shared as-is and the
+        walk is skipped.
         """
-        snapshot: dict[str, Any] = {}
-        for key, value in payload.items():
-            if is_frozen_payload(value):
-                snapshot[key] = value
-                self.copies_saved += 1
-            else:
-                snapshot[key] = copy.deepcopy(value)
-        return snapshot
+        return {key: value if is_frozen_payload(value)
+                else copy.deepcopy(value)
+                for key, value in payload.items()}
 
     def append(self, kind: LogRecordKind,
                payload: dict[str, Any] | None = None,

@@ -8,6 +8,11 @@ checkpoint's append and its truncate, and with the lock table wiped —
 and compares everything the CM holds, field by field, with what it
 held just before the crash.  A mutator that forgets to mark an entity,
 or an image that forgets a field, fails here.
+
+The state log's WAL keeps the records it is handed, uncopied.  What
+stood in for the copy: every record of every program is checked to be
+immutable all the way down, and no entity mutator reaches a forced
+record.
 """
 
 from __future__ import annotations
@@ -20,12 +25,20 @@ from typing import Any
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.activity import DaImage, DesignActivity
 from repro.core.features import DesignSpecification, Feature, RangeFeature
-from repro.core.states import DaState
+from repro.core.relationships import ProposalStatus
+from repro.core.state_log import Images
+from repro.core.states import DaOperation, DaState
 from repro.core.system import ConcordSystem
 from repro.dc.script import DopStep, Script, Sequence
 from repro.repository.schema import DesignObjectType
-from repro.repository.wal import LogRecordKind
+from repro.repository.versions import (
+    FrozenDict,
+    FrozenList,
+    is_frozen_payload,
+)
+from repro.repository.wal import LogRecord, LogRecordKind
 from repro.te.locks import LockMode
 from repro.util.errors import ConcordError
 from repro.vlsi.tools import vlsi_dots
@@ -120,6 +133,38 @@ def assert_recovers(system: ConcordSystem, wipe_locks: bool = False) -> None:
         assert after[registry] == value, registry
     for da_id in das:
         assert system.runtime(da_id).da is system.cm.da(da_id)
+
+
+def assert_deeply_immutable(value: Any, path: str) -> None:
+    """Nothing reachable from *value* can change: scalars, enum
+    members, tuples / frozensets / frozen containers of such, and
+    values of a ``__frozen_payload__`` type.  The state log's own
+    record types are looked into; the other marked types (scripts,
+    specifications, features, quality states) are values with tests of
+    their own."""
+    kind = type(value)
+    if kind is DaImage:
+        for field in dataclasses.fields(value):
+            assert_deeply_immutable(getattr(value, field.name),
+                                    f"{path}.{field.name}")
+    elif kind is FrozenDict:
+        for key, item in value.items():
+            assert_deeply_immutable(key, f"{path}<key {key!r}>")
+            assert_deeply_immutable(item, f"{path}[{key!r}]")
+    elif kind in (tuple, frozenset, FrozenList, Images):
+        for index, item in enumerate(value):
+            assert_deeply_immutable(item, f"{path}[{index}]")
+    elif kind not in (str, int, float, bool, bytes, type(None)) \
+            and not isinstance(value, enum.Enum) \
+            and not is_frozen_payload(value):
+        raise AssertionError(
+            f"{path}: a {kind.__name__} in a forced record")
+
+
+def assert_record_immutable(record: LogRecord) -> None:
+    for kind, images in record.payload.items():
+        assert type(images) is Images, kind
+        assert_deeply_immutable(images, f"lsn {record.lsn} {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +421,17 @@ def drive(program_steps: list[tuple], crash_after: dict[int, str]
         raise _TornCheckpoint
 
     reached: set[str] = set()
+    checked = 0  # lsn up to which the records were found immutable
+
+    def check_new_records() -> None:
+        nonlocal checked
+        for record in log.stable_records():
+            if record.lsn > checked:
+                assert_record_immutable(record)
+                checked = record.lsn
+
     for index, (operation, a, b, c) in enumerate(program_steps):
+        check_new_records()
         try:
             completed = program.run(operation, a, b, c)
         except _TornCheckpoint:
@@ -402,6 +457,7 @@ def drive(program_steps: list[tuple], crash_after: dict[int, str]
         else:
             assert_recovers(system, wipe_locks=crash == "wiped")
     log.__dict__.pop("truncate", None)
+    check_new_records()
     assert_recovers(system)
     return system, reached
 
@@ -615,6 +671,78 @@ def test_a_log_record_never_aliases_live_state(team):
     system.crash_server()
     system.restart_server()
     assert registries(held(system)) == registries(logged)
+
+
+def forced(system: ConcordSystem) -> list:
+    """Every stable record of the state log, as plain data."""
+    return [(record.lsn, record.kind, plain(record.payload))
+            for record in system.cm.state_log.wal.stable_records()]
+
+
+def test_no_entity_mutator_reaches_a_forced_record(team):
+    """The WAL shares the images it is handed: an image must hold
+    nothing its entity goes on to change."""
+    system, top, (left, right) = team
+    cm = system.cm
+    dov = final_dov(system, left)
+    cm.require(right, left, {"width-limit"})
+    cm.propagate(left, dov)
+    proposal = cm.propose(left, right, {
+        left: [RangeFeature("width-limit", "width", hi=40.0)],
+        right: [RangeFeature("width-limit", "width", hi=60.0)]})
+    at_persist = forced(system)
+    for record in cm.state_log.wal.stable_records():
+        assert_record_immutable(record)
+    # every way an entity changes, by hand and behind the CM's back
+    da, usage = cm.da(left), cm.usage(right, left)
+    da.machine.apply(DaOperation.AGREE)
+    da.machine.history.append(da.machine.history[0])
+    da.children.append("da-bogus")
+    da.record_quality("dov-bogus", da.quality[dov])
+    da.revoke_finality(dov)
+    da.final_dovs.append("dov-bogus")
+    da.propagated.append("dov-bogus")
+    da.quality.clear()
+    usage.delivered.append("dov-bogus")
+    usage.withdrawn.append(dov)
+    proposal.changes[left].append(RangeFeature("more", "width", hi=1.0))
+    proposal.changes["da-bogus"] = []
+    proposal.status = ProposalStatus.REJECTED
+    cm.negotiations_of(left)[0].proposals.append(proposal)
+    cm._visibility[dov].add("da-bogus")
+    message = cm.inbox(right)[0]
+    message.payload["dov"] = "dov-bogus"
+    message.payload["more"] = ["x"]
+    cm._inboxes[right].append(message)
+    cm._inboxes[right].reverse()
+    assert forced(system) == at_persist
+    # the same the other way round: what recovery builds is its own
+    system.crash_server()
+    system.restart_server()
+    cm.da(left).children.append("da-bogus")
+    cm.da(left).quality.clear()
+    cm.usage(right, left).delivered.clear()
+    cm.negotiations_of(left)[0].proposals[0].changes.clear()
+    cm.inbox(right)[0].payload.clear()
+    assert forced(system) == at_persist
+
+
+def test_an_image_leaking_a_live_list_is_caught(team, monkeypatch):
+    """The mutation check of the walker the programs run under."""
+    system, top, (left, right) = team
+    image = DesignActivity.image
+
+    def leaking(da, described=True):
+        return dataclasses.replace(image(da, described),
+                                   children=da.children)
+
+    monkeypatch.setattr(DesignActivity, "image", leaking)
+    system.cm.evaluate(left, system.repository.checkin(
+        left, "Module", {"cell": left, "level": "module"}).dov_id)
+    record = system.cm.state_log.wal.stable_records()[-1]
+    with pytest.raises(AssertionError, match=r"das\[0\]\[1\]\.children: "
+                                             r"a list in a forced record"):
+        assert_record_immutable(record)
 
 
 def test_the_state_log_stays_within_one_states_worth_of_records(team):

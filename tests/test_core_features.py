@@ -202,3 +202,57 @@ class TestRefinement:
     def test_spec_refines_itself(self):
         base = DesignSpecification([RangeFeature("a", "x", hi=10.0)])
         assert base.refines(base)
+
+
+class TestValuesRefuseMutation:
+    """What ``__frozen_payload__`` claims for features and
+    specifications: the CM's state log shares them uncopied."""
+
+    @pytest.mark.parametrize("feature, attr", [
+        (RangeFeature("f", "area", lo=0.0, hi=5.0), "hi"),
+        (RangeFeature("f", "area", lo=0.0, hi=5.0), "name"),
+        (PredicateFeature("p", lambda data: True), "predicate"),
+        (TestToolFeature("t", "drc", lambda data: True), "tool_name"),
+        (RangeFeature("f", "area", hi=5.0), "unheard_of"),
+    ])
+    def test_a_feature_refuses_assignment_and_deletion(self, feature, attr):
+        before = getattr(feature, attr, None)
+        with pytest.raises(AttributeError):
+            setattr(feature, attr, 99.0)
+        with pytest.raises(AttributeError):
+            delattr(feature, attr)
+        assert getattr(feature, attr, None) == before
+
+    def test_a_specification_refuses_assignment_and_deletion(self):
+        spec = DesignSpecification([RangeFeature("f", "area", hi=5.0)])
+        for attack in (lambda: setattr(spec, "_features", {}),
+                       lambda: setattr(spec, "anything", 1),
+                       lambda: delattr(spec, "_features")):
+            with pytest.raises(SpecificationError, match="immutable"):
+                attack()
+        assert spec.names() == {"f"}
+
+    def test_a_specifications_features_are_not_a_mutable_dict(self):
+        spec = DesignSpecification([RangeFeature("f", "area", hi=5.0)])
+        with pytest.raises(TypeError):
+            spec._features["g"] = RangeFeature("g", "area", hi=1.0)
+        with pytest.raises((TypeError, AttributeError)):
+            spec._features.clear()
+        assert spec.names() == {"f"}
+
+    def test_the_list_a_specification_was_built_from_is_not_kept(self):
+        features = [RangeFeature("f", "area", hi=5.0)]
+        spec = DesignSpecification(features)
+        features.append(RangeFeature("g", "area", hi=1.0))
+        assert spec.names() == {"f"}
+
+    def test_derivations_still_return_new_values(self):
+        feature = RangeFeature("f", "area", lo=0.0, hi=5.0)
+        spec = DesignSpecification([feature])
+        assert feature.widened(hi=9.0) is not feature
+        assert feature.hi == 5.0
+        for derived in (spec.with_feature(RangeFeature("g", "a", hi=1.0)),
+                        spec.with_restricted(feature.widened(hi=2.0)),
+                        spec.replaced(feature.widened(hi=9.0))):
+            assert derived is not spec
+            assert spec.feature("f") is feature and len(spec) == 1

@@ -25,6 +25,7 @@ import pytest
 
 import repro
 from repro.bench.perf import _make_rig, _nested_payload
+from repro.dc.script import DopStep, Script, Sequence
 from repro.net.network import StableStorage, _is_immutable
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
@@ -40,6 +41,7 @@ from repro.repository.versions import (
     is_frozen_payload,
     payload_sizeof,
     payload_walks,
+    thaw_payload,
 )
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.sim.clock import SimClock
@@ -152,6 +154,20 @@ class TestFrozenContainers:
         assert frozen["blob"].cells == ["a"]
         assert payload_sizeof(frozen) == payload_sizeof({"blob": blob})
 
+    def test_marker_carrying_values_are_shared_by_freeze_and_thaw(self):
+        # the one immutability rule: what the type vouches for in O(1)
+        # is neither copied on the way in nor on the way out
+        script = Script(Sequence(DopStep("tool", params={"k": [1]})), "s")
+        dov = DesignObjectVersion("dov-1", "Cell", {"a": [1]}, "da-1", 0.0)
+        frozen = freeze_payload({"s": script, "nested": [dov]})
+        assert frozen["s"] is script
+        assert frozen["nested"][0] is dov
+        assert payload_sizeof(frozen) \
+            == payload_sizeof({"s": script, "nested": [dov]})
+        thawed = thaw_payload(frozen)
+        assert type(thawed) is dict and type(thawed["nested"]) is list
+        assert thawed["s"] is script and thawed["nested"][0] is dov
+
     def test_directly_constructed_containers_carry_real_sizes(self):
         # not just the freeze walk: a FrozenDict/FrozenList built by
         # hand must stamp its true modelled size, never a stale zero
@@ -237,11 +253,20 @@ class TestStorageShortCircuits:
         payload = {"dov_id": "d1", "data": frozen, "parents": ["p1"]}
         record = wal.append(LogRecordKind.DOV_CHECKIN, payload)
         assert record.payload["data"] is frozen
-        assert wal.copies_saved == 1
         # mutable values still get the defensive deep copy: a caller
         # mutating its request after the append cannot rewrite history
         payload["parents"].append("p2")
         assert record.payload["parents"] == ["p1"]
+
+    def test_wal_append_shares_by_the_marker_not_by_the_container_type(
+            self):
+        # stable storage's rule: the type carries __frozen_payload__
+        script = Script(Sequence(DopStep("tool")), "s")
+        dov = DesignObjectVersion("dov-1", "Cell", {"a": [1]}, "da-1", 0.0)
+        record = WriteAheadLog().append(
+            LogRecordKind.CHECKPOINT, {"script": script, "dov": dov})
+        assert record.payload["script"] is script
+        assert record.payload["dov"] is dov
 
     def test_stable_storage_marker_short_circuit(self):
         frozen = freeze_payload(nested_payload())
@@ -411,6 +436,81 @@ class TestACheckoutPointIsADelta:
         assert len(deltas) == 300 - calls["snapshot"]
         assert all(walked == 0 for _, _, walked in deltas)
         assert client.recovery.latest(dop.dop_id).payload is dov.data
+
+
+class TestACmOperationPersistsReferences:
+    """A count gate on the CM's state log: an after-image is gathered
+    from parts that are already immutable, so persisting one neither
+    freezes nor copies — at the parent every operation cost ~100
+    ``copy.deepcopy`` frames over images that were private already."""
+
+    LEADS, LEAVES = 14, 7       # cm_cooperation's hierarchy: 113 DAs
+
+    def test_a_cooperation_round_walks_and_copies_no_image(
+            self, monkeypatch):
+        from repro.core.features import DesignSpecification, RangeFeature
+        from repro.core.state_log import StateLog
+        from repro.core.system import ConcordSystem
+        from repro.vlsi.tools import vlsi_dots
+
+        def spec(limit):
+            return DesignSpecification([
+                RangeFeature("width-limit", "width", hi=limit),
+                RangeFeature("height-limit", "height", hi=limit)])
+
+        system = ConcordSystem(trace=False)
+        system.add_workstation("ws-1")
+        cm, dots = system.cm, vlsi_dots()
+        noop = Script(Sequence(DopStep("structure_synthesis")), "noop")
+        top = system.init_design(dots["Chip"], spec(1000.0), "chief", noop,
+                                 "ws-1")
+        system.start(top.da_id)
+        for _ in range(self.LEADS):
+            lead = system.create_sub_da(top.da_id, dots["Module"],
+                                        spec(400.0), "lead", noop, "ws-1")
+            system.start(lead.da_id)
+            for _ in range(self.LEAVES):
+                leaf = system.create_sub_da(lead.da_id, dots["Block"],
+                                            spec(100.0), "leaf", noop,
+                                            "ws-1")
+                system.start(leaf.da_id)
+        assert len(cm.das()) == 113
+        supporting, requiring = cm.children_of(lead.da_id)[:2]
+        dov = system.repository.checkin(
+            supporting.da_id, "Block",
+            {"cell": "c", "level": "block", "width": 20.0, "height": 20.0})
+
+        walked_in_persist: list[int] = []
+        persist = StateLog.persist
+
+        def watched(log, state):
+            before = walks()
+            persist(log, state)
+            walked_in_persist.append(walks() - before)
+
+        monkeypatch.setattr(StateLog, "persist", watched)
+        copied: list[type] = []         # every frame, recursion included
+        deepcopy = copy.deepcopy
+        monkeypatch.setattr(copy, "deepcopy", lambda value, *rest: (
+            copied.append(type(value)), deepcopy(value, *rest))[1])
+
+        assert cm.evaluate(supporting.da_id, dov.dov_id).is_final
+        cm.require(requiring.da_id, supporting.da_id, {"width-limit"})
+        assert cm.propagate(supporting.da_id, dov.dov_id) \
+            == [requiring.da_id]
+        proposal = cm.propose(requiring.da_id, supporting.da_id, {
+            supporting.da_id: [RangeFeature("width-limit", "width",
+                                            hi=50.0)],
+            requiring.da_id: [RangeFeature("width-limit", "width",
+                                           hi=150.0)]})
+        cm.agree(supporting.da_id, proposal.proposal_id)
+
+        assert len(walked_in_persist) >= 5
+        assert set(walked_in_persist) == {0}
+        assert copied and set(copied) <= {str, int, float, bool, type(None)}
+        system.crash_server()
+        system.restart_server()
+        assert cm.da(supporting.da_id).spec.feature("width-limit").hi == 50.0
 
 
 class TestATraceThatIsOffCostsNothing:

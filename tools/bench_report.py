@@ -3,8 +3,10 @@
 
 One argument prints the report; two arguments print NEW against OLD
 with a per-benchmark throughput delta (a benchmark only OLD has is
-listed as ``removed``) — the before/after view of the perf
-trajectory::
+listed as ``removed``) and, for the benchmarks that sweep a size
+(``cm_scaling``: ms per DA; ``federation_scaling``: ms per batch), the
+cost at every sweep point with its delta — the before/after view of
+the perf trajectory::
 
     python tools/bench_report.py BENCH_PERF.json            # single run
     python tools/bench_report.py NEW.json OLD.json          # delta view
@@ -63,6 +65,14 @@ def render_delta(new: dict[str, Any],
              "  ".join("-" * w for w in widths)]
     lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths))
               for row in rows]
+    for name, bench in new["benchmarks"].items():
+        before = old_benches.get(name, {}).get("sweep", {})
+        for point, cost in bench.get("sweep", {}).items():
+            line = f"{name} {point}: {cost} {bench.get('sweep_unit', '')}"
+            if before.get(point):
+                change = (cost - before[point]) / before[point] * 100.0
+                line += f" (old {before[point]}, {change:+.1f}%)"
+            lines.append(line)
     acceptance = new.get("acceptance", {})
     if acceptance:
         gates = []
