@@ -19,9 +19,9 @@ import pytest
 
 from repro.bench.perf import (
     FEDERATION_FLATNESS_MAX,
-    FEDERATION_LOG_WINDOW,
     _measure_federation_scaling,
 )
+from repro.txn.decision_log import CHECKPOINT_WINDOW
 
 pytestmark = pytest.mark.slow
 
@@ -46,7 +46,7 @@ class TestFederationScalingCurve:
     def test_bounded_log_survives_truncation_cycles(self, scaling):
         bounded = scaling["bounded_log"]
         assert bounded["ok"], bounded
-        assert bounded["window"] == FEDERATION_LOG_WINDOW
+        assert bounded["window"] == CHECKPOINT_WINDOW
         assert bounded["truncations"] >= 3
         assert bounded["peak_wal_records"] \
             <= bounded["max_wal_records"]

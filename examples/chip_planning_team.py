@@ -63,7 +63,7 @@ def main() -> None:
     print(f"  {report.top_da}'s scope now holds {len(scope)} DOVs")
 
     print(f"\ncooperation protocol log: "
-          f"{len(system.cm.log)} records")
+          f"{system.cm.stats()['protocol_log_records']} records")
     print(f"simulated design time: {system.clock.now:.0f} minutes")
 
 

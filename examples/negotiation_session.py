@@ -114,7 +114,8 @@ def main() -> None:
                                           chip_spec(60, 120))
     print(f"    A now gets width <= 60 at full height, B gets width "
           f"<= 60 at extended height")
-    print(f"    protocol log: {len(system.cm.log)} records")
+    print(f"    protocol log: "
+          f"{system.cm.stats()['protocol_log_records']} records")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,8 @@ def main() -> None:
     root_id = report.das[hierarchy.root.name]
     print(f"\n  root scope now holds "
           f"{len(system.cm.scope_of(root_id))} DOVs")
-    print(f"  cooperation protocol log: {len(system.cm.log)} records")
+    print(f"  cooperation protocol log: "
+          f"{system.cm.stats()['protocol_log_records']} records")
     print(f"  simulated design time: {system.clock.now / 60:.1f} hours")
 
 

@@ -179,7 +179,8 @@ def run_f5() -> ExperimentResult:
     for i, phase in enumerate(report.phases, 1):
         result.add(phase=i, event=phase)
     result.data["report"] = report
-    result.data["protocol_records"] = len(system.cm.log)
+    result.data["protocol_records"] = \
+        system.cm.stats()["protocol_log_records"]
     total_inherited = sum(len(v) for v in report.inherited_dovs.values())
     result.notes.append(
         f"{len(report.sub_das)} sub-DAs created; "

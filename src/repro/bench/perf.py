@@ -58,13 +58,6 @@ FEDERATION_FLATNESS_MAX = 1.3
 #: of create + start must not depend on how many DAs already exist
 CM_FLATNESS_MAX = 1.3
 
-#: frontier window of the bounded-log run: the decision log
-#: auto-checkpoints every this-many completed batches, and its record
-#: count (sampled after every batch) must stay <= 2x this window no
-#: matter how many batches ever committed
-FEDERATION_LOG_WINDOW = 8
-
-
 def _nested_payload(entries: int = 48, rev: int = 0) -> dict[str, Any]:
     """A representative design payload: shallow top, bushy below.
 
@@ -228,25 +221,24 @@ def _measure_federation_scaling(quick: bool,
     removed.  The gate is *flatness*: seconds per batch at the largest
     sweep point must stay within :data:`FEDERATION_FLATNESS_MAX` of
     the smallest.  A separate bounded-log run proves the decision log's
-    checkpoint frontier keeps its record count inside 2x the
-    :data:`FEDERATION_LOG_WINDOW` across >= 3 truncation cycles —
-    ending with a coordinator crash + recovery over the truncated log.
+    checkpoint frontier keeps its record count (sampled after every
+    batch) inside 2x its ``CHECKPOINT_WINDOW`` across >= 3 truncation
+    cycles — ending with a coordinator crash + recovery over the
+    truncated log.
     """
     from repro.repository.federation import FederatedRepository
-    from repro.txn.decision_log import GlobalDecisionLog
+    from repro.txn.decision_log import CHECKPOINT_WINDOW
 
     das = 4
     per_da = 4
     batches = 4 if quick else 10
     counts = (4, 8) if quick else (4, 16, 64)
 
-    def build(members: int,
-              decision_log: GlobalDecisionLog | None = None):
+    def build(members: int):
         ids = IdGenerator()
         federation = FederatedRepository(
             {f"site-{index}": DesignDataRepository(ids)
-             for index in range(members)},
-            decision_log=decision_log)
+             for index in range(members)})
         federation.register_dot(_CELL)
         heads: dict[str, str] = {}
         for index in range(das):
@@ -299,9 +291,9 @@ def _measure_federation_scaling(quick: bool,
     # -- bounded-log run: >= 3 checkpoint/truncation cycles, record
     # count sampled after every batch, then a coordinator crash over
     # the truncated log to prove recovery still resolves everything
-    window = FEDERATION_LOG_WINDOW
-    log = GlobalDecisionLog(checkpoint_interval=window)
-    federation, heads = build(smallest, decision_log=log)
+    window = CHECKPOINT_WINDOW
+    federation, heads = build(smallest)
+    log = federation.decision_log
     state = {"rev": 0}
     peak_records = 0
     for _ in range(3 * window + 2):

@@ -22,9 +22,9 @@ Implemented responsibilities:
   modified nested-transaction locking scheme);
 * failure handling: every cooperative operation forces one record to
   the CM's state log — the after-images of the DAs, relationships,
-  visibility sets and inboxes it touched — and a server restart
-  replays that log from its last checkpoint; the operation itself is
-  also appended to a forced protocol log (the audit trail).
+  visibility sets and inboxes it touched, and the operation's audit
+  entry with them — and a server restart replays that log from its
+  last checkpoint.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.net.network import Network
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
 from repro.repository.versions import freeze_payload
-from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.te.locks import LockManager, LockMode
 from repro.util.errors import (
     CooperationError,
@@ -102,10 +101,9 @@ class CooperationManager:
         #: message instead of queueing it (the auto-dispatch path)
         self.on_deliver: Callable[[str, Message], bool] | None = None
 
-        #: forced protocol log — basis of T6's log-growth measurement
-        self.log = WriteAheadLog("cm-protocol")
-        #: forced state log: mutators mark the entities they change,
-        #: ``_persist`` forces their after-images as one record
+        #: the CM's one log: mutators mark the entities they change,
+        #: ``_persist`` forces their after-images and the operation's
+        #: audit entry as one record
         self.state_log = StateLog()
 
         # install CONCORD semantics into the substrate components
@@ -126,13 +124,6 @@ class CooperationManager:
         if self.trace.enabled:
             self.trace.record(self.clock.now, Level.AC, "CM", operation,
                               subject, **detail)
-
-    def _log_op(self, operation: DaOperation, actor: str,
-                **payload: Any) -> None:
-        # frozen here, once: the few id lists an operation names
-        # (receivers, inherited DOVs, ...) are what the log keeps
-        self.log.append(LogRecordKind.COOP_OPERATION, freeze_payload({
-            "op": operation.value, "actor": actor, **payload}), force=True)
 
     def _send(self, kind: str, sender: str, recipient: str,
               **payload: Any) -> Message:
@@ -192,6 +183,14 @@ class CooperationManager:
         da = self.da(da_id)
         self.state_log.mark("das", da_id)
         return da
+
+    def _transition(self, operation: DaOperation, *da_ids: str) -> None:
+        """The DAs make *operation*'s transition, all or none: one that
+        may not refuses it before any has moved."""
+        for da_id in da_ids:
+            self.da(da_id).machine.check(operation)
+        for da_id in da_ids:
+            self._touch(da_id).machine.apply(operation)
 
     def das(self, state: DaState | None = None) -> list[DesignActivity]:
         """All DAs, optionally filtered by state."""
@@ -300,10 +299,9 @@ class CooperationManager:
             dov0 = self.repository.checkin(da_id, dot.name, initial_data,
                                            created_at=self.clock.now)
             vector.initial_dov = dov0.dov_id
-        self._log_op(DaOperation.INIT_DESIGN, da_id, dot=dot.name,
-                     designer=designer)
         self._record("Init_Design", da_id, designer=designer)
-        self._persist()
+        self._persist(DaOperation.INIT_DESIGN, da_id, dot=dot.name,
+                      designer=designer)
         return da
 
     def create_sub_da(self, super_id: str, dot: DesignObjectType,
@@ -316,8 +314,8 @@ class CooperationManager:
         the sub-DA's DOT must be a *part* of the super-DA's DOT, and an
         initial DOV must come from the super-DA's scope.
         """
-        super_da = self._touch(super_id)
-        super_da.machine.apply(DaOperation.CREATE_SUB_DA)
+        super_da = self.da(super_id)
+        super_da.machine.check(DaOperation.CREATE_SUB_DA)
         if not dot.is_part_of(super_da.dot):
             raise DelegationError(
                 f"DOT {dot.name!r} is not a part of the super-DA's DOT "
@@ -327,6 +325,7 @@ class CooperationManager:
             raise ScopeViolationError(
                 f"initial DOV {initial_dov!r} is not in the scope of "
                 f"super-DA {super_id!r}")
+        self._touch(super_id).machine.apply(DaOperation.CREATE_SUB_DA)
         if dot.name not in {d.name for d in self.repository.dots()}:
             self.repository.register_dot(dot)
         da_id = self.ids.next("da")
@@ -343,37 +342,35 @@ class CooperationManager:
         self.repository.create_graph(da_id)
         if initial_dov is not None:
             self._grant_visibility(da_id, initial_dov)
-        self._log_op(DaOperation.CREATE_SUB_DA, super_id, sub=da_id,
-                     dot=dot.name, designer=designer)
         self._record("Create_Sub_DA", da_id, super_da=super_id)
-        self._persist()
+        self._persist(DaOperation.CREATE_SUB_DA, super_id, sub=da_id,
+                      dot=dot.name, designer=designer)
         return sub
 
     def start(self, da_id: str) -> None:
         """Start: the DA begins its design work (GENERATED -> ACTIVE)."""
         da = self._touch(da_id)
         da.machine.apply(DaOperation.START)
-        self._log_op(DaOperation.START, da_id)
         self._record("Start", da_id)
-        self._persist()
+        self._persist(DaOperation.START, da_id)
 
     def evaluate(self, da_id: str, dov_id: str) -> QualityState:
         """Evaluate: determine the quality state of a DOV in scope."""
-        da = self._touch(da_id)
-        da.machine.apply(DaOperation.EVALUATE)
+        da = self.da(da_id)
+        da.machine.check(DaOperation.EVALUATE)
         if not self.in_scope(da_id, dov_id):
             raise ScopeViolationError(
                 f"DA {da_id!r} cannot evaluate DOV {dov_id!r}: not in "
                 f"scope")
+        self._touch(da_id).machine.apply(DaOperation.EVALUATE)
         dov = self.repository.read(dov_id)
         quality = da.spec.evaluate(dov.data)
         da.record_quality(dov_id, quality)
-        self._log_op(DaOperation.EVALUATE, da_id, dov=dov_id,
-                     fulfilled=sorted(quality.fulfilled),
-                     final=quality.is_final)
         self._record("Evaluate", dov_id, da=da_id,
                      distance=quality.distance)
-        self._persist()
+        self._persist(DaOperation.EVALUATE, da_id, dov=dov_id,
+                      fulfilled=sorted(quality.fulfilled),
+                      final=quality.is_final)
         return quality
 
     def sub_da_ready_to_commit(self, sub_id: str) -> None:
@@ -402,10 +399,9 @@ class CooperationManager:
             self._grant_visibility(sub.parent, dov_id)
         self._send("ready_to_commit", sub_id, sub.parent,
                    final_dovs=list(sub.final_dovs))
-        self._log_op(DaOperation.SUB_DA_READY_TO_COMMIT, sub_id,
-                     final_dovs=list(sub.final_dovs))
         self._record("Sub_DA_Ready_To_Commit", sub_id)
-        self._persist()
+        self._persist(DaOperation.SUB_DA_READY_TO_COMMIT, sub_id,
+                      final_dovs=list(sub.final_dovs))
 
     def sub_da_impossible_specification(self, sub_id: str,
                                         reason: str = "") -> None:
@@ -422,11 +418,10 @@ class CooperationManager:
         sub.machine.apply(DaOperation.SUB_DA_IMPOSSIBLE_SPEC)
         self._send("impossible_specification", sub_id, sub.parent,
                    reason=reason)
-        self._log_op(DaOperation.SUB_DA_IMPOSSIBLE_SPEC, sub_id,
-                     reason=reason)
         self._record("Sub_DA_Impossible_Specification", sub_id,
                      reason=reason)
-        self._persist()
+        self._persist(DaOperation.SUB_DA_IMPOSSIBLE_SPEC, sub_id,
+                      reason=reason)
 
     def modify_sub_da_specification(self, super_id: str, sub_id: str,
                                     new_spec: DesignSpecification,
@@ -472,10 +467,9 @@ class CooperationManager:
         hook = self._dm_hooks.get(sub_id)
         if hook is not None:
             hook.on_specification_modified(restart_dov)
-        self._log_op(DaOperation.MODIFY_SUB_DA_SPEC, super_id, sub=sub_id)
         self._record("Modify_Sub_DA_Specification", sub_id,
                      super_da=super_id)
-        self._persist()
+        self._persist(DaOperation.MODIFY_SUB_DA_SPEC, super_id, sub=sub_id)
 
     def terminate_sub_da(self, super_id: str, sub_id: str) -> list[str]:
         """Terminate_Sub_DA: commit/cancel a sub-DA.
@@ -523,11 +517,10 @@ class CooperationManager:
                 self.state_log.mark("negotiations",
                                     negotiation.negotiation_id)
 
-        self._log_op(DaOperation.TERMINATE_SUB_DA, super_id, sub=sub_id,
-                     inherited=sorted(inherited))
         self._record("Terminate_Sub_DA", sub_id, super_da=super_id,
                      inherited=len(inherited))
-        self._persist()
+        self._persist(DaOperation.TERMINATE_SUB_DA, super_id, sub=sub_id,
+                      inherited=sorted(inherited))
         return sorted(inherited)
 
     def finish_top_level(self, da_id: str) -> None:
@@ -603,15 +596,14 @@ class CooperationManager:
         else:
             usage.required_features = frozenset(features)
         self.state_log.mark("usages", key)
-        self._log_op(DaOperation.REQUIRE, requiring_id,
-                     supporting=supporting_id, features=sorted(features))
         self._record("Require", supporting_id, requiring=requiring_id)
 
         delivered = self._try_deliver(usage)
         if delivered is None:
             self._send("require", requiring_id, supporting_id,
                        features=sorted(features))
-        self._persist()
+        self._persist(DaOperation.REQUIRE, requiring_id,
+                      supporting=supporting_id, features=sorted(features))
         return delivered
 
     def _try_deliver(self, usage: Usage) -> str | None:
@@ -643,13 +635,14 @@ class CooperationManager:
         DA control over which of its DOVs are pre-released."  Returns
         the requiring DAs the DOV was delivered to.
         """
-        da = self._touch(da_id)
-        da.machine.apply(DaOperation.PROPAGATE)
+        da = self.da(da_id)
+        da.machine.check(DaOperation.PROPAGATE)
         if not self.repository.has_graph(da_id) \
                 or dov_id not in self.repository.graph(da_id):
             raise ScopeViolationError(
                 f"DA {da_id!r} may only propagate DOVs of its own "
                 f"derivation graph, not {dov_id!r}")
+        self._touch(da_id).machine.apply(DaOperation.PROPAGATE)
         # propagated DOVs carry a quality state determined by Evaluate
         if dov_id not in da.quality:
             dov = self.repository.read(dov_id)
@@ -664,11 +657,10 @@ class CooperationManager:
             if da.quality[dov_id].covers(usage.required_features):
                 self._deliver(usage, dov_id)
                 receivers.append(usage.requiring_da)
-        self._log_op(DaOperation.PROPAGATE, da_id, dov=dov_id,
-                     receivers=receivers)
         self._record("Propagate", dov_id, da=da_id,
                      receivers=len(receivers))
-        self._persist()
+        self._persist(DaOperation.PROPAGATE, da_id, dov=dov_id,
+                      receivers=receivers)
         return receivers
 
     def invalidate_propagation(self, supporting_id: str,
@@ -829,18 +821,15 @@ class CooperationManager:
             raise NegotiationError(
                 f"only the common super-DA {super_id!r} may set a "
                 f"negotiation relationship explicitly")
-        for da_id in (da_a, da_b):
-            self._touch(da_id).machine.apply(
-                DaOperation.CREATE_NEGOTIATION_REL)
+        self._transition(DaOperation.CREATE_NEGOTIATION_REL, da_a, da_b)
         negotiation = Negotiation(self.ids.next("neg"), da_a, da_b,
                                   subject, created_by=creator_id)
         self._negotiations[negotiation.negotiation_id] = negotiation
         self.state_log.mark("negotiations", negotiation.negotiation_id)
-        self._log_op(DaOperation.CREATE_NEGOTIATION_REL, creator_id,
-                     da_a=da_a, da_b=da_b, subject=subject)
         self._record("Create_Negotiation_Relationship",
                      negotiation.negotiation_id, da_a=da_a, da_b=da_b)
-        self._persist()
+        self._persist(DaOperation.CREATE_NEGOTIATION_REL, creator_id,
+                      da_a=da_a, da_b=da_b, subject=subject)
         return negotiation
 
     def _find_or_create_negotiation(self, proposer: str,
@@ -872,20 +861,18 @@ class CooperationManager:
             raise NegotiationError(
                 f"negotiation {negotiation.negotiation_id!r} already has "
                 f"an open proposal")
-        for da_id in (proposer_id, other_id):
-            # ACTIVE -> NEGOTIATING, or NEGOTIATING stays (counter-proposal)
-            self._touch(da_id).machine.apply(DaOperation.PROPOSE)
+        # ACTIVE -> NEGOTIATING, or NEGOTIATING stays (counter-proposal)
+        self._transition(DaOperation.PROPOSE, proposer_id, other_id)
         proposal = Proposal(self.ids.next("prop"), proposer_id,
                             changes, note)
         negotiation.proposals.append(proposal)
         self.state_log.mark("negotiations", negotiation.negotiation_id)
         self._send("proposal", proposer_id, other_id,
                    proposal=proposal.proposal_id, note=note)
-        self._log_op(DaOperation.PROPOSE, proposer_id, other=other_id,
-                     proposal=proposal.proposal_id)
         self._record("Propose", proposal.proposal_id, frm=proposer_id,
                      to=other_id)
-        self._persist()
+        self._persist(DaOperation.PROPOSE, proposer_id, other=other_id,
+                      proposal=proposal.proposal_id)
         return proposal
 
     def agree(self, da_id: str, proposal_id: str) -> None:
@@ -909,9 +896,8 @@ class CooperationManager:
             self._apply_spec_change(target, new_spec)
         for party in (negotiation.da_a, negotiation.da_b):
             self._touch(party).machine.apply(DaOperation.AGREE)
-        self._log_op(DaOperation.AGREE, da_id, proposal=proposal_id)
         self._record("Agree", proposal_id, da=da_id)
-        self._persist()
+        self._persist(DaOperation.AGREE, da_id, proposal=proposal_id)
 
     def disagree(self, da_id: str, proposal_id: str) -> None:
         """Disagree: reject the open proposal (negotiation continues)."""
@@ -925,9 +911,8 @@ class CooperationManager:
         self._touch(da_id).machine.apply(DaOperation.DISAGREE)
         self._send("disagree", da_id, proposal.proposer,
                    proposal=proposal_id)
-        self._log_op(DaOperation.DISAGREE, da_id, proposal=proposal_id)
         self._record("Disagree", proposal_id, da=da_id)
-        self._persist()
+        self._persist(DaOperation.DISAGREE, da_id, proposal=proposal_id)
 
     def sub_das_specification_conflict(self, da_id: str,
                                        negotiation_id: str) -> str:
@@ -956,11 +941,10 @@ class CooperationManager:
                     DaOperation.SUB_DA_SPEC_CONFLICT)
         self._send("specification_conflict", da_id, super_id,
                    negotiation=negotiation_id)
-        self._log_op(DaOperation.SUB_DA_SPEC_CONFLICT, da_id,
-                     negotiation=negotiation_id, super_da=super_id)
         self._record("Sub_DAs_Specification_Conflict", negotiation_id,
                      super_da=super_id)
-        self._persist()
+        self._persist(DaOperation.SUB_DA_SPEC_CONFLICT, da_id,
+                      negotiation=negotiation_id, super_da=super_id)
         return super_id
 
     def _open_proposal(self, da_id: str,
@@ -1030,13 +1014,19 @@ class CooperationManager:
     # failure handling (server crash)
     # ======================================================================
 
-    def _persist(self) -> None:
+    def _persist(self, operation: DaOperation | None = None,
+                 actor: str = "", **detail: Any) -> None:
         """Force what this operation changed to the state log — one
-        record with the after-images of the entities it marked (see
+        record with the after-images of the entities it marked and,
+        for an operation of Fig.7, its audit entry (see
         :mod:`repro.core.state_log`)."""
+        # frozen here, once: the few id lists an operation names
+        # (receivers, inherited DOVs, ...) are what the log keeps
+        audit = None if operation is None else freeze_payload({
+            "op": operation.value, "actor": actor, **detail})
         self.state_log.persist(Registries(
             self._das, self._delegations, self._usages,
-            self._negotiations, self._visibility, self._inboxes))
+            self._negotiations, self._visibility, self._inboxes), audit)
 
     def _on_server_crash(self) -> None:
         """Volatile registries vanish with the server process."""
@@ -1094,6 +1084,6 @@ class CooperationManager:
             "delegations": len(self._delegations),
             "usages": len(self._usages),
             "negotiations": len(self._negotiations),
-            "protocol_log_records": len(self.log),
+            "protocol_log_records": self.state_log.operations,
             "messages_pending": sum(len(v) for v in self._inboxes.values()),
         }

@@ -10,15 +10,16 @@ own:
   it;
 * :meth:`StateLog.persist` — called once at the end of the operation —
   drains the marks into **one forced record** carrying the after-images
-  of exactly those entities, so the operation costs what it touched,
-  not what the hierarchy holds, and is all-or-nothing across a crash;
+  of exactly those entities and the operation's audit entry, so the
+  operation costs what it touched, not what the hierarchy holds, and
+  state and audit trail are all-or-nothing across a crash;
 * once the records behind the last checkpoint outnumber the live
-  entities, a **checkpoint** (the same record shape, every entity)
-  replaces them: the log stays within one state's worth of
-  after-images, and a checkpoint is paid for by the records that made
-  it due;
-* :meth:`StateLog.replay` rebuilds the registries from the last
-  checkpoint and the records behind it.
+  entities, a **checkpoint** (the same record shape, every entity,
+  through :meth:`WriteAheadLog.checkpoint`) replaces them: the log
+  stays within one state's worth of after-images, and a checkpoint is
+  paid for by the records that made it due;
+* :meth:`StateLog.replay` rebuilds the registries from the records
+  :meth:`WriteAheadLog.since_checkpoint` returns.
 
 An after-image is built by the entity itself (``image()`` /
 ``restore()`` in :mod:`repro.core.activity` and
@@ -31,7 +32,9 @@ references; this module knows the record around them, one
      "negotiations": ((negotiation_id, image), ...),
      "visibility":   ((dov_id, (holders)), ...),  # () = nobody left: gone
      "inboxes":      ((da_id, (message images)), ...),
-     "delegations":  (image, ...)}                # those not yet logged
+     "delegations":  (image, ...),                # those not yet logged
+     "op":  {"op": ..., "actor": ..., detail},    # the audit entry
+     "ops": n}           # checkpoint only: operations logged so far
 
 Kinds an operation did not touch are left out of its record.  Nothing
 in a record can change through any reference, so the WAL keeps the
@@ -89,6 +92,9 @@ class StateLog:
         self.wal = WriteAheadLog("cm-hierarchy")
         #: checkpoints taken (each truncates the log behind it)
         self.checkpoints = 0
+        #: operations logged — one per audit entry, whether its record
+        #: is still in the log or behind a checkpoint
+        self.operations = 0
         #: per kind, the keys changed since the last record, in the
         #: order they were first touched
         self._marks: dict[str, dict[Any, None]] = {k: {} for k in _MARKS}
@@ -125,13 +131,17 @@ class StateLog:
         }
         return {kind: found for kind, found in images.items() if found}
 
-    def persist(self, state: Registries) -> None:
-        """Force the after-images of everything marked, as one record;
-        nothing marked, nothing written."""
+    def persist(self, state: Registries, audit: Any = None) -> None:
+        """Force the after-images of everything marked and the
+        operation's *audit* entry (an immutable value), as one record;
+        nothing marked and nothing to audit, nothing written."""
         delegations = state.delegations[self._delegations_logged:]
         record = self._images(state, self._marks)
         if delegations:
             record["delegations"] = Images(d.image() for d in delegations)
+        if audit is not None:
+            record["op"] = audit
+            self.operations += 1
         if not record:
             return
         self._forget_marks()
@@ -145,14 +155,14 @@ class StateLog:
             self._checkpoint(state)
 
     def _checkpoint(self, state: Registries) -> None:
-        """One forced full image, then drop every record behind it."""
+        """The full image replaces every record behind it."""
         image = self._images(state, {
             "das": state.das, "described": state.das,
             "usages": state.usages, "negotiations": state.negotiations,
             "visibility": state.visibility, "inboxes": state.inboxes})
         image["delegations"] = Images(d.image() for d in state.delegations)
-        record = self.wal.append(LogRecordKind.CHECKPOINT, image, force=True)
-        self.wal.truncate(record.lsn - 1)
+        image["ops"] = self.operations
+        self.wal.checkpoint(image)
         self.checkpoints += 1
 
     # -- failure ------------------------------------------------------------
@@ -161,6 +171,7 @@ class StateLog:
         """The marks are volatile; the forced records are not."""
         self._forget_marks()
         self._delegations_logged = 0
+        self.operations = 0
         self.wal.crash()
 
     def replay(self, dot_of: Callable[[str], DesignObjectType]
@@ -169,25 +180,25 @@ class StateLog:
 
         Starts at the last checkpoint and keeps, per entity, the latest
         after-image in the order entities first appear — the order the
-        registries had.  A crash between a checkpoint's append and its
-        truncate leaves older records in front of it; they are dropped
-        first, so replaying twice is replaying once.
+        registries had — and counts the audit entries on top of the
+        checkpoint's count.
         """
-        records = self.wal.stable_records()
+        records = self.wal.since_checkpoint()
         if not records:
             return None
-        checkpoints = self.wal.stable_records(LogRecordKind.CHECKPOINT)
-        if checkpoints and records[0].lsn < checkpoints[-1].lsn:
-            self.wal.truncate(checkpoints[-1].lsn - 1)
-            records = self.wal.stable_records()
         das: dict[str, DaImage] = {}
         usages: dict[Any, Any] = {}
         negotiations: dict[str, Any] = {}
         visibility: dict[str, tuple[str, ...]] = {}
         inboxes: dict[str, tuple] = {}
         delegations: list[Any] = []
+        operations = 0
         for record in records:
             payload = record.payload
+            if "ops" in payload:  # a checkpoint: the count so far
+                operations = payload["ops"]
+            elif "op" in payload:
+                operations += 1
             for da_id, image in payload.get("das", ()):
                 if image.description is None:
                     image = replace(
@@ -215,4 +226,5 @@ class StateLog:
              for da_id, messages in inboxes.items()})
         self._forget_marks()
         self._delegations_logged = len(state.delegations)
+        self.operations = operations
         return state

@@ -123,16 +123,20 @@ class DaStateMachine:
         """True when *operation* is legal in the current state."""
         return (self.state, operation) in _TRANSITIONS
 
-    def apply(self, operation: DaOperation) -> DaState:
-        """Perform a transition; raises :class:`IllegalTransitionError`."""
-        key = (self.state, operation)
-        if key not in _TRANSITIONS:
+    def check(self, operation: DaOperation) -> None:
+        """Raise :class:`IllegalTransitionError` unless *operation* is
+        legal in the current state; nothing moves."""
+        if not self.can(operation):
             raise IllegalTransitionError(
                 f"DA {self.da_id!r}: operation {operation.value!r} illegal "
                 f"in state {self.state.value!r}",
                 state=self.state.value, operation=operation.value)
+
+    def apply(self, operation: DaOperation) -> DaState:
+        """Perform a transition; raises :class:`IllegalTransitionError`."""
+        self.check(operation)
         old = self.state
-        self.state = _TRANSITIONS[key]
+        self.state = _TRANSITIONS[old, operation]
         self.history.append((operation, old, self.state))
         return self.state
 

@@ -29,6 +29,7 @@ from repro.repository.versions import (
     DerivationGraph,
     DesignObjectVersion,
     adopt_payload,
+    freeze_payload,
 )
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.util.errors import (
@@ -259,7 +260,8 @@ class DesignDataRepository:
             record["owner"] = self._pending.get(dov_id, dov.created_by)
             records.append(record)
         self.wal.append(LogRecordKind.TXN_PREPARE,
-                        {"gtxn": gtxn_id, "records": records},
+                        {"gtxn": gtxn_id,
+                         "records": freeze_payload(records)},
                         force=True)
 
     def complete_group(self, gtxn_id: str,
@@ -358,28 +360,6 @@ class DesignDataRepository:
         dov = self.stage_checkin(da_id, dot_name, data, parents, created_at)
         return self.commit_checkin(dov.dov_id)
 
-    # ------------------------------------------------------------- checkpointing
-
-    def checkpoint(self) -> int:
-        """Write a checkpoint and truncate the WAL before it.
-
-        The checkpoint record carries the complete durable state
-        (versions + graph owners), so recovery only needs the latest
-        checkpoint plus the WAL tail after it — the standard trade of
-        log length against checkpoint cost.  Returns the number of WAL
-        records truncated.
-        """
-        dovs = [{
-            "dov_id": dov.dov_id, "dot": dov.dot_name, "data": dov.data,
-            "created_by": dov.created_by, "created_at": dov.created_at,
-            "parents": list(dov.parents),
-        } for dov in self.store]
-        record = self.wal.append(LogRecordKind.CHECKPOINT, {
-            "dovs": dovs,
-            "graph_owners": sorted(self._graphs),
-        }, force=True)
-        return self.wal.truncate(up_to_lsn=record.lsn - 1)
-
     # ------------------------------------------------------------------ failure
 
     def crash(self) -> dict[str, int]:
@@ -391,46 +371,13 @@ class DesignDataRepository:
         return report
 
     def recover(self) -> dict[str, int]:
-        """Restart: restore the latest checkpoint (if any), then redo
-        the WAL tail to rebuild durable DOVs and derivation graphs."""
-        checkpoints = self.wal.stable_records(LogRecordKind.CHECKPOINT)
-        checkpoint_lsn = 0
-        recovered = 0
-        if checkpoints:
-            latest = checkpoints[-1]
-            checkpoint_lsn = latest.lsn
-            dovs = [DesignObjectVersion(
-                dov_id=raw["dov_id"], dot_name=raw["dot"],
-                data=adopt_payload(raw["data"]),
-                created_by=raw["created_by"],
-                created_at=raw["created_at"],
-                parents=tuple(raw["parents"]),
-            ) for raw in latest.payload["dovs"]]
-            recovered += self.store.restore_bulk(dovs)
-            for da_id in latest.payload["graph_owners"]:
-                self._graphs.setdefault(da_id, DerivationGraph(owner=da_id))
-        else:
-            recovered += self.store.recover()
-
+        """Restart: redo the WAL to rebuild durable DOVs and derivation
+        graphs."""
+        recovered = self.store.recover()
         for record in self.wal.stable_records(LogRecordKind.GRAPH_CREATE):
-            if record.lsn <= checkpoint_lsn:
-                continue
             da_id = record.payload["da"]
             if da_id not in self._graphs:
                 self._graphs[da_id] = DerivationGraph(owner=da_id)
-        if checkpoints:
-            # redo checkins logged after the checkpoint
-            for record in self.wal.stable_records(LogRecordKind.DOV_CHECKIN):
-                if record.lsn <= checkpoint_lsn:
-                    continue
-                payload = record.payload
-                dov = DesignObjectVersion(
-                    dov_id=payload["dov_id"], dot_name=payload["dot"],
-                    data=adopt_payload(payload["data"]),
-                    created_by=payload["created_by"],
-                    created_at=payload["created_at"],
-                    parents=tuple(payload["parents"]))
-                recovered += self.store.restore_bulk([dov])
         # (re)populate graphs from the durable versions, parents first
         def creation_order(dov: DesignObjectVersion) -> tuple:
             suffix = dov.dov_id.rsplit("-", 1)[-1]

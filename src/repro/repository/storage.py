@@ -164,21 +164,6 @@ class VersionStore:
         self._up = False
         return {"staged_lost": lost_staged, "wal_tail_lost": lost_wal}
 
-    def restore_bulk(self, dovs: list[DesignObjectVersion]) -> int:
-        """Load durable versions directly (checkpoint-based recovery).
-
-        Marks the store as up; returns the number of versions newly
-        restored (already-present ids are skipped, making redo
-        idempotent).
-        """
-        self._up = True
-        restored = 0
-        for dov in dovs:
-            if dov.dov_id not in self._stable:
-                self._stable[dov.dov_id] = dov
-                restored += 1
-        return restored
-
     def recover(self) -> int:
         """Restart after a crash: redo committed checkins from the WAL.
 

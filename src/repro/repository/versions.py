@@ -162,9 +162,9 @@ def adopt_payload(data: Any) -> Any:
     """Adopt a frozen payload as-is; shallow-copy a mutable one.
 
     The single adopt-or-copy rule of every DOV (re)construction site —
-    staging a client-frozen checkin, WAL redo, checkpoint restore: a
-    frozen payload is shared (byte-identical and immutable, so the
-    copy would buy nothing), anything else keeps the defensive copy.
+    staging a client-frozen checkin, WAL redo: a frozen payload is
+    shared (byte-identical and immutable, so the copy would buy
+    nothing), anything else keeps the defensive copy.
     """
     return data if is_frozen_payload(data) else dict(data)
 

@@ -6,9 +6,12 @@ module provides that logging substrate: an append-only log with explicit
 *force* (flush-to-stable) semantics.  A simulated crash discards the
 unforced tail; recovery replays the stable prefix.
 
-The same mechanism backs the DM's persistent script/log and the CM's
-cooperation-protocol log — each component owns its own
-:class:`WriteAheadLog` instance on its node's stable storage.
+The same mechanism backs the DM's persistent script/log, the CM's
+state log and the federation's decision log — each component owns its
+own :class:`WriteAheadLog` instance on its node's stable storage.  The
+two that bound their log share one checkpoint-and-truncate:
+:meth:`WriteAheadLog.checkpoint` and
+:meth:`WriteAheadLog.since_checkpoint`.
 """
 
 from __future__ import annotations
@@ -153,6 +156,34 @@ class WriteAheadLog:
 
     def __len__(self) -> int:
         return len(self._stable) + len(self._volatile)
+
+    # -- checkpointing ------------------------------------------------------
+
+    def checkpoint(self, payload: dict[str, Any]) -> int:
+        """One forced ``CHECKPOINT`` record carrying the log's whole
+        live state, then every record behind it dropped.
+
+        Returns the number of records dropped.
+        """
+        self.append(LogRecordKind.CHECKPOINT, payload, force=True)
+        return self._drop_behind_checkpoint()
+
+    def since_checkpoint(self) -> list[LogRecord]:
+        """The stable records from the last checkpoint on — what
+        recovery replays.
+
+        A crash between a checkpoint's append and its truncate leaves
+        older records in front of it; they are dropped first, so
+        reading twice is reading once.
+        """
+        self._drop_behind_checkpoint()
+        return list(self._stable)
+
+    def _drop_behind_checkpoint(self) -> int:
+        checkpoints = self._stable_by_kind.get(LogRecordKind.CHECKPOINT)
+        if not checkpoints or self._stable[0] is checkpoints[-1]:
+            return 0
+        return self.truncate(checkpoints[-1].lsn - 1)
 
     def truncate(self, up_to_lsn: int) -> int:
         """Discard stable records with ``lsn <= up_to_lsn`` (checkpointing).

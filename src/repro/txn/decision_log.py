@@ -23,11 +23,13 @@ redo is idempotent.
 
 Checkpoint/truncation (the bounded-log story): a coordinator that
 serves millions of batches cannot keep every decision forever.
-:meth:`GlobalDecisionLog.checkpoint` advances a **stable frontier**:
-every decision whose batch is fully completed is forgotten — from
-memory *and* from the log, by writing one forced CHECKPOINT record
-carrying the still-live (incomplete) decisions and truncating every
-record behind it.  The frontier rule that makes forgetting safe: a
+:meth:`GlobalDecisionLog.checkpoint` — taken every
+:data:`CHECKPOINT_WINDOW` completed batches — advances a **stable
+frontier**: every decision whose batch is fully completed is forgotten
+— from memory *and* from the log, whose
+:meth:`~repro.repository.wal.WriteAheadLog.checkpoint` replaces every
+record with one carrying the still-live (incomplete) decisions.  The
+frontier rule that makes forgetting safe: a
 batch is only marked complete once every manifest member has durably
 applied it, and a durably-applied portion can never come back
 in-doubt (the member's own log answers it locally), so no recovering
@@ -41,7 +43,13 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.net.two_phase_commit import Decision
+from repro.repository.versions import FrozenDict, freeze_payload
 from repro.repository.wal import LogRecordKind, WriteAheadLog
+
+#: completed batches between two checkpoints: the log holds the
+#: incomplete set plus at most one window, however many batches ever
+#: committed
+CHECKPOINT_WINDOW = 64
 
 
 class GlobalDecisionLog:
@@ -50,22 +58,15 @@ class GlobalDecisionLog:
     The log is coordinator-side stable storage: its forced records
     survive any member crash (and whole-site recovery rebuilds the
     in-memory maps from them via :meth:`recover`).
-
-    ``checkpoint_interval=N`` turns on automatic truncation: every N
-    completed batches the log checkpoints itself, so its size is
-    bounded by the incomplete set plus one interval window no matter
-    how many batches ever committed.
     """
 
-    def __init__(self, wal: WriteAheadLog | None = None,
-                 checkpoint_interval: int | None = None) -> None:
-        self.wal = wal if wal is not None \
-            else WriteAheadLog("global-decision-log")
-        self.checkpoint_interval = checkpoint_interval
-        #: gtxn id -> logged decision (COMMIT only: presumed abort)
-        self._decisions: dict[str, Decision] = {}
-        #: gtxn id -> {member: [dov ids]} batch manifest
-        self._manifests: dict[str, dict[str, list[str]]] = {}
+    def __init__(self) -> None:
+        self.wal = WriteAheadLog("global-decision-log")
+        #: gtxn id -> {member: [dov ids]} batch manifest of every
+        #: retained decision, in log order (COMMIT only: presumed
+        #: abort) — frozen once: the log's record, this map and every
+        #: reader share it
+        self._manifests: dict[str, FrozenDict] = {}
         #: gtxn ids every member has completed
         self._completed: set[str] = set()
         #: decided-but-not-completed gtxn ids in log order — maintained
@@ -91,20 +92,21 @@ class GlobalDecisionLog:
         returns, the batch **will** become durable at every manifest
         member — immediately, or at member recovery via redo.
         """
-        if gtxn_id in self._decisions:
+        if gtxn_id in self._manifests:
             return  # idempotent: the decision is already durable
+        manifest = freeze_payload(manifest)
         self.wal.append(LogRecordKind.GLOBAL_DECISION, {
             "gtxn": gtxn_id,
             "decision": Decision.COMMIT.value,
-            "manifest": {member: list(ids)
-                         for member, ids in manifest.items()},
+            "manifest": manifest,
         }, force=True)
-        self._decisions[gtxn_id] = Decision.COMMIT
-        self._manifests[gtxn_id] = {member: list(ids)
-                                    for member, ids in manifest.items()}
-        self._incomplete[gtxn_id] = None
+        self._decide(gtxn_id, manifest)
         if self.on_decision is not None:
-            self.on_decision(gtxn_id, self.manifest(gtxn_id))
+            self.on_decision(gtxn_id, manifest)
+
+    def _decide(self, gtxn_id: str, manifest: FrozenDict) -> None:
+        self._manifests[gtxn_id] = manifest
+        self._incomplete[gtxn_id] = None
 
     def mark_complete(self, gtxn_id: str) -> None:
         """Every member applied the decision (un-forced end record)."""
@@ -114,16 +116,14 @@ class GlobalDecisionLog:
                         {"gtxn": gtxn_id, "complete": True}, force=False)
         self._completed.add(gtxn_id)
         self._incomplete.pop(gtxn_id, None)
-        if self.checkpoint_interval is not None \
-                and len(self._completed) >= self.checkpoint_interval:
+        if len(self._completed) >= CHECKPOINT_WINDOW:
             self.checkpoint()
 
     def checkpoint(self) -> dict[str, int]:
         """Advance the frontier: forget every fully-completed batch.
 
-        One forced CHECKPOINT record carries the still-live
-        (incomplete) decisions — everything recovery could ever be
-        asked about — then the log truncates every record behind it
+        The log's checkpoint carries the still-live (incomplete)
+        decisions — everything recovery could ever be asked about —
         and the completed decisions leave memory.  Safe by the
         frontier rule (module docstring): completed batches are
         durable at every manifest member, so presumed abort never
@@ -131,19 +131,12 @@ class GlobalDecisionLog:
 
         Returns ``{"live": .., "forgotten": .., "truncated": ..}``.
         """
-        live = [{"gtxn": gtxn_id,
-                 "manifest": {member: list(ids) for member, ids
-                              in self._manifests[gtxn_id].items()}}
-                for gtxn_id in self._incomplete]
-        record = self.wal.append(LogRecordKind.CHECKPOINT, {
-            "log": "global-decision",
-            "live": live,
-        }, force=True)
-        truncated = self.wal.truncate(up_to_lsn=record.lsn - 1)
+        live = FrozenDict((gtxn_id, self._manifests[gtxn_id])
+                          for gtxn_id in self._incomplete)
+        truncated = self.wal.checkpoint({"live": live})
         forgotten = 0
-        for gtxn_id in list(self._decisions):
+        for gtxn_id in list(self._manifests):
             if gtxn_id not in self._incomplete:
-                del self._decisions[gtxn_id]
                 del self._manifests[gtxn_id]
                 self._completed.discard(gtxn_id)
                 forgotten += 1
@@ -156,22 +149,23 @@ class GlobalDecisionLog:
 
     def decision_for(self, gtxn_id: str) -> Decision | None:
         """The logged decision, or None when nothing was recorded."""
-        return self._decisions.get(gtxn_id)
+        return Decision.COMMIT if gtxn_id in self._manifests else None
 
     def resolve(self, gtxn_id: str) -> Decision:
         """Answer a recovering member's in-doubt query (presumed abort):
         a missing decision record *means* the batch aborted."""
-        return self._decisions.get(gtxn_id, Decision.ABORT)
+        return Decision.COMMIT if gtxn_id in self._manifests \
+            else Decision.ABORT
 
     def manifest(self, gtxn_id: str) -> dict[str, list[str]]:
-        """The batch manifest of a logged decision (member -> dov ids)."""
-        return {member: list(ids) for member, ids
-                in self._manifests.get(gtxn_id, {}).items()}
+        """The batch manifest of a logged decision (member -> dov ids),
+        read-only; empty when nothing was recorded."""
+        return self._manifests.get(gtxn_id) or FrozenDict()
 
     def decisions(self) -> list[str]:
         """Every retained COMMIT decision, in log order (a stable
         copy; decisions behind the checkpoint frontier are gone)."""
-        return list(self._decisions)
+        return list(self._manifests)
 
     def incomplete(self) -> list[str]:
         """Logged COMMIT decisions not yet marked complete, in log
@@ -187,7 +181,6 @@ class GlobalDecisionLog:
         tail vanish; forced decision records survive.  Returns the
         number of tail records lost."""
         lost = self.wal.crash()
-        self._decisions.clear()
         self._manifests.clear()
         self._completed.clear()
         self._incomplete.clear()
@@ -196,55 +189,33 @@ class GlobalDecisionLog:
     def recover(self) -> int:
         """Rebuild the in-memory maps from the stable log records.
 
-        The scan starts from scratch at every CHECKPOINT record (its
-        ``live`` set *is* the log's state at that frontier — a crash
-        between appending the checkpoint and truncating behind it
-        merely replays records the checkpoint already subsumes), then
-        applies the decision/completion records past it.  Returns the
-        number of decisions recovered.  The unforced tail (completion
-        records of batches finished just before a crash) is gone —
-        harmless, redo is idempotent.
+        The last checkpoint's ``live`` set *is* the log's state at
+        that frontier; the decision/completion records past it are
+        applied on top.  Returns the number of decisions recovered.
+        The unforced tail (completion records of batches finished just
+        before a crash) is gone — harmless, redo is idempotent.
         """
-        self._decisions.clear()
         self._manifests.clear()
         self._completed.clear()
         self._incomplete.clear()
-        for record in self.wal.stable_records():
-            if record.kind is LogRecordKind.CHECKPOINT \
-                    and record.payload.get("log") == "global-decision":
-                self._decisions.clear()
-                self._manifests.clear()
-                self._completed.clear()
-                self._incomplete.clear()
-                for entry in record.payload["live"]:
-                    gtxn_id = entry["gtxn"]
-                    self._decisions[gtxn_id] = Decision.COMMIT
-                    self._manifests[gtxn_id] = {
-                        member: list(ids) for member, ids
-                        in entry["manifest"].items()}
-                    self._incomplete[gtxn_id] = None
-                continue
-            if record.kind is not LogRecordKind.GLOBAL_DECISION:
-                continue
-            gtxn_id = record.payload["gtxn"]
-            if record.payload.get("complete"):
-                self._completed.add(gtxn_id)
-                self._incomplete.pop(gtxn_id, None)
+        for record in self.wal.since_checkpoint():
+            payload = record.payload
+            if record.kind is LogRecordKind.CHECKPOINT:
+                for gtxn_id, manifest in payload["live"].items():
+                    self._decide(gtxn_id, manifest)
+            elif payload.get("complete"):
+                self._completed.add(payload["gtxn"])
+                self._incomplete.pop(payload["gtxn"], None)
             else:
-                self._decisions[gtxn_id] = Decision(
-                    record.payload["decision"])
-                self._manifests[gtxn_id] = {
-                    member: list(ids) for member, ids
-                    in record.payload["manifest"].items()}
-                self._incomplete[gtxn_id] = None
-        return len(self._decisions)
+                self._decide(payload["gtxn"], payload["manifest"])
+        return len(self._manifests)
 
     # -- stats --------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """Counters for the bench/experiment surface."""
         return {
-            "decisions": len(self._decisions),
+            "decisions": len(self._manifests),
             "completed": len(self._completed),
             "incomplete": len(self._incomplete),
             "forced_writes": self.wal.forced_writes,

@@ -13,6 +13,11 @@ The state log's WAL keeps the records it is handed, uncopied.  What
 stood in for the copy: every record of every program is checked to be
 immutable all the way down, and no entity mutator reaches a forced
 record.
+
+The operation's audit entry rides in the same record: the count of
+logged operations recovers with the state at every crash point, and a
+refused operation changes nothing — the programs refuse on purpose and
+are crashed right behind the refusal.
 """
 
 from __future__ import annotations
@@ -120,6 +125,7 @@ def live_entities(system: ConcordSystem) -> int:
 def assert_recovers(system: ConcordSystem, wipe_locks: bool = False) -> None:
     """Crash and restart the server; nothing the CM held may differ."""
     before = held(system)
+    logged = system.cm.stats()
     das = list(system.cm._das)
     system.crash_server()
     if wipe_locks:
@@ -131,6 +137,8 @@ def assert_recovers(system: ConcordSystem, wipe_locks: bool = False) -> None:
     after = held(system)
     for registry, value in before.items():
         assert after[registry] == value, registry
+    # the audit entries went through the crash with the state they audit
+    assert system.cm.stats() == logged
     for da_id in das:
         assert system.runtime(da_id).da is system.cm.da(da_id)
 
@@ -163,7 +171,14 @@ def assert_deeply_immutable(value: Any, path: str) -> None:
 
 def assert_record_immutable(record: LogRecord) -> None:
     for kind, images in record.payload.items():
-        assert type(images) is Images, kind
+        if kind == "op":  # the audit entry: one frozen value
+            assert type(images) is FrozenDict, kind
+            assert {"op", "actor"} <= set(images)
+        elif kind == "ops":  # a checkpoint's count of them
+            assert type(images) is int \
+                and record.kind is LogRecordKind.CHECKPOINT, kind
+        else:
+            assert type(images) is Images, kind
         assert_deeply_immutable(images, f"lsn {record.lsn} {kind}")
 
 
@@ -187,7 +202,9 @@ class Program:
                "negotiation": 1, "propose": 5, "agree": 3, "disagree": 2,
                "conflict": 2,
                "modify_spec": 2, "ready": 4, "terminate": 2, "finish": 1,
-               "pop": 3}
+               "pop": 3,
+               "refused_create": 2, "refused_evaluate": 2,
+               "refused_propagate": 2}
     OPERATIONS = tuple(WEIGHTS)
     DRAWS = tuple(name for name, weight in WEIGHTS.items()
                   for _ in range(weight))
@@ -385,6 +402,56 @@ class Program:
         kind = self.cm.inbox(da_id)[b % len(self.cm.inbox(da_id))].kind \
             if c % 2 else None
         assert self.cm.pop_messages(da_id, kind)
+
+
+    # -- refused on purpose: the step is the refusal ------------------------
+
+    def refused_create(self, a: int, b: int, c: int) -> Any:
+        parent = pick(self.in_state(DaState.ACTIVE), a)
+        if parent is None:
+            return False
+        if self.cm.da(parent).dot.name == "Chip":
+            dot, initial = self.dots["Module"], "dov-nowhere"
+        else:  # every DOT is a part of Chip; Chip of no other
+            dot, initial = self.dots["Chip"], None
+        assert_refused(self.system, self.system.create_sub_da, parent, dot,
+                       spec(50.0), "nobody", NOOP, "ws-1",
+                       initial_dov=initial)
+
+    def refused_evaluate(self, a: int, b: int, c: int) -> Any:
+        da_id = pick(self.in_state(DaState.ACTIVE, DaState.NEGOTIATING), a)
+        if da_id is None:
+            return False
+        assert_refused(self.system, self.cm.evaluate, da_id, "dov-nowhere")
+
+    def refused_propagate(self, a: int, b: int, c: int) -> Any:
+        da_id = pick(self.in_state(DaState.ACTIVE,
+                                   DaState.READY_FOR_TERMINATION), a)
+        if da_id is None:
+            return False
+        foreign = [dov for other in self.cm.das() if other.da_id != da_id
+                   for dov in self.dovs_of(other.da_id)]
+        assert_refused(self.system, self.cm.propagate, da_id,
+                       pick(foreign, b) or "dov-nowhere")
+
+
+def assert_refused(system: ConcordSystem, operation: Any, *args: Any,
+                   **kwargs: Any) -> None:
+    """The CM refuses the call and comes out as it went in: the same
+    hierarchy, transition histories and marks, nothing written."""
+    cm = system.cm
+
+    def witnessed() -> Any:
+        return (cm.hierarchy_snapshot(),
+                {da.da_id: list(da.machine.history) for da in cm.das()},
+                {kind: list(marked)
+                 for kind, marked in cm.state_log._marks.items()},
+                len(cm.state_log.wal), cm.stats())
+
+    before = witnessed()
+    with pytest.raises(ConcordError):
+        operation(*args, **kwargs)
+    assert witnessed() == before
 
 
 class _TornCheckpoint(Exception):
@@ -636,6 +703,46 @@ def test_what_a_refused_operation_changed_is_in_the_next_record(team):
     assert len(system.cm._negotiations) == 1
     system.start(late.da_id)
     assert_recovers(system)
+
+
+@pytest.mark.parametrize("refusal", ["not a part", "initial DOV not in scope",
+                                     "evaluate out of scope",
+                                     "propagate a foreign DOV"])
+def test_a_refused_operation_leaves_the_cm_as_it_was(team, refusal):
+    """The checks come before the transition: at the parent the refused
+    call had already put a row into the DA's history, and a crash
+    right behind it recovered a history the live CM no longer had."""
+    system, top, (left, right) = team
+    dots = vlsi_dots()
+    foreign = final_dov(system, right)
+    if refusal == "not a part":
+        assert_refused(system, system.create_sub_da, left, dots["Chip"],
+                       spec(50.0), "nobody", NOOP, "ws-1")
+    elif refusal == "initial DOV not in scope":
+        assert_refused(system, system.create_sub_da, left, dots["Block"],
+                       spec(50.0), "nobody", NOOP, "ws-1",
+                       initial_dov=foreign)
+    elif refusal == "evaluate out of scope":
+        assert_refused(system, system.cm.evaluate, left, foreign)
+    else:
+        assert_refused(system, system.cm.propagate, left, foreign)
+    assert_recovers(system)
+
+
+def test_a_two_party_transition_is_refused_before_either_has_moved(team):
+    """At the parent the first party had made the transition when the
+    second refused it: a Propose to a sub-DA not yet started left the
+    proposer suspended in *negotiating* with no proposal to answer."""
+    system, top, (left, right) = team
+    late = system.create_sub_da(top, vlsi_dots()["Module"], spec(50.0),
+                                "late", NOOP, "ws-1")
+    history = list(system.cm.da(left).machine.history)
+    with pytest.raises(ConcordError):
+        system.cm.propose(left, late.da_id, {})
+    with pytest.raises(ConcordError):
+        system.cm.create_negotiation_relationship(top, left, late.da_id)
+    assert system.cm.da(left).state is DaState.ACTIVE
+    assert system.cm.da(left).machine.history == history
 
 
 def registries(holding: dict[str, Any]) -> dict[str, Any]:

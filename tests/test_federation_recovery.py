@@ -27,7 +27,7 @@ from repro.repository.schema import (
     AttributeKind,
     DesignObjectType,
 )
-from repro.txn.decision_log import GlobalDecisionLog
+from repro.txn.decision_log import CHECKPOINT_WINDOW, GlobalDecisionLog
 from repro.util.errors import StorageError
 from repro.util.ids import IdGenerator
 
@@ -235,22 +235,36 @@ class TestCrashDuringTruncation:
         assert_directory_rebuild_equal(federation)
 
     def test_bounded_log_across_cycles(self):
-        """>= 3 auto-checkpoint cycles: the record count never exceeds
-        twice the frontier window, and in-doubt resolution still works
-        over the truncated log."""
-        window = 4
-        log = GlobalDecisionLog(checkpoint_interval=window)
-        federation, heads = make_federation(decision_log=log)
+        """A default federation, >= 4 checkpoint windows of batches:
+        the record count never exceeds twice the window, and a batch
+        left incomplete is still answered over the truncated log.
+        (At the parent only a log built with ``checkpoint_interval=``
+        was bounded; a federation's own log only grew.)"""
+        window = CHECKPOINT_WINDOW
+        federation, heads = make_federation()
+        log = federation.decision_log
         peak = 0
-        for rev in range(1, 3 * window + 2):
+        for rev in range(1, 4 * window + 2):
             commit_batch(federation, heads, rev)
-            peak = max(peak, log.stats()["wal_records"])
-        assert log.stats()["truncations"] >= 3
+            peak = max(peak, len(log.wal))
+        assert log.stats()["truncations"] >= 4
         assert peak <= 2 * window
+
+        def crash_site_1(gtxn_id, manifest):
+            log.on_decision = None
+            federation.crash_member("site-1")
+
+        log.on_decision = crash_site_1
+        staged = commit_batch(federation, heads, rev=4 * window + 2)
+        (in_doubt,) = log.incomplete()
         federation.crash_coordinator()
-        federation.recover_coordinator()
+        federation.recover_coordinator()  # site-1 is still down
+        assert log.incomplete() == [in_doubt]
+        assert log.resolve(in_doubt) is Decision.COMMIT
+        federation.recover_member("site-1")
         assert log.incomplete() == []
-        assert_directory_rebuild_equal(federation)
+        for dov_id in staged:
+            assert durable_copies(federation, dov_id) == 1
 
 
 class TestWholeSiteLoss:

@@ -441,8 +441,9 @@ class TestACheckoutPointIsADelta:
 class TestACmOperationPersistsReferences:
     """A count gate on the CM's state log: an after-image is gathered
     from parts that are already immutable, so persisting one neither
-    freezes nor copies — at the parent every operation cost ~100
-    ``copy.deepcopy`` frames over images that were private already."""
+    freezes nor copies, and the operation's audit entry rides in the
+    same record — one ``WriteAheadLog.append`` and one ``force`` per
+    operation (two each while the CM kept a protocol log of its own)."""
 
     LEADS, LEAVES = 14, 7       # cm_cooperation's hierarchy: 113 DAs
 
@@ -483,12 +484,21 @@ class TestACmOperationPersistsReferences:
         walked_in_persist: list[int] = []
         persist = StateLog.persist
 
-        def watched(log, state):
+        def watched(log, state, audit=None):
+            # the audit entry is frozen before the call, not inside it
+            assert type(audit) is FrozenDict
             before = walks()
-            persist(log, state)
+            persist(log, state, audit)
             walked_in_persist.append(walks() - before)
 
         monkeypatch.setattr(StateLog, "persist", watched)
+        appended: list[LogRecordKind] = []
+        append = WriteAheadLog.append
+        monkeypatch.setattr(
+            WriteAheadLog, "append", lambda wal, kind, *rest, **force: (
+                appended.append(kind), append(wal, kind, *rest, **force))[1])
+        calls = {"force": 0}
+        _count_calls(monkeypatch, calls, WriteAheadLog, "force")
         copied: list[type] = []         # every frame, recursion included
         deepcopy = copy.deepcopy
         monkeypatch.setattr(copy, "deepcopy", lambda value, *rest: (
@@ -505,12 +515,40 @@ class TestACmOperationPersistsReferences:
                                            hi=150.0)]})
         cm.agree(supporting.da_id, proposal.proposal_id)
 
-        assert len(walked_in_persist) >= 5
+        assert len(walked_in_persist) == 5
         assert set(walked_in_persist) == {0}
-        assert copied and set(copied) <= {str, int, float, bool, type(None)}
+        # checkpoints aside — those come when they are due
+        assert [kind for kind in appended
+                if kind is not LogRecordKind.CHECKPOINT] \
+            == [LogRecordKind.DA_STATE] * 5
+        assert calls["force"] == len(appended)
+        # a record is immutable values only; a checkpoint adds its count
+        assert set(copied) <= {int}
+        assert len(copied) == appended.count(LogRecordKind.CHECKPOINT)
         system.crash_server()
         system.restart_server()
         assert cm.da(supporting.da_id).spec.feature("width-limit").hi == 50.0
+
+
+class TestAFederatedCommitLogsFrozenValues:
+    """A count gate on the federation-side writers: a decision's
+    manifest is frozen once and shared by the record, the log's map and
+    every reader, a member's prepare record freezes its redo list — so
+    the WAL's ``copy.deepcopy`` fallback sees atomic scalars only."""
+
+    @pytest.mark.parametrize("crash", ["none", "before", "after",
+                                       "coordinator"])
+    def test_the_t10_scenario_hands_the_wal_no_container(
+            self, crash, monkeypatch):
+        from repro.bench.scenarios import federated_commit_scenario
+
+        copied: list[type] = []         # every frame, recursion included
+        deepcopy = copy.deepcopy
+        monkeypatch.setattr(copy, "deepcopy", lambda value, *rest: (
+            copied.append(type(value)), deepcopy(value, *rest))[1])
+        report = federated_commit_scenario(crash=crash)
+        assert report.atomic_violations == 0
+        assert copied and set(copied) <= {str, int, float, bool, type(None)}
 
 
 class TestATraceThatIsOffCostsNothing:

@@ -152,48 +152,6 @@ class TestMemberFailure:
         assert stats["directory_entries"] == 1
 
 
-class TestCheckpointing:
-    def test_recover_from_checkpoint(self):
-        repo = DesignDataRepository(IdGenerator())
-        repo.register_dot(make_dot())
-        repo.create_graph("da-1")
-        first = repo.checkin("da-1", "Cell", {"area": 1.0})
-        second = repo.checkin("da-1", "Cell", {"area": 2.0},
-                              parents=(first.dov_id,))
-        truncated = repo.checkpoint()
-        assert truncated >= 2
-        # post-checkpoint activity lands in the WAL tail
-        third = repo.checkin("da-1", "Cell", {"area": 3.0},
-                             parents=(second.dov_id,))
-        repo.crash()
-        report = repo.recover()
-        assert report["versions"] == 3
-        graph = repo.graph("da-1")
-        assert graph.is_ancestor(first.dov_id, third.dov_id)
-
-    def test_checkpoint_shrinks_wal(self):
-        repo = DesignDataRepository(IdGenerator())
-        repo.register_dot(make_dot())
-        repo.create_graph("da-1")
-        for i in range(10):
-            repo.checkin("da-1", "Cell", {"area": float(i)})
-        before = len(repo.wal)
-        repo.checkpoint()
-        assert len(repo.wal) < before
-
-    def test_repeated_checkpoints(self):
-        repo = DesignDataRepository(IdGenerator())
-        repo.register_dot(make_dot())
-        repo.create_graph("da-1")
-        repo.checkin("da-1", "Cell", {"area": 1.0})
-        repo.checkpoint()
-        repo.checkin("da-1", "Cell", {"area": 2.0})
-        repo.checkpoint()
-        repo.crash()
-        report = repo.recover()
-        assert report["versions"] == 2
-
-
 class TestShippingSurface:
     """The read-path metadata + commit routing the data-shipping
     protocol consumes (payload sizes, version stamps, invalidation

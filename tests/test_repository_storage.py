@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.repository.storage import VersionStore
@@ -71,6 +74,89 @@ class TestWriteAheadLog:
         wal.append(LogRecordKind.DOP_START, force=True)
         wal.append(LogRecordKind.DOP_FINISH, force=True)
         assert len(wal.stable_records(LogRecordKind.DOP_START)) == 1
+
+
+class TestCheckpointAndTruncate:
+    """The tree's one checkpoint protocol; the CM's state log and the
+    federation's decision log are its two clients."""
+
+    @staticmethod
+    def logged(count: int) -> WriteAheadLog:
+        wal = WriteAheadLog()
+        for index in range(count):
+            wal.append(LogRecordKind.DA_STATE, {"n": index}, force=True)
+        return wal
+
+    def test_checkpoint_then_crash_keeps_exactly_the_checkpoint(self):
+        wal = self.logged(3)
+        wal.append(LogRecordKind.DA_STATE, {"n": "tail"})  # un-forced
+        forced = wal.forced_writes
+        assert wal.checkpoint({"state": "whole"}) == 4
+        assert wal.forced_writes == forced + 1
+        wal.append(LogRecordKind.DA_STATE, {"n": "lost"})
+        assert wal.crash() == 1
+        (record,) = wal.since_checkpoint()
+        assert record.kind is LogRecordKind.CHECKPOINT
+        assert record.payload == {"state": "whole"}
+        assert wal.stable_records() == [record]
+
+    def test_the_reader_finishes_a_truncate_a_crash_interrupted(
+            self, monkeypatch):
+        wal = self.logged(3)
+
+        def dies_once(up_to_lsn):
+            monkeypatch.undo()
+            raise StorageError("crash between append and truncate")
+
+        monkeypatch.setattr(wal, "truncate", dies_once)
+        with pytest.raises(StorageError):
+            wal.checkpoint({"state": "whole"})
+        wal.crash()
+        assert [r.kind for r in wal.stable_records()] \
+            == [LogRecordKind.DA_STATE] * 3 + [LogRecordKind.CHECKPOINT]
+        wal.append(LogRecordKind.DA_STATE, {"n": "after"}, force=True)
+        once = wal.since_checkpoint()
+        assert [r.kind for r in once] \
+            == [LogRecordKind.CHECKPOINT, LogRecordKind.DA_STATE]
+        assert wal.stable_records() == once   # the stale records are gone
+        assert wal.since_checkpoint() == once  # twice is once
+
+    def test_without_a_checkpoint_the_reader_returns_the_whole_log(self):
+        wal = self.logged(2)
+        assert wal.since_checkpoint() == wal.stable_records()
+        assert WriteAheadLog().since_checkpoint() == []
+
+
+def hand_written_checkpoints(source: str) -> list[int]:
+    """Lines of *source* that call ``<log>.truncate(...)`` or append a
+    ``LogRecordKind.CHECKPOINT`` record themselves."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) \
+                or not isinstance(node.func, ast.Attribute):
+            continue
+        writes_one = node.func.attr == "append" and any(
+            isinstance(arg, ast.Attribute) and arg.attr == "CHECKPOINT"
+            for arg in node.args)
+        if node.func.attr == "truncate" or writes_one:
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_wal_truncates_and_writes_checkpoint_records():
+    """So a fourth hand-written checkpoint-and-truncate cannot come
+    back unnoticed (there were three before they moved into the WAL)."""
+    assert hand_written_checkpoints(
+        "record = self.wal.append(LogRecordKind.CHECKPOINT, image, "
+        "force=True)\nself.wal.truncate(record.lsn - 1)\n") == [1, 2]
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    found = {str(path.relative_to(package)): lines
+             for path in sorted(package.rglob("*.py"))
+             if (lines := hand_written_checkpoints(
+                 path.read_text(encoding="utf-8")))}
+    assert list(found) == ["repository/wal.py"]
+    # checkpoint()'s append, and the one truncate behind both methods
+    assert len(found["repository/wal.py"]) == 2
 
 
 class TestVersionStore:

@@ -21,6 +21,7 @@ from repro.repository.schema import (
     DesignObjectType,
 )
 from repro.txn import GlobalDecisionLog
+from repro.txn.decision_log import CHECKPOINT_WINDOW
 from repro.util.errors import StorageError
 from repro.util.ids import IdGenerator
 
@@ -312,19 +313,19 @@ class TestCheckpointTruncation:
         assert log.resolve("gtxn-1") is Decision.ABORT
 
     def test_auto_checkpoint_interval_bounds_the_log(self):
-        window = 3
-        log = GlobalDecisionLog(checkpoint_interval=window)
+        window = CHECKPOINT_WINDOW
+        log = GlobalDecisionLog()
         peak = 0
-        for index in range(10):
+        for index in range(3 * window + 1):
             gtxn = f"gtxn-{index}"
             log.record(gtxn, {"site-a": [f"dov-{index}"]})
             log.mark_complete(gtxn)
             peak = max(peak, log.stats()["wal_records"])
         assert log.stats()["truncations"] == 3
-        assert log.stats()["forgotten_decisions"] == 9
+        assert log.stats()["forgotten_decisions"] == 3 * window
         assert peak <= 2 * window
         # the one decision past the last frontier is still retained
-        assert log.decisions() == ["gtxn-9"]
+        assert log.decisions() == [f"gtxn-{3 * window}"]
 
     def test_incomplete_is_a_stable_copy(self):
         log = GlobalDecisionLog()
