@@ -612,29 +612,30 @@ def run_t10(members: int = 3, batches: int = 4,
     decision nothing survives (presumed abort, clean retry), after it
     everything does (redo from the member's forced prepare record).
     """
-    from repro.bench.scenarios import federated_commit_scenario
+    from repro.scenario import compile_scenario, validate_scenario
 
     result = ExperimentResult(
         "T10", "Federated atomic commit: global decision log with "
                "presumed-abort recovery")
-    states: dict[str, tuple] = {}
-    for crash in ("none", "before", "after", "coordinator"):
-        report = federated_commit_scenario(
-            crash=crash, members=members, batches=batches, seed=seed)
-        states[crash] = report.state
-        result.add(crash=crash, batches=report.batches,
-                   decisions=report.decisions_logged,
-                   forced_decision_writes=report.forced_decision_writes,
-                   aborted=report.aborted_batches,
-                   retried=report.retried_batches,
-                   redone=report.redone_batches,
-                   atomic_violations=report.atomic_violations,
+    matrix = compile_scenario(validate_scenario({
+        "scenario": {"name": "t10", "kind": "federated_commit",
+                     "seed": seed},
+        "federation": {"members": members, "batches": batches},
+    })).run()
+    baseline = matrix["crashes"]["none"]["state"]
+    for crash, report in matrix["crashes"].items():
+        result.add(crash=crash, batches=report["batches"],
+                   decisions=report["decisions_logged"],
+                   forced_decision_writes=report[
+                       "forced_decision_writes"],
+                   aborted=report["aborted_batches"],
+                   retried=report["retried_batches"],
+                   redone=report["redone_batches"],
+                   atomic_violations=report["atomic_violations"],
                    durable_total=sum(
-                       report.durable_per_member.values()),
-                   state_matches_baseline=(
-                       report.state == states["none"]))
-    result.data["states_identical"] = \
-        len(set(states.values())) == 1
+                       report["durable_per_member"].values()),
+                   state_matches_baseline=report["state"] == baseline)
+    result.data["states_identical"] = matrix["states_identical"]
     result.notes.append(
         "expected shape: identical durable state for every crash "
         "placement; crash-before aborts and retries (presumed abort), "

@@ -114,15 +114,13 @@ def subcell_script(subcell: str, operations: list[str],
     ), name=f"plan-{subcell}")
 
 
-def run_full_chip_design(system: ConcordSystem,
-                         workstation: str = "ws-1",
-                         designer: str = "alice") -> DesignActivity:
+def run_full_chip_design(system: ConcordSystem) -> DesignActivity:
     """Run the end-to-end Fig.2 traversal as one top-level DA."""
     dots = vlsi_dots()
     spec = chip_spec(60.0, 60.0)
     behavior = {"operations": [f"op-{i}" for i in range(6)]}
-    da = system.init_design(dots["Chip"], spec, designer,
-                            full_design_script(), workstation,
+    da = system.init_design(dots["Chip"], spec, "alice",
+                            full_design_script(), "ws-1",
                             initial_data={"cell": "chip-0",
                                           "level": "chip",
                                           "behavior": behavior})
@@ -147,7 +145,6 @@ class RecursiveReport:
 
 
 def recursive_planning_scenario(
-        system: ConcordSystem | None = None,
         hierarchy=None) -> tuple[ConcordSystem, RecursiveReport]:
     """Top-down recursive chip planning over a whole cell hierarchy.
 
@@ -162,14 +159,13 @@ def recursive_planning_scenario(
 
     if hierarchy is None:
         hierarchy = sample_hierarchy()
-    if system is None:
-        system = make_vlsi_system(("ws-1", "ws-2", "ws-3"))
+    workstations = ("ws-1", "ws-2", "ws-3")
+    system = make_vlsi_system(workstations)
     report = RecursiveReport()
     dots_by_level = {
         0: vlsi_dots()["Chip"], 1: vlsi_dots()["Module"],
         2: vlsi_dots()["Block"],
     }
-    workstations = ("ws-1", "ws-2", "ws-3")
 
     def plan_cell(cell, parent_cell, parent_da_id, initial_dov, depth):
         """Create the DA planning *cell*, run it, recurse into children."""
@@ -390,16 +386,15 @@ class _CoordinatorCrash(RuntimeError):
 
 
 def federated_commit_scenario(crash: str = "none", members: int = 3,
-                              batches: int = 4, crash_batch: int = 1,
-                              crash_member: int = 1, seed: int = 17,
-                              placement: str = "directory",
+                              batches: int = 4, seed: int = 17
                               ) -> FederatedCommitReport:
     """Cross-member ``commit_group`` under injected crashes.
 
     A federation of *members* repositories holds one DA per member;
     every batch stages one derived version per DA (a genuinely
     cross-member group) and commits it through the federated atomic
-    commit.  *crash* places a failure around batch *crash_batch*:
+    commit.  *crash* places a failure around the second batch, at
+    the second member:
 
     * ``"none"`` — the undisturbed reference run;
     * ``"before"`` — the target member crashes **before** the global
@@ -418,13 +413,10 @@ def federated_commit_scenario(crash: str = "none", members: int = 3,
 
     All four runs must converge to the identical id-independent
     durable state — the all-or-nothing claim of the decision log.
-    *placement* selects the federation's DA-placement strategy
-    (irrelevant to the outcome here — every DA is pinned with
-    ``assign`` — but it lets the scenario exercise both index modes).
     """
     report = FederatedCommitReport(crash=crash, members=members)
-    federation, current = _part_federation(members, seed, placement)
-    target = f"site-{crash_member % members}"
+    federation, current = _part_federation(members, seed)
+    crash_batch, target = 1, f"site-{1 % members}"
 
     def stage_batch(rev: int) -> list[str]:
         staged: list[str] = []
@@ -561,8 +553,7 @@ def _federation_rebuild_check(members: int = 3, batches: int = 2,
             and federation.placement_index.stats() == before)
 
 
-def _part_federation(members: int, seed: int,
-                     placement: str = "directory"
+def _part_federation(members: int, seed: int
                      ) -> tuple[Any, dict[str, str]]:
     """A federation of *members* sites, one pinned DA with one durable
     ``Part`` version on each; returns it with the per-DA heads."""
@@ -573,7 +564,7 @@ def _part_federation(members: int, seed: int,
     ids = IdGenerator()
     federation = FederatedRepository({
         f"site-{index}": DesignDataRepository(ids)
-        for index in range(members)}, placement=placement)
+        for index in range(members)})
     federation.register_dot(DesignObjectType("Part", attributes=[
         AttributeDef("name", AttributeKind.STRING),
         AttributeDef("rev", AttributeKind.INT),
@@ -609,8 +600,7 @@ class Fig5Report:
     final_states: dict[str, str] = field(default_factory=dict)
 
 
-def fig5_delegation_scenario(system: ConcordSystem | None = None
-                             ) -> tuple[ConcordSystem, Fig5Report]:
+def fig5_delegation_scenario() -> tuple[ConcordSystem, Fig5Report]:
     """The Fig.5 scenario, end to end.
 
     DA1 plans cell 0 (subcells A-D), delegates subcell planning to
@@ -619,8 +609,7 @@ def fig5_delegation_scenario(system: ConcordSystem | None = None
     more and DA3 less area"; both replan, reach final DOVs, and are
     terminated, devolving their results to DA1's scope.
     """
-    if system is None:
-        system = make_vlsi_system(("ws-1", "ws-2", "ws-3", "ws-4", "ws-5"))
+    system = make_vlsi_system(("ws-1", "ws-2", "ws-3", "ws-4", "ws-5"))
     report = Fig5Report()
     dots = vlsi_dots()
     subcells = ("A", "B", "C", "D")

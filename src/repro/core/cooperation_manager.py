@@ -832,20 +832,6 @@ class CooperationManager:
                       da_a=da_a, da_b=da_b, subject=subject)
         return negotiation
 
-    def _find_or_create_negotiation(self, proposer: str,
-                                    other: str) -> Negotiation:
-        for negotiation in self._negotiations.values():
-            if not negotiation.closed and negotiation.involves(proposer) \
-                    and negotiation.involves(other):
-                return negotiation
-        # dynamic establishment via Propose
-        self._require_siblings(proposer, other)
-        negotiation = Negotiation(self.ids.next("neg"), proposer, other,
-                                  created_by=proposer)
-        self._negotiations[negotiation.negotiation_id] = negotiation
-        self.state_log.mark("negotiations", negotiation.negotiation_id)
-        return negotiation
-
     def propose(self, proposer_id: str, other_id: str,
                 changes: dict[str, list[Any]],
                 note: str = "") -> Proposal:
@@ -854,15 +840,26 @@ class CooperationManager:
         Both parties move to the *negotiating* state; "as soon as a DA
         changes to the state negotiating, its internal processing is
         suspended."  ``changes`` maps DA ids to replacement features.
+        A refused Propose establishes nothing: the sibling check and
+        both parties' transition checks run before the negotiation is
+        set up.
         """
-        negotiation = self._find_or_create_negotiation(proposer_id,
-                                                       other_id)
-        if negotiation.open_proposal() is not None:
+        negotiation = next(
+            (n for n in self._negotiations.values()
+             if not n.closed and n.involves(proposer_id)
+             and n.involves(other_id)), None)
+        if negotiation is None:
+            self._require_siblings(proposer_id, other_id)
+        elif negotiation.open_proposal() is not None:
             raise NegotiationError(
                 f"negotiation {negotiation.negotiation_id!r} already has "
                 f"an open proposal")
         # ACTIVE -> NEGOTIATING, or NEGOTIATING stays (counter-proposal)
         self._transition(DaOperation.PROPOSE, proposer_id, other_id)
+        if negotiation is None:  # dynamic establishment via Propose
+            negotiation = Negotiation(self.ids.next("neg"), proposer_id,
+                                      other_id, created_by=proposer_id)
+            self._negotiations[negotiation.negotiation_id] = negotiation
         proposal = Proposal(self.ids.next("prop"), proposer_id,
                             changes, note)
         negotiation.proposals.append(proposal)

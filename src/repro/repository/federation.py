@@ -40,31 +40,26 @@ class FederatedRepository:
     """Several member repositories behind one repository interface.
 
     Placement: every DA is assigned to one member (explicitly via
-    :meth:`assign`, else by the index's strategy — round-robin under
-    ``placement="directory"``, a consistent-hash ring under
-    ``placement="hash"``); the DA's derivation graph and all DOVs it
-    checks in live there.  The placement index maps DOV ids (staged
-    and durable) to members so cross-member reads and commits are
-    transparent *and* member-count-independent.
+    :meth:`assign`, else round-robin); the DA's derivation graph and
+    all DOVs it checks in live there.  The placement index maps DOV
+    ids (staged and durable) to members so cross-member reads and
+    commits are transparent *and* member-count-independent.
     """
 
-    def __init__(self, members: dict[str, DesignDataRepository],
-                 decision_log: GlobalDecisionLog | None = None,
-                 placement: str = "directory") -> None:
+    def __init__(self,
+                 members: dict[str, DesignDataRepository]) -> None:
         if not members:
             raise ValueError("a federation needs at least one member")
         self._members = dict(members)
         self._member_order = list(members)
         #: durable coordinator-side decision log: the commit point of
         #: every cross-member batch (presumed-abort recovery)
-        self.decision_log = decision_log if decision_log is not None \
-            else GlobalDecisionLog()
+        self.decision_log = GlobalDecisionLog()
         self._next_gtxn = 0
         #: cross-member batches redone at member recovery
         self.redone_batches = 0
         #: DA homes + staged-home map + durable directory, all O(1)
-        self.placement_index = PlacementIndex(self._member_order,
-                                              placement=placement)
+        self.placement_index = PlacementIndex(self._member_order)
         #: federation-level commit observer (lease invalidations);
         #: notices originate at the owning member and are routed up
         #: through the directory by :meth:`_member_committed`
@@ -617,7 +612,6 @@ class FederatedRepository:
         index = self.placement_index.stats()
         return {
             "members": len(self._members),
-            "placement": index["placement"],
             "placements": index["placements"],
             "staged_index": index["staged_index"],
             "directory_entries": index["directory_entries"],

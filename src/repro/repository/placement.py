@@ -6,12 +6,8 @@ The seed federation resolved every staged version's home by scanning
 federation size.  :class:`PlacementIndex` is the coordinator-side
 index that removes the scans:
 
-* **DA placement** — which member holds a DA's derivation graph.  Two
-  strategies: ``"directory"`` (explicit :meth:`assign` pins plus
-  round-robin for the rest — the seed behaviour, byte-identical) and
-  ``"hash"`` (a consistent-hash ring with virtual nodes, so a DA's
-  home is a pure function of its id and the member set — hundreds of
-  members place uniformly with no coordinator counter);
+* **DA placement** — which member holds a DA's derivation graph:
+  explicit :meth:`assign` pins, round-robin for the rest;
 * **staged-home map** — staged DOV id -> member, maintained at
   ``stage_checkin`` / ``abort_checkin`` / commit time, so group-commit
   home resolution is O(batch) with zero member scans;
@@ -27,13 +23,8 @@ a cache of the federation's durable truth, never the truth itself.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Any, Iterator
-from zlib import crc32
 
-#: virtual nodes per member on the consistent-hash ring: enough for an
-#: even spread at a handful of members, cheap at hundreds
-RING_REPLICAS = 64
 
 class PlacementIndex:
     """DA homes, staged-version homes, and the durable DOV directory.
@@ -44,16 +35,7 @@ class PlacementIndex:
     coordinator loss.
     """
 
-    PLACEMENTS = ("directory", "hash")
-
-    def __init__(self, members: list[str],
-                 placement: str = "directory",
-                 ring_replicas: int = RING_REPLICAS) -> None:
-        if placement not in self.PLACEMENTS:
-            raise ValueError(
-                f"unknown placement strategy {placement!r} "
-                f"(known: {', '.join(self.PLACEMENTS)})")
-        self.placement = placement
+    def __init__(self, members: list[str]) -> None:
         self._members = list(members)
         self._next_member = 0
         #: da id -> member name (assignments + placements)
@@ -62,19 +44,6 @@ class PlacementIndex:
         self._staged: dict[str, str] = {}
         #: durable dov id -> member name (the global directory)
         self._directory: dict[str, str] = {}
-        self._ring_points: list[int] = []
-        self._ring_members: list[str] = []
-        if placement == "hash":
-            points = []
-            for member in members:
-                for replica in range(ring_replicas):
-                    points.append(
-                        (crc32(f"{member}#{replica}".encode()), member))
-            # ties (astronomically unlikely) break on member name so
-            # the ring is a pure function of the member set
-            for point, member in sorted(points):
-                self._ring_points.append(point)
-                self._ring_members.append(member)
 
     # -- DA placement -------------------------------------------------------
 
@@ -83,18 +52,13 @@ class PlacementIndex:
         home = self._homes.get(da_id)
         if home is not None:
             return home
-        if self.placement == "hash":
-            point = crc32(da_id.encode())
-            index = bisect_right(self._ring_points, point)
-            home = self._ring_members[index % len(self._ring_members)]
-        else:
-            home = self._members[self._next_member % len(self._members)]
-            self._next_member += 1
+        home = self._members[self._next_member % len(self._members)]
+        self._next_member += 1
         self._homes[da_id] = home
         return home
 
     def assign(self, da_id: str, member: str) -> None:
-        """Pin a DA to an explicit member (overrides any strategy)."""
+        """Pin a DA to an explicit member (overrides round-robin)."""
         self._homes[da_id] = member
 
     def home_of(self, da_id: str) -> str | None:
@@ -168,17 +132,15 @@ class PlacementIndex:
         self._homes = dict(homes)
         self._staged = dict(staged)
         self._directory = dict(directory)
-        if self.placement == "directory":
-            # keep round-robin fair after a rebuild: skip past the
-            # homes already handed out
-            self._next_member = max(self._next_member, len(self._homes))
+        # keep round-robin fair after a rebuild: skip past the homes
+        # already handed out
+        self._next_member = max(self._next_member, len(self._homes))
 
     # -- stats --------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """Index sizes for the federation's stats surface."""
         return {
-            "placement": self.placement,
             "placements": len(self._homes),
             "staged_index": len(self._staged),
             "directory_entries": len(self._directory),

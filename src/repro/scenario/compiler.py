@@ -66,8 +66,7 @@ def _run_federated_commit(config: ScenarioConfig,
             crash=crash,
             members=config.get("federation", "members"),
             batches=config.get("federation", "batches"),
-            seed=config.seed,
-            placement=config.get("federation", "placement")))
+            seed=config.seed))
         for crash in ("none", "before", "after", "coordinator")}
     states = {crash: report["state"]
               for crash, report in reports.items()}
@@ -196,8 +195,7 @@ def canonical_scenarios() -> dict[str, ScenarioConfig]:
                                "state",
                 "seed": 17,
             },
-            "federation": {"members": 3, "placement": "directory",
-                           "batches": 4},
+            "federation": {"members": 3, "batches": 4},
         }),
         "campaign_design_week": validate_scenario({
             "scenario": {

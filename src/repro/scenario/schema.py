@@ -122,10 +122,6 @@ SCENARIO_SCHEMA: dict[str, dict[str, _Key]] = {
         "members": _Key(int, 1, lo=1,
                         doc="member repositories "
                             "(federated_commit only, >= 2 there)"),
-        "placement": _Key(str, "directory",
-                          choices=("directory", "hash"),
-                          doc="DA placement: explicit/round-robin "
-                              "directory vs consistent-hash ring"),
         "batches": _Key(int, 4, lo=1,
                         doc="cross-member commit batches per crash "
                             "case"),

@@ -1,8 +1,8 @@
 """The unified discrete-event kernel.
 
 Every layer of the reproduction — the workload simulator, the network
-transport, the design managers and the failure injector — schedules
-against one :class:`Kernel`: a :class:`~repro.sim.scheduler.EventScheduler`
+transport and the design managers — schedules against one
+:class:`Kernel`: a :class:`~repro.sim.scheduler.EventScheduler`
 extended with the execution services the concurrent system needs:
 
 * **quiescence detection** — :meth:`run_until_quiescent` drains the
@@ -12,8 +12,8 @@ extended with the execution services the concurrent system needs:
 * **deadlines** — :meth:`run_until` advances exactly to a simulated
   instant, leaving later events pending (mid-flight inspection);
 * **failure injection** — :meth:`crash_at` arms a node crash (and its
-  restart) at arbitrary simulated instants, the kernel-native form of
-  the :class:`~repro.sim.injector.FailureInjector`;
+  restart) at arbitrary simulated instants; it is the only crash
+  injector, so every scenario's crashes land in :attr:`injections`;
 * **a deterministic event trace** — every executed event is recorded
   as ``(time, priority, seq, label)`` in :attr:`event_log`, so two
   identically seeded runs can be compared event by event (and the full
@@ -29,15 +29,24 @@ delivery (inside a run) and synchronous handoff (outside).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.clock import SimClock
-from repro.sim.injector import InjectionLogEntry
 from repro.sim.scheduler import EventScheduler, _ScheduledEvent
 from repro.util.errors import KernelError
 
 if TYPE_CHECKING:  # avoid the sim <-> net package-init cycle
     from repro.net.network import Network
+
+
+@dataclass
+class InjectionLogEntry:
+    """Record of one enacted crash or restart."""
+
+    at: float
+    action: str        # 'crash' | 'restart'
+    node: str
 
 
 class Kernel(EventScheduler):
@@ -130,7 +139,6 @@ class Kernel(EventScheduler):
 
     def crash_at(self, network: "Network", node_id: str, at: float,
                  restart_after: float | None = 1.0,
-                 on_restart: Callable[[str], None] | None = None,
                  restart_action: Callable[[], Any] | None = None) -> None:
         """Arm a crash of *node_id* at simulated instant *at*.
 
@@ -138,8 +146,7 @@ class Kernel(EventScheduler):
         time units later (running its recovery hooks); *restart_action*
         replaces the plain ``network.restart_node`` when a caller owns
         a richer recovery chain (e.g. the system-level workstation
-        recovery), and *on_restart* is invoked afterwards with the
-        node id.  Crash/restart events carry priority -1 so they beat
+        recovery).  Crash/restart events carry priority -1 so they beat
         same-instant work events — a crash "in the middle of" a step
         interrupts the step.
         """
@@ -156,8 +163,6 @@ class Kernel(EventScheduler):
                 network.restart_node(node_id)
             self.injections.append(InjectionLogEntry(
                 self.clock.now, "restart", node_id))
-            if on_restart is not None:
-                on_restart(node_id)
 
         self.at(at, crash, label=f"crash:{node_id}", priority=-1)
         if restart_after is not None:

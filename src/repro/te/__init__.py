@@ -21,7 +21,6 @@ from repro.te.rig import TeRig
 from repro.te.transaction_manager import (
     CheckinResult,
     ClientTM,
-    FlushResult,
     ServerTM,
     register_server_endpoints,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ClientTM",
     "ContextImage",
     "DesignOperation",
-    "FlushResult",
     "ObjectBuffer",
     "DopContext",
     "DopState",

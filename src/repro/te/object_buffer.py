@@ -111,7 +111,7 @@ class ObjectBuffer:
         #: fired when an invalidation recalls a version some dirty
         #: entry derives from — the client-TM hangs its flush here
         #: (write-back trigger 2: lease recall)
-        self.on_recall: Callable[[], None] | None = None
+        self.on_recall: Callable[[], object] | None = None
 
     # -- lookups ----------------------------------------------------------------
 

@@ -49,18 +49,23 @@ Checkin runs in one of two modes:
   repository state, not from the buffer).  Several workstations'
   dirty sets can additionally commit under ONE coordinator and ONE
   decision via :func:`repro.txn.flush_group` — the cross-workstation
-  group commit.
+  group commit, the same driver :meth:`ClientTM.flush` hands its own
+  dirty set to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.net.network import Network
 from repro.net.rpc import TransactionalRpc
 from repro.net.two_phase_commit import CommitOutcome, Vote
-from repro.txn.gateway import CommitGateway, GroupRequest
+from repro.txn.gateway import (
+    CommitGateway,
+    GroupFlushReport,
+    flush_group,
+)
 from repro.txn.leases import LeaseTable
 from repro.repository.repository import DesignDataRepository
 from repro.repository.versions import (
@@ -91,8 +96,8 @@ class CheckinResult:
     In write-back mode a successful checkin is *provisional*: the
     version lives only in the workstation buffer (``dov`` carries a
     provisional id) until a flush ships it; integrity validation is
-    deferred to the flush, whose :class:`FlushResult` carries any
-    rejection.
+    deferred to the flush, whose
+    :class:`~repro.txn.gateway.GroupFlushReport` carries any rejection.
     """
 
     success: bool
@@ -101,21 +106,6 @@ class CheckinResult:
     outcome: CommitOutcome | None = None
     #: True when the version is an unflushed write-back entry
     provisional: bool = False
-
-
-@dataclass
-class FlushResult:
-    """Outcome of one group checkin (write-back flush)."""
-
-    success: bool
-    #: checkins shipped in the batch (0 = nothing was dirty)
-    count: int = 0
-    #: payload bytes the batch shipped over the LAN
-    bytes_shipped: int = 0
-    #: provisional id -> durable id assigned by the server
-    mapping: dict[str, str] = field(default_factory=dict)
-    reason: str = ""
-    outcome: CommitOutcome | None = None
 
 
 class ServerTM:
@@ -626,7 +616,8 @@ class ClientTM:
         if buffer is not None:
             server_tm.register_buffer(workstation, buffer)
             if self.write_back:
-                buffer.on_recall = self._flush_on_recall
+                # a lease recall that touches dirty lineage flushes
+                buffer.on_recall = self.flush
         #: payload bytes fetched from the server (buffer misses and,
         #: with caching off, every checkout)
         self.bytes_fetched = 0
@@ -640,11 +631,6 @@ class ClientTM:
         self._superseded: dict[str, str] = {}
         #: provisional id -> durable id (committed group checkins)
         self._resolved: dict[str, str] = {}
-        #: reentrancy guard: a flush's own commit schedules
-        #: invalidations that could recall the flush mid-flight (also
-        #: set by :func:`repro.txn.flush_group` while this client's
-        #: dirty set rides a cross-workstation commit)
-        self.flushing = False
         #: simulated instant of the last lease-renewal message (TTL
         #: leases only; renewals are rate-limited to ttl/2)
         self._last_renewal: float | None = None
@@ -770,7 +756,7 @@ class ClientTM:
             dop.da_id, dop.dop_id, dov_id, derivation_lock,
             workstation=self.workstation,
             lease=self.buffer is not None,
-            renew=self._consume_renewal_window())
+            renew=self.consume_renewal_window())
         dov: DesignObjectVersion = result.value
         self._ship_payload(dov, dop.da_id)
         self._install_checkout(dop, dov, dov_id, cached=False)
@@ -824,7 +810,7 @@ class ClientTM:
         self._last_renewal = now
         self.renew_leases()
 
-    def _consume_renewal_window(self) -> bool:
+    def consume_renewal_window(self) -> bool:
         """True when an outgoing control message should carry renewal
         metadata (the piggyback path).
 
@@ -986,7 +972,7 @@ class ClientTM:
         result = self.gateway.single_checkin(
             dop.da_id, dot_name, payload, lineage,
             lease=self.buffer is not None,
-            renew=self._consume_renewal_window())
+            renew=self.consume_renewal_window())
         if result.committed:
             dov = result.dov
             dop.output_dov = dov.dov_id
@@ -1044,11 +1030,6 @@ class ClientTM:
             self.flush()
         return CheckinResult(True, dov=dov, provisional=True)
 
-    def _flush_on_recall(self) -> None:
-        """Buffer hook target: a lease recall touched dirty lineage."""
-        if not self.flushing:
-            self.flush()
-
     def collect_flush_records(
             self) -> tuple[list[dict[str, Any]], list[int]]:
         """The dirty set as (records, sizes), oldest first.
@@ -1095,49 +1076,26 @@ class ClientTM:
         self._record("flush_failed", self.workstation, reason=reason,
                      count=len(records))
 
-    def flush(self) -> FlushResult:
+    def flush(self) -> GroupFlushReport:
         """Ship the buffer's dirty set as one batched group checkin.
 
-        The drive itself — txn id, control RPC, ONE sized batch
-        message, the 2PC — belongs to the txn layer's
-        :class:`~repro.txn.gateway.CommitGateway`; this method is the
-        thin participant around it: collect the dirty records, hand
-        them to the gateway, and apply the outcome.  On commit the
-        buffer rebinds the provisional entries to the durable versions
-        the server assigned (they stay resident under fresh leases)
-        and :meth:`resolve` learns the id mapping.  On abort —
-        integrity rejection or a server crash mid-batch — *nothing*
-        becomes durable; the entries stay dirty so a later flush (e.g.
-        after the server restarts) can retry.
+        A group of one handed to the txn layer's flush driver,
+        :func:`~repro.txn.gateway.flush_group` — collect the dirty
+        records, one control RPC, ONE sized batch message, the 2PC,
+        apply the outcome.  On commit the buffer rebinds the
+        provisional entries to the durable versions the server
+        assigned (they stay resident under fresh leases) and
+        :meth:`resolve` learns the id mapping.  On abort — integrity
+        rejection or a server crash mid-batch — *nothing* becomes
+        durable; the entries stay dirty so a later flush (e.g. after
+        the server restarts) can retry.
 
         Under the concurrent kernel the batch message and the
         resulting lease invalidations are ordinary timed events in
         deterministic batch order, so identically seeded runs remain
         trace-identical.
         """
-        if self.buffer is None:
-            return FlushResult(True, count=0)
-        if self.flushing or not self.buffer.dirty_count:
-            return FlushResult(True, count=0)
-        self.flushing = True
-        try:
-            records, sizes = self.collect_flush_records()
-            result = self.gateway.group_checkin(
-                [GroupRequest(self.workstation, records, sizes)],
-                lease=True, renew=self._consume_renewal_window())
-            if not result.committed:
-                self.fail_flush(records, result.reason)
-                return FlushResult(False, count=len(records),
-                                   reason=result.reason,
-                                   outcome=result.outcome)
-            self.apply_flush_commit(records, sizes, result.mapping,
-                                    result.dovs)
-            return FlushResult(True, count=len(records),
-                               bytes_shipped=sum(sizes),
-                               mapping=dict(result.mapping),
-                               outcome=result.outcome)
-        finally:
-            self.flushing = False
+        return flush_group([self])
 
     def resolve(self, dov_id: str) -> str:
         """The durable id a provisional (write-back) id ended up as.

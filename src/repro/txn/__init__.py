@@ -9,9 +9,9 @@ prepare/decide/complete protocol.  This package owns that protocol:
   :class:`~repro.txn.gateway.CommitGateway` that drives every commit
   shape over the simulated LAN (txn ids, request stashing, sized
   payload shipment, the 2PC itself) plus
-  :func:`~repro.txn.gateway.flush_group`, the cross-workstation group
-  commit (several client-TMs' dirty sets under one coordinator and
-  one decision);
+  :func:`~repro.txn.gateway.flush_group`, the one flush driver (one
+  client-TM's dirty set, or several under one coordinator and one
+  decision — the cross-workstation group commit);
 * :mod:`repro.txn.decision_log` — the durable
   :class:`~repro.txn.decision_log.GlobalDecisionLog` that makes
   cross-member federation batches atomic under presumed-abort

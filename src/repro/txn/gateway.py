@@ -21,9 +21,10 @@ Commit shapes:
   every workstation posts its own sized batch message, but the
   combined record list is staged as *one* server batch under *one*
   coordinator, *one* decision and *one* forced WAL write.
-* :func:`flush_group` — the convenience driver of the cross shape:
-  collect the dirty sets of several client-TMs and commit them under
-  one decision, then hand each client its slice of the id mapping.
+* :func:`flush_group` — the one flush driver: collect the dirty sets
+  of one client-TM (:meth:`~repro.te.transaction_manager.ClientTM.flush`)
+  or several and commit them under one decision, then hand each
+  client its slice of the id mapping.
 
 The fourth shape lives one layer down: a **cross-member federation
 batch** (:meth:`~repro.repository.federation.FederatedRepository.commit_group`)
@@ -123,6 +124,10 @@ class CommitGateway:
         self.node_id = node_id
         self.ids = ids or IdGenerator()
         self.coordinator = TwoPhaseCoordinator(rpc.network, node_id)
+        #: reentrancy guard of :func:`flush_group`: a flush's own
+        #: commit schedules invalidations that could recall the flush
+        #: mid-flight
+        self.flushing = False
 
     def next_txn_id(self) -> str:
         """Allocate the next transaction id of this coordinator."""
@@ -211,40 +216,44 @@ class CommitGateway:
 
 
 def flush_group(clients: Sequence[Any]) -> GroupFlushReport:
-    """Cross-workstation group commit of several client-TMs' dirty sets.
+    """Ship the dirty sets of *clients* as one group checkin.
 
-    The write-back follow-on the ROADMAP names: instead of each
-    workstation flushing under its own coordinator (one 2PC and one
-    forced WAL write apiece), the dirty sets of *clients* ship under
-    **one** coordinator — the first contributor's gateway — and
-    **one** decision.  Every contributing workstation still posts its
-    own sized batch message (byte accounting per node is unchanged),
-    but the server stages one combined batch and the repository forces
-    its WAL once for all of them.  On commit each client rebinds its
-    own provisional entries from its slice of the mapping; on abort
-    every client keeps its dirty set intact for a later retry — the
-    cross-workstation batch is all-or-nothing.
+    The only flush driver: with one client this is the per-workstation
+    write-back flush, with several the cross-workstation group commit
+    — instead of each workstation flushing under its own coordinator
+    (one 2PC and one forced WAL write apiece), the dirty sets ship
+    under **one** coordinator — the first contributor's gateway, whose
+    control RPC also carries that workstation's lease renewal when one
+    is due — and **one** decision.  Every contributing workstation
+    posts its own sized batch message (byte accounting per node is
+    unchanged), but the server stages one combined batch and the
+    repository forces its WAL once for all of them.  On commit each
+    client rebinds its own provisional entries from its slice of the
+    mapping; on abort every client keeps its dirty set intact for a
+    later retry — the batch is all-or-nothing.
 
-    Clients without a buffer, without write-back, or without dirty
-    entries simply do not contribute; with no contributors at all the
-    report is a trivial success.
+    Clients without a buffer, without write-back, without dirty
+    entries, or already inside a flush (a recall raised by the flush's
+    own commit) simply do not contribute; with no contributors at all
+    the report is a trivial success.
     """
     active = [client for client in clients
               if getattr(client, "write_back", False)
               and client.buffer is not None
               and client.buffer.dirty_count
-              and not client.flushing]
+              and not client.gateway.flushing]
     if not active:
         return GroupFlushReport(True)
     requests: list[GroupRequest] = []
     try:
         for client in active:
-            client.flushing = True
+            client.gateway.flushing = True
             records, sizes = client.collect_flush_records()
             requests.append(GroupRequest(client.workstation, records,
                                          sizes))
-        gateway: CommitGateway = active[0].gateway
-        result = gateway.group_checkin(requests, lease=True)
+        result = active[0].gateway.group_checkin(
+            requests, lease=True,
+            renew=active[0].consume_renewal_window())
         count = sum(len(request.records) for request in requests)
         shipped = sum(sum(request.sizes) for request in requests)
         if not result.committed:
@@ -263,4 +272,4 @@ def flush_group(clients: Sequence[Any]) -> GroupFlushReport:
             mapping=dict(result.mapping), outcome=result.outcome)
     finally:
         for client in active:
-            client.flushing = False
+            client.gateway.flushing = False

@@ -691,27 +691,15 @@ def test_a_delivery_forces_a_record_of_its_own_only_outside_its_operation(
     assert records.count(LogRecordKind.DA_STATE) == 2
 
 
-def test_what_a_refused_operation_changed_is_in_the_next_record(team):
-    """Entities are marked where they change, not where the operation
-    ends: a Propose refused half-way has set up its negotiation, and
-    the CM holds it from then on — so must the log."""
-    system, top, (left, right) = team
-    late = system.create_sub_da(top, vlsi_dots()["Module"], spec(50.0),
-                                "late", NOOP, "ws-1")
-    with pytest.raises(ConcordError):
-        system.cm.propose(left, late.da_id, {})  # not started yet
-    assert len(system.cm._negotiations) == 1
-    system.start(late.da_id)
-    assert_recovers(system)
-
-
 @pytest.mark.parametrize("refusal", ["not a part", "initial DOV not in scope",
                                      "evaluate out of scope",
-                                     "propagate a foreign DOV"])
+                                     "propagate a foreign DOV",
+                                     "propose before start"])
 def test_a_refused_operation_leaves_the_cm_as_it_was(team, refusal):
     """The checks come before the transition: at the parent the refused
     call had already put a row into the DA's history, and a crash
-    right behind it recovered a history the live CM no longer had."""
+    right behind it recovered a history the live CM no longer had (a
+    refused Propose had set up its negotiation, held by marks alone)."""
     system, top, (left, right) = team
     dots = vlsi_dots()
     foreign = final_dov(system, right)
@@ -724,8 +712,13 @@ def test_a_refused_operation_leaves_the_cm_as_it_was(team, refusal):
                        initial_dov=foreign)
     elif refusal == "evaluate out of scope":
         assert_refused(system, system.cm.evaluate, left, foreign)
-    else:
+    elif refusal == "propagate a foreign DOV":
         assert_refused(system, system.cm.propagate, left, foreign)
+    else:
+        late = system.create_sub_da(top, dots["Module"], spec(50.0),
+                                    "late", NOOP, "ws-1")
+        assert_refused(system, system.cm.propose, left, late.da_id, {})
+        assert not system.cm._negotiations
     assert_recovers(system)
 
 

@@ -27,7 +27,7 @@ from repro.repository.schema import (
     AttributeKind,
     DesignObjectType,
 )
-from repro.txn.decision_log import CHECKPOINT_WINDOW, GlobalDecisionLog
+from repro.txn.decision_log import CHECKPOINT_WINDOW
 from repro.util.errors import StorageError
 from repro.util.ids import IdGenerator
 
@@ -38,16 +38,13 @@ class _CoordinatorDied(RuntimeError):
     """Injected coordinator failure."""
 
 
-def make_federation(decision_log: GlobalDecisionLog | None = None,
-                    placement: str = "directory",
-                    ) -> tuple[FederatedRepository, dict[str, str]]:
+def make_federation() -> tuple[FederatedRepository, dict[str, str]]:
     """A federation with one DA per member and one durable version
     each; returns it plus the current per-DA head versions."""
     ids = IdGenerator()
     federation = FederatedRepository(
         {f"site-{index}": DesignDataRepository(ids)
-         for index in range(MEMBERS)},
-        decision_log=decision_log, placement=placement)
+         for index in range(MEMBERS)})
     federation.register_dot(DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)]))
     heads: dict[str, str] = {}
@@ -204,8 +201,8 @@ class TestCrashDuringTruncation:
         but before the truncation completes: recovery starts from the
         checkpoint (the stale records behind it are subsumed), nothing
         is lost or duplicated, and the next checkpoint truncates."""
-        log = GlobalDecisionLog()
-        federation, heads = make_federation(decision_log=log)
+        federation, heads = make_federation()
+        log = federation.decision_log
         for rev in range(1, 4):
             commit_batch(federation, heads, rev)
         committed_so_far = {dov_id for member

@@ -112,15 +112,28 @@ class TestCrashAt:
         kernel.run_until_quiescent()
         assert network.node("ws-1").up is False
 
-    def test_on_restart_callback(self):
+    def test_nodes_armed_out_of_time_order_crash_in_time_order(self):
+        kernel = Kernel()
+        network = Network(kernel.clock)
+        network.add_server()
+        network.add_workstation("ws-1")
+        kernel.crash_at(network, "server", at=20.0)
+        kernel.crash_at(network, "ws-1", at=10.0, restart_after=2.0)
+        kernel.run_until_quiescent()
+        assert [e.node for e in kernel.injections
+                if e.action == "crash"] == ["ws-1", "server"]
+        assert network.node("server").up
+        assert network.node("server").crash_count == 1
+
+    def test_a_node_armed_twice_crashes_twice(self):
         kernel = Kernel()
         network = Network(kernel.clock)
         network.add_workstation("ws-1")
-        recovered = []
-        kernel.crash_at(network, "ws-1", at=1.0, restart_after=1.0,
-                        on_restart=recovered.append)
+        kernel.crash_at(network, "ws-1", at=5.0, restart_after=1.0)
+        kernel.crash_at(network, "ws-1", at=10.0, restart_after=1.0)
         kernel.run_until_quiescent()
-        assert recovered == ["ws-1"]
+        assert network.node("ws-1").crash_count == 2
+        assert network.node("ws-1").up
 
     def test_crash_beats_same_instant_work(self):
         kernel = Kernel()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.repository.federation import FederatedRepository
-from repro.repository.placement import PlacementIndex
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
@@ -191,62 +190,6 @@ class TestShippingSurface:
         assert federation.owner_of(dov.dov_id) == "site-a"
 
 
-class TestHashPlacement:
-    def test_ring_placement_is_deterministic(self):
-        members = [f"site-{i}" for i in range(4)]
-        das = [f"da-{i}" for i in range(16)]
-        first = PlacementIndex(members, placement="hash")
-        second = PlacementIndex(members, placement="hash")
-        assert [first.place(d) for d in das] \
-            == [second.place(d) for d in das]
-
-    def test_ring_placement_ignores_arrival_order(self):
-        """A DA's home is a pure function of its id and the member
-        set — no coordinator counter, unlike round-robin."""
-        members = ["site-a", "site-b", "site-c"]
-        alone = PlacementIndex(members, placement="hash")
-        crowded = PlacementIndex(members, placement="hash")
-        for i in range(10):
-            crowded.place(f"other-{i}")
-        assert alone.place("da-x") == crowded.place("da-x")
-
-    def test_ring_spreads_across_members(self):
-        index = PlacementIndex([f"site-{i}" for i in range(4)],
-                               placement="hash")
-        homes = {index.place(f"da-{i}") for i in range(32)}
-        assert len(homes) >= 3
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            PlacementIndex(["site-a"], placement="random")
-
-    def test_hash_federation_routes_like_the_ring(self):
-        ids = IdGenerator()
-        fed = FederatedRepository(
-            {f"site-{i}": DesignDataRepository(ids) for i in range(3)},
-            placement="hash")
-        fed.register_dot(make_dot())
-        oracle = PlacementIndex([f"site-{i}" for i in range(3)],
-                                placement="hash")
-        for i in range(6):
-            da_id = f"da-{i}"
-            fed.create_graph(da_id)
-            home = oracle.place(da_id)
-            assert fed.placement_of(da_id) == home
-            dov = fed.checkin(da_id, "Cell", {"area": float(i)})
-            assert fed.owner_of(dov.dov_id) == home
-
-    def test_assign_still_overrides_the_ring(self):
-        ids = IdGenerator()
-        fed = FederatedRepository(
-            {f"site-{i}": DesignDataRepository(ids) for i in range(3)},
-            placement="hash")
-        fed.register_dot(make_dot())
-        fed.assign("da-pinned", "site-2")
-        fed.create_graph("da-pinned")
-        assert fed.placement_of("da-pinned") == "site-2"
-
-
 class TestSingleMemberBatchFailure:
     def test_down_member_aborts_single_member_batch(self, federation):
         """A batch resolving entirely to one member must notice the
@@ -321,6 +264,6 @@ class TestDirectoryRecovery:
         federation.create_graph("da-1")
         federation.stage_checkin("da-1", "Cell", {"area": 1.0}, (), 0.0)
         stats = federation.stats()
-        assert stats["placement"] == "directory"
+        assert stats["placements"] == 1
         assert stats["staged_index"] == 1
         assert stats["decision_log"]["decisions"] == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,25 @@ def test_only_the_wal_truncates_and_writes_checkpoint_records():
     assert list(found) == ["repository/wal.py"]
     # checkpoint()'s append, and the one truncate behind both methods
     assert len(found["repository/wal.py"]) == 2
+
+
+def test_one_module_sets_the_flush_guard_and_one_files_crash_events():
+    """So a second flush driver or a second crash injector cannot come
+    back unnoticed: whoever drives a flush sets the reentrancy guard,
+    whoever injects a crash files a ``crash:`` / ``restart:`` event."""
+    scanners = {"flush guard": re.compile(r"\.flushing\s*=(?!=)"),
+                "crash event": re.compile(r"""["'](crash|restart):""")}
+    assert scanners["flush guard"].search("client.flushing = True")
+    assert not scanners["flush guard"].search("if a.flushing == b:")
+    assert scanners["crash event"].search('label=f"restart:{node_id}"')
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    found = {name: sorted({str(path.relative_to(package))
+                           for path in package.rglob("*.py")
+                           if scanner.search(
+                               path.read_text(encoding="utf-8"))})
+             for name, scanner in scanners.items()}
+    assert found == {"flush guard": ["txn/gateway.py"],
+                     "crash event": ["sim/kernel.py"]}
 
 
 class TestVersionStore:

@@ -52,7 +52,7 @@ def _raw_configs() -> st.SearchStrategy:
     return st.builds(
         lambda kind, seed, team, steps, mean_step,
         pool, payload, reread, ratio, write_back, caching, bandwidth,
-        latency, ttl, days, members, fed_placement, fed_batches: {
+        latency, ttl, days, members, fed_batches: {
             "scenario": {"name": f"gen-{kind}-{seed}", "kind": kind,
                          "seed": seed},
             "team": {"size": team, "steps_per_session": steps,
@@ -66,7 +66,6 @@ def _raw_configs() -> st.SearchStrategy:
             "leases": {"ttl": ttl},
             "federation": {
                 "members": members if kind == "federated_commit" else 1,
-                "placement": fed_placement,
                 "batches": fed_batches,
             },
             "campaign": {"days": days},
@@ -87,7 +86,6 @@ def _raw_configs() -> st.SearchStrategy:
         st.floats(min_value=0.0, max_value=1_000.0, allow_nan=False),
         st.integers(min_value=1, max_value=30),
         st.integers(min_value=2, max_value=12),
-        st.sampled_from(["directory", "hash"]),
         st.integers(min_value=1, max_value=8),
     )
 
@@ -276,12 +274,13 @@ class TestDiagnostics:
             validate_scenario(_base(kind="federated_commit",
                                     federation={"members": 1}))
 
-    def test_federation_placement_choices_are_named(self):
-        with pytest.raises(ScenarioError,
-                           match=r"\[federation\]\.placement: 'rand'"):
+    def test_federation_placement_is_an_unknown_key(self):
+        with pytest.raises(
+                ScenarioError,
+                match=r"\[federation\]: unknown key 'placement'"):
             validate_scenario(_base(
                 kind="federated_commit",
-                federation={"members": 3, "placement": "rand"}))
+                federation={"members": 3, "placement": "directory"}))
 
     def test_invalid_toml_is_a_scenario_error(self):
         with pytest.raises(ScenarioError, match="invalid TOML"):

@@ -1,4 +1,4 @@
-"""Unit tests for repro.sim: clock, scheduler, failure plans."""
+"""Unit tests for repro.sim: clock, scheduler."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.clock import SimClock
-from repro.sim.failures import FailureKind, FailurePlan
 from repro.sim.scheduler import EventScheduler
 
 
@@ -217,22 +216,3 @@ class TestDispatchOrderProperty:
         assert dispatched == sorted(dispatched, key=lambda k: k[0])
         assert sched.executed == len(dispatched)
 
-
-class TestFailurePlan:
-    def test_chaining(self):
-        plan = FailurePlan().crash_workstation("ws-1", at=10.0) \
-                            .crash_server("server", at=20.0)
-        assert len(plan) == 2
-
-    def test_sorted_events(self):
-        plan = FailurePlan()
-        plan.crash_server("server", at=20.0)
-        plan.crash_workstation("ws-1", at=10.0)
-        events = plan.sorted_events()
-        assert [e.at for e in events] == [10.0, 20.0]
-        assert events[0].kind is FailureKind.WORKSTATION_CRASH
-
-    def test_restart_at(self):
-        plan = FailurePlan().crash_server("server", at=5.0,
-                                          restart_after=2.5)
-        assert plan.events[0].restart_at == 7.5

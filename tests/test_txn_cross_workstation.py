@@ -10,18 +10,20 @@ combined batch is all-or-nothing — one bad record aborts everyone.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
 )
 from repro.te.rig import TeRig
-from repro.txn import flush_group
+from repro.txn import GroupFlushReport, flush_group
 
 
-def make_rig(team: int = 3):
+def make_rig(team: int = 3, **options):
     te = TeRig(trace=False, bandwidth=1000.0, write_back=True,
-               flush_on_end_dop=False)
+               flush_on_end_dop=False, **options)
     te.open_scope()
     clock, network, server_tm = te.clock, te.network, te.server_tm
     repo = te.repository
@@ -48,6 +50,34 @@ def stage_checkins(rig, per_client: int = 2, area: float = 10.0):
 
 
 class TestCrossWorkstationGroupCommit:
+    @pytest.mark.parametrize("team", [1, 2])
+    def test_one_flush_driver_any_team(self, team):
+        """``ClientTM.flush`` is ``flush_group`` of one: the same
+        report type, one decision, one forced write, and the
+        coordinator's due lease renewal rides the one control RPC."""
+        rig = make_rig(team=team, lease_ttl=100.0)
+        clients = rig["clients"]
+
+        def flush():
+            stage_checkins(rig, per_client=2)
+            return clients[0].flush() if team == 1 \
+                else flush_group(clients)
+
+        first = flush()  # opens the coordinator's renewal window
+        rig["clock"].advance(50.0)
+        forced_before = rig["repo"].wal.forced_writes
+        report = flush()
+        assert type(first) is type(report) is GroupFlushReport
+        assert report.success and report.count == 2 * team
+        assert report.workstations == [f"ws-{index}"
+                                       for index in range(team)]
+        assert all(durable in rig["repo"]
+                   for durable in report.mapping.values())
+        assert rig["repo"].wal.forced_writes == forced_before + 1
+        assert rig["server_tm"].group_checkins == 2
+        assert [client.renewals_piggybacked for client in clients] \
+            == [1] + [0] * (team - 1)
+
     def test_one_decision_one_wal_force_for_all_contributors(self):
         rig = make_rig(team=3)
         dops = stage_checkins(rig, per_client=2)
