@@ -9,7 +9,9 @@ Run with:  python examples/run_experiments.py [F1|T3|...]
 
 import sys
 
-from repro.bench import ALL_ABLATIONS, ALL_EXPERIMENTS, ALL_FIGURES
+from repro.bench.ablations import ALL_ABLATIONS
+from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.figures import ALL_FIGURES
 
 
 def main() -> None:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench import ALL_ABLATIONS, ALL_EXPERIMENTS, ALL_FIGURES
-
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
@@ -39,6 +37,10 @@ def main(argv: list[str] | None = None) -> int:
         print(render(report))
         print(f"note: wrote {DEFAULT_ARTIFACT}")
         return 0 if report["acceptance"]["ok"] else 1
+    from repro.bench.ablations import ALL_ABLATIONS
+    from repro.bench.experiments import ALL_EXPERIMENTS
+    from repro.bench.figures import ALL_FIGURES
+
     drivers = {**ALL_FIGURES, **ALL_EXPERIMENTS, **ALL_ABLATIONS}
     unknown = wanted - set(drivers)
     if unknown:

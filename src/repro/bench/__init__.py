@@ -1,83 +1,8 @@
 """Experiment harness: drivers for every figure (F1-F8) and experiment
-(T1-T11), shared scenarios, and table rendering."""
+(T1-T11), shared scenarios, and table rendering.
 
-from repro.bench.ablations import ALL_ABLATIONS, run_a1, run_a2, run_a3
-from repro.bench.experiments import (
-    ALL_EXPERIMENTS,
-    negotiate_border,
-    run_t1,
-    run_t2,
-    run_t3,
-    run_t4,
-    run_t5,
-    run_t6,
-    run_t7,
-    run_t8,
-    run_t9,
-    run_t10,
-)
-from repro.bench.figures import (
-    ALL_FIGURES,
-    run_f1,
-    run_f2,
-    run_f3,
-    run_f4,
-    run_f5,
-    run_f6,
-    run_f7,
-    run_f8,
-)
-from repro.bench.reporting import ExperimentResult, format_table
-from repro.bench.scorecard import SCORECARD, run_scorecard
-from repro.bench.scenarios import (
-    Fig5Report,
-    RecursiveReport,
-    recursive_planning_scenario,
-    chip_spec,
-    fig5_delegation_scenario,
-    make_vlsi_system,
-    run_full_chip_design,
-    subcell_script,
-    subcell_seed,
-)
-
-__all__ = [
-    "ALL_ABLATIONS",
-    "ALL_EXPERIMENTS",
-    "ALL_FIGURES",
-    "ExperimentResult",
-    "Fig5Report",
-    "RecursiveReport",
-    "chip_spec",
-    "fig5_delegation_scenario",
-    "format_table",
-    "make_vlsi_system",
-    "negotiate_border",
-    "recursive_planning_scenario",
-    "run_f1",
-    "run_f2",
-    "run_f3",
-    "run_f4",
-    "run_f5",
-    "run_f6",
-    "run_f7",
-    "run_a1",
-    "run_a2",
-    "run_a3",
-    "run_f8",
-    "run_full_chip_design",
-    "run_t1",
-    "run_t2",
-    "run_t3",
-    "run_t4",
-    "run_t5",
-    "run_t6",
-    "run_t7",
-    "run_t8",
-    "run_t9",
-    "run_t10",
-    "run_scorecard",
-    "SCORECARD",
-    "subcell_script",
-    "subcell_seed",
-]
+The package re-exports nothing: import from the submodule that holds
+what you need (``repro.bench.experiments``, ``.figures``,
+``.ablations``, ``.scorecard``, ``.scenarios``, ``.reporting``), so a
+run that needs one scenario builder does not load every experiment.
+"""

@@ -100,6 +100,9 @@ class CooperationManager:
         #: optional delivery interceptor; returning True consumes the
         #: message instead of queueing it (the auto-dispatch path)
         self.on_deliver: Callable[[str, Message], bool] | None = None
+        #: optional observer, called with a DA id after the CM invoked
+        #: that DA's :class:`DmHook` (the concurrent driver wakes the DM)
+        self.on_dm_event: Callable[[str], None] | None = None
 
         #: the CM's one log: mutators mark the entities they change,
         #: ``_persist`` forces their after-images and the operation's
@@ -163,6 +166,12 @@ class CooperationManager:
     def register_dm(self, da_id: str, hook: DmHook) -> None:
         """Attach a design manager to receive external-event callbacks."""
         self._dm_hooks[da_id] = hook
+
+    def _dm_event(self, da_id: str) -> None:
+        """Tell the :attr:`on_dm_event` observer a hook call reached
+        *da_id*'s DM."""
+        if self.on_dm_event is not None:
+            self.on_dm_event(da_id)
 
     def install_scope_check(self, server_tm: Any) -> None:
         """Make the server-TM use the CM's full scope semantics."""
@@ -467,6 +476,7 @@ class CooperationManager:
         hook = self._dm_hooks.get(sub_id)
         if hook is not None:
             hook.on_specification_modified(restart_dov)
+            self._dm_event(sub_id)
         self._record("Modify_Sub_DA_Specification", sub_id,
                      super_da=super_id)
         self._persist(DaOperation.MODIFY_SUB_DA_SPEC, super_id, sub=sub_id)
@@ -779,9 +789,11 @@ class CooperationManager:
         self._record("Withdraw", dov_id, frm=usage.supporting_da,
                      to=usage.requiring_da)
         hook = self._dm_hooks.get(usage.requiring_da)
-        if hook is not None:
-            return bool(hook.on_withdrawal(dov_id))
-        return False
+        if hook is None:
+            return False
+        used = bool(hook.on_withdrawal(dov_id))
+        self._dm_event(usage.requiring_da)
+        return used
 
     # ======================================================================
     # negotiation

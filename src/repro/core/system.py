@@ -289,6 +289,15 @@ class ConcordSystem(TeRig):
         resumes them (re-finishing an interrupted DOP from its
         recovery point).
 
+        A DM waits, it is not polled: it gets a ``da-step`` event only
+        when something it waits on happens — its own step finished
+        and left it work, a message addressed to it was dispatched,
+        the CM called its :class:`~repro.core.cooperation_manager.DmHook`
+        (a specification modification restarts its script, a
+        withdrawal may stop it), or its workstation or the server
+        restarted.  A DM whose script is done or that is stopped gets
+        none until one of those happens.
+
         Runs until quiescence (every DA done/stopped, no message in
         flight) or until *deadline*; returns the DM statuses.
         """
@@ -341,7 +350,7 @@ class ConcordSystem(TeRig):
                 return
             if isinstance(outcome, PendingDop):
                 schedule_finish(da_id, outcome, outcome.remaining)
-            elif outcome:
+            elif outcome and dm.has_work():
                 schedule(da_id)
 
         def finish(da_id: str, pending: PendingDop) -> None:
@@ -357,7 +366,7 @@ class ConcordSystem(TeRig):
                 mark(da_id)
                 server_parked.append((da_id, pending))
                 return
-            if progressed:
+            if progressed and dm.has_work():
                 schedule(da_id)
 
         def resume_node(name: str) -> None:
@@ -388,25 +397,28 @@ class ConcordSystem(TeRig):
                 else:
                     schedule(da_id)
 
-        def kick(da_id: str) -> None:
-            """(Re-)animate a DA whose state a dispatched message may
-            have changed (restart, resumed negotiation, ...)."""
+        def wake(da_id: str) -> None:
+            """Something *da_id*'s DM waits on happened: give it a step
+            unless one is queued (a DA outside this run has no budget)."""
             if live.get(da_id, 0) <= 0 and budgets.get(da_id, 0) > 0 \
                     and self._runtimes[da_id].dm.node.up:
                 schedule(da_id)
 
         def auto_dispatch(recipient: str, message: Any) -> bool:
+            """Hand an arriving message to its recipient's rules, then
+            wake the recipient — no other DM: a rule that reaches
+            another DA's DM does so through the CM, whose hook call
+            wakes that one."""
             if recipient not in self._runtimes:
                 return False
             self._dispatch_message(recipient, message)
-            # any DM may have become enabled (agree/modify/withdraw...)
-            for da_id in da_ids:
-                kick(da_id)
+            wake(recipient)
             return True
 
-        previous_deliver = self.cm.on_deliver
-        previous_resume = self._concurrent_resume
+        previous = (self.cm.on_deliver, self.cm.on_dm_event,
+                    self._concurrent_resume)
         self.cm.on_deliver = auto_dispatch
+        self.cm.on_dm_event = wake
         self._concurrent_resume = resume_node
         try:
             for da_id in da_ids:
@@ -414,8 +426,8 @@ class ConcordSystem(TeRig):
             kernel.run_until_quiescent(max_events=max_events,
                                        deadline=deadline)
         finally:
-            self.cm.on_deliver = previous_deliver
-            self._concurrent_resume = previous_resume
+            (self.cm.on_deliver, self.cm.on_dm_event,
+             self._concurrent_resume) = previous
         return {da_id: self._runtimes[da_id].dm.status()
                 for da_id in da_ids}
 

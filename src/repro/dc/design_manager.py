@@ -253,6 +253,11 @@ class DesignManager:
             pending_actions=[a.token for a in self.cursor.enabled()],
         )
 
+    def has_work(self) -> bool:
+        """False once the script is done or the DM is stopped: only an
+        external event or a recovery gives it work again."""
+        return not self.stopped and not self.cursor.is_done()
+
     def step(self, policy: DesignerPolicy | None = None) -> bool:
         """Execute one work-flow action; False when nothing ran.
 
@@ -278,7 +283,7 @@ class DesignManager:
         Returns False when nothing is enabled (done / stopped / a
         domain constraint rejected the start).
         """
-        if self.stopped or self.cursor.is_done():
+        if not self.has_work():
             return False
         policy = policy or DesignerPolicy()
         actions = self.cursor.enabled()

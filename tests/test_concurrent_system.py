@@ -151,6 +151,111 @@ class TestNegotiationWhileWorking:
         assert statuses[da_a].done and statuses[da_b].done
 
 
+def ready_script(name: str, duration: float) -> Script:
+    """One refine DOP, then Evaluate and Sub_DA_Ready_To_Commit: the
+    sub-DA's message reaches its super-DA at ``duration`` + latency."""
+    return Script(Sequence(DopStep("refine", duration=duration),
+                           DaOpStep("Evaluate"),
+                           DaOpStep("Sub_DA_Ready_To_Commit")), name=name)
+
+
+def module_data(width):
+    return {"cell": "m", "level": "module", "width": width,
+            "height": width, "area": width * width}
+
+
+class TestTheDmWaits:
+    """A DM is stepped when something it waits on happens — its own
+    step, a message to it, a CM call into its hook, a restart — and at
+    no other time."""
+
+    def _team(self, scripts):
+        """A top DA (already run) and one started sub-DA per script,
+        each on its own workstation."""
+        system = make_vlsi_system(tuple(f"ws-{i}"
+                                        for i in range(len(scripts) + 1)))
+        system.tools.register("refine", refine, duration=10.0)
+        dots = vlsi_dots()
+        top = system.init_design(
+            dots["Chip"], chip_spec(500, 500), "lead",
+            worker_script("top", 1, 5.0), "ws-0",
+            initial_data={"cell": "c", "level": "chip"})
+        system.start(top.da_id)
+        system.run(top.da_id)
+        subs = []
+        for index, script in enumerate(scripts, start=1):
+            sub = system.create_sub_da(
+                top.da_id, dots["Module"], chip_spec(500, 500),
+                f"designer-{index}", script, f"ws-{index}")
+            system.start(sub.da_id)
+            subs.append(sub.da_id)
+        return system, top.da_id, subs
+
+    def test_a_spec_modification_restarts_a_finished_sub_da_at_once(self):
+        """The top DM's rule reformulates the goal of a sub-DA whose
+        script is done; the CM's hook call wakes it at that instant
+        (the message to it arrives 0.01 later and finds it busy)."""
+        system, top, (done, reporter) = self._team(
+            [worker_script("x", 2, 10.0), ready_script("w", 30.0)])
+        system.runtime(top).dm.rules.register(EcaRule(
+            "reformulate", "Ready_To_Commit", lambda env: True,
+            lambda env: system.cm.modify_sub_da_specification(
+                top, done, chip_spec(400, 400))))
+        start = system.clock.now
+        statuses = system.run_concurrent([done, reporter])
+        dm = system.runtime(done).dm
+        assert statuses[done].done and not statuses[done].stopped
+        assert dm.executed_tools == ["refine", "refine"]
+        assert dm.executed_dops == 4
+        assert system.cm.da(done).state is DaState.ACTIVE
+        assert system.cm.da(reporter).state \
+            is DaState.READY_FOR_TERMINATION
+        # restarted at 30.01 (the arrival of the reporter's message),
+        # two 10-minute DOPs; the run ends when the last checkin's
+        # invalidations have reached the other stations
+        finishes = [round(time - start, 6) for time, *__, label
+                    in system.kernel.event_log
+                    if label == f"dop-finish:{done}:refine"]
+        assert finishes == [10.0, 20.0, 40.01, 50.01]
+        assert system.clock.now - start == pytest.approx(50.020095)
+
+    def test_a_dm_stopped_by_a_withdrawal_waits_for_its_own_event(self):
+        """The consumer used a pre-released DOV that is withdrawn while
+        it works: it stops, and two later messages to *another* DA do
+        not step it — only the proposal addressed to it does."""
+        system, __, (supplier, consumer, *reporters) = self._team([
+            worker_script("s", 1, 10.0),
+            Script(Sequence(*[DopStep("refine", duration=10.0)
+                              for _ in range(3)]), name="c"),
+            ready_script("w1", 25.0), ready_script("w2", 40.0)])
+        dov = system.repository.checkin(supplier, "Module",
+                                        module_data(10.0)).dov_id
+        system.cm.evaluate(supplier, dov)
+        system.cm.require(consumer, supplier, {"width-limit"})
+        system.cm.propagate(supplier, dov)
+        # the consumer's graph is empty: its first DOP checks out the
+        # delivered DOV (``ActivityBinding.pick_inputs``)
+        start = system.clock.now
+        system.kernel.after(15.0, lambda: system.cm.invalidate_propagation(
+            supplier, dov), label="designer:invalidate")
+        system.kernel.after(50.0, lambda: system.cm.propose(
+            supplier, consumer, changes={}, note="border"),
+            label="designer:propose")
+        statuses = system.run_concurrent([supplier, consumer, *reporters])
+        assert statuses[consumer].stopped
+        assert statuses[consumer].executed_dops == 2
+        log = [(time - start, label)
+               for time, *__, label in system.kernel.event_log]
+        reported = [t for t, label in log
+                    if label.startswith("msg:ready_to_commit:")]
+        assert len(reported) == 2 and min(reported) > 20.0
+        proposal = [t for t, label in log
+                    if label == f"msg:proposal:{supplier}->{consumer}"]
+        after_stop = [t for t, label in log
+                      if label == f"da-step:{consumer}" and t > 15.0]
+        assert after_stop == proposal
+
+
 class TestKernelCrashRecovery:
     def test_workstation_crash_mid_step_recovers(self):
         system, report = concurrent_delegation_scenario(

@@ -602,6 +602,70 @@ class TestThePlannerKeepsPinCounts:
         assert 0 < calls["crosses"] <= 3 * len(netlist.nets)
 
 
+class TestTheDcLevelIsFlat:
+    """A count gate on the DC level, at two sizes of the
+    ``team_delegation`` workload's tables (seed 307, jitter 0.2, ws-C01
+    crashing 15 minutes in): a DM is stepped when something it waits on
+    happens, so the kernel work per sub-DA does not grow with the team
+    and no message steps a DM it was not addressed to."""
+
+    SIZES = (12, 48)
+
+    def test_steps_and_events_per_sub_da_do_not_grow(self, monkeypatch):
+        from repro.dc.design_manager import DesignManager
+        from repro.scenario import compile_scenario, validate_scenario
+        from repro.sim.kernel import Kernel
+
+        counts = {"start_step": 0, "productive": 0, "messages": 0,
+                  "da_steps_in_messages": 0}
+        executing = [""]
+        start_step, execute, defer = (DesignManager.start_step,
+                                      Kernel._execute, Kernel.defer)
+
+        def counted_start_step(self, policy=None):
+            outcome = start_step(self, policy)
+            counts["start_step"] += 1
+            counts["productive"] += bool(outcome)
+            return outcome
+
+        def labelled_execute(self, event):
+            executing[0] = event.label
+            counts["messages"] += event.label.startswith("msg:")
+            try:
+                execute(self, event)
+            finally:
+                executing[0] = ""
+
+        def counted_defer(self, delay, action, label="", priority=0):
+            if label.startswith("da-step:") \
+                    and executing[0].startswith("msg:"):
+                counts["da_steps_in_messages"] += 1
+            defer(self, delay, action, label, priority)
+
+        monkeypatch.setattr(DesignManager, "start_step", counted_start_step)
+        monkeypatch.setattr(Kernel, "_execute", labelled_execute)
+        monkeypatch.setattr(Kernel, "defer", counted_defer)
+        per_sub_da = {}
+        for size in self.SIZES:
+            counts.update(dict.fromkeys(counts, 0))
+            report = compile_scenario(validate_scenario({
+                "scenario": {"name": "team-delegation",
+                             "kind": "concurrent_delegation", "seed": 307},
+                "team": {"subcells": [f"C{i:02d}" for i in range(size)]},
+                "traffic": {"jitter": 0.2},
+                "crashes": {"schedule": [{"node": "ws-C01", "at": 15.0,
+                                          "restart_after": 5.0}]},
+            })).run()
+            assert set(report.final_states.values()) \
+                == {"active", "terminated"}
+            assert counts["start_step"] <= counts["productive"] + size
+            assert counts["messages"] >= size
+            assert counts["da_steps_in_messages"] <= counts["messages"]
+            per_sub_da[size] = report.events / size
+        small, large = (per_sub_da[size] for size in self.SIZES)
+        assert large == pytest.approx(small, rel=0.05)
+
+
 class TestSchedulerPendingCounter:
     def test_pending_tracks_schedule_and_run(self):
         scheduler = EventScheduler(SimClock())
