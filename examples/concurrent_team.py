@@ -18,19 +18,29 @@ that dynamic end to end on the unified discrete-event kernel:
 Run with:  python examples/concurrent_team.py
 """
 
-from repro.bench.scenarios import concurrent_delegation_scenario
+from repro.scenario import canonical_scenarios, validate_scenario
+from repro.scenario.delegation import concurrent_delegation_scenario
+
+
+def team(*crashes: dict):
+    """The three-subcell team on a jittered LAN, with *crashes*."""
+    return validate_scenario({
+        "scenario": {"name": "concurrent-team",
+                     "kind": "concurrent_delegation", "seed": 42},
+        "team": {"subcells": ["A", "B", "C"]},
+        "traffic": {"jitter": 0.2},
+        "crashes": {"schedule": list(crashes)},
+    })
 
 
 def main() -> None:
-    subcells = ("A", "B", "C")
+    subcells = team().get("team", "subcells")
 
     # the sequential reference: one DA after the other on the kernel
-    __, sequential = concurrent_delegation_scenario(subcells,
-                                                    concurrent=False)
+    __, sequential = concurrent_delegation_scenario(
+        canonical_scenarios()["t7_concurrent_team"], sequential=True)
     # the concurrent run: all sub-DAs interleaved on the kernel
-    system, concurrent = concurrent_delegation_scenario(subcells,
-                                                        jitter=0.2,
-                                                        seed=42)
+    system, concurrent = concurrent_delegation_scenario(team())
 
     print("delegated planning of subcells", ", ".join(subcells))
     print(f"  sequential makespan: {sequential.makespan:8.1f} minutes")
@@ -42,8 +52,8 @@ def main() -> None:
           f"{ {k: len(v) for k, v in concurrent.devolved.items()} }")
 
     # now the same scenario with a crash of ws-B in the middle of a DOP
-    crash_system, crashed = concurrent_delegation_scenario(
-        subcells, crash=("ws-B", 15.0, 5.0), jitter=0.2, seed=42)
+    crash_system, crashed = concurrent_delegation_scenario(team(
+        {"node": "ws-B", "at": 15.0, "restart_after": 5.0}))
     print()
     print("same scenario, ws-B crashes 15 minutes in (5 minutes down):")
     for entry in crash_system.kernel.injections:

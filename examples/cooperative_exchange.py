@@ -15,7 +15,7 @@ Shows the AC level's data-exchange machinery from Sect.4.1/5.4:
 Run with:  python examples/cooperative_exchange.py
 """
 
-from repro.bench.scenarios import chip_spec, make_vlsi_system
+from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.dc.rules import require_propagate_rule
 from repro.dc.script import DopStep, Script, Sequence
 from repro.repository.wal import LogRecordKind

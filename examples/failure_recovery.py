@@ -15,7 +15,8 @@ Walks through CONCORD's joint failure model:
 Run with:  python examples/failure_recovery.py
 """
 
-from repro.bench.scenarios import make_vlsi_system, run_full_chip_design
+from repro.bench.scenarios import run_full_chip_design
+from repro.scenario.delegation import make_vlsi_system
 
 
 def main() -> None:

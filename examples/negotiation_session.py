@@ -21,7 +21,7 @@ This example plays the whole protocol on the real cooperation manager:
 Run with:  python examples/negotiation_session.py
 """
 
-from repro.bench.scenarios import chip_spec, make_vlsi_system
+from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.core.features import RangeFeature
 from repro.dc.script import DopStep, Script, Sequence
 from repro.vlsi.tools import vlsi_dots

@@ -1,4 +1,4 @@
-"""Drivers for the quantitative experiments T1-T11.
+"""Drivers for the quantitative experiments T1-T10.
 
 These substantiate the paper's qualitative claims with measurements on
 the implemented system and baselines; see DESIGN.md §3 for the expected
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.baselines.models import all_models, concord_model
 from repro.bench.reporting import ExperimentResult
-from repro.bench.scenarios import chip_spec, make_vlsi_system
 from repro.core.features import RangeFeature
 from repro.core.system import ConcordSystem
 from repro.dc.script import DopStep, Script, Sequence
@@ -22,6 +21,7 @@ from repro.net.two_phase_commit import (
     TwoPhaseCoordinator,
     Vote,
 )
+from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.te.locks import LockManager, LockMode
 from repro.util.errors import LockConflictError
 from repro.util.ids import IdGenerator
@@ -444,16 +444,31 @@ def run_t7(team_sizes: tuple[int, ...] = (2, 3, 4),
     workstation crash mid-step — a makespan penalty bounded by the
     redone work, not a restart from scratch.
     """
-    from repro.bench.scenarios import concurrent_delegation_scenario
+    from repro.scenario import (
+        CompiledScenario,
+        compile_scenario,
+        validate_scenario,
+    )
+    from repro.scenario.delegation import concurrent_delegation_scenario
 
     result = ExperimentResult(
         "T7", "Concurrent DA execution on the unified kernel")
     alphabet = ("A", "B", "C", "D", "E", "F")
+
+    def grid_point(subcells: tuple[str, ...],
+                   *crashes: dict) -> CompiledScenario:
+        return compile_scenario(validate_scenario({
+            "scenario": {"name": "t7", "kind": "concurrent_delegation"},
+            "team": {"subcells": list(subcells)},
+            "crashes": {"schedule": list(crashes)},
+        }))
+
     for team in team_sizes:
         subcells = alphabet[:team]
-        __, seq = concurrent_delegation_scenario(subcells,
-                                                 concurrent=False)
-        __, conc = concurrent_delegation_scenario(subcells)
+        point = grid_point(subcells)
+        __, seq = concurrent_delegation_scenario(point.config,
+                                                 sequential=True)
+        conc = point.run()
         states_match = seq.final_states[seq.top_da] \
             == conc.final_states[conc.top_da] \
             and all(state == "terminated"
@@ -467,8 +482,8 @@ def run_t7(team_sizes: tuple[int, ...] = (2, 3, 4),
                    states_match=states_match)
         if crash:
             node = f"ws-{subcells[-1]}"
-            __, crashed = concurrent_delegation_scenario(
-                subcells, crash=(node, 15.0, 5.0))
+            crashed = grid_point(subcells, {
+                "node": node, "at": 15.0, "restart_after": 5.0}).run()
             result.add(team=team, mode=f"concurrent+crash({node})",
                        makespan=round(crashed.makespan, 1),
                        events=crashed.events,
@@ -645,99 +660,8 @@ def run_t10(members: int = 3, batches: int = 4,
     return result
 
 
-# ---------------------------------------------------------------------------
-# T11 — kernel saturation: the TTL-lease storm
-# ---------------------------------------------------------------------------
-
-def run_t11(workstations: int = 60, leases_per_ws: int = 1000,
-            renew_rounds: int = 3, renew_fraction: float = 0.5,
-            ttl: float = 40.0) -> ExperimentResult:
-    """Kernel saturation: a workstation fleet's TTL-lease storm.
-
-    The paper's workstation/server split (§2) puts the server-side
-    coherence state — read leases over every checked-out DOV — on the
-    clock: each lease must be renewed or it expires.  This experiment
-    drives the kernel with that load alone, scaled toward the
-    million-lease regime the architecture targets: ``workstations``
-    working sets of ``leases_per_ws`` leases granted in per-station
-    waves, half the fleet renewing its whole set every ``ttl/2`` for
-    ``renew_rounds`` rounds (the metadata-only batch renewal), the
-    other half going silent after the grant.  The run ends at
-    quiescence: every lease has expired.
-
-    Expected shape: every granted lease eventually expires exactly
-    once, renewals never resurrect, and the renewing half of the fleet
-    outlives the silent half by the renewal horizon.  The wall clock
-    and kernel event count are recorded: the lease table schedules one
-    kernel event per distinct expiry instant.
-    """
-    from repro.sim import Kernel, SimClock
-    from repro.txn.leases import LeaseTable
-
-    kernel = Kernel(SimClock(), trace_events=False)
-    table = LeaseTable(kernel.clock, ttl=ttl,
-                       kernel_source=lambda: kernel)
-    expiry_times: dict[str, list[float]] = {"renewing": [],
-                                            "silent": []}
-    renewing = {f"ws-{index:04d}"
-                for index in range(int(workstations * renew_fraction))}
-
-    def classify(workstation: str) -> str:
-        return "renewing" if workstation in renewing else "silent"
-
-    table.on_expire = lambda workstation, __: \
-        expiry_times[classify(workstation)].append(kernel.clock.now)
-
-    def grant_wave(workstation: str) -> None:
-        for index in range(leases_per_ws):
-            table.grant(workstation, f"dov-{workstation}-{index}")
-
-    for index in range(workstations):
-        name = f"ws-{index:04d}"
-        kernel.at(index * 0.01, lambda name=name: grant_wave(name),
-                  label=f"grant-wave:{name}")
-        if name in renewing:
-            for round_no in range(1, renew_rounds + 1):
-                kernel.at(index * 0.01 + round_no * ttl * 0.5,
-                          lambda name=name:
-                          table.renew_workstation(name),
-                          label=f"renew-wave:{name}")
-
-    start = time.perf_counter()
-    kernel.run_until_quiescent(
-        max_events=workstations * leases_per_ws * (renew_rounds + 2)
-        + 10_000)
-    wall = time.perf_counter() - start
-
-    total = workstations * leases_per_ws
-    result = ExperimentResult(
-        "T11", "Kernel saturation: workstation-fleet TTL-lease storm")
-    for mode in ("renewing", "silent"):
-        stations = [f"ws-{index:04d}" for index in range(workstations)
-                    if classify(f"ws-{index:04d}") == mode]
-        times = expiry_times[mode]
-        result.add(mode=mode, workstations=len(stations),
-                   leases=len(stations) * leases_per_ws,
-                   expirations=len(times),
-                   mean_expiry_t=round(sum(times) / len(times), 1)
-                   if times else 0.0)
-    stats = table.stats()
-    result.data.update(
-        leases=total, live_after=stats["live"],
-        grants=stats["grants"], renewals=stats["renewals"],
-        expirations=stats["expirations"],
-        kernel_events=kernel.executed, wall_seconds=round(wall, 3),
-        events_per_sec=round(kernel.executed / wall) if wall else 0)
-    result.notes.append(
-        "expected shape: every lease expires exactly once; the "
-        "renewing fleet half outlives the silent half by the renewal "
-        "horizon; kernel events stay proportional to distinct expiry "
-        "instants")
-    return result
-
-
 ALL_EXPERIMENTS = {
     "T1": run_t1, "T2": run_t2, "T3": run_t3,
     "T4": run_t4, "T5": run_t5, "T6": run_t6, "T7": run_t7,
-    "T8": run_t8, "T9": run_t9, "T10": run_t10, "T11": run_t11,
+    "T8": run_t8, "T9": run_t9, "T10": run_t10,
 }

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.bench.reporting import ExperimentResult
 from repro.bench.scenarios import (
     fig5_delegation_scenario,
-    make_vlsi_system,
     run_full_chip_design,
 )
 from repro.core.states import (
@@ -23,6 +22,7 @@ from repro.core.states import (
     transition_table,
 )
 from repro.dc.script import ActionKind
+from repro.scenario.delegation import make_vlsi_system
 from repro.util.errors import IllegalTransitionError
 from repro.util.trace import Level
 from repro.vlsi.cells import sample_hierarchy

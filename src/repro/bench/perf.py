@@ -404,13 +404,17 @@ def _determinism_guard() -> dict[str, Any]:
       members after a coordinator loss must equal the pre-crash
       directory.
     """
-    from repro.bench.scenarios import (
-        _federation_rebuild_check,
-        concurrent_delegation_scenario,
-    )
+    from repro.scenario import validate_scenario
+    from repro.scenario.delegation import concurrent_delegation_scenario
+    from repro.scenario.federation import _federation_rebuild_check
+
+    config = validate_scenario({
+        "scenario": {"name": "t7-guard",
+                     "kind": "concurrent_delegation"},
+        "team": {"subcells": ["A", "B"]}})
 
     def t7() -> tuple:
-        system, __ = concurrent_delegation_scenario(("A", "B"))
+        system, __ = concurrent_delegation_scenario(config)
         return system.kernel.trace_signature()
 
     first = t7()

@@ -1,6 +1,6 @@
 """The reproduction scorecard: one command, every claim checked.
 
-Runs every figure driver (F1-F8), experiment (T1-T11) and ablation
+Runs every figure driver (F1-F8), experiment (T1-T10) and ablation
 (A1-A3) and evaluates the *shape* each must exhibit (the reproduction
 criterion: who wins, by roughly what factor, where crossovers fall —
 not absolute numbers).  ``python -m repro.bench.scorecard`` prints the
@@ -23,7 +23,6 @@ from repro.bench.experiments import (
     run_t8,
     run_t9,
     run_t10,
-    run_t11,
 )
 from repro.bench.figures import (
     run_f1,
@@ -256,22 +255,6 @@ def _check_t10(result: ExperimentResult) -> str | None:
     return None
 
 
-def _check_t11(result: ExperimentResult) -> str | None:
-    if result.data["live_after"]:
-        return "leases survived quiescence (expiry never fired)"
-    if result.data["expirations"] != result.data["grants"]:
-        return "every granted lease must expire exactly once"
-    if result.data["renewals"] == 0:
-        return "the renewing fleet half never renewed"
-    rows = {r["mode"]: r for r in result.rows}
-    if not (rows["renewing"]["mean_expiry_t"]
-            > rows["silent"]["mean_expiry_t"]):
-        return "renewals must postpone expiry past the silent fleet"
-    if result.data["kernel_events"] <= 0:
-        return "the storm dispatched no kernel events"
-    return None
-
-
 def _check_a1(result: ExperimentResult) -> str | None:
     by_team: dict = {}
     for row in result.rows:
@@ -310,7 +293,6 @@ SCORECARD: dict[str, tuple[Callable[[], ExperimentResult],
     "T5": (run_t5, _check_t5), "T6": (run_t6, _check_t6),
     "T7": (run_t7, _check_t7), "T8": (run_t8, _check_t8),
     "T9": (run_t9, _check_t9), "T10": (run_t10, _check_t10),
-    "T11": (run_t11, _check_t11),
     "A1": (run_a1, _check_a1), "A2": (run_a2, _check_a2),
     "A3": (run_a3, _check_a3),
 }

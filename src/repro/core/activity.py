@@ -132,7 +132,12 @@ class DesignActivity:
         return bool(self.final_dovs)
 
     def revoke_finality(self, dov_id: str) -> None:
-        """Drop finality after a spec change invalidated old evaluations."""
+        """Drop finality after a spec change invalidated old evaluations.
+
+        "reformulations of design goals are typical in design
+        applications" (Sect.5.4): a DOV final under the old goal need
+        not be final under the new one.
+        """
         self.final_dovs = [d for d in self.final_dovs if d != dov_id]
 
     # -- persistence ---------------------------------------------------------

@@ -392,7 +392,7 @@ class CooperationManager:
         the final DOVs (Sect.5.4).
         """
         sub = self._touch(sub_id)
-        if sub.parent is None:
+        if sub.is_top_level:
             raise CooperationError(
                 f"top-level DA {sub_id!r} has no super-DA to notify")
         if not sub.has_final_dov():
@@ -421,7 +421,7 @@ class CooperationManager:
         reaction of its super-DA."
         """
         sub = self._touch(sub_id)
-        if sub.parent is None:
+        if sub.is_top_level:
             raise CooperationError(
                 f"top-level DA {sub_id!r} has no super-DA to notify")
         sub.machine.apply(DaOperation.SUB_DA_IMPOSSIBLE_SPEC)
@@ -1083,7 +1083,7 @@ class CooperationManager:
                 "children": [subtree(self._das[c]) for c in da.children],
             }
 
-        roots = [d for d in self._das.values() if d.parent is None]
+        roots = [d for d in self._das.values() if d.is_top_level]
         return {"roots": [subtree(r) for r in roots]}
 
     def stats(self) -> dict[str, int]:

@@ -163,11 +163,6 @@ class QualityState:
         return self.fulfilled == self.total
 
     @property
-    def is_preliminary(self) -> bool:
-        """At most a true subset fulfilled."""
-        return not self.is_final
-
-    @property
     def missing(self) -> frozenset[str]:
         """Features not yet fulfilled — the 'distance' to the goal."""
         return self.total - self.fulfilled

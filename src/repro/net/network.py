@@ -410,20 +410,3 @@ class Network:
             "batched_payloads": self.batched_payloads,
         }
 
-    def reset_counters(self) -> dict[str, Any]:
-        """Zero *all* traffic counters (between measurements).
-
-        Covers the message/latency counters and the per-node
-        bytes-shipped tallies alike; returns the pre-reset snapshot so
-        callers can fold the interval just measured into a report.
-        """
-        snapshot = self.traffic_stats()
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.total_latency = 0.0
-        self.bytes_shipped = 0
-        self.bytes_sent_by = {}
-        self.bytes_received_by = {}
-        self.batches_sent = 0
-        self.batched_payloads = 0
-        return snapshot

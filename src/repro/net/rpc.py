@@ -55,10 +55,6 @@ class TransactionalRpc:
         self.network.node(node_id)  # validates the node exists
         self._handlers.setdefault(node_id, {})[name] = handler
 
-    def unregister_node(self, node_id: str) -> None:
-        """Drop all endpoints of a node (used by tests)."""
-        self._handlers.pop(node_id, None)
-
     # -- calling --------------------------------------------------------------
 
     def call(self, src: str, dst: str, name: str, *args: Any,

@@ -106,14 +106,6 @@ class FederatedRepository:
                 f"DOV {dov_id!r} not in the federation directory")
         return self.member(member)
 
-    def owner_of(self, dov_id: str) -> str:
-        """Name of the member holding a durable DOV (directory lookup)."""
-        member = self.placement_index.locate(dov_id)
-        if member is None:
-            raise UnknownObjectError(
-                f"DOV {dov_id!r} not in the federation directory")
-        return member
-
     def directory_snapshot(self) -> dict[str, str]:
         """Copy of the durable DOV directory — what the rebuild-equality
         checks (and the crash-matrix tests) compare against."""

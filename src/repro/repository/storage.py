@@ -111,11 +111,6 @@ class VersionStore:
             raise StorageError(f"DOV {dov.dov_id!r} is not staged")
         self._staged[dov.dov_id] = dov
 
-    def put_durable(self, dov: DesignObjectVersion) -> None:
-        """Stage-and-commit in one step (initial DOV0 loads)."""
-        self.stage(dov)
-        self.commit(dov.dov_id)
-
     # -- reads ----------------------------------------------------------------
 
     def __contains__(self, dov_id: str) -> bool:

@@ -22,20 +22,11 @@ _SCALAR_BYTES = 8
 #: modelled per-entry container overhead (keys, length words, pointers)
 _CONTAINER_OVERHEAD = 8
 
-#: count of *actual* recursive sizing/freezing walks (cache hits do not
-#: count) — the counting hook of the one-walk-per-DOV regression tests.
+#: count of *actual* recursive walks, read by the one-walk-per-DOV
+#: regression tests: ``sizeof`` counts :func:`payload_sizeof` walks a
+#: frozen container's cached size could not serve, ``freeze`` counts
+#: :func:`freeze_payload` walks (a frozen DOV costs exactly one)
 _WALKS = {"sizeof": 0, "freeze": 0}
-
-
-def payload_walks() -> dict[str, int]:
-    """Snapshot of the recursive-walk counters (regression hook).
-
-    ``sizeof`` counts full :func:`payload_sizeof` walks that could not
-    be served from a frozen container's cached size; ``freeze`` counts
-    :func:`freeze_payload` walks.  A frozen DOV costs exactly one
-    ``freeze`` walk over its lifetime — every later sizing is O(1).
-    """
-    return dict(_WALKS)
 
 
 class FrozenDict(dict):
@@ -530,20 +521,6 @@ class DerivationGraph:
         """Versions without successors — the current frontier."""
         return [self._nodes[i] for i, kids in self._children.items()
                 if not kids]
-
-    def descendants_of(self, dov_id: str) -> set[str]:
-        """All (transitive) successors of *dov_id* within this graph."""
-        if dov_id not in self._nodes:
-            raise UnknownObjectError(f"DOV {dov_id!r} not in graph")
-        seen: set[str] = set()
-        stack = list(self._children[dov_id])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self._children[node])
-        return seen
 
     def ancestors_of(self, dov_id: str) -> set[str]:
         """All (transitive) predecessors of *dov_id* within this graph."""

@@ -130,11 +130,6 @@ class WriteAheadLog:
 
     # -- reading ------------------------------------------------------------
 
-    @property
-    def stable_lsn(self) -> int:
-        """Highest LSN guaranteed to survive a crash (0 when empty)."""
-        return self._stable[-1].lsn if self._stable else 0
-
     def stable_records(self,
                        kind: LogRecordKind | None = None) -> list[LogRecord]:
         """The crash-surviving prefix, optionally filtered by kind.

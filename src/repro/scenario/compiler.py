@@ -1,12 +1,12 @@
 """Compile validated scenario configs to the concrete runners.
 
 The compiler is the bridge between the DSL and the code that runs a
-scenario *kind*.  The three session kinds
-(:mod:`repro.scenario.sessions`, :mod:`repro.scenario.campaign`) take
-the config itself and read its tables where they need them; the two
-kinds that drive the whole AC/DC/TE stack or a federation
-(:mod:`repro.bench.scenarios`) are reached through an adapter that
-imports them on first use, so a session run never loads them.
+scenario *kind*.  Every kind's runner takes the config itself and
+reads its tables where it needs them: the three session kinds
+(:mod:`repro.scenario.sessions`, :mod:`repro.scenario.campaign`), the
+delegation (:mod:`repro.scenario.delegation`) and the federation
+(:mod:`repro.scenario.federation`); the last two are imported on first
+use, so a session run never loads them.
 Compilation is pure — a :class:`CompiledScenario` holds only the
 frozen config and a kind entry, and every
 :meth:`CompiledScenario.run` builds the entire world (kernel,
@@ -18,6 +18,7 @@ state into each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Callable
 
 from repro.scenario.campaign import design_campaign_scenario
@@ -29,62 +30,16 @@ from repro.scenario.sessions import (
 from repro.sim.kernel import Kernel
 
 
-def _run_concurrent_delegation(config: ScenarioConfig,
-                               on_kernel: Callable[[Kernel], None]
-                               | None) -> Any:
-    from repro.bench.scenarios import concurrent_delegation_scenario
-
-    crash = None
-    schedule = config.get("crashes", "schedule")
-    if schedule:  # validation admits at most one entry
-        entry = schedule[0]
-        crash = (entry["node"], entry["at"], entry["restart_after"])
-    __, report = concurrent_delegation_scenario(
-        subcells=tuple(config.get("team", "subcells")),
-        concurrent=True,
-        crash=crash,
-        jitter=config.get("traffic", "jitter"),
-        seed=config.seed,
-        on_kernel=on_kernel)
-    return report
-
-
-def _run_federated_commit(config: ScenarioConfig,
-                          on_kernel: Callable[[Kernel], None] | None
-                          ) -> Any:
-    """The T10 crash matrix as a scenario: every crash placement of
-    the federated atomic commit on one config, plus the
-    all-or-nothing verdict.  The federation runs outside the kernel
-    (its crashes are injected directly), so *on_kernel* has nothing
-    to hook."""
-    from dataclasses import asdict
-
-    from repro.bench.scenarios import federated_commit_scenario
-
-    reports = {
-        crash: asdict(federated_commit_scenario(
-            crash=crash,
-            members=config.get("federation", "members"),
-            batches=config.get("federation", "batches"),
-            seed=config.seed))
-        for crash in ("none", "before", "after", "coordinator")}
-    states = {crash: report["state"]
-              for crash, report in reports.items()}
-    return {
-        "crashes": reports,
-        "states_identical":
-            len({tuple(state) for state in states.values()}) == 1,
-    }
-
-
 #: kind -> runner taking ``(config, on_kernel)`` (the compiler's whole
-#: dispatch table)
-KIND_RUNNERS: dict[str, Callable[..., Any]] = {
+#: dispatch table); a ``module:function`` string is imported on the
+#: kind's first run
+KIND_RUNNERS: dict[str, Callable[..., Any] | str] = {
     "object_buffers": object_buffer_scenario,
     "write_back": write_back_scenario,
-    "concurrent_delegation": _run_concurrent_delegation,
+    "concurrent_delegation":
+        "repro.scenario.delegation:delegation_report",
     "campaign": design_campaign_scenario,
-    "federated_commit": _run_federated_commit,
+    "federated_commit": "repro.scenario.federation:crash_matrix",
 }
 
 
@@ -107,7 +62,11 @@ class CompiledScenario:
         exists, before any event executes — the capture hook of
         :mod:`repro.sim.trace`.
         """
-        return KIND_RUNNERS[self.config.kind](self.config, on_kernel)
+        runner = KIND_RUNNERS[self.config.kind]
+        if isinstance(runner, str):
+            module, name = runner.split(":")
+            runner = getattr(import_module(module), name)
+        return runner(self.config, on_kernel)
 
 
 def compile_scenario(config: ScenarioConfig) -> CompiledScenario:

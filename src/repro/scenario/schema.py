@@ -1,7 +1,7 @@
 """The scenario DSL: TOML definitions, validation, serialisation.
 
-Workloads used to be hand-coded python in ``repro.bench.scenarios``;
-this module makes them **data**.  A scenario file is plain TOML in a
+Workloads used to be hand-coded python keyword runners; this module
+makes them **data**.  A scenario file is plain TOML in a
 fixed table layout (team shape, object pool, locality, write mix,
 traffic profile, crash schedule, flush/lease knobs — see
 ``docs/scenarios.md`` for the full reference)::
@@ -322,10 +322,22 @@ def _check_kind_constraints(config: ScenarioConfig) -> None:
     """Cross-table rules that depend on the scenario kind."""
     kind = config.kind
     if kind == "concurrent_delegation":
-        if not config.get("team", "subcells"):
+        subcells = config.get("team", "subcells")
+        if not subcells:
             raise ScenarioError(
                 "[team].subcells: kind 'concurrent_delegation' needs "
                 "at least one subcell")
+        # each subcell gets workstation ws-<cell>; ws-0 is the top DA's
+        repeated = sorted({cell for cell in subcells
+                           if subcells.count(cell) > 1})
+        if repeated:
+            raise ScenarioError(
+                f"[team].subcells: {repeated[0]!r} is listed twice "
+                f"(one sub-DA and workstation per subcell)")
+        if "0" in subcells:
+            raise ScenarioError(
+                "[team].subcells: '0' would share workstation ws-0 "
+                "with the top-level DA")
     elif config.get("team", "subcells"):
         raise ScenarioError(
             f"[team].subcells: only kind 'concurrent_delegation' "
@@ -361,6 +373,10 @@ def _check_kind_constraints(config: ScenarioConfig) -> None:
             raise ScenarioError(
                 "[federation].members: kind 'federated_commit' needs "
                 "at least 2 members (cross-member batches)")
+        if config.get("federation", "batches") < 2:
+            raise ScenarioError(
+                "[federation].batches: kind 'federated_commit' needs "
+                "at least 2 batches (every crash lands on the second)")
     elif config.get("federation", "members") != 1:
         raise ScenarioError(
             f"[federation].members: only kind 'federated_commit' "

@@ -35,9 +35,5 @@ class SimClock:
             self._now = instant
         return self._now
 
-    def reset(self, start: float = 0.0) -> None:
-        """Rewind the clock (only between independent experiment runs)."""
-        self._now = float(start)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimClock(now={self._now:.3f})"

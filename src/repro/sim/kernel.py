@@ -130,11 +130,6 @@ class Kernel(EventScheduler):
         """Run exactly to *deadline*, leaving later events pending."""
         return self.run(until=deadline)
 
-    @property
-    def quiescent(self) -> bool:
-        """True when no (uncancelled) event is pending."""
-        return self.pending == 0
-
     # -- failure injection --------------------------------------------------
 
     def crash_at(self, network: "Network", node_id: str, at: float,

@@ -32,11 +32,6 @@ class DopState(str, Enum):
     COMMITTED = "committed"  # End-of-DOP with commit
     ABORTED = "aborted"      # End-of-DOP with abort
 
-    @property
-    def terminal(self) -> bool:
-        """True for COMMITTED / ABORTED."""
-        return self in (DopState.COMMITTED, DopState.ABORTED)
-
 
 #: state -> operations legal in it (guarding the TM entry points)
 _ALLOWED: dict[DopState, frozenset[str]] = {
@@ -103,7 +98,3 @@ class DesignOperation:
         """Move to *new_state* (no checks — callers use :meth:`require`)."""
         self.state = new_state
 
-    @property
-    def is_running(self) -> bool:
-        """True while the DOP occupies its workstation."""
-        return self.state in (DopState.ACTIVE, DopState.SUSPENDED)

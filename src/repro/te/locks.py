@@ -223,6 +223,3 @@ class LockManager:
         return {lock.resource
                 for lock in self.locks_of(da_id, LockMode.SCOPE)}
 
-    def table_size(self) -> int:
-        """Number of resources with at least one grant."""
-        return len(self._table)

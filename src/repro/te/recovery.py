@@ -200,7 +200,3 @@ class RecoveryManager:
         """Drop the recovery point (commit/abort path: "the client-TM
         removes all its savepoints and its recovery point", Sect.5.2)."""
         return self.stable.delete(self._key(dop_id))
-
-    def has_point(self, dop_id: str) -> bool:
-        """True when a recovery point is persisted for *dop_id*."""
-        return self._key(dop_id) in self.stable

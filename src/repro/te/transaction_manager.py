@@ -443,10 +443,6 @@ class ServerTM:
         """
         self._buffers[workstation] = buffer
 
-    def lease_holders(self, dov_id: str) -> set[str]:
-        """Workstations currently leasing a buffered copy of *dov_id*."""
-        return self.leases.holders(dov_id)
-
     def drop_leases(self, workstation: str) -> int:
         """Forget every lease of one workstation (its crash dropped the
         buffered copies, so there is nothing left to invalidate)."""
@@ -674,15 +670,6 @@ class ClientTM:
     def active_dops(self) -> list[DesignOperation]:
         """The DOPs currently running on this workstation."""
         return list(self._active.values())
-
-    def get_dop(self, dop_id: str) -> DesignOperation:
-        """Look up a running DOP."""
-        try:
-            return self._active[dop_id]
-        except KeyError:
-            raise TransactionError(
-                f"DOP {dop_id!r} is not active on {self.workstation!r} "
-                f"(crashed or finished?)") from None
 
     def _require_running(self, dop: DesignOperation) -> None:
         """Refuse a handle that is not the running DOP of its id.

@@ -147,10 +147,6 @@ class GlobalDecisionLog:
 
     # -- reading ------------------------------------------------------------
 
-    def decision_for(self, gtxn_id: str) -> Decision | None:
-        """The logged decision, or None when nothing was recorded."""
-        return Decision.COMMIT if gtxn_id in self._manifests else None
-
     def resolve(self, gtxn_id: str) -> Decision:
         """Answer a recovering member's in-doubt query (presumed abort):
         a missing decision record *means* the batch aborted."""

@@ -265,16 +265,3 @@ class LeaseTable:
         self._holders.clear()
         self._buckets.clear()
         self._epoch += 1
-
-    # -- stats --------------------------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        """Snapshot of the lease counters."""
-        return {
-            "live": len(self),
-            "ttl": self.ttl,
-            "grants": self.grants,
-            "renewals": self.renewals,
-            "expirations": self.expirations,
-            "expiry_buckets": len(self._buckets),
-        }

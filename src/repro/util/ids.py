@@ -35,10 +35,6 @@ class IdGenerator:
             self._counters[prefix] = counter
         return f"{prefix}-{next(counter)}"
 
-    def reset(self) -> None:
-        """Forget all counters (used between experiment repetitions)."""
-        self._counters.clear()
-
 
 #: Module-level generator for callers that do not manage their own scope.
 #: Library components always accept an injected generator; this default is

@@ -61,10 +61,6 @@ class SeededRng:
         value = self._rng.gauss(mean, sd)
         return max(lo, min(hi, value))
 
-    def exponential(self, mean: float) -> float:
-        """Exponential sample with the given mean (inter-arrival times)."""
-        return self._rng.expovariate(1.0 / mean) if mean > 0 else 0.0
-
     def zipf_index(self, n: int, skew: float = 1.0) -> int:
         """Return an index in [0, n) with zipf-like popularity skew.
 

@@ -87,16 +87,6 @@ class EventTrace:
         """All events, in order (a copy is *not* made; do not mutate)."""
         return self._events
 
-    def at_level(self, level: Level) -> list[TraceEvent]:
-        """Events recorded at one architectural level."""
-        return [e for e in self._events if e.level is level]
-
-    def by_component(self, component: str) -> list[TraceEvent]:
-        """Events whose component name starts with *component*."""
-        return [e for e in self._events
-                if e.component == component
-                or e.component.startswith(component + ":")]
-
     def operations(self, *names: str) -> list[TraceEvent]:
         """Events whose operation is one of *names*."""
         wanted = set(names)

@@ -67,11 +67,6 @@ class Cell:
                 return cell
         return None
 
-    @property
-    def is_leaf(self) -> bool:
-        """True for standard cells / childless cells."""
-        return not self.children
-
 
 class CellHierarchy:
     """A rooted cell tree with lookup helpers."""

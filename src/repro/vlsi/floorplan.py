@@ -43,11 +43,6 @@ class FloorplanInterface:
     origin: tuple[float, float] = (0.0, 0.0)
     pins: tuple[PinInterval, ...] = ()
 
-    @property
-    def area_limit(self) -> float:
-        """Maximum area available to the cell."""
-        return self.max_width * self.max_height
-
     def to_dict(self) -> dict:
         """Plain-dict form for DOV payloads."""
         return {

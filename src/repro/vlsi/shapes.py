@@ -67,20 +67,6 @@ class ShapeFunction:
         """Smallest achievable area."""
         return min(s.area for s in self.shapes)
 
-    def narrowest(self) -> Shape:
-        """The alternative with the smallest width."""
-        return min(self.shapes, key=lambda s: s.width)
-
-    def best_for(self, max_width: float | None = None,
-                 max_height: float | None = None) -> Shape | None:
-        """Smallest-area alternative fitting the given bounds."""
-        fitting = [s for s in self.shapes
-                   if (max_width is None or s.width <= max_width)
-                   and (max_height is None or s.height <= max_height)]
-        if not fitting:
-            return None
-        return min(fitting, key=lambda s: s.area)
-
     # -- composition (used by sizing) ----------------------------------------------
 
     def beside(self, other: "ShapeFunction",
@@ -89,13 +75,6 @@ class ShapeFunction:
         combos = [Shape(a.width + b.width, max(a.height, b.height))
                   for a in self.shapes for b in other.shapes]
         return ShapeFunction(name or f"{self.cell}|{other.cell}", combos)
-
-    def stacked(self, other: "ShapeFunction",
-                name: str = "") -> "ShapeFunction":
-        """Shape function of self placed on top of other."""
-        combos = [Shape(max(a.width, b.width), a.height + b.height)
-                  for a in self.shapes for b in other.shapes]
-        return ShapeFunction(name or f"{self.cell}/{other.cell}", combos)
 
     # -- serialisation -----------------------------------------------------------------
 

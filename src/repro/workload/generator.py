@@ -68,10 +68,6 @@ class SessionSpec:
         """Sum of the step durations."""
         return sum(self.step_durations)
 
-    def work_before_step(self, step: int) -> float:
-        """Work completed strictly before *step* begins."""
-        return sum(self.step_durations[:step])
-
     def dependencies_at(self, step: int) -> list[Dependency]:
         """Dependencies gating the start of *step*."""
         return [d for d in self.dependencies if d.consumer_step == step]

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from repro.bench.reporting import ExperimentResult, format_table
-from repro.bench.scenarios import (
+from repro.bench.scenarios import subcell_script
+from repro.scenario.delegation import (
     chip_spec,
     make_vlsi_system,
-    subcell_script,
     subcell_seed,
 )
 from repro.te.context import DopContext

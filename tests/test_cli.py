@@ -28,7 +28,7 @@ def test_scorecard_flag(capsys):
     assert main(["scorecard"]) == 0
     out = capsys.readouterr().out
     assert "SCORECARD" in out
-    assert "22/22" in out
+    assert "21/21" in out
 
 
 class TestScenarioSubcommand:

@@ -11,16 +11,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.scenarios import (
-    chip_spec,
-    concurrent_delegation_scenario,
-    make_vlsi_system,
-)
 from repro.core.states import DaState
 from repro.dc.rules import EcaRule
 from repro.dc.script import DaOpStep, DopStep, Script, Sequence
 from repro.scenario import compile_scenario, validate_scenario
+from repro.scenario.delegation import (
+    chip_spec,
+    concurrent_delegation_scenario,
+    make_vlsi_system,
+)
 from repro.vlsi.tools import vlsi_dots
+
+
+def delegation(subcells, *crashes, sequential=False, jitter=0.0, seed=0):
+    """Run the ``concurrent_delegation`` kind on *subcells*; each of
+    *crashes* is a ``(node, at, restart_after)`` schedule entry."""
+    config = validate_scenario({
+        "scenario": {"name": "delegation",
+                     "kind": "concurrent_delegation", "seed": seed},
+        "team": {"subcells": list(subcells)},
+        "traffic": {"jitter": jitter},
+        "crashes": {"schedule": [
+            {"node": node, "at": at, "restart_after": restart_after}
+            for node, at, restart_after in crashes]},
+    })
+    return concurrent_delegation_scenario(config, sequential=sequential)
 
 
 def refine(context, params):
@@ -90,7 +105,7 @@ class TestInterleaving:
 class TestAutoDelivery:
     def test_ready_to_commit_auto_dispatched(self):
         """The full delegation round trip with no manual pump."""
-        __, report = concurrent_delegation_scenario(("A", "B", "C"))
+        __, report = delegation(("A", "B", "C"))
         assert all(state == "terminated"
                    for da, state in report.final_states.items()
                    if da != report.top_da)
@@ -98,9 +113,8 @@ class TestAutoDelivery:
         assert all(report.devolved.values())
 
     def test_concurrent_matches_sequential_path(self):
-        sys_c, rep_c = concurrent_delegation_scenario(("A", "B"))
-        sys_s, rep_s = concurrent_delegation_scenario(("A", "B"),
-                                                      concurrent=False)
+        sys_c, rep_c = delegation(("A", "B"))
+        sys_s, rep_s = delegation(("A", "B"), sequential=True)
         assert rep_c.final_states == rep_s.final_states
         # the sequential run is a schedule on the same kernel: it
         # executes the same work, one sub-DA after the other
@@ -115,9 +129,8 @@ class TestAutoDelivery:
             assert leaves_c == leaves_s
 
     def test_interleaving_beats_sequential_makespan(self):
-        __, rep_c = concurrent_delegation_scenario(("A", "B", "C"))
-        __, rep_s = concurrent_delegation_scenario(("A", "B", "C"),
-                                                   concurrent=False)
+        __, rep_c = delegation(("A", "B", "C"))
+        __, rep_s = delegation(("A", "B", "C"), sequential=True)
         assert rep_c.makespan < rep_s.makespan / 2
 
 
@@ -258,8 +271,7 @@ class TestTheDmWaits:
 
 class TestKernelCrashRecovery:
     def test_workstation_crash_mid_step_recovers(self):
-        system, report = concurrent_delegation_scenario(
-            ("A", "B", "C"), crash=("ws-B", 15.0, 5.0))
+        system, report = delegation(("A", "B", "C"), ("ws-B", 15.0, 5.0))
         # the crash interrupted an in-flight DOP; forward recovery
         # resumed it (report captured by the kernel restart path)
         b_id = report.sub_das["B"]
@@ -274,10 +286,8 @@ class TestKernelCrashRecovery:
                    if da != report.top_da)
 
     def test_crash_devolution_matches_sequential(self):
-        sys_x, rep_x = concurrent_delegation_scenario(
-            ("A", "B", "C"), crash=("ws-B", 15.0, 5.0))
-        sys_s, rep_s = concurrent_delegation_scenario(
-            ("A", "B", "C"), concurrent=False)
+        sys_x, rep_x = delegation(("A", "B", "C"), ("ws-B", 15.0, 5.0))
+        sys_s, rep_s = delegation(("A", "B", "C"), sequential=True)
         assert rep_x.final_states == rep_s.final_states
         assert set(rep_x.devolved) == set(rep_s.devolved)
         for cell in ("A", "B", "C"):
@@ -291,10 +301,8 @@ class TestKernelCrashRecovery:
     def test_server_crash_mid_scenario_recovers(self):
         """Acceptance: kernel-injected server crash + restart recovers
         to the same committed state as the sequential equivalent."""
-        sys_x, rep_x = concurrent_delegation_scenario(
-            ("A", "B", "C"), crash=("server", 35.0, 5.0))
-        sys_s, rep_s = concurrent_delegation_scenario(
-            ("A", "B", "C"), concurrent=False)
+        sys_x, rep_x = delegation(("A", "B", "C"), ("server", 35.0, 5.0))
+        sys_s, rep_s = delegation(("A", "B", "C"), sequential=True)
         assert [(e.action, e.node) for e in sys_x.kernel.injections] \
             == [("crash", "server"), ("restart", "server")]
         assert rep_x.final_states == rep_s.final_states
@@ -312,27 +320,21 @@ class TestDeterminismGuard:
     """Protects the kernel's (time, priority, seq) tie-breaking."""
 
     def test_identical_seeded_runs_produce_identical_traces(self):
-        __, first = concurrent_delegation_scenario(("A", "B", "C"),
-                                                   jitter=0.5, seed=11)
-        __, second = concurrent_delegation_scenario(("A", "B", "C"),
-                                                    jitter=0.5, seed=11)
+        __, first = delegation(("A", "B", "C"), jitter=0.5, seed=11)
+        __, second = delegation(("A", "B", "C"), jitter=0.5, seed=11)
         assert first.signature == second.signature
         assert first.makespan == second.makespan
         assert first.events == second.events
 
     def test_different_seeds_change_the_jittered_trace(self):
-        __, first = concurrent_delegation_scenario(("A", "B", "C"),
-                                                   jitter=0.5, seed=11)
-        __, second = concurrent_delegation_scenario(("A", "B", "C"),
-                                                    jitter=0.5, seed=12)
+        __, first = delegation(("A", "B", "C"), jitter=0.5, seed=11)
+        __, second = delegation(("A", "B", "C"), jitter=0.5, seed=12)
         # same event structure, different jittered end time
         assert first.makespan != second.makespan
 
     def test_crash_runs_are_deterministic_too(self):
-        __, first = concurrent_delegation_scenario(
-            ("A", "B"), crash=("ws-A", 12.0, 3.0))
-        __, second = concurrent_delegation_scenario(
-            ("A", "B"), crash=("ws-A", 12.0, 3.0))
+        __, first = delegation(("A", "B"), ("ws-A", 12.0, 3.0))
+        __, second = delegation(("A", "B"), ("ws-A", 12.0, 3.0))
         assert first.signature == second.signature
 
     def test_cached_run_with_invalidations_is_deterministic(self):
@@ -397,8 +399,7 @@ class TestAbandonedStart:
         assert runtime.dm.executed_dops == 1
 
     def test_no_orphan_dops_after_concurrent_server_crash(self):
-        system, report = concurrent_delegation_scenario(
-            ("A", "B", "C"), crash=("server", 35.0, 5.0))
+        system, report = delegation(("A", "B", "C"), ("server", 35.0, 5.0))
         for cell, da_id in report.sub_das.items():
             assert system.runtime(da_id).client_tm.active_dops() == [], \
                 f"orphaned active DOP left behind for {cell}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.scenarios import chip_spec, make_vlsi_system
+from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.core.features import DesignSpecification, RangeFeature
 from repro.core.states import DaState
 from repro.dc.script import DopStep, Script, Sequence
@@ -124,7 +124,7 @@ class TestEvaluateAndReadyToCommit:
     def test_evaluate_preliminary(self, rig):
         system, top, sub, dov = self._sub_with_dov(rig, width=90.0)
         quality = system.cm.evaluate(sub.da_id, dov.dov_id)
-        assert quality.is_preliminary
+        assert not quality.is_final
         assert "width-limit" in quality.missing
         assert sub.final_dovs == []
 

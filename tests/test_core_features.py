@@ -93,8 +93,8 @@ class TestQualityState:
         final = QualityState(frozenset({"a", "b"}), frozenset({"a", "b"}))
         preliminary = QualityState(frozenset({"a"}),
                                    frozenset({"a", "b"}))
-        assert final.is_final and not final.is_preliminary
-        assert preliminary.is_preliminary and not preliminary.is_final
+        assert final.is_final
+        assert not preliminary.is_final
 
     def test_distance_and_missing(self):
         quality = QualityState(frozenset({"a"}), frozenset({"a", "b", "c"}))

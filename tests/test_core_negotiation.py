@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.scenarios import chip_spec, make_vlsi_system
+from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.core.features import RangeFeature
 from repro.core.states import DaState
 from repro.dc.script import DopStep, Script, Sequence

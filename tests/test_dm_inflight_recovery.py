@@ -9,8 +9,9 @@ past a recovery point, and DOP_FINISH never made it to the log.
 
 from __future__ import annotations
 
-from repro.bench.scenarios import make_vlsi_system, run_full_chip_design
+from repro.bench.scenarios import run_full_chip_design
 from repro.repository.wal import LogRecordKind
+from repro.scenario.delegation import make_vlsi_system
 
 
 def interrupted_dop(system, da):
@@ -50,7 +51,8 @@ class TestInFlightRecovery:
         # 30 of the 35 minutes survived (the interval recovery point)
         assert resumed["recovered_work"] == 30.0
         # the resumed DOP is active again on the client-TM
-        live = system.runtime(da.da_id).client_tm.get_dop(dop.dop_id)
+        live, = [d for d in system.runtime(da.da_id).client_tm.active_dops()
+                 if d.dop_id == dop.dop_id]
         assert live.context.work_done == 30.0
         assert live.input_dovs == [basis]
         assert dm.in_flight is live

@@ -286,6 +286,6 @@ def test_directory_rebuilt_from_the_members_equals_the_maintained_one():
     federation_directory_rebuild_identical`` in BENCH_PERF.json), run
     in tier-1: cross-member batches plus one version left staged, the
     coordinator lost, every index surface rebuilt from the members."""
-    from repro.bench.scenarios import _federation_rebuild_check
+    from repro.scenario.federation import _federation_rebuild_check
 
     assert _federation_rebuild_check()

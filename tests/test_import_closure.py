@@ -7,6 +7,7 @@ long since imported everything.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -24,6 +25,9 @@ HARNESS = ("repro.bench.experiments", "repro.bench.scorecard",
 
 #: ``repro*`` modules a ``campaign`` run loads (it must not grow)
 CAMPAIGN_CLOSURE = 53
+#: ``repro*`` modules a ``concurrent_delegation`` run loads (it must
+#: not grow)
+DELEGATION_CLOSURE = 62
 
 
 def repro_modules_after(code: str) -> list[str]:
@@ -50,8 +54,10 @@ def run_canonical(name: str) -> str:
 
 def test_a_delegation_run_does_not_load_the_harness():
     loaded = repro_modules_after(run_canonical("t7_concurrent_team"))
-    assert "repro.bench.scenarios" in loaded
-    assert [name for name in HARNESS if name in loaded] == []
+    assert "repro.scenario.delegation" in loaded
+    assert [name for name in loaded
+            if name.startswith("repro.bench")] == []
+    assert len(loaded) <= DELEGATION_CLOSURE, loaded
 
 
 def test_the_campaign_closure_does_not_grow():
@@ -68,3 +74,21 @@ def test_the_scenario_and_trace_commands_do_not_load_the_harness(argv):
     loaded = repro_modules_after(
         f"from repro.__main__ import main\nassert main({argv!r}) == 0")
     assert [name for name in HARNESS if name in loaded] == []
+
+
+def test_the_scenario_package_does_not_import_the_harness():
+    """Every scenario kind's runner lives in ``repro.scenario``: no
+    module of the DSL imports anything from ``repro.bench``."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "repro" / "scenario").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}"
+                          for name in names
+                          if name.split(".")[:2] == ["repro", "bench"]]
+    assert offenders == []

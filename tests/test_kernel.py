@@ -22,7 +22,7 @@ class TestQuiescence:
         kernel.at(1.0, chain, label="chain")
         ran = kernel.run_until_quiescent()
         assert ran == 4
-        assert kernel.quiescent
+        assert kernel.pending == 0
         assert seen == [1.0, 3.0, 5.0, 7.0]
 
     def test_event_budget_guard(self):
@@ -42,7 +42,7 @@ class TestQuiescence:
             kernel.at(t, lambda t=t: seen.append(t))
         kernel.run_until_quiescent(deadline=2.0)
         assert seen == [1.0, 2.0]
-        assert not kernel.quiescent
+        assert kernel.pending
         assert kernel.clock.now == 2.0
 
     def test_run_until(self):
@@ -198,7 +198,7 @@ class TestRunBoundariesUntraced:
         assert fired == [1.0]
         assert kernel.run(until=3.0) == 3
         assert fired == [1.0, 2.0, 2.0, 3.0]
-        assert kernel.quiescent
+        assert kernel.pending == 0
 
     def test_untraced_order_matches_traced_order(self):
         def drive(trace: bool) -> list[str]:

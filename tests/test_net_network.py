@@ -137,37 +137,20 @@ class TestNetwork:
         with pytest.raises(NodeDownError):
             network.send("ws-1", "server")
 
-    def test_reset_counters(self):
-        network = Network()
-        network.add_server()
-        network.add_workstation("ws-1")
-        network.send("ws-1", "server")
-        network.reset_counters()
-        assert network.messages_sent == 0
-        assert network.total_latency == 0.0
-
-    def test_reset_counters_covers_all_stats_and_returns_snapshot(self):
+    def test_traffic_stats_cover_every_counter(self):
         network = Network(lan_latency=0.01, bandwidth=1000.0)
         network.add_server()
         network.add_workstation("ws-1")
         network.send("ws-1", "server", size=500)
         network.post("server", "ws-1", lambda: None, size=300)
-        snapshot = network.reset_counters()
-        # the snapshot carries the pre-reset interval ...
-        assert snapshot["messages_sent"] == 2
-        assert snapshot["messages_delivered"] == 1
-        assert snapshot["bytes_shipped"] == 800
-        assert snapshot["bytes_sent_by"] == {"ws-1": 500, "server": 300}
-        assert snapshot["bytes_received_by"] == {"server": 500,
-                                                 "ws-1": 300}
-        assert snapshot["total_latency"] == pytest.approx(0.82)
-        # ... and every counter — bytes included — is zeroed
-        assert network.messages_sent == 0
-        assert network.messages_delivered == 0
-        assert network.total_latency == 0.0
-        assert network.bytes_shipped == 0
-        assert network.bytes_sent_by == {}
-        assert network.bytes_received_by == {}
+        stats = network.traffic_stats()
+        assert stats["messages_sent"] == 2
+        assert stats["messages_delivered"] == 1
+        assert stats["bytes_shipped"] == 800
+        assert stats["bytes_sent_by"] == {"ws-1": 500, "server": 300}
+        assert stats["bytes_received_by"] == {"server": 500,
+                                              "ws-1": 300}
+        assert stats["total_latency"] == pytest.approx(0.82)
 
     def test_sized_messages_scale_latency_with_payload(self):
         network = Network(lan_latency=0.01, bandwidth=100.0)

@@ -6,7 +6,7 @@ unchanged is pinned by the committed reports under
 
 * a DOV pays exactly **one** recursive walk over its lifetime (the
   freeze at construction); every later sizing/copy is O(1) — asserted
-  through the :func:`repro.repository.versions.payload_walks` hook;
+  through the ``repro.repository.versions._WALKS`` counters;
 * the downstream short-circuits really engage: WAL appends and stable
   storage share frozen payloads instead of deep-copying, context
   snapshots are copy-on-write, buffer rebind reuses the cached size;
@@ -40,9 +40,9 @@ from repro.repository.versions import (
     freeze_payload,
     is_frozen_payload,
     payload_sizeof,
-    payload_walks,
     thaw_payload,
 )
+from repro.repository import versions
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.sim.clock import SimClock
 from repro.sim.scheduler import EventScheduler
@@ -67,8 +67,7 @@ def nested_payload() -> dict:
 
 
 def walks() -> int:
-    counts = payload_walks()
-    return counts["sizeof"] + counts["freeze"]
+    return versions._WALKS["sizeof"] + versions._WALKS["freeze"]
 
 
 def _count_calls(monkeypatch, calls: dict, owner: type, name: str) -> None:
@@ -540,13 +539,15 @@ class TestAFederatedCommitLogsFrozenValues:
                                        "coordinator"])
     def test_the_t10_scenario_hands_the_wal_no_container(
             self, crash, monkeypatch):
-        from repro.bench.scenarios import federated_commit_scenario
+        from repro.scenario import canonical_scenarios
+        from repro.scenario.federation import federated_commit_scenario
 
+        config = canonical_scenarios()["t10_federated_commit"]
         copied: list[type] = []         # every frame, recursion included
         deepcopy = copy.deepcopy
         monkeypatch.setattr(copy, "deepcopy", lambda value, *rest: (
             copied.append(type(value)), deepcopy(value, *rest))[1])
-        report = federated_commit_scenario(crash=crash)
+        report = federated_commit_scenario(config, crash)
         assert report.atomic_violations == 0
         assert copied and set(copied) <= {str, int, float, bool, type(None)}
 
@@ -569,12 +570,14 @@ class TestATraceThatIsOffCostsNothing:
         assert calls["record"] == 0
 
     def test_the_cm_and_both_tms_test_enabled_first(self, monkeypatch):
-        from repro.bench.scenarios import concurrent_delegation_scenario
+        from repro.scenario import validate_scenario
+        from repro.scenario.delegation import concurrent_delegation_scenario
 
         calls = {"record": 0}
         _count_calls(monkeypatch, calls, EventTrace, "record")
-        system, report = concurrent_delegation_scenario(("A",),
-                                                        trace=False)
+        system, report = concurrent_delegation_scenario(validate_scenario({
+            "scenario": {"name": "quiet", "kind": "concurrent_delegation"},
+            "team": {"subcells": ["A"]}}))
         assert set(report.final_states.values()) \
             == {"active", "terminated"}
         assert calls["record"] == 0

@@ -187,7 +187,7 @@ class TestShippingSurface:
         federation.on_commit = lambda dov: committed.append(dov.dov_id)
         dov = federation.checkin("da-a", "Cell", {"area": 1.0})
         assert committed == [dov.dov_id]
-        assert federation.owner_of(dov.dov_id) == "site-a"
+        assert federation.placement_index.locate(dov.dov_id) == "site-a"
 
 
 class TestSingleMemberBatchFailure:
@@ -257,7 +257,7 @@ class TestDirectoryRecovery:
         federation.crash_member("site-a")
         report = federation.recover_directory()
         assert report["members_down"] == 1
-        assert federation.owner_of(dov_a.dov_id) == "site-a"
+        assert federation.placement_index.locate(dov_a.dov_id) == "site-a"
         assert federation.placement_of("da-a") == "site-a"
 
     def test_stats_exposes_the_index_surfaces(self, federation):

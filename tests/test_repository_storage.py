@@ -56,13 +56,6 @@ class TestWriteAheadLog:
         payload["nested"].append(2)
         assert wal.stable_records()[0].payload["nested"] == [1]
 
-    def test_stable_lsn(self):
-        wal = WriteAheadLog()
-        assert wal.stable_lsn == 0
-        wal.append(LogRecordKind.CHECKPOINT, force=True)
-        wal.append(LogRecordKind.CHECKPOINT)
-        assert wal.stable_lsn == 1
-
     def test_truncate(self):
         wal = WriteAheadLog()
         for _ in range(5):
@@ -189,7 +182,8 @@ class TestVersionStore:
 
     def test_duplicate_stage_rejected(self):
         store = VersionStore()
-        store.put_durable(dov("v1"))
+        store.stage(dov("v1"))
+        store.commit("v1")
         with pytest.raises(StorageError):
             store.stage(dov("v1"))
 
@@ -206,7 +200,8 @@ class TestVersionStore:
 
     def test_crash_loses_staged_keeps_committed(self):
         store = VersionStore()
-        store.put_durable(dov("v1"))
+        store.stage(dov("v1"))
+        store.commit("v1")
         store.stage(dov("v2"))
         report = store.crash()
         assert report["staged_lost"] == 1
@@ -218,7 +213,8 @@ class TestVersionStore:
 
     def test_down_store_refuses_access(self):
         store = VersionStore()
-        store.put_durable(dov("v1"))
+        store.stage(dov("v1"))
+        store.commit("v1")
         store.crash()
         with pytest.raises(StorageError):
             store.get("v1")
@@ -227,7 +223,8 @@ class TestVersionStore:
 
     def test_recover_is_idempotent(self):
         store = VersionStore()
-        store.put_durable(dov("v1"))
+        store.stage(dov("v1"))
+        store.commit("v1")
         store.crash()
         store.recover()
         assert store.recover() == 0
@@ -241,7 +238,8 @@ class TestVersionStore:
         store = VersionStore()
         original = DesignObjectVersion("v9", "Cell", {"a": [1, 2]},
                                        "da-3", 42.0, ("p1", "p2"))
-        store.put_durable(original)
+        store.stage(original)
+        store.commit(original.dov_id)
         store.crash()
         store.recover()
         back = store.get("v9")

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.scenarios import concurrent_delegation_scenario
 from repro.scenario import (
     SCENARIO_SCHEMA,
     ScenarioError,
@@ -86,7 +85,7 @@ def _raw_configs() -> st.SearchStrategy:
         st.floats(min_value=0.0, max_value=1_000.0, allow_nan=False),
         st.integers(min_value=1, max_value=30),
         st.integers(min_value=2, max_value=12),
-        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=2, max_value=8),
     )
 
 
@@ -258,6 +257,20 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError, match=r"\[team\]\.subcells"):
             validate_scenario(_base(team={"subcells": ["A"]}))
 
+    @pytest.mark.parametrize("subcells, named", [
+        (["A", "A"], r"'A' is listed twice"),
+        (["0"], r"'0' would share workstation ws-0"),
+    ])
+    def test_subcells_that_share_a_workstation_are_refused(self, subcells,
+                                                          named):
+        """Each subcell runs on workstation ``ws-<cell>`` and ``ws-0``
+        is the top DA's: a repeat or a ``"0"`` validated, then died in
+        ``run()`` registering the same node twice."""
+        with pytest.raises(ScenarioError,
+                           match=rf"\[team\]\.subcells: {named}"):
+            validate_scenario(_base(kind="concurrent_delegation",
+                                    team={"subcells": subcells}))
+
     def test_hotspot_bias_requires_hotspots(self):
         with pytest.raises(ScenarioError,
                            match=r"\[objects\]\.hotspot_bias"):
@@ -273,6 +286,16 @@ class TestDiagnostics:
                            match=r"\[federation\]\.members"):
             validate_scenario(_base(kind="federated_commit",
                                     federation={"members": 1}))
+
+    def test_federated_commit_needs_two_batches(self):
+        """Every placement's crash lands on the second batch: with one
+        batch the crash matrix injected nothing and still reported
+        identical states."""
+        with pytest.raises(ScenarioError,
+                           match=r"\[federation\]\.batches: .*at least 2"):
+            validate_scenario(_base(kind="federated_commit",
+                                    federation={"members": 3,
+                                                "batches": 1}))
 
     def test_federation_placement_is_an_unknown_key(self):
         with pytest.raises(
@@ -310,23 +333,6 @@ class TestShippedLibrary:
     def test_no_stray_scenario_files(self):
         shipped = {p.stem for p in SCENARIOS_DIR.glob("*.toml")}
         assert shipped == set(canonical_scenarios())
-
-    def test_t7_report_equals_hand_coded_runner(self):
-        report = compile_scenario(
-            canonical_scenarios()["t7_concurrent_team"]).run()
-        __, reference = concurrent_delegation_scenario(("A", "B", "C"))
-        assert report == reference
-
-    def test_t10_report_equals_hand_coded_matrix(self):
-        from repro.bench.scenarios import federated_commit_scenario
-
-        report = compile_scenario(
-            canonical_scenarios()["t10_federated_commit"]).run()
-        assert report["states_identical"] is True
-        assert set(report["crashes"]) \
-            == {"none", "before", "after", "coordinator"}
-        assert report["crashes"]["after"] \
-            == asdict(federated_commit_scenario(crash="after"))
 
     @pytest.mark.parametrize("name", sorted(canonical_scenarios()))
     def test_report_reproduces_the_committed_bytes(self, name):

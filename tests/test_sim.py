@@ -33,11 +33,6 @@ class TestSimClock:
         clock.advance_to(15.0)
         assert clock.now == 15.0
 
-    def test_reset(self):
-        clock = SimClock(10.0)
-        clock.reset()
-        assert clock.now == 0.0
-
 
 class TestEventScheduler:
     def test_runs_in_time_order(self):

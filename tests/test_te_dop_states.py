@@ -45,23 +45,11 @@ class TestStateGuards:
                                           DopState.ABORTED])
     def test_terminal_states_allow_nothing(self, terminal):
         dop = make_dop(terminal)
-        assert terminal.terminal
         for operation in ("activate", "checkout", "work", "save",
                           "restore", "suspend", "resume", "checkin",
                           "commit", "abort"):
             with pytest.raises(TransactionStateError):
                 dop.require(operation)
-
-    def test_non_terminal_states(self):
-        for state in (DopState.CREATED, DopState.ACTIVE,
-                      DopState.SUSPENDED):
-            assert not state.terminal
-
-    def test_is_running(self):
-        assert make_dop(DopState.ACTIVE).is_running
-        assert make_dop(DopState.SUSPENDED).is_running
-        assert not make_dop(DopState.CREATED).is_running
-        assert not make_dop(DopState.COMMITTED).is_running
 
     def test_error_message_names_dop_and_state(self):
         dop = make_dop(DopState.COMMITTED)

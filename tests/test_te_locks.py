@@ -151,10 +151,3 @@ class TestStats:
         assert locks.stats.conflicts == 1
         assert locks.stats.released == 1
 
-    def test_table_size(self):
-        locks = LockManager()
-        locks.acquire("a", "x", LockMode.SHORT_READ)
-        locks.acquire("b", "x", LockMode.SHORT_READ)
-        assert locks.table_size() == 2
-        locks.release_all("x")
-        assert locks.table_size() == 0

@@ -121,7 +121,7 @@ class TestCachedCheckout:
         client = rig["clients"]["ws-1"]
         dop = client.begin_dop("da-1", "tool")
         client.checkout(dop, rig["dov0"].dov_id)
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == {"ws-1"}
 
     def test_derivation_lock_bypasses_the_buffer(self, rig):
@@ -163,11 +163,11 @@ class TestLeaseInvalidation:
         # the superseded version was revoked everywhere it was leased
         assert dov0.dov_id not in rig["buffers"]["ws-2"]
         assert dov0.dov_id not in rig["buffers"]["ws-1"]
-        assert rig["server_tm"].lease_holders(dov0.dov_id) == set()
+        assert rig["server_tm"].leases.holders(dov0.dov_id) == set()
         assert rig["server_tm"].invalidations_sent == 2
         # the committer keeps its new version resident under a lease
         assert result.dov.dov_id in rig["buffers"]["ws-1"]
-        assert rig["server_tm"].lease_holders(result.dov.dov_id) \
+        assert rig["server_tm"].leases.holders(result.dov.dov_id) \
             == {"ws-1"}
 
     def test_checkin_result_is_a_local_hit_next_checkout(self, rig):
@@ -202,7 +202,7 @@ class TestCrashSemantics:
         client.checkout(dop, rig["dov0"].dov_id)
         rig["network"].crash_node("ws-1")
         assert len(rig["buffers"]["ws-1"]) == 0
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == set()
 
     def test_recovery_refetches_through_the_normal_chain(self, rig):
@@ -217,7 +217,7 @@ class TestCrashSemantics:
         client.checkout(dop2, rig["dov0"].dov_id)
         # cold buffer: the read went back to the server and re-leased
         assert network.messages_sent > sent
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == {"ws-1"}
 
     def test_server_crash_clears_the_lease_table(self, rig):
@@ -225,7 +225,7 @@ class TestCrashSemantics:
         dop = client.begin_dop("da-1", "tool")
         client.checkout(dop, rig["dov0"].dov_id)
         rig["network"].crash_node("server")
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == set()
 
     def test_server_restart_revalidates_unleased_buffers(self, rig):
@@ -240,7 +240,7 @@ class TestCrashSemantics:
         rig["network"].crash_node("server")
         rig["network"].restart_node("server")
         assert list(buffer.clean_ids()) == [rig["dov0"].dov_id]
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == {"ws-1"}
 
 
@@ -248,7 +248,7 @@ class TestSystemWiring:
     """ConcordSystem wires one buffer per workstation into the TMs."""
 
     def _system(self, **kwargs):
-        from repro.bench.scenarios import make_vlsi_system
+        from repro.scenario.delegation import make_vlsi_system
 
         return make_vlsi_system(("ws-1", "ws-2"), trace=False, **kwargs)
 

@@ -82,9 +82,9 @@ class TestRecoveryManager:
 
     def test_remove_on_end_of_dop(self, manager):
         manager.take("dop-1", DopContext(), SavepointStack(), 0.0, "x")
-        assert manager.has_point("dop-1")
+        assert manager.latest("dop-1") is not None
         assert manager.remove("dop-1") is True
-        assert not manager.has_point("dop-1")
+        assert manager.latest("dop-1") is None
         with pytest.raises(RecoveryError):
             manager.restore("dop-1")
 

@@ -116,7 +116,7 @@ def test_a_server_crash_crashes_the_repository(build, payload):
     assert repo.has_graph("da-1")
     buffer = rig.object_buffer("ws-1")
     assert durable.dov_id in buffer and buffer.revalidated == 1
-    assert rig.server_tm.lease_holders(durable.dov_id) == {"ws-1"}
+    assert rig.server_tm.leases.holders(durable.dov_id) == {"ws-1"}
 
 
 def test_the_repository_recovers_before_the_buffers_revalidate():
@@ -174,8 +174,8 @@ def _drive_checkin(shape: str, leg: str) -> dict:
         "wal_kinds": [record.kind for record
                       in repo.wal.all_records()[wal_before:]],
         "wal_forces": repo.wal.forced_writes - forces_before,
-        "lease": staged_id and server_tm.lease_holders(staged_id),
-        "parent_lease": server_tm.lease_holders(parent.dov_id),
+        "lease": staged_id and server_tm.leases.holders(staged_id),
+        "parent_lease": server_tm.leases.holders(parent.dov_id),
         "error": server_tm.checkin_error("txn-1"),
         "trace_rows": len(rig.trace) - rows_before,
         "graph_lock_free": not rig.locks.holders("graph:da-1"),

@@ -125,7 +125,7 @@ class TestGroupFlush:
         buffer = rig["buffers"]["ws-1"]
         assert durable in buffer
         assert not buffer.entry(durable).dirty
-        assert rig["server_tm"].lease_holders(durable) == {"ws-1"}
+        assert rig["server_tm"].leases.holders(durable) == {"ws-1"}
         # the derivation graph extended exactly once
         assert [d.dov_id for d in repo.graph("da-1").leaves()] \
             == [durable]
@@ -146,7 +146,7 @@ class TestGroupFlush:
         writer.commit_dop(dop_w, result)
         # the flush committed the supersession: leases revoked
         assert dov0.dov_id not in rig["buffers"]["ws-2"]
-        assert rig["server_tm"].lease_holders(dov0.dov_id) == set()
+        assert rig["server_tm"].leases.holders(dov0.dov_id) == set()
 
     def test_flush_interval_triggers_mid_dop(self):
         rig = make_rig(flush_interval=2)
@@ -217,7 +217,7 @@ class TestGroupFlush:
         # though the nested flush re-entered the commit observer
         assert posted.count(("ws-1", dov0.dov_id)) == 1
         assert posted.count(("ws-2", dov0.dov_id)) == 1
-        assert server_tm.lease_holders(dov0.dov_id) == set()
+        assert server_tm.leases.holders(dov0.dov_id) == set()
 
 
 class TestGroupAtomicity:
@@ -400,7 +400,7 @@ class TestRestartRevalidation:
         client = self._warm(rig)
         network = rig["network"]
         network.crash_node("server")
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == set()
         network.restart_node("server")
         buffer = rig["buffers"]["ws-1"]
@@ -408,7 +408,7 @@ class TestRestartRevalidation:
         # local — zero re-shipped bytes
         assert rig["dov0"].dov_id in buffer
         assert buffer.revalidated == 1
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == {"ws-1"}
         bytes_before = network.bytes_shipped
         dop = client.begin_dop("da-1", "tool")
@@ -434,12 +434,12 @@ class TestSystemRestartPaths:
     """ConcordSystem.restart_server keeps warm buffers warm."""
 
     def _system(self, **kwargs):
-        from repro.bench.scenarios import make_vlsi_system
+        from repro.scenario.delegation import make_vlsi_system
 
         return make_vlsi_system(("ws-1",), trace=False, **kwargs)
 
     def _warm_system(self):
-        from repro.bench.scenarios import chip_spec, make_vlsi_system
+        from repro.scenario.delegation import chip_spec, make_vlsi_system
         from repro.dc.script import DopStep, Script, Sequence
         from repro.vlsi.tools import vlsi_dots
 
@@ -473,10 +473,7 @@ class TestSystemWriteBack:
     """ConcordSystem(write_back=True): the DM flow runs unchanged."""
 
     def test_full_chip_design_flushes_per_end_of_dop(self):
-        from repro.bench.scenarios import (
-            make_vlsi_system,
-            run_full_chip_design,
-        )
+        from repro.bench.scenarios import run_full_chip_design
         from repro.core.system import ConcordSystem
         from repro.te.recovery import RecoveryPointPolicy
         from repro.vlsi.methodology import playout_constraints

@@ -1,0 +1,79 @@
+"""No public name in ``src/repro`` is there for its tests alone.
+
+Tier-1 mirror of the CI docs job's ``tools/check_test_only_names.py``:
+every public function, class and method has a reference outside
+``tests/``, or is one of the allowed names whose docstring quotes the
+paper — and that list may only shrink.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: size of the allowlist; lower it when an entry goes, never raise it
+ALLOWED_AT_MOST = 2
+
+
+def _load_checker():
+    spec = importlib.util.spec_from_file_location(
+        "check_test_only_names",
+        ROOT / "tools" / "check_test_only_names.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _docstring(qualified: str) -> str:
+    cls, method = qualified.split(".")
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and node.name == cls:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and item.name == method:
+                        return ast.get_docstring(item) or ""
+    raise AssertionError(f"{qualified} is not defined in src/repro")
+
+
+def test_every_public_name_has_a_caller_outside_tests(capsys):
+    checker = _load_checker()
+    assert checker.main([str(ROOT)]) == 0, capsys.readouterr().out
+
+
+def test_the_allowlist_only_shrinks_and_quotes_the_paper():
+    allowed = _load_checker().ALLOWED
+    assert len(allowed) <= ALLOWED_AT_MOST
+    for name, reason in allowed.items():
+        assert reason
+        docstring = _docstring(name)
+        assert '"' in docstring and "Sect." in docstring, name
+
+
+def test_checker_flags_a_name_only_a_test_calls(tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "repro" / "parts.py").write_text(
+        "def used():\n    return lonely_helper()\n\n"
+        "def lonely_helper():\n    pass\n\n"
+        "class Box:\n"
+        "    def spanned(self):\n        pass\n\n"
+        "    def tested(self):\n        pass\n\n"
+        "    def _private(self):\n        pass\n", encoding="utf-8")
+    (tmp_path / "benchmarks" / "spans.py").write_text(
+        'SPAN_TABLE = {"box": ("repro.parts:Box.spanned",)}\n'
+        "from repro.parts import Box, used\n", encoding="utf-8")
+    (tmp_path / "tests" / "test_parts.py").write_text(
+        "from repro.parts import Box\nBox().tested()\n", encoding="utf-8")
+    assert checker.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "src/repro/parts.py:11: Box.tested is referenced only by " \
+        "tests/" in out
+    for referenced in ("used", "lonely_helper", "Box.spanned",
+                       "_private"):
+        assert f" {referenced} is" not in out

@@ -101,18 +101,18 @@ class TestCrossWorkstationGroupCommit:
         rig = make_rig(team=2)
         stage_checkins(rig, per_client=2)
         network = rig["network"]
-        network.reset_counters()
+        before = network.traffic_stats()
         report = flush_group(rig["clients"])
         assert report.success
-        stats = network.traffic_stats()
+        after = network.traffic_stats()
+        sent = {ws: after["bytes_sent_by"][ws]
+                - before["bytes_sent_by"].get(ws, 0)
+                for ws in ("ws-0", "ws-1")}
         # one sized batch message per contributor
-        assert stats["batches_sent"] == 2
-        assert stats["batched_payloads"] == 4
-        assert stats["bytes_sent_by"]["ws-0"] > 0
-        assert stats["bytes_sent_by"]["ws-1"] > 0
-        assert report.bytes_shipped \
-            == stats["bytes_sent_by"]["ws-0"] \
-            + stats["bytes_sent_by"]["ws-1"]
+        assert after["batches_sent"] - before["batches_sent"] == 2
+        assert after["batched_payloads"] - before["batched_payloads"] == 4
+        assert sent["ws-0"] > 0 and sent["ws-1"] > 0
+        assert report.bytes_shipped == sent["ws-0"] + sent["ws-1"]
 
     def test_leases_go_to_the_contributor_not_the_coordinator(self):
         rig = make_rig(team=2)
@@ -123,7 +123,7 @@ class TestCrossWorkstationGroupCommit:
         for index, (dop, client) in enumerate(zip(dops,
                                                   rig["clients"])):
             durable = client.resolve(dop.output_dov)
-            assert server_tm.lease_holders(durable) == {f"ws-{index}"}
+            assert server_tm.leases.holders(durable) == {f"ws-{index}"}
             # the durable version stayed resident at its contributor
             assert durable in client.buffer
 

@@ -64,7 +64,7 @@ class TestLeaseTableUnit:
         assert table.expire_due() == [("ws-1", "dov-1")]
         assert expired == [("ws-1", "dov-1")]
         assert table.holders("dov-1") == set()
-        assert table.stats()["expirations"] == 1
+        assert table.expirations == 1
 
     def test_renewal_extends_and_never_resurrects(self):
         clock = SimClock()
@@ -163,9 +163,7 @@ class TestLeaseTableOnKernel:
         assert len(expired) == len(due) == 4 * per_station
         assert {(ws, dov): at for ws, dov, at in expired} \
             == pytest.approx(due)
-        stats = table.stats()
-        assert stats["expirations"] == len(due)
-        assert stats["expiry_buckets"] == 0
+        assert table.expirations == len(due)
 
 
 class TestTtlExpiryOnKernel:
@@ -176,13 +174,13 @@ class TestTtlExpiryOnKernel:
         client.checkout(dop, rig["dov0"].dov_id)
         rig["kernel"].run_until(TTL / 2)  # mid-TTL: lease still live
         assert rig["dov0"].dov_id in buffer
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == {"ws-1"}
         # idle past the TTL: the expiry event fires, the lease dies,
         # and the buffered copy is invalidated over the LAN
         rig["kernel"].run_until_quiescent()
         assert rig["clock"].now >= TTL
-        assert rig["server_tm"].lease_holders(rig["dov0"].dov_id) \
+        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == set()
         assert rig["dov0"].dov_id not in buffer
         assert buffer.invalidations == 1
@@ -246,7 +244,7 @@ class TestTtlExpiryOnKernel:
         kernel.at(expiry_at - 0.2, client.renew_leases,
                   label="late-renewal")
         kernel.run_until_quiescent()
-        assert server_tm.lease_holders(dov_id) == set()
+        assert server_tm.leases.holders(dov_id) == set()
         assert dov_id not in rig["buffer"]
         assert server_tm.leases.expirations == 1
         # the late renewal extended nothing

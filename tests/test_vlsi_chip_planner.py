@@ -333,10 +333,6 @@ class TestFloorplanValidation:
 
 
 class TestInterface:
-    def test_area_limit(self):
-        interface = FloorplanInterface("c", 10.0, 5.0)
-        assert interface.area_limit == 50.0
-
     def test_pin_interval_length(self):
         pin = PinInterval("north", 2.0, 6.0)
         assert pin.length() == 4.0

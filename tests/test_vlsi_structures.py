@@ -128,30 +128,15 @@ class TestShapes:
         with pytest.raises(ValueError):
             ShapeFunction("c", [])
 
-    def test_best_for_bounds(self):
-        function = ShapeFunction("c", [Shape(2.0, 8.0), Shape(4.0, 4.0),
-                                       Shape(8.0, 2.0)])
-        best = function.best_for(max_width=5.0, max_height=5.0)
-        assert best == Shape(4.0, 4.0)
-        assert function.best_for(max_width=1.0, max_height=1.0) is None
-
-    def test_min_area_and_narrowest(self):
+    def test_min_area(self):
         function = shapes_for_area("c", 16.0)
         assert function.min_area() == pytest.approx(16.0, rel=1e-3)
-        assert function.narrowest().width <= min(
-            s.width for s in function.shapes) + 1e-9
 
     def test_beside_adds_widths(self):
         a = ShapeFunction("a", [Shape(2.0, 3.0)])
         b = ShapeFunction("b", [Shape(4.0, 1.0)])
         combined = a.beside(b)
         assert combined.shapes == [Shape(6.0, 3.0)]
-
-    def test_stacked_adds_heights(self):
-        a = ShapeFunction("a", [Shape(2.0, 3.0)])
-        b = ShapeFunction("b", [Shape(4.0, 1.0)])
-        combined = a.stacked(b)
-        assert combined.shapes == [Shape(4.0, 4.0)]
 
     def test_shapes_for_area_aspects(self):
         function = shapes_for_area("c", 100.0, aspects=(1.0, 4.0))

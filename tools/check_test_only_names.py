@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Checker for public names in ``src/repro`` that only a test calls.
+
+Lists every public top-level function and class in ``src/repro``, and
+every public method of a top-level class, then counts the name's
+identifier tokens in the ``.py`` files of ``src/``, ``benchmarks/``,
+``examples/`` and ``tools/`` — strings and docstrings included, so a
+``SPAN_TABLE`` entry in ``benchmarks/e2e/spans.py`` is a reference.
+A name whose every token is one of its own ``def`` / ``class`` lines
+is referenced by nothing but ``tests/``: it either gets a caller or
+goes, with its tests.  The only exceptions are :data:`ALLOWED`, names
+whose docstring quotes the paper; that list may only shrink.  This
+file is left out of the count, so listing a name here is not a use.
+
+Usage::
+
+    python tools/check_test_only_names.py [repo_root]
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from collections import Counter
+from pathlib import Path
+
+#: qualified name -> why it stays without a caller outside ``tests/``
+ALLOWED = {
+    "DesignActivity.revoke_finality":
+        "the spec reformulation of Sect.5.4, quoted in its docstring",
+    "ScriptCursor.reset_subtree":
+        "the designer-driven re-iteration of Sect.5.3, quoted in its "
+        "docstring",
+}
+#: the trees whose source counts as a reference
+_REFERENCING = ("src", "benchmarks", "examples", "tools")
+_WORD = re.compile(r"[A-Za-z_]\w*")
+_DEFINITION = re.compile(r"\b(?:def|class)\s+([A-Za-z_]\w*)")
+
+
+def public_names(root: Path) -> list[tuple[str, str, int]]:
+    """``(qualified name, file, line)`` of every public definition."""
+    found: list[tuple[str, str, int]] = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        where = str(path.relative_to(root))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            found.append((node.name, where, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{node.name}.{item.name}", where, item.lineno)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_"))
+    return found
+
+
+def test_only_names(root: Path) -> list[tuple[str, str, int]]:
+    """The public definitions nothing outside ``tests/`` references."""
+    tokens: Counter[str] = Counter()
+    definitions: Counter[str] = Counter()
+    this_file = Path(__file__).resolve()
+    for tree in _REFERENCING:
+        for path in sorted((root / tree).rglob("*.py")):
+            if path.resolve() == this_file:
+                continue
+            text = path.read_text(encoding="utf-8")
+            tokens.update(_WORD.findall(text))
+            if tree == "src":
+                definitions.update(_DEFINITION.findall(text))
+    return [(name, where, line)
+            for name, where, line in public_names(root)
+            if tokens[name.rsplit(".", 1)[-1]]
+            <= definitions[name.rsplit(".", 1)[-1]]]
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    root = Path(args[0]).resolve() if args \
+        else Path(__file__).resolve().parent.parent
+    found = test_only_names(root)
+    problems = [f"{where}:{line}: {name} is referenced only by tests/"
+                for name, where, line in found if name not in ALLOWED]
+    flagged = {name for name, __, __ in found}
+    problems += [f"ALLOWED lists {name}, which now has a caller or is "
+                 f"gone: drop the entry"
+                 for name in sorted(set(ALLOWED) - flagged)]
+    if problems:
+        print("\n".join(problems))
+        return 1
+    print(f"every public name in src/repro has a caller outside tests/ "
+          f"({len(ALLOWED)} allowed)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
