@@ -98,7 +98,7 @@ def main() -> None:
     system.runtime(consumer.da_id).dm.log.append(
         LogRecordKind.DOV_USED,
         {"dop": dop.dop_id, "dov": good.dov_id}, force=True)
-    consumer_tm.abort_dop(dop, "example")
+    consumer_tm.abort_dop(dop)
 
     affected = system.cm.withdraw(supplier.da_id, good.dov_id)
     consumer_dm = system.runtime(consumer.da_id).dm

@@ -59,7 +59,7 @@ def main() -> None:
           f"recovery point: work_done={recovered.context.work_done:.0f} "
           f"min (lost {before - recovered.context.work_done:.0f} min, "
           f"not {before:.0f})")
-    client_tm.abort_dop(recovered, "example cleanup")
+    client_tm.abort_dop(recovered)
 
     # --- 3. workstation crash between DOPs --------------------------------
     print("\n=== workstation crash between DOPs (DM forward recovery) ===")

@@ -35,7 +35,6 @@ from repro.core import (
     DaState,
     DesignActivity,
     DesignSpecification,
-    PredicateFeature,
     QualityState,
     RangeFeature,
     TestToolFeature,
@@ -89,7 +88,6 @@ __all__ = [
     "Kernel",
     "Open",
     "Parallel",
-    "PredicateFeature",
     "QualityState",
     "RangeFeature",
     "Script",

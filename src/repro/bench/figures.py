@@ -326,7 +326,7 @@ def run_f8() -> ExperimentResult:
                          f"({recovered.context.work_done:.0f} of "
                          f"{work_before:.0f} min kept)",
                lost=f"{lost:.0f} min since last recovery point")
-    client_tm.abort_dop(recovered, "episode cleanup")
+    client_tm.abort_dop(recovered)
 
     # --- episode 2: workstation crash between DOPs ---------------------------
     system2 = make_vlsi_system(("ws-1",))

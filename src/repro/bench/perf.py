@@ -151,7 +151,7 @@ def _measure_write_through(ops: int, repeats: int) -> float:
                 dop, "Cell", data=_nested_payload(rev=state["rev"]),
                 parents=[state["current"]])
             state["current"] = result.dov.dov_id
-            client.commit_dop(dop, result)
+            client.commit_dop(dop)
         return ops
 
     return _best_ops_per_sec(run_ops, repeats)

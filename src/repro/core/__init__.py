@@ -11,7 +11,6 @@ from repro.core.cooperation_manager import CooperationManager
 from repro.core.features import (
     DesignSpecification,
     Feature,
-    PredicateFeature,
     QualityState,
     RangeFeature,
     TestToolFeature,
@@ -50,7 +49,6 @@ __all__ = [
     "ISSUED_BY_COOPERATING_DA",
     "Message",
     "Negotiation",
-    "PredicateFeature",
     "Proposal",
     "ProposalStatus",
     "QualityState",

@@ -996,10 +996,6 @@ class CooperationManager:
     # inboxes
     # ======================================================================
 
-    def inbox(self, da_id: str) -> list[Message]:
-        """Pending messages of a DA (not consumed)."""
-        return list(self._inboxes.get(da_id, []))
-
     def pop_messages(self, da_id: str,
                      kind: str | None = None) -> list[Message]:
         """Consume (and return) a DA's pending messages.

@@ -31,8 +31,8 @@ from repro.util.errors import SpecificationError
 class Feature:
     """Base class: a named, checkable property of design object data.
 
-    A value: replaced (``widened``, the specification's ``with_*`` /
-    ``replaced``), never edited — its attributes refuse assignment, so
+    A value: replaced (``dataclasses.replace``, the specification's
+    ``with_*`` / ``replaced``), never edited — its attributes refuse assignment, so
     specifications, proposals and the CM's state log share one object.
     """
 
@@ -97,29 +97,9 @@ class RangeFeature(Feature):
                  or (self.hi is not None and self.hi <= other.hi))
         return lo_ok and hi_ok
 
-    def widened(self, lo: float | None = None,
-                hi: float | None = None) -> "RangeFeature":
-        """A copy with replaced bounds (negotiation moves borders)."""
-        return RangeFeature(self.name, self.attr,
-                            self.lo if lo is None else lo,
-                            self.hi if hi is None else hi)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RangeFeature({self.name!r}, {self.attr!r}, "
                 f"lo={self.lo}, hi={self.hi})")
-
-
-@dataclass(frozen=True, eq=False)
-class PredicateFeature(Feature):
-    """An application-specific property checked by a callable."""
-
-    predicate: Callable[[dict[str, Any]], bool]
-
-    def satisfied(self, data: dict[str, Any]) -> bool:
-        try:
-            return bool(self.predicate(data))
-        except Exception:
-            return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,18 +228,6 @@ class DesignSpecification:
         return self.evaluate(data).is_final
 
     # -- refinement -----------------------------------------------------------------
-
-    def refines(self, other: "DesignSpecification") -> bool:
-        """True when self refines *other*.
-
-        Refinement = every feature of *other* is present unchanged or
-        further restricted; new features may be added freely.
-        """
-        for name, feature in other._features.items():
-            mine = self._features.get(name)
-            if mine is None or not mine.restricts(feature):
-                return False
-        return True
 
     def with_feature(self, feature: Feature) -> "DesignSpecification":
         """A new specification with *feature* added (refinement by

@@ -226,11 +226,6 @@ class ConcordSystem(TeRig):
         """Drive a DA's work flow until done / stopped / max_steps."""
         return self.runtime(da_id).dm.run(policy, max_steps)
 
-    def step(self, da_id: str,
-             policy: DesignerPolicy | None = None) -> bool:
-        """Execute a single work-flow action of a DA."""
-        return self.runtime(da_id).dm.step(policy)
-
     # -- asynchronous cooperation events ----------------------------------------------
 
     #: message kind -> ECA event name dispatched on the receiving DM
@@ -267,12 +262,7 @@ class ConcordSystem(TeRig):
 
     # -- concurrent execution on the shared kernel ------------------------------------
 
-    def run_concurrent(self, da_ids: list[str] | None = None,
-                       policy: DesignerPolicy | None = None,
-                       max_steps: int = 10_000,
-                       deadline: float | None = None,
-                       max_events: int = 1_000_000
-                       ) -> dict[str, DmStatus]:
+    def run_concurrent(self, da_ids: list[str]) -> dict[str, DmStatus]:
         """Execute several DAs concurrently on the shared kernel.
 
         This is the concurrent counterpart of :meth:`run`: every DM
@@ -299,14 +289,12 @@ class ConcordSystem(TeRig):
         none until one of those happens.
 
         Runs until quiescence (every DA done/stopped, no message in
-        flight) or until *deadline*; returns the DM statuses.
+        flight); the kernel's event budget is the guard against a run
+        that never gets there.  Returns the DM statuses.
         """
-        if da_ids is None:
-            da_ids = [d.da_id for d in self.cm.das()
-                      if d.state.value != "terminated"]
         da_ids = [d for d in da_ids if d in self._runtimes]
+        in_run = set(da_ids)
         kernel = self.kernel
-        budgets = {da_id: max_steps for da_id in da_ids}
         #: per-DA count of queued drive/finish continuations (a crash
         #: can leave a stale finish event queued next to the recovery's
         #: replacement, so a boolean is not enough)
@@ -335,11 +323,10 @@ class ConcordSystem(TeRig):
         def drive(da_id: str) -> None:
             unmark(da_id)
             dm = self._runtimes[da_id].dm
-            if not dm.node.up or budgets[da_id] <= 0:
-                return  # a restart (or nothing) resumes this DA
-            budgets[da_id] -= 1
+            if not dm.node.up:
+                return  # a restart resumes this DA
             try:
-                outcome = dm.start_step(policy)
+                outcome = dm.start_step()
             except (NodeDownError, RpcError):
                 # the server is down: drop the half-begun DOP (nothing
                 # reached the server yet) and retry the whole step once
@@ -359,8 +346,7 @@ class ConcordSystem(TeRig):
             if not dm.node.up:
                 return  # crashed mid-step; recovery reschedules
             try:
-                progressed = dm.finish_step(pending, policy,
-                                            advance_clock=False)
+                progressed = dm.finish_step(pending, advance_clock=False)
             except (NodeDownError, RpcError):
                 # tool work is done, the checkin needs the server back
                 mark(da_id)
@@ -399,8 +385,8 @@ class ConcordSystem(TeRig):
 
         def wake(da_id: str) -> None:
             """Something *da_id*'s DM waits on happened: give it a step
-            unless one is queued (a DA outside this run has no budget)."""
-            if live.get(da_id, 0) <= 0 and budgets.get(da_id, 0) > 0 \
+            unless one is queued (a DA outside this run gets none)."""
+            if live.get(da_id, 0) <= 0 and da_id in in_run \
                     and self._runtimes[da_id].dm.node.up:
                 schedule(da_id)
 
@@ -423,8 +409,7 @@ class ConcordSystem(TeRig):
         try:
             for da_id in da_ids:
                 schedule(da_id)
-            kernel.run_until_quiescent(max_events=max_events,
-                                       deadline=deadline)
+            kernel.run_until_quiescent()
         finally:
             (self.cm.on_deliver, self.cm.on_dm_event,
              self._concurrent_resume) = previous

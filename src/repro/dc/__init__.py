@@ -34,7 +34,6 @@ from repro.dc.script import (
     ScriptCursor,
     ScriptNode,
     Sequence,
-    completely_open_script,
 )
 
 __all__ = [
@@ -62,6 +61,5 @@ __all__ = [
     "ScriptNode",
     "Sequence",
     "ToolRegistry",
-    "completely_open_script",
     "require_propagate_rule",
 ]

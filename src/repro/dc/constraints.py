@@ -175,14 +175,5 @@ class DomainConstraintSet:
                     break
         return problems
 
-    def require_valid(self, script: Script, max_iterations: int = 2,
-                      history: list[str] | None = None) -> None:
-        """Raise :class:`ConstraintViolationError` on any script problem."""
-        problems = self.validate_script(script, max_iterations, history)
-        if problems:
-            raise ConstraintViolationError(
-                f"script {script.name!r} contradicts domain "
-                f"{self.domain!r} constraints: " + " | ".join(problems))
-
     def __len__(self) -> int:
         return len(self.constraints)

@@ -416,7 +416,7 @@ class DesignManager:
 
         result = self.client_tm.checkin(dop, self.binding.dot_name)
         if result.success:
-            self._finish_dop(dop, pending.action, step, result)
+            self._finish_dop(dop, pending.action, step)
             return True
         return self._handle_checkin_failure(dop, pending.action, step,
                                             result, policy)
@@ -474,8 +474,8 @@ class DesignManager:
                           duration, remaining)
 
     def _finish_dop(self, dop: DesignOperation, action: EnabledAction,
-                    step: DopStep, result: CheckinResult) -> None:
-        self.client_tm.commit_dop(dop, result)
+                    step: DopStep) -> None:
+        self.client_tm.commit_dop(dop)
         self._in_flight = None
         self.executed_dops += 1
         self.executed_tools.append(step.tool)
@@ -493,7 +493,7 @@ class DesignManager:
                                 result: CheckinResult,
                                 policy: DesignerPolicy) -> bool:
         """The paper's 'checkin failure': report to designer policy."""
-        self.client_tm.abort_dop(dop, result.reason)
+        self.client_tm.abort_dop(dop)
         self._in_flight = None
         self.aborted_dops += 1
         self.log.append(LogRecordKind.DOP_FINISH, {

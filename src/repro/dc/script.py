@@ -238,11 +238,6 @@ class Open(ScriptNode):
         return self.allowed_tools is None or tool in self.allowed_tools
 
 
-def completely_open_script() -> "Script":
-    """A script imposing no structure at all (Fig.6a's degenerate case)."""
-    return Script(Open(name="completely-open"))
-
-
 # ---------------------------------------------------------------------------
 # Cursor
 # ---------------------------------------------------------------------------

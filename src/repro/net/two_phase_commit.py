@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Protocol, Sequence
 
 from repro.net.network import Network
-from repro.util.errors import NodeDownError, TwoPhaseCommitError
+from repro.util.errors import NodeDownError
 
 
 class Vote(str, Enum):
@@ -117,27 +117,6 @@ class TwoPhaseCoordinator:
         if forced:
             outcome.forced_log_writes += 1
 
-    def logged_decision(self, txn_id: str) -> Decision | None:
-        """The durably logged decision for *txn_id*, if any."""
-        node = self.network.node(self.node_id)
-        value = node.stable.get(self._decision_key(txn_id))
-        return Decision(value) if value else None
-
-    def resolve_in_doubt(self, txn_id: str) -> Decision:
-        """Answer a recovering participant's status query.
-
-        Under presumed abort, a missing decision record *means* abort;
-        under the basic protocol an unknown transaction is an error the
-        operator must resolve (we abort, conservatively, but flag it).
-        """
-        decision = self.logged_decision(txn_id)
-        if decision is not None:
-            return decision
-        if self.protocol is CommitProtocol.PRESUMED_ABORT:
-            return Decision.ABORT
-        raise TwoPhaseCommitError(
-            f"basic 2PC: no decision record for in-doubt txn {txn_id!r}")
-
     # -- the protocol -----------------------------------------------------------
 
     def execute(self, txn_id: str,
@@ -213,7 +192,7 @@ class TwoPhaseCoordinator:
                                                          self.node_id)
                     outcome.messages += 1
             except NodeDownError:
-                # participant will resolve the in-doubt txn at restart via
-                # resolve_in_doubt(); nothing more to do now.
+                # the participant resolves the in-doubt txn at restart
+                # from the logged decision; nothing more to do now.
                 continue
         return outcome

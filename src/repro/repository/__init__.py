@@ -6,10 +6,6 @@ per-DA derivation graphs, WAL-backed durability and server-crash
 recovery.
 """
 
-from repro.repository.configurations import (
-    Configuration,
-    ConfigurationManager,
-)
 from repro.repository.federation import FederatedRepository
 from repro.repository.placement import PlacementIndex
 from repro.repository.repository import DesignDataRepository
@@ -18,7 +14,6 @@ from repro.repository.schema import (
     AttributeKind,
     Constraint,
     DesignObjectType,
-    range_constraint,
 )
 from repro.repository.storage import VersionStore
 from repro.repository.versions import DerivationGraph, DesignObjectVersion
@@ -26,8 +21,6 @@ from repro.repository.wal import LogRecord, LogRecordKind, WriteAheadLog
 
 __all__ = [
     "AttributeDef",
-    "Configuration",
-    "ConfigurationManager",
     "AttributeKind",
     "Constraint",
     "DerivationGraph",
@@ -40,5 +33,4 @@ __all__ = [
     "PlacementIndex",
     "VersionStore",
     "WriteAheadLog",
-    "range_constraint",
 ]

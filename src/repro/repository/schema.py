@@ -90,25 +90,6 @@ class Constraint:
             return False
 
 
-def range_constraint(attr: str, lo: float | None = None,
-                     hi: float | None = None) -> Constraint:
-    """Constraint that *attr* (when present) lies within [lo, hi]."""
-
-    def check(data: dict[str, Any]) -> bool:
-        value = data.get(attr)
-        if value is None:
-            return True
-        if lo is not None and value < lo:
-            return False
-        if hi is not None and value > hi:
-            return False
-        return True
-
-    bounds = f"[{lo}, {hi}]"
-    return Constraint(f"range({attr})", check,
-                      f"{attr} must lie within {bounds}")
-
-
 class DesignObjectType:
     """A complex design object type with attributes and part-of children.
 
@@ -182,11 +163,6 @@ class DesignObjectType:
                     + (f" ({constraint.description})"
                        if constraint.description else ""))
         return problems
-
-    def defaults(self) -> dict[str, Any]:
-        """Attribute dict populated with declared defaults."""
-        return {a.name: a.default for a in self.attributes.values()
-                if a.default is not None}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DesignObjectType({self.name!r}, "

@@ -9,13 +9,13 @@ extended with the execution services the concurrent system needs:
   event queue to a fixed point (bounded by an event budget), which is
   the natural termination condition of a concurrent DA run: no DM has
   a step pending, no message is in flight, no failure is armed;
-* **deadlines** — :meth:`run_until` advances exactly to a simulated
+* **deadlines** — ``run(until=t)`` advances exactly to a simulated
   instant, leaving later events pending (mid-flight inspection);
 * **failure injection** — :meth:`crash_at` arms a node crash (and its
   restart) at arbitrary simulated instants; it is the only crash
   injector, so every scenario's crashes land in :attr:`injections`;
 * **a deterministic event trace** — every executed event is recorded
-  as ``(time, priority, seq, label)`` in :attr:`event_log`, so two
+  as ``(time, priority, seq, label)`` in ``event_log``, so two
   identically seeded runs can be compared event by event (and the full
   stream can be persisted/replayed through :mod:`repro.sim.trace`).
   The ``(time, priority, seq)`` tie-breaking of the underlying
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.clock import SimClock
-from repro.sim.scheduler import EventScheduler, _ScheduledEvent
+from repro.sim.scheduler import EventScheduler
 from repro.util.errors import KernelError
 
 if TYPE_CHECKING:  # avoid the sim <-> net package-init cycle
@@ -52,45 +52,14 @@ class InjectionLogEntry:
 class Kernel(EventScheduler):
     """The single execution kernel shared by all layers of one world."""
 
-    def __init__(self, clock: SimClock | None = None,
-                 trace_events: bool = True) -> None:
+    def __init__(self, clock: SimClock | None = None) -> None:
         super().__init__(clock)
-        #: True while the kernel is inside :meth:`step` / ``run``
+        #: True while the kernel is inside :meth:`run`
         self.running = False
-        self.trace_events = trace_events  # property: binds dispatch
-        #: executed events as ``(time, priority, seq, label)`` — the
-        #: determinism guard and the record/replay stream
-        self.event_log: list[tuple[float, int, int, str]] = []
         #: enacted crash/restart events (kernel-native failure log)
         self.injections: list[InjectionLogEntry] = []
 
     # -- execution ----------------------------------------------------------
-
-    @property
-    def trace_events(self) -> bool:
-        """True while dispatch records into :attr:`event_log`."""
-        return self._trace_events
-
-    @trace_events.setter
-    def trace_events(self, value: bool) -> None:
-        self._trace_events = bool(value)
-        if value:
-            # traced dispatch: the class-level :meth:`_execute`
-            self.__dict__.pop("_execute", None)
-        else:
-            # untraced: shadow dispatch with the base pass-through —
-            # the scheduler hot loop recognises it and calls the
-            # event's action without any per-event indirection
-            self._execute = EventScheduler._execute.__get__(self)
-
-    def step(self) -> bool:
-        """Run the next event with the :attr:`running` flag set."""
-        was_running = self.running
-        self.running = True
-        try:
-            return super().step()
-        finally:
-            self.running = was_running
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> int:
@@ -102,15 +71,8 @@ class Kernel(EventScheduler):
         finally:
             self.running = was_running
 
-    def _execute(self, event: _ScheduledEvent) -> None:
-        if self.trace_events:
-            self.event_log.append((event.time, event.priority,
-                                   event.seq, event.label))
-        event.action()
-
-    def run_until_quiescent(self, max_events: int = 1_000_000,
-                            deadline: float | None = None) -> int:
-        """Run until no event is pending (or *deadline* is reached).
+    def run_until_quiescent(self, max_events: int = 1_000_000) -> int:
+        """Run until no event is pending.
 
         Quiescence is the fixed point of a concurrent run: every DM
         chain has ended, every queued message was delivered, every
@@ -119,16 +81,12 @@ class Kernel(EventScheduler):
         non-terminating event cascade.  Returns the number of events
         executed by this call.
         """
-        ran = self.run(until=deadline, max_events=max_events)
+        ran = self.run(max_events=max_events)
         if ran >= max_events and self.pending:
             raise KernelError(
                 f"no quiescence after {max_events} events "
                 f"({self.pending} still pending at t={self.clock.now})")
         return ran
-
-    def run_until(self, deadline: float) -> int:
-        """Run exactly to *deadline*, leaving later events pending."""
-        return self.run(until=deadline)
 
     # -- failure injection --------------------------------------------------
 

@@ -9,10 +9,11 @@ windows) play out deterministically.
 
 Events are callbacks ordered by ``(time, priority, seq)``; ties resolve
 by insertion order, which keeps runs reproducible.  The queue is one
-binary heap of plain ``(time, priority, seq, event)`` tuples, so every
-heap comparison is C-speed and never reaches the event object (``seq``
-is unique).  Cancellation is lazy: a cancelled event stays in the heap
-and is discarded when it surfaces.
+binary heap of plain ``(time, priority, seq, label, action)`` tuples,
+so every heap comparison is C-speed and never reaches the label or the
+action (``seq`` is unique).  A filed event always runs: there are no
+handles and no cancellation.  Every executed event is recorded as
+``(time, priority, seq, label)`` in :attr:`EventScheduler.event_log`.
 """
 
 from __future__ import annotations
@@ -23,127 +24,56 @@ from typing import Any, Callable
 from repro.sim.clock import SimClock
 
 
-class _ScheduledEvent:
-    """One pending callback."""
-
-    __slots__ = ("time", "priority", "seq", "action", "label",
-                 "cancelled", "done")
-
-    def __init__(self, time: float, priority: int, seq: int,
-                 action: Callable[[], Any], label: str = "") -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.action = action
-        self.label = label
-        self.cancelled = False
-        #: True once the event left the queue (executed or discarded) —
-        #: guards the live counter against cancels of finished events
-        self.done = False
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"_ScheduledEvent(t={self.time}, prio={self.priority}, "
-                f"seq={self.seq}, label={self.label!r})")
-
-
 class EventScheduler:
     """Priority-queue discrete-event loop driving a :class:`SimClock`."""
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock or SimClock()
-        #: heap of ``(time, priority, seq, event)`` tuples
+        #: heap of ``(time, priority, seq, label, action)`` tuples
         self._queue: list[tuple] = []
         self._seq = 0
-        self._executed = 0
-        #: queued events that are neither cancelled nor done — kept
-        #: incrementally so :attr:`pending` is O(1), not an O(n) scan
-        self._live = 0
+        #: executed events as ``(time, priority, seq, label)`` — the
+        #: determinism guard and the record/replay stream
+        self.event_log: list[tuple[float, int, int, str]] = []
 
     # -- scheduling ---------------------------------------------------------
 
-    def _file(self, time: float, action: Callable[[], Any],
-              label: str, priority: int) -> _ScheduledEvent:
-        self._seq += 1
-        event = _ScheduledEvent(time, priority, self._seq, action, label)
-        heappush(self._queue, (time, priority, self._seq, event))
-        self._live += 1
-        return event
-
-    def at(self, time: float, action: Callable[[], Any],
-           label: str = "", priority: int = 0) -> _ScheduledEvent:
-        """Schedule *action* at absolute simulated *time*."""
+    def _file(self, time: float, action: Callable[[], Any], label: str,
+              priority: int) -> None:
         if not time >= self.clock.now:  # also refuses NaN
             raise ValueError(
                 f"cannot schedule at {time} before now={self.clock.now}")
-        return self._file(time, action, label, priority)
+        self._seq += 1
+        heappush(self._queue, (time, priority, self._seq, label, action))
+
+    def at(self, time: float, action: Callable[[], Any],
+           label: str = "", priority: int = 0) -> None:
+        """Schedule *action* at absolute simulated *time*; a lower
+        *priority* runs first among events of the same instant."""
+        self._file(time, action, label, priority)
 
     def after(self, delay: float, action: Callable[[], Any],
-              label: str = "", priority: int = 0) -> _ScheduledEvent:
+              label: str = "") -> None:
         """Schedule *action* *delay* time units from now."""
-        return self.at(self.clock.now + delay, action, label, priority)
+        self.at(self.clock.now + delay, action, label)
 
     def defer(self, delay: float, action: Callable[[], Any],
-              label: str = "", priority: int = 0) -> None:
-        """Fire-and-forget :meth:`after`: no handle is returned.
-
-        The form used by the network transport and the concurrent
-        drivers — same ordering semantics as :meth:`after` (a negative
-        *delay* counts as zero), but the caller gives up the handle: a
-        deferred event cannot be cancelled.
-        """
-        self._file(self.clock.now + max(delay, 0.0), action, label,
-                   priority)
-
-    def cancel(self, event: _ScheduledEvent) -> None:
-        """Cancel a pending event (lazy removal).
-
-        Idempotent, and a no-op for events that already ran: only the
-        first cancel of a still-queued event decrements the live
-        counter.
-        """
-        if event.cancelled or event.done:
-            return
-        event.cancelled = True
-        self._live -= 1
+              label: str = "") -> None:
+        """:meth:`after` for the network transport and the concurrent
+        drivers: a negative *delay* counts as zero."""
+        self._file(self.clock.now + max(delay, 0.0), action, label, 0)
 
     # -- execution ----------------------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue (O(1))."""
-        return self._live
+        """Number of events in the queue."""
+        return len(self._queue)
 
     @property
     def executed(self) -> int:
         """Number of events executed so far."""
-        return self._executed
-
-    def _peek(self) -> tuple | None:
-        """The earliest live heap entry (cancelled heads are dropped)."""
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if not head[3].cancelled:
-                return head
-            heappop(queue)
-            head[3].done = True
-        return None
-
-    def step(self) -> bool:
-        """Run the next event; returns False when the queue is empty."""
-        if self._peek() is None:
-            return False
-        event = heappop(self._queue)[3]
-        event.done = True
-        self._live -= 1
-        self.clock.advance_to(event.time)
-        self._executed += 1
-        self._execute(event)
-        return True
-
-    def _execute(self, event: _ScheduledEvent) -> None:
-        """Run one due event (subclasses hook in tracing here)."""
-        event.action()
+        return len(self.event_log)
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> int:
@@ -157,31 +87,20 @@ class EventScheduler:
         ran = 0
         queue = self._queue
         clock = self.clock
-        execute = self._execute
-        # when no subclass hooks into dispatch, skip the indirection
-        # and call the event's action straight from the loop
-        direct = getattr(execute, "__func__", None) \
-            is EventScheduler._execute
+        record = self.event_log.append
         drained = False
         while True:
-            head = self._peek()
-            if head is None or (until is not None and head[0] > until):
+            if not queue or (until is not None and queue[0][0] > until):
                 drained = True
                 break
             if max_events is not None and ran >= max_events:
                 break
-            heappop(queue)
-            time, _, _, event = head
-            event.done = True
-            self._live -= 1
+            time, priority, seq, label, action = heappop(queue)
             if time > clock._now:
                 clock._now = time
             ran += 1
-            if direct:
-                event.action()
-            else:
-                execute(event)
-        self._executed += ran
+            record((time, priority, seq, label))
+            action()
         if until is not None and drained:
             clock.advance_to(until)
         return ran

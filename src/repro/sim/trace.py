@@ -85,9 +85,6 @@ class KernelTrace:
 def capture_trace(kernel: "Kernel",
                   scenario: dict[str, Any] | None = None) -> KernelTrace:
     """Snapshot *kernel*'s executed event stream as a trace artifact."""
-    if not kernel.trace_events and not kernel.event_log:
-        raise TraceError("kernel ran with trace_events=False — there "
-                         "is no event stream to capture")
     events = [tuple(entry) for entry in kernel.event_log]
     meta = {
         "format": TRACE_FORMAT,

@@ -643,11 +643,6 @@ class ClientTM:
         self.coordinator = self.gateway.coordinator
         #: volatile table of running DOPs — lost on workstation crash
         self._active: dict[str, DesignOperation] = {}
-        #: callback fired with (dop, CheckinResult) on End-of-DOP; the DM
-        #: installs itself here ("gives the appropriate message ... to
-        #: its DM", Sect.5.2)
-        self.on_dop_finished: Callable[[DesignOperation, CheckinResult],
-                                       None] | None = None
         node.on_crash.append(self._on_crash)
 
     # -- infrastructure -----------------------------------------------------------
@@ -783,19 +778,8 @@ class ClientTM:
         the bound the TTL design buys.  Rate-limited to one renewal
         message per ttl/2 of simulated time.
         """
-        ttl = getattr(self.server_tm, "lease_ttl", None)
-        if ttl is None or self.buffer is None:
-            return
-        now = self.clock.now
-        if self._last_renewal is None:
-            # anchor the window at first use: the leases were granted
-            # moments ago, their budget is essentially unspent
-            self._last_renewal = now
-            return
-        if now - self._last_renewal < ttl / 2:
-            return
-        self._last_renewal = now
-        self.renew_leases()
+        if self._claim_renewal_window():
+            self.renew_leases()
 
     def consume_renewal_window(self) -> bool:
         """True when an outgoing control message should carry renewal
@@ -807,17 +791,27 @@ class ClientTM:
         The dedicated message stays the fallback for workstations that
         only hit their buffer (no control message in flight to ride).
         """
-        ttl = getattr(self.server_tm, "lease_ttl", None)
+        if not self._claim_renewal_window():
+            return False
+        self.renewals_piggybacked += 1
+        return True
+
+    def _claim_renewal_window(self) -> bool:
+        """True, and the window stamped, when ttl/2 of simulated time
+        has passed since the last renewal; TTL regime with a buffer
+        only."""
+        ttl = self.server_tm.lease_ttl
         if ttl is None or self.buffer is None:
             return False
         now = self.clock.now
         if self._last_renewal is None:
+            # anchor the window at first use: the leases were granted
+            # moments ago, their budget is essentially unspent
             self._last_renewal = now
             return False
         if now - self._last_renewal < ttl / 2:
             return False
         self._last_renewal = now
-        self.renewals_piggybacked += 1
         return True
 
     def renew_leases(self) -> float:
@@ -1101,10 +1095,10 @@ class ClientTM:
 
     # -- End-of-DOP ------------------------------------------------------------------------------------
 
-    def _finish(self, dop: DesignOperation, state: DopState,
-                result: CheckinResult) -> None:
+    def _finish(self, dop: DesignOperation, state: DopState) -> None:
         # release derivation locks first, then drop savepoints and the
-        # recovery point, then message the DM — the Sect.5.2 order.
+        # recovery point — the Sect.5.2 order; the DM learns the
+        # outcome from the End-of-DOP call itself.
         self.rpc.call(self.workstation, self.server_tm.node_id,
                       "release_derivation_locks", dop.da_id,
                       list(dop.input_dovs))
@@ -1114,8 +1108,6 @@ class ClientTM:
         dop.finished_at = self.clock.now
         self._active.pop(dop.dop_id, None)
         self._record("end_dop", dop.dop_id, state=state.value)
-        if self.on_dop_finished is not None:
-            self.on_dop_finished(dop, result)
 
     def drop_dop(self, dop: DesignOperation) -> None:
         """Forget a DOP whose start could not complete (server down
@@ -1127,8 +1119,7 @@ class ClientTM:
         self.recovery.remove(dop.dop_id)
         self._record("drop_dop", dop.dop_id)
 
-    def commit_dop(self, dop: DesignOperation,
-                   result: CheckinResult | None = None) -> None:
+    def commit_dop(self, dop: DesignOperation) -> None:
         """End-of-DOP (commit): close processing after a final state.
 
         In write-back mode this is flush trigger 1: the workstation's
@@ -1155,10 +1146,9 @@ class ClientTM:
                     f"{flushed.reason}")
         if dop.output_dov is not None:
             dop.output_dov = self.resolve(dop.output_dov)
-        self._finish(dop, DopState.COMMITTED,
-                     result or CheckinResult(True, dov=None))
+        self._finish(dop, DopState.COMMITTED)
 
-    def abort_dop(self, dop: DesignOperation, reason: str = "") -> None:
+    def abort_dop(self, dop: DesignOperation) -> None:
         """End-of-DOP (abort): the DOP "will abort its activities".
 
         Unflushed write-back checkins of this DOP are discarded — they
@@ -1178,8 +1168,7 @@ class ClientTM:
                     in self._superseded.items()
                     if key not in discarded
                     and value not in discarded}
-        self._finish(dop, DopState.ABORTED, CheckinResult(False,
-                                                          reason=reason))
+        self._finish(dop, DopState.ABORTED)
 
     # -- workstation-crash recovery -----------------------------------------------------------------------
 

@@ -238,7 +238,7 @@ def flush_group(clients: Sequence[Any]) -> GroupFlushReport:
     the report is a trivial success.
     """
     active = [client for client in clients
-              if getattr(client, "write_back", False)
+              if client.write_back
               and client.buffer is not None
               and client.buffer.dirty_count
               and not client.gateway.flushing]

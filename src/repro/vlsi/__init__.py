@@ -12,9 +12,8 @@ from repro.vlsi.cells import (
     CellHierarchy,
     CellLevel,
     sample_hierarchy,
-    synthetic_hierarchy,
 )
-from repro.vlsi.chip_planner import ChipPlanner, bipartition, global_route
+from repro.vlsi.chip_planner import ChipPlanner, global_route
 from repro.vlsi.floorplan import (
     Floorplan,
     FloorplanInterface,
@@ -28,7 +27,6 @@ from repro.vlsi.methodology import (
     TraversalStep,
     alternative_paths_script,
     chip_design_script,
-    chip_planning_script,
     full_design_script,
     playout_constraints,
     traversal_matrix,
@@ -39,7 +37,6 @@ from repro.vlsi.shapes import Shape, ShapeFunction, shapes_for_area
 from repro.vlsi.tools import (
     TOOL_DURATIONS,
     TOOL_NUMBERS,
-    design_rule_check,
     register_vlsi_tools,
     vlsi_dots,
 )
@@ -64,17 +61,13 @@ __all__ = [
     "TOOL_NUMBERS",
     "TraversalStep",
     "alternative_paths_script",
-    "bipartition",
     "chip_design_script",
-    "chip_planning_script",
-    "design_rule_check",
     "full_design_script",
     "global_route",
     "playout_constraints",
     "register_vlsi_tools",
     "sample_hierarchy",
     "shapes_for_area",
-    "synthetic_hierarchy",
     "synthetic_netlist",
     "traversal_matrix",
     "traverse_design_plane",

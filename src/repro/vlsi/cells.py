@@ -7,9 +7,7 @@ etc.) and each of these blocks is again partitioned into standard cells
 at the lowest level (e.g., multiplexer, AND-circuit, etc.)."
 
 :class:`CellHierarchy` is the in-memory tree; :func:`sample_hierarchy`
-builds the paper's illustrative four-level example, and
-:func:`synthetic_hierarchy` generates seeded hierarchies of arbitrary
-fan-out for the workload experiments.
+builds the paper's illustrative four-level example.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from repro.util.rng import SeededRng
 
 
 class CellLevel(int, Enum):
@@ -59,14 +56,6 @@ class Cell:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def find(self, name: str) -> "Cell | None":
-        """Locate a descendant (or self) by name."""
-        for cell in self.walk():
-            if cell.name == name:
-                return cell
-        return None
-
 
 class CellHierarchy:
     """A rooted cell tree with lookup helpers."""
@@ -116,23 +105,3 @@ def sample_hierarchy() -> CellHierarchy:
     cu = Cell("control-unit", CellLevel.MODULE, [rom, idec])
     chip = Cell("chip-0", CellLevel.CHIP, [alu, cu])
     return CellHierarchy(chip)
-
-
-def synthetic_hierarchy(rng: SeededRng, modules: int = 3,
-                        blocks_per_module: int = 3,
-                        cells_per_block: int = 4,
-                        name: str = "chip") -> CellHierarchy:
-    """Generate a seeded hierarchy for workload experiments."""
-    module_list = []
-    for m in range(modules):
-        block_list = []
-        for b in range(blocks_per_module):
-            std_cells = [
-                Cell(f"{name}-m{m}-b{b}-c{c}", CellLevel.STANDARD_CELL,
-                     base_area=rng.uniform(1.0, 4.0))
-                for c in range(cells_per_block)]
-            block_list.append(Cell(f"{name}-m{m}-b{b}", CellLevel.BLOCK,
-                                   std_cells))
-        module_list.append(Cell(f"{name}-m{m}", CellLevel.MODULE,
-                                block_list))
-    return CellHierarchy(Cell(name, CellLevel.CHIP, module_list))

@@ -8,7 +8,7 @@ result, the chip planner arranges the subcells of the CUD."
 
 Implemented tools:
 
-* :func:`bipartition` — balanced min-cut partitioning of the subcells
+* **bipartitioning** — balanced min-cut partitioning of the subcells
   (greedy seed + Kernighan–Lin-style improvement passes over pin
   counts kept per net, so a move costs the moved cell's nets);
 * **sizing** — per-partition shape selection via recursive slicing,
@@ -40,23 +40,15 @@ from repro.vlsi.shapes import Shape, ShapeFunction
 _PASSES = 4
 
 
-def bipartition(netlist: NetList, areas: dict[str, float],
-                rng: SeededRng | None = None,
-                passes: int = _PASSES) -> tuple[set[str], set[str]]:
-    """Balanced min-cut bipartition of the netlist's cells.
+def _bipartition(cells: list[str], nets: list[Net],
+                 areas: dict[str, float], rng: SeededRng | None,
+                 passes: int) -> tuple[set[str], set[str]]:
+    """Balanced min-cut bipartition of *cells*; pins of *nets* on
+    other cells do not count.
 
     Greedy area-balanced seed, then KL-style single-move improvement:
     repeatedly move the cell with the best cut-gain whose move keeps
     the areas within a 60/40 balance, until no improving move exists.
-    """
-    return _bipartition(list(netlist.cells), netlist.nets, areas, rng,
-                        passes)
-
-
-def _bipartition(cells: list[str], nets: list[Net],
-                 areas: dict[str, float], rng: SeededRng | None,
-                 passes: int) -> tuple[set[str], set[str]]:
-    """Bipartition *cells*; pins of *nets* on other cells do not count.
 
     Gains are kept Fiduccia–Mattheyses style: per net the number of
     its distinct cells in each half, per cell its incident nets.  A
@@ -273,9 +265,3 @@ class ChipPlanner:
         assert best is not None
         best.iterations = self.iterations
         return best
-
-    def fits(self, floorplan: Floorplan,
-             interface: FloorplanInterface) -> bool:
-        """True when the plan respects the interface's shape bounds."""
-        return (floorplan.width <= interface.max_width + 1e-9
-                and floorplan.height <= interface.max_height + 1e-9)

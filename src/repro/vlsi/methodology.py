@@ -11,8 +11,7 @@ encodes:
 * the VLSI domain's DOP-ordering constraints mentioned in Sect.4.2
   (:func:`playout_constraints`);
 * the two sample scripts of Fig.6 (:func:`chip_design_script`,
-  :func:`alternative_paths_script`) and the chip-planning work flow of
-  Fig.3 (:func:`chip_planning_script`).
+  :func:`alternative_paths_script`).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.dc.script import (
     Alternative,
     DaOpStep,
     DopStep,
-    Iteration,
     Open,
     Script,
     Sequence,
@@ -192,22 +190,6 @@ def alternative_paths_script() -> Script:
             name="three-methods",
         ),
     ), name="fig6b-alternative-paths")
-
-
-def chip_planning_script(max_rounds: int = 4) -> Script:
-    """The Fig.3 chip-planning work flow as a DA script.
-
-    Plan, evaluate, and optionally re-iterate "in order to achieve
-    optimal space exploitation"; finally propagate the floorplan.
-    """
-    return Script(Sequence(
-        Iteration(
-            Sequence(DopStep("chip_planner"), DaOpStep("Evaluate")),
-            max_rounds=max_rounds,
-            name="replan-until-satisfied",
-        ),
-        DaOpStep("Propagate"),
-    ), name="fig3-chip-planning")
 
 
 def full_design_script() -> Script:

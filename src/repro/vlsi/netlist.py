@@ -68,11 +68,6 @@ class NetList:
         """Number of nets crossing the (part_a, part_b) partition."""
         return sum(1 for n in self.nets if n.crosses(part_a, part_b))
 
-    def connectivity(self, cell_a: str, cell_b: str) -> int:
-        """Number of nets connecting two cells directly."""
-        return sum(1 for n in self.nets
-                   if n.connects(cell_a) and n.connects(cell_b))
-
     def degree(self, cell: str) -> int:
         """Number of nets touching *cell*."""
         return len(self.nets_of(cell))

@@ -30,11 +30,6 @@ class Shape:
         """width / height."""
         return self.width / self.height if self.height else float("inf")
 
-    def rotated(self) -> "Shape":
-        """The 90°-rotated alternative."""
-        return Shape(self.height, self.width)
-
-
 class ShapeFunction:
     """The set of feasible shapes of one cell (dominated shapes pruned).
 
@@ -66,15 +61,6 @@ class ShapeFunction:
     def min_area(self) -> float:
         """Smallest achievable area."""
         return min(s.area for s in self.shapes)
-
-    # -- composition (used by sizing) ----------------------------------------------
-
-    def beside(self, other: "ShapeFunction",
-               name: str = "") -> "ShapeFunction":
-        """Shape function of self and other placed side by side."""
-        combos = [Shape(a.width + b.width, max(a.height, b.height))
-                  for a in self.shapes for b in other.shapes]
-        return ShapeFunction(name or f"{self.cell}|{other.cell}", combos)
 
     # -- serialisation -----------------------------------------------------------------
 

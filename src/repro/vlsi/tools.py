@@ -296,25 +296,6 @@ def chip_assembly(context: DopContext, params: dict[str, Any]) -> None:
     context.data["area"] = round(floorplan.area, 3)
 
 
-# ---------------------------------------------------------------------------
-# verification helper (used by TestToolFeature in specifications)
-# ---------------------------------------------------------------------------
-
-def design_rule_check(data: dict[str, Any],
-                      min_utilisation: float = 0.0) -> bool:
-    """A simple DRC: the floorplan is geometrically valid.
-
-    Used as the 'test tool' of Sect.4.1's complicated features.
-    """
-    floorplan_raw = data.get("floorplan")
-    if not floorplan_raw:
-        return False
-    floorplan = Floorplan.from_dict(floorplan_raw)
-    if floorplan.validate():
-        return False
-    return floorplan.utilisation >= min_utilisation
-
-
 #: default simulated running times (minutes) per tool — DOPs are
 #: long-duration transactions ("several hours", Sect.4.3)
 TOOL_DURATIONS: dict[str, float] = {

@@ -1,10 +1,5 @@
 """Synthetic design-team workloads, simulators and metrics."""
 
-from repro.workload.designers import (
-    GoalDrivenPolicy,
-    ScriptedPolicy,
-    SeededPolicy,
-)
 from repro.workload.generator import (
     Dependency,
     SessionSpec,
@@ -22,10 +17,7 @@ from repro.workload.simulator import (
 __all__ = [
     "CrashMetrics",
     "Dependency",
-    "GoalDrivenPolicy",
     "SessionMetrics",
-    "ScriptedPolicy",
-    "SeededPolicy",
     "SessionSpec",
     "TeamMetrics",
     "TeamSimulator",

@@ -59,11 +59,6 @@ class SessionSpec:
             if step < len(self.write_steps) else False
 
     @property
-    def dependency(self) -> Dependency | None:
-        """The first dependency (legacy single-dependency accessor)."""
-        return self.dependencies[0] if self.dependencies else None
-
-    @property
     def total_work(self) -> float:
         """Sum of the step durations."""
         return sum(self.step_durations)

@@ -16,12 +16,6 @@ class SessionMetrics:
     blocked_time: float = 0.0
     rework_time: float = 0.0
 
-    @property
-    def turnaround(self) -> float:
-        """end - start (includes blocking and rework)."""
-        return self.end - self.start
-
-
 @dataclass
 class TeamMetrics:
     """Aggregate outcome of one team run under one processing model."""

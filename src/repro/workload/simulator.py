@@ -60,15 +60,11 @@ class TeamSimulator:
     """Deterministic discrete-event execution of a team workload."""
 
     def __init__(self, model: ProcessingModel, workload: TeamWorkload,
-                 seed: int | None = None,
-                 kernel: Kernel | None = None) -> None:
+                 seed: int | None = None) -> None:
         self.model = model
         self.workload = workload
         self.rng = SeededRng(seed if seed is not None else workload.seed)
-        #: the shared execution kernel (also reachable as ``scheduler``
-        #: for older call sites)
-        self.kernel = kernel if kernel is not None else Kernel()
-        self.scheduler = self.kernel
+        self.kernel = Kernel()
         self._runs: dict[str, _Run] = {}
         #: object -> holding session id
         self._locks: dict[str, str] = {}
@@ -105,7 +101,7 @@ class TeamSimulator:
 
     @property
     def _now(self) -> float:
-        return self.scheduler.clock.now
+        return self.kernel.clock.now
 
     def _begin_session(self, run: _Run) -> None:
         run.metrics.start = self._now
@@ -251,9 +247,9 @@ class TeamSimulator:
     def _start_step_now(self, run: _Run) -> None:
         durations = run.spec.step_durations + run.extra
         duration = durations[run.step]
-        self.scheduler.after(duration,
-                             lambda: self._finish_step(run, duration),
-                             label=f"step:{run.spec.session_id}:{run.step}")
+        self.kernel.after(duration,
+                          lambda: self._finish_step(run, duration),
+                          label=f"step:{run.spec.session_id}:{run.step}")
 
     def _finish_step(self, run: _Run, duration: float) -> None:
         is_rework = run.step >= len(run.spec.step_durations)

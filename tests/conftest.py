@@ -9,10 +9,15 @@ from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
+    Constraint,
     DesignObjectType,
-    range_constraint,
 )
 from repro.util.ids import IdGenerator
+
+
+def _area_non_negative(data: dict) -> bool:
+    return (data.get("area") or 0) >= 0
+
 
 
 @pytest.fixture
@@ -21,7 +26,7 @@ def cell_dot() -> DesignObjectType:
     return DesignObjectType("Cell", attributes=[
         AttributeDef("name", AttributeKind.STRING, required=False),
         AttributeDef("area", AttributeKind.FLOAT, required=False),
-    ], constraints=[range_constraint("area", lo=0.0)])
+    ], constraints=[Constraint("range(area)", _area_non_negative)])
 
 
 @pytest.fixture

@@ -57,9 +57,9 @@ class TestWorkloadGenerator:
 
     def test_dependencies_chain(self):
         workload = team_workload(4, steps_per_session=4)
-        assert workload.sessions[0].dependency is None
+        assert workload.sessions[0].dependencies == []
         for i in (1, 2, 3):
-            dep = workload.sessions[i].dependency
+            dep = workload.sessions[i].dependencies[0]
             assert dep.producer == f"designer-{i - 1}"
             assert dep.producer_step < dep.consumer_step \
                 or dep.producer_step <= dep.consumer_step

@@ -115,6 +115,11 @@ def held(system: ConcordSystem) -> dict[str, Any]:
     }
 
 
+def inbox(cm: Any, da_id: str) -> list:
+    """A DA's pending messages, left where they are."""
+    return cm._inboxes.get(da_id, [])
+
+
 def live_entities(system: ConcordSystem) -> int:
     """What the checkpoint rule counts: every keyed entity the CM holds."""
     cm = system.cm
@@ -399,7 +404,7 @@ class Program:
                       if inbox], a)
         if da_id is None:
             return False
-        kind = self.cm.inbox(da_id)[b % len(self.cm.inbox(da_id))].kind \
+        kind = inbox(self.cm, da_id)[b % len(inbox(self.cm, da_id))].kind \
             if c % 2 else None
         assert self.cm.pop_messages(da_id, kind)
 
@@ -644,7 +649,7 @@ def test_a_consumed_message_stays_consumed_across_a_server_crash(team):
     assert [message.kind for message in taken] == ["ready_to_commit"]
     system.crash_server()
     system.restart_server()
-    assert [message.kind for message in system.cm.inbox(top)] \
+    assert [message.kind for message in inbox(system.cm, top)] \
         == ["impossible_specification"]
     # an empty pop changes nothing, so it forces nothing
     records = len(system.cm.state_log.wal)
@@ -660,11 +665,11 @@ def test_a_message_the_kernel_delivers_later_is_durable_on_arrival(team):
     system.kernel.after(
         0.0, lambda: system.cm.sub_da_ready_to_commit(left), label="ready")
     system.kernel.run_until_quiescent()
-    assert [message.kind for message in system.cm.inbox(top)] \
+    assert [message.kind for message in inbox(system.cm, top)] \
         == ["ready_to_commit"]
     system.crash_server()
     system.restart_server()
-    assert [message.kind for message in system.cm.inbox(top)] \
+    assert [message.kind for message in inbox(system.cm, top)] \
         == ["ready_to_commit"]
 
 
@@ -680,14 +685,14 @@ def test_a_delivery_forces_a_record_of_its_own_only_outside_its_operation(
     final_dov(system, right)
     del records[:]
     system.cm.sub_da_ready_to_commit(left)
-    assert system.cm.inbox(top)
+    assert inbox(system.cm, top)
     assert records.count(LogRecordKind.DA_STATE) == 1
     # under the kernel the operation is over when the message arrives
     del records[:]
     system.kernel.after(
         0.0, lambda: system.cm.sub_da_ready_to_commit(right), label="ready")
     system.kernel.run_until_quiescent()
-    assert len(system.cm.inbox(top)) == 2
+    assert len(inbox(system.cm, top)) == 2
     assert records.count(LogRecordKind.DA_STATE) == 2
 
 
@@ -758,7 +763,7 @@ def test_a_log_record_never_aliases_live_state(team):
     da.quality.clear()
     system.cm.usage(right, left).delivered.append("dov-bogus")
     system.cm._visibility[dov].add("da-bogus")
-    message = system.cm.inbox(right)[0]
+    message = inbox(system.cm, right)[0]
     message.payload["dov"] = "dov-bogus"
     system.cm._inboxes[right].append(message)
     assert held(system) != logged
@@ -767,7 +772,7 @@ def test_a_log_record_never_aliases_live_state(team):
     assert registries(held(system)) == registries(logged)
     # and the other way round: what recovery built is not the log's
     system.cm.da(left).propagated.append("dov-bogus")
-    system.cm.inbox(right)[0].payload["dov"] = "dov-bogus"
+    inbox(system.cm, right)[0].payload["dov"] = "dov-bogus"
     system.crash_server()
     system.restart_server()
     assert registries(held(system)) == registries(logged)
@@ -810,7 +815,7 @@ def test_no_entity_mutator_reaches_a_forced_record(team):
     proposal.status = ProposalStatus.REJECTED
     cm.negotiations_of(left)[0].proposals.append(proposal)
     cm._visibility[dov].add("da-bogus")
-    message = cm.inbox(right)[0]
+    message = inbox(cm, right)[0]
     message.payload["dov"] = "dov-bogus"
     message.payload["more"] = ["x"]
     cm._inboxes[right].append(message)
@@ -823,7 +828,7 @@ def test_no_entity_mutator_reaches_a_forced_record(team):
     cm.da(left).quality.clear()
     cm.usage(right, left).delivered.clear()
     cm.negotiations_of(left)[0].proposals[0].changes.clear()
-    cm.inbox(right)[0].payload.clear()
+    inbox(cm, right)[0].payload.clear()
     assert forced(system) == at_persist
 
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.features import (
     DesignSpecification,
-    PredicateFeature,
     QualityState,
     RangeFeature,
     TestToolFeature,
@@ -55,19 +56,14 @@ class TestRangeFeature:
 
     def test_widened(self):
         feature = RangeFeature("f", "area", lo=0.0, hi=5.0)
-        wider = feature.widened(hi=10.0)
+        wider = replace(feature, hi=10.0)
         assert wider.hi == 10.0
         assert wider.lo == 0.0
 
 
 class TestOtherFeatures:
-    def test_predicate_feature(self):
-        feature = PredicateFeature("even", lambda d: d.get("n", 1) % 2 == 0)
-        assert feature.satisfied({"n": 4})
-        assert not feature.satisfied({"n": 3})
-
-    def test_predicate_exception_is_unsatisfied(self):
-        feature = PredicateFeature("boom", lambda d: 1 / 0)
+    def test_test_tool_exception_is_unsatisfied(self):
+        feature = TestToolFeature("boom", "drc", lambda d: 1 / 0)
         assert not feature.satisfied({})
 
     def test_test_tool_feature(self):
@@ -85,7 +81,7 @@ class TestOtherFeatures:
 
     def test_empty_name_rejected(self):
         with pytest.raises(SpecificationError):
-            PredicateFeature("", lambda d: True)
+            TestToolFeature("", "drc", lambda d: True)
 
 
 class TestQualityState:
@@ -176,34 +172,6 @@ class TestDesignSpecification:
         assert "new" in extended
 
 
-class TestRefinement:
-    def test_refines_by_addition(self):
-        base = DesignSpecification([RangeFeature("a", "x", hi=10.0)])
-        refined = base.with_feature(RangeFeature("b", "y", hi=5.0))
-        assert refined.refines(base)
-        assert not base.refines(refined)
-
-    def test_refines_by_restriction(self):
-        base = DesignSpecification([RangeFeature("a", "x", hi=10.0)])
-        refined = base.with_restricted(RangeFeature("a", "x", hi=5.0))
-        assert refined.refines(base)
-
-    def test_widening_is_not_refinement(self):
-        base = DesignSpecification([RangeFeature("a", "x", hi=10.0)])
-        widened = base.replaced(RangeFeature("a", "x", hi=50.0))
-        assert not widened.refines(base)
-
-    def test_dropping_feature_is_not_refinement(self):
-        base = DesignSpecification([RangeFeature("a", "x", hi=10.0),
-                                    RangeFeature("b", "y", hi=5.0)])
-        partial = DesignSpecification([RangeFeature("a", "x", hi=10.0)])
-        assert not partial.refines(base)
-
-    def test_spec_refines_itself(self):
-        base = DesignSpecification([RangeFeature("a", "x", hi=10.0)])
-        assert base.refines(base)
-
-
 class TestValuesRefuseMutation:
     """What ``__frozen_payload__`` claims for features and
     specifications: the CM's state log shares them uncopied."""
@@ -211,7 +179,7 @@ class TestValuesRefuseMutation:
     @pytest.mark.parametrize("feature, attr", [
         (RangeFeature("f", "area", lo=0.0, hi=5.0), "hi"),
         (RangeFeature("f", "area", lo=0.0, hi=5.0), "name"),
-        (PredicateFeature("p", lambda data: True), "predicate"),
+        (TestToolFeature("t", "drc", lambda data: True), "test"),
         (TestToolFeature("t", "drc", lambda data: True), "tool_name"),
         (RangeFeature("f", "area", hi=5.0), "unheard_of"),
     ])
@@ -249,10 +217,10 @@ class TestValuesRefuseMutation:
     def test_derivations_still_return_new_values(self):
         feature = RangeFeature("f", "area", lo=0.0, hi=5.0)
         spec = DesignSpecification([feature])
-        assert feature.widened(hi=9.0) is not feature
+        assert replace(feature, hi=9.0) is not feature
         assert feature.hi == 5.0
         for derived in (spec.with_feature(RangeFeature("g", "a", hi=1.0)),
-                        spec.with_restricted(feature.widened(hi=2.0)),
-                        spec.replaced(feature.widened(hi=9.0))):
+                        spec.with_restricted(replace(feature, hi=2.0)),
+                        spec.replaced(replace(feature, hi=9.0))):
             assert derived is not spec
             assert spec.feature("f") is feature and len(spec) == 1

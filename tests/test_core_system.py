@@ -58,7 +58,7 @@ class TestFacade:
         da = system.init_design(make_dot(), SPEC, "alice", script,
                                 "ws-1", initial_data={"area": 300.0})
         system.start(da.da_id)
-        assert system.step(da.da_id) is True
+        assert system.runtime(da.da_id).dm.step() is True
         assert system.runtime(da.da_id).dm.executed_dops == 1
 
     def test_sub_da_on_other_workstation(self, system):

@@ -126,7 +126,7 @@ class TestPropagate:
         dop = client_tm.begin_dop(consumer.da_id, "structure_synthesis")
         checked_out = client_tm.checkout(dop, dov.dov_id)
         assert checked_out.data["width"] == 10
-        client_tm.abort_dop(dop, "test")
+        client_tm.abort_dop(dop)
 
 
 class TestWithdrawal:

@@ -83,15 +83,6 @@ class TestScriptValidation:
         script = Script(Sequence(DopStep("assembly"), Open()))
         assert constraints.validate_script(script) != []
 
-    def test_require_valid_raises(self, constraints):
-        script = Script(DopStep("assembly"))
-        with pytest.raises(ConstraintViolationError):
-            constraints.require_valid(script)
-
-    def test_require_valid_with_history(self, constraints):
-        script = Script(DopStep("assembly"))
-        constraints.require_valid(script, history=["synthesis"])
-
     def test_empty_constraint_set_accepts_all(self):
         empty = DomainConstraintSet()
         empty.admit([], "anything")

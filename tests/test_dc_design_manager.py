@@ -20,9 +20,14 @@ from repro.core.features import DesignSpecification, RangeFeature
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
+    Constraint,
     DesignObjectType,
-    range_constraint,
 )
+
+
+def _area_non_negative(data: dict) -> bool:
+    return (data.get("area") or 0) >= 0
+
 
 
 def build_system(constraints=None):
@@ -43,7 +48,7 @@ def build_system(constraints=None):
 def make_dot():
     return DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)],
-        constraints=[range_constraint("area", lo=0.0)])
+        constraints=[Constraint("range(area)", _area_non_negative)])
 
 
 def start_da(system, script, spec=None, initial_area=400.0):

@@ -14,7 +14,6 @@ from repro.dc.script import (
     Parallel,
     Script,
     Sequence,
-    completely_open_script,
 )
 from repro.util.errors import ScriptError
 
@@ -195,7 +194,7 @@ class TestCursorIteration:
 
 class TestCursorOpen:
     def test_insert_and_close(self):
-        cursor = completely_open_script().cursor()
+        cursor = Script(Open(name="completely-open")).cursor()
         open_action = cursor.enabled()[0]
         assert open_action.kind is ActionKind.OPEN
         cursor.fire(open_action.token, ("insert", "t1"))
@@ -207,12 +206,12 @@ class TestCursorOpen:
         assert cursor.is_done()
 
     def test_close_without_inserts(self):
-        cursor = completely_open_script().cursor()
+        cursor = Script(Open(name="completely-open")).cursor()
         cursor.fire(cursor.enabled()[0].token, "close")
         assert cursor.is_done()
 
     def test_pending_insert_blocks_closing_completion(self):
-        cursor = completely_open_script().cursor()
+        cursor = Script(Open(name="completely-open")).cursor()
         token = cursor.enabled()[0].token
         cursor.fire(token, ("insert", "t1"))
         # the inserted step must run; the open segment shows it
@@ -227,7 +226,7 @@ class TestCursorOpen:
         cursor.fire(token, ("insert", "x"))
 
     def test_bad_open_decision(self):
-        cursor = completely_open_script().cursor()
+        cursor = Script(Open(name="completely-open")).cursor()
         with pytest.raises(ScriptError):
             cursor.fire(cursor.enabled()[0].token, "bogus")
 

@@ -37,7 +37,7 @@ class TestServerDownDuringTeOperations:
         # after the restart the same checkout succeeds
         fetched = client_tm.checkout(dop, top.vector.initial_dov)
         assert fetched.dov_id == top.vector.initial_dov
-        client_tm.abort_dop(dop, "test")
+        client_tm.abort_dop(dop)
 
     def test_checkin_2pc_aborts_when_server_down(self):
         system, __, top = build()

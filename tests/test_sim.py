@@ -81,14 +81,20 @@ class TestEventScheduler:
             sched.at(float("nan"), lambda: None)
         assert sched.pending == 0
 
-    def test_cancel(self):
+    def test_cannot_defer_by_nan(self):
+        """``max(nan, 0.0)`` is NaN: the delay is refused where ``at``
+        refuses its instant, not filed ahead of every later event."""
         sched = EventScheduler()
-        hit = []
-        event = sched.at(1.0, lambda: hit.append(1))
-        sched.cancel(event)
-        sched.run()
-        assert hit == []
+        with pytest.raises(ValueError):
+            sched.defer(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            sched.after(float("nan"), lambda: None)
         assert sched.pending == 0
+        seen = []
+        sched.defer(-1.0, lambda: seen.append(sched.clock.now))
+        sched.run()
+        assert seen == [0.0]
+        assert sched.event_log == [(0.0, 0, 1, "")]
 
     def test_events_can_schedule_events(self):
         sched = EventScheduler()
@@ -121,25 +127,23 @@ class TestEventScheduler:
         assert ran == 2
         assert sched.executed == 2
 
-    def test_step_returns_false_when_empty(self):
-        assert EventScheduler().step() is False
 
-
-# A scheduling program: ("cancel", handle index) or ("schedule", how,
-# delay, priority, ops the event's own action performs when it runs).
-# Few distinct delays and priorities, so same-instant ties are common.
+# A scheduling program: (how, delay, priority, ops the event's own
+# action performs when it runs); only ``at`` takes a priority.  Few
+# distinct delays and priorities, so same-instant ties are common.
 _DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 4.0])
-_CANCEL = st.tuples(st.just("cancel"), st.integers(0, 30))
 
 
 def _schedule(children):
-    return st.tuples(st.just("schedule"),
-                     st.sampled_from(["at", "after", "defer"]),
-                     _DELAYS, st.sampled_from([-1, 0, 0, 1]), children)
+    return st.one_of(
+        st.tuples(st.just("at"), _DELAYS, st.sampled_from([-1, 0, 0, 1]),
+                  children),
+        st.tuples(st.sampled_from(["after", "defer"]), _DELAYS, st.just(0),
+                  children))
 
 
 _OPS = st.recursive(
-    _CANCEL | _schedule(st.just([])),
+    _schedule(st.just([])),
     lambda inner: _schedule(st.lists(inner, max_size=3)),
     max_leaves=12)
 _CUTS = st.lists(
@@ -151,46 +155,38 @@ _CUTS = st.lists(
 class TestDispatchOrderProperty:
     """The scheduler against a model kept by the test: the set of live
     ``(time, priority, seq)`` keys.  Every dispatch must be the minimum
-    of that set at that moment — also for events scheduled or cancelled
-    from inside a running action — whatever ``run`` cut-offs interleave."""
+    of that set at that moment, and the key the event log records —
+    also for events scheduled from inside a running action — whatever
+    ``run`` cut-offs interleave."""
 
     @settings(max_examples=200, deadline=None)
     @given(program=st.lists(_OPS, max_size=12), cuts=_CUTS)
     def test_dispatch_is_the_minimum_live_key(self, program, cuts):
         sched = EventScheduler()
         live: set[tuple[float, int, int]] = set()
-        handles = []
         dispatched = []
         seqs = count(1)
 
         def apply(op):
-            if op[0] == "cancel":
-                if handles:
-                    handle, key = handles[op[1] % len(handles)]
-                    sched.cancel(handle)
-                    live.discard(key)
-                return
-            _, how, delay, priority, children = op
+            how, delay, priority, children = op
             key = (sched.clock.now + delay, priority, next(seqs))
 
             def action():
                 assert key == min(live)
                 assert sched.clock.now == key[0]
+                assert sched.event_log[-1][:3] == key
                 live.remove(key)
                 dispatched.append(key)
                 for child in children:
                     apply(child)
 
             if how == "at":
-                handle = sched.at(key[0], action, priority=priority)
+                sched.at(key[0], action, priority=priority)
             elif how == "after":
-                handle = sched.after(delay, action, priority=priority)
+                sched.after(delay, action)
             else:
-                handle = sched.defer(delay, action, priority=priority)
+                sched.defer(delay, action)
             live.add(key)
-            if handle is not None:
-                assert (handle.time, handle.priority, handle.seq) == key
-                handles.append((handle, key))
 
         for op in program:
             apply(op)
@@ -210,4 +206,5 @@ class TestDispatchOrderProperty:
         assert not live
         assert dispatched == sorted(dispatched, key=lambda k: k[0])
         assert sched.executed == len(dispatched)
+        assert [entry[:3] for entry in sched.event_log] == dispatched
 

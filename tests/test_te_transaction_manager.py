@@ -7,8 +7,8 @@ import pytest
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
+    Constraint,
     DesignObjectType,
-    range_constraint,
 )
 from repro.te.dop import DopState
 from repro.te.locks import LockMode
@@ -23,6 +23,11 @@ from repro.util.errors import (
 )
 
 
+def _area_non_negative(data: dict) -> bool:
+    return (data.get("area") or 0) >= 0
+
+
+
 @pytest.fixture
 def rig():
     te = TeRig(trace=False, object_buffers=False,
@@ -31,7 +36,7 @@ def rig():
     repo, server_tm = te.repository, te.server_tm
     repo.register_dot(DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)],
-        constraints=[range_constraint("area", lo=0.0)]))
+        constraints=[Constraint("range(area)", _area_non_negative)]))
     repo.create_graph("da-1")
     repo.create_graph("da-2")
     client_tm = te.add_workstation("ws-1")
@@ -54,7 +59,7 @@ class TestDopLifecycle:
                     mutate=lambda c: c.data.update(area=50.0))
         result = client.checkin(dop, "Cell")
         assert result.success
-        client.commit_dop(dop, result)
+        client.commit_dop(dop)
         assert dop.state is DopState.COMMITTED
         graph = rig["repo"].graph("da-1")
         assert result.dov.dov_id in graph
@@ -77,7 +82,7 @@ class TestDopLifecycle:
         assert not result.success
         assert "range(area)" in result.reason
         # the paper: designer/DM decides -> abort here
-        client.abort_dop(dop, result.reason)
+        client.abort_dop(dop)
         assert dop.state is DopState.ABORTED
         assert len(rig["repo"].graph("da-1")) == 1  # nothing persisted
 
@@ -89,15 +94,6 @@ class TestDopLifecycle:
             client.work(dop, 1.0)
         with pytest.raises(TransactionStateError):
             client.checkout(dop, rig["dov0"].dov_id)
-
-    def test_dm_callback_on_finish(self, rig):
-        client = rig["client_tm"]
-        seen = []
-        client.on_dop_finished = lambda dop, res: seen.append(
-            (dop.dop_id, res.success))
-        dop = client.begin_dop("da-1", "tool")
-        client.commit_dop(dop)
-        assert seen == [(dop.dop_id, True)]
 
 
 class TestCheckoutSemantics:

@@ -112,7 +112,7 @@ class TestGroupFlush:
                             parents=[rig["dov0"].dov_id])
         r2 = client.checkin(dop, "Cell", data={"area": 25.0},
                             parents=[r1.dov.dov_id])
-        client.commit_dop(dop, r2)
+        client.commit_dop(dop)
         assert client.flushes == 1
         assert network.batches_sent == 1
         # coalescing: only ONE version became durable
@@ -143,7 +143,7 @@ class TestGroupFlush:
                                 parents=[dov0.dov_id])
         # nothing shipped yet: the reader's copy is still leased
         assert dov0.dov_id in rig["buffers"]["ws-2"]
-        writer.commit_dop(dop_w, result)
+        writer.commit_dop(dop_w)
         # the flush committed the supersession: leases revoked
         assert dov0.dov_id not in rig["buffers"]["ws-2"]
         assert rig["server_tm"].leases.holders(dov0.dov_id) == set()
@@ -344,7 +344,7 @@ class TestCrashSemantics:
         client.checkout(dop, rig["dov0"].dov_id)
         client.checkin(dop, "Cell", data={"area": 50.0},
                        parents=[rig["dov0"].dov_id])
-        client.abort_dop(dop, "designer changed her mind")
+        client.abort_dop(dop)
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 0
         assert client.flushes == 0
 
@@ -359,12 +359,12 @@ class TestCrashSemantics:
                                 parents=[])
         assert result.success and result.provisional  # deferred!
         with pytest.raises(TransactionError, match="area"):
-            client.commit_dop(dop, result)
+            client.commit_dop(dop)
         assert dop.state.value == "active"
         assert repo.stats()["durable_versions"] == 1  # just dov0
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 1
         # the designer gives up: abort reclaims the dirty entry
-        client.abort_dop(dop, "cannot fix")
+        client.abort_dop(dop)
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 0
 
     def test_abort_dop_resets_interval_and_forward_map(self):
@@ -376,7 +376,7 @@ class TestCrashSemantics:
                             parents=[rig["dov0"].dov_id])
         r2 = client.checkin(dop, "Cell", data={"area": 2.0},
                             parents=[r1.dov.dov_id])  # coalesces r1
-        client.abort_dop(dop, "abandoned")
+        client.abort_dop(dop)
         # the discarded lineage no longer forwards anywhere
         assert client.resolve(r1.dov.dov_id) == r1.dov.dov_id
         assert client.resolve(r2.dov.dov_id) == r2.dov.dov_id

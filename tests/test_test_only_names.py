@@ -77,3 +77,32 @@ def test_checker_flags_a_name_only_a_test_calls(tmp_path, capsys):
     for referenced in ("used", "lonely_helper", "Box.spanned",
                        "_private"):
         assert f" {referenced} is" not in out
+
+
+def test_a_re_export_a_mention_or_a_comment_is_no_caller(tmp_path,
+                                                         capsys):
+    """Only code and non-docstring string literals outside the package
+    ``__init__.py`` files count: a name that is re-exported, named in
+    its own docstring or in a comment is still flagged; one named in a
+    string under ``benchmarks/`` is not."""
+    checker = _load_checker()
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (tmp_path / "benchmarks").mkdir()
+    (package / "__init__.py").write_text(
+        "from repro.parts import exported\n"
+        '__all__ = ["exported"]\n', encoding="utf-8")
+    (package / "parts.py").write_text(
+        '"""Module docstring naming mentioned."""\n\n'
+        "def exported():\n    pass\n\n"
+        "def mentioned():\n"
+        '    """See mentioned and commented."""\n\n'
+        "def commented():\n    pass  # commented() is handy\n\n"
+        "def spanned():\n    pass\n", encoding="utf-8")
+    (tmp_path / "benchmarks" / "spans.py").write_text(
+        'TABLE = ("repro.parts:spanned",)\n', encoding="utf-8")
+    assert checker.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    for flagged in ("exported", "mentioned", "commented"):
+        assert f" {flagged} is referenced only by tests/" in out
+    assert " spanned is" not in out

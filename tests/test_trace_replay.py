@@ -20,12 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.scenario import canonical_scenarios, validate_scenario
-from repro.sim.kernel import Kernel
 from repro.sim.trace import (
     TRACE_FORMAT,
     KernelTrace,
     TraceError,
-    capture_trace,
     diff_traces,
     load_trace,
     record_scenario,
@@ -174,13 +172,6 @@ class TestArtifactValidation:
                        % TRACE_FORMAT)
         with pytest.raises(TraceError, match=":1:.*'final_time'"):
             load_trace(bad)
-
-    def test_capture_refuses_untraced_kernel(self):
-        kernel = Kernel(trace_events=False)
-        kernel.at(1.0, lambda: None)
-        kernel.run_until_quiescent()
-        with pytest.raises(TraceError, match="trace_events=False"):
-            capture_trace(kernel)
 
     def test_replay_refuses_scenario_free_trace(self):
         trace = KernelTrace(meta={"format": TRACE_FORMAT}, events=[])

@@ -101,7 +101,7 @@ class TestLeaseTableOnKernel:
         kernel.at(TTL, lambda: table.renew("ws-1", "dov-1"),
                   label="renewal")
         table.grant("ws-1", "dov-1")
-        kernel.run_until(TTL + 2.0)
+        kernel.run(until=TTL + 2.0)
         assert expired == []
         assert table.lease("ws-1", "dov-1") is not None
         kernel.run_until_quiescent()
@@ -172,7 +172,7 @@ class TestTtlExpiryOnKernel:
         client, buffer = rig["client"], rig["buffer"]
         dop = client.begin_dop("da-1", tool="t")
         client.checkout(dop, rig["dov0"].dov_id)
-        rig["kernel"].run_until(TTL / 2)  # mid-TTL: lease still live
+        rig["kernel"].run(until=TTL / 2)  # mid-TTL: lease still live
         assert rig["dov0"].dov_id in buffer
         assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == {"ws-1"}
@@ -203,7 +203,7 @@ class TestTtlExpiryOnKernel:
         # renew repeatedly while "using" the buffer; the lease must
         # survive well past several TTLs
         for _ in range(4):
-            kernel.run_until(kernel.clock.now + TTL * 0.6)
+            kernel.run(until=kernel.clock.now + TTL * 0.6)
             assert client.checkout(dop, rig["dov0"].dov_id) is not None
         assert rig["server_tm"].leases.renewals > 0
         assert rig["dov0"].dov_id in rig["buffer"]
@@ -216,10 +216,10 @@ class TestTtlExpiryOnKernel:
         client, network = rig["client"], rig["network"]
         dop = client.begin_dop("da-1", tool="t")
         client.checkout(dop, rig["dov0"].dov_id)
-        rig["kernel"].run_until(1.1)  # payload shipped + installed
+        rig["kernel"].run(until=1.1)  # payload shipped + installed
         shipped_before = network.bytes_shipped
         delay = client.renew_leases()
-        rig["kernel"].run_until(2.0)  # renewal delivered, no expiry yet
+        rig["kernel"].run(until=2.0)  # renewal delivered, no expiry yet
         renewal_bytes = network.bytes_shipped - shipped_before
         assert renewal_bytes == rig["server_tm"].invalidation_bytes
         assert renewal_bytes < rig["dov0"].payload_size
@@ -237,7 +237,7 @@ class TestTtlExpiryOnKernel:
         dov_id = rig["dov0"].dov_id
         dop = client.begin_dop("da-1", tool="t")
         client.checkout(dop, dov_id)
-        kernel.run_until(1.1)  # install the copy; lease expires ~11.1
+        kernel.run(until=1.1)  # install the copy; lease expires ~11.1
         expiry_at = server_tm.leases.lease("ws-1", dov_id).expires_at
         # post the renewal DURING the run, so late that its 0.5 LAN
         # latency lands the delivery after the expiry instant
@@ -257,7 +257,7 @@ class TestTtlExpiryOnKernel:
             dop = client.begin_dop("da-1", tool="t")
             client.checkout(dop, rig["dov0"].dov_id)
             for _ in range(3):
-                kernel.run_until(kernel.clock.now + TTL * 0.6)
+                kernel.run(until=kernel.clock.now + TTL * 0.6)
                 client.checkout(dop, rig["dov0"].dov_id)
             kernel.run_until_quiescent()
             return rig["kernel"].trace_signature()

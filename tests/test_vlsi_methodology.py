@@ -8,7 +8,6 @@ from repro.vlsi.methodology import (
     DesignDomain,
     alternative_paths_script,
     chip_design_script,
-    chip_planning_script,
     full_design_script,
     playout_constraints,
     traversal_matrix,
@@ -104,8 +103,3 @@ class TestFig6Scripts:
     def test_full_design_script_valid(self):
         constraints = playout_constraints()
         assert constraints.validate_script(full_design_script()) == []
-
-    def test_chip_planning_script_iterates(self):
-        sequences = chip_planning_script().sequences(max_iterations=3)
-        lengths = {len(s) for s in sequences}
-        assert lengths == {1, 2, 3}  # 1..3 planner rounds

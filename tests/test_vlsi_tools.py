@@ -13,7 +13,6 @@ from repro.vlsi.tools import (
     cell_synthesis,
     chip_assembly,
     chip_planner_tool,
-    design_rule_check,
     pad_frame_editor,
     register_vlsi_tools,
     repartitioning,
@@ -183,19 +182,6 @@ class TestChipAssembly:
         plan["placements"][names[0]] = plan["placements"][names[1]]
         with pytest.raises(WorkflowError):
             chip_assembly(context, {})
-
-
-class TestDesignRuleCheck:
-    def test_passes_valid_plan(self):
-        context = planned_context()
-        assert design_rule_check(context.data)
-
-    def test_fails_without_floorplan(self):
-        assert not design_rule_check({"cell": "c"})
-
-    def test_utilisation_threshold(self):
-        context = planned_context()
-        assert not design_rule_check(context.data, min_utilisation=1.01)
 
 
 class TestRegistration:

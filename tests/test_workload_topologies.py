@@ -77,12 +77,6 @@ class TestMultiDependencySemantics:
         assert len(spec.dependencies_at(2)) == 1
         assert spec.dependencies_at(0) == []
 
-    def test_legacy_dependency_accessor(self):
-        spec = SessionSpec("s", [1.0], dependencies=[
-            Dependency("p1", 0, 0)])
-        assert spec.dependency.producer == "p1"
-        assert SessionSpec("t", [1.0]).dependency is None
-
 
 class TestReadLocality:
     """The re-read locality knob feeding the T8 data-shipping runs."""

@@ -4,8 +4,10 @@
 Lists every public top-level function and class in ``src/repro``, and
 every public method of a top-level class, then counts the name's
 identifier tokens in the ``.py`` files of ``src/``, ``benchmarks/``,
-``examples/`` and ``tools/`` — strings and docstrings included, so a
-``SPAN_TABLE`` entry in ``benchmarks/e2e/spans.py`` is a reference.
+``examples/`` and ``tools/``.  String literals count, so a
+``SPAN_TABLE`` entry in ``benchmarks/e2e/spans.py`` is a reference;
+comments, docstrings and the package ``__init__.py`` files under
+``src/`` do not, since a mention or a re-export calls nothing.
 A name whose every token is one of its own ``def`` / ``class`` lines
 is referenced by nothing but ``tests/``: it either gets a caller or
 goes, with its tests.  The only exceptions are :data:`ALLOWED`, names
@@ -20,8 +22,10 @@ Usage::
 from __future__ import annotations
 
 import ast
+import io
 import re
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -36,7 +40,8 @@ ALLOWED = {
 #: the trees whose source counts as a reference
 _REFERENCING = ("src", "benchmarks", "examples", "tools")
 _WORD = re.compile(r"[A-Za-z_]\w*")
-_DEFINITION = re.compile(r"\b(?:def|class)\s+([A-Za-z_]\w*)")
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef,
+               ast.AsyncFunctionDef)
 
 
 def public_names(root: Path) -> list[tuple[str, str, int]]:
@@ -59,6 +64,30 @@ def public_names(root: Path) -> list[tuple[str, str, int]]:
     return found
 
 
+def _words(text: str) -> tuple[list[str], list[str]]:
+    """(identifier words, names a ``def`` / ``class`` defines) of the
+    code and string literals of *text*, docstrings and comments left
+    out."""
+    docstrings = {
+        (node.body[0].lineno, node.body[0].col_offset)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, _DOCUMENTED) and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)}
+    words: list[str] = []
+    defined: list[str] = []
+    previous = ""
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT or token.start in docstrings:
+            continue
+        words += _WORD.findall(token.string)
+        if token.type == tokenize.NAME and previous in ("def", "class"):
+            defined.append(token.string)
+        previous = token.string
+    return words, defined
+
+
 def test_only_names(root: Path) -> list[tuple[str, str, int]]:
     """The public definitions nothing outside ``tests/`` references."""
     tokens: Counter[str] = Counter()
@@ -66,12 +95,13 @@ def test_only_names(root: Path) -> list[tuple[str, str, int]]:
     this_file = Path(__file__).resolve()
     for tree in _REFERENCING:
         for path in sorted((root / tree).rglob("*.py")):
-            if path.resolve() == this_file:
+            if path.resolve() == this_file \
+                    or (tree == "src" and path.name == "__init__.py"):
                 continue
-            text = path.read_text(encoding="utf-8")
-            tokens.update(_WORD.findall(text))
+            words, defined = _words(path.read_text(encoding="utf-8"))
+            tokens.update(words)
             if tree == "src":
-                definitions.update(_DEFINITION.findall(text))
+                definitions.update(defined)
     return [(name, where, line)
             for name, where, line in public_names(root)
             if tokens[name.rsplit(".", 1)[-1]]
