@@ -19,7 +19,7 @@ from repro.vlsi.cells import sample_hierarchy
 
 def main() -> None:
     hierarchy = sample_hierarchy()
-    system, report = recursive_planning_scenario(hierarchy=hierarchy)
+    system, report = recursive_planning_scenario()
 
     print("=== recursive planning of the sample chip ===")
     print(f"  {len(report.das)} design activities, one per inner cell\n")

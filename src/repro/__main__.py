@@ -1,7 +1,8 @@
 """Command-line entry point: ``python -m repro [F1 T1 A2 ...]``.
 
 With no arguments, regenerates and prints every figure (F1-F8),
-experiment (T1-T10) and ablation (A1-A3); with arguments, only the named
+experiment (T1-T10) and ablation (A1-A3) of
+:data:`repro.bench.scorecard.SCORECARD`; with arguments, only the named
 ones.  ``python -m repro scorecard`` checks every expected shape;
 ``python -m repro perf`` runs the zero-copy microbenchmark harness and
 emits ``BENCH_PERF.json`` (see ``docs/performance.md``).
@@ -37,17 +38,14 @@ def main(argv: list[str] | None = None) -> int:
         print(render(report))
         print(f"note: wrote {DEFAULT_ARTIFACT}")
         return 0 if report["acceptance"]["ok"] else 1
-    from repro.bench.ablations import ALL_ABLATIONS
-    from repro.bench.experiments import ALL_EXPERIMENTS
-    from repro.bench.figures import ALL_FIGURES
+    from repro.bench.scorecard import SCORECARD
 
-    drivers = {**ALL_FIGURES, **ALL_EXPERIMENTS, **ALL_ABLATIONS}
-    unknown = wanted - set(drivers)
+    unknown = wanted - set(SCORECARD)
     if unknown:
         print(f"unknown experiments: {sorted(unknown)}; "
-              f"available: {sorted(drivers)}, 'scorecard' or 'perf'")
+              f"available: {sorted(SCORECARD)}, 'scorecard' or 'perf'")
         return 2
-    for name, driver in drivers.items():
+    for name, (driver, __) in SCORECARD.items():
         if wanted and name not in wanted:
             continue
         print(driver().render())

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.models import concord_model
+from repro.bench.experiments import STEP_DURATIONS
 from repro.bench.reporting import ExperimentResult
 from repro.net.network import Network, NodeKind
 from repro.net.two_phase_commit import TwoPhaseCoordinator, Vote
-from repro.te.recovery import RecoveryPointPolicy
 from repro.workload.generator import team_workload
 from repro.workload.simulator import TeamSimulator, crash_lost_work
 
@@ -32,8 +32,7 @@ from repro.workload.simulator import TeamSimulator, crash_lost_work
 # A1 — quality gating
 # ---------------------------------------------------------------------------
 
-def run_a1(team_sizes: tuple[int, ...] = (4, 8),
-           seed: int = 7) -> ExperimentResult:
+def run_a1() -> ExperimentResult:
     """Quality-gated vs ungated pre-release.
 
     The gate is modelled by the rework probability consumers face:
@@ -45,8 +44,8 @@ def run_a1(team_sizes: tuple[int, ...] = (4, 8),
     result = ExperimentResult(
         "A1", "Ablation: quality-gated propagation vs ungated "
               "early release")
-    for team in team_sizes:
-        workload = team_workload(team, seed=seed)
+    for team in (4, 8):
+        workload = team_workload(team, seed=7)
         for label, rework in (("gated (concord)", 0.1),
                               ("weak gate", 0.3),
                               ("ungated (saga-like)", 0.6),
@@ -68,10 +67,7 @@ def run_a1(team_sizes: tuple[int, ...] = (4, 8),
 # A2 — recovery-point density
 # ---------------------------------------------------------------------------
 
-def run_a2(intervals: tuple[float, ...] = (5.0, 15.0, 30.0, 60.0, 0.0),
-           step_durations: tuple[float, ...] = (55.0, 70.0, 62.0, 48.0),
-           crash_times: tuple[float, ...] = (43.0, 101.0, 173.0)
-           ) -> ExperimentResult:
+def run_a2() -> ExperimentResult:
     """Recovery-point interval: lost work vs point-writing cost.
 
     ``interval=0`` disables periodic points (checkout-only) — the
@@ -80,12 +76,12 @@ def run_a2(intervals: tuple[float, ...] = (5.0, 15.0, 30.0, 60.0, 0.0),
     result = ExperimentResult(
         "A2", "Ablation: recovery-point interval (lost work vs "
               "recovery-point writes)")
-    steps = list(step_durations)
+    steps = list(STEP_DURATIONS)
     total = sum(steps)
-    for interval in intervals:
+    for interval in (5.0, 15.0, 30.0, 60.0, 0.0):
         model = concord_model(recovery_point_interval=interval)
         losses = [crash_lost_work(model, steps, t).lost_work
-                  for t in crash_times]
+                  for t in (43.0, 101.0, 173.0)]
         if interval > 0:
             points = sum(int(duration // interval)
                          for duration in steps) + len(steps)
@@ -123,7 +119,7 @@ class _YesParticipant:
         pass
 
 
-def run_a3(commits: int = 50) -> ExperimentResult:
+def run_a3() -> ExperimentResult:
     """Same-machine 2PC with vs without the main-memory fast path.
 
     Coordinator and participant on the *same* node model the DM-TM
@@ -132,6 +128,7 @@ def run_a3(commits: int = 50) -> ExperimentResult:
     """
     result = ExperimentResult(
         "A3", "Ablation: local (main-memory) commit optimisation")
+    commits = 50
     for label, local_latency in (("main-memory fast path", 0.0005),
                                  ("no fast path (LAN cost)", 0.010)):
         network = Network(lan_latency=0.010,
@@ -157,6 +154,3 @@ def run_a3(commits: int = 50) -> ExperimentResult:
         "by the LAN/local latency ratio — the Sect.6 argument for "
         "main-memory communication between co-located managers")
     return result
-
-
-ALL_ABLATIONS = {"A1": run_a1, "A2": run_a2, "A3": run_a3}

@@ -1,8 +1,9 @@
 """Drivers for the quantitative experiments T1-T10.
 
 These substantiate the paper's qualitative claims with measurements on
-the implemented system and baselines; see DESIGN.md §3 for the expected
-shapes and EXPERIMENTS.md for the measured outcomes.
+the implemented system and baselines.  Each driver runs one fixed grid
+and takes no arguments; the shape it must exhibit is checked once, in
+:mod:`repro.bench.scorecard`.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ from repro.workload.simulator import TeamSimulator, crash_lost_work
 # T1 — cooperation vs. isolation: team makespan
 # ---------------------------------------------------------------------------
 
-def run_t1(team_sizes: tuple[int, ...] = (2, 4, 6, 8),
-           steps_per_session: int = 4, mean_step: float = 60.0,
-           seed: int = 7,
-           include_fan_in: bool = True) -> ExperimentResult:
+def run_t1() -> ExperimentResult:
     """Team turnaround under CONCORD vs the baseline models.
 
     Claim (Sect.1.1): "The isolation property builds 'protective
@@ -54,17 +52,10 @@ def run_t1(team_sizes: tuple[int, ...] = (2, 4, 6, 8),
     """
     result = ExperimentResult(
         "T1", "Cooperation vs isolation: team makespan and blocking")
-    topologies = [("chain", team_workload)]
-    if include_fan_in:
-        topologies.append(("fan-in", integration_workload))
-    for topology, build in topologies:
-        for team_size in team_sizes:
-            if build is team_workload:
-                workload = build(team_size, steps_per_session,
-                                 mean_step, seed)
-            else:
-                workload = build(team_size, mean_step=mean_step,
-                                 seed=seed)
+    for topology, build in (("chain", team_workload),
+                            ("fan-in", integration_workload)):
+        for team_size in (2, 4, 6, 8):
+            workload = build(team_size, seed=7)
             for model in all_models():
                 metrics = TeamSimulator(model, workload).run()
                 result.add(topology=topology, team=team_size,
@@ -73,7 +64,6 @@ def run_t1(team_sizes: tuple[int, ...] = (2, 4, 6, 8),
                            blocked=round(metrics.total_blocked, 1),
                            rework=round(metrics.total_rework, 1),
                            total_work=round(workload.total_work, 1))
-    result.data["models"] = [m.name for m in all_models()]
     result.notes.append(
         "expected shape: concord lowest makespan in both topologies; "
         "chain: flat/nested fully serialise (makespan == total work), "
@@ -86,10 +76,11 @@ def run_t1(team_sizes: tuple[int, ...] = (2, 4, 6, 8),
 # T2 — lost work after a workstation crash
 # ---------------------------------------------------------------------------
 
-def run_t2(crash_times: tuple[float, ...] = (25.0, 80.0, 140.0, 200.0),
-           step_durations: tuple[float, ...] = (55.0, 70.0, 62.0, 48.0),
-           recovery_intervals: tuple[float, ...] = (10.0, 30.0)
-           ) -> ExperimentResult:
+#: the designer session T2 and A2 crash into: four tool steps (minutes)
+STEP_DURATIONS = (55.0, 70.0, 62.0, 48.0)
+
+
+def run_t2() -> ExperimentResult:
     """Lost work vs crash time for each model's recovery policy.
 
     Claim (Sect.5.2): "Since DOPs are long-lived transactions, it is
@@ -101,15 +92,15 @@ def run_t2(crash_times: tuple[float, ...] = (25.0, 80.0, 140.0, 200.0),
     """
     result = ExperimentResult(
         "T2", "Lost work after a workstation crash")
-    steps = list(step_durations)
-    for crash_time in crash_times:
+    steps = list(STEP_DURATIONS)
+    for crash_time in (25.0, 80.0, 140.0, 200.0):
         for model in all_models():
             if model.name == "concord":
                 continue  # added per interval below
             metrics = crash_lost_work(model, steps, crash_time)
             result.add(crash_time=crash_time, model=model.name,
                        lost_work=metrics.lost_work)
-        for interval in recovery_intervals:
+        for interval in (10.0, 30.0):
             model = concord_model(recovery_point_interval=interval)
             metrics = crash_lost_work(model, steps, crash_time)
             result.add(crash_time=crash_time,
@@ -119,6 +110,7 @@ def run_t2(crash_times: tuple[float, ...] = (25.0, 80.0, 140.0, 200.0),
         "expected shape: flat_acid linear in crash time; "
         "nested/saga/contracts bounded by the current step; concord "
         "bounded by its recovery-point interval")
+    result.data["longest_step"] = max(steps)
     return result
 
 
@@ -147,7 +139,7 @@ class _ScriptedParticipant:
         self.aborted += 1
 
 
-def run_t3(participants: int = 3) -> ExperimentResult:
+def run_t3() -> ExperimentResult:
     """Messages / forced log writes / latency of the 2PC variants.
 
     Claim (Sect.6): LAN communications should "use the (X/OPEN)
@@ -159,10 +151,9 @@ def run_t3(participants: int = 3) -> ExperimentResult:
         "T3", "Two-phase commit optimisations (messages, forced log "
               "writes, latency)")
     cases = {
-        "all-yes commit": [Vote.YES] * participants,
-        "one-no abort": [Vote.YES] * (participants - 1) + [Vote.NO],
-        "read-only mix": [Vote.READ_ONLY] * (participants - 1)
-                          + [Vote.YES],
+        "all-yes commit": [Vote.YES] * 3,
+        "one-no abort": [Vote.YES] * 2 + [Vote.NO],
+        "read-only mix": [Vote.READ_ONLY] * 2 + [Vote.YES],
     }
     txn = 0
     for protocol in (CommitProtocol.BASIC, CommitProtocol.PRESUMED_ABORT):
@@ -198,15 +189,14 @@ def run_t3(participants: int = 3) -> ExperimentResult:
 # T4 — lock manager behaviour
 # ---------------------------------------------------------------------------
 
-def run_t4(operations: int = 5_000,
-           sharing_levels: tuple[int, ...] = (1, 2, 4, 8),
-           depths: tuple[int, ...] = (2, 4, 8)) -> ExperimentResult:
+def run_t4() -> ExperimentResult:
     """Lock-manager throughput, derivation conflicts, inheritance cost."""
     result = ExperimentResult(
         "T4", "Lock manager: throughput, derivation conflicts, "
               "scope-lock inheritance")
 
     # throughput: short-lock acquire/release pairs
+    operations = 5_000
     locks = LockManager()
     started = time.perf_counter()
     for i in range(operations):
@@ -219,7 +209,7 @@ def run_t4(operations: int = 5_000,
                detail=f"{operations} acquire+release pairs")
 
     # derivation conflicts vs sharing level
-    for sharing in sharing_levels:
+    for sharing in (1, 2, 4, 8):
         locks = LockManager()
         conflicts = 0
         attempts = 200
@@ -234,7 +224,7 @@ def run_t4(operations: int = 5_000,
                    detail=f"{attempts} checkout attempts")
 
     # scope-lock inheritance cost vs hierarchy depth
-    for depth in depths:
+    for depth in (2, 4, 8):
         locks = LockManager()
         visibility: dict[str, set[str]] = {}
         locks.usage_allows = (
@@ -270,9 +260,14 @@ def run_t4(operations: int = 5_000,
 # T5 — negotiation convergence
 # ---------------------------------------------------------------------------
 
-def negotiate_border(total: float, need_a: float, need_b: float,
-                     concession: float = 0.1,
-                     max_rounds: int = 20) -> dict[str, float | int | str]:
+#: the share of the span A concedes per round of a border negotiation
+CONCESSION = 0.05
+#: rounds after which an unresolved border negotiation escalates
+MAX_ROUNDS = 20
+
+
+def negotiate_border(total: float, need_a: float,
+                     need_b: float) -> dict[str, float | int | str]:
     """Run one A/B border negotiation on the real CM.
 
     Two sibling sub-DAs negotiate the border of a shared span of width
@@ -307,7 +302,7 @@ def negotiate_border(total: float, need_a: float, need_b: float,
     claim_a = total * 0.95  # greedy opening: A claims nearly everything
     rounds = 0
     outcome = "escalated"
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         rounds += 1
         proposal = system.cm.propose(
             sub_a.da_id, sub_b.da_id,
@@ -324,7 +319,7 @@ def negotiate_border(total: float, need_a: float, need_b: float,
             outcome = "agreed"
             break
         system.cm.disagree(sub_b.da_id, proposal.proposal_id)
-        next_claim = claim_a - concession * total
+        next_claim = claim_a - CONCESSION * total
         if next_claim < need_a:
             # A cannot concede further: escalate to the super-DA
             system.cm.sub_das_specification_conflict(
@@ -341,8 +336,7 @@ def negotiate_border(total: float, need_a: float, need_b: float,
     }
 
 
-def run_t5(severities: tuple[float, ...] = (0.5, 0.7, 0.9, 0.99, 1.2)
-           ) -> ExperimentResult:
+def run_t5() -> ExperimentResult:
     """Negotiation rounds / escalation vs conflict severity.
 
     Claim (Sect.4.1): negotiating sub-DAs refine specs via Propose /
@@ -353,10 +347,9 @@ def run_t5(severities: tuple[float, ...] = (0.5, 0.7, 0.9, 0.99, 1.2)
     result = ExperimentResult(
         "T5", "Negotiation convergence vs conflict severity")
     total = 100.0
-    for severity in severities:
+    for severity in (0.5, 0.7, 0.9, 0.99, 1.2):
         need = severity * total / 2.0
-        row = negotiate_border(total, need, need, concession=0.05)
-        result.add(**row)
+        result.add(**negotiate_border(total, need, need))
     result.notes.append(
         "severity = (need_a + need_b) / total; > 1 means no feasible "
         "border exists and the conflict escalates to the super-DA")
@@ -396,8 +389,7 @@ def grow_hierarchy(size: int) -> tuple[ConcordSystem, float]:
     return system, time.perf_counter() - started
 
 
-def run_t6(hierarchy_sizes: tuple[int, ...] = (5, 10, 20, 40)
-           ) -> ExperimentResult:
+def run_t6() -> ExperimentResult:
     """CM operation cost and log growth vs hierarchy size.
 
     The CM is "a centralized component located at the server site" —
@@ -406,7 +398,7 @@ def run_t6(hierarchy_sizes: tuple[int, ...] = (5, 10, 20, 40)
     """
     result = ExperimentResult(
         "T6", "Cooperation manager scalability (centralised CM)")
-    for size in hierarchy_sizes:
+    for size in (5, 10, 20, 40):
         system, elapsed = grow_hierarchy(size)
         stats = system.cm.stats()
         operations = 2 * size  # create + start per DA
@@ -430,8 +422,7 @@ def run_t6(hierarchy_sizes: tuple[int, ...] = (5, 10, 20, 40)
 # T7 — concurrent execution on the unified kernel
 # ---------------------------------------------------------------------------
 
-def run_t7(team_sizes: tuple[int, ...] = (2, 3, 4),
-           crash: bool = True) -> ExperimentResult:
+def run_t7() -> ExperimentResult:
     """Concurrent vs sequential execution of the real CM/DM/TM stack.
 
     The workload experiments (T1) interleave *modelled* sessions; this
@@ -463,7 +454,7 @@ def run_t7(team_sizes: tuple[int, ...] = (2, 3, 4),
             "crashes": {"schedule": list(crashes)},
         }))
 
-    for team in team_sizes:
+    for team in (2, 3, 4):
         subcells = alphabet[:team]
         point = grid_point(subcells)
         __, seq = concurrent_delegation_scenario(point.config,
@@ -480,17 +471,16 @@ def run_t7(team_sizes: tuple[int, ...] = (2, 3, 4),
         result.add(team=team, mode="concurrent",
                    makespan=round(conc.makespan, 1), events=conc.events,
                    states_match=states_match)
-        if crash:
-            node = f"ws-{subcells[-1]}"
-            crashed = grid_point(subcells, {
-                "node": node, "at": 15.0, "restart_after": 5.0}).run()
-            result.add(team=team, mode=f"concurrent+crash({node})",
-                       makespan=round(crashed.makespan, 1),
-                       events=crashed.events,
-                       states_match=all(
-                           state == "terminated"
-                           for da, state in crashed.final_states.items()
-                           if da != crashed.top_da))
+        node = f"ws-{subcells[-1]}"
+        crashed = grid_point(subcells, {
+            "node": node, "at": 15.0, "restart_after": 5.0}).run()
+        result.add(team=team, mode=f"concurrent+crash({node})",
+                   makespan=round(crashed.makespan, 1),
+                   events=crashed.events,
+                   states_match=all(
+                       state == "terminated"
+                       for da, state in crashed.final_states.items()
+                       if da != crashed.top_da))
     result.notes.append(
         "expected shape: concurrent makespan ~= longest sub-DA, "
         "sequential ~= team * sub-DA; crash adds only the redone work "
@@ -502,10 +492,7 @@ def run_t7(team_sizes: tuple[int, ...] = (2, 3, 4),
 # T8 — workstation object buffers: data shipping with vs without caching
 # ---------------------------------------------------------------------------
 
-def run_t8(team_sizes: tuple[int, ...] = (2, 4),
-           write_mixes: tuple[float, ...] = (0.2, 0.5),
-           reread_locality: float = 0.6,
-           seed: int = 11) -> ExperimentResult:
+def run_t8() -> ExperimentResult:
     """Bytes shipped, makespan and hit rate with caching on vs off.
 
     Claim (Sect.5.1): the workstation-server split — DOVs checked
@@ -523,14 +510,14 @@ def run_t8(team_sizes: tuple[int, ...] = (2, 4),
     result = ExperimentResult(
         "T8", "Workstation object buffers: cached data shipping with "
               "lease-based coherence")
-    for team in team_sizes:
-        for write_mix in write_mixes:
+    for team in (2, 4):
+        for write_mix in (0.2, 0.5):
             for caching in (False, True):
                 report = compile_scenario(validate_scenario({
                     "scenario": {"name": "t8", "kind": "object_buffers",
-                                 "seed": seed},
+                                 "seed": 11},
                     "team": {"size": team},
-                    "locality": {"reread": reread_locality},
+                    "locality": {"reread": 0.6},
                     "writes": {"ratio": write_mix},
                     "buffers": {"caching": caching},
                 })).run()
@@ -555,9 +542,7 @@ def run_t8(team_sizes: tuple[int, ...] = (2, 4),
 # T9 — write-back object buffers: group checkin vs eager shipping
 # ---------------------------------------------------------------------------
 
-def run_t9(team_sizes: tuple[int, ...] = (2, 4),
-           write_ratios: tuple[float, ...] = (0.5, 0.8),
-           seed: int = 13) -> ExperimentResult:
+def run_t9() -> ExperimentResult:
     """Write-back vs write-through checkins on the real TM stack.
 
     Claim (Sect.5.1/5.2): checkout/checkin data shipping dominates the
@@ -576,12 +561,12 @@ def run_t9(team_sizes: tuple[int, ...] = (2, 4),
     result = ExperimentResult(
         "T9", "Write-back object buffers: group checkin, coalescing "
               "and stamp-based lease re-validation")
-    for team in team_sizes:
-        for write_ratio in write_ratios:
+    for team in (2, 4):
+        for write_ratio in (0.5, 0.8):
             for write_back in (False, True):
                 report = compile_scenario(validate_scenario({
                     "scenario": {"name": "t9", "kind": "write_back",
-                                 "seed": seed},
+                                 "seed": 13},
                     "team": {"size": team},
                     "writes": {"ratio": write_ratio,
                                "write_back": write_back},
@@ -611,8 +596,7 @@ def run_t9(team_sizes: tuple[int, ...] = (2, 4),
 # T10 — federated atomic commit: crashes around the global decision log
 # ---------------------------------------------------------------------------
 
-def run_t10(members: int = 3, batches: int = 4,
-            seed: int = 17) -> ExperimentResult:
+def run_t10() -> ExperimentResult:
     """All-or-nothing cross-member commit under injected crashes.
 
     The paper's Sect.6 assumes distributed data management "does not
@@ -634,8 +618,8 @@ def run_t10(members: int = 3, batches: int = 4,
                "presumed-abort recovery")
     matrix = compile_scenario(validate_scenario({
         "scenario": {"name": "t10", "kind": "federated_commit",
-                     "seed": seed},
-        "federation": {"members": members, "batches": batches},
+                     "seed": 17},
+        "federation": {"members": 3, "batches": 4},
     })).run()
     baseline = matrix["crashes"]["none"]["state"]
     for crash, report in matrix["crashes"].items():
@@ -658,10 +642,3 @@ def run_t10(members: int = 3, batches: int = 4,
         "crash completes via resolve_incomplete; zero atomicity "
         "violations everywhere")
     return result
-
-
-ALL_EXPERIMENTS = {
-    "T1": run_t1, "T2": run_t2, "T3": run_t3,
-    "T4": run_t4, "T5": run_t5, "T6": run_t6, "T7": run_t7,
-    "T8": run_t8, "T9": run_t9, "T10": run_t10,
-}

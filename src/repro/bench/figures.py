@@ -3,8 +3,8 @@
 The paper has no quantitative tables; its figures are the evaluation.
 Each ``run_fN`` builds the figure's scenario on the real system and
 returns an :class:`~repro.bench.reporting.ExperimentResult` whose rows
-are the machine-checkable content of the figure.  EXPERIMENTS.md
-records the paper-vs-measured comparison.
+are the machine-checkable content of the figure.  The drivers measure;
+:mod:`repro.bench.scorecard` judges the shape.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def run_f2() -> ExperimentResult:
         for domain in domains:
             row[domain] = matrix.get((domain, level), 0)
         result.add(**row)
-    result.data["steps"] = steps
     result.data["tool_order"] = [s.tool for s in steps]
     result.notes.append(
         f"{len(steps)} tool applications; starts with structure "
@@ -100,15 +99,13 @@ def run_f3() -> ExperimentResult:
     """Chip planning: inputs -> chip planner -> floorplan + interfaces."""
     system = make_vlsi_system()
     da = run_full_chip_design(system)
-    leaf = system.repository.graph(da.da_id).leaves()[0]
     result = ExperimentResult(
         "F3", "Chip planning (Fig.3): inputs and outputs of the CUD run")
-    plan_dov = None
-    for dov in system.repository.graph(da.da_id):
-        if dov.data.get("floorplan"):
-            plan_dov = dov
-            break
-    assert plan_dov is not None
+    plan_dov = next((dov for dov in system.repository.graph(da.da_id)
+                     if dov.data.get("floorplan")), None)
+    result.data["floorplan"] = None
+    if plan_dov is None:
+        return result
     floorplan = Floorplan.from_dict(plan_dov.data["floorplan"])
     result.add(artifact="module and net list (input)",
                value=f"{len(plan_dov.data['structure']['subcells'])} "
@@ -132,7 +129,6 @@ def run_f3() -> ExperimentResult:
                value=f"{len(floorplan.subcell_interfaces())} subcell "
                      f"interfaces for the next level")
     result.data["floorplan"] = floorplan
-    result.data["final_dov"] = leaf.dov_id
     result.notes.append("floorplan is geometrically valid: "
                         + ("yes" if not floorplan.validate() else "NO"))
     return result
@@ -179,8 +175,6 @@ def run_f5() -> ExperimentResult:
     for i, phase in enumerate(report.phases, 1):
         result.add(phase=i, event=phase)
     result.data["report"] = report
-    result.data["protocol_records"] = \
-        system.cm.stats()["protocol_log_records"]
     total_inherited = sum(len(v) for v in report.inherited_dovs.values())
     result.notes.append(
         f"{len(report.sub_das)} sub-DAs created; "
@@ -255,7 +249,7 @@ def run_f7() -> ExperimentResult:
     table = transition_table()
     states = [DaState.GENERATED, DaState.ACTIVE, DaState.NEGOTIATING,
               DaState.READY_FOR_TERMINATION, DaState.TERMINATED]
-    legal = illegal = 0
+    legal = illegal = unexpectedly_legal = 0
     for state in states:
         allowed = legal_operations(state)
         targets = []
@@ -272,15 +266,16 @@ def run_f7() -> ExperimentResult:
             machine.state = state
             try:
                 machine.apply(operation)
-                raise AssertionError(
-                    f"{operation} unexpectedly legal in {state}")
             except IllegalTransitionError:
                 illegal += 1
+            else:
+                unexpectedly_legal += 1
         result.add(state=state.value, legal_operations=len(allowed),
                    transitions="; ".join(sorted(targets)) or "-")
     result.data["table"] = table
     result.data["legal"] = legal
     result.data["illegal"] = illegal
+    result.data["unexpectedly_legal"] = unexpectedly_legal
     result.notes.append(
         f"{legal} legal transitions exercised, {illegal} illegal "
         f"(state, operation) pairs correctly rejected")
@@ -343,7 +338,6 @@ def run_f8() -> ExperimentResult:
                          f"log records), "
                          f"{report2['executed_dops']} DOPs intact",
                lost="none (forward recovery from persistent script+log)")
-    assert report2["executed_dops"] == executed_before
 
     # --- episode 3: server crash ----------------------------------------------
     system3, fig5 = fig5_delegation_scenario()
@@ -359,13 +353,8 @@ def run_f8() -> ExperimentResult:
                          f"DOVs redone from WAL; {das_after}/{das_before}"
                          f" DAs reloaded from persistent hierarchy state",
                lost="only staged (uncommitted) checkins")
-    result.data["episodes"] = 3
+    result.data["dm_recovery"] = (executed_before,
+                                  report2["executed_dops"])
     result.data["dov_recovery"] = (versions_before, versions_after)
     result.data["da_recovery"] = (das_before, das_after)
     return result
-
-
-ALL_FIGURES = {
-    "F1": run_f1, "F2": run_f2, "F3": run_f3, "F4": run_f4,
-    "F5": run_f5, "F6": run_f6, "F7": run_f7, "F8": run_f8,
-}

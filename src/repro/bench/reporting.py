@@ -48,7 +48,7 @@ class ExperimentResult:
     rows: list[Row] = field(default_factory=list)
     columns: list[str] | None = None
     notes: list[str] = field(default_factory=list)
-    #: free-form extra payload for assertions in tests/benchmarks
+    #: what the driver measured beyond its rows, for its shape check
     data: dict[str, Any] = field(default_factory=dict)
 
     def render(self) -> str:

@@ -16,13 +16,13 @@ from repro.core.states import DaState
 from repro.core.system import ConcordSystem
 from repro.dc.script import DaOpStep, DopStep, Iteration, Script, Sequence
 from repro.scenario.delegation import chip_spec, make_vlsi_system
+from repro.vlsi.cells import sample_hierarchy
 from repro.vlsi.floorplan import Floorplan
 from repro.vlsi.methodology import full_design_script
 from repro.vlsi.tools import vlsi_dots
 
 
-def subcell_script(subcell: str, operations: list[str],
-                   max_rounds: int = 2) -> Script:
+def subcell_script(subcell: str, operations: list[str]) -> Script:
     """Work flow of a subcell-planning sub-DA in the Fig.5 scenario."""
     return Script(Sequence(
         DopStep("subcell_seed", params={"subcell": subcell,
@@ -31,7 +31,7 @@ def subcell_script(subcell: str, operations: list[str],
         DopStep("shape_function_generator"),
         Iteration(Sequence(DopStep("chip_planner"),
                            DaOpStep("Evaluate")),
-                  max_rounds=max_rounds, name="replan"),
+                  max_rounds=2, name="replan"),
     ), name=f"plan-{subcell}")
 
 
@@ -65,9 +65,8 @@ class RecursiveReport:
     devolved: dict[str, list[str]] = field(default_factory=dict)
 
 
-def recursive_planning_scenario(
-        hierarchy=None) -> tuple[ConcordSystem, RecursiveReport]:
-    """Top-down recursive chip planning over a whole cell hierarchy.
+def recursive_planning_scenario() -> tuple[ConcordSystem, RecursiveReport]:
+    """Top-down recursive chip planning over the sample cell hierarchy.
 
     "In a top-down fashion, a floorplan is computed for each cell of
     the hierarchy by recursively applying the chip planner" (Sect.3).
@@ -76,10 +75,6 @@ def recursive_planning_scenario(
     is fully planned, the sub-DA commits and its final DOVs devolve
     upward level by level.
     """
-    from repro.vlsi.cells import sample_hierarchy
-
-    if hierarchy is None:
-        hierarchy = sample_hierarchy()
     workstations = ("ws-1", "ws-2", "ws-3")
     system = make_vlsi_system(workstations)
     report = RecursiveReport()
@@ -153,7 +148,7 @@ def recursive_planning_scenario(
                                                    da.da_id)
             report.devolved[da.da_id] = inherited
 
-    plan_cell(hierarchy.root, None, None, None, 0)
+    plan_cell(sample_hierarchy().root, None, None, None, 0)
     return system, report
 
 

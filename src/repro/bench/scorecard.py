@@ -3,8 +3,10 @@
 Runs every figure driver (F1-F8), experiment (T1-T10) and ablation
 (A1-A3) and evaluates the *shape* each must exhibit (the reproduction
 criterion: who wins, by roughly what factor, where crossovers fall —
-not absolute numbers).  ``python -m repro.bench.scorecard`` prints the
-card; the test suite asserts every row passes.
+not absolute numbers).  :data:`SCORECARD` is the one table of ids,
+drivers and checks: ``python -m repro <ID>`` runs a driver from it,
+``python -m repro scorecard`` prints the card, and
+``benchmarks/test_drivers.py`` asserts each row.
 """
 
 from __future__ import annotations
@@ -52,13 +54,19 @@ def _check_f2(result: ExperimentResult) -> str | None:
         return "traversal must start with tool 1"
     if tools[-1] != "chip_assembly":
         return "traversal must end with tool 7"
+    if len(result.rows) != 4:
+        return "the plane must have one row per hierarchy level"
     return None
 
 
 def _check_f3(result: ExperimentResult) -> str | None:
     floorplan = result.data["floorplan"]
+    if floorplan is None:
+        return "no DOV of the chip-planning run carries a floorplan"
     if floorplan.validate():
         return "floorplan geometrically invalid"
+    if not floorplan.placements:
+        return "floorplan places no subcell"
     if not floorplan.subcell_interfaces():
         return "no subcell interfaces produced"
     return None
@@ -70,6 +78,8 @@ def _check_f4(result: ExperimentResult) -> str | None:
         return "expected exactly one top-level DA"
     if len(hierarchy["roots"][0]["children"]) != 4:
         return "expected four sub-DAs (A-D)"
+    if result.data["delegations"] != 4:
+        return "expected four delegations"
     return None
 
 
@@ -79,8 +89,12 @@ def _check_f5(result: ExperimentResult) -> str | None:
         return "no impossible-specification episode"
     if len(report.modified_specs) != 2:
         return "expected two spec modifications (A and B)"
-    if not report.inherited_dovs:
-        return "no final DOVs devolved"
+    if any(state != "terminated"
+           for da, state in report.final_states.items()
+           if da != report.top_da):
+        return "every sub-DA must terminate"
+    if sum(len(dovs) for dovs in report.inherited_dovs.values()) < 4:
+        return "fewer final DOVs devolved than sub-DAs"
     return None
 
 
@@ -97,6 +111,10 @@ def _check_f6(result: ExperimentResult) -> str | None:
 def _check_f7(result: ExperimentResult) -> str | None:
     if result.data["legal"] + result.data["illegal"] != 75:
         return "state x operation coverage incomplete"
+    if result.data["unexpectedly_legal"]:
+        return "an operation outside the legal set was accepted"
+    if result.data["legal"] != len(result.data["table"]):
+        return "legal transitions differ from the transition table"
     return None
 
 
@@ -107,25 +125,37 @@ def _check_f8(result: ExperimentResult) -> str | None:
     das_before, das_after = result.data["da_recovery"]
     if das_before != das_after:
         return "CM hierarchy lost across server crash"
+    dops_before, dops_after = result.data["dm_recovery"]
+    if dops_before != dops_after:
+        return "DM lost executed DOPs across workstation crash"
+    if len(result.rows) != 3:
+        return "expected three failure episodes"
     return None
 
 
 def _check_t1(result: ExperimentResult) -> str | None:
-    chain = [r for r in result.rows if r["topology"] == "chain"]
-    by_team: dict = {}
-    for row in chain:
-        by_team.setdefault(row["team"], {})[row["model"]] = row
+    by_team: dict = {"chain": {}, "fan-in": {}}
+    for row in result.rows:
+        by_team[row["topology"]].setdefault(
+            row["team"], {})[row["model"]] = row
     gaps = []
-    for team in sorted(by_team):
-        models = by_team[team]
+    for team in sorted(by_team["chain"]):
+        models = by_team["chain"][team]
+        flat = models["flat_acid"]["makespan"]
         if not (models["concord"]["makespan"]
-                < models["contracts"]["makespan"]
-                <= models["flat_acid"]["makespan"]):
+                < models["contracts"]["makespan"] <= flat):
             return f"ordering violated for team={team}"
-        gaps.append(models["flat_acid"]["makespan"]
-                    - models["concord"]["makespan"])
-    if gaps != sorted(gaps):
+        if flat != models["flat_acid"]["total_work"] \
+                or models["nested"]["makespan"] != flat:
+            return f"flat/nested must serialise fully for team={team}"
+        gaps.append(flat - models["concord"]["makespan"])
+    if any(small >= large for small, large in zip(gaps, gaps[1:])):
         return "gap does not grow with team size"
+    if not by_team["fan-in"]:
+        return "no fan-in topology"
+    for team, models in by_team["fan-in"].items():
+        if models["concord"]["makespan"] > models["flat_acid"]["makespan"]:
+            return f"fan-in: concord loses to flat ACID for team={team}"
     return None
 
 
@@ -136,20 +166,27 @@ def _check_t2(result: ExperimentResult) -> str | None:
         if abs(lost - crash_time) > 1e-6:
             return "flat ACID must lose everything since start"
     for row in result.rows:
-        if row["model"].startswith("concord(rp=10"):
-            if row["lost_work"] >= 10.0:
+        model = row["model"]
+        if model.startswith("concord(rp="):
+            if row["lost_work"] >= float(model[len("concord(rp="):-1]):
                 return "concord lost more than its rp interval"
+        elif model in ("nested", "saga", "contracts") \
+                and row["lost_work"] > result.data["longest_step"]:
+            return f"{model} lost more than one step"
     return None
 
 
 def _check_t3(result: ExperimentResult) -> str | None:
     rows = {(r["protocol"], r["case"]): r for r in result.rows}
-    if not rows[("presumed_abort", "one-no abort")]["messages"] \
-            < rows[("basic", "one-no abort")]["messages"]:
-        return "presumed abort did not save abort messages"
-    if not rows[("presumed_abort+ro", "read-only mix")]["messages"] \
-            < rows[("presumed_abort", "read-only mix")]["messages"]:
-        return "read-only optimisation saved nothing"
+    basic = rows[("basic", "one-no abort")]
+    presumed = rows[("presumed_abort", "one-no abort")]
+    plain = rows[("presumed_abort", "read-only mix")]
+    read_only = rows[("presumed_abort+ro", "read-only mix")]
+    for measure in ("messages", "forced_writes"):
+        if not presumed[measure] < basic[measure]:
+            return f"presumed abort did not save abort {measure}"
+        if not read_only[measure] < plain[measure]:
+            return f"read-only optimisation saved no {measure}"
     return None
 
 
@@ -158,6 +195,10 @@ def _check_t4(result: ExperimentResult) -> str | None:
                if "derivation conflicts" in r["measure"]]
     if sharing != sorted(sharing):
         return "derivation conflicts must grow with sharing"
+    throughput = [r["value"] for r in result.rows
+                  if "short-lock" in r["measure"]]
+    if not throughput or throughput[0] <= 1000:
+        return "short-lock throughput implausibly low"
     return None
 
 
@@ -165,33 +206,48 @@ def _check_t5(result: ExperimentResult) -> str | None:
     feasible = [r for r in result.rows if r["severity"] <= 1.0]
     rounds = [r["rounds"] for r in
               sorted(feasible, key=lambda r: r["severity"])]
-    if rounds != sorted(rounds):
+    if any(fewer >= more for fewer, more in zip(rounds, rounds[1:])):
         return "rounds must grow with severity"
     if any(r["outcome"] != "agreed" for r in feasible):
         return "feasible negotiations must agree"
     infeasible = [r for r in result.rows if r["severity"] > 1.0]
-    if any(r["outcome"] != "escalated" for r in infeasible):
-        return "infeasible negotiations must escalate"
+    if any(r["outcome"] != "escalated" or r["escalations"] != 1
+           for r in infeasible):
+        return "infeasible negotiations must escalate once"
     return None
 
 
 def _check_t6(result: ExperimentResult) -> str | None:
     logs = [r["protocol_log_records"] for r in result.rows]
-    if logs != sorted(logs):
+    if any(small >= large for small, large in zip(logs, logs[1:])):
         return "protocol log must grow with hierarchy size"
+    per_da = [r["protocol_log_records"] / r["hierarchy_size"]
+              for r in result.rows]
+    if max(per_da) - min(per_da) >= 1.0:
+        return "protocol log must grow linearly"
+    if any(r["delegations"] != r["hierarchy_size"] - 1
+           for r in result.rows):
+        return "every DA but the top one must be a delegation"
     return None
 
 
 def _check_t7(result: ExperimentResult) -> str | None:
-    rows = {(r["team"], r["mode"]): r for r in result.rows
-            if r["mode"] in ("sequential", "concurrent")}
-    for team in {r["team"] for r in result.rows}:
+    rows = {(r["team"], r["mode"].split("(")[0]): r for r in result.rows}
+    for team in sorted({r["team"] for r in result.rows}):
         sequential = rows[(team, "sequential")]
         concurrent = rows[(team, "concurrent")]
+        crashed = rows[(team, "concurrent+crash")]
         if not concurrent["makespan"] < sequential["makespan"]:
             return "concurrent execution must beat sequential"
+        if sequential["makespan"] < concurrent["makespan"] * (team - 0.5):
+            return "the concurrent gain must grow with the team size"
         if not concurrent["states_match"]:
             return "concurrent and sequential final states must match"
+        if not (concurrent["makespan"] <= crashed["makespan"]
+                < sequential["makespan"]):
+            return "a crash must cost redone work, not a restart"
+        if not crashed["states_match"]:
+            return "every sub-DA must terminate despite the crash"
     return None
 
 
@@ -209,6 +265,14 @@ def _check_t8(result: ExperimentResult) -> str | None:
             return "caching must lower the makespan"
         if not cached["hit_rate"] > 0.0:
             return "buffer hit rate must be non-zero"
+        if uncached["hit_rate"] != 0.0:
+            return "an uncached run cannot hit a buffer"
+        if not (cached["checkins"] > 0 and cached["invalidations"] > 0):
+            return "superseding checkins must revoke buffered copies"
+        if uncached["invalidations"] != 0:
+            return "an uncached run has no copies to invalidate"
+        if cached["checkins"] != uncached["checkins"]:
+            return "both modes must run identical designer sessions"
     return None
 
 
@@ -264,6 +328,8 @@ def _check_a1(result: ExperimentResult) -> str | None:
         reworks = [r["rework"] for r in ordered]
         if reworks != sorted(reworks):
             return "rework must grow as the gate weakens"
+        if not ordered[0]["makespan"] < ordered[-1]["makespan"]:
+            return "makespan must grow as the gate weakens"
     return None
 
 
@@ -272,6 +338,9 @@ def _check_a2(result: ExperimentResult) -> str | None:
     losses = [r["mean_lost"] for r in numeric]
     if losses != sorted(losses):
         return "lost work must grow with the interval"
+    writes = [r["recovery_point_writes"] for r in result.rows]
+    if writes != sorted(writes, reverse=True):
+        return "recovery-point writes must fall as the interval grows"
     return None
 
 
@@ -298,15 +367,13 @@ SCORECARD: dict[str, tuple[Callable[[], ExperimentResult],
 }
 
 
-def run_scorecard(only: set[str] | None = None) -> ExperimentResult:
+def run_scorecard() -> ExperimentResult:
     """Run every driver and check its shape; returns the scorecard."""
     card = ExperimentResult(
         "SCORECARD", "Reproduction scorecard: every figure/experiment "
                      "and its expected shape")
     failures = 0
     for exp_id, (driver, check) in SCORECARD.items():
-        if only and exp_id not in only:
-            continue
         try:
             result = driver()
             problem = check(result)
@@ -322,7 +389,3 @@ def run_scorecard(only: set[str] | None = None) -> ExperimentResult:
         f"{len(card.rows) - failures}/{len(card.rows)} expected shapes "
         f"hold")
     return card
-
-
-if __name__ == "__main__":  # pragma: no cover - convenience entry
-    print(run_scorecard().render())

@@ -122,16 +122,6 @@ class ObjectBuffer:
         return len(self._entries)
 
     @property
-    def resident_bytes(self) -> int:
-        """Total modelled payload bytes currently resident."""
-        return sum(entry.size for entry in self._entries.values())
-
-    @property
-    def dirty_bytes(self) -> int:
-        """Payload bytes of dirty (unflushed write-back) entries."""
-        return sum(self._entries[dov_id].size for dov_id in self._dirty)
-
-    @property
     def dirty_count(self) -> int:
         """Number of dirty (unflushed write-back) entries — O(1)."""
         return len(self._dirty)
@@ -139,10 +129,6 @@ class ObjectBuffer:
     def dirty_ids(self) -> list[str]:
         """Dirty ids in admission (checkin) order."""
         return list(self._dirty)
-
-    def entry(self, dov_id: str) -> BufferEntry | None:
-        """The raw entry for *dov_id* (no hit/miss accounting)."""
-        return self._entries.get(dov_id)
 
     def get(self, dov_id: str, da_id: str) -> DesignObjectVersion | None:
         """The cached version, or None on a miss.
@@ -332,29 +318,3 @@ class ObjectBuffer:
         self._entries.clear()
         self._dirty.clear()
         return lost
-
-    # -- statistics --------------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses); 0.0 before any lookup."""
-        looked_up = self.hits + self.misses
-        return self.hits / looked_up if looked_up else 0.0
-
-    def stats(self) -> dict[str, Any]:
-        """Snapshot of the buffer's counters (bench/trace surface)."""
-        return {
-            "workstation": self.workstation,
-            "resident": len(self._entries),
-            "resident_bytes": self.resident_bytes,
-            "dirty": len(self.dirty_entries()),
-            "dirty_bytes": self.dirty_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "invalidations": self.invalidations,
-            "coalesced": self.coalesced,
-            "dirty_lost": self.dirty_lost,
-            "revalidated": self.revalidated,
-            "revalidation_drops": self.revalidation_drops,
-        }

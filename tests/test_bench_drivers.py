@@ -1,174 +1,146 @@
-"""Integration tests: every figure/experiment driver runs and its
-result carries the paper's expected shape."""
+"""Each shape check of the scorecard catches the violation it exists for.
+
+Every case runs its driver once, feeds the row's check a copy of the
+real result doctored to break one expected shape, and expects the
+check's message.  The shapes themselves are written down once, in
+:mod:`repro.bench.scorecard`, and asserted per row by
+``benchmarks/test_drivers.py``.  Also here: what no check covers, a
+border negotiation off T5's grid and the rendered table.
+"""
 
 from __future__ import annotations
 
-import pytest
+import copy
+import functools
 
-from repro.bench.experiments import (
-    negotiate_border,
-    run_t1,
-    run_t2,
-    run_t3,
-    run_t4,
-    run_t5,
-    run_t6,
-)
-from repro.bench.figures import (
-    run_f1,
-    run_f2,
-    run_f3,
-    run_f4,
-    run_f5,
-    run_f6,
-    run_f7,
-    run_f8,
-)
+from repro.bench.experiments import negotiate_border, run_t3
+from repro.bench.scorecard import SCORECARD
+
+
+@functools.cache
+def _real(exp_id):
+    return SCORECARD[exp_id][0]()
+
+
+def _row(result, **match):
+    return next(row for row in result.rows
+                if all(row[key] == value for key, value in match.items()))
+
+
+def _assert_rejects(exp_id, doctor, message):
+    check = SCORECARD[exp_id][1]
+    result = copy.deepcopy(_real(exp_id))
+    assert check(result) is None
+    doctor(result)
+    problem = check(result)
+    assert problem is not None and message in problem, problem
 
 
 class TestFigures:
     def test_f1_levels_nested(self):
-        result = run_f1()
-        counts = result.data["counts"]
-        assert counts["AC"] > 0 and counts["DC"] > 0 and counts["TE"] > 0
-        # the TE level carries more operations than the DC level (every
-        # DOP wraps several TE operations) — the Fig.1 nesting
-        assert counts["TE"] > counts["DC"]
+        def dc_as_deep_as_te(result):
+            counts = result.data["counts"]
+            counts["TE"] = counts["DC"]
+        _assert_rejects("F1", dc_as_deep_as_te, "TE must outnumber DC")
 
     def test_f2_plane_shape(self):
-        result = run_f2()
-        tools = result.data["tool_order"]
-        assert tools[0] == "structure_synthesis"
-        assert tools[-1] == "chip_assembly"
-        # 4 hierarchy rows in the matrix
-        assert len(result.rows) == 4
+        def a_level_missing(result):
+            result.rows.pop()
+        _assert_rejects("F2", a_level_missing, "one row per hierarchy level")
 
     def test_f3_floorplan_outputs(self):
-        result = run_f3()
-        floorplan = result.data["floorplan"]
-        assert floorplan.validate() == []
-        assert floorplan.placements
-        assert floorplan.subcell_interfaces()
+        def no_floorplan_dov(result):
+            result.data["floorplan"] = None
+        _assert_rejects("F3", no_floorplan_dov, "carries a floorplan")
 
     def test_f4_hierarchy(self):
-        result = run_f4()
-        hierarchy = result.data["hierarchy"]
-        assert len(hierarchy["roots"]) == 1
-        root = hierarchy["roots"][0]
-        assert len(root["children"]) == 4      # A, B, C, D
-        assert result.data["delegations"] == 4
+        def a_delegation_missing(result):
+            result.data["delegations"] -= 1
+        _assert_rejects("F4", a_delegation_missing, "four delegations")
 
     def test_f5_scenario_content(self):
-        result = run_f5()
-        report = result.data["report"]
-        assert report.impossible_from
-        assert len(report.modified_specs) == 2
-        assert all(state == "terminated"
-                   for da, state in report.final_states.items()
-                   if da != report.top_da)
-        assert sum(len(v) for v in report.inherited_dovs.values()) >= 4
+        def a_sub_da_stays_active(result):
+            report = result.data["report"]
+            report.final_states[report.sub_das["C"]] = "active"
+        _assert_rejects("F5", a_sub_da_stays_active,
+                        "every sub-DA must terminate")
 
     def test_f6_scripts(self):
-        result = run_f6()
-        assert result.data["fig6a_executed"][0] == "structure_synthesis"
-        assert result.data["fig6a_executed"][-1] == "chip_assembly"
-        assert len(result.data["fig6b_sequences"]) == 3
+        def a_path_missing(result):
+            result.data["fig6b_sequences"].pop()
+        _assert_rejects("F6", a_path_missing, "three paths")
 
     def test_f7_state_machine_coverage(self):
-        result = run_f7()
-        table = result.data["table"]
-        assert result.data["legal"] == len(table)
-        total_pairs = 5 * 15  # states x operations
-        assert result.data["legal"] + result.data["illegal"] == total_pairs
+        def an_illegal_pair_is_accepted(result):
+            result.data["unexpectedly_legal"] = 1
+        _assert_rejects("F7", an_illegal_pair_is_accepted,
+                        "outside the legal set")
 
     def test_f8_recovery_outcomes(self):
-        result = run_f8()
-        before, after = result.data["dov_recovery"]
-        assert after == before            # all durable DOVs redone
-        das_before, das_after = result.data["da_recovery"]
-        assert das_after == das_before    # CM state reloaded
-        assert result.data["episodes"] == 3
+        def dm_loses_a_dop(result):
+            before, __ = result.data["dm_recovery"]
+            result.data["dm_recovery"] = (before, before - 1)
+        _assert_rejects("F8", dm_loses_a_dop, "DM lost executed DOPs")
 
 
 class TestExperiments:
     def test_t1_shape(self):
-        result = run_t1(team_sizes=(3, 6), seed=7)
-        by_team = {}
-        for row in result.rows:
-            if row["topology"] != "chain":
-                continue
-            by_team.setdefault(row["team"], {})[row["model"]] = row
-        for team, models in by_team.items():
-            concord = models["concord"]["makespan"]
-            flat = models["flat_acid"]["makespan"]
-            contracts = models["contracts"]["makespan"]
-            assert concord < contracts < flat
-            # flat/nested serialise completely
-            assert flat == pytest.approx(models["flat_acid"]["total_work"])
-            assert models["nested"]["makespan"] == flat
-        # the absolute gap grows with team size
-        gap_small = by_team[3]["flat_acid"]["makespan"] \
-            - by_team[3]["concord"]["makespan"]
-        gap_large = by_team[6]["flat_acid"]["makespan"] \
-            - by_team[6]["concord"]["makespan"]
-        assert gap_large > gap_small
-        # the fan-in topology is present and concord wins there too
-        fan_in = [r for r in result.rows if r["topology"] == "fan-in"]
-        assert fan_in
-        for team in {r["team"] for r in fan_in}:
-            rows = {r["model"]: r for r in fan_in if r["team"] == team}
-            assert rows["concord"]["makespan"] <= \
-                rows["flat_acid"]["makespan"]
+        def fan_in_concord_loses(result):
+            flat = _row(result, topology="fan-in", team=4, model="flat_acid")
+            _row(result, topology="fan-in", team=4,
+                 model="concord")["makespan"] = flat["makespan"] + 1.0
+        _assert_rejects("T1", fan_in_concord_loses, "fan-in: concord loses")
 
     def test_t2_shape(self):
-        result = run_t2(crash_times=(25.0, 140.0))
-        rows = {(r["model"], r["crash_time"]): r["lost_work"]
-                for r in result.rows}
-        # flat grows linearly
-        assert rows[("flat_acid", 140.0)] > rows[("flat_acid", 25.0)]
-        assert rows[("flat_acid", 25.0)] == 25.0
-        # concord with the tighter interval never loses more than it
-        assert rows[("concord(rp=10)", 140.0)] < 10.0
-        assert rows[("concord(rp=10)", 25.0)] <= \
-            rows[("concord(rp=30)", 25.0)] + 10.0
+        def concord_loses_its_interval(result):
+            for row in result.rows:
+                if row["model"] == "concord(rp=10)":
+                    row["lost_work"] = 10.0
+        _assert_rejects("T2", concord_loses_its_interval,
+                        "lost more than its rp interval")
 
     def test_t3_shape(self):
-        result = run_t3()
-        rows = {(r["protocol"], r["case"]): r for r in result.rows}
-        basic_abort = rows[("basic", "one-no abort")]
-        pa_abort = rows[("presumed_abort", "one-no abort")]
-        assert pa_abort["messages"] < basic_abort["messages"]
-        assert pa_abort["forced_writes"] < basic_abort["forced_writes"]
-        ro = rows[("presumed_abort+ro", "read-only mix")]
-        plain = rows[("presumed_abort", "read-only mix")]
-        assert ro["messages"] < plain["messages"]
-        assert ro["forced_writes"] < plain["forced_writes"]
+        def presumed_abort_forces_as_much(result):
+            basic = _row(result, protocol="basic", case="one-no abort")
+            _row(result, protocol="presumed_abort", case="one-no abort")[
+                "forced_writes"] = basic["forced_writes"]
+        _assert_rejects("T3", presumed_abort_forces_as_much,
+                        "abort forced_writes")
 
     def test_t4_runs(self):
-        result = run_t4(operations=500, sharing_levels=(1, 4),
-                        depths=(2, 4))
-        measures = [r["measure"] for r in result.rows]
-        assert any("short-lock" in m for m in measures)
-        sharing_rows = [r for r in result.rows
-                        if "derivation conflicts" in r["measure"]]
-        assert sharing_rows[0]["value"] <= sharing_rows[-1]["value"]
+        def conflicts_fall_with_sharing(result):
+            rows = [r for r in result.rows
+                    if "derivation conflicts" in r["measure"]]
+            rows[0]["value"] = rows[-1]["value"] + 1
+        _assert_rejects("T4", conflicts_fall_with_sharing,
+                        "must grow with sharing")
 
     def test_t5_shape(self):
-        result = run_t5(severities=(0.5, 0.9, 1.2))
-        rows = {r["severity"]: r for r in result.rows}
-        assert rows[0.5]["outcome"] == "agreed"
-        assert rows[0.9]["outcome"] == "agreed"
-        assert rows[0.5]["rounds"] < rows[0.9]["rounds"]
-        assert rows[1.2]["outcome"] == "escalated"
-        assert rows[1.2]["escalations"] == 1
+        def rounds_flat_across_severity(result):
+            feasible = [r for r in result.rows if r["severity"] <= 1.0]
+            for row in feasible:
+                row["rounds"] = feasible[0]["rounds"]
+        _assert_rejects("T5", rounds_flat_across_severity,
+                        "rounds must grow with severity")
 
     def test_t6_log_growth_linear(self):
-        result = run_t6(hierarchy_sizes=(5, 10))
-        small, large = result.rows
-        assert large["protocol_log_records"] > \
-            small["protocol_log_records"]
-        assert large["delegations"] == 9
-        assert small["delegations"] == 4
+        def largest_log_doubles(result):
+            result.rows[-1]["protocol_log_records"] *= 2
+        _assert_rejects("T6", largest_log_doubles, "must grow linearly")
+
+    def test_t7_crash_row(self):
+        def crash_restarts_from_scratch(result):
+            sequential = _row(result, team=3, mode="sequential")
+            _row(result, team=3, mode="concurrent+crash(ws-C)")[
+                "makespan"] = sequential["makespan"]
+        _assert_rejects("T7", crash_restarts_from_scratch, "not a restart")
+
+    def test_t8_uncached_invalidations(self):
+        def uncached_run_invalidates(result):
+            _row(result, team=2, write_mix=0.2,
+                 caching=False)["invalidations"] = 1
+        _assert_rejects("T8", uncached_run_invalidates,
+                        "no copies to invalidate")
 
     def test_negotiate_border_feasible(self):
         outcome = negotiate_border(100.0, 30.0, 30.0)
@@ -178,6 +150,14 @@ class TestExperiments:
     def test_negotiate_border_infeasible(self):
         outcome = negotiate_border(100.0, 70.0, 70.0)
         assert outcome["outcome"] == "escalated"
+
+
+class TestAblations:
+    def test_a2_write_order(self):
+        def tight_interval_writes_fewer_points(result):
+            result.rows[0]["recovery_point_writes"] = 0
+        _assert_rejects("A2", tight_interval_writes_fewer_points,
+                        "recovery-point writes")
 
 
 class TestRendering:

@@ -82,7 +82,7 @@ class TestSubcellSeed:
         assert context.data["interface"]["max_width"] == 7.0
 
     def test_subcell_script_structure(self):
-        script = subcell_script("cell-0/A", ["a", "b"], max_rounds=3)
+        script = subcell_script("cell-0/A", ["a", "b"])
         sequences = script.sequences(max_iterations=1)
         assert sequences[0][0] == "subcell_seed"
         assert "chip_planner" in sequences[0]

@@ -29,10 +29,19 @@ def test_example_runs(script, capsys):
     assert captured.out.strip(), "examples must print their findings"
 
 
+def run_experiments(monkeypatch, *ids) -> int:
+    monkeypatch.setattr(sys, "argv", ["run_experiments.py", *ids])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(EXAMPLES / "run_experiments.py"),
+                       run_name="__main__")
+    return exited.value.code
+
+
 def test_run_experiments_single(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "F7"])
-    runpy.run_path(str(EXAMPLES / "run_experiments.py"),
-                   run_name="__main__")
+    assert run_experiments(monkeypatch, "F7") == 0
     captured = capsys.readouterr()
     assert "F7" in captured.out
     assert "T1" not in captured.out
+    # an unknown id lists the valid ones and fails, as python -m repro
+    assert run_experiments(monkeypatch, "T99") == 2
+    assert "unknown experiments: ['T99']" in capsys.readouterr().out

@@ -236,10 +236,10 @@ class TestOneWalkPerDov:
         # version *shares* it — rebind must not re-size anything
         durable = DesignObjectVersion("dov-9", "Cell", provisional.data,
                                       "da-1", 1.0)
-        size_before = buffer.entry("wb-1").size
+        size_before = buffer._entries["wb-1"].size
         before = walks()
         assert buffer.rebind({"wb-1": durable}) == 1
-        entry = buffer.entry("dov-9")
+        entry = buffer._entries["dov-9"]
         assert entry.size == size_before
         assert not entry.dirty
         assert walks() == before

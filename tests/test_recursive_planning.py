@@ -10,21 +10,20 @@ from repro.vlsi.cells import sample_hierarchy
 class TestRecursivePlanning:
     def test_one_da_per_inner_cell(self):
         hierarchy = sample_hierarchy()
-        system, report = recursive_planning_scenario(
-            hierarchy=hierarchy)
+        system, report = recursive_planning_scenario()
         inner = {c.name for c in hierarchy.cells() if c.children}
         assert set(report.das) == inner
 
     def test_da_depth_matches_cell_level(self):
         hierarchy = sample_hierarchy()
-        __, report = recursive_planning_scenario(hierarchy=hierarchy)
+        __, report = recursive_planning_scenario()
         for cell in hierarchy.cells():
             if cell.children:
                 assert report.depths[cell.name] == cell.level.value
 
     def test_every_inner_cell_got_a_floorplan(self):
         hierarchy = sample_hierarchy()
-        __, report = recursive_planning_scenario(hierarchy=hierarchy)
+        __, report = recursive_planning_scenario()
         inner = {c.name for c in hierarchy.cells() if c.children}
         assert set(report.floorplans) == inner
         for width, height in report.floorplans.values():

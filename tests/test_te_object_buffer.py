@@ -36,7 +36,6 @@ class TestObjectBufferUnit:
         buffer.put(make_dov(), "da-1")
         assert buffer.get("dov-1", "da-1").dov_id == "dov-1"
         assert (buffer.hits, buffer.misses) == (1, 1)
-        assert buffer.hit_rate == pytest.approx(0.5)
 
     def test_hits_are_scoped_per_da(self):
         buffer = ObjectBuffer("ws-1")
@@ -60,11 +59,10 @@ class TestObjectBufferUnit:
         buffer = ObjectBuffer("ws-1")
         buffer.put(make_dov(), "da-1")
         buffer.get("dov-1", "da-1")
-        stats = buffer.stats()
-        assert stats["resident"] == 1
-        assert stats["hits"] == 1
-        assert stats["resident_bytes"] == make_dov().payload_size
-        assert stats["dirty"] == 0
+        assert len(buffer) == 1
+        assert buffer.hits == 1
+        assert buffer._entries["dov-1"].size == make_dov().payload_size
+        assert buffer.dirty_ids() == []
 
 
 @pytest.fixture

@@ -70,7 +70,7 @@ class TestDeferredCheckin:
         # zero network events, zero bytes: the checkin stayed local
         assert network.messages_sent == sent
         assert network.bytes_shipped == bytes_before
-        assert rig["buffers"]["ws-1"].entry(result.dov.dov_id).dirty
+        assert rig["buffers"]["ws-1"].dirty_ids() == [result.dov.dov_id]
         assert result.dov.dov_id not in rig["repo"]
 
     def test_own_dirty_version_is_a_buffer_hit(self, rig):
@@ -97,7 +97,8 @@ class TestDeferredCheckin:
         assert buffer.coalesced == 1
         assert r1.dov.dov_id not in buffer
         # the survivor inherits the durable lineage
-        entry = buffer.entry(r2.dov.dov_id)
+        [entry] = buffer.dirty_entries()
+        assert entry.dov.dov_id == r2.dov.dov_id
         assert entry.record["parents"] == [rig["dov0"].dov_id]
 
 
@@ -124,7 +125,7 @@ class TestGroupFlush:
         # the flushed version stays resident, clean, under a lease
         buffer = rig["buffers"]["ws-1"]
         assert durable in buffer
-        assert not buffer.entry(durable).dirty
+        assert buffer.dirty_ids() == []
         assert rig["server_tm"].leases.holders(durable) == {"ws-1"}
         # the derivation graph extended exactly once
         assert [d.dov_id for d in repo.graph("da-1").leaves()] \
