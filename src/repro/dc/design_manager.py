@@ -567,7 +567,10 @@ class DesignManager:
 
         Rebuilds the cursor by replaying the stable log's script
         positions over the persistent script, then resumes the
-        in-flight DOP (if any) from its TE-level recovery point.
+        in-flight DOP (if any) from its TE-level recovery point.  A
+        specification modification restarted the script: only what
+        its last record is followed by is replayed, and the restart
+        basis it named is restored unless a DOP since consumed it.
         Returns a report used by experiment F8.
         """
         script = self.node.stable.get(self._script_key())
@@ -576,7 +579,13 @@ class DesignManager:
                 f"no persistent script for DA {self.binding.da_id!r}")
         self.script = script
         self.cursor = script.cursor()
-        positions = self.log.stable_records(LogRecordKind.SCRIPT_POSITION)
+        restarts = [r for r in
+                    self.log.stable_records(LogRecordKind.COOP_OPERATION)
+                    if r.payload["event"] == "spec_modified"]
+        since = restarts[-1].lsn if restarts else 0
+        positions = [r for r in
+                     self.log.stable_records(LogRecordKind.SCRIPT_POSITION)
+                     if r.lsn > since]
         for record in positions:
             decision = record.payload["decision"]
             if isinstance(decision, list):  # tuples round-trip as lists
@@ -584,20 +593,23 @@ class DesignManager:
             self.cursor.fire(record.payload["token"], decision)
 
         # rebuild executed-tool history from finish records
+        finishes = self.log.stable_records(LogRecordKind.DOP_FINISH)
         self.executed_tools = [
-            r.payload["tool"]
-            for r in self.log.stable_records(LogRecordKind.DOP_FINISH)
-            if r.payload["outcome"] == "commit"]
-        self.executed_dops = len(self.executed_tools)
+            r.payload["tool"] for r in finishes
+            if r.payload["outcome"] == "commit" and r.lsn > since]
+        self.executed_dops = sum(
+            1 for r in finishes if r.payload["outcome"] == "commit")
         self.aborted_dops = sum(
-            1 for r in self.log.stable_records(LogRecordKind.DOP_FINISH)
-            if r.payload["outcome"] == "abort")
+            1 for r in finishes if r.payload["outcome"] == "abort")
+        starts = self.log.stable_records(LogRecordKind.DOP_START)
+        # the first DOP after the restart consumed the basis it named
+        consumed = bool(starts) and starts[-1].lsn > since
+        self.restart_dov = restarts[-1].payload["restart_dov"] \
+            if restarts and not consumed else None
 
         # find an in-flight DOP: started but never finished
-        finished = {r.payload["dop"] for r in
-                    self.log.stable_records(LogRecordKind.DOP_FINISH)}
-        in_flight = [r.payload for r in
-                     self.log.stable_records(LogRecordKind.DOP_START)
+        finished = {r.payload["dop"] for r in finishes}
+        in_flight = [r.payload for r in starts
                      if r.payload["dop"] not in finished]
         resumed = None
         if in_flight:

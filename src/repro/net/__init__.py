@@ -1,7 +1,7 @@
 """Simulated LAN substrate: nodes, transactional RPC, two-phase commit."""
 
 from repro.net.network import Network, Node, NodeKind, StableStorage
-from repro.net.rpc import RpcResult, TransactionalRpc
+from repro.net.rpc import TransactionalRpc
 from repro.net.two_phase_commit import (
     CommitOutcome,
     CommitProtocol,
@@ -18,7 +18,6 @@ __all__ = [
     "Network",
     "Node",
     "NodeKind",
-    "RpcResult",
     "StableStorage",
     "TransactionalRpc",
     "TwoPhaseCoordinator",

@@ -6,9 +6,9 @@ via a local area network)" (Sect.5.1).  This module models that
 environment deterministically:
 
 * :class:`Node` — a workstation or the server, with *stable storage*
-  (survives crashes) and *volatile state* (lost on crash), plus
-  registered crash/restart hooks so components (TMs, DMs, repository)
-  participate in failures;
+  (survives crashes) plus registered crash/restart hooks, through which
+  components (TMs, DMs, repository) drop the volatile state they own
+  and recover;
 * :class:`Network` — synchronous message transport with per-hop cost
   accounting (LAN vs same-machine), used by the RPC and 2PC layers and
   by experiment T3's message/latency counts.
@@ -115,12 +115,11 @@ class StableStorage:
 
 @dataclass
 class Node:
-    """One machine: id, role, stable storage, volatile state, hooks."""
+    """One machine: id, role, stable storage, crash/restart hooks."""
 
     node_id: str
     kind: NodeKind
     stable: StableStorage = field(default_factory=StableStorage)
-    volatile: dict[str, Any] = field(default_factory=dict)
     up: bool = True
     #: callbacks invoked on crash (components drop volatile state here)
     on_crash: list[Callable[[], None]] = field(default_factory=list)
@@ -129,10 +128,9 @@ class Node:
     crash_count: int = 0
 
     def crash(self) -> None:
-        """Crash this node: volatile state vanishes, hooks fire."""
+        """Crash this node: the hooks drop their volatile state."""
         self.up = False
         self.crash_count += 1
-        self.volatile.clear()
         for hook in self.on_crash:
             hook()
 

@@ -102,21 +102,6 @@ class TwoPhaseCoordinator:
         self.protocol = protocol
         self.read_only_optimisation = read_only_optimisation
 
-    # -- durable decision log -------------------------------------------------
-
-    @staticmethod
-    def _decision_key(txn_id: str) -> str:
-        # one record per decision: logging the n-th decision writes one
-        # string, whatever the log already holds
-        return f"2pc-decisions:{txn_id}"
-
-    def _log_decision(self, txn_id: str, decision: Decision,
-                      outcome: CommitOutcome, forced: bool) -> None:
-        node = self.network.node(self.node_id)
-        node.stable.put(self._decision_key(txn_id), decision.value)
-        if forced:
-            outcome.forced_log_writes += 1
-
     # -- the protocol -----------------------------------------------------------
 
     def execute(self, txn_id: str,
@@ -162,10 +147,11 @@ class TwoPhaseCoordinator:
         outcome.decision = decision
 
         # ---- coordinator decision record --------------------------------------
-        if decision is Decision.COMMIT:
-            self._log_decision(txn_id, decision, outcome, forced=True)
-        elif self.protocol is CommitProtocol.BASIC:
-            self._log_decision(txn_id, decision, outcome, forced=True)
+        # counted, not written, like the participants' records: nothing
+        # reads a decision back
+        if decision is Decision.COMMIT \
+                or self.protocol is CommitProtocol.BASIC:
+            outcome.forced_log_writes += 1
         # presumed abort: an abort is not logged at all
 
         # ---- phase 2: decide --------------------------------------------------
@@ -192,7 +178,5 @@ class TwoPhaseCoordinator:
                                                          self.node_id)
                     outcome.messages += 1
             except NodeDownError:
-                # the participant resolves the in-doubt txn at restart
-                # from the logged decision; nothing more to do now.
                 continue
         return outcome

@@ -596,19 +596,3 @@ class FederatedRepository:
             "directory_entries": len(directory),
             "members_down": down,
         }
-
-    # -- stats -----------------------------------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        """Federation-wide statistics."""
-        index = self.placement_index.stats()
-        return {
-            "members": len(self._members),
-            "placements": index["placements"],
-            "staged_index": index["staged_index"],
-            "directory_entries": index["directory_entries"],
-            "decision_log": self.decision_log.stats(),
-            "redone_batches": self.redone_batches,
-            "per_member": {name: repo.stats()
-                           for name, repo in self._members.items()},
-        }

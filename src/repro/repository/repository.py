@@ -389,15 +389,3 @@ class DesignDataRepository:
             if graph is not None and dov.dov_id not in graph:
                 graph.add(dov)
         return {"versions": recovered, "graphs": len(self._graphs)}
-
-    # ------------------------------------------------------------------ stats
-
-    def stats(self) -> dict[str, int]:
-        """Repository size snapshot (used in bench output)."""
-        return {
-            "dots": len(self._dots),
-            "graphs": len(self._graphs),
-            "durable_versions": len(self.store),
-            "staged_versions": len(self.store.staged_ids()),
-            "wal_records": len(self.wal),
-        }

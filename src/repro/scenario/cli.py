@@ -8,8 +8,7 @@ The command surface of the scenario DSL and the trace oracle:
 * ``scenario list`` / ``scenario dump <name>`` — the shipped canonical
   library (``dump`` prints the exact TOML the repo ships);
 * ``trace record <file.toml> [-o out.jsonl]`` — run a scenario and
-  persist its full kernel event stream (``.jsonl.gz`` outputs are
-  gzipped deterministically);
+  persist its full kernel event stream;
 * ``trace replay <trace.jsonl>`` — re-run the embedded scenario and
   diff the streams (exit 1 on divergence: the CI regression gate);
 * ``trace diff <a.jsonl> <b.jsonl>`` — structural diff of two trace
@@ -115,7 +114,7 @@ def scenario_main(argv: list[str]) -> int:
 def trace_main(argv: list[str]) -> int:
     """Entry point of the ``trace`` subcommand."""
     usage = ("usage: python -m repro trace "
-             "{record <file.toml> [-o out.jsonl[.gz]] | "
+             "{record <file.toml> [-o out.jsonl] | "
              "replay <trace.jsonl> | "
              "diff <a.jsonl> <b.jsonl>}")
     try:

@@ -199,7 +199,7 @@ def federated_commit_scenario(config: ScenarioConfig, crash: str
     report.state = tuple(sorted(state))
     report.decisions_logged = log.stats()["decisions"]
     report.forced_decision_writes = log.stats()["forced_writes"]
-    report.directory_entries = federation.stats()["directory_entries"]
+    report.directory_entries = len(federation.directory_snapshot())
     return report
 
 

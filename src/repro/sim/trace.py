@@ -13,9 +13,7 @@ stream into a first-class artifact:
   JSONL file** (one header object, then one ``[time, priority, seq,
   label]`` array per event) whose bytes are deterministic — committing
   a golden trace turns determinism into a *byte-level* regression
-  gate; a ``.jsonl.gz`` path transparently gzips the artifact (with a
-  zeroed mtime, so compressed goldens stay byte-deterministic too),
-  and loading auto-detects compression from the magic bytes;
+  gate;
 * :func:`replay_trace` re-runs the scenario embedded in a trace's
   header and diffs the fresh stream against the recorded one;
 * :func:`diff_traces` reports the **first divergence** structurally —
@@ -30,7 +28,6 @@ was recorded from.
 
 from __future__ import annotations
 
-import gzip
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,44 +92,28 @@ def capture_trace(kernel: "Kernel",
     return KernelTrace(meta=meta, events=events)
 
 
-#: gzip member header magic — compression is detected from content,
-#: not the filename, so renamed artifacts still load
-_GZIP_MAGIC = b"\x1f\x8b"
-
-
 def save_trace(trace: KernelTrace, path: str | Path) -> Path:
     """Write *trace* as deterministic JSONL (header line + one event
     per line).  Identical runs produce byte-identical files — the
-    byte-level half of the regression gate.  A ``.gz`` path gzips the
-    payload with ``mtime=0`` so the compressed bytes are deterministic
-    too."""
+    byte-level half of the regression gate."""
     path = Path(path)
     lines = [json.dumps(trace.meta, sort_keys=True,
                         separators=(",", ":"))]
     lines.extend(json.dumps(list(event), separators=(",", ":"))
                  for event in trace.events)
     data = ("\n".join(lines) + "\n").encode("utf-8")
-    if path.suffix == ".gz":
-        data = gzip.compress(data, mtime=0)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
     return path
 
 
 def load_trace(path: str | Path) -> KernelTrace:
-    """Load a JSONL trace artifact (plain or gzipped), checking its
-    format tag."""
+    """Load a JSONL trace artifact, checking its format tag."""
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
-    if data[:2] == _GZIP_MAGIC:
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError) as exc:
-            raise TraceError(
-                f"{path}: corrupt gzip stream: {exc}") from exc
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

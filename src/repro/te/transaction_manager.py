@@ -55,7 +55,7 @@ Checkin runs in one of two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.net.network import Network
@@ -108,6 +108,31 @@ class CheckinResult:
     provisional: bool = False
 
 
+@dataclass
+class ServerTxn:
+    """The server-TM's state of one checkin transaction.
+
+    Volatile, like the staging it tracks: the entry lives from the
+    request to the end of the gateway's drive, and a server crash
+    clears it.
+    """
+
+    #: the checkin records, in the workstation's checkin order
+    records: list[dict[str, Any]]
+    #: the requesting (coordinator) workstation
+    workstation: str | None
+    #: grant the committed versions read leases
+    lease: bool
+    #: staged dov ids in batch order, from a YES vote to the decision
+    staged: list[str] | None = None
+    #: provisional id -> durable id, from a YES vote on
+    mapping: dict[str, str] = field(default_factory=dict)
+    #: the durable versions in batch order, once committed
+    dovs: list[DesignObjectVersion] = field(default_factory=list)
+    #: why prepare voted NO (the integrity message)
+    error: str = ""
+
+
 class ServerTM:
     """Server-side transaction manager: shared access to the repository."""
 
@@ -128,9 +153,8 @@ class ServerTM:
         #: "without further authorization a DA is only allowed to read
         #: DOVs of its own derivation graph").
         self.scope_check: Callable[[str, str], bool] = self._default_scope
-        #: staged checkins per 2PC transaction id: dov ids in batch
-        #: order (a single checkin is a batch of one)
-        self._staged: dict[str, list[str]] = {}
+        #: checkin transactions in flight, by 2PC transaction id
+        self._txns: dict[str, ServerTxn] = {}
         #: lease time-to-live (None keeps the PR 2 recall-only regime;
         #: a number switches to TTL renewal leases: unrenewed leases
         #: expire via kernel timer events, and expiry behaves exactly
@@ -163,6 +187,7 @@ class ServerTM:
         # unvalidated copy could never be revoked again
         node = network.node(node_id)
         node.on_crash.append(self.clear_leases)
+        node.on_crash.append(self._txns.clear)
         node.on_restart.append(self._on_server_restart)
 
     def _default_scope(self, da_id: str, dov_id: str) -> bool:
@@ -235,9 +260,9 @@ class ServerTM:
         """Phase 1 of checkin: validate + stage the whole request or
         nothing.
 
-        The request is stashed under *txn_id* by :meth:`request_checkin`
-        (a list of one record) or :meth:`request_group_checkin` (a
-        batch) before the coordinator starts 2PC.  Runs synchronously
+        The request is stashed under *txn_id* by
+        :meth:`request_group_checkin` (a single checkin is a batch of
+        one) before the coordinator starts 2PC.  Runs synchronously
         on the coordinator's stack — no kernel events of its own; the
         network costs are the 2PC messages the coordinator accounts.
 
@@ -257,12 +282,11 @@ class ServerTM:
         staging level; the durability level is covered by the
         repository's single-force group commit.
         """
-        node = self.network.node(self.node_id)
-        node.require_up()
-        request = node.volatile.get(f"checkin-req:{txn_id}")
-        if request is None:
+        self.network.node(self.node_id).require_up()
+        txn = self._txns.get(txn_id)
+        if txn is None:
             return Vote.NO
-        records = request["records"]
+        records = txn.records
         staged: list[str] = []
         mapping: dict[str, str] = {}
         graph_locks = list(dict.fromkeys(
@@ -287,7 +311,7 @@ class ServerTM:
                 mapping[record["provisional_id"]] = dov.dov_id
         except Exception as exc:  # noqa: BLE001 - any failure aborts
             self.repository.abort_group(staged)
-            node.volatile[f"checkin-err:{txn_id}"] = str(exc)
+            txn.error = str(exc)
             self._record("checkin_prepare_failed", txn_id,
                          error=str(exc),
                          staged_rolled_back=len(staged))
@@ -296,8 +320,8 @@ class ServerTM:
             for graph_lock in acquired:
                 self.locks.release(graph_lock, txn_id,
                                    LockMode.SHORT_WRITE)
-        self._staged[txn_id] = staged
-        node.volatile[f"checkin-map:{txn_id}"] = mapping
+        txn.staged = staged
+        txn.mapping = mapping
         self._record("checkin_prepared", txn_id, count=len(staged))
         return Vote.YES
 
@@ -312,104 +336,60 @@ class ServerTM:
         committing workstation — which keeps the fresh versions in its
         buffer without any extra shipping — gets a lease on each.
         """
-        staged = self._staged.pop(txn_id, None)
-        if staged is None:
+        txn = self._txns.get(txn_id)
+        if txn is None or txn.staged is None:
             raise TransactionError(f"nothing staged for txn {txn_id!r}")
+        staged, txn.staged = txn.staged, None
         dovs = self.repository.commit_group(staged)
-        node = self.network.node(self.node_id)
-        # the request is consumed here: what stays behind per txn is
-        # the id mapping and the result, not the records
-        request = node.volatile.pop(f"checkin-req:{txn_id}", None) or {}
-        if request.get("lease"):
+        if txn.lease:
             # a cross-workstation batch stamps each record with its
             # origin; leases go to the contributor, not the coordinator
-            mapping = node.volatile[f"checkin-map:{txn_id}"]
             origin = {
-                mapping[record["provisional_id"]]:
-                    record.get("workstation") or request["workstation"]
-                for record in request["records"]}
+                txn.mapping[record["provisional_id"]]:
+                    record.get("workstation") or txn.workstation
+                for record in txn.records}
             for dov in dovs:
                 workstation = origin[dov.dov_id]
                 if workstation:
                     self.leases.grant(workstation, dov.dov_id)
-        node.volatile[f"checkin-dovs:{txn_id}"] = dovs
+        txn.dovs = dovs
         self.group_checkins += 1
         self._record("checkin_committed", txn_id, count=len(dovs))
 
     def abort(self, txn_id: str) -> None:
         """Phase 2 abort: the staged DOV(s) are discarded."""
-        staged = self._staged.pop(txn_id, None)
-        if staged is not None:
+        txn = self._txns.get(txn_id)
+        if txn is not None and txn.staged is not None:
+            staged, txn.staged = txn.staged, None
             self.repository.abort_group(staged)
             self._record("checkin_aborted", txn_id, count=len(staged))
-
-    def _stash_request(self, txn_id: str, records: list[dict[str, Any]],
-                       workstation: str | None, lease: bool,
-                       renew: bool) -> None:
-        node = self.network.node(self.node_id)
-        node.require_up()
-        if renew and workstation is not None:
-            self._piggyback_renewal(workstation)
-        node.volatile[f"checkin-req:{txn_id}"] = {
-            "records": records,
-            "workstation": workstation,
-            "lease": lease,
-        }
-
-    def request_checkin(self, txn_id: str, da_id: str, dot_name: str,
-                        data: dict[str, Any], parents: list[str],
-                        workstation: str | None = None,
-                        lease: bool = False,
-                        renew: bool = False) -> None:
-        """Stash a checkin request before the coordinator runs 2PC: a
-        group of one, its record keyed by the transaction id."""
-        self._stash_request(txn_id, [{
-            "provisional_id": txn_id,
-            "da_id": da_id,
-            "dot_name": dot_name,
-            "data": data,
-            "parents": parents,
-        }], workstation, lease, renew)
 
     def request_group_checkin(self, txn_id: str,
                               records: list[dict[str, Any]],
                               workstation: str | None = None,
                               lease: bool = False,
                               renew: bool = False) -> int:
-        """Stash a batched (write-back) checkin before the 2PC runs.
+        """Stash a checkin request before the coordinator runs 2PC.
 
-        *records* carry the deferred checkin requests in the
-        workstation's original checkin order, each with its
-        ``provisional_id`` so the server can map unflushed lineage to
-        the durable ids it assigns during :meth:`prepare`.  Like
-        :meth:`request_checkin` this is a control message; the batch's
-        payload bytes travel as one separate sized LAN message the
-        client posts.  Returns the accepted record count.
+        *records* carry the checkin requests in the workstation's
+        original checkin order (a write-through checkin is a batch of
+        one), each with its ``provisional_id`` so the server can map
+        unflushed lineage to the durable ids it assigns during
+        :meth:`prepare`.  This is a control message; the payload bytes
+        travel as separate sized LAN messages the client posts.
+        Returns the accepted record count.
         """
-        self._stash_request(txn_id, [dict(record) for record in records],
-                            workstation, lease, renew)
+        self.network.node(self.node_id).require_up()
+        if renew and workstation is not None:
+            self._piggyback_renewal(workstation)
+        self._txns[txn_id] = ServerTxn(
+            [dict(record) for record in records], workstation, lease)
         return len(records)
 
-    def checkin_error(self, txn_id: str) -> str | None:
-        """Why the prepare for *txn_id* voted NO (integrity message)."""
-        node = self.network.node(self.node_id)
-        return node.volatile.get(f"checkin-err:{txn_id}")
-
-    def group_mapping(self, txn_id: str) -> dict[str, str]:
-        """provisional id -> durable id of a prepared checkin request."""
-        node = self.network.node(self.node_id)
-        return dict(node.volatile.get(f"checkin-map:{txn_id}") or {})
-
-    def staged_dov(self, txn_id: str) -> str | None:
-        """Id assigned to the (first) staged DOV of *txn_id*, if
-        prepare succeeded."""
-        return next(iter(self.group_mapping(txn_id).values()), None)
-
-    def group_result(self, txn_id: str) -> list[DesignObjectVersion]:
-        """The durable versions of a committed checkin request, in
-        batch order (saves the gateway a read round per version)."""
-        node = self.network.node(self.node_id)
-        return list(node.volatile.get(f"checkin-dovs:{txn_id}") or [])
+    def end_txn(self, txn_id: str) -> ServerTxn | None:
+        """Forget *txn_id* once its drive has ended, handing back its
+        state (None when a server crash already cleared it)."""
+        return self._txns.pop(txn_id, None)
 
     # -- End-of-DOP support ---------------------------------------------------------
 
@@ -733,13 +713,12 @@ class ClientTM:
                 self._maybe_renew_leases()
                 self._install_checkout(dop, cached, dov_id, cached=True)
                 return cached
-        result = self.rpc.call(
+        dov: DesignObjectVersion = self.rpc.call(
             self.workstation, self.server_tm.node_id, "checkout",
             dop.da_id, dop.dop_id, dov_id, derivation_lock,
             workstation=self.workstation,
             lease=self.buffer is not None,
             renew=self.consume_renewal_window())
-        dov: DesignObjectVersion = result.value
         self._ship_payload(dov, dop.da_id)
         self._install_checkout(dop, dov, dov_id, cached=False)
         return dov
@@ -1204,8 +1183,6 @@ def register_server_endpoints(rpc: TransactionalRpc,
                               server_tm: ServerTM) -> None:
     """Expose the server-TM operations as transactional RPC endpoints."""
     rpc.register(server_tm.node_id, "checkout", server_tm.checkout)
-    rpc.register(server_tm.node_id, "request_checkin",
-                 server_tm.request_checkin)
     rpc.register(server_tm.node_id, "request_group_checkin",
                  server_tm.request_group_checkin)
     rpc.register(server_tm.node_id, "release_derivation_locks",

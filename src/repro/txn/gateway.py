@@ -147,9 +147,14 @@ class CommitGateway:
         """
         txn_id = self.next_txn_id()
         server = self.server_tm
-        self.rpc.call(self.node_id, server.node_id, "request_checkin",
-                      txn_id, da_id, dot_name, payload, lineage,
-                      workstation=self.node_id, lease=lease,
+        self.rpc.call(self.node_id, server.node_id,
+                      "request_group_checkin", txn_id, [{
+                          "provisional_id": txn_id,
+                          "da_id": da_id,
+                          "dot_name": dot_name,
+                          "data": payload,
+                          "parents": lineage,
+                      }], workstation=self.node_id, lease=lease,
                       renew=renew)
         # the derived data ships workstation -> server (the checkin
         # direction of the data-shipping path; the RPC is control)
@@ -157,13 +162,11 @@ class CommitGateway:
             self.node_id, server.node_id, lambda: None,
             label=f"dov-upload:{txn_id}", size=payload_sizeof(payload))
         outcome = self.coordinator.execute(txn_id, [server])
+        txn = server.end_txn(txn_id)
         if not outcome.committed:
             return SingleCommitResult(
-                outcome,
-                reason=server.checkin_error(txn_id) or "2PC abort")
-        dov_id = server.staged_dov(txn_id)
-        return SingleCommitResult(outcome,
-                                  dov=server.repository.read(dov_id))
+                outcome, reason=(txn and txn.error) or "2PC abort")
+        return SingleCommitResult(outcome, dov=txn.dovs[0])
 
     # -- group checkin (per-workstation and cross-workstation) --------------
 
@@ -206,13 +209,12 @@ class CommitGateway:
                          if len(requests) > 1 else ""),
                 sizes=request.sizes)
         outcome = self.coordinator.execute(txn_id, [server])
+        txn = server.end_txn(txn_id)
         if not outcome.committed:
             return GroupCommitResult(
-                outcome,
-                reason=server.checkin_error(txn_id) or "2PC abort")
-        return GroupCommitResult(outcome,
-                                 mapping=server.group_mapping(txn_id),
-                                 dovs=server.group_result(txn_id))
+                outcome, reason=(txn and txn.error) or "2PC abort")
+        return GroupCommitResult(outcome, mapping=txn.mapping,
+                                 dovs=txn.dovs)
 
 
 def flush_group(clients: Sequence[Any]) -> GroupFlushReport:

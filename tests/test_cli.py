@@ -127,10 +127,14 @@ class TestTraceSubcommand:
         assert "doctored" in out
 
     def test_bad_trace_file_is_an_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        assert main(["trace", "replay", str(bad)]) == 2
-        assert "trace error" in capsys.readouterr().err
+        gzip = bytes.fromhex("1f8b08000000000002ff")   # a gzip header
+        for name, data in (("bad.jsonl", b"not json\n"),
+                           ("bad.jsonl.gz", gzip)):
+            bad = tmp_path / name
+            bad.write_bytes(data)
+            assert main(["trace", "replay", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "trace error" in err and str(bad) in err
 
     def test_usage_on_missing_args(self, capsys):
         assert main(["trace"]) == 2

@@ -296,6 +296,34 @@ class TestDmCrashRecovery:
         assert status.done
         assert runtime.dm.executed_tools == ["noop", "halve"]
 
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    @pytest.mark.parametrize("basis", [False, True])
+    def test_recovery_after_a_spec_modification_replays_only_the_restart(
+            self, steps, basis):
+        system = build_system()
+        da = start_da(system, Script(Sequence(
+            DopStep("halve"), DopStep("noop"), DopStep("halve"))))
+        dm = system.runtime(da.da_id).dm
+        assert system.run(da.da_id).done
+        restart_dov = system.repository.graph(da.da_id).root_id \
+            if basis else None
+        dm.on_specification_modified(restart_dov=restart_dov)
+        for _ in range(steps):
+            assert dm.step()
+
+        def state():
+            return ([action.token for action in dm.cursor.enabled()],
+                    list(dm.executed_tools), dm.restart_dov,
+                    dm.executed_dops)
+
+        before = state()
+        system.crash_workstation("ws-1")
+        system.restart_workstation("ws-1")
+        dm = system.runtime(da.da_id).dm
+        assert state() == before
+        assert system.run(da.da_id).done
+        assert dm.executed_tools == ["halve", "noop", "halve"]
+
 
 class TestTraceThatIsOffIsFree:
     """A DM row is formatted only when somebody will read it."""

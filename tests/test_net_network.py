@@ -63,10 +63,11 @@ class TestNode:
     def test_crash_clears_volatile_keeps_stable(self):
         network = Network()
         node = network.add_workstation("ws-1")
-        node.volatile["x"] = 1
+        volatile = {"x": 1}                 # a component's own state
+        node.on_crash.append(volatile.clear)
         node.stable.put("y", 2)
         node.crash()
-        assert node.volatile == {}
+        assert volatile == {}
         assert node.stable.get("y") == 2
         assert not node.up
         node.restart()

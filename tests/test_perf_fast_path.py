@@ -313,9 +313,9 @@ class TestContextCopyOnWrite:
 
 class TestNoDeepcopyBelowTheTeLevel:
     """A count gate, not a timing gate: the TE level's durable writes
-    (recovery points, the RPC reply cache, the 2PC decision log) store
-    frozen values by reference.  ``copy.deepcopy`` is counted by the
-    module of the frame that calls it."""
+    (recovery points) store frozen values by reference.
+    ``copy.deepcopy`` is counted by the module of the frame that calls
+    it."""
 
     PACKAGES = ("repro.net", "repro.te", "repro.txn")
 
@@ -359,20 +359,13 @@ class TestNoDeepcopyBelowTheTeLevel:
         assert dop.context.data["tree"] is dov.data["tree"]
 
     def test_300_write_through_checkins_copy_nothing_and_log_flat(
-            self, rig, deepcopy_callers, monkeypatch):
+            self, rig, deepcopy_callers):
         client, dov = rig
-        decisions: list[tuple[str, int]] = []
-        put = StableStorage.put
-
-        def watched(storage, key, value):
-            if key.startswith("2pc-decisions"):
-                decisions.append((key, payload_sizeof(value)))
-            put(storage, key, value)
-
-        monkeypatch.setattr(StableStorage, "put", watched)
+        wal = client.server_tm.repository.wal
         dop = client.begin_dop("da-1", "tool")
         client.checkout(dop, dov.dov_id)
         parent = dov.dov_id
+        logged = len(wal)
         for index in range(300):
             result = client.checkin(
                 dop, "Cell", data=_nested_payload(rev=index + 1),
@@ -382,9 +375,7 @@ class TestNoDeepcopyBelowTheTeLevel:
         assert self.from_the_te_level(deepcopy_callers) == []
         # the WAL still snapshots what it is handed (its own business)
         assert set(deepcopy_callers) <= {"repro.repository.wal"}
-        assert len(decisions) == 300
-        assert decisions[9][1] == decisions[299][1] == len("commit")
-        assert len({key for key, _ in decisions}) == 300
+        assert len(wal) - logged == 300             # one record each
 
     def test_no_deepcopy_in_the_source_of_those_packages(self):
         root = Path(repro.__file__).parent
@@ -435,6 +426,54 @@ class TestACheckoutPointIsADelta:
         assert len(deltas) == 300 - calls["snapshot"]
         assert all(walked == 0 for _, _, walked in deltas)
         assert client.recovery.latest(dop.dop_id).payload is dov.data
+
+
+class TestNothingIsStoredThatNothingReads:
+    """A count gate on the TE miss and commit paths.  Nothing reads an
+    RPC reply or a 2PC decision back, so neither is stored: the
+    server's stable storage sees no put and no get, the workstation's
+    one put per recovery point.  A checkin's result is the version its
+    commit returned, so the repository is read once per buffer miss
+    and never to read a checkin back."""
+
+    N = 40
+
+    def test_misses_and_write_through_checkins(self, monkeypatch):
+        rig = _make_rig()
+        client = rig.client_tm("ws-1")
+        dovs = [rig.repository.checkin("da-1", "Cell",
+                                       _nested_payload(rev=index))
+                for index in range(self.N)]
+        touched: list[tuple[str, StableStorage]] = []
+        for name in ("put", "get"):
+            def watched(storage, *args, _name=name,
+                        _original=getattr(StableStorage, name)):
+                touched.append((_name, storage))
+                return _original(storage, *args)
+
+            monkeypatch.setattr(StableStorage, name, watched)
+        calls = {"read": 0}
+        _count_calls(monkeypatch, calls, DesignDataRepository, "read")
+
+        dop = client.begin_dop("da-1", "tool")
+        for dov in dovs:
+            client.checkout(dop, dov.dov_id)
+        parent = dovs[-1].dov_id
+        for index in range(self.N):
+            result = client.checkin(dop, "Cell",
+                                    data=_nested_payload(rev=-index),
+                                    parents=[parent])
+            assert result.success
+            parent = result.dov.dov_id
+        client.commit_dop(dop)
+
+        assert client.buffer.misses == self.N
+        assert client.recovery.points_taken == self.N
+        assert [op for op, storage in touched
+                if storage is rig.server.stable] == []
+        assert [op for op, storage in touched
+                if storage is client.node.stable] == ["put"] * self.N
+        assert calls["read"] == self.N
 
 
 class TestACmOperationPersistsReferences:

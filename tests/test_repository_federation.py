@@ -145,10 +145,11 @@ class TestMemberFailure:
     def test_stats(self, federation):
         federation.create_graph("da-1")
         federation.checkin("da-1", "Cell", {"area": 1.0})
-        stats = federation.stats()
-        assert stats["members"] == 2
-        assert stats["placements"] == 1
-        assert stats["directory_entries"] == 1
+        index = federation.placement_index.stats()
+        assert len(federation.members()) == 2
+        assert index["placements"] == 1
+        assert index["directory_entries"] == 1
+        assert len(federation.directory_snapshot()) == 1
 
 
 class TestShippingSurface:
@@ -263,7 +264,7 @@ class TestDirectoryRecovery:
     def test_stats_exposes_the_index_surfaces(self, federation):
         federation.create_graph("da-1")
         federation.stage_checkin("da-1", "Cell", {"area": 1.0}, (), 0.0)
-        stats = federation.stats()
-        assert stats["placements"] == 1
-        assert stats["staged_index"] == 1
-        assert stats["decision_log"]["decisions"] == 0
+        index = federation.placement_index.stats()
+        assert index["placements"] == 1
+        assert index["staged_index"] == 1
+        assert federation.decision_log.stats()["decisions"] == 0

@@ -100,14 +100,15 @@ def test_a_server_crash_crashes_the_repository(build, payload):
     durable = repo.checkin("da-1", "Cell", payload)
     dop = client.begin_dop("da-1", "tool")
     client.checkout(dop, durable.dov_id)           # warm buffer entry
-    rig.server_tm.request_checkin("txn-1", "da-1", "Cell", payload,
-                                  [durable.dov_id])
+    rig.server_tm.request_group_checkin("txn-1", [{
+        "provisional_id": "txn-1", "da_id": "da-1", "dot_name": "Cell",
+        "data": payload, "parents": [durable.dov_id]}])
     assert rig.server_tm.prepare("txn-1").value == "yes"
-    staged = rig.server_tm.staged_dov("txn-1")
-    assert repo.stats()["staged_versions"] == 1
+    staged, = repo.store.staged_ids()
 
     rig.crash_server()
-    assert repo.stats()["staged_versions"] == 0
+    assert repo.store.staged_ids() == set()
+    assert rig.server_tm.end_txn("txn-1") is None   # the crash forgot it
     assert not repo.has_graph("da-1")
     rig.restart_server()
 
@@ -136,38 +137,36 @@ def test_the_repository_recovers_before_the_buffers_revalidate():
     assert rig.server.on_restart[1] == rig.server_tm._on_server_restart
 
 
-def _drive_checkin(shape: str, leg: str) -> dict:
-    """One checkin through ``ServerTM.request_* -> prepare -> <leg>``,
-    as a single request or as a group of one; what it left behind."""
+def _drive_checkin(leg: str) -> dict:
+    """One write-through checkin through the server-TM's one endpoint,
+    ``request_group_checkin -> prepare -> <leg>``, in the shape the
+    gateway sends (a group of one, keyed by the transaction id); what
+    it left behind."""
     rig = _with_cell_dot(TeRig())
     repo, server_tm = rig.repository, rig.server_tm
     parent = repo.checkin("da-1", "Cell", {"area": 1.0})
     data = {"area": "wide" if leg == "prepare-failure" else 2.0}
     wal_before, forces_before = len(repo.wal), repo.wal.forced_writes
     rows_before = len(rig.trace)
-    if shape == "single":
-        server_tm.request_checkin("txn-1", "da-1", "Cell", data,
-                                  [parent.dov_id], workstation="ws-1",
-                                  lease=True)
-    else:
-        server_tm.request_group_checkin("txn-1", [{
-            "provisional_id": "wb-1", "da_id": "da-1",
-            "dot_name": "Cell", "data": data,
-            "parents": [parent.dov_id]}], workstation="ws-1", lease=True)
+    server_tm.request_group_checkin("txn-1", [{
+        "provisional_id": "txn-1", "da_id": "da-1",
+        "dot_name": "Cell", "data": data,
+        "parents": [parent.dov_id]}], workstation="ws-1", lease=True)
     vote = server_tm.prepare("txn-1")
-    staged_id = server_tm.staged_dov("txn-1")
-    staged_after_prepare = repo.stats()["staged_versions"]
+    staged_after_prepare = len(repo.store.staged_ids())
     if leg == "commit":
         server_tm.commit("txn-1")
     else:
         server_tm.abort("txn-1")
+    txn = server_tm.end_txn("txn-1")
+    staged_id = txn.mapping.get("txn-1")
     durable = repo.read(staged_id) if leg == "commit" else None
     return {
         "vote": vote,
         "staged_after_prepare": staged_after_prepare,
-        "staged_after": repo.stats()["staged_versions"],
-        "mapping_size": len(server_tm.group_mapping("txn-1")),
-        "result": [dov.dov_id for dov in server_tm.group_result("txn-1")],
+        "staged_after": len(repo.store.staged_ids()),
+        "mapping_size": len(txn.mapping),
+        "result": [dov.dov_id for dov in txn.dovs],
         "durable": durable and (durable.dov_id, durable.dot_name,
                                 dict(durable.data), durable.parents,
                                 durable.created_by),
@@ -176,18 +175,18 @@ def _drive_checkin(shape: str, leg: str) -> dict:
         "wal_forces": repo.wal.forced_writes - forces_before,
         "lease": staged_id and server_tm.leases.holders(staged_id),
         "parent_lease": server_tm.leases.holders(parent.dov_id),
-        "error": server_tm.checkin_error("txn-1"),
+        "error": txn.error,
         "trace_rows": len(rig.trace) - rows_before,
         "graph_lock_free": not rig.locks.holders("graph:da-1"),
+        "forgotten": server_tm.end_txn("txn-1") is None,
     }
 
 
 @pytest.mark.parametrize("leg", ["commit", "abort", "prepare-failure"])
 def test_a_single_checkin_is_a_group_of_one_at_the_server_tm(leg):
-    single = _drive_checkin("single", leg)
-    group = _drive_checkin("group", leg)
-    assert single == group
+    single = _drive_checkin(leg)
     assert single["graph_lock_free"] and single["staged_after"] == 0
+    assert single["forgotten"]
     if leg == "commit":
         assert single["vote"].value == "yes"
         assert single["durable"][2:4] == ({"area": 2.0}, ("dov-1",))
@@ -200,7 +199,7 @@ def test_a_single_checkin_is_a_group_of_one_at_the_server_tm(leg):
     elif leg == "abort":
         assert single["staged_after_prepare"] == 1
         assert single["durable"] is None and single["wal_kinds"] == []
-        assert single["lease"] == set() and single["error"] is None
+        assert single["lease"] == set() and single["error"] == ""
         assert single["trace_rows"] == 2      # prepared + aborted
     else:
         assert single["vote"].value == "no"

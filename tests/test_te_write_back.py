@@ -230,13 +230,13 @@ class TestGroupAtomicity:
         # schema violation: area must be a float
         client.checkin(dop, "Cell", data={"area": "broken"},
                        parents=[])
-        durable_before = repo.stats()["durable_versions"]
+        durable_before = len(repo.store)
         flushed = client.flush()
         assert not flushed.success
         assert "area" in flushed.reason
         # atomic: the valid record did not slip through either
-        assert repo.stats()["durable_versions"] == durable_before
-        assert repo.stats()["staged_versions"] == 0
+        assert len(repo.store) == durable_before
+        assert len(repo.store.staged_ids()) == 0
         # the dirty set is intact for a later (corrected) retry
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 2
 
@@ -261,17 +261,18 @@ class TestGroupAtomicity:
                                         workstation="ws-1", lease=True)
         vote = server_tm.prepare(txn_id)
         assert vote.value == "yes"
-        assert repo.stats()["staged_versions"] == 2
+        assert len(repo.store.staged_ids()) == 2
         network.crash_node("server")
         # volatile staging vanished with the server
-        assert repo.stats()["staged_versions"] == 0
+        assert len(repo.store.staged_ids()) == 0
         network.restart_node("server")
         # nothing from the batch became durable: recovery sees only
         # the pre-batch frontier
-        assert repo.stats()["durable_versions"] == 1
+        assert len(repo.store) == 1
         assert all(r["provisional_id"] not in repo for r in records)
+        # the crash cleared the server-TM's transaction table too
+        assert server_tm.end_txn(txn_id) is None
         # the workstation still holds its dirty set: retry succeeds
-        server_tm._staged.pop(txn_id, None)
         flushed = client.flush()
         assert flushed.success and flushed.count == 2
         assert client.resolve(r1.dov.dov_id) in repo
@@ -327,12 +328,12 @@ class TestCrashSemantics:
         client.checkout(dop, rig["dov0"].dov_id)
         client.checkin(dop, "Cell", data={"area": 50.0},
                        parents=[rig["dov0"].dov_id])
-        durable_before = repo.stats()["durable_versions"]
+        durable_before = len(repo.store)
         rig["network"].crash_node("ws-1")
         buffer = rig["buffers"]["ws-1"]
         assert len(buffer) == 0
         assert buffer.dirty_lost == 1
-        assert repo.stats()["durable_versions"] == durable_before
+        assert len(repo.store) == durable_before
         rig["network"].restart_node("ws-1")
         # recovery re-derives from the durable frontier
         dop2 = client.begin_dop("da-1", "tool")
@@ -362,7 +363,7 @@ class TestCrashSemantics:
         with pytest.raises(TransactionError, match="area"):
             client.commit_dop(dop)
         assert dop.state.value == "active"
-        assert repo.stats()["durable_versions"] == 1  # just dov0
+        assert len(repo.store) == 1  # just dov0
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 1
         # the designer gives up: abort reclaims the dirty entry
         client.abort_dop(dop)

@@ -180,47 +180,26 @@ class TestArtifactValidation:
 
 
 class TestGzipArtifacts:
-    """``.jsonl.gz`` traces: same contract, smaller bytes."""
+    """Traces are plain JSONL whatever the path's suffix: a ``.gz``
+    path gets the plain bytes, and gzip bytes are refused, by path."""
 
     def test_round_trip_preserves_meta_and_events(self, golden,
                                                   tmp_path):
         __, trace = golden
-        out = save_trace(trace, tmp_path / "trace.jsonl.gz")
-        assert out.read_bytes()[:2] == b"\x1f\x8b"
-        loaded = load_trace(out)
+        loaded = load_trace(save_trace(trace, tmp_path / "t.jsonl.gz"))
         assert loaded.meta == trace.meta
         assert loaded.events == trace.events
 
-    def test_compressed_bytes_are_deterministic(self, golden, tmp_path):
-        """mtime is zeroed, so two saves of the same trace are
-        byte-identical — gzipped goldens stay committable."""
-        __, trace = golden
-        first = save_trace(trace, tmp_path / "a.jsonl.gz").read_bytes()
-        second = save_trace(trace, tmp_path / "b.jsonl.gz").read_bytes()
-        assert first == second
-
     def test_payload_matches_the_plain_artifact(self, golden, tmp_path):
-        import gzip
-
         __, trace = golden
         plain = save_trace(trace, tmp_path / "t.jsonl").read_bytes()
-        packed = save_trace(trace,
-                            tmp_path / "t.jsonl.gz").read_bytes()
-        assert gzip.decompress(packed) == plain
-        assert len(packed) < len(plain)
-
-    def test_detection_is_by_magic_bytes_not_extension(self, golden,
-                                                       tmp_path):
-        __, trace = golden
-        packed = save_trace(trace, tmp_path / "t.jsonl.gz")
-        renamed = tmp_path / "renamed.jsonl"
-        renamed.write_bytes(packed.read_bytes())
-        assert load_trace(renamed).events == trace.events
+        suffixed = save_trace(trace, tmp_path / "t.jsonl.gz").read_bytes()
+        assert suffixed == plain
 
     def test_corrupt_gzip_is_a_trace_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl.gz"
         bad.write_bytes(b"\x1f\x8b" + b"\x00" * 16)
-        with pytest.raises(TraceError, match="gzip"):
+        with pytest.raises(TraceError, match="bad.jsonl.gz: not a UTF-8"):
             load_trace(bad)
 
 

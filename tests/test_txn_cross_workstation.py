@@ -141,7 +141,7 @@ class TestCrossWorkstationGroupCommit:
         assert not report.success
         assert "area" in report.reason
         # nothing became durable anywhere, nothing was forced
-        assert rig["repo"].stats()["durable_versions"] == 0
+        assert len(rig["repo"].store) == 0
         assert rig["repo"].wal.forced_writes == forced_before
         # both dirty sets survive intact for a later retry
         assert good.buffer.dirty_count == 1

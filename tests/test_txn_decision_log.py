@@ -246,9 +246,8 @@ class TestFederatedAtomicCommit:
         federation, roots = make_federation()
         staged = stage_cross_batch(federation, roots)
         federation.commit_group(staged)
-        stats = federation.stats()
-        assert stats["decision_log"]["decisions"] == 1
-        assert stats["redone_batches"] == 0
+        assert federation.decision_log.stats()["decisions"] == 1
+        assert federation.redone_batches == 0
 
 
 class TestCheckpointTruncation:
