@@ -20,7 +20,7 @@ from repro.scenario.delegation import make_vlsi_system
 
 
 def main() -> None:
-    system = make_vlsi_system(("ws-1",), recovery_interval=30.0)
+    system = make_vlsi_system(("ws-1",))
     da = run_full_chip_design(system)
     client_tm = system.runtime(da.da_id).client_tm
     basis = system.repository.graph(da.da_id).leaves()[0].dov_id

@@ -94,7 +94,9 @@ def main() -> None:
     print(f"  ui Requires auth's 'no-defects' result -> "
           f"{delivered or 'pending (nothing propagated yet)'}")
 
-    system.run(auth.da_id, policy=DeveloperPolicy(system, auth.da_id, 3))
+    system.runtime(auth.da_id).dm.policy = \
+        DeveloperPolicy(system, auth.da_id, 3)
+    system.run(auth.da_id)
     auth_leaf = max(system.repository.graph(auth.da_id).leaves(),
                     key=lambda d: d.created_at)
     system.cm.evaluate(auth.da_id, auth_leaf.dov_id)
@@ -103,15 +105,17 @@ def main() -> None:
           f"{auth_leaf.get('defects')}) and Propagates "
           f"{auth_leaf.dov_id} -> delivered to {receivers}")
 
-    system.run(ui.da_id, policy=DeveloperPolicy(system, ui.da_id, 4))
+    system.runtime(ui.da_id).dm.policy = DeveloperPolicy(system, ui.da_id, 4)
+    system.run(ui.da_id)
     print(f"  ui finished its cycle at t={system.clock.now:.0f} min "
           f"(it could read auth's pre-release while auth was still "
           f"uncommitted)")
 
     # --- system-level development --------------------------------------------
     print("\n=== system-level develop/test/debug/integrate ===")
-    status = system.run(top.da_id,
-                        policy=DeveloperPolicy(system, top.da_id, 7))
+    system.runtime(top.da_id).dm.policy = \
+        DeveloperPolicy(system, top.da_id, 7)
+    status = system.run(top.da_id)
     leaf = max(system.repository.graph(top.da_id).leaves(),
                key=lambda d: d.created_at)
     print(f"  work flow done={status.done}, DOPs={status.executed_dops}")

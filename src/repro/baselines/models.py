@@ -131,8 +131,7 @@ def nested_model() -> ProcessingModel:
     )
 
 
-def saga_model(compensation_factor: float = 0.5,
-               rework_probability: float = 0.5) -> ProcessingModel:
+def saga_model() -> ProcessingModel:
     """Sagas [GS87b]: chained step transactions with compensation.
 
     Resources release early (good for concurrency) but without any
@@ -144,8 +143,8 @@ def saga_model(compensation_factor: float = 0.5,
         visibility=VisibilityPolicy.ON_STEP_COMMIT,
         write_concurrency=WriteConcurrency.STEP_EXCLUSIVE,
         crash_recovery=CrashRecovery.COMPENSATE_STEPS,
-        rework_probability=rework_probability,
-        compensation_factor=compensation_factor,
+        rework_probability=0.5,
+        compensation_factor=0.5,
     )
 
 

@@ -300,7 +300,7 @@ def run_f8() -> ExperimentResult:
               "(joint failure handling)")
 
     # --- episode 1: workstation crash mid-DOP ------------------------------
-    system = make_vlsi_system(("ws-1",), recovery_interval=30.0)
+    system = make_vlsi_system(("ws-1",))
     da = run_full_chip_design(system)
     runtime = system.runtime(da.da_id)
     client_tm = runtime.client_tm

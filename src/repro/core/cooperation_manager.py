@@ -44,7 +44,7 @@ from repro.core.relationships import (
 from repro.core.state_log import Registries, StateLog
 from repro.core.states import DaOperation, DaState
 from repro.dc.script import Script
-from repro.net.network import Network
+from repro.net.network import SERVER, Network
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
 from repro.repository.versions import freeze_payload
@@ -78,13 +78,11 @@ class CooperationManager:
 
     def __init__(self, repository: DesignDataRepository,
                  locks: LockManager, network: Network,
-                 server_node: str = "server",
                  ids: IdGenerator | None = None,
                  trace: EventTrace | None = None) -> None:
         self.repository = repository
         self.locks = locks
         self.network = network
-        self.server_node = server_node
         self.ids = ids or IdGenerator()
         self.trace = trace if trace is not None else EventTrace(enabled=False)
         self.clock = network.clock
@@ -111,7 +109,7 @@ class CooperationManager:
 
         # install CONCORD semantics into the substrate components
         self.locks.usage_allows = self._usage_allows
-        node = self.network.node(server_node)
+        node = self.network.node(SERVER)
         node.on_crash.append(self._on_server_crash)
 
     # ======================================================================
@@ -143,14 +141,14 @@ class CooperationManager:
         """
         message = Message(kind, sender, recipient, payload, self.clock.now)
         da = self._das.get(recipient)
-        destination = da.workstation if da is not None else self.server_node
+        destination = da.workstation if da is not None else SERVER
         in_operation = True
 
         def deliver() -> None:
             hook = self.on_deliver
             if hook is not None and hook(recipient, message):
                 return
-            if not self.network.node(self.server_node).up:
+            if not self.network.node(SERVER).up:
                 return  # the inboxes are server state: none to queue in
             self._inboxes.setdefault(recipient, []).append(message)
             self.state_log.mark("inboxes", recipient)
@@ -158,7 +156,7 @@ class CooperationManager:
                 # the sending operation's record is long forced
                 self._persist()
 
-        self.network.post(self.server_node, destination, deliver,
+        self.network.post(SERVER, destination, deliver,
                           label=f"msg:{kind}:{sender}->{recipient}")
         in_operation = False
         return message
@@ -201,19 +199,14 @@ class CooperationManager:
         for da_id in da_ids:
             self._touch(da_id).machine.apply(operation)
 
-    def das(self, state: DaState | None = None) -> list[DesignActivity]:
-        """All DAs, optionally filtered by state."""
-        if state is None:
-            return list(self._das.values())
-        return [d for d in self._das.values() if d.state is state]
+    def das(self) -> list[DesignActivity]:
+        """All DAs, in creation order."""
+        return list(self._das.values())
 
-    def children_of(self, da_id: str,
-                    include_terminated: bool = False) -> list[DesignActivity]:
-        """Direct sub-DAs of *da_id*."""
-        subs = [self._das[c] for c in self.da(da_id).children]
-        if include_terminated:
-            return subs
-        return [s for s in subs if s.state is not DaState.TERMINATED]
+    def children_of(self, da_id: str) -> list[DesignActivity]:
+        """Direct sub-DAs of *da_id* that have not terminated."""
+        return [self._das[c] for c in self.da(da_id).children
+                if self._das[c].state is not DaState.TERMINATED]
 
     def hierarchy_depth(self, da_id: str) -> int:
         """Depth of *da_id* in the DA hierarchy (top level = 0)."""
@@ -722,15 +715,14 @@ class CooperationManager:
                 return dov_id
         return None
 
-    def withdraw(self, supporting_id: str, dov_id: str,
-                 cascade: bool = True) -> list[str]:
+    def withdraw(self, supporting_id: str, dov_id: str) -> list[str]:
         """Withdraw a pre-released DOV from every requiring DA.
 
         "This causes the CM to send a notification to all the
-        (requiring) DAs that have seen that DOV."  With *cascade*
-        (default), the withdrawal propagates transitively: versions a
-        requiring DA derived *from* the withdrawn DOV and pre-released
-        onward are invalidated as well — "the CONCORD system has to
+        (requiring) DAs that have seen that DOV."  The withdrawal
+        propagates transitively: versions a requiring DA derived
+        *from* the withdrawn DOV and pre-released onward are
+        invalidated as well — "the CONCORD system has to
         react properly in order to guarantee a minimum of consistency"
         (Sect.5.4).  Returns the DAs that reported being affected.
         """
@@ -740,9 +732,8 @@ class CooperationManager:
                 requiring = usage.requiring_da
                 if self._withdraw_delivery(usage, dov_id):
                     affected.append(requiring)
-                if cascade:
-                    affected.extend(
-                        self._cascade_withdrawal(requiring, dov_id))
+                affected.extend(
+                    self._cascade_withdrawal(requiring, dov_id))
         self._persist()
         return affected
 
@@ -1058,7 +1049,7 @@ class CooperationManager:
                 if self.locks.try_acquire(dov_id, da_id,
                                           LockMode.SCOPE) is not None:
                     rebuilt += 1
-        self._record("CM_recovered", self.server_node,
+        self._record("CM_recovered", SERVER,
                      das=len(self._das), scope_locks=rebuilt)
         return {"das": len(self._das), "scope_locks": rebuilt}
 

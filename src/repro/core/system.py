@@ -28,7 +28,6 @@ from repro.core.features import DesignSpecification
 from repro.dc.constraints import DomainConstraintSet
 from repro.dc.design_manager import (
     DesignManager,
-    DesignerPolicy,
     DmStatus,
     PendingDop,
     ToolRegistry,
@@ -36,7 +35,6 @@ from repro.dc.design_manager import (
 from repro.dc.rules import RuleEngine
 from repro.dc.script import DopStep, Script
 from repro.repository.schema import DesignObjectType
-from repro.te.recovery import RecoveryPointPolicy
 from repro.te.rig import TeRig
 from repro.te.transaction_manager import ClientTM
 from repro.util.errors import ConcordError, NodeDownError, RpcError
@@ -136,22 +134,11 @@ class ConcordSystem(TeRig):
     rig (:class:`~repro.te.rig.TeRig`) plus the AC and DC levels."""
 
     def __init__(self, trace: bool = True,
-                 recovery_policy: RecoveryPointPolicy | None = None,
-                 lan_latency: float = 0.010,
                  repository: Any = None,
                  jitter: float = 0.0,
-                 seed: int = 0,
-                 object_buffers: bool = True,
-                 bandwidth: float = 1_000_000.0,
-                 write_back: bool = False,
-                 flush_interval: int | None = None,
-                 lease_ttl: float | None = None) -> None:
-        super().__init__(
-            trace=trace, recovery_policy=recovery_policy,
-            lan_latency=lan_latency, repository=repository,
-            jitter=jitter, seed=seed, object_buffers=object_buffers,
-            bandwidth=bandwidth, write_back=write_back,
-            flush_interval=flush_interval, lease_ttl=lease_ttl)
+                 seed: int = 0) -> None:
+        super().__init__(trace=trace, repository=repository,
+                         jitter=jitter, seed=seed)
         self.cm = CooperationManager(self.repository, self.locks,
                                      self.network, ids=self.ids,
                                      trace=self.trace)
@@ -221,10 +208,10 @@ class ConcordSystem(TeRig):
         """Start a generated DA."""
         self.cm.start(da_id)
 
-    def run(self, da_id: str, policy: DesignerPolicy | None = None,
-            max_steps: int = 10_000) -> DmStatus:
-        """Drive a DA's work flow until done / stopped / max_steps."""
-        return self.runtime(da_id).dm.run(policy, max_steps)
+    def run(self, da_id: str) -> DmStatus:
+        """Drive a DA's work flow until it is done or stopped; its
+        designer is ``runtime(da_id).dm.policy``."""
+        return self.runtime(da_id).dm.run()
 
     # -- asynchronous cooperation events ----------------------------------------------
 
@@ -290,9 +277,11 @@ class ConcordSystem(TeRig):
 
         Runs until quiescence (every DA done/stopped, no message in
         flight); the kernel's event budget is the guard against a run
-        that never gets there.  Returns the DM statuses.
+        that never gets there.  Returns the DM statuses; an id with no
+        runtime is refused, as :meth:`run` refuses it.
         """
-        da_ids = [d for d in da_ids if d in self._runtimes]
+        for da_id in da_ids:
+            self.runtime(da_id)
         in_run = set(da_ids)
         kernel = self.kernel
         #: per-DA count of queued drive/finish continuations (a crash

@@ -136,7 +136,7 @@ class DomainConstraintSet:
 
     # -- static script validation --------------------------------------------------
 
-    def validate_script(self, script: Script, max_iterations: int = 2,
+    def validate_script(self, script: Script,
                         history: list[str] | None = None) -> list[str]:
         """Check every enumerable sequence of *script*; returns problems.
 
@@ -152,7 +152,7 @@ class DomainConstraintSet:
 
         problems: list[str] = []
         prior = list(history or [])
-        for sequence in script.sequences(max_iterations):
+        for sequence in script.sequences():
             if Open.WILDCARD in sequence:
                 prefix = sequence[:sequence.index(Open.WILDCARD)]
                 messages = self._prefix_violations(prior + prefix)

@@ -51,6 +51,13 @@ from repro.util.errors import (
 from repro.util.trace import EventTrace, Level
 
 
+#: simulated running time of a tool registered without one
+TOOL_DURATION = 10.0
+#: steps one :meth:`DesignManager.run` takes at most: the guard
+#: against a designer policy that never leaves a loop
+STEP_BUDGET = 10_000
+
+
 class ToolRegistry:
     """Executable design tools, keyed by the tool names scripts use."""
 
@@ -61,7 +68,7 @@ class ToolRegistry:
 
     def register(self, name: str,
                  fn: Callable[[DopContext, dict[str, Any]], None],
-                 duration: float = 10.0) -> None:
+                 duration: float = TOOL_DURATION) -> None:
         """Register tool *name*; *fn* mutates the DOP context in place."""
         self._tools[name] = fn
         self._durations[name] = duration
@@ -75,9 +82,9 @@ class ToolRegistry:
             raise WorkflowError(f"no tool registered as {name!r}") from None
         fn(context, params)
 
-    def duration(self, name: str, default: float = 10.0) -> float:
+    def duration(self, name: str) -> float:
         """Simulated running time of *name*."""
-        return self._durations.get(name, default)
+        return self._durations.get(name, TOOL_DURATION)
 
     def __contains__(self, name: str) -> bool:
         return name in self._tools
@@ -221,6 +228,8 @@ class DesignManager:
         self.executed_tools: list[str] = []
         #: the DOP currently being executed, if any (volatile)
         self._in_flight: DesignOperation | None = None
+        #: the modelled designer who resolves the script's choices
+        self.policy = DesignerPolicy()
 
     # -- infrastructure --------------------------------------------------------
 
@@ -258,21 +267,20 @@ class DesignManager:
         external event or a recovery gives it work again."""
         return not self.stopped and not self.cursor.is_done()
 
-    def step(self, policy: DesignerPolicy | None = None) -> bool:
+    def step(self) -> bool:
         """Execute one work-flow action; False when nothing ran.
 
         Returns False when the script is done, the DM is stopped
         (designer attention required), or no action is enabled.
         """
-        outcome = self.start_step(policy)
+        outcome = self.start_step()
         if isinstance(outcome, PendingDop):
             # sequential semantics: the tool runs to completion in-line,
             # advancing the shared clock by its duration
-            return self.finish_step(outcome, policy, advance_clock=True)
+            return self.finish_step(outcome, advance_clock=True)
         return outcome
 
-    def start_step(self, policy: DesignerPolicy | None = None
-                   ) -> "PendingDop | bool":
+    def start_step(self) -> "PendingDop | bool":
         """Begin one work-flow action (the concurrent-mode step).
 
         Instantaneous actions (decisions, embedded DA operations) run
@@ -285,7 +293,7 @@ class DesignManager:
         """
         if not self.has_work():
             return False
-        policy = policy or DesignerPolicy()
+        policy = self.policy
         actions = self.cursor.enabled()
         if not actions:
             return False
@@ -294,7 +302,7 @@ class DesignManager:
 
         if action.kind is ActionKind.DOP:
             assert isinstance(action.node, DopStep)
-            pending = self._start_dop(action, action.node, policy)
+            pending = self._start_dop(action, action.node)
             return pending if pending is not None else False
         if action.kind is ActionKind.DA_OP:
             assert isinstance(action.node, DaOpStep)
@@ -335,11 +343,11 @@ class DesignManager:
             return True
         raise WorkflowError(f"unhandled action kind {action.kind}")
 
-    def run(self, policy: DesignerPolicy | None = None,
-            max_steps: int = 10_000) -> DmStatus:
-        """Drive the script until done, stopped, or *max_steps*."""
+    def run(self) -> DmStatus:
+        """Drive the script until done, stopped, or :data:`STEP_BUDGET`
+        steps."""
         steps = 0
-        while steps < max_steps and self.step(policy):
+        while steps < STEP_BUDGET and self.step():
             steps += 1
         return self.status()
 
@@ -351,8 +359,8 @@ class DesignManager:
 
     # -- DOP execution -----------------------------------------------------------
 
-    def _start_dop(self, action: EnabledAction, step: DopStep,
-                   policy: DesignerPolicy) -> PendingDop | None:
+    def _start_dop(self, action: EnabledAction,
+                   step: DopStep) -> PendingDop | None:
         """Begin-of-DOP + checkouts; returns None on constraint reject."""
         # domain admission: even Open-segment insertions obey the rules
         try:
@@ -364,7 +372,7 @@ class DesignManager:
                          error=self.stop_reason)
             return None
 
-        params = policy.dop_params(step)
+        params = self.policy.dop_params(step)
         inputs = self.binding.pick_inputs(step)
         if self.restart_dov is not None:
             # after a spec modification the designer chose this basis
@@ -389,7 +397,6 @@ class DesignManager:
         return PendingDop(dop, action, step, params, duration, duration)
 
     def finish_step(self, pending: PendingDop,
-                    policy: DesignerPolicy | None = None,
                     advance_clock: bool = False) -> bool:
         """Complete a started DOP: tool work, checkin, End-of-DOP.
 
@@ -400,7 +407,6 @@ class DesignManager:
         when the DOP no longer exists on this DM — its workstation
         crashed between start and finish, and recovery owns it now.
         """
-        policy = policy or DesignerPolicy()
         dop, step = pending.dop, pending.step
         if self._in_flight is not dop \
                 or dop.dop_id not in {d.dop_id for d
@@ -419,7 +425,7 @@ class DesignManager:
             self._finish_dop(dop, pending.action, step)
             return True
         return self._handle_checkin_failure(dop, pending.action, step,
-                                            result, policy)
+                                            result)
 
     def abandon_start(self) -> None:
         """Discard a DOP whose start could not complete.
@@ -490,8 +496,7 @@ class DesignManager:
 
     def _handle_checkin_failure(self, dop: DesignOperation,
                                 action: EnabledAction, step: DopStep,
-                                result: CheckinResult,
-                                policy: DesignerPolicy) -> bool:
+                                result: CheckinResult) -> bool:
         """The paper's 'checkin failure': report to designer policy."""
         self.client_tm.abort_dop(dop)
         self._in_flight = None
@@ -502,7 +507,7 @@ class DesignManager:
         }, force=True)
         self._record("dop_abort", dop.dop_id, tool=step.tool,
                      reason=result.reason)
-        reaction = policy.on_checkin_failure(step, result.reason)
+        reaction = self.policy.on_checkin_failure(step, result.reason)
         if reaction == "retry":
             return True  # position still enabled; next step() retries
         if reaction == "skip":

@@ -112,8 +112,8 @@ class RuleEngine:
 
 
 def require_propagate_rule(find_qualifying: Callable[[RuleEnv], Any],
-                           propagate: Callable[[RuleEnv, Any], Any],
-                           name: str = "when-require-propagate") -> EcaRule:
+                           propagate: Callable[[RuleEnv, Any], Any]
+                           ) -> EcaRule:
     """Build the paper's flagship rule.
 
     ``find_qualifying(env)`` returns a qualifying DOV (or None) for the
@@ -127,4 +127,4 @@ def require_propagate_rule(find_qualifying: Callable[[RuleEnv], Any],
     def action(env: RuleEnv) -> Any:
         return propagate(env, env["_qualifying"])
 
-    return EcaRule(name, "Require", condition, action)
+    return EcaRule("when-require-propagate", "Require", condition, action)

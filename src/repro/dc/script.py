@@ -37,6 +37,10 @@ from repro.repository.versions import freeze_payload
 from repro.util.errors import ScriptError
 
 
+#: rounds of an ``Iteration`` that the static enumeration unrolls
+UNROLLED_ROUNDS = 2
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
@@ -44,10 +48,10 @@ from repro.util.errors import ScriptError
 class ScriptNode:
     """Base class of script AST nodes."""
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
+    def sequences(self) -> list[list[str]]:
         """Enumerate the tool-name sequences this node can produce.
 
-        Iterations are unrolled up to *max_iterations*; ``Open``
+        Iterations are unrolled up to :data:`UNROLLED_ROUNDS`; ``Open``
         segments contribute an empty placeholder (they are checked
         dynamically).  Used for static script-vs-constraint validation.
         """
@@ -70,7 +74,7 @@ class DopStep(ScriptNode):
         # change under the stored copy
         object.__setattr__(self, "params", freeze_payload(self.params))
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
+    def sequences(self) -> list[list[str]]:
         return [[self.tool]]
 
 
@@ -88,7 +92,7 @@ class DaOpStep(ScriptNode):
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", freeze_payload(self.params))
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
+    def sequences(self) -> list[list[str]]:
         return [[]]  # DA operations are invisible to DOP-order constraints
 
 
@@ -103,12 +107,12 @@ class Sequence(ScriptNode):
             raise ScriptError("Sequence needs at least one child")
         object.__setattr__(self, "children", tuple(children))
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
+    def sequences(self) -> list[list[str]]:
         results: list[list[str]] = [[]]
         for child in self.children:
             expanded: list[list[str]] = []
             for prefix in results:
-                for suffix in child.sequences(max_iterations):
+                for suffix in child.sequences():
                     expanded.append(prefix + suffix)
             results = expanded
         return results
@@ -127,10 +131,10 @@ class Alternative(ScriptNode):
         object.__setattr__(self, "paths", tuple(paths))
         object.__setattr__(self, "name", name)
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
+    def sequences(self) -> list[list[str]]:
         results: list[list[str]] = []
         for path in self.paths:
-            results.extend(path.sequences(max_iterations))
+            results.extend(path.sequences())
         return results
 
 
@@ -145,8 +149,8 @@ class Parallel(ScriptNode):
             raise ScriptError("Parallel needs at least two branches")
         object.__setattr__(self, "branches", tuple(branches))
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
-        per_branch = [b.sequences(max_iterations) for b in self.branches]
+    def sequences(self) -> list[list[str]]:
+        per_branch = [b.sequences() for b in self.branches]
         results: list[list[str]] = []
 
         def interleave(seqs: list[list[str]], acc: list[str]) -> None:
@@ -186,17 +190,17 @@ class Iteration(ScriptNode):
     """Repeat *body*; after each round the designer decides to go again.
 
     ``max_rounds`` bounds runaway loops (0 = designer-only control,
-    still bounded by the enumeration's *max_iterations* statically).
+    still bounded by :data:`UNROLLED_ROUNDS` statically).
     """
 
     body: ScriptNode
     max_rounds: int = 0
     name: str = ""
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
-        body_seqs = self.sequences_of_body(max_iterations)
-        bound = max_iterations if self.max_rounds == 0 \
-            else min(self.max_rounds, max_iterations)
+    def sequences(self) -> list[list[str]]:
+        body_seqs = self.body.sequences()
+        bound = UNROLLED_ROUNDS if self.max_rounds == 0 \
+            else min(self.max_rounds, UNROLLED_ROUNDS)
         results: list[list[str]] = []
         current: list[list[str]] = [[]]
         for _round in range(max(1, bound)):
@@ -207,10 +211,6 @@ class Iteration(ScriptNode):
             current = expanded
             results.extend(current)
         return results
-
-    def sequences_of_body(self, max_iterations: int) -> list[list[str]]:
-        """Sequences of one body round."""
-        return self.body.sequences(max_iterations)
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ class Open(ScriptNode):
     #: wildcard as unprovable and enforces it dynamically instead)
     WILDCARD = "*"
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
+    def sequences(self) -> list[list[str]]:
         return [[Open.WILDCARD]]
 
     def permits(self, tool: str) -> bool:
@@ -282,9 +282,9 @@ class Script:
 
     __frozen_payload__ = True
 
-    def sequences(self, max_iterations: int = 2) -> list[list[str]]:
+    def sequences(self) -> list[list[str]]:
         """All statically enumerable tool sequences."""
-        return self.root.sequences(max_iterations)
+        return self.root.sequences()
 
     def cursor(self) -> "ScriptCursor":
         """A fresh interpreter over this script."""

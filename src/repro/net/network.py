@@ -36,6 +36,9 @@ class NodeKind(str, Enum):
     SERVER = "server"
 
 
+#: the node id of the (single logical) server
+SERVER = "server"
+
 _IMMUTABLE_SCALARS = (str, int, float, bool, bytes, type(None))
 
 #: recursion cap for :func:`_is_immutable`.  Nesting deeper than this
@@ -102,9 +105,9 @@ class StableStorage:
         """Remove a key; True when it existed."""
         return self._data.pop(key, None) is not None
 
-    def keys(self, prefix: str = "") -> list[str]:
-        """All keys, or those with the given prefix, sorted."""
-        return sorted(k for k in self._data if k.startswith(prefix))
+    def keys(self) -> list[str]:
+        """All keys, sorted."""
+        return sorted(self._data)
 
     def __contains__(self, key: str) -> bool:
         return key in self._data
@@ -173,10 +176,12 @@ class Network:
         for name, value in (("lan_latency", lan_latency),
                             ("local_latency", local_latency),
                             ("jitter", jitter)):
-            if not (math.isfinite(value) and value >= 0):
+            if isinstance(value, bool) \
+                    or not (math.isfinite(value) and value >= 0):
                 raise NetworkError(
                     f"{name}={value!r}: must be finite and >= 0")
-        if not (math.isfinite(bandwidth) and bandwidth > 0):
+        if isinstance(bandwidth, bool) \
+                or not (math.isfinite(bandwidth) and bandwidth > 0):
             raise NetworkError(
                 f"bandwidth={bandwidth!r}: must be finite and > 0")
         self.clock = clock or SimClock()
@@ -221,9 +226,9 @@ class Network:
         self._nodes[node_id] = node
         return node
 
-    def add_server(self, node_id: str = "server") -> Node:
+    def add_server(self) -> Node:
         """Convenience: register the (single logical) server."""
-        return self.add_node(node_id, NodeKind.SERVER)
+        return self.add_node(SERVER, NodeKind.SERVER)
 
     def add_workstation(self, node_id: str) -> Node:
         """Convenience: register a designer workstation."""
@@ -236,11 +241,9 @@ class Network:
         except KeyError:
             raise NetworkError(f"unknown node {node_id!r}") from None
 
-    def nodes(self, kind: NodeKind | None = None) -> list[Node]:
-        """All nodes, optionally filtered by role."""
-        if kind is None:
-            return list(self._nodes.values())
-        return [n for n in self._nodes.values() if n.kind is kind]
+    def nodes(self) -> list[Node]:
+        """All nodes, in registration order."""
+        return list(self._nodes.values())
 
     # -- kernel attachment -------------------------------------------------------
 

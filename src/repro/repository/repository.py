@@ -44,10 +44,9 @@ from repro.util.ids import IdGenerator
 class DesignDataRepository:
     """Versioned complex-object store with per-DA derivation graphs."""
 
-    def __init__(self, ids: IdGenerator | None = None,
-                 wal: WriteAheadLog | None = None) -> None:
+    def __init__(self, ids: IdGenerator | None = None) -> None:
         self.ids = ids or IdGenerator()
-        self.wal = wal if wal is not None else WriteAheadLog("repository")
+        self.wal = WriteAheadLog("repository")
         self.store = VersionStore(self.wal)
         self._dots: dict[str, DesignObjectType] = {}
         self._graphs: dict[str, DerivationGraph] = {}

@@ -22,7 +22,6 @@ from repro.dc.script import DaOpStep, DopStep, Script, Sequence
 from repro.scenario.schema import ScenarioConfig
 from repro.sim.kernel import Kernel
 from repro.te.context import DopContext
-from repro.te.recovery import RecoveryPointPolicy
 from repro.vlsi.floorplan import Floorplan, FloorplanInterface
 from repro.vlsi.methodology import playout_constraints
 from repro.vlsi.tools import register_vlsi_tools, vlsi_dots
@@ -30,14 +29,10 @@ from repro.vlsi.tools import register_vlsi_tools, vlsi_dots
 
 def make_vlsi_system(workstations: tuple[str, ...] = ("ws-1",),
                      trace: bool = True,
-                     recovery_interval: float = 30.0,
                      jitter: float = 0.0,
                      seed: int = 0) -> ConcordSystem:
     """A CONCORD installation with the VLSI domain installed."""
-    system = ConcordSystem(
-        trace=trace,
-        recovery_policy=RecoveryPointPolicy(interval=recovery_interval),
-        jitter=jitter, seed=seed)
+    system = ConcordSystem(trace=trace, jitter=jitter, seed=seed)
     for name in workstations:
         system.add_workstation(name)
     register_vlsi_tools(system.tools)

@@ -37,19 +37,17 @@ def se_constraints() -> DomainConstraintSet:
     ], domain="software-engineering")
 
 
-def release_spec(max_defects: int = 0,
-                 min_coverage: float = 1.0) -> DesignSpecification:
+def release_spec(min_coverage: float = 1.0) -> DesignSpecification:
     """Goal of a development DA: a releasable, tested, defect-free DOV."""
     return DesignSpecification([
-        RangeFeature("no-defects", "defects", lo=0, hi=float(max_defects)),
+        RangeFeature("no-defects", "defects", lo=0, hi=0.0),
         RangeFeature("coverage", "coverage", lo=min_coverage),
         TestToolFeature("review", "release-review",
-                        lambda data: review_passes(data, max_defects,
-                                                   min_coverage)),
+                        lambda data: review_passes(data, min_coverage)),
     ])
 
 
-def development_script(max_debug_rounds: int = 6) -> Script:
+def development_script() -> Script:
     """The develop / compile / test / debug cycle as a DA script.
 
     Specify, edit, then iterate compile-test-(debug) until the quality
@@ -69,7 +67,7 @@ def development_script(max_debug_rounds: int = 6) -> Script:
                 DopStep("unit_test"),
                 DaOpStep("Evaluate"),
             ),
-            max_rounds=max_debug_rounds,
+            max_rounds=6,
             name="test-debug-cycle",
         ),
         Open(name="pre-release", allowed_tools=(
@@ -79,7 +77,7 @@ def development_script(max_debug_rounds: int = 6) -> Script:
     ), name="develop-module")
 
 
-def module_script(max_debug_rounds: int = 4) -> Script:
+def module_script() -> Script:
     """Script of a sub-DA developing one module (no integration)."""
     return Script(Sequence(
         DopStep("specify"),
@@ -94,7 +92,7 @@ def module_script(max_debug_rounds: int = 4) -> Script:
                 DopStep("unit_test"),
                 DaOpStep("Evaluate"),
             ),
-            max_rounds=max_debug_rounds,
+            max_rounds=4,
             name="module-test-debug",
         ),
     ), name="develop-single-module")

@@ -201,12 +201,11 @@ def integrate(context: DopContext, params: dict[str, Any]) -> None:
 
 
 def review_passes(data: dict[str, Any],
-                  max_defects: int = 0,
                   min_coverage: float = 1.0) -> bool:
     """The domain's test-tool feature: release quality gate."""
     if data.get("release") is None:
         return False
-    if data.get("defects", 1) > max_defects:
+    if data.get("defects", 1) > 0:
         return False
     return data.get("coverage", 0.0) >= min_coverage
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 class SimClock:
     """A monotone simulated clock measured in abstract minutes."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -27,12 +27,6 @@ class SimClock:
         if delta < 0:
             raise ValueError(f"cannot move time backwards (delta={delta})")
         self._now += delta
-        return self._now
-
-    def advance_to(self, instant: float) -> float:
-        """Move time forward to *instant* (no-op if already past it)."""
-        if instant > self._now:
-            self._now = instant
         return self._now
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

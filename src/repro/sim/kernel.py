@@ -9,8 +9,6 @@ extended with the execution services the concurrent system needs:
   event queue to a fixed point (bounded by an event budget), which is
   the natural termination condition of a concurrent DA run: no DM has
   a step pending, no message is in flight, no failure is armed;
-* **deadlines** — ``run(until=t)`` advances exactly to a simulated
-  instant, leaving later events pending (mid-flight inspection);
 * **failure injection** — :meth:`crash_at` arms a node crash (and its
   restart) at arbitrary simulated instants; it is the only crash
   injector, so every scenario's crashes land in :attr:`injections`;
@@ -39,6 +37,10 @@ from repro.util.errors import KernelError
 if TYPE_CHECKING:  # avoid the sim <-> net package-init cycle
     from repro.net.network import Network
 
+#: events one :meth:`Kernel.run_until_quiescent` may execute before it
+#: gives up on reaching quiescence
+EVENT_BUDGET = 1_000_000
+
 
 @dataclass
 class InjectionLogEntry:
@@ -61,30 +63,29 @@ class Kernel(EventScheduler):
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, until: float | None = None,
-            max_events: int | None = None) -> int:
+    def run(self, max_events: int | None = None) -> int:
         """Run with the :attr:`running` flag set for the whole batch."""
         was_running = self.running
         self.running = True
         try:
-            return super().run(until, max_events)
+            return super().run(max_events)
         finally:
             self.running = was_running
 
-    def run_until_quiescent(self, max_events: int = 1_000_000) -> int:
+    def run_until_quiescent(self) -> int:
         """Run until no event is pending.
 
         Quiescence is the fixed point of a concurrent run: every DM
         chain has ended, every queued message was delivered, every
         armed failure fired.  Raises :class:`KernelError` when the
-        event budget is exhausted first — the guard against a
-        non-terminating event cascade.  Returns the number of events
-        executed by this call.
+        event budget (:data:`EVENT_BUDGET`) is exhausted first — the
+        guard against a non-terminating event cascade.  Returns the
+        number of events executed by this call.
         """
-        ran = self.run(max_events=max_events)
-        if ran >= max_events and self.pending:
+        ran = self.run(EVENT_BUDGET)
+        if ran >= EVENT_BUDGET and self.pending:
             raise KernelError(
-                f"no quiescence after {max_events} events "
+                f"no quiescence after {EVENT_BUDGET} events "
                 f"({self.pending} still pending at t={self.clock.now})")
         return ran
 

@@ -75,24 +75,17 @@ class EventScheduler:
         """Number of events executed so far."""
         return len(self.event_log)
 
-    def run(self, until: float | None = None,
-            max_events: int | None = None) -> int:
-        """Run events until exhaustion, *until* time, or *max_events*.
+    def run(self, max_events: int | None = None) -> int:
+        """Run events until exhaustion or *max_events*.
 
-        Returns the number of events executed by this call.  The clock
-        only advances to *until* when every event at or before it was
-        dispatched — an exit via *max_events* leaves the clock at the
-        last executed event, never past undispatched ones.
+        Returns the number of events executed by this call; the clock
+        stays at the last executed event.
         """
         ran = 0
         queue = self._queue
         clock = self.clock
         record = self.event_log.append
-        drained = False
-        while True:
-            if not queue or (until is not None and queue[0][0] > until):
-                drained = True
-                break
+        while queue:
             if max_events is not None and ran >= max_events:
                 break
             time, priority, seq, label, action = heappop(queue)
@@ -101,6 +94,4 @@ class EventScheduler:
             ran += 1
             record((time, priority, seq, label))
             action()
-        if until is not None and drained:
-            clock.advance_to(until)
         return ran

@@ -40,6 +40,8 @@ if TYPE_CHECKING:  # lazy at runtime: sim must not import the scenario/
 #: format tag of the JSONL artifact; bump on any layout change so a
 #: stale golden trace fails loudly instead of diffing nonsense
 TRACE_FORMAT = "concord-kernel-trace/1"
+#: events before a divergence that a :class:`TraceDiff` shows
+DIFF_CONTEXT = 3
 
 #: one executed kernel event, exactly as the kernel logs it
 TraceEvent = tuple[float, int, int, str]
@@ -227,8 +229,8 @@ def _fmt_event(event: TraceEvent | None) -> str:
     return f"(t={time}, prio={priority}, seq={seq}, {label!r})"
 
 
-def diff_traces(recorded: KernelTrace, replayed: KernelTrace,
-                context: int = 3) -> TraceDiff:
+def diff_traces(recorded: KernelTrace, replayed: KernelTrace
+                ) -> TraceDiff:
     """Compare two traces event by event; report the first divergence."""
     a, b = recorded.events, replayed.events
     diff = TraceDiff(events_a=len(a), events_b=len(b),
@@ -239,14 +241,14 @@ def diff_traces(recorded: KernelTrace, replayed: KernelTrace,
             diff.first_divergence = index
             diff.expected = a[index]
             diff.actual = b[index]
-            diff.context = list(a[max(0, index - context):index])
+            diff.context = list(a[max(0, index - DIFF_CONTEXT):index])
             return diff
     if len(a) != len(b):
         index = min(len(a), len(b))
         diff.first_divergence = index
         diff.expected = a[index] if index < len(a) else None
         diff.actual = b[index] if index < len(b) else None
-        diff.context = list(a[max(0, index - context):index])
+        diff.context = list(a[max(0, index - DIFF_CONTEXT):index])
     return diff
 
 
@@ -267,7 +269,7 @@ def record_scenario(config: "ScenarioConfig") -> KernelTrace:
     return capture_trace(kernel, scenario=config.as_tables())
 
 
-def replay_trace(trace: KernelTrace, context: int = 3) -> TraceDiff:
+def replay_trace(trace: KernelTrace) -> TraceDiff:
     """Re-run the scenario embedded in *trace* and diff the streams.
 
     Returns the structural diff; ``diff.identical`` is the regression
@@ -279,4 +281,4 @@ def replay_trace(trace: KernelTrace, context: int = 3) -> TraceDiff:
         raise TraceError("trace has no embedded scenario definition — "
                          "it cannot be replayed")
     config = validate_scenario(trace.scenario)
-    return diff_traces(trace, record_scenario(config), context=context)
+    return diff_traces(trace, record_scenario(config))

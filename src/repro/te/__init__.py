@@ -15,7 +15,6 @@ from repro.te.recovery import (
     CheckoutRecord,
     RecoveryManager,
     RecoveryPoint,
-    RecoveryPointPolicy,
 )
 from repro.te.rig import TeRig
 from repro.te.transaction_manager import (
@@ -41,7 +40,6 @@ __all__ = [
     "LockStats",
     "RecoveryManager",
     "RecoveryPoint",
-    "RecoveryPointPolicy",
     "SavepointStack",
     "ServerTM",
     "TeRig",

@@ -75,13 +75,13 @@ class LockStats:
 class LockManager:
     """Lock table over DOV ids with CONCORD's special scope semantics."""
 
-    def __init__(self, usage_allows: Callable[[str, str, str], bool]
-                 | None = None) -> None:
+    def __init__(self) -> None:
         #: resource -> list of grants
         self._table: dict[str, list[Lock]] = {}
         #: callback(requestor_da, holder_da, dov_id) -> bool, installed by
         #: the CM to authorise scope-lock sharing along usage relationships
-        self.usage_allows = usage_allows or (lambda *_: False)
+        self.usage_allows: Callable[[str, str, str], bool] = \
+            lambda *_: False
         self.stats = LockStats()
 
     # -- helpers ---------------------------------------------------------------
@@ -94,10 +94,9 @@ class LockManager:
             return list(grants)
         return [g for g in grants if g.mode is mode]
 
-    def holds(self, resource: str, holder: str,
-              mode: LockMode | None = None) -> bool:
-        """True when *holder* holds a (mode) lock on *resource*."""
-        return any(g.holder == holder and (mode is None or g.mode is mode)
+    def holds(self, resource: str, holder: str) -> bool:
+        """True when *holder* holds a lock on *resource*."""
+        return any(g.holder == holder
                    for g in self._table.get(resource, []))
 
     def locks_of(self, holder: str,

@@ -7,10 +7,12 @@ system after appropriate events or time intervals and are transparent to
 design tool and designer.  In particular, after each checkout operation
 a recovery point is set" (Sect.5.2).
 
-:class:`RecoveryPointPolicy` decides *when* to take one (event-driven:
-after checkout; time-driven: every ``interval`` simulated minutes of
-tool work).  :class:`RecoveryManager` persists them to the
-workstation's stable storage and serves the most recent one at restart.
+The client-TM takes one after every checkout — the paper's mandatory
+point, "in order to avoid duplicate requests of a DOV from the server
+in the case of a failure" — and one every :data:`POINT_INTERVAL`
+simulated minutes of tool work.  :class:`RecoveryManager` persists
+them to the workstation's stable storage and serves the most recent
+one at restart.
 
 The paper asks for a *point* after each checkout, not for an image of
 the context: a post-checkout point is stored as a
@@ -35,24 +37,9 @@ from repro.util.errors import RecoveryError
 #: a running DOP keeps at most this many of them alive
 MAX_DELTA_CHAIN = 32
 
-
-@dataclass
-class RecoveryPointPolicy:
-    """When the client-TM takes automatic recovery points.
-
-    ``after_checkout`` implements the paper's mandatory post-checkout
-    point ("in order to avoid duplicate requests of a DOV from the
-    server in the case of a failure"); ``interval`` adds periodic points
-    during long tool executions (0 disables them).  Experiment T2 sweeps
-    ``interval`` to show lost work is bounded by it.
-    """
-
-    after_checkout: bool = True
-    interval: float = 30.0
-
-    def due(self, work_since_last: float) -> bool:
-        """True when a periodic point is due after *work_since_last*."""
-        return self.interval > 0 and work_since_last >= self.interval
+#: simulated minutes of tool work between two periodic points: the
+#: most work a crash can lose
+POINT_INTERVAL = 30.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,10 +98,8 @@ class CheckoutRecord:
 class RecoveryManager:
     """Client-TM-side persistence of recovery points and savepoints."""
 
-    def __init__(self, stable: StableStorage,
-                 policy: RecoveryPointPolicy | None = None) -> None:
+    def __init__(self, stable: StableStorage) -> None:
         self.stable = stable
-        self.policy = policy or RecoveryPointPolicy()
         #: recovery points taken (for the T2 accounting)
         self.points_taken = 0
 

@@ -32,7 +32,6 @@ from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
 from repro.te.locks import LockManager
 from repro.te.object_buffer import ObjectBuffer
-from repro.te.recovery import RecoveryPointPolicy
 from repro.te.transaction_manager import (
     ClientTM,
     ServerTM,
@@ -48,7 +47,6 @@ class TeRig:
     """Client/server-TM stack over one repository, LAN and kernel."""
 
     def __init__(self, trace: bool = True,
-                 recovery_policy: RecoveryPointPolicy | None = None,
                  lan_latency: float = 0.010,
                  repository: Any = None,
                  jitter: float = 0.0,
@@ -59,12 +57,13 @@ class TeRig:
                  flush_interval: int | None = None,
                  lease_ttl: float | None = None,
                  flush_on_end_dop: bool = True) -> None:
-        if lease_ttl is not None and not lease_ttl > 0:
+        if lease_ttl is not None and (isinstance(lease_ttl, bool)
+                                      or not lease_ttl > 0):
             raise ConcordError(
                 f"lease_ttl={lease_ttl!r}: must be > 0, or None for "
                 f"recall-only leases")
         if flush_interval is not None and not (
-                isinstance(flush_interval, int) and flush_interval >= 1):
+                type(flush_interval) is int and flush_interval >= 1):
             raise ConcordError(
                 f"flush_interval={flush_interval!r}: must be an integer "
                 f">= 1, or None for no dirty-set threshold")
@@ -103,7 +102,6 @@ class TeRig:
         self._object_buffers = object_buffers
         #: what every client-TM of this rig is built with
         self._client_options = {
-            "policy": recovery_policy or RecoveryPointPolicy(),
             "write_back": write_back,
             "flush_interval": flush_interval,
             "flush_on_end_dop": flush_on_end_dop}

@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.net.network import Network
+from repro.net.network import SERVER, Network
 from repro.net.rpc import TransactionalRpc
 from repro.net.two_phase_commit import CommitOutcome, Vote
 from repro.txn.gateway import (
@@ -78,7 +78,7 @@ from repro.te.context import DopContext, SavepointStack
 from repro.te.dop import DesignOperation, DopState
 from repro.te.object_buffer import ObjectBuffer
 from repro.te.locks import LockManager, LockMode
-from repro.te.recovery import RecoveryManager, RecoveryPointPolicy
+from repro.te.recovery import POINT_INTERVAL, RecoveryManager
 from repro.util.errors import (
     LockConflictError,
     RecoveryError,
@@ -138,14 +138,14 @@ class ServerTM:
 
     def __init__(self, repository: DesignDataRepository,
                  locks: LockManager, network: Network,
-                 node_id: str = "server",
                  trace: EventTrace | None = None,
                  clock: SimClock | None = None,
                  lease_ttl: float | None = None) -> None:
         self.repository = repository
         self.locks = locks
         self.network = network
-        self.node_id = node_id
+        #: the 2PC participant's node
+        self.node_id = SERVER
         self.trace = trace if trace is not None else EventTrace(enabled=False)
         self.clock = clock or SimClock()
         #: callback(da_id, dov_id) -> bool installed by the CM; the default
@@ -185,7 +185,7 @@ class ServerTM:
         # server; a restart re-validates the registered workstation
         # buffers against fresh repository stamps — an unleased,
         # unvalidated copy could never be revoked again
-        node = network.node(node_id)
+        node = network.node(SERVER)
         node.on_crash.append(self.clear_leases)
         node.on_crash.append(self._txns.clear)
         node.on_restart.append(self._on_server_restart)
@@ -564,7 +564,6 @@ class ClientTM:
     def __init__(self, workstation: str, server_tm: ServerTM,
                  rpc: TransactionalRpc, clock: SimClock,
                  ids: IdGenerator | None = None,
-                 policy: RecoveryPointPolicy | None = None,
                  trace: EventTrace | None = None,
                  buffer: ObjectBuffer | None = None,
                  write_back: bool = False,
@@ -614,7 +613,7 @@ class ClientTM:
         self.renewals_piggybacked = 0
         node = rpc.network.node(workstation)
         self.node = node
-        self.recovery = RecoveryManager(node.stable, policy)
+        self.recovery = RecoveryManager(node.stable)
         #: the txn layer's commit gateway: every commit shape of this
         #: workstation (single checkin, group flush, its slice of a
         #: cross-workstation commit) is driven through it
@@ -822,8 +821,7 @@ class ClientTM:
         if self.trace.enabled:
             self._record("checkout", dov_id, dop=dop.dop_id,
                          cached=cached)
-        if self.recovery.policy.after_checkout:
-            self._take_recovery_point(dop, "checkout", dov)
+        self._take_recovery_point(dop, "checkout", dov)
 
     # -- tool processing ----------------------------------------------------------------
 
@@ -833,7 +831,7 @@ class ClientTM:
         """Apply *effort* simulated minutes of tool work to the context.
 
         Advances the simulated clock, applies the tool's mutation, and
-        takes a periodic recovery point when the policy says one is due.
+        takes a periodic recovery point every :data:`POINT_INTERVAL`.
         Under the concurrent kernel the clock is driven by the event
         times themselves — those callers pass ``advance_clock=False``
         because the kernel already sits at the work's finish instant.
@@ -849,7 +847,7 @@ class ClientTM:
             mutate(dop.context)
         dop.context.work_done += effort
         dop.work_since_recovery_point += effort
-        if self.recovery.policy.due(dop.work_since_recovery_point):
+        if dop.work_since_recovery_point >= POINT_INTERVAL:
             self._take_recovery_point(dop, "interval")
 
     # -- savepoints -------------------------------------------------------------------------

@@ -96,12 +96,12 @@ def _repeated(names: Sequence[str]) -> list[str]:
 
 
 def synthetic_netlist(cells: list[str], rng: SeededRng,
-                      nets_per_cell: float = 1.5,
-                      fanout: int = 3) -> NetList:
+                      nets_per_cell: float = 1.5) -> NetList:
     """Generate a seeded net list with locality-skewed connectivity.
 
-    Cells adjacent in the list are more likely to share nets, which
-    gives bipartitioning something meaningful to optimise.
+    A net joins two or three cells; cells adjacent in the list are
+    more likely to share one, which gives bipartitioning something
+    meaningful to optimise.
     """
     if len(cells) < 2:
         return NetList(cells=list(cells), nets=[])
@@ -109,7 +109,7 @@ def synthetic_netlist(cells: list[str], rng: SeededRng,
     nets = []
     for i in range(total_nets):
         anchor = rng.randint(0, len(cells) - 1)
-        size = rng.randint(2, min(fanout, len(cells)))
+        size = rng.randint(2, min(3, len(cells)))
         members = {cells[anchor]}
         while len(members) < size:
             # skew towards neighbours of the anchor

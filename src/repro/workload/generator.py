@@ -116,7 +116,6 @@ def _step_reads(rng: SeededRng, history: list[str],
 
 def team_workload(team_size: int, steps_per_session: int = 4,
                   mean_step: float = 60.0, seed: int = 0,
-                  share_objects: bool = True,
                   reads_per_step: int = 0,
                   reread_locality: float = 0.0,
                   object_pool: int = 4,
@@ -125,9 +124,9 @@ def team_workload(team_size: int, steps_per_session: int = 4,
 
     Session *i* (>0) consumes a preliminary result of session *i-1*
     produced by its middle step — the Fig.5 pattern where planning a
-    subcell needs the neighbour's provisional borderline.  With
-    ``share_objects`` neighbouring sessions also *write* a shared
-    design object, exercising the models' write-concurrency policies.
+    subcell needs the neighbour's provisional borderline.  Neighbouring
+    sessions also *write* a shared design object, exercising the
+    models' write-concurrency policies.
 
     With ``reads_per_step`` > 0 every step additionally checks out
     that many shared library objects; ``reread_locality`` is the
@@ -151,9 +150,9 @@ def team_workload(team_size: int, steps_per_session: int = 4,
                                      mean_step / 4, mean_step * 3), 1)
             for _ in range(steps_per_session)]
         writes = [f"cell-{i}"]
-        if share_objects and i > 0:
+        if i > 0:
             writes.append(f"border-{i - 1}-{i}")
-        if share_objects and i < team_size - 1:
+        if i < team_size - 1:
             writes.append(f"border-{i}-{i + 1}")
         dependencies = []
         if i > 0:
@@ -184,16 +183,16 @@ def team_workload(team_size: int, steps_per_session: int = 4,
     return TeamWorkload(sessions=sessions, seed=seed)
 
 
-def integration_workload(team_size: int, steps_per_session: int = 3,
-                         mean_step: float = 60.0, seed: int = 0,
-                         integration_steps: int = 2) -> TeamWorkload:
+def integration_workload(team_size: int, seed: int = 0) -> TeamWorkload:
     """A fan-in topology: independent designers plus one integrator.
 
     ``team_size`` designers work independently (own objects, no mutual
-    dependencies); a final *integrator* session consumes a preliminary
-    result of **every** designer before its last step — the chip
-    assembly / system integration pattern.
+    dependencies) for three steps of 60 minutes on average; a final
+    two-step *integrator* session consumes a preliminary result of
+    **every** designer before its last step — the chip assembly /
+    system integration pattern.
     """
+    steps_per_session, integration_steps, mean_step = 3, 2, 60.0
     if team_size < 1:
         raise ValueError("team_size must be >= 1")
     rng = SeededRng(seed)

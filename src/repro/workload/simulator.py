@@ -59,11 +59,11 @@ class _Run:
 class TeamSimulator:
     """Deterministic discrete-event execution of a team workload."""
 
-    def __init__(self, model: ProcessingModel, workload: TeamWorkload,
-                 seed: int | None = None) -> None:
+    def __init__(self, model: ProcessingModel,
+                 workload: TeamWorkload) -> None:
         self.model = model
         self.workload = workload
-        self.rng = SeededRng(seed if seed is not None else workload.seed)
+        self.rng = SeededRng(workload.seed)
         self.kernel = Kernel()
         self._runs: dict[str, _Run] = {}
         #: object -> holding session id

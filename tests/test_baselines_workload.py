@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.models import (
@@ -134,8 +136,8 @@ class TestTeamSimulator:
 
     def test_saga_rework_recorded(self):
         workload = team_workload(6, seed=7)
-        metrics = TeamSimulator(saga_model(rework_probability=1.0),
-                                workload).run()
+        model = dataclasses.replace(saga_model(), rework_probability=1.0)
+        metrics = TeamSimulator(model, workload).run()
         assert metrics.total_rework > 0.0
 
     def test_no_rework_without_probability(self):

@@ -83,7 +83,7 @@ class TestSubcellSeed:
 
     def test_subcell_script_structure(self):
         script = subcell_script("cell-0/A", ["a", "b"])
-        sequences = script.sequences(max_iterations=1)
+        sequences = script.sequences()
         assert sequences[0][0] == "subcell_seed"
         assert "chip_planner" in sequences[0]
 

@@ -20,6 +20,7 @@ from repro.scenario.delegation import (
     concurrent_delegation_scenario,
     make_vlsi_system,
 )
+from repro.util.errors import ConcordError
 from repro.vlsi.tools import vlsi_dots
 
 
@@ -101,6 +102,17 @@ class TestInterleaving:
         # per-DA grouping possibly could
         switches = sum(1 for a, b in zip(owners, owners[1:]) if a != b)
         assert switches > len(subs) - 1
+
+    def test_an_unknown_da_is_refused_like_run_refuses_it(self, trio):
+        system, __, subs = trio
+        with pytest.raises(ConcordError, match="no runtime for DA "
+                                               "'da-nope'"):
+            system.run_concurrent(subs + ["da-nope"])
+        with pytest.raises(ConcordError, match="no runtime for DA "
+                                               "'da-nope'"):
+            system.run("da-nope")
+        assert system.kernel.executed == 0
+
 
 class TestAutoDelivery:
     def test_ready_to_commit_auto_dispatched(self):

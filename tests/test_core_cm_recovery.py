@@ -308,7 +308,7 @@ class Program:
         target = self._propagated(a, b)
         if target is None:
             return False
-        self.cm.withdraw(*target, cascade=bool(c % 2))
+        self.cm.withdraw(*target)
 
     def invalidate(self, a: int, b: int, c: int) -> Any:
         target = self._propagated(a, b)

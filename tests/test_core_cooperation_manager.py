@@ -206,8 +206,7 @@ class TestTerminate:
         system, top, sub, __, __p = self._ready_sub(rig)
         system.cm.terminate_sub_da(top.da_id, sub.da_id)
         assert system.cm.children_of(top.da_id) == []
-        assert len(system.cm.children_of(top.da_id,
-                                         include_terminated=True)) == 1
+        assert system.cm.da(top.da_id).children == [sub.da_id]
 
     def test_finish_top_level_releases_locks(self, rig):
         system, top, sub, final, __ = self._ready_sub(rig)

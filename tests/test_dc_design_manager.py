@@ -107,9 +107,26 @@ class TestDesignerPolicy:
 
         da = start_da(system, Script(Alternative(DopStep("halve"),
                                                  DopStep("noop"))))
-        system.run(da.da_id, policy=PickSecond())
+        system.runtime(da.da_id).dm.policy = PickSecond()
+        system.run(da.da_id)
         dm = system.runtime(da.da_id).dm
         assert dm.executed_tools == ["noop"]
+
+    def test_kernel_run_asks_the_dms_policy(self):
+        """The designer is the DM's, not a per-call argument: a run on
+        the kernel resolves the Alternative the same way."""
+        system = build_system()
+
+        class PickSecond(DesignerPolicy):
+            def choose_alternative(self, action):
+                return 1
+
+        da = start_da(system, Script(Alternative(DopStep("halve"),
+                                                 DopStep("noop"))))
+        system.runtime(da.da_id).dm.policy = PickSecond()
+        statuses = system.run_concurrent([da.da_id])
+        assert statuses[da.da_id].done
+        assert system.runtime(da.da_id).dm.executed_tools == ["noop"]
 
     def test_iteration_until_goal(self):
         system = build_system()
@@ -126,7 +143,9 @@ class TestDesignerPolicy:
         da = start_da(system, Script(Iteration(
             Sequence(DopStep("halve"), DaOpStep("Evaluate")),
             max_rounds=10)))
-        system.run(da.da_id, policy=IterateUntilFinal(system, da.da_id))
+        system.runtime(da.da_id).dm.policy = \
+            IterateUntilFinal(system, da.da_id)
+        system.run(da.da_id)
         dm = system.runtime(da.da_id).dm
         # 400 -> 200 -> 100: two rounds needed
         assert dm.executed_dops == 2
@@ -146,7 +165,8 @@ class TestDesignerPolicy:
                 return "close"
 
         da = start_da(system, Script(Sequence(DopStep("halve"), Open())))
-        system.run(da.da_id, policy=InsertOnce())
+        system.runtime(da.da_id).dm.policy = InsertOnce()
+        system.run(da.da_id)
         dm = system.runtime(da.da_id).dm
         assert dm.executed_tools == ["halve", "halve"]
         assert dm.cursor.is_done()
@@ -161,7 +181,8 @@ class TestDesignerPolicy:
         da = start_da(system, Script(Open()))
         from repro.util.errors import WorkflowError
         with pytest.raises(WorkflowError):
-            system.run(da.da_id, policy=InsertBogus())
+            system.runtime(da.da_id).dm.policy = InsertBogus()
+            system.run(da.da_id)
 
 
 class TestCheckinFailureHandling:
@@ -185,7 +206,8 @@ class TestCheckinFailureHandling:
 
         da = start_da(system, Script(Sequence(DopStep("negate"),
                                               DopStep("halve"))))
-        status = system.run(da.da_id, policy=Skip())
+        system.runtime(da.da_id).dm.policy = Skip()
+        status = system.run(da.da_id)
         assert status.done
         dm = system.runtime(da.da_id).dm
         assert dm.aborted_dops == 1
@@ -288,8 +310,9 @@ class TestDmCrashRecovery:
             Alternative(DopStep("halve"), DopStep("noop")),
             DopStep("halve"))))
         runtime = system.runtime(da.da_id)
-        runtime.dm.step(PickSecond())   # decide the alternative
-        runtime.dm.step(PickSecond())   # run 'noop'
+        runtime.dm.policy = PickSecond()
+        runtime.dm.step()   # decide the alternative
+        runtime.dm.step()   # run 'noop'
         system.crash_workstation("ws-1")
         system.restart_workstation("ws-1")
         status = system.run(da.da_id)

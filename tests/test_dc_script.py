@@ -90,7 +90,7 @@ class TestEnumeration:
 
     def test_iteration_unrolls(self):
         script = Script(Iteration(DopStep("a")))
-        assert script.sequences(max_iterations=2) == [["a"], ["a", "a"]]
+        assert script.sequences() == [["a"], ["a", "a"]]
 
     def test_parallel_interleavings(self):
         script = Script(Parallel(DopStep("a"), DopStep("b")))

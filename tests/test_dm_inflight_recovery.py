@@ -37,7 +37,7 @@ def interrupted_dop(system, da):
 
 class TestInFlightRecovery:
     def test_in_flight_dop_resumed_from_recovery_point(self):
-        system = make_vlsi_system(("ws-1",), recovery_interval=30.0)
+        system = make_vlsi_system(("ws-1",))
         da = run_full_chip_design(system)
         dm = system.runtime(da.da_id).dm
         dop, basis = interrupted_dop(system, da)
@@ -58,11 +58,11 @@ class TestInFlightRecovery:
         assert dm.in_flight is live
 
     def test_in_flight_without_recovery_point_reports_total_loss(self):
-        system = make_vlsi_system(("ws-1",), recovery_interval=0.0)
-        # disable the post-checkout point too: nothing persists
+        # a DOP that checks nothing out and crashes before its first
+        # periodic point (30 units of work) has persisted nothing
+        system = make_vlsi_system(("ws-1",))
         da = run_full_chip_design(system)
         runtime = system.runtime(da.da_id)
-        runtime.client_tm.recovery.policy.after_checkout = False
         dm = runtime.dm
         dop = runtime.client_tm.begin_dop(da.da_id, "chip_planner")
         dm.log.append(LogRecordKind.DOP_START, {
@@ -78,7 +78,7 @@ class TestInFlightRecovery:
         assert resumed["point_time"] is None
 
     def test_committed_history_survives_alongside(self):
-        system = make_vlsi_system(("ws-1",), recovery_interval=30.0)
+        system = make_vlsi_system(("ws-1",))
         da = run_full_chip_design(system)
         dm = system.runtime(da.da_id).dm
         committed_before = dm.executed_dops

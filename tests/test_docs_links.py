@@ -81,3 +81,32 @@ def test_checker_flags_keywords_the_constructor_does_not_have(
     assert checker.main([str(tmp_path)]) == 1
     assert "README.md:2: TeRig() has no parameter 'eviction_policy'" \
         in capsys.readouterr().out
+
+
+def test_checker_flags_a_removed_keyword_in_an_inline_span(
+        tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "src" / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "core" / "system.py").write_text(
+        "class ConcordSystem:\n"
+        "    def __init__(self, trace=True, seed=0):\n"
+        "        pass\n", encoding="utf-8")
+    (tmp_path / "src" / "repro" / "scenario").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "scenario" / "delegation.py").write_text(
+        "def make_vlsi_system(workstations=(), trace=True):\n"
+        "    pass\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "Build one with `ConcordSystem(seed=3)` or "
+        "`make_vlsi_system((\"ws-1\",), trace=\u2026)`.\n",
+        encoding="utf-8")
+    assert checker.main([str(tmp_path)]) == 0
+    (tmp_path / "README.md").write_text(
+        "Leases expire with `ConcordSystem(lease_ttl=T)`, points every\n"
+        "`make_vlsi_system((\"ws-1\",), recovery_interval=30.0)`.\n",
+        encoding="utf-8")
+    assert checker.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "README.md:1: ConcordSystem() has no parameter 'lease_ttl'" \
+        in out
+    assert "README.md:2: make_vlsi_system() has no parameter " \
+        "'recovery_interval'" in out

@@ -121,7 +121,8 @@ class TestParallelScriptExecution:
                                 initial_data={"cell": "c",
                                               "level": "chip"})
         system.start(da.da_id)
-        system.run(da.da_id, policy=PreferB())
+        system.runtime(da.da_id).dm.policy = PreferB()
+        system.run(da.da_id)
         dm = system.runtime(da.da_id).dm
         assert dm.executed_tools == ["t-b", "t-a"]
 

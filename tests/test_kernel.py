@@ -5,8 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.net.network import Network
+from repro.sim import kernel as kernel_module
 from repro.sim.kernel import Kernel
 from repro.util.errors import KernelError
+
+
+def probe(kernel, at, look):
+    """File a probe event at *at*, behind everything filed for that
+    instant so far; it appends ``look()`` to the returned list."""
+    seen: list = []
+    kernel.at(at, lambda: seen.append(look()), label="probe")
+    return seen
 
 
 class TestQuiescence:
@@ -25,32 +34,35 @@ class TestQuiescence:
         assert kernel.pending == 0
         assert seen == [1.0, 3.0, 5.0, 7.0]
 
-    def test_event_budget_guard(self):
+    def test_event_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "EVENT_BUDGET", 50)
         kernel = Kernel()
 
         def forever():
             kernel.after(1.0, forever)
 
         kernel.at(0.0, forever)
-        with pytest.raises(KernelError):
-            kernel.run_until_quiescent(max_events=50)
+        with pytest.raises(KernelError, match="after 50 events"):
+            kernel.run_until_quiescent()
+        assert kernel.executed == 50
 
     def test_deadline_leaves_later_events_pending(self):
         kernel = Kernel()
         seen = []
         for t in (1.0, 2.0, 3.0):
             kernel.at(t, lambda t=t: seen.append(t))
-        kernel.run(until=2.0)
-        assert seen == [1.0, 2.0]
-        assert kernel.pending
-        assert kernel.clock.now == 2.0
+        mid = probe(kernel, 2.0, lambda: (list(seen), kernel.pending,
+                                          kernel.clock.now))
+        kernel.run_until_quiescent()
+        assert mid == [([1.0, 2.0], 1, 2.0)]
 
     def test_run_until(self):
         kernel = Kernel()
         kernel.at(5.0, lambda: None)
-        kernel.run(until=3.0)
-        assert kernel.clock.now == 3.0
-        assert kernel.pending == 1
+        mid = probe(kernel, 3.0, lambda: (kernel.clock.now,
+                                          kernel.pending))
+        kernel.run_until_quiescent()
+        assert mid == [(3.0, 1)]
 
 
 class TestRunningFlag:
@@ -143,9 +155,9 @@ class TestCrashAt:
 
 
 class TestRunBoundariesUntraced:
-    """``run(until=..., max_events=...)`` boundary semantics on the one
-    kernel, which always traces: the bounds hold exactly, and the event
-    log holds the dispatched events and nothing else."""
+    """``run(max_events=...)`` and probe-event boundary semantics on
+    the one kernel, which always traces: the bounds hold exactly, and
+    the event log holds the dispatched events and nothing else."""
 
     def _kernel(self):
         kernel = Kernel()
@@ -156,20 +168,23 @@ class TestRunBoundariesUntraced:
 
     def test_until_is_inclusive_and_advances_the_clock(self):
         kernel, fired = self._kernel()
-        ran = kernel.run(until=2.0)
-        assert ran == 3
-        assert fired == [1.0, 2.0, 2.0]  # both t=2.0 events dispatch
-        assert kernel.clock.now == 2.0
-        assert kernel.pending == 1
-        assert kernel.event_log == [(1.0, 0, 1, "e1.0"), (2.0, 0, 2, "e2.0"),
-                                    (2.0, 0, 3, "e2.0")]
+        mid = probe(kernel, 2.0, lambda: (
+            list(fired), kernel.clock.now, kernel.pending,
+            list(kernel.event_log)))
+        assert kernel.run() == 5
+        # both t=2.0 events dispatch before the probe filed behind them
+        assert mid == [([1.0, 2.0, 2.0], 2.0, 1,
+                        [(1.0, 0, 1, "e1.0"), (2.0, 0, 2, "e2.0"),
+                         (2.0, 0, 3, "e2.0"), (2.0, 0, 5, "probe")])]
 
     def test_until_between_events_still_advances_the_clock(self):
         kernel, fired = self._kernel()
-        kernel.run(until=2.5)
-        assert fired == [1.0, 2.0, 2.0]
-        assert kernel.clock.now == 2.5  # deadline, not last event
-        assert [seq for _, _, seq, _ in kernel.event_log] == [1, 2, 3]
+        mid = probe(kernel, 2.5, lambda: (
+            list(fired), kernel.clock.now,
+            [seq for _, _, seq, _ in kernel.event_log]))
+        kernel.run()
+        # the probe's instant, not the last event's
+        assert mid == [([1.0, 2.0, 2.0], 2.5, [1, 2, 3, 5])]
 
     def test_max_events_stops_before_the_next_event(self):
         kernel, fired = self._kernel()
@@ -192,9 +207,9 @@ class TestRunBoundariesUntraced:
 
     def test_bounds_compose_and_runs_resume(self):
         kernel, fired = self._kernel()
-        assert kernel.run(until=3.0, max_events=1) == 1
+        assert kernel.run(max_events=1) == 1
         assert fired == [1.0]
-        assert kernel.run(until=3.0) == 3
+        assert kernel.run() == 3
         assert fired == [1.0, 2.0, 2.0, 3.0]
         assert kernel.pending == 0
         assert [label for *_, label in kernel.event_log] \

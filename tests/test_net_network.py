@@ -47,10 +47,10 @@ class TestStableStorage:
 
     def test_keys_prefix(self):
         storage = StableStorage()
-        storage.put("a:1", 1)
-        storage.put("a:2", 2)
         storage.put("b:1", 3)
-        assert storage.keys("a:") == ["a:1", "a:2"]
+        storage.put("a:2", 2)
+        storage.put("a:1", 1)
+        assert storage.keys() == ["a:1", "a:2", "b:1"]
 
     def test_write_counter(self):
         storage = StableStorage()
@@ -108,8 +108,8 @@ class TestNetwork:
         network.add_server()
         network.add_workstation("ws-1")
         network.add_workstation("ws-2")
-        assert len(network.nodes(NodeKind.WORKSTATION)) == 2
-        assert len(network.nodes()) == 3
+        assert [node.kind for node in network.nodes()] == [
+            NodeKind.SERVER, NodeKind.WORKSTATION, NodeKind.WORKSTATION]
 
     def test_send_counts_messages_and_latency(self):
         network = Network(lan_latency=0.01, local_latency=0.001)

@@ -664,8 +664,8 @@ class TestTheDcLevelIsFlat:
         start_step, at, defer = (DesignManager.start_step, Kernel.at,
                                  Kernel.defer)
 
-        def counted_start_step(self, policy=None):
-            outcome = start_step(self, policy)
+        def counted_start_step(self):
+            outcome = start_step(self)
             counts["start_step"] += 1
             counts["productive"] += bool(outcome)
             return outcome
@@ -721,7 +721,7 @@ class TestSchedulerPendingCounter:
         assert scheduler.pending == 5
         scheduler.run(max_events=1)
         assert scheduler.pending == 4
-        scheduler.run(until=2.0)
+        scheduler.run(max_events=2)
         assert scheduler.pending == 2
         scheduler.run()
         assert scheduler.pending == 0

@@ -155,16 +155,14 @@ class TestSeMethodology:
 
     def test_development_script_statically_valid(self):
         constraints = se_constraints()
-        assert constraints.validate_script(development_script(),
-                                           max_iterations=2) == []
+        assert constraints.validate_script(development_script()) == []
 
     def test_module_script_valid(self):
         constraints = se_constraints()
-        assert constraints.validate_script(module_script(),
-                                           max_iterations=2) == []
+        assert constraints.validate_script(module_script()) == []
 
     def test_release_spec_features(self):
-        spec = release_spec(max_defects=0, min_coverage=1.0)
+        spec = release_spec(min_coverage=1.0)
         good = {"defects": 0, "coverage": 1.0,
                 "release": {"units": ["u"]}}
         assert spec.is_final(good)
@@ -210,8 +208,8 @@ class TestSeEndToEnd:
 
     def test_development_reaches_release(self):
         system, da = self._build()
-        status = system.run(da.da_id,
-                            policy=self.DevPolicy(system, da.da_id))
+        system.runtime(da.da_id).dm.policy = self.DevPolicy(system, da.da_id)
+        status = system.run(da.da_id)
         assert status.done
         assert da.final_dovs
         leaf = max(system.repository.graph(da.da_id).leaves(),
@@ -220,14 +218,16 @@ class TestSeEndToEnd:
 
     def test_development_is_long_duration(self):
         system, da = self._build()
-        system.run(da.da_id, policy=self.DevPolicy(system, da.da_id))
+        system.runtime(da.da_id).dm.policy = self.DevPolicy(system, da.da_id)
+        system.run(da.da_id)
         # specify+edit alone are 360 simulated minutes
         assert system.clock.now > 360.0
 
     def test_same_machinery_as_vlsi(self):
         """The identical DA/DM/TM stack drives both domains."""
         system, da = self._build()
-        system.run(da.da_id, policy=self.DevPolicy(system, da.da_id))
+        system.runtime(da.da_id).dm.policy = self.DevPolicy(system, da.da_id)
+        system.run(da.da_id)
         graph = system.repository.graph(da.da_id)
         assert len(graph) >= 8   # DOV0 + one version per DOP
         # every derived DOV has a parent chain back to DOV0

@@ -26,13 +26,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1.0)
 
-    def test_advance_to_never_goes_back(self):
-        clock = SimClock(10.0)
-        clock.advance_to(5.0)
-        assert clock.now == 10.0
-        clock.advance_to(15.0)
-        assert clock.now == 15.0
-
 
 class TestEventScheduler:
     def test_runs_in_time_order(self):
@@ -114,10 +107,11 @@ class TestEventScheduler:
         seen = []
         for t in (1.0, 2.0, 3.0):
             sched.at(t, lambda t=t: seen.append(t))
-        sched.run(until=2.0)
-        assert seen == [1.0, 2.0]
-        assert sched.clock.now == 2.0
-        assert sched.pending == 1
+        mid = []
+        sched.at(2.0, lambda: mid.append(
+            (list(seen), sched.clock.now, sched.pending)))
+        sched.run()
+        assert mid == [([1.0, 2.0], 2.0, 1)]
 
     def test_max_events(self):
         sched = EventScheduler()
@@ -146,10 +140,14 @@ _OPS = st.recursive(
     _schedule(st.just([])),
     lambda inner: _schedule(st.lists(inner, max_size=3)),
     max_leaves=12)
+#: (instant of a probe event or None, max_events of one run or None)
 _CUTS = st.lists(
     st.tuples(st.none() | st.sampled_from([0.0, 0.5, 1.0, 3.0, 6.0]),
               st.none() | st.integers(0, 4)),
     max_size=4)
+#: above every priority a program uses: a probe runs after every event
+#: of its instant that was filed before it ran
+_PROBE_PRIORITY = 2
 
 
 class TestDispatchOrderProperty:
@@ -157,7 +155,7 @@ class TestDispatchOrderProperty:
     ``(time, priority, seq)`` keys.  Every dispatch must be the minimum
     of that set at that moment, and the key the event log records —
     also for events scheduled from inside a running action — whatever
-    ``run`` cut-offs interleave."""
+    ``run`` cut-offs and probe events interleave."""
 
     @settings(max_examples=200, deadline=None)
     @given(program=st.lists(_OPS, max_size=12), cuts=_CUTS)
@@ -190,21 +188,35 @@ class TestDispatchOrderProperty:
 
         for op in program:
             apply(op)
-        for until, max_events in cuts + [(None, None)]:
-            before = len(dispatched)
-            ran = sched.run(until=until, max_events=max_events)
-            assert ran == len(dispatched) - before
-            assert sched.pending == len(live)
+        probed: list[float] = []
+
+        def probe(instant):
+            def check():
+                # every event at or before the instant was dispatched
+                assert sched.clock.now == instant
+                assert all(key[0] > instant for key in live)
+                probed.append(instant)
+
+            sched.at(instant, check, label="probe",
+                     priority=_PROBE_PRIORITY)
+            next(seqs)  # the probe takes a seq like any event
+
+        probes = [instant for instant, _ in cuts if instant is not None]
+        for instant in probes:
+            probe(instant)
+        for _, max_events in cuts + [(None, None)]:
+            before = len(dispatched) + len(probed)
+            ran = sched.run(max_events=max_events)
+            assert ran == len(dispatched) + len(probed) - before
+            assert sched.pending == len(live) + len(probes) - len(probed)
             # the clock never passes an undispatched event
             assert all(sched.clock.now <= key[0] for key in live)
             if max_events is not None:
                 assert ran <= max_events
-            if until is not None and (max_events is None
-                                      or ran < max_events):
-                assert all(key[0] > until for key in live)
-                assert sched.clock.now >= until
         assert not live
+        assert sorted(probed) == sorted(probes)
         assert dispatched == sorted(dispatched, key=lambda k: k[0])
-        assert sched.executed == len(dispatched)
-        assert [entry[:3] for entry in sched.event_log] == dispatched
+        assert sched.executed == len(dispatched) + len(probes)
+        assert [entry[:3] for entry in sched.event_log
+                if entry[3] != "probe"] == dispatched
 

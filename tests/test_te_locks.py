@@ -40,7 +40,7 @@ class TestShortLocks:
         locks.acquire("dov-1", "da-1", LockMode.SCOPE)
         released = locks.release("dov-1", "da-1", LockMode.DERIVATION)
         assert released == 1
-        assert locks.holds("dov-1", "da-1", LockMode.SCOPE)
+        assert [g.mode for g in locks.holders("dov-1")] == [LockMode.SCOPE]
 
     def test_release_all_modes(self):
         locks = LockManager()
@@ -96,8 +96,8 @@ class TestScopeLocks:
         assert locks.stats.conflicts == 1
 
     def test_usage_relationship_allows_sharing(self):
-        locks = LockManager(
-            usage_allows=lambda req, holder, dov: req == "da-2")
+        locks = LockManager()
+        locks.usage_allows = lambda req, holder, dov: req == "da-2"
         locks.acquire("dov-1", "da-1", LockMode.SCOPE)
         locks.acquire("dov-1", "da-2", LockMode.SCOPE)
         assert locks.stats.usage_grants == 1
@@ -126,7 +126,8 @@ class TestScopeInheritance:
         assert locks.holders("preliminary") == []
 
     def test_inheritance_idempotent_if_super_already_holds(self):
-        locks = LockManager(usage_allows=lambda *a: True)
+        locks = LockManager()
+        locks.usage_allows = lambda *a: True
         locks.acquire("final-1", "sub", LockMode.SCOPE)
         locks.acquire("final-1", "super", LockMode.SCOPE)
         locks.inherit_scope_locks("sub", "super", {"final-1"})

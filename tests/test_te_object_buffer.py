@@ -18,7 +18,6 @@ from repro.repository.schema import (
 )
 from repro.repository.versions import DesignObjectVersion, payload_sizeof
 from repro.te.object_buffer import ObjectBuffer
-from repro.te.recovery import RecoveryPointPolicy
 from repro.te.rig import TeRig
 
 
@@ -69,8 +68,7 @@ class TestObjectBufferUnit:
 def rig():
     """Client/server TM pair with two buffering workstations (the
     kernel never runs: posted messages hand over synchronously)."""
-    te = TeRig(trace=False, bandwidth=1000.0,
-               recovery_policy=RecoveryPointPolicy(interval=30.0))
+    te = TeRig(trace=False, bandwidth=1000.0)
     te.open_scope()
     clock, network, server_tm = te.clock, te.network, te.server_tm
     repo = te.repository
@@ -258,12 +256,10 @@ class TestSystemWiring:
         assert system.object_buffer("ws-2") is not buffer
 
     def test_buffers_can_be_disabled(self):
-        from repro.core.system import ConcordSystem
-
-        system = ConcordSystem(trace=False, object_buffers=False)
-        system.add_workstation("ws-1")
-        assert system.object_buffer("ws-1") is None
-        assert system.client_tm("ws-1").buffer is None
+        rig = TeRig(trace=False, object_buffers=False)
+        rig.add_workstation("ws-1")
+        assert rig.object_buffer("ws-1") is None
+        assert rig.client_tm("ws-1").buffer is None
 
     def test_server_restart_flushes_buffers(self):
         system = self._system()

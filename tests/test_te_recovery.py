@@ -26,29 +26,37 @@ from repro.te.recovery import (
     CheckoutRecord,
     RecoveryManager,
     RecoveryPoint,
-    RecoveryPointPolicy,
 )
 from repro.util.errors import RecoveryError
 
 
 @pytest.fixture
 def manager():
-    return RecoveryManager(StableStorage(),
-                           RecoveryPointPolicy(interval=30.0))
+    return RecoveryManager(StableStorage())
 
 
 class TestPolicy:
-    def test_interval_due(self):
-        policy = RecoveryPointPolicy(interval=30.0)
-        assert not policy.due(29.9)
-        assert policy.due(30.0)
+    """When the client-TM takes its points: after every checkout, and
+    every ``POINT_INTERVAL`` minutes of tool work."""
 
-    def test_zero_interval_never_due(self):
-        policy = RecoveryPointPolicy(interval=0.0)
-        assert not policy.due(1e9)
+    def test_interval_due(self):
+        assert recovery.POINT_INTERVAL == 30.0
+        client = _make_rig().client_tm("ws-1")
+        dop = client.begin_dop("da-1", "tool")
+        client.work(dop, 29.9)
+        assert client.recovery.points_taken == 0
+        client.work(dop, 0.1)
+        assert client.recovery.points_taken == 1
+        assert client.recovery.latest(dop.dop_id).reason == "interval"
 
     def test_after_checkout_default(self):
-        assert RecoveryPointPolicy().after_checkout
+        rig = _make_rig()
+        dov = rig.repository.checkin("da-1", "Cell", PAYLOADS[0])
+        client = rig.client_tm("ws-1")
+        dop = client.begin_dop("da-1", "tool")
+        client.checkout(dop, dov.dov_id)
+        assert client.recovery.points_taken == 1
+        assert client.recovery.latest(dop.dop_id).reason == "checkout"
 
 
 class TestRecoveryManager:

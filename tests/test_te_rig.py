@@ -35,14 +35,21 @@ from repro.scenario.sessions import session_rig
     (lambda: Network(jitter=float("nan")), NetworkError, "jitter=nan"),
     (lambda: Network(bandwidth=float("inf")), NetworkError,
      "bandwidth=inf"),
-    (lambda: ConcordSystem(lease_ttl=-3.0), ConcordError,
+    (lambda: TeRig(lease_ttl=-3.0), ConcordError,
      "lease_ttl=-3.0"),
     (lambda: TeRig(write_back=True, flush_interval=-3), ConcordError,
      "flush_interval=-3"),
-    (lambda: ConcordSystem(write_back=True, flush_interval=0),
+    (lambda: TeRig(write_back=True, flush_interval=0),
      ConcordError, "flush_interval=0"),
     (lambda: TeRig(write_back=True, flush_interval=2.5), ConcordError,
      "flush_interval=2.5"),
+    # a bool is an int: True would silently become 1
+    (lambda: TeRig(lease_ttl=True), ConcordError, "lease_ttl=True"),
+    (lambda: TeRig(write_back=True, flush_interval=True), ConcordError,
+     "flush_interval=True"),
+    (lambda: TeRig(bandwidth=True), NetworkError, "bandwidth=True"),
+    (lambda: TeRig(lan_latency=True), NetworkError, "lan_latency=True"),
+    (lambda: TeRig(jitter=True), NetworkError, "jitter=True"),
 ])
 def test_a_bad_number_is_refused_at_construction(build, error, names):
     with pytest.raises(error, match=names):
@@ -59,22 +66,21 @@ def test_write_back_without_object_buffers_is_refused():
 
 def test_concord_system_takes_the_rig_options_by_name():
     """``ConcordSystem`` forwards by keyword, so an option cannot land
-    in its neighbour's slot; it offers every rig option but
-    ``flush_on_end_dop`` (a DM-driven run always flushes at
-    End-of-DOP)."""
+    in its neighbour's slot; of the rig's options it offers the four
+    that a scenario sets, with the rig's defaults.  A DM-driven run is
+    write-through over object buffers, with recall-only leases."""
     rig = inspect.signature(TeRig.__init__).parameters
     system = inspect.signature(ConcordSystem.__init__).parameters
-    assert set(system) == set(rig) - {"flush_on_end_dop"}
-    assert len(rig) - 1 == 12                      # minus self
+    assert list(system) == ["self", "trace", "repository", "jitter",
+                            "seed"]
+    assert len(rig) - 1 == 11                      # minus self
     for name in system:
         assert system[name].default == rig[name].default, name
-    built = ConcordSystem(trace=False, write_back=True,
-                          flush_interval=3, lease_ttl=40.0,
-                          object_buffers=True, bandwidth=2_000.0)
+    built = ConcordSystem(trace=False, jitter=0.5, seed=3)
+    assert built.network.jitter == 0.5
     client = built.add_workstation("ws-1")
-    assert client.write_back and client.flush_interval == 3
-    assert built.server_tm.lease_ttl == 40.0
-    assert built.network.bandwidth == 2_000.0
+    assert client.buffer is not None and not client.write_back
+    assert built.server_tm.lease_ttl is None
 
 
 def _with_cell_dot(rig: TeRig) -> TeRig:

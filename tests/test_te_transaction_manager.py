@@ -12,7 +12,6 @@ from repro.repository.schema import (
 )
 from repro.te.dop import DopState
 from repro.te.locks import LockMode
-from repro.te.recovery import RecoveryPointPolicy
 from repro.te.rig import TeRig
 from repro.util.errors import (
     LockConflictError,
@@ -30,8 +29,7 @@ def _area_non_negative(data: dict) -> bool:
 
 @pytest.fixture
 def rig():
-    te = TeRig(trace=False, object_buffers=False,
-               recovery_policy=RecoveryPointPolicy(interval=30.0))
+    te = TeRig(trace=False, object_buffers=False)
     clock, network, locks = te.clock, te.network, te.locks
     repo, server_tm = te.repository, te.server_tm
     repo.register_dot(DesignObjectType("Cell", attributes=[

@@ -21,7 +21,6 @@ from repro.repository.schema import (
 )
 from repro.repository.storage import VersionStore
 from repro.repository.versions import DesignObjectVersion
-from repro.te.recovery import RecoveryPointPolicy
 from repro.te.rig import TeRig
 from repro.util.errors import StorageError, TransactionError
 
@@ -31,7 +30,6 @@ def make_rig(write_back: bool = True,
     """Client/server TM pair with write-back workstations (the kernel
     never runs: posted messages hand over synchronously)."""
     te = TeRig(trace=False, bandwidth=1000.0,
-               recovery_policy=RecoveryPointPolicy(interval=30.0),
                write_back=write_back, flush_interval=flush_interval)
     te.open_scope()
     clock, network, server_tm = te.clock, te.network, te.server_tm
@@ -469,61 +467,6 @@ class TestSystemRestartPaths:
         # the durable version survived recovery; its warm copy too
         assert dov.dov_id in buffer
         assert buffer.revalidated >= 1
-
-
-class TestSystemWriteBack:
-    """ConcordSystem(write_back=True): the DM flow runs unchanged."""
-
-    def test_full_chip_design_flushes_per_end_of_dop(self):
-        from repro.bench.scenarios import run_full_chip_design
-        from repro.core.system import ConcordSystem
-        from repro.te.recovery import RecoveryPointPolicy
-        from repro.vlsi.methodology import playout_constraints
-        from repro.vlsi.tools import register_vlsi_tools, vlsi_dots
-
-        system = ConcordSystem(
-            trace=False,
-            recovery_policy=RecoveryPointPolicy(interval=30.0),
-            write_back=True)
-        system.add_workstation("ws-1")
-        register_vlsi_tools(system.tools)
-        for dot in vlsi_dots().values():
-            system.repository.register_dot(dot)
-        system.constraints = playout_constraints()
-        da = run_full_chip_design(system)
-        client = system.client_tm("ws-1")
-        # every DOP's checkin deferred, then flushed at End-of-DOP;
-        # the derivation graph looks exactly like the write-through one
-        assert client.flushes == 5
-        assert client.flushed_checkins == 5
-        graph = system.repository.graph(da.da_id)
-        assert len(graph) == 6  # DOV0 + one version per tool step
-        assert len(graph.leaves()) == 1
-
-    def test_matches_write_through_derivation_graph(self):
-        from repro.bench.scenarios import run_full_chip_design
-        from repro.core.system import ConcordSystem
-        from repro.te.recovery import RecoveryPointPolicy
-        from repro.vlsi.methodology import playout_constraints
-        from repro.vlsi.tools import register_vlsi_tools, vlsi_dots
-
-        def build(write_back):
-            system = ConcordSystem(
-                trace=False,
-                recovery_policy=RecoveryPointPolicy(interval=30.0),
-                write_back=write_back)
-            system.add_workstation("ws-1")
-            register_vlsi_tools(system.tools)
-            for dot in vlsi_dots().values():
-                system.repository.register_dot(dot)
-            system.constraints = playout_constraints()
-            da = run_full_chip_design(system)
-            return system.repository.graph(da.da_id)
-
-        through, back = build(False), build(True)
-        assert through.ids() == back.ids()
-        assert [d.dov_id for d in through.leaves()] \
-            == [d.dov_id for d in back.leaves()]
 
 
 class TestWriteBackDeterminism:

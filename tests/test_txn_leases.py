@@ -26,6 +26,25 @@ from repro.txn import LeaseTable
 TTL = 10.0
 
 
+def probe(kernel, at, look):
+    """File a probe event at *at*; it appends ``look()`` to the
+    returned list when it runs."""
+    seen: list = []
+    kernel.at(at, lambda: seen.append(look()), label="probe")
+    return seen
+
+
+def every(kernel, interval, rounds, action):
+    """Run *action* as a probe event *interval* from now, then again
+    *interval* after each run, *rounds* times in all."""
+    def fire(left):
+        action()
+        if left > 1:
+            kernel.after(interval, lambda: fire(left - 1), label="probe")
+
+    kernel.after(interval, lambda: fire(rounds), label="probe")
+
+
 def make_rig(ttl: float | None = TTL):
     """One buffered workstation under a TTL-leasing server, on a
     kernel (expiry timers are ordinary kernel events)."""
@@ -101,10 +120,10 @@ class TestLeaseTableOnKernel:
         kernel.at(TTL, lambda: table.renew("ws-1", "dov-1"),
                   label="renewal")
         table.grant("ws-1", "dov-1")
-        kernel.run(until=TTL + 2.0)
-        assert expired == []
-        assert table.lease("ws-1", "dov-1") is not None
+        mid = probe(kernel, TTL + 2.0, lambda: (
+            list(expired), table.lease("ws-1", "dov-1") is not None))
         kernel.run_until_quiescent()
+        assert mid == [([], True)]
         assert expired == [("ws-1", "dov-1", 2 * TTL)]
 
         # expiry check first, renewal second at the same instant
@@ -172,13 +191,14 @@ class TestTtlExpiryOnKernel:
         client, buffer = rig["client"], rig["buffer"]
         dop = client.begin_dop("da-1", tool="t")
         client.checkout(dop, rig["dov0"].dov_id)
-        rig["kernel"].run(until=TTL / 2)  # mid-TTL: lease still live
-        assert rig["dov0"].dov_id in buffer
-        assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
-            == {"ws-1"}
+        # mid-TTL: lease still live
+        mid = probe(rig["kernel"], TTL / 2, lambda: (
+            rig["dov0"].dov_id in buffer,
+            rig["server_tm"].leases.holders(rig["dov0"].dov_id)))
         # idle past the TTL: the expiry event fires, the lease dies,
         # and the buffered copy is invalidated over the LAN
         rig["kernel"].run_until_quiescent()
+        assert mid == [(True, {"ws-1"})]
         assert rig["clock"].now >= TTL
         assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == set()
@@ -202,13 +222,16 @@ class TestTtlExpiryOnKernel:
         client.checkout(dop, rig["dov0"].dov_id)
         # renew repeatedly while "using" the buffer; the lease must
         # survive well past several TTLs
-        for _ in range(4):
-            kernel.run(until=kernel.clock.now + TTL * 0.6)
-            assert client.checkout(dop, rig["dov0"].dov_id) is not None
-        assert rig["server_tm"].leases.renewals > 0
-        assert rig["dov0"].dov_id in rig["buffer"]
+        uses: list = []
+        every(kernel, TTL * 0.6, 4, lambda: uses.append((
+            client.checkout(dop, rig["dov0"].dov_id) is not None,
+            rig["server_tm"].leases.renewals,
+            rig["dov0"].dov_id in rig["buffer"])))
         # once the designer stops, the lease decays by itself
         kernel.run_until_quiescent()
+        assert [hit for hit, _, _ in uses] == [True] * 4
+        __, renewals, resident = uses[-1]
+        assert renewals > 0 and resident
         assert rig["dov0"].dov_id not in rig["buffer"]
 
     def test_renewal_is_metadata_only(self):
@@ -216,11 +239,15 @@ class TestTtlExpiryOnKernel:
         client, network = rig["client"], rig["network"]
         dop = client.begin_dop("da-1", tool="t")
         client.checkout(dop, rig["dov0"].dov_id)
-        rig["kernel"].run(until=1.1)  # payload shipped + installed
-        shipped_before = network.bytes_shipped
-        delay = client.renew_leases()
-        rig["kernel"].run(until=2.0)  # renewal delivered, no expiry yet
-        renewal_bytes = network.bytes_shipped - shipped_before
+        # payload shipped + installed by 1.1; the renewal delivered,
+        # and no expiry yet, by 2.0
+        renewal = probe(rig["kernel"], 1.1, lambda: (
+            network.bytes_shipped, client.renew_leases()))
+        delivered = probe(rig["kernel"], 2.0,
+                          lambda: network.bytes_shipped)
+        rig["kernel"].run_until_quiescent()
+        (shipped_before, delay), = renewal
+        renewal_bytes = delivered[0] - shipped_before
         assert renewal_bytes == rig["server_tm"].invalidation_bytes
         assert renewal_bytes < rig["dov0"].payload_size
         assert delay > 0.0
@@ -237,12 +264,16 @@ class TestTtlExpiryOnKernel:
         dov_id = rig["dov0"].dov_id
         dop = client.begin_dop("da-1", tool="t")
         client.checkout(dop, dov_id)
-        kernel.run(until=1.1)  # install the copy; lease expires ~11.1
-        expiry_at = server_tm.leases.lease("ws-1", dov_id).expires_at
-        # post the renewal DURING the run, so late that its 0.5 LAN
-        # latency lands the delivery after the expiry instant
-        kernel.at(expiry_at - 0.2, client.renew_leases,
-                  label="late-renewal")
+
+        def renew_late():
+            # the copy is installed by 1.1; its lease expires ~11.1
+            expiry_at = server_tm.leases.lease("ws-1", dov_id).expires_at
+            # post the renewal so late that its 0.5 LAN latency lands
+            # the delivery after the expiry instant
+            kernel.at(expiry_at - 0.2, client.renew_leases,
+                      label="late-renewal")
+
+        kernel.at(1.1, renew_late, label="probe")
         kernel.run_until_quiescent()
         assert server_tm.leases.holders(dov_id) == set()
         assert dov_id not in rig["buffer"]
@@ -256,9 +287,8 @@ class TestTtlExpiryOnKernel:
             client, kernel = rig["client"], rig["kernel"]
             dop = client.begin_dop("da-1", tool="t")
             client.checkout(dop, rig["dov0"].dov_id)
-            for _ in range(3):
-                kernel.run(until=kernel.clock.now + TTL * 0.6)
-                client.checkout(dop, rig["dov0"].dov_id)
+            every(kernel, TTL * 0.6, 3,
+                  lambda: client.checkout(dop, rig["dov0"].dov_id))
             kernel.run_until_quiescent()
             return rig["kernel"].trace_signature()
 

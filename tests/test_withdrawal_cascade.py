@@ -79,13 +79,6 @@ class TestCascade:
         assert system.cm.in_scope(c.da_id, independent.dov_id)
         assert not system.cm.in_scope(c.da_id, derived.dov_id)
 
-    def test_cascade_disabled(self, chain):
-        system, a, b, c, source, derived = chain
-        system.cm.withdraw(a.da_id, source.dov_id, cascade=False)
-        # direct withdrawal happened, the chain did not
-        assert not system.cm.in_scope(b.da_id, source.dov_id)
-        assert system.cm.in_scope(c.da_id, derived.dov_id)
-
     def test_untainted_propagations_survive(self, chain):
         system, a, b, c, source, derived = chain
         clean = system.repository.checkin(b.da_id, "Module",

@@ -5,9 +5,10 @@ Scans ``README.md``, ``ROADMAP.md``, ``docs/*.md`` and
 ``examples/README.md`` for markdown links/images and verifies that
 every **relative** target resolves to an existing file or directory
 (anchors are stripped; external ``http(s):``/``mailto:`` targets and
-bare in-page ``#anchors`` are skipped).  Inside fenced code blocks it
-also checks that every keyword of a ``ConcordSystem(...)`` /
-``TeRig(...)`` call is a parameter of that constructor — read from the
+bare in-page ``#anchors`` are skipped).  In fenced code blocks and in
+inline code spans it also checks that every keyword of a call of one
+of :data:`_CONSTRUCTORS` (``ConcordSystem(...)``, ``TeRig(...)``,
+``make_vlsi_system(...)``, ...) is a parameter of it — read from the
 source, nothing is imported — so the docs cannot advertise an option
 that does not exist.  Exits non-zero listing every problem — cheap
 enough to keep blocking in CI.
@@ -28,10 +29,19 @@ from pathlib import Path
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: targets that are not this repo's business
 _EXTERNAL = re.compile(r"^(https?:|mailto:|ftp:)", re.IGNORECASE)
-#: the constructors whose documented calls are checked, and their source
+#: the callables whose documented calls are checked, and their source
+#: (a class stands for its ``__init__``)
 _CONSTRUCTORS = {"TeRig": "src/repro/te/rig.py",
-                 "ConcordSystem": "src/repro/core/system.py"}
+                 "ConcordSystem": "src/repro/core/system.py",
+                 "ServerTM": "src/repro/te/transaction_manager.py",
+                 "ClientTM": "src/repro/te/transaction_manager.py",
+                 "Network": "src/repro/net/network.py",
+                 "CooperationManager":
+                     "src/repro/core/cooperation_manager.py",
+                 "make_vlsi_system": "src/repro/scenario/delegation.py"}
 _CALL = re.compile(r"\b(" + "|".join(_CONSTRUCTORS) + r")\(")
+#: an inline code span: `code`
+_SPAN = re.compile(r"`([^`]+)`")
 
 
 def doc_files(root: Path) -> list[Path]:
@@ -43,19 +53,24 @@ def doc_files(root: Path) -> list[Path]:
 
 
 def constructor_parameters(root: Path) -> dict[str, set[str]]:
-    """Parameter names of each checked constructor's ``__init__``."""
+    """Parameter names of each checked class's ``__init__`` and each
+    checked function."""
     parameters: dict[str, set[str]] = {}
     for name, source in _CONSTRUCTORS.items():
         if not (root / source).is_file():
             continue
         tree = ast.parse((root / source).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == name:
+        for node in tree.body:
+            if getattr(node, "name", None) != name:
+                continue
+            if isinstance(node, ast.ClassDef):
+                node = next((item for item in node.body
+                             if isinstance(item, ast.FunctionDef)
+                             and item.name == "__init__"), None)
+            if isinstance(node, ast.FunctionDef):
                 parameters[name] = {
-                    arg.arg for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                    and item.name == "__init__"
-                    for arg in item.args.args + item.args.kwonlyargs}
+                    arg.arg
+                    for arg in node.args.args + node.args.kwonlyargs}
     return parameters
 
 
@@ -79,9 +94,12 @@ def _call_keywords(code: str, start: int) -> list[str] | None:
 
 def check_calls(block: list[str], first_line: int, where: str,
                 parameters: dict[str, set[str]]) -> list[str]:
-    """Unknown-keyword descriptions for one fenced code block."""
+    """Unknown-keyword descriptions for one fenced code block (or one
+    inline code span)."""
     problems: list[str] = []
-    code = "\n".join(re.sub(r"#.*", "", line) for line in block)
+    # prose elides arguments with an ellipsis character
+    code = "\n".join(re.sub(r"#.*", "", line).replace("\u2026", "...")
+                     for line in block)
     for match in _CALL.finditer(code):
         name = match.group(1)
         lineno = first_line + code.count("\n", 0, match.start())
@@ -116,6 +134,9 @@ def check_file(path: Path, root: Path,
         if in_fence:
             block.append(line)
             continue
+        for span in _SPAN.finditer(line):
+            problems.extend(check_calls(
+                [span.group(1)], lineno, where, parameters))
         for match in _LINK.finditer(line):
             target = match.group(1)
             if _EXTERNAL.match(target) or target.startswith("#"):
@@ -144,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(problems))
         print(f"\n{len(problems)} problem(s) across: {checked}")
         return 1
-    print(f"all relative links resolve and all documented constructor "
+    print(f"all relative links resolve and all documented call "
           f"keywords exist ({checked})")
     return 0
 
