@@ -20,7 +20,6 @@ EXPECTED = {
     "checkout_buffer_hit",
     "checkout_checkin_write_through",
     "group_checkin_flush",
-    "cross_workstation_group_commit",
     "federation_scaling",
     "cm_scaling",
 }

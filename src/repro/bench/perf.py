@@ -2,8 +2,8 @@
 
 Absolute wall-clock throughput of the paths the end-to-end benchmark
 (``benchmarks/e2e``) does not isolate — buffer-hit checkout,
-write-through checkout/checkin round trips, write-back group flushes,
-cross-workstation group commits and cross-member federation commits —
+write-through checkout/checkin round trips, write-back group flushes
+and cross-member federation commits —
 plus the **structural** gates that do not depend on the host: the
 federation's member-count scaling curve and the CM's cost per DA as
 the hierarchy grows must both stay flat, the decision log must stay
@@ -82,17 +82,15 @@ _CELL = DesignObjectType("Cell", attributes=[
 ])
 
 
-def _make_rig(workstations: tuple[str, ...] = ("ws-1",),
-              **te: Any) -> TeRig:
+def _make_rig(**te: Any) -> TeRig:
     """An open-scope TE rig on a quiet LAN (its kernel never runs, so
-    posted messages hand over synchronously): workstation ``ws-<n>``
-    works on derivation graph ``da-<n>``."""
+    posted messages hand over synchronously): workstation ``ws-1``
+    works on derivation graph ``da-1``."""
     rig = TeRig(trace=False, **te)
     rig.open_scope()
     rig.repository.register_dot(_CELL)
-    for name in workstations:
-        rig.add_workstation(name)
-        rig.repository.create_graph(name.replace("ws", "da"))
+    rig.add_workstation("ws-1")
+    rig.repository.create_graph("da-1")
     return rig
 
 
@@ -174,36 +172,6 @@ def _measure_group_flush(flushes: int, batch: int,
                                parents=[])
             client.commit_dop(dop)  # End-of-DOP flush trigger
         return flushes
-
-    return _best_ops_per_sec(run_ops, repeats)
-
-
-def _measure_cross_flush(rounds: int, team: int, batch: int,
-                         repeats: int) -> float:
-    """Cross-workstation group commits per second: *team* dirty sets
-    under ONE coordinator, ONE decision and ONE forced WAL write
-    (:func:`repro.txn.flush_group`)."""
-    rig = _make_rig(tuple(f"ws-{index}" for index in range(team)),
-                    write_back=True, flush_on_end_dop=False)
-    clients = rig.client_tms()
-    state = {"rev": 0}
-
-    def run_ops() -> int:
-        for _ in range(rounds):
-            dops = []
-            for index, client in enumerate(clients):
-                dop = client.begin_dop(f"da-{index}", tool="bench")
-                for _ in range(batch):
-                    state["rev"] += 1
-                    client.checkin(
-                        dop, "Cell",
-                        data=_nested_payload(rev=state["rev"]),
-                        parents=[])
-                dops.append((client, dop))
-            rig.flush_group()
-            for client, dop in dops:
-                client.commit_dop(dop)
-        return rounds
 
     return _best_ops_per_sec(run_ops, repeats)
 
@@ -472,14 +440,6 @@ def run_perf(quick: bool = False, repeats: int = 3,
           "flush: one batched ship, one 2PC, one WAL force, rebind)",
           flushes, fps, batch=batch,
           flush_latency_ms=round(1000.0 / fps, 3) if fps else None)
-
-    rounds, team = n(24), 4
-    bench("cross_workstation_group_commit",
-          f"cross-workstation group commits/sec ({team} workstations' "
-          f"dirty sets, {batch} checkins each, under ONE coordinator / "
-          "decision / forced WAL write)",
-          rounds, _measure_cross_flush(rounds, team, batch, repeats),
-          team=team, batch=batch)
 
     federation = _measure_federation_scaling(quick, repeats)
     benchmarks["federation_scaling"] = federation

@@ -228,60 +228,17 @@ def freeze_payload(value: Any) -> Any:
 def _freeze(value: Any) -> tuple[Any, int]:
     # exact-type dispatch first: payload trees are overwhelmingly
     # plain strs/ints/floats/dicts/lists, and `type(...) is` beats the
-    # isinstance chain on exactly that hot path; subclasses and exotic
-    # types fall through to the general (isinstance-based) branch
+    # isinstance chain on exactly that hot path.  The frozen containers
+    # (dict/list subclasses) pass through before the container walks,
+    # which take every other dict or list subclass too
     tp = type(value)
     if tp is str:
         return value, len(value)
     if tp is int or tp is float or tp is bool or value is None:
         return value, _SCALAR_BYTES
-    if tp is dict:
-        frozen_members: dict[Any, Any] = {}
-        total = 0
-        for key, item in value.items():
-            if type(key) is str:
-                frozen_key, key_size = key, len(key)
-            else:
-                frozen_key, key_size = _freeze(key)
-            item_type = type(item)
-            if item_type is str:
-                frozen_item, item_size = item, len(item)
-            elif item_type is int or item_type is float \
-                    or item_type is bool or item is None:
-                frozen_item, item_size = item, _SCALAR_BYTES
-            else:
-                frozen_item, item_size = _freeze(item)
-            frozen_members[frozen_key] = frozen_item
-            total += key_size + item_size + _CONTAINER_OVERHEAD
-        return FrozenDict._adopt(frozen_members, total), total
-    if tp is list:
-        frozen_items: list[Any] = []
-        total = 0
-        for item in value:
-            item_type = type(item)
-            if item_type is str:
-                frozen_item, item_size = item, len(item)
-            elif item_type is int or item_type is float \
-                    or item_type is bool or item is None:
-                frozen_item, item_size = item, _SCALAR_BYTES
-            else:
-                frozen_item, item_size = _freeze(item)
-            frozen_items.append(frozen_item)
-            total += item_size + _CONTAINER_OVERHEAD
-        return FrozenList._adopt(frozen_items, total), total
     if tp in _FROZEN_CONTAINERS:
         return value, value._frozen_size
-    if tp is bytes:
-        return value, len(value)
-    if isinstance(value, str):
-        return value, len(value)
-    if isinstance(value, bytes):
-        return value, len(value)
-    if isinstance(value, bytearray):
-        return bytes(value), len(value)
-    if isinstance(value, (bool, int, float)):
-        return value, _SCALAR_BYTES
-    if isinstance(value, dict):
+    if tp is dict or isinstance(value, dict):
         # members freeze first and report their sizes, so the frozen
         # container adopts the total without re-walking anything —
         # freezing a payload really is one walk.  The common leaves
@@ -305,7 +262,7 @@ def _freeze(value: Any) -> tuple[Any, int]:
             items[frozen_key] = frozen_item
             total += key_size + item_size + _CONTAINER_OVERHEAD
         return FrozenDict._adopt(items, total), total
-    if isinstance(value, list):
+    if tp is list or isinstance(value, list):
         members_list: list[Any] = []
         total = 0
         for item in value:
@@ -320,6 +277,14 @@ def _freeze(value: Any) -> tuple[Any, int]:
             members_list.append(frozen_item)
             total += item_size + _CONTAINER_OVERHEAD
         return FrozenList._adopt(members_list, total), total
+    if isinstance(value, str):
+        return value, len(value)
+    if isinstance(value, bytes):
+        return value, len(value)
+    if isinstance(value, bytearray):
+        return bytes(value), len(value)
+    if isinstance(value, (bool, int, float)):
+        return value, _SCALAR_BYTES
     if isinstance(value, tuple):
         # tuples stay tuples (hashable members stay hashable); only
         # their members are frozen

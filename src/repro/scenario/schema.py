@@ -146,6 +146,38 @@ SCENARIO_SCHEMA: dict[str, dict[str, _Key]] = {
     },
 }
 
+#: what the three session kinds' shared set-up reads
+#: (:func:`repro.scenario.sessions.session_driver` and the seeded team
+#: sessions)
+_SESSION_KEYS: dict[str, tuple[str, ...]] = {
+    "team": ("size", "steps_per_session", "mean_step"),
+    "objects": ("pool", "payload_bytes"),
+    "locality": ("reads_per_step", "reread"),
+    "writes": ("ratio",),
+    "traffic": ("bandwidth", "lan_latency", "jitter"),
+    "leases": ("ttl",),
+}
+
+#: kind -> table -> the keys that kind's runner reads (``[scenario]``
+#: is every kind's).  Any other key must keep its default: a value
+#: the run never reads would validate, run and change nothing.
+KIND_KEYS: dict[str, dict[str, tuple[str, ...]]] = {
+    "object_buffers": {**_SESSION_KEYS, "buffers": ("caching",)},
+    "write_back": {**_SESSION_KEYS,
+                   "writes": ("ratio", "write_back", "flush_interval"),
+                   "crashes": ("server_restart",)},
+    "campaign": {**_SESSION_KEYS,
+                 "objects": ("pool", "payload_bytes", "hotspots",
+                             "hotspot_bias"),
+                 "buffers": ("caching",),
+                 "campaign": ("days", "sessions_per_day", "day_length",
+                              "diurnal_peak", "churn")},
+    "concurrent_delegation": {"team": ("subcells",),
+                              "traffic": ("jitter",),
+                              "crashes": ("schedule",)},
+    "federated_commit": {"federation": ("members", "batches")},
+}
+
 #: keys of one [[crashes.schedule]] entry
 _SCHEDULE_KEYS: dict[str, _Key] = {
     "node": _Key(str, "", required=True),
@@ -321,6 +353,22 @@ def validate_scenario(raw: dict[str, Any]) -> ScenarioConfig:
 def _check_kind_constraints(config: ScenarioConfig) -> None:
     """Cross-table rules that depend on the scenario kind."""
     kind = config.kind
+    read = KIND_KEYS[kind]
+    for table, keys in SCENARIO_SCHEMA.items():
+        if table == "scenario":
+            continue
+        for key, spec in keys.items():
+            if key not in read.get(table, ()) \
+                    and config.get(table, key) != spec.default:
+                raise ScenarioError(
+                    f"[{table}].{key}: kind {kind!r} does not read it "
+                    f"(leave it at {_toml_value(spec.default)})")
+    if config.get("writes", "flush_interval") \
+            and not config.get("writes", "write_back"):
+        raise ScenarioError(
+            f"[writes].flush_interval: kind {kind!r} reads it only "
+            f"with [writes].write_back = true (a write-through run "
+            f"never flushes)")
     if kind == "concurrent_delegation":
         subcells = config.get("team", "subcells")
         if not subcells:
@@ -338,16 +386,7 @@ def _check_kind_constraints(config: ScenarioConfig) -> None:
             raise ScenarioError(
                 "[team].subcells: '0' would share workstation ws-0 "
                 "with the top-level DA")
-    elif config.get("team", "subcells"):
-        raise ScenarioError(
-            f"[team].subcells: only kind 'concurrent_delegation' "
-            f"delegates subcells (kind is {kind!r})")
     schedule = config.get("crashes", "schedule")
-    if schedule and kind != "concurrent_delegation":
-        raise ScenarioError(
-            f"[crashes].schedule: crash injection is only compiled "
-            f"for kind 'concurrent_delegation' (kind is {kind!r}; "
-            f"write_back kinds use [crashes].server_restart)")
     if len(schedule) > 1:
         raise ScenarioError(
             "[crashes].schedule: concurrent_delegation compiles at "
@@ -377,10 +416,6 @@ def _check_kind_constraints(config: ScenarioConfig) -> None:
             raise ScenarioError(
                 "[federation].batches: kind 'federated_commit' needs "
                 "at least 2 batches (every crash lands on the second)")
-    elif config.get("federation", "members") != 1:
-        raise ScenarioError(
-            f"[federation].members: only kind 'federated_commit' "
-            f"runs a federation (kind is {kind!r})")
 
 
 # ---------------------------------------------------------------------------

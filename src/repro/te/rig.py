@@ -37,7 +37,6 @@ from repro.te.transaction_manager import (
     ServerTM,
     register_server_endpoints,
 )
-from repro.txn.gateway import flush_group
 from repro.util.errors import ConcordError
 from repro.util.ids import IdGenerator
 from repro.util.trace import EventTrace
@@ -55,8 +54,7 @@ class TeRig:
                  bandwidth: float = 1_000_000.0,
                  write_back: bool = False,
                  flush_interval: int | None = None,
-                 lease_ttl: float | None = None,
-                 flush_on_end_dop: bool = True) -> None:
+                 lease_ttl: float | None = None) -> None:
         if lease_ttl is not None and (isinstance(lease_ttl, bool)
                                       or not lease_ttl > 0):
             raise ConcordError(
@@ -103,8 +101,7 @@ class TeRig:
         #: what every client-TM of this rig is built with
         self._client_options = {
             "write_back": write_back,
-            "flush_interval": flush_interval,
-            "flush_on_end_dop": flush_on_end_dop}
+            "flush_interval": flush_interval}
         self._buffers: dict[str, ObjectBuffer] = {}
         self._client_tms: dict[str, ClientTM] = {}
 
@@ -156,15 +153,6 @@ class TeRig:
     def buffers(self) -> list[ObjectBuffer]:
         """Every object buffer, in workstation registration order."""
         return list(self._buffers.values())
-
-    def flush_group(self, workstations: list[str] | None = None):
-        """Cross-workstation group commit: the dirty sets of the named
-        (default: all) workstations ship under ONE coordinator, ONE
-        decision and ONE forced repository WAL write — see
-        :func:`repro.txn.flush_group`."""
-        names = workstations if workstations is not None \
-            else list(self._client_tms)
-        return flush_group([self.client_tm(name) for name in names])
 
     # -- server failure ------------------------------------------------------
 

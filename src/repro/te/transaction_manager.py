@@ -46,11 +46,7 @@ Checkin runs in one of two modes:
   :meth:`ClientTM.flush`.
   Successive checkins of the same lineage coalesce before shipping,
   and a workstation crash drops unflushed dirty data (recovered from
-  repository state, not from the buffer).  Several workstations'
-  dirty sets can additionally commit under ONE coordinator and ONE
-  decision via :func:`repro.txn.flush_group` — the cross-workstation
-  group commit, the same driver :meth:`ClientTM.flush` hands its own
-  dirty set to.
+  repository state, not from the buffer).
 """
 
 from __future__ import annotations
@@ -61,11 +57,7 @@ from typing import Any, Callable
 from repro.net.network import SERVER, Network
 from repro.net.rpc import TransactionalRpc
 from repro.net.two_phase_commit import CommitOutcome, Vote
-from repro.txn.gateway import (
-    CommitGateway,
-    GroupFlushReport,
-    flush_group,
-)
+from repro.txn.gateway import CommitGateway, GroupCommitResult
 from repro.txn.leases import LeaseTable
 from repro.repository.repository import DesignDataRepository
 from repro.repository.versions import (
@@ -97,7 +89,7 @@ class CheckinResult:
     version lives only in the workstation buffer (``dov`` carries a
     provisional id) until a flush ships it; integrity validation is
     deferred to the flush, whose
-    :class:`~repro.txn.gateway.GroupFlushReport` carries any rejection.
+    :class:`~repro.txn.gateway.GroupCommitResult` carries any rejection.
     """
 
     success: bool
@@ -121,7 +113,7 @@ class ServerTxn:
     records: list[dict[str, Any]]
     #: the requesting (coordinator) workstation
     workstation: str | None
-    #: grant the committed versions read leases
+    #: grant that workstation read leases on the committed versions
     lease: bool
     #: staged dov ids in batch order, from a YES vote to the decision
     staged: list[str] | None = None
@@ -341,17 +333,9 @@ class ServerTM:
             raise TransactionError(f"nothing staged for txn {txn_id!r}")
         staged, txn.staged = txn.staged, None
         dovs = self.repository.commit_group(staged)
-        if txn.lease:
-            # a cross-workstation batch stamps each record with its
-            # origin; leases go to the contributor, not the coordinator
-            origin = {
-                txn.mapping[record["provisional_id"]]:
-                    record.get("workstation") or txn.workstation
-                for record in txn.records}
+        if txn.lease and txn.workstation:
             for dov in dovs:
-                workstation = origin[dov.dov_id]
-                if workstation:
-                    self.leases.grant(workstation, dov.dov_id)
+                self.leases.grant(txn.workstation, dov.dov_id)
         txn.dovs = dovs
         self.group_checkins += 1
         self._record("checkin_committed", txn_id, count=len(dovs))
@@ -567,8 +551,7 @@ class ClientTM:
                  trace: EventTrace | None = None,
                  buffer: ObjectBuffer | None = None,
                  write_back: bool = False,
-                 flush_interval: int | None = None,
-                 flush_on_end_dop: bool = True) -> None:
+                 flush_interval: int | None = None) -> None:
         self.workstation = workstation
         self.server_tm = server_tm
         self.rpc = rpc
@@ -586,8 +569,6 @@ class ClientTM:
         #: entries (None = only the other triggers); coalesced
         #: checkins never inflate the count
         self.flush_interval = flush_interval
-        #: flush the dirty set at End-of-DOP (the paper-shaped default)
-        self.flush_on_end_dop = flush_on_end_dop
         if buffer is not None:
             server_tm.register_buffer(workstation, buffer)
             if self.write_back:
@@ -615,8 +596,7 @@ class ClientTM:
         self.node = node
         self.recovery = RecoveryManager(node.stable)
         #: the txn layer's commit gateway: every commit shape of this
-        #: workstation (single checkin, group flush, its slice of a
-        #: cross-workstation commit) is driven through it
+        #: workstation (single checkin, group flush) is driven through it
         self.gateway = CommitGateway(rpc, server_tm, workstation,
                                      ids=self.ids)
         self.coordinator = self.gateway.coordinator
@@ -717,7 +697,7 @@ class ClientTM:
             dop.da_id, dop.dop_id, dov_id, derivation_lock,
             workstation=self.workstation,
             lease=self.buffer is not None,
-            renew=self.consume_renewal_window())
+            renew=self._consume_renewal_window())
         self._ship_payload(dov, dop.da_id)
         self._install_checkout(dop, dov, dov_id, cached=False)
         return dov
@@ -759,7 +739,7 @@ class ClientTM:
         if self._claim_renewal_window():
             self.renew_leases()
 
-    def consume_renewal_window(self) -> bool:
+    def _consume_renewal_window(self) -> bool:
         """True when an outgoing control message should carry renewal
         metadata (the piggyback path).
 
@@ -930,7 +910,7 @@ class ClientTM:
         result = self.gateway.single_checkin(
             dop.da_id, dot_name, payload, lineage,
             lease=self.buffer is not None,
-            renew=self.consume_renewal_window())
+            renew=self._consume_renewal_window())
         if result.committed:
             dov = result.dov
             dop.output_dov = dov.dov_id
@@ -988,72 +968,54 @@ class ClientTM:
             self.flush()
         return CheckinResult(True, dov=dov, provisional=True)
 
-    def collect_flush_records(
-            self) -> tuple[list[dict[str, Any]], list[int]]:
-        """The dirty set as (records, sizes), oldest first.
-
-        Records are handed to the server as-is; a committed flush
-        retires them via :meth:`apply_flush_commit`, an aborted one
-        leaves the entries dirty and untouched for retry.
-        """
-        dirty = self.buffer.dirty_entries()
-        return ([entry.record for entry in dirty],
-                [entry.size for entry in dirty])
-
-    def apply_flush_commit(self, records: list[dict[str, Any]],
-                           sizes: list[int], mapping: dict[str, str],
-                           dovs: list[DesignObjectVersion]) -> None:
-        """Apply a committed group checkin to this workstation's state.
-
-        *mapping*/*dovs* may span a whole cross-workstation batch;
-        only this client's *records* slice is applied here.  The
-        buffer rebinds the provisional entries to their durable
-        versions (still resident, under fresh leases) and running
-        DOPs learn their durable output ids.
-        """
-        durable = {dov.dov_id: dov for dov in dovs}
-        own = {record["provisional_id"]: mapping[record["provisional_id"]]
-               for record in records
-               if record["provisional_id"] in mapping}
-        self.buffer.rebind({provisional: durable[durable_id]
-                            for provisional, durable_id in own.items()
-                            if durable_id in durable})
-        self._resolved.update(own)
-        for dop in self._active.values():
-            if dop.output_dov in own:
-                dop.output_dov = own[dop.output_dov]
-        self.flushes += 1
-        self.flushed_checkins += len(records)
-        self.bytes_flushed += sum(sizes)
-        self._record("flush", self.workstation, count=len(records),
-                     bytes=sum(sizes))
-
-    def fail_flush(self, records: list[dict[str, Any]],
-                   reason: str) -> None:
-        """Record an aborted flush; the entries stay dirty for retry."""
-        self._record("flush_failed", self.workstation, reason=reason,
-                     count=len(records))
-
-    def flush(self) -> GroupFlushReport:
+    def flush(self) -> GroupCommitResult | None:
         """Ship the buffer's dirty set as one batched group checkin.
 
-        A group of one handed to the txn layer's flush driver,
-        :func:`~repro.txn.gateway.flush_group` — collect the dirty
-        records, one control RPC, ONE sized batch message, the 2PC,
-        apply the outcome.  On commit the buffer rebinds the
+        Collect the dirty records, hand them to the gateway's
+        :meth:`~repro.txn.gateway.CommitGateway.group_checkin` (one
+        control RPC, ONE sized batch message, the 2PC — the control
+        RPC also carries this workstation's lease renewal when one is
+        due), apply the outcome.  On commit the buffer rebinds the
         provisional entries to the durable versions the server
         assigned (they stay resident under fresh leases) and
         :meth:`resolve` learns the id mapping.  On abort — integrity
         rejection or a server crash mid-batch — *nothing* becomes
         durable; the entries stay dirty so a later flush (e.g. after
-        the server restarts) can retry.
+        the server restarts) can retry.  Returns None when there is
+        nothing to ship or a flush is already running (a recall
+        raised by the flush's own commit).
 
         Under the concurrent kernel the batch message and the
         resulting lease invalidations are ordinary timed events in
         deterministic batch order, so identically seeded runs remain
         trace-identical.
         """
-        return flush_group([self])
+        if not (self.write_back and self.buffer.dirty_count) \
+                or self.gateway.flushing:
+            return None
+        dirty = self.buffer.dirty_entries()
+        records = [entry.record for entry in dirty]
+        sizes = [entry.size for entry in dirty]
+        result = self.gateway.group_checkin(
+            records, sizes, renew=self._consume_renewal_window())
+        if not result.committed:
+            self._record("flush_failed", self.workstation,
+                         reason=result.reason, count=len(records))
+            return result
+        durable = {dov.dov_id: dov for dov in result.dovs}
+        self.buffer.rebind({provisional: durable[durable_id]
+                            for provisional, durable_id
+                            in result.mapping.items()})
+        self._resolved.update(result.mapping)
+        for dop in self._active.values():
+            if dop.output_dov in result.mapping:
+                dop.output_dov = result.mapping[dop.output_dov]
+        self.flushes += 1
+        self.flushed_checkins += len(records)
+        self.bytes_flushed += sum(sizes)
+        self._record("flush", self.workstation, count=len(records),
+                     bytes=sum(sizes))
+        return result
 
     def resolve(self, dov_id: str) -> str:
         """The durable id a provisional (write-back) id ended up as.
@@ -1115,12 +1077,11 @@ class ClientTM:
         """
         dop.require("commit")
         self._require_running(dop)
-        if self.write_back and self.flush_on_end_dop:
-            flushed = self.flush()
-            if not flushed.success:
-                raise TransactionError(
-                    f"End-of-DOP flush of {dop.dop_id!r} aborted: "
-                    f"{flushed.reason}")
+        flushed = self.flush()
+        if flushed is not None and not flushed.committed:
+            raise TransactionError(
+                f"End-of-DOP flush of {dop.dop_id!r} aborted: "
+                f"{flushed.reason}")
         if dop.output_dov is not None:
             dop.output_dov = self.resolve(dop.output_dov)
         self._finish(dop, DopState.COMMITTED)

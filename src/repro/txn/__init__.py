@@ -1,17 +1,14 @@
 """The unified transaction-coordinator layer (``repro.txn``).
 
 Every commit shape of the reproduction — a single write-through
-checkin, a per-workstation write-back group flush, a cross-workstation
-group commit, and a cross-member federation batch — runs the same
-prepare/decide/complete protocol.  This package owns that protocol:
+checkin, a per-workstation write-back group flush, and a cross-member
+federation batch — runs the same prepare/decide/complete protocol.
+This package owns that protocol:
 
 * :mod:`repro.txn.gateway` — the client-side
   :class:`~repro.txn.gateway.CommitGateway` that drives every commit
   shape over the simulated LAN (txn ids, request stashing, sized
-  payload shipment, the 2PC itself) plus
-  :func:`~repro.txn.gateway.flush_group`, the one flush driver (one
-  client-TM's dirty set, or several under one coordinator and one
-  decision — the cross-workstation group commit);
+  payload shipment, the 2PC itself);
 * :mod:`repro.txn.decision_log` — the durable
   :class:`~repro.txn.decision_log.GlobalDecisionLog` that makes
   cross-member federation batches atomic under presumed-abort
@@ -31,10 +28,7 @@ from repro.txn.decision_log import GlobalDecisionLog
 from repro.txn.gateway import (
     CommitGateway,
     GroupCommitResult,
-    GroupFlushReport,
-    GroupRequest,
     SingleCommitResult,
-    flush_group,
 )
 from repro.txn.leases import Lease, LeaseTable
 
@@ -42,10 +36,7 @@ __all__ = [
     "CommitGateway",
     "GlobalDecisionLog",
     "GroupCommitResult",
-    "GroupFlushReport",
-    "GroupRequest",
     "Lease",
     "LeaseTable",
     "SingleCommitResult",
-    "flush_group",
 ]

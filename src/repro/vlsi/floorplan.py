@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: geometric tolerance: placements are sums of rounded shape sides, so
+#: two abutting cells can meet a last-bit rounding error apart
+_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class PinInterval:
@@ -90,10 +94,10 @@ class Placement:
 
     def overlaps(self, other: "Placement") -> bool:
         """True when two placements intersect with positive area."""
-        return not (self.x + self.width <= other.x
-                    or other.x + other.width <= self.x
-                    or self.y + self.height <= other.y
-                    or other.y + other.height <= self.y)
+        return not (self.x + self.width <= other.x + _EPS
+                    or other.x + other.width <= self.x + _EPS
+                    or self.y + self.height <= other.y + _EPS
+                    or other.y + other.height <= self.y + _EPS)
 
 
 @dataclass
@@ -126,12 +130,11 @@ class Floorplan:
     def validate(self) -> list[str]:
         """Geometric sanity: in-bounds, no overlaps.  Empty = valid."""
         problems = []
-        eps = 1e-6
         items = list(self.placements.values())
         for placement in items:
-            if placement.x < -eps or placement.y < -eps \
-                    or placement.x + placement.width > self.width + eps \
-                    or placement.y + placement.height > self.height + eps:
+            if placement.x < -_EPS or placement.y < -_EPS \
+                    or placement.x + placement.width > self.width + _EPS \
+                    or placement.y + placement.height > self.height + _EPS:
                 problems.append(f"{placement.cell} out of bounds")
         for i, a in enumerate(items):
             for b in items[i + 1:]:

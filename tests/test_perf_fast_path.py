@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -83,8 +84,13 @@ def _count_calls(monkeypatch, calls: dict, owner: type, name: str) -> None:
 
 class TestFrozenContainers:
     def test_freeze_types_and_equality(self):
+        class Row(list):
+            pass
+
         raw = {"a": [1, {"b": 2}], "s": {3, 4}, "t": (5, [6]),
-               "by": bytearray(b"xy"), "n": None}
+               "by": bytearray(b"xy"), "n": None,
+               "od": OrderedDict([("k", [7]), ("j", "v")]),
+               "row": Row([8, {"c": 9}])}
         frozen = freeze_payload(raw)
         assert type(frozen) is FrozenDict
         assert isinstance(frozen, dict)
@@ -95,10 +101,23 @@ class TestFrozenContainers:
         assert type(frozen["t"]) is tuple
         assert type(frozen["t"][1]) is FrozenList
         assert frozen["by"] == b"xy"
+        # dict and list subclasses freeze like their bases, member
+        # order kept
+        assert type(frozen["od"]) is FrozenDict
+        assert list(frozen["od"]) == ["k", "j"]
+        assert type(frozen["od"]["k"]) is FrozenList
+        assert type(frozen["row"]) is FrozenList
+        assert type(frozen["row"][1]) is FrozenDict
+        assert payload_sizeof(frozen["od"]) \
+            == payload_sizeof({"k": [7], "j": "v"})
+        assert payload_sizeof(frozen["row"]) \
+            == payload_sizeof([8, {"c": 9}])
         # equality with the plain originals holds (dict/list subclasses)
         assert frozen["a"] == [1, {"b": 2}]
         assert frozen == {"a": [1, {"b": 2}], "s": frozenset({3, 4}),
-                          "t": (5, [6]), "by": b"xy", "n": None}
+                          "t": (5, [6]), "by": b"xy", "n": None,
+                          "od": {"k": [7], "j": "v"},
+                          "row": [8, {"c": 9}]}
 
     def test_frozen_containers_reject_mutation(self):
         frozen = freeze_payload({"a": [1], "b": {"c": 2}})

@@ -33,6 +33,7 @@ from repro.scenario import (
     parse_scenario,
     validate_scenario,
 )
+from repro.scenario.schema import KIND_KEYS
 
 SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
 REPORTS_DIR = Path(__file__).parent / "data" / "reports"
@@ -41,6 +42,16 @@ REPORTS_DIR = Path(__file__).parent / "data" / "reports"
 # ---------------------------------------------------------------------------
 # property-based round-trips
 # ---------------------------------------------------------------------------
+
+def _keys_the_kind_reads(raw: dict) -> dict:
+    """*raw* without the keys its kind's runner does not read (which
+    validation refuses at any value but the default)."""
+    read = KIND_KEYS[raw["scenario"]["kind"]]
+    return {table: keys if table == "scenario"
+            else {key: value for key, value in keys.items()
+                  if key in read.get(table, ())}
+            for table, keys in raw.items()}
+
 
 def _raw_configs() -> st.SearchStrategy:
     """Arbitrary *valid* raw scenario definitions."""
@@ -51,7 +62,7 @@ def _raw_configs() -> st.SearchStrategy:
     return st.builds(
         lambda kind, seed, team, steps, mean_step,
         pool, payload, reread, ratio, write_back, caching, bandwidth,
-        latency, ttl, days, members, fed_batches: {
+        latency, ttl, days, members, fed_batches: _keys_the_kind_reads({
             "scenario": {"name": f"gen-{kind}-{seed}", "kind": kind,
                          "seed": seed},
             "team": {"size": team, "steps_per_session": steps,
@@ -63,12 +74,9 @@ def _raw_configs() -> st.SearchStrategy:
             "traffic": {"bandwidth": bandwidth,
                         "lan_latency": latency},
             "leases": {"ttl": ttl},
-            "federation": {
-                "members": members if kind == "federated_commit" else 1,
-                "batches": fed_batches,
-            },
+            "federation": {"members": members, "batches": fed_batches},
             "campaign": {"days": days},
-        },
+        }),
         kinds,
         st.integers(min_value=0, max_value=2**31),
         st.integers(min_value=1, max_value=12),
@@ -252,6 +260,32 @@ class TestDiagnostics:
             validate_scenario(_base(
                 kind="concurrent_delegation",
                 crashes={"schedule": [{"node": node, "at": 15.0}]}))
+
+    @pytest.mark.parametrize("kind, table, key, value", [
+        ("campaign", "writes", "write_back", True),
+        ("object_buffers", "writes", "write_back", True),
+        ("write_back", "buffers", "caching", False),
+        ("write_back", "writes", "flush_interval", 2),   # write-through
+        ("concurrent_delegation", "leases", "ttl", 30.0),
+        ("concurrent_delegation", "traffic", "bandwidth", 100.0),
+        ("concurrent_delegation", "traffic", "lan_latency", 0.5),
+        ("concurrent_delegation", "buffers", "caching", False),
+    ])
+    def test_a_key_the_kind_never_reads_is_refused(self, kind, table,
+                                                   key, value):
+        """Each of these validated, ran, and gave the report of the
+        run without the key: a setting that silently does nothing."""
+        with pytest.raises(ScenarioError,
+                           match=rf"\[{table}\]\.{key}: kind {kind!r}"):
+            validate_scenario(_base(kind, **{table: {key: value}}))
+        # the default is what the run uses anyway, so it stays valid
+        default = SCENARIO_SCHEMA[table][key].default
+        validate_scenario(_base(kind, **{table: {key: default}}))
+
+    def test_a_write_back_run_reads_its_flush_interval(self):
+        config = validate_scenario(_base("write_back", writes={
+            "flush_interval": 2, "write_back": True}))
+        assert config.get("writes", "flush_interval") == 2
 
     def test_subcells_require_delegation_kind(self):
         with pytest.raises(ScenarioError, match=r"\[team\]\.subcells"):

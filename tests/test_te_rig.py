@@ -73,7 +73,7 @@ def test_concord_system_takes_the_rig_options_by_name():
     system = inspect.signature(ConcordSystem.__init__).parameters
     assert list(system) == ["self", "trace", "repository", "jitter",
                             "seed"]
-    assert len(rig) - 1 == 11                      # minus self
+    assert len(rig) - 1 == 10                      # minus self
     for name in system:
         assert system[name].default == rig[name].default, name
     built = ConcordSystem(trace=False, jitter=0.5, seed=3)

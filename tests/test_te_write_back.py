@@ -22,15 +22,18 @@ from repro.repository.schema import (
 from repro.repository.storage import VersionStore
 from repro.repository.versions import DesignObjectVersion
 from repro.te.rig import TeRig
+from repro.txn import GroupCommitResult
 from repro.util.errors import StorageError, TransactionError
 
 
 def make_rig(write_back: bool = True,
-             flush_interval: int | None = None):
+             flush_interval: int | None = None,
+             lease_ttl: float | None = None):
     """Client/server TM pair with write-back workstations (the kernel
     never runs: posted messages hand over synchronously)."""
     te = TeRig(trace=False, bandwidth=1000.0,
-               write_back=write_back, flush_interval=flush_interval)
+               write_back=write_back, flush_interval=flush_interval,
+               lease_ttl=lease_ttl)
     te.open_scope()
     clock, network, server_tm = te.clock, te.network, te.server_tm
     repo = te.repository
@@ -160,6 +163,77 @@ class TestGroupFlush:
         assert client.flushes == 1
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 0
 
+    def test_a_flush_is_one_decision_and_one_forced_wal_write(self, rig):
+        client = rig["clients"]["ws-1"]
+        repo, server_tm = rig["repo"], rig["server_tm"]
+        dop = client.begin_dop("da-1", "tool")
+        results = [client.checkin(dop, "Cell", data={"area": area},
+                                  parents=[])
+                   for area in (1.0, 2.0, 3.0)]
+        forced_before = repo.wal.forced_writes
+        flushed = client.flush()
+        assert type(flushed) is GroupCommitResult and flushed.committed
+        assert repo.wal.forced_writes == forced_before + 1
+        assert server_tm.group_checkins == 1
+        assert client.flushed_checkins == 3
+        assert client.bytes_flushed == rig["network"].bytes_shipped
+        # every flushed version is durable, resident at the flushing
+        # workstation and leased to it
+        for result in results:
+            durable = client.resolve(result.dov.dov_id)
+            assert flushed.mapping[result.dov.dov_id] == durable
+            assert durable in repo
+            assert durable in rig["buffers"]["ws-1"]
+            assert server_tm.leases.holders(durable) == {"ws-1"}
+
+    def test_nothing_to_ship_is_no_flush(self, rig):
+        client = rig["clients"]["ws-1"]
+        assert client.flush() is None
+        assert rig["server_tm"].group_checkins == 0
+        assert rig["network"].batches_sent == 0
+
+    def test_a_due_lease_renewal_rides_the_flush_rpc(self):
+        """Under TTL leases the flush's control RPC carries the
+        workstation's renewal once ttl/2 has passed: no dedicated
+        renewal message goes out."""
+        rig = make_rig(lease_ttl=100.0)
+        client = rig["clients"]["ws-1"]
+        network = rig["network"]
+        dop = client.begin_dop("da-1", "tool")
+
+        def flush():
+            client.checkin(dop, "Cell", data={"area": 1.0}, parents=[])
+            return client.flush()
+
+        assert flush().committed   # opens the renewal window
+        assert client.renewals_piggybacked == 0
+        per_flush = network.messages_sent
+        rig["clock"].advance(50.0)
+        assert flush().committed
+        assert client.renewals_piggybacked == 1
+        assert rig["server_tm"].renewals_piggybacked == 1
+        # the renewal added no message to the flush's own
+        assert network.messages_sent == 2 * per_flush
+
+    def test_unflushed_lineage_resolves_after_the_flush(self, rig):
+        """A second flush whose parent is the first flush's durable id
+        commits cleanly: the mapping threads through."""
+        client = rig["clients"]["ws-1"]
+        dop = client.begin_dop("da-1", "tool")
+        first = client.checkin(dop, "Cell", data={"area": 1.0},
+                               parents=[])
+        assert client.flush().committed
+        durable_first = client.resolve(first.dov.dov_id)
+        assert durable_first != first.dov.dov_id
+        second = client.checkin(dop, "Cell", data={"area": 2.0},
+                                parents=[first.dov.dov_id])
+        assert second.dov.parents == (durable_first,)
+        assert client.flush().committed
+        durable_second = client.resolve(second.dov.dov_id)
+        assert rig["repo"].read(durable_second).parents \
+            == (durable_first,)
+        assert dop.output_dov == durable_second
+
     def test_lease_recall_triggers_flush(self, rig):
         writer_wt = rig["clients"]["ws-2"]
         writer_wt.write_back = False  # ws-2 ships eagerly
@@ -230,7 +304,7 @@ class TestGroupAtomicity:
                        parents=[])
         durable_before = len(repo.store)
         flushed = client.flush()
-        assert not flushed.success
+        assert not flushed.committed
         assert "area" in flushed.reason
         # atomic: the valid record did not slip through either
         assert len(repo.store) == durable_before
@@ -272,7 +346,7 @@ class TestGroupAtomicity:
         assert server_tm.end_txn(txn_id) is None
         # the workstation still holds its dirty set: retry succeeds
         flushed = client.flush()
-        assert flushed.success and flushed.count == 2
+        assert flushed.committed and client.flushed_checkins == 2
         assert client.resolve(r1.dov.dov_id) in repo
         assert client.resolve(r2.dov.dov_id) in repo
 

@@ -64,15 +64,22 @@ def test_checker_flags_a_name_only_a_test_calls(tmp_path, capsys):
         "class Box:\n"
         "    def spanned(self):\n        pass\n\n"
         "    def tested(self):\n        pass\n\n"
+        "    def timed(self):\n        pass\n\n"
         "    def _private(self):\n        pass\n", encoding="utf-8")
     (tmp_path / "benchmarks" / "spans.py").write_text(
         'SPAN_TABLE = {"box": ("repro.parts:Box.spanned",)}\n'
         "from repro.parts import Box, used\n", encoding="utf-8")
     (tmp_path / "tests" / "test_parts.py").write_text(
         "from repro.parts import Box\nBox().tested()\n", encoding="utf-8")
+    # the microbenchmark harness is no caller either
+    (tmp_path / "src" / "repro" / "bench").mkdir()
+    (tmp_path / "src" / "repro" / "bench" / "perf.py").write_text(
+        "from repro.parts import Box\nBox().timed()\n", encoding="utf-8")
     assert checker.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "src/repro/parts.py:11: Box.tested is referenced only by " \
+        "tests/" in out
+    assert "src/repro/parts.py:14: Box.timed is referenced only by " \
         "tests/" in out
     for referenced in ("used", "lonely_helper", "Box.spanned",
                        "_private"):

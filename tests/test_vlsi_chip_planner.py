@@ -323,6 +323,22 @@ class TestFloorplanValidation:
         plan.placements["b"] = Placement("b", 5.0, 0.0, 5.0, 5.0)
         assert plan.validate() == []
 
+    def test_touching_a_rounding_error_apart_is_not_overlap(self):
+        """2.732 + 1.225 is 3.9570000000000003: the planner placed c2
+        against c6 exactly, and validation read the last bit as an
+        overlap (10 cells, seed 24 of the floorplan property test)."""
+        plan = Floorplan("cud", 10.0, 10.0)
+        plan.placements["c6"] = Placement("c6", 2.732, 0.0, 1.225, 2.449)
+        plan.placements["c2"] = Placement("c2", 3.957, 0.0, 1.414, 2.828)
+        assert plan.validate() == []
+        cells = [f"c{i}" for i in range(10)]
+        plan = ChipPlanner(iterations=2, seed=24).plan(
+            "cud", synthetic_netlist(cells, SeededRng(24)),
+            {c: shapes_for_area(c, 2.0 + (i % 5))
+             for i, c in enumerate(cells)},
+            FloorplanInterface("cud", 1e6, 1e6))
+        assert plan.validate() == []
+
     def test_dict_roundtrip(self):
         plan = Floorplan("cud", 10.0, 8.0, cut_nets=3, wirelength=12.5)
         plan.placements["a"] = Placement("a", 1.0, 2.0, 3.0, 4.0)

@@ -7,12 +7,16 @@ identifier tokens in the ``.py`` files of ``src/``, ``benchmarks/``,
 ``examples/`` and ``tools/``.  String literals count, so a
 ``SPAN_TABLE`` entry in ``benchmarks/e2e/spans.py`` is a reference;
 comments, docstrings and the package ``__init__.py`` files under
-``src/`` do not, since a mention or a re-export calls nothing.
+``src/`` do not, since a mention or a re-export calls nothing, and
+neither does the microbenchmark harness ``src/repro/bench/perf.py``:
+a subsystem that only a synthetic benchmark drives is as unused as
+one that only a test drives.
 A name whose every token is one of its own ``def`` / ``class`` lines
-is referenced by nothing but ``tests/``: it either gets a caller or
-goes, with its tests.  The only exceptions are :data:`ALLOWED`, names
-whose docstring quotes the paper; that list may only shrink.  This
-file is left out of the count, so listing a name here is not a use.
+is referenced by nothing but ``tests/`` (or the harness): it either
+gets a caller or goes, with its tests.  The only exceptions are
+:data:`ALLOWED`, names whose docstring quotes the paper; that list may
+only shrink.  This file is left out of the count, so listing a name
+here is not a use.
 
 Usage::
 
@@ -39,6 +43,8 @@ ALLOWED = {
 }
 #: the trees whose source counts as a reference
 _REFERENCING = ("src", "benchmarks", "examples", "tools")
+#: the microbenchmark harness: a caller that runs no design work
+_HARNESS = Path("src", "repro", "bench", "perf.py")
 _WORD = re.compile(r"[A-Za-z_]\w*")
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef,
                ast.AsyncFunctionDef)
@@ -96,6 +102,7 @@ def test_only_names(root: Path) -> list[tuple[str, str, int]]:
     for tree in _REFERENCING:
         for path in sorted((root / tree).rglob("*.py")):
             if path.resolve() == this_file \
+                    or path.relative_to(root) == _HARNESS \
                     or (tree == "src" and path.name == "__init__.py"):
                 continue
             words, defined = _words(path.read_text(encoding="utf-8"))
