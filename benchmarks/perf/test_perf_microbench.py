@@ -17,8 +17,6 @@ from pathlib import Path
 from repro.bench.perf import render, run_perf
 
 EXPECTED = {
-    "checkout_buffer_hit",
-    "checkout_checkin_write_through",
     "group_checkin_flush",
     "federation_scaling",
     "cm_scaling",
@@ -32,7 +30,6 @@ def test_perf_harness_smoke(tmp_path):
     print(render(report))
 
     assert set(report["benchmarks"]) == EXPECTED
-    assert len(report["benchmarks"]) >= 4
     for bench in report["benchmarks"].values():
         assert bench["ops_per_sec"] > 0.0
     assert report["acceptance"]["ok"]

@@ -4,8 +4,9 @@ With no arguments, regenerates and prints every figure (F1-F8),
 experiment (T1-T10) and ablation (A1-A3) of
 :data:`repro.bench.scorecard.SCORECARD`; with arguments, only the named
 ones.  ``python -m repro scorecard`` checks every expected shape;
-``python -m repro perf`` runs the zero-copy microbenchmark harness and
-emits ``BENCH_PERF.json`` (see ``docs/performance.md``).
+``python -m repro perf`` runs the microbenchmark harness (group flush,
+federation and CM scaling — what no end-to-end run measures) and emits
+``BENCH_PERF.json`` (see ``docs/performance.md``).
 """
 
 from __future__ import annotations

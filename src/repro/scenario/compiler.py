@@ -19,10 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import import_module
+from pathlib import Path
 from typing import Any, Callable
 
 from repro.scenario.campaign import design_campaign_scenario
-from repro.scenario.schema import ScenarioConfig, ScenarioError
+from repro.scenario.schema import (
+    ScenarioConfig,
+    ScenarioError,
+    load_scenario,
+)
 from repro.scenario.sessions import (
     object_buffer_scenario,
     write_back_scenario,
@@ -78,102 +83,9 @@ def compile_scenario(config: ScenarioConfig) -> CompiledScenario:
 
 
 def canonical_scenarios() -> dict[str, ScenarioConfig]:
-    """The shipped scenario library, as in-code source of truth.
-
-    The ``scenarios/*.toml`` files in the repository are the dumped
-    form of exactly these configs — a sync test asserts the files
-    equal ``dump_scenario`` of each entry, so the library cannot
-    drift from the DSL.
-    """
-    from repro.scenario.schema import validate_scenario
-
-    return {
-        "t7_concurrent_team": validate_scenario({
-            "scenario": {
-                "name": "t7-concurrent-team",
-                "kind": "concurrent_delegation",
-                "description": "Fig.5 team: three delegated subcell "
-                               "planners interleaved on one kernel",
-                "seed": 0,
-            },
-            "team": {"subcells": ["A", "B", "C"]},
-        }),
-        "t8_object_buffers": validate_scenario({
-            "scenario": {
-                "name": "t8-object-buffers",
-                "kind": "object_buffers",
-                "description": "T8 data shipping: cached re-reads vs "
-                               "re-shipped payloads",
-                "seed": 11,
-            },
-            "team": {"size": 3, "steps_per_session": 4,
-                     "mean_step": 60.0},
-            "objects": {"pool": 4, "payload_bytes": 4000},
-            "locality": {"reads_per_step": 2, "reread": 0.6},
-            "writes": {"ratio": 0.3},
-            "buffers": {"caching": True},
-            "traffic": {"bandwidth": 400.0, "lan_latency": 0.05},
-        }),
-        "t9_write_back": validate_scenario({
-            "scenario": {
-                "name": "t9-write-back",
-                "kind": "write_back",
-                "description": "T9 write-back: staged dirty checkins "
-                               "group-flushed at End-of-DOP",
-                "seed": 13,
-            },
-            "team": {"size": 3, "steps_per_session": 4,
-                     "mean_step": 60.0},
-            "objects": {"pool": 4, "payload_bytes": 4000},
-            "locality": {"reads_per_step": 2, "reread": 0.6},
-            "writes": {"ratio": 0.6, "write_back": True},
-            "crashes": {"server_restart": True},
-        }),
-        "t9_write_through": validate_scenario({
-            "scenario": {
-                "name": "t9-write-through",
-                "kind": "write_back",
-                "description": "T9 reference: every checkin ships "
-                               "eagerly through its own 2PC",
-                "seed": 13,
-            },
-            "team": {"size": 3, "steps_per_session": 4,
-                     "mean_step": 60.0},
-            "objects": {"pool": 4, "payload_bytes": 4000},
-            "locality": {"reads_per_step": 2, "reread": 0.6},
-            "writes": {"ratio": 0.6, "write_back": False},
-            "crashes": {"server_restart": True},
-        }),
-        "t10_federated_commit": validate_scenario({
-            "scenario": {
-                "name": "t10-federated-commit",
-                "kind": "federated_commit",
-                "description": "T10 crash matrix: cross-member "
-                               "batches under member/coordinator "
-                               "crashes converge to one durable "
-                               "state",
-                "seed": 17,
-            },
-            "federation": {"members": 3, "batches": 4},
-        }),
-        "campaign_design_week": validate_scenario({
-            "scenario": {
-                "name": "campaign-design-week",
-                "kind": "campaign",
-                "description": "soak: a five-day design week with "
-                               "diurnal load, hotspot objects and "
-                               "designer churn",
-                "seed": 29,
-            },
-            "team": {"size": 4, "steps_per_session": 3,
-                     "mean_step": 40.0},
-            "objects": {"pool": 6, "payload_bytes": 4000,
-                        "hotspots": 2, "hotspot_bias": 0.5},
-            "locality": {"reads_per_step": 2, "reread": 0.5},
-            "writes": {"ratio": 0.3},
-            "leases": {"ttl": 120.0},
-            "campaign": {"days": 5, "sessions_per_day": 3,
-                         "day_length": 480.0, "diurnal_peak": 2.0,
-                         "churn": 0.25},
-        }),
-    }
+    """The shipped scenario library: every ``scenarios/*.toml`` file of
+    the repository, loaded and validated, keyed by file stem in
+    file-name order."""
+    library = Path(__file__).resolve().parents[3] / "scenarios"
+    return {path.stem: load_scenario(path)
+            for path in sorted(library.glob("*.toml"))}

@@ -78,9 +78,15 @@ def federated_commit_scenario(config: ScenarioConfig, crash: str
       its portion from its forced prepare record when it recovers;
     * ``"coordinator"`` — the *coordinator* dies between the decision
       record and the participant notifications: nobody was told, the
-      members still hold their staged portions, and
-      :meth:`~repro.repository.federation.FederatedRepository.resolve_incomplete`
-      finishes the logged decision on restart.
+      members still hold their staged portions, and the coordinator
+      loses its memory
+      (:meth:`~repro.repository.federation.FederatedRepository.crash_coordinator`).
+      Its restart
+      (:meth:`~repro.repository.federation.FederatedRepository.recover_coordinator`)
+      replays the decision log from its forced records, rebuilds the
+      directory from the members and finishes the logged decision;
+      the rebuilt directory must equal the pre-crash one plus the
+      in-doubt batch, each version at its home member.
 
     All four runs must converge to the identical id-independent
     durable state — the all-or-nothing claim of the decision log.  A
@@ -166,12 +172,23 @@ def federated_commit_scenario(config: ScenarioConfig, crash: str
             else:
                 raise TwoPhaseCommitError(
                     "injected coordinator crash did not fire")
-            # restart: the logged decision completes from staged state
-            settled = federation.resolve_incomplete()
+            # the coordinator loses its memory: the decision log
+            # restarts from its forced records, the directory from the
+            # members, and the logged batch completes from staged state
+            # a batch stages one version per DA, and da-i lives on site-i
+            homes = {dov_id: f"site-{index}"
+                     for index, dov_id in enumerate(staged)}
+            directory = federation.directory_snapshot()
+            federation.crash_coordinator()
+            settled = federation.recover_coordinator()["settled"]
             if settled != 1:
                 raise TwoPhaseCommitError(
                     f"coordinator restart settled {settled} batches, "
                     f"not the 1 in doubt")
+            if federation.directory_snapshot() != {**directory, **homes}:
+                raise TwoPhaseCommitError(
+                    "directory rebuilt from the members differs from "
+                    "the pre-crash one plus the in-doubt batch")
             for dov_id in staged:
                 current[federation.read(dov_id).created_by] = dov_id
         else:
@@ -218,39 +235,6 @@ def crash_matrix(config: ScenarioConfig,
             len({tuple(report["state"])
                  for report in reports.values()}) == 1,
     }
-
-
-def _federation_rebuild_check() -> bool:
-    """Directory-rebuild equality: run a few cross-member batches plus
-    one version left staged, lose the coordinator (decision-log memory
-    + the whole placement index), recover from the members alone, and
-    compare every index surface against the pre-crash snapshot."""
-    members, batches, seed = 3, 2, 17
-    federation, current = _part_federation(members, seed)
-    for rev in range(1, batches + 1):
-        staged = []
-        for index in range(members):
-            da_id = f"da-{index}"
-            dov = federation.stage_checkin(
-                da_id, "Part", _part_payload(index, rev, seed),
-                (current[da_id],), created_at=float(rev))
-            staged.append(dov.dov_id)
-        for dov in federation.commit_group(staged):
-            current[dov.created_by] = dov.dov_id
-    # one version stays staged across the crash: the rebuild must
-    # recover the staged-home index too, not just the directory
-    federation.stage_checkin("da-0", "Part",
-                             _part_payload(0, batches + 1, seed),
-                             (current["da-0"],),
-                             created_at=float(batches + 1))
-    before = federation.placement_index.stats()
-    directory_before = federation.directory_snapshot()
-    homes_before = federation.placement_index.homes()
-    federation.crash_coordinator()
-    federation.recover_coordinator()
-    return (federation.directory_snapshot() == directory_before
-            and federation.placement_index.homes() == homes_before
-            and federation.placement_index.stats() == before)
 
 
 def _part_federation(members: int, seed: int

@@ -282,10 +282,54 @@ class TestWholeSiteLoss:
 
 
 def test_directory_rebuilt_from_the_members_equals_the_maintained_one():
-    """The perf harness's structural guard (``determinism.
-    federation_directory_rebuild_identical`` in BENCH_PERF.json), run
-    in tier-1: cross-member batches plus one version left staged, the
-    coordinator lost, every index surface rebuilt from the members."""
-    from repro.scenario.federation import _federation_rebuild_check
+    """Cross-member batches plus one version left staged, the
+    coordinator lost: every index surface comes back from the members
+    alone."""
+    federation, heads = make_federation()
+    commit_batch(federation, heads, rev=1)
+    commit_batch(federation, heads, rev=2)
+    # one version stays staged across the crash: the rebuild must
+    # recover the staged-home index too, not only the directory
+    federation.stage_checkin("da-0", "Cell", {"area": 30.0},
+                             (heads["da-0"],), created_at=3.0)
+    directory = federation.directory_snapshot()
+    homes = federation.placement_index.homes()
+    stats = federation.placement_index.stats()
+    assert stats["staged_index"] == 1
+    federation.crash_coordinator()
+    federation.recover_coordinator()
+    assert federation.directory_snapshot() == directory
+    assert federation.placement_index.homes() == homes
+    assert federation.placement_index.stats() == stats
+    assert_directory_rebuild_equal(federation)
 
-    assert _federation_rebuild_check()
+
+def test_t10_coordinator_placement_loses_and_restarts_the_coordinator(
+        monkeypatch):
+    """T10's ``coordinator`` row is a real coordinator loss: the
+    coordinator crashes once, and its restart settles exactly the one
+    batch in doubt."""
+    from repro.scenario import canonical_scenarios
+    from repro.scenario.federation import federated_commit_scenario
+
+    calls = {"crashes": 0, "settled": []}
+    crash = FederatedRepository.crash_coordinator
+    recover = FederatedRepository.recover_coordinator
+
+    def counted_crash(self):
+        calls["crashes"] += 1
+        return crash(self)
+
+    def counted_recover(self):
+        totals = recover(self)
+        calls["settled"].append(totals["settled"])
+        return totals
+
+    monkeypatch.setattr(FederatedRepository, "crash_coordinator",
+                        counted_crash)
+    monkeypatch.setattr(FederatedRepository, "recover_coordinator",
+                        counted_recover)
+    report = federated_commit_scenario(
+        canonical_scenarios()["t10_federated_commit"], "coordinator")
+    assert calls == {"crashes": 1, "settled": [1]}
+    assert report.atomic_violations == 0

@@ -352,8 +352,9 @@ class TestNoDeepcopyBelowTheTeLevel:
 
     @pytest.fixture
     def rig(self):
-        # the rig and payload of the two microbenchmarks this gate
-        # stands behind (checkout_buffer_hit, ..._write_through)
+        # the paths this gate stands behind: the buffer-hit checkout
+        # and the write-through checkin that the campaign_reads and
+        # campaign_writes e2e workloads measure
         rig = _make_rig()
         dov = rig.repository.checkin("da-1", "Cell", _nested_payload())
         return rig.client_tm("ws-1"), dov

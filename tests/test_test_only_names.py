@@ -1,9 +1,9 @@
-"""No public name in ``src/repro`` is there for its tests alone.
+"""No name in ``src/repro`` is there for its tests alone.
 
 Tier-1 mirror of the CI docs job's ``tools/check_test_only_names.py``:
-every public function, class and method has a reference outside
-``tests/``, or is one of the allowed names whose docstring quotes the
-paper — and that list may only shrink.
+every function, class and method, private ones included, has a
+reference outside ``tests/``, or is one of the allowed names whose
+docstring quotes the paper — and that list may only shrink.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _docstring(qualified: str) -> str:
     raise AssertionError(f"{qualified} is not defined in src/repro")
 
 
-def test_every_public_name_has_a_caller_outside_tests(capsys):
+def test_every_name_has_a_caller_outside_tests(capsys):
     checker = _load_checker()
     assert checker.main([str(ROOT)]) == 0, capsys.readouterr().out
 
@@ -62,7 +62,7 @@ def test_checker_flags_a_name_only_a_test_calls(tmp_path, capsys):
         "def used():\n    return lonely_helper()\n\n"
         "def lonely_helper():\n    pass\n\n"
         "class Box:\n"
-        "    def spanned(self):\n        pass\n\n"
+        "    def spanned(self):\n        return self._private()\n\n"
         "    def tested(self):\n        pass\n\n"
         "    def timed(self):\n        pass\n\n"
         "    def _private(self):\n        pass\n", encoding="utf-8")
@@ -82,8 +82,44 @@ def test_checker_flags_a_name_only_a_test_calls(tmp_path, capsys):
     assert "src/repro/parts.py:14: Box.timed is referenced only by " \
         "tests/" in out
     for referenced in ("used", "lonely_helper", "Box.spanned",
-                       "_private"):
+                       "Box._private"):
         assert f" {referenced} is" not in out
+
+
+def test_checker_flags_a_private_name_only_a_test_calls(tmp_path, capsys):
+    """A leading underscore hides nothing: a private function or
+    method that only a test calls is flagged too.  Dunder methods,
+    which the language calls, and the harness's own helpers are not."""
+    checker = _load_checker()
+    package = tmp_path / "src" / "repro"
+    (package / "bench").mkdir(parents=True)
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "tests").mkdir()
+    (package / "parts.py").write_text(
+        "def used():\n    return Box()\n\n"
+        "def _rebuild_check():\n    return True\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = 1\n\n"
+        "    def _probe(self):\n        pass\n", encoding="utf-8")
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.parts import used\nused()\n", encoding="utf-8")
+    (package / "bench" / "perf.py").write_text(
+        "from repro.parts import _rebuild_check, used\n\n"
+        "def _harness_rig():\n    return used()\n\n"
+        "_rebuild_check()\n", encoding="utf-8")
+    (tmp_path / "tests" / "test_parts.py").write_text(
+        "from repro.bench.perf import _harness_rig\n"
+        "from repro.parts import Box, _rebuild_check\n"
+        "assert _rebuild_check()\nBox()._probe()\n_harness_rig()\n",
+        encoding="utf-8")
+    assert checker.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "src/repro/parts.py:4: _rebuild_check is referenced only by " \
+        "tests/" in out
+    assert "src/repro/parts.py:11: Box._probe is referenced only by " \
+        "tests/" in out
+    for exempt in ("Box.__init__", "_harness_rig", "used"):
+        assert f" {exempt} is" not in out
 
 
 def test_a_re_export_a_mention_or_a_comment_is_no_caller(tmp_path,

@@ -90,10 +90,6 @@ def render_delta(new: dict[str, Any],
                 "federation-log "
                 + ("bounded" if acceptance["federation_log_bounded"]
                    else "UNBOUNDED"))
-        if "determinism_ok" in acceptance:
-            gates.append("determinism "
-                         + ("ok" if acceptance["determinism_ok"]
-                            else "MISMATCH"))
         lines.append("acceptance: " + ", ".join(gates) + " -> "
                      + ("OK" if acceptance.get("ok") else "FAIL"))
     return "\n".join(lines)

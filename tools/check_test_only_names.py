@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Checker for public names in ``src/repro`` that only a test calls.
+"""Checker for names in ``src/repro`` that only a test calls.
 
-Lists every public top-level function and class in ``src/repro``, and
-every public method of a top-level class, then counts the name's
-identifier tokens in the ``.py`` files of ``src/``, ``benchmarks/``,
-``examples/`` and ``tools/``.  String literals count, so a
-``SPAN_TABLE`` entry in ``benchmarks/e2e/spans.py`` is a reference;
+Lists every top-level function and class in ``src/repro``, and every
+method of a top-level class, private ones included (dunder methods,
+which the language calls, and the harness's own helpers are left
+out), then counts the name's identifier tokens in the ``.py`` files
+of ``src/``, ``benchmarks/``, ``examples/`` and ``tools/``.  String
+literals count, so a ``SPAN_TABLE`` entry in
+``benchmarks/e2e/spans.py`` is a reference;
 comments, docstrings and the package ``__init__.py`` files under
 ``src/`` do not, since a mention or a re-export calls nothing, and
 neither does the microbenchmark harness ``src/repro/bench/perf.py``:
@@ -50,15 +52,16 @@ _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef,
                ast.AsyncFunctionDef)
 
 
-def public_names(root: Path) -> list[tuple[str, str, int]]:
-    """``(qualified name, file, line)`` of every public definition."""
+def checked_names(root: Path) -> list[tuple[str, str, int]]:
+    """``(qualified name, file, line)`` of every checked definition."""
     found: list[tuple[str, str, int]] = []
     for path in sorted((root / "src" / "repro").rglob("*.py")):
+        if path.relative_to(root) == _HARNESS:
+            continue
         where = str(path.relative_to(root))
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             found.append((node.name, where, node.lineno))
             if isinstance(node, ast.ClassDef):
@@ -66,7 +69,8 @@ def public_names(root: Path) -> list[tuple[str, str, int]]:
                     (f"{node.name}.{item.name}", where, item.lineno)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
-                    and not item.name.startswith("_"))
+                    and not (item.name.startswith("__")
+                             and item.name.endswith("__")))
     return found
 
 
@@ -95,7 +99,7 @@ def _words(text: str) -> tuple[list[str], list[str]]:
 
 
 def test_only_names(root: Path) -> list[tuple[str, str, int]]:
-    """The public definitions nothing outside ``tests/`` references."""
+    """The definitions nothing outside ``tests/`` references."""
     tokens: Counter[str] = Counter()
     definitions: Counter[str] = Counter()
     this_file = Path(__file__).resolve()
@@ -110,7 +114,7 @@ def test_only_names(root: Path) -> list[tuple[str, str, int]]:
             if tree == "src":
                 definitions.update(defined)
     return [(name, where, line)
-            for name, where, line in public_names(root)
+            for name, where, line in checked_names(root)
             if tokens[name.rsplit(".", 1)[-1]]
             <= definitions[name.rsplit(".", 1)[-1]]]
 
@@ -129,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     if problems:
         print("\n".join(problems))
         return 1
-    print(f"every public name in src/repro has a caller outside tests/ "
+    print(f"every name in src/repro has a caller outside tests/ "
           f"({len(ALLOWED)} allowed)")
     return 0
 
