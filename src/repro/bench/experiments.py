@@ -619,7 +619,7 @@ def run_t10() -> ExperimentResult:
     matrix = compile_scenario(validate_scenario({
         "scenario": {"name": "t10", "kind": "federated_commit",
                      "seed": 17},
-        "federation": {"members": 3, "batches": 4},
+        "federation": {"members": 3},
     })).run()
     baseline = matrix["crashes"]["none"]["state"]
     for crash, report in matrix["crashes"].items():

@@ -289,20 +289,20 @@ class Network:
         self.bytes_received_by[dst] = \
             self.bytes_received_by.get(dst, 0) + size
 
-    def send(self, src: str, dst: str, size: int = 0) -> float:
-        """Account one message src->dst; raises when either end is down.
+    def send(self, src: str, dst: str) -> float:
+        """Account one control message src->dst (an RPC or 2PC hop);
+        raises when either end is down.
 
-        Returns the transport latency (hop cost plus the size-scaled
-        shipping time for *size* payload bytes) so callers can advance
-        their own cost model; the network also accumulates it in
-        :attr:`total_latency` and books the bytes per node.
+        Returns the hop latency so callers can advance their own cost
+        model; the network also accumulates it in
+        :attr:`total_latency`.  Payload bytes travel by :meth:`post` /
+        :meth:`post_batch`.
         """
         self.node(src).require_up()
         self.node(dst).require_up()
         self.messages_sent += 1
-        latency = self.transfer_latency(src, dst, size)
+        latency = self.hop_latency(src, dst)
         self.total_latency += latency
-        self._account_bytes(src, dst, size)
         return latency
 
     def delivery_delay(self, src: str, dst: str, size: int = 0) -> float:

@@ -3,7 +3,7 @@
 Where T8/T9 measure one session burst, a *campaign* runs the same TE
 stack (client-TMs, object buffers, server-TM, 2PC checkins, lease
 invalidations) for simulated **days**: session start times concentrate
-around midday (``diurnal_peak``), a subset of the library is hot
+around midday (:data:`DIURNAL_PEAK`), a subset of the library is hot
 (``hotspots`` / ``hotspot_bias``), and a fraction of the team churns
 at each day boundary — the replacement designer starts with a cold
 object buffer, which is exactly the warm-cache value the campaign
@@ -28,6 +28,12 @@ from repro.scenario.sessions import (
 )
 from repro.sim.kernel import Kernel
 from repro.util.rng import SeededRng
+
+#: simulated time units per campaign day
+DAY_LENGTH = 480.0
+#: midday load multiplier: session starts fall in the middle
+#: 1/DIURNAL_PEAK of the day (1 would spread them over the whole day)
+DIURNAL_PEAK = 2.0
 
 
 @dataclass
@@ -68,7 +74,6 @@ def _draw_plan(rng: SeededRng, config: ScenarioConfig
     team, campaign = config["team"], config["campaign"]
     steps_per_session, mean_step = \
         team["steps_per_session"], team["mean_step"]
-    day_length = campaign["day_length"]
     object_pool = config.get("objects", "pool")
     hotspots = config.get("objects", "hotspots")
     hotspot_bias = config.get("objects", "hotspot_bias")
@@ -77,15 +82,15 @@ def _draw_plan(rng: SeededRng, config: ScenarioConfig
     write_ratio = config.get("writes", "ratio")
     plans: list[SessionPlan] = []
     working: dict[int, list[str]] = {i: [] for i in range(team["size"])}
-    # diurnal concentration: peak=1 spreads starts over the whole day,
-    # higher peaks narrow the start window symmetrically around midday
-    spread = 1.0 / campaign["diurnal_peak"]
+    # diurnal concentration: the start window narrows symmetrically
+    # around midday
+    spread = 1.0 / DIURNAL_PEAK
     for day in range(campaign["days"]):
         for designer in range(team["size"]):
             for slot in range(campaign["sessions_per_day"]):
-                offset = day_length * (0.5 + (rng.random() - 0.5)
+                offset = DAY_LENGTH * (0.5 + (rng.random() - 0.5)
                                        * spread)
-                start = day * day_length + offset
+                start = day * DAY_LENGTH + offset
                 durations = tuple(
                     rng.bounded_normal(mean_step, mean_step / 3.0,
                                        mean_step / 10.0, mean_step * 3.0)
@@ -126,7 +131,6 @@ def design_campaign_scenario(config: ScenarioConfig,
     """Run a multi-day design campaign on the real TE stack."""
     team = config.get("team", "size")
     days = config.get("campaign", "days")
-    day_length = config.get("campaign", "day_length")
     caching = config.get("buffers", "caching")
     driver = session_driver(config, on_kernel, object_buffers=caching)
     kernel, network = driver.rig.kernel, driver.rig.network
@@ -148,14 +152,14 @@ def design_campaign_scenario(config: ScenarioConfig,
                     report.churn_events += 1
                     report.churned_entries += buffers[index].clear()
 
-                kernel.at(day * day_length, churn_designer,
+                kernel.at(day * DAY_LENGTH, churn_designer,
                           label=f"campaign-churn:d{day}:w{victim}",
                           priority=-1)
 
     # -- per-day traffic profile, sampled at each boundary
     day_marks: list[int] = []
     for day in range(1, days + 1):
-        kernel.at(day * day_length,
+        kernel.at(day * DAY_LENGTH,
                   lambda: day_marks.append(network.bytes_shipped),
                   label=f"campaign-day-mark:{day}", priority=1)
 

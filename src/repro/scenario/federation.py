@@ -1,10 +1,10 @@
 """The ``federated_commit`` kind: the Sect.6 distributed commit.
 
 A federation of ``[federation].members`` repositories commits
-``[federation].batches`` cross-member batches through the global
-decision log, once per crash placement.  :func:`crash_matrix` is the
-kind's runner: all four placements on one config, plus the
-all-or-nothing verdict that they converge to one durable state.
+:data:`BATCHES` cross-member batches through the global decision log,
+once per crash placement.  :func:`crash_matrix` is the kind's
+runner: all four placements on one config, plus the all-or-nothing
+verdict that they converge to one durable state.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ class FederatedCommitReport:
     #: identical across crash placements iff commit is all-or-nothing
     state: tuple = ()
     directory_entries: int = 0
+
+
+#: cross-member batches per crash placement; every placement's crash
+#: lands on the second, so it takes at least two
+BATCHES = 4
 
 
 class _CoordinatorCrash(RuntimeError):
@@ -117,7 +122,7 @@ def federated_commit_scenario(config: ScenarioConfig, crash: str
         for dov in committed:
             current[dov.created_by] = dov.dov_id
 
-    for batch in range(config.get("federation", "batches")):
+    for batch in range(BATCHES):
         rev = batch + 1
         injected = crash == "before" and batch == crash_batch
         if injected:

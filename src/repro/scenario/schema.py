@@ -3,8 +3,8 @@
 Workloads used to be hand-coded python keyword runners; this module
 makes them **data**.  A scenario file is plain TOML in a
 fixed table layout (team shape, object pool, locality, write mix,
-traffic profile, crash schedule, flush/lease knobs — see
-``docs/scenarios.md`` for the full reference)::
+jitter, crash schedule, lease knob — see ``docs/scenarios.md`` for the
+full reference)::
 
     [scenario]
     name = "t8-object-buffers"
@@ -18,8 +18,10 @@ traffic profile, crash schedule, flush/lease knobs — see
 Parsing is strict: every diagnostic names the offending TOML table and
 key (``[locality].reread: 1.4 above the maximum 1.0``), unknown tables
 and keys are rejected, and a validated :class:`ScenarioConfig` is
-fully defaulted and canonical — ``parse(dumps(config)) == config`` for
-every valid config (the round-trip property the DSL tests pin down).
+canonical: ``[scenario]`` plus every key its kind reads
+(:data:`KIND_KEYS`), defaults filled in — ``parse(dumps(config)) ==
+config`` for every valid config (the round-trip property the DSL tests
+pin down).
 Validation never mutates shared state, so configs can be parsed,
 compiled and re-serialised back to back in one process.
 """
@@ -100,18 +102,12 @@ SCENARIO_SCHEMA: dict[str, dict[str, _Key]] = {
                       doc="P(step checks in a derived version)"),
         "write_back": _Key(bool, False,
                            doc="stage dirty + group-flush vs eager"),
-        "flush_interval": _Key(int, 0, lo=0,
-                               doc="deferred checkins per mid-DOP "
-                                   "flush (0 = End-of-DOP only)"),
     },
     "buffers": {
         "caching": _Key(bool, True,
                         doc="workstation object buffers on/off"),
     },
     "traffic": {
-        "bandwidth": _Key(float, 400.0, lo=1e-9,
-                          doc="LAN bytes per time unit"),
-        "lan_latency": _Key(float, 0.05, lo=0.0),
         "jitter": _Key(float, 0.0, lo=0.0),
     },
     "leases": {
@@ -122,25 +118,15 @@ SCENARIO_SCHEMA: dict[str, dict[str, _Key]] = {
         "members": _Key(int, 1, lo=1,
                         doc="member repositories "
                             "(federated_commit only, >= 2 there)"),
-        "batches": _Key(int, 4, lo=1,
-                        doc="cross-member commit batches per crash "
-                            "case"),
     },
     "crashes": {
         "schedule": _Key(list, [], item=dict,
                          doc="[[crashes.schedule]] node/at/"
                              "restart_after entries"),
-        "server_restart": _Key(bool, True,
-                               doc="seeded server restart + "
-                                   "revalidation episode (write_back)"),
     },
     "campaign": {
         "days": _Key(int, 5, lo=1),
         "sessions_per_day": _Key(int, 3, lo=1),
-        "day_length": _Key(float, 480.0, lo=1e-9,
-                           doc="simulated time units per day"),
-        "diurnal_peak": _Key(float, 2.0, lo=1.0,
-                             doc="midday load multiplier"),
         "churn": _Key(float, 0.2, lo=0.0, hi=1.0,
                       doc="fraction of designers replaced per day"),
     },
@@ -154,7 +140,7 @@ _SESSION_KEYS: dict[str, tuple[str, ...]] = {
     "objects": ("pool", "payload_bytes"),
     "locality": ("reads_per_step", "reread"),
     "writes": ("ratio",),
-    "traffic": ("bandwidth", "lan_latency", "jitter"),
+    "traffic": ("jitter",),
     "leases": ("ttl",),
 }
 
@@ -163,19 +149,16 @@ _SESSION_KEYS: dict[str, tuple[str, ...]] = {
 #: the run never reads would validate, run and change nothing.
 KIND_KEYS: dict[str, dict[str, tuple[str, ...]]] = {
     "object_buffers": {**_SESSION_KEYS, "buffers": ("caching",)},
-    "write_back": {**_SESSION_KEYS,
-                   "writes": ("ratio", "write_back", "flush_interval"),
-                   "crashes": ("server_restart",)},
+    "write_back": {**_SESSION_KEYS, "writes": ("ratio", "write_back")},
     "campaign": {**_SESSION_KEYS,
                  "objects": ("pool", "payload_bytes", "hotspots",
                              "hotspot_bias"),
                  "buffers": ("caching",),
-                 "campaign": ("days", "sessions_per_day", "day_length",
-                              "diurnal_peak", "churn")},
+                 "campaign": ("days", "sessions_per_day", "churn")},
     "concurrent_delegation": {"team": ("subcells",),
                               "traffic": ("jitter",),
                               "crashes": ("schedule",)},
-    "federated_commit": {"federation": ("members", "batches")},
+    "federated_commit": {"federation": ("members",)},
 }
 
 #: keys of one [[crashes.schedule]] entry
@@ -188,11 +171,13 @@ _SCHEDULE_KEYS: dict[str, _Key] = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated, fully-defaulted scenario definition.
+    """A validated scenario definition in canonical form.
 
     Frozen by design: compiling or serialising a config cannot bleed
-    state into the next run.  ``tables`` holds every schema table with
-    every key present (defaults filled in), in canonical form.
+    state into the next run.  ``tables`` holds ``[scenario]`` and every
+    key the kind reads (:data:`KIND_KEYS`, defaults filled in), tables
+    and keys in schema order: a runner that reads any other key fails
+    with a ``KeyError``.
     """
 
     tables: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -335,40 +320,35 @@ def validate_scenario(raw: dict[str, Any]) -> ScenarioConfig:
             raise ScenarioError(
                 f"[{table}]: unknown key {sorted(unknown)[0]!r} "
                 f"(known: {', '.join(keys)})")
+        # [scenario] comes first, so the kind is known for the rest
+        read = keys if table == "scenario" \
+            else KIND_KEYS[tables["scenario"]["kind"]].get(table, ())
         out: dict[str, Any] = {}
         for key, spec in keys.items():
             if key not in given:
                 if spec.required:
                     raise ScenarioError(
                         f"[{table}]: missing required key {key!r}")
-                out[key] = json.loads(json.dumps(spec.default))
+                value = json.loads(json.dumps(spec.default))
             else:
-                out[key] = _check_value(table, key, spec, given[key])
-        tables[table] = out
+                value = _check_value(table, key, spec, given[key])
+            if key in read:
+                out[key] = value
+            elif value != spec.default:
+                raise ScenarioError(
+                    f"[{table}].{key}: kind "
+                    f"{tables['scenario']['kind']!r} does not read it "
+                    f"(leave it at {_toml_value(spec.default)})")
+        if out:
+            tables[table] = out
     config = ScenarioConfig(tables=tables)
     _check_kind_constraints(config)
     return config
 
 
 def _check_kind_constraints(config: ScenarioConfig) -> None:
-    """Cross-table rules that depend on the scenario kind."""
+    """Cross-table rules among the keys one kind reads."""
     kind = config.kind
-    read = KIND_KEYS[kind]
-    for table, keys in SCENARIO_SCHEMA.items():
-        if table == "scenario":
-            continue
-        for key, spec in keys.items():
-            if key not in read.get(table, ()) \
-                    and config.get(table, key) != spec.default:
-                raise ScenarioError(
-                    f"[{table}].{key}: kind {kind!r} does not read it "
-                    f"(leave it at {_toml_value(spec.default)})")
-    if config.get("writes", "flush_interval") \
-            and not config.get("writes", "write_back"):
-        raise ScenarioError(
-            f"[writes].flush_interval: kind {kind!r} reads it only "
-            f"with [writes].write_back = true (a write-through run "
-            f"never flushes)")
     if kind == "concurrent_delegation":
         subcells = config.get("team", "subcells")
         if not subcells:
@@ -386,36 +366,32 @@ def _check_kind_constraints(config: ScenarioConfig) -> None:
             raise ScenarioError(
                 "[team].subcells: '0' would share workstation ws-0 "
                 "with the top-level DA")
-    schedule = config.get("crashes", "schedule")
-    if len(schedule) > 1:
-        raise ScenarioError(
-            "[crashes].schedule: concurrent_delegation compiles at "
-            "most one crash entry")
-    if schedule:
-        nodes = ["server", "ws-0", *(f"ws-{cell}" for cell
-                                     in config.get("team", "subcells"))]
-        if schedule[0]["node"] not in nodes:
+        schedule = config.get("crashes", "schedule")
+        if len(schedule) > 1:
+            raise ScenarioError(
+                "[crashes].schedule: concurrent_delegation compiles at "
+                "most one crash entry")
+        nodes = ["server", "ws-0", *(f"ws-{cell}" for cell in subcells)]
+        if schedule and schedule[0]["node"] not in nodes:
             raise ScenarioError(
                 f"[crashes].schedule[0].node: "
                 f"{schedule[0]['node']!r} is not one of "
                 f"{', '.join(nodes)}")
-    if config.get("objects", "hotspot_bias") > 0.0 \
-            and config.get("objects", "hotspots") == 0:
-        raise ScenarioError(
-            "[objects].hotspot_bias: set [objects].hotspots > 0 to "
-            "give the bias a target set")
-    if config.get("objects", "hotspots") > config.get("objects", "pool"):
-        raise ScenarioError(
-            "[objects].hotspots: cannot exceed [objects].pool")
-    if kind == "federated_commit":
-        if config.get("federation", "members") < 2:
+    if kind == "campaign":
+        if config.get("objects", "hotspot_bias") > 0.0 \
+                and config.get("objects", "hotspots") == 0:
             raise ScenarioError(
-                "[federation].members: kind 'federated_commit' needs "
-                "at least 2 members (cross-member batches)")
-        if config.get("federation", "batches") < 2:
+                "[objects].hotspot_bias: set [objects].hotspots > 0 to "
+                "give the bias a target set")
+        if config.get("objects", "hotspots") \
+                > config.get("objects", "pool"):
             raise ScenarioError(
-                "[federation].batches: kind 'federated_commit' needs "
-                "at least 2 batches (every crash lands on the second)")
+                "[objects].hotspots: cannot exceed [objects].pool")
+    if kind == "federated_commit" \
+            and config.get("federation", "members") < 2:
+        raise ScenarioError(
+            "[federation].members: kind 'federated_commit' needs "
+            "at least 2 members (cross-member batches)")
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +449,16 @@ def _toml_value(value: Any) -> str:
 def dump_scenario(config: ScenarioConfig) -> str:
     """Serialise a config to canonical TOML.
 
-    Emits every table and key in schema order with its effective value
-    — a dumped file is self-documenting and survives
+    Emits exactly the canonical form — ``[scenario]`` and every key the
+    kind reads, in schema order, each with its effective value — so a
+    dumped file is self-documenting and survives
     ``parse(dumps(config)) == config`` byte-stable (the round-trip
     property).
     """
     lines: list[str] = []
-    for table, keys in SCENARIO_SCHEMA.items():
+    for table, keys in config.tables.items():
         lines.append(f"[{table}]")
-        for key in keys:
-            lines.append(f"{key} = {_toml_value(config.get(table, key))}")
+        for key, value in keys.items():
+            lines.append(f"{key} = {_toml_value(value)}")
         lines.append("")
     return "\n".join(lines)

@@ -39,6 +39,11 @@ SHARED_OBJECT = DesignObjectType("SharedObject", attributes=[
     AttributeDef("blob", AttributeKind.STRING),
 ])
 
+#: the one workstation/server LAN every session scenario runs on
+#: (Sect.5.1): payload bytes per time unit, and the per-hop latency
+LAN_BANDWIDTH = 400.0
+LAN_LATENCY = 0.05
+
 
 def session_rig(on_kernel: Callable[[Kernel], None] | None,
                 **te: Any) -> TeRig:
@@ -235,13 +240,15 @@ def session_driver(config: ScenarioConfig,
                    on_kernel: Callable[[Kernel], None] | None,
                    own_objects: tuple[str, ...] = (),
                    **te: Any) -> SessionDriver:
-    """What every session kind sets up the same way: the rig from
-    ``[traffic]`` and ``[leases]`` (0 = recall-only) plus the kind's
-    own *te* options, the ``[objects]`` library (and *own_objects*)
-    checked in, one workstation per ``[team].size`` designer."""
+    """What every session kind sets up the same way: the rig on the
+    sessions' LAN with ``[traffic].jitter`` and ``[leases]`` (0 =
+    recall-only) plus the kind's own *te* options, the ``[objects]``
+    library (and *own_objects*) checked in, one workstation per
+    ``[team].size`` designer."""
     rig = session_rig(on_kernel, seed=config.seed,
                       lease_ttl=config.get("leases", "ttl") or None,
-                      **config["traffic"], **te)
+                      bandwidth=LAN_BANDWIDTH, lan_latency=LAN_LATENCY,
+                      jitter=config.get("traffic", "jitter"), **te)
     driver = SessionDriver(rig, config.get("objects", "payload_bytes"))
     driver.seed_library(
         [f"lib-{n}" for n in range(config.get("objects", "pool"))]
@@ -397,25 +404,22 @@ def write_back_scenario(config: ScenarioConfig,
     ``[writes].write_back`` each checkin ships its payload and runs
     its own 2PC immediately; with it checkins stage dirty buffer
     entries that coalesce and ship as one batched group checkin at
-    End-of-DOP (plus every ``[writes].flush_interval`` checkins when
-    set).  The workload (read sets, durations, write plan) is drawn
-    from the seed before the run, so both modes execute identical
-    designer decisions.
+    End-of-DOP.  The workload (read sets, durations, write plan) is
+    drawn from the seed before the run, so both modes execute
+    identical designer decisions.
 
-    With ``[crashes].server_restart`` the scenario appends a
-    server-crash / restart episode after the team finishes: the
-    server-TM re-validates the resident buffer entries against fresh
-    repository stamps (warm cache survives recovery), and a follow-up
-    re-read round measures how many bytes that saved
-    (`post_restart_bytes` stays 0 when every re-read hits the
-    re-validated buffer).
+    After the team finishes, the scenario runs a server-crash /
+    restart episode: the server-TM re-validates the resident buffer
+    entries against fresh repository stamps (warm cache survives
+    recovery), and a follow-up re-read round measures how many bytes
+    that saved (`post_restart_bytes` stays 0 when every re-read hits
+    the re-validated buffer).
     """
     team, writes = config.get("team", "size"), config["writes"]
     driver = session_driver(
         config, on_kernel,
         own_objects=tuple(f"cell-{n}" for n in range(team)),
-        write_back=writes["write_back"],
-        flush_interval=writes["flush_interval"] or None)
+        write_back=writes["write_back"])
     rig = driver.rig
     # every step also reads the neighbour's design object, and writes
     # go to the designer's own
@@ -440,20 +444,19 @@ def write_back_scenario(config: ScenarioConfig,
     report.flushed_checkins = sum(c.flushed_checkins for c in clients)
     report.coalesced = sum(b.coalesced for b in buffers)
 
-    if config.get("crashes", "server_restart"):
-        # the seeded server-restart episode: warm buffers survive via
-        # stamp re-validation, then a re-read round shows the kept
-        # entries serve locally (every re-shipped byte is counted)
-        rig.crash_server()
-        rig.restart_server()
-        report.revalidated = sum(b.revalidated for b in buffers)
-        report.revalidation_drops = sum(b.revalidation_drops
-                                        for b in buffers)
-        before = rig.network.bytes_shipped
-        for index, client in enumerate(clients):
-            dop = client.begin_dop(f"da-{index}", tool="t9-reread")
-            for dov_id in driver.last_reads.get(client.workstation, []):
-                client.checkout(dop, dov_id)
-            client.commit_dop(dop)
-        report.post_restart_bytes = rig.network.bytes_shipped - before
+    # the server-restart episode: warm buffers survive via stamp
+    # re-validation, then a re-read round shows the kept entries serve
+    # locally (every re-shipped byte is counted)
+    rig.crash_server()
+    rig.restart_server()
+    report.revalidated = sum(b.revalidated for b in buffers)
+    report.revalidation_drops = sum(b.revalidation_drops
+                                    for b in buffers)
+    before = rig.network.bytes_shipped
+    for index, client in enumerate(clients):
+        dop = client.begin_dop(f"da-{index}", tool="t9-reread")
+        for dov_id in driver.last_reads.get(client.workstation, []):
+            client.checkout(dop, dov_id)
+        client.commit_dop(dop)
+    report.post_restart_bytes = rig.network.bytes_shipped - before
     return report

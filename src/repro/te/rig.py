@@ -53,18 +53,12 @@ class TeRig:
                  object_buffers: bool = True,
                  bandwidth: float = 1_000_000.0,
                  write_back: bool = False,
-                 flush_interval: int | None = None,
                  lease_ttl: float | None = None) -> None:
         if lease_ttl is not None and (isinstance(lease_ttl, bool)
                                       or not lease_ttl > 0):
             raise ConcordError(
                 f"lease_ttl={lease_ttl!r}: must be > 0, or None for "
                 f"recall-only leases")
-        if flush_interval is not None and not (
-                type(flush_interval) is int and flush_interval >= 1):
-            raise ConcordError(
-                f"flush_interval={flush_interval!r}: must be an integer "
-                f">= 1, or None for no dirty-set threshold")
         if write_back and not object_buffers:
             raise ConcordError(
                 "write_back=True needs object_buffers=True: deferred "
@@ -98,10 +92,8 @@ class TeRig:
         register_server_endpoints(self.rpc, self.server_tm)
         #: False = caching off: every checkout re-ships its payload
         self._object_buffers = object_buffers
-        #: what every client-TM of this rig is built with
-        self._client_options = {
-            "write_back": write_back,
-            "flush_interval": flush_interval}
+        #: every client-TM of this rig checks in write-back (or not)
+        self._write_back = write_back
         self._buffers: dict[str, ObjectBuffer] = {}
         self._client_tms: dict[str, ClientTM] = {}
 
@@ -129,7 +121,7 @@ class TeRig:
             buffer = self._buffers[name] = ObjectBuffer(name)
         client_tm = self._client_tms[name] = ClientTM(
             name, self.server_tm, self.rpc, self.clock, ids=self.ids,
-            trace=self.trace, buffer=buffer, **self._client_options)
+            trace=self.trace, buffer=buffer, write_back=self._write_back)
         return client_tm
 
     def client_tm(self, workstation: str) -> ClientTM:

@@ -41,8 +41,7 @@ Checkin runs in one of two modes:
 * **write-back** (``ClientTM(write_back=True)``): checkins stage
   *dirty* provisional versions in the object buffer and ship later as
   one batched, sized **group checkin** under a single 2PC — triggered
-  by End-of-DOP, a lease recall touching dirty lineage, an optional
-  dirty-set size threshold (``flush_interval``), or an explicit
+  by End-of-DOP, a lease recall touching dirty lineage, or an explicit
   :meth:`ClientTM.flush`.
   Successive checkins of the same lineage coalesce before shipping,
   and a workstation crash drops unflushed dirty data (recovered from
@@ -550,8 +549,7 @@ class ClientTM:
                  ids: IdGenerator | None = None,
                  trace: EventTrace | None = None,
                  buffer: ObjectBuffer | None = None,
-                 write_back: bool = False,
-                 flush_interval: int | None = None) -> None:
+                 write_back: bool = False) -> None:
         self.workstation = workstation
         self.server_tm = server_tm
         self.rpc = rpc
@@ -565,10 +563,6 @@ class ClientTM:
         #: write-back mode: checkins stage dirty buffer entries and
         #: ship later as one group checkin (requires a buffer)
         self.write_back = write_back and buffer is not None
-        #: flush automatically when the dirty set reaches this many
-        #: entries (None = only the other triggers); coalesced
-        #: checkins never inflate the count
-        self.flush_interval = flush_interval
         if buffer is not None:
             server_tm.register_buffer(workstation, buffer)
             if self.write_back:
@@ -891,10 +885,10 @@ class ClientTM:
         **Write-back** (``write_back=True``): zero network and zero
         kernel events here — the version is staged as a *dirty*,
         provisional buffer entry and ships with the next group flush
-        (End-of-DOP, lease recall, flush interval, or explicit
-        :meth:`flush`).  Integrity validation is deferred
-        to the flush; a workstation crash before the flush drops the
-        entry (recovered from repository state).
+        (End-of-DOP, lease recall, or explicit :meth:`flush`).
+        Integrity validation is deferred to the flush; a workstation
+        crash before the flush drops the entry (recovered from
+        repository state).
         """
         dop.require("checkin")
         self._require_running(dop)
@@ -963,9 +957,6 @@ class ClientTM:
         self._record("checkin_deferred", provisional_id,
                      dop=dop.dop_id,
                      dirty=self.buffer.dirty_count)
-        if self.flush_interval \
-                and self.buffer.dirty_count >= self.flush_interval:
-            self.flush()
         return CheckinResult(True, dov=dov, provisional=True)
 
     def flush(self) -> GroupCommitResult | None:
@@ -1091,10 +1082,9 @@ class ClientTM:
 
         Unflushed write-back checkins of this DOP are discarded — they
         never reached the server, so there is nothing to undo there.
-        The interval counter and the coalescing forward map retire the
-        discarded ids too, so a later DOP's first checkin does not
-        inherit a premature flush and :meth:`resolve` never forwards
-        to an id that can no longer become durable.
+        The coalescing forward map retires the discarded ids too, so
+        :meth:`resolve` never forwards to an id that can no longer
+        become durable.
         """
         dop.require("abort")
         self._require_running(dop)

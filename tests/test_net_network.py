@@ -122,6 +122,15 @@ class TestNetwork:
         assert network.messages_sent == 2
         assert network.total_latency == pytest.approx(0.011)
 
+    def test_send_is_a_control_message_with_no_payload(self):
+        """RPC and 2PC hops carry no bytes; payloads go by post."""
+        network = Network(lan_latency=0.01, bandwidth=100.0)
+        network.add_server()
+        network.add_workstation("ws-1")
+        assert network.send("ws-1", "server") == pytest.approx(0.01)
+        assert network.bytes_shipped == 0
+        assert network.traffic_stats()["bytes_sent_by"] == {}
+
     def test_send_to_down_node_fails(self):
         network = Network()
         network.add_server()
@@ -142,11 +151,11 @@ class TestNetwork:
         network = Network(lan_latency=0.01, bandwidth=1000.0)
         network.add_server()
         network.add_workstation("ws-1")
-        network.send("ws-1", "server", size=500)
+        network.post("ws-1", "server", lambda: None, size=500)
         network.post("server", "ws-1", lambda: None, size=300)
         stats = network.traffic_stats()
         assert stats["messages_sent"] == 2
-        assert stats["messages_delivered"] == 1
+        assert stats["messages_delivered"] == 2
         assert stats["bytes_shipped"] == 800
         assert stats["bytes_sent_by"] == {"ws-1": 500, "server": 300}
         assert stats["bytes_received_by"] == {"server": 500,
@@ -158,7 +167,7 @@ class TestNetwork:
         network.add_server()
         network.add_workstation("ws-1")
         control = network.send("server", "ws-1")
-        sized = network.send("server", "ws-1", size=50)
+        sized = network.post("server", "ws-1", lambda: None, size=50)
         assert control == pytest.approx(0.01)
         assert sized == pytest.approx(0.01 + 50 / 100.0)
         assert network.bytes_shipped == 50

@@ -16,6 +16,7 @@ Three satellite surfaces of the scenario/trace PR:
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
@@ -61,8 +62,8 @@ def _raw_configs() -> st.SearchStrategy:
                             allow_nan=False)
     return st.builds(
         lambda kind, seed, team, steps, mean_step,
-        pool, payload, reread, ratio, write_back, caching, bandwidth,
-        latency, ttl, days, members, fed_batches: _keys_the_kind_reads({
+        pool, payload, reread, ratio, write_back, caching, jitter,
+        ttl, days, members: _keys_the_kind_reads({
             "scenario": {"name": f"gen-{kind}-{seed}", "kind": kind,
                          "seed": seed},
             "team": {"size": team, "steps_per_session": steps,
@@ -71,10 +72,9 @@ def _raw_configs() -> st.SearchStrategy:
             "locality": {"reread": reread},
             "writes": {"ratio": ratio, "write_back": write_back},
             "buffers": {"caching": caching},
-            "traffic": {"bandwidth": bandwidth,
-                        "lan_latency": latency},
+            "traffic": {"jitter": jitter},
             "leases": {"ttl": ttl},
-            "federation": {"members": members, "batches": fed_batches},
+            "federation": {"members": members},
             "campaign": {"days": days},
         }),
         kinds,
@@ -88,12 +88,10 @@ def _raw_configs() -> st.SearchStrategy:
         probability,
         st.booleans(),
         st.booleans(),
-        st.floats(min_value=1.0, max_value=10_000.0, allow_nan=False),
         st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
         st.floats(min_value=0.0, max_value=1_000.0, allow_nan=False),
         st.integers(min_value=1, max_value=30),
         st.integers(min_value=2, max_value=12),
-        st.integers(min_value=2, max_value=8),
     )
 
 
@@ -121,8 +119,8 @@ class TestRoundTripProperties:
         first = validate_scenario(raw)
         second = validate_scenario(raw)
         assert first == second
-        first.tables["team"]["size"] = -99  # vandalise one copy
-        assert second.get("team", "size") != -99
+        first.tables["scenario"]["seed"] = -99  # vandalise one copy
+        assert second.seed != -99
 
     def test_subcell_round_trip(self):
         config = validate_scenario({
@@ -166,8 +164,7 @@ class TestDiagnostics:
         # NaN compares False against every bound and inf clears any
         # open upper one: non-finite numbers are refused by name
         for text in ("nan", "inf", "-inf"):
-            for table, key in (("traffic", "lan_latency"),
-                               ("traffic", "bandwidth"),
+            for table, key in (("traffic", "jitter"),
                                ("leases", "ttl"),
                                ("team", "mean_step")):
                 with pytest.raises(
@@ -182,8 +179,8 @@ class TestDiagnostics:
             validate_scenario(_base(team={"size": 0}))
 
     @pytest.mark.parametrize("kind, tables, named", [
-        ("campaign", {"campaign": {"diurnal_peak": 0.0}},
-         r"\[campaign\]\.diurnal_peak: 0\.0 below"),
+        ("campaign", {"campaign": {"churn": 1.5}},
+         r"\[campaign\]\.churn: 1\.5 above"),
         ("campaign", {"objects": {"pool": 6, "hotspots": 99}},
          r"\[objects\]\.hotspots: cannot exceed \[objects\]\.pool"),
         ("campaign", {"team": {"mean_step": -1.0}},
@@ -265,10 +262,10 @@ class TestDiagnostics:
         ("campaign", "writes", "write_back", True),
         ("object_buffers", "writes", "write_back", True),
         ("write_back", "buffers", "caching", False),
-        ("write_back", "writes", "flush_interval", 2),   # write-through
+        ("write_back", "objects", "hotspots", 2),
         ("concurrent_delegation", "leases", "ttl", 30.0),
-        ("concurrent_delegation", "traffic", "bandwidth", 100.0),
-        ("concurrent_delegation", "traffic", "lan_latency", 0.5),
+        ("concurrent_delegation", "objects", "pool", 8),
+        ("object_buffers", "campaign", "churn", 0.5),
         ("concurrent_delegation", "buffers", "caching", False),
     ])
     def test_a_key_the_kind_never_reads_is_refused(self, kind, table,
@@ -282,10 +279,52 @@ class TestDiagnostics:
         default = SCENARIO_SCHEMA[table][key].default
         validate_scenario(_base(kind, **{table: {key: default}}))
 
-    def test_a_write_back_run_reads_its_flush_interval(self):
-        config = validate_scenario(_base("write_back", writes={
-            "flush_interval": 2, "write_back": True}))
-        assert config.get("writes", "flush_interval") == 2
+    @pytest.mark.parametrize("kind, table, key, value", [
+        ("write_back", "writes", "flush_interval", 0),
+        ("object_buffers", "traffic", "bandwidth", 400.0),
+        ("object_buffers", "traffic", "lan_latency", 0.05),
+        ("write_back", "crashes", "server_restart", True),
+        ("campaign", "campaign", "day_length", 480.0),
+        ("campaign", "campaign", "diurnal_peak", 2.0),
+        ("federated_commit", "federation", "batches", 4),
+    ])
+    def test_a_key_that_became_a_constant_is_unknown(self, kind, table,
+                                                     key, value):
+        """Every run left these at one value, so each is now a constant
+        of its runner: a file still naming one is refused, even at the
+        value the constant holds, rather than read and ignored."""
+        with pytest.raises(ScenarioError,
+                           match=rf"\[{table}\]: unknown key {key!r}"):
+            validate_scenario(_base(kind, **{table: {key: value}}))
+
+    @pytest.mark.parametrize("kind", sorted(KIND_KEYS))
+    def test_the_canonical_form_is_what_the_kind_reads(self, kind):
+        """``as_tables()`` (the trace header) and the dump hold
+        ``[scenario]`` and exactly the keys the kind's runner reads."""
+        raw = _base(kind)
+        if kind == "federated_commit":
+            raw["federation"] = {"members": 3}
+        config = validate_scenario(raw)
+        tables = config.as_tables()
+        assert list(tables.pop("scenario")) == list(
+            SCENARIO_SCHEMA["scenario"])
+        assert {table: set(keys) for table, keys in tables.items()} \
+            == {table: set(keys)
+                for table, keys in KIND_KEYS[kind].items()}
+        assert parse_scenario(dump_scenario(config)) == config
+        for table in set(SCENARIO_SCHEMA) - set(KIND_KEYS[kind]) \
+                - {"scenario"}:
+            assert f"[{table}]" not in dump_scenario(config)
+
+    def test_an_unread_key_at_its_default_loads_and_is_not_dumped(self):
+        """A file may name a key its kind does not read at its default
+        (the e2e campaign workloads say ``write_back = false``); the
+        canonical form leaves it out."""
+        config = parse_scenario(
+            '[scenario]\nname = "x"\nkind = "campaign"\n\n'
+            '[writes]\nwrite_back = false\n')
+        assert config.as_tables()["writes"] == {"ratio": 0.3}
+        assert "write_back" not in dump_scenario(config)
 
     def test_subcells_require_delegation_kind(self):
         with pytest.raises(ScenarioError, match=r"\[team\]\.subcells"):
@@ -320,16 +359,6 @@ class TestDiagnostics:
                            match=r"\[federation\]\.members"):
             validate_scenario(_base(kind="federated_commit",
                                     federation={"members": 1}))
-
-    def test_federated_commit_needs_two_batches(self):
-        """Every placement's crash lands on the second batch: with one
-        batch the crash matrix injected nothing and still reported
-        identical states."""
-        with pytest.raises(ScenarioError,
-                           match=r"\[federation\]\.batches: .*at least 2"):
-            validate_scenario(_base(kind="federated_commit",
-                                    federation={"members": 3,
-                                                "batches": 1}))
 
     def test_federation_placement_is_an_unknown_key(self):
         with pytest.raises(
@@ -378,6 +407,87 @@ class TestShippedLibrary:
             report = asdict(report)
         assert json.dumps(report, sort_keys=True) + "\n" \
             == (REPORTS_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# a knob needs a run that turns it
+# ---------------------------------------------------------------------------
+
+ROOT = SCENARIOS_DIR.parent
+
+#: keys a kind reads that every run leaves at one value, each with the
+#: reason it stays a key.  This list may only shrink: an entry whose
+#: key some run varies fails the guard until it is dropped.
+SINGLE_VALUED = {
+    ("objects", "hotspot_bias"):
+        "set by benchmarks/e2e/workloads/campaign_{reads,writes}.toml, "
+        "which only a change to the benchmark may edit",
+    ("campaign", "churn"):
+        "set by benchmarks/e2e/workloads/campaign_{reads,writes}.toml, "
+        "which only a change to the benchmark may edit",
+    ("federation", "members"):
+        "the multi-member write-back workload of ROADMAP.md 1B(b) needs "
+        "another value",
+}
+
+
+def _configs_of_every_run(monkeypatch) -> list:
+    """The validated configs of every run outside ``tests/``: the
+    scenario library, the DSL workloads of the end-to-end benchmark,
+    and whatever the T7-T10 drivers and the concurrent-team example
+    validate on their way."""
+    import runpy
+
+    import repro.scenario
+    from repro.bench import experiments
+
+    configs = [load_scenario(path)
+               for path in sorted(SCENARIOS_DIR.glob("*.toml"))]
+    for path in sorted((ROOT / "benchmarks" / "e2e" / "workloads")
+                       .glob("*.toml")):
+        if "kind" in tomllib.loads(path.read_text(encoding="utf-8"))[
+                "scenario"]:
+            configs.append(load_scenario(path))
+    real = repro.scenario.validate_scenario
+
+    def spy(raw):
+        configs.append(real(raw))
+        return configs[-1]
+
+    monkeypatch.setattr(repro.scenario, "validate_scenario", spy)
+    for driver in (experiments.run_t7, experiments.run_t8,
+                   experiments.run_t9, experiments.run_t10):
+        driver()
+    runpy.run_path(str(ROOT / "examples" / "concurrent_team.py"),
+                   run_name="__main__")
+    return configs
+
+
+class TestEveryKnobIsTurned:
+    def test_every_key_a_kind_reads_takes_two_values(self, monkeypatch,
+                                                     capsys):
+        """An option stays only when two runs need different values of
+        it: a key every run leaves at one value is a constant of the
+        runner that reads it."""
+        seen: dict[tuple[str, str], set[str]] = {}
+        for config in _configs_of_every_run(monkeypatch):
+            for table, keys in KIND_KEYS[config.kind].items():
+                for key in keys:
+                    seen.setdefault((table, key), set()).add(json.dumps(
+                        config.get(table, key), sort_keys=True))
+        capsys.readouterr()  # the example's report
+        single = {where for where, values in seen.items()
+                  if len(values) < 2}
+        unexplained = sorted(f"[{table}].{key}" for table, key
+                             in single - set(SINGLE_VALUED))
+        stale = sorted(f"[{table}].{key}" for table, key
+                       in set(SINGLE_VALUED) - single)
+        assert not unexplained, (
+            f"every run leaves {', '.join(unexplained)} at one value: "
+            f"make each a constant of the runner that reads it")
+        assert not stale, (
+            f"some run varies {', '.join(stale)}: drop it from "
+            f"SINGLE_VALUED")
 
 
 # ---------------------------------------------------------------------------

@@ -37,16 +37,8 @@ from repro.scenario.sessions import session_rig
      "bandwidth=inf"),
     (lambda: TeRig(lease_ttl=-3.0), ConcordError,
      "lease_ttl=-3.0"),
-    (lambda: TeRig(write_back=True, flush_interval=-3), ConcordError,
-     "flush_interval=-3"),
-    (lambda: TeRig(write_back=True, flush_interval=0),
-     ConcordError, "flush_interval=0"),
-    (lambda: TeRig(write_back=True, flush_interval=2.5), ConcordError,
-     "flush_interval=2.5"),
     # a bool is an int: True would silently become 1
     (lambda: TeRig(lease_ttl=True), ConcordError, "lease_ttl=True"),
-    (lambda: TeRig(write_back=True, flush_interval=True), ConcordError,
-     "flush_interval=True"),
     (lambda: TeRig(bandwidth=True), NetworkError, "bandwidth=True"),
     (lambda: TeRig(lan_latency=True), NetworkError, "lan_latency=True"),
     (lambda: TeRig(jitter=True), NetworkError, "jitter=True"),
@@ -73,7 +65,7 @@ def test_concord_system_takes_the_rig_options_by_name():
     system = inspect.signature(ConcordSystem.__init__).parameters
     assert list(system) == ["self", "trace", "repository", "jitter",
                             "seed"]
-    assert len(rig) - 1 == 10                      # minus self
+    assert len(rig) - 1 == 9                       # minus self
     for name in system:
         assert system[name].default == rig[name].default, name
     built = ConcordSystem(trace=False, jitter=0.5, seed=3)

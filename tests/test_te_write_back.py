@@ -27,13 +27,11 @@ from repro.util.errors import StorageError, TransactionError
 
 
 def make_rig(write_back: bool = True,
-             flush_interval: int | None = None,
              lease_ttl: float | None = None):
     """Client/server TM pair with write-back workstations (the kernel
     never runs: posted messages hand over synchronously)."""
     te = TeRig(trace=False, bandwidth=1000.0,
-               write_back=write_back, flush_interval=flush_interval,
-               lease_ttl=lease_ttl)
+               write_back=write_back, lease_ttl=lease_ttl)
     te.open_scope()
     clock, network, server_tm = te.clock, te.network, te.server_tm
     repo = te.repository
@@ -132,6 +130,24 @@ class TestGroupFlush:
         assert [d.dov_id for d in repo.graph("da-1").leaves()] \
             == [durable]
 
+    def test_checkins_stay_dirty_until_end_of_dop(self, rig):
+        """No dirty-count trigger: however many lineages a DOP dirties,
+        nothing ships before End-of-DOP (or a recall, or flush())."""
+        client = rig["clients"]["ws-1"]
+        network = rig["network"]
+        dop = client.begin_dop("da-1", "tool")
+        client.checkout(dop, rig["dov0"].dov_id)
+        for area in (10.0, 20.0, 30.0, 40.0):
+            client.checkin(dop, "Cell", data={"area": area},
+                           parents=[rig["dov0"].dov_id])
+        assert len(rig["buffers"]["ws-1"].dirty_ids()) == 4
+        assert client.flushes == 0
+        assert network.batches_sent == 0
+        client.commit_dop(dop)
+        assert client.flushes == 1
+        assert client.flushed_checkins == 4
+        assert rig["buffers"]["ws-1"].dirty_ids() == []
+
     def test_flush_invalidates_remote_superseded_copies(self, rig):
         reader = rig["clients"]["ws-2"]
         writer = rig["clients"]["ws-1"]
@@ -149,19 +165,6 @@ class TestGroupFlush:
         # the flush committed the supersession: leases revoked
         assert dov0.dov_id not in rig["buffers"]["ws-2"]
         assert rig["server_tm"].leases.holders(dov0.dov_id) == set()
-
-    def test_flush_interval_triggers_mid_dop(self):
-        rig = make_rig(flush_interval=2)
-        client = rig["clients"]["ws-1"]
-        dop = client.begin_dop("da-1", "tool")
-        client.checkout(dop, rig["dov0"].dov_id)
-        client.checkin(dop, "Cell", data={"area": 9.0},
-                       parents=[rig["dov0"].dov_id])
-        assert client.flushes == 0
-        client.checkin(dop, "Cell", data={"area": 8.0}, parents=[])
-        # the second deferred checkin crossed the interval
-        assert client.flushes == 1
-        assert len(rig["buffers"]["ws-1"].dirty_entries()) == 0
 
     def test_a_flush_is_one_decision_and_one_forced_wal_write(self, rig):
         client = rig["clients"]["ws-1"]
@@ -441,8 +444,7 @@ class TestCrashSemantics:
         client.abort_dop(dop)
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 0
 
-    def test_abort_dop_resets_interval_and_forward_map(self):
-        rig = make_rig(flush_interval=3)
+    def test_abort_dop_retires_the_forward_map(self, rig):
         client = rig["clients"]["ws-1"]
         dop = client.begin_dop("da-1", "tool")
         client.checkout(dop, rig["dov0"].dov_id)
@@ -454,12 +456,6 @@ class TestCrashSemantics:
         # the discarded lineage no longer forwards anywhere
         assert client.resolve(r1.dov.dov_id) == r1.dov.dov_id
         assert client.resolve(r2.dov.dov_id) == r2.dov.dov_id
-        # and a fresh DOP's checkins start a fresh interval count:
-        # two deferred checkins must NOT cross the 3-checkin interval
-        dop2 = client.begin_dop("da-1", "tool")
-        client.checkin(dop2, "Cell", data={"area": 3.0}, parents=[])
-        client.checkin(dop2, "Cell", data={"area": 4.0}, parents=[])
-        assert client.flushes == 0
 
 
 class TestRestartRevalidation:
@@ -550,9 +546,21 @@ class TestWriteBackDeterminism:
         compiled = compile_scenario(validate_scenario({
             "scenario": {"name": "t9", "kind": "write_back", "seed": 13},
             "team": {"size": 2},
-            "writes": {"ratio": 0.6, "write_back": True},
-            "crashes": {"server_restart": False}}))
+            "writes": {"ratio": 0.6, "write_back": True}}))
         first, second = compiled.run(), compiled.run()
         assert first.signature == second.signature
         assert first.bytes_shipped == second.bytes_shipped
         assert first.makespan == second.makespan
+
+    @pytest.mark.parametrize("write_back", [False, True])
+    def test_every_run_ends_with_the_server_restart_episode(self,
+                                                            write_back):
+        """The episode is part of the kind, in either checkin mode:
+        the warm buffers are re-validated after the restart."""
+        from repro.scenario import compile_scenario, validate_scenario
+
+        report = compile_scenario(validate_scenario({
+            "scenario": {"name": "t9", "kind": "write_back", "seed": 13},
+            "team": {"size": 2},
+            "writes": {"ratio": 0.6, "write_back": write_back}})).run()
+        assert report.revalidated > 0
