@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.clock import SimClock
@@ -90,7 +91,10 @@ class StableStorage:
 
     def put(self, key: str, value: Any) -> None:
         """Durably store the immutable *value* under *key*."""
-        if not _is_immutable(value):
+        # the marker answers for the common record types without a
+        # call; everything else goes through the full check
+        if not getattr(type(value), "__frozen_payload__", False) \
+                and not _is_immutable(value):
             raise StorageError(
                 f"stable storage key {key!r}: refusing a mutable "
                 f"{type(value).__name__} (freeze it before the put)")
@@ -252,42 +256,16 @@ class Network:
         self.kernel = kernel
         return self
 
-    @property
-    def async_active(self) -> bool:
-        """True while posted messages go through the kernel queue."""
-        return self.kernel is not None and self.kernel.running
-
     # -- transport --------------------------------------------------------------
-
-    def hop_latency(self, src: str, dst: str) -> float:
-        """Transport cost of one message (same machine is cheaper).
-
-        The paper notes that local communications (e.g. DM-TM on the
-        same workstation) can use "main memory communication" — hence
-        the distinct local latency.
-        """
-        return self.local_latency if src == dst else self.lan_latency
-
-    def transfer_latency(self, src: str, dst: str, size: int = 0) -> float:
-        """Hop cost plus the size-dependent shipping time of a message.
-
-        A zero-size message is pure control traffic (the classic hop
-        latency); a sized message additionally occupies the LAN for
-        ``size / bandwidth`` simulated time units — how workstation
-        object buffers turn working-set size into network cost.
-        """
-        latency = self.hop_latency(src, dst)
-        if size > 0:
-            latency += size / self.bandwidth
-        return latency
-
-    def _account_bytes(self, src: str, dst: str, size: int) -> None:
-        if size <= 0:
-            return
-        self.bytes_shipped += size
-        self.bytes_sent_by[src] = self.bytes_sent_by.get(src, 0) + size
-        self.bytes_received_by[dst] = \
-            self.bytes_received_by.get(dst, 0) + size
+    #
+    # One cost model: a message costs the hop latency — local when src
+    # and dst are the same machine (the paper's DM-TM "main memory
+    # communication"), LAN otherwise — plus ``size / bandwidth`` when
+    # it carries *size* payload bytes (how workstation object buffers
+    # turn working-set size into network cost), plus, when it is
+    # queued on a running kernel, a seeded uniform jitter.  ``send``
+    # and ``post`` read the tables and counters themselves: they run
+    # once per message.
 
     def send(self, src: str, dst: str) -> float:
         """Account one control message src->dst (an RPC or 2PC hop);
@@ -298,19 +276,17 @@ class Network:
         :attr:`total_latency`.  Payload bytes travel by :meth:`post` /
         :meth:`post_batch`.
         """
-        self.node(src).require_up()
-        self.node(dst).require_up()
+        nodes = self._nodes
+        node = nodes.get(src) or self.node(src)
+        if not node.up:
+            node.require_up()
+        node = nodes.get(dst) or self.node(dst)
+        if not node.up:
+            node.require_up()
         self.messages_sent += 1
-        latency = self.hop_latency(src, dst)
+        latency = self.local_latency if src == dst else self.lan_latency
         self.total_latency += latency
         return latency
-
-    def delivery_delay(self, src: str, dst: str, size: int = 0) -> float:
-        """Transfer cost plus the seeded uniform jitter of one message."""
-        delay = self.transfer_latency(src, dst, size)
-        if self.jitter > 0.0:
-            delay += self._rng.uniform(0.0, self.jitter)
-        return delay
 
     def post(self, src: str, dst: str, deliver: Callable[[], None],
              label: str = "", size: int = 0) -> float:
@@ -325,24 +301,30 @@ class Network:
         synchronously — the sequential compatibility path.  Returns
         the transport delay accounted for this message.
         """
-        label = label or f"deliver:{src}->{dst}"
         self.messages_sent += 1
-        self._account_bytes(src, dst, size)
-        if not self.async_active:
+        delay = self.local_latency if src == dst else self.lan_latency
+        if size > 0:
+            self.bytes_shipped += size
+            sent = self.bytes_sent_by
+            sent[src] = sent.get(src, 0) + size
+            received = self.bytes_received_by
+            received[dst] = received.get(dst, 0) + size
+            delay += size / self.bandwidth
+        kernel = self.kernel
+        if kernel is None or not kernel.running:
             # per-hop cost is accounted either way so sequential and
             # concurrent runs report comparable transport metrics
             # (jitter only applies to genuinely queued deliveries)
-            latency = self.transfer_latency(src, dst, size)
-            self.total_latency += latency
+            self.total_latency += delay
             deliver()
             self.messages_delivered += 1
-            return latency
-        delay = self.delivery_delay(src, dst, size)
+            return delay
+        if self.jitter > 0.0:
+            delay += self._rng.uniform(0.0, self.jitter)
         self.total_latency += delay
-        assert self.kernel is not None
-        self.kernel.defer(delay,
-                          lambda: self._deliver(dst, deliver, label),
-                          label=label)
+        label = label or f"deliver:{src}->{dst}"
+        kernel.defer(delay, partial(self._deliver, dst, deliver, label),
+                     label=label)
         return delay
 
     def post_batch(self, src: str, dst: str, deliver: Callable[[], None],
@@ -368,7 +350,7 @@ class Network:
 
     def _deliver(self, dst: str, deliver: Callable[[], None],
                  label: str) -> None:
-        node = self.node(dst)
+        node = self._nodes.get(dst) or self.node(dst)
         if not node.up:
             self._parked.setdefault(dst, []).append((label, deliver))
             return
@@ -386,11 +368,10 @@ class Network:
         the asynchronous deliveries parked while it was down."""
         self.node(node_id).restart()
         for label, deliver in self._parked.pop(node_id, []):
-            if self.async_active:
-                assert self.kernel is not None
+            if self.kernel is not None and self.kernel.running:
                 self.kernel.defer(0.0,
-                                  lambda d=deliver, n=node_id,
-                                  la=label: self._deliver(n, d, la),
+                                  partial(self._deliver, node_id,
+                                          deliver, label),
                                   label=f"flush:{label}")
             else:
                 self.messages_delivered += 1

@@ -383,15 +383,6 @@ class DesignObjectVersion:
         if type(self.parents) is not tuple:
             object.__setattr__(self, "parents", tuple(self.parents))
 
-    def copy_data(self) -> dict[str, Any]:
-        """The payload as a private-by-construction mapping.
-
-        The frozen payload is returned as-is — it cannot be mutated
-        through any reference, so sharing it *is* handing out a
-        private copy, without a recursive deepcopy walk.
-        """
-        return self.data
-
     @property
     def payload_size(self) -> int:
         """Modelled size in bytes of the version's data payload.

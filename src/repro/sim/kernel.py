@@ -133,4 +133,4 @@ class Kernel(EventScheduler):
         ``(time, priority, seq)`` tie-breaking.
         """
         return (len(self.event_log), self.clock.now,
-                tuple(label for *_, label in self.event_log))
+                tuple([event[3] for event in self.event_log]))

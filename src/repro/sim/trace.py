@@ -78,7 +78,7 @@ class KernelTrace:
         """The compact fingerprint (mirrors
         :meth:`~repro.sim.kernel.Kernel.trace_signature`)."""
         return (len(self.events), self.final_time,
-                tuple(label for *_, label in self.events))
+                tuple([event[3] for event in self.events]))
 
 
 def capture_trace(kernel: "Kernel",

@@ -22,9 +22,9 @@ layer models waiting (so blocked time is measurable in experiment T1/T4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.util.errors import LockConflictError
 
@@ -52,9 +52,9 @@ _COMPATIBLE: dict[tuple[LockMode, LockMode], bool] = {
 }
 
 
-@dataclass(frozen=True)
-class Lock:
-    """One granted lock."""
+class Lock(NamedTuple):
+    """One granted lock: a tuple, built in one allocation, whose
+    fields cannot be reassigned."""
 
     resource: str   # DOV id
     holder: str     # DA id (scope/derivation) or DOP id (short)
@@ -89,7 +89,9 @@ class LockManager:
     def holders(self, resource: str,
                 mode: LockMode | None = None) -> list[Lock]:
         """Current grants on *resource*, optionally filtered by mode."""
-        grants = self._table.get(resource, [])
+        grants = self._table.get(resource)
+        if not grants:
+            return []
         if mode is None:
             return list(grants)
         return [g for g in grants if g.mode is mode]
@@ -155,7 +157,7 @@ class LockManager:
                         f"{mode.value} on {resource!r} for {holder!r} "
                         f"conflicts with {grant.mode.value} held by "
                         f"{grant.holder!r}", holder=grant.holder)
-        lock = Lock(resource, holder, mode)
+        lock = tuple.__new__(Lock, (resource, holder, mode))
         grants.append(lock)
         self.stats.granted += 1
         return lock

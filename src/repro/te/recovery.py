@@ -25,7 +25,7 @@ image they lead back to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from repro.net.network import StableStorage
 from repro.repository.versions import DesignObjectVersion, FrozenDict
@@ -40,6 +40,9 @@ MAX_DELTA_CHAIN = 32
 #: simulated minutes of tool work between two periodic points: the
 #: most work a crash can lose
 POINT_INTERVAL = 30.0
+
+#: the stable-storage key of a DOP's point is this plus the DOP id
+KEY_PREFIX = "recovery-point:"
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +76,7 @@ class RecoveryPoint:
                 "SavepointStack.snapshot())")
 
 
-@dataclass(frozen=True, slots=True)
-class CheckoutRecord:
+class CheckoutRecord(NamedTuple):
     """A post-checkout restart point, stored as a delta on *base*.
 
     The state it stands for is *base*'s with ``dov_id`` appended to
@@ -82,6 +84,10 @@ class CheckoutRecord:
     as given; tool state and savepoints are *base*'s.  ``payload`` is
     the frozen mapping the DOV (and so the buffer and the repository)
     already holds — the record shares it, and taking one walks nothing.
+
+    A tuple, so taking one is a single allocation
+    (:meth:`RecoveryManager.take` builds it with ``tuple.__new__``) and
+    a field cannot be reassigned.
     """
 
     base: "RecoveryPoint | CheckoutRecord"
@@ -92,7 +98,7 @@ class CheckoutRecord:
     work_done: float
 
     __frozen_payload__ = True
-    reason: ClassVar[str] = "checkout"
+    reason = "checkout"
 
 
 class RecoveryManager:
@@ -102,9 +108,6 @@ class RecoveryManager:
         self.stable = stable
         #: recovery points taken (for the T2 accounting)
         self.points_taken = 0
-
-    def _key(self, dop_id: str) -> str:
-        return f"recovery-point:{dop_id}"
 
     # -- taking points ------------------------------------------------------
 
@@ -131,9 +134,9 @@ class RecoveryManager:
         """
         if base is not None and dov is not None and reason == "checkout" \
                 and base.depth < MAX_DELTA_CHAIN:
-            point = CheckoutRecord(base, base.depth + 1, taken_at,
-                                   dov.dov_id, dov.data,
-                                   context.work_done)
+            point = tuple.__new__(CheckoutRecord, (
+                base, base.depth + 1, taken_at, dov.dov_id, dov.data,
+                context.work_done))
         else:
             point = RecoveryPoint(
                 dop_id=dop_id,
@@ -142,7 +145,7 @@ class RecoveryManager:
                 context=context.snapshot(),
                 savepoints=savepoints.snapshot(),
             )
-        self.stable.put(self._key(dop_id), point)
+        self.stable.put(KEY_PREFIX + dop_id, point)
         self.points_taken += 1
         return point
 
@@ -151,7 +154,7 @@ class RecoveryManager:
     def latest(self, dop_id: str
                ) -> RecoveryPoint | CheckoutRecord | None:
         """The most recent persisted point for *dop_id*, if any."""
-        return self.stable.get(self._key(dop_id))
+        return self.stable.get(KEY_PREFIX + dop_id)
 
     def restore(self, dop_id: str
                 ) -> tuple[DopContext, SavepointStack,
@@ -184,4 +187,4 @@ class RecoveryManager:
     def remove(self, dop_id: str) -> bool:
         """Drop the recovery point (commit/abort path: "the client-TM
         removes all its savepoints and its recovery point", Sect.5.2)."""
-        return self.stable.delete(self._key(dop_id))
+        return self.stable.delete(KEY_PREFIX + dop_id)

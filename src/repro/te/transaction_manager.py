@@ -50,6 +50,7 @@ Checkin runs in one of two modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -137,6 +138,7 @@ class ServerTM:
         self.network = network
         #: the 2PC participant's node
         self.node_id = SERVER
+        self.node = network.node(SERVER)
         self.trace = trace if trace is not None else EventTrace(enabled=False)
         self.clock = clock or SimClock()
         #: callback(da_id, dov_id) -> bool installed by the CM; the default
@@ -176,10 +178,9 @@ class ServerTM:
         # server; a restart re-validates the registered workstation
         # buffers against fresh repository stamps — an unleased,
         # unvalidated copy could never be revoked again
-        node = network.node(SERVER)
-        node.on_crash.append(self.clear_leases)
-        node.on_crash.append(self._txns.clear)
-        node.on_restart.append(self._on_server_restart)
+        self.node.on_crash.append(self.clear_leases)
+        self.node.on_crash.append(self._txns.clear)
+        self.node.on_restart.append(self._on_server_restart)
 
     def _default_scope(self, da_id: str, dov_id: str) -> bool:
         if not self.repository.has_graph(da_id):
@@ -213,32 +214,34 @@ class ServerTM:
         concurrent kernel) is the *caller's* doing — see
         :meth:`ClientTM._ship_payload`.
         """
-        self.network.node(self.node_id).require_up()
+        if not self.node.up:
+            self.node.require_up()
         if not self.scope_check(da_id, dov_id):
             self._record("checkout_denied", dov_id, da=da_id,
                          reason="scope")
             raise ScopeViolationError(
                 f"DOV {dov_id!r} is not in the scope of DA {da_id!r}")
-        holders = self.locks.holders(dov_id, LockMode.DERIVATION)
-        foreign = [h for h in holders if h.holder != da_id]
-        if foreign:
-            raise LockConflictError(
-                f"DOV {dov_id!r} derivation-locked by {foreign[0].holder!r}",
-                holder=foreign[0].holder)
-        self.locks.acquire(dov_id, dop_id, LockMode.SHORT_READ)
+        locks = self.locks
+        for grant in locks.holders(dov_id, LockMode.DERIVATION):
+            if grant.holder != da_id:
+                raise LockConflictError(
+                    f"DOV {dov_id!r} derivation-locked by "
+                    f"{grant.holder!r}", holder=grant.holder)
+        locks.acquire(dov_id, dop_id, LockMode.SHORT_READ)
         try:
             dov = self.repository.read(dov_id)
             if derivation_lock:
-                self.locks.acquire(dov_id, da_id, LockMode.DERIVATION)
+                locks.acquire(dov_id, da_id, LockMode.DERIVATION)
         finally:
-            self.locks.release(dov_id, dop_id, LockMode.SHORT_READ)
-        if renew and workstation is not None:
-            # renewal metadata folded onto this control message — the
-            # workstation's whole lease set extends without a
-            # dedicated renewal message on the LAN
-            self._piggyback_renewal(workstation)
-        if lease and workstation is not None:
-            self.leases.grant(workstation, dov_id)
+            locks.release(dov_id, dop_id, LockMode.SHORT_READ)
+        if workstation is not None:
+            if renew:
+                # renewal metadata folded onto this control message —
+                # the workstation's whole lease set extends without a
+                # dedicated renewal message on the LAN
+                self._piggyback_renewal(workstation)
+            if lease:
+                self.leases.grant(workstation, dov_id)
         if self.trace.enabled:
             self._record("checkout", dov_id, da=da_id, dop=dop_id,
                          derivation_lock=derivation_lock,
@@ -273,7 +276,7 @@ class ServerTM:
         staging level; the durability level is covered by the
         repository's single-force group commit.
         """
-        self.network.node(self.node_id).require_up()
+        self.node.require_up()
         txn = self._txns.get(txn_id)
         if txn is None:
             return Vote.NO
@@ -362,7 +365,7 @@ class ServerTM:
         travel as separate sized LAN messages the client posts.
         Returns the accepted record count.
         """
-        self.network.node(self.node_id).require_up()
+        self.node.require_up()
         if renew and workstation is not None:
             self._piggyback_renewal(workstation)
         self._txns[txn_id] = ServerTxn(
@@ -520,9 +523,10 @@ class ServerTM:
         self.network.post(self.node_id, workstation, deliver,
                           label=f"invalidate:{dov_id}->{workstation}",
                           size=self.invalidation_bytes)
-        self._record("lease_invalidated", dov_id,
-                     workstation=workstation,
-                     superseded_by=superseded_by)
+        if self.trace.enabled:
+            self._record("lease_invalidated", dov_id,
+                         workstation=workstation,
+                         superseded_by=superseded_by)
 
 
 class ClientTM:
@@ -582,8 +586,14 @@ class ClientTM:
         #: provisional id -> durable id (committed group checkins)
         self._resolved: dict[str, str] = {}
         #: simulated instant of the last lease-renewal message (TTL
-        #: leases only; renewals are rate-limited to ttl/2)
-        self._last_renewal: float | None = None
+        #: leases only; renewals are rate-limited to ttl/2): -inf until
+        #: the first use anchors the window
+        self._last_renewal = -math.inf
+        #: the renewal window, ttl/2; infinite when this client never
+        #: renews (no TTL or no buffer)
+        ttl = server_tm.lease_ttl
+        self._renewal_half = ttl / 2 \
+            if ttl is not None and buffer is not None else math.inf
         #: renewals this client folded onto outgoing control messages
         self.renewals_piggybacked = 0
         node = rpc.network.node(workstation)
@@ -632,12 +642,13 @@ class ClientTM:
                 f"on {self.workstation!r} (crashed, recovered or "
                 f"finished?)")
 
-    def _take_recovery_point(self, dop: DesignOperation, reason: str,
-                             dov: DesignObjectVersion | None = None
-                             ) -> None:
+    def _take_recovery_point(self, dop: DesignOperation,
+                             reason: str) -> None:
+        """A full-image point (interval, savepoint, restore, suspend);
+        a checkout's point is :meth:`_install_checkout`'s."""
         dop.delta_base = self.recovery.take(
             dop.dop_id, dop.context, dop.savepoints, self.clock.now,
-            reason, base=dop.delta_base, dov=dov)
+            reason)
         dop.work_since_recovery_point = 0.0
         if self.trace.enabled:
             self._record("recovery_point", dop.dop_id, reason=reason)
@@ -678,22 +689,29 @@ class ClientTM:
         recovery point is taken so a crash never repeats the request
         (Sect.5.2).
         """
-        dop.require("checkout")
-        self._require_running(dop)
+        if dop.state is not DopState.ACTIVE:
+            dop.require("checkout")     # raises: checkout needs ACTIVE
+        if self._active.get(dop.dop_id) is not dop:
+            self._require_running(dop)  # raises
+        now = self.clock.now
         if self.buffer is not None and not derivation_lock:
             cached = self.buffer.get(dov_id, dop.da_id)
             if cached is not None:
-                self._maybe_renew_leases()
-                self._install_checkout(dop, cached, dov_id, cached=True)
+                # a hit shows the buffer is live: renew the leases once
+                # the TTL budget is half spent (see renew_leases)
+                if now - self._last_renewal >= self._renewal_half \
+                        and self._claim_renewal_window(now):
+                    self.renew_leases()
+                self._install_checkout(dop, cached, dov_id, True, now)
                 return cached
         dov: DesignObjectVersion = self.rpc.call(
             self.workstation, self.server_tm.node_id, "checkout",
             dop.da_id, dop.dop_id, dov_id, derivation_lock,
             workstation=self.workstation,
             lease=self.buffer is not None,
-            renew=self._consume_renewal_window())
+            renew=self._consume_renewal_window(now))
         self._ship_payload(dov, dop.da_id)
-        self._install_checkout(dop, dov, dov_id, cached=False)
+        self._install_checkout(dop, dov, dov_id, False, now)
         return dov
 
     def _ship_payload(self, dov: DesignObjectVersion, da_id: str) -> None:
@@ -713,55 +731,46 @@ class ClientTM:
             if buffer is not None:
                 buffer.put(dov, da_id, now=network.clock.now)
 
+        size = dov.payload_size
         delay = network.post(
             self.server_tm.node_id, self.workstation, deliver,
             label=f"dov-ship:{dov.dov_id}->{self.workstation}",
-            size=dov.payload_size)
-        self.bytes_fetched += dov.payload_size
+            size=size)
+        self.bytes_fetched += size
         self.fetch_time += delay
 
-    def _maybe_renew_leases(self) -> None:
-        """Renew this workstation's leases when a hit shows the buffer
-        is live and the TTL budget is half spent.
-
-        TTL regime only (``server_tm.lease_ttl`` set): renewals are
-        driven by actual buffer use, so an idle workstation stops
-        renewing and its leases decay out of the table by expiry —
-        the bound the TTL design buys.  Rate-limited to one renewal
-        message per ttl/2 of simulated time.
-        """
-        if self._claim_renewal_window():
-            self.renew_leases()
-
-    def _consume_renewal_window(self) -> bool:
+    def _consume_renewal_window(self, now: float) -> bool:
         """True when an outgoing control message should carry renewal
         metadata (the piggyback path).
 
-        Same ttl/2 window as :meth:`_maybe_renew_leases`, and claiming
-        it stamps the window — so a buffer hit right after a
-        piggybacked renewal does NOT also send the dedicated message.
+        Same ttl/2 window as the dedicated renewal a buffer hit sends,
+        and claiming it stamps the window — so a buffer hit right after
+        a piggybacked renewal does NOT also send the dedicated message.
         The dedicated message stays the fallback for workstations that
         only hit their buffer (no control message in flight to ride).
         """
-        if not self._claim_renewal_window():
+        if not self._claim_renewal_window(now):
             return False
         self.renewals_piggybacked += 1
         return True
 
-    def _claim_renewal_window(self) -> bool:
+    def _claim_renewal_window(self, now: float) -> bool:
         """True, and the window stamped, when ttl/2 of simulated time
-        has passed since the last renewal; TTL regime with a buffer
-        only."""
-        ttl = self.server_tm.lease_ttl
-        if ttl is None or self.buffer is None:
-            return False
-        now = self.clock.now
-        if self._last_renewal is None:
+        has passed at *now* since the last renewal; TTL regime with a
+        buffer only.
+
+        Renewals are driven by actual buffer use and outgoing control
+        messages, so an idle workstation stops renewing and its leases
+        decay out of the table by expiry — the bound the TTL design
+        buys.
+        """
+        last = self._last_renewal
+        if last == -math.inf:
             # anchor the window at first use: the leases were granted
             # moments ago, their budget is essentially unspent
             self._last_renewal = now
             return False
-        if now - self._last_renewal < ttl / 2:
+        if now - last < self._renewal_half:
             return False
         self._last_renewal = now
         return True
@@ -788,14 +797,24 @@ class ClientTM:
 
     def _install_checkout(self, dop: DesignOperation,
                           dov: DesignObjectVersion, dov_id: str,
-                          cached: bool) -> None:
+                          cached: bool, now: float) -> None:
+        """Put *dov* into the DOP's context and take the post-checkout
+        recovery point: a record on the previous point while there is
+        one to build on (:meth:`RecoveryManager.take`)."""
         dop.input_dovs.append(dov_id)
-        dop.context.checked_out.append(dov_id)
-        dop.context.data.update(dov.copy_data())
+        context = dop.context
+        context.checked_out.append(dov_id)
+        # the frozen payload is shared; a tool writes the context's
+        # own keys, never into it
+        context.data.update(dov.data)
+        dop.delta_base = self.recovery.take(
+            dop.dop_id, context, dop.savepoints, now, "checkout",
+            dop.delta_base, dov)
+        dop.work_since_recovery_point = 0.0
         if self.trace.enabled:
             self._record("checkout", dov_id, dop=dop.dop_id,
                          cached=cached)
-        self._take_recovery_point(dop, "checkout", dov)
+            self._record("recovery_point", dop.dop_id, reason="checkout")
 
     # -- tool processing ----------------------------------------------------------------
 
@@ -904,7 +923,7 @@ class ClientTM:
         result = self.gateway.single_checkin(
             dop.da_id, dot_name, payload, lineage,
             lease=self.buffer is not None,
-            renew=self._consume_renewal_window())
+            renew=self._consume_renewal_window(self.clock.now))
         if result.committed:
             dov = result.dov
             dop.output_dov = dov.dov_id
@@ -988,7 +1007,8 @@ class ClientTM:
         records = [entry.record for entry in dirty]
         sizes = [entry.size for entry in dirty]
         result = self.gateway.group_checkin(
-            records, sizes, renew=self._consume_renewal_window())
+            records, sizes,
+            renew=self._consume_renewal_window(self.clock.now))
         if not result.committed:
             self._record("flush_failed", self.workstation,
                          reason=result.reason, count=len(records))

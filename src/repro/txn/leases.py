@@ -187,29 +187,26 @@ class LeaseTable:
 
     # -- renewal ------------------------------------------------------------
 
-    def renew(self, workstation: str, dov_id: str) -> bool:
-        """Extend one lease by a fresh TTL; False when it no longer
-        exists (a renewal never resurrects an expired lease).
-
-        Lazy re-bucketing: only the expiry instant moves — the armed
-        bucket event discovers the extension when it fires.
-        """
-        lease = self._holders.get(dov_id, {}).get(workstation)
-        if lease is None:
-            return False
-        if self.ttl is not None:
-            lease.expires_at = self.clock.now + self.ttl
-        self.renewals += 1
-        return True
-
     def renew_workstation(self, workstation: str) -> int:
-        """Renew every lease of *workstation* (the metadata-only batch
-        renewal message); returns the number of leases extended."""
+        """Renew every lease of *workstation* by a fresh TTL (the
+        metadata-only batch renewal message); returns the number of
+        leases extended.
+
+        A lease that no longer exists stays dead — a renewal never
+        resurrects an expired or recalled lease.  Lazy re-bucketing:
+        only the expiry instant moves — the armed bucket event
+        discovers the extension when it fires.
+        """
+        ttl = self.ttl
+        expires = self.clock.now + ttl if ttl is not None else None
         renewed = 0
         for holders in self._holders.values():
-            if workstation in holders:
-                renewed += bool(self.renew(workstation,
-                                           holders[workstation].dov_id))
+            lease = holders.get(workstation)
+            if lease is not None:
+                if expires is not None:
+                    lease.expires_at = expires
+                renewed += 1
+        self.renewals += renewed
         return renewed
 
     # -- queries ------------------------------------------------------------

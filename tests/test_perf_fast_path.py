@@ -17,6 +17,7 @@ unchanged is pinned by the committed reports under
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import sys
 from collections import OrderedDict
@@ -206,7 +207,7 @@ class TestFrozenContainers:
         dov = DesignObjectVersion("dov-1", "Cell", dict(producer.data),
                                   "da-1", 0.0)
         consumer = DopContext()
-        consumer.data.update(dov.copy_data())  # the checkout install
+        consumer.data.update(dov.data)  # the checkout install
         repartitioning(consumer, {"groups": 2})
         partitions = consumer.data["structure"]["partitions"]
         assert sorted(sum(partitions, [])) \
@@ -230,7 +231,6 @@ class TestOneWalkPerDov:
         assert walks() == before + 1  # the construction freeze
         for _ in range(5):
             assert dov.payload_size == dov.payload_size
-        assert dov.copy_data() is dov.data
         assert payload_sizeof(dov.data) == dov.payload_size
         assert walks() == before + 1  # ... and nothing since
 
@@ -315,7 +315,7 @@ class TestContextCopyOnWrite:
         dov = DesignObjectVersion("dov-1", "Cell", nested_payload(),
                                   "da-1", 0.0)
         context = DopContext()
-        context.data.update(dov.copy_data())
+        context.data.update(dov.data)
         context.data["scratch"] = {"mine": [1]}
         snap = context.snapshot()
         assert snap.data["tree"] is context.data["tree"]
@@ -446,6 +446,87 @@ class TestACheckoutPointIsADelta:
         assert len(deltas) == 300 - calls["snapshot"]
         assert all(walked == 0 for _, _, walked in deltas)
         assert client.recovery.latest(dop.dop_id).payload is dov.data
+
+
+class TestABufferHitCostsWhatItChanges:
+    """A count gate on the buffer-hit checkout, host-independent: a hit
+    inside a running DOP checks the DOP, reads the buffer and stores
+    one checkout record, and runs nothing else.
+
+    The calls are Python-level ``call`` events under
+    :func:`sys.setprofile`; a property read (``SimClock.now``) is one.
+    One hit in ``MAX_DELTA_CHAIN + 1`` closes a full chain and stores
+    a full image instead (:class:`TestACheckoutPointIsADelta`): the
+    per-record bounds below hold for every other hit."""
+
+    HITS = 300
+    #: Python-level calls of one hit that stores a checkout record:
+    #: checkout, SimClock.now, ObjectBuffer.get, _install_checkout,
+    #: RecoveryManager.take, StableStorage.put
+    MAX_CALLS = 6
+
+    def test_300_warm_hits_inside_one_dop(self):
+        # the campaigns' lease regime: the renewal window is checked on
+        # every hit
+        rig = _make_rig(lease_ttl=120.0)
+        client = rig.client_tm("ws-1")
+        dov = rig.repository.checkin("da-1", "Cell", _nested_payload())
+        dop = client.begin_dop("da-1", "tool")
+        client.checkout(dop, dov.dov_id)            # the one miss
+        client.checkout(dop, dov.dov_id)            # anchors the window
+        messages = rig.network.messages_sent
+        puts = client.node.stable.writes
+        pending = rig.kernel.pending              # the lease's expiry
+
+        per_hit: list[list] = []
+        stored: list[type] = []
+        calls: list = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code)
+
+        # a collection would close some suspended generator mid-hit
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(self.HITS):
+                del calls[:]
+                sys.setprofile(profile)
+                try:
+                    client.checkout(dop, dov.dov_id)
+                finally:
+                    sys.setprofile(None)
+                per_hit.append(list(calls))
+                stored.append(type(client.recovery.latest(dop.dop_id)))
+        finally:
+            if collecting:
+                gc.enable()
+
+        def named(codes, qualname):
+            return sum(code.co_qualname == qualname for code in codes)
+
+        assert client.buffer.hits == self.HITS + 1
+        assert client.node.stable.writes - puts == self.HITS
+        assert rig.network.messages_sent == messages
+        assert rig.kernel.pending == pending
+        for codes in per_hit:
+            assert named(codes, "RecoveryManager.take") == 1
+            assert named(codes, "StableStorage.put") == 1
+            for scheduler in ("at", "after", "defer"):
+                assert named(codes, f"EventScheduler.{scheduler}") == 0
+            assert named(codes, "Network.post") == 0
+            assert named(codes, "Network.send") == 0
+        records = [codes for codes, point in zip(per_hit, stored)
+                   if point is CheckoutRecord]
+        assert len(records) >= self.HITS - self.HITS // MAX_DELTA_CHAIN
+        for codes in records:
+            # no dataclass-built record: generated code has no file
+            assert [code for code in codes
+                    if code.co_name == "__init__"
+                    and not code.co_filename.endswith(".py")] == []
+            assert len(codes) <= self.MAX_CALLS, \
+                [code.co_qualname for code in codes]
 
 
 class TestNothingIsStoredThatNothingReads:

@@ -20,13 +20,12 @@ def dov(dov_id: str, parents: tuple[str, ...] = (),
 
 
 class TestDesignObjectVersion:
-    def test_copy_data_is_private(self):
-        # the payload is frozen, so the "copy" is the shared immutable
+    def test_the_payload_is_frozen(self):
+        # the payload is frozen, so every holder shares the immutable
         # — no reference can corrupt the version
         version = dov("v1", nested={"a": [1]})
-        copy = version.copy_data()
         with pytest.raises(TypeError):
-            copy["nested"]["a"].append(2)
+            version.data["nested"]["a"].append(2)
         assert version.data["nested"]["a"] == [1]
 
     def test_get_with_default(self):

@@ -30,9 +30,13 @@ class TestShortLocks:
 
     def test_reacquire_is_idempotent(self):
         locks = LockManager()
-        locks.acquire("dov-1", "dop-1", LockMode.SHORT_READ)
-        locks.acquire("dov-1", "dop-1", LockMode.SHORT_READ)
+        lock = locks.acquire("dov-1", "dop-1", LockMode.SHORT_READ)
+        assert locks.acquire("dov-1", "dop-1", LockMode.SHORT_READ) is lock
         assert len(locks.holders("dov-1")) == 1
+        with pytest.raises(AttributeError):    # a grant is a value
+            lock.holder = "dop-2"
+        assert locks.holders("dov-1") == [lock]
+        assert lock == ("dov-1", "dop-1", LockMode.SHORT_READ)
 
     def test_release_specific_mode(self):
         locks = LockManager()
@@ -41,6 +45,13 @@ class TestShortLocks:
         released = locks.release("dov-1", "da-1", LockMode.DERIVATION)
         assert released == 1
         assert [g.mode for g in locks.holders("dov-1")] == [LockMode.SCOPE]
+        # a resource's only grant: released by its holder and mode alone
+        assert locks.release("dov-1", "da-2", LockMode.SCOPE) == 0
+        assert locks.release("dov-1", "da-1", LockMode.DERIVATION) == 0
+        assert len(locks.holders("dov-1")) == 1
+        assert locks.release("dov-1", "da-1", LockMode.SCOPE) == 1
+        assert locks.holders("dov-1") == []
+        assert locks.stats.released == 2
 
     def test_release_all_modes(self):
         locks = LockManager()

@@ -387,6 +387,11 @@ def case_effort_alone_rides_in_the_record(rig):
     point = stored(rig, dop)
     assert type(point) is CheckoutRecord
     assert point.payload is b.data and point.reason == "checkout"
+    with pytest.raises(AttributeError):    # a stored record is a value
+        point.dov_id = a.dov_id
+    storage = StableStorage()              # ... vouched for by its marker
+    storage.put("point", point)
+    assert storage.get("point") is point
     back = crash_and_recover(rig, dop)
     assert back.context.work_done == 5.0
     assert back.context.data["tree"] is b.data["tree"]

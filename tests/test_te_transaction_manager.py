@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.perf import _make_rig, _nested_payload
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
@@ -144,6 +145,23 @@ class TestCheckoutSemantics:
         client.checkout(dop, rig["dov0"].dov_id)
         assert dop.context.data["area"] == 100.0
         assert dop.input_dovs == [rig["dov0"].dov_id]
+
+    def test_a_checked_out_payload_is_shared_and_private(self):
+        # miss and buffer hit alike put the version's frozen payload
+        # into the context: no copy, and no reference through which
+        # the context could corrupt the version
+        te = _make_rig()
+        client = te.client_tm("ws-1")
+        version = te.repository.checkin("da-1", "Cell", _nested_payload())
+        dop = client.begin_dop("da-1", "tool")
+        for hits in (0, 1):
+            client.checkout(dop, version.dov_id)
+            assert client.buffer.hits == hits
+            assert dop.context.data["tree"] is version.data["tree"]
+            with pytest.raises(TypeError):
+                dop.context.data["meta"]["tags"].append("mine")
+        assert version.data["meta"]["tags"] == ["synth", "placed",
+                                                "routed"]
 
 
 class TestSuspendResume:

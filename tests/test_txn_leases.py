@@ -90,13 +90,13 @@ class TestLeaseTableUnit:
         table = LeaseTable(clock=clock, ttl=5.0)
         table.grant("ws-1", "dov-1")
         clock.advance(4.0)
-        assert table.renew("ws-1", "dov-1") is True
+        assert table.renew_workstation("ws-1") == 1
         clock.advance(4.0)  # t=8 < 4+5: still alive
         assert table.expire_due() == []
         clock.advance(2.0)  # t=10 > 9: expires now
         assert table.expire_due() == [("ws-1", "dov-1")]
         # the lease is dead: renewing it again is a no-op
-        assert table.renew("ws-1", "dov-1") is False
+        assert table.renew_workstation("ws-1") == 0
         assert table.holders("dov-1") == set()
 
 
@@ -117,7 +117,7 @@ class TestLeaseTableOnKernel:
         it never resurrects."""
         # renewal first (scheduled before the grant's expiry event)
         kernel, table, expired = self._table()
-        kernel.at(TTL, lambda: table.renew("ws-1", "dov-1"),
+        kernel.at(TTL, lambda: table.renew_workstation("ws-1"),
                   label="renewal")
         table.grant("ws-1", "dov-1")
         mid = probe(kernel, TTL + 2.0, lambda: (
@@ -131,11 +131,11 @@ class TestLeaseTableOnKernel:
         outcome: list[bool] = []
         table.grant("ws-1", "dov-1")
         kernel.at(TTL,
-                  lambda: outcome.append(table.renew("ws-1", "dov-1")),
+                  lambda: outcome.append(table.renew_workstation("ws-1")),
                   label="renewal")
         kernel.run_until_quiescent()
         assert expired == [("ws-1", "dov-1", TTL)]
-        assert outcome == [False]  # lost the race: no resurrect
+        assert outcome == [0]  # lost the race: no resurrect
         assert table.lease("ws-1", "dov-1") is None
 
     def test_every_surviving_lease_expires_once_at_last_renewal_plus_ttl(
@@ -252,6 +252,25 @@ class TestTtlExpiryOnKernel:
         assert renewal_bytes < rig["dov0"].payload_size
         assert delay > 0.0
         assert rig["server_tm"].leases.renewals == 1
+
+    def test_the_window_opens_once_ttl_half_has_passed(self):
+        """A hit renews when ``now - last >= ttl/2``, measured as a
+        difference: with ttl/2 = 0.15, not exact in binary, the hit at
+        1.0 + 0.15 finds 0.1499... passed and does not renew yet."""
+        rig = make_rig(ttl=0.3)
+        client, clock = rig["client"], rig["clock"]
+        leases = rig["server_tm"].leases
+        dop = client.begin_dop("da-1", tool="t")
+        clock.advance(1.0)
+        client.checkout(dop, rig["dov0"].dov_id)  # anchors the window
+        seen = []
+        for step in (0.15, 1e-9):
+            clock.advance(step)
+            client.checkout(dop, rig["dov0"].dov_id)
+            seen.append((clock.now, leases.renewals))
+        assert 1.15 - 1.0 < 0.3 / 2
+        assert seen == [(1.15, 0), (1.15 + 1e-9, 1)]
+        assert rig["buffer"].hits == 2
 
     def test_expiry_racing_a_renewal_in_flight(self):
         """The satellite race: the renewal message is posted before
