@@ -3,7 +3,7 @@
 Marked ``slow``: this is the full measurement behind the
 ``federation_scaling`` entry of ``BENCH_PERF.json`` — the same
 16-version cross-member batch over the same four pinned DAs as the
-federation grows 4 -> 16 -> 64 members.  With the placement index,
+federation grows 4 -> 16 -> 64 members.  With the staged-home map,
 home resolution is O(batch) regardless of member count, so the
 seconds-per-batch curve must stay *flat* (largest / smallest within
 the committed ceiling); the bounded-log run must keep the decision

@@ -44,7 +44,7 @@ DEFAULT_ARTIFACT = "BENCH_PERF.json"
 #: acceptance ceiling (full mode only): per-batch cross-member commit
 #: cost at the largest federation sweep point divided by the cost at
 #: the smallest — the **flatness** of the member-count scaling curve.
-#: The placement index makes home resolution O(batch); the only
+#: The staged-home map makes home resolution O(batch); the only
 #: member-count term left is building the federation itself, so the
 #: curve must stay flat within noise
 FEDERATION_FLATNESS_MAX = 1.3
@@ -137,7 +137,7 @@ def _measure_federation_scaling(quick: bool,
     grows only the **member count** around it.  Every batch's prepare/
     decide/complete therefore touches exactly four members at every
     sweep point; the only thing that used to scale with federation
-    size was the per-version home-resolution scan the placement index
+    size was the per-version home-resolution scan the staged-home map
     removed.  The gate is *flatness*: seconds per batch at the largest
     sweep point must stay within :data:`FEDERATION_FLATNESS_MAX` of
     the smallest.  A separate bounded-log run proves the decision log's
@@ -218,15 +218,15 @@ def _measure_federation_scaling(quick: bool,
     peak_records = 0
     for _ in range(3 * window + 2):
         run_batches(federation, heads, 1, state)
-        peak_records = max(peak_records, log.stats()["wal_records"])
-    log_stats = log.stats()
+        peak_records = max(peak_records, len(log.wal))
+    truncations, forgotten = log.truncations, log.forgotten_decisions
     federation.crash_coordinator()
     recovery = federation.recover_coordinator()
     # the unforced completion tail may be lost with the coordinator;
     # recovery re-settles those batches — what matters is that nothing
     # stays incomplete afterwards
     bounded = (peak_records <= 2 * window
-               and log_stats["truncations"] >= 3
+               and truncations >= 3
                and len(log.incomplete()) == 0)
 
     batch_size = das * per_da
@@ -254,8 +254,8 @@ def _measure_federation_scaling(quick: bool,
             "batches": 3 * window + 2,
             "peak_wal_records": peak_records,
             "max_wal_records": 2 * window,
-            "truncations": log_stats["truncations"],
-            "forgotten_decisions": log_stats["forgotten_decisions"],
+            "truncations": truncations,
+            "forgotten_decisions": forgotten,
             "recovery_settled": recovery["settled"],
             "ok": bounded,
         },

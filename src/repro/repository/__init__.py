@@ -7,7 +7,6 @@ recovery.
 """
 
 from repro.repository.federation import FederatedRepository
-from repro.repository.placement import PlacementIndex
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
@@ -30,7 +29,6 @@ __all__ = [
     "FederatedRepository",
     "LogRecord",
     "LogRecordKind",
-    "PlacementIndex",
     "VersionStore",
     "WriteAheadLog",
 ]

@@ -15,20 +15,21 @@ global DOV directory.  The activity managers run unchanged on top of
 it — the property the paper predicts.
 
 Scale story (the production-federation arc): every home lookup —
-staged or durable — goes through the coordinator-side
-:class:`~repro.repository.placement.PlacementIndex`, so cross-member
-``commit_group`` resolution is O(batch) at any member count (the seed
-scanned every member's ``staged_ids()`` per version), reads stay O(1)
-at millions of DOVs, and after a coordinator or whole-site loss
-:meth:`recover_directory` rebuilds the entire index from the members'
-own WAL-recovered stores.
+staged or durable — is one lookup in the coordinator's own maps (DA
+homes, staged-version homes, the durable DOV directory), so
+cross-member ``commit_group`` resolution is O(batch) at any member
+count (the seed scanned every member's ``staged_ids()`` per version),
+reads stay O(1) at millions of DOVs, and after a coordinator or
+whole-site loss :meth:`recover_directory` rebuilds all three maps from
+the members' own WAL-recovered stores — they are a volatile cache of
+the federation's durable truth, never the truth itself.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
-from repro.repository.placement import PlacementIndex
+from repro.net.two_phase_commit import Decision
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
 from repro.repository.versions import DerivationGraph, DesignObjectVersion
@@ -41,9 +42,10 @@ class FederatedRepository:
 
     Placement: every DA is assigned to one member (explicitly via
     :meth:`assign`, else round-robin); the DA's derivation graph and
-    all DOVs it checks in live there.  The placement index maps DOV
-    ids (staged and durable) to members so cross-member reads and
-    commits are transparent *and* member-count-independent.
+    all DOVs it checks in live there.  The staged-home map and the
+    directory map DOV ids (staged and durable) to members so
+    cross-member reads and commits are transparent *and*
+    member-count-independent.
     """
 
     def __init__(self,
@@ -56,10 +58,15 @@ class FederatedRepository:
         #: every cross-member batch (presumed-abort recovery)
         self.decision_log = GlobalDecisionLog()
         self._next_gtxn = 0
-        #: cross-member batches redone at member recovery
+        #: batch portions redone from a member's prepare record
         self.redone_batches = 0
-        #: DA homes + staged-home map + durable directory, all O(1)
-        self.placement_index = PlacementIndex(self._member_order)
+        #: da id -> member (assign pins + round-robin placements)
+        self._homes: dict[str, str] = {}
+        self._next_member = 0
+        #: staged (uncommitted) dov id -> member
+        self._staged: dict[str, str] = {}
+        #: durable dov id -> member (the global directory)
+        self._directory: dict[str, str] = {}
         #: federation-level commit observer (lease invalidations);
         #: notices originate at the owning member and are routed up
         #: through the directory by :meth:`_member_committed`
@@ -86,11 +93,11 @@ class FederatedRepository:
     def assign(self, da_id: str, member: str) -> None:
         """Pin a DA's data to a specific member (before create_graph)."""
         self.member(member)
-        self.placement_index.assign(da_id, member)
+        self._homes[da_id] = member
 
     def placement_of(self, da_id: str) -> str:
         """The member holding a DA's derivation graph."""
-        home = self.placement_index.home_of(da_id)
+        home = self._homes.get(da_id)
         if home is None:
             raise UnknownObjectError(
                 f"DA {da_id!r} is not placed in the federation")
@@ -100,7 +107,7 @@ class FederatedRepository:
         return self.member(self.placement_of(da_id))
 
     def _locate_dov(self, dov_id: str) -> DesignDataRepository:
-        member = self.placement_index.locate(dov_id)
+        member = self._directory.get(dov_id)
         if member is None:
             raise UnknownObjectError(
                 f"DOV {dov_id!r} not in the federation directory")
@@ -109,7 +116,7 @@ class FederatedRepository:
     def directory_snapshot(self) -> dict[str, str]:
         """Copy of the durable DOV directory — what the rebuild-equality
         checks (and the crash-matrix tests) compare against."""
-        return self.placement_index.directory_snapshot()
+        return dict(self._directory)
 
     def _member_committed(self, member: str,
                           dov: DesignObjectVersion) -> None:
@@ -117,7 +124,8 @@ class FederatedRepository:
         map into the directory and route the commit notice (lease
         invalidations!) from the owning member up to the
         federation-level observer."""
-        self.placement_index.commit_durable(dov.dov_id, member)
+        self._staged.pop(dov.dov_id, None)
+        self._directory[dov.dov_id] = member
         if self.on_commit is not None:
             self.on_commit(dov)
 
@@ -144,7 +152,10 @@ class FederatedRepository:
     def create_graph(self, da_id: str) -> DerivationGraph:
         """Open a DA's graph on its (assigned or strategy-placed)
         member."""
-        self.placement_index.place(da_id)
+        if da_id not in self._homes:
+            self._homes[da_id] = self._member_order[
+                self._next_member % len(self._member_order)]
+            self._next_member += 1
         return self._home(da_id).create_graph(da_id)
 
     def graph(self, da_id: str) -> DerivationGraph:
@@ -153,7 +164,7 @@ class FederatedRepository:
 
     def has_graph(self, da_id: str) -> bool:
         """True when some member holds a graph for *da_id*."""
-        if self.placement_index.home_of(da_id) is None:
+        if da_id not in self._homes:
             return False
         return self._home(da_id).has_graph(da_id)
 
@@ -166,7 +177,7 @@ class FederatedRepository:
     def describe(self, dov_id: str) -> dict[str, Any]:
         """Directory-routed shipping metadata (size + version stamp)."""
         description = self._locate_dov(dov_id).describe(dov_id)
-        description["member"] = self.placement_index.locate(dov_id)
+        description["member"] = self._directory[dov_id]
         return description
 
     def describe_many(self, dov_ids: list[str]
@@ -179,7 +190,7 @@ class FederatedRepository:
         """
         descriptions: dict[str, dict[str, Any]] = {}
         for dov_id in dov_ids:
-            member = self.placement_index.locate(dov_id)
+            member = self._directory.get(dov_id)
             if member is not None \
                     and dov_id in self._members[member]:
                 descriptions[dov_id] = self.describe(dov_id)
@@ -193,10 +204,10 @@ class FederatedRepository:
         invalidation targets too, which a single member could never
         determine from its own store.
         """
-        return [p for p in dov.parents if p in self.placement_index]
+        return [p for p in dov.parents if p in self._directory]
 
     def __contains__(self, dov_id: str) -> bool:
-        member = self.placement_index.locate(dov_id)
+        member = self._directory.get(dov_id)
         return member is not None and dov_id in self._members[member]
 
     # -- checkin ---------------------------------------------------------------------
@@ -209,7 +220,7 @@ class FederatedRepository:
         Cross-member parents are legitimate (usage-relationship
         inputs): they are checked against the directory instead of the
         home member's store.  The staged version's home is recorded in
-        the placement index — the O(1) entry every later commit/abort
+        the staged-home map — the O(1) entry every later commit/abort
         resolution reads instead of scanning members.
         """
         home_name = self.placement_of(da_id)
@@ -217,7 +228,7 @@ class FederatedRepository:
         local_parents = tuple(p for p in parents if p in home.store)
         foreign_parents = [p for p in parents if p not in home.store]
         for parent in foreign_parents:
-            if parent not in self.placement_index:
+            if parent not in self._directory:
                 raise UnknownObjectError(
                     f"parent DOV {parent!r} unknown to the federation")
         dov = home.stage_checkin(da_id, dot_name, data, local_parents,
@@ -229,12 +240,12 @@ class FederatedRepository:
                 dov.created_at, tuple(parents))
             home.store.replace_staged(patched)
             dov = patched
-        self.placement_index.stage(dov.dov_id, home_name)
+        self._staged[dov.dov_id] = home_name
         return dov
 
     def commit_checkin(self, dov_id: str) -> DesignObjectVersion:
         """Commit on the member that staged it; update the directory."""
-        name = self.placement_index.staged_home(dov_id)
+        name = self._staged.get(dov_id)
         if name is None:
             raise UnknownObjectError(
                 f"no staged checkin for DOV {dov_id!r} in any member")
@@ -244,7 +255,7 @@ class FederatedRepository:
 
     def abort_checkin(self, dov_id: str) -> bool:
         """Abort wherever the version was staged."""
-        name = self.placement_index.unstage(dov_id)
+        name = self._staged.pop(dov_id, None)
         if name is None:
             return False
         return self._members[name].abort_checkin(dov_id)
@@ -252,14 +263,14 @@ class FederatedRepository:
     def _resolve_batch_homes(self, dov_ids: list[str]) -> dict[str, str]:
         """Map every staged id of a batch to its home member.
 
-        O(batch) — one index lookup per id, zero member scans.  An
+        O(batch) — one staged-home lookup per id, zero member scans.  An
         unresolvable id aborts the whole batch
         (presumed abort): the portions already resolved are un-staged
         so nothing dangles, and the error names any down member.
         """
         homes: dict[str, str] = {}
         for dov_id in dov_ids:
-            name = self.placement_index.staged_home(dov_id)
+            name = self._staged.get(dov_id)
             if name is None:
                 for placed_id in homes:
                     self.abort_checkin(placed_id)
@@ -287,14 +298,15 @@ class FederatedRepository:
         2. **decide** — the COMMIT decision and the batch manifest go
            to the :attr:`decision_log` in **one forced write**: the
            global commit point;
-        3. **complete** — every member applies the decision through
-           its atomic :meth:`DesignDataRepository.commit_group` (one
-           WAL force per member).  A member that crashed *after* the
-           decision is simply skipped: :meth:`recover_member` consults
-           the log and redoes its portion deterministically, so the
-           batch is all-or-nothing even under member crashes.
+        3. **complete** — :meth:`_settle` applies the decision at every
+           member through its atomic
+           :meth:`DesignDataRepository.commit_group` (one WAL force per
+           member).  A member that crashed *after* the decision is
+           simply skipped: :meth:`recover_member` consults the log and
+           redoes its portion deterministically, so the batch is
+           all-or-nothing even under member crashes.
 
-        Home resolution costs O(batch) via the placement index — the
+        Home resolution costs O(batch) via the staged-home map — the
         cost of a cross-member commit is independent of how many
         members the federation has.  Returns the versions that became
         durable *now*, in batch order; portions pending redo at a
@@ -318,7 +330,7 @@ class FederatedRepository:
             member = self._members[name]
             if not member.store.is_up:
                 for dov_id in member_ids:
-                    self.placement_index.unstage(dov_id)
+                    self._staged.pop(dov_id, None)
                 raise StorageError(
                     f"member {name!r} down: single-member batch "
                     f"{gtxn_id!r} aborted (presumed abort, nothing "
@@ -331,7 +343,7 @@ class FederatedRepository:
         self._prepare_batch(gtxn_id, manifest)
         # the global commit point: one forced decision-log write
         self.decision_log.record(gtxn_id, manifest)
-        committed = self._complete_batch(gtxn_id, manifest)
+        committed = {dov.dov_id: dov for dov in self._settle(gtxn_id)}
         return [committed[dov_id] for dov_id in dov_ids
                 if dov_id in committed]
 
@@ -350,7 +362,7 @@ class FederatedRepository:
                 for other, other_ids in manifest.items():
                     if other == name:
                         for dov_id in other_ids:
-                            self.placement_index.unstage(dov_id)
+                            self._staged.pop(dov_id, None)
                         continue
                     if other in prepared:
                         self._members[other].forget_group(gtxn_id,
@@ -358,69 +370,58 @@ class FederatedRepository:
                     else:
                         self._members[other].abort_group(other_ids)
                     for dov_id in other_ids:
-                        self.placement_index.unstage(dov_id)
+                        self._staged.pop(dov_id, None)
                 raise StorageError(
                     f"member {name!r} down during prepare of "
                     f"{gtxn_id!r}: batch aborted") from exc
             prepared.append(name)
 
-    def _complete_batch(self, gtxn_id: str,
-                        manifest: dict[str, list[str]]
-                        ) -> dict[str, DesignObjectVersion]:
-        """Phase 2: apply the logged decision at every live member."""
-        committed: dict[str, DesignObjectVersion] = {}
-        pending_member = False
-        for name, member_ids in manifest.items():
-            try:
-                dovs = self._members[name].complete_group(gtxn_id,
-                                                          member_ids)
-            except StorageError:
-                # crashed after the decision: recovery redoes it
-                pending_member = True
+    def _settle(self, gtxn_id: str) -> list[DesignObjectVersion]:
+        """Bring every manifest member of a logged COMMIT decision to it.
+
+        The one settlement path: the live commit right after the
+        decision record, coordinator recovery
+        (:meth:`resolve_incomplete`) and member recovery
+        (:meth:`recover_member`) all take it.  Per member, a durable
+        portion is left alone, a staged portion completes through the
+        member's atomic commit, a portion lost to a crash is redone
+        from the member's prepare record (one more
+        :attr:`redone_batches`), and a member that is down is left for
+        its own recovery.  Once no member is down, the decision is
+        marked complete.  Returns the versions that became durable
+        now; the members' commit observers have already moved them
+        into the directory.
+        """
+        committed: list[DesignObjectVersion] = []
+        pending = False
+        for name, member_ids in self.decision_log.manifest(gtxn_id).items():
+            member = self._members[name]
+            if not member.store.is_up:
+                pending = True
                 continue
-            for dov in dovs:
-                committed[dov.dov_id] = dov
-        if not pending_member:
+            if all(dov_id in member.store for dov_id in member_ids):
+                continue
+            staged = member.store.staged_ids()
+            if all(dov_id in staged for dov_id in member_ids):
+                committed += member.complete_group(gtxn_id, member_ids)
+            else:
+                committed += member.redo_group(gtxn_id)
+                self.redone_batches += 1
+        if not pending:
             self.decision_log.mark_complete(gtxn_id)
         return committed
 
     def resolve_incomplete(self) -> int:
-        """Coordinator recovery: finish every logged-but-incomplete
+        """Coordinator recovery: settle every logged-but-incomplete
         COMMIT decision (e.g. after a coordinator crash between the
-        decision record and the participant notifications).
-
-        For each manifest member, portions already durable are left
-        alone, still-staged portions complete through the normal
-        member commit, and portions lost to a member crash are redone
-        from the member's prepare record.  Returns the number of
-        batches settled.
+        decision record and the participant notifications).  Returns
+        the number of batches settled; a batch with a member still
+        down stays incomplete until that member recovers.
         """
-        settled = 0
-        for gtxn_id in self.decision_log.incomplete():
-            manifest = self.decision_log.manifest(gtxn_id)
-            done = True
-            for name, member_ids in manifest.items():
-                member = self._members[name]
-                try:
-                    if all(dov_id in member.store
-                           for dov_id in member_ids):
-                        continue
-                    if all(dov_id in member.store.staged_ids()
-                           for dov_id in member_ids):
-                        dovs = member.complete_group(gtxn_id, member_ids)
-                    else:
-                        dovs = member.redo_group(gtxn_id)
-                        self.redone_batches += 1
-                except StorageError:
-                    done = False  # member still down: retried later
-                    continue
-                for dov in dovs:
-                    self.placement_index.commit_durable(dov.dov_id,
-                                                        name)
-            if done:
-                self.decision_log.mark_complete(gtxn_id)
-                settled += 1
-        return settled
+        pending = self.decision_log.incomplete()
+        for gtxn_id in pending:
+            self._settle(gtxn_id)
+        return len(pending) - len(self.decision_log.incomplete())
 
     def abort_group(self, dov_ids: list[str]) -> int:
         """Abort a staged group wherever its versions live."""
@@ -438,11 +439,14 @@ class FederatedRepository:
 
     def crash_member(self, name: str) -> dict[str, int]:
         """Crash one member; the others keep serving.  The member's
-        staged versions were volatile, so their staged-home index
-        entries are dropped with it."""
+        staged versions were volatile, so their staged-home entries
+        are dropped with it."""
         report = self.member(name).crash()
-        report["staged_index_dropped"] = \
-            self.placement_index.drop_member_staged(name)
+        stale = [dov_id for dov_id, home in self._staged.items()
+                 if home == name]
+        for dov_id in stale:
+            del self._staged[dov_id]
+        report["staged_index_dropped"] = len(stale)
         return report
 
     def recover_member(self, name: str) -> dict[str, int]:
@@ -450,77 +454,48 @@ class FederatedRepository:
         in-doubt cross-member batches against the global decision log.
 
         Presumed abort: a prepared batch with a logged COMMIT decision
-        is **redone** from the member's prepare record (the crash hit
-        between the global decision and the member's apply); a
-        prepared batch without a decision record aborted — the member
-        simply settles it and moves on.  This is what makes a
-        cross-member ``commit_group`` all-or-nothing under member
-        crashes: the decision, not the member's luck, determines the
-        outcome.
+        is settled (:meth:`_settle` redoes the member's portion from
+        its prepare record — the crash hit between the global decision
+        and the member's apply); a prepared batch without a decision
+        record aborted — the member simply settles it and moves on.
+        This is what makes a cross-member ``commit_group``
+        all-or-nothing under member crashes: the decision, not the
+        member's luck, determines the outcome.
         """
-        report = self.member(name).recover()
-        report["redone_batches"] = self._settle_in_doubt(name)
-        return report
-
-    def _settle_in_doubt(self, name: str) -> int:
-        from repro.net.two_phase_commit import Decision
-
         member = self.member(name)
-        redone = 0
+        report = member.recover()
+        redone_before = self.redone_batches
         for gtxn_id in member.in_doubt_groups():
             if self.decision_log.resolve(gtxn_id) is Decision.COMMIT:
-                for dov in member.redo_group(gtxn_id):
-                    self.placement_index.commit_durable(dov.dov_id,
-                                                        name)
-                redone += 1
-                self.redone_batches += 1
-                if self._batch_settled(gtxn_id):
-                    self.decision_log.mark_complete(gtxn_id)
+                self._settle(gtxn_id)
             else:
                 # presumed abort: no decision record means the batch
                 # aborted; the staged portion died with the crash, so
                 # settling the prepare marker is all that remains
                 member.forget_group(gtxn_id, [])
-        return redone
-
-    def _batch_settled(self, gtxn_id: str) -> bool:
-        """True when every manifest portion of *gtxn_id* is durable."""
-        for name, dov_ids in self.decision_log.manifest(gtxn_id).items():
-            try:
-                if not all(dov_id in self._members[name].store
-                           for dov_id in dov_ids):
-                    return False
-            except StorageError:
-                return False
-        return True
+        report["redone_batches"] = self.redone_batches - redone_before
+        return report
 
     def crash(self) -> dict[str, int]:
-        """Crash every member (whole-site failure, interface parity
-        with :class:`DesignDataRepository`).
-
-        The coordinator state crashes too: the decision log loses its
-        in-memory maps and its un-forced tail (completion markers),
-        and the **entire placement index** — DA homes, staged-home
-        map, DOV directory — vanishes with the coordinator.  The
-        forced log records at the members and the coordinator are what
-        recovery rebuilds from; nothing assumes the in-memory
-        directory survives.
+        """Whole-site failure (interface parity with
+        :class:`DesignDataRepository`): every member crashes
+        (:meth:`crash_member`), then the coordinator
+        (:meth:`crash_coordinator`).  The forced log records at the
+        members and the coordinator are what recovery rebuilds from;
+        nothing assumes the in-memory directory survives.
         """
         totals: dict[str, int] = {}
         for name in self._member_order:
             for key, value in self.crash_member(name).items():
                 totals[key] = totals.get(key, 0) + value
-        totals["decision_tail_lost"] = self.decision_log.crash()
-        totals["directory_entries_lost"] = len(
-            self.placement_index.directory_snapshot())
-        self.placement_index.clear()
+        totals.update(self.crash_coordinator())
         return totals
 
     def recover(self) -> dict[str, int]:
         """Recover every member from its own WAL, settle every in-doubt
         cross-member batch against the decision log (itself rebuilt
         from its forced records first), then rebuild the placement
-        index from the members' recovered stores."""
+        maps from the members' recovered stores."""
         totals: dict[str, int] = {
             "decisions_recovered": self.decision_log.recover()}
         for name in self._member_order:
@@ -532,19 +507,21 @@ class FederatedRepository:
 
     def crash_coordinator(self) -> dict[str, int]:
         """Coordinator-only loss: the members keep serving, but the
-        decision log's memory + un-forced tail and the whole placement
-        index vanish.  :meth:`recover_coordinator` is the restart."""
+        decision log's memory + un-forced tail and the placement maps
+        — DA homes, staged-home map, DOV directory — vanish.
+        :meth:`recover_coordinator` is the restart."""
         report = {
             "decision_tail_lost": self.decision_log.crash(),
-            "directory_entries_lost": len(
-                self.placement_index.directory_snapshot()),
+            "directory_entries_lost": len(self._directory),
         }
-        self.placement_index.clear()
+        self._homes.clear()
+        self._staged.clear()
+        self._directory.clear()
         return report
 
     def recover_coordinator(self) -> dict[str, int]:
         """Coordinator restart: rebuild the decision log from its
-        forced records, the placement index from the members' stores
+        forced records, the placement maps from the members' stores
         (:meth:`recover_directory`), then finish every logged-but-
         incomplete decision (:meth:`resolve_incomplete`)."""
         totals = {"decisions_recovered": self.decision_log.recover()}
@@ -553,13 +530,13 @@ class FederatedRepository:
         return totals
 
     def recover_directory(self) -> dict[str, int]:
-        """Rebuild the placement index from the members themselves.
+        """Rebuild the placement maps from the members themselves.
 
-        The index is a volatile cache of durable member truth: DA
+        The maps are a volatile cache of durable member truth: DA
         homes come from each member's (WAL-recovered) derivation
         graphs, directory entries from its durable store, staged-home
         entries from its staged set.  A member that is still down
-        contributes whatever the surviving index already knew about it
+        contributes whatever the surviving maps already knew about it
         (its WAL will refresh those entries when it recovers); pins
         made by :meth:`assign` before ``create_graph`` are volatile by
         design and do not survive a coordinator loss.
@@ -575,11 +552,10 @@ class FederatedRepository:
             member = self._members[name]
             if not member.store.is_up:
                 down += 1
-                for da_id, home in self.placement_index.homes().items():
+                for da_id, home in self._homes.items():
                     if home == name:
                         homes[da_id] = home
-                for dov_id, home in \
-                        self.placement_index.directory_snapshot().items():
+                for dov_id, home in self._directory.items():
                     if home == name:
                         directory[dov_id] = home
                 continue
@@ -589,7 +565,11 @@ class FederatedRepository:
                 directory[dov.dov_id] = name
             for dov_id in member.store.staged_ids():
                 staged[dov_id] = name
-        self.placement_index.restore(homes, staged, directory)
+        self._homes, self._staged, self._directory = \
+            homes, staged, directory
+        # keep round-robin fair after a rebuild: skip past the homes
+        # already handed out
+        self._next_member = max(self._next_member, len(homes))
         return {
             "placements": len(homes),
             "staged_index": len(staged),

@@ -62,17 +62,9 @@ class VersionStore:
             "data": dov.data,
         }
 
-    def commit(self, dov_id: str) -> DesignObjectVersion:
-        """Make a staged version durable (WAL force + stable write)."""
-        return self._commit_staged([dov_id])[0]
-
     def commit_batch(self, dov_ids: list[str]) -> list[DesignObjectVersion]:
-        """Make a group of staged versions durable *atomically*."""
-        return self._commit_staged(dov_ids)
-
-    def _commit_staged(self, dov_ids: list[str]
-                       ) -> list[DesignObjectVersion]:
-        """The one commit path; a single version is a batch of one.
+        """Make a group of staged versions durable *atomically*; a
+        single version is a batch of one.
 
         All checkin records are appended to the volatile WAL tail and
         made stable by **one** force at the end: a crash anywhere

@@ -467,12 +467,6 @@ class DerivationGraph:
         """Ids of all versions in this graph."""
         return set(self._nodes)
 
-    def children_of(self, dov_id: str) -> list[str]:
-        """Direct successors of a version within this graph."""
-        if dov_id not in self._nodes:
-            raise UnknownObjectError(f"DOV {dov_id!r} not in graph")
-        return list(self._children[dov_id])
-
     def leaves(self) -> list[DesignObjectVersion]:
         """Versions without successors — the current frontier."""
         return [self._nodes[i] for i, kids in self._children.items()
@@ -495,12 +489,3 @@ class DerivationGraph:
     def is_ancestor(self, maybe_ancestor: str, dov_id: str) -> bool:
         """True when *maybe_ancestor* precedes *dov_id* in this graph."""
         return maybe_ancestor in self.ancestors_of(dov_id)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialisable snapshot (used by the CM's persistent state)."""
-        return {
-            "owner": self.owner,
-            "root": self.root_id,
-            "nodes": sorted(self._nodes),
-            "edges": {k: list(v) for k, v in self._children.items() if v},
-        }

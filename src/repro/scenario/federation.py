@@ -219,8 +219,8 @@ def federated_commit_scenario(config: ScenarioConfig, crash: str
             state.append((dov.created_by, dov.data["name"],
                           dov.data["rev"]))
     report.state = tuple(sorted(state))
-    report.decisions_logged = log.stats()["decisions"]
-    report.forced_decision_writes = log.stats()["forced_writes"]
+    report.decisions_logged = len(log.decisions())
+    report.forced_decision_writes = log.wal.forced_writes
     report.directory_entries = len(federation.directory_snapshot())
     return report
 

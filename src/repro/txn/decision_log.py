@@ -40,7 +40,7 @@ frontier.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.net.two_phase_commit import Decision
 from repro.repository.versions import FrozenDict, freeze_payload
@@ -205,17 +205,3 @@ class GlobalDecisionLog:
             else:
                 self._decide(payload["gtxn"], payload["manifest"])
         return len(self._manifests)
-
-    # -- stats --------------------------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        """Counters for the bench/experiment surface."""
-        return {
-            "decisions": len(self._manifests),
-            "completed": len(self._completed),
-            "incomplete": len(self._incomplete),
-            "forced_writes": self.wal.forced_writes,
-            "wal_records": len(self.wal),
-            "truncations": self.truncations,
-            "forgotten_decisions": self.forgotten_decisions,
-        }

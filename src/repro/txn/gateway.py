@@ -25,7 +25,7 @@ The third shape lives one layer down: a **cross-member federation
 batch** (:meth:`~repro.repository.federation.FederatedRepository.commit_group`)
 runs the same prepare/decide/complete skeleton with the
 :class:`~repro.txn.decision_log.GlobalDecisionLog` as its decision
-point — homes resolved O(batch) through the placement index, the
+point — homes resolved O(batch) through the staged-home map, the
 decision forced in one coordinator-side write, and the log kept
 bounded by the checkpoint frontier
 (:meth:`~repro.txn.decision_log.GlobalDecisionLog.checkpoint`), so

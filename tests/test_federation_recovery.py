@@ -1,6 +1,6 @@
 """Coordinator-loss matrix for the federated atomic commit.
 
-The federation's coordinator state — the placement index and the
+The federation's coordinator state — its placement maps and the
 decision log's in-memory maps — is volatile by design.  These tests
 crash it at every interesting point of the commit protocol (before
 prepare, between prepare and decide, after decide, during decision-log
@@ -10,9 +10,9 @@ arc promises:
 * **no lost or duplicated commits** — every version of a decided batch
   is durable at exactly one member, every version of an undecided
   batch at none;
-* **directory equality** — the placement index rebuilt from the
-  members alone (:meth:`recover_directory`) equals the live directory,
-  after every case.
+* **directory equality** — the DA homes, staged-home map and directory
+  rebuilt from the members alone (:meth:`recover_directory`) equal the
+  live ones, after every case.
 """
 
 from __future__ import annotations
@@ -87,27 +87,27 @@ def durable_copies(federation: FederatedRepository,
 
 def assert_directory_rebuild_equal(
         federation: FederatedRepository) -> None:
-    """The core rebuild claim: the index reconstructed from the
-    members alone equals the live one, on every surface."""
+    """The core rebuild claim: the placement maps reconstructed from
+    the members alone equal the live ones, on every surface."""
     directory = federation.directory_snapshot()
-    homes = federation.placement_index.homes()
-    stats = federation.placement_index.stats()
+    homes = dict(federation._homes)
+    staged = dict(federation._staged)
     federation.recover_directory()
     assert federation.directory_snapshot() == directory
-    assert federation.placement_index.homes() == homes
-    assert federation.placement_index.stats() == stats
+    assert federation._homes == homes
+    assert federation._staged == staged
 
 
 class TestCrashBeforePrepare:
     def test_staged_batch_survives_a_coordinator_loss(self):
         """Coordinator dies with a batch staged but no prepare sent:
-        the staged-home index is rebuilt from the members' staged
+        the staged-home map is rebuilt from the members' staged
         sets, and the batch then commits exactly once."""
         federation, heads = make_federation()
         staged = stage_batch(federation, heads, rev=1)
         directory_before = federation.directory_snapshot()
         federation.crash_coordinator()
-        assert federation.placement_index.stats()["staged_index"] == 0
+        assert federation._staged == {}
         federation.recover_coordinator()
         assert federation.directory_snapshot() == directory_before
         committed = federation.commit_group(staged)
@@ -194,6 +194,41 @@ class TestCrashAfterDecide:
         for dov_id in staged:
             assert durable_copies(federation, dov_id) == 1
 
+    def test_member_restarting_before_the_coordinator(self):
+        """The coordinator dies after the decision record and site-1
+        crashes in the same window; site-1 restarts first, so its
+        in-doubt query reaches a log that has not recovered yet.  The
+        coordinator's restart still settles the batch — every version
+        durable exactly once — and a later site-1 crash redoes
+        nothing."""
+        federation, heads = make_federation()
+        commit_batch(federation, heads, rev=1)
+
+        def die_with_site_1(gtxn_id, manifest):
+            federation.decision_log.on_decision = None
+            federation.crash_member("site-1")
+            raise _CoordinatorDied(gtxn_id)
+
+        federation.decision_log.on_decision = die_with_site_1
+        staged = stage_batch(federation, heads, rev=2)
+        with pytest.raises(_CoordinatorDied):
+            federation.commit_group(staged)
+        directory = federation.directory_snapshot()
+        federation.crash_coordinator()
+        federation.recover_member("site-1")
+        assert federation.recover_coordinator()["settled"] == 1
+        for dov_id in staged:
+            assert durable_copies(federation, dov_id) == 1
+        assert federation.decision_log.incomplete() == []
+        # a batch stages one version per DA, and da-i lives on site-i
+        assert federation.directory_snapshot() == {
+            **directory,
+            **{dov_id: f"site-{index}"
+               for index, dov_id in enumerate(staged)}}
+        federation.crash_member("site-1")
+        assert federation.recover_member("site-1")["redone_batches"] == 0
+        assert_directory_rebuild_equal(federation)
+
 
 class TestCrashDuringTruncation:
     def test_checkpoint_interrupted_mid_truncate_recovers(self):
@@ -228,7 +263,7 @@ class TestCrashDuringTruncation:
         commit_batch(federation, heads, rev=4)
         result = log.checkpoint()
         assert result["truncated"] >= 1
-        assert log.stats()["wal_records"] == 1  # just the checkpoint
+        assert len(log.wal) == 1  # just the checkpoint
         assert_directory_rebuild_equal(federation)
 
     def test_bounded_log_across_cycles(self):
@@ -244,7 +279,7 @@ class TestCrashDuringTruncation:
         for rev in range(1, 4 * window + 2):
             commit_batch(federation, heads, rev)
             peak = max(peak, len(log.wal))
-        assert log.stats()["truncations"] >= 4
+        assert log.truncations >= 4
         assert peak <= 2 * window
 
         def crash_site_1(gtxn_id, manifest):
@@ -271,12 +306,12 @@ class TestWholeSiteLoss:
         federation, heads = make_federation()
         commit_batch(federation, heads, rev=1)
         directory_before = federation.directory_snapshot()
-        homes_before = federation.placement_index.homes()
+        homes_before = dict(federation._homes)
         federation.crash()
         assert federation.directory_snapshot() == {}
         federation.recover()
         assert federation.directory_snapshot() == directory_before
-        assert federation.placement_index.homes() == homes_before
+        assert federation._homes == homes_before
         commit_batch(federation, heads, rev=2)
         assert_directory_rebuild_equal(federation)
 
@@ -289,18 +324,17 @@ def test_directory_rebuilt_from_the_members_equals_the_maintained_one():
     commit_batch(federation, heads, rev=1)
     commit_batch(federation, heads, rev=2)
     # one version stays staged across the crash: the rebuild must
-    # recover the staged-home index too, not only the directory
-    federation.stage_checkin("da-0", "Cell", {"area": 30.0},
-                             (heads["da-0"],), created_at=3.0)
+    # recover the staged-home map too, not only the directory
+    extra = federation.stage_checkin("da-0", "Cell", {"area": 30.0},
+                                     (heads["da-0"],), created_at=3.0)
     directory = federation.directory_snapshot()
-    homes = federation.placement_index.homes()
-    stats = federation.placement_index.stats()
-    assert stats["staged_index"] == 1
+    homes = dict(federation._homes)
+    assert federation._staged == {extra.dov_id: "site-0"}
     federation.crash_coordinator()
     federation.recover_coordinator()
     assert federation.directory_snapshot() == directory
-    assert federation.placement_index.homes() == homes
-    assert federation.placement_index.stats() == stats
+    assert federation._homes == homes
+    assert federation._staged == {extra.dov_id: "site-0"}
     assert_directory_rebuild_equal(federation)
 
 

@@ -97,14 +97,12 @@ class TestRoutedCheckin:
         federation.create_graph("da-1")
         staged = federation.stage_checkin("da-1", "Cell", {"area": 1.0},
                                           (), 0.0)
-        index = federation.placement_index
-        assert index.staged_home(staged.dov_id) \
-            == federation.placement_of("da-1")
+        assert federation._staged == {
+            staged.dov_id: federation.placement_of("da-1")}
         assert federation.abort_checkin(staged.dov_id) is True
         assert staged.dov_id not in federation
-        assert index.staged_home(staged.dov_id) is None
+        assert federation._staged == {}
         assert federation.abort_checkin(staged.dov_id) is False
-        assert index.stats()["staged_index"] == 0
 
 
 class TestMemberFailure:
@@ -145,10 +143,8 @@ class TestMemberFailure:
     def test_stats(self, federation):
         federation.create_graph("da-1")
         federation.checkin("da-1", "Cell", {"area": 1.0})
-        index = federation.placement_index.stats()
         assert len(federation.members()) == 2
-        assert index["placements"] == 1
-        assert index["directory_entries"] == 1
+        assert len(federation._homes) == 1
         assert len(federation.directory_snapshot()) == 1
 
 
@@ -188,7 +184,7 @@ class TestShippingSurface:
         federation.on_commit = lambda dov: committed.append(dov.dov_id)
         dov = federation.checkin("da-a", "Cell", {"area": 1.0})
         assert committed == [dov.dov_id]
-        assert federation.placement_index.locate(dov.dov_id) == "site-a"
+        assert federation.directory_snapshot() == {dov.dov_id: "site-a"}
 
 
 class TestSingleMemberBatchFailure:
@@ -210,7 +206,7 @@ class TestSingleMemberBatchFailure:
         federation.member("site-a").crash()
         with pytest.raises(StorageError, match="presumed abort"):
             federation.commit_group(staged)
-        assert federation.placement_index.stats()["staged_index"] == 0
+        assert federation._staged == {}
         for dov_id in staged:
             assert dov_id not in federation
         # after recovery the DA serves a fresh batch normally
@@ -231,7 +227,7 @@ class TestDirectoryRecovery:
                                      (), 0.0)
         report = federation.crash_member("site-a")
         assert report["staged_index_dropped"] == 2
-        assert federation.placement_index.stats()["staged_index"] == 0
+        assert federation._staged == {}
 
     def test_recover_directory_counters(self, federation):
         federation.assign("da-a", "site-a")
@@ -258,13 +254,12 @@ class TestDirectoryRecovery:
         federation.crash_member("site-a")
         report = federation.recover_directory()
         assert report["members_down"] == 1
-        assert federation.placement_index.locate(dov_a.dov_id) == "site-a"
+        assert federation.directory_snapshot() == {dov_a.dov_id: "site-a"}
         assert federation.placement_of("da-a") == "site-a"
 
     def test_stats_exposes_the_index_surfaces(self, federation):
         federation.create_graph("da-1")
         federation.stage_checkin("da-1", "Cell", {"area": 1.0}, (), 0.0)
-        index = federation.placement_index.stats()
-        assert index["placements"] == 1
-        assert index["staged_index"] == 1
-        assert federation.decision_log.stats()["decisions"] == 0
+        assert len(federation._homes) == 1
+        assert len(federation._staged) == 1
+        assert federation.decision_log.decisions() == []

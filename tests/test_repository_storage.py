@@ -177,19 +177,19 @@ class TestVersionStore:
         store = VersionStore()
         store.stage(dov("v1"))
         assert "v1" not in store          # staged is invisible
-        store.commit("v1")
+        store.commit_batch(["v1"])
         assert store.get("v1").dov_id == "v1"
 
     def test_duplicate_stage_rejected(self):
         store = VersionStore()
         store.stage(dov("v1"))
-        store.commit("v1")
+        store.commit_batch(["v1"])
         with pytest.raises(StorageError):
             store.stage(dov("v1"))
 
     def test_commit_unstaged_rejected(self):
         with pytest.raises(StorageError):
-            VersionStore().commit("vx")
+            VersionStore().commit_batch(["vx"])
 
     def test_discard(self):
         store = VersionStore()
@@ -201,7 +201,7 @@ class TestVersionStore:
     def test_crash_loses_staged_keeps_committed(self):
         store = VersionStore()
         store.stage(dov("v1"))
-        store.commit("v1")
+        store.commit_batch(["v1"])
         store.stage(dov("v2"))
         report = store.crash()
         assert report["staged_lost"] == 1
@@ -214,7 +214,7 @@ class TestVersionStore:
     def test_down_store_refuses_access(self):
         store = VersionStore()
         store.stage(dov("v1"))
-        store.commit("v1")
+        store.commit_batch(["v1"])
         store.crash()
         with pytest.raises(StorageError):
             store.get("v1")
@@ -224,7 +224,7 @@ class TestVersionStore:
     def test_recover_is_idempotent(self):
         store = VersionStore()
         store.stage(dov("v1"))
-        store.commit("v1")
+        store.commit_batch(["v1"])
         store.crash()
         store.recover()
         assert store.recover() == 0
@@ -239,7 +239,7 @@ class TestVersionStore:
         original = DesignObjectVersion("v9", "Cell", {"a": [1, 2]},
                                        "da-3", 42.0, ("p1", "p2"))
         store.stage(original)
-        store.commit(original.dov_id)
+        store.commit_batch([original.dov_id])
         store.crash()
         store.recover()
         back = store.get("v9")

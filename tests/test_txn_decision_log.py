@@ -105,7 +105,7 @@ class TestFederatedAtomicCommit:
         staged = stage_cross_batch(federation, roots)
         committed = federation.commit_group(staged)
         assert [dov.dov_id for dov in committed] == staged
-        assert federation.decision_log.stats()["decisions"] == 1
+        assert len(federation.decision_log.decisions()) == 1
         assert federation.decision_log.incomplete() == []
         for dov_id in staged:
             assert dov_id in federation
@@ -115,7 +115,7 @@ class TestFederatedAtomicCommit:
         dov = federation.stage_checkin("da-0", "Cell", {"area": 9.0},
                                        (roots["da-0"],), 1.0)
         federation.commit_group([dov.dov_id])
-        assert federation.decision_log.stats()["decisions"] == 0
+        assert len(federation.decision_log.decisions()) == 0
         assert dov.dov_id in federation
 
     def test_member_down_during_prepare_aborts_everywhere(self):
@@ -126,7 +126,7 @@ class TestFederatedAtomicCommit:
         with pytest.raises(StorageError):
             federation.commit_group(staged)
         # nothing was logged, nothing is durable, survivors un-staged
-        assert federation.decision_log.stats()["decisions"] == 0
+        assert len(federation.decision_log.decisions()) == 0
         assert staged[0] not in federation.member("site-0").store
         assert not federation.member("site-0").store.staged_ids()
         federation.recover_member("site-1")
@@ -246,7 +246,7 @@ class TestFederatedAtomicCommit:
         federation, roots = make_federation()
         staged = stage_cross_batch(federation, roots)
         federation.commit_group(staged)
-        assert federation.decision_log.stats()["decisions"] == 1
+        assert len(federation.decision_log.decisions()) == 1
         assert federation.redone_batches == 0
 
 
@@ -274,7 +274,7 @@ class TestCheckpointTruncation:
         forced = log.wal.forced_writes
         log.checkpoint()
         assert log.wal.forced_writes == forced + 1
-        assert log.stats()["wal_records"] == 1  # checkpoint only
+        assert len(log.wal) == 1  # checkpoint only
 
     def test_recovery_restarts_from_the_checkpoint(self):
         log = GlobalDecisionLog()
@@ -319,9 +319,9 @@ class TestCheckpointTruncation:
             gtxn = f"gtxn-{index}"
             log.record(gtxn, {"site-a": [f"dov-{index}"]})
             log.mark_complete(gtxn)
-            peak = max(peak, log.stats()["wal_records"])
-        assert log.stats()["truncations"] == 3
-        assert log.stats()["forgotten_decisions"] == 3 * window
+            peak = max(peak, len(log.wal))
+        assert log.truncations == 3
+        assert log.forgotten_decisions == 3 * window
         assert peak <= 2 * window
         # the one decision past the last frontier is still retained
         assert log.decisions() == [f"gtxn-{3 * window}"]

@@ -20,6 +20,13 @@ gets a caller or goes, with its tests.  The only exceptions are
 only shrink.  This file is left out of the count, so listing a name
 here is not a use.
 
+Blind spot: the count is of bare names, not of the definitions they
+resolve to.  A name that several definitions share counts as a use of
+all of them, so a method that only a test calls looks used as long as
+another definition's caller spells the same name (``LockManager.holds``
+beside ``Constraint.holds``).  ROADMAP item 3(d) lists the methods
+this hides.
+
 Usage::
 
     python tools/check_test_only_names.py [repo_root]
