@@ -19,9 +19,8 @@ per transaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from repro.net.network import Network
 from repro.util.errors import NodeDownError
@@ -70,20 +69,20 @@ class TwoPhaseParticipant(Protocol):
         ...
 
 
-@dataclass
-class CommitOutcome:
-    """Everything T3 needs to know about one protocol run."""
+class CommitOutcome(NamedTuple):
+    """Everything T3 needs to know about one protocol run: a tuple,
+    built once when the run ends, whose fields cannot be reassigned."""
 
     txn_id: str
     decision: Decision
     protocol: CommitProtocol
-    messages: int = 0
-    forced_log_writes: int = 0
-    latency: float = 0.0
+    messages: int
+    forced_log_writes: int
+    latency: float
     #: participants that used the read-only optimisation
-    read_only_participants: list[str] = field(default_factory=list)
+    read_only_participants: list[str]
     #: participants that voted NO (empty on commit)
-    no_voters: list[str] = field(default_factory=list)
+    no_voters: list[str]
 
     @property
     def committed(self) -> bool:
@@ -113,70 +112,72 @@ class TwoPhaseCoordinator:
         callers treat abort as a normal result, as the paper's
         commit/abort discussion does.
         """
-        outcome = CommitOutcome(txn_id, Decision.ABORT, self.protocol)
+        network = self.network
+        coordinator = self.node_id
+        protocol = self.protocol
+        read_only_opt = self.read_only_optimisation
+        basic = protocol is CommitProtocol.BASIC
+        latency = 0.0
+        messages = 0
+        forced = 0
+        read_only: list[str] = []
+        no_voters: list[str] = []
 
         # ---- phase 1: prepare ------------------------------------------------
         votes: list[tuple[TwoPhaseParticipant, Vote]] = []
-        all_yes = True
         for part in participants:
             try:
-                outcome.latency += self.network.send(self.node_id,
-                                                     part.node_id)
+                latency += network.send(coordinator, part.node_id)
                 vote = part.prepare(txn_id)
-                outcome.latency += self.network.send(part.node_id,
-                                                     self.node_id)
-                outcome.messages += 2
+                latency += network.send(part.node_id, coordinator)
+                messages += 2
             except NodeDownError:
                 vote = Vote.NO
-                outcome.messages += 1  # the unanswered request
+                messages += 1  # the unanswered request
             if vote is Vote.YES:
                 # a YES vote requires a forced prepare record
-                outcome.forced_log_writes += 1
-            elif vote is Vote.READ_ONLY and self.read_only_optimisation:
-                outcome.read_only_participants.append(part.node_id)
+                forced += 1
+            elif vote is Vote.READ_ONLY and read_only_opt:
+                read_only.append(part.node_id)
             elif vote is Vote.READ_ONLY:
                 # optimisation disabled: treat as a plain YES participant
-                outcome.forced_log_writes += 1
+                forced += 1
                 vote = Vote.YES
             else:
-                all_yes = False
-                outcome.no_voters.append(part.node_id)
+                no_voters.append(part.node_id)
             votes.append((part, vote))
 
-        decision = Decision.COMMIT if all_yes else Decision.ABORT
-        outcome.decision = decision
+        commit = not no_voters
 
         # ---- coordinator decision record --------------------------------------
         # counted, not written, like the participants' records: nothing
         # reads a decision back
-        if decision is Decision.COMMIT \
-                or self.protocol is CommitProtocol.BASIC:
-            outcome.forced_log_writes += 1
+        if commit or basic:
+            forced += 1
         # presumed abort: an abort is not logged at all
 
         # ---- phase 2: decide --------------------------------------------------
-        ack_needed = (decision is Decision.COMMIT
-                      or self.protocol is CommitProtocol.BASIC)
+        ack_needed = commit or basic
         for part, vote in votes:
-            if vote is Vote.READ_ONLY and self.read_only_optimisation:
+            if vote is Vote.READ_ONLY:
                 continue  # dropped out after phase 1
             if vote is Vote.NO:
                 continue  # already aborted locally when voting no
             try:
-                outcome.latency += self.network.send(self.node_id,
-                                                     part.node_id)
-                outcome.messages += 1
-                if decision is Decision.COMMIT:
+                latency += network.send(coordinator, part.node_id)
+                messages += 1
+                if commit:
                     part.commit(txn_id)
-                    outcome.forced_log_writes += 1  # participant decision rec
+                    forced += 1  # participant decision record
                 else:
                     part.abort(txn_id)
-                    if self.protocol is CommitProtocol.BASIC:
-                        outcome.forced_log_writes += 1
+                    if basic:
+                        forced += 1
                 if ack_needed:
-                    outcome.latency += self.network.send(part.node_id,
-                                                         self.node_id)
-                    outcome.messages += 1
+                    latency += network.send(part.node_id, coordinator)
+                    messages += 1
             except NodeDownError:
                 continue
-        return outcome
+        return tuple.__new__(CommitOutcome, (
+            txn_id, Decision.COMMIT if commit else Decision.ABORT,
+            protocol, messages, forced, latency, read_only, no_voters))

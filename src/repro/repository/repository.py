@@ -28,7 +28,7 @@ from repro.repository.storage import VersionStore
 from repro.repository.versions import (
     DerivationGraph,
     DesignObjectVersion,
-    adopt_payload,
+    FrozenList,
     freeze_payload,
 )
 from repro.repository.wal import LogRecordKind, WriteAheadLog
@@ -149,7 +149,7 @@ class DesignDataRepository:
         The server-TM revokes the read leases on exactly these ids
         when *dov* becomes durable.
         """
-        return [p for p in dov.parents if p in self.store]
+        return list(filter(self.store._stable.__contains__, dov.parents))
 
     def __contains__(self, dov_id: str) -> bool:
         return dov_id in self.store
@@ -165,33 +165,39 @@ class DesignDataRepository:
         schema constraints — the paper's 'checkin failure' case — and
         :class:`UnknownObjectError` for unknown parents or graph.
         """
-        if not self.store.is_up:
+        store = self.store
+        if not store._up:
             # surface the outage, not a bogus unknown-graph error (the
             # graphs map is volatile and empty while crashed)
             raise StorageError("repository is down (server crash)")
-        dot = self.dot(dot_name)
-        graph = self.graph(da_id)
+        dot = self._dots.get(dot_name)
+        if dot is None:
+            self.dot(dot_name)      # raises: not registered
+        if da_id not in self._graphs:
+            self.graph(da_id)       # raises: no such graph
         problems = dot.validate(data)
         if problems:
             raise IntegrityError(
                 f"checkin into {da_id!r} rejected: " + "; ".join(problems))
+        stable = store._stable
         for parent in parents:
-            if parent not in self.store:
+            if parent not in stable:
                 raise UnknownObjectError(
                     f"parent DOV {parent!r} is not durable")
         dov = DesignObjectVersion(
             dov_id=self.ids.next("dov"),
             dot_name=dot_name,
-            # a payload the client already froze is adopted as-is: the
-            # durable version then *shares* the immutable data (and its
-            # cached size) with the shipped copy — zero re-walk
-            data=adopt_payload(data),
+            # a payload the client already froze is adopted as-is (the
+            # version freezes anything else): the durable version then
+            # *shares* the immutable data and its cached size with the
+            # shipped copy — zero re-walk
+            data=data,
             created_by=da_id,
             created_at=created_at,
             parents=parents,
         )
-        self.store.stage(dov)
-        self._pending[dov.dov_id] = graph.owner
+        store.stage(dov)
+        self._pending[dov.dov_id] = da_id
         return dov
 
     def commit_checkin(self, dov_id: str) -> DesignObjectVersion:
@@ -215,22 +221,24 @@ class DesignDataRepository:
         scheduled in the same deterministic order the workstation
         checked the versions in.
         """
-        if not self.store.is_up:
+        if not self.store._up:
             # the staging bookkeeping is volatile: while crashed, the
             # honest answer is "down", not "unknown DOV"
             raise StorageError("repository is down (server crash)")
+        pending = self._pending
         owners = []
         for dov_id in dov_ids:
-            try:
-                owners.append(self._pending[dov_id])
-            except KeyError:
+            owner = pending.get(dov_id)
+            if owner is None:
                 raise UnknownObjectError(
-                    f"no staged checkin for DOV {dov_id!r}") from None
+                    f"no staged checkin for DOV {dov_id!r}")
+            owners.append(owner)
         dovs = self.store.commit_batch(dov_ids)
-        for dov in dovs:
-            self._pending.pop(dov.dov_id, None)
+        for dov_id in dov_ids:
+            del pending[dov_id]
+        graphs = self._graphs
         for dov, da_id in zip(dovs, owners):
-            self._graphs[da_id].add(dov)
+            graphs[da_id].add(dov)
             if self.on_commit is not None:
                 self.on_commit(dov)
         return dovs
@@ -255,9 +263,15 @@ class DesignDataRepository:
         records = []
         for dov_id in dov_ids:
             dov = self.store.staged(dov_id)
-            record = VersionStore._checkin_payload(dov)
-            record["owner"] = self._pending.get(dov_id, dov.created_by)
-            records.append(record)
+            records.append({
+                "dov_id": dov.dov_id,
+                "dot": dov.dot_name,
+                "created_by": dov.created_by,
+                "created_at": dov.created_at,
+                "parents": FrozenList(dov.parents),
+                "data": dov.data,
+                "owner": self._pending.get(dov_id, dov.created_by),
+            })
         self.wal.append(LogRecordKind.TXN_PREPARE,
                         {"gtxn": gtxn_id,
                          "records": freeze_payload(records)},
@@ -331,7 +345,7 @@ class DesignDataRepository:
                 continue  # already durable: redo is idempotent
             dov = DesignObjectVersion(
                 dov_id=raw["dov_id"], dot_name=raw["dot"],
-                data=adopt_payload(raw["data"]),
+                data=raw["data"],
                 created_by=raw["created_by"],
                 created_at=raw["created_at"],
                 parents=tuple(raw["parents"]))

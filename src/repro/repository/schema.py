@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterator
 
+from repro.repository.versions import FrozenDict, FrozenList
 from repro.util.errors import SchemaError
 
 
@@ -43,6 +44,19 @@ class AttributeKind(str, Enum):
         if self is AttributeKind.BOOL:
             return isinstance(value, bool)
         return isinstance(value, (dict, list, str, int, float, bool, type(None)))
+
+
+#: kind -> the exact value types it accepts without a look at the
+#: value: :meth:`DesignObjectType.validate` skips the per-attribute
+#: check for them (None, a subclass or a foreign type takes the check)
+_PLAIN_TYPES: dict[AttributeKind, frozenset[type]] = {
+    AttributeKind.INT: frozenset({int}),
+    AttributeKind.FLOAT: frozenset({int, float}),
+    AttributeKind.STRING: frozenset({str}),
+    AttributeKind.BOOL: frozenset({bool}),
+    AttributeKind.JSON: frozenset({dict, list, str, int, float, bool,
+                                   FrozenDict, FrozenList}),
+}
 
 
 @dataclass(frozen=True)
@@ -148,8 +162,11 @@ class DesignObjectType:
         """
         problems: list[str] = []
         for attr in self.attributes.values():
+            value = data.get(attr.name, attr.default)
+            if type(value) in _PLAIN_TYPES[attr.kind]:
+                continue
             try:
-                attr.validate(data.get(attr.name, attr.default))
+                attr.validate(value)
             except SchemaError as exc:
                 problems.append(str(exc))
         for key in data:

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.repository.versions import (
-    DesignObjectVersion,
-    FrozenList,
-    adopt_payload,
-)
+from repro.repository.versions import DesignObjectVersion
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.util.errors import StorageError, UnknownObjectError
 
@@ -46,21 +42,12 @@ class VersionStore:
 
     def stage(self, dov: DesignObjectVersion) -> None:
         """Stage an uncommitted version (phase 1 of checkin)."""
-        self._require_up()
-        if dov.dov_id in self._stable or dov.dov_id in self._staged:
-            raise StorageError(f"DOV {dov.dov_id!r} already stored")
-        self._staged[dov.dov_id] = dov
-
-    @staticmethod
-    def _checkin_payload(dov: DesignObjectVersion) -> dict:
-        return {
-            "dov_id": dov.dov_id,
-            "dot": dov.dot_name,
-            "created_by": dov.created_by,
-            "created_at": dov.created_at,
-            "parents": FrozenList(dov.parents),
-            "data": dov.data,
-        }
+        if not self._up:
+            self._require_up()
+        dov_id = dov.dov_id
+        if dov_id in self._stable or dov_id in self._staged:
+            raise StorageError(f"DOV {dov_id!r} already stored")
+        self._staged[dov_id] = dov
 
     def commit_batch(self, dov_ids: list[str]) -> list[DesignObjectVersion]:
         """Make a group of staged versions durable *atomically*; a
@@ -74,20 +61,31 @@ class VersionStore:
         is the server-TM's all-or-nothing prepare).  Also the cheaper
         path: one forced log write for the batch instead of one per
         version.
+
+        A checkin record is the committed version itself: a DOV is
+        immutable (it carries ``__frozen_payload__``), so the log keeps
+        the reference and redo takes it back as it is.
         """
-        self._require_up()
-        missing = [dov_id for dov_id in dov_ids
-                   if dov_id not in self._staged]
-        if missing:
-            raise StorageError(
-                f"DOVs not staged for group commit: {missing}")
-        dovs = [self._staged.pop(dov_id) for dov_id in dov_ids]
+        if not self._up:
+            self._require_up()
+        staged = self._staged
+        dovs = []
+        for dov_id in dov_ids:
+            dov = staged.get(dov_id)
+            if dov is None:
+                missing = [other for other in dov_ids
+                           if other not in staged]
+                raise StorageError(
+                    f"DOVs not staged for group commit: {missing}")
+            dovs.append(dov)
+        wal = self.wal
         for dov in dovs:
-            self.wal.append(LogRecordKind.DOV_CHECKIN,
-                            self._checkin_payload(dov), force=False)
-        self.wal.force()
+            del staged[dov.dov_id]
+            wal.append(LogRecordKind.DOV_CHECKIN, {"dov": dov})
+        wal.force()
+        stable = self._stable
         for dov in dovs:
-            self._stable[dov.dov_id] = dov
+            stable[dov.dov_id] = dov
         return dovs
 
     def discard(self, dov_id: str) -> bool:
@@ -158,15 +156,7 @@ class VersionStore:
         """
         recovered = 0
         for record in self.wal.stable_records(LogRecordKind.DOV_CHECKIN):
-            payload = record.payload
-            dov = DesignObjectVersion(
-                dov_id=payload["dov_id"],
-                dot_name=payload["dot"],
-                data=adopt_payload(payload["data"]),
-                created_by=payload["created_by"],
-                created_at=payload["created_at"],
-                parents=tuple(payload["parents"]),
-            )
+            dov = record.payload["dov"]
             if dov.dov_id not in self._stable:
                 self._stable[dov.dov_id] = dov
                 recovered += 1

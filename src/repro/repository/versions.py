@@ -149,24 +149,6 @@ def is_frozen_payload(value: Any) -> bool:
         and getattr(tp, "__frozen_payload__", False)
 
 
-def adopt_payload(data: Any) -> Any:
-    """Adopt a frozen payload as-is; shallow-copy a mutable one.
-
-    The single adopt-or-copy rule of every DOV (re)construction site —
-    staging a client-frozen checkin, WAL redo: a frozen payload is
-    shared (byte-identical and immutable, so the copy would buy
-    nothing), anything else keeps the defensive copy.
-    """
-    return data if is_frozen_payload(data) else dict(data)
-
-
-def _frozen_size_of(value: Any) -> int | None:
-    """Cached modelled size when *value* is frozen, else None."""
-    if type(value) in _FROZEN_CONTAINERS:
-        return value._frozen_size
-    return None
-
-
 def payload_sizeof(value: Any) -> int:
     """Deterministic modelled size (in bytes) of a design payload.
 
@@ -180,17 +162,15 @@ def payload_sizeof(value: Any) -> int:
     their freeze walk — O(1), no recursion, and the answer is exactly
     what the full walk would compute.
     """
-    size = _frozen_size_of(value)
-    if size is not None:
-        return size
+    if type(value) in _FROZEN_CONTAINERS:
+        return value._frozen_size
     _WALKS["sizeof"] += 1
     return _sizeof(value)
 
 
 def _sizeof(value: Any) -> int:
-    size = _frozen_size_of(value)
-    if size is not None:
-        return size
+    if type(value) in _FROZEN_CONTAINERS:
+        return value._frozen_size
     if isinstance(value, str):
         return len(value)
     if isinstance(value, (bytes, bytearray)):

@@ -17,9 +17,8 @@ two that bound their log share one checkpoint-and-truncate:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.repository.versions import is_frozen_payload
 
@@ -50,13 +49,13 @@ class LogRecordKind(str, Enum):
     CHECKPOINT = "checkpoint"
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One immutable log entry."""
+class LogRecord(NamedTuple):
+    """One log entry: a tuple, built in one allocation, whose fields
+    cannot be reassigned."""
 
     lsn: int
     kind: LogRecordKind
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
 
 
 class WriteAheadLog:
@@ -82,27 +81,27 @@ class WriteAheadLog:
 
     # -- writing ------------------------------------------------------------
 
-    def _snapshot_payload(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Defensive copy of a record payload, zero-copy for frozen values.
-
-        The WAL must never share mutable state with its callers (a
-        later in-place edit would corrupt the durable history), hence
-        the deep copy — but a value whose type carries the
-        ``__frozen_payload__`` marker (stable storage's rule) cannot be
-        mutated through any reference, so it is shared as-is and the
-        walk is skipped.
-        """
-        return {key: value if is_frozen_payload(value)
-                else copy.deepcopy(value)
-                for key, value in payload.items()}
-
     def append(self, kind: LogRecordKind,
                payload: dict[str, Any] | None = None,
                force: bool = False) -> LogRecord:
-        """Append a record; optionally force it to stable storage."""
-        record = LogRecord(self._next_lsn, kind,
-                           self._snapshot_payload(payload or {}))
-        self._next_lsn += 1
+        """Append a record; optionally force it to stable storage.
+
+        The record holds a defensive copy of *payload*, zero-copy for
+        frozen values.  The WAL must never share mutable state with
+        its callers (a later in-place edit would corrupt the durable
+        history), hence the deep copy — but a value whose type carries
+        the ``__frozen_payload__`` marker (stable storage's rule)
+        cannot be mutated through any reference, so it is shared as-is
+        and the walk is skipped.
+        """
+        snapshot = {}
+        if payload:
+            for key, value in payload.items():
+                snapshot[key] = value if is_frozen_payload(value) \
+                    else copy.deepcopy(value)
+        lsn = self._next_lsn
+        record = tuple.__new__(LogRecord, (lsn, kind, snapshot))
+        self._next_lsn = lsn + 1
         self._volatile.append(record)
         if force:
             self.force()

@@ -105,15 +105,23 @@ class SessionDriver:
         self.steps = 0
         self.sessions = 0
         self.checkins = 0
+        #: (object, letter) -> its payload string, built once: an
+        #: object has only 26 distinct payloads
+        self._blobs: dict[tuple[str, int], str] = {}
         rig.repository.register_dot(SHARED_OBJECT)
         rig.repository.create_graph("lib")
 
     def blob_for(self, obj: str, generation: int) -> str:
         """The payload of *obj*'s n-th version: sized by the object's
-        index, lettered by the generation."""
-        index = int(obj.rsplit("-", 1)[-1])
-        return chr(ord("a") + generation % 26) \
-            * (self.payload_bytes + 256 * index)
+        index, lettered by the generation (the same string object for
+        every generation of one letter)."""
+        letter = generation % 26
+        blob = self._blobs.get((obj, letter))
+        if blob is None:
+            index = int(obj.rsplit("-", 1)[-1])
+            blob = self._blobs[obj, letter] = chr(ord("a") + letter) \
+                * (self.payload_bytes + 256 * index)
+        return blob
 
     def seed_library(self, names: list[str]) -> None:
         """Check generation 0 of every named object into the library."""

@@ -60,8 +60,19 @@ class EventScheduler:
     def defer(self, delay: float, action: Callable[[], Any],
               label: str = "") -> None:
         """:meth:`after` for the network transport and the concurrent
-        drivers: a negative *delay* counts as zero."""
-        self._file(self.clock.now + max(delay, 0.0), action, label, 0)
+        drivers: a negative *delay* counts as zero.
+
+        It runs once per message and per lease bucket, so it reads the
+        clock once and files the event itself (``run`` writes the same
+        ``_now``)."""
+        now = self.clock._now
+        if delay < 0.0:
+            delay = 0.0
+        time = now + delay
+        if not time >= now:  # a NaN delay
+            raise ValueError(f"cannot schedule at {time} before now={now}")
+        self._seq += 1
+        heappush(self._queue, (time, 0, self._seq, label, action))
 
     # -- execution ----------------------------------------------------------
 

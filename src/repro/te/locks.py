@@ -127,7 +127,13 @@ class LockManager:
 
         Re-acquiring an identical lock is idempotent.
         """
-        grants = self._table.setdefault(resource, [])
+        grants = self._table.get(resource)
+        if not grants:
+            # a free resource: nothing to conflict with
+            lock = tuple.__new__(Lock, (resource, holder, mode))
+            self._table[resource] = [lock]
+            self.stats.granted += 1
+            return lock
         for grant in grants:
             if grant.holder == holder and grant.mode is mode:
                 return grant  # idempotent
@@ -176,6 +182,15 @@ class LockManager:
         grants = self._table.get(resource)
         if not grants:
             return 0
+        if len(grants) == 1:
+            # the resource's only grant: drop the entry, no list rebuilt
+            grant = grants[0]
+            if grant.holder != holder \
+                    or (mode is not None and grant.mode is not mode):
+                return 0
+            del self._table[resource]
+            self.stats.released += 1
+            return 1
         keep = [g for g in grants
                 if not (g.holder == holder
                         and (mode is None or g.mode is mode))]

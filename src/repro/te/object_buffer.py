@@ -161,16 +161,6 @@ class ObjectBuffer:
 
     # -- mutation ----------------------------------------------------------------
 
-    def _admit(self, dov: DesignObjectVersion, da_id: str, now: float,
-               dirty: bool, record: dict[str, Any] | None) -> BufferEntry:
-        entry = BufferEntry(dov=dov, size=dov.payload_size,
-                            cached_at=now, authorized={da_id},
-                            dirty=dirty, record=record)
-        self._entries[dov.dov_id] = entry
-        if dirty:
-            self._dirty[dov.dov_id] = None
-        return entry
-
     def put(self, dov: DesignObjectVersion, da_id: str,
             now: float = 0.0) -> BufferEntry:
         """Install (or re-authorize) a version shipped to this node."""
@@ -178,7 +168,9 @@ class ObjectBuffer:
         if entry is not None:
             entry.authorized.add(da_id)
             return entry
-        return self._admit(dov, da_id, now, dirty=False, record=None)
+        entry = self._entries[dov.dov_id] = BufferEntry(
+            dov, dov.payload_size, now, {da_id})
+        return entry
 
     def put_dirty(self, dov: DesignObjectVersion, da_id: str,
                   record: dict[str, Any], now: float = 0.0) -> BufferEntry:
@@ -204,8 +196,11 @@ class ObjectBuffer:
                 self.coalesced += 1
             elif parent not in spliced:
                 spliced.append(parent)
-        record = dict(record, parents=spliced)
-        return self._admit(dov, da_id, now, dirty=True, record=record)
+        entry = self._entries[dov.dov_id] = BufferEntry(
+            dov, dov.payload_size, now, {da_id}, dirty=True,
+            record=dict(record, parents=spliced))
+        self._dirty[dov.dov_id] = None
+        return entry
 
     def invalidate(self, dov_id: str) -> bool:
         """Drop a superseded version; True when it was resident.
@@ -220,7 +215,8 @@ class ObjectBuffer:
         if recalled:
             self._dirty.pop(dov_id, None)
             self.invalidations += 1
-        if self.dirty_depends_on(dov_id) and self.on_recall is not None:
+        if self.on_recall is not None and self._dirty \
+                and self.dirty_depends_on(dov_id):
             self.on_recall()
         return recalled
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.net.network import SERVER, Network
 from repro.net.rpc import TransactionalRpc
@@ -81,9 +81,9 @@ from repro.util.ids import IdGenerator
 from repro.util.trace import EventTrace, Level
 
 
-@dataclass
-class CheckinResult:
-    """Outcome of a checkin reported to the DM (Sect.5.2/5.3).
+class CheckinResult(NamedTuple):
+    """Outcome of a checkin reported to the DM (Sect.5.2/5.3): a
+    tuple, built in one allocation.
 
     In write-back mode a successful checkin is *provisional*: the
     version lives only in the workstation buffer (``dov`` carries a
@@ -100,7 +100,7 @@ class CheckinResult:
     provisional: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerTxn:
     """The server-TM's state of one checkin transaction.
 
@@ -276,35 +276,39 @@ class ServerTM:
         staging level; the durability level is covered by the
         repository's single-force group commit.
         """
-        self.node.require_up()
+        if not self.node.up:
+            self.node.require_up()
         txn = self._txns.get(txn_id)
         if txn is None:
             return Vote.NO
         records = txn.records
+        locks = self.locks
+        repository = self.repository
         staged: list[str] = []
         mapping: dict[str, str] = {}
-        graph_locks = list(dict.fromkeys(
-            f"graph:{record['da_id']}" for record in records))
+        graph_locks: list[str] = []
+        for record in records:
+            graph_lock = "graph:" + record["da_id"]
+            if graph_lock not in graph_locks:
+                graph_locks.append(graph_lock)
         acquired: list[str] = []
         try:
             for graph_lock in graph_locks:
-                self.locks.acquire(graph_lock, txn_id,
-                                   LockMode.SHORT_WRITE)
+                locks.acquire(graph_lock, txn_id, LockMode.SHORT_WRITE)
                 acquired.append(graph_lock)
             now = self.clock.now
             for record in records:
-                dov = self.repository.stage_checkin(
-                    da_id=record["da_id"],
-                    dot_name=record["dot_name"],
-                    data=record["data"],
-                    parents=tuple(mapping.get(p, p)
-                                  for p in record["parents"]),
-                    created_at=now,
-                )
+                # a parent naming an earlier record's provisional id
+                # resolves to the id the server just assigned it
+                dov = repository.stage_checkin(
+                    record["da_id"], record["dot_name"], record["data"],
+                    tuple(map(mapping.get, record["parents"],
+                              record["parents"])),
+                    now)
                 staged.append(dov.dov_id)
                 mapping[record["provisional_id"]] = dov.dov_id
         except Exception as exc:  # noqa: BLE001 - any failure aborts
-            self.repository.abort_group(staged)
+            repository.abort_group(staged)
             txn.error = str(exc)
             self._record("checkin_prepare_failed", txn_id,
                          error=str(exc),
@@ -312,11 +316,11 @@ class ServerTM:
             return Vote.NO
         finally:
             for graph_lock in acquired:
-                self.locks.release(graph_lock, txn_id,
-                                   LockMode.SHORT_WRITE)
+                locks.release(graph_lock, txn_id, LockMode.SHORT_WRITE)
         txn.staged = staged
         txn.mapping = mapping
-        self._record("checkin_prepared", txn_id, count=len(staged))
+        if self.trace.enabled:
+            self._record("checkin_prepared", txn_id, count=len(staged))
         return Vote.YES
 
     def commit(self, txn_id: str) -> None:
@@ -340,7 +344,8 @@ class ServerTM:
                 self.leases.grant(txn.workstation, dov.dov_id)
         txn.dovs = dovs
         self.group_checkins += 1
-        self._record("checkin_committed", txn_id, count=len(dovs))
+        if self.trace.enabled:
+            self._record("checkin_committed", txn_id, count=len(dovs))
 
     def abort(self, txn_id: str) -> None:
         """Phase 2 abort: the staged DOV(s) are discarded."""
@@ -365,11 +370,12 @@ class ServerTM:
         travel as separate sized LAN messages the client posts.
         Returns the accepted record count.
         """
-        self.node.require_up()
+        if not self.node.up:
+            self.node.require_up()
         if renew and workstation is not None:
             self._piggyback_renewal(workstation)
-        self._txns[txn_id] = ServerTxn(
-            [dict(record) for record in records], workstation, lease)
+        self._txns[txn_id] = ServerTxn(list(map(dict, records)),
+                                       workstation, lease)
         return len(records)
 
     def end_txn(self, txn_id: str) -> ServerTxn | None:
@@ -428,8 +434,9 @@ class ServerTM:
         renewed = self.leases.renew_workstation(workstation)
         if renewed:
             self.renewals_piggybacked += 1
-            self._record("leases_renewed_piggyback", workstation,
-                         count=renewed)
+            if self.trace.enabled:
+                self._record("leases_renewed_piggyback", workstation,
+                             count=renewed)
         return renewed
 
     def renew_leases(self, workstation: str) -> int:
@@ -909,31 +916,40 @@ class ClientTM:
         crash before the flush drops the entry (recovered from
         repository state).
         """
-        dop.require("checkin")
-        self._require_running(dop)
+        if dop.state is not DopState.ACTIVE:
+            dop.require("checkin")      # raises: checkin needs ACTIVE
+        if self._active.get(dop.dop_id) is not dop:
+            self._require_running(dop)  # raises
         payload = data if data is not None else dict(dop.context.data)
         # freeze once on the workstation: the upload sizing below,
         # the server's staging walk and the durable DOV all reuse
         # this one canonical form (and its cached size)
         payload = freeze_payload(payload)
         lineage = parents if parents is not None else list(dop.input_dovs)
-        if self.write_back and self.buffer is not None:
+        buffer = self.buffer
+        if self.write_back and buffer is not None:
             return self._checkin_write_back(dop, dot_name, payload,
                                             lineage)
+        # one clock read: nothing in the commit drive moves the clock
+        now = self.clock.now
+        # the request carries a renewal once the TTL budget is half spent
+        renew = now - self._last_renewal >= self._renewal_half \
+            and self._consume_renewal_window(now)
         result = self.gateway.single_checkin(
             dop.da_id, dot_name, payload, lineage,
-            lease=self.buffer is not None,
-            renew=self._consume_renewal_window(self.clock.now))
+            lease=buffer is not None, renew=renew)
         if result.committed:
             dov = result.dov
             dop.output_dov = dov.dov_id
-            if self.buffer is not None:
+            if buffer is not None:
                 # checkin results stay resident: the workstation just
                 # produced these bytes, so the next checkout of the new
                 # frontier is a local hit
-                self.buffer.put(dov, dop.da_id, now=self.clock.now)
-            self._record("checkin", dov.dov_id, dop=dop.dop_id)
-            return CheckinResult(True, dov=dov, outcome=result.outcome)
+                buffer.put(dov, dop.da_id, now=now)
+            if self.trace.enabled:
+                self._record("checkin", dov.dov_id, dop=dop.dop_id)
+            return tuple.__new__(CheckinResult, (
+                True, dov, "", result.outcome, False))
         self._record("checkin_failed", dop.dop_id, reason=result.reason)
         return CheckinResult(False, reason=result.reason,
                              outcome=result.outcome)

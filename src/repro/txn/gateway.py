@@ -36,7 +36,7 @@ replaying history past the frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.net.rpc import TransactionalRpc
 from repro.net.two_phase_commit import CommitOutcome, TwoPhaseCoordinator
@@ -44,18 +44,15 @@ from repro.repository.versions import payload_sizeof
 from repro.util.ids import IdGenerator
 
 
-@dataclass
-class SingleCommitResult:
-    """Outcome of one write-through checkin drive."""
+class SingleCommitResult(NamedTuple):
+    """Outcome of one write-through checkin drive: a tuple, built in
+    one allocation."""
 
     outcome: CommitOutcome
+    #: True when the decision was COMMIT
+    committed: bool
     dov: Any = None
     reason: str = ""
-
-    @property
-    def committed(self) -> bool:
-        """True when the decision was COMMIT."""
-        return self.outcome.committed
 
 
 @dataclass
@@ -75,6 +72,11 @@ class GroupCommitResult:
         return self.outcome.committed
 
 
+def _arrived() -> None:
+    """Delivery of an upload: the server stages from the request the
+    control RPC stashed, so the bytes only cost their transport."""
+
+
 class CommitGateway:
     """Drives the commit protocol from one coordinator node.
 
@@ -89,14 +91,12 @@ class CommitGateway:
         self.node_id = node_id
         self.ids = ids or IdGenerator()
         self.coordinator = TwoPhaseCoordinator(rpc.network, node_id)
+        #: the id prefix of this coordinator's transactions
+        self._txn_prefix = f"txn-{node_id}"
         #: reentrancy guard of :meth:`group_checkin`: a flush's own
         #: commit schedules invalidations that could recall the flush
         #: mid-flight
         self.flushing = False
-
-    def next_txn_id(self) -> str:
-        """Allocate the next transaction id of this coordinator."""
-        return self.ids.next(f"txn-{self.node_id}")
 
     # -- single checkin (write-through) -------------------------------------
 
@@ -110,28 +110,30 @@ class CommitGateway:
         workstation's lease-renewal metadata (piggybacked — no
         dedicated renewal message).
         """
-        txn_id = self.next_txn_id()
+        txn_id = self.ids.next(self._txn_prefix)
+        node_id = self.node_id
         server = self.server_tm
-        self.rpc.call(self.node_id, server.node_id,
-                      "request_group_checkin", txn_id, [{
-                          "provisional_id": txn_id,
-                          "da_id": da_id,
-                          "dot_name": dot_name,
-                          "data": payload,
-                          "parents": lineage,
-                      }], workstation=self.node_id, lease=lease,
-                      renew=renew)
+        rpc = self.rpc
+        rpc.call(node_id, server.node_id,
+                 "request_group_checkin", txn_id, [{
+                     "provisional_id": txn_id,
+                     "da_id": da_id,
+                     "dot_name": dot_name,
+                     "data": payload,
+                     "parents": lineage,
+                 }], workstation=node_id, lease=lease, renew=renew)
         # the derived data ships workstation -> server (the checkin
         # direction of the data-shipping path; the RPC is control)
-        self.rpc.network.post(
-            self.node_id, server.node_id, lambda: None,
-            label=f"dov-upload:{txn_id}", size=payload_sizeof(payload))
+        rpc.network.post(node_id, server.node_id, _arrived,
+                         label=f"dov-upload:{txn_id}",
+                         size=payload_sizeof(payload))
         outcome = self.coordinator.execute(txn_id, [server])
         txn = server.end_txn(txn_id)
         if not outcome.committed:
             return SingleCommitResult(
-                outcome, reason=(txn and txn.error) or "2PC abort")
-        return SingleCommitResult(outcome, dov=txn.dovs[0])
+                outcome, False, reason=(txn and txn.error) or "2PC abort")
+        return tuple.__new__(SingleCommitResult,
+                             (outcome, True, txn.dovs[0], ""))
 
     # -- group checkin (write-back flush) ----------------------------------
 
@@ -149,7 +151,7 @@ class CommitGateway:
         commit's own invalidations raise does not start a second
         flush.
         """
-        txn_id = self.next_txn_id()
+        txn_id = self.ids.next(self._txn_prefix)
         server = self.server_tm
         self.flushing = True
         try:
@@ -158,7 +160,7 @@ class CommitGateway:
                           workstation=self.node_id, lease=True,
                           renew=renew)
             self.rpc.network.post_batch(
-                self.node_id, server.node_id, lambda: None,
+                self.node_id, server.node_id, _arrived,
                 label=f"group-checkin:{txn_id}", sizes=sizes)
             outcome = self.coordinator.execute(txn_id, [server])
         finally:

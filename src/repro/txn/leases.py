@@ -33,6 +33,7 @@ in-flight expiry safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.sim.clock import SimClock
@@ -41,7 +42,7 @@ from repro.sim.clock import SimClock
 _EPS = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class Lease:
     """One granted read lease."""
 
@@ -94,17 +95,17 @@ class LeaseTable:
 
     # -- grants -------------------------------------------------------------
 
-    def _kernel(self) -> Any:
-        return self._kernel_source() if self._kernel_source else None
-
     def grant(self, workstation: str, dov_id: str) -> Lease:
         """Grant (or refresh) the lease of *workstation* on *dov_id*.
 
         Re-granting an existing lease extends it like a renewal would.
         """
         now = self.clock.now
-        expires = now + self.ttl if self.ttl is not None else None
-        holders = self._holders.setdefault(dov_id, {})
+        ttl = self.ttl
+        expires = now + ttl if ttl is not None else None
+        holders = self._holders.get(dov_id)
+        if holders is None:
+            holders = self._holders[dov_id] = {}
         lease = holders.get(workstation)
         if lease is not None:
             lease.expires_at = expires
@@ -112,32 +113,32 @@ class LeaseTable:
             lease = Lease(workstation, dov_id, now, expires)
             holders[workstation] = lease
             self.grants += 1
-        self._file(lease)
+        if expires is not None and lease.bucket != expires:
+            self._file(lease, now)
         return lease
 
-    def _file(self, lease: Lease) -> None:
+    def _file(self, lease: Lease, now: float) -> None:
         """File *lease* under its expiry instant's bucket.
 
         One kernel event is scheduled per *new* bucket; same-instant
-        leases share it.  Re-filing under the bucket the lease already
-        occupies is a no-op (a refresh without a TTL change).
+        leases share it.  The caller skips a lease without a TTL and
+        one already filed under its instant (a refresh without a TTL
+        change).
         """
         instant = lease.expires_at
-        if instant is None or lease.bucket == instant:
-            return
         lease.bucket = instant
         bucket = self._buckets.get(instant)
         if bucket is not None:
             bucket.append(lease)
             return
-        kernel = self._kernel()
+        source = self._kernel_source
+        kernel = source() if source is not None else None
         if kernel is None:
             lease.bucket = None
             return  # no kernel: expiry via expire_due() sweeps
         self._buckets[instant] = [lease]
-        epoch = self._epoch
-        kernel.defer(max(instant - self.clock.now, 0.0),
-                     lambda: self._on_bucket(instant, epoch),
+        kernel.defer(max(instant - now, 0.0),
+                     partial(self._on_bucket, instant, self._epoch),
                      label=f"lease-expiry:{lease.dov_id}"
                            f"@{lease.workstation}")
 
@@ -159,7 +160,7 @@ class LeaseTable:
                 continue  # released/recalled, or TTL switched off
             lease.bucket = None
             if lease.expires_at > now + _EPS:
-                self._file(lease)  # renewed: check again later
+                self._file(lease, now)  # renewed: check again later
             else:
                 self._expire(lease)
 

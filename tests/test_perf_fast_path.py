@@ -393,8 +393,9 @@ class TestNoDeepcopyBelowTheTeLevel:
             assert result.success
             parent = result.dov.dov_id
         assert self.from_the_te_level(deepcopy_callers) == []
-        # the WAL still snapshots what it is handed (its own business)
-        assert set(deepcopy_callers) <= {"repro.repository.wal"}
+        # the repository logs the (frozen) version it commits: the
+        # WAL shares it and copies nothing either
+        assert deepcopy_callers == []
         assert len(wal) - logged == 300             # one record each
 
     def test_no_deepcopy_in_the_source_of_those_packages(self):
@@ -525,6 +526,82 @@ class TestABufferHitCostsWhatItChanges:
             assert [code for code in codes
                     if code.co_name == "__init__"
                     and not code.co_filename.endswith(".py")] == []
+            assert len(codes) <= self.MAX_CALLS, \
+                [code.co_qualname for code in codes]
+
+
+class TestAWriteThroughCheckinCostsWhatItChanges:
+    """A count gate on the write-through checkin, host-independent:
+    one checkin ships its request and its bytes, runs one 2PC with one
+    participant, logs the version it commits with one forced write,
+    revokes the lease on the version it supersedes, and runs nothing
+    else.
+
+    The calls are Python-level ``call`` events under
+    :func:`sys.setprofile`, counted as in
+    :class:`TestABufferHitCostsWhatItChanges`.  The payloads are frozen
+    before the count, so the count is the protocol's, not the freeze
+    walk's (which a bigger payload makes longer).  Before the
+    repository logged the version it commits, a checkin of this rig
+    made 119 calls, four of them ``copy.deepcopy`` in the WAL's copy
+    of the checkin record and eight dataclass ``__init__``s."""
+
+    CHECKINS = 300
+    #: Python-level calls of one write-through checkin of this rig
+    #: (the failing assertion lists them); four build a record with a
+    #: generated ``__init__``: the server's transaction, the version,
+    #: its lease and its buffer entry
+    MAX_CALLS = 53
+
+    def test_300_write_through_checkins_inside_one_dop(self):
+        # the campaigns' lease regime: every committed version is
+        # leased back to the workstation under a TTL
+        rig = _make_rig(lease_ttl=120.0)
+        client = rig.client_tm("ws-1")
+        wal = rig.repository.wal
+        dov = rig.repository.checkin("da-1", "Cell", _nested_payload())
+        dop = client.begin_dop("da-1", "tool")
+        client.checkout(dop, dov.dov_id)            # the one miss
+        payloads = [freeze_payload(_nested_payload(rev=index + 1))
+                    for index in range(self.CHECKINS)]
+        forced = wal.forced_writes
+        parent = dov.dov_id
+
+        per_checkin: list[list] = []
+        calls: list = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code)
+
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for payload in payloads:
+                del calls[:]
+                sys.setprofile(profile)
+                try:
+                    result = client.checkin(dop, "Cell", data=payload,
+                                            parents=[parent])
+                finally:
+                    sys.setprofile(None)
+                assert result.success
+                parent = result.dov.dov_id
+                per_checkin.append(list(calls))
+        finally:
+            if collecting:
+                gc.enable()
+
+        def named(codes, qualname):
+            return sum(code.co_qualname == qualname for code in codes)
+
+        assert wal.forced_writes - forced == self.CHECKINS
+        assert client.buffer.get(parent, "da-1").data is payloads[-1]
+        for codes in per_checkin:
+            assert named(codes, "WriteAheadLog.append") == 1
+            assert named(codes, "WriteAheadLog.force") == 1
+            assert named(codes, "Network.send") == 6
+            assert named(codes, "deepcopy") == 0
             assert len(codes) <= self.MAX_CALLS, \
                 [code.co_qualname for code in codes]
 

@@ -8,6 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.repository.repository import DesignDataRepository
+from repro.repository.schema import (
+    AttributeDef,
+    AttributeKind,
+    DesignObjectType,
+)
 from repro.repository.storage import VersionStore
 from repro.repository.versions import DesignObjectVersion
 from repro.repository.wal import LogRecordKind, WriteAheadLog
@@ -247,3 +253,66 @@ class TestVersionStore:
         assert back.created_at == 42.0
         assert back.parents == ("p1", "p2")
         assert back.data == {"a": [1, 2]}
+
+
+class TestTheLogHoldsTheCommittedVersion:
+    """A ``DOV_CHECKIN`` record is the version its commit made durable,
+    and redo takes it back as it is: no field is copied out, and
+    nothing is rebuilt."""
+
+    @staticmethod
+    def repository() -> DesignDataRepository:
+        repository = DesignDataRepository()
+        repository.register_dot(DesignObjectType("Cell", attributes=[
+            AttributeDef("area", AttributeKind.FLOAT)]))
+        repository.create_graph("da-1")
+        return repository
+
+    def test_a_checkin_record_is_the_committed_version(self):
+        repository = self.repository()
+        root = repository.checkin("da-1", "Cell", {"area": 1.0})
+        child = repository.checkin("da-1", "Cell", {"area": 2.0},
+                                   (root.dov_id,), 5.0)
+        records = repository.wal.stable_records(LogRecordKind.DOV_CHECKIN)
+        assert [record.payload for record in records] \
+            == [{"dov": root}, {"dov": child}]
+        assert records[1].payload["dov"] is child
+
+    def test_recovery_reads_back_the_logged_object(self):
+        repository = self.repository()
+        root = repository.checkin("da-1", "Cell", {"area": 1.0})
+        child = repository.checkin("da-1", "Cell", {"area": 2.0},
+                                   (root.dov_id,), 5.0)
+        repository.crash()
+        assert repository.recover() == {"versions": 2, "graphs": 1}
+        assert repository.read(root.dov_id) is root
+        assert repository.read(child.dov_id) is child
+        assert [dov.dov_id for dov in repository.graph("da-1")] \
+            == [root.dov_id, child.dov_id]
+        assert repository.invalidation_targets(child) == [root.dov_id]
+
+    def test_a_member_crash_after_prepare_still_redoes_its_batch(self):
+        """A member's half of a federated batch: prepared (forced
+        redo record), crashed before its commit, recovered — the redo
+        commits the batch, and the fresh checkin records it writes are
+        the redone versions, read back as they are after another
+        crash."""
+        repository = self.repository()
+        root = repository.checkin("da-1", "Cell", {"area": 1.0})
+        staged = [repository.stage_checkin("da-1", "Cell", {"area": area},
+                                           (root.dov_id,), 3.0).dov_id
+                  for area in (4.0, 6.0)]
+        repository.prepare_group("g-1", staged)
+        repository.crash()
+        repository.recover()
+        assert all(dov_id not in repository for dov_id in staged)
+        assert repository.in_doubt_groups() == ["g-1"]
+        redone = repository.redo_group("g-1")
+        assert [dov.dov_id for dov in redone] == staged
+        assert [dov.data["area"] for dov in redone] == [4.0, 6.0]
+        assert repository.in_doubt_groups() == []
+        repository.crash()
+        repository.recover()
+        assert [repository.read(dov_id) for dov_id in staged] == redone
+        assert all(repository.read(dov.dov_id) is dov for dov in redone)
+        assert repository.in_doubt_groups() == []

@@ -87,3 +87,18 @@ def test_a_session_without_steps_begins_nothing():
     plan = replace(team_plans(True)[0], steps=())
     driver = run([plan])
     assert (driver.dops, driver.steps, driver.sessions) == (0, 0, 0)
+
+
+def test_a_payload_is_built_once_per_object_and_letter():
+    """An object has 26 payloads, one per letter: ``blob_for`` hands
+    back the one string of a letter for every generation that has it,
+    and that string is what the payload formula gives."""
+    driver = SessionDriver(session_rig(None), payload_bytes=2000)
+    for obj, index in (("lib-0", 0), ("cell-3", 3)):
+        for generation in (0, 1, 25, 26, 27, 51, 52):
+            blob = driver.blob_for(obj, generation)
+            assert blob == chr(ord("a") + generation % 26) \
+                * (2000 + 256 * index)
+            assert driver.blob_for(obj, generation + 26) is blob
+    assert driver.blob_for("lib-0", 1) is not driver.blob_for("lib-1", 1)
+    assert driver.blob_for("lib-0", 1) != driver.blob_for("lib-0", 2)
