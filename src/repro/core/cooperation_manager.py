@@ -242,10 +242,14 @@ class CooperationManager:
         return scope
 
     def in_scope(self, da_id: str, dov_id: str) -> bool:
-        """Scope membership test (installed as the server-TM check)."""
+        """Scope membership test (installed as the server-TM check):
+        :meth:`scope_of`'s answer for one DOV, without building it."""
         if da_id not in self._das:
             return False
-        return dov_id in self.scope_of(da_id)
+        repository = self.repository
+        return (repository.has_graph(da_id)
+                and dov_id in repository.graph(da_id)) \
+            or self.locks.holds(dov_id, da_id, LockMode.SCOPE)
 
     def _show(self, da_id: str, dov_id: str) -> None:
         """Authorise *da_id* to share a scope lock on *dov_id*."""

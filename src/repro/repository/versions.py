@@ -65,19 +65,6 @@ class FrozenDict(dict):
     clear = pop = popitem = setdefault = update = _immutable
     __ior__ = _immutable
 
-    @classmethod
-    def _adopt(cls, items: dict, size: int) -> "FrozenDict":
-        """Construct from already-frozen members with a known size.
-
-        The freeze walk computes every member's size bottom-up anyway;
-        adopting that total skips ``__init__``'s re-walk, so freezing
-        stays a genuinely single walk (the group-checkin hot path).
-        """
-        frozen = dict.__new__(cls)
-        dict.update(frozen, items)
-        frozen._frozen_size = size
-        return frozen
-
     def __deepcopy__(self, memo: dict) -> "FrozenDict":
         return self
 
@@ -110,15 +97,6 @@ class FrozenList(list):
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _immutable
     append = extend = insert = pop = remove = _immutable
     sort = reverse = clear = _immutable
-
-    @classmethod
-    def _adopt(cls, items: list, size: int) -> "FrozenList":
-        """Construct from already-frozen members with a known size
-        (see :meth:`FrozenDict._adopt`)."""
-        frozen = list.__new__(cls)
-        list.extend(frozen, items)
-        frozen._frozen_size = size
-        return frozen
 
     def __deepcopy__(self, memo: dict) -> "FrozenList":
         return self
@@ -221,9 +199,10 @@ def _freeze(value: Any) -> tuple[Any, int]:
     if tp is dict or isinstance(value, dict):
         # members freeze first and report their sizes, so the frozen
         # container adopts the total without re-walking anything —
-        # freezing a payload really is one walk.  The common leaves
-        # (str keys, scalar values) are handled inline: a flat design
-        # record freezes without a single recursive call per member.
+        # freezing a payload really is one walk.  The common members
+        # (str keys, scalar values, frozen containers) are handled
+        # inline: a working dict of tool output that was frozen where
+        # it was produced freezes without one recursive call per member.
         items: dict[Any, Any] = {}
         total = 0
         for key, item in value.items():
@@ -237,11 +216,18 @@ def _freeze(value: Any) -> tuple[Any, int]:
             elif item_type is int or item_type is float \
                     or item_type is bool or item is None:
                 frozen_item, item_size = item, _SCALAR_BYTES
+            elif item_type is FrozenDict or item_type is FrozenList:
+                frozen_item, item_size = item, item._frozen_size
             else:
                 frozen_item, item_size = _freeze(item)
             items[frozen_key] = frozen_item
             total += key_size + item_size + _CONTAINER_OVERHEAD
-        return FrozenDict._adopt(items, total), total
+        # the frozen container adopts the members and their total
+        # without ``__init__``'s re-walk
+        frozen_dict = dict.__new__(FrozenDict)
+        dict.update(frozen_dict, items)
+        frozen_dict._frozen_size = total
+        return frozen_dict, total
     if tp is list or isinstance(value, list):
         members_list: list[Any] = []
         total = 0
@@ -252,11 +238,16 @@ def _freeze(value: Any) -> tuple[Any, int]:
             elif item_type is int or item_type is float \
                     or item_type is bool or item is None:
                 frozen_item, item_size = item, _SCALAR_BYTES
+            elif item_type is FrozenDict or item_type is FrozenList:
+                frozen_item, item_size = item, item._frozen_size
             else:
                 frozen_item, item_size = _freeze(item)
             members_list.append(frozen_item)
             total += item_size + _CONTAINER_OVERHEAD
-        return FrozenList._adopt(members_list, total), total
+        frozen_list = list.__new__(FrozenList)
+        list.extend(frozen_list, members_list)
+        frozen_list._frozen_size = total
+        return frozen_list, total
     if isinstance(value, str):
         return value, len(value)
     if isinstance(value, bytes):

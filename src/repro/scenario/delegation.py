@@ -19,6 +19,7 @@ from repro.core.features import DesignSpecification, RangeFeature
 from repro.core.system import ConcordSystem
 from repro.dc.rules import EcaRule
 from repro.dc.script import DaOpStep, DopStep, Script, Sequence
+from repro.repository.versions import freeze_payload
 from repro.scenario.schema import ScenarioConfig
 from repro.sim.kernel import Kernel
 from repro.te.context import DopContext
@@ -49,7 +50,8 @@ def subcell_seed(context: DopContext, params: dict[str, Any]) -> None:
     Reads the parent's floorplan (the sub-DA's initial DOV), extracts
     the placement of ``params['subcell']`` as this cell's interface,
     and installs a fresh behavioral description for the subcell's own
-    content (``params['operations']``).
+    content (``params['operations']``).  Like the VLSI tools, it
+    stores what it produces frozen.
     """
     subcell = params["subcell"]
     operations = params.get("operations",
@@ -72,8 +74,8 @@ def subcell_seed(context: DopContext, params: dict[str, Any]) -> None:
     context.data.update({
         "cell": subcell,
         "level": params.get("level", "module"),
-        "behavior": {"operations": list(operations)},
-        "interface": interface.to_dict(),
+        "behavior": freeze_payload({"operations": list(operations)}),
+        "interface": freeze_payload(interface.to_dict()),
     })
 
 

@@ -73,9 +73,11 @@ def _freeze_working(mapping: dict[str, Any], prev: FrozenDict
 
     Members of :data:`_SHARED_TYPES` are shared in O(1) each; only
     mutable tool output is walked (once, by :func:`freeze_payload`).
-    When every member is shared and is the very object *prev* already
-    holds under that key, *prev* is the image: an untouched dict costs
-    one identity check per key and allocates nothing.
+    The shipped tools freeze their output where they produce it, so a
+    working dict of theirs is never walked here.  When every member is
+    shared and is the very object *prev* already holds under that key,
+    *prev* is the image: an untouched dict costs one identity check
+    per key and allocates nothing.
     """
     if not mapping:
         return _EMPTY, _NONE_OWNED
@@ -90,7 +92,7 @@ def _freeze_working(mapping: dict[str, Any], prev: FrozenDict
                 break
         else:
             return prev, _NONE_OWNED
-    return freeze_payload(mapping), _NONE_OWNED
+    return FrozenDict(mapping), _NONE_OWNED
 
 
 def _thaw_working(frozen: FrozenDict, owned: frozenset) -> dict[str, Any]:

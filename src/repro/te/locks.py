@@ -51,6 +51,14 @@ _COMPATIBLE: dict[tuple[LockMode, LockMode], bool] = {
     (LockMode.DERIVATION, LockMode.DERIVATION): False,
 }
 
+#: requested processing mode -> the granted modes it conflicts with
+_CONFLICTS: dict[LockMode, tuple[LockMode, ...]] = {
+    requested: tuple(granted for granted, wanted in _COMPATIBLE
+                     if wanted is requested
+                     and not _COMPATIBLE[(granted, wanted)])
+    for requested in (LockMode.SHORT_READ, LockMode.SHORT_WRITE,
+                      LockMode.DERIVATION)}
+
 
 class Lock(NamedTuple):
     """One granted lock: a tuple, built in one allocation, whose
@@ -73,100 +81,161 @@ class LockStats:
 
 
 class LockManager:
-    """Lock table over DOV ids with CONCORD's special scope semantics."""
+    """Lock table over DOV ids with CONCORD's special scope semantics.
+
+    Grants are indexed twice: per resource, keyed ``(mode, holder)`` in
+    grant order, and per holder.  A request, a release, a holder's
+    locks and a terminate-time inheritance therefore cost the grants
+    they touch, not the whole table or every grant on a shared DOV.
+    """
 
     def __init__(self) -> None:
-        #: resource -> list of grants
-        self._table: dict[str, list[Lock]] = {}
+        #: resource -> its grants, keyed (mode, holder), in grant order
+        self._table: dict[str, dict[tuple[LockMode, str], Lock]] = {}
+        #: resource -> how many of its grants each mode has; made when
+        #: a second grant arrives (a sole grant is its own count)
+        self._modes: dict[str, dict[LockMode, int]] = {}
+        #: holder -> its grants, in grant order, each with the birth of
+        #: its resource's entry in ``_table``: :meth:`locks_of` lists a
+        #: holder's grants in table order
+        self._held: dict[str, dict[Lock, int]] = {}
+        self._births = 0
         #: callback(requestor_da, holder_da, dov_id) -> bool, installed by
         #: the CM to authorise scope-lock sharing along usage relationships
         self.usage_allows: Callable[[str, str, str], bool] = \
             lambda *_: False
         self.stats = LockStats()
 
-    # -- helpers ---------------------------------------------------------------
+    # -- queries ----------------------------------------------------------------
 
     def holders(self, resource: str,
                 mode: LockMode | None = None) -> list[Lock]:
         """Current grants on *resource*, optionally filtered by mode."""
         grants = self._table.get(resource)
-        if not grants:
+        if grants is None:
             return []
         if mode is None:
-            return list(grants)
-        return [g for g in grants if g.mode is mode]
+            return list(grants.values())
+        return [g for g in grants.values() if g.mode is mode]
 
-    def holds(self, resource: str, holder: str) -> bool:
-        """True when *holder* holds a lock on *resource*."""
-        return any(g.holder == holder
-                   for g in self._table.get(resource, []))
+    def holds(self, resource: str, holder: str, mode: LockMode) -> bool:
+        """True when *holder* holds a *mode* lock on *resource*."""
+        grants = self._table.get(resource)
+        return grants is not None and (mode, holder) in grants
+
+    def blocker(self, resource: str, holder: str,
+                mode: LockMode) -> Lock | None:
+        """The first *mode* grant on *resource*, in grant order, that a
+        holder other than *holder* has; None, in O(1), when none has."""
+        grants = self._table.get(resource)
+        if grants is None \
+                or self._count(resource, grants, mode) \
+                <= ((mode, holder) in grants):
+            return None
+        return next(g for g in grants.values()
+                    if g.mode is mode and g.holder != holder)
 
     def locks_of(self, holder: str,
                  mode: LockMode | None = None) -> list[Lock]:
-        """All grants held by *holder*."""
-        found = []
-        for grants in self._table.values():
-            found.extend(g for g in grants
-                         if g.holder == holder
-                         and (mode is None or g.mode is mode))
-        return found
+        """All grants held by *holder*, in the order of the table:
+        by resource, oldest entry first, then in grant order."""
+        held = self._held.get(holder)
+        if held is None:
+            return []
+        found = [(born, i, g) for i, (g, born) in enumerate(held.items())
+                 if mode is None or g.mode is mode]
+        found.sort()
+        return [g for _, _, g in found]
 
-    def _scope_compatible(self, requestor: str, resource: str) -> bool:
-        """Scope locks coexist only along usage relationships."""
-        for grant in self.holders(resource, LockMode.SCOPE):
-            if grant.holder == requestor:
-                continue
-            if not self.usage_allows(requestor, grant.holder, resource):
-                return False
-        return True
+    def scope_of(self, da_id: str) -> set[str]:
+        """DOV ids currently scope-locked by *da_id*."""
+        held = self._held.get(da_id)
+        if held is None:
+            return set()
+        return {g.resource for g in held if g.mode is LockMode.SCOPE}
+
+    # -- the two indexes ------------------------------------------------------------
+
+    def _count(self, resource: str, grants: dict, mode: LockMode) -> int:
+        """How many *mode* grants the held *resource* has."""
+        modes = self._modes.get(resource)
+        if modes is None:
+            (only,) = grants.values()
+            return only.mode is mode
+        return modes.get(mode, 0)
+
+    def _add(self, resource: str, holder: str, mode: LockMode) -> Lock:
+        """Enter a new grant in both indexes."""
+        lock = tuple.__new__(Lock, (resource, holder, mode))
+        grants = self._table.get(resource)
+        if grants is None:
+            self._table[resource] = {(mode, holder): lock}
+            born = self._births
+            self._births += 1
+        else:
+            modes = self._modes.get(resource)
+            if modes is None:
+                (only,) = grants.values()
+                modes = self._modes[resource] = {only.mode: 1}
+            modes[mode] = modes.get(mode, 0) + 1
+            # the resource's birth, as any of its grants carries it
+            first = next(iter(grants.values()))
+            born = self._held[first.holder][first]
+            grants[mode, holder] = lock
+        self._held.setdefault(holder, {})[lock] = born
+        return lock
 
     # -- acquire/release -----------------------------------------------------------
 
     def acquire(self, resource: str, holder: str, mode: LockMode) -> Lock:
         """Grant a lock or raise :class:`LockConflictError`.
 
-        Re-acquiring an identical lock is idempotent.
+        Re-acquiring an identical lock is idempotent.  A refusal names
+        the first conflicting grant, in grant order.
         """
         grants = self._table.get(resource)
-        if not grants:
+        if grants is None:
             # a free resource: nothing to conflict with
             lock = tuple.__new__(Lock, (resource, holder, mode))
-            self._table[resource] = [lock]
+            self._table[resource] = {(mode, holder): lock}
+            self._held.setdefault(holder, {})[lock] = self._births
+            self._births += 1
             self.stats.granted += 1
             return lock
-        for grant in grants:
-            if grant.holder == holder and grant.mode is mode:
-                return grant  # idempotent
+        lock = grants.get((mode, holder))
+        if lock is not None:
+            return lock  # idempotent
         if mode is LockMode.SCOPE:
-            if not self._scope_compatible(holder, resource):
-                blocker = next(g.holder for g in grants
-                               if g.mode is LockMode.SCOPE
-                               and g.holder != holder)
-                self.stats.conflicts += 1
-                raise LockConflictError(
-                    f"scope lock on {resource!r} for {holder!r} denied: "
-                    f"no usage relationship to holder {blocker!r}",
-                    holder=blocker)
-            was_shared = any(g.mode is LockMode.SCOPE and g.holder != holder
-                             for g in grants)
-            if was_shared:
+            # the requestor holds no scope lock here: every scope grant
+            # is another DA's, and each must share along a usage
+            if self._count(resource, grants, mode):
+                scope = self.holders(resource, mode)
+                for grant in scope:
+                    if not self.usage_allows(holder, grant.holder,
+                                             resource):
+                        self.stats.conflicts += 1
+                        raise LockConflictError(
+                            f"scope lock on {resource!r} for {holder!r} "
+                            f"denied: no usage relationship to holder "
+                            f"{scope[0].holder!r}", holder=scope[0].holder)
                 self.stats.usage_grants += 1
         else:
-            for grant in grants:
-                if grant.holder == holder:
-                    continue  # own locks never conflict with each other
-                if grant.mode is LockMode.SCOPE:
-                    continue  # scope membership does not block processing
-                if not _COMPATIBLE[(grant.mode, mode)]:
+            # own locks never conflict with each other, and scope
+            # membership does not block processing
+            conflicting = _CONFLICTS[mode]
+            for held_mode in conflicting:
+                if self._count(resource, grants, held_mode) \
+                        > ((held_mode, holder) in grants):
+                    grant = next(g for g in grants.values()
+                                 if g.mode in conflicting
+                                 and g.holder != holder)
                     self.stats.conflicts += 1
                     raise LockConflictError(
                         f"{mode.value} on {resource!r} for {holder!r} "
                         f"conflicts with {grant.mode.value} held by "
                         f"{grant.holder!r}", holder=grant.holder)
-        lock = tuple.__new__(Lock, (resource, holder, mode))
-        grants.append(lock)
         self.stats.granted += 1
-        return lock
+        return self._add(resource, holder, mode)
 
     def try_acquire(self, resource: str, holder: str,
                     mode: LockMode) -> Lock | None:
@@ -180,34 +249,36 @@ class LockManager:
                 mode: LockMode | None = None) -> int:
         """Release *holder*'s lock(s) on *resource*; returns #released."""
         grants = self._table.get(resource)
-        if not grants:
+        if grants is None:
             return 0
-        if len(grants) == 1:
-            # the resource's only grant: drop the entry, no list rebuilt
-            grant = grants[0]
-            if grant.holder != holder \
-                    or (mode is not None and grant.mode is not mode):
-                return 0
+        if mode is None:
+            return sum(self.release(resource, holder, each)
+                       for each in LockMode)
+        lock = grants.pop((mode, holder), None)
+        if lock is None:
+            return 0
+        if not grants:
+            # the resource's last grant: its entries go
             del self._table[resource]
-            self.stats.released += 1
-            return 1
-        keep = [g for g in grants
-                if not (g.holder == holder
-                        and (mode is None or g.mode is mode))]
-        released = len(grants) - len(keep)
-        if keep:
-            self._table[resource] = keep
+            if resource in self._modes:
+                del self._modes[resource]
         else:
-            self._table.pop(resource, None)
-        self.stats.released += released
-        return released
+            self._modes[resource][mode] -= 1
+        held = self._held[holder]
+        if len(held) == 1:
+            del self._held[holder]
+        else:
+            del held[lock]
+        self.stats.released += 1
+        return 1
 
     def release_all(self, holder: str, mode: LockMode | None = None) -> int:
         """Release every lock of *holder* (optionally one mode)."""
-        released = 0
-        for resource in list(self._table):
-            released += self.release(resource, holder, mode)
-        return released
+        held = self._held.get(holder)
+        if held is None:
+            return 0
+        return sum(self.release(g.resource, holder, g.mode)
+                   for g in list(held) if mode is None or g.mode is mode)
 
     # -- CONCORD scope-lock specials ------------------------------------------------
 
@@ -224,18 +295,11 @@ class LockManager:
         """
         inherited: list[str] = []
         for lock in self.locks_of(from_da, LockMode.SCOPE):
-            self.release(lock.resource, from_da, LockMode.SCOPE)
-            if lock.resource in final_dovs:
-                grants = self._table.setdefault(lock.resource, [])
-                if not any(g.holder == to_da and g.mode is LockMode.SCOPE
-                           for g in grants):
-                    grants.append(Lock(lock.resource, to_da, LockMode.SCOPE))
+            resource = lock.resource
+            self.release(resource, from_da, LockMode.SCOPE)
+            if resource in final_dovs:
+                if not self.holds(resource, to_da, LockMode.SCOPE):
+                    self._add(resource, to_da, LockMode.SCOPE)
                     self.stats.inherited += 1
-                inherited.append(lock.resource)
+                inherited.append(resource)
         return inherited
-
-    def scope_of(self, da_id: str) -> set[str]:
-        """DOV ids currently scope-locked by *da_id*."""
-        return {lock.resource
-                for lock in self.locks_of(da_id, LockMode.SCOPE)}
-

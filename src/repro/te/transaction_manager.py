@@ -222,11 +222,11 @@ class ServerTM:
             raise ScopeViolationError(
                 f"DOV {dov_id!r} is not in the scope of DA {da_id!r}")
         locks = self.locks
-        for grant in locks.holders(dov_id, LockMode.DERIVATION):
-            if grant.holder != da_id:
-                raise LockConflictError(
-                    f"DOV {dov_id!r} derivation-locked by "
-                    f"{grant.holder!r}", holder=grant.holder)
+        grant = locks.blocker(dov_id, da_id, LockMode.DERIVATION)
+        if grant is not None:
+            raise LockConflictError(
+                f"DOV {dov_id!r} derivation-locked by "
+                f"{grant.holder!r}", holder=grant.holder)
         locks.acquire(dov_id, dop_id, LockMode.SHORT_READ)
         try:
             dov = self.repository.read(dov_id)

@@ -25,10 +25,11 @@ Implemented tools:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container, Iterable
 
 from repro.util.rng import SeededRng
 from repro.vlsi.floorplan import Floorplan, FloorplanInterface, Placement
-from repro.vlsi.netlist import Net, NetList
+from repro.vlsi.netlist import NetList
 from repro.vlsi.shapes import Shape, ShapeFunction
 
 
@@ -40,11 +41,23 @@ from repro.vlsi.shapes import Shape, ShapeFunction
 _PASSES = 4
 
 
-def _bipartition(cells: list[str], nets: list[Net],
+def _nets_on(cells: Container[str],
+             nets: Iterable[Iterable[str]]) -> list[list[str]]:
+    """The pins of *nets* on *cells*, each pin once, for every net with
+    two or more of them: the nets a bipartition of *cells* can cut."""
+    own = []
+    for net in nets:
+        pins = [c for c in dict.fromkeys(net) if c in cells]
+        if len(pins) > 1:
+            own.append(pins)
+    return own
+
+
+def _bipartition(cells: list[str], nets: list[list[str]],
                  areas: dict[str, float], rng: SeededRng | None,
                  passes: int) -> tuple[set[str], set[str]]:
-    """Balanced min-cut bipartition of *cells*; pins of *nets* on
-    other cells do not count.
+    """Balanced min-cut bipartition of *cells* over their own *nets*
+    (see :func:`_nets_on`).
 
     Greedy area-balanced seed, then KL-style single-move improvement:
     repeatedly move the cell with the best cut-gain whose move keeps
@@ -62,49 +75,44 @@ def _bipartition(cells: list[str], nets: list[Net],
     else:
         cells.sort(key=lambda c: -areas.get(c, 1.0))
 
-    total = sum(areas.get(c, 1.0) for c in cells)
+    area = {cell: areas.get(cell, 1.0) for cell in cells}
+    total = sum(area.values())
     part_a: set[str] = set()
     part_b: set[str] = set()
     area_a = area_b = 0.0
     for cell in cells:
         if area_a <= area_b:
             part_a.add(cell)
-            area_a += areas.get(cell, 1.0)
+            area_a += area[cell]
         else:
             part_b.add(cell)
-            area_b += areas.get(cell, 1.0)
+            area_b += area[cell]
+    if len(part_a) == 1 == len(part_b):
+        return part_a, part_b   # a one-cell half has no cell to give
 
     # cell -> [pins in part_a, pins in part_b] of each net it is on;
-    # the cells of one net share the pair.  A net with fewer than two
-    # of these cells can never be cut.
+    # the cells of one net share the pair
     incident: dict[str, list[list[int]]] = {cell: [] for cell in cells}
-    for net in nets:
-        pins = [c for c in set(net.cells) if c in incident]
-        if len(pins) < 2:
-            continue
+    for pins in nets:
         counts = [0, 0]
         for cell in pins:
             counts[cell in part_b] += 1
             incident[cell].append(counts)
 
-    def balanced_after(cell: str, src: set[str]) -> bool:
-        moved = areas.get(cell, 1.0)
-        if src is part_a:
-            new_a, new_b = area_a - moved, area_b + moved
-        else:
-            new_a, new_b = area_a + moved, area_b - moved
-        if total <= 0:
-            return True
-        share = new_a / total
-        return 0.4 <= share <= 0.6 or min(len(part_a), len(part_b)) <= 1
-
     for _ in range(passes):
+        # a move keeps the halves within 60/40 of the total area, or
+        # either half is down to one cell
+        balance = total > 0 and min(len(part_a), len(part_b)) > 1
         best_gain = 0
         best_cell: str | None = None
         for cell in cells:
-            src, here, there = (part_a, 0, 1) if cell in part_a \
-                else (part_b, 1, 0)
-            if len(src) <= 1 or not balanced_after(cell, src):
+            if cell in part_a:
+                src, here, there = part_a, 0, 1
+                share = (area_a - area[cell]) / total if balance else 0.5
+            else:
+                src, here, there = part_b, 1, 0
+                share = (area_a + area[cell]) / total if balance else 0.5
+            if len(src) <= 1 or not 0.4 <= share <= 0.6:
                 continue
             # a net leaves the cut when this is its last pin here and
             # joins it when it had no pin over there
@@ -114,7 +122,7 @@ def _bipartition(cells: list[str], nets: list[Net],
                 best_gain, best_cell = gain, cell
         if best_cell is None:
             break
-        moved = areas.get(best_cell, 1.0)
+        moved = area[best_cell]
         if best_cell in part_a:
             src, dst, here, there = part_a, part_b, 0, 1
             area_a -= moved
@@ -144,11 +152,17 @@ class _Slice:
     placements: list[Placement]
 
 
-def _place_cells(cells: list[str], netlist: NetList,
+def _place_cells(cells: list[str], nets: list[list[str]],
                  shape_fns: dict[str, ShapeFunction],
                  areas: dict[str, float],
                  rng: SeededRng | None, horizontal: bool) -> _Slice:
-    """Recursive slicing: partition, place halves, compose."""
+    """Recursive slicing: partition, place halves, compose.
+
+    *cells* come in net-list order and *nets* are their own nets
+    (:func:`_nets_on`); each half goes down with its cells in that
+    order and its own nets, so a level costs its cells and pins, not
+    the whole net list.
+    """
     if len(cells) == 1:
         cell = cells[0]
         shape = _pick_shape(shape_fns.get(cell), areas.get(cell, 1.0),
@@ -156,16 +170,28 @@ def _place_cells(cells: list[str], netlist: NetList,
         return _Slice(shape.width, shape.height,
                       [Placement(cell, 0.0, 0.0, shape.width,
                                  shape.height)])
-    keep = set(cells)
-    part_a, part_b = _bipartition(
-        [c for c in netlist.cells if c in keep], netlist.nets, areas, rng,
-        _PASSES)
+    part_a, part_b = _bipartition(list(cells), nets, areas, rng, _PASSES)
     if not part_a or not part_b:
+        ordered = sorted(cells)
         half = max(1, len(cells) // 2)
-        part_a, part_b = set(cells[:half]), set(cells[half:])
-    left = _place_cells(sorted(part_a), netlist, shape_fns, areas, rng,
+        part_a, part_b = set(ordered[:half]), set(ordered[half:])
+    cells_a = [c for c in cells if c in part_a]
+    cells_b = [c for c in cells if c in part_b]
+    # only a half of three or more cells reads its nets: two cells are
+    # seeded one a side, where neither can move (or, with no area to
+    # balance, both on one side, where no move gains)
+    nets_a: list[list[str]] = []
+    nets_b: list[list[str]] = []
+    if len(cells_a) > 2 or len(cells_b) > 2:
+        for pins in nets:
+            pins_a = [c for c in pins if c in part_a]
+            if len(pins_a) > 1:
+                nets_a.append(pins_a)
+            if len(pins) - len(pins_a) > 1:
+                nets_b.append([c for c in pins if c not in part_a])
+    left = _place_cells(cells_a, nets_a, shape_fns, areas, rng,
                         not horizontal)
-    right = _place_cells(sorted(part_b), netlist, shape_fns, areas, rng,
+    right = _place_cells(cells_b, nets_b, shape_fns, areas, rng,
                          not horizontal)
     if horizontal:   # halves side by side
         placements = list(left.placements)
@@ -239,12 +265,13 @@ class ChipPlanner:
         areas = {c: (shape_functions[c].min_area()
                      if c in shape_functions else 1.0)
                  for c in netlist.cells}
+        cells = list(netlist.cells)
+        nets = _nets_on(set(cells), (net.cells for net in netlist.nets))
         best: Floorplan | None = None
         best_key: tuple[float, float] | None = None
         for attempt in range(self.iterations):
             rng = SeededRng(self.seed * 7919 + attempt)
-            sliced = _place_cells(sorted(netlist.cells), netlist,
-                                  shape_functions, areas, rng,
+            sliced = _place_cells(cells, nets, shape_functions, areas, rng,
                                   horizontal=True)
             floorplan = Floorplan(
                 cud=cud, width=round(sliced.width, 3),

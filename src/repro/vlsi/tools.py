@@ -2,6 +2,9 @@
 
 Each tool is a function ``tool(context, params)`` mutating the DOP's
 working data — the form the DC level's :class:`ToolRegistry` expects.
+A tool stores what it produces frozen (:func:`freeze_payload`), once,
+where it produces it: the recovery point after the step and the checkin
+share those values instead of walking them again.
 The numbering follows Fig.2:
 
 1. structure synthesis       behavior -> structure
@@ -30,6 +33,7 @@ from repro.repository.schema import (
     Constraint,
     DesignObjectType,
 )
+from repro.repository.versions import freeze_payload
 from repro.te.context import DopContext
 from repro.util.errors import WorkflowError
 from repro.util.rng import SeededRng
@@ -128,10 +132,10 @@ def structure_synthesis(context: DopContext,
     netlist = synthetic_netlist(subcells, rng,
                                 nets_per_cell=float(
                                     params.get("nets_per_cell", 1.5)))
-    context.data["structure"] = {
+    context.data["structure"] = freeze_payload({
         "subcells": subcells,
         "netlist": netlist.to_dict(),
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +160,8 @@ def repartitioning(context: DopContext, params: dict[str, Any]) -> None:
     ranked = sorted(netlist.cells, key=lambda c: -netlist.degree(c))
     for i, cell_name in enumerate(ranked):
         partitions[i % groups].append(cell_name)
-    context.data["structure"] = {**structure, "partitions": partitions}
+    context.data["structure"] = freeze_payload(
+        {**structure, "partitions": partitions})
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +184,7 @@ def shape_function_generator(context: DopContext,
         area = float(areas.get(subcell, default_area))
         functions[subcell] = shapes_for_area(subcell, area,
                                              aspects).to_dict()
-    context.data["shape_functions"] = functions
+    context.data["shape_functions"] = freeze_payload(functions)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +209,7 @@ def pad_frame_editor(context: DopContext, params: dict[str, Any]) -> None:
                                 net=f"io-{i}"))
     interface = FloorplanInterface(cell, max_width, max_height,
                                    pins=tuple(pins))
-    context.data["interface"] = interface.to_dict()
+    context.data["interface"] = freeze_payload(interface.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +243,7 @@ def chip_planner_tool(context: DopContext, params: dict[str, Any]) -> None:
                           seed=int(params.get("seed", 0)))
     floorplan = planner.plan(context.data.get("cell", "cud"), netlist,
                              shape_functions, interface)
-    context.data["floorplan"] = floorplan.to_dict()
+    context.data["floorplan"] = freeze_payload(floorplan.to_dict())
     context.data["width"] = floorplan.width
     context.data["height"] = floorplan.height
     context.data["area"] = round(floorplan.area, 3)
@@ -257,12 +262,12 @@ def cell_synthesis(context: DopContext, params: dict[str, Any]) -> None:
     aspect = float(params.get("aspect", 1.0))
     width = round((area * aspect) ** 0.5, 3)
     height = round(area / width, 3) if width else 0.0
-    context.data["layout"] = {
+    context.data["layout"] = freeze_payload({
         "kind": "standard-cell",
         "rects": [[0.0, 0.0, width, height]],
         "width": width,
         "height": height,
-    }
+    })
     context.data["width"] = width
     context.data["height"] = height
 
@@ -284,13 +289,13 @@ def chip_assembly(context: DopContext, params: dict[str, Any]) -> None:
             f"chip assembly rejected invalid floorplan: {problems}")
     rects = [[p.x, p.y, p.width, p.height]
              for p in floorplan.placements.values()]
-    context.data["layout"] = {
+    context.data["layout"] = freeze_payload({
         "kind": "chip",
         "rects": rects,
         "width": floorplan.width,
         "height": floorplan.height,
         "utilisation": round(floorplan.utilisation, 4),
-    }
+    })
     context.data["width"] = floorplan.width
     context.data["height"] = floorplan.height
     context.data["area"] = round(floorplan.area, 3)

@@ -822,18 +822,77 @@ class TestThePlannerKeepsPinCounts:
         assert 0 < calls["crosses"] <= 3 * len(netlist.nets)
 
 
+def _team_delegation(size: int):
+    """The ``team_delegation`` workload's tables at *size* subcells
+    (seed 307, jitter 0.2, ws-C01 crashing 15 minutes in), compiled."""
+    from repro.scenario import compile_scenario, validate_scenario
+
+    return compile_scenario(validate_scenario({
+        "scenario": {"name": "team-delegation",
+                     "kind": "concurrent_delegation", "seed": 307},
+        "team": {"subcells": [f"C{i:02d}" for i in range(size)]},
+        "traffic": {"jitter": 0.2},
+        "crashes": {"schedule": [{"node": "ws-C01", "at": 15.0,
+                                  "restart_after": 5.0}]},
+    }))
+
+
+def _lines_per_sub_da(size: int) -> float:
+    """``line`` events executed in ``src/repro`` frames by one run of
+    :func:`_team_delegation`, per sub-DA (set-up not counted).  A
+    small run goes first, untraced, so that the modules a run imports
+    are not counted against the first size measured."""
+    _team_delegation(2).run()
+    compiled = _team_delegation(size)
+    package = str(Path(repro.__file__).parent)
+    executed = [0]
+
+    def count(frame, event, arg):
+        if event == "line":
+            executed[0] += 1
+        return count
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename.startswith(package):
+            return count(frame, event, arg)
+        return None
+
+    sys.settrace(trace)
+    try:
+        compiled.run()
+    finally:
+        sys.settrace(None)
+    return executed[0] / size
+
+
 class TestTheDcLevelIsFlat:
     """A count gate on the DC level, at two sizes of the
-    ``team_delegation`` workload's tables (seed 307, jitter 0.2, ws-C01
-    crashing 15 minutes in): a DM is stepped when something it waits on
-    happens, so the kernel work per sub-DA does not grow with the team
-    and no message steps a DM it was not addressed to."""
+    ``team_delegation`` workload's tables: a DM is stepped when
+    something it waits on happens, so the kernel work per sub-DA does
+    not grow with the team and no message steps a DM it was not
+    addressed to; and a delegation costs what it touches, so the lines
+    executed per sub-DA do not grow either (the planner, the lock table
+    and the tools' output once grew them 1.18x from 12 to 48 subcells
+    and 2.01x from 30 to 240).  Line counts move with the CPython minor
+    version, so only their ratios are gated."""
 
     SIZES = (12, 48)
+    #: lines per sub-DA at 48 subcells over those at 12
+    MAX_LINE_GROWTH = 1.05
+    #: the same from 30 to 240 subcells (slow)
+    MAX_LINE_GROWTH_SLOW = 1.3
+
+    def test_lines_per_sub_da_do_not_grow(self):
+        small, large = (_lines_per_sub_da(size) for size in self.SIZES)
+        assert large / small <= self.MAX_LINE_GROWTH, (small, large)
+
+    @pytest.mark.slow
+    def test_lines_per_sub_da_do_not_grow_at_240_subcells(self):
+        small, large = (_lines_per_sub_da(size) for size in (30, 240))
+        assert large / small <= self.MAX_LINE_GROWTH_SLOW, (small, large)
 
     def test_steps_and_events_per_sub_da_do_not_grow(self, monkeypatch):
         from repro.dc.design_manager import DesignManager
-        from repro.scenario import compile_scenario, validate_scenario
         from repro.sim.kernel import Kernel
 
         counts = {"start_step": 0, "productive": 0, "messages": 0,
@@ -873,14 +932,7 @@ class TestTheDcLevelIsFlat:
         per_sub_da = {}
         for size in self.SIZES:
             counts.update(dict.fromkeys(counts, 0))
-            report = compile_scenario(validate_scenario({
-                "scenario": {"name": "team-delegation",
-                             "kind": "concurrent_delegation", "seed": 307},
-                "team": {"subcells": [f"C{i:02d}" for i in range(size)]},
-                "traffic": {"jitter": 0.2},
-                "crashes": {"schedule": [{"node": "ws-C01", "at": 15.0,
-                                          "restart_after": 5.0}]},
-            })).run()
+            report = _team_delegation(size).run()
             assert set(report.final_states.values()) \
                 == {"active", "terminated"}
             assert counts["start_step"] <= counts["productive"] + size

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+from typing import Callable
 
-from repro.te.locks import LockManager, LockMode
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.te.locks import _COMPATIBLE, Lock, LockManager, LockMode, \
+    LockStats
 from repro.util.errors import LockConflictError
 
 
@@ -163,3 +168,252 @@ class TestStats:
         assert locks.stats.conflicts == 1
         assert locks.stats.released == 1
 
+
+
+# ---------------------------------------------------------------------------
+# the indexed table against the list-based one
+# ---------------------------------------------------------------------------
+
+class _ReferenceLockManager:
+    """The list-based lock table the indexed one replaced, verbatim:
+    every query scans a resource's grants or the whole table."""
+
+    def __init__(self) -> None:
+        #: resource -> list of grants
+        self._table: dict[str, list[Lock]] = {}
+        #: callback(requestor_da, holder_da, dov_id) -> bool, installed by
+        #: the CM to authorise scope-lock sharing along usage relationships
+        self.usage_allows: Callable[[str, str, str], bool] = \
+            lambda *_: False
+        self.stats = LockStats()
+
+    # -- helpers ---------------------------------------------------------------
+
+    def holders(self, resource: str,
+                mode: LockMode | None = None) -> list[Lock]:
+        """Current grants on *resource*, optionally filtered by mode."""
+        grants = self._table.get(resource)
+        if not grants:
+            return []
+        if mode is None:
+            return list(grants)
+        return [g for g in grants if g.mode is mode]
+
+    def holds(self, resource: str, holder: str) -> bool:
+        """True when *holder* holds a lock on *resource*."""
+        return any(g.holder == holder
+                   for g in self._table.get(resource, []))
+
+    def locks_of(self, holder: str,
+                 mode: LockMode | None = None) -> list[Lock]:
+        """All grants held by *holder*."""
+        found = []
+        for grants in self._table.values():
+            found.extend(g for g in grants
+                         if g.holder == holder
+                         and (mode is None or g.mode is mode))
+        return found
+
+    def _scope_compatible(self, requestor: str, resource: str) -> bool:
+        """Scope locks coexist only along usage relationships."""
+        for grant in self.holders(resource, LockMode.SCOPE):
+            if grant.holder == requestor:
+                continue
+            if not self.usage_allows(requestor, grant.holder, resource):
+                return False
+        return True
+
+    # -- acquire/release -----------------------------------------------------------
+
+    def acquire(self, resource: str, holder: str, mode: LockMode) -> Lock:
+        """Grant a lock or raise :class:`LockConflictError`.
+
+        Re-acquiring an identical lock is idempotent.
+        """
+        grants = self._table.get(resource)
+        if not grants:
+            # a free resource: nothing to conflict with
+            lock = tuple.__new__(Lock, (resource, holder, mode))
+            self._table[resource] = [lock]
+            self.stats.granted += 1
+            return lock
+        for grant in grants:
+            if grant.holder == holder and grant.mode is mode:
+                return grant  # idempotent
+        if mode is LockMode.SCOPE:
+            if not self._scope_compatible(holder, resource):
+                blocker = next(g.holder for g in grants
+                               if g.mode is LockMode.SCOPE
+                               and g.holder != holder)
+                self.stats.conflicts += 1
+                raise LockConflictError(
+                    f"scope lock on {resource!r} for {holder!r} denied: "
+                    f"no usage relationship to holder {blocker!r}",
+                    holder=blocker)
+            was_shared = any(g.mode is LockMode.SCOPE and g.holder != holder
+                             for g in grants)
+            if was_shared:
+                self.stats.usage_grants += 1
+        else:
+            for grant in grants:
+                if grant.holder == holder:
+                    continue  # own locks never conflict with each other
+                if grant.mode is LockMode.SCOPE:
+                    continue  # scope membership does not block processing
+                if not _COMPATIBLE[(grant.mode, mode)]:
+                    self.stats.conflicts += 1
+                    raise LockConflictError(
+                        f"{mode.value} on {resource!r} for {holder!r} "
+                        f"conflicts with {grant.mode.value} held by "
+                        f"{grant.holder!r}", holder=grant.holder)
+        lock = tuple.__new__(Lock, (resource, holder, mode))
+        grants.append(lock)
+        self.stats.granted += 1
+        return lock
+
+    def try_acquire(self, resource: str, holder: str,
+                    mode: LockMode) -> Lock | None:
+        """Like :meth:`acquire` but returns None instead of raising."""
+        try:
+            return self.acquire(resource, holder, mode)
+        except LockConflictError:
+            return None
+
+    def release(self, resource: str, holder: str,
+                mode: LockMode | None = None) -> int:
+        """Release *holder*'s lock(s) on *resource*; returns #released."""
+        grants = self._table.get(resource)
+        if not grants:
+            return 0
+        if len(grants) == 1:
+            # the resource's only grant: drop the entry, no list rebuilt
+            grant = grants[0]
+            if grant.holder != holder \
+                    or (mode is not None and grant.mode is not mode):
+                return 0
+            del self._table[resource]
+            self.stats.released += 1
+            return 1
+        keep = [g for g in grants
+                if not (g.holder == holder
+                        and (mode is None or g.mode is mode))]
+        released = len(grants) - len(keep)
+        if keep:
+            self._table[resource] = keep
+        else:
+            self._table.pop(resource, None)
+        self.stats.released += released
+        return released
+
+    def release_all(self, holder: str, mode: LockMode | None = None) -> int:
+        """Release every lock of *holder* (optionally one mode)."""
+        released = 0
+        for resource in list(self._table):
+            released += self.release(resource, holder, mode)
+        return released
+
+    # -- CONCORD scope-lock specials ------------------------------------------------
+
+    def inherit_scope_locks(self, from_da: str, to_da: str,
+                            final_dovs: set[str]) -> list[str]:
+        """Terminate-time inheritance: move scope locks on *final* DOVs.
+
+        "Referring to delegation relationships a super-DA inherits the
+        scope-locks on the final DOVs of its terminated sub-DAs and
+        then retains these locks" (Sect.5.4).  Non-final DOV locks of
+        the sub-DA are simply released (they leave every scope).
+
+        Returns the DOV ids whose locks were inherited.
+        """
+        inherited: list[str] = []
+        for lock in self.locks_of(from_da, LockMode.SCOPE):
+            self.release(lock.resource, from_da, LockMode.SCOPE)
+            if lock.resource in final_dovs:
+                grants = self._table.setdefault(lock.resource, [])
+                if not any(g.holder == to_da and g.mode is LockMode.SCOPE
+                           for g in grants):
+                    grants.append(Lock(lock.resource, to_da, LockMode.SCOPE))
+                    self.stats.inherited += 1
+                inherited.append(lock.resource)
+        return inherited
+
+    def scope_of(self, da_id: str) -> set[str]:
+        """DOV ids currently scope-locked by *da_id*."""
+        return {lock.resource
+                for lock in self.locks_of(da_id, LockMode.SCOPE)}
+
+
+RESOURCES = ("r0", "r1")
+HOLDERS = ("h0", "h1", "h2")
+MODES = tuple(LockMode)
+
+
+@st.composite
+def lock_programs(draw):
+    """A usage relation (requestor, holder) and 20-60 calls of the five
+    mutators over two resources and three holders; most calls are
+    requests, half of them for scope locks, so that grants pile up on
+    a resource and are shared."""
+    pairs = [(requestor, holder) for requestor in HOLDERS
+             for holder in HOLDERS if requestor != holder]
+    allowed = {pair for pair, allows in draw(st.fixed_dictionaries(
+        {pair: st.booleans() for pair in pairs})).items() if allows}
+    resource, holder, mode = (st.sampled_from(RESOURCES),
+                              st.sampled_from(HOLDERS),
+                              st.sampled_from(MODES + (LockMode.SCOPE,) * 3))
+    request = st.tuples(st.sampled_from(("acquire", "try_acquire")),
+                        resource, holder, mode)
+    call = st.one_of(
+        request, request, request,
+        st.tuples(st.just("release"), resource, holder,
+                  st.none() | mode),
+        st.tuples(st.just("release_all"), holder, st.none() | mode),
+        st.tuples(st.just("inherit_scope_locks"), holder, holder,
+                  st.frozensets(resource).map(set)))
+    return allowed, draw(st.lists(call, min_size=20, max_size=60))
+
+
+def _run(table, name: str, args: tuple) -> tuple:
+    try:
+        return "ok", getattr(table, name)(*args)
+    except LockConflictError as exc:
+        return "conflict", exc.holder, str(exc)
+
+
+class TestTheIndexedTableIsTheListTable:
+    @given(lock_programs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equal_answers_after_every_call(self, program):
+        allowed, calls = program
+        asked: dict[str, list] = {"new": [], "ref": []}
+
+        def usage(side: str) -> Callable[[str, str, str], bool]:
+            def allows(requestor: str, holder: str, resource: str) -> bool:
+                asked[side].append((requestor, holder, resource))
+                return (requestor, holder) in allowed
+            return allows
+
+        new, ref = LockManager(), _ReferenceLockManager()
+        new.usage_allows, ref.usage_allows = usage("new"), usage("ref")
+        for name, *args in calls:
+            assert _run(new, name, tuple(args)) \
+                == _run(ref, name, tuple(args)), (name, args)
+            assert asked["new"] == asked["ref"]
+            assert new.stats == ref.stats
+            for resource in RESOURCES:
+                assert new.holders(resource) == ref.holders(resource)
+                for mode in MODES:
+                    granted = ref.holders(resource, mode)
+                    assert new.holders(resource, mode) == granted
+                    for holder in HOLDERS:
+                        assert new.holds(resource, holder, mode) \
+                            == any(g.holder == holder for g in granted)
+                        assert new.blocker(resource, holder, mode) \
+                            == next((g for g in granted
+                                     if g.holder != holder), None)
+            for holder in HOLDERS:
+                assert new.locks_of(holder) == ref.locks_of(holder)
+                assert new.scope_of(holder) == ref.scope_of(holder)
+                for mode in MODES:
+                    assert new.locks_of(holder, mode) \
+                        == ref.locks_of(holder, mode)

@@ -33,8 +33,11 @@ def workload():
 
 def bipartition(netlist, areas, rng=None, passes=4,
                 partition=chip_planner._bipartition):
-    """The planner's bipartitioning over a whole net list."""
-    return partition(list(netlist.cells), netlist.nets, areas, rng, passes)
+    """The planner's bipartitioning over a whole net list: the cells'
+    own nets, then the partition."""
+    nets = chip_planner._nets_on(set(netlist.cells),
+                                 (net.cells for net in netlist.nets))
+    return partition(list(netlist.cells), nets, areas, rng, passes)
 
 
 class TestBipartition:
@@ -138,16 +141,18 @@ def _reference_bipartition(netlist, areas, rng=None, passes=4):
     return part_a, part_b
 
 
-def _reference_partition_of_a_subset(cells, nets, areas, rng, passes):
-    """What ``_place_cells`` did per recursion level before: a fresh
-    net list restricted to the subset, then the reference loop."""
+def _reference_partition_of_a_subset(netlist, cells, areas, rng, passes):
+    """What ``_place_cells`` did per recursion level before: the subset
+    in net-list order, a fresh net list restricted to it, then the
+    reference loop."""
     keep = set(cells)
     restricted = []
-    for net in nets:
+    for net in netlist.nets:
         members = tuple(c for c in net.cells if c in keep)
         if len(members) >= 2:
             restricted.append(Net(net.name, members))
-    return _reference_bipartition(NetList(cells=cells, nets=restricted),
+    ordered = [c for c in netlist.cells if c in keep]
+    return _reference_bipartition(NetList(cells=ordered, nets=restricted),
                                   areas, rng, passes)
 
 
@@ -232,8 +237,13 @@ class TestPinCountsDecideWhatTheRecountDecided:
         interface = FloorplanInterface("cud", 30.0, 30.0)
         planner = ChipPlanner(iterations=3, seed=seed)
         plan = planner.plan("cud", netlist, shape_functions, interface)
-        monkeypatch.setattr(chip_planner, "_bipartition",
-                            _reference_partition_of_a_subset)
+        # the reference derives each level's cells and nets from the
+        # whole net list, not from what the planner hands down
+        monkeypatch.setattr(
+            chip_planner, "_bipartition",
+            lambda cells, nets, areas, rng, passes:
+                _reference_partition_of_a_subset(netlist, cells, areas,
+                                                 rng, passes))
         reference = planner.plan("cud", netlist, shape_functions,
                                  interface)
         assert plan.to_dict() == reference.to_dict()

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.dc.design_manager import ToolRegistry
-from repro.te.context import DopContext
+from repro.net.network import StableStorage
+from repro.repository import versions
+from repro.repository.versions import is_frozen_payload, thaw_payload
+from repro.scenario.delegation import subcell_seed
+from repro.te.context import DopContext, SavepointStack
+from repro.te.recovery import RecoveryManager
 from repro.util.errors import WorkflowError
 from repro.vlsi.tools import (
     TOOL_DURATIONS,
@@ -176,12 +181,66 @@ class TestChipAssembly:
 
     def test_rejects_invalid_floorplan(self):
         context = planned_context()
-        # corrupt the floorplan: force an overlap
-        plan = context.data["floorplan"]
+        # corrupt a private copy of the (frozen) floorplan: force an
+        # overlap
+        plan = thaw_payload(context.data["floorplan"])
         names = list(plan["placements"])
         plan["placements"][names[0]] = plan["placements"][names[1]]
+        context.data["floorplan"] = plan
         with pytest.raises(WorkflowError):
             chip_assembly(context, {})
+
+
+class TestToolsHandOverFrozenOutput:
+    """A tool stores what it produces frozen, where it produces it: the
+    recovery point after the step shares the working data and walks
+    none of it."""
+
+    SCALARS = (str, int, float, bool, type(None))
+
+    @staticmethod
+    def steps():
+        registry = ToolRegistry()
+        register_vlsi_tools(registry)
+        return [
+            ("subcell_seed", lambda context: subcell_seed(
+                context, {"subcell": "cud/op-0"})),
+            ("structure_synthesis", lambda context: registry.run(
+                "structure_synthesis", context, {"seed": 1})),
+            ("repartitioning", lambda context: registry.run(
+                "repartitioning", context, {"groups": 2})),
+            ("shape_function_generator", lambda context: registry.run(
+                "shape_function_generator", context, {})),
+            ("pad_frame_editor", lambda context: registry.run(
+                "pad_frame_editor", context, {})),
+            ("chip_planner", lambda context: registry.run(
+                "chip_planner", context, {"iterations": 2, "seed": 1})),
+            ("chip_assembly", lambda context: registry.run(
+                "chip_assembly", context, {})),
+            ("cell_synthesis", lambda context: registry.run(
+                "cell_synthesis", context, {})),
+        ]
+
+    def test_every_step_leaves_frozen_values_and_a_free_recovery_point(
+            self):
+        recovery = RecoveryManager(StableStorage())
+        context = DopContext(data={"cell": "cud", "level": "chip"})
+        savepoints = SavepointStack()
+        recovery.take("dop-1", context, savepoints, 0.0, "begin")
+        for step, (name, run) in enumerate(self.steps(), start=1):
+            run(context)
+            for key, value in context.data.items():
+                assert isinstance(value, self.SCALARS) \
+                    or is_frozen_payload(value), (name, key, type(value))
+            walks = versions._WALKS["freeze"]
+            point = recovery.take("dop-1", context, savepoints,
+                                  float(step), "tool")
+            assert versions._WALKS["freeze"] == walks, name
+            assert point.context.data_owned == frozenset()
+            assert point.context.data == context.data
+            for key, value in context.data.items():
+                assert point.context.data[key] is value, (name, key)
+        assert "layout" in context.data
 
 
 class TestRegistration:
