@@ -14,7 +14,7 @@ its per-DA views used by the DM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.core.features import DesignSpecification, QualityState
 from repro.core.states import DaOperation, DaState, DaStateMachine
@@ -39,14 +39,15 @@ class DescriptionVector:
     initial_dov: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class DaImage:
+class DaImage(NamedTuple):
     """After-image of one DA in the CM's state log.
 
     An immutable value made of references: tuples of the DA's own
     entries (ids, transition triples of enum members, quality states)
     and, in ``description``, the specification and script as they are —
     values nothing edits in place.  The state log and its WAL share it.
+    A tuple, so taking one is a single allocation
+    (:meth:`DesignActivity.image` builds it with ``tuple.__new__``).
     """
 
     state: DaState
@@ -160,10 +161,11 @@ class DesignActivity:
                 vector.dot.name, vector.spec, vector.designer,
                 vector.script, vector.initial_dov, self.workstation,
                 self.parent, self.created_at)
-        return DaImage(
-            self.state, tuple(self.machine.history), tuple(self.children),
+        machine = self.machine
+        return tuple.__new__(DaImage, (
+            machine.state, tuple(machine.history), tuple(self.children),
             tuple(self.quality.items()), tuple(self.final_dovs),
-            tuple(self.propagated), description)
+            tuple(self.propagated), description))
 
     @classmethod
     def restore(cls, da_id: str, image: DaImage,

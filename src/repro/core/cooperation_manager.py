@@ -41,13 +41,12 @@ from repro.core.relationships import (
     ProposalStatus,
     Usage,
 )
-from repro.core.state_log import Registries, StateLog
+from repro.core.state_log import AuditEntry, Registries, StateLog
 from repro.core.states import DaOperation, DaState
 from repro.dc.script import Script
 from repro.net.network import SERVER, Network
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
-from repro.repository.versions import freeze_payload
 from repro.te.locks import LockManager, LockMode
 from repro.util.errors import (
     CooperationError,
@@ -94,6 +93,11 @@ class CooperationManager:
         #: dov_id -> DA ids authorised to share a scope lock on it
         self._visibility: dict[str, set[str]] = {}
         self._inboxes: dict[str, list[Message]] = {}
+        #: indexes over the two relationship registries, each in its
+        #: registry's order: supporting DA -> its usages, DA -> the
+        #: negotiations it is a party to
+        self._supported_by: dict[str, list[Usage]] = {}
+        self._negotiations_by_da: dict[str, list[Negotiation]] = {}
         self._dm_hooks: dict[str, DmHook] = {}
         #: optional delivery interceptor; returning True consumes the
         #: message instead of queueing it (the auto-dispatch path)
@@ -106,6 +110,7 @@ class CooperationManager:
         #: ``_persist`` forces their after-images and the operation's
         #: audit entry as one record
         self.state_log = StateLog()
+        self._registries = self._registries_now()
 
         # install CONCORD semantics into the substrate components
         self.locks.usage_allows = self._usage_allows
@@ -375,7 +380,7 @@ class CooperationManager:
         self._record("Evaluate", dov_id, da=da_id,
                      distance=quality.distance)
         self._persist(DaOperation.EVALUATE, da_id, dov=dov_id,
-                      fulfilled=sorted(quality.fulfilled),
+                      fulfilled=tuple(sorted(quality.fulfilled)),
                       final=quality.is_final)
         return quality
 
@@ -407,7 +412,7 @@ class CooperationManager:
                    final_dovs=list(sub.final_dovs))
         self._record("Sub_DA_Ready_To_Commit", sub_id)
         self._persist(DaOperation.SUB_DA_READY_TO_COMMIT, sub_id,
-                      final_dovs=list(sub.final_dovs))
+                      final_dovs=tuple(sub.final_dovs))
 
     def sub_da_impossible_specification(self, sub_id: str,
                                         reason: str = "") -> None:
@@ -518,8 +523,8 @@ class CooperationManager:
                         self._withdraw_delivery(usage, dov_id)
 
         # close any negotiations the sub was part of
-        for negotiation in self._negotiations.values():
-            if negotiation.involves(sub_id) and not negotiation.closed:
+        for negotiation in self._negotiations_by_da.get(sub_id, ()):
+            if not negotiation.closed:
                 negotiation.closed = True
                 self.state_log.mark("negotiations",
                                     negotiation.negotiation_id)
@@ -527,7 +532,7 @@ class CooperationManager:
         self._record("Terminate_Sub_DA", sub_id, super_da=super_id,
                      inherited=len(inherited))
         self._persist(DaOperation.TERMINATE_SUB_DA, super_id, sub=sub_id,
-                      inherited=sorted(inherited))
+                      inherited=tuple(sorted(inherited)))
         return sorted(inherited)
 
     def finish_top_level(self, da_id: str) -> None:
@@ -552,8 +557,8 @@ class CooperationManager:
     # ======================================================================
 
     def _usages_supporting(self, supporting_id: str) -> list[Usage]:
-        return [u for u in self._usages.values()
-                if u.supporting_da == supporting_id]
+        # a copy: a DM reached from a delivery may require meanwhile
+        return list(self._supported_by.get(supporting_id, ()))
 
     def usage(self, requiring_id: str, supporting_id: str) -> Usage:
         """Look up an established usage relationship."""
@@ -600,6 +605,7 @@ class CooperationManager:
             usage = Usage(requiring_id, supporting_id,
                           frozenset(features), self.clock.now)
             self._usages[key] = usage
+            self._supported_by.setdefault(supporting_id, []).append(usage)
         else:
             usage.required_features = frozenset(features)
         self.state_log.mark("usages", key)
@@ -610,7 +616,8 @@ class CooperationManager:
             self._send("require", requiring_id, supporting_id,
                        features=sorted(features))
         self._persist(DaOperation.REQUIRE, requiring_id,
-                      supporting=supporting_id, features=sorted(features))
+                      supporting=supporting_id,
+                      features=tuple(sorted(features)))
         return delivered
 
     def _try_deliver(self, usage: Usage) -> str | None:
@@ -667,7 +674,7 @@ class CooperationManager:
         self._record("Propagate", dov_id, da=da_id,
                      receivers=len(receivers))
         self._persist(DaOperation.PROPAGATE, da_id, dov=dov_id,
-                      receivers=receivers)
+                      receivers=tuple(receivers))
         return receivers
 
     def invalidate_propagation(self, supporting_id: str,
@@ -804,8 +811,18 @@ class CooperationManager:
 
     def negotiations_of(self, da_id: str) -> list[Negotiation]:
         """Open negotiations involving *da_id*."""
-        return [n for n in self._negotiations.values()
-                if n.involves(da_id) and not n.closed]
+        return [n for n in self._negotiations_by_da.get(da_id, ())
+                if not n.closed]
+
+    def _add_negotiation(self, negotiation: Negotiation) -> None:
+        self._negotiations[negotiation.negotiation_id] = negotiation
+        self._index_negotiation(negotiation)
+
+    def _index_negotiation(self, negotiation: Negotiation) -> None:
+        index = self._negotiations_by_da
+        index.setdefault(negotiation.da_a, []).append(negotiation)
+        if negotiation.da_b != negotiation.da_a:  # Propose to oneself
+            index.setdefault(negotiation.da_b, []).append(negotiation)
 
     def _require_siblings(self, da_a: str, da_b: str) -> str:
         super_id = self.common_super(da_a, da_b)
@@ -831,7 +848,7 @@ class CooperationManager:
         self._transition(DaOperation.CREATE_NEGOTIATION_REL, da_a, da_b)
         negotiation = Negotiation(self.ids.next("neg"), da_a, da_b,
                                   subject, created_by=creator_id)
-        self._negotiations[negotiation.negotiation_id] = negotiation
+        self._add_negotiation(negotiation)
         self.state_log.mark("negotiations", negotiation.negotiation_id)
         self._record("Create_Negotiation_Relationship",
                      negotiation.negotiation_id, da_a=da_a, da_b=da_b)
@@ -852,9 +869,8 @@ class CooperationManager:
         set up.
         """
         negotiation = next(
-            (n for n in self._negotiations.values()
-             if not n.closed and n.involves(proposer_id)
-             and n.involves(other_id)), None)
+            (n for n in self._negotiations_by_da.get(proposer_id, ())
+             if not n.closed and n.involves(other_id)), None)
         if negotiation is None:
             self._require_siblings(proposer_id, other_id)
         elif negotiation.open_proposal() is not None:
@@ -866,7 +882,7 @@ class CooperationManager:
         if negotiation is None:  # dynamic establishment via Propose
             negotiation = Negotiation(self.ids.next("neg"), proposer_id,
                                       other_id, created_by=proposer_id)
-            self._negotiations[negotiation.negotiation_id] = negotiation
+            self._add_negotiation(negotiation)
         proposal = Proposal(self.ids.next("prop"), proposer_id,
                             changes, note)
         negotiation.proposals.append(proposal)
@@ -1020,22 +1036,30 @@ class CooperationManager:
         record with the after-images of the entities it marked and,
         for an operation of Fig.7, its audit entry (see
         :mod:`repro.core.state_log`)."""
-        # frozen here, once: the few id lists an operation names
-        # (receivers, inherited DOVs, ...) are what the log keeps
-        audit = None if operation is None else freeze_payload({
-            "op": operation.value, "actor": actor, **detail})
-        self.state_log.persist(Registries(
-            self._das, self._delegations, self._usages,
-            self._negotiations, self._visibility, self._inboxes), audit)
+        # the operations name their ids one by one or in tuples: the
+        # entry takes them as they are
+        audit = None if operation is None else tuple.__new__(
+            AuditEntry, (operation, actor, tuple(detail.items())))
+        self.state_log.persist(self._registries, audit)
+
+    def _registries_now(self) -> Registries:
+        return Registries(self._das, self._delegations, self._usages,
+                          self._negotiations, self._visibility,
+                          self._inboxes)
 
     def _on_server_crash(self) -> None:
-        """Volatile registries vanish with the server process."""
+        """Volatile registries vanish with the server process, and so
+        do the scope grants the lock table held for them."""
         self._das = {}
         self._delegations = []
         self._usages = {}
         self._negotiations = {}
         self._visibility = {}
         self._inboxes = {}
+        self._supported_by = {}
+        self._negotiations_by_da = {}
+        self._registries = self._registries_now()
+        self.locks.forget(LockMode.SCOPE)
         self.state_log.crash()
 
     def recover(self) -> dict[str, int]:
@@ -1044,12 +1068,18 @@ class CooperationManager:
         if state is None:
             return {"das": 0, "scope_locks": 0}
         (self._das, self._delegations, self._usages, self._negotiations,
-         self._visibility, self._inboxes) = state
-        # rebuild scope locks (the lock table is server-volatile)
+         self._visibility, self._inboxes) = self._registries = state
+        for usage in self._usages.values():
+            self._supported_by.setdefault(usage.supporting_da,
+                                          []).append(usage)
+        for negotiation in self._negotiations.values():
+            self._index_negotiation(negotiation)
+        # rebuild the scope grants, which died with the server: every
+        # one stands on an authorisation (:meth:`_show`)
         self.locks.usage_allows = self._usage_allows
         rebuilt = 0
         for dov_id, holders in self._visibility.items():
-            for da_id in holders:
+            for da_id in sorted(holders):
                 if self.locks.try_acquire(dov_id, da_id,
                                           LockMode.SCOPE) is not None:
                     rebuilt += 1

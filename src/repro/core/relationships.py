@@ -192,14 +192,23 @@ class Message:
     payload: dict[str, Any] = field(default_factory=dict)
     at: float = 0.0
 
+    #: the image, taken once: the CM sends a message and nothing edits
+    #: it after, so every later image of its inbox shares this one
+    _image = None
+
     def image(self) -> tuple:
-        return (self.kind, self.sender, self.recipient,
-                _frozen_copy(self.payload), self.at)
+        image = self._image
+        if image is None:
+            image = self._image = (self.kind, self.sender, self.recipient,
+                                   _frozen_copy(self.payload), self.at)
+        return image
 
     @classmethod
     def restore(cls, image: tuple) -> "Message":
         kind, sender, recipient, payload, at = image
-        return cls(kind, sender, recipient, thaw_payload(payload), at)
+        message = cls(kind, sender, recipient, thaw_payload(payload), at)
+        message._image = image
+        return message
 
 
 def _frozen_copy(value: Any) -> Any:

@@ -33,21 +33,22 @@ references; this module knows the record around them, one
      "visibility":   ((dov_id, (holders)), ...),  # () = nobody left: gone
      "inboxes":      ((da_id, (message images)), ...),
      "delegations":  (image, ...),                # those not yet logged
-     "op":  {"op": ..., "actor": ..., detail},    # the audit entry
+     "op":  AuditEntry(op, actor, detail),        # the audit entry
      "ops": n}           # checkpoint only: operations logged so far
 
-Kinds an operation did not touch are left out of its record.  Nothing
-in a record can change through any reference, so the WAL keeps the
-very objects (``__frozen_payload__``) and copies nothing.
+Kinds an operation did not touch are left out of its record, and
+imaging it costs the kinds it marked.  Nothing in a record can change
+through any reference, so the WAL keeps the very objects
+(``__frozen_payload__``) and copies nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.core.activity import DaImage, DesignActivity
 from repro.core.relationships import Delegation, Message, Negotiation, Usage
+from repro.core.states import DaOperation
 from repro.repository.schema import DesignObjectType
 from repro.repository.wal import LogRecordKind, WriteAheadLog
 
@@ -57,6 +58,19 @@ class Images(tuple):
     sequence of immutable values, which is what the marker says."""
 
     __slots__ = ()
+    __frozen_payload__ = True
+
+
+class AuditEntry(NamedTuple):
+    """The audit entry of one operation of Fig.7: the operation, its
+    actor and its detail as ``(name, value)`` pairs of scalars and
+    tuples.  Built with ``tuple.__new__`` from values the operation
+    already holds, so logging it walks and copies nothing."""
+
+    op: DaOperation
+    actor: str
+    detail: tuple[tuple[str, Any], ...]
+
     __frozen_payload__ = True
 
 
@@ -78,13 +92,6 @@ class Registries(NamedTuple):
             + len(self.visibility) + len(self.inboxes)
 
 
-#: the keyed registries; ``described`` names the DAs among ``das``
-#: whose image must carry the description too (new ones, and those
-#: whose specification changed)
-_MARKS = ("das", "described", "usages", "negotiations", "visibility",
-          "inboxes")
-
-
 class StateLog:
     """Marks, one forced record per operation, checkpoints, replay."""
 
@@ -95,57 +102,72 @@ class StateLog:
         #: operations logged — one per audit entry, whether its record
         #: is still in the log or behind a checkpoint
         self.operations = 0
-        #: per kind, the keys changed since the last record, in the
-        #: order they were first touched
-        self._marks: dict[str, dict[Any, None]] = {k: {} for k in _MARKS}
+        #: per kind touched since the last record, its keys changed,
+        #: in the order they were first touched
+        self._marks: dict[str, dict[Any, None]] = {}
         #: how many delegations the log already holds
         self._delegations_logged = 0
 
     def mark(self, kind: str, key: Any) -> None:
-        """The entity *key* of registry *kind* is about to change."""
-        self._marks[kind][key] = None
+        """The entity *key* of registry *kind* is about to change.
 
-    def _forget_marks(self) -> None:
-        for marked in self._marks.values():
-            marked.clear()
+        *kind* names a keyed registry, or ``described``: a DA among
+        ``das`` whose image must carry the description too (a new one,
+        or one whose specification changed)."""
+        self._marks.setdefault(kind, {})[key] = None
 
     # -- writing ------------------------------------------------------------
 
     @staticmethod
     def _images(state: Registries, keys: dict[str, Iterable[Any]]
                 ) -> dict[str, Any]:
-        images = {
-            "das": Images((da_id, state.das[da_id].image(
-                               described=da_id in keys["described"]))
-                          for da_id in keys["das"]),
-            "usages": Images((key, state.usages[key].image())
-                             for key in keys["usages"]),
-            "negotiations": Images((key, state.negotiations[key].image())
-                                   for key in keys["negotiations"]),
-            "visibility": Images(
+        """The images of the entities *keys* names, kind by kind; a
+        kind with no key is left out."""
+        images: dict[str, Any] = {}
+        das = keys.get("das")
+        if das:
+            described = keys.get("described", ())
+            images["das"] = Images([
+                (da_id, state.das[da_id].image(da_id in described))
+                for da_id in das])
+        usages = keys.get("usages")
+        if usages:
+            images["usages"] = Images([
+                (key, state.usages[key].image()) for key in usages])
+        negotiations = keys.get("negotiations")
+        if negotiations:
+            images["negotiations"] = Images([
+                (key, state.negotiations[key].image())
+                for key in negotiations])
+        visibility = keys.get("visibility")
+        if visibility:
+            images["visibility"] = Images([
                 (dov_id, tuple(sorted(state.visibility.get(dov_id, ()))))
-                for dov_id in keys["visibility"]),
-            "inboxes": Images(
-                (da_id, tuple(m.image() for m in state.inboxes[da_id]))
-                for da_id in keys["inboxes"]),
-        }
-        return {kind: found for kind, found in images.items() if found}
+                for dov_id in visibility])
+        inboxes = keys.get("inboxes")
+        if inboxes:
+            images["inboxes"] = Images([
+                (da_id, tuple([m.image() for m in state.inboxes[da_id]]))
+                for da_id in inboxes])
+        return images
 
-    def persist(self, state: Registries, audit: Any = None) -> None:
+    def persist(self, state: Registries,
+                audit: AuditEntry | None = None) -> None:
         """Force the after-images of everything marked and the
-        operation's *audit* entry (an immutable value), as one record;
-        nothing marked and nothing to audit, nothing written."""
-        delegations = state.delegations[self._delegations_logged:]
+        operation's *audit* entry, as one record; nothing marked and
+        nothing to audit, nothing written."""
         record = self._images(state, self._marks)
-        if delegations:
-            record["delegations"] = Images(d.image() for d in delegations)
+        logged = self._delegations_logged
+        if len(state.delegations) > logged:
+            record["delegations"] = Images(
+                [d.image() for d in state.delegations[logged:]])
+            self._delegations_logged = len(state.delegations)
         if audit is not None:
             record["op"] = audit
             self.operations += 1
         if not record:
             return
-        self._forget_marks()
-        self._delegations_logged = len(state.delegations)
+        self._marks = {}
         self.wal.append(LogRecordKind.DA_STATE, record, force=True)
         # Derived, not configured: this is the one threshold at which
         # the log holds at most one state's worth of after-images (what
@@ -160,7 +182,7 @@ class StateLog:
             "das": state.das, "described": state.das,
             "usages": state.usages, "negotiations": state.negotiations,
             "visibility": state.visibility, "inboxes": state.inboxes})
-        image["delegations"] = Images(d.image() for d in state.delegations)
+        image["delegations"] = Images([d.image() for d in state.delegations])
         image["ops"] = self.operations
         self.wal.checkpoint(image)
         self.checkpoints += 1
@@ -169,7 +191,7 @@ class StateLog:
 
     def crash(self) -> None:
         """The marks are volatile; the forced records are not."""
-        self._forget_marks()
+        self._marks = {}
         self._delegations_logged = 0
         self.operations = 0
         self.wal.crash()
@@ -201,8 +223,8 @@ class StateLog:
                 operations += 1
             for da_id, image in payload.get("das", ()):
                 if image.description is None:
-                    image = replace(
-                        image, description=das[da_id].description)
+                    image = tuple.__new__(DaImage, image[:-1] + (
+                        das[da_id].description,))
                 das[da_id] = image
             usages.update(payload.get("usages", ()))
             negotiations.update(payload.get("negotiations", ()))
@@ -224,7 +246,7 @@ class StateLog:
              for dov_id, holders in visibility.items()},
             {da_id: [Message.restore(image) for image in messages]
              for da_id, messages in inboxes.items()})
-        self._forget_marks()
+        self._marks = {}
         self._delegations_logged = len(state.delegations)
         self.operations = operations
         return state

@@ -102,19 +102,30 @@ class WriteAheadLog:
         lsn = self._next_lsn
         record = tuple.__new__(LogRecord, (lsn, kind, snapshot))
         self._next_lsn = lsn + 1
-        self._volatile.append(record)
         if force:
-            self.force()
+            self.force(record)
+        else:
+            self._volatile.append(record)
         return record
 
-    def force(self) -> int:
-        """Flush the volatile tail; returns the number of records flushed."""
+    def force(self, record: LogRecord | None = None) -> int:
+        """Flush the volatile tail, with *record* — one being appended —
+        behind it; returns the number of records flushed."""
+        if record is not None:
+            if not self._volatile:
+                # nothing pending: the record goes straight to the
+                # stable list, as a tail of one would
+                self._stable.append(record)
+                self._stable_by_kind.setdefault(record.kind, []).append(record)
+                self.forced_writes += 1
+                return 1
+            self._volatile.append(record)
         flushed = len(self._volatile)
         if flushed:
             self._stable.extend(self._volatile)
-            for record in self._volatile:
-                self._stable_by_kind.setdefault(record.kind,
-                                                []).append(record)
+            for pending in self._volatile:
+                self._stable_by_kind.setdefault(pending.kind,
+                                                []).append(pending)
             self._volatile.clear()
             self.forced_writes += 1
         return flushed

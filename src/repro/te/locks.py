@@ -272,6 +272,26 @@ class LockManager:
         self.stats.released += 1
         return 1
 
+    def forget(self, mode: LockMode) -> int:
+        """Every *mode* grant is gone with the process that held the
+        table (a crash: nobody released them, so nothing is counted).
+        Returns how many went."""
+        forgotten = 0
+        for resource, grants in list(self._table.items()):
+            for key in [key for key in grants if key[0] is mode]:
+                lock = grants.pop(key)
+                held = self._held[lock.holder]
+                del held[lock]
+                if not held:
+                    del self._held[lock.holder]
+                forgotten += 1
+            if not grants:
+                del self._table[resource]
+                self._modes.pop(resource, None)
+            elif resource in self._modes:
+                self._modes[resource][mode] = 0
+        return forgotten
+
     def release_all(self, holder: str, mode: LockMode | None = None) -> int:
         """Release every lock of *holder* (optionally one mode)."""
         held = self._held.get(holder)

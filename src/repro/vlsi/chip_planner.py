@@ -267,7 +267,7 @@ class ChipPlanner:
                  for c in netlist.cells}
         cells = list(netlist.cells)
         nets = _nets_on(set(cells), (net.cells for net in netlist.nets))
-        best: Floorplan | None = None
+        best: tuple[Floorplan, _Slice] | None = None
         best_key: tuple[float, float] | None = None
         for attempt in range(self.iterations):
             rng = SeededRng(self.seed * 7919 + attempt)
@@ -279,16 +279,18 @@ class ChipPlanner:
                 iterations=attempt + 1)
             for placement in sliced.placements:
                 floorplan.placements[placement.cell] = placement
-            part_a = {p.cell for p in sliced.placements
-                      if p.x + p.width / 2 < sliced.width / 2}
-            part_b = set(netlist.cells) - part_a
-            floorplan.cut_nets = netlist.cut_size(part_a, part_b)
             floorplan.wirelength = global_route(floorplan, netlist)
             overflow = max(0.0, floorplan.width - interface.max_width) \
                 + max(0.0, floorplan.height - interface.max_height)
             key = (overflow, floorplan.wirelength)
             if best_key is None or key < best_key:
-                best, best_key = floorplan, key
+                best, best_key = (floorplan, sliced), key
         assert best is not None
-        best.iterations = self.iterations
-        return best
+        # the key does not read the cut: count it for the winner alone
+        floorplan, sliced = best
+        part_a = {p.cell for p in sliced.placements
+                  if p.x + p.width / 2 < sliced.width / 2}
+        part_b = set(netlist.cells) - part_a
+        floorplan.cut_nets = netlist.cut_size(part_a, part_b)
+        floorplan.iterations = self.iterations
+        return floorplan

@@ -4,10 +4,11 @@ The CM persists by forcing one after-image record per operation to its
 state log; what an operation did not mark as touched is not in the
 record.  The property here drives random programs of CM operations,
 crashes the server after drawn operations — also between a
-checkpoint's append and its truncate, and with the lock table wiped —
-and compares everything the CM holds, field by field, with what it
-held just before the crash.  A mutator that forgets to mark an entity,
-or an image that forgets a field, fails here.
+checkpoint's append and its truncate — and compares everything the CM
+holds, field by field, with what it held just before the crash.  A
+mutator that forgets to mark an entity, or an image that forgets a
+field, fails here.  The crash takes every scope grant with it, so each
+one the CM held must come back from the log.
 
 The state log's WAL keeps the records it is handed, uncopied.  What
 stood in for the copy: every record of every program is checked to be
@@ -33,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.activity import DaImage, DesignActivity
 from repro.core.features import DesignSpecification, Feature, RangeFeature
 from repro.core.relationships import ProposalStatus
-from repro.core.state_log import Images
+from repro.core.state_log import AuditEntry, Images
 from repro.core.states import DaOperation, DaState
 from repro.core.system import ConcordSystem
 from repro.dc.script import DopStep, Script, Sequence
@@ -127,17 +128,15 @@ def live_entities(system: ConcordSystem) -> int:
         + len(cm._visibility) + len(cm._inboxes)
 
 
-def assert_recovers(system: ConcordSystem, wipe_locks: bool = False) -> None:
+def assert_recovers(system: ConcordSystem) -> None:
     """Crash and restart the server; nothing the CM held may differ."""
     before = held(system)
     logged = system.cm.stats()
     das = list(system.cm._das)
     system.crash_server()
-    if wipe_locks:
-        # "the lock table is server-volatile": recovery must be able
-        # to rebuild every scope lock from the log alone
-        for da_id in das:
-            system.locks.release_all(da_id, LockMode.SCOPE)
+    # the scope grants died with the server: recovery rebuilds every
+    # one of them from the log alone
+    assert not any(system.locks.scope_of(da_id) for da_id in das)
     system.restart_server()
     after = held(system)
     for registry, value in before.items():
@@ -157,14 +156,13 @@ def assert_deeply_immutable(value: Any, path: str) -> None:
     their own."""
     kind = type(value)
     if kind is DaImage:
-        for field in dataclasses.fields(value):
-            assert_deeply_immutable(getattr(value, field.name),
-                                    f"{path}.{field.name}")
+        for name in DaImage._fields:
+            assert_deeply_immutable(getattr(value, name), f"{path}.{name}")
     elif kind is FrozenDict:
         for key, item in value.items():
             assert_deeply_immutable(key, f"{path}<key {key!r}>")
             assert_deeply_immutable(item, f"{path}[{key!r}]")
-    elif kind in (tuple, frozenset, FrozenList, Images):
+    elif kind in (tuple, frozenset, FrozenList, Images, AuditEntry):
         for index, item in enumerate(value):
             assert_deeply_immutable(item, f"{path}[{index}]")
     elif kind not in (str, int, float, bool, bytes, type(None)) \
@@ -177,8 +175,10 @@ def assert_deeply_immutable(value: Any, path: str) -> None:
 def assert_record_immutable(record: LogRecord) -> None:
     for kind, images in record.payload.items():
         if kind == "op":  # the audit entry: one frozen value
-            assert type(images) is FrozenDict, kind
-            assert {"op", "actor"} <= set(images)
+            assert type(images) is AuditEntry, kind
+            assert type(images.op) is DaOperation \
+                and type(images.actor) is str, images
+            assert all(type(name) is str for name, _ in images.detail)
         elif kind == "ops":  # a checkpoint's count of them
             assert type(images) is int \
                 and record.kind is LogRecordKind.CHECKPOINT, kind
@@ -463,10 +463,10 @@ class _TornCheckpoint(Exception):
     """The server died after a checkpoint's append, before its truncate."""
 
 
-#: how the server is crashed after a drawn step: plainly; with the
-#: (server-volatile) lock table wiped as well; or torn — at the next
-#: checkpoint, between its forced append and the truncate behind it
-CRASHES = ("plain", "wiped", "torn")
+#: how the server is crashed after a drawn step: plainly, or torn — at
+#: the next checkpoint, between its forced append and the truncate
+#: behind it
+CRASHES = ("plain", "torn")
 
 steps = st.lists(
     st.tuples(st.sampled_from(Program.DRAWS),
@@ -527,7 +527,7 @@ def drive(program_steps: list[tuple], crash_after: dict[int, str]
         if crash == "torn":
             log.truncate = torn
         else:
-            assert_recovers(system, wipe_locks=crash == "wiped")
+            assert_recovers(system)
     log.__dict__.pop("truncate", None)
     check_new_records()
     assert_recovers(system)
@@ -549,19 +549,35 @@ def test_recovery_equals_the_live_state_wide_search(
     drive(program_steps, crash_after)
 
 
-def test_one_long_program_recovers_every_few_steps():
-    """The budget that does not depend on the search: 700 fixed steps
-    that reach every operation, crashed every tenth step in turn
-    plainly, with the lock table wiped, and inside a checkpoint."""
+def long_program() -> list[tuple]:
+    """700 fixed steps that reach every operation."""
     rng = random.Random(14)
-    program_steps = [(rng.choice(Program.DRAWS),
-                      *(rng.randrange(2 ** 16) for _ in range(3)))
-                     for _ in range(700)]
+    return [(rng.choice(Program.DRAWS),
+             *(rng.randrange(2 ** 16) for _ in range(3)))
+            for _ in range(700)]
+
+
+def test_one_long_program_recovers_every_few_steps():
+    """The budget that does not depend on the search: the long program
+    crashed every tenth step in turn plainly and inside a checkpoint."""
+    program_steps = long_program()
     crash_after = {index: CRASHES[index // 10 % len(CRASHES)]
                    for index in range(0, len(program_steps), 10)}
     system, reached = drive(program_steps, crash_after)
     assert reached == set(Program.OPERATIONS)
     assert system.cm.state_log.checkpoints >= 3  # not counting the torn ones
+
+
+def test_a_program_goes_on_after_a_crash_as_if_there_was_none():
+    """Recovery rebuilds what the CM reads as well as what it holds —
+    the relationship indexes and the scope grants too: the long program
+    crashed every tenth step ends where it ends without a crash.  (A
+    torn crash is left out: it cuts an operation short.)"""
+    program_steps = long_program()
+    crashed, _ = drive(program_steps, {
+        index: "plain" for index in range(0, len(program_steps), 10)})
+    clean, _ = drive(program_steps, {})
+    assert held(crashed) == held(clean)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +622,24 @@ def test_recovery_does_not_resurrect_a_terminated_sub_das_scope_locks(team):
     before = scope_locks(system)
     assert before == {top: [dov], left: [], right: []}
     system.crash_server()
+    system.restart_server()
+    assert scope_locks(system) == before
+
+
+def test_the_scope_grants_die_with_the_server_and_come_back(team):
+    """The lock table is server state: between the crash and the
+    restart no DA holds a scope grant, and recovery grants again what
+    the CM's authorisations stand for — no more, no less."""
+    system, top, (left, right) = team
+    dov = final_dov(system, left)
+    system.cm.require(right, left, {"width-limit"})
+    system.cm.propagate(left, dov)
+    system.cm.sub_da_ready_to_commit(left)
+    before = scope_locks(system)
+    assert before == {top: [dov], left: [dov], right: [dov]}
+    system.crash_server()
+    assert all(not system.locks.scope_of(da_id) for da_id in before)
+    assert system.locks.holders(dov) == []
     system.restart_server()
     assert scope_locks(system) == before
 
@@ -744,7 +778,7 @@ def test_a_two_party_transition_is_refused_before_either_has_moved(team):
 
 
 def registries(holding: dict[str, Any]) -> dict[str, Any]:
-    """*holding* without the lock table (which no crash here wipes)."""
+    """*holding* without the lock table (the edits here go round it)."""
     return {name: value for name, value in holding.items()
             if name != "scope_locks"}
 
@@ -838,8 +872,7 @@ def test_an_image_leaking_a_live_list_is_caught(team, monkeypatch):
     image = DesignActivity.image
 
     def leaking(da, described=True):
-        return dataclasses.replace(image(da, described),
-                                   children=da.children)
+        return image(da, described)._replace(children=da.children)
 
     monkeypatch.setattr(DesignActivity, "image", leaking)
     system.cm.evaluate(left, system.repository.checkin(

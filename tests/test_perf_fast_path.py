@@ -657,16 +657,18 @@ class TestNothingIsStoredThatNothingReads:
 class TestACmOperationPersistsReferences:
     """A count gate on the CM's state log: an after-image is gathered
     from parts that are already immutable, so persisting one neither
-    freezes nor copies, and the operation's audit entry rides in the
-    same record — one ``WriteAheadLog.append`` and one ``force`` per
+    freezes nor copies, and the operation's audit entry — a tuple of
+    the ids the operation names, not a frozen dict — rides in the same
+    record: one ``WriteAheadLog.append`` and one ``force`` per
     operation (two each while the CM kept a protocol log of its own)."""
 
     LEADS, LEAVES = 14, 7       # cm_cooperation's hierarchy: 113 DAs
 
     def test_a_cooperation_round_walks_and_copies_no_image(
             self, monkeypatch):
+        from repro.core.cooperation_manager import CooperationManager
         from repro.core.features import DesignSpecification, RangeFeature
-        from repro.core.state_log import StateLog
+        from repro.core.state_log import AuditEntry, StateLog
         from repro.core.system import ConcordSystem
         from repro.vlsi.tools import vlsi_dots
 
@@ -698,16 +700,20 @@ class TestACmOperationPersistsReferences:
             {"cell": "c", "level": "block", "width": 20.0, "height": 20.0})
 
         walked_in_persist: list[int] = []
-        persist = StateLog.persist
+        persist, cm_persist = StateLog.persist, CooperationManager._persist
 
         def watched(log, state, audit=None):
-            # the audit entry is frozen before the call, not inside it
-            assert type(audit) is FrozenDict
-            before = walks()
+            assert type(audit) is AuditEntry
             persist(log, state, audit)
+
+        def walked(cm, *args, **detail):
+            # the audit entry is built in here too: that walks nothing
+            before = walks()
+            cm_persist(cm, *args, **detail)
             walked_in_persist.append(walks() - before)
 
         monkeypatch.setattr(StateLog, "persist", watched)
+        monkeypatch.setattr(CooperationManager, "_persist", walked)
         appended: list[LogRecordKind] = []
         append = WriteAheadLog.append
         monkeypatch.setattr(
@@ -803,10 +809,10 @@ class TestATraceThatIsOffCostsNothing:
 
 class TestThePlannerKeepsPinCounts:
     """A count gate on tool 5: bipartitioning reads its own pin counts;
-    the whole cut is counted once per iteration, for the report."""
+    the whole cut is counted once per plan, for the winning floorplan's
+    report (the choice of the winner does not read it)."""
 
-    def test_one_plan_counts_the_cut_once_per_iteration(self,
-                                                        monkeypatch):
+    def test_one_plan_counts_the_cut_once(self, monkeypatch):
         cells = [f"c{i}" for i in range(12)]
         netlist = synthetic_netlist(cells, SeededRng(5))
         shape_functions = {c: shapes_for_area(c, 4.0 + i % 3)
@@ -818,8 +824,8 @@ class TestThePlannerKeepsPinCounts:
             "cud", netlist, shape_functions,
             FloorplanInterface("cud", 40.0, 40.0))
         assert set(plan.placements) == set(cells)
-        assert calls["cut_size"] == 3
-        assert 0 < calls["crosses"] <= 3 * len(netlist.nets)
+        assert calls["cut_size"] == 1
+        assert 0 < calls["crosses"] <= len(netlist.nets)
 
 
 def _team_delegation(size: int):
@@ -837,13 +843,8 @@ def _team_delegation(size: int):
     }))
 
 
-def _lines_per_sub_da(size: int) -> float:
-    """``line`` events executed in ``src/repro`` frames by one run of
-    :func:`_team_delegation`, per sub-DA (set-up not counted).  A
-    small run goes first, untraced, so that the modules a run imports
-    are not counted against the first size measured."""
-    _team_delegation(2).run()
-    compiled = _team_delegation(size)
+def _package_lines(run) -> int:
+    """``line`` events executed in ``src/repro`` frames by ``run()``."""
     package = str(Path(repro.__file__).parent)
     executed = [0]
 
@@ -859,10 +860,19 @@ def _lines_per_sub_da(size: int) -> float:
 
     sys.settrace(trace)
     try:
-        compiled.run()
+        run()
     finally:
         sys.settrace(None)
-    return executed[0] / size
+    return executed[0]
+
+
+def _lines_per_sub_da(size: int) -> float:
+    """``line`` events executed in ``src/repro`` frames by one run of
+    :func:`_team_delegation`, per sub-DA (set-up not counted).  A
+    small run goes first, untraced, so that the modules a run imports
+    are not counted against the first size measured."""
+    _team_delegation(2).run()
+    return _package_lines(_team_delegation(size).run) / size
 
 
 class TestTheDcLevelIsFlat:
@@ -941,6 +951,98 @@ class TestTheDcLevelIsFlat:
             per_sub_da[size] = report.events / size
         small, large = (per_sub_da[size] for size in self.SIZES)
         assert large == pytest.approx(small, rel=0.05)
+
+
+def _cooperation_protocol(leads: int):
+    """The ``cm_cooperation`` workload's protocol on a system with a
+    top-level DA, *leads* sub-DAs and seven leaves under each: returns
+    the run (build the hierarchy, let each sibling pair evaluate,
+    require, propagate, propose, agree and read its messages, crash
+    and restart the server) and the number of operations it makes."""
+    import random
+
+    from repro.core.features import DesignSpecification, RangeFeature
+    from repro.core.system import ConcordSystem
+    from repro.vlsi.tools import vlsi_dots
+
+    leaves = 7
+    system = ConcordSystem(trace=False, seed=401)
+    for index in range(leads + 1):
+        system.add_workstation(f"ws-{index}")
+    dots = vlsi_dots()
+    cm, rng = system.cm, random.Random(401)
+    noop = Script(Sequence(DopStep("structure_synthesis")), "noop")
+
+    def spec(limit):
+        return DesignSpecification([
+            RangeFeature("width-limit", "width", hi=limit),
+            RangeFeature("height-limit", "height", hi=limit)])
+
+    def run():
+        top = system.init_design(dots["Chip"], spec(1000.0), "chief", noop,
+                                 "ws-0")
+        system.start(top.da_id)
+        teams = []
+        for index in range(leads):
+            station = f"ws-{index + 1}"
+            lead = system.create_sub_da(top.da_id, dots["Module"],
+                                        spec(400.0), "lead", noop, station)
+            system.start(lead.da_id)
+            team = []
+            for _ in range(leaves):
+                leaf = system.create_sub_da(lead.da_id, dots["Block"],
+                                            spec(100.0), "leaf", noop,
+                                            station)
+                system.start(leaf.da_id)
+                team.append(leaf.da_id)
+            teams.append(team)
+        for team in teams:
+            rng.shuffle(team)
+            for supporting, requiring in zip(team[0::2], team[1::2]):
+                width = rng.uniform(10.0, 40.0)
+                dov = system.repository.checkin(
+                    supporting, "Block",
+                    {"cell": supporting, "level": "block", "width": width,
+                     "height": rng.uniform(10.0, 40.0)})
+                cm.evaluate(supporting, dov.dov_id)
+                cm.require(requiring, supporting, {"width-limit"})
+                assert cm.propagate(supporting, dov.dov_id) == [requiring]
+                border = rng.uniform(width, 90.0)
+                proposal = cm.propose(requiring, supporting, {
+                    supporting: [RangeFeature("width-limit", "width",
+                                              hi=border)],
+                    requiring: [RangeFeature("width-limit", "width",
+                                             hi=200.0 - border)]})
+                cm.agree(supporting, proposal.proposal_id)
+                assert cm.pop_messages(requiring)
+        before = cm.hierarchy_snapshot()
+        system.crash_server()
+        system.restart_server()
+        assert cm.hierarchy_snapshot() == before
+
+    das = 1 + leads * (1 + leaves)
+    return run, 2 * das + 6 * leads * (leaves // 2) + 2
+
+
+class TestTheAcLevelIsFlat:
+    """A count gate on the AC level, at two sizes of the
+    ``cm_cooperation`` workload's hierarchy: an operation reads the
+    relationships of the DAs it names (usages per supporting DA,
+    negotiations per DA) and its state-log record images the kinds it
+    marked, so the lines executed per operation do not grow with the
+    hierarchy (the registry scans once grew them 1.11x from 7 to 28
+    leads).  Line counts move with the CPython minor version, so only
+    their ratio is gated."""
+
+    SIZES = (7, 28)
+    #: lines per operation at 28 leads over those at 7
+    MAX_LINE_GROWTH = 1.05
+
+    def test_lines_per_operation_do_not_grow(self):
+        _cooperation_protocol(2)[0]()   # what a run imports, untraced
+        small, large = (_package_lines(run) / ops for run, ops
+                        in map(_cooperation_protocol, self.SIZES))
+        assert large / small <= self.MAX_LINE_GROWTH, (small, large)
 
 
 class TestSchedulerPendingCounter:

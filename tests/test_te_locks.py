@@ -158,6 +158,43 @@ class TestScopeInheritance:
         assert locks.stats.inherited == 1
 
 
+class TestACrashForgetsOneMode:
+    def test_every_grant_of_the_mode_goes_and_no_other(self):
+        locks = LockManager()
+        locks.usage_allows = lambda *a: True
+        locks.acquire("dov-1", "da-1", LockMode.SCOPE)
+        locks.acquire("dov-1", "da-2", LockMode.SCOPE)
+        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
+        locks.acquire("dov-2", "da-2", LockMode.SCOPE)
+        granted = locks.stats.granted
+        assert locks.forget(LockMode.SCOPE) == 3
+        assert locks.scope_of("da-1") == locks.scope_of("da-2") == set()
+        assert locks.holders("dov-2") == []
+        assert locks.locks_of("da-1") \
+            == [Lock("dov-1", "da-1", LockMode.DERIVATION)]
+        assert locks.locks_of("da-2") == []
+        # a crash released nothing and granted nothing
+        assert (locks.stats.granted, locks.stats.released) == (granted, 0)
+
+    def test_the_table_goes_on_as_one_that_never_held_them(self):
+        locks = LockManager()
+        locks.usage_allows = lambda *a: True
+        locks.acquire("dov-1", "da-1", LockMode.SCOPE)
+        locks.acquire("dov-1", "da-2", LockMode.SCOPE)
+        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
+        locks.forget(LockMode.SCOPE)
+        assert locks.blocker("dov-1", "da-2",
+                             LockMode.DERIVATION).holder == "da-1"
+        with pytest.raises(LockConflictError):
+            locks.acquire("dov-1", "da-2", LockMode.DERIVATION)
+        # no scope holder is left to ask about sharing
+        locks.usage_allows = lambda *a: False
+        locks.acquire("dov-1", "da-3", LockMode.SCOPE)
+        assert locks.release("dov-1", "da-1", LockMode.DERIVATION) == 1
+        assert locks.holders("dov-1") \
+            == [Lock("dov-1", "da-3", LockMode.SCOPE)]
+
+
 class TestStats:
     def test_counters(self):
         locks = LockManager()
