@@ -26,74 +26,65 @@ Quickstart::
     ...
 
 See ``examples/quickstart.py`` for a complete runnable walkthrough.
+
+The names below are resolved on first access (PEP 562), so importing
+any ``repro.<subpackage>`` loads that subpackage and what it imports,
+not the AC and DC levels with it.
 """
 
-from repro.core import (
-    ConcordSystem,
-    CooperationManager,
-    DaOperation,
-    DaState,
-    DesignActivity,
-    DesignSpecification,
-    QualityState,
-    RangeFeature,
-    TestToolFeature,
-)
-from repro.dc import (
-    Alternative,
-    DaOpStep,
-    DesignManager,
-    DesignerPolicy,
-    DopStep,
-    Iteration,
-    Open,
-    Parallel,
-    Script,
-    Sequence,
-    ToolRegistry,
-)
-from repro.repository import (
-    AttributeDef,
-    AttributeKind,
-    DesignDataRepository,
-    DesignObjectType,
-)
-from repro.sim import Kernel
-from repro.te import ClientTM, DesignOperation, DopState, ServerTM
-from repro.util import ConcordError
+from __future__ import annotations
+
+from importlib import import_module
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Alternative",
-    "AttributeDef",
-    "AttributeKind",
-    "ClientTM",
-    "ConcordError",
-    "ConcordSystem",
-    "CooperationManager",
-    "DaOpStep",
-    "DaOperation",
-    "DaState",
-    "DesignActivity",
-    "DesignDataRepository",
-    "DesignManager",
-    "DesignObjectType",
-    "DesignOperation",
-    "DesignSpecification",
-    "DesignerPolicy",
-    "DopState",
-    "DopStep",
-    "Iteration",
-    "Kernel",
-    "Open",
-    "Parallel",
-    "QualityState",
-    "RangeFeature",
-    "Script",
-    "Sequence",
-    "ServerTM",
-    "TestToolFeature",
-    "ToolRegistry",
-    "__version__",
-]
+#: public name -> the subpackage that defines it
+_EXPORTS = {
+    "ConcordSystem": "repro.core",
+    "CooperationManager": "repro.core",
+    "DaOperation": "repro.core",
+    "DaState": "repro.core",
+    "DesignActivity": "repro.core",
+    "DesignSpecification": "repro.core",
+    "QualityState": "repro.core",
+    "RangeFeature": "repro.core",
+    "TestToolFeature": "repro.core",
+    "Alternative": "repro.dc",
+    "DaOpStep": "repro.dc",
+    "DesignManager": "repro.dc",
+    "DesignerPolicy": "repro.dc",
+    "DopStep": "repro.dc",
+    "Iteration": "repro.dc",
+    "Open": "repro.dc",
+    "Parallel": "repro.dc",
+    "Script": "repro.dc",
+    "Sequence": "repro.dc",
+    "ToolRegistry": "repro.dc",
+    "AttributeDef": "repro.repository",
+    "AttributeKind": "repro.repository",
+    "DesignDataRepository": "repro.repository",
+    "DesignObjectType": "repro.repository",
+    "Kernel": "repro.sim",
+    "ClientTM": "repro.te",
+    "DesignOperation": "repro.te",
+    "DopState": "repro.te",
+    "ServerTM": "repro.te",
+    "ConcordError": "repro.util",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str) -> Any:
+    """Import the subpackage that defines *name* on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,7 +6,6 @@ per-DA derivation graphs, WAL-backed durability and server-crash
 recovery.
 """
 
-from repro.repository.federation import FederatedRepository
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
@@ -26,7 +25,6 @@ __all__ = [
     "DesignDataRepository",
     "DesignObjectType",
     "DesignObjectVersion",
-    "FederatedRepository",
     "LogRecord",
     "LogRecordKind",
     "VersionStore",

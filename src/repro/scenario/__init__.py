@@ -10,7 +10,6 @@ resulting kernel event stream as a regression oracle.  See
 ``docs/scenarios.md`` and the shipped library under ``scenarios/``.
 """
 
-from repro.scenario.campaign import CampaignReport
 from repro.scenario.compiler import (
     KIND_RUNNERS,
     CompiledScenario,
@@ -27,19 +26,14 @@ from repro.scenario.schema import (
     parse_scenario,
     validate_scenario,
 )
-from repro.scenario.sessions import SessionDriver, SessionPlan, StepPlan
 
 __all__ = [
-    "CampaignReport",
     "CompiledScenario",
     "KIND_RUNNERS",
     "SCENARIO_KINDS",
     "SCENARIO_SCHEMA",
     "ScenarioConfig",
     "ScenarioError",
-    "SessionDriver",
-    "SessionPlan",
-    "StepPlan",
     "canonical_scenarios",
     "compile_scenario",
     "dump_scenario",

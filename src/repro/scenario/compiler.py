@@ -2,17 +2,20 @@
 
 The compiler is the bridge between the DSL and the code that runs a
 scenario *kind*.  Every kind's runner takes the config itself and
-reads its tables where it needs them: the three session kinds
-(:mod:`repro.scenario.sessions`, :mod:`repro.scenario.campaign`), the
-delegation (:mod:`repro.scenario.delegation`) and the federation
-(:mod:`repro.scenario.federation`); the last two are imported on first
-use, so a session run never loads them.
-Compilation is pure — a :class:`CompiledScenario` holds only the
-frozen config and a kind entry, and every
-:meth:`CompiledScenario.run` builds the entire world (kernel,
-network, repository, RNG streams) from scratch, so back-to-back runs
-of the same compiled scenario are byte-identical and never bleed
-state into each other.
+reads its tables where it needs them: T8 and T9
+(:mod:`repro.scenario.shipping`), the campaign
+(:mod:`repro.scenario.campaign`), the delegation
+(:mod:`repro.scenario.delegation`) and the federation
+(:mod:`repro.scenario.federation`).  :data:`KIND_RUNNERS` names each
+one as a ``module:function`` string, and :func:`compile_scenario`
+imports the kind's module and binds its runner, so a run loads only
+its own kind's code, compilation pays for that import, and a runner
+that does not resolve is a :class:`ScenarioError` before anything
+runs.  A :class:`CompiledScenario` holds only the frozen config and
+that runner, and every :meth:`CompiledScenario.run` builds the entire
+world (kernel, network, repository, RNG streams) from scratch, so
+back-to-back runs of the same compiled scenario are byte-identical,
+never bleed state into each other and import nothing.
 """
 
 from __future__ import annotations
@@ -22,28 +25,22 @@ from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.scenario.campaign import design_campaign_scenario
 from repro.scenario.schema import (
     ScenarioConfig,
     ScenarioError,
     load_scenario,
 )
-from repro.scenario.sessions import (
-    object_buffer_scenario,
-    write_back_scenario,
-)
 from repro.sim.kernel import Kernel
 
 
-#: kind -> runner taking ``(config, on_kernel)`` (the compiler's whole
-#: dispatch table); a ``module:function`` string is imported on the
-#: kind's first run
-KIND_RUNNERS: dict[str, Callable[..., Any] | str] = {
-    "object_buffers": object_buffer_scenario,
-    "write_back": write_back_scenario,
+#: kind -> ``module:function`` of its runner, which takes ``(config,
+#: on_kernel)`` (the compiler's whole dispatch table)
+KIND_RUNNERS: dict[str, str] = {
+    "object_buffers": "repro.scenario.shipping:object_buffer_scenario",
+    "write_back": "repro.scenario.shipping:write_back_scenario",
     "concurrent_delegation":
         "repro.scenario.delegation:delegation_report",
-    "campaign": design_campaign_scenario,
+    "campaign": "repro.scenario.campaign:design_campaign_scenario",
     "federated_commit": "repro.scenario.federation:crash_matrix",
 }
 
@@ -58,6 +55,8 @@ class CompiledScenario:
     """
 
     config: ScenarioConfig
+    #: the kind's runner, imported by :func:`compile_scenario`
+    runner: Callable[..., Any]
 
     def run(self,
             on_kernel: Callable[[Kernel], None] | None = None) -> Any:
@@ -67,19 +66,24 @@ class CompiledScenario:
         exists, before any event executes — the capture hook of
         :mod:`repro.sim.trace`.
         """
-        runner = KIND_RUNNERS[self.config.kind]
-        if isinstance(runner, str):
-            module, name = runner.split(":")
-            runner = getattr(import_module(module), name)
-        return runner(self.config, on_kernel)
+        return self.runner(self.config, on_kernel)
 
 
 def compile_scenario(config: ScenarioConfig) -> CompiledScenario:
-    """Bind *config* to its kind's runner."""
-    if config.kind not in KIND_RUNNERS:
+    """Bind *config* to its kind's runner, importing the runner's
+    module."""
+    target = KIND_RUNNERS.get(config.kind)
+    if target is None:
         raise ScenarioError(
             f"[scenario].kind: no runner for {config.kind!r}")
-    return CompiledScenario(config=config)
+    module, _, name = target.partition(":")
+    try:
+        runner = getattr(import_module(module), name)
+    except (ImportError, AttributeError) as exc:
+        raise ScenarioError(
+            f"[scenario].kind: the runner {target!r} of "
+            f"{config.kind!r} does not resolve: {exc}") from exc
+    return CompiledScenario(config=config, runner=runner)
 
 
 def canonical_scenarios() -> dict[str, ScenarioConfig]:

@@ -23,7 +23,7 @@ from repro.repository.versions import freeze_payload
 from repro.scenario.schema import ScenarioConfig
 from repro.sim.kernel import Kernel
 from repro.te.context import DopContext
-from repro.vlsi.floorplan import Floorplan, FloorplanInterface
+from repro.vlsi.floorplan import FloorplanInterface
 from repro.vlsi.methodology import playout_constraints
 from repro.vlsi.tools import register_vlsi_tools, vlsi_dots
 
@@ -56,16 +56,14 @@ def subcell_seed(context: DopContext, params: dict[str, Any]) -> None:
     subcell = params["subcell"]
     operations = params.get("operations",
                             ["op-a", "op-b", "op-c", "op-d"])
-    parent_plan_raw = context.data.get("floorplan")
-    if parent_plan_raw:
-        parent_plan = Floorplan.from_dict(parent_plan_raw)
-        placement = parent_plan.placements.get(subcell)
-    else:
-        placement = None
-    if placement is not None:
-        interface = FloorplanInterface(subcell, placement.width,
-                                       placement.height,
-                                       origin=(placement.x, placement.y))
+    parent_plan = context.data.get("floorplan")
+    # the cell's [x, y, w, h] box, read off the frozen plan as stored
+    box = parent_plan.get("placements", {}).get(subcell) \
+        if parent_plan else None
+    if box is not None:
+        x, y, width, height = box
+        interface = FloorplanInterface(subcell, width, height,
+                                       origin=(x, y))
     else:
         interface = FloorplanInterface(subcell,
                                        params.get("max_width", 50.0),

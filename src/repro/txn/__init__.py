@@ -24,7 +24,6 @@ thin participants of this layer: they validate, stage and apply —
 the decision belongs here.
 """
 
-from repro.txn.decision_log import GlobalDecisionLog
 from repro.txn.gateway import (
     CommitGateway,
     GroupCommitResult,
@@ -34,7 +33,6 @@ from repro.txn.leases import Lease, LeaseTable
 
 __all__ = [
     "CommitGateway",
-    "GlobalDecisionLog",
     "GroupCommitResult",
     "Lease",
     "LeaseTable",

@@ -1,5 +1,6 @@
 """What a run imports: a scenario run and the scenario/trace CLI load
-the code they call, not the experiment harness.
+the code they call, not the experiment harness, and a run loads only
+its own kind's runner, at compile time.
 
 Each check runs in a fresh interpreter, because this test session has
 long since imported everything.
@@ -13,6 +14,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -23,27 +25,39 @@ HARNESS = ("repro.bench.experiments", "repro.bench.scorecard",
            "repro.bench.figures", "repro.bench.ablations",
            "repro.baselines", "repro.workload.simulator")
 
-#: ``repro*`` modules a ``campaign`` run loads (it must not grow)
-CAMPAIGN_CLOSURE = 52
-#: ``repro*`` modules a ``concurrent_delegation`` run loads (it must
-#: not grow)
-DELEGATION_CLOSURE = 61
+#: ``repro*`` modules a run of each kind loads (none may grow)
+CAMPAIGN_CLOSURE = 36
+DELEGATION_CLOSURE = 56
+SHIPPING_CLOSURE = 42
+FEDERATION_CLOSURE = 29
+
+#: what a TE-only campaign has no use for: the AC and DC levels, the
+#: VLSI domain, and the federation with its decision log
+ABOVE_THE_TE_LEVEL = ("repro.core", "repro.dc", "repro.vlsi",
+                      "repro.repository.federation",
+                      "repro.txn.decision_log")
 
 
-def repro_modules_after(code: str) -> list[str]:
-    """The ``repro*`` modules in ``sys.modules`` after *code* ran in a
+def json_after(code: str, expression: str) -> Any:
+    """The value of *expression*, through JSON, after *code* ran in a
     fresh interpreter (its stdout is discarded)."""
     probe = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(json.dumps(sorted(m for m in sys.modules\n"
-          "                        if m.split('.')[0] == 'repro')))\n")
+        + f"print(json.dumps({expression}))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", probe], check=True,
                           env=env, cwd=ROOT, capture_output=True,
                           text=True, timeout=120)
     return json.loads(done.stdout)
+
+
+def repro_modules_after(code: str) -> list[str]:
+    """The ``repro*`` modules in ``sys.modules`` after *code* ran in a
+    fresh interpreter."""
+    return json_after(code, "sorted(m for m in sys.modules "
+                            "if m.split('.')[0] == 'repro')")
 
 
 def run_canonical(name: str) -> str:
@@ -64,6 +78,38 @@ def test_the_campaign_closure_does_not_grow():
     loaded = repro_modules_after(run_canonical("campaign_design_week"))
     assert len(loaded) <= CAMPAIGN_CLOSURE, loaded
     assert [name for name in HARNESS if name in loaded] == []
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("t8_object_buffers", SHIPPING_CLOSURE),
+    ("t10_federated_commit", FEDERATION_CLOSURE),
+])
+def test_the_shipping_and_federation_closures_do_not_grow(name, bound):
+    loaded = repro_modules_after(run_canonical(name))
+    assert len(loaded) <= bound, loaded
+
+
+def test_a_campaign_loads_nothing_above_the_te_level():
+    loaded = repro_modules_after(run_canonical("campaign_design_week"))
+    above = [name for name in loaded
+             for prefix in ABOVE_THE_TE_LEVEL
+             if name == prefix or name.startswith(prefix + ".")]
+    assert above == []
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in (ROOT / "scenarios").glob("*.toml")))
+def test_a_compiled_run_imports_nothing(name):
+    """``compile_scenario`` imports the kind's runner, so ``run()``
+    adds no module to ``sys.modules``."""
+    added = json_after(
+        "from repro.scenario import canonical_scenarios, "
+        "compile_scenario\n"
+        f"compiled = compile_scenario(canonical_scenarios()[{name!r}])\n"
+        "before = set(sys.modules)\n"
+        "compiled.run()\n",
+        "sorted(set(sys.modules) - before)")
+    assert added == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -92,3 +138,24 @@ def test_the_scenario_package_does_not_import_the_harness():
                           for name in names
                           if name.split(".")[:2] == ["repro", "bench"]]
     assert offenders == []
+
+
+def test_the_root_package_resolves_its_names_on_first_access():
+    """``repro`` holds each public name of a subpackage, resolved on
+    first access: the same object, listed by ``dir``, and an unknown
+    name is an AttributeError."""
+    import importlib
+
+    import repro
+
+    held = {}
+    for package in ("core", "dc", "repository", "sim", "te", "util"):
+        module = importlib.import_module(f"repro.{package}")
+        held.update((name, getattr(module, name))
+                    for name in module.__all__)
+    for name in repro.__all__:
+        if name != "__version__":
+            assert getattr(repro, name) is held[name], name
+        assert name in dir(repro), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name

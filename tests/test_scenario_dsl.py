@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenario import (
+    KIND_RUNNERS,
     SCENARIO_SCHEMA,
     ScenarioError,
     canonical_scenarios,
@@ -220,6 +221,21 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError,
                            match=r"\[scenario\]\.kind: 'bogus'"):
             validate_scenario(_base(kind="bogus"))
+
+    @pytest.mark.parametrize("target", [
+        "repro.scenario.no_such_module:object_buffer_scenario",
+        "repro.scenario.shipping:no_such_runner",
+    ])
+    def test_a_runner_that_does_not_resolve_fails_at_compile(
+            self, monkeypatch, target):
+        """The compiler imports the kind's runner: a module or function
+        that is not there is a ScenarioError naming it, before any
+        run."""
+        monkeypatch.setitem(KIND_RUNNERS, "object_buffers", target)
+        with pytest.raises(ScenarioError,
+                           match=rf"\[scenario\]\.kind: the runner "
+                                 rf"'{target}' of 'object_buffers'"):
+            compile_scenario(validate_scenario(_base()))
 
     def test_schedule_entry_errors_carry_the_index(self):
         with pytest.raises(ScenarioError,

@@ -149,3 +149,22 @@ def test_a_re_export_a_mention_or_a_comment_is_no_caller(tmp_path,
     for flagged in ("exported", "mentioned", "commented"):
         assert f" {flagged} is referenced only by tests/" in out
     assert " spanned is" not in out
+
+
+def test_a_module_level_dunder_is_left_out(tmp_path, capsys):
+    """The interpreter calls a module's ``__getattr__`` and ``__dir__``
+    (PEP 562) as it calls a class's ``__init__``: a top-level dunder
+    function is not checked, a top-level helper beside it still is."""
+    checker = _load_checker()
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "def __getattr__(name):\n    return name\n\n"
+        "def __dir__():\n    return []\n\n"
+        "def _unused():\n    pass\n", encoding="utf-8")
+    assert checker.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "src/repro/__init__.py:7: _unused is referenced only by " \
+        "tests/" in out
+    for exempt in ("__getattr__", "__dir__"):
+        assert f" {exempt} is" not in out

@@ -20,8 +20,7 @@ from repro.repository.schema import (
     AttributeKind,
     DesignObjectType,
 )
-from repro.txn import GlobalDecisionLog
-from repro.txn.decision_log import CHECKPOINT_WINDOW
+from repro.txn.decision_log import CHECKPOINT_WINDOW, GlobalDecisionLog
 from repro.util.errors import StorageError
 from repro.util.ids import IdGenerator
 

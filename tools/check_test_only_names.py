@@ -2,11 +2,12 @@
 """Checker for names in ``src/repro`` that only a test calls.
 
 Lists every top-level function and class in ``src/repro``, and every
-method of a top-level class, private ones included (dunder methods,
-which the language calls, and the harness's own helpers are left
-out), then counts the name's identifier tokens in the ``.py`` files
-of ``src/``, ``benchmarks/``, ``examples/`` and ``tools/``.  String
-literals count, so a ``SPAN_TABLE`` entry in
+method of a top-level class, private ones included (dunder functions
+and methods, which the language calls — a module's ``__getattr__`` and
+``__dir__`` as much as a class's ``__init__`` — and the harness's own
+helpers are left out), then counts the name's identifier tokens in
+the ``.py`` files of ``src/``, ``benchmarks/``, ``examples/`` and
+``tools/``.  String literals count, so a ``SPAN_TABLE`` entry in
 ``benchmarks/e2e/spans.py`` is a reference;
 comments, docstrings and the package ``__init__.py`` files under
 ``src/`` do not, since a mention or a re-export calls nothing, and
@@ -59,6 +60,11 @@ _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef,
                ast.AsyncFunctionDef)
 
 
+def _dunder(name: str) -> bool:
+    """A name the language calls, never the program's own code."""
+    return name.startswith("__") and name.endswith("__")
+
+
 def checked_names(root: Path) -> list[tuple[str, str, int]]:
     """``(qualified name, file, line)`` of every checked definition."""
     found: list[tuple[str, str, int]] = []
@@ -68,7 +74,8 @@ def checked_names(root: Path) -> list[tuple[str, str, int]]:
         where = str(path.relative_to(root))
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or _dunder(node.name):
                 continue
             found.append((node.name, where, node.lineno))
             if isinstance(node, ast.ClassDef):
@@ -76,8 +83,7 @@ def checked_names(root: Path) -> list[tuple[str, str, int]]:
                     (f"{node.name}.{item.name}", where, item.lineno)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
-                    and not (item.name.startswith("__")
-                             and item.name.endswith("__")))
+                    and not _dunder(item.name))
     return found
 
 
