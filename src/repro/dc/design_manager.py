@@ -591,11 +591,13 @@ class DesignManager:
         positions = [r for r in
                      self.log.stable_records(LogRecordKind.SCRIPT_POSITION)
                      if r.lsn > since]
+        history = []
         for record in positions:
             decision = record.payload["decision"]
             if isinstance(decision, list):  # tuples round-trip as lists
                 decision = tuple(decision)
-            self.cursor.fire(record.payload["token"], decision)
+            history.append((record.payload["token"], decision))
+        self.cursor.replay(history)
 
         # rebuild executed-tool history from finish records
         finishes = self.log.stable_records(LogRecordKind.DOP_FINISH)

@@ -308,14 +308,22 @@ class ScriptCursor:
         #: whether the root is complete; None after a write to _state
         #: (the DM polls is_done far more often than it fires)
         self._root_done: bool | None = None
+        #: the enabled actions; None after a write to _state (a DM step
+        #: reads them, then its fire reads them again)
+        self._actions: list[EnabledAction] | None = None
 
     # -- public API ---------------------------------------------------------
 
     def enabled(self) -> list[EnabledAction]:
         """All positions that may fire right now."""
-        if self.is_done():
-            return []
-        return self._enabled(self.script.root, "0")
+        return list(self._enabled_actions())
+
+    def _enabled_actions(self) -> list[EnabledAction]:
+        # the script is walked once per state change
+        if self._actions is None:
+            self._actions = [] if self.is_done() \
+                else self._enabled(self.script.root, "0")
+        return self._actions
 
     def is_done(self) -> bool:
         """True when the whole script has completed."""
@@ -332,7 +340,7 @@ class ScriptCursor:
         * LOOP: ``decision`` is ``'again'`` or ``'exit'``;
         * OPEN: ``decision`` is ``('insert', tool)`` or ``'close'``.
         """
-        enabled = {a.token: a for a in self.enabled()}
+        enabled = {a.token: a for a in self._enabled_actions()}
         if token not in enabled:
             raise ScriptError(f"position {token!r} is not enabled "
                               f"(enabled: {sorted(enabled)})")
@@ -352,7 +360,7 @@ class ScriptCursor:
         of a sequence of executed DOPs" (Sect.5.3).  Returns the number
         of state entries cleared.
         """
-        self._root_done = None
+        self._root_done = self._actions = None
         doomed = [k for k in self._state
                   if k == token or k.startswith(token + ".")]
         for key in doomed:
@@ -363,7 +371,7 @@ class ScriptCursor:
 
     def _apply(self, action: EnabledAction, decision: Any) -> None:
         node, token = action.node, action.token
-        self._root_done = None
+        self._root_done = self._actions = None
         if action.kind in (ActionKind.DOP, ActionKind.DA_OP):
             self._state[token] = "done"
         elif action.kind is ActionKind.CHOICE:

@@ -5,71 +5,63 @@ cell hierarchies, module/net lists, shape functions, floorplans, the
 seven design tools of Fig.2 (including a working chip planner with
 bipartitioning, sizing, dimensioning and global routing), and the
 design-plane methodology with its scripts and ordering constraints.
+
+The names below are resolved on first access (PEP 562), so importing
+one module of the domain (``repro.vlsi.tools`` for its DOTs, say)
+loads that module and what it imports, not the cell hierarchies and
+the methodology with it.
 """
 
-from repro.vlsi.cells import (
-    Cell,
-    CellHierarchy,
-    CellLevel,
-    sample_hierarchy,
-)
-from repro.vlsi.chip_planner import ChipPlanner, global_route
-from repro.vlsi.floorplan import (
-    Floorplan,
-    FloorplanInterface,
-    PinInterval,
-    Placement,
-)
-from repro.vlsi.methodology import (
-    DESIGN_PLANE_ARROWS,
-    DesignDomain,
-    PlaneArrow,
-    TraversalStep,
-    alternative_paths_script,
-    chip_design_script,
-    full_design_script,
-    playout_constraints,
-    traversal_matrix,
-    traverse_design_plane,
-)
-from repro.vlsi.netlist import Net, NetList, synthetic_netlist
-from repro.vlsi.shapes import Shape, ShapeFunction, shapes_for_area
-from repro.vlsi.tools import (
-    TOOL_DURATIONS,
-    TOOL_NUMBERS,
-    register_vlsi_tools,
-    vlsi_dots,
-)
+from __future__ import annotations
 
-__all__ = [
-    "Cell",
-    "CellHierarchy",
-    "CellLevel",
-    "ChipPlanner",
-    "DESIGN_PLANE_ARROWS",
-    "DesignDomain",
-    "Floorplan",
-    "FloorplanInterface",
-    "Net",
-    "NetList",
-    "PinInterval",
-    "Placement",
-    "PlaneArrow",
-    "Shape",
-    "ShapeFunction",
-    "TOOL_DURATIONS",
-    "TOOL_NUMBERS",
-    "TraversalStep",
-    "alternative_paths_script",
-    "chip_design_script",
-    "full_design_script",
-    "global_route",
-    "playout_constraints",
-    "register_vlsi_tools",
-    "sample_hierarchy",
-    "shapes_for_area",
-    "synthetic_netlist",
-    "traversal_matrix",
-    "traverse_design_plane",
-    "vlsi_dots",
-]
+from importlib import import_module
+from typing import Any
+
+#: public name -> the module that defines it
+_EXPORTS = {
+    "Cell": "repro.vlsi.cells",
+    "CellHierarchy": "repro.vlsi.cells",
+    "CellLevel": "repro.vlsi.cells",
+    "sample_hierarchy": "repro.vlsi.cells",
+    "ChipPlanner": "repro.vlsi.chip_planner",
+    "Floorplan": "repro.vlsi.floorplan",
+    "FloorplanInterface": "repro.vlsi.floorplan",
+    "PinInterval": "repro.vlsi.floorplan",
+    "Placement": "repro.vlsi.floorplan",
+    "DESIGN_PLANE_ARROWS": "repro.vlsi.methodology",
+    "DesignDomain": "repro.vlsi.methodology",
+    "PlaneArrow": "repro.vlsi.methodology",
+    "TraversalStep": "repro.vlsi.methodology",
+    "alternative_paths_script": "repro.vlsi.methodology",
+    "chip_design_script": "repro.vlsi.methodology",
+    "full_design_script": "repro.vlsi.methodology",
+    "playout_constraints": "repro.vlsi.methodology",
+    "traversal_matrix": "repro.vlsi.methodology",
+    "traverse_design_plane": "repro.vlsi.methodology",
+    "Net": "repro.vlsi.netlist",
+    "NetList": "repro.vlsi.netlist",
+    "synthetic_netlist": "repro.vlsi.netlist",
+    "Shape": "repro.vlsi.shapes",
+    "ShapeFunction": "repro.vlsi.shapes",
+    "shapes_for_area": "repro.vlsi.shapes",
+    "TOOL_DURATIONS": "repro.vlsi.tools",
+    "TOOL_NUMBERS": "repro.vlsi.tools",
+    "register_vlsi_tools": "repro.vlsi.tools",
+    "vlsi_dots": "repro.vlsi.tools",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    """Import the module that defines *name* on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

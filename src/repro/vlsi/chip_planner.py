@@ -15,8 +15,8 @@ Implemented tools:
   driven by the subcells' shape functions;
 * **dimensioning** — fitting the slicing result into the CUD's
   interface bounds;
-* :func:`global_route` — half-perimeter wirelength estimation over the
-  placed subcells;
+* **global routing** — half-perimeter wirelength estimation over the
+  placed subcells' centres;
 * :class:`ChipPlanner` — the toolbox driver with designer
   re-iterations (it retries with different partition seeds and keeps
   the best arrangement).
@@ -24,7 +24,6 @@ Implemented tools:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Container, Iterable
 
 from repro.util.rng import SeededRng
@@ -143,33 +142,30 @@ def _bipartition(cells: list[str], nets: list[list[str]],
 # sizing + dimensioning (recursive slicing placement)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Slice:
-    """Result of recursively placing a cell set: dims + placements."""
-
-    width: float
-    height: float
-    placements: list[Placement]
+#: one placed cell in its slice's own frame: (cell, x, y, width, height),
+#: the fields of a :class:`Placement` in their order
+_Item = tuple[str, float, float, float, float]
 
 
 def _place_cells(cells: list[str], nets: list[list[str]],
-                 shape_fns: dict[str, ShapeFunction],
+                 shapes: dict[str, tuple[Shape, Shape]],
                  areas: dict[str, float],
-                 rng: SeededRng | None, horizontal: bool) -> _Slice:
+                 rng: SeededRng | None,
+                 horizontal: bool) -> tuple[float, float, list[_Item]]:
     """Recursive slicing: partition, place halves, compose.
 
-    *cells* come in net-list order and *nets* are their own nets
+    Returns the slice's width, height and placed cells.  *shapes* holds
+    each cell's (wide, narrow) shape: a cell alone in a slice whose
+    parent puts its halves side by side takes the wide one.  *cells*
+    come in net-list order and *nets* are their own nets
     (:func:`_nets_on`); each half goes down with its cells in that
     order and its own nets, so a level costs its cells and pins, not
     the whole net list.
     """
     if len(cells) == 1:
         cell = cells[0]
-        shape = _pick_shape(shape_fns.get(cell), areas.get(cell, 1.0),
-                            prefer_wide=horizontal)
-        return _Slice(shape.width, shape.height,
-                      [Placement(cell, 0.0, 0.0, shape.width,
-                                 shape.height)])
+        width, height = shapes[cell][not horizontal]
+        return width, height, [(cell, 0.0, 0.0, width, height)]
     part_a, part_b = _bipartition(list(cells), nets, areas, rng, _PASSES)
     if not part_a or not part_b:
         ordered = sorted(cells)
@@ -189,28 +185,25 @@ def _place_cells(cells: list[str], nets: list[list[str]],
                 nets_a.append(pins_a)
             if len(pins) - len(pins_a) > 1:
                 nets_b.append([c for c in pins if c not in part_a])
-    left = _place_cells(cells_a, nets_a, shape_fns, areas, rng,
-                        not horizontal)
-    right = _place_cells(cells_b, nets_b, shape_fns, areas, rng,
-                         not horizontal)
+    width_a, height_a, placed = _place_cells(cells_a, nets_a, shapes, areas,
+                                             rng, not horizontal)
+    width_b, height_b, right = _place_cells(cells_b, nets_b, shapes, areas,
+                                            rng, not horizontal)
+    # each level shifts the second half by the first one's extent, so
+    # a coordinate is the sum of its slices' offsets, innermost first
     if horizontal:   # halves side by side
-        placements = list(left.placements)
-        placements += [Placement(p.cell, p.x + left.width, p.y, p.width,
-                                 p.height) for p in right.placements]
-        return _Slice(left.width + right.width,
-                      max(left.height, right.height), placements)
-    placements = list(left.placements)
-    placements += [Placement(p.cell, p.x, p.y + left.height, p.width,
-                             p.height) for p in right.placements]
-    return _Slice(max(left.width, right.width),
-                  left.height + right.height, placements)
+        placed += [(cell, x + width_a, y, w, h)
+                   for cell, x, y, w, h in right]
+        return width_a + width_b, max(height_a, height_b), placed
+    placed += [(cell, x, y + height_a, w, h) for cell, x, y, w, h in right]
+    return max(width_a, width_b), height_a + height_b, placed
 
 
 def _pick_shape(shape_fn: ShapeFunction | None, area: float,
                 prefer_wide: bool) -> Shape:
     if shape_fn is None:
-        side = max(area, 1e-9) ** 0.5
-        return Shape(round(side, 3), round(side, 3))
+        side = round(max(area, 1e-9) ** 0.5, 3)
+        return tuple.__new__(Shape, (side, side))
     shapes = shape_fn.shapes
     if prefer_wide:
         return max(shapes, key=lambda s: s.aspect)
@@ -221,20 +214,18 @@ def _pick_shape(shape_fn: ShapeFunction | None, area: float,
 # global routing (wirelength estimation)
 # ---------------------------------------------------------------------------
 
-def global_route(floorplan: Floorplan, netlist: NetList) -> float:
+def _global_route(centres: dict[str, tuple[float, float]],
+                  nets: list[list[str]]) -> float:
     """Half-perimeter wirelength over the placed subcells.
 
     The classic chip-planning estimate: for each net, the half
-    perimeter of the bounding box of its pins (subcell centres).
+    perimeter of the bounding box of its pins (the *centres* of its
+    subcells).  *nets* are the plan's own nets (:func:`_nets_on`): a
+    net with fewer than two pins spans nothing.
     """
     total = 0.0
-    for net in netlist.nets:
-        points = [floorplan.placements[c].center for c in net.cells
-                  if c in floorplan.placements]
-        if len(points) < 2:
-            continue
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
+    for pins in nets:
+        xs, ys = zip(*[centres[c] for c in pins])
         total += (max(xs) - min(xs)) + (max(ys) - min(ys))
     return round(total, 3)
 
@@ -261,36 +252,45 @@ class ChipPlanner:
     def plan(self, cud: str, netlist: NetList,
              shape_functions: dict[str, ShapeFunction],
              interface: FloorplanInterface) -> Floorplan:
-        """Run bipartitioning / sizing / dimensioning / global routing."""
+        """Run bipartitioning / sizing / dimensioning / global routing.
+
+        An attempt is scored from its cells' centres alone; only the
+        winner becomes a :class:`Floorplan`, with its placements and
+        its cut.
+        """
         areas = {c: (shape_functions[c].min_area()
                      if c in shape_functions else 1.0)
                  for c in netlist.cells}
         cells = list(netlist.cells)
         nets = _nets_on(set(cells), (net.cells for net in netlist.nets))
-        best: tuple[Floorplan, _Slice] | None = None
+        # sizing: a cell's shape depends on its slice's cut alone, so
+        # both candidates are picked once for every attempt
+        shapes = {}
+        for cell in cells:
+            shape_fn = shape_functions.get(cell)
+            shapes[cell] = (_pick_shape(shape_fn, areas[cell], True),
+                            _pick_shape(shape_fn, areas[cell], False))
         best_key: tuple[float, float] | None = None
         for attempt in range(self.iterations):
             rng = SeededRng(self.seed * 7919 + attempt)
-            sliced = _place_cells(cells, nets, shape_functions, areas, rng,
-                                  horizontal=True)
-            floorplan = Floorplan(
-                cud=cud, width=round(sliced.width, 3),
-                height=round(sliced.height, 3),
-                iterations=attempt + 1)
-            for placement in sliced.placements:
-                floorplan.placements[placement.cell] = placement
-            floorplan.wirelength = global_route(floorplan, netlist)
-            overflow = max(0.0, floorplan.width - interface.max_width) \
-                + max(0.0, floorplan.height - interface.max_height)
-            key = (overflow, floorplan.wirelength)
+            width, height, placed = _place_cells(cells, nets, shapes, areas,
+                                                 rng, horizontal=True)
+            centres = {cell: (x + w / 2.0, y + h / 2.0)
+                       for cell, x, y, w, h in placed}
+            overflow = max(0.0, round(width, 3) - interface.max_width) \
+                + max(0.0, round(height, 3) - interface.max_height)
+            key = (overflow, _global_route(centres, nets))
             if best_key is None or key < best_key:
-                best, best_key = (floorplan, sliced), key
-        assert best is not None
+                best_key = key
+                best = (width, height, placed, centres)
+        assert best_key is not None
         # the key does not read the cut: count it for the winner alone
-        floorplan, sliced = best
-        part_a = {p.cell for p in sliced.placements
-                  if p.x + p.width / 2 < sliced.width / 2}
+        width, height, placed, centres = best
+        part_a = {cell for cell, (x, _y) in centres.items() if x < width / 2}
         part_b = set(netlist.cells) - part_a
-        floorplan.cut_nets = netlist.cut_size(part_a, part_b)
-        floorplan.iterations = self.iterations
-        return floorplan
+        return Floorplan(
+            cud=cud, width=round(width, 3), height=round(height, 3),
+            placements={item[0]: tuple.__new__(Placement, item)
+                        for item in placed},
+            cut_nets=netlist.cut_size(part_a, part_b),
+            wirelength=best_key[1], iterations=self.iterations)

@@ -12,6 +12,7 @@ next hierarchy level (the Fig.5 delegation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: geometric tolerance: placements are sums of rounded shape sides, so
 #: two abutting cells can meet a last-bit rounding error apart
@@ -72,9 +73,10 @@ class FloorplanInterface:
         )
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One subcell placed inside its parent's floorplan."""
+class Placement(NamedTuple):
+    """One subcell placed inside its parent's floorplan: a tuple, built
+    in one allocation (the chip planner builds it with
+    ``tuple.__new__``), whose fields cannot be reassigned."""
 
     cell: str
     x: float
@@ -86,11 +88,6 @@ class Placement:
     def area(self) -> float:
         """Occupied area."""
         return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        """Geometric centre (used for wirelength estimation)."""
-        return (self.x + self.width / 2.0, self.y + self.height / 2.0)
 
     def overlaps(self, other: "Placement") -> bool:
         """True when two placements intersect with positive area."""
@@ -170,5 +167,6 @@ class Floorplan:
                    wirelength=raw.get("wirelength", 0.0),
                    iterations=raw.get("iterations", 1))
         for name, (x, y, w, h) in raw.get("placements", {}).items():
-            plan.placements[name] = Placement(name, x, y, w, h)
+            plan.placements[name] = tuple.__new__(Placement,
+                                                  (name, x, y, w, h))
         return plan

@@ -13,14 +13,14 @@ DOV payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.util.rng import SeededRng
 
 
-@dataclass(frozen=True)
-class Net:
-    """One net connecting two or more subcells."""
+class Net(NamedTuple):
+    """One net connecting two or more subcells: a tuple, built in one
+    allocation, whose fields cannot be reassigned."""
 
     name: str
     cells: tuple[str, ...]
@@ -87,7 +87,8 @@ class NetList:
         """Rebuild from :meth:`to_dict` output."""
         return cls(
             cells=list(raw["cells"]),
-            nets=[Net(n["name"], tuple(n["cells"])) for n in raw["nets"]],
+            nets=[tuple.__new__(Net, (n["name"], tuple(n["cells"])))
+                  for n in raw["nets"]],
         )
 
 

@@ -10,12 +10,12 @@ alternative per subcell so everything fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Shape:
-    """One feasible (width, height) realisation."""
+class Shape(NamedTuple):
+    """One feasible (width, height) realisation: a tuple, built in one
+    allocation, whose fields cannot be reassigned."""
 
     width: float
     height: float
@@ -29,6 +29,7 @@ class Shape:
     def aspect(self) -> float:
         """width / height."""
         return self.width / self.height if self.height else float("inf")
+
 
 class ShapeFunction:
     """The set of feasible shapes of one cell (dominated shapes pruned).
@@ -72,7 +73,8 @@ class ShapeFunction:
     @classmethod
     def from_dict(cls, raw: dict) -> "ShapeFunction":
         """Rebuild from :meth:`to_dict` output."""
-        return cls(raw["cell"], [Shape(w, h) for w, h in raw["shapes"]])
+        return cls(raw["cell"], [tuple.__new__(Shape, (w, h))
+                                 for w, h in raw["shapes"]])
 
 
 def shapes_for_area(cell: str, area: float,
@@ -87,5 +89,6 @@ def shapes_for_area(cell: str, area: float,
     for aspect in aspects:
         width = (area * aspect) ** 0.5
         height = area / width
-        shapes.append(Shape(round(width, 3), round(height, 3)))
+        shapes.append(tuple.__new__(Shape, (round(width, 3),
+                                            round(height, 3))))
     return ShapeFunction(cell, shapes)

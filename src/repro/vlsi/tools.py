@@ -180,10 +180,16 @@ def shape_function_generator(context: DopContext,
     functions = {}
     with _parsing("shape function generation", "structure['subcells']"):
         subcells = list(structure["subcells"])
+    # a staircase depends on the area alone: subcells of one area share
+    # it, estimated and frozen once
+    staircases: dict[float, Any] = {}
     for subcell in subcells:
         area = float(areas.get(subcell, default_area))
-        functions[subcell] = shapes_for_area(subcell, area,
-                                             aspects).to_dict()
+        shapes = staircases.get(area)
+        if shapes is None:
+            shapes = staircases[area] = freeze_payload(
+                shapes_for_area(subcell, area, aspects).to_dict()["shapes"])
+        functions[subcell] = {"cell": subcell, "shapes": shapes}
     context.data["shape_functions"] = freeze_payload(functions)
 
 

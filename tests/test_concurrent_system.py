@@ -9,6 +9,9 @@ and the one-after-the-other schedule.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.states import DaState
@@ -37,6 +40,34 @@ def delegation(subcells, *crashes, sequential=False, jitter=0.0, seed=0):
             for node, at, restart_after in crashes]},
     })
     return concurrent_delegation_scenario(config, sequential=sequential)
+
+
+class TestEveryCommittedPayloadIsPinned:
+    """The DOVs that ``team_delegation``'s tables commit at 12 subcells
+    (seed 307, jitter 0.2, ws-C01 crashing 15 minutes in), hashed: id,
+    DOT, data, parents and payload size of each, in id order.  A
+    report's signature covers states, events and devolved ids but no
+    payload, so a tool change that moved one placement would pass every
+    other pin.  The digest does not depend on ``PYTHONHASHSEED``."""
+
+    DOVS = 53
+    DIGEST = ("0d40eb627af140fa4b0b8c3867ff8ad1"
+              "47ddff726f492ac971216938a8fb7f52")
+
+    def test_the_committed_payloads_are_the_pinned_ones(self):
+        system, report = delegation(
+            [f"C{i:02d}" for i in range(12)], ("ws-C01", 15.0, 5.0),
+            jitter=0.2, seed=307)
+        assert set(report.final_states.values()) \
+            == {"active", "terminated"}
+        digest = hashlib.sha256()
+        dovs = sorted(system.repository.store, key=lambda d: d.dov_id)
+        for dov in dovs:
+            digest.update(json.dumps([
+                dov.dov_id, dov.dot_name, dov.data, list(dov.parents),
+                dov.payload_size]).encode() + b"\n")
+        assert len(dovs) == self.DOVS
+        assert digest.hexdigest() == self.DIGEST
 
 
 def refine(context, params):

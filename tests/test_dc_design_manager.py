@@ -319,6 +319,35 @@ class TestDmCrashRecovery:
         assert status.done
         assert runtime.dm.executed_tools == ["noop", "halve"]
 
+    def test_recovery_replays_an_insertion(self):
+        """An Open segment's ``('insert', tool)`` decision replays as
+        it was fired: the replayed cursor enables the inserted step."""
+        system = build_system()
+
+        class InsertOnce(DesignerPolicy):
+            def __init__(self):
+                self.inserted = False
+
+            def open_decision(self, action):
+                if not self.inserted:
+                    self.inserted = True
+                    return ("insert", "halve")
+                return "close"
+
+        da = start_da(system, Script(Sequence(DopStep("noop"), Open())))
+        runtime = system.runtime(da.da_id)
+        runtime.dm.policy = InsertOnce()
+        runtime.dm.step()   # run 'noop'
+        runtime.dm.step()   # insert 'halve'
+        enabled = [a.token for a in runtime.dm.cursor.enabled()]
+        system.crash_workstation("ws-1")
+        report = system.restart_workstation("ws-1")[da.da_id]
+        assert report["script_positions_replayed"] == 2
+        assert runtime.dm.cursor.history[-1] == ("0.s1", ("insert", "halve"))
+        assert [a.token for a in runtime.dm.cursor.enabled()] == enabled
+        assert system.run(da.da_id).done
+        assert runtime.dm.executed_tools == ["noop", "halve"]
+
     @pytest.mark.parametrize("steps", [0, 1, 2])
     @pytest.mark.parametrize("basis", [False, True])
     def test_recovery_after_a_spec_modification_replays_only_the_restart(

@@ -30,6 +30,9 @@ CAMPAIGN_CLOSURE = 36
 DELEGATION_CLOSURE = 56
 SHIPPING_CLOSURE = 42
 FEDERATION_CLOSURE = 29
+#: the ``cm_cooperation`` workload of ``benchmarks/e2e``: the AC level
+#: and the VLSI DOTs, not the cell hierarchies and the methodology
+COOPERATION_CLOSURE = 50
 
 #: what a TE-only campaign has no use for: the AC and DC levels, the
 #: VLSI domain, and the federation with its decision log
@@ -89,6 +92,26 @@ def test_the_shipping_and_federation_closures_do_not_grow(name, bound):
     assert len(loaded) <= bound, loaded
 
 
+def test_the_cooperation_closure_does_not_grow(tmp_path):
+    """``cm_cooperation`` imports ``repro.vlsi.tools`` for the DOTs
+    alone: the package resolves its names on first access, so the
+    import loads no VLSI module that ``tools`` does not import."""
+    config = tmp_path / "cm_cooperation.toml"
+    loaded = repro_modules_after(
+        "from pathlib import Path\n"
+        f"sys.path.insert(0, {str(ROOT / 'benchmarks' / 'e2e')!r})\n"
+        "import workloads\n"
+        "workload = workloads.WORKLOADS['cm_cooperation']\n"
+        f"config = Path({str(config)!r})\n"
+        "config.write_text(workload.generate(0, True))\n"
+        "state = workload.setup(config)\n"
+        "assert workload.judge(state, workload.run(state)).problems == []")
+    assert "repro.core.cooperation_manager" in loaded
+    assert [name for name in loaded if name in (
+        "repro.vlsi.cells", "repro.vlsi.methodology")] == []
+    assert len(loaded) <= COOPERATION_CLOSURE, loaded
+
+
 def test_a_campaign_loads_nothing_above_the_te_level():
     loaded = repro_modules_after(run_canonical("campaign_design_week"))
     above = [name for name in loaded
@@ -138,6 +161,24 @@ def test_the_scenario_package_does_not_import_the_harness():
                           for name in names
                           if name.split(".")[:2] == ["repro", "bench"]]
     assert offenders == []
+
+
+def test_the_vlsi_package_resolves_its_names_on_first_access():
+    """``import repro.vlsi`` loads no module of the domain; each public
+    name is its module's object, listed by ``dir``, and an unknown name
+    is an AttributeError."""
+    assert repro_modules_after("import repro.vlsi") \
+        == ["repro", "repro.vlsi"]
+    import importlib
+
+    import repro.vlsi as vlsi
+
+    for name in vlsi.__all__:
+        module = importlib.import_module(vlsi._EXPORTS[name])
+        assert getattr(vlsi, name) is getattr(module, name), name
+        assert name in dir(vlsi), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vlsi.no_such_name
 
 
 def test_the_root_package_resolves_its_names_on_first_access():

@@ -27,7 +27,7 @@ import pytest
 
 import repro
 from repro.bench.perf import _make_rig, _nested_payload
-from repro.dc.script import DopStep, Script, Sequence
+from repro.dc.script import DopStep, Script, ScriptCursor, Sequence
 from repro.net.network import StableStorage, _is_immutable
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
@@ -58,7 +58,7 @@ from repro.te.recovery import (
 from repro.util.rng import SeededRng
 from repro.util.trace import EventTrace
 from repro.vlsi.chip_planner import ChipPlanner
-from repro.vlsi.floorplan import FloorplanInterface
+from repro.vlsi.floorplan import Floorplan, FloorplanInterface
 from repro.vlsi.netlist import Net, NetList, synthetic_netlist
 from repro.vlsi.shapes import shapes_for_area
 
@@ -826,6 +826,48 @@ class TestThePlannerKeepsPinCounts:
         assert set(plan.placements) == set(cells)
         assert calls["cut_size"] == 1
         assert 0 < calls["crosses"] <= len(netlist.nets)
+
+
+class TestAToolStepCostsWhatItComputes:
+    """A count gate on a DM's tool step: the chip planner scores each
+    re-iteration from its cells' centres and builds the floorplan of
+    the winner alone, and the script is walked once per state change,
+    not once by the step and again by the fire that ends it."""
+
+    def test_one_plan_builds_one_floorplan(self, monkeypatch):
+        cells = [f"c{i}" for i in range(12)]
+        netlist = synthetic_netlist(cells, SeededRng(5))
+        shape_functions = {c: shapes_for_area(c, 4.0 + i % 3)
+                           for i, c in enumerate(cells)}
+        calls = {"__init__": 0}
+        _count_calls(monkeypatch, calls, Floorplan, "__init__")
+        plan = ChipPlanner(iterations=3, seed=5).plan(
+            "cud", netlist, shape_functions,
+            FloorplanInterface("cud", 40.0, 40.0))
+        assert set(plan.placements) == set(cells)
+        assert plan.iterations == 3
+        assert calls["__init__"] == 1
+
+    def test_a_dm_step_and_its_fire_walk_the_script_once(self,
+                                                         monkeypatch):
+        """Across a whole delegation (crash recovery included) the
+        enabled positions are computed at most once per cursor state:
+        once for each fresh cursor and once after each applied firing."""
+        calls = {"_apply": 0, "__init__": 0, "walks": 0}
+        _count_calls(monkeypatch, calls, ScriptCursor, "_apply")
+        _count_calls(monkeypatch, calls, ScriptCursor, "__init__")
+        walk = ScriptCursor._enabled
+
+        def counted_walk(self, node, token):
+            calls["walks"] += token == "0"   # a walk from the root
+            return walk(self, node, token)
+
+        monkeypatch.setattr(ScriptCursor, "_enabled", counted_walk)
+        report = _team_delegation(12).run()
+        assert set(report.final_states.values()) \
+            == {"active", "terminated"}
+        assert calls["_apply"] > 12 * 5
+        assert calls["walks"] <= calls["_apply"] + calls["__init__"]
 
 
 def _team_delegation(size: int):

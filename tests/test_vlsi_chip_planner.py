@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.util.rng import SeededRng
 from repro.vlsi import chip_planner
-from repro.vlsi.chip_planner import ChipPlanner, global_route
+from repro.vlsi.chip_planner import ChipPlanner
 from repro.vlsi.floorplan import (
     Floorplan,
     FloorplanInterface,
@@ -297,21 +297,36 @@ class TestFloorplanGeometry:
 
 
 class TestGlobalRoute:
-    def test_hpwl_of_two_points(self):
-        plan = Floorplan("cud", 10.0, 10.0)
-        plan.placements["a"] = Placement("a", 0.0, 0.0, 2.0, 2.0)
-        plan.placements["b"] = Placement("b", 8.0, 8.0, 2.0, 2.0)
-        netlist = NetList(cells=["a", "b"], nets=[Net("n", ("a", "b"))])
-        # centres (1,1) and (9,9): HPWL = 8 + 8
-        assert global_route(plan, netlist) == pytest.approx(16.0)
+    """Global routing scores an attempt from its cells' centres."""
 
-    def test_single_pin_net_free(self):
-        plan = Floorplan("cud", 10.0, 10.0)
-        plan.placements["a"] = Placement("a", 0.0, 0.0, 2.0, 2.0)
-        netlist = NetList(cells=["a", "b"],
-                          nets=[Net("n", ("a", "b"))])
-        # 'b' unplaced -> only one point -> contributes nothing
-        assert global_route(plan, netlist) == 0.0
+    def test_hpwl_of_two_points(self):
+        # centres (1,1) and (9,9): HPWL = 8 + 8
+        assert chip_planner._global_route(
+            {"a": (1.0, 1.0), "b": (9.0, 9.0)}, [["a", "b"]]) \
+            == pytest.approx(16.0)
+
+    def test_a_net_with_one_pin_is_free(self):
+        """The plan's own nets leave out a net with fewer than two
+        distinct pins on its cells: it spans nothing."""
+        nets = chip_planner._nets_on({"a", "b"},
+                                     [("a",), ("b", "b"), ("a", "off")])
+        assert nets == []
+        assert chip_planner._global_route(
+            {"a": (1.0, 1.0), "b": (9.0, 9.0)}, nets) == 0.0
+
+    def test_the_plan_reports_the_wirelength_of_its_placements(self):
+        """``plan(...).wirelength`` is the half perimeter over the
+        centres of the placements it returns."""
+        netlist = NetList(cells=["a", "b"], nets=[Net("n", ("a", "b"))])
+        plan = ChipPlanner(iterations=2, seed=3).plan(
+            "cud", netlist,
+            {"a": shapes_for_area("a", 4.0), "b": shapes_for_area("b", 9.0)},
+            FloorplanInterface("cud", 40.0, 40.0))
+        (ax, ay), (bx, by) = ((p.x + p.width / 2, p.y + p.height / 2)
+                              for p in (plan.placements["a"],
+                                        plan.placements["b"]))
+        assert plan.wirelength == round(abs(ax - bx) + abs(ay - by), 3)
+        assert plan.wirelength > 0
 
 
 class TestFloorplanValidation:
