@@ -145,8 +145,9 @@ class DesignerPolicy:
 
     def dop_params(self, step: DopStep) -> dict[str, Any]:
         """Start parameters for a DOP ("the designer has to specify
-        input parameters for the design tools", Sect.5.1)."""
-        return dict(step.params)
+        input parameters for the design tools", Sect.5.1): the step's
+        own frozen ones; a policy that changes them returns a new dict."""
+        return step.params
 
     def on_checkin_failure(self, step: DopStep, reason: str) -> str:
         """'retry' | 'skip' | 'stop' after the paper's checkin-failure."""
@@ -382,6 +383,8 @@ class DesignManager:
         dop = self.client_tm.begin_dop(self.binding.da_id, step.tool,
                                        params)
         self._in_flight = dop
+        # the step's frozen parameters are logged as they are; a
+        # policy's own dict is frozen here, once
         self.log.append(LogRecordKind.DOP_START, {
             "dop": dop.dop_id, "token": action.token, "tool": step.tool,
             "params": freeze_payload(params), "inputs": FrozenList(inputs),
@@ -591,13 +594,11 @@ class DesignManager:
         positions = [r for r in
                      self.log.stable_records(LogRecordKind.SCRIPT_POSITION)
                      if r.lsn > since]
-        history = []
-        for record in positions:
-            decision = record.payload["decision"]
-            if isinstance(decision, list):  # tuples round-trip as lists
-                decision = tuple(decision)
-            history.append((record.payload["token"], decision))
-        self.cursor.replay(history)
+        # the log keeps a decision as it was fired: an Open insertion
+        # is still its ('insert', tool) tuple
+        self.cursor.replay([(record.payload["token"],
+                             record.payload["decision"])
+                            for record in positions])
 
         # rebuild executed-tool history from finish records
         finishes = self.log.stable_records(LogRecordKind.DOP_FINISH)

@@ -33,12 +33,21 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator
 
-from repro.repository.versions import freeze_payload
+from repro.repository.versions import FrozenDict, freeze_payload
 from repro.util.errors import ScriptError
 
 
 #: rounds of an ``Iteration`` that the static enumeration unrolls
 UNROLLED_ROUNDS = 2
+
+#: the parameters of every step given none: one frozen empty mapping
+_NO_PARAMS = FrozenDict()
+
+
+def _frozen_params(params: dict[str, Any]) -> FrozenDict:
+    # a script is persisted by reference: its parameters may not change
+    # under the stored copy
+    return freeze_payload(params) if params else _NO_PARAMS
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +79,7 @@ class DopStep(ScriptNode):
     label: str = ""
 
     def __post_init__(self) -> None:
-        # a script is persisted by reference: its parameters may not
-        # change under the stored copy
-        object.__setattr__(self, "params", freeze_payload(self.params))
+        object.__setattr__(self, "params", _frozen_params(self.params))
 
     def sequences(self) -> list[list[str]]:
         return [[self.tool]]
@@ -90,7 +97,7 @@ class DaOpStep(ScriptNode):
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", freeze_payload(self.params))
+        object.__setattr__(self, "params", _frozen_params(self.params))
 
     def sequences(self) -> list[list[str]]:
         return [[]]  # DA operations are invisible to DOP-order constraints

@@ -52,11 +52,23 @@ class FrozenDict(dict):
     #: structural marker checked by the storage/network fast paths
     __frozen_payload__ = True
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._frozen_size = sum(
-            _sizeof(key) + _sizeof(value) + _CONTAINER_OVERHEAD
-            for key, value in self.items())
+    def __init__(self, items: Any = (), /) -> None:
+        dict.__init__(self, items)
+        # what a tool builds is str keys over strs, numbers and frozen
+        # containers: those are sized inline, anything else by _sizeof
+        size = _CONTAINER_OVERHEAD * len(self)
+        for key, value in dict.items(self):
+            tp = type(value)
+            if tp is str:
+                size += len(value)
+            elif tp is float or tp is int or tp is bool or value is None:
+                size += _SCALAR_BYTES
+            elif tp is FrozenList or tp is FrozenDict:
+                size += value._frozen_size
+            else:
+                size += _sizeof(value)
+            size += len(key) if type(key) is str else _sizeof(key)
+        self._frozen_size = size
 
     def _immutable(self, *args: Any, **kwargs: Any) -> Any:
         raise TypeError("frozen design payload is immutable")
@@ -86,10 +98,21 @@ class FrozenList(list):
     __slots__ = ("_frozen_size",)
     __frozen_payload__ = True
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._frozen_size = sum(
-            _sizeof(item) + _CONTAINER_OVERHEAD for item in self)
+    def __init__(self, items: Any = (), /) -> None:
+        list.__init__(self, items)
+        # sized inline as FrozenDict's members are
+        size = _CONTAINER_OVERHEAD * len(self)
+        for item in self:
+            tp = type(item)
+            if tp is str:
+                size += len(item)
+            elif tp is float or tp is int or tp is bool or item is None:
+                size += _SCALAR_BYTES
+            elif tp is FrozenList or tp is FrozenDict:
+                size += item._frozen_size
+            else:
+                size += _sizeof(item)
+        self._frozen_size = size
 
     def _immutable(self, *args: Any, **kwargs: Any) -> Any:
         raise TypeError("frozen design payload is immutable")

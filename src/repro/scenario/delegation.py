@@ -19,7 +19,7 @@ from repro.core.features import DesignSpecification, RangeFeature
 from repro.core.system import ConcordSystem
 from repro.dc.rules import EcaRule
 from repro.dc.script import DaOpStep, DopStep, Script, Sequence
-from repro.repository.versions import freeze_payload
+from repro.repository.versions import FrozenDict, FrozenList, freeze_payload
 from repro.scenario.schema import ScenarioConfig
 from repro.sim.kernel import Kernel
 from repro.te.context import DopContext
@@ -51,7 +51,7 @@ def subcell_seed(context: DopContext, params: dict[str, Any]) -> None:
     the placement of ``params['subcell']`` as this cell's interface,
     and installs a fresh behavioral description for the subcell's own
     content (``params['operations']``).  Like the VLSI tools, it
-    stores what it produces frozen.
+    stores what it produces frozen, as built.
     """
     subcell = params["subcell"]
     operations = params.get("operations",
@@ -68,12 +68,15 @@ def subcell_seed(context: DopContext, params: dict[str, Any]) -> None:
         interface = FloorplanInterface(subcell,
                                        params.get("max_width", 50.0),
                                        params.get("max_height", 50.0))
+    # a step's operations arrive frozen with its parameters
+    if type(operations) is not FrozenList:
+        operations = freeze_payload(list(operations))
     context.data.clear()
     context.data.update({
         "cell": subcell,
         "level": params.get("level", "module"),
-        "behavior": freeze_payload({"operations": list(operations)}),
-        "interface": freeze_payload(interface.to_dict()),
+        "behavior": FrozenDict({"operations": operations}),
+        "interface": interface.to_dict(),
     })
 
 

@@ -20,16 +20,47 @@ Implemented tools:
 * :class:`ChipPlanner` — the toolbox driver with designer
   re-iterations (it retries with different partition seeds and keeps
   the best arrangement).
+
+A plan works on cell positions, not names: everything an attempt reads
+(areas, the two candidate shapes, the nets as pin positions and each
+cell's nets) is computed once per plan, and an attempt writes its
+partitions, counts and coordinates into lists indexed by position.
 """
 
 from __future__ import annotations
 
-from typing import Container, Iterable
+from random import Random
+from typing import Iterable, Mapping
 
-from repro.util.rng import SeededRng
 from repro.vlsi.floorplan import Floorplan, FloorplanInterface, Placement
 from repro.vlsi.netlist import NetList
 from repro.vlsi.shapes import Shape, ShapeFunction
+
+
+# ---------------------------------------------------------------------------
+# the plan's nets
+# ---------------------------------------------------------------------------
+
+def _nets_on(index: Mapping[str, int],
+             nets: Iterable[Iterable[str]]) -> list[list[int]]:
+    """The pins of *nets* on the cells of *index* (cell -> position),
+    each pin once, for every net with two or more of them: the nets a
+    bipartition of those cells can cut."""
+    own = []
+    for net in nets:
+        pins = [index[c] for c in dict.fromkeys(net) if c in index]
+        if len(pins) > 1:
+            own.append(pins)
+    return own
+
+
+def _nets_of(cells: int, nets: list[list[int]]) -> list[list[int]]:
+    """Per cell position, the numbers of the *nets* it is a pin of."""
+    incident: list[list[int]] = [[] for _ in range(cells)]
+    for number, pins in enumerate(nets):
+        for cell in pins:
+            incident[cell].append(number)
+    return incident
 
 
 # ---------------------------------------------------------------------------
@@ -40,193 +71,278 @@ from repro.vlsi.shapes import Shape, ShapeFunction
 _PASSES = 4
 
 
-def _nets_on(cells: Container[str],
-             nets: Iterable[Iterable[str]]) -> list[list[str]]:
-    """The pins of *nets* on *cells*, each pin once, for every net with
-    two or more of them: the nets a bipartition of *cells* can cut."""
-    own = []
-    for net in nets:
-        pins = [c for c in dict.fromkeys(net) if c in cells]
-        if len(pins) > 1:
-            own.append(pins)
-    return own
-
-
-def _bipartition(cells: list[str], nets: list[list[str]],
-                 areas: dict[str, float], rng: SeededRng | None,
-                 passes: int) -> tuple[set[str], set[str]]:
-    """Balanced min-cut bipartition of *cells* over their own *nets*
-    (see :func:`_nets_on`).
+def _bipartition(order: list[int], area: list[float],
+                 own: list[list[int]], side: list[int], nets: int,
+                 passes: int) -> int:
+    """Balanced min-cut bipartition of the cells *order* (a slice's
+    cells, shuffled); writes each one's half into *side* (0 the first,
+    1 the second) and returns the size of the second half.
 
     Greedy area-balanced seed, then KL-style single-move improvement:
     repeatedly move the cell with the best cut-gain whose move keeps
     the areas within a 60/40 balance, until no improving move exists.
 
-    Gains are kept Fiduccia–Mattheyses style: per net the number of
-    its distinct cells in each half, per cell its incident nets.  A
-    move's gain reads the counts of the cell's own nets and the chosen
-    move updates only those, so a pass costs the sum of the pins.
+    Gains are kept Fiduccia–Mattheyses style: per net (numbered below
+    *nets*) the number of its pins in each half, per cell the nets it
+    shares with another cell of the slice (*own*).  A move's gain reads
+    the counts of the cell's own nets and the chosen move updates only
+    those, so a pass costs the slice's pins.  At the end each cell of a
+    half that will be partitioned in turn keeps only the nets it shares
+    with another cell of that half: a slice's nets are cut down, never
+    rebuilt.
     """
-    if len(cells) < 2:
-        return set(cells), set()
-    if rng is not None:
-        rng.shuffle(cells)
-    else:
-        cells.sort(key=lambda c: -areas.get(c, 1.0))
-
-    area = {cell: areas.get(cell, 1.0) for cell in cells}
-    total = sum(area.values())
-    part_a: set[str] = set()
-    part_b: set[str] = set()
+    total = sum(map(area.__getitem__, order))
     area_a = area_b = 0.0
-    for cell in cells:
+    size_a = 0
+    for cell in order:
         if area_a <= area_b:
-            part_a.add(cell)
+            side[cell] = 0
             area_a += area[cell]
+            size_a += 1
         else:
-            part_b.add(cell)
+            side[cell] = 1
             area_b += area[cell]
-    if len(part_a) == 1 == len(part_b):
-        return part_a, part_b   # a one-cell half has no cell to give
+    size_b = len(order) - size_a
+    if not size_b:
+        return 0   # no pin over there: no move gains
 
-    # cell -> [pins in part_a, pins in part_b] of each net it is on;
-    # the cells of one net share the pair
-    incident: dict[str, list[list[int]]] = {cell: [] for cell in cells}
-    for pins in nets:
-        counts = [0, 0]
-        for cell in pins:
-            counts[cell in part_b] += 1
-            incident[cell].append(counts)
+    count_a = [0] * nets
+    count_b = [0] * nets
+    for cell in order:
+        if side[cell]:
+            for net in own[cell]:
+                count_b[net] += 1
+        else:
+            for net in own[cell]:
+                count_a[net] += 1
 
     for _ in range(passes):
         # a move keeps the halves within 60/40 of the total area, or
         # either half is down to one cell
-        balance = total > 0 and min(len(part_a), len(part_b)) > 1
+        balance = total > 0 and size_a > 1 and size_b > 1
         best_gain = 0
-        best_cell: str | None = None
-        for cell in cells:
-            if cell in part_a:
-                src, here, there = part_a, 0, 1
-                share = (area_a - area[cell]) / total if balance else 0.5
-            else:
-                src, here, there = part_b, 1, 0
-                share = (area_a + area[cell]) / total if balance else 0.5
-            if len(src) <= 1 or not 0.4 <= share <= 0.6:
-                continue
+        best_cell = -1
+        for cell in order:
             # a net leaves the cut when this is its last pin here and
             # joins it when it had no pin over there
-            gain = sum((counts[there] > 0) - (counts[here] > 1)
-                       for counts in incident[cell])
+            gain = 0
+            if side[cell]:
+                if size_b <= 1 or balance \
+                        and not 0.4 <= (area_a + area[cell]) / total <= 0.6:
+                    continue
+                for net in own[cell]:
+                    if count_a[net]:
+                        gain += 1
+                    if count_b[net] > 1:
+                        gain -= 1
+            else:
+                if size_a <= 1 or balance \
+                        and not 0.4 <= (area_a - area[cell]) / total <= 0.6:
+                    continue
+                for net in own[cell]:
+                    if count_b[net]:
+                        gain += 1
+                    if count_a[net] > 1:
+                        gain -= 1
             if gain > best_gain:
                 best_gain, best_cell = gain, cell
-        if best_cell is None:
+        if best_cell < 0:
             break
         moved = area[best_cell]
-        if best_cell in part_a:
-            src, dst, here, there = part_a, part_b, 0, 1
-            area_a -= moved
-            area_b += moved
-        else:
-            src, dst, here, there = part_b, part_a, 1, 0
+        if side[best_cell]:
+            side[best_cell] = 0
+            size_a += 1
+            size_b -= 1
             area_a += moved
             area_b -= moved
-        src.remove(best_cell)
-        dst.add(best_cell)
-        for counts in incident[best_cell]:
-            counts[here] -= 1
-            counts[there] += 1
-    return part_a, part_b
+            for net in own[best_cell]:
+                count_b[net] -= 1
+                count_a[net] += 1
+        else:
+            side[best_cell] = 1
+            size_a -= 1
+            size_b += 1
+            area_a -= moved
+            area_b += moved
+            for net in own[best_cell]:
+                count_a[net] -= 1
+                count_b[net] += 1
+
+    # two cells are seeded one a side (or, with no area to balance,
+    # both on one side, where no move gains): only a half of three or
+    # more reads its nets
+    if size_a > 2 or size_b > 2:
+        for cell in order:
+            if side[cell]:
+                if size_b > 2:
+                    own[cell] = [net for net in own[cell]
+                                 if count_b[net] > 1]
+            elif size_a > 2:
+                own[cell] = [net for net in own[cell] if count_a[net] > 1]
+    return size_b
 
 
 # ---------------------------------------------------------------------------
 # sizing + dimensioning (recursive slicing placement)
 # ---------------------------------------------------------------------------
 
-#: one placed cell in its slice's own frame: (cell, x, y, width, height),
-#: the fields of a :class:`Placement` in their order
-_Item = tuple[str, float, float, float, float]
+class _Attempt:
+    """What one attempt reads and writes, by cell position: the plan's
+    areas, shapes and nets, the attempt's stream, and the coordinates
+    and shapes it places."""
+
+    __slots__ = ("rng", "names", "area", "wide", "narrow", "own", "nets",
+                 "side", "xs", "ys", "shapes", "leaves")
+
+    def __init__(self, rng: Random, names: list[str], area: list[float],
+                 wide: list[Shape], narrow: list[Shape],
+                 nets_of: list[list[int]], nets: int) -> None:
+        cells = len(names)
+        self.rng = rng
+        self.names = names
+        self.area = area
+        self.wide = wide
+        self.narrow = narrow
+        #: per cell, the nets it shares with another cell of its slice
+        self.own = nets_of[:]
+        self.nets = nets
+        self.side = [0] * cells
+        self.xs = [0.0] * cells
+        self.ys = [0.0] * cells
+        self.shapes: list[Shape] = [None] * cells   # type: ignore[list-item]
+        #: cell positions in placement order
+        self.leaves: list[int] = []
 
 
-def _place_cells(cells: list[str], nets: list[list[str]],
-                 shapes: dict[str, tuple[Shape, Shape]],
-                 areas: dict[str, float],
-                 rng: SeededRng | None,
-                 horizontal: bool) -> tuple[float, float, list[_Item]]:
+def _place_cells(cells: list[int], horizontal: bool,
+                 run: _Attempt) -> tuple[float, float]:
     """Recursive slicing: partition, place halves, compose.
 
-    Returns the slice's width, height and placed cells.  *shapes* holds
-    each cell's (wide, narrow) shape: a cell alone in a slice whose
-    parent puts its halves side by side takes the wide one.  *cells*
-    come in net-list order and *nets* are their own nets
-    (:func:`_nets_on`); each half goes down with its cells in that
-    order and its own nets, so a level costs its cells and pins, not
-    the whole net list.
+    Places *cells* (positions, in net-list order) in the slice's own
+    frame and returns its width and height.  A cell alone in a slice
+    whose parent stacks its halves takes its wide shape, one whose
+    parent puts them side by side its narrow one.  Each level shifts
+    the second half by the first one's extent, so a coordinate is the
+    sum of its slices' offsets, innermost first.
     """
-    if len(cells) == 1:
-        cell = cells[0]
-        width, height = shapes[cell][not horizontal]
-        return width, height, [(cell, 0.0, 0.0, width, height)]
-    part_a, part_b = _bipartition(list(cells), nets, areas, rng, _PASSES)
-    if not part_a or not part_b:
-        ordered = sorted(cells)
-        half = max(1, len(cells) // 2)
-        part_a, part_b = set(ordered[:half]), set(ordered[half:])
-    cells_a = [c for c in cells if c in part_a]
-    cells_b = [c for c in cells if c in part_b]
-    # only a half of three or more cells reads its nets: two cells are
-    # seeded one a side, where neither can move (or, with no area to
-    # balance, both on one side, where no move gains)
-    nets_a: list[list[str]] = []
-    nets_b: list[list[str]] = []
-    if len(cells_a) > 2 or len(cells_b) > 2:
-        for pins in nets:
-            pins_a = [c for c in pins if c in part_a]
-            if len(pins_a) > 1:
-                nets_a.append(pins_a)
-            if len(pins) - len(pins_a) > 1:
-                nets_b.append([c for c in pins if c not in part_a])
-    width_a, height_a, placed = _place_cells(cells_a, nets_a, shapes, areas,
-                                             rng, not horizontal)
-    width_b, height_b, right = _place_cells(cells_b, nets_b, shapes, areas,
-                                            rng, not horizontal)
-    # each level shifts the second half by the first one's extent, so
-    # a coordinate is the sum of its slices' offsets, innermost first
+    # the shape a cell alone in either half of this slice takes
+    alone = run.narrow if horizontal else run.wide
+    count = len(cells)
+    if count == 2:
+        # one draw; no move can follow the seed: with the first cell's
+        # area positive the halves are one cell each, else both seed
+        # the first half and the slice splits by name
+        first, second = pair = cells[:]
+        run.rng.shuffle(pair)
+        if run.area[pair[0]] <= 0.0:
+            if run.names[first] > run.names[second]:
+                first, second = second, first
+        else:
+            first, second = pair
+        shapes, leaves, xs, ys = run.shapes, run.leaves, run.xs, run.ys
+        width_a, height_a = shapes[first] = alone[first]
+        width_b, height_b = shapes[second] = alone[second]
+        leaves.append(first)
+        leaves.append(second)
+        if horizontal:
+            xs[second] += width_a
+            return width_a + width_b, max(height_a, height_b)
+        ys[second] += height_a
+        return max(width_a, width_b), height_a + height_b
+
+    side = run.side
+    order = cells[:]
+    run.rng.shuffle(order)
+    if not _bipartition(order, run.area, run.own, side, run.nets, _PASSES):
+        # everything seeded one half and stayed: split by name
+        names = run.names
+        order.sort(key=names.__getitem__)
+        half = count // 2
+        for cell in order[half:]:
+            side[cell] = 1
+    cells_a = []
+    cells_b = []
+    for cell in cells:
+        if side[cell]:
+            cells_b.append(cell)
+        else:
+            cells_a.append(cell)
+
+    if len(cells_a) == 1:
+        cell = cells_a[0]
+        width_a, height_a = run.shapes[cell] = alone[cell]
+        run.leaves.append(cell)
+    else:
+        width_a, height_a = _place_cells(cells_a, not horizontal, run)
+    if len(cells_b) == 1:
+        cell = cells_b[0]
+        width_b, height_b = run.shapes[cell] = alone[cell]
+        run.leaves.append(cell)
+    else:
+        width_b, height_b = _place_cells(cells_b, not horizontal, run)
     if horizontal:   # halves side by side
-        placed += [(cell, x + width_a, y, w, h)
-                   for cell, x, y, w, h in right]
-        return width_a + width_b, max(height_a, height_b), placed
-    placed += [(cell, x, y + height_a, w, h) for cell, x, y, w, h in right]
-    return max(width_a, width_b), height_a + height_b, placed
+        xs = run.xs
+        for cell in cells_b:
+            xs[cell] += width_a
+        return width_a + width_b, max(height_a, height_b)
+    ys = run.ys
+    for cell in cells_b:
+        ys[cell] += height_a
+    return max(width_a, width_b), height_a + height_b
 
 
-def _pick_shape(shape_fn: ShapeFunction | None, area: float,
-                prefer_wide: bool) -> Shape:
+def _sizes(shape_fn: ShapeFunction | None) -> tuple[float, Shape, Shape]:
+    """A cell's smallest area and its widest and narrowest shapes (the
+    first of equals, as ``min`` / ``max`` pick them); a cell without a
+    shape function is a unit square."""
     if shape_fn is None:
-        side = round(max(area, 1e-9) ** 0.5, 3)
-        return tuple.__new__(Shape, (side, side))
+        square = tuple.__new__(Shape, (1.0, 1.0))
+        return 1.0, square, square
     shapes = shape_fn.shapes
-    if prefer_wide:
-        return max(shapes, key=lambda s: s.aspect)
-    return min(shapes, key=lambda s: s.aspect)
+    wide = narrow = shapes[0]
+    width, height = wide
+    widest = narrowest = width / height if height else float("inf")
+    for shape in shapes[1:]:
+        width, height = shape
+        aspect = width / height if height else float("inf")
+        if aspect > widest:
+            wide, widest = shape, aspect
+        if aspect < narrowest:
+            narrow, narrowest = shape, aspect
+    return shape_fn.min_area(), wide, narrow
 
 
 # ---------------------------------------------------------------------------
 # global routing (wirelength estimation)
 # ---------------------------------------------------------------------------
 
-def _global_route(centres: dict[str, tuple[float, float]],
-                  nets: list[list[str]]) -> float:
+def _global_route(xs: list[float], ys: list[float],
+                  nets: list[list[int]]) -> float:
     """Half-perimeter wirelength over the placed subcells.
 
     The classic chip-planning estimate: for each net, the half
-    perimeter of the bounding box of its pins (the *centres* of its
-    subcells).  *nets* are the plan's own nets (:func:`_nets_on`): a
-    net with fewer than two pins spans nothing.
+    perimeter of the bounding box of its pins, the centres *xs* / *ys*
+    of its subcells (by position).  *nets* are the plan's own nets
+    (:func:`_nets_on`): a net with fewer than two pins spans nothing.
+    The box's sides are found as ``max`` / ``min`` find them.
     """
     total = 0.0
     for pins in nets:
-        xs, ys = zip(*[centres[c] for c in pins])
-        total += (max(xs) - min(xs)) + (max(ys) - min(ys))
+        first = pins[0]
+        right = left = xs[first]
+        top = bottom = ys[first]
+        for pin in pins[1:]:
+            x = xs[pin]
+            if x > right:
+                right = x
+            if x < left:
+                left = x
+            y = ys[pin]
+            if y > top:
+                top = y
+            if y < bottom:
+                bottom = y
+        total += (right - left) + (top - bottom)
     return round(total, 3)
 
 
@@ -258,39 +374,60 @@ class ChipPlanner:
         winner becomes a :class:`Floorplan`, with its placements and
         its cut.
         """
-        areas = {c: (shape_functions[c].min_area()
-                     if c in shape_functions else 1.0)
-                 for c in netlist.cells}
-        cells = list(netlist.cells)
-        nets = _nets_on(set(cells), (net.cells for net in netlist.nets))
+        names = list(netlist.cells)
+        index = {cell: position for position, cell in enumerate(names)}
         # sizing: a cell's shape depends on its slice's cut alone, so
         # both candidates are picked once for every attempt
-        shapes = {}
-        for cell in cells:
-            shape_fn = shape_functions.get(cell)
-            shapes[cell] = (_pick_shape(shape_fn, areas[cell], True),
-                            _pick_shape(shape_fn, areas[cell], False))
+        area = []
+        wide = []
+        narrow = []
+        for cell in names:
+            smallest, widest, narrowest = _sizes(shape_functions.get(cell))
+            area.append(smallest)
+            wide.append(widest)
+            narrow.append(narrowest)
+        nets = _nets_on(index, (net.cells for net in netlist.nets))
+        nets_of = _nets_of(len(names), nets)
+        cells = list(range(len(names)))
+        seed = self.seed * 7919
+        rng = Random(seed)
         best_key: tuple[float, float] | None = None
         for attempt in range(self.iterations):
-            rng = SeededRng(self.seed * 7919 + attempt)
-            width, height, placed = _place_cells(cells, nets, shapes, areas,
-                                                 rng, horizontal=True)
-            centres = {cell: (x + w / 2.0, y + h / 2.0)
-                       for cell, x, y, w, h in placed}
+            if attempt:
+                rng.seed(seed + attempt)
+            run = _Attempt(rng, names, area, wide, narrow, nets_of,
+                           len(nets))
+            if len(cells) == 1:
+                run.leaves.append(0)
+                width, height = run.shapes[0] = wide[0]
+            else:
+                width, height = _place_cells(cells, True, run)
+            xs, ys, shapes = run.xs, run.ys, run.shapes
+            centre_x = [x + shape[0] / 2.0 for x, shape in zip(xs, shapes)]
+            centre_y = [y + shape[1] / 2.0 for y, shape in zip(ys, shapes)]
             overflow = max(0.0, round(width, 3) - interface.max_width) \
                 + max(0.0, round(height, 3) - interface.max_height)
-            key = (overflow, _global_route(centres, nets))
+            key = (overflow, _global_route(centre_x, centre_y, nets))
             if best_key is None or key < best_key:
                 best_key = key
-                best = (width, height, placed, centres)
+                best = (width, height, run, centre_x)
         assert best_key is not None
         # the key does not read the cut: count it for the winner alone
-        width, height, placed, centres = best
-        part_a = {cell for cell, (x, _y) in centres.items() if x < width / 2}
-        part_b = set(netlist.cells) - part_a
+        width, height, run, centre_x = best
+        middle = width / 2
+        cut = 0
+        for pins in nets:
+            left = centre_x[pins[0]] < middle
+            for pin in pins:
+                if (centre_x[pin] < middle) is not left:
+                    cut += 1
+                    break
+        xs, ys, shapes = run.xs, run.ys, run.shapes
         return Floorplan(
             cud=cud, width=round(width, 3), height=round(height, 3),
-            placements={item[0]: tuple.__new__(Placement, item)
-                        for item in placed},
-            cut_nets=netlist.cut_size(part_a, part_b),
-            wirelength=best_key[1], iterations=self.iterations)
+            placements={names[cell]: tuple.__new__(
+                            Placement, (names[cell], xs[cell], ys[cell],
+                                        *shapes[cell]))
+                        for cell in run.leaves},
+            cut_nets=cut, wirelength=best_key[1],
+            iterations=self.iterations)

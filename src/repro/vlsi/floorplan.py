@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro.repository.versions import FrozenDict, FrozenList
+
 #: geometric tolerance: placements are sums of rounded shape sides, so
 #: two abutting cells can meet a last-bit rounding error apart
 _EPS = 1e-6
@@ -48,16 +50,18 @@ class FloorplanInterface:
     origin: tuple[float, float] = (0.0, 0.0)
     pins: tuple[PinInterval, ...] = ()
 
-    def to_dict(self) -> dict:
-        """Plain-dict form for DOV payloads."""
-        return {
+    def to_dict(self) -> FrozenDict:
+        """Frozen plain-dict form for DOV payloads."""
+        return FrozenDict({
             "cell": self.cell,
             "max_width": self.max_width,
             "max_height": self.max_height,
-            "origin": list(self.origin),
-            "pins": [{"edge": p.edge, "start": p.start, "end": p.end,
-                      "net": p.net} for p in self.pins],
-        }
+            "origin": FrozenList(self.origin),
+            "pins": FrozenList([
+                FrozenDict({"edge": p.edge, "start": p.start, "end": p.end,
+                            "net": p.net})
+                for p in self.pins]),
+        })
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FloorplanInterface":
@@ -145,19 +149,19 @@ class Floorplan:
                                    origin=(p.x, p.y))
                 for p in self.placements.values()]
 
-    def to_dict(self) -> dict:
-        """Plain-dict form for DOV payloads."""
-        return {
+    def to_dict(self) -> FrozenDict:
+        """Frozen plain-dict form for DOV payloads."""
+        return FrozenDict({
             "cud": self.cud,
             "width": self.width,
             "height": self.height,
             "cut_nets": self.cut_nets,
             "wirelength": self.wirelength,
             "iterations": self.iterations,
-            "placements": {
-                name: [p.x, p.y, p.width, p.height]
-                for name, p in self.placements.items()},
-        }
+            "placements": FrozenDict({
+                name: FrozenList(p[1:])
+                for name, p in self.placements.items()}),
+        })
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Floorplan":

@@ -6,15 +6,17 @@ module and net list."  A :class:`NetList` records which subcells each
 net connects; the chip planner's bipartitioning minimises the number of
 nets cut by a partition.
 
-Everything serialises to/from plain dicts so net lists travel inside
-DOV payloads.
+Everything serialises to frozen plain dicts (and back) so net lists
+travel inside DOV payloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 from typing import NamedTuple, Sequence
 
+from repro.repository.versions import FrozenDict, FrozenList
 from repro.util.rng import SeededRng
 
 
@@ -28,11 +30,6 @@ class Net(NamedTuple):
     def connects(self, cell: str) -> bool:
         """True when *cell* is on this net."""
         return cell in self.cells
-
-    def crosses(self, part_a: set[str], part_b: set[str]) -> bool:
-        """True when the net has pins in both partitions (is 'cut')."""
-        return (any(c in part_a for c in self.cells)
-                and any(c in part_b for c in self.cells))
 
 
 @dataclass
@@ -49,8 +46,8 @@ class NetList:
                 f"cell names must be unique, repeated: "
                 f"{_repeated(self.cells)}")
         for net in self.nets:
-            unknown = [c for c in net.cells if c not in known]
-            if unknown:
+            if not known.issuperset(net.cells):
+                unknown = [c for c in net.cells if c not in known]
                 raise ValueError(
                     f"net {net.name!r} references unknown cells {unknown}")
             if len(set(net.cells)) != len(net.cells):
@@ -64,23 +61,20 @@ class NetList:
         """All nets touching *cell*."""
         return [n for n in self.nets if n.connects(cell)]
 
-    def cut_size(self, part_a: set[str], part_b: set[str]) -> int:
-        """Number of nets crossing the (part_a, part_b) partition."""
-        return sum(1 for n in self.nets if n.crosses(part_a, part_b))
-
     def degree(self, cell: str) -> int:
         """Number of nets touching *cell*."""
         return len(self.nets_of(cell))
 
     # -- serialisation --------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """Plain-dict form for DOV payloads."""
-        return {
-            "cells": list(self.cells),
-            "nets": [{"name": n.name, "cells": list(n.cells)}
-                     for n in self.nets],
-        }
+    def to_dict(self) -> FrozenDict:
+        """Frozen plain-dict form for DOV payloads."""
+        return FrozenDict({
+            "cells": FrozenList(self.cells),
+            "nets": FrozenList([
+                FrozenDict({"name": n.name, "cells": FrozenList(n.cells)})
+                for n in self.nets]),
+        })
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetList":
@@ -96,29 +90,33 @@ def _repeated(names: Sequence[str]) -> list[str]:
     return sorted({n for n in names if names.count(n) > 1})
 
 
-def synthetic_netlist(cells: list[str], rng: SeededRng,
+def synthetic_netlist(cells: list[str], rng: SeededRng | Random,
                       nets_per_cell: float = 1.5) -> NetList:
     """Generate a seeded net list with locality-skewed connectivity.
 
     A net joins two or three cells; cells adjacent in the list are
     more likely to share one, which gives bipartitioning something
-    meaningful to optimise.
+    meaningful to optimise.  *rng* is read through ``randint`` and
+    ``random`` alone, so a :class:`SeededRng` and the
+    :class:`random.Random` it wraps draw the same net list.
     """
     if len(cells) < 2:
         return NetList(cells=list(cells), nets=[])
     total_nets = max(1, int(len(cells) * nets_per_cell))
+    randint, chance = rng.randint, rng.random
+    last = len(cells) - 1
+    widest = min(3, len(cells))
     nets = []
     for i in range(total_nets):
-        anchor = rng.randint(0, len(cells) - 1)
-        size = rng.randint(2, min(3, len(cells)))
+        anchor = randint(0, last)
+        size = randint(2, widest)
         members = {cells[anchor]}
         while len(members) < size:
-            # skew towards neighbours of the anchor
-            if rng.bernoulli(0.7):
-                offset = rng.randint(-2, 2)
-                index = max(0, min(len(cells) - 1, anchor + offset))
+            # skew towards neighbours of the anchor (a 0.7 bernoulli)
+            if chance() < 0.7:
+                index = max(0, min(last, anchor + randint(-2, 2)))
             else:
-                index = rng.randint(0, len(cells) - 1)
+                index = randint(0, last)
             members.add(cells[index])
-        nets.append(Net(f"net-{i}", tuple(sorted(members))))
+        nets.append(tuple.__new__(Net, (f"net-{i}", tuple(sorted(members)))))
     return NetList(cells=list(cells), nets=nets)

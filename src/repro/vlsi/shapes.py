@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from repro.repository.versions import FrozenDict, FrozenList
+
 
 class Shape(NamedTuple):
     """One feasible (width, height) realisation: a tuple, built in one
@@ -50,7 +52,7 @@ class ShapeFunction:
         # sorted by (width, height): a shape is non-dominated iff it is
         # strictly lower than every narrower-or-equal shape kept so far,
         # so kept heights decrease monotonically along the staircase.
-        ordered = sorted(set(shapes), key=lambda s: (s.width, s.height))
+        ordered = sorted(set(shapes))   # a Shape is its (width, height)
         kept: list[Shape] = []
         for shape in ordered:
             if not kept or shape.height < kept[-1].height:
@@ -61,14 +63,15 @@ class ShapeFunction:
 
     def min_area(self) -> float:
         """Smallest achievable area."""
-        return min(s.area for s in self.shapes)
+        return min([width * height for width, height in self.shapes])
 
     # -- serialisation -----------------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """Plain-dict form for DOV payloads."""
-        return {"cell": self.cell,
-                "shapes": [[s.width, s.height] for s in self.shapes]}
+    def to_dict(self) -> FrozenDict:
+        """Frozen plain-dict form for DOV payloads."""
+        return FrozenDict({
+            "cell": self.cell,
+            "shapes": FrozenList([FrozenList(s) for s in self.shapes])})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ShapeFunction":

@@ -2,9 +2,11 @@
 
 Each tool is a function ``tool(context, params)`` mutating the DOP's
 working data — the form the DC level's :class:`ToolRegistry` expects.
-A tool stores what it produces frozen (:func:`freeze_payload`), once,
-where it produces it: the recovery point after the step and the checkin
-share those values instead of walking them again.
+A tool builds what it produces frozen, once, where it produces it
+(the VLSI values' ``to_dict`` and the :class:`FrozenDict` /
+:class:`FrozenList` constructors, which size a value as they take it):
+the recovery point after the step and the checkin share those values
+instead of walking them again.
 The numbering follows Fig.2:
 
 1. structure synthesis       behavior -> structure
@@ -23,8 +25,8 @@ plus per-domain entries ``behavior`` / ``structure`` / ``shape_functions``
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+from random import Random
+from typing import Any
 
 from repro.dc.design_manager import ToolRegistry
 from repro.repository.schema import (
@@ -33,31 +35,30 @@ from repro.repository.schema import (
     Constraint,
     DesignObjectType,
 )
-from repro.repository.versions import freeze_payload
+from repro.repository.versions import FrozenDict, FrozenList, freeze_payload
 from repro.te.context import DopContext
 from repro.util.errors import WorkflowError
-from repro.util.rng import SeededRng
 from repro.vlsi.chip_planner import ChipPlanner
 from repro.vlsi.floorplan import Floorplan, FloorplanInterface, PinInterval
 from repro.vlsi.netlist import NetList, synthetic_netlist
 from repro.vlsi.shapes import ShapeFunction, shapes_for_area
 
 
-@contextmanager
-def _parsing(tool: str, entry: str) -> Iterator[None]:
-    """Rebuilding one payload entry inside the block.
+#: what rebuilding a malformed payload entry raises
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def _malformed(tool: str, entry: str, exc: Exception) -> WorkflowError:
+    """The failure of rebuilding one payload entry.
 
     Payloads arrive through checkout from whoever derived them; an
     entry with a key missing or a value of the wrong type or range is
     the designer's to repair, so it is a workflow failure that names
-    the entry, not a raw fault inside the DM.
+    the entry, not a raw fault inside the DM.  A tool rebuilds its
+    entries inside ``try: ... except _MALFORMED`` and raises this.
     """
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise WorkflowError(
-            f"{tool} got a malformed {entry}: "
-            f"{type(exc).__name__}: {exc}") from exc
+    return WorkflowError(f"{tool} got a malformed {entry}: "
+                         f"{type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +129,15 @@ def structure_synthesis(context: DopContext,
     operations = behavior["operations"]
     cell = context.data.get("cell", "cud")
     subcells = [f"{cell}/{op}" for op in operations]
-    rng = SeededRng(int(params.get("seed", 0)))
+    rng = Random(int(params.get("seed", 0)))
     netlist = synthetic_netlist(subcells, rng,
                                 nets_per_cell=float(
                                     params.get("nets_per_cell", 1.5)))
-    context.data["structure"] = freeze_payload({
-        "subcells": subcells,
-        "netlist": netlist.to_dict(),
+    frozen = netlist.to_dict()
+    # the subcells are the net list's cells: one frozen list, twice
+    context.data["structure"] = FrozenDict({
+        "subcells": frozen["cells"],
+        "netlist": frozen,
     })
 
 
@@ -151,8 +154,11 @@ def repartitioning(context: DopContext, params: dict[str, Any]) -> None:
     structure = context.data.get("structure")
     if not structure:
         raise WorkflowError("repartitioning needs a structure")
-    with _parsing("repartitioning", "structure['netlist']"):
+    try:
         netlist = NetList.from_dict(structure["netlist"])
+    except _MALFORMED as exc:
+        raise _malformed("repartitioning", "structure['netlist']",
+                         exc) from exc
     groups = int(params.get("groups", 2))
     partitions: list[list[str]] = [[] for _ in range(groups)]
     # round-robin by descending degree keeps partitions balanced while
@@ -160,6 +166,7 @@ def repartitioning(context: DopContext, params: dict[str, Any]) -> None:
     ranked = sorted(netlist.cells, key=lambda c: -netlist.degree(c))
     for i, cell_name in enumerate(ranked):
         partitions[i % groups].append(cell_name)
+    # the other entries are whatever the checkout held: freeze the merge
     context.data["structure"] = freeze_payload(
         {**structure, "partitions": partitions})
 
@@ -178,19 +185,22 @@ def shape_function_generator(context: DopContext,
     default_area = float(params.get("default_area", 4.0))
     aspects = tuple(params.get("aspects", (0.5, 1.0, 2.0)))
     functions = {}
-    with _parsing("shape function generation", "structure['subcells']"):
+    try:
         subcells = list(structure["subcells"])
+    except _MALFORMED as exc:
+        raise _malformed("shape function generation",
+                         "structure['subcells']", exc) from exc
     # a staircase depends on the area alone: subcells of one area share
     # it, estimated and frozen once
-    staircases: dict[float, Any] = {}
+    staircases: dict[float, FrozenList] = {}
     for subcell in subcells:
         area = float(areas.get(subcell, default_area))
         shapes = staircases.get(area)
         if shapes is None:
-            shapes = staircases[area] = freeze_payload(
-                shapes_for_area(subcell, area, aspects).to_dict()["shapes"])
-        functions[subcell] = {"cell": subcell, "shapes": shapes}
-    context.data["shape_functions"] = freeze_payload(functions)
+            shapes = staircases[area] = \
+                shapes_for_area(subcell, area, aspects).to_dict()["shapes"]
+        functions[subcell] = FrozenDict({"cell": subcell, "shapes": shapes})
+    context.data["shape_functions"] = FrozenDict(functions)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +225,7 @@ def pad_frame_editor(context: DopContext, params: dict[str, Any]) -> None:
                                 net=f"io-{i}"))
     interface = FloorplanInterface(cell, max_width, max_height,
                                    pins=tuple(pins))
-    context.data["interface"] = freeze_payload(interface.to_dict())
+    context.data["interface"] = interface.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +248,21 @@ def chip_planner_tool(context: DopContext, params: dict[str, Any]) -> None:
         raise WorkflowError("chip planning needs shape functions")
     if not interface_raw:
         raise WorkflowError("chip planning needs an interface description")
-    with _parsing("chip planning", "structure['netlist']"):
+    entry = "structure['netlist']"
+    try:
         netlist = NetList.from_dict(structure["netlist"])
-    with _parsing("chip planning", "'shape_functions'"):
+        entry = "'shape_functions'"
         shape_functions = {name: ShapeFunction.from_dict(raw)
                            for name, raw in shape_raw.items()}
-    with _parsing("chip planning", "'interface'"):
+        entry = "'interface'"
         interface = FloorplanInterface.from_dict(interface_raw)
+    except _MALFORMED as exc:
+        raise _malformed("chip planning", entry, exc) from exc
     planner = ChipPlanner(iterations=int(params.get("iterations", 3)),
                           seed=int(params.get("seed", 0)))
     floorplan = planner.plan(context.data.get("cell", "cud"), netlist,
                              shape_functions, interface)
-    context.data["floorplan"] = freeze_payload(floorplan.to_dict())
+    context.data["floorplan"] = floorplan.to_dict()
     context.data["width"] = floorplan.width
     context.data["height"] = floorplan.height
     context.data["area"] = round(floorplan.area, 3)
@@ -268,9 +281,9 @@ def cell_synthesis(context: DopContext, params: dict[str, Any]) -> None:
     aspect = float(params.get("aspect", 1.0))
     width = round((area * aspect) ** 0.5, 3)
     height = round(area / width, 3) if width else 0.0
-    context.data["layout"] = freeze_payload({
+    context.data["layout"] = FrozenDict({
         "kind": "standard-cell",
-        "rects": [[0.0, 0.0, width, height]],
+        "rects": FrozenList([FrozenList((0.0, 0.0, width, height))]),
         "width": width,
         "height": height,
     })
@@ -287,15 +300,17 @@ def chip_assembly(context: DopContext, params: dict[str, Any]) -> None:
     floorplan_raw = context.data.get("floorplan")
     if not floorplan_raw:
         raise WorkflowError("chip assembly needs a floorplan")
-    with _parsing("chip assembly", "'floorplan'"):
+    try:
         floorplan = Floorplan.from_dict(floorplan_raw)
+    except _MALFORMED as exc:
+        raise _malformed("chip assembly", "'floorplan'", exc) from exc
     problems = floorplan.validate()
     if problems:
         raise WorkflowError(
             f"chip assembly rejected invalid floorplan: {problems}")
-    rects = [[p.x, p.y, p.width, p.height]
-             for p in floorplan.placements.values()]
-    context.data["layout"] = freeze_payload({
+    rects = FrozenList([FrozenList(p[1:])
+                        for p in floorplan.placements.values()])
+    context.data["layout"] = FrozenDict({
         "kind": "chip",
         "rects": rects,
         "width": floorplan.width,

@@ -23,6 +23,7 @@ from repro.repository.schema import (
     Constraint,
     DesignObjectType,
 )
+from repro.repository.wal import LogRecordKind
 
 
 def _area_non_negative(data: dict) -> bool:
@@ -345,6 +346,32 @@ class TestDmCrashRecovery:
         assert report["script_positions_replayed"] == 2
         assert runtime.dm.cursor.history[-1] == ("0.s1", ("insert", "halve"))
         assert [a.token for a in runtime.dm.cursor.enabled()] == enabled
+        assert system.run(da.da_id).done
+        assert runtime.dm.executed_tools == ["noop", "halve"]
+
+    def test_the_log_keeps_an_insertion_as_its_tuple(self):
+        """The decision a replay reads back is the very tuple that was
+        fired, on the stable log, across a crash and a restart."""
+        system = build_system()
+
+        class InsertOnce(DesignerPolicy):
+            def open_decision(self, action):
+                return "close" if runtime.dm.executed_tools[1:] \
+                    else ("insert", "halve")
+
+        da = start_da(system, Script(Sequence(DopStep("noop"), Open())))
+        runtime = system.runtime(da.da_id)
+        runtime.dm.policy = InsertOnce()
+        runtime.dm.step()   # run 'noop'
+        runtime.dm.step()   # insert 'halve'
+        system.crash_workstation("ws-1")
+        system.restart_workstation("ws-1")
+        decisions = [record.payload["decision"] for record in
+                     runtime.dm.log.stable_records(
+                         LogRecordKind.SCRIPT_POSITION)]
+        assert ("insert", "halve") in decisions
+        assert type(decisions[decisions.index(("insert", "halve"))]) \
+            is tuple
         assert system.run(da.da_id).done
         assert runtime.dm.executed_tools == ["noop", "halve"]
 

@@ -28,7 +28,7 @@ HARNESS = ("repro.bench.experiments", "repro.bench.scorecard",
 #: ``repro*`` modules a run of each kind loads (none may grow)
 CAMPAIGN_CLOSURE = 36
 DELEGATION_CLOSURE = 56
-SHIPPING_CLOSURE = 42
+SHIPPING_CLOSURE = 38
 FEDERATION_CLOSURE = 29
 #: the ``cm_cooperation`` workload of ``benchmarks/e2e``: the AC level
 #: and the VLSI DOTs, not the cell hierarchies and the methodology
@@ -90,6 +90,15 @@ def test_the_campaign_closure_does_not_grow():
 def test_the_shipping_and_federation_closures_do_not_grow(name, bound):
     loaded = repro_modules_after(run_canonical(name))
     assert len(loaded) <= bound, loaded
+
+
+def test_a_shipping_run_does_not_load_the_harness():
+    """T8/T9 draw their sessions from ``repro.workload.generator``:
+    the workload package resolves its names on first access, so the
+    analytic simulator and the baselines stay unloaded."""
+    loaded = repro_modules_after(run_canonical("t8_object_buffers"))
+    assert "repro.workload.generator" in loaded
+    assert [name for name in HARNESS if name in loaded] == []
 
 
 def test_the_cooperation_closure_does_not_grow(tmp_path):
@@ -179,6 +188,24 @@ def test_the_vlsi_package_resolves_its_names_on_first_access():
         assert name in dir(vlsi), name
     with pytest.raises(AttributeError, match="no_such_name"):
         vlsi.no_such_name
+
+
+def test_the_workload_package_resolves_its_names_on_first_access():
+    """``import repro.workload`` loads no module of the package; each
+    public name is its module's object, and an unknown name is an
+    AttributeError."""
+    assert repro_modules_after("import repro.workload") \
+        == ["repro", "repro.workload"]
+    import importlib
+
+    import repro.workload as workload
+
+    for name in workload.__all__:
+        module = importlib.import_module(workload._EXPORTS[name])
+        assert getattr(workload, name) is getattr(module, name), name
+        assert name in dir(workload), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        workload.no_such_name
 
 
 def test_the_root_package_resolves_its_names_on_first_access():

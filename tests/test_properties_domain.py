@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from repro.baselines.models import all_models
 from repro.util.rng import SeededRng
-from repro.vlsi.chip_planner import ChipPlanner, _bipartition, _nets_on
+from repro.vlsi.chip_planner import (
+    ChipPlanner,
+    _bipartition,
+    _nets_of,
+    _nets_on,
+)
 from repro.vlsi.floorplan import FloorplanInterface
 from repro.vlsi.netlist import synthetic_netlist
 from repro.vlsi.shapes import shapes_for_area
@@ -19,9 +24,19 @@ from repro.workload.simulator import TeamSimulator, crash_lost_work
 # bipartitioning
 # ---------------------------------------------------------------------------
 
-def own_nets(netlist):
-    """The net list's pins as the planner hands them to a partition."""
-    return _nets_on(set(netlist.cells), (net.cells for net in netlist.nets))
+def partition(netlist, areas, rng):
+    """The planner's bipartitioning of a whole net list, by name: its
+    cells shuffled by *rng*, their own nets by position."""
+    cells = list(netlist.cells)
+    index = {cell: position for position, cell in enumerate(cells)}
+    nets = _nets_on(index, (net.cells for net in netlist.nets))
+    order = list(range(len(cells)))
+    rng.shuffle(order)
+    side = [0] * len(cells)
+    _bipartition(order, [areas[cell] for cell in cells],
+                 _nets_of(len(cells), nets), side, len(nets), 4)
+    return ({cells[p] for p in order if not side[p]},
+            {cells[p] for p in order if side[p]})
 
 
 @given(st.integers(min_value=2, max_value=16),
@@ -31,8 +46,7 @@ def test_bipartition_is_a_partition(n_cells, seed):
     cells = [f"c{i}" for i in range(n_cells)]
     netlist = synthetic_netlist(cells, SeededRng(seed))
     areas = {c: 1.0 + (i % 3) for i, c in enumerate(cells)}
-    part_a, part_b = _bipartition(list(cells), own_nets(netlist), areas,
-                                  SeededRng(seed + 1), 4)
+    part_a, part_b = partition(netlist, areas, SeededRng(seed + 1))
     assert part_a | part_b == set(cells)
     assert part_a & part_b == set()
     assert part_a and part_b
@@ -45,8 +59,7 @@ def test_bipartition_roughly_balanced(n_cells, seed):
     cells = [f"c{i}" for i in range(n_cells)]
     netlist = synthetic_netlist(cells, SeededRng(seed))
     areas = {c: 1.0 for c in cells}
-    part_a, part_b = _bipartition(list(cells), own_nets(netlist), areas,
-                                  SeededRng(seed), 4)
+    part_a, part_b = partition(netlist, areas, SeededRng(seed))
     total = len(cells)
     assert min(len(part_a), len(part_b)) >= total // 4
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from repro.vlsi.floorplan import (
     Placement,
 )
 from repro.vlsi.netlist import Net, NetList, synthetic_netlist
-from repro.vlsi.shapes import shapes_for_area
+from repro.vlsi.shapes import Shape, ShapeFunction, shapes_for_area
 
 
 @pytest.fixture
@@ -31,13 +32,33 @@ def workload():
     return cells, netlist, shape_functions, interface
 
 
+def cut_size(netlist, part_a, part_b):
+    """The nets with a pin in either half: the cut the reference loop
+    recounts (membership, not multiplicity)."""
+    return sum(1 for net in netlist.nets
+               if any(c in part_a for c in net.cells)
+               and any(c in part_b for c in net.cells))
+
+
 def bipartition(netlist, areas, rng=None, passes=4,
                 partition=chip_planner._bipartition):
-    """The planner's bipartitioning over a whole net list: the cells'
-    own nets, then the partition."""
-    nets = chip_planner._nets_on(set(netlist.cells),
-                                 (net.cells for net in netlist.nets))
-    return partition(list(netlist.cells), nets, areas, rng, passes)
+    """The planner's bipartitioning over a whole net list, by name: the
+    cells' own nets by position, the cells shuffled by *rng* (or, with
+    none, sorted by falling area), then the partition's halves."""
+    cells = list(netlist.cells)
+    index = {cell: position for position, cell in enumerate(cells)}
+    nets = chip_planner._nets_on(index, (net.cells for net in netlist.nets))
+    area = [areas.get(cell, 1.0) for cell in cells]
+    order = list(range(len(cells)))
+    if rng is not None:
+        rng.shuffle(order)
+    else:
+        order.sort(key=lambda position: -area[position])
+    side = [0] * len(cells)
+    partition(order, area, chip_planner._nets_of(len(cells), nets), side,
+              len(nets), passes)
+    return ({cells[p] for p in order if not side[p]},
+            {cells[p] for p in order if side[p]})
 
 
 class TestBipartition:
@@ -56,11 +77,11 @@ class TestBipartition:
         cells, netlist, __, __i = workload
         areas = {c: 1.0 for c in cells}
         part_a, part_b = bipartition(netlist, areas)
-        optimised = netlist.cut_size(part_a, part_b)
+        optimised = cut_size(netlist, part_a, part_b)
         # compare to an arbitrary odd/even split
         odd = {c for i, c in enumerate(cells) if i % 2}
         even = set(cells) - odd
-        naive = netlist.cut_size(odd, even)
+        naive = cut_size(netlist, odd, even)
         assert optimised <= naive
 
     def test_single_cell(self):
@@ -113,7 +134,7 @@ def _reference_bipartition(netlist, areas, rng=None, passes=4):
     for _ in range(passes):
         best_gain = 0
         best_move: tuple[str, set[str], set[str]] | None = None
-        current_cut = netlist.cut_size(part_a, part_b)
+        current_cut = cut_size(netlist, part_a, part_b)
         for cell in cells:
             src, dst = (part_a, part_b) if cell in part_a \
                 else (part_b, part_a)
@@ -121,7 +142,7 @@ def _reference_bipartition(netlist, areas, rng=None, passes=4):
                 continue
             src.remove(cell)
             dst.add(cell)
-            gain = current_cut - netlist.cut_size(part_a, part_b)
+            gain = current_cut - cut_size(netlist, part_a, part_b)
             dst.remove(cell)
             src.add(cell)
             if gain > best_gain:
@@ -194,11 +215,11 @@ class TestPinCountsDecideWhatTheRecountDecided:
         """Mutation check: the same source without the update of the
         moved cell's nets stops agreeing after its first move."""
         source = inspect.getsource(chip_planner)
-        update = ("            counts[here] -= 1\n"
-                  "            counts[there] += 1\n")
+        update = ("                count_a[net] -= 1\n"
+                  "                count_b[net] += 1\n")
         assert source.count(update) == 1
         mutant = {"__name__": chip_planner.__name__}
-        exec(compile(source.replace(update, "            pass\n"),
+        exec(compile(source.replace(update, "                pass\n"),
                      "<mutant>", "exec"), mutant)
 
         def cases():
@@ -218,7 +239,7 @@ class TestPinCountsDecideWhatTheRecountDecided:
 
     def test_a_repeated_pin_counts_once(self):
         """A net list built around ``NetList``'s own check still gets
-        the answer ``Net.crosses`` gives: membership, not multiplicity."""
+        the answer the recount gives: membership, not multiplicity."""
         netlist = NetList(cells=["a", "b", "c", "d"], nets=[])
         netlist.nets.extend([Net("n0", ("a", "a", "c")),
                              Net("n1", ("b", "d", "d")),
@@ -228,25 +249,185 @@ class TestPinCountsDecideWhatTheRecountDecided:
                                              seed, 4)
 
     @pytest.mark.parametrize("seed", [0, 7, 1009])
-    def test_the_plan_is_the_plan_of_the_reference(self, seed,
-                                                   monkeypatch):
+    def test_the_plan_is_the_plan_of_the_reference(self, seed):
         cells = [f"c{i}" for i in range(14)]  # c10 sorts before c2
         netlist = synthetic_netlist(cells, SeededRng(seed))
         shape_functions = {c: shapes_for_area(c, 3.0 + (i * 7) % 5)
                            for i, c in enumerate(cells[:-2])}
         interface = FloorplanInterface("cud", 30.0, 30.0)
-        planner = ChipPlanner(iterations=3, seed=seed)
-        plan = planner.plan("cud", netlist, shape_functions, interface)
-        # the reference derives each level's cells and nets from the
-        # whole net list, not from what the planner hands down
-        monkeypatch.setattr(
-            chip_planner, "_bipartition",
-            lambda cells, nets, areas, rng, passes:
-                _reference_partition_of_a_subset(netlist, cells, areas,
-                                                 rng, passes))
-        reference = planner.plan("cud", netlist, shape_functions,
-                                 interface)
-        assert plan.to_dict() == reference.to_dict()
+        assert_the_plan_of_the_reference(netlist, shape_functions,
+                                         interface, 3, seed)
+
+
+# ---------------------------------------------------------------------------
+# the planner before it worked on positions, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def _reference_place_cells(netlist, cells, shapes, areas, rng, horizontal):
+    """``_place_cells`` over names, verbatim but for the partition: the
+    recount reference on a net list restricted to each level's cells."""
+    if len(cells) == 1:
+        cell = cells[0]
+        width, height = shapes[cell][not horizontal]
+        return width, height, [(cell, 0.0, 0.0, width, height)]
+    part_a, part_b = _reference_partition_of_a_subset(
+        netlist, list(cells), areas, rng, 4)
+    if not part_a or not part_b:
+        ordered = sorted(cells)
+        half = max(1, len(cells) // 2)
+        part_a, part_b = set(ordered[:half]), set(ordered[half:])
+    cells_a = [c for c in cells if c in part_a]
+    cells_b = [c for c in cells if c in part_b]
+    width_a, height_a, placed = _reference_place_cells(
+        netlist, cells_a, shapes, areas, rng, not horizontal)
+    width_b, height_b, right = _reference_place_cells(
+        netlist, cells_b, shapes, areas, rng, not horizontal)
+    if horizontal:
+        placed += [(cell, x + width_a, y, w, h)
+                   for cell, x, y, w, h in right]
+        return width_a + width_b, max(height_a, height_b), placed
+    placed += [(cell, x, y + height_a, w, h) for cell, x, y, w, h in right]
+    return max(width_a, width_b), height_a + height_b, placed
+
+
+def _reference_pick_shape(shape_fn, area, prefer_wide):
+    if shape_fn is None:
+        side = round(max(area, 1e-9) ** 0.5, 3)
+        return Shape(side, side)
+    if prefer_wide:
+        return max(shape_fn.shapes, key=lambda s: s.aspect)
+    return min(shape_fn.shapes, key=lambda s: s.aspect)
+
+
+def _reference_plan(cud, netlist, shape_functions, interface, iterations,
+                    seed):
+    """``ChipPlanner.plan`` over names: a ``SeededRng`` per attempt,
+    ``zip`` / ``max`` / ``min`` global routing over a centres map and
+    the cut recounted over the whole net list."""
+    areas = {c: (shape_functions[c].min_area()
+                 if c in shape_functions else 1.0)
+             for c in netlist.cells}
+    shapes = {c: (_reference_pick_shape(shape_functions.get(c), areas[c],
+                                        True),
+                  _reference_pick_shape(shape_functions.get(c), areas[c],
+                                        False))
+              for c in netlist.cells}
+    nets = [pins for pins in (list(dict.fromkeys(net.cells))
+                              for net in netlist.nets) if len(pins) > 1]
+    best = None
+    for attempt in range(iterations):
+        rng = SeededRng(seed * 7919 + attempt)
+        width, height, placed = _reference_place_cells(
+            netlist, list(netlist.cells), shapes, areas, rng, True)
+        centres = {cell: (x + w / 2.0, y + h / 2.0)
+                   for cell, x, y, w, h in placed}
+        wirelength = 0.0
+        for pins in nets:
+            xs, ys = zip(*[centres[c] for c in pins])
+            wirelength += (max(xs) - min(xs)) + (max(ys) - min(ys))
+        overflow = max(0.0, round(width, 3) - interface.max_width) \
+            + max(0.0, round(height, 3) - interface.max_height)
+        key = (overflow, round(wirelength, 3))
+        if best is None or key < best[0]:
+            best = (key, width, height, placed, centres)
+    key, width, height, placed, centres = best
+    part_a = {cell for cell, (x, _y) in centres.items() if x < width / 2}
+    return Floorplan(
+        cud=cud, width=round(width, 3), height=round(height, 3),
+        placements={item[0]: Placement(*item) for item in placed},
+        cut_nets=cut_size(netlist, part_a, set(netlist.cells) - part_a),
+        wirelength=key[1], iterations=iterations)
+
+
+def assert_the_plan_of_the_reference(netlist, shape_functions, interface,
+                                     iterations, seed):
+    plan = ChipPlanner(iterations, seed).plan("cud", netlist,
+                                               shape_functions, interface)
+    reference = _reference_plan("cud", netlist, shape_functions, interface,
+                                iterations, seed)
+    assert plan.to_dict() == reference.to_dict()
+    # the same floats, placed in the same order
+    assert repr(plan.to_dict()) == repr(reference.to_dict())
+
+
+def random_plan_inputs(rng):
+    """A seeded random planning problem: 1-24 cells named out of order,
+    a synthetic or a random net list (nets of 1-5 distinct pins), and
+    per cell a staircase, a zero-area shape function, a few free shapes
+    or none at all."""
+    size = rng.choice([1, 2, 2, 3, 3, 3, 4, 5, 6, 7, 9, 12, 17, 24])
+    cells = [f"c{i}" for i in range(size)]
+    rng.shuffle(cells)
+    if rng.random() < 0.4:
+        netlist = synthetic_netlist(cells, SeededRng(rng.randrange(10 ** 6)))
+    else:
+        netlist = NetList(cells=cells, nets=[
+            Net(f"n{k}", tuple(rng.sample(cells,
+                                          rng.randint(1, min(5, size)))))
+            for k in range(rng.randrange(2 * size + 2))])
+    shape_functions = {}
+    for cell in cells:
+        kind = rng.random()
+        if kind < 0.15:
+            continue
+        if kind < 0.35:   # no area: a side of zero length
+            shape_functions[cell] = ShapeFunction(cell, [
+                Shape(0.0, rng.choice([1.0, 2.0])),
+                Shape(rng.choice([0.0, 1.0]), 0.0)])
+        elif kind < 0.45:
+            shape_functions[cell] = ShapeFunction(cell, [
+                Shape(rng.choice([1.0, 2.0, 3.0]), rng.choice([1.0, 2.0, 3.0]))
+                for _ in range(rng.randint(1, 4))])
+        else:
+            shape_functions[cell] = shapes_for_area(
+                cell, rng.choice([0.5, 1.0, 4.0, 4.0, 7.3, 12.0]))
+    interface = FloorplanInterface("cud", rng.choice([5.0, 20.0, 500.0]),
+                                   rng.choice([5.0, 20.0, 500.0]))
+    return (netlist, shape_functions, interface, rng.randint(1, 4),
+            rng.randrange(1000))
+
+
+class TestThePlanIsThePlanOfTheReference:
+    """The planner on positions makes the draws, partitions, shapes,
+    coordinates, wirelength and cut of the planner on names it
+    replaced.  Two- and three-cell slices and cells without area are
+    where a shortcut for a small slice could go astray."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_on_seeded_random_problems(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            assert_the_plan_of_the_reference(*random_plan_inputs(rng))
+
+    @pytest.mark.parametrize("areas", [(4.0, 4.0), (0.0, 4.0), (4.0, 0.0),
+                                       (0.0, 0.0)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_cells(self, areas, seed):
+        cells = ["b", "a"]   # out of name order
+        shape_functions = {
+            cell: (shapes_for_area(cell, area) if area else
+                   ShapeFunction(cell, [Shape(0.0, 2.0)]))
+            for cell, area in zip(cells, areas)}
+        netlist = NetList(cells=cells, nets=[Net("n", ("a", "b"))])
+        assert_the_plan_of_the_reference(
+            netlist, shape_functions, FloorplanInterface("cud", 9.0, 9.0),
+            3, seed)
+
+    @pytest.mark.parametrize("zero", [(), (0,), (1,), (0, 1), (0, 1, 2)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_three_cells(self, zero, seed):
+        cells = ["z", "y", "x"]
+        rng = random.Random(seed)
+        netlist = NetList(cells=cells, nets=[
+            Net(f"n{k}", tuple(rng.sample(cells, rng.randint(2, 3))))
+            for k in range(rng.randint(1, 5))])
+        shape_functions = {
+            cell: (ShapeFunction(cell, [Shape(0.0, 1.0)]) if i in zero
+                   else shapes_for_area(cell, rng.choice([1.0, 4.0, 9.0])))
+            for i, cell in enumerate(cells)}
+        assert_the_plan_of_the_reference(
+            netlist, shape_functions, FloorplanInterface("cud", 9.0, 9.0),
+            3, seed)
 
 
 class TestFloorplanGeometry:
@@ -301,18 +482,17 @@ class TestGlobalRoute:
 
     def test_hpwl_of_two_points(self):
         # centres (1,1) and (9,9): HPWL = 8 + 8
-        assert chip_planner._global_route(
-            {"a": (1.0, 1.0), "b": (9.0, 9.0)}, [["a", "b"]]) \
-            == pytest.approx(16.0)
+        assert chip_planner._global_route([1.0, 9.0], [1.0, 9.0],
+                                          [[0, 1]]) == pytest.approx(16.0)
 
     def test_a_net_with_one_pin_is_free(self):
         """The plan's own nets leave out a net with fewer than two
         distinct pins on its cells: it spans nothing."""
-        nets = chip_planner._nets_on({"a", "b"},
+        nets = chip_planner._nets_on({"a": 0, "b": 1},
                                      [("a",), ("b", "b"), ("a", "off")])
         assert nets == []
-        assert chip_planner._global_route(
-            {"a": (1.0, 1.0), "b": (9.0, 9.0)}, nets) == 0.0
+        assert chip_planner._global_route([1.0, 9.0], [1.0, 9.0],
+                                          nets) == 0.0
 
     def test_the_plan_reports_the_wirelength_of_its_placements(self):
         """``plan(...).wirelength`` is the half perimeter over the

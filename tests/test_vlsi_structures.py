@@ -44,13 +44,6 @@ class TestCells:
 
 
 class TestNetList:
-    def test_cut_size(self):
-        netlist = NetList(cells=["a", "b", "c"], nets=[
-            Net("n1", ("a", "b")), Net("n2", ("b", "c")),
-            Net("n3", ("a", "c"))])
-        assert netlist.cut_size({"a"}, {"b", "c"}) == 2
-        assert netlist.cut_size({"a", "b", "c"}, set()) == 0
-
     def test_connectivity_and_degree(self):
         netlist = NetList(cells=["a", "b", "c"], nets=[
             Net("n1", ("a", "b")), Net("n2", ("a", "b", "c"))])
