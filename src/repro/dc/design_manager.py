@@ -380,8 +380,7 @@ class DesignManager:
             inputs = [self.restart_dov]
             self.restart_dov = None
 
-        dop = self.client_tm.begin_dop(self.binding.da_id, step.tool,
-                                       params)
+        dop = self.client_tm.begin_dop(self.binding.da_id, step.tool)
         self._in_flight = dop
         # the step's frozen parameters are logged as they are; a
         # policy's own dict is frozen here, once

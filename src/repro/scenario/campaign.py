@@ -18,6 +18,7 @@ other kernel scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 from typing import Any, Callable
 
 from repro.scenario.schema import ScenarioConfig
@@ -68,9 +69,16 @@ class CampaignReport:
     signature: tuple[Any, ...] = ()
 
 
-def _draw_plan(rng: SeededRng, config: ScenarioConfig
-               ) -> list[SessionPlan]:
-    """Draw the whole campaign up front from one seeded stream."""
+def _draw_plan(rng: Random, config: ScenarioConfig
+               ) -> tuple[list[SessionPlan], int]:
+    """Draw the whole campaign up front from one seeded stream.
+
+    Returns the plans and how many of their reads land on the hotspot
+    subset.  *rng* is the stream ``SeededRng(seed).fork(1)`` wraps, and
+    the draws are that wrapper's: ``random() < p`` is ``bernoulli(p)``,
+    a clamped ``gauss`` is ``bounded_normal`` and ``randrange(n)`` is
+    the draw ``randint(0, n - 1)`` makes.
+    """
     team, campaign = config["team"], config["campaign"]
     steps_per_session, mean_step = \
         team["steps_per_session"], team["mean_step"]
@@ -80,40 +88,44 @@ def _draw_plan(rng: SeededRng, config: ScenarioConfig
     reads_per_step = config.get("locality", "reads_per_step")
     reread_locality = config.get("locality", "reread")
     write_ratio = config.get("writes", "ratio")
+    random, gauss, choice, randrange = \
+        rng.random, rng.gauss, rng.choice, rng.randrange
+    sd, lo, hi = mean_step / 3.0, mean_step / 10.0, mean_step * 3.0
+    # hotspots <= pool: every drawn index names one of these
+    names = [f"lib-{index}" for index in range(object_pool)]
     plans: list[SessionPlan] = []
-    working: dict[int, list[str]] = {i: [] for i in range(team["size"])}
+    hotspot_reads = 0
+    # per designer, the indexes of its last four distinct objects
+    working: list[list[int]] = [[] for _ in range(team["size"])]
     # diurnal concentration: the start window narrows symmetrically
     # around midday
     spread = 1.0 / DIURNAL_PEAK
     for day in range(campaign["days"]):
-        for designer in range(team["size"]):
+        for designer, ws in enumerate(working):
             for slot in range(campaign["sessions_per_day"]):
-                offset = DAY_LENGTH * (0.5 + (rng.random() - 0.5)
-                                       * spread)
+                offset = DAY_LENGTH * (0.5 + (random() - 0.5) * spread)
                 start = day * DAY_LENGTH + offset
-                durations = tuple(
-                    rng.bounded_normal(mean_step, mean_step / 3.0,
-                                       mean_step / 10.0, mean_step * 3.0)
-                    for _ in range(steps_per_session))
+                durations = [max(lo, min(hi, gauss(mean_step, sd)))
+                             for _ in range(steps_per_session)]
                 steps: list[StepPlan] = []
                 for duration in durations:
                     step_reads: list[str] = []
                     for _ in range(reads_per_step):
-                        ws = working[designer]
-                        if ws and rng.bernoulli(reread_locality):
-                            obj = rng.choice(ws)
-                        elif hotspots and rng.bernoulli(hotspot_bias):
-                            obj = f"lib-{rng.randint(0, hotspots - 1)}"
+                        if ws and random() < reread_locality:
+                            index = choice(ws)
+                        elif hotspots and random() < hotspot_bias:
+                            index = randrange(hotspots)
                         else:
-                            obj = f"lib-{rng.randint(0, object_pool - 1)}"
-                        step_reads.append(obj)
-                        if obj not in ws:
-                            ws.append(obj)
+                            index = randrange(object_pool)
+                        step_reads.append(names[index])
+                        hotspot_reads += index < hotspots
+                        if index not in ws:
+                            ws.append(index)
                             del ws[:-4]  # bounded working set
                     # a step that reads checks in a derived version of
                     # its first input with probability write_ratio
                     writes = bool(step_reads) \
-                        and rng.bernoulli(write_ratio)
+                        and random() < write_ratio
                     steps.append(StepPlan(
                         tuple(step_reads), duration,
                         step_reads[0] if writes else None))
@@ -122,7 +134,7 @@ def _draw_plan(rng: SeededRng, config: ScenarioConfig
                     da_id=f"da-{designer}", kind="campaign",
                     stem=f"d{day}:w{designer}:s{slot}",
                     steps=tuple(steps)))
-    return plans
+    return plans, hotspot_reads
 
 
 def design_campaign_scenario(config: ScenarioConfig,
@@ -134,7 +146,8 @@ def design_campaign_scenario(config: ScenarioConfig,
     caching = config.get("buffers", "caching")
     driver = session_driver(config, on_kernel, object_buffers=caching)
     kernel, network = driver.rig.kernel, driver.rig.network
-    plans = _draw_plan(SeededRng(config.seed).fork(1), config)
+    plans, hotspot_reads = _draw_plan(
+        Random(SeededRng(config.seed).fork(1).seed), config)
     driver.schedule(plans)
     buffers = driver.rig.buffers()
 
@@ -168,11 +181,7 @@ def design_campaign_scenario(config: ScenarioConfig,
     driver.fill(report)
     report.sessions = driver.sessions
     report.steps = driver.steps
-    hotspot_names = {f"lib-{index}" for index
-                     in range(config.get("objects", "hotspots"))}
-    report.hotspot_reads = sum(
-        obj in hotspot_names
-        for plan in plans for step in plan.steps for obj in step.reads)
+    report.hotspot_reads = hotspot_reads
     report.invalidations_applied = sum(b.invalidations for b in buffers)
     prev = 0
     for sample in day_marks:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
 
 from repro.te.context import DopContext, SavepointStack
 from repro.te.recovery import CheckoutRecord, RecoveryPoint
@@ -56,8 +55,6 @@ class DesignOperation:
         and executed on that workstation too", Sect.5.1).
     tool:
         Name of the design tool this DOP runs (e.g. ``chip_planner``).
-    start_params:
-        The Begin-of-DOP parameters handed over by the DM.
     context / savepoints:
         Volatile working state; lost on workstation crash, rebuilt from
         the latest recovery point.
@@ -67,7 +64,6 @@ class DesignOperation:
     da_id: str
     workstation: str
     tool: str
-    start_params: dict[str, Any] = field(default_factory=dict)
     state: DopState = DopState.CREATED
     context: DopContext = field(default_factory=DopContext)
     savepoints: SavepointStack = field(default_factory=SavepointStack)

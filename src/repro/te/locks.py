@@ -123,6 +123,10 @@ class LockManager:
         grants = self._table.get(resource)
         return grants is not None and (mode, holder) in grants
 
+    def holds_any(self, holder: str) -> bool:
+        """True when *holder* holds a lock of any mode, in O(1)."""
+        return holder in self._held
+
     def blocker(self, resource: str, holder: str,
                 mode: LockMode) -> Lock | None:
         """The first *mode* grant on *resource*, in grant order, that a
@@ -236,6 +240,18 @@ class LockManager:
                         f"{grant.holder!r}", holder=grant.holder)
         self.stats.granted += 1
         return self._add(resource, holder, mode)
+
+    def pass_short_read(self, resource: str) -> bool:
+        """A short read lock's acquire + release on *resource* when no
+        grant is on it: nothing can conflict and the pair leaves the
+        table as it was, so it is only counted (True).  False, counting
+        nothing, when *resource* has a grant: take the lock then."""
+        if resource in self._table:
+            return False
+        stats = self.stats
+        stats.granted += 1
+        stats.released += 1
+        return True
 
     def try_acquire(self, resource: str, holder: str,
                     mode: LockMode) -> Lock | None:

@@ -204,10 +204,12 @@ class ServerTM:
         Implements Sect.5.2's checkout: "it has to be tested that,
         firstly, the DOV belongs to the scope of the DOP's DA, and,
         secondly, there is no incompatible derivation lock on the DOV."
-        The critical section itself is protected by a short read lock.
-        With ``lease=True`` the server additionally records a read
-        lease for *workstation* — the promise to invalidate the
-        shipped copy when a later checkin supersedes it.
+        The critical section itself is protected by a short read lock;
+        on a DOV that carries no lock nothing could conflict with it,
+        and the pair is only counted.  With ``lease=True`` the server
+        additionally records a read lease for *workstation* — the
+        promise to invalidate the shipped copy when a later checkin
+        supersedes it.
 
         Runs synchronously on the RPC's stack; the payload shipment
         (a sized async message, i.e. a timed kernel event under the
@@ -222,18 +224,21 @@ class ServerTM:
             raise ScopeViolationError(
                 f"DOV {dov_id!r} is not in the scope of DA {da_id!r}")
         locks = self.locks
-        grant = locks.blocker(dov_id, da_id, LockMode.DERIVATION)
-        if grant is not None:
-            raise LockConflictError(
-                f"DOV {dov_id!r} derivation-locked by "
-                f"{grant.holder!r}", holder=grant.holder)
-        locks.acquire(dov_id, dop_id, LockMode.SHORT_READ)
-        try:
+        if not derivation_lock and locks.pass_short_read(dov_id):
             dov = self.repository.read(dov_id)
-            if derivation_lock:
-                locks.acquire(dov_id, da_id, LockMode.DERIVATION)
-        finally:
-            locks.release(dov_id, dop_id, LockMode.SHORT_READ)
+        else:
+            grant = locks.blocker(dov_id, da_id, LockMode.DERIVATION)
+            if grant is not None:
+                raise LockConflictError(
+                    f"DOV {dov_id!r} derivation-locked by "
+                    f"{grant.holder!r}", holder=grant.holder)
+            locks.acquire(dov_id, dop_id, LockMode.SHORT_READ)
+            try:
+                dov = self.repository.read(dov_id)
+                if derivation_lock:
+                    locks.acquire(dov_id, da_id, LockMode.DERIVATION)
+            finally:
+                locks.release(dov_id, dop_id, LockMode.SHORT_READ)
         if workstation is not None:
             if renew:
                 # renewal metadata folded onto this control message —
@@ -390,8 +395,11 @@ class ServerTM:
         """Release derivation locks at End-of-DOP (commit *and* abort).
 
         "the server-TM is firstly asked to release the derivation locks
-        held (if any)" (Sect.5.2).
+        held (if any)" (Sect.5.2).  A DA that holds no lock at all has
+        none to release.
         """
+        if not self.locks.holds_any(da_id):
+            return 0
         if dov_ids is None:
             released = self.locks.release_all(da_id, LockMode.DERIVATION)
         else:
@@ -662,9 +670,7 @@ class ClientTM:
 
     # -- Begin-of-DOP -----------------------------------------------------------------
 
-    def begin_dop(self, da_id: str, tool: str,
-                  start_params: dict[str, Any] | None = None
-                  ) -> DesignOperation:
+    def begin_dop(self, da_id: str, tool: str) -> DesignOperation:
         """Begin-of-DOP: create and activate a new design operation."""
         self.node.require_up()
         dop = DesignOperation(
@@ -672,7 +678,6 @@ class ClientTM:
             da_id=da_id,
             workstation=self.workstation,
             tool=tool,
-            start_params=dict(start_params or {}),
             started_at=self.clock.now,
         )
         dop.require("activate")

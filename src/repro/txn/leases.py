@@ -28,6 +28,10 @@ lease, so no kernel event is ever cancelled or rescheduled.  Renewals
 never resurrect: extending a lease that already expired (or was
 recalled) is a no-op, which is what makes a renewal racing an
 in-flight expiry safe.
+
+The table is indexed twice, per DOV and per workstation, so a batch
+renewal and a workstation crash touch only that workstation's leases,
+however many other workstations hold.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ class LeaseTable:
     renewed ones are re-filed under their extended instant, and
     released ones are simply skipped — lazy cancellation, no bucket
     surgery.
+
+    Every lease is filed twice, under its DOV and under its
+    workstation: a renewal (:meth:`renew_workstation`) and a crash
+    (:meth:`drop_workstation`) walk that workstation's leases only.
     """
 
     def __init__(self, clock: SimClock | None = None,
@@ -81,6 +89,8 @@ class LeaseTable:
         self._kernel_source = kernel_source
         #: dov_id -> workstation -> lease
         self._holders: dict[str, dict[str, Lease]] = {}
+        #: workstation -> dov_id -> lease: the same leases, per holder
+        self._held: dict[str, dict[str, Lease]] = {}
         #: fired with (workstation, dov_id) when a lease expires —
         #: expiry behaves like a recall
         self.on_expire: Callable[[str, str], None] | None = None
@@ -112,6 +122,11 @@ class LeaseTable:
         else:
             lease = Lease(workstation, dov_id, now, expires)
             holders[workstation] = lease
+            held = self._held.get(workstation)
+            if held is None:
+                self._held[workstation] = {dov_id: lease}
+            else:
+                held[dov_id] = lease
             self.grants += 1
         if expires is not None and lease.bucket != expires:
             self._file(lease, now)
@@ -146,22 +161,32 @@ class LeaseTable:
         """Settle every lease filed under *instant* (the bucket event).
 
         Expired leases are released; renewed ones re-filed under their
-        extended instant; moved/released ones skipped.
+        extended instant (straight into its bucket when one is armed);
+        moved/released ones skipped.
         """
         if epoch != self._epoch:
             return  # the table this bucket belonged to was cleared
         now = self.clock.now
-        for lease in self._buckets.pop(instant, ()):
+        buckets = self._buckets
+        held = self._held
+        for lease in buckets.pop(instant, ()):
             if lease.bucket != instant:
                 continue  # moved to a later bucket meanwhile
-            current = self._holders.get(lease.dov_id, {}) \
-                .get(lease.workstation)
-            if current is not lease or lease.expires_at is None:
+            leases = held.get(lease.workstation)
+            expires = lease.expires_at
+            if leases is None or leases.get(lease.dov_id) is not lease \
+                    or expires is None:
                 continue  # released/recalled, or TTL switched off
-            lease.bucket = None
-            if lease.expires_at > now + _EPS:
-                self._file(lease, now)  # renewed: check again later
+            if expires > now + _EPS:
+                # renewed: check again later
+                bucket = buckets.get(expires)
+                if bucket is None:
+                    self._file(lease, now)
+                else:
+                    lease.bucket = expires
+                    bucket.append(lease)
             else:
+                lease.bucket = None
                 self._expire(lease)
 
     def _expire(self, lease: Lease) -> None:
@@ -198,15 +223,15 @@ class LeaseTable:
         only the expiry instant moves — the armed bucket event
         discovers the extension when it fires.
         """
+        leases = self._held.get(workstation)
+        if leases is None:
+            return 0
         ttl = self.ttl
-        expires = self.clock.now + ttl if ttl is not None else None
-        renewed = 0
-        for holders in self._holders.values():
-            lease = holders.get(workstation)
-            if lease is not None:
-                if expires is not None:
-                    lease.expires_at = expires
-                renewed += 1
+        if ttl is not None:
+            expires = self.clock.now + ttl
+            for lease in leases.values():
+                lease.expires_at = expires
+        renewed = len(leases)
         self.renewals += renewed
         return renewed
 
@@ -237,6 +262,10 @@ class LeaseTable:
         del holders[workstation]
         if not holders:
             del self._holders[dov_id]
+        leases = self._held[workstation]
+        del leases[dov_id]
+        if not leases:
+            del self._held[workstation]
         return True
 
     def release_all(self, dov_id: str) -> list[str]:
@@ -250,8 +279,8 @@ class LeaseTable:
     def drop_workstation(self, workstation: str) -> int:
         """Forget every lease of one workstation (its crash)."""
         dropped = 0
-        for dov_id in list(self._holders):
-            dropped += bool(self.release(workstation, dov_id))
+        for dov_id in list(self._held.get(workstation, ())):
+            dropped += self.release(workstation, dov_id)
         return dropped
 
     def clear(self) -> None:
@@ -261,5 +290,6 @@ class LeaseTable:
         the dead table inert — it fires, sees a stale epoch, returns.
         """
         self._holders.clear()
+        self._held.clear()
         self._buckets.clear()
         self._epoch += 1

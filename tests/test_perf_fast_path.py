@@ -49,12 +49,14 @@ from repro.repository.wal import LogRecordKind, WriteAheadLog
 from repro.sim.clock import SimClock
 from repro.sim.scheduler import EventScheduler
 from repro.te.context import DopContext
+from repro.te.locks import LockManager, LockMode
 from repro.te.object_buffer import ObjectBuffer
 from repro.te.recovery import (
     MAX_DELTA_CHAIN,
     CheckoutRecord,
     RecoveryManager,
 )
+from repro.txn.leases import LeaseTable
 from repro.util.rng import SeededRng
 from repro.util.trace import EventTrace
 from repro.vlsi.chip_planner import ChipPlanner
@@ -1127,6 +1129,115 @@ class TestTheAcLevelIsFlat:
         small, large = (_package_lines(run) / ops for run, ops
                         in map(_cooperation_protocol, self.SIZES))
         assert large / small <= self.MAX_LINE_GROWTH, (small, large)
+
+
+class TestALeasedReadCostsWhatItTouches:
+    """Count gates on the bookkeeping of a leased read, host-independent:
+    a batch renewal walks the renewing workstation's leases only, a
+    checkout of a DOV that carries no lock enters nothing in the lock
+    table, and End-of-DOP of a DA that holds no lock asks the lock
+    table nothing per input."""
+
+    @staticmethod
+    def _renewal_lines(others: int) -> int:
+        """``line`` events of renewing ws-1's four leases while three
+        other workstations hold *others* more leased DOVs."""
+        table = LeaseTable(SimClock(), ttl=10.0)
+        for index in range(4):
+            table.grant("ws-1", f"dov-{index}")
+        for index in range(others):
+            table.grant(f"ws-{2 + index % 3}", f"other-{index}")
+        lines = 0
+
+        def trace(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return trace
+
+        sys.settrace(trace)
+        try:
+            renewed = table.renew_workstation("ws-1")
+        finally:
+            sys.settrace(None)
+        assert renewed == 4
+        assert table.renewals == 4
+        return lines
+
+    def test_a_renewal_walks_only_its_workstations_leases(self):
+        alone = self._renewal_lines(0)
+        assert self._renewal_lines(10) == alone
+        assert self._renewal_lines(1000) == alone
+
+    def test_a_free_short_read_enters_no_table(self, monkeypatch):
+        rig = _make_rig()
+        locks = rig.server_tm.locks
+        free = rig.repository.checkin("da-1", "Cell", _nested_payload())
+        scoped = rig.repository.checkin("da-1", "Cell", _nested_payload())
+        locks.acquire(scoped.dov_id, "da-0", LockMode.SCOPE)
+        calls = {"acquire": 0, "release": 0}
+        for name in calls:
+            _count_calls(monkeypatch, calls, LockManager, name)
+        read = rig.repository.read
+        during: list = []
+
+        def indexed():
+            return ({resource: dict(grants)
+                     for resource, grants in locks._table.items()},
+                    {holder: dict(held)
+                     for holder, held in locks._held.items()})
+
+        def reading(dov_id):
+            # the lock table while the server reads the version
+            during.append(indexed())
+            return read(dov_id)
+
+        monkeypatch.setattr(rig.repository, "read", reading)
+        indexes = indexed()
+        births = locks._births
+        granted, released = locks.stats.granted, locks.stats.released
+
+        got = rig.server_tm.checkout("da-1", "dop-1", free.dov_id)
+
+        assert got is free
+        assert during == [indexes]
+        assert indexed() == indexes
+        assert locks._births == births
+        assert calls == {"acquire": 0, "release": 0}
+        assert locks.stats.granted == granted + 1
+        assert locks.stats.released == released + 1
+
+        # a DOV with a grant on it takes the lock as before
+        rig.server_tm.checkout("da-1", "dop-1", scoped.dov_id)
+        assert calls == {"acquire": 1, "release": 1}
+        assert during[-1][0][scoped.dov_id][LockMode.SHORT_READ, "dop-1"]
+        assert locks.stats.granted == granted + 2
+        assert locks.stats.released == released + 2
+
+    def test_end_of_dop_of_a_lock_free_da_releases_nothing(
+            self, monkeypatch):
+        rig = _make_rig()
+        client = rig.client_tm("ws-1")
+        locks = rig.server_tm.locks
+        inputs = [rig.repository.checkin("da-1", "Cell",
+                                         _nested_payload(rev=index))
+                  for index in range(3)]
+        dop = client.begin_dop("da-1", "tool")
+        for dov in inputs + inputs:
+            client.checkout(dop, dov.dov_id)
+        calls = {"release": 0}
+        _count_calls(monkeypatch, calls, LockManager, "release")
+        client.commit_dop(dop)
+        assert calls == {"release": 0}
+
+        # a DA that holds a derivation lock has it released
+        locking = client.begin_dop("da-1", "tool")
+        client.checkout(locking, inputs[0].dov_id, derivation_lock=True)
+        client.checkout(locking, inputs[1].dov_id)
+        assert locks.holds(inputs[0].dov_id, "da-1", LockMode.DERIVATION)
+        client.commit_dop(locking)
+        assert not locks.holds_any("da-1")
+        assert calls["release"] >= 1
 
 
 class TestSchedulerPendingCounter:

@@ -7,14 +7,24 @@ which step writes what — is all that tells the scenarios apart.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
+from pathlib import Path
+from random import Random
 
+import pytest
+
+from repro.scenario import load_scenario, validate_scenario
+from repro.scenario.campaign import _draw_plan
 from repro.scenario.sessions import (
     SessionDriver,
     SessionPlan,
     StepPlan,
     session_rig,
 )
+from repro.util.rng import SeededRng
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def team_plans(dop_per_step: bool) -> list[SessionPlan]:
@@ -102,3 +112,43 @@ def test_a_payload_is_built_once_per_object_and_letter():
             assert driver.blob_for(obj, generation + 26) is blob
     assert driver.blob_for("lib-0", 1) is not driver.blob_for("lib-1", 1)
     assert driver.blob_for("lib-0", 1) != driver.blob_for("lib-0", 2)
+
+
+#: the tables of the read-heavy e2e campaign, at two days
+CAMPAIGN_READS_TWO_DAYS = {
+    "scenario": {"name": "campaign-reads", "kind": "campaign", "seed": 101},
+    "team": {"size": 12, "steps_per_session": 6, "mean_step": 15.0},
+    "objects": {"pool": 48, "payload_bytes": 4000, "hotspots": 6,
+                "hotspot_bias": 0.5},
+    "locality": {"reads_per_step": 4, "reread": 0.85},
+    "writes": {"ratio": 0.05},
+    "leases": {"ttl": 120.0},
+    "campaign": {"days": 2, "sessions_per_day": 4, "churn": 0.25},
+}
+
+#: sha256 of ``repr`` of the drawn plans, as the draw through
+#: ``SeededRng``'s ``bernoulli`` / ``bounded_normal`` / ``randint``
+#: wrappers gave them
+PLAN_DIGESTS = {
+    "campaign_design_week":
+        "d89e4c90207ce423750b2381f720afdf954de6d835c80e41b49740503b05ce48",
+    "campaign_reads_two_days":
+        "c0971777e1bed6c708e5bf81e1b35465cae2b8c24da83d6cd50b7e66ff1c995c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+def test_the_campaign_draw_is_pinned(name):
+    if name == "campaign_design_week":
+        config = load_scenario(ROOT / "scenarios" / f"{name}.toml")
+    else:
+        config = validate_scenario(CAMPAIGN_READS_TWO_DAYS)
+    plans, hotspot_reads = _draw_plan(
+        Random(SeededRng(config.seed).fork(1).seed), config)
+    assert hashlib.sha256(repr(plans).encode()).hexdigest() \
+        == PLAN_DIGESTS[name]
+    hotspots = {f"lib-{index}"
+                for index in range(config.get("objects", "hotspots"))}
+    assert hotspot_reads == sum(obj in hotspots for plan in plans
+                                for step in plan.steps
+                                for obj in step.reads) > 0

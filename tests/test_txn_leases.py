@@ -12,6 +12,8 @@ resurrects a dead lease.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.repository.schema import (
     AttributeDef,
@@ -138,6 +140,20 @@ class TestLeaseTableOnKernel:
         assert outcome == [0]  # lost the race: no resurrect
         assert table.lease("ws-1", "dov-1") is None
 
+    def test_a_renewed_lease_joins_the_armed_bucket_of_its_instant(self):
+        """A lease renewed to an instant another grant already armed
+        is filed in that bucket: one expiry event settles both."""
+        kernel, table, expired = self._table()
+        kernel.at(0.0, lambda: table.grant("ws-1", "dov-1"))
+        kernel.at(TTL / 2, lambda: table.grant("ws-2", "dov-2"))
+        kernel.at(TTL / 2, lambda: table.renew_workstation("ws-1"))
+        kernel.run_until_quiescent()
+        assert expired == [("ws-2", "dov-2", 1.5 * TTL),
+                           ("ws-1", "dov-1", 1.5 * TTL)]
+        assert [label for *_, label in kernel.event_log
+                if label.startswith("lease-expiry:")] \
+            == ["lease-expiry:dov-1@ws-1", "lease-expiry:dov-2@ws-2"]
+
     def test_every_surviving_lease_expires_once_at_last_renewal_plus_ttl(
             self):
         """The contract under churn: staggered per-station grant waves,
@@ -183,6 +199,87 @@ class TestLeaseTableOnKernel:
         assert {(ws, dov): at for ws, dov, at in expired} \
             == pytest.approx(due)
         assert table.expirations == len(due)
+
+
+WORKSTATIONS = ("ws-0", "ws-1", "ws-2")
+DOVS = ("dov-0", "dov-1", "dov-2", "dov-3")
+
+#: one table operation, run as a kernel event after a pause that lets
+#: the bucket events due meanwhile fire first: ``(pause, name,
+#: workstation, dov)``, grants and renewals drawn most often
+_OPERATION = st.tuples(
+    st.sampled_from((0.0, 0.0, 0.5, TTL / 2, TTL, 1.5 * TTL)),
+    st.sampled_from(("grant",) * 4 + ("renew_workstation",) * 2
+                    + ("release", "release_all", "drop_workstation",
+                       "clear")),
+    st.sampled_from(WORKSTATIONS), st.sampled_from(DOVS))
+
+
+class TestTheTwoIndexesAgree:
+    """The lease table files every lease under its DOV and under its
+    workstation; after any sequence of grants, renewals, releases,
+    recalls, crashes, server crashes and bucket firings both views hold
+    the same leases, every live lease waits in an armed bucket, and a
+    renewal counts what a scan of every DOV finds."""
+
+    @staticmethod
+    def _views(table: LeaseTable) -> tuple[dict, dict]:
+        assert all(table._holders.values()) and all(table._held.values())
+        per_dov = {(ws, dov): id(lease)
+                   for dov, holders in table._holders.items()
+                   for ws, lease in holders.items()}
+        per_workstation = {(ws, dov): id(lease)
+                           for ws, leases in table._held.items()
+                           for dov, lease in leases.items()}
+        return per_dov, per_workstation
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(_OPERATION, max_size=40))
+    def test_both_views_hold_the_same_leases(self, operations):
+        kernel = Kernel()
+        table = LeaseTable(kernel.clock, ttl=TTL,
+                           kernel_source=lambda: kernel)
+        renewals = 0
+
+        def check() -> None:
+            per_dov, per_workstation = self._views(table)
+            assert per_dov == per_workstation
+            assert len(table) == len(per_dov)
+            # every live lease waits in an armed bucket due by its expiry
+            for holders in table._holders.values():
+                for lease in holders.values():
+                    assert lease.bucket <= lease.expires_at
+                    assert any(filed is lease for filed
+                               in table._buckets[lease.bucket])
+
+        def run(name: str, workstation: str, dov: str) -> None:
+            nonlocal renewals
+            scan = sum(workstation in holders
+                       for holders in table._holders.values())
+            if name == "grant":
+                table.grant(workstation, dov)
+            elif name == "renew_workstation":
+                assert table.renew_workstation(workstation) == scan
+                renewals += scan
+            elif name == "release":
+                table.release(workstation, dov)
+            elif name == "release_all":
+                table.release_all(dov)
+            elif name == "drop_workstation":
+                assert table.drop_workstation(workstation) == scan
+            else:
+                table.clear()
+            assert table.renewals == renewals
+            check()
+
+        at = 0.0
+        for pause, *operation in operations:
+            at += pause
+            kernel.at(at, lambda op=operation: run(*op), label="probe")
+        kernel.run_until_quiescent()
+        check()
+        # every lease left expired in its bucket event
+        assert len(table) == 0
 
 
 class TestTtlExpiryOnKernel:
