@@ -17,6 +17,7 @@ environment deterministically:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -212,9 +213,9 @@ class Network:
         #: total payload bytes shipped over the LAN
         self.bytes_shipped = 0
         #: payload bytes sent, per source node
-        self.bytes_sent_by: dict[str, int] = {}
+        self.bytes_sent_by: defaultdict[str, int] = defaultdict(int)
         #: payload bytes received, per destination node
-        self.bytes_received_by: dict[str, int] = {}
+        self.bytes_received_by: defaultdict[str, int] = defaultdict(int)
         #: batched messages sent (one LAN message, many payloads)
         self.batches_sent = 0
         #: payloads that travelled inside batched messages
@@ -276,13 +277,14 @@ class Network:
         :attr:`total_latency`.  Payload bytes travel by :meth:`post` /
         :meth:`post_batch`.
         """
-        nodes = self._nodes
-        node = nodes.get(src) or self.node(src)
-        if not node.up:
-            node.require_up()
-        node = nodes.get(dst) or self.node(dst)
-        if not node.up:
-            node.require_up()
+        try:
+            up = self._nodes[src].up and self._nodes[dst].up
+        except KeyError:
+            up = False
+        if not up:
+            # the checked lookups raise what is wrong, the source first
+            self.node(src).require_up()
+            self.node(dst).require_up()
         self.messages_sent += 1
         latency = self.local_latency if src == dst else self.lan_latency
         self.total_latency += latency
@@ -305,10 +307,8 @@ class Network:
         delay = self.local_latency if src == dst else self.lan_latency
         if size > 0:
             self.bytes_shipped += size
-            sent = self.bytes_sent_by
-            sent[src] = sent.get(src, 0) + size
-            received = self.bytes_received_by
-            received[dst] = received.get(dst, 0) + size
+            self.bytes_sent_by[src] += size
+            self.bytes_received_by[dst] += size
             delay += size / self.bandwidth
         kernel = self.kernel
         if kernel is None or not kernel.running:
@@ -350,7 +350,10 @@ class Network:
 
     def _deliver(self, dst: str, deliver: Callable[[], None],
                  label: str) -> None:
-        node = self._nodes.get(dst) or self.node(dst)
+        try:
+            node = self._nodes[dst]
+        except KeyError:
+            node = self.node(dst)   # raises the NetworkError naming dst
         if not node.up:
             self._parked.setdefault(dst, []).append((label, deliver))
             return

@@ -49,20 +49,23 @@ class TransactionalRpc:
         Application-level exceptions raised by the handler propagate to
         the caller — they are *results*, not transport failures.
         """
+        network = self.network
         # request message
         try:
-            self.network.send(src, dst)
+            network.send(src, dst)
         except NodeDownError as exc:
             raise RpcError(f"call {name!r} to {dst!r} failed: {exc}") from exc
 
-        handlers = self._handlers.get(dst, {})
-        if name not in handlers:
-            raise RpcError(f"node {dst!r} has no endpoint {name!r}")
-        value = handlers[name](*args, **kwargs)
+        try:
+            handler = self._handlers[dst][name]
+        except KeyError:
+            raise RpcError(
+                f"node {dst!r} has no endpoint {name!r}") from None
+        value = handler(*args, **kwargs)
 
         # response message
         try:
-            self.network.send(dst, src)
+            network.send(dst, src)
         except NodeDownError as exc:
             # the handler ran; the caller crashed before the reply
             raise RpcError(

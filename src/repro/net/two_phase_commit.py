@@ -114,55 +114,50 @@ class TwoPhaseCoordinator:
         """
         network = self.network
         coordinator = self.node_id
-        protocol = self.protocol
-        read_only_opt = self.read_only_optimisation
-        basic = protocol is CommitProtocol.BASIC
+        basic = self.protocol is CommitProtocol.BASIC
         latency = 0.0
-        messages = 0
-        forced = 0
+        messages = forced = 0
         read_only: list[str] = []
         no_voters: list[str] = []
 
         # ---- phase 1: prepare ------------------------------------------------
-        votes: list[tuple[TwoPhaseParticipant, Vote]] = []
+        # the participants phase 2 visits: every YES voter, in order
+        voted: list[TwoPhaseParticipant] = []
         for part in participants:
+            node_id = part.node_id
             try:
-                latency += network.send(coordinator, part.node_id)
+                latency += network.send(coordinator, node_id)
                 vote = part.prepare(txn_id)
-                latency += network.send(part.node_id, coordinator)
+                latency += network.send(node_id, coordinator)
                 messages += 2
             except NodeDownError:
                 vote = Vote.NO
                 messages += 1  # the unanswered request
-            if vote is Vote.YES:
-                # a YES vote requires a forced prepare record
+            if vote is Vote.YES or (vote is Vote.READ_ONLY
+                                    and not self.read_only_optimisation):
+                # a YES vote requires a forced prepare record (with the
+                # optimisation disabled a read-only participant is a
+                # plain YES participant)
                 forced += 1
-            elif vote is Vote.READ_ONLY and read_only_opt:
-                read_only.append(part.node_id)
+                voted.append(part)
             elif vote is Vote.READ_ONLY:
-                # optimisation disabled: treat as a plain YES participant
-                forced += 1
-                vote = Vote.YES
+                # drops out after phase 1
+                read_only.append(node_id)
             else:
-                no_voters.append(part.node_id)
-            votes.append((part, vote))
+                # already aborted locally when voting no
+                no_voters.append(node_id)
 
         commit = not no_voters
 
         # ---- coordinator decision record --------------------------------------
         # counted, not written, like the participants' records: nothing
-        # reads a decision back
-        if commit or basic:
+        # reads a decision back; presumed abort logs no abort at all
+        ack_needed = commit or basic
+        if ack_needed:
             forced += 1
-        # presumed abort: an abort is not logged at all
 
         # ---- phase 2: decide --------------------------------------------------
-        ack_needed = commit or basic
-        for part, vote in votes:
-            if vote is Vote.READ_ONLY:
-                continue  # dropped out after phase 1
-            if vote is Vote.NO:
-                continue  # already aborted locally when voting no
+        for part in voted:
             try:
                 latency += network.send(coordinator, part.node_id)
                 messages += 1
@@ -180,4 +175,4 @@ class TwoPhaseCoordinator:
                 continue
         return tuple.__new__(CommitOutcome, (
             txn_id, Decision.COMMIT if commit else Decision.ABORT,
-            protocol, messages, forced, latency, read_only, no_voters))
+            self.protocol, messages, forced, latency, read_only, no_voters))

@@ -114,7 +114,8 @@ class VersionStore:
 
     def get(self, dov_id: str) -> DesignObjectVersion:
         """Read a durable version; staged versions are invisible."""
-        self._require_up()
+        if not self._up:
+            self._require_up()
         try:
             return self._stable[dov_id]
         except KeyError:

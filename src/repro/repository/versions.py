@@ -331,7 +331,7 @@ def thaw_payload(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DesignObjectVersion:
     """One immutable design state.
 
@@ -360,22 +360,28 @@ class DesignObjectVersion:
     created_at: float
     parents: tuple[str, ...] = ()
 
-    #: every field is immutable once ``__post_init__`` has frozen the
+    #: every field is immutable once ``__init__`` has frozen the
     #: payload, so storage and transport share a DOV instead of copying
     __frozen_payload__ = True
 
-    def __post_init__(self) -> None:
+    def __init__(self, dov_id: str, dot_name: str, data: dict[str, Any],
+                 created_by: str, created_at: float,
+                 parents: tuple[str, ...] = ()) -> None:
         # deep-freeze the payload once at creation (the zero-copy hot
         # path): the one walk both canonicalises the data and caches
-        # the modelled size.  Already-frozen data (group checkins, WAL
-        # redo, dataclasses.replace) is adopted without any walk.
-        data = self.data
+        # the modelled size.  Already-frozen data (checkins, WAL redo,
+        # dataclasses.replace) is adopted without any walk.
         if type(data) is not FrozenDict:
             data = freeze_payload(data)
-            object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_payload_size", data._frozen_size)
-        if type(self.parents) is not tuple:
-            object.__setattr__(self, "parents", tuple(self.parents))
+        setattr_ = object.__setattr__     # the instance is frozen
+        setattr_(self, "dov_id", dov_id)
+        setattr_(self, "dot_name", dot_name)
+        setattr_(self, "data", data)
+        setattr_(self, "created_by", created_by)
+        setattr_(self, "created_at", created_at)
+        setattr_(self, "parents", parents if type(parents) is tuple
+                 else tuple(parents))
+        setattr_(self, "_payload_size", data._frozen_size)
 
     @property
     def payload_size(self) -> int:
@@ -430,7 +436,7 @@ class DerivationGraph:
             raise ValueError(f"duplicate DOV {dov.dov_id!r} in graph "
                              f"of {self.owner!r}")
         self._nodes[dov.dov_id] = dov
-        self._children.setdefault(dov.dov_id, [])
+        self._children[dov.dov_id] = []
         for parent in dov.parents:
             if parent in self._nodes:
                 self._children[parent].append(dov.dov_id)

@@ -27,6 +27,11 @@ from repro.vlsi.floorplan import FloorplanInterface
 from repro.vlsi.methodology import playout_constraints
 from repro.vlsi.tools import register_vlsi_tools, vlsi_dots
 
+# the VLSI tools import what they run when they run; a run of this
+# kind runs the chip planner (and through it the floorplan, net list
+# and shape modules), so they load with the runner, not in the run
+import repro.vlsi.chip_planner  # noqa: F401
+
 
 def make_vlsi_system(workstations: tuple[str, ...] = ("ws-1",),
                      trace: bool = True,

@@ -21,6 +21,7 @@ and its own kind's runner, never another kind's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from repro.repository.schema import (
@@ -28,6 +29,7 @@ from repro.repository.schema import (
     AttributeKind,
     DesignObjectType,
 )
+from repro.repository.versions import FrozenDict
 from repro.scenario.schema import ScenarioConfig
 from repro.sim.kernel import Kernel
 from repro.te.rig import TeRig
@@ -104,30 +106,32 @@ class SessionDriver:
         self.steps = 0
         self.sessions = 0
         self.checkins = 0
-        #: (object, letter) -> its payload string, built once: an
-        #: object has only 26 distinct payloads
-        self._blobs: dict[tuple[str, int], str] = {}
+        #: (object, letter) -> its checkin payload, built frozen once:
+        #: an object has only 26 distinct payloads
+        self._payloads: dict[tuple[str, int], FrozenDict] = {}
         rig.repository.register_dot(SHARED_OBJECT)
         rig.repository.create_graph("lib")
 
-    def blob_for(self, obj: str, generation: int) -> str:
-        """The payload of *obj*'s n-th version: sized by the object's
-        index, lettered by the generation (the same string object for
-        every generation of one letter)."""
+    def payload_for(self, obj: str, generation: int) -> FrozenDict:
+        """The payload of *obj*'s n-th version, ``{"name", "blob"}``:
+        the blob sized by the object's index and lettered by the
+        generation.  Every generation of one letter gets the same
+        frozen object, so a checkin walks nothing to ship or stage it."""
         letter = generation % 26
-        blob = self._blobs.get((obj, letter))
-        if blob is None:
+        payload = self._payloads.get((obj, letter))
+        if payload is None:
             index = int(obj.rsplit("-", 1)[-1])
-            blob = self._blobs[obj, letter] = chr(ord("a") + letter) \
-                * (self.payload_bytes + 256 * index)
-        return blob
+            payload = self._payloads[obj, letter] = FrozenDict((
+                ("name", obj),
+                ("blob", chr(ord("a") + letter)
+                 * (self.payload_bytes + 256 * index))))
+        return payload
 
     def seed_library(self, names: list[str]) -> None:
         """Check generation 0 of every named object into the library."""
         for name in names:
             dov = self.rig.repository.checkin(
-                "lib", SHARED_OBJECT.name,
-                {"name": name, "blob": self.blob_for(name, 0)}, ())
+                "lib", SHARED_OBJECT.name, self.payload_for(name, 0), ())
             self.current[name] = dov.dov_id
 
     def add_designers(self, team: int) -> None:
@@ -212,7 +216,7 @@ class _Session:
         driver.last_reads[plan.workstation] = dov_ids
         driver.rig.kernel.after(
             client.fetch_time - fetched_before + duration,
-            lambda: self.finish_step(step),
+            partial(self.finish_step, step),
             label=f"{plan.kind}-step:{plan.stem}:{step}")
 
     def finish_step(self, step: int) -> None:
@@ -224,8 +228,7 @@ class _Session:
             driver.generations[target] = generation
             result = self.client.checkin(
                 self.dop, SHARED_OBJECT.name,
-                data={"name": target,
-                      "blob": driver.blob_for(target, generation)},
+                data=driver.payload_for(target, generation),
                 parents=[self.unflushed.get(target)
                          or driver.current[target]])
             if result.success:

@@ -28,6 +28,7 @@ delivery (inside a run) and synchronous handoff (outside).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.clock import SimClock
@@ -133,4 +134,4 @@ class Kernel(EventScheduler):
         ``(time, priority, seq)`` tie-breaking.
         """
         return (len(self.event_log), self.clock.now,
-                tuple([event[3] for event in self.event_log]))
+                tuple(map(itemgetter(3), self.event_log)))

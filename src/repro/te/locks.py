@@ -241,11 +241,12 @@ class LockManager:
         self.stats.granted += 1
         return self._add(resource, holder, mode)
 
-    def pass_short_read(self, resource: str) -> bool:
-        """A short read lock's acquire + release on *resource* when no
-        grant is on it: nothing can conflict and the pair leaves the
-        table as it was, so it is only counted (True).  False, counting
-        nothing, when *resource* has a grant: take the lock then."""
+    def pass_short_lock(self, resource: str) -> bool:
+        """A short lock's acquire + release on *resource*, read or
+        write, when no grant is on it: nothing can conflict and the
+        pair leaves the table as it was, so it is only counted (True).
+        False, counting nothing, when *resource* has a grant: take the
+        lock then."""
         if resource in self._table:
             return False
         stats = self.stats

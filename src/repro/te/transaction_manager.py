@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from repro.net.network import SERVER, Network
@@ -224,7 +225,7 @@ class ServerTM:
             raise ScopeViolationError(
                 f"DOV {dov_id!r} is not in the scope of DA {da_id!r}")
         locks = self.locks
-        if not derivation_lock and locks.pass_short_read(dov_id):
+        if not derivation_lock and locks.pass_short_lock(dov_id):
             dov = self.repository.read(dov_id)
         else:
             grant = locks.blocker(dov_id, da_id, LockMode.DERIVATION)
@@ -272,13 +273,14 @@ class ServerTM:
         is protected by a short (write) lock on the graph resource
         (Sect.5.2: "the TM has to protect the proliferation of the DA's
         derivation graph ... employing a locking protocol based on
-        short locks"), acquired **batched**: one lock per distinct DA
-        for the whole request instead of an acquire/release pair per
-        record — same protection (the request is one critical section
-        per graph), a fraction of the lock traffic.  Any failure
-        (integrity violation, unknown parent, lock conflict) un-stages
-        everything already staged and votes NO — atomicity at the
-        staging level; the durability level is covered by the
+        short locks"), one per distinct DA for the whole request.
+        Prepare runs synchronously, so no grant can arrive on a graph
+        while it stages: a graph nobody holds a grant on has its short
+        lock only counted (:meth:`~repro.te.locks.LockManager.pass_short_lock`),
+        any other is acquired and released around the staging.  Any
+        failure (integrity violation, unknown parent, lock conflict)
+        un-stages everything already staged and votes NO — atomicity
+        at the staging level; the durability level is covered by the
         repository's single-force group commit.
         """
         if not self.node.up:
@@ -299,8 +301,9 @@ class ServerTM:
         acquired: list[str] = []
         try:
             for graph_lock in graph_locks:
-                locks.acquire(graph_lock, txn_id, LockMode.SHORT_WRITE)
-                acquired.append(graph_lock)
+                if not locks.pass_short_lock(graph_lock):
+                    locks.acquire(graph_lock, txn_id, LockMode.SHORT_WRITE)
+                    acquired.append(graph_lock)
             now = self.clock.now
             for record in records:
                 # a parent naming an earlier record's provisional id
@@ -379,8 +382,9 @@ class ServerTM:
             self.node.require_up()
         if renew and workstation is not None:
             self._piggyback_renewal(workstation)
-        self._txns[txn_id] = ServerTxn(list(map(dict, records)),
-                                       workstation, lease)
+        # the records are the request's own: nothing edits them after
+        # the call, so the transaction keeps them as sent
+        self._txns[txn_id] = ServerTxn(records, workstation, lease)
         return len(records)
 
     def end_txn(self, txn_id: str) -> ServerTxn | None:
@@ -528,14 +532,12 @@ class ServerTM:
 
     def _post_invalidation(self, workstation: str, dov_id: str,
                            superseded_by: str) -> None:
-        buffer = self._buffers.get(workstation)
-
-        def deliver() -> None:
-            if buffer is not None:
-                buffer.invalidate(dov_id)
-
+        # a lease is only granted to a workstation whose client-TM
+        # registered its buffer, so the holder of a revoked one has one
         self.invalidations_sent += 1
-        self.network.post(self.node_id, workstation, deliver,
+        self.network.post(self.node_id, workstation,
+                          partial(self._buffers[workstation].invalidate,
+                                  dov_id),
                           label=f"invalidate:{dov_id}->{workstation}",
                           size=self.invalidation_bytes)
         if self.trace.enabled:

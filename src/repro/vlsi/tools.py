@@ -38,10 +38,11 @@ from repro.repository.schema import (
 from repro.repository.versions import FrozenDict, FrozenList, freeze_payload
 from repro.te.context import DopContext
 from repro.util.errors import WorkflowError
-from repro.vlsi.chip_planner import ChipPlanner
-from repro.vlsi.floorplan import Floorplan, FloorplanInterface, PinInterval
-from repro.vlsi.netlist import NetList, synthetic_netlist
-from repro.vlsi.shapes import ShapeFunction, shapes_for_area
+
+# The planner, floorplan, net list and shape modules are imported by
+# the tools that run them: a caller that only needs the DOTs
+# (vlsi_dots) does not load them, and a scenario that runs the tools
+# loads them with its runner (repro.scenario.delegation).
 
 
 #: what rebuilding a malformed payload entry raises
@@ -126,6 +127,8 @@ def structure_synthesis(context: DopContext,
         raise WorkflowError(
             "structure synthesis needs a behavioral description with "
             "'operations'")
+    from repro.vlsi.netlist import synthetic_netlist
+
     operations = behavior["operations"]
     cell = context.data.get("cell", "cud")
     subcells = [f"{cell}/{op}" for op in operations]
@@ -151,6 +154,8 @@ def repartitioning(context: DopContext, params: dict[str, Any]) -> None:
     Copy-on-write: a structure arriving via checkout is frozen, so
     the tool derives a new structure dict instead of mutating it.
     """
+    from repro.vlsi.netlist import NetList
+
     structure = context.data.get("structure")
     if not structure:
         raise WorkflowError("repartitioning needs a structure")
@@ -178,6 +183,8 @@ def repartitioning(context: DopContext, params: dict[str, Any]) -> None:
 def shape_function_generator(context: DopContext,
                              params: dict[str, Any]) -> None:
     """Estimate shape functions for every subcell (tool 3)."""
+    from repro.vlsi.shapes import shapes_for_area
+
     structure = context.data.get("structure")
     if not structure:
         raise WorkflowError("shape function generation needs a structure")
@@ -209,6 +216,8 @@ def shape_function_generator(context: DopContext,
 
 def pad_frame_editor(context: DopContext, params: dict[str, Any]) -> None:
     """Fix the CUD frame and pin intervals (tool 4)."""
+    from repro.vlsi.floorplan import FloorplanInterface, PinInterval
+
     cell = context.data.get("cell", "cud")
     max_width = float(params.get("max_width", 100.0))
     max_height = float(params.get("max_height", 100.0))
@@ -239,6 +248,11 @@ def chip_planner_tool(context: DopContext, params: dict[str, Any]) -> None:
     functions, interface.  Outputs: floorplan contents + derived
     dimensions; the subcell interfaces are available via the floorplan.
     """
+    from repro.vlsi.chip_planner import ChipPlanner
+    from repro.vlsi.floorplan import FloorplanInterface
+    from repro.vlsi.netlist import NetList
+    from repro.vlsi.shapes import ShapeFunction
+
     structure = context.data.get("structure")
     shape_raw = context.data.get("shape_functions")
     interface_raw = context.data.get("interface")
@@ -297,6 +311,8 @@ def cell_synthesis(context: DopContext, params: dict[str, Any]) -> None:
 
 def chip_assembly(context: DopContext, params: dict[str, Any]) -> None:
     """Assemble the chip mask layout from the floorplan (tool 7)."""
+    from repro.vlsi.floorplan import Floorplan
+
     floorplan_raw = context.data.get("floorplan")
     if not floorplan_raw:
         raise WorkflowError("chip assembly needs a floorplan")

@@ -31,8 +31,9 @@ DELEGATION_CLOSURE = 56
 SHIPPING_CLOSURE = 38
 FEDERATION_CLOSURE = 29
 #: the ``cm_cooperation`` workload of ``benchmarks/e2e``: the AC level
-#: and the VLSI DOTs, not the cell hierarchies and the methodology
-COOPERATION_CLOSURE = 50
+#: and the VLSI DOTs, not the cell hierarchies, the methodology or the
+#: modules only the tools run (chip planner, floorplan, net list, shapes)
+COOPERATION_CLOSURE = 46
 
 #: what a TE-only campaign has no use for: the AC and DC levels, the
 #: VLSI domain, and the federation with its decision log
@@ -104,7 +105,8 @@ def test_a_shipping_run_does_not_load_the_harness():
 def test_the_cooperation_closure_does_not_grow(tmp_path):
     """``cm_cooperation`` imports ``repro.vlsi.tools`` for the DOTs
     alone: the package resolves its names on first access, so the
-    import loads no VLSI module that ``tools`` does not import."""
+    import loads no VLSI module that ``tools`` does not import, and
+    the tools import the planner's modules only when they run."""
     config = tmp_path / "cm_cooperation.toml"
     loaded = repro_modules_after(
         "from pathlib import Path\n"
@@ -117,7 +119,9 @@ def test_the_cooperation_closure_does_not_grow(tmp_path):
         "assert workload.judge(state, workload.run(state)).problems == []")
     assert "repro.core.cooperation_manager" in loaded
     assert [name for name in loaded if name in (
-        "repro.vlsi.cells", "repro.vlsi.methodology")] == []
+        "repro.vlsi.cells", "repro.vlsi.methodology",
+        "repro.vlsi.chip_planner", "repro.vlsi.floorplan",
+        "repro.vlsi.netlist", "repro.vlsi.shapes")] == []
     assert len(loaded) <= COOPERATION_CLOSURE, loaded
 
 

@@ -147,6 +147,49 @@ class TestNetwork:
         with pytest.raises(NodeDownError):
             network.send("ws-1", "server")
 
+    @pytest.mark.parametrize("src, dst, named", [
+        ("nope", "server", "nope"),
+        ("ws-1", "nope", "nope"),
+        ("nope", "gone", "nope"),       # the source is looked up first
+    ])
+    def test_an_unknown_end_is_a_network_error(self, src, dst, named):
+        network = Network()
+        network.add_server()
+        network.add_workstation("ws-1")
+        with pytest.raises(NetworkError) as info:
+            network.send(src, dst)
+        assert type(info.value) is NetworkError   # never a raw KeyError
+        assert str(info.value) == f"unknown node {named!r}"
+
+    @pytest.mark.parametrize("down, dst, named", [
+        (("ws-1", "server"), "server", "ws-1"),   # both ends down
+        (("ws-1",), "server", "ws-1"),
+        (("server",), "server", "server"),
+        (("ws-1",), "nope", "ws-1"),     # a down source before a lookup
+    ])
+    def test_a_down_end_is_named_source_first(self, down, dst, named):
+        network = Network()
+        network.add_server()
+        network.add_workstation("ws-1")
+        for node in down:
+            network.crash_node(node)
+        with pytest.raises(NodeDownError) as info:
+            network.send("ws-1", dst)
+        assert info.value.node == named
+
+    @pytest.mark.parametrize("src, dst", [
+        ("nope", "server"), ("ws-1", "nope"), ("ws-1", "server"),
+        ("server", "ws-1")])
+    def test_a_refused_send_counts_nothing(self, src, dst):
+        network = Network()
+        network.add_server()
+        network.add_workstation("ws-1")
+        network.crash_node("server")
+        with pytest.raises(NetworkError):
+            network.send(src, dst)
+        assert network.messages_sent == 0
+        assert network.total_latency == 0.0
+
     def test_traffic_stats_cover_every_counter(self):
         network = Network(lan_latency=0.01, bandwidth=1000.0)
         network.add_server()

@@ -550,10 +550,11 @@ class TestAWriteThroughCheckinCostsWhatItChanges:
 
     CHECKINS = 300
     #: Python-level calls of one write-through checkin of this rig
-    #: (the failing assertion lists them); four build a record with a
-    #: generated ``__init__``: the server's transaction, the version,
-    #: its lease and its buffer entry
-    MAX_CALLS = 53
+    #: (the failing assertion lists them); three build a record with a
+    #: generated ``__init__``: the server's transaction, the lease and
+    #: the buffer entry (the version's own ``__init__`` fills its
+    #: fields directly)
+    MAX_CALLS = 50
 
     def test_300_write_through_checkins_inside_one_dop(self):
         # the campaigns' lease regime: every committed version is
@@ -606,6 +607,77 @@ class TestAWriteThroughCheckinCostsWhatItChanges:
             assert named(codes, "deepcopy") == 0
             assert len(codes) <= self.MAX_CALLS, \
                 [code.co_qualname for code in codes]
+
+
+class TestAWriteStepCostsWhatItWrites:
+    """Count gates on a write step of the session driver: the payload
+    it checks in is built frozen once per (object, letter), so a
+    checkin walks nothing to freeze it; and the short lock on the DA's
+    derivation graph, which nothing can hold while the synchronous
+    prepare stages, is counted and enters no lock table."""
+
+    CAMPAIGN = {
+        "scenario": {"name": "writes", "kind": "campaign", "seed": 7},
+        "team": {"size": 3, "steps_per_session": 4, "mean_step": 15.0},
+        "objects": {"pool": 6, "payload_bytes": 300, "hotspots": 2,
+                    "hotspot_bias": 0.5},
+        "locality": {"reads_per_step": 1, "reread": 0.2},
+        "writes": {"ratio": 0.9},
+        "leases": {"ttl": 120.0},
+        "campaign": {"days": 2, "sessions_per_day": 2, "churn": 0.25},
+    }
+
+    def test_a_checkin_walks_nothing_and_no_graph_lock_is_entered(
+            self, monkeypatch):
+        from repro.scenario.campaign import design_campaign_scenario
+        from repro.scenario.schema import validate_scenario
+        from repro.te.transaction_manager import ClientTM, ServerTM
+
+        walked: list[int] = []
+        checkin = ClientTM.checkin
+
+        def counted_checkin(client, *args, **kwargs):
+            before = versions._WALKS["freeze"]
+            try:
+                return checkin(client, *args, **kwargs)
+            finally:
+                walked.append(versions._WALKS["freeze"] - before)
+
+        monkeypatch.setattr(ClientTM, "checkin", counted_checkin)
+        tables: list[LockManager] = []
+        prepare = ServerTM.prepare
+
+        def watched_prepare(server_tm, txn_id):
+            tables.append(server_tm.locks)
+            return prepare(server_tm, txn_id)
+
+        monkeypatch.setattr(ServerTM, "prepare", watched_prepare)
+        entered: list[str] = []
+        acquire = LockManager.acquire
+
+        def watched_acquire(locks, resource, holder, mode):
+            entered.append(resource)
+            return acquire(locks, resource, holder, mode)
+
+        monkeypatch.setattr(LockManager, "acquire", watched_acquire)
+        calls = {"checkout": 0}
+        _count_calls(monkeypatch, calls, ServerTM, "checkout")
+
+        report = design_campaign_scenario(
+            validate_scenario(self.CAMPAIGN), None)
+
+        assert report.checkins == len(walked) > 20
+        assert walked == [0] * len(walked)
+        assert not [r for r in entered if r.startswith("graph:")]
+        locks = tables[0]
+        assert all(table is locks for table in tables)
+        assert not [r for r in locks._table if r.startswith("graph:")]
+        # one short pair per server checkout and one per prepare, all
+        # counted as a grant and a release
+        pairs = calls["checkout"] + len(tables)
+        assert calls["checkout"] > 20
+        assert (locks.stats.granted, locks.stats.released,
+                locks.stats.conflicts) == (pairs, pairs, 0)
 
 
 class TestNothingIsStoredThatNothingReads:

@@ -14,6 +14,7 @@ from random import Random
 
 import pytest
 
+from repro.repository.versions import FrozenDict, payload_sizeof
 from repro.scenario import load_scenario, validate_scenario
 from repro.scenario.campaign import _draw_plan
 from repro.scenario.sessions import (
@@ -100,18 +101,33 @@ def test_a_session_without_steps_begins_nothing():
 
 
 def test_a_payload_is_built_once_per_object_and_letter():
-    """An object has 26 payloads, one per letter: ``blob_for`` hands
-    back the one string of a letter for every generation that has it,
-    and that string is what the payload formula gives."""
+    """An object has 26 payloads, one per letter: ``payload_for`` hands
+    back the one frozen payload of a letter for every generation that
+    has it, equal to the plain ``{"name", "blob"}`` dict it stands for
+    and sized as that dict would be."""
     driver = SessionDriver(session_rig(None), payload_bytes=2000)
     for obj, index in (("lib-0", 0), ("cell-3", 3)):
         for generation in (0, 1, 25, 26, 27, 51, 52):
-            blob = driver.blob_for(obj, generation)
-            assert blob == chr(ord("a") + generation % 26) \
-                * (2000 + 256 * index)
-            assert driver.blob_for(obj, generation + 26) is blob
-    assert driver.blob_for("lib-0", 1) is not driver.blob_for("lib-1", 1)
-    assert driver.blob_for("lib-0", 1) != driver.blob_for("lib-0", 2)
+            payload = driver.payload_for(obj, generation)
+            plain = {"name": obj,
+                     "blob": chr(ord("a") + generation % 26)
+                     * (2000 + 256 * index)}
+            assert type(payload) is FrozenDict
+            assert payload == plain
+            assert list(payload) == list(plain)
+            assert payload._frozen_size == payload_sizeof(plain)
+            assert driver.payload_for(obj, generation + 26) is payload
+    assert driver.payload_for("lib-0", 1) \
+        is not driver.payload_for("lib-1", 1)
+    assert driver.payload_for("lib-0", 1) != driver.payload_for("lib-0", 2)
+
+
+def test_the_library_is_seeded_with_the_cached_payloads():
+    driver = SessionDriver(session_rig(None), payload_bytes=2000)
+    driver.seed_library(["lib-0", "cell-3"])
+    for name in ("lib-0", "cell-3"):
+        dov = driver.rig.repository.read(driver.current[name])
+        assert dov.data is driver.payload_for(name, 0)
 
 
 #: the tables of the read-heavy e2e campaign, at two days

@@ -454,3 +454,75 @@ class TestTheIndexedTableIsTheListTable:
                 for mode in MODES:
                     assert new.locks_of(holder, mode) \
                         == ref.locks_of(holder, mode)
+
+
+# ---------------------------------------------------------------------------
+# a free short lock is only counted
+# ---------------------------------------------------------------------------
+
+SHORT_MODES = (LockMode.SHORT_READ, LockMode.SHORT_WRITE)
+
+
+@st.composite
+def grant_programs(draw):
+    """20-40 requests and releases over two resources and three
+    holders (scope requests always share, so grants pile up), then the
+    short lock to pass: its resource, holder and mode."""
+    resource, holder = st.sampled_from(RESOURCES), st.sampled_from(HOLDERS)
+    call = st.one_of(
+        st.tuples(st.just("try_acquire"), resource, holder,
+                  st.sampled_from(MODES)),
+        st.tuples(st.just("release"), resource, holder,
+                  st.none() | st.sampled_from(MODES)))
+    calls = draw(st.lists(call, min_size=20, max_size=40))
+    return calls, draw(resource), draw(holder), \
+        draw(st.sampled_from(SHORT_MODES))
+
+
+def _table_state(locks: LockManager) -> tuple:
+    """Both indexes (with each grant's resource birth order) and the
+    counters: everything a pass or an acquire + release can touch
+    except the birth counter, which only orders births."""
+    return (
+        {resource: dict(grants) for resource, grants
+         in locks._table.items()},
+        {resource: dict(modes) for resource, modes
+         in locks._modes.items()},
+        {holder: dict(held) for holder, held in locks._held.items()},
+        LockStats(**vars(locks.stats)))
+
+
+class TestAFreeShortLockIsOnlyCounted:
+    """``pass_short_lock`` is an acquire + release of a short lock, read
+    or write, on a resource with no grant — so it must leave the table,
+    both indexes and the counters exactly as that pair would; on a
+    resource that holds a grant it must refuse (False) and count
+    nothing."""
+
+    @given(grant_programs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_pass_is_an_acquire_and_release(self, program):
+        calls, resource, holder, mode = program
+        passed, paired = LockManager(), LockManager()
+        passed.usage_allows = paired.usage_allows = lambda *_: True
+        for name, *args in calls:
+            for table in (passed, paired):
+                getattr(table, name)(*args)
+        before = _table_state(passed)
+        assert before == _table_state(paired)
+
+        free = not passed.holders(resource)
+        assert passed.pass_short_lock(resource) is free
+        if free:
+            paired.acquire(resource, holder, mode)
+            assert paired.release(resource, holder, mode) == 1
+            assert _table_state(passed) == _table_state(paired)
+            assert passed.stats.granted == before[3].granted + 1
+            assert passed.stats.released == before[3].released + 1
+        else:
+            assert _table_state(passed) == before
+        # what the tables answer next does not tell them apart
+        for table in (passed, paired):
+            table.try_acquire(resource, "h-next", LockMode.SCOPE)
+        for each in HOLDERS + ("h-next",):
+            assert passed.locks_of(each) == paired.locks_of(each)

@@ -15,7 +15,8 @@ run the most::
 A line count is exact: it does not depend on ``PYTHONHASHSEED`` or on
 the host, so two trees can be compared without pairing runs.  With
 ``--base DIR`` the workload is counted on the tree at *DIR* and on
-this one, each in a fresh process, and one table shows both by layer.
+this one, each in a fresh process, and one table shows both by layer,
+then the ``--top`` functions whose lines per op moved most.
 ``--root DIR`` counts the tree at *DIR* (its ``src`` and its
 ``benchmarks/e2e``) instead of this one.
 
@@ -111,7 +112,8 @@ def render(result: dict[str, Any], top: int) -> str:
     return "\n".join(out)
 
 
-def render_delta(base: dict[str, Any], head: dict[str, Any]) -> str:
+def render_delta(base: dict[str, Any], head: dict[str, Any],
+                 top: int) -> str:
     size = "smoke size" if head["smoke"] else "full size"
     out = [f"{head['workload']} ({size}, seed {head['seed']}): "
            f"lines per designer op, base vs head",
@@ -125,6 +127,22 @@ def render_delta(base: dict[str, Any], head: dict[str, Any]) -> str:
         ratio = f"{new_per_op / old_per_op:.3f}" if old else "-"
         out.append(f"{name:<16}{old_per_op:>10.1f}{new_per_op:>10.1f}"
                    f"{ratio:>8}")
+    if top:
+        # the functions whose lines per op moved most, either way; a
+        # function one tree lacks counts 0 there
+        def per_op(result: dict[str, Any], name: str) -> float:
+            return result["functions"].get(name, 0) / result["ops"]
+
+        moved = sorted(set(base["functions"]) | set(head["functions"]),
+                       key=lambda name: (-abs(per_op(head, name)
+                                              - per_op(base, name)), name))
+        out.append(f"top {top} functions by change (lines/op):")
+        out.append(f"{'base':>10}{'head':>10}{'ratio':>8}  function")
+        for name in moved[:top]:
+            old_per_op, new_per_op = per_op(base, name), per_op(head, name)
+            ratio = f"{new_per_op / old_per_op:.3f}" if old_per_op else "-"
+            out.append(f"{old_per_op:>10.1f}{new_per_op:>10.1f}"
+                       f"{ratio:>8}  {name}")
     return "\n".join(out)
 
 
@@ -147,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="the workload's smoke size")
     parser.add_argument("--top", type=int, default=15,
-                        help="functions to list (0: none)")
+                        help="functions to list (0: none); with --base, "
+                             "the ones whose lines per op moved most")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="the tree to count (default: this one)")
     parser.add_argument("--json", action="store_true",
@@ -158,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.base is not None:
         base = _counted_apart(args.base.resolve(), args)
         head = _counted_apart(args.root.resolve(), args)
-        print(render_delta(base, head))
+        print(render_delta(base, head, args.top))
         return 1 if base["problems"] or head["problems"] else 0
     result = count(args.root.resolve(), args.workload, args.smoke)
     print(json.dumps(result) if args.json else render(result, args.top))
