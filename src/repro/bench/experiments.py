@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.baselines.models import all_models, concord_model
 from repro.bench.reporting import ExperimentResult
@@ -360,33 +361,36 @@ def run_t5() -> ExperimentResult:
 # T6 — CM scalability
 # ---------------------------------------------------------------------------
 
-def grow_hierarchy(size: int) -> tuple[ConcordSystem, float]:
+def grow_hierarchy(size: int) -> tuple[ConcordSystem, Callable[[], None]]:
     """T6's workload: a top-level DA, then ``size - 1`` sub-DAs, each
     created under a Zipf-drawn DA and started.
 
-    Returns the system and the wall seconds its ``2 * size`` CM
-    operations took.  The parents are drawn before the clock starts: a
-    Zipf draw is linear in the hierarchy size all by itself.
+    Returns the system and the function that makes its ``2 * size`` CM
+    operations.  The parents are drawn here, before that function runs:
+    a Zipf draw is linear in the hierarchy size all by itself, so what
+    times or counts the operations must leave the draws out.
     """
     dots = vlsi_dots()
     script = Script(Sequence(DopStep("structure_synthesis")), "noop")
     system = make_vlsi_system(("ws-1",), trace=False)
     rng = SeededRng(size)
     parents = [rng.zipf_index(count, 0.8) for count in range(1, size)]
-    started = time.perf_counter()
-    top = system.init_design(
-        dots["Chip"], chip_spec(100, 100), "root", script, "ws-1",
-        initial_data={"cell": "c", "level": "chip",
-                      "behavior": {"operations": ["x"]}})
-    system.start(top.da_id)
-    created = [top.da_id]
-    for parent in parents:
-        sub = system.create_sub_da(created[parent], dots["Module"],
-                                   chip_spec(100, 100), "d", script,
-                                   "ws-1")
-        system.start(sub.da_id)
-        created.append(sub.da_id)
-    return system, time.perf_counter() - started
+
+    def grow() -> None:
+        top = system.init_design(
+            dots["Chip"], chip_spec(100, 100), "root", script, "ws-1",
+            initial_data={"cell": "c", "level": "chip",
+                          "behavior": {"operations": ["x"]}})
+        system.start(top.da_id)
+        created = [top.da_id]
+        for parent in parents:
+            sub = system.create_sub_da(created[parent], dots["Module"],
+                                       chip_spec(100, 100), "d", script,
+                                       "ws-1")
+            system.start(sub.da_id)
+            created.append(sub.da_id)
+
+    return system, grow
 
 
 def run_t6() -> ExperimentResult:
@@ -399,7 +403,10 @@ def run_t6() -> ExperimentResult:
     result = ExperimentResult(
         "T6", "Cooperation manager scalability (centralised CM)")
     for size in (5, 10, 20, 40):
-        system, elapsed = grow_hierarchy(size)
+        system, grow = grow_hierarchy(size)
+        started = time.perf_counter()
+        grow()
+        elapsed = time.perf_counter() - started
         stats = system.cm.stats()
         operations = 2 * size  # create + start per DA
         result.add(hierarchy_size=size,

@@ -52,7 +52,6 @@ class BufferEntry:
 
     dov: DesignObjectVersion
     size: int
-    cached_at: float
     #: DA ids whose server-validated checkouts shipped/refreshed this
     #: entry — the only DAs allowed to hit it locally
     authorized: set[str] = field(default_factory=set)
@@ -161,19 +160,18 @@ class ObjectBuffer:
 
     # -- mutation ----------------------------------------------------------------
 
-    def put(self, dov: DesignObjectVersion, da_id: str,
-            now: float = 0.0) -> BufferEntry:
+    def put(self, dov: DesignObjectVersion, da_id: str) -> BufferEntry:
         """Install (or re-authorize) a version shipped to this node."""
         entry = self._entries.get(dov.dov_id)
         if entry is not None:
             entry.authorized.add(da_id)
             return entry
         entry = self._entries[dov.dov_id] = BufferEntry(
-            dov, dov.payload_size, now, {da_id})
+            dov, dov.payload_size, {da_id})
         return entry
 
     def put_dirty(self, dov: DesignObjectVersion, da_id: str,
-                  record: dict[str, Any], now: float = 0.0) -> BufferEntry:
+                  record: dict[str, Any]) -> BufferEntry:
         """Stage a provisional (write-back) checkin as a dirty entry.
 
         Coalescing: any *dirty* parent of *record* is superseded before
@@ -197,7 +195,7 @@ class ObjectBuffer:
             elif parent not in spliced:
                 spliced.append(parent)
         entry = self._entries[dov.dov_id] = BufferEntry(
-            dov, dov.payload_size, now, {da_id}, dirty=True,
+            dov, dov.payload_size, {da_id}, dirty=True,
             record=dict(record, parents=spliced))
         self._dirty[dov.dov_id] = None
         return entry

@@ -82,6 +82,11 @@ from repro.util.ids import IdGenerator
 from repro.util.trace import EventTrace, Level
 
 
+def _nothing() -> None:
+    """The delivery of a payload shipped to a workstation without a
+    buffer: the bytes are paid, nothing is installed."""
+
+
 class CheckinResult(NamedTuple):
     """Outcome of a checkin reported to the DM (Sect.5.2/5.3): a
     tuple, built in one allocation.
@@ -738,15 +743,10 @@ class ClientTM:
         kernel); without one the bytes are still shipped — and paid —
         on every read.
         """
-        network = self.rpc.network
-        buffer = self.buffer
-
-        def deliver() -> None:
-            if buffer is not None:
-                buffer.put(dov, da_id, now=network.clock.now)
-
+        deliver = _nothing if self.buffer is None \
+            else partial(self.buffer.put, dov, da_id)
         size = dov.payload_size
-        delay = network.post(
+        delay = self.rpc.network.post(
             self.server_tm.node_id, self.workstation, deliver,
             label=f"dov-ship:{dov.dov_id}->{self.workstation}",
             size=size)
@@ -952,7 +952,7 @@ class ClientTM:
                 # checkin results stay resident: the workstation just
                 # produced these bytes, so the next checkout of the new
                 # frontier is a local hit
-                buffer.put(dov, dop.da_id, now=now)
+                buffer.put(dov, dop.da_id)
             if self.trace.enabled:
                 self._record("checkin", dov.dov_id, dop=dop.dop_id)
             return tuple.__new__(CheckinResult, (
@@ -987,8 +987,7 @@ class ClientTM:
             "dop_id": dop.dop_id,
         }
         before = set(self.buffer.dirty_ids())
-        self.buffer.put_dirty(dov, dop.da_id, record,
-                              now=self.clock.now)
+        self.buffer.put_dirty(dov, dop.da_id, record)
         # record which provisional ids this entry coalesced away, so
         # stale handles (an earlier DOP's output_dov) keep resolving
         for parent in resolved_lineage:

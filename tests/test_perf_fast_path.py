@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bench.perf import _make_rig, _nested_payload
+from repro.bench.perf import _CELL, _make_rig, _nested_payload
 from repro.dc.script import DopStep, Script, ScriptCursor, Sequence
 from repro.net.network import StableStorage, _is_immutable
 from repro.repository.repository import DesignDataRepository
@@ -1189,11 +1189,13 @@ class TestTheAcLevelIsFlat:
     negotiations per DA) and its state-log record images the kinds it
     marked, so the lines executed per operation do not grow with the
     hierarchy (the registry scans once grew them 1.11x from 7 to 28
-    leads).  Line counts move with the CPython minor version, so only
-    their ratio is gated."""
+    leads); and T6's create + start costs the same per DA at 40 and
+    640 DAs.  Line counts move with the CPython minor version, so only
+    their ratios are gated."""
 
     SIZES = (7, 28)
-    #: lines per operation at 28 leads over those at 7
+    #: lines per operation at 28 leads over those at 7, and lines per
+    #: DA at 640 DAs over those at 40
     MAX_LINE_GROWTH = 1.05
 
     def test_lines_per_operation_do_not_grow(self):
@@ -1201,6 +1203,71 @@ class TestTheAcLevelIsFlat:
         small, large = (_package_lines(run) / ops for run, ops
                         in map(_cooperation_protocol, self.SIZES))
         assert large / small <= self.MAX_LINE_GROWTH, (small, large)
+
+    def test_lines_per_da_of_create_and_start_do_not_grow(self):
+        """T6's workload (``grow_hierarchy``): only its ``2 * size`` CM
+        operations are counted, not the Zipf draws of their parents,
+        which are quadratic in the size by themselves.  An operation
+        forces the after-images of what it touched and a checkpoint is
+        paid for by the records that made it due, so the lines per DA
+        do not grow from 40 to 640 DAs."""
+        from repro.bench.experiments import grow_hierarchy
+
+        grow_hierarchy(5)[1]()          # what a run imports, untraced
+        small, large = (_package_lines(grow_hierarchy(size)[1]) / size
+                        for size in (40, 640))
+        assert large / small <= self.MAX_LINE_GROWTH, (small, large)
+
+
+class TestTheFederationIsFlat:
+    """A count gate on the federated atomic commit: the same four DAs,
+    pinned to the same four members, commit the same 16-version batch
+    ten times while the federation around them grows from 4 to 16 to
+    64 members.  Home resolution is a lookup in the coordinator's
+    staged-home map, and prepare, decide and complete touch only the
+    four members the batch lives on, so ``commit_group`` executes the
+    same lines per batch at every member count (staging is not
+    counted)."""
+
+    MEMBERS = (4, 16, 64)
+    DAS, PER_DA, BATCHES = 4, 4, 10
+
+    def lines_per_batch(self, members: int) -> float:
+        from repro.repository.federation import FederatedRepository
+        from repro.util.ids import IdGenerator
+
+        ids = IdGenerator()
+        federation = FederatedRepository(
+            {f"site-{index}": DesignDataRepository(ids)
+             for index in range(members)})
+        federation.register_dot(_CELL)
+        heads = {}
+        for index in range(self.DAS):
+            da_id = f"da-{index}"
+            federation.assign(da_id, f"site-{index}")
+            federation.create_graph(da_id)
+            heads[da_id] = federation.checkin(
+                da_id, "Cell", _nested_payload(rev=0), ()).dov_id
+        rev = lines = 0
+        for _ in range(self.BATCHES):
+            staged = []
+            for da_id in heads:
+                for _ in range(self.PER_DA):
+                    rev += 1
+                    staged.append(federation.stage_checkin(
+                        da_id, "Cell", _nested_payload(rev=rev),
+                        (heads[da_id],), created_at=float(rev)).dov_id)
+            committed = []
+            lines += _package_lines(
+                lambda: committed.extend(federation.commit_group(staged)))
+            assert len(committed) == len(staged)
+            for dov in committed:
+                heads[dov.created_by] = dov.dov_id
+        return lines / self.BATCHES
+
+    def test_lines_per_batch_are_equal_at_every_member_count(self):
+        counts = [self.lines_per_batch(members) for members in self.MEMBERS]
+        assert counts == [counts[0]] * len(counts), counts
 
 
 class TestALeasedReadCostsWhatItTouches:

@@ -2,19 +2,18 @@
 """Pretty-print a ``BENCH_PERF.json`` perf report, with deltas.
 
 One argument prints the report; two arguments print NEW against OLD
-with a per-benchmark throughput delta (a benchmark only OLD has is
-listed as ``removed``) and, for the benchmarks that sweep a size
-(``cm_scaling``: ms per DA; ``federation_scaling``: ms per batch), the
-cost at every sweep point with its delta — the before/after view of
-the perf trajectory::
+with a per-benchmark throughput delta — a benchmark only NEW has is
+listed as ``new``, one only OLD has as ``removed`` — the before/after
+view of the perf trajectory::
 
     python tools/bench_report.py BENCH_PERF.json            # single run
     python tools/bench_report.py NEW.json OLD.json          # delta view
 
-Informative only: the exit code is 0 unless a file is missing or
-malformed.  The CI perf job gates on the artifact's ``acceptance.ok``
-in a separate step — this tool just renders the numbers (see
-``docs/performance.md``).
+It prints throughputs only: a report's sweep points and an older
+report's ``acceptance`` block are not shown, since the flatness the
+sweeps timed is held by exact line counts in the tier-1 suite (see
+``docs/performance.md``).  Informative only: the exit code is 0 unless
+a file is missing or malformed.
 """
 
 from __future__ import annotations
@@ -65,33 +64,6 @@ def render_delta(new: dict[str, Any],
              "  ".join("-" * w for w in widths)]
     lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths))
               for row in rows]
-    for name, bench in new["benchmarks"].items():
-        before = old_benches.get(name, {}).get("sweep", {})
-        for point, cost in bench.get("sweep", {}).items():
-            line = f"{name} {point}: {cost} {bench.get('sweep_unit', '')}"
-            if before.get(point):
-                change = (cost - before[point]) / before[point] * 100.0
-                line += f" (old {before[point]}, {change:+.1f}%)"
-            lines.append(line)
-    acceptance = new.get("acceptance", {})
-    if acceptance:
-        gates = []
-        if acceptance.get("perf_gates_applied"):
-            gates.append(
-                f"federation-flatness "
-                f"{acceptance.get('federation_flatness')}x "
-                f"<= {acceptance.get('federation_flatness_max')}x")
-            if "cm_flatness" in acceptance:
-                gates.append(
-                    f"cm-flatness {acceptance['cm_flatness']}x "
-                    f"<= {acceptance['cm_flatness_max']}x")
-        if "federation_log_bounded" in acceptance:
-            gates.append(
-                "federation-log "
-                + ("bounded" if acceptance["federation_log_bounded"]
-                   else "UNBOUNDED"))
-        lines.append("acceptance: " + ", ".join(gates) + " -> "
-                     + ("OK" if acceptance.get("ok") else "FAIL"))
     return "\n".join(lines)
 
 
