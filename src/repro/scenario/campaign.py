@@ -76,8 +76,11 @@ def _draw_plan(rng: Random, config: ScenarioConfig
     Returns the plans and how many of their reads land on the hotspot
     subset.  *rng* is the stream ``SeededRng(seed).fork(1)`` wraps, and
     the draws are that wrapper's: ``random() < p`` is ``bernoulli(p)``,
-    a clamped ``gauss`` is ``bounded_normal`` and ``randrange(n)`` is
-    the draw ``randint(0, n - 1)`` makes.
+    a clamped ``gauss`` is ``bounded_normal`` and an index below *n*
+    is the draw ``randint(0, n - 1)`` makes.  That index is drawn
+    here as ``randrange(n)`` and ``choice`` draw it — ``getrandbits``
+    of ``n.bit_length()`` bits until one falls below *n* — without
+    their two Python frames per read.
     """
     team, campaign = config["team"], config["campaign"]
     steps_per_session, mean_step = \
@@ -88,8 +91,8 @@ def _draw_plan(rng: Random, config: ScenarioConfig
     reads_per_step = config.get("locality", "reads_per_step")
     reread_locality = config.get("locality", "reread")
     write_ratio = config.get("writes", "ratio")
-    random, gauss, choice, randrange = \
-        rng.random, rng.gauss, rng.choice, rng.randrange
+    random, gauss, getrandbits = rng.random, rng.gauss, rng.getrandbits
+    hot_bits, pool_bits = hotspots.bit_length(), object_pool.bit_length()
     sd, lo, hi = mean_step / 3.0, mean_step / 10.0, mean_step * 3.0
     # hotspots <= pool: every drawn index names one of these
     names = [f"lib-{index}" for index in range(object_pool)]
@@ -112,11 +115,22 @@ def _draw_plan(rng: Random, config: ScenarioConfig
                     step_reads: list[str] = []
                     for _ in range(reads_per_step):
                         if ws and random() < reread_locality:
-                            index = choice(ws)
+                            # choice(ws)
+                            bits = len(ws).bit_length()
+                            index = getrandbits(bits)
+                            while index >= len(ws):
+                                index = getrandbits(bits)
+                            index = ws[index]
                         elif hotspots and random() < hotspot_bias:
-                            index = randrange(hotspots)
+                            # randrange(hotspots)
+                            index = getrandbits(hot_bits)
+                            while index >= hotspots:
+                                index = getrandbits(hot_bits)
                         else:
-                            index = randrange(object_pool)
+                            # randrange(object_pool)
+                            index = getrandbits(pool_bits)
+                            while index >= object_pool:
+                                index = getrandbits(pool_bits)
                         step_reads.append(names[index])
                         hotspot_reads += index < hotspots
                         if index not in ws:

@@ -211,8 +211,9 @@ class _Session:
         fetched_before = client.fetch_time
         current = driver.current
         dov_ids = [current[obj] for obj in reads]
-        for dov_id in dov_ids:
-            client.checkout(self.dop, dov_id)
+        # the step's read set is one checkout operation: one call,
+        # one recovery point
+        client.checkout(self.dop, *dov_ids)
         driver.last_reads[plan.workstation] = dov_ids
         driver.rig.kernel.after(
             client.fetch_time - fetched_before + duration,

@@ -218,8 +218,7 @@ def write_back_scenario(config: ScenarioConfig,
     before = rig.network.bytes_shipped
     for index, client in enumerate(clients):
         dop = client.begin_dop(f"da-{index}", tool="t9-reread")
-        for dov_id in driver.last_reads.get(client.workstation, []):
-            client.checkout(dop, dov_id)
+        client.checkout(dop, *driver.last_reads.get(client.workstation, ()))
         client.commit_dop(dop)
     report.post_restart_bytes = rig.network.bytes_shipped - before
     return report

@@ -55,7 +55,6 @@ class BufferEntry:
     #: DA ids whose server-validated checkouts shipped/refreshed this
     #: entry — the only DAs allowed to hit it locally
     authorized: set[str] = field(default_factory=set)
-    hits: int = 0
     #: True for a write-back entry not yet shipped to the server
     dirty: bool = False
     #: the deferred checkin request of a dirty entry (da_id, dot_name,
@@ -142,7 +141,6 @@ class ObjectBuffer:
             self.misses += 1
             return None
         self.hits += 1
-        entry.hits += 1
         return entry.dov
 
     def dirty_entries(self) -> list[BufferEntry]:

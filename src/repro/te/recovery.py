@@ -7,16 +7,21 @@ system after appropriate events or time intervals and are transparent to
 design tool and designer.  In particular, after each checkout operation
 a recovery point is set" (Sect.5.2).
 
-The client-TM takes one after every checkout — the paper's mandatory
-point, "in order to avoid duplicate requests of a DOV from the server
-in the case of a failure" — and one every :data:`POINT_INTERVAL`
-simulated minutes of tool work.  :class:`RecoveryManager` persists
-them to the workstation's stable storage and serves the most recent
-one at restart.
+The client-TM takes one after every checkout *operation* — the
+paper's mandatory point, "in order to avoid duplicate requests of a DOV
+from the server in the case of a failure" — and one every
+:data:`POINT_INTERVAL` simulated minutes of tool work.  One operation
+checks out a whole read set (``ClientTM.checkout(dop, *dov_ids)``): no
+crash can land between two of its DOVs, so the point after the last
+one is the only one a restart could read.  When a DOV of the set
+fails, the point covering the DOVs installed before it is stored
+before the error propagates, so none of those is requested twice.
+:class:`RecoveryManager` persists the points to the workstation's
+stable storage and serves the most recent one at restart.
 
 The paper asks for a *point* after each checkout, not for an image of
 the context: a post-checkout point is stored as a
-:class:`CheckoutRecord` — "this DOV went in" — on top of the previous
+:class:`CheckoutRecord` — "these DOVs went in" — on top of the previous
 point, and a full :class:`RecoveryPoint` image is taken wherever that
 would not be the whole truth.  Restart replays the records onto the
 image they lead back to.
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 from repro.net.network import StableStorage
-from repro.repository.versions import DesignObjectVersion, FrozenDict
+from repro.repository.versions import DesignObjectVersion
 from repro.te.context import ContextImage, DopContext, SavepointStack
 from repro.util.errors import RecoveryError
 
@@ -79,11 +84,13 @@ class RecoveryPoint:
 class CheckoutRecord(NamedTuple):
     """A post-checkout restart point, stored as a delta on *base*.
 
-    The state it stands for is *base*'s with ``dov_id`` appended to
-    ``checked_out``, ``payload`` merged into ``data`` and ``work_done``
-    as given; tool state and savepoints are *base*'s.  ``payload`` is
-    the frozen mapping the DOV (and so the buffer and the repository)
-    already holds — the record shares it, and taking one walks nothing.
+    The state it stands for is *base*'s with each of ``dovs``, in
+    order, appended to ``checked_out`` by id and merged into ``data``,
+    and ``work_done`` as given; tool state and savepoints are *base*'s.
+    ``dovs`` is the read set of one checkout operation, the versions
+    the buffer and the repository already hold — values themselves
+    (``__frozen_payload__``), so the record shares them, and taking one
+    walks nothing.
 
     A tuple, so taking one is a single allocation
     (:meth:`RecoveryManager.take` builds it with ``tuple.__new__``) and
@@ -93,8 +100,7 @@ class CheckoutRecord(NamedTuple):
     base: "RecoveryPoint | CheckoutRecord"
     depth: int           # records between this one and its image
     taken_at: float      # simulated time
-    dov_id: str
-    payload: FrozenDict
+    dovs: tuple[DesignObjectVersion, ...]
     work_done: float
 
     __frozen_payload__ = True
@@ -115,7 +121,7 @@ class RecoveryManager:
              savepoints: SavepointStack, taken_at: float,
              reason: str,
              base: RecoveryPoint | CheckoutRecord | None = None,
-             dov: DesignObjectVersion | None = None
+             dovs: tuple[DesignObjectVersion, ...] = ()
              ) -> RecoveryPoint | CheckoutRecord:
         """Persist a new recovery point (replaces the previous one).
 
@@ -125,18 +131,16 @@ class RecoveryManager:
         :class:`CheckoutRecord` names the point it builds on — and all
         of them go with the key at End-of-DOP.
 
-        *base* is the caller's word that the context differs from that
-        stored point by nothing but the checkout of *dov* (and effort
-        counted since); then a ``checkout`` point is one small record
-        and the context is not looked at.  Without it, for any other
-        reason, and once :data:`MAX_DELTA_CHAIN` records have piled up,
-        the point is a full image.
+        *base* with *dovs* is the caller's word that the context differs
+        from that stored point by nothing but the checkout of *dovs*, in
+        order (and effort counted since); then the point is one small
+        :class:`CheckoutRecord` and the context is not looked at.
+        Without them, and once :data:`MAX_DELTA_CHAIN` records have
+        piled up, the point is a full image.
         """
-        if base is not None and dov is not None and reason == "checkout" \
-                and base.depth < MAX_DELTA_CHAIN:
+        if dovs and base is not None and base.depth < MAX_DELTA_CHAIN:
             point = tuple.__new__(CheckoutRecord, (
-                base, base.depth + 1, taken_at, dov.dov_id, dov.data,
-                context.work_done))
+                base, base.depth + 1, taken_at, dovs, context.work_done))
         else:
             point = RecoveryPoint(
                 dop_id=dop_id,
@@ -177,9 +181,11 @@ class RecoveryManager:
             records.append(image)
             image = image.base
         context = DopContext.from_snapshot(image.context)
+        checked_out, data = context.checked_out, context.data
         for record in reversed(records):
-            context.checked_out.append(record.dov_id)
-            context.data.update(record.payload)
+            for dov in record.dovs:
+                checked_out.append(dov.dov_id)
+                data.update(dov.data)
             context.work_done = record.work_done
         savepoints = SavepointStack.from_snapshot(image.savepoints)
         return context, savepoints, point

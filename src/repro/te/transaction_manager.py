@@ -19,14 +19,15 @@ interactions (checkin) run under two-phase commit.
   unrenewed lease expires via a kernel timer event and the expiry
   behaves exactly like a recall, while renewals are metadata-only
   messages.
-* :class:`ClientTM` — Begin/End-of-DOP, checkout (buffer-first: a hit
-  in the workstation's :class:`~repro.te.object_buffer.ObjectBuffer`
-  costs zero network events, a miss ships the payload size-aware), the
-  mandatory post-checkout recovery point, tool-work application with
-  periodic recovery points, Save/Restore, Suspend/Resume, and
-  workstation-crash recovery from the most recent recovery point (the
-  buffer is volatile: a crash drops it and recovery re-fetches through
-  the normal chain).
+* :class:`ClientTM` — Begin/End-of-DOP, checkout of a read set
+  (buffer-first: a hit in the workstation's
+  :class:`~repro.te.object_buffer.ObjectBuffer` costs zero network
+  events, a miss ships the payload size-aware), the mandatory
+  post-checkout recovery point (one per checkout operation),
+  tool-work application with periodic recovery points, Save/Restore,
+  Suspend/Resume, and workstation-crash recovery from the most recent
+  recovery point (the buffer is volatile: a crash drops it and
+  recovery re-fetches through the normal chain).
 
 Both TMs are **thin participants of the txn layer**
 (:mod:`repro.txn`): the commit drive itself — txn ids, request
@@ -80,6 +81,10 @@ from repro.util.errors import (
 )
 from repro.util.ids import IdGenerator
 from repro.util.trace import EventTrace, Level
+
+
+#: the one state a DOP checks out in
+_ACTIVE = DopState.ACTIVE
 
 
 def _nothing() -> None:
@@ -607,15 +612,18 @@ class ClientTM:
         self._superseded: dict[str, str] = {}
         #: provisional id -> durable id (committed group checkins)
         self._resolved: dict[str, str] = {}
-        #: simulated instant of the last lease-renewal message (TTL
-        #: leases only; renewals are rate-limited to ttl/2): -inf until
-        #: the first use anchors the window
-        self._last_renewal = -math.inf
         #: the renewal window, ttl/2; infinite when this client never
         #: renews (no TTL or no buffer)
         ttl = server_tm.lease_ttl
         self._renewal_half = ttl / 2 \
             if ttl is not None and buffer is not None else math.inf
+        #: simulated instant of the last lease-renewal message (TTL
+        #: leases only; renewals are rate-limited to ttl/2): -inf until
+        #: the first use anchors the window.  A client that never
+        #: renews starts anchored, so its window never opens and no
+        #: checkout or checkin of it asks for one
+        self._last_renewal = -math.inf \
+            if self._renewal_half < math.inf else 0.0
         #: renewals this client folded onto outgoing control messages
         self.renewals_piggybacked = 0
         node = rpc.network.node(workstation)
@@ -667,7 +675,7 @@ class ClientTM:
     def _take_recovery_point(self, dop: DesignOperation,
                              reason: str) -> None:
         """A full-image point (interval, savepoint, restore, suspend);
-        a checkout's point is :meth:`_install_checkout`'s."""
+        a checkout's point is :meth:`checkout`'s."""
         dop.delta_base = self.recovery.take(
             dop.dop_id, dop.context, dop.savepoints, self.clock.now,
             reason)
@@ -695,43 +703,71 @@ class ClientTM:
 
     # -- checkout -----------------------------------------------------------------------
 
-    def checkout(self, dop: DesignOperation, dov_id: str,
-                 derivation_lock: bool = False) -> DesignObjectVersion:
-        """Check out an input DOV into the DOP's context, buffer-first.
+    def checkout(self, dop: DesignOperation, *dov_ids: str,
+                 derivation_lock: bool = False
+                 ) -> tuple[DesignObjectVersion, ...]:
+        """Check a read set of DOVs out into the DOP's context,
+        buffer-first; returns their versions in order.
 
         With an object buffer, a resident version the DOP's DA is
         authorized for is served locally — zero network events.  A
         miss (or a derivation-lock request, which always needs the
         server) goes through the server's scope + derivation-lock
         checks, then the payload is shipped size-aware over the LAN
-        and installed in the buffer under a read lease.  Afterwards a
-        recovery point is taken so a crash never repeats the request
-        (Sect.5.2).
+        and installed in the buffer under a read lease.  The DOVs are
+        fetched and installed one after the other, as separate
+        checkouts would; afterwards ONE recovery point covers the set,
+        so a crash never repeats a request (Sect.5.2).  When a DOV
+        fails, the point covering those installed before it is stored
+        before the error propagates; an empty set stores nothing.
         """
-        if dop.state is not DopState.ACTIVE:
+        if dop.state is not _ACTIVE or self._active.get(dop.dop_id) is not dop:
             dop.require("checkout")     # raises: checkout needs ACTIVE
-        if self._active.get(dop.dop_id) is not dop:
             self._require_running(dop)  # raises
         now = self.clock.now
-        if self.buffer is not None and not derivation_lock:
-            cached = self.buffer.get(dov_id, dop.da_id)
-            if cached is not None:
-                # a hit shows the buffer is live: renew the leases once
-                # the TTL budget is half spent (see renew_leases)
-                if now - self._last_renewal >= self._renewal_half \
+        # the versions installed so far, and the positions among them
+        # that the server shipped
+        buf, dovs, fetched = None if derivation_lock else self.buffer, (), ()
+        try:
+            for dov_id in dov_ids:
+                if buf is None or (dov := buf.get(dov_id, dop.da_id)) is None:
+                    dov = self.rpc.call(
+                        self.workstation, self.server_tm.node_id,
+                        "checkout", dop.da_id, dop.dop_id, dov_id,
+                        derivation_lock, workstation=self.workstation,
+                        lease=self.buffer is not None,
+                        renew=(now - self._last_renewal >= self._renewal_half
+                               and self._consume_renewal_window(now)))
+                    self._ship_payload(dov, dop.da_id)
+                    fetched += (len(dovs),)
+                elif now - self._last_renewal >= self._renewal_half \
                         and self._claim_renewal_window(now):
+                    # a hit shows the buffer is live: renew the leases
+                    # once the TTL budget is half spent (renew_leases)
                     self.renew_leases()
-                self._install_checkout(dop, cached, dov_id, True, now)
-                return cached
-        dov: DesignObjectVersion = self.rpc.call(
-            self.workstation, self.server_tm.node_id, "checkout",
-            dop.da_id, dop.dop_id, dov_id, derivation_lock,
-            workstation=self.workstation,
-            lease=self.buffer is not None,
-            renew=self._consume_renewal_window(now))
-        self._ship_payload(dov, dop.da_id)
-        self._install_checkout(dop, dov, dov_id, False, now)
-        return dov
+                # the frozen payload is shared; a tool writes the
+                # context's own keys, never into it
+                dop.context.data.update(dov.data)
+                dovs += (dov,)
+        finally:
+            # one point for the DOVs installed, also when one of the
+            # set failed: none of them is requested twice
+            if dovs:
+                dop.input_dovs += dov_ids[:len(dovs)]
+                dop.context.checked_out += dov_ids[:len(dovs)]
+                dop.delta_base = self.recovery.take(
+                    dop.dop_id, dop.context, dop.savepoints, now,
+                    "checkout", dop.delta_base, dovs)
+                dop.work_since_recovery_point = 0.0
+                if self.trace.enabled:
+                    # the set's rows come with its point: a set of one
+                    # traces as a single checkout always did
+                    for index, dov_id in enumerate(dov_ids[:len(dovs)]):
+                        self._record("checkout", dov_id, dop=dop.dop_id,
+                                     cached=index not in fetched)
+                    self._record("recovery_point", dop.dop_id,
+                                 reason="checkout")
+        return dovs
 
     def _ship_payload(self, dov: DesignObjectVersion, da_id: str) -> None:
         """Account the size-aware shipment of a fetched DOV payload.
@@ -808,27 +844,6 @@ class ClientTM:
             size=server.invalidation_bytes)
         self._record("lease_renewal", workstation)
         return delay
-
-    def _install_checkout(self, dop: DesignOperation,
-                          dov: DesignObjectVersion, dov_id: str,
-                          cached: bool, now: float) -> None:
-        """Put *dov* into the DOP's context and take the post-checkout
-        recovery point: a record on the previous point while there is
-        one to build on (:meth:`RecoveryManager.take`)."""
-        dop.input_dovs.append(dov_id)
-        context = dop.context
-        context.checked_out.append(dov_id)
-        # the frozen payload is shared; a tool writes the context's
-        # own keys, never into it
-        context.data.update(dov.data)
-        dop.delta_base = self.recovery.take(
-            dop.dop_id, context, dop.savepoints, now, "checkout",
-            dop.delta_base, dov)
-        dop.work_since_recovery_point = 0.0
-        if self.trace.enabled:
-            self._record("checkout", dov_id, dop=dop.dop_id,
-                         cached=cached)
-            self._record("recovery_point", dop.dop_id, reason="checkout")
 
     # -- tool processing ----------------------------------------------------------------
 

@@ -124,7 +124,7 @@ class TestPropagate:
         system.cm.propagate(supplier.da_id, dov.dov_id)
         client_tm = system.runtime(consumer.da_id).client_tm
         dop = client_tm.begin_dop(consumer.da_id, "structure_synthesis")
-        checked_out = client_tm.checkout(dop, dov.dov_id)
+        [checked_out] = client_tm.checkout(dop, dov.dov_id)
         assert checked_out.data["width"] == 10
         client_tm.abort_dop(dop)
 

@@ -35,7 +35,7 @@ class TestServerDownDuringTeOperations:
             client_tm.checkout(dop, top.vector.initial_dov)
         system.restart_server()
         # after the restart the same checkout succeeds
-        fetched = client_tm.checkout(dop, top.vector.initial_dov)
+        [fetched] = client_tm.checkout(dop, top.vector.initial_dov)
         assert fetched.dov_id == top.vector.initial_dov
         client_tm.abort_dop(dop)
 

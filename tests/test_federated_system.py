@@ -96,7 +96,7 @@ class TestFederatedConcord:
         # the consumer (placed on another site) reads it transparently
         client_tm = system.runtime(consumer.da_id).client_tm
         dop = client_tm.begin_dop(consumer.da_id, "halve")
-        fetched = client_tm.checkout(dop, dov.dov_id)
+        [fetched] = client_tm.checkout(dop, dov.dov_id)
         assert fetched.data["area"] == 50.0
         client_tm.abort_dop(dop)
         # derived versions carry cross-site lineage

@@ -56,6 +56,7 @@ from repro.te.recovery import (
     CheckoutRecord,
     RecoveryManager,
 )
+from repro.te.transaction_manager import ServerTM
 from repro.txn.leases import LeaseTable
 from repro.util.rng import SeededRng
 from repro.util.trace import EventTrace
@@ -448,7 +449,7 @@ class TestACheckoutPointIsADelta:
         deltas = [point for point in points if point[0] is CheckoutRecord]
         assert len(deltas) == 300 - calls["snapshot"]
         assert all(walked == 0 for _, _, walked in deltas)
-        assert client.recovery.latest(dop.dop_id).payload is dov.data
+        assert client.recovery.latest(dop.dop_id).dovs[0] is dov
 
 
 class TestABufferHitCostsWhatItChanges:
@@ -464,9 +465,9 @@ class TestABufferHitCostsWhatItChanges:
 
     HITS = 300
     #: Python-level calls of one hit that stores a checkout record:
-    #: checkout, SimClock.now, ObjectBuffer.get, _install_checkout,
-    #: RecoveryManager.take, StableStorage.put
-    MAX_CALLS = 6
+    #: checkout, SimClock.now, ObjectBuffer.get, RecoveryManager.take,
+    #: StableStorage.put
+    MAX_CALLS = 5
 
     def test_300_warm_hits_inside_one_dop(self):
         # the campaigns' lease regime: the renewal window is checked on
@@ -530,6 +531,43 @@ class TestABufferHitCostsWhatItChanges:
                     and not code.co_filename.endswith(".py")] == []
             assert len(codes) <= self.MAX_CALLS, \
                 [code.co_qualname for code in codes]
+
+
+class TestAReadSetIsOneCheckout:
+    """A count gate on the read set: one ``ClientTM.checkout`` call is
+    one checkout operation and stores ONE recovery point, whatever the
+    size of the set and whether its DOVs hit the buffer or ship from
+    the server; each DOV is still looked up (and, on a miss, fetched)
+    on its own."""
+
+    @pytest.mark.parametrize("size", [1, 4, 16])
+    def test_one_point_per_call(self, monkeypatch, size):
+        calls = {"take": 0, "put": 0, "get": 0, "checkout": 0}
+        # before the rig registers the server-TM's endpoint
+        _count_calls(monkeypatch, calls, ServerTM, "checkout")
+        rig = _make_rig(lease_ttl=120.0)
+        client = rig.client_tm("ws-1")
+        ids = [rig.repository.checkin("da-1", "Cell",
+                                      _nested_payload(rev=index)).dov_id
+               for index in range(size)]
+        _count_calls(monkeypatch, calls, RecoveryManager, "take")
+        _count_calls(monkeypatch, calls, StableStorage, "put")
+        _count_calls(monkeypatch, calls, ObjectBuffer, "get")
+        dop = client.begin_dop("da-1", "tool")
+        for call, (misses, hits) in enumerate([(size, 0), (size, size)]):
+            before = dict(calls)
+            got = client.checkout(dop, *ids)
+            assert [dov.dov_id for dov in got] == ids
+            moved = {name: calls[name] - before[name] for name in calls}
+            assert moved == {"take": 1, "put": 1, "get": size,
+                             "checkout": size if call == 0 else 0}
+            assert client.buffer.misses == misses
+            assert client.buffer.hits == hits
+        assert client.recovery.points_taken == 2
+        assert dop.context.checked_out == ids + ids == dop.input_dovs
+        point = client.recovery.latest(dop.dop_id)
+        assert type(point) is CheckoutRecord
+        assert [dov.dov_id for dov in point.dovs] == ids
 
 
 class TestAWriteThroughCheckinCostsWhatItChanges:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.repository.versions import FrozenDict, payload_sizeof
 from repro.scenario import load_scenario, validate_scenario
-from repro.scenario.campaign import _draw_plan
+from repro.scenario.campaign import DAY_LENGTH, DIURNAL_PEAK, _draw_plan
 from repro.scenario.sessions import (
     SessionDriver,
     SessionPlan,
@@ -168,3 +168,67 @@ def test_the_campaign_draw_is_pinned(name):
     assert hotspot_reads == sum(obj in hotspots for plan in plans
                                 for step in plan.steps
                                 for obj in step.reads) > 0
+
+
+def _reference_draw_plan(rng, config):
+    """The campaign draw as the stdlib's ``randrange`` and ``choice``
+    make it: what :func:`_draw_plan` inlines must draw the same."""
+    team, campaign = config["team"], config["campaign"]
+    mean_step = team["mean_step"]
+    pool = config.get("objects", "pool")
+    hotspots = config.get("objects", "hotspots")
+    bias = config.get("objects", "hotspot_bias")
+    reread = config.get("locality", "reread")
+    sd, lo, hi = mean_step / 3.0, mean_step / 10.0, mean_step * 3.0
+    plans, hotspot_reads = [], 0
+    working = [[] for _ in range(team["size"])]
+    for day in range(campaign["days"]):
+        for designer, ws in enumerate(working):
+            for slot in range(campaign["sessions_per_day"]):
+                offset = DAY_LENGTH * (
+                    0.5 + (rng.random() - 0.5) * (1.0 / DIURNAL_PEAK))
+                start = day * DAY_LENGTH + offset
+                durations = [max(lo, min(hi, rng.gauss(mean_step, sd)))
+                             for _ in range(team["steps_per_session"])]
+                steps = []
+                for duration in durations:
+                    reads = []
+                    for _ in range(config.get("locality",
+                                              "reads_per_step")):
+                        if ws and rng.random() < reread:
+                            index = rng.choice(ws)
+                        elif hotspots and rng.random() < bias:
+                            index = rng.randrange(hotspots)
+                        else:
+                            index = rng.randrange(pool)
+                        reads.append(f"lib-{index}")
+                        hotspot_reads += index < hotspots
+                        if index not in ws:
+                            ws.append(index)
+                            del ws[:-4]
+                    writes = bool(reads) and rng.random() \
+                        < config.get("writes", "ratio")
+                    steps.append(StepPlan(tuple(reads), duration,
+                                          reads[0] if writes else None))
+                plans.append(SessionPlan(
+                    start=start, workstation=f"ws-{designer}",
+                    da_id=f"da-{designer}", kind="campaign",
+                    stem=f"d{day}:w{designer}:s{slot}",
+                    steps=tuple(steps)))
+    return plans, hotspot_reads
+
+
+@pytest.mark.parametrize("pool,hotspots", [
+    (pool, hotspots) for pool in (1, 2, 8, 48)
+    for hotspots in (1, 2, 8, 48) if hotspots <= pool])
+def test_the_inlined_draw_is_the_stdlib_draw(pool, hotspots):
+    for seed in (0, 1, 101, 1009):
+        tables = {**CAMPAIGN_READS_TWO_DAYS,
+                  "scenario": {**CAMPAIGN_READS_TWO_DAYS["scenario"],
+                               "seed": seed},
+                  "objects": {**CAMPAIGN_READS_TWO_DAYS["objects"],
+                              "pool": pool, "hotspots": hotspots}}
+        config = validate_scenario(tables)
+        stream = SeededRng(config.seed).fork(1).seed
+        assert _draw_plan(Random(stream), config) \
+            == _reference_draw_plan(Random(stream), config)

@@ -138,7 +138,7 @@ class TestCachedCheckout:
         client.checkout(dop, rig["dov0"].dov_id)
         rig["network"].crash_node("server")
         dop2 = client.begin_dop("da-1", "tool")
-        dov = client.checkout(dop2, rig["dov0"].dov_id)
+        [dov] = client.checkout(dop2, rig["dov0"].dov_id)
         assert dov.dov_id == rig["dov0"].dov_id
 
 

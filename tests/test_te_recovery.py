@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.perf import _make_rig
 from repro.net.network import StableStorage
+from repro.te.transaction_manager import ServerTM
 from repro.te.context import ContextImage, DopContext, SavepointStack
 from repro.te import recovery
 from repro.te.recovery import (
@@ -27,7 +28,7 @@ from repro.te.recovery import (
     RecoveryManager,
     RecoveryPoint,
 )
-from repro.util.errors import RecoveryError
+from repro.util.errors import RecoveryError, RpcError, ScopeViolationError
 
 
 @pytest.fixture
@@ -243,11 +244,14 @@ def drive(program: list[tuple[str, int, int]]) -> None:
         since_point = 0.0
 
     def checkout(index: int) -> None:
-        dov = rig.dovs[index % len(rig.dovs)]
-        model.data.update(plain(dov.data))
-        model.checked_out.append(dov.dov_id)
-        model.shared.update(dov.data)
-        client.checkout(dop, dov.dov_id)
+        # a read set of one to three DOVs is one checkout operation
+        read_set = [rig.dovs[(index + offset) % len(rig.dovs)]
+                    for offset in range(1 + index % 3)]
+        for dov in read_set:
+            model.data.update(plain(dov.data))
+            model.checked_out.append(dov.dov_id)
+            model.shared.update(dov.data)
+        client.checkout(dop, *[dov.dov_id for dov in read_set])
         mark_point()
 
     def work(edit, value: int) -> None:
@@ -386,9 +390,10 @@ def case_effort_alone_rides_in_the_record(rig):
     client.checkout(dop, b.dov_id)
     point = stored(rig, dop)
     assert type(point) is CheckoutRecord
-    assert point.payload is b.data and point.reason == "checkout"
+    assert point.dovs == (b,) and point.dovs[0] is b
+    assert point.reason == "checkout"
     with pytest.raises(AttributeError):    # a stored record is a value
-        point.dov_id = a.dov_id
+        point.dovs = (a,)
     storage = StableStorage()              # ... vouched for by its marker
     storage.put("point", point)
     assert storage.get("point") is point
@@ -489,11 +494,35 @@ def case_more_checkouts_than_the_replay_bound(rig):
     assert plain(back.context.data) == PAYLOADS[(count - 1) % 3]
 
 
+def case_a_read_set_is_one_record(rig):
+    client, (a, b, c) = rig.client, rig.dovs
+    dop = client.begin_dop("da-1", "tool")
+    assert client.checkout(dop) == ()          # an empty set stores nothing
+    assert stored(rig, dop) is None
+    got = client.checkout(dop, a.dov_id, b.dov_id)
+    assert len(got) == 2 and got[0] is a and got[1] is b
+    assert type(stored(rig, dop)) is RecoveryPoint     # the first point
+    client.work(dop, 5.0)
+    client.checkout(dop, c.dov_id, a.dov_id, c.dov_id)
+    point = stored(rig, dop)
+    assert type(point) is CheckoutRecord and point.depth == 1
+    assert [dov.dov_id for dov in point.dovs] == ids(c, a, c)
+    assert all(mine is theirs for mine, theirs in zip(point.dovs, (c, a, c)))
+    assert rig.client.recovery.points_taken == 2
+    back = crash_and_recover(rig, dop)
+    assert back.context.checked_out == ids(a, b, c, a, c)
+    assert back.input_dovs == ids(a, b, c, a, c)
+    assert plain(back.context.data) == PAYLOADS[2]
+    assert back.context.data["tree"] is c.data["tree"]
+    assert back.context.work_done == 5.0
+
+
 CASES = (case_tool_work_between_two_checkouts,
          case_effort_alone_rides_in_the_record,
          case_save, case_restore, case_suspend_and_resume,
          case_crash_and_recover,
-         case_more_checkouts_than_the_replay_bound)
+         case_more_checkouts_than_the_replay_bound,
+         case_a_read_set_is_one_record)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
@@ -518,9 +547,9 @@ def test_a_delta_where_an_image_is_due_is_noticed(monkeypatch):
     take = RecoveryManager.take
 
     def on_whatever_is_stored(self, dop_id, context, savepoints,
-                              taken_at, reason, base=None, dov=None):
+                              taken_at, reason, base=None, dovs=()):
         return take(self, dop_id, context, savepoints, taken_at, reason,
-                    base=self.latest(dop_id), dov=dov)
+                    base=self.latest(dop_id), dovs=dovs)
 
     with monkeypatch.context() as patch:
         patch.setattr(RecoveryManager, "take", on_whatever_is_stored)
@@ -531,3 +560,73 @@ def test_a_delta_where_an_image_is_due_is_noticed(monkeypatch):
         patch.setattr(recovery, "MAX_DELTA_CHAIN", 10 ** 9)
         assert failing_cases() == {
             "case_more_checkouts_than_the_replay_bound"}
+
+
+# ---------------------------------------------------------------------------
+# a read set whose k-th DOV fails: the point covers DOVs 1..k-1, and a
+# crash brings back exactly those without asking the server again
+# ---------------------------------------------------------------------------
+
+def requesting_rig(monkeypatch) -> SimpleNamespace:
+    """A buffered TE rig whose server-TM notes every DOV a checkout
+    request reaches it with (patched before the rig registers it)."""
+    requested: list[str] = []
+    serve = ServerTM.checkout
+
+    def noted(self, da_id, dop_id, dov_id, *args, **kwargs):
+        requested.append(dov_id)
+        return serve(self, da_id, dop_id, dov_id, *args, **kwargs)
+
+    monkeypatch.setattr(ServerTM, "checkout", noted)
+    rig = _make_rig()
+    dovs = [rig.repository.checkin("da-1", "Cell", PAYLOADS[index % 3])
+            for index in range(4)]
+    return SimpleNamespace(rig=rig, client=rig.client_tm("ws-1"),
+                           dovs=dovs, requested=requested)
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3])
+@pytest.mark.parametrize("how", ["server_down", "out_of_scope"])
+def test_a_failed_read_set_keeps_the_dovs_before_the_failure(
+        monkeypatch, how, failing):
+    env = requesting_rig(monkeypatch)
+    rig, client = env.rig, env.client
+    before, bad = env.dovs[:failing - 1], env.dovs[3]
+    wanted = [dov.dov_id for dov in before] + [bad.dov_id]
+    if how == "server_down":
+        # what comes before the failure is resident: a hit needs no
+        # server, the bad DOV is a miss that cannot reach it
+        warm = client.begin_dop("da-1", "tool")
+        client.checkout(warm, *[dov.dov_id for dov in before])
+        client.commit_dop(warm)
+        rig.crash_server()
+        error = RpcError
+    else:
+        rig.server_tm.scope_check = \
+            lambda da_id, dov_id: dov_id != bad.dov_id
+        error = ScopeViolationError
+    dop = client.begin_dop("da-1", "tool")
+    with pytest.raises(error):
+        client.checkout(dop, *wanted)
+    covered = [dov.dov_id for dov in before]
+    assert dop.context.checked_out == covered == dop.input_dovs
+    if not before:
+        assert client.recovery.latest(dop.dop_id) is None
+        assert client.recovery.points_taken == 0
+        return
+    assert client.recovery.points_taken == 1 + (how == "server_down")
+
+    rig.network.crash_node("ws-1")
+    rig.network.restart_node("ws-1")
+    back, _ = client.recover_dop(dop.dop_id, "da-1", "tool")
+    assert back.context.checked_out == covered == back.input_dovs
+    assert plain(back.context.data) == PAYLOADS[(failing - 2) % 3]
+    if how == "server_down":
+        rig.restart_server()
+        # the designer asks only for what the point does not hold
+        missing = [dov_id for dov_id in wanted
+                   if dov_id not in back.context.checked_out]
+        assert missing == [bad.dov_id]
+        client.checkout(back, *missing)
+        assert back.context.checked_out == wanted
+    assert sorted(set(env.requested)) == sorted(env.requested)

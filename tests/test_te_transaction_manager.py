@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.perf import _make_rig, _nested_payload
+from repro.bench.perf import _CELL, _make_rig, _nested_payload
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
@@ -162,6 +162,35 @@ class TestCheckoutSemantics:
                 dop.context.data["meta"]["tags"].append("mine")
         assert version.data["meta"]["tags"] == ["synth", "placed",
                                                 "routed"]
+
+
+    def test_a_traced_read_set_writes_its_rows_with_its_point(self):
+        # each DOV of the set is fetched in order (the server's row for
+        # the miss comes first); the client's rows, cached or shipped,
+        # come with the one point
+        te = TeRig(trace=True)
+        te.open_scope()
+        te.repository.register_dot(_CELL)
+        te.repository.create_graph("da-1")
+        client = te.add_workstation("ws-1")
+        a, b = (te.repository.checkin("da-1", "Cell",
+                                      _nested_payload(rev=rev))
+                for rev in (1, 2))
+        client.checkout(client.begin_dop("da-1", "tool"), a.dov_id)
+        dop = client.begin_dop("da-1", "tool")
+        te.trace.clear()
+        got = client.checkout(dop, a.dov_id, b.dov_id, a.dov_id)
+        assert [dov.dov_id for dov in got] == [a.dov_id, b.dov_id, a.dov_id]
+        rows = [(event.component, event.operation, event.subject,
+                 event.detail.get("cached"))
+                for event in te.trace.operations("checkout",
+                                                 "recovery_point")]
+        assert rows == [
+            ("server-TM", "checkout", b.dov_id, None),
+            ("client-TM:ws-1", "checkout", a.dov_id, True),
+            ("client-TM:ws-1", "checkout", b.dov_id, False),
+            ("client-TM:ws-1", "checkout", a.dov_id, True),
+            ("client-TM:ws-1", "recovery_point", dop.dop_id, None)]
 
 
 class TestSuspendResume:

@@ -79,7 +79,7 @@ class TestDeferredCheckin:
         result = client.checkin(dop, "Cell", data={"area": 50.0},
                                 parents=[rig["dov0"].dov_id])
         dop2 = client.begin_dop("da-1", "tool")
-        dov = client.checkout(dop2, result.dov.dov_id)
+        [dov] = client.checkout(dop2, result.dov.dov_id)
         assert dov.data["area"] == 50.0
 
     def test_coalescing_drops_superseded_intermediates(self, rig):
@@ -412,7 +412,7 @@ class TestCrashSemantics:
         rig["network"].restart_node("ws-1")
         # recovery re-derives from the durable frontier
         dop2 = client.begin_dop("da-1", "tool")
-        dov = client.checkout(dop2, rig["dov0"].dov_id)
+        [dov] = client.checkout(dop2, rig["dov0"].dov_id)
         assert dov.data["area"] == 100.0
 
     def test_abort_dop_discards_its_dirty_entries(self, rig):
@@ -482,7 +482,7 @@ class TestRestartRevalidation:
             == {"ws-1"}
         bytes_before = network.bytes_shipped
         dop = client.begin_dop("da-1", "tool")
-        dov = client.checkout(dop, rig["dov0"].dov_id)
+        [dov] = client.checkout(dop, rig["dov0"].dov_id)
         assert dov.dov_id == rig["dov0"].dov_id
         assert network.bytes_shipped == bytes_before
 
