@@ -8,7 +8,6 @@ and takes no arguments; the shape it must exhibit is checked once, in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +24,7 @@ from repro.net.two_phase_commit import (
 )
 from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.te.locks import LockManager, LockMode
+from repro.te.rig import TeRig
 from repro.util.errors import LockConflictError
 from repro.util.ids import IdGenerator
 from repro.util.rng import SeededRng
@@ -140,13 +140,53 @@ class _ScriptedParticipant:
         self.aborted += 1
 
 
+def _one_phase_on_the_stack(records: int) -> dict[str, object]:
+    """One commit measured on a :class:`~repro.te.rig.TeRig`: a
+    write-through checkin (``records=0``) or a write-back flush of
+    *records* checkins.  Its messages are the LAN messages of the
+    commit minus the one that carries the payload bytes, its forced
+    writes those of the repository's WAL."""
+    rig = TeRig(trace=False, write_back=records > 0)
+    rig.open_scope()
+    client = rig.add_workstation("ws-1")
+    rig.repository.register_dot(vlsi_dots()["StandardCell"])
+    rig.repository.create_graph("da-1")
+    dop = client.begin_dop("da-1", "tool")
+
+    def checkin(index: int):
+        return client.checkin(dop, "StandardCell", parents=[], data={
+            "cell": f"c{index}", "level": "cell", "area": 1.0})
+
+    for index in range(1, records):
+        checkin(index)
+    messages = rig.network.messages_sent
+    forced = rig.repository.wal.forced_writes
+    if records:
+        checkin(records)
+        outcome = client.flush().outcome
+        case = f"{records}-record flush (stack)"
+    else:
+        outcome = checkin(0).outcome
+        case = "write-through checkin (stack)"
+    return {"protocol": outcome.protocol.value, "case": case,
+            "decision": outcome.decision.value,
+            "messages": rig.network.messages_sent - messages - 1,
+            "forced_writes": rig.repository.wal.forced_writes - forced,
+            "latency_ms": round(outcome.latency * 1000, 2)}
+
+
 def run_t3() -> ExperimentResult:
-    """Messages / forced log writes / latency of the 2PC variants.
+    """Messages / forced log writes / latency of the 2PC variants, and
+    of the one-phase commit a TE checkin runs.
 
     Claim (Sect.6): LAN communications should "use the (X/OPEN)
     two-phase-commit protocol and its optimization alternatives
     [SBCM93]".  Expected: presumed abort saves messages and forced
-    writes on aborts; read-only participants drop out of phase 2.
+    writes on aborts; read-only participants drop out of phase 2; and
+    a transaction with one participant — every TE checkin, whose sole
+    participant is the server-TM — commits in one exchange with fewer
+    messages and forced writes than the cheapest 2PC of that one
+    participant.  The one-phase rows are measured on a TeRig.
     """
     result = ExperimentResult(
         "T3", "Two-phase commit optimisations (messages, forced log "
@@ -156,33 +196,42 @@ def run_t3() -> ExperimentResult:
         "one-no abort": [Vote.YES] * 2 + [Vote.NO],
         "read-only mix": [Vote.READ_ONLY] * 2 + [Vote.YES],
     }
-    txn = 0
-    for protocol in (CommitProtocol.BASIC, CommitProtocol.PRESUMED_ABORT):
-        for read_only_opt in (False, True):
-            if read_only_opt and protocol is CommitProtocol.BASIC:
-                continue  # RO optimisation is benchmarked on PA only
-            for case, votes in cases.items():
-                network = Network()
-                network.add_node("coord", NodeKind.WORKSTATION)
-                parts = []
-                for i, vote in enumerate(votes):
-                    network.add_node(f"part-{i}", NodeKind.SERVER)
-                    parts.append(_ScriptedParticipant(f"part-{i}", vote))
-                coordinator = TwoPhaseCoordinator(
-                    network, "coord", protocol=protocol,
-                    read_only_optimisation=read_only_opt)
-                txn += 1
-                outcome = coordinator.execute(f"txn-{txn}", parts)
-                label = protocol.value + ("+ro" if read_only_opt else "")
-                result.add(protocol=label, case=case,
-                           decision=outcome.decision.value,
-                           messages=outcome.messages,
-                           forced_writes=outcome.forced_log_writes,
-                           latency_ms=round(outcome.latency * 1000, 2))
+    runs = [(protocol, read_only_opt, case, votes)
+            for protocol in (CommitProtocol.BASIC,
+                             CommitProtocol.PRESUMED_ABORT)
+            for read_only_opt in (False, True)
+            # RO optimisation is benchmarked on PA only
+            if not (read_only_opt and protocol is CommitProtocol.BASIC)
+            for case, votes in cases.items()]
+    # what a checkin would cost under the cheapest 2PC: its one
+    # participant votes YES
+    runs.append((CommitProtocol.PRESUMED_ABORT, False, "sole participant",
+                 [Vote.YES]))
+    for txn, (protocol, read_only_opt, case, votes) in enumerate(runs, 1):
+        network = Network()
+        network.add_node("coord", NodeKind.WORKSTATION)
+        parts = []
+        for i, vote in enumerate(votes):
+            network.add_node(f"part-{i}", NodeKind.SERVER)
+            parts.append(_ScriptedParticipant(f"part-{i}", vote))
+        coordinator = TwoPhaseCoordinator(
+            network, "coord", protocol=protocol,
+            read_only_optimisation=read_only_opt)
+        outcome = coordinator.execute(f"txn-{txn}", parts)
+        label = protocol.value + ("+ro" if read_only_opt else "")
+        result.add(protocol=label, case=case,
+                   decision=outcome.decision.value,
+                   messages=outcome.messages,
+                   forced_writes=outcome.forced_log_writes,
+                   latency_ms=round(outcome.latency * 1000, 2))
+    result.add(**_one_phase_on_the_stack(0))
+    result.add(**_one_phase_on_the_stack(4))
     result.notes.append(
         "expected shape: presumed_abort <= basic on aborts (no forced "
         "abort record, no acks); read-only participants skip phase 2 "
-        "entirely")
+        "entirely; a sole participant commits in one exchange "
+        "(one_phase, measured on the stack: control messages, the "
+        "payload's own message excluded) below its 2PC")
     return result
 
 
@@ -190,24 +239,33 @@ def run_t3() -> ExperimentResult:
 # T4 — lock manager behaviour
 # ---------------------------------------------------------------------------
 
+#: the short-lock acquire/release pairs T4 runs
+SHORT_LOCK_PAIRS = 5_000
+
+
 def run_t4() -> ExperimentResult:
-    """Lock-manager throughput, derivation conflicts, inheritance cost."""
+    """Lock-manager short-lock pairs, derivation conflicts, inheritance.
+
+    Every value is an exact count: no row is timed on the host."""
     result = ExperimentResult(
-        "T4", "Lock manager: throughput, derivation conflicts, "
+        "T4", "Lock manager: short-lock pairs, derivation conflicts, "
               "scope-lock inheritance")
 
-    # throughput: short-lock acquire/release pairs
-    operations = 5_000
+    # short-lock acquire/release pairs: each pair leaves the table as
+    # it found it
+    operations = SHORT_LOCK_PAIRS
     locks = LockManager()
-    started = time.perf_counter()
     for i in range(operations):
         resource = f"dov-{i % 100}"
         locks.acquire(resource, f"dop-{i}", LockMode.SHORT_READ)
         locks.release(resource, f"dop-{i}", LockMode.SHORT_READ)
-    elapsed = time.perf_counter() - started
-    result.add(measure="short-lock pairs/sec",
-               value=round(operations / elapsed),
+    result.add(measure="short-lock pairs done",
+               value=min(locks.stats.granted, locks.stats.released),
                detail=f"{operations} acquire+release pairs")
+    result.add(measure="short-lock grants left",
+               value=sum(len(locks.holders(f"dov-{k}"))
+                         for k in range(100)),
+               detail="grants in the table after the pairs")
 
     # derivation conflicts vs sharing level
     for sharing in (1, 2, 4, 8):
@@ -237,7 +295,6 @@ def run_t4() -> ExperimentResult:
                 dov = f"dov-{level}-{f}"
                 visibility[dov] = {f"da-{level}"}
                 locks.acquire(dov, f"da-{level}", LockMode.SCOPE)
-        started = time.perf_counter()
         inherited_total = 0
         for level in range(depth - 1, 0, -1):
             finals = {f"dov-{level}-{f}" for f in range(final_per_da)}
@@ -246,10 +303,10 @@ def run_t4() -> ExperimentResult:
             inherited = locks.inherit_scope_locks(
                 f"da-{level}", f"da-{level - 1}", finals)
             inherited_total += len(inherited)
-        elapsed = time.perf_counter() - started
         result.add(measure=f"inheritance chain (depth={depth})",
                    value=inherited_total,
-                   detail=f"{elapsed * 1e6:.0f} us total")
+                   detail=f"{depth - 1} hand-overs of {final_per_da} "
+                          f"finals")
     result.notes.append(
         "derivation conflicts grow with sharing level (more DAs "
         "checking out the same DOV); inheritance is linear in finals "

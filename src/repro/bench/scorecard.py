@@ -15,6 +15,7 @@ from typing import Callable
 
 from repro.bench.ablations import run_a1, run_a2, run_a3
 from repro.bench.experiments import (
+    SHORT_LOCK_PAIRS,
     run_t1,
     run_t2,
     run_t3,
@@ -182,11 +183,20 @@ def _check_t3(result: ExperimentResult) -> str | None:
     presumed = rows[("presumed_abort", "one-no abort")]
     plain = rows[("presumed_abort", "read-only mix")]
     read_only = rows[("presumed_abort+ro", "read-only mix")]
+    sole = rows[("presumed_abort", "sole participant")]
+    one_phase = [row for row in result.rows
+                 if row["protocol"] == "one_phase"]
+    if len(one_phase) != 2:
+        return "one-phase checkin and flush rows missing"
     for measure in ("messages", "forced_writes"):
         if not presumed[measure] < basic[measure]:
             return f"presumed abort did not save abort {measure}"
         if not read_only[measure] < plain[measure]:
             return f"read-only optimisation saved no {measure}"
+        for row in one_phase:
+            if not row[measure] < sole[measure]:
+                return (f"one-phase commit ({row['case']}) saved no "
+                        f"{measure} over a sole participant's 2PC")
     return None
 
 
@@ -195,10 +205,16 @@ def _check_t4(result: ExperimentResult) -> str | None:
                if "derivation conflicts" in r["measure"]]
     if sharing != sorted(sharing):
         return "derivation conflicts must grow with sharing"
-    throughput = [r["value"] for r in result.rows
-                  if "short-lock" in r["measure"]]
-    if not throughput or throughput[0] <= 1000:
-        return "short-lock throughput implausibly low"
+    counts = {r["measure"]: r["value"] for r in result.rows}
+    if counts.get("short-lock pairs done") != SHORT_LOCK_PAIRS:
+        return "short-lock pairs must all complete"
+    if counts.get("short-lock grants left") != 0:
+        return "short-lock pairs must leave no grant in the table"
+    # each hand-over passes the same finals on, at every depth
+    per_level = {counts[f"inheritance chain (depth={depth})"] / (depth - 1)
+                 for depth in (2, 4, 8)}
+    if len(per_level) != 1 or not min(per_level) > 0:
+        return "inheritance must be linear in the levels"
     return None
 
 

@@ -1,4 +1,5 @@
-"""Simulated LAN substrate: nodes, transactional RPC, two-phase commit."""
+"""Simulated LAN substrate: nodes, transactional RPC, and the two-phase
+commit variants T3 compares with the one-phase checkin."""
 
 from repro.net.network import Network, Node, NodeKind, StableStorage
 from repro.net.rpc import TransactionalRpc

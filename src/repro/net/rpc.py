@@ -7,9 +7,10 @@ that abstraction over the simulated LAN:
 
 * **one execution per call** — a call runs its handler once; a caller
   that retries after a crash makes a new call under a new transaction
-  id.  No reply is kept for a retry to find: what the server-TM's
-  endpoints do lives in volatile server state, which a crash erases,
-  so a stored reply would outlive what it answered;
+  id.  No reply is kept for a retry to find.  So a checkin whose reply
+  was lost after the server's forced write is in doubt at the caller,
+  and a retry commits it a second time (``docs/coherence.md`` states
+  the case);
 * **durable handler dispatch** — handlers are registered per node under
   stable names, so a restarted node serves the same interface;
 * **failure surface** — when either end is down the caller sees an
@@ -22,6 +23,10 @@ from typing import Any, Callable
 
 from repro.net.network import Network
 from repro.util.errors import NodeDownError, RpcError
+
+
+def _unreachable(name: str, dst: str, exc: NodeDownError) -> RpcError:
+    return RpcError(f"call {name!r} to {dst!r} failed: {exc}")
 
 
 class TransactionalRpc:
@@ -42,6 +47,18 @@ class TransactionalRpc:
 
     # -- calling --------------------------------------------------------------
 
+    def require_reachable(self, src: str, dst: str, name: str) -> None:
+        """Raise the :class:`RpcError` a call of *name* from *src* to
+        *dst* would raise now for a down end, sending nothing: a caller
+        that ships bytes ahead of its call is refused before anything
+        ships."""
+        network = self.network
+        try:
+            network.node(src).require_up()
+            network.node(dst).require_up()
+        except NodeDownError as exc:
+            raise _unreachable(name, dst, exc) from exc
+
     def call(self, src: str, dst: str, name: str, *args: Any,
              **kwargs: Any) -> Any:
         """Invoke endpoint *name* on *dst* from *src*; return its value.
@@ -54,7 +71,7 @@ class TransactionalRpc:
         try:
             network.send(src, dst)
         except NodeDownError as exc:
-            raise RpcError(f"call {name!r} to {dst!r} failed: {exc}") from exc
+            raise _unreachable(name, dst, exc) from exc
 
         try:
             handler = self._handlers[dst][name]
@@ -67,7 +84,7 @@ class TransactionalRpc:
         try:
             network.send(dst, src)
         except NodeDownError as exc:
-            # the handler ran; the caller crashed before the reply
-            raise RpcError(
-                f"reply of {name!r} lost: caller {src!r} down") from exc
+            # the handler ran; an end crashed before the reply — the
+            # caller, or the callee during its own handler
+            raise RpcError(f"reply of {name!r} lost: {exc}") from exc
         return value

@@ -12,9 +12,18 @@ module implements:
 * the **read-only optimisation** — participants that did not write vote
   ``READ_ONLY`` and drop out of phase 2 entirely.
 
+A transaction with one participant needs no coordinator at all:
+[SBCM93]'s **one-phase commit** lets the sole participant decide, so
+the request carries the work and the reply the outcome.  Every TE
+checkin has exactly one participant, the server-TM, and commits that
+way (:class:`~repro.txn.gateway.CommitGateway`,
+:meth:`~repro.te.transaction_manager.ServerTM.checkin`); its outcome
+names :attr:`CommitProtocol.ONE_PHASE`.  The coordinator here serves
+the multi-participant comparison.
+
 Experiment T3 measures the message and forced-log-write counts of each
-variant; the class therefore returns a detailed :class:`CommitOutcome`
-per transaction.
+variant, the one-phase checkin measured on the stack beside them; every
+run returns a detailed :class:`CommitOutcome` per transaction.
 """
 
 from __future__ import annotations
@@ -42,10 +51,13 @@ class Decision(str, Enum):
 
 
 class CommitProtocol(str, Enum):
-    """Which 2PC variant the coordinator runs."""
+    """Which commit protocol decided a transaction."""
 
     BASIC = "basic"
     PRESUMED_ABORT = "presumed_abort"
+    #: a sole participant decides itself: no prepare round, no
+    #: coordinator decision record (:mod:`repro.txn.gateway`)
+    ONE_PHASE = "one_phase"
 
 
 class TwoPhaseParticipant(Protocol):
@@ -80,9 +92,9 @@ class CommitOutcome(NamedTuple):
     forced_log_writes: int
     latency: float
     #: participants that used the read-only optimisation
-    read_only_participants: list[str]
+    read_only_participants: Sequence[str]
     #: participants that voted NO (empty on commit)
-    no_voters: list[str]
+    no_voters: Sequence[str]
 
     @property
     def committed(self) -> bool:

@@ -205,12 +205,8 @@ class DesignDataRepository:
         return self._commit_staged([dov_id])[0]
 
     def commit_group(self, dov_ids: list[str]) -> list[DesignObjectVersion]:
-        """Phase 2 (commit) for a whole staged group, atomically."""
-        return self._commit_staged(dov_ids)
-
-    def _commit_staged(self, dov_ids: list[str]
-                       ) -> list[DesignObjectVersion]:
-        """The one commit path; a single checkin is a group of one.
+        """Phase 2 (commit) for a whole staged group, atomically: the
+        one commit path; a single checkin is a group of one.
 
         The durability of the batch rides on a single forced WAL flush
         (:meth:`~repro.repository.storage.VersionStore.commit_batch`):
@@ -242,6 +238,11 @@ class DesignDataRepository:
             if self.on_commit is not None:
                 self.on_commit(dov)
         return dovs
+
+    #: the same path under a private name, for :meth:`commit_checkin`:
+    #: the two public names do not call each other, because
+    #: ``benchmarks/e2e/spans.py`` wraps both and counts their sum
+    _commit_staged = commit_group
 
     def abort_checkin(self, dov_id: str) -> bool:
         """Phase 2 (abort): drop the staged version."""

@@ -41,9 +41,12 @@ chain, not from the buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.repository.versions import DesignObjectVersion
+
+if TYPE_CHECKING:
+    from repro.txn.gateway import CheckinRecord
 
 
 @dataclass
@@ -57,9 +60,8 @@ class BufferEntry:
     authorized: set[str] = field(default_factory=set)
     #: True for a write-back entry not yet shipped to the server
     dirty: bool = False
-    #: the deferred checkin request of a dirty entry (da_id, dot_name,
-    #: data, parents, provisional_id, dop_id); None once flushed
-    record: dict[str, Any] | None = None
+    #: the deferred checkin request of a dirty entry; None once flushed
+    record: CheckinRecord | None = None
 
 
 class ObjectBuffer:
@@ -151,8 +153,7 @@ class ObjectBuffer:
         """True when some dirty entry lists *dov_id* among its parents."""
         for dirty_id in self._dirty:
             record = self._entries[dirty_id].record
-            if record is not None \
-                    and dov_id in record.get("parents", ()):
+            if record is not None and dov_id in record.parents:
                 return True
         return False
 
@@ -169,7 +170,7 @@ class ObjectBuffer:
         return entry
 
     def put_dirty(self, dov: DesignObjectVersion, da_id: str,
-                  record: dict[str, Any]) -> BufferEntry:
+                  record: CheckinRecord) -> BufferEntry:
         """Stage a provisional (write-back) checkin as a dirty entry.
 
         Coalescing: any *dirty* parent of *record* is superseded before
@@ -178,13 +179,12 @@ class ObjectBuffer:
         cross the LAN.  The caller (client-TM) maintains the
         provisional-id forwarding map.  Returns the staged entry.
         """
-        parents = list(record.get("parents", ()))
         spliced: list[str] = []
-        for parent in parents:
+        for parent in record.parents:
             stale = self._entries.get(parent)
             if stale is not None and stale.dirty \
                     and stale.record is not None:
-                for grand in stale.record.get("parents", ()):
+                for grand in stale.record.parents:
                     if grand not in spliced:
                         spliced.append(grand)
                 del self._entries[parent]
@@ -194,7 +194,7 @@ class ObjectBuffer:
                 spliced.append(parent)
         entry = self._entries[dov.dov_id] = BufferEntry(
             dov, dov.payload_size, {da_id}, dirty=True,
-            record=dict(record, parents=spliced))
+            record=record._replace(parents=spliced))
         self._dirty[dov.dov_id] = None
         return entry
 
@@ -227,8 +227,7 @@ class ObjectBuffer:
         """
         doomed = [dov_id for dov_id in self._dirty
                   if self._entries[dov_id].record is not None
-                  and self._entries[dov_id].record.get("dop_id")
-                  == dop_id]
+                  and self._entries[dov_id].record.dop_id == dop_id]
         for dov_id in doomed:
             del self._entries[dov_id]
             del self._dirty[dov_id]

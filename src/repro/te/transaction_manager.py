@@ -4,13 +4,15 @@ Sect.5.1/5.2: the TM "is split into two subcomponents.  The server-TM
 handles checkout/checkin and controls concurrent access to DOVs, thus
 residing on the server, whereas the client-TM resides on the
 workstation managing the internal structure of DOPs."  Their critical
-interactions (checkin) run under two-phase commit.
+interaction, checkin, is atomic: the server-TM is the sole participant
+of every checkin, so it commits in one exchange ([SBCM93]'s one-phase
+commit, see :meth:`ServerTM.checkin`).
 
 * :class:`ServerTM` — scope-checked checkout with derivation locking,
-  two-phase checkin against the repository (it is the 2PC
-  *participant*), derivation-lock release on End-of-DOP, WAL-backed
-  durability (delegated to the repository), and the **lease table** of
-  the data-shipping protocol (the txn layer's
+  one-phase checkin against the repository (it is the sole
+  participant, and decides), derivation-lock release on End-of-DOP,
+  WAL-backed durability (delegated to the repository), and the
+  **lease table** of the data-shipping protocol (the txn layer's
   :class:`~repro.txn.leases.LeaseTable`): every version shipped to a
   buffering workstation is leased per ``(workstation, dov_id)``; a
   committed checkin revokes the leases on the versions it supersedes
@@ -30,18 +32,19 @@ interactions (checkin) run under two-phase commit.
   recovery re-fetches through the normal chain).
 
 Both TMs are **thin participants of the txn layer**
-(:mod:`repro.txn`): the commit drive itself — txn ids, request
-stashing, sized payload shipment, the prepare/decide/complete run —
-belongs to the :class:`~repro.txn.gateway.CommitGateway` each
-client-TM owns; the TMs validate, stage and apply.
+(:mod:`repro.txn`): the client side of a commit — txn ids, sized
+payload shipment, the one control RPC and its outcome — belongs to
+the :class:`~repro.txn.gateway.CommitGateway` each client-TM owns; the
+server-TM stages, commits and replies.
 
 Checkin runs in one of two modes:
 
 * **write-through** (default, the seed behaviour): every checkin ships
-  its payload and runs its own 2PC immediately;
+  its payload and commits immediately;
 * **write-back** (``ClientTM(write_back=True)``): checkins stage
   *dirty* provisional versions in the object buffer and ship later as
-  one batched, sized **group checkin** under a single 2PC — triggered
+  one batched, sized **group checkin** under a single decision and
+  a single forced WAL write — triggered
   by End-of-DOP, a lease recall touching dirty lineage, or an explicit
   :meth:`ClientTM.flush`.
   Successive checkins of the same lineage coalesce before shipping,
@@ -52,14 +55,13 @@ Checkin runs in one of two modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from repro.net.network import SERVER, Network
 from repro.net.rpc import TransactionalRpc
-from repro.net.two_phase_commit import CommitOutcome, Vote
-from repro.txn.gateway import CommitGateway, GroupCommitResult
+from repro.net.two_phase_commit import CommitOutcome
+from repro.txn.gateway import CheckinRecord, CommitGateway, GroupCommitResult
 from repro.txn.leases import LeaseTable
 from repro.repository.repository import DesignDataRepository
 from repro.repository.versions import (
@@ -111,31 +113,6 @@ class CheckinResult(NamedTuple):
     provisional: bool = False
 
 
-@dataclass(slots=True)
-class ServerTxn:
-    """The server-TM's state of one checkin transaction.
-
-    Volatile, like the staging it tracks: the entry lives from the
-    request to the end of the gateway's drive, and a server crash
-    clears it.
-    """
-
-    #: the checkin records, in the workstation's checkin order
-    records: list[dict[str, Any]]
-    #: the requesting (coordinator) workstation
-    workstation: str | None
-    #: grant that workstation read leases on the committed versions
-    lease: bool
-    #: staged dov ids in batch order, from a YES vote to the decision
-    staged: list[str] | None = None
-    #: provisional id -> durable id, from a YES vote on
-    mapping: dict[str, str] = field(default_factory=dict)
-    #: the durable versions in batch order, once committed
-    dovs: list[DesignObjectVersion] = field(default_factory=list)
-    #: why prepare voted NO (the integrity message)
-    error: str = ""
-
-
 class ServerTM:
     """Server-side transaction manager: shared access to the repository."""
 
@@ -147,7 +124,7 @@ class ServerTM:
         self.repository = repository
         self.locks = locks
         self.network = network
-        #: the 2PC participant's node
+        #: the node of the sole participant of every checkin
         self.node_id = SERVER
         self.node = network.node(SERVER)
         self.trace = trace if trace is not None else EventTrace(enabled=False)
@@ -157,8 +134,6 @@ class ServerTM:
         #: "without further authorization a DA is only allowed to read
         #: DOVs of its own derivation graph").
         self.scope_check: Callable[[str, str], bool] = self._default_scope
-        #: checkin transactions in flight, by 2PC transaction id
-        self._txns: dict[str, ServerTxn] = {}
         #: lease time-to-live (None keeps the PR 2 recall-only regime;
         #: a number switches to TTL renewal leases: unrenewed leases
         #: expire via kernel timer events, and expiry behaves exactly
@@ -179,8 +154,8 @@ class ServerTM:
         self.renewals_piggybacked = 0
         #: modelled size of one lease-invalidation control message
         self.invalidation_bytes = 16
-        #: checkin requests committed (each one 2PC run over a group
-        #: of one or more records)
+        #: checkin requests committed (each one exchange over a
+        #: group of one or more records)
         self.group_checkins = 0
         # supersession notices: every committed version revokes the
         # leases on its parents
@@ -190,7 +165,6 @@ class ServerTM:
         # buffers against fresh repository stamps — an unleased,
         # unvalidated copy could never be revoked again
         self.node.on_crash.append(self.clear_leases)
-        self.node.on_crash.append(self._txns.clear)
         self.node.on_restart.append(self._on_server_restart)
 
     def _default_scope(self, da_id: str, dov_id: str) -> bool:
@@ -264,143 +238,120 @@ class ServerTM:
                          leased=bool(lease and workstation))
         return dov
 
-    # -- checkin (2PC participant interface) --------------------------------------
+    # -- checkin (one-phase commit) ---------------------------------------------
 
-    def prepare(self, txn_id: str) -> Vote:
-        """Phase 1 of checkin: validate + stage the whole request or
-        nothing.
+    def checkin(self, txn_id: str, records: list[CheckinRecord],
+                workstation: str, lease: bool, renew: bool
+                ) -> tuple[dict[str, str], list[DesignObjectVersion]] | str:
+        """The checkin endpoint: one request commits a record list or
+        refuses it.
 
-        The request is stashed under *txn_id* by
-        :meth:`request_group_checkin` (a single checkin is a batch of
-        one) before the coordinator starts 2PC.  Runs synchronously
-        on the coordinator's stack — no kernel events of its own; the
-        network costs are the 2PC messages the coordinator accounts.
+        The server-TM is the sole participant of every checkin, so it
+        decides itself — [SBCM93]'s one-phase commit: the request
+        carries the records, :meth:`prepare` stages all of them or
+        none, :meth:`commit` makes them durable with the repository's
+        one forced WAL write, and the reply carries the outcome.  A
+        write-through checkin is a list of one whose
+        ``provisional_id`` is the transaction id; a write-back flush
+        sends the workstation's dirty set in its checkin order.
 
-        Records are staged in batch order; parents naming an earlier
-        record's provisional id resolve to the durable id the server
-        just assigned it, so an unflushed lineage ships as one
-        consistent chain.  The modification of a DA's derivation graph
-        is protected by a short (write) lock on the graph resource
-        (Sect.5.2: "the TM has to protect the proliferation of the DA's
-        derivation graph ... employing a locking protocol based on
-        short locks"), one per distinct DA for the whole request.
-        Prepare runs synchronously, so no grant can arrive on a graph
-        while it stages: a graph nobody holds a grant on has its short
-        lock only counted (:meth:`~repro.te.locks.LockManager.pass_short_lock`),
-        any other is acquired and released around the staging.  Any
-        failure (integrity violation, unknown parent, lock conflict)
-        un-stages everything already staged and votes NO — atomicity
-        at the staging level; the durability level is covered by the
-        repository's single-force group commit.
+        The request also carries the workstation's lease renewal when
+        one is due (*renew*), and with *lease* the committed versions
+        are leased to *workstation*, which keeps them in its buffer.
+        Returns ``(mapping, dovs)`` — provisional id -> durable id and
+        the durable versions in batch order — or, when staging failed
+        and :meth:`abort` un-staged the request, the reason.
         """
         if not self.node.up:
             self.node.require_up()
-        txn = self._txns.get(txn_id)
-        if txn is None:
-            return Vote.NO
-        records = txn.records
-        locks = self.locks
-        repository = self.repository
-        staged: list[str] = []
+        if renew:
+            self._piggyback_renewal(workstation)
         mapping: dict[str, str] = {}
-        graph_locks: list[str] = []
-        for record in records:
-            graph_lock = "graph:" + record["da_id"]
-            if graph_lock not in graph_locks:
-                graph_locks.append(graph_lock)
+        try:
+            self.prepare(txn_id, records, mapping)
+        except Exception as exc:  # noqa: BLE001 - any failure refuses
+            return self.abort(txn_id, mapping, exc)
+        dovs = self.commit(txn_id, mapping)
+        if lease:
+            grant = self.leases.grant
+            for dov in dovs:
+                grant(workstation, dov.dov_id)
+        return mapping, dovs
+
+    def prepare(self, txn_id: str, records: list[CheckinRecord],
+                mapping: dict[str, str]) -> None:
+        """Stage every record of a checkin request, in batch order.
+
+        Each staged record enters *mapping* (provisional id -> the id
+        the server assigned it), so a parent naming an earlier
+        record's provisional id resolves to its staged version and an
+        unflushed lineage ships as one consistent chain.  The
+        modification of a DA's derivation graph is protected by a
+        short (write) lock on the graph resource (Sect.5.2: "the TM
+        has to protect the proliferation of the DA's derivation graph
+        ... employing a locking protocol based on short locks"), one
+        per distinct DA for the whole request, all taken before the
+        first record is staged.  The staging runs synchronously, so no
+        grant can arrive on a graph meanwhile: a graph nobody holds a
+        grant on has its short lock only counted
+        (:meth:`~repro.te.locks.LockManager.pass_short_lock`), any
+        other is acquired and released around the staging.  A failure
+        (integrity violation, unknown parent, lock conflict) raises,
+        with what was staged so far left in *mapping* for
+        :meth:`abort`.
+        """
+        locks = self.locks
+        graphs: list[str] = []
         acquired: list[str] = []
         try:
-            for graph_lock in graph_locks:
-                if not locks.pass_short_lock(graph_lock):
-                    locks.acquire(graph_lock, txn_id, LockMode.SHORT_WRITE)
-                    acquired.append(graph_lock)
-            now = self.clock.now
             for record in records:
-                # a parent naming an earlier record's provisional id
-                # resolves to the id the server just assigned it
-                dov = repository.stage_checkin(
-                    record["da_id"], record["dot_name"], record["data"],
-                    tuple(map(mapping.get, record["parents"],
-                              record["parents"])),
-                    now)
-                staged.append(dov.dov_id)
-                mapping[record["provisional_id"]] = dov.dov_id
-        except Exception as exc:  # noqa: BLE001 - any failure aborts
-            repository.abort_group(staged)
-            txn.error = str(exc)
-            self._record("checkin_prepare_failed", txn_id,
-                         error=str(exc),
-                         staged_rolled_back=len(staged))
-            return Vote.NO
+                graph = "graph:" + record.da_id
+                if graph not in graphs:
+                    graphs.append(graph)
+                    if not locks.pass_short_lock(graph):
+                        locks.acquire(graph, txn_id, LockMode.SHORT_WRITE)
+                        acquired.append(graph)
+            stage = self.repository.stage_checkin
+            now = self.clock.now
+            for provisional_id, da_id, dot_name, data, parents, _ in records:
+                if mapping:
+                    # a parent naming an earlier record resolves to the
+                    # version just staged for it
+                    parents = map(mapping.get, parents, parents)
+                dov = stage(da_id, dot_name, data, tuple(parents), now)
+                mapping[provisional_id] = dov.dov_id
         finally:
-            for graph_lock in acquired:
-                locks.release(graph_lock, txn_id, LockMode.SHORT_WRITE)
-        txn.staged = staged
-        txn.mapping = mapping
-        if self.trace.enabled:
-            self._record("checkin_prepared", txn_id, count=len(staged))
-        return Vote.YES
+            for graph in acquired:
+                locks.release(graph, txn_id, LockMode.SHORT_WRITE)
 
-    def commit(self, txn_id: str) -> None:
-        """Phase 2 commit: the staged DOV(s) become durable.
+    def commit(self, txn_id: str, mapping: dict[str, str]
+               ) -> list[DesignObjectVersion]:
+        """Make the staged versions durable; returns them in batch
+        order.
 
         They commit through the repository's atomic single-force path,
         whose commit observer fires the supersession invalidations for
         each new version's parents — asynchronous sized LAN messages
         (ordinary timed kernel events under the concurrent kernel,
-        scheduled in deterministic batch order); afterwards the
-        committing workstation — which keeps the fresh versions in its
-        buffer without any extra shipping — gets a lease on each.
+        scheduled in deterministic batch order).
         """
-        txn = self._txns.get(txn_id)
-        if txn is None or txn.staged is None:
-            raise TransactionError(f"nothing staged for txn {txn_id!r}")
-        staged, txn.staged = txn.staged, None
-        dovs = self.repository.commit_group(staged)
-        if txn.lease and txn.workstation:
-            for dov in dovs:
-                self.leases.grant(txn.workstation, dov.dov_id)
-        txn.dovs = dovs
+        dovs = self.repository.commit_group(list(mapping.values()))
         self.group_checkins += 1
         if self.trace.enabled:
             self._record("checkin_committed", txn_id, count=len(dovs))
+        return dovs
 
-    def abort(self, txn_id: str) -> None:
-        """Phase 2 abort: the staged DOV(s) are discarded."""
-        txn = self._txns.get(txn_id)
-        if txn is not None and txn.staged is not None:
-            staged, txn.staged = txn.staged, None
-            self.repository.abort_group(staged)
-            self._record("checkin_aborted", txn_id, count=len(staged))
-
-    def request_group_checkin(self, txn_id: str,
-                              records: list[dict[str, Any]],
-                              workstation: str | None = None,
-                              lease: bool = False,
-                              renew: bool = False) -> int:
-        """Stash a checkin request before the coordinator runs 2PC.
-
-        *records* carry the checkin requests in the workstation's
-        original checkin order (a write-through checkin is a batch of
-        one), each with its ``provisional_id`` so the server can map
-        unflushed lineage to the durable ids it assigns during
-        :meth:`prepare`.  This is a control message; the payload bytes
-        travel as separate sized LAN messages the client posts.
-        Returns the accepted record count.
-        """
-        if not self.node.up:
-            self.node.require_up()
-        if renew and workstation is not None:
-            self._piggyback_renewal(workstation)
-        # the records are the request's own: nothing edits them after
-        # the call, so the transaction keeps them as sent
-        self._txns[txn_id] = ServerTxn(records, workstation, lease)
-        return len(records)
-
-    def end_txn(self, txn_id: str) -> ServerTxn | None:
-        """Forget *txn_id* once its drive has ended, handing back its
-        state (None when a server crash already cleared it)."""
-        return self._txns.pop(txn_id, None)
+    def abort(self, txn_id: str, mapping: dict[str, str],
+              error: Exception) -> str:
+        """Un-stage what a failed :meth:`prepare` staged — all or
+        nothing at the staging level (the durability level is the
+        repository's single-force group commit) — and return the
+        refusal's reason."""
+        self.repository.abort_group(list(mapping.values()))
+        reason = str(error) or type(error).__name__
+        self._record("checkin_aborted", txn_id, error=reason,
+                     staged_rolled_back=len(mapping))
+        return reason
 
     # -- End-of-DOP support ---------------------------------------------------------
 
@@ -561,15 +512,16 @@ class ClientTM:
 
     Manages the internal structure of the DOPs running on its machine:
     contexts, savepoints, recovery points, suspend/resume, and the
-    coordinator role in the checkin 2PC.
+    client side of every checkin.
 
     Kernel-event contract: local DOP bookkeeping (begin, work, save,
     restore, suspend, resume, recovery points) schedules **no** kernel
     events and touches **no** network state — it is invisible to the
     event trace.  Network activity happens only on the checkout miss
     path (one RPC + one sized async shipment), on write-through
-    checkin (RPC + sized upload + 2PC), and on :meth:`flush` (RPC +
-    one batched sized message + 2PC).  All of it is deterministic:
+    checkin (one sized upload + one control RPC), and on
+    :meth:`flush` (one batched sized message + one control RPC).  All
+    of it is deterministic:
     message order follows program order, async deliveries are kernel
     events ordered by ``(time, priority, seq)``, so identically
     seeded runs are trace-identical.
@@ -633,7 +585,6 @@ class ClientTM:
         #: workstation (single checkin, group flush) is driven through it
         self.gateway = CommitGateway(rpc, server_tm, workstation,
                                      ids=self.ids)
-        self.coordinator = self.gateway.coordinator
         #: volatile table of running DOPs — lost on workstation crash
         self._active: dict[str, DesignOperation] = {}
         node.on_crash.append(self._on_crash)
@@ -923,8 +874,8 @@ class ClientTM:
         """Check in the derived DOV.
 
         **Write-through** (default): ships the payload as a sized LAN
-        message and runs the checkin 2PC immediately — one RPC, one
-        sized upload, one commit protocol per checkin.  On success the
+        message and commits it immediately — one sized upload and one
+        control RPC per checkin, three messages.  On success the
         new DOV id is recorded on the DOP.  On an integrity violation
         the result carries the server's reason — the 'checkin failure'
         situation the client-TM "has to indicate ... to the DM"
@@ -990,17 +941,11 @@ class ClientTM:
             created_by=dop.da_id,
             created_at=self.clock.now,
             parents=tuple(resolved_lineage))
-        record = {
-            "provisional_id": provisional_id,
-            "da_id": dop.da_id,
-            "dot_name": dot_name,
-            # the provisional DOV's (frozen) payload — the flush ships
-            # this exact object and the server stages it without a
-            # copy or re-walk, so the durable version shares it too
-            "data": dov.data,
-            "parents": resolved_lineage,
-            "dop_id": dop.dop_id,
-        }
+        # the provisional DOV's (frozen) payload — the flush ships this
+        # exact object and the server stages it without a copy or
+        # re-walk, so the durable version shares it too
+        record = CheckinRecord(provisional_id, dop.da_id, dot_name,
+                               dov.data, resolved_lineage, dop.dop_id)
         before = set(self.buffer.dirty_ids())
         self.buffer.put_dirty(dov, dop.da_id, record)
         # record which provisional ids this entry coalesced away, so
@@ -1020,8 +965,8 @@ class ClientTM:
 
         Collect the dirty records, hand them to the gateway's
         :meth:`~repro.txn.gateway.CommitGateway.group_checkin` (one
-        control RPC, ONE sized batch message, the 2PC — the control
-        RPC also carries this workstation's lease renewal when one is
+        sized batch message and ONE control RPC that commits it — the
+        control RPC also carries this workstation's lease renewal when one is
         due), apply the outcome.  On commit the buffer rebinds the
         provisional entries to the durable versions the server
         assigned (they stay resident under fresh leases) and
@@ -1115,7 +1060,7 @@ class ClientTM:
         the time the DM is messaged.  The DOP's ``output_dov`` is
         rewritten from its provisional to its durable id.
 
-        A *failed* flush (deferred integrity violation, 2PC abort)
+        A *failed* flush (deferred integrity violation)
         raises :class:`TransactionError` instead of committing: the
         DOP stays ACTIVE with its dirty entries intact, so the caller
         can correct and retry the checkin — or :meth:`abort_dop`,
@@ -1189,7 +1134,6 @@ def register_server_endpoints(rpc: TransactionalRpc,
                               server_tm: ServerTM) -> None:
     """Expose the server-TM operations as transactional RPC endpoints."""
     rpc.register(server_tm.node_id, "checkout", server_tm.checkout)
-    rpc.register(server_tm.node_id, "request_group_checkin",
-                 server_tm.request_group_checkin)
+    rpc.register(server_tm.node_id, "checkin", server_tm.checkin)
     rpc.register(server_tm.node_id, "release_derivation_locks",
                  server_tm.release_derivation_locks)

@@ -5,16 +5,27 @@ slice of the protocol: write-through checkin stashed a request, posted
 an upload and ran a 2PC; the write-back flush stashed a *group*
 request, posted a batch and ran another 2PC; the federation batched
 per member with no decision at all.  :class:`CommitGateway` extracts
-the shared drive — txn-id allocation, request stashing over the
-control RPC, sized payload shipment, and the prepare/decide/complete
-run of the :class:`~repro.net.two_phase_commit.TwoPhaseCoordinator` —
-so the transaction managers are thin participants: they validate,
-stage and apply; the *decision* happens here.
+the client side of the drive — txn-id allocation, sized payload
+shipment and the one control RPC — so the transaction managers stay
+thin: the client-TM collects, the server-TM stages and applies.
+
+Every TE checkin has one participant, the server-TM, so it commits in
+one exchange ([SBCM93]'s one-phase commit for a sole participant, the
+"optimization alternatives" Sect.6 points at): the request carries the
+record list and the reply carries the decision, which the participant
+takes itself (:meth:`~repro.te.transaction_manager.ServerTM.checkin`).
+The payload bytes ship first, as their own sized message, so they are
+filed before the invalidations the commit raises.  A checkin costs
+three messages: the upload, the request and the reply.  Its outcome
+names :attr:`~repro.net.two_phase_commit.CommitProtocol.ONE_PHASE`
+and counts the two control messages and the repository's one forced
+WAL write; the two-phase variants stay in
+:mod:`repro.net.two_phase_commit`, where T3 compares them with it.
 
 Commit shapes:
 
 * :meth:`CommitGateway.single_checkin` — one write-through checkin
-  (one control RPC, one sized upload, one 2PC);
+  (one sized upload, one control RPC);
 * :meth:`CommitGateway.group_checkin` — one workstation's write-back
   flush: its dirty set ships as one sized batch message and the
   server stages it as *one* batch under *one* decision and *one*
@@ -23,14 +34,19 @@ Commit shapes:
 
 The third shape lives one layer down: a **cross-member federation
 batch** (:meth:`~repro.repository.federation.FederatedRepository.commit_group`)
-runs the same prepare/decide/complete skeleton with the
-:class:`~repro.txn.decision_log.GlobalDecisionLog` as its decision
-point — homes resolved O(batch) through the staged-home map, the
-decision forced in one coordinator-side write, and the log kept
+has several participants and runs a prepare/decide/complete skeleton
+with the :class:`~repro.txn.decision_log.GlobalDecisionLog` as its
+decision point — homes resolved O(batch) through the staged-home map,
+the decision forced in one coordinator-side write, and the log kept
 bounded by the checkpoint frontier
 (:meth:`~repro.txn.decision_log.GlobalDecisionLog.checkpoint`), so
 the shape survives member *and* coordinator loss without ever
 replaying history past the frontier.
+
+A server that crashes after its forced write but before it replies
+leaves the checkin committed while the workstation sees the reply's
+:class:`~repro.util.errors.RpcError` ("reply ... lost"): the in-doubt
+case of one-phase commit, stated in ``docs/coherence.md``.
 """
 
 from __future__ import annotations
@@ -39,9 +55,32 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from repro.net.rpc import TransactionalRpc
-from repro.net.two_phase_commit import CommitOutcome, TwoPhaseCoordinator
+from repro.net.two_phase_commit import CommitOutcome, CommitProtocol, Decision
 from repro.repository.versions import payload_sizeof
 from repro.util.ids import IdGenerator
+
+_COMMIT = Decision.COMMIT
+_ABORT = Decision.ABORT
+_ONE_PHASE = CommitProtocol.ONE_PHASE
+
+
+class CheckinRecord(NamedTuple):
+    """One checkin of a request, as the server-TM stages it: a tuple,
+    built in one allocation.
+
+    A write-through checkin sends one whose ``provisional_id`` is the
+    transaction id; a write-back flush sends its dirty entries' in
+    checkin order, where a parent may name an earlier record's
+    provisional id."""
+
+    provisional_id: str
+    da_id: str
+    dot_name: str
+    #: the frozen payload the durable version adopts
+    data: Any
+    parents: list[str]
+    #: the write-back DOP that made it (None for write-through)
+    dop_id: str | None = None
 
 
 class SingleCommitResult(NamedTuple):
@@ -73,12 +112,12 @@ class GroupCommitResult:
 
 
 def _arrived() -> None:
-    """Delivery of an upload: the server stages from the request the
-    control RPC stashed, so the bytes only cost their transport."""
+    """Delivery of an upload: the server stages from the records the
+    control RPC carries, so the bytes only cost their transport."""
 
 
 class CommitGateway:
-    """Drives the commit protocol from one coordinator node.
+    """Drives the commit protocol from one workstation.
 
     Each client-TM owns a gateway anchored at its workstation.
     """
@@ -87,16 +126,34 @@ class CommitGateway:
                  node_id: str,
                  ids: IdGenerator | None = None) -> None:
         self.rpc = rpc
-        self.server_tm = server_tm
         self.node_id = node_id
         self.ids = ids or IdGenerator()
-        self.coordinator = TwoPhaseCoordinator(rpc.network, node_id)
-        #: the id prefix of this coordinator's transactions
+        #: the id prefix of this workstation's transactions
         self._txn_prefix = f"txn-{node_id}"
+        #: the sole participant's node and its id
+        self._server_node = server_tm.node
+        self._server_id = server_id = server_tm.node_id
+        network = rpc.network
+        #: the transport latency of one exchange: request and reply
+        self._round_trip = 2 * (
+            network.local_latency if node_id == server_id
+            else network.lan_latency)
         #: reentrancy guard of :meth:`group_checkin`: a flush's own
         #: commit schedules invalidations that could recall the flush
         #: mid-flight
         self.flushing = False
+
+    def _outcome(self, txn_id: str, reply: Any) -> CommitOutcome:
+        """The one-phase outcome of *txn_id*: two control messages, and
+        the repository's one forced write when *reply* commits; a
+        refusal (a reason string) forces nothing, and the server is its
+        NO voter."""
+        if reply.__class__ is str:
+            return tuple.__new__(CommitOutcome, (
+                txn_id, _ABORT, _ONE_PHASE, 2, 0, self._round_trip, (),
+                (self._server_id,)))
+        return tuple.__new__(CommitOutcome, (
+            txn_id, _COMMIT, _ONE_PHASE, 2, 1, self._round_trip, (), ()))
 
     # -- single checkin (write-through) -------------------------------------
 
@@ -104,70 +161,71 @@ class CommitGateway:
                        payload: dict[str, Any], lineage: list[str],
                        lease: bool = False,
                        renew: bool = False) -> SingleCommitResult:
-        """One write-through checkin: control RPC, sized upload, 2PC.
+        """One write-through checkin: sized upload, then one control
+        RPC that commits it — a record list of one whose
+        ``provisional_id`` is the transaction id.
 
-        With ``renew=True`` the control RPC carries the coordinator
-        workstation's lease-renewal metadata (piggybacked — no
-        dedicated renewal message).
+        With ``renew=True`` the control RPC carries the workstation's
+        lease-renewal metadata (piggybacked — no dedicated renewal
+        message).  A down server is refused with the call's
+        :class:`~repro.util.errors.RpcError` before anything ships.
         """
         txn_id = self.ids.next(self._txn_prefix)
         node_id = self.node_id
-        server = self.server_tm
+        server_id = self._server_id
         rpc = self.rpc
-        rpc.call(node_id, server.node_id,
-                 "request_group_checkin", txn_id, [{
-                     "provisional_id": txn_id,
-                     "da_id": da_id,
-                     "dot_name": dot_name,
-                     "data": payload,
-                     "parents": lineage,
-                 }], workstation=node_id, lease=lease, renew=renew)
-        # the derived data ships workstation -> server (the checkin
-        # direction of the data-shipping path; the RPC is control)
-        rpc.network.post(node_id, server.node_id, _arrived,
-                         label=f"dov-upload:{txn_id}",
-                         size=payload_sizeof(payload))
-        outcome = self.coordinator.execute(txn_id, [server])
-        txn = server.end_txn(txn_id)
-        if not outcome.committed:
-            return SingleCommitResult(
-                outcome, False, reason=(txn and txn.error) or "2PC abort")
+        if not self._server_node.up:
+            rpc.require_reachable(node_id, server_id, "checkin")
+        # the derived data ships workstation -> server first (the
+        # checkin direction of the data-shipping path; the RPC is
+        # control), so it is filed before the commit's invalidations
+        rpc.network.post(node_id, server_id, _arrived,
+                         f"dov-upload:{txn_id}", payload_sizeof(payload))
+        record = tuple.__new__(CheckinRecord, (
+            txn_id, da_id, dot_name, payload, lineage, None))
+        reply = rpc.call(node_id, server_id, "checkin", txn_id, [record],
+                         node_id, lease, renew)
+        if reply.__class__ is str:
+            return SingleCommitResult(self._outcome(txn_id, reply), False,
+                                      reason=reply)
+        # committed: the outcome _outcome would build, built in place
+        outcome = tuple.__new__(CommitOutcome, (
+            txn_id, _COMMIT, _ONE_PHASE, 2, 1, self._round_trip, (), ()))
         return tuple.__new__(SingleCommitResult,
-                             (outcome, True, txn.dovs[0], ""))
+                             (outcome, True, reply[1][0], ""))
 
     # -- group checkin (write-back flush) ----------------------------------
 
-    def group_checkin(self, records: list[dict[str, Any]],
+    def group_checkin(self, records: list[CheckinRecord],
                       sizes: list[int],
                       renew: bool = False) -> GroupCommitResult:
         """Commit one workstation's deferred checkins as ONE decision.
 
-        One control RPC carries the record list, one sized batch
-        message carries the payloads, the server stages the whole
-        batch all-or-nothing and ONE 2PC decides it — so the
-        repository forces its WAL exactly once per flush.  The
-        committed versions are leased to this workstation.  While the
-        drive runs, :attr:`flushing` is set: a recall that the
-        commit's own invalidations raise does not start a second
-        flush.
+        One sized batch message carries the payloads, one control RPC
+        carries the record list, and the server stages the whole batch
+        all-or-nothing and commits it — so the repository forces its
+        WAL exactly once per flush.  The committed versions are leased
+        to this workstation.  While the drive runs, :attr:`flushing`
+        is set: a recall that the commit's own invalidations raise
+        does not start a second flush.
         """
         txn_id = self.ids.next(self._txn_prefix)
-        server = self.server_tm
+        node_id = self.node_id
+        server_id = self._server_id
+        rpc = self.rpc
+        if not self._server_node.up:
+            rpc.require_reachable(node_id, server_id, "checkin")
         self.flushing = True
         try:
-            self.rpc.call(self.node_id, server.node_id,
-                          "request_group_checkin", txn_id, records,
-                          workstation=self.node_id, lease=True,
-                          renew=renew)
-            self.rpc.network.post_batch(
-                self.node_id, server.node_id, _arrived,
-                label=f"group-checkin:{txn_id}", sizes=sizes)
-            outcome = self.coordinator.execute(txn_id, [server])
+            rpc.network.post_batch(node_id, server_id, _arrived, sizes,
+                                   f"group-checkin:{txn_id}")
+            reply = rpc.call(node_id, server_id, "checkin", txn_id,
+                             records, node_id, True, renew)
         finally:
             self.flushing = False
-        txn = server.end_txn(txn_id)
-        if not outcome.committed:
-            return GroupCommitResult(
-                outcome, reason=(txn and txn.error) or "2PC abort")
-        return GroupCommitResult(outcome, mapping=txn.mapping,
-                                 dovs=txn.dovs)
+        if reply.__class__ is str:
+            return GroupCommitResult(self._outcome(txn_id, reply),
+                                     reason=reply)
+        mapping, dovs = reply
+        return GroupCommitResult(self._outcome(txn_id, reply),
+                                 mapping=mapping, dovs=dovs)

@@ -107,6 +107,27 @@ class TestExperiments:
         _assert_rejects("T3", presumed_abort_forces_as_much,
                         "abort forced_writes")
 
+    def test_t3_one_phase_beats_a_sole_participants_2pc(self):
+        sole = _row(_real("T3"), protocol="presumed_abort",
+                    case="sole participant")
+        assert (sole["messages"], sole["forced_writes"]) == (4, 3)
+        for case in ("write-through checkin (stack)",
+                     "4-record flush (stack)"):
+            row = _row(_real("T3"), protocol="one_phase", case=case)
+            assert (row["messages"], row["forced_writes"]) == (2, 1)
+
+        def flush_runs_a_2pc(result):
+            _row(result, protocol="one_phase",
+                 case="4-record flush (stack)")["messages"] = 4
+        _assert_rejects("T3", flush_runs_a_2pc,
+                        "(4-record flush (stack)) saved no messages")
+
+        def checkin_forces_a_decision(result):
+            _row(result, protocol="one_phase",
+                 case="write-through checkin (stack)")["forced_writes"] = 3
+        _assert_rejects("T3", checkin_forces_a_decision,
+                        "saved no forced_writes")
+
     def test_t4_runs(self):
         def conflicts_fall_with_sharing(result):
             rows = [r for r in result.rows
@@ -114,6 +135,24 @@ class TestExperiments:
             rows[0]["value"] = rows[-1]["value"] + 1
         _assert_rejects("T4", conflicts_fall_with_sharing,
                         "must grow with sharing")
+
+    def test_t4_counts_not_times(self):
+        # every T4 value is an exact count, the same on any host
+        assert [row["value"] for row in _real("T4").rows] \
+            == [5000, 0, 0, 100, 150, 175, 5, 15, 35]
+
+        def a_pair_left_its_grant(result):
+            _row(result, measure="short-lock grants left")["value"] = 1
+        _assert_rejects("T4", a_pair_left_its_grant, "leave no grant")
+
+        def a_pair_lost(result):
+            _row(result, measure="short-lock pairs done")["value"] -= 1
+        _assert_rejects("T4", a_pair_lost, "must all complete")
+
+        def a_final_not_handed_over(result):
+            _row(result, measure="inheritance chain (depth=8)")[
+                "value"] -= 1
+        _assert_rejects("T4", a_final_not_handed_over, "linear in the levels")
 
     def test_t5_shape(self):
         def rounds_flat_across_severity(result):

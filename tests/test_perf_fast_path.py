@@ -51,12 +51,14 @@ from repro.sim.scheduler import EventScheduler
 from repro.te.context import DopContext
 from repro.te.locks import LockManager, LockMode
 from repro.te.object_buffer import ObjectBuffer
+from repro.te.rig import TeRig
 from repro.te.recovery import (
     MAX_DELTA_CHAIN,
     CheckoutRecord,
     RecoveryManager,
 )
 from repro.te.transaction_manager import ServerTM
+from repro.txn.gateway import CheckinRecord
 from repro.txn.leases import LeaseTable
 from repro.util.rng import SeededRng
 from repro.util.trace import EventTrace
@@ -251,9 +253,8 @@ class TestOneWalkPerDov:
                                           nested_payload(), "da-1", 0.0)
         buffer = ObjectBuffer("ws-1")
         buffer.put_dirty(provisional, "da-1",
-                         {"provisional_id": "wb-1", "da_id": "da-1",
-                          "dot_name": "Cell", "data": provisional.data,
-                          "parents": [], "dop_id": "dop-1"})
+                         CheckinRecord("wb-1", "da-1", "Cell",
+                                       provisional.data, [], "dop-1"))
         # the server adopts the shipped frozen payload, so the durable
         # version *shares* it — rebind must not re-size anything
         durable = DesignObjectVersion("dov-9", "Cell", provisional.data,
@@ -572,10 +573,10 @@ class TestAReadSetIsOneCheckout:
 
 class TestAWriteThroughCheckinCostsWhatItChanges:
     """A count gate on the write-through checkin, host-independent:
-    one checkin ships its request and its bytes, runs one 2PC with one
-    participant, logs the version it commits with one forced write,
-    revokes the lease on the version it supersedes, and runs nothing
-    else.
+    one checkin ships its bytes and commits in one exchange with its
+    sole participant, logs the version it commits with one forced
+    write, revokes the lease on the version it supersedes, and runs
+    nothing else.
 
     The calls are Python-level ``call`` events under
     :func:`sys.setprofile`, counted as in
@@ -584,15 +585,16 @@ class TestAWriteThroughCheckinCostsWhatItChanges:
     walk's (which a bigger payload makes longer).  Before the
     repository logged the version it commits, a checkin of this rig
     made 119 calls, four of them ``copy.deepcopy`` in the WAL's copy
-    of the checkin record and eight dataclass ``__init__``s."""
+    of the checkin record and eight dataclass ``__init__``s; under a
+    two-phase commit with its one participant it made 50, six of
+    them ``Network.send``."""
 
     CHECKINS = 300
     #: Python-level calls of one write-through checkin of this rig
-    #: (the failing assertion lists them); three build a record with a
-    #: generated ``__init__``: the server's transaction, the lease and
-    #: the buffer entry (the version's own ``__init__`` fills its
-    #: fields directly)
-    MAX_CALLS = 50
+    #: (the failing assertion lists them); two build a record with a
+    #: generated ``__init__``: the lease and the buffer entry (the
+    #: version's own ``__init__`` fills its fields directly)
+    MAX_CALLS = 41
 
     def test_300_write_through_checkins_inside_one_dop(self):
         # the campaigns' lease regime: every committed version is
@@ -606,6 +608,7 @@ class TestAWriteThroughCheckinCostsWhatItChanges:
         payloads = [freeze_payload(_nested_payload(rev=index + 1))
                     for index in range(self.CHECKINS)]
         forced = wal.forced_writes
+        messages = rig.network.messages_sent
         parent = dov.dov_id
 
         per_checkin: list[list] = []
@@ -613,7 +616,7 @@ class TestAWriteThroughCheckinCostsWhatItChanges:
 
         def profile(frame, event, arg):
             if event == "call":
-                calls.append(frame.f_code)
+                calls.append((frame.f_code, frame.f_back.f_code))
 
         collecting = gc.isenabled()
         gc.disable()
@@ -633,26 +636,78 @@ class TestAWriteThroughCheckinCostsWhatItChanges:
             if collecting:
                 gc.enable()
 
-        def named(codes, qualname):
-            return sum(code.co_qualname == qualname for code in codes)
+        def named(pairs, qualname, caller=None):
+            return sum(code.co_qualname == qualname
+                       and caller in (None, called_by.co_qualname)
+                       for code, called_by in pairs)
 
         assert wal.forced_writes - forced == self.CHECKINS
+        # the exchange (upload, request, reply) and the invalidation of
+        # the superseded parent's copy
+        assert rig.network.messages_sent - messages == 4 * self.CHECKINS
         assert client.buffer.get(parent, "da-1").data is payloads[-1]
-        for codes in per_checkin:
-            assert named(codes, "WriteAheadLog.append") == 1
-            assert named(codes, "WriteAheadLog.force") == 1
-            assert named(codes, "Network.send") == 6
-            assert named(codes, "deepcopy") == 0
-            assert len(codes) <= self.MAX_CALLS, \
-                [code.co_qualname for code in codes]
+        for pairs in per_checkin:
+            assert named(pairs, "WriteAheadLog.append") == 1
+            assert named(pairs, "WriteAheadLog.force") == 1
+            assert named(pairs, "Network.send") == 2
+            assert named(pairs, "Network.post",
+                         "CommitGateway.single_checkin") == 1
+            assert named(pairs, "Network.post",
+                         "ServerTM._post_invalidation") == 1
+            assert named(pairs, "Network.post") == 2
+            assert named(pairs, "deepcopy") == 0
+            assert len(pairs) <= self.MAX_CALLS, \
+                [code.co_qualname for code, _ in pairs]
+
+
+class TestAFlushIsOneExchange:
+    """A count gate on the write-back flush: whatever the size of the
+    dirty set, one batched upload and one exchange (a request and a
+    reply) with the sole participant commit it, under one forced
+    write."""
+
+    @pytest.mark.parametrize("records", [1, 8])
+    def test_one_flush(self, records):
+        rig = TeRig(trace=False, write_back=True, lease_ttl=120.0)
+        rig.open_scope()
+        client = rig.add_workstation("ws-1")
+        rig.repository.register_dot(_CELL)
+        rig.repository.create_graph("da-1")
+        dop = client.begin_dop("da-1", "tool")
+        for index in range(records):
+            client.checkin(dop, "Cell", data=_nested_payload(rev=index),
+                           parents=[])
+        forced = rig.repository.wal.forced_writes
+        messages = rig.network.messages_sent
+        calls: list = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_qualname)
+
+        sys.setprofile(profile)
+        try:
+            flushed = client.flush()
+        finally:
+            sys.setprofile(None)
+        assert flushed.committed and len(flushed.dovs) == records
+        assert (flushed.outcome.messages,
+                flushed.outcome.forced_log_writes) == (2, 1)
+        assert rig.repository.wal.forced_writes - forced == 1
+        assert rig.network.messages_sent - messages == 3
+        assert calls.count("Network.send") == 2
+        assert calls.count("Network.post_batch") == 1
+        assert calls.count("Network.post") == 1
+        assert calls.count("TransactionalRpc.call") == 1
+        assert calls.count("ServerTM.checkin") == 1
 
 
 class TestAWriteStepCostsWhatItWrites:
     """Count gates on a write step of the session driver: the payload
     it checks in is built frozen once per (object, letter), so a
     checkin walks nothing to freeze it; and the short lock on the DA's
-    derivation graph, which nothing can hold while the synchronous
-    prepare stages, is counted and enters no lock table."""
+    derivation graph, which nothing can hold while the server-TM's
+    synchronous checkin stages, is counted and enters no lock table."""
 
     CAMPAIGN = {
         "scenario": {"name": "writes", "kind": "campaign", "seed": 7},
@@ -683,13 +738,14 @@ class TestAWriteStepCostsWhatItWrites:
 
         monkeypatch.setattr(ClientTM, "checkin", counted_checkin)
         tables: list[LockManager] = []
-        prepare = ServerTM.prepare
+        checkin_endpoint = ServerTM.checkin
 
-        def watched_prepare(server_tm, txn_id):
+        def watched_checkin(server_tm, *args):
             tables.append(server_tm.locks)
-            return prepare(server_tm, txn_id)
+            return checkin_endpoint(server_tm, *args)
 
-        monkeypatch.setattr(ServerTM, "prepare", watched_prepare)
+        # before the rig registers the server-TM's endpoint
+        monkeypatch.setattr(ServerTM, "checkin", watched_checkin)
         entered: list[str] = []
         acquire = LockManager.acquire
 
@@ -710,8 +766,10 @@ class TestAWriteStepCostsWhatItWrites:
         locks = tables[0]
         assert all(table is locks for table in tables)
         assert not [r for r in locks._table if r.startswith("graph:")]
-        # one short pair per server checkout and one per prepare, all
-        # counted as a grant and a release
+        # one short pair per server checkout and one per checkin (its
+        # records are all of one DA), all counted as a grant and a
+        # release
+        assert len(tables) == report.checkins
         pairs = calls["checkout"] + len(tables)
         assert calls["checkout"] > 20
         assert (locks.stats.granted, locks.stats.released,

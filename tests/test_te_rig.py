@@ -17,13 +17,16 @@ import pytest
 from repro.bench.perf import _make_rig, _nested_payload
 from repro.core.system import ConcordSystem
 from repro.net.network import Network
+from repro.repository.versions import freeze_payload, payload_sizeof
+from repro.repository.wal import LogRecordKind
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
     DesignObjectType,
 )
 from repro.te.rig import TeRig
-from repro.util.errors import ConcordError, NetworkError
+from repro.txn.gateway import CheckinRecord
+from repro.util.errors import ConcordError, NetworkError, RpcError
 from repro.scenario.sessions import session_rig
 
 
@@ -92,30 +95,69 @@ def _with_cell_dot(rig: TeRig) -> TeRig:
     # the perf harness
     (_make_rig, _nested_payload()),
 ], ids=["TeRig", "ConcordSystem", "session_rig", "perf_rig"])
-def test_a_server_crash_crashes_the_repository(build, payload):
+def test_a_server_crash_crashes_the_repository(build, payload,
+                                               crash_at_the_force):
+    """The server dies inside a checkin, with the version staged and
+    its record appended but not forced: the repository crashes with
+    it, nothing of the checkin is durable after the restart, and a
+    retry commits exactly once."""
     rig = build()
     repo, client = rig.repository, rig.client_tm("ws-1")
     durable = repo.checkin("da-1", "Cell", payload)
     dop = client.begin_dop("da-1", "tool")
     client.checkout(dop, durable.dov_id)           # warm buffer entry
-    rig.server_tm.request_group_checkin("txn-1", [{
-        "provisional_id": "txn-1", "da_id": "da-1", "dot_name": "Cell",
-        "data": payload, "parents": [durable.dov_id]}])
-    assert rig.server_tm.prepare("txn-1").value == "yes"
-    staged, = repo.store.staged_ids()
+    crash_at_the_force(rig, "before")
+    with pytest.raises(RpcError, match="reply of 'checkin' lost"):
+        client.checkin(dop, "Cell", data=payload, parents=[durable.dov_id])
 
-    rig.crash_server()
+    assert not rig.server.up
     assert repo.store.staged_ids() == set()
-    assert rig.server_tm.end_txn("txn-1") is None   # the crash forgot it
     assert not repo.has_graph("da-1")
     rig.restart_server()
 
-    assert staged not in repo
+    assert len(repo.store) == 1                    # only the parent
     assert repo.read(durable.dov_id).stamp == durable.stamp
     assert repo.has_graph("da-1")
     buffer = rig.object_buffer("ws-1")
     assert durable.dov_id in buffer and buffer.revalidated == 1
     assert rig.server_tm.leases.holders(durable.dov_id) == {"ws-1"}
+    retried = client.checkin(dop, "Cell", data=payload,
+                             parents=[durable.dov_id])
+    assert retried.success and len(repo.store) == 2
+    assert [dov.dov_id for dov in repo.graph("da-1")] \
+        == [durable.dov_id, retried.dov.dov_id]
+
+
+@pytest.mark.parametrize("build, payload", [
+    (lambda: _with_cell_dot(TeRig(trace=False)), {"area": 1.0}),
+    (_make_rig, _nested_payload()),
+], ids=["TeRig", "perf_rig"])
+def test_a_crash_after_the_force_loses_only_the_reply(build, payload,
+                                                      crash_at_the_force):
+    """The server dies inside a checkin right after its forced write:
+    the checkin is committed, the workstation sees the lost reply —
+    the in-doubt case of a one-phase commit — and after the restart
+    the version is durable exactly once."""
+    rig = build()
+    repo, client = rig.repository, rig.client_tm("ws-1")
+    durable = repo.checkin("da-1", "Cell", payload)
+    dop = client.begin_dop("da-1", "tool")
+    client.checkout(dop, durable.dov_id)
+    crash_at_the_force(rig, "after")
+    with pytest.raises(RpcError, match="reply of 'checkin' lost"):
+        client.checkin(dop, "Cell", data=payload, parents=[durable.dov_id])
+    assert dop.output_dov is None              # the client never knew
+    rig.restart_server()
+
+    committed = [dov for dov in repo.graph("da-1")
+                 if dov.dov_id != durable.dov_id]
+    assert len(committed) == 1 and len(repo.store) == 2
+    assert committed[0].parents == (durable.dov_id,)
+    assert committed[0].data == payload
+    logged = [record.payload["dov"].dov_id for record
+              in repo.wal.stable_records(LogRecordKind.DOV_CHECKIN)]
+    assert logged.count(committed[0].dov_id) == 1
+    assert repo.store.staged_ids() == set()
 
 
 def test_the_repository_recovers_before_the_buffers_revalidate():
@@ -135,73 +177,97 @@ def test_the_repository_recovers_before_the_buffers_revalidate():
     assert rig.server.on_restart[1] == rig.server_tm._on_server_restart
 
 
-def _drive_checkin(leg: str) -> dict:
-    """One write-through checkin through the server-TM's one endpoint,
-    ``request_group_checkin -> prepare -> <leg>``, in the shape the
-    gateway sends (a group of one, keyed by the transaction id); what
-    it left behind."""
+def _drive_checkin(shape: str, leg: str, arm) -> dict:
+    """One checkin through the server-TM's one endpoint, in the shape
+    a write-through checkin sends (``single``, a list of one keyed by
+    the transaction id) or a flush sends (``group``); what it left
+    behind."""
     rig = _with_cell_dot(TeRig())
-    repo, server_tm = rig.repository, rig.server_tm
+    repo, server_tm, gateway = (rig.repository, rig.server_tm,
+                                rig.client_tm("ws-1").gateway)
     parent = repo.checkin("da-1", "Cell", {"area": 1.0})
-    data = {"area": "wide" if leg == "prepare-failure" else 2.0}
+    data = freeze_payload({"area": "wide" if leg == "prepare-failure"
+                           else 2.0})
     wal_before, forces_before = len(repo.wal), repo.wal.forced_writes
     rows_before = len(rig.trace)
-    server_tm.request_group_checkin("txn-1", [{
-        "provisional_id": "txn-1", "da_id": "da-1",
-        "dot_name": "Cell", "data": data,
-        "parents": [parent.dov_id]}], workstation="ws-1", lease=True)
-    vote = server_tm.prepare("txn-1")
-    staged_after_prepare = len(repo.store.staged_ids())
-    if leg == "commit":
-        server_tm.commit("txn-1")
+    sent = rig.network.messages_sent
+    if leg == "abort":
+        arm(rig, "before")
+
+    def drive():
+        if shape == "single":
+            return gateway.single_checkin("da-1", "Cell", data,
+                                          [parent.dov_id], lease=True)
+        return gateway.group_checkin(
+            [CheckinRecord("wb-1", "da-1", "Cell", data, [parent.dov_id])],
+            [payload_sizeof(data)])
+
+    if leg == "abort":
+        with pytest.raises(RpcError, match="reply of 'checkin' lost"):
+            drive()
+        result = None
+        down = {"staged": len(repo.store.staged_ids()),
+                "graph": repo.has_graph("da-1")}
+        rig.restart_server()
     else:
-        server_tm.abort("txn-1")
-    txn = server_tm.end_txn("txn-1")
-    staged_id = txn.mapping.get("txn-1")
-    durable = repo.read(staged_id) if leg == "commit" else None
+        result = drive()
+        down = None
+    durable = None
+    if result is not None and result.committed:
+        durable = result.dov if shape == "single" else result.dovs[0]
     return {
-        "vote": vote,
-        "staged_after_prepare": staged_after_prepare,
+        "committed": bool(result and result.committed),
+        "outcome": result and (result.outcome.protocol.value,
+                               result.outcome.messages,
+                               result.outcome.forced_log_writes),
+        "reason": result and result.reason,
+        "down": down,
         "staged_after": len(repo.store.staged_ids()),
-        "mapping_size": len(txn.mapping),
-        "result": [dov.dov_id for dov in txn.dovs],
-        "durable": durable and (durable.dov_id, durable.dot_name,
-                                dict(durable.data), durable.parents,
+        "store": len(repo.store),
+        "durable": durable and (dict(durable.data), durable.parents,
                                 durable.created_by),
-        "wal_kinds": [record.kind for record
-                      in repo.wal.all_records()[wal_before:]],
+        "wal_kinds": [record.kind.name for record
+                      in repo.wal.stable_records()[wal_before:]],
         "wal_forces": repo.wal.forced_writes - forces_before,
-        "lease": staged_id and server_tm.leases.holders(staged_id),
+        "lease": durable and server_tm.leases.holders(durable.dov_id),
         "parent_lease": server_tm.leases.holders(parent.dov_id),
-        "error": txn.error,
         "trace_rows": len(rig.trace) - rows_before,
+        "messages": rig.network.messages_sent - sent,
         "graph_lock_free": not rig.locks.holders("graph:da-1"),
-        "forgotten": server_tm.end_txn("txn-1") is None,
     }
 
 
 @pytest.mark.parametrize("leg", ["commit", "abort", "prepare-failure"])
-def test_a_single_checkin_is_a_group_of_one_at_the_server_tm(leg):
-    single = _drive_checkin(leg)
+def test_a_single_checkin_is_a_group_of_one_at_the_server_tm(
+        leg, crash_at_the_force):
+    """A write-through checkin and a group of one commit, refuse or
+    die alike at the server-TM's one checkin endpoint: the same
+    durable version, WAL records, forced writes, lease, trace rows and
+    messages (an upload, a request, a reply)."""
+    single = _drive_checkin("single", leg, crash_at_the_force)
+    group = _drive_checkin("group", leg, crash_at_the_force)
+    assert single == group
     assert single["graph_lock_free"] and single["staged_after"] == 0
-    assert single["forgotten"]
+    # the upload and the request; the reply too, unless the server died
+    assert single["messages"] == (2 if leg == "abort" else 3)
     if leg == "commit":
-        assert single["vote"].value == "yes"
-        assert single["durable"][2:4] == ({"area": 2.0}, ("dov-1",))
-        assert single["result"] == [single["durable"][0]]
-        assert [kind.name for kind in single["wal_kinds"]] \
-            == ["DOV_CHECKIN"]
+        assert single["committed"]
+        assert single["outcome"] == ("one_phase", 2, 1)
+        assert single["durable"] == ({"area": 2.0}, ("dov-1",), "da-1")
+        assert single["wal_kinds"] == ["DOV_CHECKIN"]
         assert single["wal_forces"] == 1
         assert single["lease"] == {"ws-1"}
-        assert single["trace_rows"] == 2      # prepared + committed
+        assert single["parent_lease"] == set()
+        assert single["trace_rows"] == 1          # committed
     elif leg == "abort":
-        assert single["staged_after_prepare"] == 1
-        assert single["durable"] is None and single["wal_kinds"] == []
-        assert single["lease"] == set() and single["error"] == ""
-        assert single["trace_rows"] == 2      # prepared + aborted
+        # the server died before its force: nothing is durable
+        assert single["down"] == {"staged": 0, "graph": False}
+        assert single["store"] == 1 and single["wal_kinds"] == []
+        assert single["wal_forces"] == 0
     else:
-        assert single["vote"].value == "no"
-        assert single["staged_after_prepare"] == 0
-        assert single["mapping_size"] == 0 and single["lease"] is None
-        assert "area" in single["error"]
-        assert single["trace_rows"] == 1      # prepare failed
+        assert not single["committed"]
+        assert single["outcome"] == ("one_phase", 2, 0)
+        assert "area" in single["reason"]
+        assert single["store"] == 1 and single["wal_kinds"] == []
+        assert single["durable"] is None
+        assert single["trace_rows"] == 1          # aborted

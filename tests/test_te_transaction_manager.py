@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.perf import _CELL, _make_rig, _nested_payload
+from repro.net.two_phase_commit import CommitProtocol
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
@@ -327,21 +328,33 @@ class TestWorkstationCrash:
         assert recovered.state is DopState.ACTIVE
 
 
-class TestCheckinTwoPhase:
-    def test_checkin_uses_2pc(self, rig):
+class TestCheckinOnePhase:
+    """The server-TM is a checkin's sole participant: it decides in one
+    exchange, a request and a reply, and forces one WAL write."""
+
+    def test_checkin_commits_in_one_exchange(self, rig):
         client = rig["client_tm"]
         dop = client.begin_dop("da-1", "tool")
         client.checkout(dop, rig["dov0"].dov_id)
         client.work(dop, 1.0, mutate=lambda c: c.data.update(area=1.0))
+        forced = rig["repo"].wal.forced_writes
         result = client.checkin(dop, "Cell")
-        assert result.outcome is not None
-        assert result.outcome.committed
-        assert result.outcome.forced_log_writes >= 2
+        outcome = result.outcome
+        assert outcome.committed
+        assert outcome.protocol is CommitProtocol.ONE_PHASE
+        assert (outcome.messages, outcome.forced_log_writes) == (2, 1)
+        assert rig["repo"].wal.forced_writes - forced == 1
+        assert outcome.no_voters == () and outcome.latency > 0
 
-    def test_failed_checkin_aborts_2pc(self, rig):
+    def test_failed_checkin_aborts(self, rig):
         client = rig["client_tm"]
         dop = client.begin_dop("da-1", "tool")
         client.work(dop, 1.0, mutate=lambda c: c.data.update(area=-1.0))
+        forced = rig["repo"].wal.forced_writes
         result = client.checkin(dop, "Cell")
-        assert not result.outcome.committed
+        outcome = result.outcome
+        assert not outcome.committed and not result.success
+        assert (outcome.messages, outcome.forced_log_writes) == (2, 0)
+        assert outcome.no_voters == ("server",)
         assert rig["repo"].store.staged_ids() == set()
+        assert rig["repo"].wal.forced_writes == forced

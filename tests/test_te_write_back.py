@@ -2,7 +2,7 @@
 
 The PR-3 acceptance surface at the TE level: write-back checkins cost
 zero network events until a flush ships them as ONE batched, sized
-group checkin under a single 2PC; successive checkins of the same
+group checkin under a single decision; successive checkins of the same
 lineage coalesce before shipping; the batch commits atomically (an
 integrity failure or a server crash mid-batch leaves *nothing*
 durable); a workstation crash drops dirty data (recovered from
@@ -23,7 +23,7 @@ from repro.repository.storage import VersionStore
 from repro.repository.versions import DesignObjectVersion
 from repro.te.rig import TeRig
 from repro.txn import GroupCommitResult
-from repro.util.errors import StorageError, TransactionError
+from repro.util.errors import RpcError, StorageError, TransactionError
 
 
 def make_rig(write_back: bool = True,
@@ -44,7 +44,7 @@ def make_rig(write_back: bool = True,
     buffers = {name: te.object_buffer(name) for name in clients}
     dov0 = repo.checkin("da-1", "Cell", {"area": 100.0})
     return {
-        "clock": clock, "network": network, "repo": repo,
+        "te": te, "clock": clock, "network": network, "repo": repo,
         "server_tm": server_tm, "clients": clients,
         "buffers": buffers, "dov0": dov0,
     }
@@ -98,7 +98,7 @@ class TestDeferredCheckin:
         # the survivor inherits the durable lineage
         [entry] = buffer.dirty_entries()
         assert entry.dov.dov_id == r2.dov.dov_id
-        assert entry.record["parents"] == [rig["dov0"].dov_id]
+        assert entry.record.parents == [rig["dov0"].dov_id]
 
 
 class TestGroupFlush:
@@ -315,13 +315,13 @@ class TestGroupAtomicity:
         # the dirty set is intact for a later (corrected) retry
         assert len(rig["buffers"]["ws-1"].dirty_entries()) == 2
 
-    def test_server_crash_mid_batch_leaves_nothing_durable(self, rig):
-        """Crash between prepare (staged) and commit: the staged batch
-        dies with the server's volatile state; after restart nothing
-        is durable and the retried flush commits everything."""
+    def test_server_crash_mid_batch_leaves_nothing_durable(
+            self, rig, crash_at_the_force):
+        """The server dies inside the flush's checkin, with the batch
+        staged and logged but not forced: the batch dies with the
+        server's volatile state; after restart nothing is durable, and
+        the retried flush commits everything exactly once."""
         client = rig["clients"]["ws-1"]
-        server_tm = rig["server_tm"]
-        network = rig["network"]
         repo = rig["repo"]
         dop = client.begin_dop("da-1", "tool")
         client.checkout(dop, rig["dov0"].dov_id)
@@ -329,29 +329,26 @@ class TestGroupAtomicity:
                             parents=[rig["dov0"].dov_id])
         r2 = client.checkin(dop, "Cell", data={"area": 25.0},
                             parents=[])
-        records = [dict(e.record) for e
+        records = [entry.record for entry
                    in rig["buffers"]["ws-1"].dirty_entries()]
-        txn_id = "txn-crash-test"
-        server_tm.request_group_checkin(txn_id, records,
-                                        workstation="ws-1", lease=True)
-        vote = server_tm.prepare(txn_id)
-        assert vote.value == "yes"
-        assert len(repo.store.staged_ids()) == 2
-        network.crash_node("server")
+        crash_at_the_force(rig["te"], "before")
+        with pytest.raises(RpcError, match="reply of 'checkin' lost"):
+            client.flush()
         # volatile staging vanished with the server
+        assert not rig["network"].node("server").up
         assert len(repo.store.staged_ids()) == 0
-        network.restart_node("server")
+        rig["te"].restart_server()
         # nothing from the batch became durable: recovery sees only
         # the pre-batch frontier
         assert len(repo.store) == 1
-        assert all(r["provisional_id"] not in repo for r in records)
-        # the crash cleared the server-TM's transaction table too
-        assert server_tm.end_txn(txn_id) is None
+        assert all(record.provisional_id not in repo for record in records)
+        assert not client.gateway.flushing
         # the workstation still holds its dirty set: retry succeeds
         flushed = client.flush()
         assert flushed.committed and client.flushed_checkins == 2
         assert client.resolve(r1.dov.dov_id) in repo
         assert client.resolve(r2.dov.dov_id) in repo
+        assert len(repo.store) == 3                 # exactly once
 
     def test_commit_batch_is_one_forced_wal_write(self):
         store = VersionStore()
