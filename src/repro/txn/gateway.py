@@ -185,12 +185,9 @@ class CommitGateway:
             txn_id, da_id, dot_name, payload, lineage, None))
         reply = rpc.call(node_id, server_id, "checkin", txn_id, [record],
                          node_id, lease, renew)
+        outcome = self._outcome(txn_id, reply)
         if reply.__class__ is str:
-            return SingleCommitResult(self._outcome(txn_id, reply), False,
-                                      reason=reply)
-        # committed: the outcome _outcome would build, built in place
-        outcome = tuple.__new__(CommitOutcome, (
-            txn_id, _COMMIT, _ONE_PHASE, 2, 1, self._round_trip, (), ()))
+            return SingleCommitResult(outcome, False, reason=reply)
         return tuple.__new__(SingleCommitResult,
                              (outcome, True, reply[1][0], ""))
 

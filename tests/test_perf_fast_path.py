@@ -594,7 +594,7 @@ class TestAWriteThroughCheckinCostsWhatItChanges:
     #: (the failing assertion lists them); two build a record with a
     #: generated ``__init__``: the lease and the buffer entry (the
     #: version's own ``__init__`` fills its fields directly)
-    MAX_CALLS = 41
+    MAX_CALLS = 42
 
     def test_300_write_through_checkins_inside_one_dop(self):
         # the campaigns' lease regime: every committed version is

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The exact values of two traced benchmark runs that differ.
 
-    python tools/count_delta.py BASE.json HEAD.json [--benchmark PATH]
+    python tools/count_delta.py BASE.json HEAD.json
 
 Reads two ``benchmarks/e2e/run.py --trace 1 --reps 1 --out`` files and
 lists, per workload, every exact value that differs between them:
@@ -99,13 +99,10 @@ def main(argv: list[str] | None = None) -> int:
                     "benchmarks/e2e run.py --trace outputs that differ.")
     parser.add_argument("base", type=Path)
     parser.add_argument("head", type=Path)
-    parser.add_argument("--benchmark", type=Path,
-                        default=ROOT / "BENCHMARK.json",
-                        help="the contract whose units name the counts")
     args = parser.parse_args(argv)
     try:
         counts = counted_metrics(
-            json.loads(args.benchmark.read_text(encoding="utf-8")))
+            json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
         base = json.loads(args.base.read_text(encoding="utf-8"))
         head = json.loads(args.head.read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError) as exc:
