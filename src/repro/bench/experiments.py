@@ -25,7 +25,6 @@ from repro.net.two_phase_commit import (
 from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.te.locks import LockManager, LockMode
 from repro.te.rig import TeRig
-from repro.util.errors import LockConflictError
 from repro.util.ids import IdGenerator
 from repro.util.rng import SeededRng
 from repro.vlsi.tools import vlsi_dots
@@ -244,12 +243,11 @@ SHORT_LOCK_PAIRS = 5_000
 
 
 def run_t4() -> ExperimentResult:
-    """Lock-manager short-lock pairs, derivation conflicts, inheritance.
+    """Lock-manager short-lock pairs and scope-lock inheritance.
 
     Every value is an exact count: no row is timed on the host."""
     result = ExperimentResult(
-        "T4", "Lock manager: short-lock pairs, derivation conflicts, "
-              "scope-lock inheritance")
+        "T4", "Lock manager: short-lock pairs, scope-lock inheritance")
 
     # short-lock acquire/release pairs: each pair leaves the table as
     # it found it
@@ -266,21 +264,6 @@ def run_t4() -> ExperimentResult:
                value=sum(len(locks.holders(f"dov-{k}"))
                          for k in range(100)),
                detail="grants in the table after the pairs")
-
-    # derivation conflicts vs sharing level
-    for sharing in (1, 2, 4, 8):
-        locks = LockManager()
-        conflicts = 0
-        attempts = 200
-        for i in range(attempts):
-            dov = f"dov-{i % max(1, attempts // sharing)}"
-            try:
-                locks.acquire(dov, f"da-{i}", LockMode.DERIVATION)
-            except LockConflictError:
-                conflicts += 1
-        result.add(measure=f"derivation conflicts (sharing={sharing})",
-                   value=conflicts,
-                   detail=f"{attempts} checkout attempts")
 
     # scope-lock inheritance cost vs hierarchy depth
     for depth in (2, 4, 8):
@@ -307,10 +290,7 @@ def run_t4() -> ExperimentResult:
                    value=inherited_total,
                    detail=f"{depth - 1} hand-overs of {final_per_da} "
                           f"finals")
-    result.notes.append(
-        "derivation conflicts grow with sharing level (more DAs "
-        "checking out the same DOV); inheritance is linear in finals "
-        "per level")
+    result.notes.append("inheritance is linear in finals per level")
     return result
 
 

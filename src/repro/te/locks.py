@@ -1,19 +1,22 @@
-"""Lock management for DOVs: short, derivation and scope locks.
+"""Lock management for DOVs: short and scope locks.
 
-Sect.5.2 and 5.4 of the paper describe three lock families:
+Sect.5.2 and 5.4 of the paper describe three lock families, of which
+two are modelled here:
 
 * **short locks** protect the brief critical sections of checkin and
   checkout ("short locks are fully sufficient to protect a checkin or
   checkout operation");
-* **derivation locks** are long locks a DA may acquire on a DOV "to
-  prevent multiple checkout (and concurrent processing) of this DOV for
-  application-specific reasons";
 * **scope locks** realise the CM's dissemination control: every DOV in
   a DA's scope carries a scope lock held by that DA.  Unlike nested
   transactions [Mo81], (a) only locks on *final* DOVs are inherited
   upward when a sub-DA terminates, and (b) a scope lock may be granted
   to an *additional* DA when a usage relationship to the retaining DA
   exists and the DOV was propagated with sufficient quality.
+
+The third, the long *derivation lock* a DA may take on a DOV "to
+prevent multiple checkout (and concurrent processing) of this DOV for
+application-specific reasons", is not modelled: no design activity of
+this reproduction has such a reason, so nothing would ever take one.
 
 The manager is conflict-raising rather than blocking: a conflicting
 request raises :class:`LockConflictError` immediately, and the workload
@@ -34,7 +37,6 @@ class LockMode(str, Enum):
 
     SHORT_READ = "short_read"     # checkout critical section
     SHORT_WRITE = "short_write"   # checkin critical section
-    DERIVATION = "derivation"     # long lock against multiple checkout
     SCOPE = "scope"               # membership of a DOV in a DA's scope
 
 
@@ -42,13 +44,8 @@ class LockMode(str, Enum):
 _COMPATIBLE: dict[tuple[LockMode, LockMode], bool] = {
     (LockMode.SHORT_READ, LockMode.SHORT_READ): True,
     (LockMode.SHORT_READ, LockMode.SHORT_WRITE): False,
-    (LockMode.SHORT_READ, LockMode.DERIVATION): True,
     (LockMode.SHORT_WRITE, LockMode.SHORT_READ): False,
     (LockMode.SHORT_WRITE, LockMode.SHORT_WRITE): False,
-    (LockMode.SHORT_WRITE, LockMode.DERIVATION): False,
-    (LockMode.DERIVATION, LockMode.SHORT_READ): True,
-    (LockMode.DERIVATION, LockMode.SHORT_WRITE): False,
-    (LockMode.DERIVATION, LockMode.DERIVATION): False,
 }
 
 #: requested processing mode -> the granted modes it conflicts with
@@ -56,8 +53,7 @@ _CONFLICTS: dict[LockMode, tuple[LockMode, ...]] = {
     requested: tuple(granted for granted, wanted in _COMPATIBLE
                      if wanted is requested
                      and not _COMPATIBLE[(granted, wanted)])
-    for requested in (LockMode.SHORT_READ, LockMode.SHORT_WRITE,
-                      LockMode.DERIVATION)}
+    for requested in (LockMode.SHORT_READ, LockMode.SHORT_WRITE)}
 
 
 class Lock(NamedTuple):
@@ -65,7 +61,7 @@ class Lock(NamedTuple):
     fields cannot be reassigned."""
 
     resource: str   # DOV id
-    holder: str     # DA id (scope/derivation) or DOP id (short)
+    holder: str     # DA id (scope) or DOP id / txn id (short)
     mode: LockMode
 
 
@@ -122,22 +118,6 @@ class LockManager:
         """True when *holder* holds a *mode* lock on *resource*."""
         grants = self._table.get(resource)
         return grants is not None and (mode, holder) in grants
-
-    def holds_any(self, holder: str) -> bool:
-        """True when *holder* holds a lock of any mode, in O(1)."""
-        return holder in self._held
-
-    def blocker(self, resource: str, holder: str,
-                mode: LockMode) -> Lock | None:
-        """The first *mode* grant on *resource*, in grant order, that a
-        holder other than *holder* has; None, in O(1), when none has."""
-        grants = self._table.get(resource)
-        if grants is None \
-                or self._count(resource, grants, mode) \
-                <= ((mode, holder) in grants):
-            return None
-        return next(g for g in grants.values()
-                    if g.mode is mode and g.holder != holder)
 
     def locks_of(self, holder: str,
                  mode: LockMode | None = None) -> list[Lock]:

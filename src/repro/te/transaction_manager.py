@@ -8,9 +8,8 @@ interaction, checkin, is atomic: the server-TM is the sole participant
 of every checkin, so it commits in one exchange ([SBCM93]'s one-phase
 commit, see :meth:`ServerTM.checkin`).
 
-* :class:`ServerTM` — scope-checked checkout with derivation locking,
-  one-phase checkin against the repository (it is the sole
-  participant, and decides), derivation-lock release on End-of-DOP,
+* :class:`ServerTM` — scope-checked checkout, one-phase checkin
+  against the repository (it is the sole participant, and decides),
   WAL-backed durability (delegated to the repository), and the
   **lease table** of the data-shipping protocol (the txn layer's
   :class:`~repro.txn.leases.LeaseTable`): every version shipped to a
@@ -76,7 +75,6 @@ from repro.te.object_buffer import ObjectBuffer
 from repro.te.locks import LockManager, LockMode
 from repro.te.recovery import POINT_INTERVAL, RecoveryManager
 from repro.util.errors import (
-    LockConflictError,
     RecoveryError,
     ScopeViolationError,
     TransactionError,
@@ -180,18 +178,19 @@ class ServerTM:
     # -- checkout ---------------------------------------------------------------
 
     def checkout(self, da_id: str, dop_id: str, dov_id: str,
-                 derivation_lock: bool = False,
                  workstation: str | None = None,
                  lease: bool = False,
                  renew: bool = False) -> DesignObjectVersion:
-        """Scope-checked read of a DOV with optional derivation lock.
+        """Scope-checked read of a DOV.
 
         Implements Sect.5.2's checkout: "it has to be tested that,
         firstly, the DOV belongs to the scope of the DOP's DA, and,
-        secondly, there is no incompatible derivation lock on the DOV."
-        The critical section itself is protected by a short read lock;
-        on a DOV that carries no lock nothing could conflict with it,
-        and the pair is only counted.  With ``lease=True`` the server
+        secondly, there is no incompatible derivation lock on the DOV"
+        — no DA takes one (:mod:`repro.te.locks`), so the scope test
+        is the whole admission.  The critical section's short read
+        lock is only counted: no grant the stack takes conflicts with
+        it, as a scope lock does not and short write locks are taken on
+        DA graphs only (:meth:`prepare`).  With ``lease=True`` the server
         additionally records a read lease for *workstation* — the
         promise to invalidate the shipped copy when a later checkin
         supersedes it.
@@ -208,22 +207,10 @@ class ServerTM:
                          reason="scope")
             raise ScopeViolationError(
                 f"DOV {dov_id!r} is not in the scope of DA {da_id!r}")
-        locks = self.locks
-        if not derivation_lock and locks.pass_short_lock(dov_id):
-            dov = self.repository.read(dov_id)
-        else:
-            grant = locks.blocker(dov_id, da_id, LockMode.DERIVATION)
-            if grant is not None:
-                raise LockConflictError(
-                    f"DOV {dov_id!r} derivation-locked by "
-                    f"{grant.holder!r}", holder=grant.holder)
-            locks.acquire(dov_id, dop_id, LockMode.SHORT_READ)
-            try:
-                dov = self.repository.read(dov_id)
-                if derivation_lock:
-                    locks.acquire(dov_id, da_id, LockMode.DERIVATION)
-            finally:
-                locks.release(dov_id, dop_id, LockMode.SHORT_READ)
+        stats = self.locks.stats
+        stats.granted += 1
+        stats.released += 1
+        dov = self.repository.read(dov_id)
         if workstation is not None:
             if renew:
                 # renewal metadata folded onto this control message —
@@ -234,7 +221,6 @@ class ServerTM:
                 self.leases.grant(workstation, dov_id)
         if self.trace.enabled:
             self._record("checkout", dov_id, da=da_id, dop=dop_id,
-                         derivation_lock=derivation_lock,
                          leased=bool(lease and workstation))
         return dov
 
@@ -352,30 +338,6 @@ class ServerTM:
         self._record("checkin_aborted", txn_id, error=reason,
                      staged_rolled_back=len(mapping))
         return reason
-
-    # -- End-of-DOP support ---------------------------------------------------------
-
-    def release_derivation_locks(self, da_id: str,
-                                 dov_ids: list[str] | None = None) -> int:
-        """Release derivation locks at End-of-DOP (commit *and* abort).
-
-        "the server-TM is firstly asked to release the derivation locks
-        held (if any)" (Sect.5.2).  A DA that holds no lock at all has
-        none to release.
-        """
-        if not self.locks.holds_any(da_id):
-            return 0
-        if dov_ids is None:
-            released = self.locks.release_all(da_id, LockMode.DERIVATION)
-        else:
-            # a DOP names every input, once per checkout of it
-            released = 0
-            for dov_id in dict.fromkeys(dov_ids):
-                released += self.locks.release(dov_id, da_id,
-                                               LockMode.DERIVATION)
-        if released:
-            self._record("derivation_locks_released", da_id, count=released)
-        return released
 
     # -- object-buffer leases (data-shipping coherence) -----------------------------
 
@@ -654,18 +616,16 @@ class ClientTM:
 
     # -- checkout -----------------------------------------------------------------------
 
-    def checkout(self, dop: DesignOperation, *dov_ids: str,
-                 derivation_lock: bool = False
+    def checkout(self, dop: DesignOperation, *dov_ids: str
                  ) -> tuple[DesignObjectVersion, ...]:
         """Check a read set of DOVs out into the DOP's context,
         buffer-first; returns their versions in order.
 
         With an object buffer, a resident version the DOP's DA is
         authorized for is served locally — zero network events.  A
-        miss (or a derivation-lock request, which always needs the
-        server) goes through the server's scope + derivation-lock
-        checks, then the payload is shipped size-aware over the LAN
-        and installed in the buffer under a read lease.  The DOVs are
+        miss goes through the server's scope check, then the payload is
+        shipped size-aware over the LAN and installed in the buffer
+        under a read lease.  The DOVs are
         fetched and installed one after the other, as separate
         checkouts would; afterwards ONE recovery point covers the set,
         so a crash never repeats a request (Sect.5.2).  When a DOV
@@ -678,14 +638,14 @@ class ClientTM:
         now = self.clock.now
         # the versions installed so far, and the positions among them
         # that the server shipped
-        buf, dovs, fetched = None if derivation_lock else self.buffer, (), ()
+        buf, dovs, fetched = self.buffer, (), ()
         try:
             for dov_id in dov_ids:
                 if buf is None or (dov := buf.get(dov_id, dop.da_id)) is None:
                     dov = self.rpc.call(
                         self.workstation, self.server_tm.node_id,
                         "checkout", dop.da_id, dop.dop_id, dov_id,
-                        derivation_lock, workstation=self.workstation,
+                        workstation=self.workstation,
                         lease=self.buffer is not None,
                         renew=(now - self._last_renewal >= self._renewal_half
                                and self._consume_renewal_window(now)))
@@ -1028,12 +988,9 @@ class ClientTM:
     # -- End-of-DOP ------------------------------------------------------------------------------------
 
     def _finish(self, dop: DesignOperation, state: DopState) -> None:
-        # release derivation locks first, then drop savepoints and the
-        # recovery point — the Sect.5.2 order; the DM learns the
-        # outcome from the End-of-DOP call itself.
-        self.rpc.call(self.workstation, self.server_tm.node_id,
-                      "release_derivation_locks", dop.da_id,
-                      list(dop.input_dovs))
+        # Sect.5.2 first has the server-TM release the DOP's derivation
+        # locks; no DA takes one (repro.te.locks), so End-of-DOP sends
+        # nothing.  The DM learns the outcome from this call itself.
         dop.savepoints.clear()
         self.recovery.remove(dop.dop_id)
         dop.transition(state)
@@ -1135,5 +1092,3 @@ def register_server_endpoints(rpc: TransactionalRpc,
     """Expose the server-TM operations as transactional RPC endpoints."""
     rpc.register(server_tm.node_id, "checkout", server_tm.checkout)
     rpc.register(server_tm.node_id, "checkin", server_tm.checkin)
-    rpc.register(server_tm.node_id, "release_derivation_locks",
-                 server_tm.release_derivation_locks)

@@ -129,17 +129,22 @@ class TestExperiments:
                         "saved no forced_writes")
 
     def test_t4_runs(self):
-        def conflicts_fall_with_sharing(result):
-            rows = [r for r in result.rows
-                    if "derivation conflicts" in r["measure"]]
-            rows[0]["value"] = rows[-1]["value"] + 1
-        _assert_rejects("T4", conflicts_fall_with_sharing,
-                        "must grow with sharing")
+        # short-lock pairs and scope inheritance, nothing else
+        assert [row["measure"] for row in _real("T4").rows] == [
+            "short-lock pairs done", "short-lock grants left",
+            "inheritance chain (depth=2)", "inheritance chain (depth=4)",
+            "inheritance chain (depth=8)"]
+
+        def no_final_handed_over(result):
+            for depth in (2, 4, 8):
+                _row(result, measure=f"inheritance chain (depth={depth})")[
+                    "value"] = 0
+        _assert_rejects("T4", no_final_handed_over, "linear in the levels")
 
     def test_t4_counts_not_times(self):
         # every T4 value is an exact count, the same on any host
         assert [row["value"] for row in _real("T4").rows] \
-            == [5000, 0, 0, 100, 150, 175, 5, 15, 35]
+            == [5000, 0, 5, 15, 35]
 
         def a_pair_left_its_grant(result):
             _row(result, measure="short-lock grants left")["value"] = 1

@@ -1368,10 +1368,9 @@ class TestTheFederationIsFlat:
 
 class TestALeasedReadCostsWhatItTouches:
     """Count gates on the bookkeeping of a leased read, host-independent:
-    a batch renewal walks the renewing workstation's leases only, a
-    checkout of a DOV that carries no lock enters nothing in the lock
-    table, and End-of-DOP of a DA that holds no lock asks the lock
-    table nothing per input."""
+    a batch renewal walks the renewing workstation's leases only, and
+    a checkout enters nothing in the lock table, whether or not the DOV
+    carries a scope lock."""
 
     @staticmethod
     def _renewal_lines(others: int) -> int:
@@ -1419,6 +1418,8 @@ class TestALeasedReadCostsWhatItTouches:
         def indexed():
             return ({resource: dict(grants)
                      for resource, grants in locks._table.items()},
+                    {resource: dict(modes)
+                     for resource, modes in locks._modes.items()},
                     {holder: dict(held)
                      for holder, held in locks._held.items()})
 
@@ -1432,47 +1433,17 @@ class TestALeasedReadCostsWhatItTouches:
         births = locks._births
         granted, released = locks.stats.granted, locks.stats.released
 
-        got = rig.server_tm.checkout("da-1", "dop-1", free.dov_id)
-
-        assert got is free
-        assert during == [indexes]
-        assert indexed() == indexes
-        assert locks._births == births
-        assert calls == {"acquire": 0, "release": 0}
-        assert locks.stats.granted == granted + 1
-        assert locks.stats.released == released + 1
-
-        # a DOV with a grant on it takes the lock as before
-        rig.server_tm.checkout("da-1", "dop-1", scoped.dov_id)
-        assert calls == {"acquire": 1, "release": 1}
-        assert during[-1][0][scoped.dov_id][LockMode.SHORT_READ, "dop-1"]
-        assert locks.stats.granted == granted + 2
-        assert locks.stats.released == released + 2
-
-    def test_end_of_dop_of_a_lock_free_da_releases_nothing(
-            self, monkeypatch):
-        rig = _make_rig()
-        client = rig.client_tm("ws-1")
-        locks = rig.server_tm.locks
-        inputs = [rig.repository.checkin("da-1", "Cell",
-                                         _nested_payload(rev=index))
-                  for index in range(3)]
-        dop = client.begin_dop("da-1", "tool")
-        for dov in inputs + inputs:
-            client.checkout(dop, dov.dov_id)
-        calls = {"release": 0}
-        _count_calls(monkeypatch, calls, LockManager, "release")
-        client.commit_dop(dop)
-        assert calls == {"release": 0}
-
-        # a DA that holds a derivation lock has it released
-        locking = client.begin_dop("da-1", "tool")
-        client.checkout(locking, inputs[0].dov_id, derivation_lock=True)
-        client.checkout(locking, inputs[1].dov_id)
-        assert locks.holds(inputs[0].dov_id, "da-1", LockMode.DERIVATION)
-        client.commit_dop(locking)
-        assert not locks.holds_any("da-1")
-        assert calls["release"] >= 1
+        # neither a free DOV nor one with a scope grant on it enters
+        # the table; each read counts its short-lock pair once
+        for count, dov in enumerate((free, scoped), 1):
+            assert rig.server_tm.checkout("da-1", "dop-1", dov.dov_id) \
+                is dov
+            assert during == [indexes] * count
+            assert indexed() == indexes
+            assert locks._births == births
+            assert calls == {"acquire": 0, "release": 0}
+            assert locks.stats.granted == granted + count
+            assert locks.stats.released == released + count
 
 
 class TestSchedulerPendingCounter:

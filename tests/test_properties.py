@@ -145,7 +145,7 @@ lock_ops = st.lists(st.tuples(
     st.sampled_from(["acquire", "release"]),
     st.integers(min_value=0, max_value=4),   # resource index
     st.integers(min_value=0, max_value=3),   # holder index
-    st.sampled_from([LockMode.SHORT_READ, LockMode.DERIVATION,
+    st.sampled_from([LockMode.SHORT_READ, LockMode.SHORT_WRITE,
                      LockMode.SCOPE]),
 ), max_size=40)
 
@@ -170,7 +170,7 @@ def test_lock_table_consistency(operations):
 
 
 @given(lock_ops)
-def test_derivation_locks_exclusive(operations):
+def test_short_write_locks_exclusive(operations):
     locks = LockManager()
     for op, res_i, holder_i, mode in operations:
         resource, holder = f"r{res_i}", f"h{holder_i}"
@@ -179,8 +179,15 @@ def test_derivation_locks_exclusive(operations):
         else:
             locks.release(resource, holder, mode)
         for r in range(5):
-            deriv = locks.holders(f"r{r}", LockMode.DERIVATION)
-            assert len({g.holder for g in deriv}) <= 1
+            # a short write lock excludes every other holder's short
+            # lock; scope locks do not take part
+            grants = locks.holders(f"r{r}")
+            writers = {g.holder for g in grants
+                       if g.mode is LockMode.SHORT_WRITE}
+            short = {g.holder for g in grants
+                     if g.mode is not LockMode.SCOPE}
+            assert len(writers) <= 1
+            assert not writers or short == writers
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the lock manager: short / derivation / scope locks."""
+"""Unit tests for the lock manager: short and scope locks."""
 
 from __future__ import annotations
 
@@ -45,14 +45,14 @@ class TestShortLocks:
 
     def test_release_specific_mode(self):
         locks = LockManager()
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
+        locks.acquire("dov-1", "da-1", LockMode.SHORT_WRITE)
         locks.acquire("dov-1", "da-1", LockMode.SCOPE)
-        released = locks.release("dov-1", "da-1", LockMode.DERIVATION)
+        released = locks.release("dov-1", "da-1", LockMode.SHORT_WRITE)
         assert released == 1
         assert [g.mode for g in locks.holders("dov-1")] == [LockMode.SCOPE]
         # a resource's only grant: released by its holder and mode alone
         assert locks.release("dov-1", "da-2", LockMode.SCOPE) == 0
-        assert locks.release("dov-1", "da-1", LockMode.DERIVATION) == 0
+        assert locks.release("dov-1", "da-1", LockMode.SHORT_WRITE) == 0
         assert len(locks.holders("dov-1")) == 1
         assert locks.release("dov-1", "da-1", LockMode.SCOPE) == 1
         assert locks.holders("dov-1") == []
@@ -60,42 +60,9 @@ class TestShortLocks:
 
     def test_release_all_modes(self):
         locks = LockManager()
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
+        locks.acquire("dov-1", "da-1", LockMode.SHORT_WRITE)
         locks.acquire("dov-1", "da-1", LockMode.SCOPE)
         assert locks.release("dov-1", "da-1") == 2
-
-
-class TestDerivationLocks:
-    def test_exclusive_between_das(self):
-        locks = LockManager()
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
-        with pytest.raises(LockConflictError):
-            locks.acquire("dov-1", "da-2", LockMode.DERIVATION)
-
-    def test_compatible_with_short_read(self):
-        locks = LockManager()
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
-        locks.acquire("dov-1", "dop-9", LockMode.SHORT_READ)
-
-    def test_blocks_short_write(self):
-        locks = LockManager()
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
-        with pytest.raises(LockConflictError):
-            locks.acquire("dov-1", "t-1", LockMode.SHORT_WRITE)
-
-    def test_try_acquire(self):
-        locks = LockManager()
-        assert locks.try_acquire("dov-1", "da-1",
-                                 LockMode.DERIVATION) is not None
-        assert locks.try_acquire("dov-1", "da-2",
-                                 LockMode.DERIVATION) is None
-
-    def test_release_all_for_holder(self):
-        locks = LockManager()
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
-        locks.acquire("dov-2", "da-1", LockMode.DERIVATION)
-        assert locks.release_all("da-1", LockMode.DERIVATION) == 2
-        assert locks.locks_of("da-1") == []
 
 
 class TestScopeLocks:
@@ -123,7 +90,8 @@ class TestScopeLocks:
     def test_scope_lock_does_not_block_processing_locks(self):
         locks = LockManager()
         locks.acquire("dov-1", "da-1", LockMode.SCOPE)
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
+        locks.acquire("dov-1", "t-1", LockMode.SHORT_WRITE)
+        assert locks.release("dov-1", "t-1", LockMode.SHORT_WRITE) == 1
         locks.acquire("dov-1", "dop-1", LockMode.SHORT_READ)
 
 
@@ -164,14 +132,14 @@ class TestACrashForgetsOneMode:
         locks.usage_allows = lambda *a: True
         locks.acquire("dov-1", "da-1", LockMode.SCOPE)
         locks.acquire("dov-1", "da-2", LockMode.SCOPE)
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
+        locks.acquire("dov-1", "da-1", LockMode.SHORT_WRITE)
         locks.acquire("dov-2", "da-2", LockMode.SCOPE)
         granted = locks.stats.granted
         assert locks.forget(LockMode.SCOPE) == 3
         assert locks.scope_of("da-1") == locks.scope_of("da-2") == set()
         assert locks.holders("dov-2") == []
         assert locks.locks_of("da-1") \
-            == [Lock("dov-1", "da-1", LockMode.DERIVATION)]
+            == [Lock("dov-1", "da-1", LockMode.SHORT_WRITE)]
         assert locks.locks_of("da-2") == []
         # a crash released nothing and granted nothing
         assert (locks.stats.granted, locks.stats.released) == (granted, 0)
@@ -181,16 +149,16 @@ class TestACrashForgetsOneMode:
         locks.usage_allows = lambda *a: True
         locks.acquire("dov-1", "da-1", LockMode.SCOPE)
         locks.acquire("dov-1", "da-2", LockMode.SCOPE)
-        locks.acquire("dov-1", "da-1", LockMode.DERIVATION)
+        locks.acquire("dov-1", "da-1", LockMode.SHORT_WRITE)
         locks.forget(LockMode.SCOPE)
-        assert locks.blocker("dov-1", "da-2",
-                             LockMode.DERIVATION).holder == "da-1"
-        with pytest.raises(LockConflictError):
-            locks.acquire("dov-1", "da-2", LockMode.DERIVATION)
+        for mode in (LockMode.SHORT_READ, LockMode.SHORT_WRITE):
+            with pytest.raises(LockConflictError) as info:
+                locks.acquire("dov-1", "da-2", mode)
+            assert info.value.holder == "da-1"
         # no scope holder is left to ask about sharing
         locks.usage_allows = lambda *a: False
         locks.acquire("dov-1", "da-3", LockMode.SCOPE)
-        assert locks.release("dov-1", "da-1", LockMode.DERIVATION) == 1
+        assert locks.release("dov-1", "da-1", LockMode.SHORT_WRITE) == 1
         assert locks.holders("dov-1") \
             == [Lock("dov-1", "da-3", LockMode.SCOPE)]
 
@@ -445,9 +413,6 @@ class TestTheIndexedTableIsTheListTable:
                     for holder in HOLDERS:
                         assert new.holds(resource, holder, mode) \
                             == any(g.holder == holder for g in granted)
-                        assert new.blocker(resource, holder, mode) \
-                            == next((g for g in granted
-                                     if g.holder != holder), None)
             for holder in HOLDERS:
                 assert new.locks_of(holder) == ref.locks_of(holder)
                 assert new.scope_of(holder) == ref.scope_of(holder)

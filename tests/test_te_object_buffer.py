@@ -120,18 +120,6 @@ class TestCachedCheckout:
         assert rig["server_tm"].leases.holders(rig["dov0"].dov_id) \
             == {"ws-1"}
 
-    def test_derivation_lock_bypasses_the_buffer(self, rig):
-        client = rig["clients"]["ws-1"]
-        network = rig["network"]
-        dop = client.begin_dop("da-1", "tool")
-        client.checkout(dop, rig["dov0"].dov_id)
-        sent = network.messages_sent
-        dop2 = client.begin_dop("da-1", "tool")
-        client.checkout(dop2, rig["dov0"].dov_id, derivation_lock=True)
-        # the lock request must reach the server even though the
-        # version is resident
-        assert network.messages_sent > sent
-
     def test_hits_serve_while_server_is_down(self, rig):
         client = rig["clients"]["ws-1"]
         dop = client.begin_dop("da-1", "tool")

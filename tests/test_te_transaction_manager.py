@@ -13,10 +13,8 @@ from repro.repository.schema import (
     DesignObjectType,
 )
 from repro.te.dop import DopState
-from repro.te.locks import LockMode
 from repro.te.rig import TeRig
 from repro.util.errors import (
-    LockConflictError,
     RecoveryError,
     ScopeViolationError,
     TransactionError,
@@ -103,36 +101,16 @@ class TestCheckoutSemantics:
         with pytest.raises(ScopeViolationError):
             client.checkout(dop, rig["dov0"].dov_id)  # da-1's DOV
 
-    def test_derivation_lock_blocks_other_da(self, rig):
-        client = rig["client_tm"]
-        server = rig["server_tm"]
-        # pretend the CM authorised da-2 to see the DOV (usage rel.)
-        server.scope_check = lambda da, dov: True
-        dop = client.begin_dop("da-1", "tool")
-        client.checkout(dop, rig["dov0"].dov_id, derivation_lock=True)
-        # even with scope access, the derivation lock blocks checkout
-        with pytest.raises(LockConflictError):
-            server.checkout("da-2", "dop-x", rig["dov0"].dov_id)
-
     def test_same_da_can_checkout_again(self, rig):
         client = rig["client_tm"]
+        dov_id = rig["dov0"].dov_id
         dop_a = client.begin_dop("da-1", "tool")
-        client.checkout(dop_a, rig["dov0"].dov_id, derivation_lock=True)
+        client.checkout(dop_a, dov_id)
+        # a second DOP of the DA reads it while the first is active,
+        # and a checkout leaves no grant behind
         dop_b = client.begin_dop("da-1", "tool")
-        client.checkout(dop_b, rig["dov0"].dov_id)  # same DA: allowed
-
-    def test_derivation_locks_released_at_end_of_dop(self, rig):
-        client = rig["client_tm"]
-        server = rig["server_tm"]
-        dop = client.begin_dop("da-1", "tool")
-        client.checkout(dop, rig["dov0"].dov_id, derivation_lock=True)
-        client.commit_dop(dop)
-        # now another DA's checkout is admitted past the derivation check
-        # (scope still fails, which proves the lock went away first)
-        with pytest.raises(ScopeViolationError):
-            server.checkout("da-2", "dop-x", rig["dov0"].dov_id)
-        assert rig["locks"].holders(rig["dov0"].dov_id,
-                                    LockMode.DERIVATION) == []
+        assert client.checkout(dop_b, dov_id) == (rig["dov0"],)
+        assert rig["locks"].holders(dov_id) == []
 
     def test_recovery_point_after_checkout(self, rig):
         client = rig["client_tm"]
@@ -193,6 +171,29 @@ class TestCheckoutSemantics:
             ("client-TM:ws-1", "checkout", a.dov_id, True),
             ("client-TM:ws-1", "recovery_point", dop.dop_id, None)]
 
+
+class TestEndOfDopStaysOnTheWorkstation:
+    def test_end_of_dop_sends_nothing_and_needs_no_server(self, rig):
+        client, network = rig["client_tm"], rig["network"]
+        dops = [client.begin_dop("da-1", "tool") for _ in range(4)]
+        for dop in dops:
+            client.checkout(dop, rig["dov0"].dov_id)
+        client.work(dops[2], 1.0,
+                    mutate=lambda c: c.data.update(area=50.0))
+        assert client.checkin(dops[2], "Cell").success
+        sent = network.messages_sent
+        client.commit_dop(dops[0])
+        client.abort_dop(dops[1])
+        assert network.messages_sent == sent
+        # a write-through End-of-DOP has nothing left to ship
+        network.crash_node("server")
+        client.commit_dop(dops[2])
+        client.abort_dop(dops[3])
+        assert network.messages_sent == sent
+        assert [dop.state for dop in dops] == [DopState.COMMITTED,
+                                               DopState.ABORTED] * 2
+        assert all(client.recovery.latest(dop.dop_id) is None
+                   for dop in dops)
 
 class TestSuspendResume:
     def test_resume_restores_suspend_state(self, rig):
