@@ -221,19 +221,6 @@ class LockManager:
         self.stats.granted += 1
         return self._add(resource, holder, mode)
 
-    def pass_short_lock(self, resource: str) -> bool:
-        """A short lock's acquire + release on *resource*, read or
-        write, when no grant is on it: nothing can conflict and the
-        pair leaves the table as it was, so it is only counted (True).
-        False, counting nothing, when *resource* has a grant: take the
-        lock then."""
-        if resource in self._table:
-            return False
-        stats = self.stats
-        stats.granted += 1
-        stats.released += 1
-        return True
-
     def try_acquire(self, resource: str, holder: str,
                     mode: LockMode) -> Lock | None:
         """Like :meth:`acquire` but returns None instead of raising."""

@@ -16,6 +16,15 @@ Because DOVs themselves are immutable, an entry that outlives its lease
 is never *wrong*, merely superseded; the invalidation keeps designers
 from continuing work on versions a colleague has already replaced.
 
+Under TTL leases each entry also carries its lease's **term**, the
+instant the server's lease ends, set where the server grants or
+renews it (the checkout, the write-through checkin, the flush's
+:meth:`rebind`, restart :meth:`revalidate`, :meth:`renew`).  The
+holder never trusts a copy past the server's term: :meth:`get` drops
+an entry whose term has ended and misses, so an expired lease costs
+no timer and no message at either end.  Without a TTL every term is
+infinite.
+
 Scope discipline survives caching: each entry remembers the DAs whose
 checkouts were admitted by the server's scope check, and only those DAs
 hit locally — any other DA falls through to the server, which
@@ -30,7 +39,8 @@ successive checkins of the same lineage coalesce, so intermediate
 versions superseded before they were ever shipped cost zero LAN bytes.
 
 The buffer has no byte capacity: no workload in the tree bounds it, so
-an entry leaves only by invalidation, re-validation or a crash.
+an entry leaves only by invalidation, the end of its term,
+re-validation or a crash.
 
 Workstation crashes wipe the buffer (it is volatile state) *including
 any dirty, not-yet-flushed checkins* — the write-back trade-off: that
@@ -40,10 +50,12 @@ chain, not from the buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.repository.versions import DesignObjectVersion
+from repro.txn.leases import EXPIRY_SLACK
 
 if TYPE_CHECKING:
     from repro.txn.gateway import CheckinRecord
@@ -62,12 +74,17 @@ class BufferEntry:
     dirty: bool = False
     #: the deferred checkin request of a dirty entry; None once flushed
     record: CheckinRecord | None = None
+    #: the instant the server's lease on this copy ends (its term);
+    #: infinite without a TTL and for a dirty entry, which no server
+    #: lease covers
+    expires_at: float = math.inf
 
 
 class ObjectBuffer:
     """The DOV object buffer of one workstation.
 
-    * :meth:`get` — scope-aware lookup; counts hits and misses.
+    * :meth:`get` — scope- and term-aware lookup; counts hits and
+      misses.
     * :meth:`put` — install a shipped (or freshly checked-in) version.
     * :meth:`put_dirty` — write-back: stage a provisional checkin as a
       dirty entry, coalescing dirty parents it supersedes.
@@ -75,6 +92,8 @@ class ObjectBuffer:
       side of a server lease revocation); recalls dirty dependents.
     * :meth:`rebind` — swap flushed provisional entries for their
       durable versions (group-checkin commit).
+    * :meth:`renew` — the holder's side of a lease renewal: extend the
+      entries still live when the server applies it, drop the rest.
     * :meth:`revalidate` — keep/drop resident entries against fresh
       repository stamps (server-restart re-validation).
     * :meth:`clear` — crash/flush semantics: everything vanishes,
@@ -130,16 +149,23 @@ class ObjectBuffer:
         """Dirty ids in admission (checkin) order."""
         return list(self._dirty)
 
-    def get(self, dov_id: str, da_id: str) -> DesignObjectVersion | None:
+    def get(self, dov_id: str, da_id: str,
+            now: float) -> DesignObjectVersion | None:
         """The cached version, or None on a miss.
 
-        A hit requires the entry to be resident *and* authorized for
+        A hit requires the entry to be resident, authorized for
         *da_id* — an unauthorized DA misses so the server's scope check
-        runs on the fetch path.  Pure local bookkeeping: a hit costs
+        runs on the fetch path — and inside its term at *now*: an entry
+        whose term has ended is dropped and misses, as the server's
+        lease on it has ended too.  Pure local bookkeeping: a hit costs
         zero network events and zero kernel events.
         """
         entry = self._entries.get(dov_id)
         if entry is None or da_id not in entry.authorized:
+            self.misses += 1
+            return None
+        if entry.expires_at <= now + EXPIRY_SLACK:
+            del self._entries[dov_id]
             self.misses += 1
             return None
         self.hits += 1
@@ -159,14 +185,17 @@ class ObjectBuffer:
 
     # -- mutation ----------------------------------------------------------------
 
-    def put(self, dov: DesignObjectVersion, da_id: str) -> BufferEntry:
-        """Install (or re-authorize) a version shipped to this node."""
+    def put(self, dov: DesignObjectVersion, da_id: str,
+            expires_at: float = math.inf) -> BufferEntry:
+        """Install (or re-authorize) a version shipped to this node
+        under a lease whose term ends at *expires_at*."""
         entry = self._entries.get(dov.dov_id)
         if entry is not None:
             entry.authorized.add(da_id)
+            entry.expires_at = expires_at
             return entry
         entry = self._entries[dov.dov_id] = BufferEntry(
-            dov, dov.payload_size, {da_id})
+            dov, dov.payload_size, {da_id}, expires_at=expires_at)
         return entry
 
     def put_dirty(self, dov: DesignObjectVersion, da_id: str,
@@ -233,14 +262,16 @@ class ObjectBuffer:
             del self._dirty[dov_id]
         return doomed
 
-    def rebind(self, mapping: dict[str, DesignObjectVersion]) -> int:
+    def rebind(self, mapping: dict[str, DesignObjectVersion],
+               expires_at: float) -> int:
         """Swap flushed provisional entries for their durable versions.
 
         Called by the client-TM when a group checkin commits:
         ``mapping`` takes each provisional id to the durable DOV the
         server assigned.  The entry keeps its authorizations and hit
-        counts, is clean, and is resident under the durable id from
-        now on.  Returns the number of entries rebound.
+        counts, is clean, is resident under the durable id from now
+        on, and holds the lease the commit granted, whose term ends at
+        *expires_at*.  Returns the number of entries rebound.
         """
         rebound = 0
         for provisional_id, dov in mapping.items():
@@ -256,12 +287,14 @@ class ObjectBuffer:
             entry.dov = dov
             entry.dirty = False
             entry.record = None
+            entry.expires_at = expires_at
             self._dirty.pop(provisional_id, None)
             self._entries[dov.dov_id] = entry
             rebound += 1
         return rebound
 
-    def revalidate(self, descriptions: dict[str, dict[str, Any]]) -> int:
+    def revalidate(self, descriptions: dict[str, dict[str, Any]],
+                   expires_at: float) -> int:
         """Keep entries whose repository stamp still matches; drop the
         rest.
 
@@ -270,9 +303,10 @@ class ObjectBuffer:
         (still) durable.  A clean entry survives iff its id is present
         and the stamp matches the resident snapshot — then the warm
         copy is byte-identical to the durable version and need not be
-        re-shipped.  Dirty entries are not the repository's to judge
-        (they were never shipped) and always survive.  Returns the
-        number of entries kept warm.
+        re-shipped — and holds the fresh lease the restarted server
+        grants it, whose term ends at *expires_at*.  Dirty entries are
+        not the repository's to judge (they were never shipped) and
+        always survive.  Returns the number of entries kept warm.
         """
         doomed: list[str] = []
         kept = 0
@@ -283,6 +317,7 @@ class ObjectBuffer:
             if description is not None \
                     and tuple(description.get("stamp", ())) \
                     == entry.dov.stamp:
+                entry.expires_at = expires_at
                 kept += 1
             else:
                 doomed.append(dov_id)
@@ -291,6 +326,21 @@ class ObjectBuffer:
         self.revalidated += kept
         self.revalidation_drops += len(doomed)
         return kept
+
+    def renew(self, applied_at: float, expires_at: float) -> None:
+        """The holder's side of a lease renewal the server applies at
+        *applied_at*: every clean entry whose term runs past that
+        instant now ends at *expires_at*; the others are dropped, as
+        the server drops their leases instead of extending them."""
+        due, inf, dead = applied_at + EXPIRY_SLACK, math.inf, []
+        for dov_id, entry in self._entries.items():
+            # a dirty entry's infinite term is no lease's: it stays
+            if due < entry.expires_at < inf:
+                entry.expires_at = expires_at
+            elif entry.expires_at <= due:
+                dead.append(dov_id)
+        for dov_id in dead:
+            del self._entries[dov_id]
 
     def clean_ids(self) -> list[str]:
         """Ids of the clean (flushed/fetched) resident entries."""

@@ -16,10 +16,10 @@ commit, see :meth:`ServerTM.checkin`).
   buffering workstation is leased per ``(workstation, dov_id)``; a
   committed checkin revokes the leases on the versions it supersedes
   with asynchronous invalidation messages over the simulated LAN, and
-  with ``lease_ttl`` set the regime becomes **TTL renewal**: an
-  unrenewed lease expires via a kernel timer event and the expiry
-  behaves exactly like a recall, while renewals are metadata-only
-  messages.
+  with ``lease_ttl`` set the regime becomes **TTL renewal**: a lease
+  ends with its term, which the holder's buffer entry carries too, so
+  expiry costs no timer and no message at either end, while renewals
+  are metadata-only messages (or ride on a control message).
 * :class:`ClientTM` — Begin/End-of-DOP, checkout of a read set
   (buffer-first: a hit in the workstation's
   :class:`~repro.te.object_buffer.ObjectBuffer` costs zero network
@@ -72,7 +72,7 @@ from repro.sim.clock import SimClock
 from repro.te.context import DopContext, SavepointStack
 from repro.te.dop import DesignOperation, DopState
 from repro.te.object_buffer import ObjectBuffer
-from repro.te.locks import LockManager, LockMode
+from repro.te.locks import LockManager
 from repro.te.recovery import POINT_INTERVAL, RecoveryManager
 from repro.util.errors import (
     RecoveryError,
@@ -133,16 +133,13 @@ class ServerTM:
         #: DOVs of its own derivation graph").
         self.scope_check: Callable[[str, str], bool] = self._default_scope
         #: lease time-to-live (None keeps the PR 2 recall-only regime;
-        #: a number switches to TTL renewal leases: unrenewed leases
-        #: expire via kernel timer events, and expiry behaves exactly
-        #: like a recall)
+        #: a number switches to TTL renewal leases: an unrenewed lease
+        #: ends with its term at both ends, and a commit sends nothing
+        #: to a holder whose lease has ended)
         self.lease_ttl = lease_ttl
         #: read leases of the data-shipping protocol, per
         #: ``(workstation, dov_id)`` — the txn layer's lease table
-        self.leases = LeaseTable(
-            clock=self.clock, ttl=lease_ttl,
-            kernel_source=lambda: network.kernel)
-        self.leases.on_expire = self._on_lease_expired
+        self.leases = LeaseTable(clock=self.clock, ttl=lease_ttl)
         #: workstation -> its object buffer (invalidation delivery target)
         self._buffers: dict[str, ObjectBuffer] = {}
         #: invalidation messages scheduled over the LAN
@@ -189,11 +186,11 @@ class ServerTM:
         — no DA takes one (:mod:`repro.te.locks`), so the scope test
         is the whole admission.  The critical section's short read
         lock is only counted: no grant the stack takes conflicts with
-        it, as a scope lock does not and short write locks are taken on
-        DA graphs only (:meth:`prepare`).  With ``lease=True`` the server
-        additionally records a read lease for *workstation* — the
-        promise to invalidate the shipped copy when a later checkin
-        supersedes it.
+        it, as a scope lock does not and the short write locks on DA
+        graphs are only counted too (:meth:`prepare`).  With
+        ``lease=True`` the server additionally records a read lease for
+        *workstation* — the promise to invalidate the shipped copy when
+        a later checkin supersedes it.
 
         Runs synchronously on the RPC's stack; the payload shipment
         (a sized async message, i.e. a timed kernel event under the
@@ -276,39 +273,26 @@ class ServerTM:
         short (write) lock on the graph resource (Sect.5.2: "the TM
         has to protect the proliferation of the DA's derivation graph
         ... employing a locking protocol based on short locks"), one
-        per distinct DA for the whole request, all taken before the
-        first record is staged.  The staging runs synchronously, so no
-        grant can arrive on a graph meanwhile: a graph nobody holds a
-        grant on has its short lock only counted
-        (:meth:`~repro.te.locks.LockManager.pass_short_lock`), any
-        other is acquired and released around the staging.  A failure
-        (integrity violation, unknown parent, lock conflict) raises,
-        with what was staged so far left in *mapping* for
-        :meth:`abort`.
+        per distinct DA for the whole request.  That lock is only
+        counted, as :meth:`checkout` counts its read lock: no grant is
+        ever taken on a graph resource and the staging runs
+        synchronously, so nothing can conflict with it.  A failure
+        (integrity violation, unknown parent) raises, with what was
+        staged so far left in *mapping* for :meth:`abort`.
         """
-        locks = self.locks
-        graphs: list[str] = []
-        acquired: list[str] = []
-        try:
-            for record in records:
-                graph = "graph:" + record.da_id
-                if graph not in graphs:
-                    graphs.append(graph)
-                    if not locks.pass_short_lock(graph):
-                        locks.acquire(graph, txn_id, LockMode.SHORT_WRITE)
-                        acquired.append(graph)
-            stage = self.repository.stage_checkin
-            now = self.clock.now
-            for provisional_id, da_id, dot_name, data, parents, _ in records:
-                if mapping:
-                    # a parent naming an earlier record resolves to the
-                    # version just staged for it
-                    parents = map(mapping.get, parents, parents)
-                dov = stage(da_id, dot_name, data, tuple(parents), now)
-                mapping[provisional_id] = dov.dov_id
-        finally:
-            for graph in acquired:
-                locks.release(graph, txn_id, LockMode.SHORT_WRITE)
+        graphs = {record.da_id for record in records}
+        stats = self.locks.stats
+        stats.granted += len(graphs)
+        stats.released += len(graphs)
+        stage = self.repository.stage_checkin
+        now = self.clock.now
+        for provisional_id, da_id, dot_name, data, parents, _ in records:
+            if mapping:
+                # a parent naming an earlier record resolves to the
+                # version just staged for it
+                parents = map(mapping.get, parents, parents)
+            dov = stage(da_id, dot_name, data, tuple(parents), now)
+            mapping[provisional_id] = dov.dov_id
 
     def commit(self, txn_id: str, mapping: dict[str, str]
                ) -> list[DesignObjectVersion]:
@@ -377,25 +361,15 @@ class ServerTM:
     def renew_leases(self, workstation: str) -> int:
         """Handle a workstation's metadata-only renewal message.
 
-        Extends every lease the workstation holds by one fresh TTL; a
-        lease that already expired (or was recalled) while the message
-        was in flight stays dead — a renewal never resurrects, which
-        is what makes expiry racing an in-flight renewal safe.
+        Extends every live lease the workstation holds by one fresh
+        TTL; a lease whose term ended (or that was recalled) while the
+        message was in flight stays dead — a renewal never resurrects,
+        which is what makes expiry racing an in-flight renewal safe.
         Returns the number of leases extended.
         """
         renewed = self.leases.renew_workstation(workstation)
         self._record("leases_renewed", workstation, count=renewed)
         return renewed
-
-    def _on_lease_expired(self, workstation: str, dov_id: str) -> None:
-        """A TTL lease ran out unrenewed: expiry behaves like a recall.
-
-        The buffered copy is invalidated with the same asynchronous
-        LAN message an explicit supersession recall would send — the
-        workstation cannot tell the difference, by design.
-        """
-        self._post_invalidation(workstation, dov_id,
-                                superseded_by="<lease-expired>")
 
     def _on_server_restart(self) -> None:
         """Restart hook: re-validate the registered buffers.
@@ -414,17 +388,20 @@ class ServerTM:
         against fresh repository stamps
         (:meth:`~repro.repository.repository.DesignDataRepository.describe_many`
         — metadata only, no payload shipping).  Entries whose stamp
-        still matches stay resident and get a **new read lease**, so
-        coherence is restored without re-shipping a byte; stale or
-        vanished entries drop.  Buffers are processed in registration
-        order and ids in residence order — deterministic, and purely
+        still matches stay resident and get a **new read lease**, whose
+        term the entry carries, so coherence is restored without
+        re-shipping a byte; stale or vanished entries drop.  Buffers
+        are processed in registration order and ids in residence order — deterministic, and purely
         synchronous (no kernel events: re-validation is part of the
         restart instant).  Returns ``{workstation: {kept, dropped}}``.
         """
         report: dict[str, dict[str, int]] = {}
+        ttl = self.lease_ttl
+        term = self.clock.now + ttl if ttl is not None else math.inf
         for workstation, buffer in self._buffers.items():
             clean = buffer.clean_ids()
-            kept = buffer.revalidate(self.repository.describe_many(clean))
+            kept = buffer.revalidate(self.repository.describe_many(clean),
+                                     term)
             for dov_id in buffer.clean_ids():
                 self.leases.grant(workstation, dov_id)
             dropped = len(clean) - kept
@@ -437,12 +414,13 @@ class ServerTM:
         """A version became durable: revoke the leases it supersedes.
 
         The new DOV's parents are no longer the frontier of the design
-        state; every workstation buffering one of them gets an
-        asynchronous invalidation over the LAN (an ordinary timed
-        kernel event under the concurrent kernel, a synchronous
-        handoff otherwise).  The lease itself is revoked immediately —
-        the server stops promising coherence the moment it schedules
-        the notice.
+        state; every workstation holding a live lease on one of them
+        gets an asynchronous invalidation over the LAN (an ordinary
+        timed kernel event under the concurrent kernel, a synchronous
+        handoff otherwise).  A holder whose lease's term has ended
+        already distrusts its copy and is sent nothing.  The lease
+        itself is revoked immediately — the server stops promising
+        coherence the moment it schedules the notice.
         """
         for dov_id in self.repository.invalidation_targets(dov):
             # revoke BEFORE posting: a synchronous delivery can recall
@@ -531,6 +509,10 @@ class ClientTM:
         ttl = server_tm.lease_ttl
         self._renewal_half = ttl / 2 \
             if ttl is not None and buffer is not None else math.inf
+        #: how long a lease granted or renewed now runs: a buffer
+        #: entry's term is that instant plus this (infinite without a
+        #: TTL, so every entry is trusted until it is recalled)
+        self._ttl = ttl if ttl is not None else math.inf
         #: simulated instant of the last lease-renewal message (TTL
         #: leases only; renewals are rate-limited to ttl/2): -inf until
         #: the first use anchors the window.  A client that never
@@ -638,18 +620,21 @@ class ClientTM:
         now = self.clock.now
         # the versions installed so far, and the positions among them
         # that the server shipped
-        buf, dovs, fetched = self.buffer, (), ()
+        buf, dovs, fetched, da_id = self.buffer, (), (), dop.da_id
         try:
             for dov_id in dov_ids:
-                if buf is None or (dov := buf.get(dov_id, dop.da_id)) is None:
+                if buf is None or (dov := buf.get(dov_id, da_id, now)) is None:
+                    renew = now - self._last_renewal >= self._renewal_half \
+                        and self._consume_renewal_window(now)
                     dov = self.rpc.call(
                         self.workstation, self.server_tm.node_id,
-                        "checkout", dop.da_id, dop.dop_id, dov_id,
+                        "checkout", da_id, dop.dop_id, dov_id,
                         workstation=self.workstation,
-                        lease=self.buffer is not None,
-                        renew=(now - self._last_renewal >= self._renewal_half
-                               and self._consume_renewal_window(now)))
-                    self._ship_payload(dov, dop.da_id)
+                        lease=buf is not None, renew=renew)
+                    if renew:
+                        # the server renewed at this call's instant
+                        buf.renew(now, now + self._ttl)
+                    self._ship_payload(dov, da_id, now + self._ttl)
                     fetched += (len(dovs),)
                 elif now - self._last_renewal >= self._renewal_half \
                         and self._claim_renewal_window(now):
@@ -680,18 +665,20 @@ class ClientTM:
                                  reason="checkout")
         return dovs
 
-    def _ship_payload(self, dov: DesignObjectVersion, da_id: str) -> None:
+    def _ship_payload(self, dov: DesignObjectVersion, da_id: str,
+                      expires_at: float) -> None:
         """Account the size-aware shipment of a fetched DOV payload.
 
         The checkout RPC itself is control traffic; the version's data
         travels as a separate sized message whose delay scales with
         the payload bytes.  With a buffer the delivery installs the
         version (an ordinary timed kernel event under the concurrent
-        kernel); without one the bytes are still shipped — and paid —
-        on every read.
+        kernel) with the term of the lease the RPC granted,
+        *expires_at*; without one the bytes are still shipped — and
+        paid — on every read.
         """
         deliver = _nothing if self.buffer is None \
-            else partial(self.buffer.put, dov, da_id)
+            else partial(self.buffer.put, dov, da_id, expires_at)
         size = dov.payload_size
         delay = self.rpc.network.post(
             self.server_tm.node_id, self.workstation, deliver,
@@ -722,8 +709,7 @@ class ClientTM:
 
         Renewals are driven by actual buffer use and outgoing control
         messages, so an idle workstation stops renewing and its leases
-        decay out of the table by expiry — the bound the TTL design
-        buys.
+        end with their terms — no later commit recalls them.
         """
         last = self._last_renewal
         if last == -math.inf:
@@ -740,19 +726,31 @@ class ClientTM:
         """Send one metadata-only renewal message for ALL held leases.
 
         A single small LAN message (no payload bytes re-ship) extends
-        every lease this workstation holds by a fresh TTL; delivery is
-        an ordinary timed kernel event, so an expiry racing the
-        in-flight renewal resolves deterministically — and a lease
-        that expired first stays dead (renewals never resurrect).
+        every live lease this workstation holds by a fresh TTL;
+        delivery is an ordinary timed kernel event, so an expiry
+        racing the in-flight renewal resolves deterministically — and
+        a lease that expired first stays dead (renewals never
+        resurrect).  The buffer extends its entries to the instant the
+        server applies the renewal plus the TTL, and drops the entries
+        whose term ends before it, as the server drops their leases.
         Returns the transport delay of the message.
         """
         server = self.server_tm
         workstation = self.workstation
-        delay = self.rpc.network.post(
+        network = self.rpc.network
+        delay = network.post(
             workstation, server.node_id,
             lambda: server.renew_leases(workstation),
             label=f"lease-renew:{workstation}",
             size=server.invalidation_bytes)
+        if self.buffer is not None:
+            # the server applies it on delivery: *delay* from now while
+            # the kernel runs, on this stack otherwise
+            applied = self.clock.now
+            kernel = network.kernel
+            if kernel is not None and kernel.running:
+                applied += delay
+            self.buffer.renew(applied, applied + self._ttl)
         self._record("lease_renewal", workstation)
         return delay
 
@@ -871,6 +869,9 @@ class ClientTM:
         result = self.gateway.single_checkin(
             dop.da_id, dot_name, payload, lineage,
             lease=buffer is not None, renew=renew)
+        if renew:
+            # the server renewed at this request's instant
+            buffer.renew(now, now + self._ttl)
         if result.committed:
             dov = result.dov
             dop.output_dov = dov.dov_id
@@ -878,7 +879,7 @@ class ClientTM:
                 # checkin results stay resident: the workstation just
                 # produced these bytes, so the next checkout of the new
                 # frontier is a local hit
-                buffer.put(dov, dop.da_id)
+                buffer.put(dov, dop.da_id, now + self._ttl)
             if self.trace.enabled:
                 self._record("checkin", dov.dov_id, dop=dop.dop_id)
             return tuple.__new__(CheckinResult, (
@@ -948,9 +949,12 @@ class ClientTM:
         dirty = self.buffer.dirty_entries()
         records = [entry.record for entry in dirty]
         sizes = [entry.size for entry in dirty]
-        result = self.gateway.group_checkin(
-            records, sizes,
-            renew=self._consume_renewal_window(self.clock.now))
+        now = self.clock.now
+        renew = self._consume_renewal_window(now)
+        result = self.gateway.group_checkin(records, sizes, renew=renew)
+        if renew:
+            # the server renewed at this request's instant
+            self.buffer.renew(now, now + self._ttl)
         if not result.committed:
             self._record("flush_failed", self.workstation,
                          reason=result.reason, count=len(records))
@@ -958,7 +962,8 @@ class ClientTM:
         durable = {dov.dov_id: dov for dov in result.dovs}
         self.buffer.rebind({provisional: durable[durable_id]
                             for provisional, durable_id
-                            in result.mapping.items()})
+                            in result.mapping.items()},
+                           now + self._ttl)
         self._resolved.update(result.mapping)
         for dop in self._active.values():
             if dop.output_dov in result.mapping:

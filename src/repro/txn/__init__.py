@@ -17,9 +17,9 @@ complete under a logged decision.  This package owns both drives:
   recovery (the paper Sect.6's distributed-commit direction);
 * :mod:`repro.txn.leases` — the
   :class:`~repro.txn.leases.LeaseTable` of the data-shipping
-  protocol, grown with TTL renewal leases driven by kernel timer
-  events (expiry behaves like a recall; renewal is a metadata-only
-  message).
+  protocol, grown with TTL renewal leases whose term both ends
+  compute (expiry costs no timer and no message; renewal is a
+  metadata-only message).
 
 The TE-level transaction managers and the federated repository are
 thin participants of this layer: they validate, stage and apply.  A

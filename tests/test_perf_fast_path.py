@@ -19,6 +19,8 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import math
+import subprocess
 import sys
 from collections import OrderedDict
 from pathlib import Path
@@ -261,7 +263,7 @@ class TestOneWalkPerDov:
                                       "da-1", 1.0)
         size_before = buffer._entries["wb-1"].size
         before = walks()
-        assert buffer.rebind({"wb-1": durable}) == 1
+        assert buffer.rebind({"wb-1": durable}, math.inf) == 1
         entry = buffer._entries["dov-9"]
         assert entry.size == size_before
         assert not entry.dirty
@@ -645,7 +647,7 @@ class TestAWriteThroughCheckinCostsWhatItChanges:
         # the exchange (upload, request, reply) and the invalidation of
         # the superseded parent's copy
         assert rig.network.messages_sent - messages == 4 * self.CHECKINS
-        assert client.buffer.get(parent, "da-1").data is payloads[-1]
+        assert client.buffer.get(parent, "da-1", rig.clock.now).data is payloads[-1]
         for pairs in per_checkin:
             assert named(pairs, "WriteAheadLog.append") == 1
             assert named(pairs, "WriteAheadLog.force") == 1
@@ -1444,6 +1446,37 @@ class TestALeasedReadCostsWhatItTouches:
             assert calls == {"acquire": 0, "release": 0}
             assert locks.stats.granted == granted + count
             assert locks.stats.released == released + count
+
+
+class TestALeaseEndsWithoutATimer:
+    """A count gate on the read campaign, host-independent: a lease
+    ends with its term at both ends, so no expiry timer runs and no
+    expiry message is sent, and smoke-size ``campaign_reads`` runs at
+    most the pinned lines per designer op (``tools/lines_per_op.py``,
+    an exact ``sys.settrace`` count).  With a bucketed kernel timer per
+    expiry instant and an invalidation posted at each expiry it ran
+    80.9.  Line counts move with the CPython minor version, so the
+    ceiling is pinned per version."""
+
+    #: lines per designer op of smoke-size ``campaign_reads`` at the
+    #: tool's seed, per CPython minor version
+    MAX_LINES_PER_OP = {(3, 11): 72.4}
+
+    def test_smoke_campaign_reads_lines_per_op(self):
+        ceiling = self.MAX_LINES_PER_OP.get(sys.version_info[:2])
+        if ceiling is None:
+            pytest.skip("lines per op are pinned for CPython 3.11")
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, str(root / "tools" / "lines_per_op.py"),
+             "campaign_reads", "--smoke", "--json"],
+            capture_output=True, text=True, check=True, cwd=root)
+        result = json.loads(done.stdout)
+        assert result["problems"] == []
+        assert result["lines"] / result["ops"] <= ceiling, \
+            (result["lines"], result["ops"])
+        assert not [name for name in result["functions"]
+                    if "_on_bucket" in name or "_on_lease_expired" in name]
 
 
 class TestSchedulerPendingCounter:

@@ -422,72 +422,75 @@ class TestTheIndexedTableIsTheListTable:
 
 
 # ---------------------------------------------------------------------------
-# a free short lock is only counted
+# a checkin's graph lock is only counted
 # ---------------------------------------------------------------------------
-
-SHORT_MODES = (LockMode.SHORT_READ, LockMode.SHORT_WRITE)
-
 
 @st.composite
 def grant_programs(draw):
     """20-40 requests and releases over two resources and three
-    holders (scope requests always share, so grants pile up), then the
-    short lock to pass: its resource, holder and mode."""
+    holders (scope requests always share, so grants pile up)."""
     resource, holder = st.sampled_from(RESOURCES), st.sampled_from(HOLDERS)
     call = st.one_of(
         st.tuples(st.just("try_acquire"), resource, holder,
                   st.sampled_from(MODES)),
         st.tuples(st.just("release"), resource, holder,
                   st.none() | st.sampled_from(MODES)))
-    calls = draw(st.lists(call, min_size=20, max_size=40))
-    return calls, draw(resource), draw(holder), \
-        draw(st.sampled_from(SHORT_MODES))
+    return draw(st.lists(call, min_size=20, max_size=40))
 
 
 def _table_state(locks: LockManager) -> tuple:
     """Both indexes (with each grant's resource birth order) and the
-    counters: everything a pass or an acquire + release can touch
-    except the birth counter, which only orders births."""
+    birth counter: everything an acquire or a release can touch except
+    the counters."""
     return (
         {resource: dict(grants) for resource, grants
          in locks._table.items()},
-        {resource: dict(modes) for resource, modes
-         in locks._modes.items()},
+        {resource: dict(modes)
+         for resource, modes in locks._modes.items()},
         {holder: dict(held) for holder, held in locks._held.items()},
-        LockStats(**vars(locks.stats)))
+        locks._births)
 
 
-class TestAFreeShortLockIsOnlyCounted:
-    """``pass_short_lock`` is an acquire + release of a short lock, read
-    or write, on a resource with no grant — so it must leave the table,
-    both indexes and the counters exactly as that pair would; on a
-    resource that holds a grant it must refuse (False) and count
-    nothing."""
+class TestACheckinsGraphLockIsOnlyCounted:
+    """``ServerTM.prepare`` protects each derivation graph a checkin
+    grows with a short write lock (Sect.5.2) that is only counted: one
+    acquire + release per distinct DA of the request, and no
+    ``graph:`` resource ever enters the table, whatever grants it
+    holds — nothing takes a grant on a graph, and the staging runs on
+    the request's stack."""
 
-    @given(grant_programs())
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_a_pass_is_an_acquire_and_release(self, program):
-        calls, resource, holder, mode = program
-        passed, paired = LockManager(), LockManager()
-        passed.usage_allows = paired.usage_allows = lambda *_: True
+    @given(grant_programs(),
+           st.lists(st.sampled_from(("da-1", "da-2")), min_size=1,
+                    max_size=4))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_prepare_counts_one_pair_per_da_and_enters_nothing(
+            self, calls, das):
+        from repro.repository.schema import DesignObjectType
+        from repro.te.rig import TeRig
+        from repro.txn.gateway import CheckinRecord
+
+        rig = TeRig(trace=False)
+        rig.open_scope()
+        rig.repository.register_dot(DesignObjectType("Cell"))
+        for da in ("da-1", "da-2"):
+            rig.repository.create_graph(da)
+        locks = rig.server_tm.locks
+        locks.usage_allows = lambda *_: True
         for name, *args in calls:
-            for table in (passed, paired):
-                getattr(table, name)(*args)
-        before = _table_state(passed)
-        assert before == _table_state(paired)
+            getattr(locks, name)(*args)
+        before = _table_state(locks)
+        granted, released, conflicts = (
+            locks.stats.granted, locks.stats.released,
+            locks.stats.conflicts)
+        records = [CheckinRecord(f"p-{index}", da, "Cell", {}, [], None)
+                   for index, da in enumerate(das)]
+        mapping: dict[str, str] = {}
+        rig.server_tm.prepare("txn-1", records, mapping)
+        assert len(mapping) == len(records)
+        assert _table_state(locks) == before
+        assert not [resource for resource in locks._table
+                    if resource.startswith("graph:")]
+        assert locks.stats.granted == granted + len(set(das))
+        assert locks.stats.released == released + len(set(das))
+        assert locks.stats.conflicts == conflicts
 
-        free = not passed.holders(resource)
-        assert passed.pass_short_lock(resource) is free
-        if free:
-            paired.acquire(resource, holder, mode)
-            assert paired.release(resource, holder, mode) == 1
-            assert _table_state(passed) == _table_state(paired)
-            assert passed.stats.granted == before[3].granted + 1
-            assert passed.stats.released == before[3].released + 1
-        else:
-            assert _table_state(passed) == before
-        # what the tables answer next does not tell them apart
-        for table in (passed, paired):
-            table.try_acquire(resource, "h-next", LockMode.SCOPE)
-        for each in HOLDERS + ("h-next",):
-            assert passed.locks_of(each) == paired.locks_of(each)

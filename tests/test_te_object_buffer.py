@@ -31,25 +31,25 @@ def make_dov(dov_id="dov-1", data=None, parents=()):
 class TestObjectBufferUnit:
     def test_miss_then_hit(self):
         buffer = ObjectBuffer("ws-1")
-        assert buffer.get("dov-1", "da-1") is None
+        assert buffer.get("dov-1", "da-1", 0.0) is None
         buffer.put(make_dov(), "da-1")
-        assert buffer.get("dov-1", "da-1").dov_id == "dov-1"
+        assert buffer.get("dov-1", "da-1", 0.0).dov_id == "dov-1"
         assert (buffer.hits, buffer.misses) == (1, 1)
 
     def test_hits_are_scoped_per_da(self):
         buffer = ObjectBuffer("ws-1")
         buffer.put(make_dov(), "da-1")
         # another DA misses until its own (server-validated) fetch
-        assert buffer.get("dov-1", "da-2") is None
+        assert buffer.get("dov-1", "da-2", 0.0) is None
         buffer.put(make_dov(), "da-2")
-        assert buffer.get("dov-1", "da-2") is not None
+        assert buffer.get("dov-1", "da-2", 0.0) is not None
 
     def test_invalidate_and_clear(self):
         buffer = ObjectBuffer("ws-1")
         buffer.put(make_dov(), "da-1")
         assert buffer.invalidate("dov-1") is True
         assert buffer.invalidate("dov-1") is False
-        assert buffer.get("dov-1", "da-1") is None
+        assert buffer.get("dov-1", "da-1", 0.0) is None
         buffer.put(make_dov(), "da-1")
         assert buffer.clear() == 1
         assert len(buffer) == 0
@@ -57,7 +57,7 @@ class TestObjectBufferUnit:
     def test_stats_snapshot(self):
         buffer = ObjectBuffer("ws-1")
         buffer.put(make_dov(), "da-1")
-        buffer.get("dov-1", "da-1")
+        buffer.get("dov-1", "da-1", 0.0)
         assert len(buffer) == 1
         assert buffer.hits == 1
         assert buffer._entries["dov-1"].size == make_dov().payload_size
