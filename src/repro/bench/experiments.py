@@ -13,7 +13,7 @@ from typing import Callable
 
 from repro.baselines.models import all_models, concord_model
 from repro.bench.reporting import ExperimentResult
-from repro.core.features import RangeFeature
+from repro.core.features import DesignSpecification, RangeFeature
 from repro.core.system import ConcordSystem
 from repro.dc.script import DopStep, Script, Sequence
 from repro.net.network import Network, NodeKind
@@ -22,8 +22,12 @@ from repro.net.two_phase_commit import (
     TwoPhaseCoordinator,
     Vote,
 )
+from repro.repository.schema import (
+    AttributeDef,
+    AttributeKind,
+    DesignObjectType,
+)
 from repro.scenario.delegation import chip_spec, make_vlsi_system
-from repro.te.locks import LockManager, LockMode
 from repro.te.rig import TeRig
 from repro.util.ids import IdGenerator
 from repro.util.rng import SeededRng
@@ -235,62 +239,91 @@ def run_t3() -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# T4 — lock manager behaviour
+# T4 — short locks and scope-lock inheritance, on the stack
 # ---------------------------------------------------------------------------
 
-#: the short-lock acquire/release pairs T4 runs
-SHORT_LOCK_PAIRS = 5_000
+#: the write-through DOPs (one checkout, one checkin each) T4 runs
+SHORT_LOCK_DOPS = 100
+#: the final DOVs each DA of T4's inheritance chain evaluates
+FINALS_PER_DA = 5
+
+
+def _short_lock_sections() -> dict[str, int]:
+    """Sect.5.2's short-lock sections of :data:`SHORT_LOCK_DOPS`
+    write-through DOPs on a bufferless rig, where every checkout reads
+    at the server and every checkin commits there."""
+    rig = TeRig(trace=False, object_buffers=False)
+    rig.open_scope()
+    client = rig.add_workstation("ws-1")
+    rig.repository.register_dot(vlsi_dots()["StandardCell"])
+    rig.repository.create_graph("da-1")
+    data = {"cell": "c", "level": "cell", "area": 1.0}
+    dov = rig.repository.checkin("da-1", "StandardCell", data)
+    checkouts = 0
+    for _ in range(SHORT_LOCK_DOPS):
+        dop = client.begin_dop("da-1", "tool")
+        checkouts += len(client.checkout(dop, dov.dov_id))
+        dov = client.checkin(dop, "StandardCell", data,
+                             parents=[dov.dov_id]).dov
+        client.commit_dop(dop)
+    return {"sections": rig.server_tm.short_locks, "checkouts": checkouts,
+            "checkins": rig.server_tm.group_checkins}
+
+
+def _inheritance_chain(depth: int) -> int:
+    """Scope locks inherited along a chain of *depth* DAs on the CM:
+    each DA's DOT is a part of the one above, each DA evaluates
+    :data:`FINALS_PER_DA` final DOVs, and then the chain terminates
+    bottom-up.  Returns how many DOVs the super-DAs inherited."""
+    system = ConcordSystem(trace=False)
+    system.add_workstation("ws-1")
+    script = Script(Sequence(DopStep("structure_synthesis")), "noop")
+    spec = DesignSpecification([RangeFeature("size-limit", "size",
+                                             hi=10.0)])
+    size = [AttributeDef("size", AttributeKind.FLOAT)]
+    dots = [DesignObjectType(f"Level{depth - 1}", size)]
+    for level in range(depth - 2, -1, -1):
+        dots.insert(0, DesignObjectType(f"Level{level}", size,
+                                        parts={"part": dots[0]}))
+    chain = [system.init_design(dots[0], spec, "d0", script,
+                                "ws-1").da_id]
+    system.start(chain[0])
+    for level in range(1, depth):
+        chain.append(system.create_sub_da(chain[-1], dots[level], spec,
+                                          f"d{level}", script,
+                                          "ws-1").da_id)
+        system.start(chain[-1])
+    for level, da_id in enumerate(chain):
+        for index in range(FINALS_PER_DA):
+            dov = system.repository.checkin(da_id, dots[level].name,
+                                            {"size": float(index)})
+            system.cm.evaluate(da_id, dov.dov_id)
+    inherited = 0
+    for level in range(depth - 1, 0, -1):
+        system.cm.sub_da_ready_to_commit(chain[level])
+        inherited += len(system.cm.terminate_sub_da(chain[level - 1],
+                                                    chain[level]))
+    return inherited
 
 
 def run_t4() -> ExperimentResult:
-    """Lock-manager short-lock pairs and scope-lock inheritance.
+    """Short-lock sections and scope-lock inheritance on the stack.
 
     Every value is an exact count: no row is timed on the host."""
     result = ExperimentResult(
-        "T4", "Lock manager: short-lock pairs, scope-lock inheritance")
-
-    # short-lock acquire/release pairs: each pair leaves the table as
-    # it found it
-    operations = SHORT_LOCK_PAIRS
-    locks = LockManager()
-    for i in range(operations):
-        resource = f"dov-{i % 100}"
-        locks.acquire(resource, f"dop-{i}", LockMode.SHORT_READ)
-        locks.release(resource, f"dop-{i}", LockMode.SHORT_READ)
-    result.add(measure="short-lock pairs done",
-               value=min(locks.stats.granted, locks.stats.released),
-               detail=f"{operations} acquire+release pairs")
-    result.add(measure="short-lock grants left",
-               value=sum(len(locks.holders(f"dov-{k}"))
-                         for k in range(100)),
-               detail="grants in the table after the pairs")
-
-    # scope-lock inheritance cost vs hierarchy depth
+        "T4", "Locks: short-lock sections, scope-lock inheritance")
+    short = result.data["short_locks"] = _short_lock_sections()
+    result.add(measure="short-lock sections", value=short["sections"],
+               detail=f"{short['checkouts']} checkouts + "
+                      f"{short['checkins']} checkins")
     for depth in (2, 4, 8):
-        locks = LockManager()
-        visibility: dict[str, set[str]] = {}
-        locks.usage_allows = (
-            lambda req, holder, dov: req in visibility.get(dov, set()))
-        final_per_da = 5
-        # chain of DAs, each with its own final DOVs
-        for level in range(depth):
-            for f in range(final_per_da):
-                dov = f"dov-{level}-{f}"
-                visibility[dov] = {f"da-{level}"}
-                locks.acquire(dov, f"da-{level}", LockMode.SCOPE)
-        inherited_total = 0
-        for level in range(depth - 1, 0, -1):
-            finals = {f"dov-{level}-{f}" for f in range(final_per_da)}
-            for dov in finals:
-                visibility[dov].add(f"da-{level - 1}")
-            inherited = locks.inherit_scope_locks(
-                f"da-{level}", f"da-{level - 1}", finals)
-            inherited_total += len(inherited)
         result.add(measure=f"inheritance chain (depth={depth})",
-                   value=inherited_total,
-                   detail=f"{depth - 1} hand-overs of {final_per_da} "
+                   value=_inheritance_chain(depth),
+                   detail=f"{depth - 1} hand-overs of {FINALS_PER_DA} "
                           f"finals")
-    result.notes.append("inheritance is linear in finals per level")
+    result.notes.append("one short-lock section per checkout and per "
+                        "checkin; inheritance is linear in finals per "
+                        "level")
     return result
 
 

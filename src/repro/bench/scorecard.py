@@ -15,7 +15,6 @@ from typing import Callable
 
 from repro.bench.ablations import run_a1, run_a2, run_a3
 from repro.bench.experiments import (
-    SHORT_LOCK_PAIRS,
     run_t1,
     run_t2,
     run_t3,
@@ -202,10 +201,12 @@ def _check_t3(result: ExperimentResult) -> str | None:
 
 def _check_t4(result: ExperimentResult) -> str | None:
     counts = {r["measure"]: r["value"] for r in result.rows}
-    if counts.get("short-lock pairs done") != SHORT_LOCK_PAIRS:
-        return "short-lock pairs must all complete"
-    if counts.get("short-lock grants left") != 0:
-        return "short-lock pairs must leave no grant in the table"
+    short = result.data["short_locks"]
+    if not short["checkouts"] > 0 or not short["checkins"] > 0:
+        return "the DOPs must check out and check in"
+    if counts.get("short-lock sections") \
+            != short["checkouts"] + short["checkins"]:
+        return "one short-lock section per checkout and per checkin"
     # each hand-over passes the same finals on, at every depth
     per_level = {counts[f"inheritance chain (depth={depth})"] / (depth - 1)
                  for depth in (2, 4, 8)}

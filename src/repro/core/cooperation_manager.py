@@ -19,7 +19,15 @@ Implemented responsibilities:
 * negotiation semantics: sibling-only relationships, proposals,
   agree/disagree, escalation to the common super-DA;
 * dissemination control via scope locks with inheritance (Sect.5.4's
-  modified nested-transaction locking scheme);
+  modified nested-transaction locking scheme): "every DOV in a DA's
+  scope carries a scope lock held by that DA".  Unlike nested
+  transactions [Mo81], (a) only locks on *final* DOVs are inherited
+  upward when a sub-DA terminates, and (b) a scope lock may be granted
+  to an *additional* DA when a usage relationship to the retaining DA
+  exists and the DOV was propagated with sufficient quality.  A scope
+  lock is an entry of the visibility registry (dov -> DAs), the one
+  table of them: ``propagate``'s quality gate decides the sharing
+  before a second DA is entered;
 * failure handling: every cooperative operation forces one record to
   the CM's state log — the after-images of the DAs, relationships,
   visibility sets and inboxes it touched, and the operation's audit
@@ -47,7 +55,6 @@ from repro.dc.script import Script
 from repro.net.network import SERVER, Network
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
-from repro.te.locks import LockManager, LockMode
 from repro.util.errors import (
     CooperationError,
     DelegationError,
@@ -76,11 +83,10 @@ class CooperationManager:
     """Centralised mediator of the DA hierarchy (runs at the server)."""
 
     def __init__(self, repository: DesignDataRepository,
-                 locks: LockManager, network: Network,
+                 network: Network,
                  ids: IdGenerator | None = None,
                  trace: EventTrace | None = None) -> None:
         self.repository = repository
-        self.locks = locks
         self.network = network
         self.ids = ids or IdGenerator()
         self.trace = trace if trace is not None else EventTrace(enabled=False)
@@ -90,8 +96,12 @@ class CooperationManager:
         self._delegations: list[Delegation] = []
         self._usages: dict[tuple[str, str], Usage] = {}
         self._negotiations: dict[str, Negotiation] = {}
-        #: dov_id -> DA ids authorised to share a scope lock on it
+        #: dov_id -> the DAs holding a scope lock on it: the scope-lock
+        #: table, durable in the state log
         self._visibility: dict[str, set[str]] = {}
+        #: da_id -> the DOVs it holds a scope lock on: the table by
+        #: holder, volatile (:meth:`recover` rebuilds it)
+        self._scope_locks: dict[str, set[str]] = {}
         self._inboxes: dict[str, list[Message]] = {}
         #: indexes over the two relationship registries, each in its
         #: registry's order: supporting DA -> its usages, DA -> the
@@ -112,19 +122,12 @@ class CooperationManager:
         self.state_log = StateLog()
         self._registries = self._registries_now()
 
-        # install CONCORD semantics into the substrate components
-        self.locks.usage_allows = self._usage_allows
         node = self.network.node(SERVER)
         node.on_crash.append(self._on_server_crash)
 
     # ======================================================================
     # infrastructure
     # ======================================================================
-
-    def _usage_allows(self, requestor: str, holder: str,
-                      dov_id: str) -> bool:
-        """Scope-lock compatibility: granted along authorised sharing."""
-        return requestor in self._visibility.get(dov_id, set())
 
     def _record(self, operation: str, subject: str, **detail: Any) -> None:
         if self.trace.enabled:
@@ -241,7 +244,7 @@ class CooperationManager:
         (Sect.5.4 footnote) — the latter two are held as scope locks.
         """
         self.da(da_id)
-        scope = set(self.locks.scope_of(da_id))
+        scope = set(self._scope_locks.get(da_id, ()))
         if self.repository.has_graph(da_id):
             scope |= self.repository.graph(da_id).ids()
         return scope
@@ -254,32 +257,28 @@ class CooperationManager:
         repository = self.repository
         return (repository.has_graph(da_id)
                 and dov_id in repository.graph(da_id)) \
-            or self.locks.holds(dov_id, da_id, LockMode.SCOPE)
+            or da_id in self._visibility.get(dov_id, ())
 
     def _show(self, da_id: str, dov_id: str) -> None:
-        """Authorise *da_id* to share a scope lock on *dov_id*."""
+        """Grant *da_id* a scope lock on *dov_id* (idempotent)."""
         self._visibility.setdefault(dov_id, set()).add(da_id)
+        self._scope_locks.setdefault(da_id, set()).add(dov_id)
         self.state_log.mark("visibility", dov_id)
 
     def _hide(self, da_id: str, dov_id: str) -> None:
-        """Drop the authorisation together with the lock it stood for:
-        recovery re-acquires a scope lock for every holder listed."""
+        """Release *da_id*'s scope lock on *dov_id*, if it holds one."""
         holders = self._visibility.get(dov_id)
         if holders is None:
             return
         holders.discard(da_id)
         if not holders:
             del self._visibility[dov_id]
+        held = self._scope_locks.get(da_id)
+        if held is not None:
+            held.discard(dov_id)
+            if not held:
+                del self._scope_locks[da_id]
         self.state_log.mark("visibility", dov_id)
-
-    def _grant_visibility(self, da_id: str, dov_id: str) -> None:
-        """Authorise and take a scope lock for *da_id* on *dov_id*."""
-        self._show(da_id, dov_id)
-        self.locks.acquire(dov_id, da_id, LockMode.SCOPE)
-
-    def _revoke_visibility(self, da_id: str, dov_id: str) -> None:
-        self._hide(da_id, dov_id)
-        self.locks.release(dov_id, da_id, LockMode.SCOPE)
 
     # ======================================================================
     # hierarchy operations (delegation)
@@ -352,7 +351,7 @@ class CooperationManager:
             Delegation(super_id, da_id, self.clock.now))
         self.repository.create_graph(da_id)
         if initial_dov is not None:
-            self._grant_visibility(da_id, initial_dov)
+            self._show(da_id, initial_dov)
         self._record("Create_Sub_DA", da_id, super_da=super_id)
         self._persist(DaOperation.CREATE_SUB_DA, super_id, sub=da_id,
                       dot=dot.name, designer=designer)
@@ -406,8 +405,7 @@ class CooperationManager:
             # the sub holds scope locks on its finals (they are in its
             # graph); authorise the super to share them already now
             self._show(sub_id, dov_id)
-            self.locks.try_acquire(dov_id, sub_id, LockMode.SCOPE)
-            self._grant_visibility(sub.parent, dov_id)
+            self._show(sub.parent, dov_id)
         self._send("ready_to_commit", sub_id, sub.parent,
                    final_dovs=list(sub.final_dovs))
         self._record("Sub_DA_Ready_To_Commit", sub_id)
@@ -499,14 +497,16 @@ class CooperationManager:
         sub.machine.apply(DaOperation.TERMINATE_SUB_DA)
 
         final = set(sub.final_dovs)
-        # ensure the sub holds scope locks on its finals for inheritance
+        # the sub holds scope locks on its finals, gives up every lock
+        # it holds and hands those on its finals on: "a super-DA
+        # inherits the scope-locks on the final DOVs of its terminated
+        # sub-DAs and then retains these locks" (Sect.5.4)
         for dov_id in final:
             self._show(sub_id, dov_id)
-            self.locks.try_acquire(dov_id, sub_id, LockMode.SCOPE)
-        given_up = sorted(self.locks.scope_of(sub_id))
-        inherited = self.locks.inherit_scope_locks(sub_id, super_id, final)
+        given_up = sorted(self._scope_locks.get(sub_id, ()))
         for dov_id in given_up:
             self._hide(sub_id, dov_id)
+        inherited = [dov_id for dov_id in given_up if dov_id in final]
         for dov_id in inherited:
             self._show(super_id, dov_id)
 
@@ -546,9 +546,8 @@ class CooperationManager:
             raise CooperationError(
                 f"cannot finish {da_id!r}: sub-DAs still alive: {alive}")
         da.machine.state = DaState.TERMINATED
-        for dov_id in sorted(self.locks.scope_of(da_id)):
+        for dov_id in sorted(self._scope_locks.get(da_id, ())):
             self._hide(da_id, dov_id)
-        self.locks.release_all(da_id)
         self._record("Finish_Top_Level", da_id)
         self._persist()
 
@@ -634,7 +633,7 @@ class CooperationManager:
         return None
 
     def _deliver(self, usage: Usage, dov_id: str) -> None:
-        self._grant_visibility(usage.requiring_da, dov_id)
+        self._show(usage.requiring_da, dov_id)
         usage.delivered.append(dov_id)
         self.state_log.mark("usages", usage.key())
         self._send("dov_delivered", usage.supporting_da,
@@ -696,7 +695,7 @@ class CooperationManager:
             replacement = self._find_replacement(supporting, usage, dov_id)
             if replacement is not None:
                 usage.delivered.remove(dov_id)
-                self._revoke_visibility(usage.requiring_da, dov_id)
+                self._hide(usage.requiring_da, dov_id)
                 self._deliver(usage, replacement)
                 result[usage.requiring_da] = replacement
             else:
@@ -785,7 +784,7 @@ class CooperationManager:
         usage.delivered.remove(dov_id)
         usage.withdrawn.append(dov_id)
         self.state_log.mark("usages", usage.key())
-        self._revoke_visibility(usage.requiring_da, dov_id)
+        self._hide(usage.requiring_da, dov_id)
         self._send("withdrawal", usage.supporting_da, usage.requiring_da,
                    dov=dov_id)
         self._record("Withdraw", dov_id, frm=usage.supporting_da,
@@ -1048,22 +1047,22 @@ class CooperationManager:
                           self._inboxes)
 
     def _on_server_crash(self) -> None:
-        """Volatile registries vanish with the server process, and so
-        do the scope grants the lock table held for them."""
+        """Volatile registries vanish with the server process, the
+        scope-lock table's holder index with them."""
         self._das = {}
         self._delegations = []
         self._usages = {}
         self._negotiations = {}
         self._visibility = {}
+        self._scope_locks = {}
         self._inboxes = {}
         self._supported_by = {}
         self._negotiations_by_da = {}
         self._registries = self._registries_now()
-        self.locks.forget(LockMode.SCOPE)
         self.state_log.crash()
 
     def recover(self) -> dict[str, int]:
-        """Server restart: replay the state log, rebuild scope locks."""
+        """Server restart: replay the state log, rebuild the indexes."""
         state = self.state_log.replay(self.repository.dot)
         if state is None:
             return {"das": 0, "scope_locks": 0}
@@ -1074,15 +1073,11 @@ class CooperationManager:
                                           []).append(usage)
         for negotiation in self._negotiations.values():
             self._index_negotiation(negotiation)
-        # rebuild the scope grants, which died with the server: every
-        # one stands on an authorisation (:meth:`_show`)
-        self.locks.usage_allows = self._usage_allows
         rebuilt = 0
         for dov_id, holders in self._visibility.items():
-            for da_id in sorted(holders):
-                if self.locks.try_acquire(dov_id, da_id,
-                                          LockMode.SCOPE) is not None:
-                    rebuilt += 1
+            for da_id in holders:
+                self._scope_locks.setdefault(da_id, set()).add(dov_id)
+            rebuilt += len(holders)
         self._record("CM_recovered", SERVER,
                      das=len(self._das), scope_locks=rebuilt)
         return {"das": len(self._das), "scope_locks": rebuilt}

@@ -78,8 +78,7 @@ class ActivityBinding:
                 return [newest.dov_id]
         if self.da.vector.initial_dov is not None:
             return [self.da.vector.initial_dov]
-        delivered = sorted(
-            self._cm.locks.scope_of(self.da_id))
+        delivered = sorted(self._cm.scope_of(self.da_id))
         if delivered:
             return [delivered[0]]
         return []
@@ -139,9 +138,8 @@ class ConcordSystem(TeRig):
                  seed: int = 0) -> None:
         super().__init__(trace=trace, repository=repository,
                          jitter=jitter, seed=seed)
-        self.cm = CooperationManager(self.repository, self.locks,
-                                     self.network, ids=self.ids,
-                                     trace=self.trace)
+        self.cm = CooperationManager(self.repository, self.network,
+                                     ids=self.ids, trace=self.trace)
         self.cm.install_scope_check(self.server_tm)
         self.tools = ToolRegistry()
         self._runtimes: dict[str, DaRuntime] = {}

@@ -4,9 +4,8 @@ The paper has exactly one TE architecture: a client-TM per
 workstation, one server-TM in front of the repository (Sect.5.1),
 insulated from crashes by the network (Sect.5.4).  :class:`TeRig`
 builds it — kernel, clock, LAN with its server node, repository,
-lock manager, server-TM, transactional RPC, and per workstation an
-object buffer plus a client-TM — and every user of the stack
-constructs this class: :class:`~repro.core.system.ConcordSystem` *is*
+server-TM, transactional RPC, and per workstation an object buffer
+plus a client-TM — and every user of the stack constructs this class: :class:`~repro.core.system.ConcordSystem` *is*
 a rig with the AC/DC levels on top, the TE-only scenarios (T8, T9,
 the campaign soak, the perf microbenchmarks) use it bare.
 
@@ -30,7 +29,6 @@ from repro.net.rpc import TransactionalRpc
 from repro.repository.repository import DesignDataRepository
 from repro.sim.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.te.locks import LockManager
 from repro.te.object_buffer import ObjectBuffer
 from repro.te.transaction_manager import (
     ClientTM,
@@ -80,15 +78,14 @@ class TeRig:
         # model of operation"
         self.repository = repository if repository is not None \
             else DesignDataRepository(self.ids)
-        self.locks = LockManager()
         # registered BEFORE the server-TM's own hooks: on restart the
         # repository has redone its WAL by the time the server-TM
         # re-validates the workstation buffers against its stamps
         self.server.on_crash.append(lambda: self.repository.crash())
         self.server.on_restart.append(lambda: self.repository.recover())
-        self.server_tm = ServerTM(self.repository, self.locks,
-                                  self.network, trace=self.trace,
-                                  clock=self.clock, lease_ttl=lease_ttl)
+        self.server_tm = ServerTM(self.repository, self.network,
+                                  trace=self.trace, clock=self.clock,
+                                  lease_ttl=lease_ttl)
         register_server_endpoints(self.rpc, self.server_tm)
         #: False = caching off: every checkout re-ships its payload
         self._object_buffers = object_buffers

@@ -72,7 +72,6 @@ from repro.sim.clock import SimClock
 from repro.te.context import DopContext, SavepointStack
 from repro.te.dop import DesignOperation, DopState
 from repro.te.object_buffer import ObjectBuffer
-from repro.te.locks import LockManager
 from repro.te.recovery import POINT_INTERVAL, RecoveryManager
 from repro.util.errors import (
     RecoveryError,
@@ -112,15 +111,28 @@ class CheckinResult(NamedTuple):
 
 
 class ServerTM:
-    """Server-side transaction manager: shared access to the repository."""
+    """Server-side transaction manager: shared access to the repository.
+
+    Sect.5.2 protects the brief critical sections of checkin and
+    checkout with *short locks*: "short locks are fully sufficient to
+    protect a checkin or checkout operation".  Each section here runs
+    inside one server event, so no section can conflict with another
+    and no lock table is kept: :attr:`short_locks` counts the sections,
+    one per DOV a checkout reads and one per distinct DA whose
+    derivation graph a checkin request grows.  The long *derivation
+    lock* a DA may take "to prevent multiple checkout (and concurrent
+    processing) of this DOV for application-specific reasons" is not
+    modelled: no design activity of this reproduction has such a
+    reason.  The scope locks of Sect.5.4 are the cooperation manager's
+    visibility registry.
+    """
 
     def __init__(self, repository: DesignDataRepository,
-                 locks: LockManager, network: Network,
+                 network: Network,
                  trace: EventTrace | None = None,
                  clock: SimClock | None = None,
                  lease_ttl: float | None = None) -> None:
         self.repository = repository
-        self.locks = locks
         self.network = network
         #: the node of the sole participant of every checkin
         self.node_id = SERVER
@@ -152,6 +164,9 @@ class ServerTM:
         #: checkin requests committed (each one exchange over a
         #: group of one or more records)
         self.group_checkins = 0
+        #: short-lock sections entered (Sect.5.2): one per DOV checked
+        #: out, one per distinct DA of a checkin request
+        self.short_locks = 0
         # supersession notices: every committed version revokes the
         # leases on its parents
         repository.on_commit = self._on_repository_commit
@@ -183,11 +198,10 @@ class ServerTM:
         Implements Sect.5.2's checkout: "it has to be tested that,
         firstly, the DOV belongs to the scope of the DOP's DA, and,
         secondly, there is no incompatible derivation lock on the DOV"
-        — no DA takes one (:mod:`repro.te.locks`), so the scope test
-        is the whole admission.  The critical section's short read
-        lock is only counted: no grant the stack takes conflicts with
-        it, as a scope lock does not and the short write locks on DA
-        graphs are only counted too (:meth:`prepare`).  With
+        — no DA takes one, so the scope test is the whole admission.
+        The critical section's short read lock is only counted in
+        :attr:`short_locks`: the read runs inside one server event, so
+        nothing can conflict with it.  With
         ``lease=True`` the server additionally records a read lease for
         *workstation* — the promise to invalidate the shipped copy when
         a later checkin supersedes it.
@@ -204,9 +218,7 @@ class ServerTM:
                          reason="scope")
             raise ScopeViolationError(
                 f"DOV {dov_id!r} is not in the scope of DA {da_id!r}")
-        stats = self.locks.stats
-        stats.granted += 1
-        stats.released += 1
+        self.short_locks += 1
         dov = self.repository.read(dov_id)
         if workstation is not None:
             if renew:
@@ -274,16 +286,13 @@ class ServerTM:
         has to protect the proliferation of the DA's derivation graph
         ... employing a locking protocol based on short locks"), one
         per distinct DA for the whole request.  That lock is only
-        counted, as :meth:`checkout` counts its read lock: no grant is
-        ever taken on a graph resource and the staging runs
-        synchronously, so nothing can conflict with it.  A failure
+        counted in :attr:`short_locks`, as :meth:`checkout` counts its
+        read lock: the staging runs synchronously, so nothing can
+        conflict with it.  A failure
         (integrity violation, unknown parent) raises, with what was
         staged so far left in *mapping* for :meth:`abort`.
         """
-        graphs = {record.da_id for record in records}
-        stats = self.locks.stats
-        stats.granted += len(graphs)
-        stats.released += len(graphs)
+        self.short_locks += len({record.da_id for record in records})
         stage = self.repository.stage_checkin
         now = self.clock.now
         for provisional_id, da_id, dot_name, data, parents, _ in records:
@@ -994,7 +1003,7 @@ class ClientTM:
 
     def _finish(self, dop: DesignOperation, state: DopState) -> None:
         # Sect.5.2 first has the server-TM release the DOP's derivation
-        # locks; no DA takes one (repro.te.locks), so End-of-DOP sends
+        # locks; no DA takes one (see the CM), so End-of-DOP sends
         # nothing.  The DM learns the outcome from this call itself.
         dop.savepoints.clear()
         self.recovery.remove(dop.dop_id)

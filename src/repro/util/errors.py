@@ -3,7 +3,7 @@
 Every error raised by the library derives from :class:`ConcordError`, so
 applications can catch library failures with a single ``except`` clause.
 The sub-hierarchies mirror the architectural levels of the paper: the
-repository (advanced DBMS), the TE level (transactions, locks, recovery),
+repository (advanced DBMS), the TE level (transactions, recovery),
 the DC level (scripts, rules, constraints) and the AC level (cooperation
 protocol, DA lifecycle).
 """
@@ -42,20 +42,11 @@ class StorageError(RepositoryError):
 
 
 # ---------------------------------------------------------------------------
-# TE level (transactions, locks, recovery)
+# TE level (transactions, recovery)
 # ---------------------------------------------------------------------------
 
 class TransactionError(ConcordError):
     """Base class for TE-level failures."""
-
-
-class LockConflictError(TransactionError):
-    """A lock request conflicts with an incompatible granted lock."""
-
-    def __init__(self, message: str, holder: str | None = None) -> None:
-        super().__init__(message)
-        #: identifier of the conflicting lock holder, when known
-        self.holder = holder
 
 
 class TransactionStateError(TransactionError):

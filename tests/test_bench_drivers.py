@@ -129,11 +129,10 @@ class TestExperiments:
                         "saved no forced_writes")
 
     def test_t4_runs(self):
-        # short-lock pairs and scope inheritance, nothing else
+        # short-lock sections and scope inheritance, nothing else
         assert [row["measure"] for row in _real("T4").rows] == [
-            "short-lock pairs done", "short-lock grants left",
-            "inheritance chain (depth=2)", "inheritance chain (depth=4)",
-            "inheritance chain (depth=8)"]
+            "short-lock sections", "inheritance chain (depth=2)",
+            "inheritance chain (depth=4)", "inheritance chain (depth=8)"]
 
         def no_final_handed_over(result):
             for depth in (2, 4, 8):
@@ -143,16 +142,27 @@ class TestExperiments:
 
     def test_t4_counts_not_times(self):
         # every T4 value is an exact count, the same on any host
-        assert [row["value"] for row in _real("T4").rows] \
-            == [5000, 0, 5, 15, 35]
+        result = _real("T4")
+        assert [row["value"] for row in result.rows] == [200, 5, 15, 35]
+        assert result.data["short_locks"] \
+            == {"sections": 200, "checkouts": 100, "checkins": 100}
 
-        def a_pair_left_its_grant(result):
-            _row(result, measure="short-lock grants left")["value"] = 1
-        _assert_rejects("T4", a_pair_left_its_grant, "leave no grant")
+        def a_section_not_counted(result):
+            _row(result, measure="short-lock sections")["value"] -= 1
+        _assert_rejects("T4", a_section_not_counted, "one short-lock section")
 
-        def a_pair_lost(result):
-            _row(result, measure="short-lock pairs done")["value"] -= 1
-        _assert_rejects("T4", a_pair_lost, "must all complete")
+        def a_checkin_counted_twice(result):
+            result.data["short_locks"]["checkins"] += 1
+        _assert_rejects("T4", a_checkin_counted_twice,
+                        "one short-lock section")
+
+        def no_dop_checked_out(result):
+            short = result.data["short_locks"]
+            short["sections"] -= short["checkouts"]
+            _row(result, measure="short-lock sections")["value"] \
+                = short["sections"]
+            short["checkouts"] = 0
+        _assert_rejects("T4", no_dop_checked_out, "must check out")
 
         def a_final_not_handed_over(result):
             _row(result, measure="inheritance chain (depth=8)")[

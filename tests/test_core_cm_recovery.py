@@ -45,7 +45,6 @@ from repro.repository.versions import (
     is_frozen_payload,
 )
 from repro.repository.wal import LogRecord, LogRecordKind
-from repro.te.locks import LockMode
 from repro.util.errors import ConcordError
 from repro.vlsi.tools import vlsi_dots
 
@@ -98,7 +97,7 @@ def plain(value: Any) -> Any:
 
 
 def held(system: ConcordSystem) -> dict[str, Any]:
-    """The six registries and the scope-lock table."""
+    """The six registries and the scope locks' holder index."""
     cm = system.cm
     return {
         "das": plain(cm._das),
@@ -106,13 +105,12 @@ def held(system: ConcordSystem) -> dict[str, Any]:
         "usages": plain(cm._usages),
         "negotiations": plain(cm._negotiations),
         # the one registry whose order nothing depends on: recovery
-        # walks it to re-acquire locks, and a lock table has no order
+        # walks it to rebuild the holder index, which has no order
         "visibility": sorted(plain(cm._visibility)),
         "inboxes": plain(cm._inboxes),
-        "scope_locks": {
-            da_id: sorted(lock.resource for lock
-                          in system.locks.locks_of(da_id, LockMode.SCOPE))
-            for da_id in cm._das},
+        # what _show / _hide maintain, against what recover() rebuilds
+        "scope_locks": sorted((da_id, sorted(dovs)) for da_id, dovs
+                              in cm._scope_locks.items()),
     }
 
 
@@ -134,9 +132,9 @@ def assert_recovers(system: ConcordSystem) -> None:
     logged = system.cm.stats()
     das = list(system.cm._das)
     system.crash_server()
-    # the scope grants died with the server: recovery rebuilds every
-    # one of them from the log alone
-    assert not any(system.locks.scope_of(da_id) for da_id in das)
+    # the holder index died with the server: recovery rebuilds it
+    # from the log alone
+    assert system.cm._scope_locks == {}
     system.restart_server()
     after = held(system)
     for registry, value in before.items():
@@ -468,10 +466,13 @@ class _TornCheckpoint(Exception):
 #: behind it
 CRASHES = ("plain", "torn")
 
+#: at least 20 steps: the 40 derandomized examples of shorter lists
+#: never got as far as a termination, a withdrawal or a finish, so no
+#: drawn program gave a scope lock up
 steps = st.lists(
     st.tuples(st.sampled_from(Program.DRAWS),
               *[st.integers(min_value=0, max_value=2 ** 16)] * 3),
-    min_size=1, max_size=60)
+    min_size=20, max_size=60)
 crashes = st.dictionaries(st.integers(min_value=0, max_value=59),
                           st.sampled_from(CRASHES), max_size=6)
 
@@ -610,7 +611,7 @@ def final_dov(system: ConcordSystem, da_id: str) -> str:
 
 
 def scope_locks(system: ConcordSystem) -> dict[str, list[str]]:
-    return {da.da_id: sorted(system.locks.scope_of(da.da_id))
+    return {da.da_id: sorted(system.cm._scope_locks.get(da.da_id, ()))
             for da in system.cm.das()}
 
 
@@ -627,9 +628,9 @@ def test_recovery_does_not_resurrect_a_terminated_sub_das_scope_locks(team):
 
 
 def test_the_scope_grants_die_with_the_server_and_come_back(team):
-    """The lock table is server state: between the crash and the
-    restart no DA holds a scope grant, and recovery grants again what
-    the CM's authorisations stand for — no more, no less."""
+    """The holder index is server state: between the crash and the
+    restart no DA holds a scope lock, and recovery indexes again what
+    the durable visibility registry holds — no more, no less."""
     system, top, (left, right) = team
     dov = final_dov(system, left)
     system.cm.require(right, left, {"width-limit"})
@@ -638,8 +639,8 @@ def test_the_scope_grants_die_with_the_server_and_come_back(team):
     before = scope_locks(system)
     assert before == {top: [dov], left: [dov], right: [dov]}
     system.crash_server()
-    assert all(not system.locks.scope_of(da_id) for da_id in before)
-    assert system.locks.holders(dov) == []
+    assert system.cm._scope_locks == {}
+    assert system.cm._visibility == {}
     system.restart_server()
     assert scope_locks(system) == before
 
@@ -650,7 +651,7 @@ def test_recovery_does_not_resurrect_a_finished_designs_scope_locks(team):
         final_dov(system, sub)
         system.cm.sub_da_ready_to_commit(sub)
         system.cm.terminate_sub_da(top, sub)
-    assert len(system.locks.scope_of(top)) == 2
+    assert len(system.cm._scope_locks[top]) == 2
     system.cm.finish_top_level(top)
     assert scope_locks(system) == {top: [], subs[0]: [], subs[1]: []}
     system.crash_server()
@@ -778,7 +779,8 @@ def test_a_two_party_transition_is_refused_before_either_has_moved(team):
 
 
 def registries(holding: dict[str, Any]) -> dict[str, Any]:
-    """*holding* without the lock table (the edits here go round it)."""
+    """*holding* without the holder index (the edits here go round
+    it)."""
     return {name: value for name, value in holding.items()
             if name != "scope_locks"}
 

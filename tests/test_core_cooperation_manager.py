@@ -213,7 +213,9 @@ class TestTerminate:
         system.cm.terminate_sub_da(top.da_id, sub.da_id)
         system.cm.finish_top_level(top.da_id)
         assert system.cm.da(top.da_id).state is DaState.TERMINATED
-        assert system.locks.scope_of(top.da_id) == set()
+        assert top.da_id not in system.cm._scope_locks
+        assert not [dov for dov, holders in system.cm._visibility.items()
+                    if top.da_id in holders]
 
     def test_finish_top_level_blocked_by_live_subs(self, rig):
         system, top, sub, __, __p = self._ready_sub(rig)

@@ -34,7 +34,6 @@ from repro.dc.script import (
 )
 from repro.repository.versions import DerivationGraph, DesignObjectVersion
 from repro.repository.wal import LogRecordKind, WriteAheadLog
-from repro.te.locks import LockManager, LockMode
 from repro.vlsi.shapes import Shape, ShapeFunction
 
 # ---------------------------------------------------------------------------
@@ -135,59 +134,6 @@ def test_no_node_is_its_own_ancestor(graph):
 def test_leaves_have_no_descendants(graph):
     for leaf in graph.leaves():
         assert children(graph, leaf.dov_id) == []
-
-
-# ---------------------------------------------------------------------------
-# lock manager
-# ---------------------------------------------------------------------------
-
-lock_ops = st.lists(st.tuples(
-    st.sampled_from(["acquire", "release"]),
-    st.integers(min_value=0, max_value=4),   # resource index
-    st.integers(min_value=0, max_value=3),   # holder index
-    st.sampled_from([LockMode.SHORT_READ, LockMode.SHORT_WRITE,
-                     LockMode.SCOPE]),
-), max_size=40)
-
-
-@given(lock_ops)
-def test_lock_table_consistency(operations):
-    locks = LockManager()
-    for op, res_i, holder_i, mode in operations:
-        resource, holder = f"r{res_i}", f"h{holder_i}"
-        if op == "acquire":
-            locks.try_acquire(resource, holder, mode)
-        else:
-            locks.release(resource, holder, mode)
-    # scope_of must agree with holders() for every DA
-    for holder_i in range(4):
-        holder = f"h{holder_i}"
-        via_scope = locks.scope_of(holder)
-        via_holders = {f"r{r}" for r in range(5)
-                       if any(g.holder == holder for g
-                              in locks.holders(f"r{r}", LockMode.SCOPE))}
-        assert via_scope == via_holders
-
-
-@given(lock_ops)
-def test_short_write_locks_exclusive(operations):
-    locks = LockManager()
-    for op, res_i, holder_i, mode in operations:
-        resource, holder = f"r{res_i}", f"h{holder_i}"
-        if op == "acquire":
-            locks.try_acquire(resource, holder, mode)
-        else:
-            locks.release(resource, holder, mode)
-        for r in range(5):
-            # a short write lock excludes every other holder's short
-            # lock; scope locks do not take part
-            grants = locks.holders(f"r{r}")
-            writers = {g.holder for g in grants
-                       if g.mode is LockMode.SHORT_WRITE}
-            short = {g.holder for g in grants
-                     if g.mode is not LockMode.SCOPE}
-            assert len(writers) <= 1
-            assert not writers or short == writers
 
 
 # ---------------------------------------------------------------------------

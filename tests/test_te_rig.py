@@ -233,7 +233,7 @@ def _drive_checkin(shape: str, leg: str, arm) -> dict:
         "parent_lease": server_tm.leases.holders(parent.dov_id),
         "trace_rows": len(rig.trace) - rows_before,
         "messages": rig.network.messages_sent - sent,
-        "graph_lock_free": not rig.locks.holders("graph:da-1"),
+        "short_locks": server_tm.short_locks,
     }
 
 
@@ -247,7 +247,8 @@ def test_a_single_checkin_is_a_group_of_one_at_the_server_tm(
     single = _drive_checkin("single", leg, crash_at_the_force)
     group = _drive_checkin("group", leg, crash_at_the_force)
     assert single == group
-    assert single["graph_lock_free"] and single["staged_after"] == 0
+    # one short-lock section: the request's one DA graph
+    assert single["short_locks"] == 1 and single["staged_after"] == 0
     # the upload and the request; the reply too, unless the server died
     assert single["messages"] == (2 if leg == "abort" else 3)
     if leg == "commit":

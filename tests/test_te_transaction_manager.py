@@ -14,6 +14,7 @@ from repro.repository.schema import (
 )
 from repro.te.dop import DopState
 from repro.te.rig import TeRig
+from repro.txn.gateway import CheckinRecord
 from repro.util.errors import (
     RecoveryError,
     ScopeViolationError,
@@ -30,7 +31,7 @@ def _area_non_negative(data: dict) -> bool:
 @pytest.fixture
 def rig():
     te = TeRig(trace=False, object_buffers=False)
-    clock, network, locks = te.clock, te.network, te.locks
+    clock, network = te.clock, te.network
     repo, server_tm = te.repository, te.server_tm
     repo.register_dot(DesignObjectType("Cell", attributes=[
         AttributeDef("area", AttributeKind.FLOAT, required=False)],
@@ -42,7 +43,7 @@ def rig():
     dov0 = repo.checkin("da-1", "Cell", {"area": 100.0})
     return {
         "clock": clock, "network": network, "workstation": workstation,
-        "repo": repo, "locks": locks, "server_tm": server_tm,
+        "repo": repo, "server_tm": server_tm,
         "client_tm": client_tm, "dov0": dov0,
     }
 
@@ -106,11 +107,11 @@ class TestCheckoutSemantics:
         dov_id = rig["dov0"].dov_id
         dop_a = client.begin_dop("da-1", "tool")
         client.checkout(dop_a, dov_id)
-        # a second DOP of the DA reads it while the first is active,
-        # and a checkout leaves no grant behind
+        # a second DOP of the DA reads it while the first is active:
+        # each read is one short-lock section, and none outlives it
         dop_b = client.begin_dop("da-1", "tool")
         assert client.checkout(dop_b, dov_id) == (rig["dov0"],)
-        assert rig["locks"].holders(dov_id) == []
+        assert rig["server_tm"].short_locks == 2
 
     def test_recovery_point_after_checkout(self, rig):
         client = rig["client_tm"]
@@ -359,3 +360,17 @@ class TestCheckinOnePhase:
         assert outcome.no_voters == ("server",)
         assert rig["repo"].store.staged_ids() == set()
         assert rig["repo"].wal.forced_writes == forced
+
+    def test_prepare_counts_one_short_lock_per_da(self, rig):
+        # Sect.5.2's short write lock on each DA graph a request grows:
+        # one section per distinct DA, however many records it stages
+        server_tm = rig["server_tm"]
+        for das in (("da-1",), ("da-1", "da-1"), ("da-1", "da-2"),
+                    ("da-2", "da-1", "da-2", "da-1")):
+            records = [CheckinRecord(f"p-{index}", da, "Cell", {}, [], None)
+                       for index, da in enumerate(das)]
+            mapping: dict[str, str] = {}
+            before = server_tm.short_locks
+            server_tm.prepare("txn-1", records, mapping)
+            assert len(mapping) == len(records)
+            assert server_tm.short_locks == before + len(set(das))

@@ -7,7 +7,6 @@ import pytest
 from repro.util.errors import (
     ConcordError,
     IllegalTransitionError,
-    LockConflictError,
     RepositoryError,
     SchemaError,
 )
@@ -141,10 +140,6 @@ class TestErrors:
         assert issubclass(SchemaError, RepositoryError)
         assert issubclass(RepositoryError, ConcordError)
         assert issubclass(IllegalTransitionError, ConcordError)
-
-    def test_lock_conflict_carries_holder(self):
-        exc = LockConflictError("boom", holder="da-2")
-        assert exc.holder == "da-2"
 
     def test_illegal_transition_carries_context(self):
         exc = IllegalTransitionError("nope", state="active",

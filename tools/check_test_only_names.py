@@ -24,8 +24,8 @@ here is not a use.
 Blind spot: the count is of bare names, not of the definitions they
 resolve to.  A name that several definitions share counts as a use of
 all of them, so a method that only a test calls looks used as long as
-another definition's caller spells the same name (``LockManager.holds``
-beside ``Constraint.holds``).  ROADMAP item 3(d) lists the methods
+another definition's caller spells the same name (``RuleEngine.remove``
+beside ``RecoveryManager.remove``).  ROADMAP item 3(d) lists the methods
 this hides.
 
 Usage::
