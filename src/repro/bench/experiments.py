@@ -29,7 +29,6 @@ from repro.repository.schema import (
 )
 from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.te.rig import TeRig
-from repro.util.ids import IdGenerator
 from repro.util.rng import SeededRng
 from repro.vlsi.tools import vlsi_dots
 from repro.workload.generator import (

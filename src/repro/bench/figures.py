@@ -21,7 +21,6 @@ from repro.core.states import (
     legal_operations,
     transition_table,
 )
-from repro.dc.script import ActionKind
 from repro.scenario.delegation import make_vlsi_system
 from repro.util.errors import IllegalTransitionError
 from repro.util.trace import Level

@@ -1061,11 +1061,11 @@ class CooperationManager:
         self._registries = self._registries_now()
         self.state_log.crash()
 
-    def recover(self) -> dict[str, int]:
+    def recover(self) -> None:
         """Server restart: replay the state log, rebuild the indexes."""
         state = self.state_log.replay(self.repository.dot)
         if state is None:
-            return {"das": 0, "scope_locks": 0}
+            return
         (self._das, self._delegations, self._usages, self._negotiations,
          self._visibility, self._inboxes) = self._registries = state
         for usage in self._usages.values():
@@ -1080,7 +1080,6 @@ class CooperationManager:
             rebuilt += len(holders)
         self._record("CM_recovered", SERVER,
                      das=len(self._das), scope_locks=rebuilt)
-        return {"das": len(self._das), "scope_locks": rebuilt}
 
     # ======================================================================
     # reporting

@@ -21,7 +21,7 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.util.errors import RuleError

@@ -16,7 +16,7 @@ specified in the underlying database schema", Sect.5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator
 

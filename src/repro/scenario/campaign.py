@@ -163,6 +163,9 @@ def design_campaign_scenario(config: ScenarioConfig,
     plans, hotspot_reads = _draw_plan(
         Random(SeededRng(config.seed).fork(1).seed), config)
     driver.schedule(plans)
+    # from here on a plan lives in its begin event, then in its
+    # session, and goes with the session's last event
+    del plans
     buffers = driver.rig.buffers()
 
     report = CampaignReport(days=days, team=team)

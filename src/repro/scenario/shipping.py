@@ -105,6 +105,7 @@ def object_buffer_scenario(config: ScenarioConfig,
             kind="t8", stem=spec.session_id, steps=tuple(steps),
             dop_per_step=True))
     driver.schedule(plans)
+    del plans  # each plan lives in its begin event and its session
     rig.kernel.run_until_quiescent()
 
     report = ShippingReport(caching=caching)

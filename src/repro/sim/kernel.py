@@ -12,10 +12,11 @@ extended with the execution services the concurrent system needs:
 * **failure injection** — :meth:`crash_at` arms a node crash (and its
   restart) at arbitrary simulated instants; it is the only crash
   injector, so every scenario's crashes land in :attr:`injections`;
-* **a deterministic event trace** — every executed event is recorded
-  as ``(time, priority, seq, label)`` in ``event_log``, so two
-  identically seeded runs can be compared event by event (and the full
-  stream can be persisted/replayed through :mod:`repro.sim.trace`).
+* **a deterministic event trace** — every executed event is logged
+  (unboxed ``time, priority, seq`` plus its label) and read back as
+  ``(time, priority, seq, label)`` tuples through :meth:`events`, so
+  two identically seeded runs can be compared event by event (and the
+  full stream can be persisted/replayed through :mod:`repro.sim.trace`).
   The ``(time, priority, seq)`` tie-breaking of the underlying
   scheduler makes the trace — and therefore the whole simulation —
   reproducible.
@@ -28,7 +29,6 @@ delivery (inside a run) and synchronous handoff (outside).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.clock import SimClock
@@ -133,5 +133,4 @@ class Kernel(EventScheduler):
         identical signatures — the determinism contract of the
         ``(time, priority, seq)`` tie-breaking.
         """
-        return (len(self.event_log), self.clock.now,
-                tuple(map(itemgetter(3), self.event_log)))
+        return (len(self._labels), self.clock.now, tuple(self._labels))

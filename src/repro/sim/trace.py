@@ -1,7 +1,8 @@
 """Kernel trace record/replay — the determinism regression oracle.
 
-The kernel already logs every executed event as ``(time, priority,
-seq, label)`` (:attr:`repro.sim.kernel.Kernel.event_log`), and the
+The kernel already logs every executed event and reads it back as
+``(time, priority, seq, label)`` tuples
+(:meth:`repro.sim.scheduler.EventScheduler.events`), and the
 ``(time, priority, seq)`` tie-breaking makes that stream a complete,
 reproducible fingerprint of a seeded run.  This module turns the
 stream into a first-class artifact:
@@ -43,7 +44,7 @@ TRACE_FORMAT = "concord-kernel-trace/1"
 #: events before a divergence that a :class:`TraceDiff` shows
 DIFF_CONTEXT = 3
 
-#: one executed kernel event, exactly as the kernel logs it
+#: one executed kernel event, as the kernel's log view gives it
 TraceEvent = tuple[float, int, int, str]
 
 
@@ -84,7 +85,7 @@ class KernelTrace:
 def capture_trace(kernel: "Kernel",
                   scenario: dict[str, Any] | None = None) -> KernelTrace:
     """Snapshot *kernel*'s executed event stream as a trace artifact."""
-    events = [tuple(entry) for entry in kernel.event_log]
+    events = kernel.events()
     meta = {
         "format": TRACE_FORMAT,
         "scenario": scenario or {},

@@ -63,21 +63,13 @@ from repro.net.two_phase_commit import CommitOutcome
 from repro.txn.gateway import CheckinRecord, CommitGateway, GroupCommitResult
 from repro.txn.leases import LeaseTable
 from repro.repository.repository import DesignDataRepository
-from repro.repository.versions import (
-    DesignObjectVersion,
-    freeze_payload,
-    payload_sizeof,
-)
+from repro.repository.versions import DesignObjectVersion, freeze_payload
 from repro.sim.clock import SimClock
-from repro.te.context import DopContext, SavepointStack
+from repro.te.context import DopContext
 from repro.te.dop import DesignOperation, DopState
 from repro.te.object_buffer import ObjectBuffer
 from repro.te.recovery import POINT_INTERVAL, RecoveryManager
-from repro.util.errors import (
-    RecoveryError,
-    ScopeViolationError,
-    TransactionError,
-)
+from repro.util.errors import ScopeViolationError, TransactionError
 from repro.util.ids import IdGenerator
 from repro.util.trace import EventTrace, Level
 

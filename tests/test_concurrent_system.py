@@ -126,7 +126,7 @@ class TestInterleaving:
     def test_event_trace_shows_interleaved_finishes(self, trio):
         system, __, subs = trio
         system.run_concurrent(subs)
-        finishes = [label for *__, label in system.kernel.event_log
+        finishes = [label for *__, label in system.kernel.events()
                     if label.startswith("dop-finish:")]
         owners = [label.split(":")[1] for label in finishes]
         # the finish stream switches DA more often than a serialised
@@ -270,7 +270,7 @@ class TestTheDmWaits:
         # two 10-minute DOPs; the run ends when the last checkin's
         # invalidations have reached the other stations
         finishes = [round(time - start, 6) for time, *__, label
-                    in system.kernel.event_log
+                    in system.kernel.events()
                     if label == f"dop-finish:{done}:refine"]
         assert finishes == [10.0, 20.0, 40.01, 50.01]
         assert system.clock.now - start == pytest.approx(50.020095)
@@ -301,7 +301,7 @@ class TestTheDmWaits:
         assert statuses[consumer].stopped
         assert statuses[consumer].executed_dops == 2
         log = [(time - start, label)
-               for time, *__, label in system.kernel.event_log]
+               for time, *__, label in system.kernel.events()]
         reported = [t for t, label in log
                     if label.startswith("msg:ready_to_commit:")]
         assert len(reported) == 2 and min(reported) > 20.0

@@ -645,6 +645,28 @@ def test_the_scope_grants_die_with_the_server_and_come_back(team):
     assert scope_locks(system) == before
 
 
+def test_the_recovery_record_counts_what_recovery_rebuilt():
+    """``recover()`` returns nothing: what it rebuilt is counted in
+    the trace's ``CM_recovered`` record."""
+    system = ConcordSystem(trace=True)
+    system.add_workstation("ws-1")
+    dots = vlsi_dots()
+    top = system.init_design(dots["Chip"], spec(100.0), "chief", NOOP,
+                             "ws-1").da_id
+    system.start(top)
+    left = system.create_sub_da(top, dots["Module"], spec(50.0), "left",
+                                NOOP, "ws-1").da_id
+    system.start(left)
+    final_dov(system, left)
+    system.cm.sub_da_ready_to_commit(left)
+    system.crash_server()
+    system.restart_server()
+    [record] = system.trace.operations("CM_recovered")
+    # the final DOV is visible to the sub-DA and to its parent
+    assert record.detail == {"das": 2, "scope_locks": 2}
+    assert system.cm.recover() is None
+
+
 def test_recovery_does_not_resurrect_a_finished_designs_scope_locks(team):
     system, top, subs = team
     for sub in subs:

@@ -1464,6 +1464,53 @@ class TestAScopeLockIsAVisibilityEntry:
                     if name.startswith("te/locks.py:")]
 
 
+#: what the peak gate runs in a fresh process: smoke-size
+#: ``campaign_reads`` set up at ``run.py``'s default seed, then its run
+#: under ``tracemalloc`` after a full collection; prints the peak bytes
+_TRACED_PEAK = """
+import gc, sys, tempfile, tracemalloc
+from pathlib import Path
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "benchmarks" / "e2e")]
+import workloads
+workload = workloads.WORKLOADS["campaign_reads"]
+with tempfile.TemporaryDirectory() as scratch:
+    config = Path(scratch) / "campaign_reads.toml"
+    config.write_text(workload.generate(workloads.DEFAULT_SEED, True),
+                      encoding="utf-8")
+    state = workload.setup(config)
+    gc.collect()
+    tracemalloc.start()
+    workload.run(state)
+    print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+class TestARunKeepsOnlyWhatItStillNeeds:
+    """A memory gate on the read campaign, exact at a seed: the
+    kernel logs each event unboxed and the campaign lets go of its
+    drawn plans once their begin events are filed, so a plan lives
+    only in its begin event and its session.  With every plan kept to
+    the last event and every logged event a boxed tuple, the run's
+    ``tracemalloc`` peak was 1 405 638 bytes.  Allocation sizes move
+    with the CPython minor version, so the ceiling is pinned per
+    version."""
+
+    #: ``tracemalloc`` peak bytes of smoke-size ``campaign_reads``'
+    #: run, per CPython minor version
+    MAX_PEAK_BYTES = {(3, 11): 1_260_000}
+
+    def test_smoke_campaign_reads_peak(self):
+        ceiling = self.MAX_PEAK_BYTES.get(sys.version_info[:2])
+        if ceiling is None:
+            pytest.skip("the peak is pinned for CPython 3.11")
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-B", "-c", _TRACED_PEAK, str(root)],
+            capture_output=True, text=True, check=True, cwd=root)
+        assert int(done.stdout.split()[-1]) <= ceiling, done.stdout
+
+
 class TestSchedulerPendingCounter:
     def test_pending_tracks_schedule_and_run(self):
         scheduler = EventScheduler(SimClock())

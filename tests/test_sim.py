@@ -1,4 +1,4 @@
-"""Unit tests for repro.sim: clock, scheduler."""
+"""Unit tests for repro.sim: clock, scheduler, the kernel's event log."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.clock import SimClock
+from repro.sim.kernel import Kernel
 from repro.sim.scheduler import EventScheduler
 
 
@@ -87,7 +88,7 @@ class TestEventScheduler:
         sched.defer(-1.0, lambda: seen.append(sched.clock.now))
         sched.run()
         assert seen == [0.0]
-        assert sched.event_log == [(0.0, 0, 1, "")]
+        assert sched.events() == [(0.0, 0, 1, "")]
 
     def test_events_can_schedule_events(self):
         sched = EventScheduler()
@@ -172,7 +173,7 @@ class TestDispatchOrderProperty:
             def action():
                 assert key == min(live)
                 assert sched.clock.now == key[0]
-                assert sched.event_log[-1][:3] == key
+                assert sched.events()[-1][:3] == key
                 live.remove(key)
                 dispatched.append(key)
                 for child in children:
@@ -217,6 +218,54 @@ class TestDispatchOrderProperty:
         assert sorted(probed) == sorted(probes)
         assert dispatched == sorted(dispatched, key=lambda k: k[0])
         assert sched.executed == len(dispatched) + len(probes)
-        assert [entry[:3] for entry in sched.event_log
+        assert [entry[:3] for entry in sched.events()
                 if entry[3] != "probe"] == dispatched
 
+
+class TestTheLogViewIsTheOldLog:
+    """The kernel logs an event as three unboxed numbers and a label.
+    Read back — :meth:`events`, ``executed``, ``trace_signature()`` and
+    each ``run()``'s count — it must be what a plain recorder of
+    ``(time, priority, seq, label)`` tuples, appended as each event
+    runs, holds: over drawn programs of mixed priorities, same-instant
+    ties, actions that file more events and ``max_events`` cut-offs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=st.lists(_OPS, max_size=12),
+           cuts=st.lists(st.none() | st.integers(0, 4), max_size=4))
+    def test_the_view_equals_a_plain_recorder(self, program, cuts):
+        kernel = Kernel()
+        recorded: list[tuple[float, int, int, str]] = []
+        seqs = count(1)
+
+        def apply(op):
+            how, delay, priority, children = op
+            seq = next(seqs)
+
+            def action():
+                recorded.append((kernel.clock.now, priority, seq, how))
+                for child in children:
+                    apply(child)
+
+            if how == "at":
+                kernel.at(kernel.clock.now + delay, action, label=how,
+                          priority=priority)
+            elif how == "after":
+                kernel.after(delay, action, label=how)
+            else:
+                kernel.defer(delay, action, label=how)
+
+        for op in program:
+            apply(op)
+        for max_events in cuts + [None]:
+            before = len(recorded)
+            assert kernel.run(max_events) == len(recorded) - before
+            view = kernel.events()
+            assert view == recorded
+            assert all(type(priority) is int and type(seq) is int
+                       for _, priority, seq, _ in view)
+            assert kernel.executed == len(recorded)
+            assert kernel.trace_signature() == (
+                len(recorded), kernel.clock.now,
+                tuple(label for *_, label in recorded))
+        assert kernel.pending == 0

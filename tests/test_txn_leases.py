@@ -507,7 +507,7 @@ class TestExpiryCostsNothing:
         kernel.run_until_quiescent()
         (before, after), = seen
         assert after == before
-        assert [label for *_, label in kernel.event_log] == ["probe"]
+        assert [label for *_, label in kernel.events()] == ["probe"]
 
 
 #: the campaign's library: its live frontier is one version per object
