@@ -11,19 +11,19 @@ what it was buying:
   fire-wall density trade-off);
 * **A3 — local commit optimisation** (Sect.6): the paper proposes
   implementing same-machine communication (DM-TM) "based on main
-  memory communication"; measure 2PC latency with and without the
-  local fast path.
+  memory communication"; measure the commit latency of a checkin
+  from the server's own node against one from a workstation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.models import concord_model
 from repro.bench.experiments import STEP_DURATIONS
 from repro.bench.reporting import ExperimentResult
-from repro.net.network import Network, NodeKind
-from repro.net.two_phase_commit import TwoPhaseCoordinator, Vote
+from repro.repository.versions import freeze_payload
+from repro.te.rig import TeRig
+from repro.txn.gateway import CommitGateway
+from repro.vlsi.tools import vlsi_dots
 from repro.workload.generator import team_workload
 from repro.workload.simulator import TeamSimulator, crash_lost_work
 
@@ -105,46 +105,41 @@ def run_a2() -> ExperimentResult:
 # A3 — local commit fast path
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _YesParticipant:
-    node_id: str
-
-    def prepare(self, txn_id: str) -> Vote:
-        return Vote.YES
-
-    def commit(self, txn_id: str) -> None:
-        pass
-
-    def abort(self, txn_id: str) -> None:
-        pass
+#: the write-through checkins each A3 gateway commits
+A3_COMMITS = 50
 
 
 def run_a3() -> ExperimentResult:
-    """Same-machine 2PC with vs without the main-memory fast path.
+    """Checkins committed from the server's own node vs from a
+    workstation, on one TeRig.
 
-    Coordinator and participant on the *same* node model the DM-TM
-    case: with the local fast path every hop costs local latency, the
-    ablation charges full LAN latency to every message.
+    A :class:`~repro.txn.gateway.CommitGateway` anchored at the server
+    node models a manager co-located with the server-TM: its exchange
+    runs over main memory, at local latency per hop; one anchored at a
+    workstation pays the LAN latency per hop.  Each commits
+    :data:`A3_COMMITS` write-through checkins; the latency is the
+    gateway's :attr:`~repro.txn.gateway.CommitOutcome.latency`.
     """
     result = ExperimentResult(
         "A3", "Ablation: local (main-memory) commit optimisation")
-    commits = 50
-    for label, local_latency in (("main-memory fast path", 0.0005),
-                                 ("no fast path (LAN cost)", 0.010)):
-        network = Network(lan_latency=0.010,
-                          local_latency=local_latency)
-        network.add_node("machine", NodeKind.WORKSTATION)
-        coordinator = TwoPhaseCoordinator(network, "machine")
-        participant = _YesParticipant("machine")
+    rig = TeRig(trace=False)
+    rig.open_scope()
+    rig.add_workstation("ws-1")
+    rig.repository.register_dot(vlsi_dots()["StandardCell"])
+    rig.repository.create_graph("da-1")
+    server_id = rig.server_tm.node_id
+    for label, node_id in (("main-memory fast path", server_id),
+                           ("no fast path (LAN cost)", "ws-1")):
+        gateway = CommitGateway(rig.rpc, rig.server_tm, node_id)
         total_latency = 0.0
-        for i in range(commits):
-            outcome = coordinator.execute(f"txn-{label}-{i}",
-                                          [participant])
-            total_latency += outcome.latency
-        result.add(variant=label,
-                   commits=commits,
+        for index in range(A3_COMMITS):
+            payload = freeze_payload(
+                {"cell": f"c{index}", "level": "cell", "area": 1.0})
+            total_latency += gateway.single_checkin(
+                "da-1", "StandardCell", payload, []).outcome.latency
+        result.add(variant=label, node=node_id, commits=A3_COMMITS,
                    total_latency_ms=round(total_latency * 1000, 2),
-                   per_commit_ms=round(total_latency / commits * 1000,
+                   per_commit_ms=round(total_latency / A3_COMMITS * 1000,
                                        3))
     fast, slow = result.rows
     result.data["speedup"] = (slow["per_commit_ms"]

@@ -8,7 +8,6 @@ and takes no arguments; the shape it must exhibit is checked once, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.baselines.models import all_models, concord_model
@@ -16,12 +15,8 @@ from repro.bench.reporting import ExperimentResult
 from repro.core.features import DesignSpecification, RangeFeature
 from repro.core.system import ConcordSystem
 from repro.dc.script import DopStep, Script, Sequence
-from repro.net.network import Network, NodeKind
-from repro.net.two_phase_commit import (
-    CommitProtocol,
-    TwoPhaseCoordinator,
-    Vote,
-)
+from repro.repository.federation import FederatedRepository
+from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
@@ -29,6 +24,8 @@ from repro.repository.schema import (
 )
 from repro.scenario.delegation import chip_spec, make_vlsi_system
 from repro.te.rig import TeRig
+from repro.util.errors import StorageError
+from repro.util.ids import IdGenerator
 from repro.util.rng import SeededRng
 from repro.vlsi.tools import vlsi_dots
 from repro.workload.generator import (
@@ -118,28 +115,56 @@ def run_t2() -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# T3 — two-phase commit variants
+# T3 — the stack's commit protocols
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ScriptedParticipant:
-    """A 2PC participant with a scripted vote (for protocol costing)."""
+#: the members of T3's federation: a cross-member batch stages one
+#: version on each
+T3_MEMBERS = 3
 
-    node_id: str
-    vote: Vote
-    prepared: int = 0
-    committed: int = 0
-    aborted: int = 0
 
-    def prepare(self, txn_id: str) -> Vote:
-        self.prepared += 1
-        return self.vote
+def _federated_commit(case: str) -> dict[str, object]:
+    """One batch committed through a :data:`T3_MEMBERS`-member
+    :class:`~repro.repository.federation.FederatedRepository`: a
+    ``"cross-member commit"`` of one version per member, the same
+    batch with the last member down at prepare (``"last member down
+    at prepare"``), or a ``"single-member batch"``.  Its forced writes
+    are those of the members' WALs and of the decision log, its
+    decision records the COMMIT decisions that log keeps."""
+    ids = IdGenerator()
+    names = [f"m{index}" for index in range(T3_MEMBERS)]
+    federation = FederatedRepository(
+        {name: DesignDataRepository(ids) for name in names})
+    federation.register_dot(vlsi_dots()["StandardCell"])
+    for name in names:
+        federation.assign(f"da-{name}", name)
+        federation.create_graph(f"da-{name}")
+    owners = names[:1] if case == "single-member batch" else names
+    staged = [federation.stage_checkin(
+        f"da-{name}", "StandardCell",
+        {"cell": name, "level": "cell", "area": 1.0}, (), 0.0).dov_id
+        for name in owners]
+    logs = [federation.member(name).wal for name in names]
+    logs.append(federation.decision_log.wal)
 
-    def commit(self, txn_id: str) -> None:
-        self.committed += 1
+    def forced() -> int:
+        return sum(log.forced_writes for log in logs)
 
-    def abort(self, txn_id: str) -> None:
-        self.aborted += 1
+    before = forced()
+    if case == "last member down at prepare":
+        # the member fails unannounced: the coordinator learns of it
+        # when its prepare request fails
+        federation.member(names[-1]).crash()
+    try:
+        federation.commit_group(staged)
+        decision = "commit"
+    except StorageError:
+        decision = "abort"
+    return {"protocol": "presumed_abort" if len(owners) > 1
+            else "one_phase",
+            "case": case, "members": len(owners), "decision": decision,
+            "forced_writes": forced() - before,
+            "decision_records": len(federation.decision_log.decisions())}
 
 
 def _one_phase_on_the_stack(records: int) -> dict[str, object]:
@@ -170,7 +195,7 @@ def _one_phase_on_the_stack(records: int) -> dict[str, object]:
     else:
         outcome = checkin(0).outcome
         case = "write-through checkin (stack)"
-    return {"protocol": outcome.protocol.value, "case": case,
+    return {"protocol": "one_phase", "case": case, "members": 1,
             "decision": outcome.decision.value,
             "messages": rig.network.messages_sent - messages - 1,
             "forced_writes": rig.repository.wal.forced_writes - forced,
@@ -178,62 +203,41 @@ def _one_phase_on_the_stack(records: int) -> dict[str, object]:
 
 
 def run_t3() -> ExperimentResult:
-    """Messages / forced log writes / latency of the 2PC variants, and
-    of the one-phase commit a TE checkin runs.
+    """Forced log writes and decision records of the commits the stack
+    runs: the federation's presumed-abort commit and the one-phase
+    commit of a sole participant.
 
     Claim (Sect.6): LAN communications should "use the (X/OPEN)
     two-phase-commit protocol and its optimization alternatives
-    [SBCM93]".  Expected: presumed abort saves messages and forced
-    writes on aborts; read-only participants drop out of phase 2; and
-    a transaction with one participant — every TE checkin, whose sole
-    participant is the server-TM — commits in one exchange with fewer
-    messages and forced writes than the cheapest 2PC of that one
-    participant.  The one-phase rows are measured on a TeRig.
+    [SBCM93]".  The stack runs two of them.  A cross-member batch of
+    a :class:`~repro.repository.federation.FederatedRepository`
+    commits under presumed abort: one forced prepare record per member,
+    one forced decision record, one forced completion per member; an
+    abort forces no decision record.  A batch or checkin with one
+    participant commits in one phase: one forced write, no decision
+    record, and on the LAN one exchange, a request and its reply
+    (measured on a TeRig).  The federation's members are in-process,
+    not LAN nodes, so its rows count no messages; the basic protocol,
+    the read-only optimisation and presumed abort's message savings
+    have no mechanism on the stack and are not measured.
     """
     result = ExperimentResult(
-        "T3", "Two-phase commit optimisations (messages, forced log "
-              "writes, latency)")
-    cases = {
-        "all-yes commit": [Vote.YES] * 3,
-        "one-no abort": [Vote.YES] * 2 + [Vote.NO],
-        "read-only mix": [Vote.READ_ONLY] * 2 + [Vote.YES],
-    }
-    runs = [(protocol, read_only_opt, case, votes)
-            for protocol in (CommitProtocol.BASIC,
-                             CommitProtocol.PRESUMED_ABORT)
-            for read_only_opt in (False, True)
-            # RO optimisation is benchmarked on PA only
-            if not (read_only_opt and protocol is CommitProtocol.BASIC)
-            for case, votes in cases.items()]
-    # what a checkin would cost under the cheapest 2PC: its one
-    # participant votes YES
-    runs.append((CommitProtocol.PRESUMED_ABORT, False, "sole participant",
-                 [Vote.YES]))
-    for txn, (protocol, read_only_opt, case, votes) in enumerate(runs, 1):
-        network = Network()
-        network.add_node("coord", NodeKind.WORKSTATION)
-        parts = []
-        for i, vote in enumerate(votes):
-            network.add_node(f"part-{i}", NodeKind.SERVER)
-            parts.append(_ScriptedParticipant(f"part-{i}", vote))
-        coordinator = TwoPhaseCoordinator(
-            network, "coord", protocol=protocol,
-            read_only_optimisation=read_only_opt)
-        outcome = coordinator.execute(f"txn-{txn}", parts)
-        label = protocol.value + ("+ro" if read_only_opt else "")
-        result.add(protocol=label, case=case,
-                   decision=outcome.decision.value,
-                   messages=outcome.messages,
-                   forced_writes=outcome.forced_log_writes,
-                   latency_ms=round(outcome.latency * 1000, 2))
+        "T3", "Commit protocols of the stack (forced log writes, "
+              "decision records, messages, latency)")
+    result.columns = ["protocol", "case", "members", "decision",
+                      "forced_writes", "decision_records", "messages",
+                      "latency_ms"]
+    for case in ("cross-member commit", "last member down at prepare",
+                 "single-member batch"):
+        result.add(**_federated_commit(case))
     result.add(**_one_phase_on_the_stack(0))
     result.add(**_one_phase_on_the_stack(4))
     result.notes.append(
-        "expected shape: presumed_abort <= basic on aborts (no forced "
-        "abort record, no acks); read-only participants skip phase 2 "
-        "entirely; a sole participant commits in one exchange "
-        "(one_phase, measured on the stack: control messages, the "
-        "payload's own message excluded) below its 2PC")
+        f"expected shape: a commit across {T3_MEMBERS} members forces "
+        f"2 writes per member plus one decision record; an abort "
+        f"forces no decision record; a sole participant commits in one "
+        f"phase with fewer forced writes and, on the LAN, one exchange "
+        f"(control messages, the payload's own message excluded)")
     return result
 
 

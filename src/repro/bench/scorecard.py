@@ -177,25 +177,32 @@ def _check_t2(result: ExperimentResult) -> str | None:
 
 
 def _check_t3(result: ExperimentResult) -> str | None:
-    rows = {(r["protocol"], r["case"]): r for r in result.rows}
-    basic = rows[("basic", "one-no abort")]
-    presumed = rows[("presumed_abort", "one-no abort")]
-    plain = rows[("presumed_abort", "read-only mix")]
-    read_only = rows[("presumed_abort+ro", "read-only mix")]
-    sole = rows[("presumed_abort", "sole participant")]
+    rows = {r["case"]: r for r in result.rows}
+    commit = rows["cross-member commit"]
+    abort = rows["last member down at prepare"]
+    if commit["decision"] != "commit" or abort["decision"] != "abort":
+        return "the cross-member batch must commit, and abort with a " \
+               "member down"
+    if commit["forced_writes"] != 2 * commit["members"] + 1 \
+            or commit["decision_records"] != 1:
+        return "a cross-member commit forces 2 writes per member and " \
+               "one decision record"
+    if abort["decision_records"] != 0:
+        return "presumed abort logged a decision record on an abort"
     one_phase = [row for row in result.rows
                  if row["protocol"] == "one_phase"]
-    if len(one_phase) != 2:
-        return "one-phase checkin and flush rows missing"
-    for measure in ("messages", "forced_writes"):
-        if not presumed[measure] < basic[measure]:
-            return f"presumed abort did not save abort {measure}"
-        if not read_only[measure] < plain[measure]:
-            return f"read-only optimisation saved no {measure}"
-        for row in one_phase:
-            if not row[measure] < sole[measure]:
-                return (f"one-phase commit ({row['case']}) saved no "
-                        f"{measure} over a sole participant's 2PC")
+    if len(one_phase) != 3:
+        return "single-member batch, checkin and flush rows missing"
+    for row in one_phase:
+        if not row["forced_writes"] < commit["forced_writes"]:
+            return (f"one-phase commit ({row['case']}) saved no "
+                    f"forced_writes over the cross-member commit")
+        if row.get("decision_records", 0) != 0:
+            return (f"one-phase commit ({row['case']}) logged a "
+                    f"decision record")
+        if "messages" in row and row["messages"] != 2:
+            return (f"one-phase commit ({row['case']}) is not one "
+                    f"exchange")
     return None
 
 

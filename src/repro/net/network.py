@@ -10,8 +10,8 @@ environment deterministically:
   components (TMs, DMs, repository) drop the volatile state they own
   and recover;
 * :class:`Network` — synchronous message transport with per-hop cost
-  accounting (LAN vs same-machine), used by the RPC and 2PC layers and
-  by experiment T3's message/latency counts.
+  accounting (LAN vs same-machine), used by the RPC layer and by the
+  message/latency counts of experiments T3 and A3.
 """
 
 from __future__ import annotations

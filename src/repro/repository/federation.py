@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
-from repro.net.two_phase_commit import Decision
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import DesignObjectType
 from repro.repository.versions import DerivationGraph, DesignObjectVersion
 from repro.txn.decision_log import GlobalDecisionLog
+from repro.txn.gateway import Decision
 from repro.util.errors import StorageError, UnknownObjectError
 
 
@@ -265,25 +265,28 @@ class FederatedRepository:
 
         O(batch) — one staged-home lookup per id, zero member scans.  An
         unresolvable id aborts the whole batch
-        (presumed abort): the portions already resolved are un-staged
-        so nothing dangles, and the error names any down member.
+        (presumed abort): the whole batch is resolved first, then every
+        resolved id — before or after the first unresolvable one — is
+        un-staged so nothing dangles, and the error names any down
+        member.
         """
-        homes: dict[str, str] = {}
-        for dov_id in dov_ids:
-            name = self._staged.get(dov_id)
-            if name is None:
-                for placed_id in homes:
-                    self.abort_checkin(placed_id)
-                down = [name for name, repo in self._members.items()
-                        if not repo.store.is_up]
-                if down:
-                    raise StorageError(
-                        f"DOV {dov_id!r} unresolvable with member(s) "
-                        f"{down} down: batch aborted")
-                raise UnknownObjectError(
-                    f"no staged checkin for DOV {dov_id!r} in any member")
-            homes[dov_id] = name
-        return homes
+        staged = self._staged
+        homes = {dov_id: staged[dov_id] for dov_id in dov_ids
+                 if dov_id in staged}
+        missing = next((dov_id for dov_id in dov_ids
+                        if dov_id not in homes), None)
+        if missing is None:
+            return homes
+        for placed_id in homes:
+            self.abort_checkin(placed_id)
+        down = [name for name, repo in self._members.items()
+                if not repo.store.is_up]
+        if down:
+            raise StorageError(
+                f"DOV {missing!r} unresolvable with member(s) "
+                f"{down} down: batch aborted")
+        raise UnknownObjectError(
+            f"no staged checkin for DOV {missing!r} in any member")
 
     def commit_group(self, dov_ids: list[str]) -> list[DesignObjectVersion]:
         """Commit a staged group atomically, *across* members.

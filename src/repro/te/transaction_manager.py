@@ -59,8 +59,12 @@ from typing import Any, Callable, NamedTuple
 
 from repro.net.network import SERVER, Network
 from repro.net.rpc import TransactionalRpc
-from repro.net.two_phase_commit import CommitOutcome
-from repro.txn.gateway import CheckinRecord, CommitGateway, GroupCommitResult
+from repro.txn.gateway import (
+    CheckinRecord,
+    CommitGateway,
+    CommitOutcome,
+    GroupCommitResult,
+)
 from repro.txn.leases import LeaseTable
 from repro.repository.repository import DesignDataRepository
 from repro.repository.versions import DesignObjectVersion, freeze_payload

@@ -42,9 +42,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.net.two_phase_commit import Decision
 from repro.repository.versions import FrozenDict, freeze_payload
 from repro.repository.wal import LogRecordKind, WriteAheadLog
+from repro.txn.gateway import Decision
 
 #: completed batches between two checkpoints: the log holds the
 #: incomplete set plus at most one window, however many batches ever

@@ -16,11 +16,10 @@ record list and the reply carries the decision, which the participant
 takes itself (:meth:`~repro.te.transaction_manager.ServerTM.checkin`).
 The payload bytes ship first, as their own sized message, so they are
 filed before the invalidations the commit raises.  A checkin costs
-three messages: the upload, the request and the reply.  Its outcome
-names :attr:`~repro.net.two_phase_commit.CommitProtocol.ONE_PHASE`
-and counts the two control messages and the repository's one forced
-WAL write; the two-phase variants stay in
-:mod:`repro.net.two_phase_commit`, where T3 compares them with it.
+three messages: the upload, the request and the reply.  Its
+:class:`CommitOutcome` counts the two control messages and the
+repository's one forced WAL write; T3 sets it beside the federation's
+presumed-abort commit, the stack's one multi-participant shape.
 
 Commit shapes:
 
@@ -52,16 +51,43 @@ case of one-phase commit, stated in ``docs/coherence.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from enum import Enum
+from typing import Any, NamedTuple, Sequence
 
 from repro.net.rpc import TransactionalRpc
-from repro.net.two_phase_commit import CommitOutcome, CommitProtocol, Decision
 from repro.repository.versions import payload_sizeof
 from repro.util.ids import IdGenerator
 
+
+class Decision(str, Enum):
+    """The outcome of a commit: a checkin's, decided by its sole
+    participant, or a federation batch's, decided by the
+    :class:`~repro.txn.decision_log.GlobalDecisionLog`."""
+
+    COMMIT = "commit"
+    ABORT = "abort"
+
+
+class CommitOutcome(NamedTuple):
+    """What one checkin's commit cost: a tuple, built once when the
+    reply arrives, whose fields cannot be reassigned."""
+
+    txn_id: str
+    decision: Decision
+    messages: int
+    forced_log_writes: int
+    latency: float
+    #: the participant that refused (empty on commit)
+    no_voters: Sequence[str]
+
+    @property
+    def committed(self) -> bool:
+        """True when the decision was COMMIT."""
+        return self.decision is Decision.COMMIT
+
+
 _COMMIT = Decision.COMMIT
 _ABORT = Decision.ABORT
-_ONE_PHASE = CommitProtocol.ONE_PHASE
 
 
 class CheckinRecord(NamedTuple):
@@ -150,10 +176,10 @@ class CommitGateway:
         NO voter."""
         if reply.__class__ is str:
             return tuple.__new__(CommitOutcome, (
-                txn_id, _ABORT, _ONE_PHASE, 2, 0, self._round_trip, (),
+                txn_id, _ABORT, 2, 0, self._round_trip,
                 (self._server_id,)))
         return tuple.__new__(CommitOutcome, (
-            txn_id, _COMMIT, _ONE_PHASE, 2, 1, self._round_trip, (), ()))
+            txn_id, _COMMIT, 2, 1, self._round_trip, ()))
 
     # -- single checkin (write-through) -------------------------------------
 

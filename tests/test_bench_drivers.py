@@ -99,34 +99,37 @@ class TestExperiments:
         _assert_rejects("T2", concord_loses_its_interval,
                         "lost more than its rp interval")
 
+    def test_t3_counts_what_the_stack_forces(self):
+        counts = {row["case"]: (row["forced_writes"],
+                                row.get("decision_records"),
+                                row.get("messages"))
+                  for row in _real("T3").rows}
+        assert counts == {
+            "cross-member commit": (7, 1, None),
+            "last member down at prepare": (2, 0, None),
+            "single-member batch": (1, 0, None),
+            "write-through checkin (stack)": (1, None, 2),
+            "4-record flush (stack)": (1, None, 2),
+        }
+
     def test_t3_shape(self):
-        def presumed_abort_forces_as_much(result):
-            basic = _row(result, protocol="basic", case="one-no abort")
-            _row(result, protocol="presumed_abort", case="one-no abort")[
-                "forced_writes"] = basic["forced_writes"]
-        _assert_rejects("T3", presumed_abort_forces_as_much,
-                        "abort forced_writes")
+        def abort_logs_a_decision(result):
+            _row(result, case="last member down at prepare")[
+                "decision_records"] = 1
+        _assert_rejects("T3", abort_logs_a_decision,
+                        "logged a decision record on an abort")
 
-    def test_t3_one_phase_beats_a_sole_participants_2pc(self):
-        sole = _row(_real("T3"), protocol="presumed_abort",
-                    case="sole participant")
-        assert (sole["messages"], sole["forced_writes"]) == (4, 3)
-        for case in ("write-through checkin (stack)",
-                     "4-record flush (stack)"):
-            row = _row(_real("T3"), protocol="one_phase", case=case)
-            assert (row["messages"], row["forced_writes"]) == (2, 1)
+        def one_phase_forces_as_much(result):
+            commit = _row(result, case="cross-member commit")
+            _row(result, case="single-member batch")["forced_writes"] = \
+                commit["forced_writes"]
+        _assert_rejects("T3", one_phase_forces_as_much,
+                        "(single-member batch) saved no forced_writes")
 
-        def flush_runs_a_2pc(result):
-            _row(result, protocol="one_phase",
-                 case="4-record flush (stack)")["messages"] = 4
-        _assert_rejects("T3", flush_runs_a_2pc,
-                        "(4-record flush (stack)) saved no messages")
-
-        def checkin_forces_a_decision(result):
-            _row(result, protocol="one_phase",
-                 case="write-through checkin (stack)")["forced_writes"] = 3
-        _assert_rejects("T3", checkin_forces_a_decision,
-                        "saved no forced_writes")
+        def flush_runs_two_exchanges(result):
+            _row(result, case="4-record flush (stack)")["messages"] = 4
+        _assert_rejects("T3", flush_runs_two_exchanges,
+                        "(4-record flush (stack)) is not one exchange")
 
     def test_t4_runs(self):
         # short-lock sections and scope inheritance, nothing else
@@ -207,6 +210,14 @@ class TestExperiments:
 
 
 class TestAblations:
+    def test_a3_speedup(self):
+        assert [row["per_commit_ms"] for row in _real("A3").rows] \
+            == [2.0, 20.0]
+
+        def fast_path_halved(result):
+            result.data["speedup"] = 5.0
+        _assert_rejects("A3", fast_path_halved, "implausibly small")
+
     def test_a2_write_order(self):
         def tight_interval_writes_fewer_points(result):
             result.rows[0]["recovery_point_writes"] = 0

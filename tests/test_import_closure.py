@@ -26,14 +26,14 @@ HARNESS = ("repro.bench.experiments", "repro.bench.scorecard",
            "repro.baselines", "repro.workload.simulator")
 
 #: ``repro*`` modules a run of each kind loads (none may grow)
-CAMPAIGN_CLOSURE = 35
-DELEGATION_CLOSURE = 55
-SHIPPING_CLOSURE = 37
-FEDERATION_CLOSURE = 29
+CAMPAIGN_CLOSURE = 34
+DELEGATION_CLOSURE = 54
+SHIPPING_CLOSURE = 36
+FEDERATION_CLOSURE = 28
 #: the ``cm_cooperation`` workload of ``benchmarks/e2e``: the AC level
 #: and the VLSI DOTs, not the cell hierarchies, the methodology or the
 #: modules only the tools run (chip planner, floorplan, net list, shapes)
-COOPERATION_CLOSURE = 45
+COOPERATION_CLOSURE = 44
 
 #: what a TE-only campaign has no use for: the AC and DC levels, the
 #: VLSI domain, and the federation with its decision log

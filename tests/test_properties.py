@@ -5,16 +5,15 @@ Invariants covered:
 * shape-function staircases: pruning keeps a minimal antichain that
   still dominates every input shape;
 * derivation graphs: ancestor/descendant duality, acyclicity;
-* the lock manager: scope-of is consistent with holders, release
-  undoes acquire;
 * script cursors: replaying a logged history reproduces the cursor
   state exactly (the DM's forward-recovery invariant);
 * range-feature refinement is a partial order (reflexive, transitive,
   antisymmetric up to equal bounds);
 * the WAL: the stable prefix after crash is a prefix of the pre-crash
   record sequence;
-* 2PC: the decision is COMMIT iff every participant voted YES (or
-  read-only).
+* the federated commit: a batch commits iff no member that owns one
+  of its versions is down, forces the writes its protocol names, and
+  an abort leaves nothing staged or durable.
 """
 
 from __future__ import annotations
@@ -277,39 +276,74 @@ def test_wal_stable_prefix_property(program):
 
 
 # ---------------------------------------------------------------------------
-# 2PC decision correctness
+# the federated commit
 # ---------------------------------------------------------------------------
 
-@given(st.lists(st.sampled_from(["yes", "no", "read_only"]),
-                min_size=1, max_size=5))
-def test_2pc_decision_matches_votes(vote_names):
-    from repro.net.network import Network, NodeKind
-    from repro.net.two_phase_commit import (
-        TwoPhaseCoordinator,
-        Vote,
+@st.composite
+def federated_batches(draw):
+    """A member count, each staged version's owning member and the
+    members that are down before the batch commits."""
+    members = draw(st.integers(1, 4))
+    owners = draw(st.lists(st.integers(0, members - 1), min_size=1,
+                           max_size=6))
+    down = draw(st.sets(st.integers(0, members - 1)))
+    return members, owners, down
+
+
+@given(federated_batches())
+def test_a_federated_batch_commits_iff_no_owner_is_down(batch):
+    from repro.repository.federation import FederatedRepository
+    from repro.repository.repository import DesignDataRepository
+    from repro.repository.schema import (
+        AttributeDef,
+        AttributeKind,
+        DesignObjectType,
     )
+    from repro.util.errors import StorageError
+    from repro.util.ids import IdGenerator
 
-    class P:
-        def __init__(self, node_id, vote):
-            self.node_id = node_id
-            self.vote = vote
+    members, owners, down = batch
+    ids = IdGenerator()
+    names = [f"m{index}" for index in range(members)]
+    federation = FederatedRepository(
+        {name: DesignDataRepository(ids) for name in names})
+    federation.register_dot(DesignObjectType("Cell", attributes=[
+        AttributeDef("area", AttributeKind.FLOAT, required=False)]))
+    for name in names:
+        federation.assign(f"da-{name}", name)
+        federation.create_graph(f"da-{name}")
+    staged = [federation.stage_checkin(f"da-m{owner}", "Cell",
+                                       {"area": float(index)}, (),
+                                       0.0).dov_id
+              for index, owner in enumerate(owners)]
+    for index in sorted(down):
+        federation.crash_member(names[index])
+    repos = [federation.member(name) for name in names]
+    forced = sum(repo.wal.forced_writes for repo in repos)
+    log = federation.decision_log
 
-        def prepare(self, txn):
-            return self.vote
+    try:
+        federation.commit_group(staged)
+        committed = True
+    except StorageError:
+        committed = False
 
-        def commit(self, txn):
-            pass
-
-        def abort(self, txn):
-            pass
-
-    network = Network()
-    network.add_node("coord", NodeKind.WORKSTATION)
-    participants = []
-    for i, name in enumerate(vote_names):
-        network.add_node(f"p{i}", NodeKind.SERVER)
-        participants.append(P(f"p{i}", Vote(name)))
-    coordinator = TwoPhaseCoordinator(network, "coord")
-    outcome = coordinator.execute("t", participants)
-    should_commit = all(v in ("yes", "read_only") for v in vote_names)
-    assert outcome.committed == should_commit
+    assert committed == down.isdisjoint(owners)
+    member_writes = sum(repo.wal.forced_writes for repo in repos) - forced
+    owning = len(set(owners))
+    if committed and owning > 1:
+        assert member_writes == 2 * owning
+        assert len(log.decisions()) == 1 == log.wal.forced_writes
+    elif committed:
+        assert member_writes == 1
+        assert log.decisions() == [] and log.wal.forced_writes == 0
+    else:
+        assert log.decisions() == [] and log.wal.forced_writes == 0
+        for index, repo in enumerate(repos):
+            if index not in down:
+                assert repo.store.staged_ids() == set()
+        for index in sorted(down):
+            federation.recover_member(names[index])
+        for dov_id in staged:
+            assert dov_id not in federation
+            assert all(dov_id not in repo.store for repo in repos)

@@ -217,6 +217,34 @@ class TestSingleMemberBatchFailure:
         assert [d.dov_id for d in committed] == [retry.dov_id]
 
 
+class TestUnresolvableBatch:
+    def test_an_aborted_batch_unstages_the_ids_after_the_unresolvable(
+            self):
+        """A batch whose first id staged on a crashed member aborts
+        whole: the versions listed after it are un-staged too, at their
+        live members and in the staged-home map, so no later batch can
+        commit them."""
+        ids = IdGenerator()
+        federation = FederatedRepository(
+            {f"m{index}": DesignDataRepository(ids) for index in range(3)})
+        federation.register_dot(make_dot())
+        for index in range(3):
+            federation.assign(f"da-{index}", f"m{index}")
+            federation.create_graph(f"da-{index}")
+        on_m2 = federation.stage_checkin("da-2", "Cell", {"area": 1.0},
+                                         (), 0.0).dov_id
+        on_m0 = federation.stage_checkin("da-0", "Cell", {"area": 2.0},
+                                         (), 0.0).dov_id
+        federation.crash_member("m2")
+        with pytest.raises(StorageError, match=r"\['m2'\] down"):
+            federation.commit_group([on_m2, on_m0])
+        assert federation.member("m0").store.staged_ids() == set()
+        assert federation._staged == {}
+        with pytest.raises(StorageError, match=f"DOV '{on_m0}'"):
+            federation.commit_group([on_m0])
+        assert on_m0 not in federation
+
+
 class TestDirectoryRecovery:
     def test_crash_member_reports_dropped_staged_entries(
             self, federation):

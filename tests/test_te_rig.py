@@ -217,8 +217,7 @@ def _drive_checkin(shape: str, leg: str, arm) -> dict:
         durable = result.dov if shape == "single" else result.dovs[0]
     return {
         "committed": bool(result and result.committed),
-        "outcome": result and (result.outcome.protocol.value,
-                               result.outcome.messages,
+        "outcome": result and (result.outcome.messages,
                                result.outcome.forced_log_writes),
         "reason": result and result.reason,
         "down": down,
@@ -253,7 +252,7 @@ def test_a_single_checkin_is_a_group_of_one_at_the_server_tm(
     assert single["messages"] == (2 if leg == "abort" else 3)
     if leg == "commit":
         assert single["committed"]
-        assert single["outcome"] == ("one_phase", 2, 1)
+        assert single["outcome"] == (2, 1)
         assert single["durable"] == ({"area": 2.0}, ("dov-1",), "da-1")
         assert single["wal_kinds"] == ["DOV_CHECKIN"]
         assert single["wal_forces"] == 1
@@ -267,7 +266,7 @@ def test_a_single_checkin_is_a_group_of_one_at_the_server_tm(
         assert single["wal_forces"] == 0
     else:
         assert not single["committed"]
-        assert single["outcome"] == ("one_phase", 2, 0)
+        assert single["outcome"] == (2, 0)
         assert "area" in single["reason"]
         assert single["store"] == 1 and single["wal_kinds"] == []
         assert single["durable"] is None

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.perf import _CELL, _make_rig, _nested_payload
-from repro.net.two_phase_commit import CommitProtocol
 from repro.repository.schema import (
     AttributeDef,
     AttributeKind,
@@ -343,7 +342,6 @@ class TestCheckinOnePhase:
         result = client.checkin(dop, "Cell")
         outcome = result.outcome
         assert outcome.committed
-        assert outcome.protocol is CommitProtocol.ONE_PHASE
         assert (outcome.messages, outcome.forced_log_writes) == (2, 1)
         assert rig["repo"].wal.forced_writes - forced == 1
         assert outcome.no_voters == () and outcome.latency > 0

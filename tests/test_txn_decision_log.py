@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.two_phase_commit import Decision
 from repro.repository.federation import FederatedRepository
 from repro.repository.repository import DesignDataRepository
 from repro.repository.schema import (
@@ -21,6 +20,7 @@ from repro.repository.schema import (
     DesignObjectType,
 )
 from repro.txn.decision_log import CHECKPOINT_WINDOW, GlobalDecisionLog
+from repro.txn.gateway import Decision
 from repro.util.errors import StorageError
 from repro.util.ids import IdGenerator
 
